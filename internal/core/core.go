@@ -466,16 +466,41 @@ func (sc *Scenario) newTelemetry() *telemetry.Collector {
 	return nil
 }
 
-// emulate runs the emulator on an assignment.
-func (sc *Scenario) emulate(ctx context.Context, assignment []int, profile bool) (*emu.Result, error) {
+// emuConfig is the emulator configuration every run mode starts from: the
+// scenario's network, route oracle, shared workload and cost/transport/fault
+// settings under the given assignment. Callers extend it (a PROFILE pass, a
+// recovery hook, an elastic schedule).
+func (sc *Scenario) emuConfig(assignment []int) (emu.Config, error) {
 	w, err := sc.Workload()
 	if err != nil {
-		return nil, err
+		return emu.Config{}, err
 	}
 	routes, err := sc.Routes()
 	if err != nil {
+		return emu.Config{}, err
+	}
+	return emu.Config{
+		Network:      sc.Network,
+		Routes:       routes,
+		Assignment:   assignment,
+		NumEngines:   sc.Engines,
+		Workload:     w,
+		Cost:         sc.Cost,
+		EndTime:      sc.EndTime,
+		Transport:    sc.Transport,
+		EngineSpeeds: sc.EngineSpeeds,
+		Sequential:   sc.Sequential,
+		Faults:       sc.Faults,
+	}, nil
+}
+
+// emulate runs the emulator on an assignment.
+func (sc *Scenario) emulate(ctx context.Context, assignment []int, profile bool) (*emu.Result, error) {
+	cfg, err := sc.emuConfig(assignment)
+	if err != nil {
 		return nil, err
 	}
+	cfg.Profile = profile
 	opts := sc.runOptions(ctx)
 	if tel := sc.newTelemetry(); tel != nil {
 		opts = append(opts, emu.WithTelemetry(tel))
@@ -483,18 +508,5 @@ func (sc *Scenario) emulate(ctx context.Context, assignment []int, profile bool)
 	if sc.Trace != nil && !profile {
 		opts = append(opts, emu.WithTrace(sc.Trace))
 	}
-	return emu.Run(emu.Config{
-		Network:      sc.Network,
-		Routes:       routes,
-		Assignment:   assignment,
-		NumEngines:   sc.Engines,
-		Workload:     w,
-		Cost:         sc.Cost,
-		Profile:      profile,
-		EndTime:      sc.EndTime,
-		Transport:    sc.Transport,
-		EngineSpeeds: sc.EngineSpeeds,
-		Sequential:   sc.Sequential,
-		Faults:       sc.Faults,
-	}, opts...)
+	return emu.Run(cfg, opts...)
 }

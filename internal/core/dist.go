@@ -18,59 +18,66 @@ import (
 
 // RunDistributed executes one approach with the engines spread across the
 // given worker connections. Worker loss degrades into the same
-// RemapSurvivors-driven crash recovery as RunResilient: the survivors'
-// engines re-emulate in-process with the lost worker's engines fail-stopped,
-// and Result.Recovery reports the remap.
+// RemapOnto-driven crash recovery as RunResilient: the survivors' engines
+// re-emulate in-process with the lost worker's engines fail-stopped, and
+// Result.Recovery reports the remap.
 func (sc *Scenario) RunDistributed(ctx context.Context, a mapping.Approach, workers []dist.Conn, opt dist.Options) (*Outcome, error) {
 	part, profRun, err := sc.Partition(ctx, a)
 	if err != nil {
 		return nil, err
 	}
-	w, err := sc.Workload()
+	spec, err := sc.distSpec(ctx, part, sc.survivorRemap())
 	if err != nil {
 		return nil, err
-	}
-	routes, err := sc.Routes()
-	if err != nil {
-		return nil, err
-	}
-	spec := &dist.RunSpec{
-		Cfg: emu.Config{
-			Network:      sc.Network,
-			Routes:       routes,
-			Assignment:   part,
-			NumEngines:   sc.Engines,
-			Workload:     w,
-			Cost:         sc.Cost,
-			EndTime:      sc.EndTime,
-			Transport:    sc.Transport,
-			EngineSpeeds: sc.EngineSpeeds,
-			Sequential:   sc.Sequential,
-			Faults:       sc.Faults,
-		},
-		Routing:   sc.routingOptions(),
-		Telemetry: sc.newTelemetry(),
-		Trace:     sc.Trace,
-		Health:    sc.ClusterHealth,
-		EmuOpts:   sc.runOptions(ctx),
-		OnWorkerLoss: func(f emu.EngineFailure) ([]int, error) {
-			var survivors []int
-			for e, ok := range f.Alive {
-				if ok {
-					survivors = append(survivors, e)
-				}
-			}
-			in, err := sc.mappingInput()
-			if err != nil {
-				return nil, err
-			}
-			next, _, err := mapping.RemapSurvivors(in, f.Assignment, survivors, f.Loads)
-			return next, err
-		},
 	}
 	res, err := dist.Run(ctx, spec, workers, opt)
 	if err != nil {
 		return nil, fmt.Errorf("core: distributed %s on %s: %w", a, sc.Name, err)
 	}
 	return &Outcome{Approach: a, Assignment: part, Result: res, ProfileRun: profRun}, nil
+}
+
+// distSpec is the coordinator's description of a run under an assignment.
+// RunDistributed and RunElastic differ only in the loss policy they pass.
+func (sc *Scenario) distSpec(ctx context.Context, assignment []int, onLoss func(emu.EngineFailure) ([]int, error)) (*dist.RunSpec, error) {
+	cfg, err := sc.emuConfig(assignment)
+	if err != nil {
+		return nil, err
+	}
+	return &dist.RunSpec{
+		Cfg:          cfg,
+		Routing:      sc.routingOptions(),
+		Telemetry:    sc.newTelemetry(),
+		Trace:        sc.Trace,
+		Health:       sc.ClusterHealth,
+		EmuOpts:      sc.runOptions(ctx),
+		OnWorkerLoss: onLoss,
+	}, nil
+}
+
+// survivorRemap is the crash-recovery policy RunResilient and RunDistributed
+// share: the dead engines' nodes are repartitioned over every engine still
+// alive.
+func (sc *Scenario) survivorRemap() func(emu.EngineFailure) ([]int, error) {
+	return func(f emu.EngineFailure) ([]int, error) {
+		var survivors []int
+		for e, ok := range f.Alive {
+			if ok {
+				survivors = append(survivors, e)
+			}
+		}
+		return sc.remapOnto(f.Assignment, survivors, f.Loads)
+	}
+}
+
+// remapOnto repartitions the scenario's network onto an engine set, starting
+// from a previous assignment — the one repartitioning step behind crash
+// recovery, worker loss and elastic resizes.
+func (sc *Scenario) remapOnto(previous, engines []int, loads []float64) ([]int, error) {
+	in, err := sc.mappingInput()
+	if err != nil {
+		return nil, err
+	}
+	next, _, err := mapping.RemapOnto(in, previous, engines, loads)
+	return next, err
 }

@@ -202,10 +202,6 @@ func (sc *Scenario) RunDynamic(ctx context.Context, interval, migrationCost floa
 	if err != nil {
 		return nil, fmt.Errorf("core: dynamic initial partition: %w", err)
 	}
-	routes, err := sc.Routes()
-	if err != nil {
-		return nil, err
-	}
 
 	// The remap feed: measured telemetry by default, the NetFlow side-channel
 	// under NetFlowRemap. One collector serves all segments (re-sized per
@@ -249,17 +245,17 @@ func (sc *Scenario) RunDynamic(ctx context.Context, interval, migrationCost floa
 		if tel != nil {
 			opts = append(opts, emu.WithTelemetry(tel))
 		}
-		segResult, err := emu.Run(emu.Config{
-			Network:    sc.Network,
-			Routes:     routes,
-			Assignment: assignment,
-			NumEngines: sc.Engines,
-			Workload:   seg,
-			Cost:       sc.Cost,
-			Profile:    sc.NetFlowRemap,
-			Transport:  sc.Transport,
-			Sequential: sc.Sequential,
-		}, opts...)
+		cfg, err := sc.emuConfig(assignment)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Workload = seg
+		cfg.Profile = sc.NetFlowRemap
+		// A segment is re-based to t=0 and runs whole on uniform engines: the
+		// scenario's absolute-time truncation, fault schedule and engine
+		// speeds do not carry into it.
+		cfg.EndTime, cfg.Faults, cfg.EngineSpeeds = 0, nil, nil
+		segResult, err := emu.Run(cfg, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("core: dynamic segment at %gs: %w", start, err)
 		}

@@ -42,43 +42,13 @@ func (sc *Scenario) RunElastic(ctx context.Context, workers []dist.Conn, opt dis
 	if err != nil {
 		return nil, nil, err
 	}
-	w, err := sc.Workload()
+	spec, err := sc.distSpec(ctx, part, sc.lossRemap())
 	if err != nil {
 		return nil, nil, err
-	}
-	routes, err := sc.Routes()
-	if err != nil {
-		return nil, nil, err
-	}
-	spec := &dist.RunSpec{
-		Cfg: emu.Config{
-			Network:      sc.Network,
-			Routes:       routes,
-			Assignment:   part,
-			NumEngines:   sc.Engines,
-			Workload:     w,
-			Cost:         sc.Cost,
-			EndTime:      sc.EndTime,
-			Transport:    sc.Transport,
-			EngineSpeeds: sc.EngineSpeeds,
-			Sequential:   sc.Sequential,
-			Faults:       sc.Faults,
-		},
-		Routing:      sc.routingOptions(),
-		Telemetry:    sc.newTelemetry(),
-		Trace:        sc.Trace,
-		Health:       sc.ClusterHealth,
-		EmuOpts:      sc.runOptions(ctx),
-		OnWorkerLoss: sc.lossRemap(),
 	}
 	if opt.OnResize == nil {
 		opt.OnResize = func(ev emu.ResizeEvent) ([]int, error) {
-			in, err := sc.mappingInput()
-			if err != nil {
-				return nil, err
-			}
-			next, _, err := mapping.RemapOnto(in, ev.Previous, ev.Engines, ev.Loads)
-			return next, err
+			return sc.remapOnto(ev.Previous, ev.Engines, ev.Loads)
 		}
 	}
 	res, log, err := dist.RunElastic(ctx, spec, workers, opt)
@@ -91,7 +61,8 @@ func (sc *Scenario) RunElastic(ctx context.Context, workers []dist.Conn, opt dis
 // lossRemap is the crash-recovery repartitioning policy shared by the live
 // elastic run and its replay: survivors are the engines actually hosting
 // nodes (the active membership) minus the dead ones — never-activated
-// capacity engines have no worker to run them.
+// capacity engines have no worker to run them. That rule is what keeps it
+// apart from survivorRemap, which remaps onto every engine still alive.
 func (sc *Scenario) lossRemap() func(emu.EngineFailure) ([]int, error) {
 	return func(f emu.EngineFailure) ([]int, error) {
 		active := make(map[int]bool, len(f.Assignment))
@@ -105,12 +76,7 @@ func (sc *Scenario) lossRemap() func(emu.EngineFailure) ([]int, error) {
 			}
 		}
 		sort.Ints(survivors)
-		in, err := sc.mappingInput()
-		if err != nil {
-			return nil, err
-		}
-		next, _, err := mapping.RemapOnto(in, f.Assignment, survivors, f.Loads)
-		return next, err
+		return sc.remapOnto(f.Assignment, survivors, f.Loads)
 	}
 }
 
@@ -149,26 +115,9 @@ func (sc *Scenario) ReplayElastic(ctx context.Context, assignment []int, log *di
 // elastic distributed run from its membership log — the equivalence oracle
 // tests diff against, and a user's offline replay tool.
 func (sc *Scenario) ElasticReplayConfig(assignment []int, log *dist.MembershipLog) (emu.Config, error) {
-	w, err := sc.Workload()
+	cfg, err := sc.emuConfig(assignment)
 	if err != nil {
 		return emu.Config{}, err
-	}
-	routes, err := sc.Routes()
-	if err != nil {
-		return emu.Config{}, err
-	}
-	cfg := emu.Config{
-		Network:      sc.Network,
-		Routes:       routes,
-		Assignment:   assignment,
-		NumEngines:   sc.Engines,
-		Workload:     w,
-		Cost:         sc.Cost,
-		EndTime:      sc.EndTime,
-		Transport:    sc.Transport,
-		EngineSpeeds: sc.EngineSpeeds,
-		Sequential:   sc.Sequential,
-		Faults:       sc.Faults,
 	}
 	for _, r := range log.Resizes {
 		cfg.Elastic = append(cfg.Elastic, emu.Resize{At: r.At, Engines: r.Engines, Assignment: r.Assignment})

@@ -96,53 +96,23 @@ func (sc *Scenario) RunResilient(ctx context.Context, opts FaultOptions) (*Resil
 	if err != nil {
 		return nil, err
 	}
-	w, err := sc.Workload()
+	cfg, err := sc.emuConfig(part)
 	if err != nil {
 		return nil, err
 	}
-
-	onCrash := func(f emu.EngineFailure) ([]int, error) {
-		if opts.Naive {
-			return NaiveRecovery(f), nil
-		}
-		var survivors []int
-		for e, ok := range f.Alive {
-			if ok {
-				survivors = append(survivors, e)
-			}
-		}
-		in, err := sc.mappingInput()
-		if err != nil {
-			return nil, err
-		}
-		next, _, err := mapping.RemapSurvivors(in, f.Assignment, survivors, f.Loads)
-		return next, err
+	cfg.Faults = opts.Schedule
+	cfg.CheckpointEvery = opts.CheckpointEvery
+	cfg.MigrationCost = opts.MigrationCost
+	cfg.OnCrash = sc.survivorRemap()
+	if opts.Naive {
+		cfg.OnCrash = func(f emu.EngineFailure) ([]int, error) { return NaiveRecovery(f), nil }
 	}
 
 	runOpts := sc.runOptions(ctx)
 	if tel := sc.newTelemetry(); tel != nil {
 		runOpts = append(runOpts, emu.WithTelemetry(tel))
 	}
-	routes, err := sc.Routes()
-	if err != nil {
-		return nil, err
-	}
-	res, err := emu.Run(emu.Config{
-		Network:         sc.Network,
-		Routes:          routes,
-		Assignment:      part,
-		NumEngines:      sc.Engines,
-		Workload:        w,
-		Cost:            sc.Cost,
-		EndTime:         sc.EndTime,
-		Transport:       sc.Transport,
-		EngineSpeeds:    sc.EngineSpeeds,
-		Sequential:      sc.Sequential,
-		Faults:          opts.Schedule,
-		CheckpointEvery: opts.CheckpointEvery,
-		MigrationCost:   opts.MigrationCost,
-		OnCrash:         onCrash,
-	}, runOpts...)
+	res, err := emu.Run(cfg, runOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("core: resilient %s on %s: %w", approach, sc.Name, err)
 	}

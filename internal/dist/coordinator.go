@@ -42,7 +42,7 @@ type RunSpec struct {
 	// OnWorkerLoss computes the recovery assignment when a worker is lost:
 	// the run degrades to the in-process crash-recovery path with the lost
 	// worker's engines fail-stopped, and this hook (typically the same
-	// RemapSurvivors policy used for injected faults) remaps their nodes
+	// RemapOnto policy used for injected faults) remaps their nodes
 	// onto survivors. When nil, worker loss is fatal.
 	OnWorkerLoss func(f emu.EngineFailure) ([]int, error)
 }
@@ -93,92 +93,276 @@ var ErrWorkerLost = errors.New("worker lost")
 // degrading.
 var ErrWorkerFault = errors.New("worker fault")
 
-// workerLost marks a worker conn failure; it triggers the degradation path
-// rather than failing the run outright. at is the virtual time the loss maps
-// to (stamped by run as the error propagates out).
+// workerLost marks a worker conn failure or protocol violation; it triggers
+// the degradation path rather than failing the run outright.
 type workerLost struct {
 	worker int
 	err    error
-	at     float64
 }
 
 func (w *workerLost) Error() string {
 	return fmt.Sprintf("dist: worker %d lost: %v", w.worker, w.err)
 }
-func (w *workerLost) Unwrap() error          { return w.err }
-func (w *workerLost) Is(target error) bool   { return target == ErrWorkerLost }
+func (w *workerLost) Unwrap() error        { return w.err }
+func (w *workerLost) Is(target error) bool { return target == ErrWorkerLost }
 
-// Run drives one distributed run over the given worker connections. Engines
-// are dealt round-robin (worker w gets engines w, w+W, ...). On worker loss
-// the surviving workers are aborted and the scenario re-runs in-process with
-// the lost worker's engines fail-stopped at the loss time, flowing through
-// the standard checkpoint/rollback/remap recovery — the run completes
-// (Result.Recovery reports it) instead of hanging.
+// Run drives one distributed run over the given worker connections — the
+// elastic loop with a membership that never changes: no joins, no resize
+// policy (drain requests are ignored), heartbeat off and every engine live.
+// Engines are dealt round-robin (worker w gets engines w, w+W, ...). On
+// worker loss the surviving workers are aborted and the scenario re-runs
+// in-process with the lost worker's engines fail-stopped at the loss time,
+// flowing through the standard checkpoint/rollback/remap recovery — the run
+// completes (Result.Recovery reports it) instead of hanging.
 //
 // The returned Result is byte-identical to emu.Run of the same scenario
 // (modulo Kernel.WallTime and the wall-clock parts of Obs — see ResultJSON).
 func Run(ctx context.Context, spec *RunSpec, workers []Conn, opt Options) (*emu.Result, error) {
-	opt.defaults()
-	if len(workers) == 0 {
-		return nil, fmt.Errorf("dist: no workers")
-	}
-	if spec.Cfg.OnCrash != nil {
-		return nil, fmt.Errorf("dist: set OnWorkerLoss, not Cfg.OnCrash (crash hooks do not ship)")
-	}
-	if err := emu.NormalizeConfig(&spec.Cfg); err != nil {
+	if err := checkSpec(spec, workers); err != nil {
 		return nil, err
 	}
-	if len(workers) > spec.Cfg.NumEngines {
-		return nil, fmt.Errorf("dist: %d workers for %d engines (every worker needs at least one)",
-			len(workers), spec.Cfg.NumEngines)
+	W, n := len(workers), spec.Cfg.NumEngines
+	if W > n {
+		return nil, fmt.Errorf("dist: %d workers for %d engines (every worker needs at least one)", W, n)
 	}
-
-	res, err := run(ctx, spec, workers, &opt)
-	if err == nil {
-		return res, nil
+	slots := make([][]int, W)
+	for e := 0; e < n; e++ {
+		slots[e%W] = append(slots[e%W], e)
 	}
-	lost, ok := err.(*workerLost)
-	if !ok {
-		abortAll(workers, err.Error())
-		return nil, err
-	}
-	abortAll(workers, lost.Error())
-	if spec.OnWorkerLoss == nil {
-		return nil, fmt.Errorf("%w (no OnWorkerLoss recovery configured)", lost)
-	}
-	opt.logf("dist: %v; degrading to in-process recovery run", lost)
-	return fallback(spec, lost, len(workers), &opt)
+	res, _, err := drive(ctx, spec, workers, slots, &ElasticOptions{Options: opt})
+	return res, err
 }
 
-func run(ctx context.Context, spec *RunSpec, workers []Conn, opt *Options) (res *emu.Result, err error) {
-	// Stamp worker-loss errors with the virtual time the loss maps to: the
-	// middle of the window in flight (a conservative kernel can only detect
-	// a silent peer at the following barrier, exactly as the fault-injection
-	// path models it).
-	virtT, virtL := 0.0, 0.0
-	defer func() {
-		if l, ok := err.(*workerLost); ok {
-			l.at = virtT + virtL/2
+// checkSpec is the validation every entry point shares; it normalizes
+// spec.Cfg in place.
+func checkSpec(spec *RunSpec, workers []Conn) error {
+	if len(workers) == 0 {
+		return fmt.Errorf("dist: no workers")
+	}
+	if spec.Cfg.OnCrash != nil {
+		return fmt.Errorf("dist: set OnWorkerLoss, not Cfg.OnCrash (crash hooks do not ship)")
+	}
+	return emu.NormalizeConfig(&spec.Cfg)
+}
+
+// member is one worker of the run: a connection seated on a worker slot.
+type member struct {
+	conn     Conn
+	slot     int
+	engines  []int
+	draining bool
+}
+
+// coordinator is the state of one run. Engines never move between workers:
+// slotEngines[s] is the fixed engine set worker slot s owns and ownerOf is its
+// inverse, the one table that routes events. Membership is which slots are
+// seated: a join seats a free slot, a drain vacates one, and both take effect
+// at a checkpoint-cadence barrier (see resizeBarrier).
+type coordinator struct {
+	spec        *RunSpec
+	opt         *ElasticOptions
+	slotEngines [][]int
+	ownerOf     []int
+	log         *MembershipLog
+	merge       *emu.DistMerge
+
+	members []*member // active, in admission order
+	pending []*member // handshaken joiners awaiting the next barrier
+	bySlot  []*member // seated slots: members, pending joiners, handshaking ones
+
+	blob     []byte // the encoded spec every worker is assigned
+	hash     [32]byte
+	initialL float64 // its lookahead, which every handshake must reproduce
+	hooks    recvHooks
+	hb       *heartbeat
+
+	// virtT and curL are the start of the last committed window and the
+	// current window width; lastResizeAt is the barrier of the last applied
+	// membership change. Together they place a worker loss in virtual time.
+	virtT, curL, lastResizeAt float64
+}
+
+// drive runs the window loop over the initial workers (worker w seated on
+// slot w) and, when a worker is lost, aborts the rest and degrades to the
+// in-process recovery replay.
+func drive(ctx context.Context, spec *RunSpec, workers []Conn, slots [][]int, opt *ElasticOptions) (*emu.Result, *MembershipLog, error) {
+	opt.Options.defaults()
+	if opt.HeartbeatMisses <= 0 {
+		opt.HeartbeatMisses = 3
+	}
+	s := &coordinator{
+		spec: spec, opt: opt, slotEngines: slots,
+		ownerOf: make([]int, spec.Cfg.NumEngines),
+		log:     &MembershipLog{},
+		bySlot:  make([]*member, len(slots)),
+	}
+	for slot, engines := range slots {
+		for _, e := range engines {
+			s.ownerOf[e] = slot
 		}
-	}()
-	cfg := spec.Cfg // normalized by Run
-	W := len(workers)
+	}
+	for w, conn := range workers {
+		m := &member{conn: conn, slot: w, engines: slots[w]}
+		s.members = append(s.members, m)
+		s.bySlot[w] = m
+	}
+	res, err := s.run(ctx)
+	if err == nil {
+		return res, s.log, nil
+	}
+	s.abort(err.Error())
+	lost, ok := err.(*workerLost)
+	if !ok {
+		return nil, nil, err
+	}
+	if spec.OnWorkerLoss == nil {
+		return nil, nil, fmt.Errorf("%w (no OnWorkerLoss recovery configured)", lost)
+	}
+	// The loss maps to the middle of the window in flight: a conservative
+	// kernel can only detect a silent peer at the following barrier, exactly
+	// as the fault-injection path models it.
+	at := s.virtT + s.curL/2
+	if s.merge != nil {
+		// The kill reaches external recorders before the replay starts; the
+		// replay's own emulation never sees the silent worker.
+		misses := 1.0
+		if s.hb != nil {
+			misses = float64(s.hb.misses)
+		}
+		s.merge.RecordEvent(obs.Event{Kind: obs.EventHeartbeatMiss, Time: at,
+			LP: slots[lost.worker][0], Value: misses})
+	}
+	opt.logf("%v; degrading to in-process recovery replay", lost)
+	res, err = s.fallback(lost.worker, at)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, s.log, nil
+}
+
+// emuOpts are the observation-plane options the live merge and the recovery
+// replay share.
+func (s *coordinator) emuOpts() []emu.Option {
+	opts := append([]emu.Option(nil), s.spec.EmuOpts...)
+	if s.spec.Telemetry != nil {
+		opts = append(opts, emu.WithTelemetry(s.spec.Telemetry))
+	}
+	if s.spec.Trace != nil {
+		opts = append(opts, emu.WithTrace(s.spec.Trace))
+	}
+	return opts
+}
+
+// abortConn tells a worker why it is being dropped, best effort, and hangs up.
+func abortConn(c Conn, reason string) {
+	_ = c.Send(Frame{Type: MsgAbort, Payload: TextMsg{Text: reason}.Encode()})
+	_ = c.Close()
+}
+
+func (s *coordinator) abort(reason string) {
+	for _, m := range append(s.members, s.pending...) {
+		abortConn(m.conn, reason)
+	}
+	s.members, s.pending = nil, nil
+}
+
+func (s *coordinator) send(m *member, t MsgType, payload []byte) error {
+	if err := m.conn.Send(Frame{Type: t, Payload: payload}); err != nil {
+		return &workerLost{worker: m.slot, err: err}
+	}
+	return nil
+}
+
+func (s *coordinator) sendAll(ms []*member, t MsgType, payload []byte) error {
+	for _, m := range ms {
+		if err := s.send(m, t, payload); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// expect waits for m's next protocol frame and requires it to be a want;
+// anything else is a protocol violation that loses the worker.
+func (s *coordinator) expect(m *member, want MsgType, timeout time.Duration, hb *heartbeat) (Frame, error) {
+	f, err := recvHooked(m.conn, m.slot, timeout, hb, s.hooks)
+	if err != nil {
+		return Frame{}, err
+	}
+	if f.Type != want {
+		return Frame{}, &workerLost{worker: m.slot, err: fmt.Errorf("expected %s, got %s", want, f.Type)}
+	}
+	return f, nil
+}
+
+// step is expect for in-run responses: StepTimeout, with liveness probing.
+func (s *coordinator) step(m *member, want MsgType) (Frame, error) {
+	return s.expect(m, want, s.opt.StepTimeout, s.hb)
+}
+
+// hello is the first handshake phase: m's HELLO is checked and its ASSIGN
+// goes out. Every worker — initial or joiner — receives the same original
+// spec; a joiner's engines are inactive under the original assignment, so it
+// seeds nothing and waits for its INSTALL. Probing is off for the handshake:
+// a worker rebuilding its scenario cannot answer a PING.
+func (s *coordinator) hello(m *member) error {
+	f, err := s.expect(m, MsgHello, s.opt.HandshakeTimeout, nil)
+	if err != nil {
+		return err
+	}
+	h, err := DecodeHello(f.Payload)
+	if err != nil {
+		return &workerLost{worker: m.slot, err: err}
+	}
+	if h.Version != Version {
+		return fmt.Errorf("dist: worker %d speaks protocol %d, this build speaks %d", m.slot, h.Version, Version)
+	}
+	as := Assign{Version: Version, WorkerID: m.slot, Workers: len(s.slotEngines), Engines: m.engines, Hash: s.hash, Spec: s.blob}
+	return s.send(m, MsgAssign, as.Encode())
+}
+
+// ready is the second handshake phase: m must have rebuilt the same scenario
+// and derived the same lookahead.
+func (s *coordinator) ready(m *member) error {
+	f, err := s.expect(m, MsgReady, s.opt.HandshakeTimeout, nil)
+	if err != nil {
+		return err
+	}
+	r, err := DecodeReady(f.Payload)
+	if err != nil {
+		return &workerLost{worker: m.slot, err: err}
+	}
+	if r.Hash != s.hash {
+		return fmt.Errorf("dist: worker %d rebuilt a different scenario (spec hash mismatch)", m.slot)
+	}
+	if math.Float64bits(r.Lookahead) != math.Float64bits(s.initialL) {
+		return fmt.Errorf("dist: worker %d derived lookahead %g, coordinator %g — builds disagree",
+			m.slot, r.Lookahead, s.initialL)
+	}
+	return nil
+}
+
+// run is the window loop — a faithful serialization of des.(*Kernel).Run:
+// merged events go out, votes come back, the global window is picked on the
+// same grid with the same skip accounting, the window executes everywhere, and
+// the barrier merges outboxes in the same deterministic order. At a
+// checkpoint-cadence barrier with pending joins or drains the membership
+// changes instead (resizeBarrier) and execution resumes on a fresh window
+// grid — exactly the sequence the in-process elastic path performs there.
+func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
+	opt := s.opt
+	cfg := s.spec.Cfg // normalized by the entry point
 	n := cfg.NumEngines
 
-	blob, err := EncodeSpec(&Spec{Cfg: cfg, Routing: spec.Routing,
-		Telemetry: spec.Telemetry != nil, Tracing: spec.Trace != nil})
+	var err error
+	s.blob, err = EncodeSpec(&Spec{Cfg: cfg, Routing: s.spec.Routing,
+		Telemetry: s.spec.Telemetry != nil, Tracing: s.spec.Trace != nil})
 	if err != nil {
 		return nil, err
 	}
-	hash := SpecHash(blob)
+	s.hash = SpecHash(s.blob)
 
-	opts := append([]emu.Option(nil), spec.EmuOpts...)
-	if spec.Telemetry != nil {
-		opts = append(opts, emu.WithTelemetry(spec.Telemetry))
-	}
-	if spec.Trace != nil {
-		opts = append(opts, emu.WithTrace(spec.Trace))
-	}
+	opts := s.emuOpts()
 	if ctx != nil {
 		opts = append(opts, emu.WithContext(ctx))
 	}
@@ -186,129 +370,122 @@ func run(ctx context.Context, spec *RunSpec, workers []Conn, opt *Options) (res 
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-
-	// Round-robin engine assignment, and the reverse map for event routing.
-	engines := make([][]int, W)
-	ownerOf := make([]int, n)
-	for e := 0; e < n; e++ {
-		w := e % W
-		engines[w] = append(engines[w], e)
-		ownerOf[e] = w
+	s.merge = merge
+	// Only the initial members' engines are live; the rest of the capacity
+	// activates as joiners install.
+	var live []int
+	for _, m := range s.members {
+		live = append(live, m.engines...)
 	}
+	merge.Activate(live)
+	start := time.Now()
+	s.initialL = merge.Lookahead()
+
+	// Slot → engine ownership is fixed for the whole run, so the timeline's
+	// worker map covers every slot up front — joiners included.
 	tl := merge.Trace()
 	if tl != nil {
-		for w := range engines {
-			tl.Assign(engines[w], w)
+		for slot, engines := range s.slotEngines {
+			tl.Assign(engines, slot)
 		}
 	}
-	merge.NoteClusterSize(n)
-	if spec.Health != nil {
-		spec.Health.SetWorkers(W)
+	health := s.spec.Health
+	if health != nil {
+		health.SetWorkers(len(s.members))
 	}
-	// In-run receives absorb worker SPANS frames into the timeline; the
-	// worker slot stamps here (it is implied by the connection on the wire).
-	hooks := recvHooks{}
+	if opt.HeartbeatInterval > 0 {
+		s.hb = &heartbeat{interval: opt.HeartbeatInterval, misses: opt.HeartbeatMisses}
+	}
+	// Every coordinator wait may absorb drain requests, worker trace spans
+	// (stamped with the sender's slot — it is implied by the connection on
+	// the wire) and heartbeat round trips. A DRAIN can land at any point,
+	// even mid-handshake; a run without a resize policy has a fixed
+	// membership and ignores it.
+	if opt.OnResize != nil {
+		s.hooks.onDrain = func(slot int) {
+			if m := s.bySlot[slot]; m != nil && !m.draining {
+				m.draining = true
+				opt.logf("dist: worker slot %d requested drain", slot)
+			}
+		}
+	}
 	if tl != nil {
-		hooks.onSpans = func(w int, spans []obs.Span) {
+		s.hooks.onSpans = func(w int, spans []obs.Span) {
 			for i := range spans {
 				spans[i].Worker = w
 			}
 			tl.AddWall(spans)
 		}
 	}
-	recv := func(conn Conn, w int) (Frame, error) {
-		return recvHooked(conn, w, opt.StepTimeout, nil, hooks)
+	if health != nil {
+		s.hooks.onRTT = func(w int, rtt time.Duration) { health.ObserveRTT(w, rtt) }
 	}
 
-	// Handshake every worker.
-	for w, conn := range workers {
-		f, err := recvFrom(conn, w, opt.HandshakeTimeout)
-		if err != nil {
-			return nil, err
-		}
-		if f.Type != MsgHello {
-			return nil, &workerLost{worker: w, err: fmt.Errorf("expected HELLO, got %s", f.Type)}
-		}
-		h, err := DecodeHello(f.Payload)
-		if err != nil {
-			return nil, &workerLost{worker: w, err: err}
-		}
-		if h.Version != Version {
-			return nil, fmt.Errorf("dist: worker %d speaks protocol %d, this build speaks %d", w, h.Version, Version)
-		}
-		as := Assign{Version: Version, WorkerID: w, Workers: W, Engines: engines[w], Hash: hash, Spec: blob}
-		if err := sendTo(conn, w, Frame{Type: MsgAssign, Payload: as.Encode()}); err != nil {
+	// The initial members handshake in two phases — ASSIGN everyone, then
+	// collect every READY — so they rebuild their scenarios concurrently.
+	for _, m := range s.members {
+		if err := s.hello(m); err != nil {
 			return nil, err
 		}
 	}
-	for w, conn := range workers {
-		f, err := recvFrom(conn, w, opt.HandshakeTimeout)
-		if err != nil {
+	for _, m := range s.members {
+		if err := s.ready(m); err != nil {
 			return nil, err
 		}
-		if f.Type != MsgReady {
-			return nil, &workerLost{worker: w, err: fmt.Errorf("expected READY, got %s", f.Type)}
-		}
-		r, err := DecodeReady(f.Payload)
-		if err != nil {
-			return nil, &workerLost{worker: w, err: err}
-		}
-		if r.Hash != hash {
-			return nil, fmt.Errorf("dist: worker %d rebuilt a different scenario (spec hash mismatch)", w)
-		}
-		if math.Float64bits(r.Lookahead) != math.Float64bits(merge.Lookahead()) {
-			return nil, fmt.Errorf("dist: worker %d derived lookahead %g, coordinator %g — builds disagree",
-				w, r.Lookahead, merge.Lookahead())
-		}
 	}
-	opt.logf("dist: %d workers ready, %d engines, lookahead %g", W, n, merge.Lookahead())
+	opt.logf("dist: %d workers ready on %d slots, %d engines, lookahead %g",
+		len(s.members), len(s.slotEngines), n, s.initialL)
 
-	// The window loop — a faithful serialization of des.(*Kernel).Run: merged
-	// events go out, votes come back, the global window is picked on the same
-	// grid with the same skip accounting, the window executes everywhere, and
-	// the barrier merges outboxes in the same deterministic order.
-	L := merge.Lookahead()
-	virtL = L
+	L := s.initialL
+	s.curL = L
 	endTime := merge.EndTime()
 	outbox := []emu.WireEvent(nil) // globally sorted, from the last barrier
 	T := 0.0
 	first := true
 	nextCkpt := opt.CheckpointEvery
-	perWorker := make([][]emu.WireEvent, W)
-	reports := make([]*emu.WindowReport, W)
+	perSlot := make([][]emu.WireEvent, len(s.slotEngines))
+	reports := make([]*emu.WindowReport, 0, len(s.slotEngines))
+
+	// deliver hands the previous barrier's events out: each member gets the
+	// subsequence destined to its engines, in global merge order — the per-LP
+	// sequence streams come out identical to in-process.
+	deliver := func() error {
+		for slot := range perSlot {
+			perSlot[slot] = perSlot[slot][:0]
+		}
+		for _, ev := range outbox {
+			slot := s.ownerOf[ev.Dst]
+			if s.bySlot[slot] == nil {
+				return fmt.Errorf("dist: event for engine %d routed to empty slot %d", ev.Dst, slot)
+			}
+			perSlot[slot] = append(perSlot[slot], ev)
+		}
+		for _, m := range s.members {
+			if err := s.send(m, MsgEvents, EncodeEvents(perSlot[m.slot])); err != nil {
+				return err
+			}
+		}
+		outbox = outbox[:0]
+		return nil
+	}
+
 	for {
 		if err := merge.Canceled(); err != nil {
 			return nil, fmt.Errorf("dist: run canceled: %w", err)
 		}
-		// Deliver the previous barrier's events (each worker gets the
-		// subsequence destined to its engines, in global merge order — the
-		// per-LP sequence streams come out identical to in-process) and
-		// collect votes.
-		for w := range perWorker {
-			perWorker[w] = perWorker[w][:0]
-		}
-		for _, ev := range outbox {
-			w := ownerOf[ev.Dst]
-			perWorker[w] = append(perWorker[w], ev)
-		}
-		for w, conn := range workers {
-			if err := sendTo(conn, w, Frame{Type: MsgEvents, Payload: EncodeEvents(perWorker[w])}); err != nil {
-				return nil, err
-			}
+		s.admitJoins()
+		if err := deliver(); err != nil {
+			return nil, err
 		}
 		minT, has := 0.0, false
-		for w, conn := range workers {
-			f, err := recv(conn, w)
+		for _, m := range s.members {
+			f, err := s.step(m, MsgVote)
 			if err != nil {
 				return nil, err
-			}
-			if f.Type != MsgVote {
-				return nil, &workerLost{worker: w, err: fmt.Errorf("expected VOTE, got %s", f.Type)}
 			}
 			v, err := DecodeVote(f.Payload)
 			if err != nil {
-				return nil, &workerLost{worker: w, err: err}
+				return nil, &workerLost{worker: m.slot, err: err}
 			}
 			if v.Has && (!has || v.Time < minT) {
 				minT, has = v.Time, true
@@ -331,51 +508,61 @@ func run(ctx context.Context, spec *RunSpec, workers []Conn, opt *Options) (res 
 		}
 		end := T + L
 
-		for w, conn := range workers {
-			if err := sendTo(conn, w, Frame{Type: MsgWindow, Payload: Window{Start: T, End: end}.Encode()}); err != nil {
-				return nil, err
-			}
+		if err := s.sendAll(s.members, MsgWindow, Window{Start: T, End: end}.Encode()); err != nil {
+			return nil, err
 		}
-		outbox = outbox[:0]
-		for w, conn := range workers {
-			f, err := recv(conn, w)
+		reports = reports[:0]
+		for _, m := range s.members {
+			f, err := s.step(m, MsgWindowDone)
 			if err != nil {
 				return nil, err
-			}
-			if f.Type != MsgWindowDone {
-				return nil, &workerLost{worker: w, err: fmt.Errorf("expected WINDOW_DONE, got %s", f.Type)}
 			}
 			rep, err := DecodeWindowDone(f.Payload)
 			if err != nil {
-				return nil, &workerLost{worker: w, err: err}
+				return nil, &workerLost{worker: m.slot, err: err}
 			}
-			reports[w] = rep
+			// Dst indexes the ownership table; a frame is outside input.
+			for _, ev := range rep.Outbox {
+				if ev.Dst < 0 || int(ev.Dst) >= n {
+					return nil, &workerLost{worker: m.slot,
+						err: fmt.Errorf("WINDOW_DONE outbox event for engine %d, outside [0,%d)", ev.Dst, n)}
+				}
+			}
+			reports = append(reports, rep)
 			outbox = append(outbox, rep.Outbox...)
 		}
 		emu.SortWire(outbox)
 		if err := merge.CommitWindow(T, end, reports); err != nil {
 			return nil, err
 		}
-		if spec.Health != nil && tl != nil {
+		if health != nil && tl != nil {
 			for _, ws := range tl.DrainWindowStats() {
-				spec.Health.ObserveWindow(ws.Worker, ws.Lag)
+				health.ObserveWindow(ws.Worker, ws.Lag)
 			}
-			spec.Health.SetAttribution(tl.Health())
+			health.SetAttribution(tl.Health())
 		}
-		virtT = T
+		s.virtT = T
+
 		if end >= nextCkpt {
-			for w, conn := range workers {
-				if err := sendTo(conn, w, Frame{Type: MsgCheckpoint, Payload: CheckpointMsg{At: end}.Encode()}); err != nil {
-					return nil, err
-				}
+			s.admitJoins() // a join raced the window: fold it into this barrier
+			changing := len(s.pending) > 0
+			for _, m := range s.members {
+				changing = changing || m.draining
 			}
-			for w, conn := range workers {
-				f, err := recv(conn, w)
-				if err != nil {
+			if changing {
+				if L, err = s.resizeBarrier(end, deliver); err != nil {
 					return nil, err
 				}
-				if f.Type != MsgCheckpointAck {
-					return nil, &workerLost{worker: w, err: fmt.Errorf("expected CHECKPOINT_ACK, got %s", f.Type)}
+				s.curL = L
+				first = true
+			} else {
+				if err := s.sendAll(s.members, MsgCheckpoint, CheckpointMsg{At: end}.Encode()); err != nil {
+					return nil, err
+				}
+				for _, m := range s.members {
+					if _, err := s.step(m, MsgCheckpointAck); err != nil {
+						return nil, err
+					}
 				}
 			}
 			for nextCkpt <= end {
@@ -385,42 +572,41 @@ func run(ctx context.Context, spec *RunSpec, workers []Conn, opt *Options) (res 
 		T = end
 	}
 
-	// Finish: collect final states, release workers, assemble the Result.
-	states := make([]*emu.DistState, W)
-	for w, conn := range workers {
-		if err := sendTo(conn, w, Frame{Type: MsgFinish}); err != nil {
-			return nil, err
-		}
+	// Finish: final states from the members, BYE everyone (members and any
+	// joiners still waiting for a barrier that never came).
+	if err := s.sendAll(s.members, MsgFinish, nil); err != nil {
+		return nil, err
 	}
-	for w, conn := range workers {
-		f, err := recv(conn, w)
+	states := make([]*emu.DistState, 0, len(s.members))
+	for _, m := range s.members {
+		f, err := s.step(m, MsgState)
 		if err != nil {
 			return nil, err
-		}
-		if f.Type != MsgState {
-			return nil, &workerLost{worker: w, err: fmt.Errorf("expected STATE, got %s", f.Type)}
 		}
 		st, err := DecodeState(f.Payload)
 		if err != nil {
-			return nil, &workerLost{worker: w, err: err}
+			return nil, &workerLost{worker: m.slot, err: err}
 		}
-		states[w] = st
+		states = append(states, st)
 	}
-	for w, conn := range workers {
-		if err := sendTo(conn, w, Frame{Type: MsgBye}); err != nil {
-			return nil, err
-		}
+	if err := s.sendAll(append(s.members, s.pending...), MsgBye, nil); err != nil {
+		return nil, err
 	}
-	opt.logf("dist: run complete, merging %d final states", W)
+	opt.logf("dist: run complete, merging %d final states", len(states))
 	return merge.Finalize(states, time.Since(start))
 }
 
-// fallback re-runs the scenario in-process with the lost worker's engines
-// fail-stopped at the loss time, letting the standard checkpoint/rollback/
-// remap machinery absorb the loss deterministically.
-func fallback(spec *RunSpec, lost *workerLost, W int, opt *Options) (*emu.Result, error) {
-	cfg := spec.Cfg
-	at := lost.at
+// fallback replays the scenario in-process: the membership changes applied
+// so far re-apply through Config.Elastic, and the lost worker's engines
+// fail-stop at the loss instant, flowing through the standard
+// checkpoint/rollback/remap recovery.
+func (s *coordinator) fallback(worker int, at float64) (*emu.Result, error) {
+	cfg := s.spec.Cfg
+	if len(s.log.Resizes) > 0 && at <= s.lastResizeAt {
+		// The loss raced a membership barrier: the crash must land after the
+		// resize it cannot undo.
+		at = s.lastResizeAt + s.curL/4
+	}
 	if at <= 0 {
 		// Loss before the first window (handshake, spec shipping): any
 		// positive instant is detected at the first barrier.
@@ -428,53 +614,27 @@ func fallback(spec *RunSpec, lost *workerLost, W int, opt *Options) (*emu.Result
 	}
 	sched := &faults.Schedule{}
 	if cfg.Faults != nil {
-		// Keep any straggler/degradation schedule the run was started with —
-		// it is part of the scenario's cost model, and dropping it would make
-		// the replay diverge from a loss-free run.
+		// Straggler/degradation schedules are part of the scenario's cost
+		// model; the replay must keep them or diverge from a loss-free run.
 		sched.Stragglers = append(sched.Stragglers, cfg.Faults.Stragglers...)
 		sched.Degradations = append(sched.Degradations, cfg.Faults.Degradations...)
 	}
-	for e := lost.worker; e < cfg.NumEngines; e += W {
+	for _, e := range s.slotEngines[worker] {
 		sched.Crashes = append(sched.Crashes, faults.Crash{Engine: e, At: at})
 	}
+	s.log.Losses = append(s.log.Losses, sched.Crashes...)
 	cfg.Faults = sched
-	cfg.OnCrash = spec.OnWorkerLoss
-	cfg.CheckpointEvery = opt.CheckpointEvery
-	opts := append([]emu.Option(nil), spec.EmuOpts...)
-	if spec.Telemetry != nil {
-		opts = append(opts, emu.WithTelemetry(spec.Telemetry))
+	cfg.OnCrash = s.spec.OnWorkerLoss
+	cfg.CheckpointEvery = s.opt.CheckpointEvery
+	for _, r := range s.log.Resizes {
+		cfg.Elastic = append(cfg.Elastic, emu.Resize{At: r.At, Engines: r.Engines, Assignment: r.Assignment})
 	}
-	if spec.Trace != nil {
+	if s.spec.Trace != nil {
 		// The replay re-executes every window from zero in-process; the
 		// partial distributed timeline would double-count them.
-		spec.Trace.Reset()
-		opts = append(opts, emu.WithTrace(spec.Trace))
+		s.spec.Trace.Reset()
 	}
-	return emu.Run(cfg, opts...)
-}
-
-func abortAll(workers []Conn, reason string) {
-	for _, c := range workers {
-		_ = c.Send(Frame{Type: MsgAbort, Payload: TextMsg{Text: reason}.Encode()})
-		_ = c.Close()
-	}
-}
-
-func sendTo(conn Conn, w int, f Frame) error {
-	if err := conn.Send(f); err != nil {
-		return &workerLost{worker: w, err: err}
-	}
-	return nil
-}
-
-// recvFrom reads one frame from a worker, converting transport failures into
-// workerLost. A worker-reported ERROR frame becomes a fatal ErrWorkerFault —
-// it is deterministic, so degrading to a replay would only hit it again.
-// Liveness pongs and drain requests may interleave with any response and are
-// absorbed here (the plain coordinator ignores drain requests; the elastic
-// one flags them via onDrain).
-func recvFrom(conn Conn, w int, timeout time.Duration) (Frame, error) {
-	return recvFromHB(conn, w, timeout, nil, nil)
+	return emu.Run(cfg, s.emuOpts()...)
 }
 
 // heartbeat configures liveness probing during coordinator waits: every
@@ -483,10 +643,6 @@ func recvFrom(conn Conn, w int, timeout time.Duration) (Frame, error) {
 type heartbeat struct {
 	interval time.Duration
 	misses   int
-}
-
-func recvFromHB(conn Conn, w int, timeout time.Duration, hb *heartbeat, onDrain func(int)) (Frame, error) {
-	return recvHooked(conn, w, timeout, hb, recvHooks{onDrain: onDrain})
 }
 
 // recvHooks routes the out-of-band frames a coordinator wait may absorb:

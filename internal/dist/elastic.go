@@ -7,23 +7,23 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/des"
 	"repro/internal/emu"
 	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
-// Elastic membership: the coordinator admits workers joining a running
-// emulation, releases workers asking to drain, and fail-stops workers that
-// go silent — all without giving up the byte-identical-results guarantee.
-// Engines never move between workers; the kernel's engine count is the
-// capacity, and worker slot s owns the fixed block of EnginesPerWorker
-// engines starting at s*EnginesPerWorker. A join activates a block, a drain
-// deactivates one, and every membership change repartitions the virtual
-// nodes over the new active set at a checkpoint-cadence barrier via the
-// EXPORT/INSTALL protocol (see emu.DistMerge.Resize). The applied changes
-// are returned as a MembershipLog whose replay through emu.Config.Elastic
-// reproduces the run in-process, bit for bit.
+// Elastic membership: the coordinator's window loop (coordinator.go) admits
+// workers joining a running emulation, releases workers asking to drain, and
+// fail-stops workers that go silent — all without giving up the
+// byte-identical-results guarantee. Engines never move between workers; the
+// kernel's engine count is the capacity, and RunElastic deals worker slot s
+// the fixed block of EnginesPerWorker engines starting at
+// s*EnginesPerWorker. A join activates a block, a drain deactivates one, and
+// every membership change repartitions the virtual nodes over the new active
+// set at a checkpoint-cadence barrier via the EXPORT/INSTALL protocol (see
+// emu.DistMerge.Resize). The applied changes are returned as a MembershipLog
+// whose replay through emu.Config.Elastic reproduces the run in-process, bit
+// for bit.
 
 // ElasticOptions tunes an elastic coordinator run.
 type ElasticOptions struct {
@@ -56,38 +56,6 @@ type MembershipLog struct {
 	Losses  []faults.Crash
 }
 
-// emember is one live worker of an elastic run.
-type emember struct {
-	conn     Conn
-	slot     int
-	engines  []int
-	draining bool
-}
-
-type elasticState struct {
-	spec     *RunSpec
-	opt      *ElasticOptions
-	q        int
-	maxSlots int
-	log      *MembershipLog
-	merge    *emu.DistMerge
-
-	members []*emember // active, in admission order
-	pending []*emember // handshaken joiners awaiting the next barrier
-	bySlot  []*emember
-
-	lastResizeAt float64
-	curL         float64
-}
-
-func (s *elasticState) block(slot int) []int {
-	b := make([]int, s.q)
-	for i := range b {
-		b[i] = slot*s.q + i
-	}
-	return b
-}
-
 // RunElastic drives one distributed run with elastic membership. workers are
 // the initial members (slot w for worker w); opt.Joins feeds mid-run
 // joiners; workers leave gracefully via DRAIN or abruptly by dying — an
@@ -97,23 +65,13 @@ func (s *elasticState) block(slot int) []int {
 // The returned Result is byte-identical to emu.Run of the same scenario
 // with Config.Elastic set to the returned MembershipLog.Resizes.
 func RunElastic(ctx context.Context, spec *RunSpec, workers []Conn, opt ElasticOptions) (*emu.Result, *MembershipLog, error) {
-	opt.Options.defaults()
-	if opt.HeartbeatMisses <= 0 {
-		opt.HeartbeatMisses = 3
-	}
 	if opt.EnginesPerWorker <= 0 {
 		opt.EnginesPerWorker = 1
 	}
 	if opt.OnResize == nil {
 		return nil, nil, fmt.Errorf("dist: elastic run needs an OnResize policy")
 	}
-	if len(workers) == 0 {
-		return nil, nil, fmt.Errorf("dist: no workers")
-	}
-	if spec.Cfg.OnCrash != nil {
-		return nil, nil, fmt.Errorf("dist: set OnWorkerLoss, not Cfg.OnCrash (crash hooks do not ship)")
-	}
-	if err := emu.NormalizeConfig(&spec.Cfg); err != nil {
+	if err := checkSpec(spec, workers); err != nil {
 		return nil, nil, err
 	}
 	q := opt.EnginesPerWorker
@@ -121,9 +79,8 @@ func RunElastic(ctx context.Context, spec *RunSpec, workers []Conn, opt ElasticO
 	if n%q != 0 {
 		return nil, nil, fmt.Errorf("dist: %d engines not divisible into blocks of %d", n, q)
 	}
-	maxSlots := n / q
-	if len(workers) > maxSlots {
-		return nil, nil, fmt.Errorf("dist: %d workers for %d slots of %d engines", len(workers), maxSlots, q)
+	if len(workers) > n/q {
+		return nil, nil, fmt.Errorf("dist: %d workers for %d slots of %d engines", len(workers), n/q, q)
 	}
 	for v, eng := range spec.Cfg.Assignment {
 		if eng >= len(workers)*q {
@@ -131,428 +88,54 @@ func RunElastic(ctx context.Context, spec *RunSpec, workers []Conn, opt ElasticO
 				v, eng, len(workers))
 		}
 	}
-
-	s := &elasticState{
-		spec: spec, opt: &opt, q: q, maxSlots: maxSlots,
-		log:    &MembershipLog{},
-		bySlot: make([]*emember, maxSlots),
+	slots := make([][]int, n/q)
+	for e := 0; e < n; e++ {
+		slots[e/q] = append(slots[e/q], e)
 	}
-	res, err := s.run(ctx, workers)
-	if err == nil {
-		return res, s.log, nil
-	}
-	s.abort(err.Error())
-	lost, ok := err.(*workerLost)
-	if !ok {
-		return nil, nil, err
-	}
-	if spec.OnWorkerLoss == nil {
-		return nil, nil, fmt.Errorf("%w (no OnWorkerLoss recovery configured)", lost)
-	}
-	if s.merge != nil {
-		// The kill reaches external recorders before the replay starts; the
-		// replay's own emulation never sees the silent worker.
-		misses := 1.0
-		if opt.HeartbeatInterval > 0 {
-			misses = float64(opt.HeartbeatMisses)
-		}
-		s.merge.RecordEvent(obs.Event{Kind: obs.EventHeartbeatMiss, Time: lost.at,
-			LP: lost.worker * s.q, Value: misses})
-	}
-	opt.logf("dist: %v; degrading to in-process recovery replay", lost)
-	res, err = s.fallback(lost)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, s.log, nil
+	return drive(ctx, spec, workers, slots, &opt)
 }
 
-func (s *elasticState) abort(reason string) {
-	for _, m := range s.members {
-		_ = m.conn.Send(Frame{Type: MsgAbort, Payload: TextMsg{Text: reason}.Encode()})
-		_ = m.conn.Close()
+// admitJoins handshakes joiners as they arrive, one at a time, onto the
+// lowest free slot; a joiner that fails its handshake (or arrives with no
+// free slot) is rejected without touching the run.
+func (s *coordinator) admitJoins() {
+	reject := func(conn Conn, reason string) {
+		s.opt.logf("dist: rejecting joiner: %s", reason)
+		_ = conn.Send(Frame{Type: MsgAbort, Payload: TextMsg{Text: reason}.Encode()})
+		_ = conn.Close()
 	}
-	for _, m := range s.pending {
-		_ = m.conn.Send(Frame{Type: MsgAbort, Payload: TextMsg{Text: reason}.Encode()})
-		_ = m.conn.Close()
-	}
-	s.members, s.pending = nil, nil
-}
-
-func (s *elasticState) run(ctx context.Context, initial []Conn) (res *emu.Result, err error) {
-	opt := s.opt
-	// Stamp worker-loss errors with the virtual time the loss maps to, as in
-	// the static coordinator.
-	virtT, virtL := 0.0, 0.0
-	defer func() {
-		if l, ok := err.(*workerLost); ok {
-			l.at = virtT + virtL/2
-		}
-	}()
-	cfg := s.spec.Cfg // normalized by RunElastic
-
-	blob, err := EncodeSpec(&Spec{Cfg: cfg, Routing: s.spec.Routing,
-		Telemetry: s.spec.Telemetry != nil, Tracing: s.spec.Trace != nil})
-	if err != nil {
-		return nil, err
-	}
-	hash := SpecHash(blob)
-
-	opts := append([]emu.Option(nil), s.spec.EmuOpts...)
-	if s.spec.Telemetry != nil {
-		opts = append(opts, emu.WithTelemetry(s.spec.Telemetry))
-	}
-	if s.spec.Trace != nil {
-		opts = append(opts, emu.WithTrace(s.spec.Trace))
-	}
-	if ctx != nil {
-		opts = append(opts, emu.WithContext(ctx))
-	}
-	merge, err := emu.NewDistMerge(cfg, opts...)
-	if err != nil {
-		return nil, err
-	}
-	s.merge = merge
-	// Only the initial workers' engine blocks are live; the rest of the
-	// capacity activates as joiners install.
-	var liveEngines []int
-	for w := range initial {
-		liveEngines = append(liveEngines, s.block(w)...)
-	}
-	merge.Activate(liveEngines)
-	start := time.Now()
-	initialL := merge.Lookahead()
-
-	// Slot → engine-block ownership is fixed for the whole run, so the
-	// timeline's worker map can cover every slot up front — joiners included.
-	tl := merge.Trace()
-	if tl != nil {
-		for slot := 0; slot < s.maxSlots; slot++ {
-			tl.Assign(s.block(slot), slot)
-		}
-	}
-	if s.spec.Health != nil {
-		s.spec.Health.SetWorkers(len(initial))
-	}
-
-	var hb *heartbeat
-	if opt.HeartbeatInterval > 0 {
-		hb = &heartbeat{interval: opt.HeartbeatInterval, misses: opt.HeartbeatMisses}
-	}
-	// A DRAIN can land at any point — even mid-handshake, before the member
-	// exists. earlyDrain parks those so the request is never lost.
-	earlyDrain := make(map[int]bool)
-	onDrain := func(slot int) {
-		if m := s.bySlot[slot]; m != nil {
-			if !m.draining {
-				m.draining = true
-				opt.logf("dist: worker slot %d requested drain", slot)
-			}
-			return
-		}
-		earlyDrain[slot] = true
-	}
-	admit := func(m *emember) {
-		s.bySlot[m.slot] = m
-		if earlyDrain[m.slot] {
-			delete(earlyDrain, m.slot)
-			m.draining = true
-			opt.logf("dist: worker slot %d requested drain", m.slot)
-		}
-	}
-	// Every coordinator wait may absorb drain requests, worker trace spans
-	// (stamped with the sender's slot) and heartbeat round trips.
-	hooks := recvHooks{onDrain: onDrain}
-	if tl != nil {
-		hooks.onSpans = func(w int, spans []obs.Span) {
-			for i := range spans {
-				spans[i].Worker = w
-			}
-			tl.AddWall(spans)
-		}
-	}
-	if health := s.spec.Health; health != nil {
-		hooks.onRTT = func(w int, rtt time.Duration) { health.ObserveRTT(w, rtt) }
-	}
-	recv := func(m *emember, timeout time.Duration) (Frame, error) {
-		return recvHooked(m.conn, m.slot, timeout, hb, hooks)
-	}
-
-	// handshake admits one worker onto a slot. Every worker — initial or
-	// joiner — receives the same original spec; a joiner's engines are
-	// inactive under the original assignment, so it seeds nothing and waits
-	// for its INSTALL.
-	handshake := func(conn Conn, slot int) (*emember, error) {
-		f, err := recvFromHB(conn, slot, opt.HandshakeTimeout, nil, onDrain)
-		if err != nil {
-			return nil, err
-		}
-		if f.Type != MsgHello {
-			return nil, &workerLost{worker: slot, err: fmt.Errorf("expected HELLO, got %s", f.Type)}
-		}
-		h, err := DecodeHello(f.Payload)
-		if err != nil {
-			return nil, &workerLost{worker: slot, err: err}
-		}
-		if h.Version != Version {
-			return nil, fmt.Errorf("dist: worker slot %d speaks protocol %d, this build speaks %d", slot, h.Version, Version)
-		}
-		m := &emember{conn: conn, slot: slot, engines: s.block(slot)}
-		as := Assign{Version: Version, WorkerID: slot, Workers: s.maxSlots, Engines: m.engines, Hash: hash, Spec: blob}
-		if err := sendTo(conn, slot, Frame{Type: MsgAssign, Payload: as.Encode()}); err != nil {
-			return nil, err
-		}
-		f, err = recvFromHB(conn, slot, opt.HandshakeTimeout, nil, onDrain)
-		if err != nil {
-			return nil, err
-		}
-		if f.Type != MsgReady {
-			return nil, &workerLost{worker: slot, err: fmt.Errorf("expected READY, got %s", f.Type)}
-		}
-		r, err := DecodeReady(f.Payload)
-		if err != nil {
-			return nil, &workerLost{worker: slot, err: err}
-		}
-		if r.Hash != hash {
-			return nil, fmt.Errorf("dist: worker slot %d rebuilt a different scenario (spec hash mismatch)", slot)
-		}
-		if math.Float64bits(r.Lookahead) != math.Float64bits(initialL) {
-			return nil, fmt.Errorf("dist: worker slot %d derived lookahead %g, coordinator %g — builds disagree",
-				slot, r.Lookahead, initialL)
-		}
-		return m, nil
-	}
-
-	for w, conn := range initial {
-		m, err := handshake(conn, w)
-		if err != nil {
-			return nil, err
-		}
-		s.members = append(s.members, m)
-		admit(m)
-	}
-	opt.logf("dist: %d workers ready, %d engine slots of %d, lookahead %g",
-		len(s.members), s.maxSlots, s.q, initialL)
-
-	// admitJoins handshakes joiners as they arrive; a joiner that fails its
-	// handshake (or arrives with no free slot) is rejected without touching
-	// the run.
-	admitJoins := func() {
-		if opt.Joins == nil {
-			return
-		}
-		for {
-			select {
-			case conn, ok := <-opt.Joins:
-				if !ok {
-					opt.Joins = nil
-					return
-				}
-				slot := -1
-				for i := 0; i < s.maxSlots; i++ {
-					if s.bySlot[i] == nil {
-						slot = i
-						break
-					}
-				}
-				if slot < 0 {
-					opt.logf("dist: rejecting joiner: no free engine slot")
-					_ = conn.Send(Frame{Type: MsgAbort, Payload: TextMsg{Text: "no free engine slot"}.Encode()})
-					_ = conn.Close()
-					continue
-				}
-				m, err := handshake(conn, slot)
-				if err != nil {
-					opt.logf("dist: rejecting joiner for slot %d: %v", slot, err)
-					_ = conn.Send(Frame{Type: MsgAbort, Payload: TextMsg{Text: err.Error()}.Encode()})
-					_ = conn.Close()
-					continue
-				}
-				opt.logf("dist: joiner admitted on slot %d (engines %v), installing at next barrier", slot, m.engines)
-				s.pending = append(s.pending, m)
-				admit(m)
-			default:
+	for s.opt.Joins != nil {
+		select {
+		case conn, ok := <-s.opt.Joins:
+			if !ok {
+				s.opt.Joins = nil
 				return
 			}
-		}
-	}
-
-	// The window loop, as in the static coordinator, with one addition: at a
-	// checkpoint-cadence barrier with pending joins or drains, the held
-	// outbox is delivered, every member's state is exported, the nodes are
-	// repartitioned over the new membership, and execution resumes on a
-	// fresh window grid — exactly the sequence the in-process elastic path
-	// performs at that barrier.
-	L := initialL
-	s.curL, virtL = L, L
-	endTime := merge.EndTime()
-	outbox := []emu.WireEvent(nil)
-	T := 0.0
-	first := true
-	nextCkpt := opt.CheckpointEvery
-
-	deliver := func() error {
-		per := make(map[int][]emu.WireEvent, len(s.members))
-		for _, ev := range outbox {
-			slot := int(ev.Dst) / s.q
-			m := s.bySlot[slot]
-			if m == nil {
-				return fmt.Errorf("dist: event for engine %d routed to empty slot %d", ev.Dst, slot)
+			slot := 0
+			for slot < len(s.bySlot) && s.bySlot[slot] != nil {
+				slot++
 			}
-			per[slot] = append(per[slot], ev)
-		}
-		for _, m := range s.members {
-			if err := sendTo(m.conn, m.slot, Frame{Type: MsgEvents, Payload: EncodeEvents(per[m.slot])}); err != nil {
-				return err
+			if slot == len(s.bySlot) {
+				reject(conn, "no free engine slot")
+				continue
 			}
-		}
-		outbox = outbox[:0]
-		return nil
-	}
-
-	for {
-		if err := merge.Canceled(); err != nil {
-			return nil, fmt.Errorf("dist: run canceled: %w", err)
-		}
-		admitJoins()
-		if err := deliver(); err != nil {
-			return nil, err
-		}
-		minT, has := 0.0, false
-		for _, m := range s.members {
-			f, err := recv(m, opt.StepTimeout)
+			m := &member{conn: conn, slot: slot, engines: s.slotEngines[slot]}
+			s.bySlot[slot] = m // seated first: its DRAIN may land mid-handshake
+			err := s.hello(m)
+			if err == nil {
+				err = s.ready(m)
+			}
 			if err != nil {
-				return nil, err
+				s.bySlot[slot] = nil
+				reject(conn, err.Error())
+				continue
 			}
-			if f.Type != MsgVote {
-				return nil, &workerLost{worker: m.slot, err: fmt.Errorf("expected VOTE, got %s", f.Type)}
-			}
-			v, err := DecodeVote(f.Payload)
-			if err != nil {
-				return nil, &workerLost{worker: m.slot, err: err}
-			}
-			if v.Has && (!has || v.Time < minT) {
-				minT, has = v.Time, true
-			}
-		}
-		if !has {
-			break
-		}
-		if endTime > 0 && minT >= endTime {
-			break
-		}
-		if first {
-			T = des.WindowFloor(minT, L)
-			first = false
-		}
-		if minT >= T+L {
-			nt := des.WindowFloor(minT, L)
-			merge.Skip(nt - T)
-			T = nt
-		}
-		end := T + L
-
-		for _, m := range s.members {
-			if err := sendTo(m.conn, m.slot, Frame{Type: MsgWindow, Payload: Window{Start: T, End: end}.Encode()}); err != nil {
-				return nil, err
-			}
-		}
-		reports := make([]*emu.WindowReport, 0, len(s.members))
-		for _, m := range s.members {
-			f, err := recv(m, opt.StepTimeout)
-			if err != nil {
-				return nil, err
-			}
-			if f.Type != MsgWindowDone {
-				return nil, &workerLost{worker: m.slot, err: fmt.Errorf("expected WINDOW_DONE, got %s", f.Type)}
-			}
-			rep, err := DecodeWindowDone(f.Payload)
-			if err != nil {
-				return nil, &workerLost{worker: m.slot, err: err}
-			}
-			reports = append(reports, rep)
-			outbox = append(outbox, rep.Outbox...)
-		}
-		emu.SortWire(outbox)
-		if err := merge.CommitWindow(T, end, reports); err != nil {
-			return nil, err
-		}
-		if s.spec.Health != nil && tl != nil {
-			for _, ws := range tl.DrainWindowStats() {
-				s.spec.Health.ObserveWindow(ws.Worker, ws.Lag)
-			}
-			s.spec.Health.SetAttribution(tl.Health())
-		}
-		virtT = T
-
-		if end >= nextCkpt {
-			admitJoins() // a join raced the window: fold it into this barrier
-			changing := len(s.pending) > 0
-			for _, m := range s.members {
-				if m.draining {
-					changing = true
-				}
-			}
-			if changing {
-				newL, err := s.resizeBarrier(merge, end, recv, deliver)
-				if err != nil {
-					return nil, err
-				}
-				L = newL
-				s.curL, virtL = L, L
-				first = true
-			} else {
-				for _, m := range s.members {
-					if err := sendTo(m.conn, m.slot, Frame{Type: MsgCheckpoint, Payload: CheckpointMsg{At: end}.Encode()}); err != nil {
-						return nil, err
-					}
-				}
-				for _, m := range s.members {
-					f, err := recv(m, opt.StepTimeout)
-					if err != nil {
-						return nil, err
-					}
-					if f.Type != MsgCheckpointAck {
-						return nil, &workerLost{worker: m.slot, err: fmt.Errorf("expected CHECKPOINT_ACK, got %s", f.Type)}
-					}
-				}
-			}
-			for nextCkpt <= end {
-				nextCkpt += opt.CheckpointEvery
-			}
-		}
-		T = end
-	}
-
-	// Finish: final states from the members, BYE everyone (members and any
-	// joiners still waiting for a barrier that never came).
-	states := make([]*emu.DistState, 0, len(s.members))
-	for _, m := range s.members {
-		if err := sendTo(m.conn, m.slot, Frame{Type: MsgFinish}); err != nil {
-			return nil, err
+			s.opt.logf("dist: joiner admitted on slot %d (engines %v), installing at next barrier", slot, m.engines)
+			s.pending = append(s.pending, m)
+		default:
+			return
 		}
 	}
-	for _, m := range s.members {
-		f, err := recv(m, opt.StepTimeout)
-		if err != nil {
-			return nil, err
-		}
-		if f.Type != MsgState {
-			return nil, &workerLost{worker: m.slot, err: fmt.Errorf("expected STATE, got %s", f.Type)}
-		}
-		st, err := DecodeState(f.Payload)
-		if err != nil {
-			return nil, &workerLost{worker: m.slot, err: err}
-		}
-		states = append(states, st)
-	}
-	for _, m := range append(append([]*emember(nil), s.members...), s.pending...) {
-		if err := sendTo(m.conn, m.slot, Frame{Type: MsgBye}); err != nil {
-			return nil, err
-		}
-	}
-	opt.logf("dist: elastic run complete, merging %d final states", len(states))
-	return merge.Finalize(states, time.Since(start))
 }
 
 // resizeBarrier applies the pending membership change at barrier time end:
@@ -560,9 +143,8 @@ func (s *elasticState) run(ctx context.Context, initial []Conn) (res *emu.Result
 // post-merge state, as the in-process checkpoint does), every member's state
 // is exported, the new assignment is computed and installed, drained members
 // are released, and joiners become members. Returns the new window width.
-func (s *elasticState) resizeBarrier(merge *emu.DistMerge, end float64,
-	recv func(*emember, time.Duration) (Frame, error), deliver func() error) (float64, error) {
-	opt := s.opt
+func (s *coordinator) resizeBarrier(end float64, deliver func() error) (float64, error) {
+	opt, merge := s.opt, s.merge
 
 	// The held outbox goes to the OLD owners first; the vote replies are
 	// meaningless mid-resize and are discarded.
@@ -570,30 +152,21 @@ func (s *elasticState) resizeBarrier(merge *emu.DistMerge, end float64,
 		return 0, err
 	}
 	for _, m := range s.members {
-		f, err := recv(m, opt.StepTimeout)
-		if err != nil {
+		if _, err := s.step(m, MsgVote); err != nil {
 			return 0, err
-		}
-		if f.Type != MsgVote {
-			return 0, &workerLost{worker: m.slot, err: fmt.Errorf("expected VOTE, got %s", f.Type)}
 		}
 	}
 
 	// Export every current member, draining ones included — their state
 	// must land somewhere before they leave.
-	for _, m := range s.members {
-		if err := sendTo(m.conn, m.slot, Frame{Type: MsgExport, Payload: ExportMsg{At: end}.Encode()}); err != nil {
-			return 0, err
-		}
+	if err := s.sendAll(s.members, MsgExport, ExportMsg{At: end}.Encode()); err != nil {
+		return 0, err
 	}
 	exports := make([]*emu.ElasticExport, 0, len(s.members))
 	for _, m := range s.members {
-		f, err := recv(m, opt.StepTimeout)
+		f, err := s.step(m, MsgExport)
 		if err != nil {
 			return 0, err
-		}
-		if f.Type != MsgExport {
-			return 0, &workerLost{worker: m.slot, err: fmt.Errorf("expected EXPORT, got %s", f.Type)}
 		}
 		ex, err := DecodeElasticExport(f.Payload)
 		if err != nil {
@@ -604,7 +177,7 @@ func (s *elasticState) resizeBarrier(merge *emu.DistMerge, end float64,
 
 	// The new membership: continuing members keep their admission order,
 	// joiners append after them.
-	var continuing, leaving []*emember
+	var continuing, leaving []*member
 	for _, m := range s.members {
 		if m.draining {
 			leaving = append(leaving, m)
@@ -639,24 +212,21 @@ func (s *elasticState) resizeBarrier(merge *emu.DistMerge, end float64,
 	}
 
 	for i, m := range continuing {
-		if err := sendTo(m.conn, m.slot, Frame{Type: MsgInstall, Payload: EncodeElasticInstall(installs[i])}); err != nil {
+		if err := s.send(m, MsgInstall, EncodeElasticInstall(installs[i])); err != nil {
 			return 0, err
 		}
 	}
 	for _, m := range continuing {
-		f, err := recv(m, opt.StepTimeout)
+		f, err := s.step(m, MsgInstallAck)
 		if err != nil {
 			return 0, err
-		}
-		if f.Type != MsgInstallAck {
-			return 0, &workerLost{worker: m.slot, err: fmt.Errorf("expected INSTALL_ACK, got %s", f.Type)}
 		}
 		ack, err := DecodeInstallAck(f.Payload)
 		if err != nil {
 			return 0, &workerLost{worker: m.slot, err: err}
 		}
 		if math.Float64bits(ack.Lookahead) != math.Float64bits(newL) {
-			return 0, fmt.Errorf("dist: worker slot %d acked lookahead %g, coordinator computed %g — builds disagree",
+			return 0, fmt.Errorf("dist: worker %d acked lookahead %g, coordinator computed %g — builds disagree",
 				m.slot, ack.Lookahead, newL)
 		}
 	}
@@ -670,7 +240,7 @@ func (s *elasticState) resizeBarrier(merge *emu.DistMerge, end float64,
 	}
 
 	// Churn accounting: each joiner and leaver is recorded against the first
-	// engine of its block, mirroring the in-process elastic event stream.
+	// engine of its slot, mirroring the in-process elastic event stream.
 	for _, m := range s.pending {
 		merge.RecordEvent(obs.Event{Kind: obs.EventJoin, Time: end, LP: m.engines[0], Value: 1})
 	}
@@ -688,52 +258,4 @@ func (s *elasticState) resizeBarrier(merge *emu.DistMerge, end float64,
 	opt.logf("dist: membership now %d workers (%d engines) at t=%g, lookahead %g",
 		len(s.members), len(engines), end, newL)
 	return newL, nil
-}
-
-// fallback replays the scenario in-process: the membership changes applied
-// so far re-apply through Config.Elastic, and the lost worker's engines
-// fail-stop just after the last of them, flowing through the standard
-// checkpoint/rollback/remap recovery.
-func (s *elasticState) fallback(lost *workerLost) (*emu.Result, error) {
-	cfg := s.spec.Cfg
-	at := lost.at
-	if at <= s.lastResizeAt {
-		// The loss raced a membership barrier: the crash must land after the
-		// resize it cannot undo.
-		at = s.lastResizeAt + s.curL/4
-	}
-	if at <= 0 {
-		at = math.SmallestNonzeroFloat64
-	}
-	sched := &faults.Schedule{}
-	if cfg.Faults != nil {
-		// Straggler/degradation schedules are part of the scenario's cost
-		// model; the replay must keep them or diverge from a loss-free run.
-		sched.Stragglers = append(sched.Stragglers, cfg.Faults.Stragglers...)
-		sched.Degradations = append(sched.Degradations, cfg.Faults.Degradations...)
-	}
-	for _, e := range s.block(lost.worker) {
-		sched.Crashes = append(sched.Crashes, faults.Crash{Engine: e, At: at})
-	}
-	s.log.Losses = append(s.log.Losses, sched.Crashes...)
-	cfg.Faults = sched
-	cfg.OnCrash = s.spec.OnWorkerLoss
-	cfg.CheckpointEvery = s.opt.CheckpointEvery
-	if len(s.log.Resizes) > 0 {
-		cfg.Elastic = make([]emu.Resize, len(s.log.Resizes))
-		for i, r := range s.log.Resizes {
-			cfg.Elastic[i] = emu.Resize{At: r.At, Engines: r.Engines, Assignment: r.Assignment}
-		}
-	}
-	opts := append([]emu.Option(nil), s.spec.EmuOpts...)
-	if s.spec.Telemetry != nil {
-		opts = append(opts, emu.WithTelemetry(s.spec.Telemetry))
-	}
-	if s.spec.Trace != nil {
-		// The replay re-executes every window from zero in-process; the
-		// partial distributed timeline would double-count them.
-		s.spec.Trace.Reset()
-		opts = append(opts, emu.WithTrace(s.spec.Trace))
-	}
-	return emu.Run(cfg, opts...)
 }

@@ -84,7 +84,7 @@ func TestHeartbeatPongKeepsSlowWorkerAlive(t *testing.T) {
 	// The peer never sends the VOTE we wait for, but PONGs every PING: the
 	// wait must run to the full timeout, not trip the miss threshold.
 	start := time.Now()
-	_, err := recvFromHB(c, 0, 500*time.Millisecond, &heartbeat{interval: 50 * time.Millisecond, misses: 3}, nil)
+	_, err := recvHooked(c, 0, 500*time.Millisecond, &heartbeat{interval: 50 * time.Millisecond, misses: 3}, recvHooks{})
 	elapsed := time.Since(start)
 	c.Close()
 	<-done

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -152,6 +153,51 @@ func TestDistributedTCPMatchesLoopback(t *testing.T) {
 	}
 }
 
+// TestStaticAndSteadyElasticMatchInProcess: the coordinator has one window
+// loop, and the two ways of dealing engines to workers must not show in the
+// result. Run deals round-robin over two workers (an uneven split: Campus is
+// 3 engines, TeraGrid 5); RunElastic at full capacity with no joins or drains
+// deals one block per worker. Both must equal the in-process bytes.
+func TestStaticAndSteadyElasticMatchInProcess(t *testing.T) {
+	for _, topology := range []string{"Campus", "TeraGrid"} {
+		topology := topology
+		t.Run(topology, func(t *testing.T) {
+			t.Parallel()
+			ctx := context.Background()
+			inproc, err := scenario(t, topology).Run(ctx, mapping.Top)
+			if err != nil {
+				t.Fatalf("in-process: %v", err)
+			}
+			want := canonical(t, inproc.Result)
+
+			if got := canonical(t, runDistributed(t, topology, mapping.Top, 2)); !bytes.Equal(want, got) {
+				t.Fatalf("round-robin static run diverges from in-process:\nin-process: %.600s\nstatic: %.600s", want, got)
+			}
+
+			sc := scenario(t, topology)
+			if sc.Engines%2 == 0 {
+				t.Fatalf("%s has %d engines; the static case must split unevenly over 2 workers", topology, sc.Engines)
+			}
+			conns, drain := startLoopbackWorkers(ctx, sc.Engines)
+			o, mlog, err := sc.RunElastic(ctx, conns, dist.ElasticOptions{})
+			if err != nil {
+				t.Fatalf("steady elastic run: %v", err)
+			}
+			for i, werr := range drain() {
+				if werr != nil {
+					t.Fatalf("elastic worker %d: %v", i, werr)
+				}
+			}
+			if len(mlog.Resizes)+len(mlog.Losses) != 0 {
+				t.Fatalf("steady run changed membership: %+v", mlog)
+			}
+			if got := canonical(t, o.Result); !bytes.Equal(want, got) {
+				t.Fatalf("block-dealt steady elastic run diverges from in-process:\nin-process: %.600s\nelastic: %.600s", want, got)
+			}
+		})
+	}
+}
+
 // flakyConn injects a connection failure after the coordinator has commanded
 // a number of windows — a worker process dying mid-run, as seen from the
 // coordinator's side of the socket.
@@ -216,6 +262,50 @@ func TestWorkerLossDegradesToRecovery(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// failSendConn cuts the coordinator→worker link at the first frame of a type.
+type failSendConn struct {
+	dist.Conn
+	typ dist.MsgType
+}
+
+func (f *failSendConn) Send(fr dist.Frame) error {
+	if fr.Type == f.typ {
+		return errInjectedLink
+	}
+	return f.Conn.Send(fr)
+}
+
+// TestStaticLossBeforeFirstWindowDegrades: a worker of a static run dying in
+// the handshake — before any window exists to date the loss by — degrades
+// through the same fallback as every other loss, fail-stopping exactly the
+// engines the round-robin deal gave that worker.
+func TestStaticLossBeforeFirstWindowDegrades(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	conns, _ := startLoopbackWorkers(ctx, 2)
+	conns[1] = &failSendConn{Conn: conns[1], typ: dist.MsgAssign}
+	sc := scenario(t, "TeraGrid") // 5 engines: worker 1 owns engines 1 and 3
+	o, err := sc.RunDistributed(ctx, mapping.Top, conns, dist.Options{})
+	if err != nil {
+		t.Fatalf("worker loss must degrade, not fail the run: %v", err)
+	}
+	rec := o.Result.Recovery
+	if rec == nil {
+		t.Fatal("degraded run must report Recovery")
+	}
+	if !reflect.DeepEqual(rec.DeadEngines, []int{1, 3}) {
+		t.Fatalf("DeadEngines = %v, want worker 1's round-robin engines [1 3]", rec.DeadEngines)
+	}
+	for v, e := range o.Result.FinalAssignment {
+		if e == 1 || e == 3 {
+			t.Fatalf("node %d still assigned to dead engine %d", v, e)
+		}
+	}
+	if o.Result.Kernel.TotalCharges() == 0 {
+		t.Fatal("degraded run produced an empty result")
 	}
 }
 

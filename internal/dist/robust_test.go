@@ -3,6 +3,7 @@ package dist_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -194,5 +195,58 @@ func TestPeerCloseMidHandshakeErrorsPromptly(t *testing.T) {
 		if elapsed := time.Since(start); elapsed > 5*time.Second {
 			t.Fatalf("peer close took %v to surface", elapsed)
 		}
+	}
+}
+
+// badDstConn is a hostile worker: it appends an event addressed to engine dst
+// to the outbox of its first window report.
+type badDstConn struct {
+	dist.Conn
+	dst   int32
+	fired bool
+}
+
+func (c *badDstConn) Send(f dist.Frame) error {
+	if f.Type == dist.MsgWindowDone && !c.fired {
+		if rep, err := dist.DecodeWindowDone(f.Payload); err == nil {
+			c.fired = true
+			rep.Outbox = append(rep.Outbox, emu.WireEvent{Dst: c.dst})
+			f.Payload = dist.EncodeWindowDone(rep)
+		}
+	}
+	return c.Conn.Send(f)
+}
+
+// TestOutOfRangeDstLosesWorkerTyped: an outbox event whose destination engine
+// is outside [0, NumEngines) — reachable on the wire, Dst decodes as a signed
+// 32-bit value — must not index the coordinator's ownership table. The sender
+// is declared lost with a typed error naming it.
+func TestOutOfRangeDstLosesWorkerTyped(t *testing.T) {
+	spec := distSpec(t)
+	for _, dst := range []int32{int32(spec.Cfg.NumEngines), -1} {
+		dst := dst
+		t.Run(fmt.Sprintf("dst=%d", dst), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			conns := make([]dist.Conn, 2)
+			for i := range conns {
+				c, s := dist.Loopback()
+				if i == 1 {
+					s = &badDstConn{Conn: s, dst: dst}
+				}
+				conns[i] = c
+				go dist.Serve(ctx, s, dist.WorkerOptions{})
+			}
+			_, err := dist.Run(ctx, distSpec(t), conns, dist.Options{})
+			if err == nil {
+				t.Fatal("an out-of-range destination engine must fail the run")
+			}
+			if !errors.Is(err, dist.ErrWorkerLost) {
+				t.Fatalf("want ErrWorkerLost, got %v", err)
+			}
+			if !strings.Contains(err.Error(), "worker 1") {
+				t.Fatalf("error must name the sender, got %v", err)
+			}
+		})
 	}
 }

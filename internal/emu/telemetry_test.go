@@ -3,7 +3,6 @@ package emu
 import (
 	"bytes"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -291,50 +290,5 @@ func BenchmarkEmuTelemetryOn(b *testing.B) {
 		if _, err := Run(cfg, WithTelemetry(tel)); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// TestTelemetryOverheadGate is the enabled-path cost gate the flat-counter
-// overhaul targets: telemetry-on must cost at most 1.5x telemetry-off ns/op
-// on the 4-node line benchmark (it was 2.9x when the registry republished
-// every sync window). On a loaded host the run-to-run swing exceeds the
-// on/off difference, so the gate interleaves off/on measurement rounds —
-// drift inflates both halves of a round equally — and takes the median of
-// the per-round ratios.
-func TestTelemetryOverheadGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full emulation benchmarks")
-	}
-	cfg := benchConfig()
-	tel := telemetry.New()
-	if _, err := Run(cfg, WithTelemetry(tel)); err != nil {
-		t.Fatal(err)
-	}
-	measure := func(withTel bool) int64 {
-		return testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var err error
-				if withTel {
-					_, err = Run(cfg, WithTelemetry(tel))
-				} else {
-					_, err = Run(cfg)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}).NsPerOp()
-	}
-	const rounds = 3
-	ratios := make([]float64, 0, rounds)
-	for i := 0; i < rounds; i++ {
-		off := measure(false)
-		on := measure(true)
-		ratios = append(ratios, float64(on)/float64(off))
-		t.Logf("round %d: off %d ns/op, on %d ns/op, ratio %.2fx", i, off, on, float64(on)/float64(off))
-	}
-	sort.Float64s(ratios)
-	if median := ratios[rounds/2]; median > 1.5 {
-		t.Errorf("telemetry-on overhead %.2fx > 1.5x (median of %d interleaved rounds: %v)", median, rounds, ratios)
 	}
 }

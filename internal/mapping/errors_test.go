@@ -19,7 +19,7 @@ func TestSentinelErrBadInput(t *testing.T) {
 		{"unknown-approach", func() error { _, err := Map("NOPE", Input{Network: nw, K: 2}); return err }},
 		{"profile-no-summary", func() error { _, err := ProfileMap(Input{Network: nw, K: 2}); return err }},
 		{"remap-bad-assignment", func() error {
-			_, _, err := RemapSurvivors(Input{Network: nw, K: 2}, []int{0}, []int{0}, nil)
+			_, _, err := RemapOnto(Input{Network: nw, K: 2}, []int{0}, []int{0}, nil)
 			return err
 		}},
 	}
@@ -52,7 +52,7 @@ func TestSentinelErrInfeasible(t *testing.T) {
 			return err
 		}},
 		{"remap-no-survivors", func() error {
-			_, _, err := RemapSurvivors(Input{Network: nw, K: 2}, prev, nil, nil)
+			_, _, err := RemapOnto(Input{Network: nw, K: 2}, prev, nil, nil)
 			return err
 		}},
 		{"guard-bad-capacity", func() error {

@@ -7,32 +7,19 @@ import (
 	"repro/internal/partition"
 )
 
-// RemapSurvivors redistributes the virtual network across the engines that
-// survive a crash. It is the recovery-path analogue of ProfileImprove: the
-// TOP partitioning instance (bandwidth + memory constraints, latency
-// objective) is rebuilt with reduced k — one part per surviving engine — the
-// previous assignment is relabeled onto the survivor index space (nodes
-// stranded on dead engines are seeded greedily onto the least-loaded
-// survivors), and partition.Improve refines from there, so surviving nodes
-// move only when the balance gain pays for the migration. engineLoads, when
-// provided, orders the greedy seeding by the survivors' measured load;
-// otherwise seeded bandwidth weight is used alone.
-//
-// The returned assignment is in engine-ID space (values drawn from
-// survivors) together with the number of nodes that changed engines.
-func RemapSurvivors(in Input, previous []int, survivors []int, engineLoads []float64) ([]int, int, error) {
-	return RemapOnto(in, previous, survivors, engineLoads)
-}
-
 // RemapOnto redistributes the virtual network onto an arbitrary target engine
-// set — the general membership-change remap. It covers both directions:
-// shrink (crash or graceful drain: the target set omits departed engines, so
-// their nodes strand and are re-seeded) and grow (elastic join: the target set
-// includes fresh engines that start with empty parts and are filled from the
-// biggest donors before refinement). Nodes already on a target engine keep it
-// in the seed, so partition.Improve moves state only when the balance gain
-// pays for the migration. engineLoads, when provided, orders the greedy
-// seeding by measured engine load.
+// set — the membership-change and crash-recovery remap, and the recovery-path
+// analogue of ProfileImprove: the TOP partitioning instance (bandwidth +
+// memory constraints, latency objective) is rebuilt with one part per target
+// engine. It covers both directions: shrink (crash or graceful drain: the
+// target set omits departed engines, so their nodes strand and are re-seeded
+// greedily onto the least-loaded targets) and grow (elastic join: the target
+// set includes fresh engines that start with empty parts and are filled from
+// the biggest donors before refinement). Nodes already on a target engine
+// keep it in the seed, so partition.Improve moves state only when the balance
+// gain pays for the migration. engineLoads, when provided, orders the greedy
+// seeding by measured engine load; otherwise seeded bandwidth weight is used
+// alone.
 //
 // The returned assignment is in engine-ID space (values drawn from engines)
 // together with the number of nodes that changed engines.

@@ -17,7 +17,7 @@ func TestRemapSurvivorsBasics(t *testing.T) {
 	}
 
 	survivors := []int{0, 1, 3} // engine 2 died
-	next, moved, err := RemapSurvivors(in, prev, survivors, nil)
+	next, moved, err := RemapOnto(in, prev, survivors, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestRemapSurvivorsBeatsNaiveDump(t *testing.T) {
 		t.Fatal(err)
 	}
 	survivors := []int{0, 1, 3}
-	next, _, err := RemapSurvivors(in, prev, survivors, nil)
+	next, _, err := RemapOnto(in, prev, survivors, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRemapSurvivorsSingleSurvivor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, moved, err := RemapSurvivors(in, prev, []int{1}, nil)
+	next, moved, err := RemapOnto(in, prev, []int{1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +120,10 @@ func TestRemapSurvivorsValidation(t *testing.T) {
 	nw := topogen.Campus()
 	in := Input{Network: nw, K: 3}
 	prev := make([]int, nw.NumNodes())
-	if _, _, err := RemapSurvivors(in, prev[:3], []int{0}, nil); err == nil {
+	if _, _, err := RemapOnto(in, prev[:3], []int{0}, nil); err == nil {
 		t.Error("short previous assignment accepted")
 	}
-	if _, _, err := RemapSurvivors(in, prev, nil, nil); err == nil {
+	if _, _, err := RemapOnto(in, prev, nil, nil); err == nil {
 		t.Error("empty survivor set accepted")
 	}
 }
@@ -136,11 +136,11 @@ func TestRemapSurvivorsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	loads := []float64{100, 200, 50, 300}
-	a, am, err := RemapSurvivors(in, prev, []int{0, 1, 3}, loads)
+	a, am, err := RemapOnto(in, prev, []int{0, 1, 3}, loads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, bm, err := RemapSurvivors(in, prev, []int{0, 1, 3}, loads)
+	b, bm, err := RemapOnto(in, prev, []int{0, 1, 3}, loads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,33 +194,5 @@ func TestRemapOntoGrow(t *testing.T) {
 	}
 	if got, was := weight(next, 4), weight(prev, 4); got >= was {
 		t.Errorf("grow remap imbalance %.3f did not improve on pre-join %.3f", got, was)
-	}
-}
-
-func TestRemapOntoShrinkMatchesSurvivors(t *testing.T) {
-	// RemapSurvivors is a thin wrapper: the two entry points must agree
-	// exactly on the shrink direction.
-	nw := topogen.Campus()
-	in := Input{Network: nw, K: 4, PartOpts: partition.Options{Seed: 1}}
-	prev, err := TopMap(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loads := []float64{10, 20, 30, 40}
-	a, am, err := RemapSurvivors(in, prev, []int{0, 3}, loads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, bm, err := RemapOnto(in, prev, []int{0, 3}, loads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if am != bm {
-		t.Fatalf("moved: RemapSurvivors %d vs RemapOnto %d", am, bm)
-	}
-	for v := range a {
-		if a[v] != b[v] {
-			t.Fatalf("node %d: RemapSurvivors -> %d, RemapOnto -> %d", v, a[v], b[v])
-		}
 	}
 }
