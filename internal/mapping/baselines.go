@@ -1,7 +1,6 @@
 package mapping
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/netgraph"
@@ -51,9 +50,6 @@ func KClusterMap(in Input) ([]int, error) {
 	}
 	nw := in.Network
 	n := nw.NumNodes()
-	if in.K > n {
-		return nil, fmt.Errorf("%w: KCLUSTER: k = %d exceeds %d nodes", ErrInfeasible, in.K, n)
-	}
 	rng := rand.New(rand.NewSource(in.PartOpts.Seed))
 
 	part := make([]int, n)
@@ -129,9 +125,6 @@ func HierMap(in Input) ([]int, error) {
 	}
 	nw := in.Network
 	n := nw.NumNodes()
-	if in.K > n {
-		return nil, fmt.Errorf("%w: HIER: k = %d exceeds %d nodes", ErrInfeasible, in.K, n)
-	}
 
 	order := make([]int, 0, n)
 	seen := make([]bool, n)

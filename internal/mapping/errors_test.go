@@ -43,6 +43,18 @@ func TestSentinelErrInfeasible(t *testing.T) {
 		name string
 		err  func() error
 	}{
+		{"top-too-many", func() error {
+			_, err := TopMap(Input{Network: nw, K: nw.NumNodes() + 1, PartOpts: opts})
+			return err
+		}},
+		{"place-too-many", func() error {
+			_, err := PlaceMap(Input{Network: nw, K: nw.NumNodes() + 1, PartOpts: opts})
+			return err
+		}},
+		{"profile-too-many", func() error {
+			_, err := ProfileMap(Input{Network: nw, K: nw.NumNodes() + 1, PartOpts: opts})
+			return err
+		}},
 		{"kcluster-too-many", func() error {
 			_, err := KClusterMap(Input{Network: nw, K: nw.NumNodes() + 1, PartOpts: opts})
 			return err

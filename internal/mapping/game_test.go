@@ -40,7 +40,7 @@ func TestGameRemapConvergesDeterministically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := validPartition(in.Network.NumNodes(), next, in.K); err != nil {
+	if err = validPartition(in.Network.NumNodes(), next, in.K); err != nil {
 		t.Fatal(err)
 	}
 	if !stats.Converged {
@@ -128,7 +128,7 @@ func TestDiffusionRemapBalancesLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := validPartition(n, next, k); err != nil {
+	if err = validPartition(n, next, k); err != nil {
 		t.Fatal(err)
 	}
 	after := metrics.Imbalance(engineLoads(next))

@@ -114,6 +114,9 @@ func (in *Input) defaults() error {
 	if in.K < 1 {
 		return fmt.Errorf("%w: K = %d, must be >= 1", ErrBadInput, in.K)
 	}
+	if n := in.Network.NumNodes(); in.K > n {
+		return fmt.Errorf("%w: K = %d exceeds %d nodes", ErrInfeasible, in.K, n)
+	}
 	if in.Routes == nil {
 		// The automatic backend keeps a huge topology off the O(n²) flat
 		// table; the paper-scale topologies still get the exact flat table
@@ -135,7 +138,7 @@ func (in *Input) defaults() error {
 	// Mapping quality matters more than mapping speed here (the paper's
 	// partitions are computed offline); spend more partitioner effort than
 	// the library defaults. Beyond largeGraphNodes that budget would take
-	// the multilevel partitioner from seconds to hours, so huge topologies
+	// the multilevel partitioner from seconds to minutes, so huge topologies
 	// drop to a lean effort profile instead.
 	large := in.Network.NumNodes() >= largeGraphNodes
 	if in.PartOpts.Restarts == 0 {
@@ -260,8 +263,9 @@ const mappingTrials = 5
 
 // largeGraphNodes is the node count beyond which the mapping pipeline
 // switches to its lean effort profile (fewer partitioner restarts and
-// refinement passes, a single mapping trial): at 10⁵+ nodes the default
-// budget multiplies a seconds-long multilevel run by ~100×.
+// refinement passes, a single mapping trial): at 10⁵ nodes the default
+// budget multiplies a 13 s multilevel run by ~40× (~80× before rebalance
+// stopped replaying cycles).
 const largeGraphNodes = 20000
 
 // selectBest runs the partition function for mappingTrials seeds (one seed
@@ -509,13 +513,13 @@ func ProfileMap(in Input) ([]int, error) {
 		return nil, err
 	}
 	part, err := selectBest(g, bw, in.K, in.PartOpts, func(o partition.Options) ([]int, error) {
-		p, _, err := partition.MultiObjective(
+		p, _, runErr := partition.MultiObjective(
 			g,
 			[]partition.EdgeWeightSet{lat, bw},
 			[]float64{in.LatencyPriority, 1 - in.LatencyPriority},
 			in.K, o,
 		)
-		return p, err
+		return p, runErr
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mapping: PROFILE: %w", err)

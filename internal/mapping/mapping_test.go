@@ -150,7 +150,7 @@ func TestProfileMapFromRealProfile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cluster=%v: %v", cluster, err)
 		}
-		if err := validPartition(nw.NumNodes(), part, k); err != nil {
+		if err = validPartition(nw.NumNodes(), part, k); err != nil {
 			t.Fatalf("cluster=%v: %v", cluster, err)
 		}
 		// Re-run with the PROFILE partition: imbalance should not be worse

@@ -42,8 +42,9 @@ func PartitionRB(g *Graph, k int, opts Options) ([]int, error) {
 	// A final k-way polish over the whole assignment knits the bisection
 	// boundaries together.
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x5bd1e995))
-	refine(g, part, k, opts.Imbalance, opts.RefinePasses, nil, rng)
-	rebalance(g, part, k, opts.Imbalance, nil)
+	ws := newWorkspace(g, k, nil)
+	ws.refine(g, part, opts.Imbalance, opts.RefinePasses, rng)
+	ws.rebalance(g, part, opts.Imbalance)
 	ensureNonEmpty(g, part, k)
 	return part, nil
 }

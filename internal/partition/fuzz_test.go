@@ -18,11 +18,11 @@ func FuzzReadGraph(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := g.Validate(); err != nil {
+		if err = g.Validate(); err != nil {
 			t.Fatalf("accepted graph fails validation: %v", err)
 		}
 		var buf bytes.Buffer
-		if err := WriteGraph(&buf, g); err != nil {
+		if err = WriteGraph(&buf, g); err != nil {
 			t.Fatalf("serialize: %v", err)
 		}
 		back, err := ReadGraph(bytes.NewReader(buf.Bytes()))

@@ -13,7 +13,7 @@
 //
 // The pipeline is the classic three phases: coarsening by heavy-edge
 // matching, initial partitioning by greedy graph growing, and uncoarsening
-// with boundary Fiduccia–Mattheyses-style refinement.
+// with randomized greedy boundary refinement and balance repair (refine.go).
 package partition
 
 import (

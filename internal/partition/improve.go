@@ -21,11 +21,11 @@ func Improve(g *Graph, part []int, k int, opts Options) (int, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	before := append([]int(nil), part...)
-	frac := uniformFractions(k, opts.PartFractions)
+	ws := newWorkspace(g, k, opts.PartFractions)
 
 	// Same polish schedule as Partition's final phase: refine, then anneal
 	// the balance ceiling down to the 3% target.
-	refine(g, part, k, opts.Imbalance, opts.RefinePasses, frac, rng)
+	ws.refine(g, part, opts.Imbalance, opts.RefinePasses, rng)
 	target := opts.Imbalance
 	if target > 0.03 {
 		target = 0.03
@@ -34,10 +34,10 @@ func Improve(g *Graph, part []int, k int, opts Options) (int, error) {
 		if eps > opts.Imbalance {
 			continue
 		}
-		rebalance(g, part, k, eps, frac)
-		refine(g, part, k, eps, opts.RefinePasses, frac, rng)
+		ws.rebalance(g, part, eps)
+		ws.refine(g, part, eps, opts.RefinePasses, rng)
 	}
-	rebalance(g, part, k, target, frac)
+	ws.rebalance(g, part, target)
 	ensureNonEmpty(g, part, k)
 
 	moved := 0

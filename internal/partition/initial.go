@@ -2,25 +2,24 @@ package partition
 
 import "math/rand"
 
-// greedyGrow computes an initial k-way partition of g by greedy graph
+// greedyGrow fills part with an initial k-way partition of g by greedy graph
 // growing: parts 0..k-2 are grown one at a time from a random seed vertex,
 // always absorbing the unassigned vertex with the strongest connection to the
 // growing part, until the part reaches its weight target; the leftovers form
 // part k-1. The result is feasible in assignment (every vertex gets a part)
 // but may be slightly unbalanced; callers refine it.
-func greedyGrow(g *Graph, k int, frac []float64, rng *rand.Rand) []int {
-	frac = uniformFractions(k, frac)
+func (ws *workspace) greedyGrow(g *Graph, part []int, rng *rand.Rand) {
+	k, frac := ws.k, ws.frac
 	n := g.NumVertices()
-	part := make([]int, n)
 	for v := range part {
 		part[v] = -1
 	}
 	total := g.TotalVWgt()
+	target := make([]float64, g.Ncon)
 
 	unassigned := n
 	for p := 0; p < k-1 && unassigned > 0; p++ {
 		// Part p's weight target under its capacity fraction.
-		target := make([]float64, g.Ncon)
 		for c, t := range total {
 			target[c] = float64(t) * frac[p]
 		}
@@ -30,7 +29,7 @@ func greedyGrow(g *Graph, k int, frac []float64, rng *rand.Rand) []int {
 		if maxVertices < 1 {
 			maxVertices = 1
 		}
-		grown := growOnePart(g, part, p, target, maxVertices, rng)
+		grown := ws.frontier.growOnePart(g, part, p, target, maxVertices, rng)
 		unassigned -= grown
 	}
 	for v := range part {
@@ -38,13 +37,21 @@ func greedyGrow(g *Graph, k int, frac []float64, rng *rand.Rand) []int {
 			part[v] = k - 1
 		}
 	}
-	return part
+}
+
+// frontier is growOnePart's set of unassigned vertices adjacent to the
+// growing part, with their connectivity to it.
+type frontier struct {
+	gain  []int64  // gain[v]: edge weight from v into the part, valid while mark[v] == gen
+	mark  []uint64 // mark[v] == gen: v joined the frontier of the part being grown
+	gen   uint64
+	verts []int // the members; a vertex absorbed since it joined is dropped at the next scan
 }
 
 // growOnePart grows part p from a random unassigned seed until any balance
 // constraint reaches its target or maxVertices vertices have been absorbed.
 // Returns the number of vertices assigned.
-func growOnePart(g *Graph, part []int, p int, target []float64, maxVertices int, rng *rand.Rand) int {
+func (f *frontier) growOnePart(g *Graph, part []int, p int, target []float64, maxVertices int, rng *rand.Rand) int {
 	n := g.NumVertices()
 	seed := -1
 	// Pick a random unassigned seed.
@@ -61,17 +68,22 @@ func growOnePart(g *Graph, part []int, p int, target []float64, maxVertices int,
 	}
 
 	wgt := make([]float64, g.Ncon)
-	gain := make(map[int]int64) // unassigned frontier vertex -> connectivity to part p
+	f.gen++
+	f.verts = f.verts[:0]
 	assign := func(v int) {
 		part[v] = p
 		for c, w := range g.VWgt[v] {
 			wgt[c] += float64(w)
 		}
-		delete(gain, v)
 		for _, e := range g.Adj[v] {
-			if part[e.To] == -1 {
-				gain[e.To] += e.Wgt
+			if part[e.To] != -1 {
+				continue
 			}
+			if f.mark[e.To] != f.gen {
+				f.mark[e.To], f.gain[e.To] = f.gen, 0
+				f.verts = append(f.verts, e.To)
+			}
+			f.gain[e.To] += e.Wgt
 		}
 	}
 	reachedTarget := func() bool {
@@ -90,11 +102,17 @@ func growOnePart(g *Graph, part []int, p int, target []float64, maxVertices int,
 		// frontier is empty (disconnected graph), jump to a random
 		// unassigned vertex.
 		best, bestW := -1, int64(-1)
-		for v, w := range gain {
-			if w > bestW || (w == bestW && v < best) {
+		live := f.verts[:0]
+		for _, v := range f.verts {
+			if part[v] != -1 {
+				continue
+			}
+			live = append(live, v)
+			if w := f.gain[v]; w > bestW || (w == bestW && v < best) {
 				best, bestW = v, w
 			}
 		}
+		f.verts = live
 		if best == -1 {
 			start := rng.Intn(n)
 			for i := 0; i < n; i++ {

@@ -84,7 +84,7 @@ func Partition(g *Graph, k int, opts Options) ([]int, error) {
 
 	opts = opts.withDefaults(k)
 	rng := rand.New(rand.NewSource(opts.Seed))
-	frac := uniformFractions(k, opts.PartFractions)
+	ws := newWorkspace(g, k, opts.PartFractions)
 
 	// Phase 1: coarsen.
 	levels := buildHierarchy(g, opts.CoarsenTo, rng)
@@ -94,7 +94,7 @@ func Partition(g *Graph, k int, opts Options) ([]int, error) {
 	}
 
 	// Phase 2: initial partition on the coarsest graph, best of Restarts.
-	part := initialPartition(coarsest, k, opts, rng)
+	part := ws.initialPartition(coarsest, opts, rng)
 
 	// Phase 3: uncoarsen, refining at every level.
 	for i := len(levels) - 1; i >= 0; i-- {
@@ -103,12 +103,12 @@ func Partition(g *Graph, k int, opts Options) ([]int, error) {
 			finer = levels[i-1].graph
 		}
 		part = project(part, levels[i].fineToCoarse, finer.NumVertices())
-		refine(finer, part, k, opts.Imbalance, opts.RefinePasses, frac, rng)
-		rebalance(finer, part, k, opts.Imbalance, frac)
+		ws.refine(finer, part, opts.Imbalance, opts.RefinePasses, rng)
+		ws.rebalance(finer, part, opts.Imbalance)
 	}
 	if len(levels) == 0 {
-		refine(g, part, k, opts.Imbalance, opts.RefinePasses, frac, rng)
-		rebalance(g, part, k, opts.Imbalance, frac)
+		ws.refine(g, part, opts.Imbalance, opts.RefinePasses, rng)
+		ws.rebalance(g, part, opts.Imbalance)
 	}
 	// Final polish: anneal the balance ceiling downward. Refinement parks
 	// just under whatever ceiling it is given, so a single tolerance leaves
@@ -123,10 +123,10 @@ func Partition(g *Graph, k int, opts Options) ([]int, error) {
 		if eps > opts.Imbalance {
 			continue
 		}
-		rebalance(g, part, k, eps, frac)
-		refine(g, part, k, eps, opts.RefinePasses, frac, rng)
+		ws.rebalance(g, part, eps)
+		ws.refine(g, part, eps, opts.RefinePasses, rng)
 	}
-	rebalance(g, part, k, target, frac)
+	ws.rebalance(g, part, target)
 	ensureNonEmpty(g, part, k)
 	return part, nil
 }
@@ -134,23 +134,23 @@ func Partition(g *Graph, k int, opts Options) ([]int, error) {
 // initialPartition tries Restarts greedy growings of the coarsest graph and
 // keeps the best result: feasible (within balance) partitions are preferred,
 // then lower edge cut, then lower max-norm imbalance.
-func initialPartition(g *Graph, k int, opts Options, rng *rand.Rand) []int {
-	var best []int
+func (ws *workspace) initialPartition(g *Graph, opts Options, rng *rand.Rand) []int {
+	k, frac := ws.k, ws.frac
+	part, best := make([]int, g.NumVertices()), make([]int, g.NumVertices())
 	var bestCut int64
 	var bestNorm float64
 	bestFeasible := false
 
-	frac := uniformFractions(k, opts.PartFractions)
 	for r := 0; r < opts.Restarts; r++ {
-		part := greedyGrow(g, k, frac, rng)
-		refine(g, part, k, opts.Imbalance, opts.RefinePasses, frac, rng)
-		rebalance(g, part, k, opts.Imbalance, frac)
+		ws.greedyGrow(g, part, rng)
+		ws.refine(g, part, opts.Imbalance, opts.RefinePasses, rng)
+		ws.rebalance(g, part, opts.Imbalance)
 		cut := EdgeCut(g, part)
 		norm := maxNorm(g, part, k, frac)
 		feasible := norm <= 1+opts.Imbalance+1e-9
 		better := false
 		switch {
-		case best == nil:
+		case r == 0:
 			better = true
 		case feasible && !bestFeasible:
 			better = true
@@ -160,7 +160,7 @@ func initialPartition(g *Graph, k int, opts Options, rng *rand.Rand) []int {
 			better = true
 		}
 		if better {
-			best = append(best[:0:0], part...)
+			best, part = part, best
 			bestCut, bestNorm, bestFeasible = cut, norm, feasible
 		}
 	}

@@ -52,24 +52,119 @@ func uniformFractions(k int, frac []float64) []float64 {
 	return out
 }
 
-// allowedCeiling returns, per part and constraint, the maximum weight part p
-// may hold under tolerance tol and target fractions frac:
-// (1+tol)·total[c]·frac[p]. A constraint whose total is 0 gets an unbounded
-// ceiling.
-func allowedCeiling(g *Graph, k int, tol float64, frac []float64) [][]float64 {
-	total := g.TotalVWgt()
-	ceil := make([][]float64, k)
-	for p := range ceil {
-		ceil[p] = make([]float64, g.Ncon)
-		for c, t := range total {
-			if t == 0 {
-				ceil[p][c] = 1e308
-				continue
-			}
-			ceil[p][c] = (1 + tol) * float64(t) * frac[p]
+// workspace is the scratch memory one Partition, PartitionRB or Improve call
+// shares between its greedyGrow, refine and rebalance calls (about 130 of
+// them on a paper topology), so that their loops do not allocate. Per-vertex
+// buffers are sized for the call's finest graph; coarser levels use a
+// prefix.
+type workspace struct {
+	k    int
+	frac []float64 // target fraction per part (see uniformFractions)
+
+	// The assignment being worked on, filled by load and kept current by
+	// applyMove.
+	w     [][]int64   // w[p][c]: weight of part p on constraint c
+	sizes []int       // vertices per part
+	total []int64     // weight of the whole graph per constraint
+	ceil  [][]float64 // ceil[p][c]: the most part p may weigh on c
+
+	conn     partConn
+	perm     []int   // refine's visit order
+	forced   []uint8 // rebalance: forced moves per vertex in the current phase
+	cycle    cycleLog
+	frontier frontier // greedyGrow
+}
+
+func newWorkspace(g *Graph, k int, frac []float64) *workspace {
+	n := g.NumVertices()
+	ws := &workspace{
+		k:      k,
+		frac:   uniformFractions(k, frac),
+		w:      make([][]int64, k),
+		sizes:  make([]int, k),
+		total:  make([]int64, g.Ncon),
+		ceil:   make([][]float64, k),
+		conn:   partConn{wgt: make([]int64, k), stamp: make([]uint64, k)},
+		perm:   make([]int, n),
+		forced: make([]uint8, n),
+		cycle:  cycleLog{seen: make(map[uint64]int), origin: make([]int, n)},
+		frontier: frontier{
+			gain: make([]int64, n),
+			mark: make([]uint64, n),
+		},
+	}
+	wFlat := make([]int64, k*g.Ncon)
+	ceilFlat := make([]float64, k*g.Ncon)
+	for p := 0; p < k; p++ {
+		ws.w[p] = wFlat[p*g.Ncon : (p+1)*g.Ncon]
+		ws.ceil[p] = ceilFlat[p*g.Ncon : (p+1)*g.Ncon]
+	}
+	return ws
+}
+
+// load points the workspace at an assignment: part weights and sizes, and
+// the ceiling (1+tol)·total[c]·frac[p] each part may weigh under tolerance
+// tol. A constraint whose total is 0 gets an unbounded ceiling.
+func (ws *workspace) load(g *Graph, part []int, tol float64) {
+	for p := range ws.w {
+		clear(ws.w[p])
+		ws.sizes[p] = 0
+	}
+	for v, p := range part {
+		ws.sizes[p]++
+		for c, x := range g.VWgt[v] {
+			ws.w[p][c] += x
 		}
 	}
-	return ceil
+	clear(ws.total)
+	for p := range ws.w {
+		for c, x := range ws.w[p] {
+			ws.total[c] += x
+		}
+	}
+	for p := range ws.ceil {
+		for c, t := range ws.total {
+			if t == 0 {
+				ws.ceil[p][c] = 1e308
+				continue
+			}
+			ws.ceil[p][c] = (1 + tol) * float64(t) * ws.frac[p]
+		}
+	}
+}
+
+// partConn holds the edge weight from one vertex into each part: a dense
+// array with a generation stamp per part, so loading a vertex costs its
+// degree and nothing is cleared. The stamp also tells "no edge into p" from
+// "edges of total weight 0 into p", which refine treats differently.
+type partConn struct {
+	wgt   []int64
+	stamp []uint64
+	gen   uint64
+}
+
+// load computes the connectivity of vertex v under the assignment.
+func (c *partConn) load(g *Graph, part []int, v int) {
+	c.gen++
+	for _, e := range g.Adj[v] {
+		p := part[e.To]
+		if c.stamp[p] != c.gen {
+			c.stamp[p], c.wgt[p] = c.gen, 0
+		}
+		c.wgt[p] += e.Wgt
+	}
+}
+
+// touches reports whether the loaded vertex has an edge into part p.
+func (c *partConn) touches(p int) bool { return c.stamp[p] == c.gen }
+
+// to returns the loaded vertex's edge weight into part p, 0 when it has no
+// edge there.
+func (c *partConn) to(p int) int64 {
+	if c.stamp[p] != c.gen {
+		return 0
+	}
+	return c.wgt[p]
 }
 
 // moveFits reports whether moving vertex v into part dst keeps every
@@ -95,13 +190,17 @@ func applyMove(g *Graph, part []int, w [][]int64, sizes []int, v, dst int) {
 	part[v] = dst
 }
 
-// connectivity computes, for vertex v, the total edge weight from v into each
-// part it touches, reusing the provided scratch map.
-func connectivity(g *Graph, part []int, v int, conn map[int]int64) {
-	clear(conn)
-	for _, e := range g.Adj[v] {
-		conn[part[e.To]] += e.Wgt
+// visitOrder fills ws.perm with a random permutation of [0,n), drawing from
+// rng exactly what rng.Perm(n) draws (the partitioner's random stream, and
+// with it every assignment, is the same as when refine called rng.Perm).
+func (ws *workspace) visitOrder(n int, rng *rand.Rand) []int {
+	m := ws.perm[:n]
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
 	}
+	return m
 }
 
 // refine performs up to passes rounds of greedy boundary refinement on the
@@ -111,32 +210,28 @@ func connectivity(g *Graph, part []int, v int, conn map[int]int64) {
 // source part. Zero-gain moves are taken when they strictly reduce the
 // heaviest constraint load of the source part (they improve balance for
 // free). Refinement stops early on a pass with no moves.
-func refine(g *Graph, part []int, k int, tol float64, passes int, frac []float64, rng *rand.Rand) {
-	frac = uniformFractions(k, frac)
-	w := partWeights(g, part, k)
-	sizes := partSizes(part, k)
-	ceil := allowedCeiling(g, k, tol, frac)
-	conn := make(map[int]int64, k)
+func (ws *workspace) refine(g *Graph, part []int, tol float64, passes int, rng *rand.Rand) {
+	ws.load(g, part, tol)
+	k, frac, w, sizes, ceil, conn := ws.k, ws.frac, ws.w, ws.sizes, ws.ceil, &ws.conn
 
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
-		for _, v := range rng.Perm(g.NumVertices()) {
+		for _, v := range ws.visitOrder(g.NumVertices(), rng) {
 			src := part[v]
 			if sizes[src] <= 1 {
 				continue // never empty a part
 			}
-			connectivity(g, part, v, conn)
-			internal := conn[src]
+			conn.load(g, part, v)
+			internal := conn.to(src)
 			bestDst, bestGain := -1, int64(0)
 			bestBalance := false
-			// Iterate parts in index order (not map order) so results are
-			// deterministic for a fixed seed.
+			// Iterate parts in index order so results are deterministic for
+			// a fixed seed.
 			for dst := 0; dst < k; dst++ {
-				ext, touches := conn[dst]
-				if dst == src || !touches {
+				if dst == src || !conn.touches(dst) {
 					continue
 				}
-				gain := ext - internal
+				gain := conn.wgt[dst] - internal
 				if gain < 0 {
 					continue
 				}
@@ -187,54 +282,40 @@ func balanceImproves(g *Graph, w [][]int64, v, src, dst int, frac []float64) boo
 // into any part below its floor (1-tol)·avg — a ceiling alone cannot prevent
 // one starving part while all the others hug the ceiling. All loops are
 // bounded so hopeless instances (e.g. one giant vertex) terminate.
-func rebalance(g *Graph, part []int, k int, tol float64, frac []float64) {
-	frac = uniformFractions(k, frac)
-	st := &rebalanceState{
-		g:     g,
-		part:  part,
-		k:     k,
-		tol:   tol,
-		frac:  frac,
-		w:     partWeights(g, part, k),
-		sizes: partSizes(part, k),
-		ceil:  allowedCeiling(g, k, tol, frac),
-		conn:  make(map[int]int64, k),
-		total: g.TotalVWgt(),
-	}
+func (ws *workspace) rebalance(g *Graph, part []int, tol float64) {
+	ws.load(g, part, tol)
 	maxMoves := 4 * g.NumVertices()
 	for round := 0; round < 4; round++ {
-		pushed := st.pushPhase(maxMoves)
-		filled := st.fillPhase(maxMoves)
+		pushed := ws.pushPhase(g, part, maxMoves)
+		filled := ws.fillPhase(g, part, tol, maxMoves)
 		if pushed+filled == 0 {
 			return
 		}
 	}
 }
 
-type rebalanceState struct {
-	g     *Graph
-	part  []int
-	k     int
-	tol   float64
-	frac  []float64
-	w     [][]int64
-	sizes []int
-	ceil  [][]float64
-	conn  map[int]int64
-	total []int64
-}
-
 // pushPhase sheds weight from over-ceiling parts; returns moves made.
-func (st *rebalanceState) pushPhase(maxMoves int) int {
-	g, part, k, w, sizes, ceil, conn := st.g, st.part, st.k, st.w, st.sizes, st.ceil, st.conn
-	// forcedMoves caps how often a vertex may be moved by the forced
-	// fallback, preventing a hot vertex from ping-ponging between the two
-	// heaviest parts until the move budget is gone.
-	forcedMoves := make(map[int]int)
+//
+// When the ceilings cannot all be met (the paper's 10 + x² memory weight is
+// too lumpy to balance together with the load), the fitting moves do not
+// converge: the vertex shed from the part that is over its ceiling on one
+// constraint puts its new part over the ceiling on another and is shed again,
+// round and round until maxMoves is spent. The next move depends only on the
+// assignment and the forced-move counts, and a fitting move leaves the counts
+// alone, so once a run of fitting moves returns to an assignment it was in P
+// moves ago it repeats those P moves for good: only the budget ends it. The
+// phase therefore charges whole periods to the budget without making them
+// (they compose to the identity) and plays only the remainder.
+func (ws *workspace) pushPhase(g *Graph, part []int, maxMoves int) int {
+	k, w, sizes, ceil, conn := ws.k, ws.w, ws.sizes, ws.ceil, &ws.conn
+	// forced caps how often a vertex may be moved by the forced fallback, so
+	// that the fallback itself gives up on an instance it cannot repair.
+	forced := ws.forced[:len(part)]
+	clear(forced)
+	ws.cycle.reset()
 	moves := 0
-	stuck := false
-	for move := 0; move < maxMoves && !stuck; move++ {
-		over, overC := mostOverweight(g, w, ceil)
+	for moves < maxMoves {
+		over, overC := mostOverweight(w, ceil)
 		if over == -1 {
 			break
 		}
@@ -249,8 +330,8 @@ func (st *rebalanceState) pushPhase(maxMoves int) int {
 			if g.VWgt[v][overC] == 0 {
 				continue // moving it would not help the violated constraint
 			}
-			connectivity(g, part, v, conn)
-			internal := conn[over]
+			conn.load(g, part, v)
+			internal := conn.to(over)
 			for dst := 0; dst < k; dst++ {
 				if dst == over {
 					continue
@@ -258,70 +339,144 @@ func (st *rebalanceState) pushPhase(maxMoves int) int {
 				if !fitsAfterMove(g, w, v, dst, ceil, overC) {
 					continue
 				}
-				cost := float64(internal-conn[dst]) / float64(g.VWgt[v][overC])
+				cost := float64(internal-conn.to(dst)) / float64(g.VWgt[v][overC])
 				if bestV == -1 || cost < bestCost {
 					bestV, bestDst, bestCost = v, dst, cost
 				}
 			}
 		}
-		if bestV == -1 {
+		wasForced := bestV == -1
+		if wasForced {
 			// No ceiling-respecting move exists. Force progress: shed the
 			// least-damaging vertex to the part lightest on the violated
 			// constraint, ignoring other ceilings (the next iterations can
 			// repair them). Without this fallback, multi-constraint
 			// instances wedge far from balance.
-			dst := lightestPart(w, over, overC, st.frac)
+			dst := lightestPart(w, over, overC, ws.frac)
 			if dst == -1 {
-				stuck = true
 				break
 			}
 			for v, p := range part {
 				if p != over || sizes[over] <= 1 || g.VWgt[v][overC] == 0 {
 					continue
 				}
-				if forcedMoves[v] >= 2 {
+				if forced[v] >= 2 {
 					continue
 				}
-				connectivity(g, part, v, conn)
-				cost := float64(conn[over]-conn[dst]) / float64(g.VWgt[v][overC])
+				conn.load(g, part, v)
+				cost := float64(conn.to(over)-conn.to(dst)) / float64(g.VWgt[v][overC])
 				if bestV == -1 || cost < bestCost {
 					bestV, bestDst, bestCost = v, dst, cost
 				}
 			}
 			if bestV == -1 {
-				stuck = true // truly stuck (single movable vertex, etc.)
-				break
+				break // truly stuck (single movable vertex, etc.)
 			}
-			forcedMoves[bestV]++
+			forced[bestV]++
 		}
-		if bestV != -1 {
-			applyMove(g, part, w, sizes, bestV, bestDst)
-			moves++
+		applyMove(g, part, w, sizes, bestV, bestDst)
+		moves++
+		if wasForced {
+			// The counts changed: no earlier assignment can recur with them.
+			ws.cycle.reset()
+		} else if period := ws.cycle.record(bestV, over, bestDst); period > 0 {
+			moves += (maxMoves - moves) / period * period
 		}
 	}
 	return moves
 }
 
-// fillPhase pulls weight into under-floor parts; returns moves made.
-func (st *rebalanceState) fillPhase(maxMoves int) int {
-	g, part, k, w, sizes, conn, total := st.g, st.part, st.k, st.w, st.sizes, st.conn, st.total
-	forcedMoves := make(map[int]int)
+// move is one vertex changing parts.
+type move struct{ v, src, dst int }
+
+// cycleLog tells pushPhase when a run of moves has brought the assignment
+// back to one it was in earlier in the run. A 64-bit hash of the assignment,
+// updated per move, proposes the recurrence; the logged moves confirm it
+// exactly, so a hash collision can never skip work that would have changed
+// the answer.
+type cycleLog struct {
+	moves  []move         // the run so far
+	hash   uint64         // of the current assignment, relative to the run's start
+	seen   map[uint64]int // hash -> len(moves) when the run was last there
+	origin []int          // isIdentity's scratch: src+1 of a vertex's first move, 0 = not seen
+}
+
+// reset starts a new run at the current assignment.
+func (l *cycleLog) reset() {
+	l.moves = l.moves[:0]
+	l.hash = 0
+	clear(l.seen)
+	l.seen[0] = 0
+}
+
+// record logs a move just made and returns the period P > 0 when the last P
+// moves of the run returned every vertex to the part it was in before them,
+// or 0 when the assignment is new to the run.
+func (l *cycleLog) record(v, src, dst int) int {
+	l.moves = append(l.moves, move{v, src, dst})
+	l.hash ^= vertexInPartHash(v, src) ^ vertexInPartHash(v, dst)
+	at, recurs := l.seen[l.hash]
+	// Always the latest position: that makes P the shortest period, and a
+	// collision cannot hide the true recurrences that follow it.
+	l.seen[l.hash] = len(l.moves)
+	if recurs && l.isIdentity(l.moves[at:]) {
+		return len(l.moves) - at
+	}
+	return 0
+}
+
+// isIdentity reports whether the moves, applied in order, leave every vertex
+// where it started: a vertex's moves chain (each starts where the previous
+// one ended), so it is enough that its last move ends where its first began.
+func (l *cycleLog) isIdentity(seg []move) bool {
+	for _, m := range seg {
+		if l.origin[m.v] == 0 {
+			l.origin[m.v] = m.src + 1
+		}
+	}
+	same := true
+	for i := len(seg) - 1; i >= 0; i-- {
+		m := seg[i]
+		if o := l.origin[m.v]; o != 0 { // the vertex's last move
+			same = same && m.dst+1 == o
+			l.origin[m.v] = 0
+		}
+	}
+	return same
+}
+
+// vertexInPartHash is the Zobrist key of "vertex v is in part p" (splitmix64
+// of the pair); an assignment's hash is the XOR of its vertices' keys.
+func vertexInPartHash(v, p int) uint64 {
+	x := uint64(v)<<32 ^ uint64(p)
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// fillPhase pulls weight into under-floor parts; returns moves made. Every
+// vertex moves at most twice, which bounds the phase without a cycle check.
+func (ws *workspace) fillPhase(g *Graph, part []int, tol float64, maxMoves int) int {
+	w, sizes, conn, total := ws.w, ws.sizes, &ws.conn, ws.total
+	forced := ws.forced[:len(part)]
+	clear(forced)
 	moves := 0
 	for move := 0; move < maxMoves; move++ {
-		starve, starveC := mostUnderweight(g, w, k, st.tol, total, st.frac)
+		starve, starveC := mostUnderweight(w, tol, total, ws.frac)
 		if starve == -1 {
 			return moves
 		}
-		donor := heaviestPart(w, starve, starveC, st.frac)
+		donor := heaviestPart(w, starve, starveC, ws.frac)
 		if donor == -1 || sizes[donor] <= 1 {
 			return moves
 		}
-		floor := (1 - st.tol) * float64(total[starveC]) * st.frac[donor]
-		headroom := st.ceil[starve][starveC] - float64(w[starve][starveC])
+		floor := (1 - tol) * float64(total[starveC]) * ws.frac[donor]
+		headroom := ws.ceil[starve][starveC] - float64(w[starve][starveC])
 		bestV := -1
 		var bestCost float64
 		for v, p := range part {
-			if p != donor || g.VWgt[v][starveC] == 0 || forcedMoves[v] >= 2 {
+			if p != donor || g.VWgt[v][starveC] == 0 || forced[v] >= 2 {
 				continue
 			}
 			// The donor must not fall below the floor itself, and the
@@ -332,8 +487,8 @@ func (st *rebalanceState) fillPhase(maxMoves int) int {
 			if float64(g.VWgt[v][starveC]) > headroom {
 				continue
 			}
-			connectivity(g, part, v, conn)
-			cost := float64(conn[donor]-conn[starve]) / float64(g.VWgt[v][starveC])
+			conn.load(g, part, v)
+			cost := float64(conn.to(donor)-conn.to(starve)) / float64(g.VWgt[v][starveC])
 			if bestV == -1 || cost < bestCost {
 				bestV, bestCost = v, cost
 			}
@@ -341,7 +496,7 @@ func (st *rebalanceState) fillPhase(maxMoves int) int {
 		if bestV == -1 {
 			return moves
 		}
-		forcedMoves[bestV]++
+		forced[bestV]++
 		applyMove(g, part, w, sizes, bestV, starve)
 		moves++
 	}
@@ -350,7 +505,7 @@ func (st *rebalanceState) fillPhase(maxMoves int) int {
 
 // mostUnderweight returns the part and constraint with the largest relative
 // shortfall below the floor (1-tol)·total·frac[p], or (-1, -1) if none.
-func mostUnderweight(g *Graph, w [][]int64, k int, tol float64, total []int64, frac []float64) (int, int) {
+func mostUnderweight(w [][]int64, tol float64, total []int64, frac []float64) (int, int) {
 	bestP, bestC := -1, -1
 	var worst float64 = 1
 	for p := range w {
@@ -419,7 +574,7 @@ func lightestPart(w [][]int64, exclude, c int, frac []float64) int {
 
 // mostOverweight returns the part and constraint with the largest relative
 // ceiling violation, or (-1, -1) if everything is within bounds.
-func mostOverweight(g *Graph, w [][]int64, ceil [][]float64) (int, int) {
+func mostOverweight(w [][]int64, ceil [][]float64) (int, int) {
 	bestP, bestC := -1, -1
 	var worst float64 = 1
 	for p := range w {
