@@ -398,9 +398,10 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 	}
 	// Every coordinator wait may absorb drain requests, worker trace spans
 	// (stamped with the sender's slot — it is implied by the connection on
-	// the wire) and heartbeat round trips. A DRAIN can land at any point,
-	// even mid-handshake; a run without a resize policy has a fixed
-	// membership and ignores it.
+	// the wire — and refused, losing the sender, when they name an engine
+	// the run does not have) and heartbeat round trips. A DRAIN can land at
+	// any point, even mid-handshake; a run without a resize policy has a
+	// fixed membership and ignores it.
 	if opt.OnResize != nil {
 		s.hooks.onDrain = func(slot int) {
 			if m := s.bySlot[slot]; m != nil && !m.draining {
@@ -410,11 +411,15 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 		}
 	}
 	if tl != nil {
-		s.hooks.onSpans = func(w int, spans []obs.Span) {
+		s.hooks.onSpans = func(w int, spans []obs.Span) error {
 			for i := range spans {
+				if spans[i].Engine >= n {
+					return fmt.Errorf("SPANS span for engine %d, outside [-1,%d)", spans[i].Engine, n)
+				}
 				spans[i].Worker = w
 			}
 			tl.AddWall(spans)
+			return nil
 		}
 	}
 	if health != nil {
@@ -651,7 +656,7 @@ type heartbeat struct {
 // corruption surfaces even when tracing output is unused).
 type recvHooks struct {
 	onDrain func(w int)
-	onSpans func(w int, spans []obs.Span)
+	onSpans func(w int, spans []obs.Span) error
 	onRTT   func(w int, rtt time.Duration)
 }
 
@@ -703,7 +708,9 @@ func recvHooked(conn Conn, w int, timeout time.Duration, hb *heartbeat, hooks re
 				return Frame{}, &workerLost{worker: w, err: err}
 			}
 			if hooks.onSpans != nil {
-				hooks.onSpans(w, spans)
+				if err := hooks.onSpans(w, spans); err != nil {
+					return Frame{}, &workerLost{worker: w, err: err}
+				}
 			}
 			continue
 		case MsgDrain:

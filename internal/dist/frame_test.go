@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/emu"
+	"repro/internal/obs"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -115,9 +117,21 @@ func FuzzDecodePayloads(f *testing.F) {
 	f.Add(InstallAck{Lookahead: 0.005}.Encode())
 	f.Add(EncodeElasticExport(&emu.ElasticExport{Engines: []int{1}, FCTs: []float64{-1, 0.5}}))
 	f.Add(EncodeElasticInstall(&emu.ElasticInstall{At: 2, Lookahead: 0.01, Engines: []int{0, 1}}))
+	f.Add(EncodeSpans([]obs.Span{{Kind: obs.SpanWireSend, Engine: -1, Window: 3, Start: 1, End: 2, Wall: 0.25}}))
+	f.Add(EncodeSpans([]obs.Span{{Kind: obs.SpanWireSend, Engine: -1, Wall: math.Inf(1)}}))
+	f.Add(EncodeSpans([]obs.Span{{Kind: obs.SpanCompute, Start: math.NaN()}}))
+	f.Add(EncodeSpans([]obs.Span{{Kind: 200, Engine: -1}}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// What DecodeSpans accepts the timeline renders verbatim.
+		if spans, err := DecodeSpans(data); err == nil {
+			for _, s := range spans {
+				if s.Kind > obs.SpanMigrate || s.Engine < -1 || !finite(s.Start) || !finite(s.End) || !finite(s.Wall) {
+					t.Fatalf("DecodeSpans accepted %+v", s)
+				}
+			}
+		}
 		DecodeHello(data)
 		DecodeAssign(data)
 		DecodeReady(data)

@@ -3,6 +3,7 @@ package dist
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 
 	"repro/internal/emu"
 	"repro/internal/faults"
@@ -369,7 +370,10 @@ func EncodeState(s *emu.DistState) []byte {
 // wall-clock trace spans. Busy never ships (the coordinator derives modeled
 // busy from the merged counters itself) and Worker is implied by the sending
 // connection; Window is the worker's local window count, which the
-// coordinator ignores in favor of its own commit order.
+// coordinator ignores in favor of its own commit order. DecodeSpans rejects
+// what no worker measures — an unknown kind, an engine below -1, a
+// non-finite start, end or wall — because the timeline renders these fields
+// verbatim into the trace file, where a NaN or +Inf is not JSON.
 func EncodeSpans(spans []obs.Span) []byte {
 	var e encoder
 	e.u32(uint32(len(spans)))
@@ -389,17 +393,25 @@ func DecodeSpans(b []byte) ([]obs.Span, error) {
 	n := d.count(41, "spans")
 	out := make([]obs.Span, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, obs.Span{
+		s := obs.Span{
 			Kind:   obs.SpanKind(d.u8("span.kind")),
 			Engine: int(d.i64("span.engine")),
 			Window: d.i64("span.window"),
 			Start:  d.f64("span.start"),
 			End:    d.f64("span.end"),
 			Wall:   d.f64("span.wall"),
-		})
+		}
+		if d.err == nil && (s.Kind > obs.SpanMigrate || s.Engine < -1 ||
+			!finite(s.Start) || !finite(s.End) || !finite(s.Wall)) {
+			return nil, fmt.Errorf("dist: SPANS span %d out of range: kind %d, engine %d, start %g, end %g, wall %g",
+				i, uint8(s.Kind), s.Engine, s.Start, s.End, s.Wall)
+		}
+		out = append(out, s)
 	}
 	return out, d.finish()
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 func DecodeState(b []byte) (*emu.DistState, error) {
 	d := decoder{buf: b}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -337,4 +339,91 @@ func sum(xs []int64) int64 {
 		s += x
 	}
 	return s
+}
+
+// badSpansConn is a hostile worker: it replaces its first SPANS frame with
+// one carrying span.
+type badSpansConn struct {
+	dist.Conn
+	span  obs.Span
+	fired bool
+}
+
+func (c *badSpansConn) Send(f dist.Frame) error {
+	if f.Type == dist.MsgSpans && !c.fired {
+		c.fired = true
+		f.Payload = dist.EncodeSpans([]obs.Span{c.span})
+	}
+	return c.Conn.Send(f)
+}
+
+// hostileSpansWorkers starts two loopback workers, the second sending span in
+// place of its first SPANS frame.
+func hostileSpansWorkers(ctx context.Context, span obs.Span) []dist.Conn {
+	conns := make([]dist.Conn, 2)
+	for i := range conns {
+		c, s := dist.Loopback()
+		if i == 1 {
+			s = &badSpansConn{Conn: s, span: span}
+		}
+		conns[i] = c
+		go dist.Serve(ctx, s, dist.WorkerOptions{})
+	}
+	return conns
+}
+
+// TestHostileSpansLoseWorkerTyped: the timeline renders a wall span's fields
+// verbatim, so a SPANS frame with a non-finite float, an unknown kind or an
+// engine outside [-1, NumEngines) must never reach it — a NaN or +Inf in the
+// trace file is not JSON. The sender is declared lost with a typed error
+// naming it; with a loss policy configured the run replays in-process and the
+// exported trace loads.
+func TestHostileSpansLoseWorkerTyped(t *testing.T) {
+	engines := distSpec(t).Cfg.NumEngines
+	hostile := []struct {
+		name string
+		span obs.Span
+	}{
+		{"wall=+Inf", obs.Span{Kind: obs.SpanWireSend, Engine: -1, Wall: math.Inf(1)}},
+		{"start=NaN", obs.Span{Kind: obs.SpanWireRecv, Engine: -1, Start: math.NaN()}},
+		{"end=-Inf", obs.Span{Kind: obs.SpanCompute, End: math.Inf(-1)}},
+		{"kind=200", obs.Span{Kind: 200, Engine: -1}},
+		{"engine=-2", obs.Span{Kind: obs.SpanCheckpoint, Engine: -2}},
+		{"engine=NumEngines", obs.Span{Kind: obs.SpanMigrate, Engine: engines}},
+	}
+	for _, h := range hostile {
+		h := h
+		t.Run(h.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			spec := distSpec(t)
+			spec.Trace = obs.NewTimeline()
+			_, err := dist.Run(ctx, spec, hostileSpansWorkers(ctx, h.span), dist.Options{})
+			if !errors.Is(err, dist.ErrWorkerLost) {
+				t.Fatalf("want ErrWorkerLost, got %v", err)
+			}
+			if !strings.Contains(err.Error(), "worker 1") {
+				t.Fatalf("error must name the sender, got %v", err)
+			}
+		})
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sc := scenario(t, "Campus")
+	sc.Trace = obs.NewTimeline()
+	o, err := sc.RunDistributed(ctx, mapping.Top, hostileSpansWorkers(ctx, hostile[0].span), dist.Options{})
+	if err != nil {
+		t.Fatalf("run with survivor remap: %v", err)
+	}
+	if o.Result.Recovery == nil {
+		t.Fatal("the hostile worker was not lost")
+	}
+	var buf bytes.Buffer
+	if err := sc.Trace.WriteTraceEvents(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(buf.Bytes()) {
+		t.Fatal("trace export after the recovery is not valid JSON")
+	}
 }

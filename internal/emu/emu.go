@@ -851,11 +851,7 @@ func (e *emulation) observe(start, end float64, charges, remote []int64) {
 // stream so recorded trace artifacts are unchanged by tracing.
 func (e *emulation) traceWindow(start, end float64, charges, remote []int64) {
 	if e.spanBuf == nil {
-		// First traced window: size the span buffer for the engine count and
-		// skip the timeline's early append doublings. Idle-skip makes the true
-		// window count unpredictable, so this is a floor, not an estimate.
 		e.spanBuf = make([]obs.Span, 0, e.cfg.NumEngines)
-		e.trace.Reserve(64 * (e.cfg.NumEngines + 1))
 	}
 	spans := e.spanBuf[:0]
 	for lp := 0; lp < e.cfg.NumEngines; lp++ {

@@ -151,8 +151,8 @@ func TestTraceDisabledZeroAddedAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkEmuTraceOff is the CI smoke baseline (BENCH_trace.json): the
-// trace-disabled emulator must not regress against the seed path.
+// BenchmarkEmuTraceOff is the untraced run BenchmarkEmuTraceOn is read
+// against.
 func BenchmarkEmuTraceOff(b *testing.B) {
 	cfg := benchConfig()
 	if _, err := Run(cfg); err != nil {
@@ -167,22 +167,20 @@ func BenchmarkEmuTraceOff(b *testing.B) {
 	}
 }
 
-// BenchmarkEmuTraceOn measures the enabled-path overhead at steady state:
-// per-window span derivation, timeline commit and attribution bookkeeping.
-// The timeline is reused via Reset — retained capacity is the deployed shape
-// (the recovery fallback and any long-lived collector reuse one timeline), so
-// the first run's append growth is paid once, not per measurement.
+// BenchmarkEmuTraceOn measures the enabled path as callers run it: a fresh
+// timeline per run (cmd/massf, the benchmark and every test make one; only
+// the distributed loss fallback reuses one, after Reset), so each iteration
+// pays per-window span derivation, the commit, the attribution bookkeeping
+// and the store's first chunks.
 func BenchmarkEmuTraceOn(b *testing.B) {
 	cfg := benchConfig()
-	tl := obs.NewTimeline()
-	if _, err := Run(cfg, WithTrace(tl)); err != nil {
+	if _, err := Run(cfg, WithTrace(obs.NewTimeline())); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tl.Reset()
-		if _, err := Run(cfg, WithTrace(tl)); err != nil {
+		if _, err := Run(cfg, WithTrace(obs.NewTimeline())); err != nil {
 			b.Fatal(err)
 		}
 	}

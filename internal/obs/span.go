@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -113,28 +114,163 @@ type WindowStat struct {
 // worker SPANS frames, and the online straggler attribution both feed.
 // Methods lock internally — the coordinator commits while a debug endpoint
 // reads.
+//
+// The store keeps what a window is, not the spans it renders as: one winRec
+// per committed window and one compRec per active engine, in append-only
+// chunks. Everything else a Span carries — Kind, Window, Start, End, the
+// barrier-wait spans, the WindowStat — is derived on read by the same
+// attribution routine CommitWindow runs (DESIGN.md §15). Engine and worker
+// ids are stored as int32.
 type Timeline struct {
-	mu      sync.Mutex
-	assign  map[int]int // engine -> worker; engines absent map to themselves
-	spans   []Span
-	windows int64
+	mu     sync.Mutex
+	assign map[int]int // engine -> worker; engines absent map to themselves
+	store
 
 	// pendWall holds worker-measured compute wall times awaiting the next
-	// CommitWindow, keyed by engine; other wall spans append directly.
+	// CommitWindow, keyed by engine.
 	pendWall map[int]float64
 
-	gated     map[int]int64
-	crit      map[int]float64
+	// Straggler attribution: per worker, the windows it gated and its modeled
+	// critical-path seconds.
+	totals    []workerTotal
 	critTotal float64
-	stats     []WindowStat // drained by DrainWindowStats
+	drained   int64 // windows already returned by DrainWindowStats
 
-	// Per-commit scratch, reused so a window costs no allocations beyond the
-	// amortized span append: busy[w] holds worker w's max engine busy for the
-	// commit stamped in mark[w] (stamps start at 1, so zeroed slots are never
-	// current), touched lists the workers active this commit.
+	attr attribution // the writer's scratch; readers bring their own
+}
+
+type workerTotal struct {
+	gated int64
+	crit  float64
+}
+
+// store is the timeline's record storage. A copy taken under the lock is a
+// consistent snapshot that may be read without it: chunks are never copied or
+// rewritten below their filled length, and Reset drops them rather than
+// recycling them.
+type store struct {
+	wins chunked[winRec]
+	comp chunked[compRec]
+	// Distributed runs only: a worker-measured Wall folded into a compute
+	// record, and the non-compute spans AddWall merged.
+	walls  chunked[wallRec]
+	extras chunked[wallSpan]
+	nspans int64 // spans the store renders as: compute + barrier-wait + extras
+}
+
+// winRec is one committed window; its compute records are
+// comp[first : next window's first).
+type winRec struct {
+	start, end float64
+	first      int64
+}
+
+// compRec is one engine active in one window.
+type compRec struct {
+	busy           float64
+	engine, worker int32
+}
+
+// wallRec is the measured Wall of compute record rec; ascending in rec.
+type wallRec struct {
+	rec  int64
+	wall float64
+}
+
+// wallSpan is a non-compute span as AddWall received it. at is the number of
+// windows committed when it arrived: it renders after every span of windows
+// [0, at) and before window at's.
+type wallSpan struct {
+	span Span
+	at   int64
+}
+
+const (
+	chunkShift = 10
+	chunkLen   = 1 << chunkShift
+)
+
+// chunked is an append-only sequence in fixed-size chunks: growing it never
+// copies a record, only the slice of chunk pointers.
+type chunked[T any] struct {
+	chunks []*[chunkLen]T
+	n      int64
+}
+
+func (c *chunked[T]) push(v T) {
+	i := c.n & (chunkLen - 1)
+	if i == 0 {
+		c.chunks = append(c.chunks, new([chunkLen]T))
+	}
+	c.chunks[len(c.chunks)-1][i] = v
+	c.n++
+}
+
+func (c *chunked[T]) at(i int64) *T {
+	return &c.chunks[i>>chunkShift][i&(chunkLen-1)]
+}
+
+// attribution derives one window's straggler attribution from its compute
+// records. CommitWindow and every reader run this one routine over the same
+// stored float64s, in the same order, so what a reader derives is bit-equal
+// to what the commit returned.
+type attribution struct {
+	// busy[w] holds worker w's max engine busy for the pass stamped in
+	// mark[w]; gen counts passes and starts at 1, so zeroed slots are never
+	// current. touched lists the window's active workers, ascending.
 	busy    []float64
 	mark    []int64
+	gen     int64
 	touched []int
+}
+
+// window attributes the window whose records are comp[first:last): the gating
+// worker (-1 when idle), its busy seconds and its lead over the runner-up.
+// Per-worker busy is the max over its engines — engines on one worker step
+// concurrently, and the barrier is gated by the slowest; a tie goes to the
+// lower worker. a.touched and a.busy describe the window until the next call.
+func (a *attribution) window(comp *chunked[compRec], first, last int64) (worker int, busy, lag float64) {
+	a.gen++
+	touched := a.touched[:0]
+	for i := first; i < last; i++ {
+		rec := comp.at(i)
+		w := int(rec.worker)
+		if w >= len(a.busy) {
+			a.busy = append(a.busy, make([]float64, w+1-len(a.busy))...)
+			a.mark = append(a.mark, make([]int64, w+1-len(a.mark))...)
+		}
+		if a.mark[w] != a.gen {
+			a.mark[w] = a.gen
+			a.busy[w] = rec.busy
+			touched = append(touched, w)
+		} else if rec.busy > a.busy[w] {
+			a.busy[w] = rec.busy
+		}
+	}
+	a.touched = touched
+	if len(touched) == 0 {
+		return -1, 0, 0
+	}
+	if len(touched) > 1 {
+		sort.Ints(touched) // near-sorted already: records are engine-ascending
+	}
+	worker = -1
+	critBusy, runnerUp := 0.0, 0.0
+	for _, w := range touched {
+		b := a.busy[w]
+		if worker < 0 || b > critBusy {
+			if worker >= 0 && critBusy > runnerUp {
+				runnerUp = critBusy
+			}
+			worker, critBusy = w, b
+		} else if b > runnerUp {
+			runnerUp = b
+		}
+	}
+	if len(touched) > 1 {
+		lag = critBusy - runnerUp
+	}
+	return worker, critBusy, lag
 }
 
 // NewTimeline returns an empty cluster timeline.
@@ -142,46 +278,22 @@ func NewTimeline() *Timeline {
 	return &Timeline{
 		assign:   make(map[int]int),
 		pendWall: make(map[int]float64),
-		gated:    make(map[int]int64),
-		crit:     make(map[int]float64),
 	}
 }
 
 // Reset discards all spans, attribution and assignments — the recovery
 // fallback replays a partial distributed run from time zero in-process, and
 // the replay's timeline must not double-count the windows committed before
-// the loss. Capacity is retained, so a reused timeline commits windows
-// without re-paying the append growth.
+// the loss.
 func (t *Timeline) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	clear(t.assign)
-	t.spans = t.spans[:0]
-	t.windows = 0
+	t.store = store{}
 	clear(t.pendWall)
-	clear(t.gated)
-	clear(t.crit)
+	clear(t.totals)
 	t.critTotal = 0
-	t.stats = t.stats[:0]
-	// Stamps restart at 1 after a reset; stale marks from the previous run
-	// would collide with them.
-	for i := range t.mark {
-		t.mark[i] = 0
-	}
-}
-
-// Reserve pre-sizes the span store for an expected total span count, so a
-// caller that can bound the run's window count (duration over window width
-// times engines) avoids the append-doubling copies on the commit path. Purely
-// an optimization; under-estimates just fall back to growth.
-func (t *Timeline) Reserve(nspans int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if nspans > cap(t.spans) {
-		spans := make([]Span, len(t.spans), nspans)
-		copy(spans, t.spans)
-		t.spans = spans
-	}
+	t.drained = 0
 }
 
 // Assign maps engines onto a worker slot for attribution and track layout.
@@ -206,8 +318,8 @@ func (t *Timeline) workerOf(engine int) int {
 
 // AddWall merges worker-measured wall-clock spans. Compute spans are held
 // and folded into the matching engine's span at the next CommitWindow; all
-// other kinds append to the timeline directly (their virtual anchor is the
-// window the worker measured them in).
+// other kinds join the timeline directly (their virtual anchor is the window
+// the worker measured them in).
 func (t *Timeline) AddWall(spans []Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -216,99 +328,47 @@ func (t *Timeline) AddWall(spans []Span) {
 			t.pendWall[s.Engine] = s.Wall
 			continue
 		}
-		t.spans = append(t.spans, s)
+		t.extras.push(wallSpan{span: s, at: t.wins.n})
+		t.nspans++
 	}
 }
 
-// CommitWindow appends one window's deterministic compute spans (Engine,
-// Start, End and modeled Busy filled by the caller; Worker and Window are
-// stamped here), folds in any pending wall measurements, derives the
-// barrier-wait spans, and updates the straggler attribution. Spans must be
-// in ascending engine order — the canonical order.
+// CommitWindow commits one window's deterministic compute spans — one per
+// active engine, in ascending engine order (the canonical order), of which
+// Engine and modeled Busy are read; the rest of a compute span is the window's
+// and derived on read. It folds in any pending wall measurements and updates
+// the straggler attribution, which it returns.
 func (t *Timeline) CommitWindow(start, end float64, spans []Span) WindowStat {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idx := t.windows
-	t.windows++
-	stamp := t.windows // idx+1: never the zero value of a fresh mark slot
-
-	// Per-worker busy is the max over its engines: engines on one worker
-	// step concurrently, and the barrier is gated by the slowest. The batch
-	// is appended in one grow, then stamped in place.
-	touched := t.touched[:0]
-	base := len(t.spans)
-	t.spans = append(t.spans, spans...)
-	for i := base; i < len(t.spans); i++ {
-		s := &t.spans[i]
-		s.Window = idx
-		w := t.workerOf(s.Engine)
-		s.Worker = w
+	idx, first := t.wins.n, t.comp.n
+	t.wins.push(winRec{start: start, end: end, first: first})
+	for i := range spans {
+		s := &spans[i]
 		if len(t.pendWall) > 0 {
 			if wall, ok := t.pendWall[s.Engine]; ok {
-				s.Wall = wall
+				t.walls.push(wallRec{rec: t.comp.n, wall: wall})
 				delete(t.pendWall, s.Engine)
 			}
 		}
-		if w >= len(t.busy) {
-			busy := make([]float64, w+1)
-			copy(busy, t.busy)
-			t.busy = busy
-			mark := make([]int64, w+1)
-			copy(mark, t.mark)
-			t.mark = mark
-		}
-		if t.mark[w] != stamp {
-			t.mark[w] = stamp
-			t.busy[w] = s.Busy
-			touched = append(touched, w)
-		} else if s.Busy > t.busy[w] {
-			t.busy[w] = s.Busy
-		}
+		t.comp.push(compRec{busy: s.Busy, engine: int32(s.Engine), worker: int32(t.workerOf(s.Engine))})
 	}
-	t.touched = touched
-	if len(t.pendWall) > 0 {
-		// Any pending wall measurement without a matching span belongs to an
-		// engine idle this window; drop it rather than mis-attributing later.
-		for e := range t.pendWall {
-			delete(t.pendWall, e)
-		}
-	}
+	// Any pending wall measurement without a matching span belongs to an
+	// engine idle this window; drop it rather than mis-attributing later.
+	clear(t.pendWall)
 
-	st := WindowStat{Window: idx, Worker: -1}
-	if len(touched) > 0 {
-		if len(touched) > 1 {
-			sort.Ints(touched) // near-sorted already: spans arrive engine-ascending
+	st := WindowStat{Window: idx}
+	st.Worker, st.Busy, st.Lag = t.attr.window(&t.comp, first, t.comp.n)
+	t.nspans += int64(len(spans))
+	if st.Worker >= 0 {
+		t.nspans += int64(len(t.attr.touched) - 1) // one barrier-wait per non-gating worker
+		if st.Worker >= len(t.totals) {
+			t.totals = append(t.totals, make([]workerTotal, st.Worker+1-len(t.totals))...)
 		}
-		critBusy, runnerUp := 0.0, 0.0
-		for _, w := range touched {
-			b := t.busy[w]
-			if st.Worker < 0 || b > critBusy {
-				if st.Worker >= 0 && critBusy > runnerUp {
-					runnerUp = critBusy
-				}
-				st.Worker, critBusy = w, b
-			} else if b > runnerUp {
-				runnerUp = b
-			}
-		}
-		st.Busy = critBusy
-		if len(touched) > 1 {
-			st.Lag = critBusy - runnerUp
-		}
-		for _, w := range touched {
-			if w == st.Worker {
-				continue
-			}
-			t.spans = append(t.spans, Span{
-				Kind: SpanBarrier, Worker: w, Engine: -1, Window: idx,
-				Start: start, End: end, Busy: critBusy - t.busy[w],
-			})
-		}
-		t.gated[st.Worker]++
-		t.crit[st.Worker] += critBusy
-		t.critTotal += critBusy
+		t.totals[st.Worker].gated++
+		t.totals[st.Worker].crit += st.Busy
+		t.critTotal += st.Busy
 	}
-	t.stats = append(t.stats, st)
 	return st
 }
 
@@ -316,43 +376,121 @@ func (t *Timeline) CommitWindow(start, end float64, spans []Span) WindowStat {
 func (t *Timeline) Windows() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.windows
+	return t.wins.n
+}
+
+// snapshot returns the store as of now, readable without the lock.
+func (t *Timeline) snapshot() store {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.store
+}
+
+// last is the end of window w's compute records.
+func (s *store) last(w int64) int64 {
+	if w+1 < s.wins.n {
+		return s.wins.at(w + 1).first
+	}
+	return s.comp.n
+}
+
+// each calls yield with every span in timeline order until yield returns
+// false: per window its compute spans, engine-ascending, then the barrier-wait
+// span of every worker that waited for the gating one; spans merged by AddWall
+// sit before the window that was next to commit when they arrived.
+func (s *store) each(yield func(*Span) bool) {
+	var (
+		attr    attribution
+		x, wl   int64 // next extra, next wall record
+		barrier = Span{Kind: SpanBarrier, Engine: -1}
+	)
+	for w := int64(0); w < s.wins.n; w++ {
+		for ; x < s.extras.n && s.extras.at(x).at == w; x++ {
+			if !yield(&s.extras.at(x).span) {
+				return
+			}
+		}
+		win := s.wins.at(w)
+		first, last := win.first, s.last(w)
+		sp := Span{Kind: SpanCompute, Window: w, Start: win.start, End: win.end}
+		for i := first; i < last; i++ {
+			rec := s.comp.at(i)
+			sp.Worker, sp.Engine, sp.Busy, sp.Wall = int(rec.worker), int(rec.engine), rec.busy, 0
+			if wl < s.walls.n && s.walls.at(wl).rec == i {
+				sp.Wall = s.walls.at(wl).wall
+				wl++
+			}
+			if !yield(&sp) {
+				return
+			}
+		}
+		gating, critBusy, _ := attr.window(&s.comp, first, last)
+		barrier.Window, barrier.Start, barrier.End = w, win.start, win.end
+		for _, wk := range attr.touched {
+			if wk == gating {
+				continue
+			}
+			barrier.Worker, barrier.Busy = wk, critBusy-attr.busy[wk]
+			if !yield(&barrier) {
+				return
+			}
+		}
+	}
+	for ; x < s.extras.n; x++ {
+		if !yield(&s.extras.at(x).span) {
+			return
+		}
+	}
 }
 
 // Spans returns a copy of the merged timeline.
 func (t *Timeline) Spans() []Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
+	s := t.snapshot()
+	if s.nspans == 0 {
+		return nil
+	}
+	out := make([]Span, 0, s.nspans)
+	s.each(func(sp *Span) bool {
+		out = append(out, *sp)
+		return true
+	})
+	return out
 }
 
 // Health returns the per-worker straggler attribution, sorted by worker.
 func (t *Timeline) Health() []WorkerHealth {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	workers := make([]int, 0, len(t.gated))
-	for w := range t.gated {
-		workers = append(workers, w)
-	}
-	sort.Ints(workers)
-	out := make([]WorkerHealth, len(workers))
-	for i, w := range workers {
-		h := WorkerHealth{Worker: w, GatedWindows: t.gated[w], CriticalPath: t.crit[w]}
-		if t.critTotal > 0 {
-			h.Share = t.crit[w] / t.critTotal
+	out := make([]WorkerHealth, 0, len(t.totals))
+	for w, tot := range t.totals {
+		if tot.gated == 0 {
+			continue
 		}
-		out[i] = h
+		h := WorkerHealth{Worker: w, GatedWindows: tot.gated, CriticalPath: tot.crit}
+		if t.critTotal > 0 {
+			h.Share = tot.crit / t.critTotal
+		}
+		out = append(out, h)
 	}
 	return out
 }
 
 // DrainWindowStats returns the window attributions accumulated since the
-// last drain — the coordinator's feed for the live health gauges.
+// last drain — the coordinator's feed for the live health gauges. It is a
+// cursor over the window records: windows nobody drains cost nothing.
 func (t *Timeline) DrainWindowStats() []WindowStat {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := t.stats
-	t.stats = nil
+	if t.drained == t.wins.n {
+		return nil
+	}
+	out := make([]WindowStat, 0, t.wins.n-t.drained)
+	for w := t.drained; w < t.wins.n; w++ {
+		st := WindowStat{Window: w}
+		st.Worker, st.Busy, st.Lag = t.attr.window(&t.comp, t.wins.at(w).first, t.last(w))
+		out = append(out, st)
+	}
+	t.drained = t.wins.n
 	return out
 }
 
@@ -363,24 +501,24 @@ func (t *Timeline) DrainWindowStats() []WindowStat {
 // bytes are identical across in-process, loopback and TCP executions,
 // mirroring dist.ResultJSON.
 func (t *Timeline) CanonicalJSON() []byte {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	s := t.snapshot()
 	var b []byte
-	for _, s := range t.spans {
-		if s.Kind != SpanCompute {
-			continue
+	for w := int64(0); w < s.wins.n; w++ {
+		win := s.wins.at(w)
+		for i, last := win.first, s.last(w); i < last; i++ {
+			rec := s.comp.at(i)
+			b = append(b, `{"window":`...)
+			b = strconv.AppendInt(b, w, 10)
+			b = append(b, `,"engine":`...)
+			b = strconv.AppendInt(b, int64(rec.engine), 10)
+			b = append(b, `,"start":`...)
+			b = strconv.AppendFloat(b, win.start, 'g', -1, 64)
+			b = append(b, `,"end":`...)
+			b = strconv.AppendFloat(b, win.end, 'g', -1, 64)
+			b = append(b, `,"busy":`...)
+			b = strconv.AppendFloat(b, rec.busy, 'g', -1, 64)
+			b = append(b, "}\n"...)
 		}
-		b = append(b, `{"window":`...)
-		b = strconv.AppendInt(b, s.Window, 10)
-		b = append(b, `,"engine":`...)
-		b = strconv.AppendInt(b, int64(s.Engine), 10)
-		b = append(b, `,"start":`...)
-		b = strconv.AppendFloat(b, s.Start, 'g', -1, 64)
-		b = append(b, `,"end":`...)
-		b = strconv.AppendFloat(b, s.End, 'g', -1, 64)
-		b = append(b, `,"busy":`...)
-		b = strconv.AppendFloat(b, s.Busy, 'g', -1, 64)
-		b = append(b, "}\n"...)
 	}
 	return b
 }
@@ -390,21 +528,22 @@ func (t *Timeline) CanonicalJSON() []byte {
 // per worker, one thread per engine (tid 0 carries worker-level spans). The
 // time axis is virtual microseconds; compute and barrier-wait durations are
 // modeled busy seconds, wire/checkpoint/migrate durations are measured wall
-// seconds, and each event's args carry the window index and wall time.
+// seconds, and each event's args carry the window index and wall time. The
+// document streams to w as it renders; the first write error is returned.
 func (t *Timeline) WriteTraceEvents(w io.Writer) error {
-	t.mu.Lock()
-	spans := append([]Span(nil), t.spans...)
-	t.mu.Unlock()
-
-	var b []byte
-	b = append(b, `{"displayTimeUnit":"ms","traceEvents":[`...)
+	s := t.snapshot()
+	bw := bufio.NewWriterSize(w, 64<<10)
+	bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
 	first := true
-	emit := func(line []byte) {
+	// emit writes one event; false once the writer has failed (bufio keeps
+	// its first error and Flush returns it).
+	emit := func(line []byte) bool {
 		if !first {
-			b = append(b, ',')
+			bw.WriteByte(',')
 		}
 		first = false
-		b = append(b, line...)
+		_, err := bw.Write(line)
+		return err == nil
 	}
 
 	// Metadata: name each worker track and engine thread, sorted for
@@ -412,13 +551,14 @@ func (t *Timeline) WriteTraceEvents(w io.Writer) error {
 	type track struct{ worker, engine int }
 	seen := map[track]bool{}
 	var tracks []track
-	for _, s := range spans {
-		tr := track{s.Worker, s.Engine}
+	s.each(func(sp *Span) bool {
+		tr := track{sp.Worker, sp.Engine}
 		if !seen[tr] {
 			seen[tr] = true
 			tracks = append(tracks, tr)
 		}
-	}
+		return true
+	})
 	sort.Slice(tracks, func(i, j int) bool {
 		if tracks[i].worker != tracks[j].worker {
 			return tracks[i].worker < tracks[j].worker
@@ -455,33 +595,32 @@ func (t *Timeline) WriteTraceEvents(w io.Writer) error {
 	}
 
 	const usec = 1e6
-	for _, s := range spans {
-		ts, dur := s.Start*usec, s.Busy*usec
-		switch s.Kind {
+	s.each(func(sp *Span) bool {
+		ts, dur := sp.Start*usec, sp.Busy*usec
+		switch sp.Kind {
 		case SpanWireSend, SpanWireRecv, SpanCheckpoint, SpanMigrate:
-			dur = s.Wall * usec
+			dur = sp.Wall * usec
 		}
 		line = line[:0]
 		line = append(line, `{"ph":"X","cat":"massf","name":"`...)
-		line = append(line, s.Kind.String()...)
+		line = append(line, sp.Kind.String()...)
 		line = append(line, `","pid":`...)
-		line = strconv.AppendInt(line, int64(s.Worker), 10)
+		line = strconv.AppendInt(line, int64(sp.Worker), 10)
 		line = append(line, `,"tid":`...)
-		line = strconv.AppendInt(line, int64(s.Engine+1), 10)
+		line = strconv.AppendInt(line, int64(sp.Engine+1), 10)
 		line = append(line, `,"ts":`...)
 		line = appendTraceFloat(line, ts)
 		line = append(line, `,"dur":`...)
 		line = appendTraceFloat(line, dur)
 		line = append(line, `,"args":{"window":`...)
-		line = strconv.AppendInt(line, s.Window, 10)
+		line = strconv.AppendInt(line, sp.Window, 10)
 		line = append(line, `,"wall_ms":`...)
-		line = appendTraceFloat(line, s.Wall*1e3)
+		line = appendTraceFloat(line, sp.Wall*1e3)
 		line = append(line, `}}`...)
-		emit(line)
-	}
-	b = append(b, `]}`...)
-	_, err := w.Write(b)
-	return err
+		return emit(line)
+	})
+	bw.WriteString(`]}`)
+	return bw.Flush()
 }
 
 // appendTraceFloat formats trace_event numbers: shortest round-trip form,

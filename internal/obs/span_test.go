@@ -3,7 +3,16 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sort"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -248,4 +257,763 @@ func TestWriteTraceEventsIsValidTraceEventJSON(t *testing.T) {
 	if counts["X/compute"] != 3 || counts["X/barrier-wait"] != 1 || counts["X/wire-recv"] != 1 {
 		t.Errorf("event counts = %v, want 3 compute, 1 barrier-wait, 1 wire-recv", counts)
 	}
+}
+
+// timelineAPI is the surface the reference and the store are compared on.
+type timelineAPI interface {
+	Reset()
+	Assign(engines []int, worker int)
+	AddWall(spans []Span)
+	CommitWindow(start, end float64, spans []Span) WindowStat
+	Windows() int64
+	Spans() []Span
+	Health() []WorkerHealth
+	DrainWindowStats() []WindowStat
+	CanonicalJSON() []byte
+	WriteTraceEvents(w io.Writer) error
+}
+
+// script drives a timeline and its reference through one seeded sequence of
+// calls. Committed spans follow CommitWindow's contract: compute kind,
+// ascending engines, the window's own bounds.
+type script struct {
+	t        *testing.T
+	rng      *rand.Rand
+	got, ref timelineAPI
+	engines  int
+	noReset  bool
+	now      float64
+}
+
+func (s *script) both(f func(tl timelineAPI)) { f(s.got); f(s.ref) }
+
+func (s *script) assign() {
+	engines := s.rng.Perm(s.engines)[:1+s.rng.Intn(s.engines)]
+	worker := s.rng.Intn(4)
+	s.both(func(tl timelineAPI) { tl.Assign(engines, worker) })
+}
+
+// addWall merges 1–4 wall spans of any kind: compute walls for engines that
+// may be idle in the next window (stale) or named twice (the later wins),
+// worker-level spans with arbitrary anchors.
+func (s *script) addWall() {
+	spans := make([]Span, 1+s.rng.Intn(4))
+	for i := range spans {
+		sp := Span{Kind: SpanKind(s.rng.Intn(int(SpanMigrate) + 1)), Wall: s.rng.Float64()}
+		if s.rng.Intn(2) == 0 {
+			sp.Kind = SpanCompute
+		}
+		if sp.Kind == SpanCompute {
+			sp.Engine = s.rng.Intn(s.engines)
+		} else {
+			sp.Worker, sp.Engine = s.rng.Intn(4), s.rng.Intn(3)-1
+			sp.Window, sp.Start, sp.End = s.rng.Int63n(9), s.now-s.rng.Float64(), s.now
+		}
+		spans[i] = sp
+	}
+	s.both(func(tl timelineAPI) { tl.AddWall(spans) })
+}
+
+// commit commits one window: idle, one engine, tied busy values, or up to
+// every engine active.
+func (s *script) commit() {
+	start, end := s.now, s.now+0.001+s.rng.Float64()
+	s.now = end
+	var active int
+	switch s.rng.Intn(6) {
+	case 0: // idle
+	case 1:
+		active = 1
+	default:
+		active = 1 + s.rng.Intn(s.engines)
+	}
+	tied := s.rng.Intn(3) == 0
+	var spans []Span
+	for e := 0; e < s.engines && active > 0; e++ {
+		if s.rng.Intn(s.engines-e) >= active {
+			continue
+		}
+		active--
+		busy := s.rng.Float64()
+		if tied {
+			busy = float64(s.rng.Intn(3)) / 2 // 0 included: active yet free
+		}
+		spans = append(spans, Span{Kind: SpanCompute, Engine: e, Start: start, End: end, Busy: busy})
+	}
+	got, want := s.got.CommitWindow(start, end, spans), s.ref.CommitWindow(start, end, spans)
+	if got != want {
+		s.t.Fatalf("CommitWindow = %+v, reference %+v", got, want)
+	}
+}
+
+func (s *script) drain() {
+	got, want := s.got.DrainWindowStats(), s.ref.DrainWindowStats()
+	if len(got) != len(want) {
+		s.t.Fatalf("drained %d window stats, reference %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			s.t.Fatalf("drained stat %d = %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+}
+
+func (s *script) step() {
+	switch n := s.rng.Intn(20); {
+	case n == 0 && !s.noReset:
+		s.both(func(tl timelineAPI) { tl.Reset() })
+	case n == 1:
+		s.assign()
+	case n < 5:
+		s.addWall()
+	case n < 7:
+		s.drain()
+	default:
+		s.commit()
+	}
+}
+
+// check compares everything a timeline can be asked.
+func (s *script) check() {
+	t := s.t
+	t.Helper()
+	if got, want := s.got.Windows(), s.ref.Windows(); got != want {
+		t.Fatalf("Windows = %d, reference %d", got, want)
+	}
+	got, want := s.got.Spans(), s.ref.Spans()
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			t.Fatalf("span %d = %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+	if !reflect.DeepEqual(got, want) { // lengths, and nil against empty
+		t.Fatalf("Spans returned %d spans (nil: %t), reference %d (nil: %t)", len(got), got == nil, len(want), want == nil)
+	}
+	if got, want := s.got.Health(), s.ref.Health(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Health = %+v, reference %+v", got, want)
+	}
+	sameBytes(t, "CanonicalJSON", s.got.CanonicalJSON(), s.ref.CanonicalJSON())
+	var gotDoc, wantDoc bytes.Buffer
+	if err := s.got.WriteTraceEvents(&gotDoc); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ref.WriteTraceEvents(&wantDoc); err != nil {
+		t.Fatal(err)
+	}
+	sameBytes(t, "WriteTraceEvents", gotDoc.Bytes(), wantDoc.Bytes())
+}
+
+// sameBytes fails with the neighbourhood of the first differing byte.
+func sameBytes(t *testing.T, what string, got, want []byte) {
+	t.Helper()
+	if bytes.Equal(got, want) {
+		return
+	}
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	around := func(b []byte) []byte { return b[max(0, i-80):min(len(b), i+80)] }
+	t.Fatalf("%s differs from the reference at byte %d (%d bytes against %d):\n…%s…\nvs\n…%s…",
+		what, i, len(got), len(want), around(got), around(want))
+}
+
+// TestTimelineMatchesReference holds the derived store to the flat one it
+// replaced: 600 short scripts compared in full after every step, and four
+// long ones without resets, compared in full every 97th or 997th step — two of
+// thousands of few-engine windows, so every chunked sequence crosses chunk
+// boundaries, two of 300-engine windows that each span chunks.
+func TestTimelineMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 600; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := &script{t: t, rng: rng, got: NewTimeline(), ref: newTimelineReference(), engines: 1 + rng.Intn(12)}
+		if seed%2 == 0 {
+			s.assign() // half the scripts start in the distributed shape
+		}
+		for step := 0; step < 40; step++ {
+			s.step()
+			s.check()
+		}
+	}
+	for seed, long := range []struct{ engines, steps, every int }{{3, 12000, 997}, {2, 12000, 997}, {300, 500, 97}, {300, 500, 97}} {
+		rng := rand.New(rand.NewSource(int64(1000 + seed)))
+		s := &script{t: t, rng: rng, got: NewTimeline(), ref: newTimelineReference(), engines: long.engines, noReset: true}
+		if seed%2 == 0 {
+			s.assign()
+		}
+		for step := 0; step < long.steps; step++ {
+			s.step()
+			if step%long.every == 0 {
+				s.check()
+			}
+		}
+		s.check()
+		s.drain()
+		st := &s.got.(*Timeline).store
+		if st.comp.n <= chunkLen {
+			t.Fatalf("long script %d stored %d compute records: must outgrow one %d-record chunk", seed, st.comp.n, chunkLen)
+		}
+		if long.engines < 10 && (st.wins.n <= chunkLen || st.walls.n <= chunkLen || st.extras.n <= chunkLen) {
+			t.Fatalf("long script %d stored %d windows, %d walls, %d extras: each must outgrow one %d-record chunk",
+				seed, st.wins.n, st.walls.n, st.extras.n, chunkLen)
+		}
+	}
+}
+
+// TestTimelineBytesPerWindow is the storage cost gate: a fresh timeline fed
+// 100 000 windows of 1–4 engines may allocate 16 B per compute record and
+// 24 B per window, plus slack for the partly filled last chunks, the chunk
+// pointer slices and the attribution scratch. Nothing is kept per window for
+// DrainWindowStats — a 32 B WindowStat per window alone would break the
+// budget — and a commit that opens no chunk allocates nothing.
+func TestTimelineBytesPerWindow(t *testing.T) {
+	const windows = 100_000
+	spans := make([]Span, 4)
+	for e := range spans {
+		spans[e] = Span{Kind: SpanCompute, Engine: e, Busy: float64(e + 1)}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tl := NewTimeline()
+	var records int
+	for w := 0; w < windows; w++ {
+		n := 1 + w%4
+		records += n
+		tl.CommitWindow(float64(w), float64(w+1), spans[:n])
+	}
+	runtime.ReadMemStats(&after)
+	grew := after.TotalAlloc - before.TotalAlloc
+	budget := uint64(16*records + 24*windows + 64<<10)
+	if grew > budget {
+		t.Errorf("%d windows, %d records allocated %d B, budget %d B (%.1f B per window over)",
+			windows, records, grew, budget, float64(grew-budget)/windows)
+	}
+	if got := tl.Windows(); got != windows {
+		t.Fatalf("committed %d windows, want %d", got, windows)
+	}
+
+	tl = NewTimeline()
+	tl.CommitWindow(0, 1, spans) // opens the chunks, sizes the scratch
+	if allocs := testing.AllocsPerRun(200, func() { tl.CommitWindow(1, 2, spans) }); allocs != 0 {
+		t.Errorf("CommitWindow inside a chunk allocates %.1f times, want 0", allocs)
+	}
+}
+
+// failingWriter accepts limit bytes, then fails every write.
+type failingWriter struct {
+	limit, calls, failed int
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.calls++
+	if len(p) > w.limit {
+		w.failed++
+		n := w.limit
+		w.limit = 0
+		return n, errDiskFull
+	}
+	w.limit -= len(p)
+	return len(p), nil
+}
+
+// TestWriteTraceEventsReturnsWriteError: the export streams, so a writer that
+// fails part-way must surface its error — and is not written to again.
+func TestWriteTraceEventsReturnsWriteError(t *testing.T) {
+	tl := NewTimeline()
+	for w := 0; w < 5000; w++ {
+		commit(tl, float64(w), float64(w+1), map[int]float64{0: 1, 1: 2})
+	}
+	var full bytes.Buffer
+	if err := tl.WriteTraceEvents(&full); err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int{0, 100, full.Len() / 2, full.Len() - 1} {
+		w := &failingWriter{limit: limit}
+		if err := tl.WriteTraceEvents(w); !errors.Is(err, errDiskFull) {
+			t.Errorf("writer failing after %d of %d bytes: err = %v, want %v", limit, full.Len(), err, errDiskFull)
+		}
+		if w.failed != 1 {
+			t.Errorf("writer failing after %d bytes saw %d failed writes, want 1", limit, w.failed)
+		}
+	}
+	if w := (&failingWriter{limit: full.Len()}); tl.WriteTraceEvents(w) != nil || w.calls < 2 {
+		t.Errorf("a %d-byte document should stream in several writes without error, got %d", full.Len(), w.calls)
+	}
+}
+
+// TestTimelineConcurrentReaders: the coordinator commits while debug
+// endpoints read. One goroutine commits (and resets half-way), four read
+// through every accessor; each read must be a consistent prefix of the run.
+// The writer holds back before the reset and before the end until reads have
+// overlapped its commits. Run under -race.
+func TestTimelineConcurrentReaders(t *testing.T) {
+	const windows = 6000
+	tl := NewTimeline()
+	tl.Assign([]int{0, 1}, 0)
+	tl.Assign([]int{2}, 1)
+	busyOf := func(w int64, e int) float64 { return float64(w%7) + float64(e)/4 }
+
+	done := make(chan struct{})
+	var (
+		wg    sync.WaitGroup
+		reads atomic.Int64
+	)
+	awaitReads := func(n int64) {
+		for target := reads.Load() + n; reads.Load() < target && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				reads.Add(1)
+				switch i % 4 {
+				case 0:
+					var computes int64
+					for _, s := range tl.Spans() {
+						switch s.Kind {
+						case SpanCompute:
+							if s.Start != float64(s.Window) || s.Busy != busyOf(s.Window, s.Engine) {
+								t.Errorf("torn compute span %+v", s)
+								return
+							}
+							computes++
+						case SpanBarrier:
+							if s.Engine != -1 || s.Start != float64(s.Window) {
+								t.Errorf("torn barrier span %+v", s)
+								return
+							}
+						}
+					}
+					if computes%3 != 0 {
+						t.Errorf("read %d compute spans: not whole windows of 3", computes)
+						return
+					}
+				case 1:
+					var total float64
+					for _, h := range tl.Health() {
+						total += h.Share
+					}
+					if total != 0 && math.Abs(total-1) > 1e-9 {
+						t.Errorf("health shares sum to %g", total)
+						return
+					}
+				case 2:
+					if b := tl.CanonicalJSON(); bytes.Count(b, []byte("\n"))%3 != 0 {
+						t.Error("canonical projection cut inside a window")
+						return
+					}
+				case 3:
+					var buf bytes.Buffer
+					if err := tl.WriteTraceEvents(&buf); err != nil {
+						t.Error(err)
+						return
+					}
+					if !json.Valid(buf.Bytes()) {
+						t.Error("trace export is not valid JSON")
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	spans := make([]Span, 3)
+	for w := int64(0); w < windows; w++ {
+		if w == windows/2 {
+			awaitReads(8)
+			tl.Reset()
+			tl.Assign([]int{0, 1}, 0)
+			tl.Assign([]int{2}, 1)
+		}
+		idx := w % (windows / 2)
+		for e := range spans {
+			spans[e] = Span{Kind: SpanCompute, Engine: e, Busy: busyOf(idx, e)}
+		}
+		if w%5 == 0 {
+			tl.AddWall([]Span{
+				{Kind: SpanCompute, Engine: 1, Wall: 0.5},
+				{Kind: SpanWireSend, Worker: 1, Engine: -1, Window: idx, Start: float64(idx), Wall: 0.1},
+			})
+		}
+		tl.CommitWindow(float64(idx), float64(idx+1), spans)
+		if w%64 == 0 {
+			tl.DrainWindowStats()
+		}
+	}
+	awaitReads(8)
+	close(done)
+	wg.Wait()
+	if got := tl.Windows(); got != windows/2 {
+		t.Fatalf("timeline holds %d windows after the reset, want %d", got, windows/2)
+	}
+}
+
+// timelineReference is the Timeline of commit bed0bbc, verbatim apart from
+// its name: every span materialized into one flat slice, a WindowStat kept
+// per window. It is the oracle TestTimelineMatchesReference holds the derived
+// store to.
+type timelineReference struct {
+	mu      sync.Mutex
+	assign  map[int]int // engine -> worker; engines absent map to themselves
+	spans   []Span
+	windows int64
+
+	// pendWall holds worker-measured compute wall times awaiting the next
+	// CommitWindow, keyed by engine; other wall spans append directly.
+	pendWall map[int]float64
+
+	gated     map[int]int64
+	crit      map[int]float64
+	critTotal float64
+	stats     []WindowStat // drained by DrainWindowStats
+
+	// Per-commit scratch, reused so a window costs no allocations beyond the
+	// amortized span append: busy[w] holds worker w's max engine busy for the
+	// commit stamped in mark[w] (stamps start at 1, so zeroed slots are never
+	// current), touched lists the workers active this commit.
+	busy    []float64
+	mark    []int64
+	touched []int
+}
+
+// newTimelineReference returns an empty cluster timeline.
+func newTimelineReference() *timelineReference {
+	return &timelineReference{
+		assign:   make(map[int]int),
+		pendWall: make(map[int]float64),
+		gated:    make(map[int]int64),
+		crit:     make(map[int]float64),
+	}
+}
+
+// Reset discards all spans, attribution and assignments — the recovery
+// fallback replays a partial distributed run from time zero in-process, and
+// the replay's timeline must not double-count the windows committed before
+// the loss. Capacity is retained, so a reused timeline commits windows
+// without re-paying the append growth.
+func (t *timelineReference) Reset() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	clear(t.assign)
+	t.spans = t.spans[:0]
+	t.windows = 0
+	clear(t.pendWall)
+	clear(t.gated)
+	clear(t.crit)
+	t.critTotal = 0
+	t.stats = t.stats[:0]
+	// Stamps restart at 1 after a reset; stale marks from the previous run
+	// would collide with them.
+	for i := range t.mark {
+		t.mark[i] = 0
+	}
+}
+
+// Assign maps engines onto a worker slot for attribution and track layout.
+// Unassigned engines are their own worker (the in-process shape).
+func (t *timelineReference) Assign(engines []int, worker int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, e := range engines {
+		t.assign[e] = worker
+	}
+}
+
+func (t *timelineReference) workerOf(engine int) int {
+	if len(t.assign) == 0 { // in-process shape: skip the hash on the hot path
+		return engine
+	}
+	if w, ok := t.assign[engine]; ok {
+		return w
+	}
+	return engine
+}
+
+// AddWall merges worker-measured wall-clock spans. Compute spans are held
+// and folded into the matching engine's span at the next CommitWindow; all
+// other kinds append to the timeline directly (their virtual anchor is the
+// window the worker measured them in).
+func (t *timelineReference) AddWall(spans []Span) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, s := range spans {
+		if s.Kind == SpanCompute {
+			t.pendWall[s.Engine] = s.Wall
+			continue
+		}
+		t.spans = append(t.spans, s)
+	}
+}
+
+// CommitWindow appends one window's deterministic compute spans (Engine,
+// Start, End and modeled Busy filled by the caller; Worker and Window are
+// stamped here), folds in any pending wall measurements, derives the
+// barrier-wait spans, and updates the straggler attribution. Spans must be
+// in ascending engine order — the canonical order.
+func (t *timelineReference) CommitWindow(start, end float64, spans []Span) WindowStat {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	idx := t.windows
+	t.windows++
+	stamp := t.windows // idx+1: never the zero value of a fresh mark slot
+
+	// Per-worker busy is the max over its engines: engines on one worker
+	// step concurrently, and the barrier is gated by the slowest. The batch
+	// is appended in one grow, then stamped in place.
+	touched := t.touched[:0]
+	base := len(t.spans)
+	t.spans = append(t.spans, spans...)
+	for i := base; i < len(t.spans); i++ {
+		s := &t.spans[i]
+		s.Window = idx
+		w := t.workerOf(s.Engine)
+		s.Worker = w
+		if len(t.pendWall) > 0 {
+			if wall, ok := t.pendWall[s.Engine]; ok {
+				s.Wall = wall
+				delete(t.pendWall, s.Engine)
+			}
+		}
+		if w >= len(t.busy) {
+			busy := make([]float64, w+1)
+			copy(busy, t.busy)
+			t.busy = busy
+			mark := make([]int64, w+1)
+			copy(mark, t.mark)
+			t.mark = mark
+		}
+		if t.mark[w] != stamp {
+			t.mark[w] = stamp
+			t.busy[w] = s.Busy
+			touched = append(touched, w)
+		} else if s.Busy > t.busy[w] {
+			t.busy[w] = s.Busy
+		}
+	}
+	t.touched = touched
+	if len(t.pendWall) > 0 {
+		// Any pending wall measurement without a matching span belongs to an
+		// engine idle this window; drop it rather than mis-attributing later.
+		for e := range t.pendWall {
+			delete(t.pendWall, e)
+		}
+	}
+
+	st := WindowStat{Window: idx, Worker: -1}
+	if len(touched) > 0 {
+		if len(touched) > 1 {
+			sort.Ints(touched) // near-sorted already: spans arrive engine-ascending
+		}
+		critBusy, runnerUp := 0.0, 0.0
+		for _, w := range touched {
+			b := t.busy[w]
+			if st.Worker < 0 || b > critBusy {
+				if st.Worker >= 0 && critBusy > runnerUp {
+					runnerUp = critBusy
+				}
+				st.Worker, critBusy = w, b
+			} else if b > runnerUp {
+				runnerUp = b
+			}
+		}
+		st.Busy = critBusy
+		if len(touched) > 1 {
+			st.Lag = critBusy - runnerUp
+		}
+		for _, w := range touched {
+			if w == st.Worker {
+				continue
+			}
+			t.spans = append(t.spans, Span{
+				Kind: SpanBarrier, Worker: w, Engine: -1, Window: idx,
+				Start: start, End: end, Busy: critBusy - t.busy[w],
+			})
+		}
+		t.gated[st.Worker]++
+		t.crit[st.Worker] += critBusy
+		t.critTotal += critBusy
+	}
+	t.stats = append(t.stats, st)
+	return st
+}
+
+// Windows returns the number of committed windows.
+func (t *timelineReference) Windows() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.windows
+}
+
+// Spans returns a copy of the merged timeline.
+func (t *timelineReference) Spans() []Span {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]Span(nil), t.spans...)
+}
+
+// Health returns the per-worker straggler attribution, sorted by worker.
+func (t *timelineReference) Health() []WorkerHealth {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	workers := make([]int, 0, len(t.gated))
+	for w := range t.gated {
+		workers = append(workers, w)
+	}
+	sort.Ints(workers)
+	out := make([]WorkerHealth, len(workers))
+	for i, w := range workers {
+		h := WorkerHealth{Worker: w, GatedWindows: t.gated[w], CriticalPath: t.crit[w]}
+		if t.critTotal > 0 {
+			h.Share = t.crit[w] / t.critTotal
+		}
+		out[i] = h
+	}
+	return out
+}
+
+// DrainWindowStats returns the window attributions accumulated since the
+// last drain — the coordinator's feed for the live health gauges.
+func (t *timelineReference) DrainWindowStats() []WindowStat {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := t.stats
+	t.stats = nil
+	return out
+}
+
+// CanonicalJSON renders the deterministic projection of the timeline: the
+// compute spans' virtual-time and modeled fields only, in commit order. The
+// worker track, barrier-wait derivation and every wall-clock measurement are
+// excluded — they reflect the deployment shape, not the simulation — so the
+// bytes are identical across in-process, loopback and TCP executions,
+// mirroring dist.ResultJSON.
+func (t *timelineReference) CanonicalJSON() []byte {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var b []byte
+	for _, s := range t.spans {
+		if s.Kind != SpanCompute {
+			continue
+		}
+		b = append(b, `{"window":`...)
+		b = strconv.AppendInt(b, s.Window, 10)
+		b = append(b, `,"engine":`...)
+		b = strconv.AppendInt(b, int64(s.Engine), 10)
+		b = append(b, `,"start":`...)
+		b = strconv.AppendFloat(b, s.Start, 'g', -1, 64)
+		b = append(b, `,"end":`...)
+		b = strconv.AppendFloat(b, s.End, 'g', -1, 64)
+		b = append(b, `,"busy":`...)
+		b = strconv.AppendFloat(b, s.Busy, 'g', -1, 64)
+		b = append(b, "}\n"...)
+	}
+	return b
+}
+
+// WriteTraceEvents renders the timeline as Chrome trace_event JSON — load
+// the file in Perfetto (ui.perfetto.dev) or chrome://tracing. One process
+// per worker, one thread per engine (tid 0 carries worker-level spans). The
+// time axis is virtual microseconds; compute and barrier-wait durations are
+// modeled busy seconds, wire/checkpoint/migrate durations are measured wall
+// seconds, and each event's args carry the window index and wall time.
+func (t *timelineReference) WriteTraceEvents(w io.Writer) error {
+	t.mu.Lock()
+	spans := append([]Span(nil), t.spans...)
+	t.mu.Unlock()
+
+	var b []byte
+	b = append(b, `{"displayTimeUnit":"ms","traceEvents":[`...)
+	first := true
+	emit := func(line []byte) {
+		if !first {
+			b = append(b, ',')
+		}
+		first = false
+		b = append(b, line...)
+	}
+
+	// Metadata: name each worker track and engine thread, sorted for
+	// deterministic output.
+	type track struct{ worker, engine int }
+	seen := map[track]bool{}
+	var tracks []track
+	for _, s := range spans {
+		tr := track{s.Worker, s.Engine}
+		if !seen[tr] {
+			seen[tr] = true
+			tracks = append(tracks, tr)
+		}
+	}
+	sort.Slice(tracks, func(i, j int) bool {
+		if tracks[i].worker != tracks[j].worker {
+			return tracks[i].worker < tracks[j].worker
+		}
+		return tracks[i].engine < tracks[j].engine
+	})
+	var line []byte
+	lastWorker := -1
+	for _, tr := range tracks {
+		if tr.worker != lastWorker {
+			lastWorker = tr.worker
+			line = line[:0]
+			line = append(line, `{"ph":"M","name":"process_name","pid":`...)
+			line = strconv.AppendInt(line, int64(tr.worker), 10)
+			line = append(line, `,"args":{"name":"worker `...)
+			line = strconv.AppendInt(line, int64(tr.worker), 10)
+			line = append(line, `"}}`...)
+			emit(line)
+		}
+		line = line[:0]
+		line = append(line, `{"ph":"M","name":"thread_name","pid":`...)
+		line = strconv.AppendInt(line, int64(tr.worker), 10)
+		line = append(line, `,"tid":`...)
+		line = strconv.AppendInt(line, int64(tr.engine+1), 10)
+		line = append(line, `,"args":{"name":"`...)
+		if tr.engine < 0 {
+			line = append(line, `worker`...)
+		} else {
+			line = append(line, `engine `...)
+			line = strconv.AppendInt(line, int64(tr.engine), 10)
+		}
+		line = append(line, `"}}`...)
+		emit(line)
+	}
+
+	const usec = 1e6
+	for _, s := range spans {
+		ts, dur := s.Start*usec, s.Busy*usec
+		switch s.Kind {
+		case SpanWireSend, SpanWireRecv, SpanCheckpoint, SpanMigrate:
+			dur = s.Wall * usec
+		}
+		line = line[:0]
+		line = append(line, `{"ph":"X","cat":"massf","name":"`...)
+		line = append(line, s.Kind.String()...)
+		line = append(line, `","pid":`...)
+		line = strconv.AppendInt(line, int64(s.Worker), 10)
+		line = append(line, `,"tid":`...)
+		line = strconv.AppendInt(line, int64(s.Engine+1), 10)
+		line = append(line, `,"ts":`...)
+		line = appendTraceFloat(line, ts)
+		line = append(line, `,"dur":`...)
+		line = appendTraceFloat(line, dur)
+		line = append(line, `,"args":{"window":`...)
+		line = strconv.AppendInt(line, s.Window, 10)
+		line = append(line, `,"wall_ms":`...)
+		line = appendTraceFloat(line, s.Wall*1e3)
+		line = append(line, `}}`...)
+		emit(line)
+	}
+	b = append(b, `]}`...)
+	_, err := w.Write(b)
+	return err
 }
