@@ -3,8 +3,116 @@ package des
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"sort"
 	"testing"
+
+	"repro/internal/obs"
 )
+
+// mergeOutboxesReference is the pre-batching barrier: tag every event with
+// (source, send order), sort the whole window globally by (time, source LP,
+// send order), and insert in that one global sequence. It left production
+// when the window loop was collapsed and is kept, verbatim, as the testing
+// oracle the per-destination merge is verified against.
+func (k *Kernel) mergeOutboxesReference(scheds []*Scheduler) {
+	type tagged struct {
+		time   float64
+		dst    int
+		src    int
+		srcIdx int32
+		data   any
+	}
+	var all []tagged
+	for _, s := range scheds {
+		for _, b := range s.batches {
+			for i := range b.Times {
+				all = append(all, tagged{
+					time: b.Times[i], dst: b.Dst, src: b.Src,
+					srcIdx: b.SrcIdx[i], data: b.Datas[i],
+				})
+			}
+			s.batchAt[b.Dst] = nil
+			putBatch(b)
+		}
+		s.batches = s.batches[:0]
+	}
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		if a.time != b.time {
+			return a.time < b.time
+		}
+		if a.src != b.src {
+			return a.src < b.src
+		}
+		return a.srcIdx < b.srcIdx
+	})
+	for _, t := range all {
+		k.pushLocal(t.dst, t.time, t.data)
+	}
+}
+
+// runReference is the test-side window loop: the kernel's own Grid and the
+// Stepper's dispatch, with the global-sort merge at the barrier instead of
+// the per-destination one. It reports to the kernel's Observer, Recorder and
+// OnBarrier the way Run does (wall-clock Wait excluded), so a reference
+// execution can be compared with Run on everything deterministic.
+func runReference(t *testing.T, k *Kernel) *Stats {
+	t.Helper()
+	n := k.cfg.NumLPs
+	all := make([]int, n)
+	for lp := range all {
+		all[lp] = lp
+	}
+	st, err := k.Stepper(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rec := k.cfg.Recorder
+	for {
+		if rec != nil && !k.grid.aligned {
+			rec.RecordRun(obs.RunMeta{LPs: n, Lookahead: k.grid.Lookahead, Resumed: k.resumed})
+		}
+		T, end, skipped, ok := k.grid.Next(st.NextEventTime())
+		if !ok {
+			return k.stats
+		}
+		k.stats.SkippedTime += skipped
+		if err := st.exec(end); err != nil {
+			t.Fatal(err)
+		}
+		k.mergeOutboxesReference(st.scheds)
+		res := st.fold(end)
+		if k.cfg.Observer != nil {
+			k.cfg.Observer(T, end, res.Charges, res.Remote)
+		}
+		if rec != nil {
+			for lp := 0; lp < n; lp++ {
+				res.Queue[lp] = int64(k.queues[lp].Len())
+			}
+			rec.RecordWindow(obs.Window{
+				Index: k.stats.Windows - 1, Start: T, End: end,
+				Events: res.Events, Charges: res.Charges, Remote: res.Remote,
+				Queue: res.Queue, Wait: make([]float64, n),
+			})
+		}
+		if k.cfg.OnBarrier != nil {
+			if err := k.cfg.OnBarrier(T, end); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// atGOMAXPROCS runs f with GOMAXPROCS set to procs — the one input besides
+// Config.Sequential and the LP count the dispatch choice reads — and restores
+// it.
+func atGOMAXPROCS(procs int, f func()) {
+	prev := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(prev)
+	f()
+}
 
 // crossTrafficHandler builds a handler that bounces events between LPs with
 // heavy timestamp collisions: every event at time t on LP lp re-sends to two
@@ -29,19 +137,18 @@ func crossTrafficHandler(numLPs int, L float64, logs [][]string) Handler {
 	}
 }
 
-// runCrossTraffic executes the collision-heavy scenario in one kernel mode
-// and returns the per-LP execution logs plus final stats.
-func runCrossTraffic(t *testing.T, numLPs int, sequential, forcePar, reference bool) ([][]string, *Stats) {
+// runCrossTraffic executes the collision-heavy scenario — through Run, or
+// through the reference loop — and returns the per-LP execution logs plus
+// final stats.
+func runCrossTraffic(t *testing.T, numLPs int, sequential, reference bool) ([][]string, *Stats) {
 	t.Helper()
 	const L = 0.01
 	logs := make([][]string, numLPs)
 	k, err := New(Config{
-		NumLPs:           numLPs,
-		Lookahead:        L,
-		Handler:          crossTrafficHandler(numLPs, L, logs),
-		Sequential:       sequential,
-		ForceParallel:    forcePar,
-		ReferenceBarrier: reference,
+		NumLPs:     numLPs,
+		Lookahead:  L,
+		Handler:    crossTrafficHandler(numLPs, L, logs),
+		Sequential: sequential,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +157,9 @@ func runCrossTraffic(t *testing.T, numLPs int, sequential, forcePar, reference b
 		if err := k.Schedule(lp, 0.001*float64(lp+1), 6); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if reference {
+		return logs, runReference(t, k)
 	}
 	stats, err := k.Run()
 	if err != nil {
@@ -61,24 +171,26 @@ func runCrossTraffic(t *testing.T, numLPs int, sequential, forcePar, reference b
 // TestBarrierMergeMatchesReference is the determinism oracle for the pooled
 // per-destination barrier merge: under heavy timestamp collisions, the
 // batched merge must execute event-for-event identically to the pre-batching
-// global (time, source LP, send order) sort — sequentially, and on the
-// persistent-worker parallel path (forced on, so single-CPU hosts and the
-// race detector exercise it too).
+// global (time, source LP, send order) sort — sequentially, and on both sides
+// of the dispatch choice (one goroutine at GOMAXPROCS 1, the persistent
+// workers at 4, which the race detector then sees on any host).
 func TestBarrierMergeMatchesReference(t *testing.T) {
 	const numLPs = 5
-	refLogs, refStats := runCrossTraffic(t, numLPs, true, false, true)
+	refLogs, refStats := runCrossTraffic(t, numLPs, true, true)
 	modes := []struct {
-		name                 string
-		sequential, forcePar bool
+		name                  string
+		sequential, reference bool
+		procs                 int
 	}{
-		{"batched-sequential", true, false},
-		{"batched-parallel", false, false},
-		{"batched-parallel-forced", false, true},
-		{"reference-parallel-forced", false, true},
+		{"batched-sequential", true, false, 1},
+		{"batched-gomaxprocs-1", false, false, 1},
+		{"batched-workers", false, false, 4},
+		{"reference-workers", false, true, 4},
 	}
-	for i, m := range modes {
-		reference := i == len(modes)-1
-		logs, stats := runCrossTraffic(t, numLPs, m.sequential, m.forcePar, reference)
+	for _, m := range modes {
+		var logs [][]string
+		var stats *Stats
+		atGOMAXPROCS(m.procs, func() { logs, stats = runCrossTraffic(t, numLPs, m.sequential, m.reference) })
 		if !reflect.DeepEqual(logs, refLogs) {
 			t.Errorf("%s: execution order diverged from the reference barrier", m.name)
 		}
@@ -95,8 +207,8 @@ func TestBarrierMergeMatchesReference(t *testing.T) {
 // doc comment promises: the charges/remote slices handed to the observer are
 // the kernel's recycled per-window buffers — the same backing arrays every
 // window — so an observer must consume them before returning and must not
-// retain a reference. Runs meaningfully under -race with the forced parallel
-// path: a retained reference mutated here would race with the next window's
+// retain a reference. Runs on the worker dispatch (GOMAXPROCS 4), so under
+// -race a retained reference mutated here would race with the next window's
 // workers.
 func TestObserverBuffersAreRecycled(t *testing.T) {
 	const numLPs = 3
@@ -114,10 +226,9 @@ func TestObserverBuffersAreRecycled(t *testing.T) {
 		}
 	}
 	k, err := New(Config{
-		NumLPs:        numLPs,
-		Lookahead:     L,
-		Handler:       h,
-		ForceParallel: true,
+		NumLPs:    numLPs,
+		Lookahead: L,
+		Handler:   h,
 		Observer: func(start, end float64, charges, remote []int64) {
 			if windows == 0 {
 				chargesArr, remoteArr = &charges[0], &remote[0]
@@ -138,7 +249,8 @@ func TestObserverBuffersAreRecycled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := k.Run(); err != nil {
+	atGOMAXPROCS(4, func() { _, err = k.Run() })
+	if err != nil {
 		t.Fatal(err)
 	}
 	if windows < 2 {
@@ -157,6 +269,9 @@ func TestObserverBuffersAreRecycled(t *testing.T) {
 // second identical sequential run performs no per-event or per-barrier
 // allocations beyond the fixed per-run setup.
 func TestBatchPoolingNoSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts over sync.Pool are not meaningful under the race detector")
+	}
 	const numLPs = 4
 	const L = 0.01
 	// The handler fans out without logging, so every steady-state allocation

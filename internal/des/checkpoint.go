@@ -5,22 +5,6 @@ import (
 	"sort"
 )
 
-// LPFailure signals the fail-stop death of one logical process (a crashed
-// simulation-engine node). An OnBarrier hook returns it (possibly wrapped) to
-// stop the run at the barrier where the death is detected; callers recognize
-// it with errors.As and recover through Checkpoint/Restore.
-type LPFailure struct {
-	// LP is the dead logical process.
-	LP int
-	// Time is the virtual time of the failure (at or before the barrier that
-	// detected it — a conservative kernel only observes death at barriers).
-	Time float64
-}
-
-func (f *LPFailure) Error() string {
-	return fmt.Sprintf("des: LP %d failed at t=%g", f.LP, f.Time)
-}
-
 // Checkpoint is a consistent snapshot of the kernel taken at a window
 // barrier: every pending event of every LP plus the cumulative run
 // statistics. At a barrier no handler is executing and all cross-LP events
@@ -44,16 +28,11 @@ func (cp *Checkpoint) PendingEvents() int {
 }
 
 // Stats returns a copy of the run statistics at the checkpoint.
-func (cp *Checkpoint) Stats() Stats {
-	s := cp.stats
-	s.Events = append([]int64(nil), cp.stats.Events...)
-	s.Charges = append([]int64(nil), cp.stats.Charges...)
-	s.RemoteSends = append([]int64(nil), cp.stats.RemoteSends...)
-	return s
-}
+func (cp *Checkpoint) Stats() Stats { return cp.stats.clone() }
 
 // Checkpoint snapshots the kernel at virtual time at. It is only safe where
-// no handler runs: before Run, or inside an OnBarrier hook (at = windowEnd).
+// no handler runs: before Run, inside an OnBarrier hook (at = windowEnd), or
+// between an outside coordinator's Steps.
 func (k *Kernel) Checkpoint(at float64) *Checkpoint {
 	n := k.cfg.NumLPs
 	cp := &Checkpoint{Time: at, events: make([][]Event, n)}
@@ -67,40 +46,26 @@ func (k *Kernel) Checkpoint(at float64) *Checkpoint {
 		})
 		cp.events[lp] = evs
 	}
-	src := k.runStats
-	if src == nil {
-		src = k.base
-	}
-	if src != nil {
-		cp.stats = *src
-		cp.stats.Events = append([]int64(nil), src.Events...)
-		cp.stats.Charges = append([]int64(nil), src.Charges...)
-		cp.stats.RemoteSends = append([]int64(nil), src.RemoteSends...)
-	} else {
-		cp.stats = Stats{
-			Events:      make([]int64, n),
-			Charges:     make([]int64, n),
-			RemoteSends: make([]int64, n),
-		}
-	}
+	cp.stats = k.stats.clone()
 	return cp
 }
 
 // Restore reinstalls a checkpoint, discarding the kernel's current queues
-// and statistics, and re-arms Run. Each pending event is offered to remap
-// (nil keeps the original owner): the returned LP becomes the event's new
-// owner — how a recovery moves a dead engine's events onto survivors — and
-// returning ok=false drops the event. When lookahead > 0 it replaces the
-// window width, since a changed assignment cuts a different set of links.
-// Events are reinserted in a deterministic order (LP, then time, then
-// original sequence), so a restored run replays identically.
+// and statistics, and starts a fresh window grid. Like Checkpoint it is safe
+// wherever no handler runs — in particular inside an OnBarrier hook, where the
+// running loop carries on from the restored state at its next iteration: a
+// rollback or a membership change is a step of the loop, not a restart. Each
+// pending event is offered to remap (nil keeps the original owner): the
+// returned LP becomes the event's new owner — how a recovery moves a dead
+// engine's events onto survivors — and returning ok=false drops the event.
+// When lookahead > 0 it replaces the window width, since a changed assignment
+// cuts a different set of links. Events are reinserted in a deterministic
+// order (LP, then time, then original sequence), so a restored run replays
+// identically.
 func (k *Kernel) Restore(cp *Checkpoint, lookahead float64, remap func(Event) (int, bool)) error {
 	n := k.cfg.NumLPs
 	if len(cp.events) != n {
 		return fmt.Errorf("des: checkpoint covers %d LPs, kernel has %d", len(cp.events), n)
-	}
-	if lookahead > 0 {
-		k.cfg.Lookahead = lookahead
 	}
 	k.queues = make([]eventHeap, n)
 	k.seqs = make([]int64, n)
@@ -120,8 +85,9 @@ func (k *Kernel) Restore(cp *Checkpoint, lookahead float64, remap func(Event) (i
 			k.pushLocal(nlp, ev.Time, ev.Data)
 		}
 	}
-	base := cp.Stats()
-	k.base = &base
-	k.ran = false
+	stats := cp.stats.clone()
+	k.stats = &stats
+	k.grid.Regrid(lookahead)
+	k.resumed = true
 	return nil
 }

@@ -2,7 +2,6 @@ package des
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -121,25 +120,6 @@ func TestOnBarrierStopsRun(t *testing.T) {
 	}
 }
 
-func TestLPFailureErrorsAs(t *testing.T) {
-	h := func(lp int, tm float64, data any, s *Scheduler) {}
-	k, _ := New(Config{
-		NumLPs: 2, Lookahead: 1, Handler: h, Sequential: true,
-		OnBarrier: func(ws, we float64) error {
-			return fmt.Errorf("wrapped: %w", &LPFailure{LP: 1, Time: ws})
-		},
-	})
-	k.Schedule(0, 0.5, nil)
-	_, err := k.Run()
-	var lpf *LPFailure
-	if !errors.As(err, &lpf) {
-		t.Fatalf("err = %v, want to unwrap to *LPFailure", err)
-	}
-	if lpf.LP != 1 {
-		t.Errorf("LP = %d, want 1", lpf.LP)
-	}
-}
-
 // ---- Checkpoint / Restore ----
 
 // chain bounces an event between two LPs, charging one unit per hop.
@@ -255,18 +235,6 @@ func TestRestoreRejectsInvalidRemap(t *testing.T) {
 	cp := k.Checkpoint(0)
 	if err := k.Restore(cp, 0, func(Event) (int, bool) { return 7, true }); err == nil {
 		t.Error("out-of-range remap accepted")
-	}
-}
-
-func TestRunTwiceWithoutRestoreErrors(t *testing.T) {
-	h := func(lp int, tm float64, data any, s *Scheduler) {}
-	k, _ := New(Config{NumLPs: 1, Lookahead: 1, Handler: h})
-	k.Schedule(0, 0.5, nil)
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.Run(); err == nil {
-		t.Error("second Run without Restore accepted")
 	}
 }
 

@@ -15,9 +15,13 @@
 // link latency cut by the partition — matters: a larger lookahead means wider
 // windows, fewer barriers, and more concurrency (§2.2.3).
 //
-// LPs run on real goroutines, so wall-clock benchmarks exercise true
-// parallelism, while deterministic per-window statistics feed the engine cost
-// model that reproduces the paper's emulation-time metrics.
+// That loop exists once: a Grid picks each window and a Stepper dispatches it
+// across a set of LPs — on one goroutine, or on persistent per-LP workers when
+// the host has cores to spare. Kernel.Run is a Stepper over every LP whose
+// barrier merges the outboxes in place; a distributed worker is a Stepper over
+// some LPs whose coordinator walks the same Grid type and merges over the wire
+// (step.go). Deterministic per-window statistics feed the engine cost model
+// that reproduces the paper's emulation-time metrics.
 //
 // Hot-path layout. Pending events live in structure-of-arrays heaps (parallel
 // time/seq/payload slices), so heap sifts compare raw float64/int64 arrays
@@ -30,8 +34,6 @@ package des
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -84,7 +86,8 @@ type Config struct {
 	// Observer, if non-nil, receives per-window load statistics.
 	Observer WindowObserver
 	// Recorder, if non-nil, receives the kernel's observability stream: a
-	// RunMeta per Run (segment), a Window record per executed window with
+	// RunMeta per window grid (one at the start, one after every Restore), a
+	// Window record per executed window with
 	// per-LP counters (handler invocations, charges, remote sends, queue
 	// occupancy, barrier wait), delivered on the coordinating goroutine
 	// after the barrier. A nil Recorder costs nothing: the instrumentation
@@ -93,29 +96,21 @@ type Config struct {
 	// OnBarrier, if non-nil, is called after each window's barrier — after
 	// handler errors are checked, outboxes merged, and the Observer has run —
 	// on the coordinating goroutine. No handler executes concurrently, so the
-	// hook may safely take a Checkpoint. Returning a non-nil error stops the
-	// run: Run returns that error together with the statistics accumulated so
-	// far (including the window just completed), which is how an engine crash
-	// (LPFailure) surfaces without corrupting state.
+	// hook may safely take a Checkpoint, and may Restore one: the loop then
+	// continues on a fresh window grid with the restored queues, statistics and
+	// lookahead, which is how a crash rollback or a resize happens without
+	// leaving Run. Returning a non-nil error stops the run: Run returns that
+	// error together with the statistics accumulated so far (including the
+	// window just completed).
 	OnBarrier func(windowStart, windowEnd float64) error
 	// EndTime, if positive, stops the run once the next event would fire at
 	// or beyond this virtual time.
 	EndTime float64
 	// Sequential forces single-goroutine execution (useful to isolate
-	// determinism bugs; results must be identical either way).
+	// determinism bugs; results must be identical either way). Otherwise the
+	// dispatch is chosen from what the kernel can observe: per-LP workers when
+	// more than one LP is driven and GOMAXPROCS > 1, one goroutine when not.
 	Sequential bool
-	// ForceParallel makes Run use the persistent-worker path even on a
-	// single-CPU machine, where the kernel otherwise degrades to the
-	// sequential loop — a test knob so the worker machinery stays exercised
-	// (including under the race detector) regardless of the host. Ignored
-	// when Sequential is set.
-	ForceParallel bool
-	// ReferenceBarrier switches the barrier to the pre-batching merge: tag
-	// every cross-LP event individually and sort the whole window globally by
-	// (time, source LP, send order) before insertion. It is a testing oracle —
-	// slower, allocates per barrier — kept so regression tests can prove the
-	// default per-destination merge is byte-identical to the historical order.
-	ReferenceBarrier bool
 }
 
 // Stats summarizes a completed run.
@@ -182,6 +177,11 @@ func putBatch(b *batch) {
 	batchPool.Put(b)
 }
 
+// lookaheadSlack is the rounding tolerance on "a cross-LP event fires at or
+// after the window end": a link latency summed onto a timestamp may land an
+// ulp short of it.
+const lookaheadSlack = 1e-12
+
 // Scheduler is the per-LP interface handlers use to schedule events and
 // account load. It is only valid inside a Handler invocation.
 type Scheduler struct {
@@ -189,8 +189,13 @@ type Scheduler struct {
 	lp        int
 	now       float64
 	windowEnd float64
-	charges   int64
-	remote    int64
+	// events, charges and remote count the current window's handler calls,
+	// charged load and cross-LP sends; busy is the window's measured wall
+	// time when the Stepper is timing. The Stepper folds them at the barrier.
+	events  int64
+	charges int64
+	remote  int64
+	busy    float64
 	// batches holds this window's outgoing per-destination batches in
 	// first-touch order; batchAt indexes them by destination LP. Both are
 	// drained at the barrier.
@@ -226,7 +231,7 @@ func (s *Scheduler) Schedule(lp int, t float64, data any) {
 		s.fail(fmt.Errorf("des: LP %d scheduled event for invalid LP %d", s.lp, lp))
 		return
 	}
-	if t < s.windowEnd-1e-12 {
+	if t < s.windowEnd-lookaheadSlack {
 		s.fail(fmt.Errorf("des: LP %d violated lookahead: remote event at t=%g before window end %g", s.lp, t, s.windowEnd))
 		return
 	}
@@ -255,20 +260,25 @@ func (s *Scheduler) fail(err error) {
 func (s *Scheduler) Fail(err error) { s.fail(err) }
 
 // Kernel is the parallel event engine. Create with New, seed initial events
-// with Schedule, then call Run once. After a Restore the kernel may be Run
-// again, resuming from the restored checkpoint.
+// with Schedule, then call Run — or claim LPs with Stepper and drive the
+// windows from outside. Restore reinstalls a checkpoint at any barrier, inside
+// a running loop or between runs.
 type Kernel struct {
 	cfg    Config
 	queues []eventHeap
 	seqs   []int64
 
-	// base carries statistics across Restore/Run cycles: a resumed Run
-	// continues accumulating from the restored checkpoint's counters.
-	base *Stats
-	// runStats points at the live statistics during Run so Checkpoint can
-	// snapshot them at a barrier.
-	runStats *Stats
-	ran      bool
+	// stats is the cumulative run statistics, live: the window loop folds
+	// every window into it, Checkpoint snapshots it and Restore replaces it.
+	stats *Stats
+	// grid picks Run's windows; Restore re-grids it, so a running loop carries
+	// on with the restored lookahead at its next iteration.
+	grid Grid
+	// resumed is set once a Restore has installed a checkpoint.
+	resumed bool
+	// driver is the Stepper holding the kernel's LPs (Run's own, or an outside
+	// coordinator's), nil when none does.
+	driver *Stepper
 
 	// Barrier merge scratch, reused across windows: batches bucketed by
 	// destination, the list of destinations with traffic, and the
@@ -276,16 +286,6 @@ type Kernel struct {
 	perDst  [][]*batch
 	dstList []int
 	merge   mergeScratch
-
-	// Recording scratch, allocated once per Run only when cfg.Recorder is
-	// set: per-window per-LP counters reused across windows so the nil-
-	// recorder path stays allocation-free and the recording path allocates
-	// nothing per event.
-	recording bool
-	winEvents []int64
-	winQueue  []int64
-	winBusy   []float64
-	winWait   []float64
 }
 
 // New validates cfg and returns a kernel ready for initial event injection.
@@ -303,7 +303,26 @@ func New(cfg Config) (*Kernel, error) {
 		cfg:    cfg,
 		queues: make([]eventHeap, cfg.NumLPs),
 		seqs:   make([]int64, cfg.NumLPs),
+		stats:  newStats(cfg.NumLPs),
+		grid:   Grid{Lookahead: cfg.Lookahead, EndTime: cfg.EndTime},
 	}, nil
+}
+
+func newStats(n int) *Stats {
+	return &Stats{
+		Events:      make([]int64, n),
+		Charges:     make([]int64, n),
+		RemoteSends: make([]int64, n),
+	}
+}
+
+// clone returns a deep copy of the statistics.
+func (s *Stats) clone() Stats {
+	c := *s
+	c.Events = append([]int64(nil), s.Events...)
+	c.Charges = append([]int64(nil), s.Charges...)
+	c.RemoteSends = append([]int64(nil), s.RemoteSends...)
+	return c
 }
 
 // Schedule inserts an initial event before Run (not safe during Run; use the
@@ -325,211 +344,94 @@ func (k *Kernel) pushLocal(lp int, t float64, data any) {
 	k.queues[lp].push(t, seq, data)
 }
 
-// newScheduler builds an LP's scheduler with its per-destination batch index
-// preallocated (one slot per possible destination).
-func (k *Kernel) newScheduler(lp int) *Scheduler {
-	return &Scheduler{k: k, lp: lp, batchAt: make([]*batch, k.cfg.NumLPs)}
-}
-
-// Run executes the simulation to completion (or EndTime) and returns
-// statistics. It may be called once per New or Restore. When resuming from a
-// checkpoint, the returned statistics continue from the checkpoint's counters
-// (WallTime likewise accumulates across segments).
+// Run executes the simulation to completion (or EndTime) and returns the
+// kernel's cumulative statistics: the window loop over a Stepper that holds
+// every LP. An OnBarrier hook that Restores a checkpoint changes queues,
+// statistics and lookahead under the loop, which continues on the fresh grid;
+// a hook error stops it, and a later Run picks up where this one stopped
+// (after a Restore, from the restored checkpoint).
 func (k *Kernel) Run() (*Stats, error) {
-	if k.ran {
-		return nil, fmt.Errorf("des: Run called again without Restore")
-	}
-	k.ran = true
 	n := k.cfg.NumLPs
-	L := k.cfg.Lookahead
-	stats := &Stats{
-		Events:      make([]int64, n),
-		Charges:     make([]int64, n),
-		RemoteSends: make([]int64, n),
+	all := make([]int, n)
+	for lp := range all {
+		all[lp] = lp
 	}
-	baseWall := time.Duration(0)
-	if k.base != nil {
-		copy(stats.Events, k.base.Events)
-		copy(stats.Charges, k.base.Charges)
-		copy(stats.RemoteSends, k.base.RemoteSends)
-		stats.Windows = k.base.Windows
-		stats.SkippedTime = k.base.SkippedTime
-		stats.VirtualEnd = k.base.VirtualEnd
-		baseWall = k.base.WallTime
+	st, err := k.Stepper(all)
+	if err != nil {
+		return nil, err
 	}
-	k.runStats = stats
-	defer func() { k.runStats = nil }()
-	start := time.Now()
-
-	scheds := make([]*Scheduler, n)
-	for lp := range scheds {
-		scheds[lp] = k.newScheduler(lp)
-	}
-	winCharges := make([]int64, n)
-	winRemote := make([]int64, n)
+	defer st.Close()
+	began, wall := time.Now(), k.stats.WallTime
 
 	rec := k.cfg.Recorder
-	k.recording = rec != nil
-	if k.recording {
-		k.winEvents = make([]int64, n)
-		k.winQueue = make([]int64, n)
-		k.winBusy = make([]float64, n)
-		k.winWait = make([]float64, n)
-		rec.RecordRun(obs.RunMeta{LPs: n, Lookahead: L, Resumed: k.base != nil})
+	var winWait []float64
+	if rec != nil {
+		st.EnableTiming()
+		winWait = make([]float64, n)
 	}
-
-	// Parallel runs use persistent per-LP workers instead of spawning n
-	// goroutines every window: the coordinator publishes the window bounds,
-	// kicks each worker through its channel, and collects n completions. The
-	// channel send/receive pairs give the necessary happens-before edges for
-	// the shared wEnd and the workers' writes into stats.
-	//
-	// On a single-CPU machine (or with one LP) the workers would only add
-	// context switches, so the kernel degrades to the sequential window loop —
-	// safe because parallel and sequential execution are byte-identical by
-	// construction.
-	parallel := !k.cfg.Sequential && n > 1 &&
-		(runtime.GOMAXPROCS(0) > 1 || k.cfg.ForceParallel)
-	var (
-		wEnd    float64
-		starts  []chan struct{}
-		winDone chan struct{}
-	)
-	if parallel {
-		starts = make([]chan struct{}, n)
-		winDone = make(chan struct{}, n)
-		for lp := 0; lp < n; lp++ {
-			ch := make(chan struct{}, 1)
-			starts[lp] = ch
-			go func(lp int, ch chan struct{}) {
-				for range ch {
-					k.runWindow(lp, scheds[lp], wEnd, stats)
-					winDone <- struct{}{}
-				}
-			}(lp, ch)
-		}
-		defer func() {
-			for _, ch := range starts {
-				close(ch)
-			}
-		}()
-	}
-
-	T := 0.0
-	if t, ok := k.minNextTime(); ok {
-		T = windowFloor(t, L)
-	}
-
 	for {
-		next, ok := k.minNextTime()
+		if rec != nil && !k.grid.aligned {
+			rec.RecordRun(obs.RunMeta{LPs: n, Lookahead: k.grid.Lookahead, Resumed: k.resumed})
+		}
+		T, end, skipped, ok := k.grid.Next(st.NextEventTime())
 		if !ok {
 			break
 		}
-		if k.cfg.EndTime > 0 && next >= k.cfg.EndTime {
-			break
-		}
-		// Jump over idle stretches, keeping the window grid aligned.
-		if next >= T+L {
-			nt := windowFloor(next, L)
-			stats.SkippedTime += nt - T
-			T = nt
-		}
-		windowEnd := T + L
+		k.stats.SkippedTime += skipped
 
-		// Process the window on all LPs.
 		var winStart time.Time
-		if k.recording {
+		if rec != nil {
 			winStart = time.Now()
 		}
-		if parallel {
-			wEnd = windowEnd
-			for _, ch := range starts {
-				ch <- struct{}{}
-			}
-			for i := 0; i < n; i++ {
-				<-winDone
-			}
-		} else {
-			for lp := 0; lp < n; lp++ {
-				k.runWindow(lp, scheds[lp], windowEnd, stats)
-			}
+		if err := st.exec(end); err != nil {
+			return nil, err
 		}
-
-		// Barrier: check errors, merge outboxes deterministically, observe.
-		for lp := 0; lp < n; lp++ {
-			if err := scheds[lp].err; err != nil {
-				return nil, err
-			}
+		// Barrier: merge outboxes deterministically, fold the counters, observe.
+		k.mergeOutboxes(st.scheds)
+		res := st.fold(end)
+		if k.cfg.Observer != nil {
+			k.cfg.Observer(T, end, res.Charges, res.Remote)
 		}
-		k.mergeOutboxes(scheds)
-		if k.cfg.Observer != nil || k.recording {
+		if rec != nil {
+			// Barrier wait: the gap between an LP finishing its window and the
+			// slowest LP releasing the barrier. Only meaningful with real
+			// parallelism. Queue depths are post-merge here.
+			windowWall := time.Since(winStart).Seconds()
 			for lp := 0; lp < n; lp++ {
-				winCharges[lp] = scheds[lp].charges
-				winRemote[lp] = scheds[lp].remote
-				scheds[lp].charges = 0
-				scheds[lp].remote = 0
-			}
-			if k.cfg.Observer != nil {
-				k.cfg.Observer(T, windowEnd, winCharges, winRemote)
-			}
-			if k.recording {
-				// Barrier wait: the gap between an LP finishing its window
-				// and the slowest LP releasing the barrier. Only meaningful
-				// with real parallelism.
-				windowWall := time.Since(winStart).Seconds()
-				for lp := 0; lp < n; lp++ {
-					k.winQueue[lp] = int64(k.queues[lp].Len())
-					if k.cfg.Sequential {
-						k.winWait[lp] = 0
-					} else if w := windowWall - k.winBusy[lp]; w > 0 {
-						k.winWait[lp] = w
-					} else {
-						k.winWait[lp] = 0
-					}
+				res.Queue[lp] = int64(k.queues[lp].Len())
+				winWait[lp] = 0
+				if w := windowWall - res.Busy[lp]; w > 0 && !k.cfg.Sequential {
+					winWait[lp] = w
 				}
-				rec.RecordWindow(obs.Window{
-					Index: stats.Windows, Start: T, End: windowEnd,
-					Events: k.winEvents, Charges: winCharges, Remote: winRemote,
-					Queue: k.winQueue, Wait: k.winWait,
-				})
 			}
-		} else {
-			for lp := 0; lp < n; lp++ {
-				scheds[lp].charges = 0
-				scheds[lp].remote = 0
-			}
+			rec.RecordWindow(obs.Window{
+				Index: k.stats.Windows - 1, Start: T, End: end,
+				Events: res.Events, Charges: res.Charges, Remote: res.Remote,
+				Queue: res.Queue, Wait: winWait,
+			})
 		}
-		stats.Windows++
-		stats.VirtualEnd = windowEnd
 		if k.cfg.OnBarrier != nil {
-			if err := k.cfg.OnBarrier(T, windowEnd); err != nil {
-				stats.WallTime = baseWall + time.Since(start)
-				return stats, err
+			if err = k.cfg.OnBarrier(T, end); err != nil {
+				break
 			}
 		}
-		T = windowEnd
 	}
-
-	stats.WallTime = baseWall + time.Since(start)
-	return stats, nil
+	k.stats.WallTime = wall + time.Since(began)
+	return k.stats, err
 }
 
 // runWindow drains one LP's queue up to windowEnd. Only this goroutine
-// touches the LP's queue during the window; remote events go to the private
-// per-destination batches.
-func (k *Kernel) runWindow(lp int, s *Scheduler, windowEnd float64, stats *Stats) {
+// touches the LP's queue, scheduler and statistics slots during the window;
+// remote events go to the scheduler's private per-destination batches, and
+// the window's counters stay on the scheduler until the barrier folds them.
+func (k *Kernel) runWindow(lp int, s *Scheduler, windowEnd float64, timed bool) {
 	var begin time.Time
-	preEvents := stats.Events[lp]
-	if k.recording {
+	if timed {
 		begin = time.Now()
 	}
 	s.windowEnd = windowEnd
 	q := &k.queues[lp]
-	// Accumulate in locals and write the shared per-LP stats slots once at
-	// the end of the window: adjacent LPs' slots share cache lines, so
-	// per-event writes would false-share under parallel execution.
 	events := int64(0)
-	preCharges := s.charges
 	for q.Len() > 0 && q.times[0] < windowEnd {
 		if k.cfg.EndTime > 0 && q.times[0] >= k.cfg.EndTime {
 			break
@@ -542,14 +444,15 @@ func (k *Kernel) runWindow(lp int, s *Scheduler, windowEnd float64, stats *Stats
 			break
 		}
 	}
+	s.events = events
+	// The cumulative per-LP slots are written once per window, not per event:
+	// adjacent LPs' slots share cache lines.
+	stats := k.stats
 	stats.Events[lp] += events
-	stats.Charges[lp] += s.charges - preCharges
+	stats.Charges[lp] += s.charges
 	stats.RemoteSends[lp] += s.remote
-	if k.recording {
-		// Each LP goroutine writes only its own slot, so no synchronization
-		// is needed on the shared scratch slices.
-		k.winEvents[lp] = stats.Events[lp] - preEvents
-		k.winBusy[lp] = time.Since(begin).Seconds()
+	if timed {
+		s.busy = time.Since(begin).Seconds()
 	}
 }
 
@@ -559,14 +462,10 @@ func (k *Kernel) runWindow(lp int, s *Scheduler, windowEnd float64, stats *Stats
 // destination at a time: sorting each destination's incoming events by that
 // same key is exactly the restriction of the global order to that
 // destination, and destinations' queues are independent, so the per-LP seq
-// assignment — and therefore every queue — is byte-identical to the
-// reference merge (Config.ReferenceBarrier re-enables the historical global
-// sort so tests can verify this).
+// assignment — and therefore every queue — is byte-identical to the global
+// merge (which lives on in batch_test.go as the oracle tests verify this
+// against).
 func (k *Kernel) mergeOutboxes(scheds []*Scheduler) {
-	if k.cfg.ReferenceBarrier {
-		k.mergeOutboxesReference(scheds)
-		return
-	}
 	if k.perDst == nil {
 		k.perDst = make([][]*batch, k.cfg.NumLPs)
 	}
@@ -611,47 +510,6 @@ func (k *Kernel) mergeOutboxes(scheds []*Scheduler) {
 	}
 	k.dstList = k.dstList[:0]
 	m.clearRefs()
-}
-
-// mergeOutboxesReference is the pre-batching barrier: tag every event with
-// (source, send order), sort the whole window globally by (time, source LP,
-// send order), and insert in that one global sequence. Kept as the testing
-// oracle the default per-destination merge is verified against.
-func (k *Kernel) mergeOutboxesReference(scheds []*Scheduler) {
-	type tagged struct {
-		time   float64
-		dst    int
-		src    int
-		srcIdx int32
-		data   any
-	}
-	var all []tagged
-	for _, s := range scheds {
-		for _, b := range s.batches {
-			for i := range b.Times {
-				all = append(all, tagged{
-					time: b.Times[i], dst: b.Dst, src: b.Src,
-					srcIdx: b.SrcIdx[i], data: b.Datas[i],
-				})
-			}
-			s.batchAt[b.Dst] = nil
-			putBatch(b)
-		}
-		s.batches = s.batches[:0]
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.time != b.time {
-			return a.time < b.time
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.srcIdx < b.srcIdx
-	})
-	for _, t := range all {
-		k.pushLocal(t.dst, t.time, t.data)
-	}
 }
 
 // mergeScratch is the reusable structure-of-arrays sort area for one
@@ -718,29 +576,6 @@ func (m *mergeScratch) clearRefs() {
 	for i := range d {
 		d[i] = nil
 	}
-}
-
-// minNextTime returns the earliest pending event time across all LPs.
-func (k *Kernel) minNextTime() (float64, bool) {
-	best := math.Inf(1)
-	found := false
-	for lp := range k.queues {
-		if k.queues[lp].Len() > 0 {
-			if t := k.queues[lp].times[0]; t < best {
-				best = t
-				found = true
-			}
-		}
-	}
-	return best, found
-}
-
-// windowFloor aligns t down to the window grid of width L.
-func windowFloor(t, L float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	return math.Floor(t/L) * L
 }
 
 // eventHeap is a binary min-heap ordered by (time, seq) in structure-of-

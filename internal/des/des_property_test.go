@@ -6,14 +6,18 @@ import (
 	"testing/quick"
 )
 
-// randomCascade builds a deterministic pseudo-random event cascade driven by
-// the payload value: each event spawns 0-2 follow-ups, local or remote,
-// with times derived from the payload so sequential and parallel runs face
-// identical workloads.
-func randomCascade(t *testing.T, numLPs int, lookahead float64, seed int64, sequential bool) *Stats {
-	t.Helper()
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+// cascadeHandler is a deterministic pseudo-random handler program driven by
+// the payload value: each event spawns 0-2 follow-ups, local or remote, with
+// times derived from the payload, so every execution of the same seed — any
+// dispatch, any driver, any LP ownership — faces an identical workload. Remote
+// follow-ups fire at least lookahead ahead. log, if non-nil, is called for
+// every handler invocation (on the invoked LP's goroutine).
+func cascadeHandler(numLPs int, lookahead float64, log func(lp int, tm float64, n int64)) Handler {
+	return func(lp int, tm float64, data any, s *Scheduler) {
 		n := data.(int64)
+		if log != nil {
+			log(lp, tm, n)
+		}
 		s.Charge(n%5 + 1)
 		if n <= 0 {
 			return
@@ -35,13 +39,28 @@ func randomCascade(t *testing.T, numLPs int, lookahead float64, seed int64, sequ
 			}
 		}
 	}
-	k, err := New(Config{NumLPs: numLPs, Lookahead: lookahead, Handler: h, Sequential: sequential})
+}
+
+// cascadeSeeds returns the seed events of a cascade: 2·numLPs events at
+// random LPs and times in the first hundredth of a second.
+func cascadeSeeds(numLPs int, seed int64) []Event {
+	rng := rand.New(rand.NewSource(seed))
+	evs := make([]Event, 2*numLPs)
+	for i := range evs {
+		evs[i] = Event{LP: rng.Intn(numLPs), Time: rng.Float64() * 0.01, Data: int64(8 + rng.Intn(8))}
+	}
+	return evs
+}
+
+// randomCascade runs one seeded cascade through Run.
+func randomCascade(t *testing.T, numLPs int, lookahead float64, seed int64, sequential bool) *Stats {
+	t.Helper()
+	k, err := New(Config{NumLPs: numLPs, Lookahead: lookahead, Handler: cascadeHandler(numLPs, lookahead, nil), Sequential: sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < 2*numLPs; i++ {
-		k.Schedule(rng.Intn(numLPs), rng.Float64()*0.01, int64(8+rng.Intn(8)))
+	for _, ev := range cascadeSeeds(numLPs, seed) {
+		k.Schedule(ev.LP, ev.Time, ev.Data)
 	}
 	st, err := k.Run()
 	if err != nil {

@@ -39,10 +39,7 @@ func BuildCheckpoint(at float64, numLPs int, stats Stats, events []Sent) (*Check
 		}
 		cp.events[sv.Dst] = append(cp.events[sv.Dst], Event{Time: sv.Time, LP: sv.Dst, Data: sv.Data})
 	}
-	cp.stats = stats
-	cp.stats.Events = append([]int64(nil), stats.Events...)
-	cp.stats.Charges = append([]int64(nil), stats.Charges...)
-	cp.stats.RemoteSends = append([]int64(nil), stats.RemoteSends...)
+	cp.stats = stats.clone()
 	if len(cp.stats.Events) != numLPs || len(cp.stats.Charges) != numLPs || len(cp.stats.RemoteSends) != numLPs {
 		return nil, fmt.Errorf("des: checkpoint stats cover %d LPs, want %d", len(cp.stats.Events), numLPs)
 	}

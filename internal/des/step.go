@@ -1,23 +1,31 @@
 package des
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"sort"
-	"time"
+	"sync"
 )
 
-// Externally driven window execution — the kernel face of the distributed
-// runtime. A Stepper owns a subset of a kernel's LPs (the engines assigned to
-// one worker process) and executes them window by window under an outside
-// coordinator: the coordinator collects NextEventTime votes from every
-// worker, picks the global window, calls Step on each, merges the outboxes in
-// the same deterministic (time, source LP, send order) order Run uses, and
+// The window dispatcher. A Stepper holds a set of a kernel's LPs and executes
+// them one window at a time, for whoever walks the Grid: Kernel.Run holds all
+// of them and merges the outboxes in place; a distributed worker holds the
+// engines assigned to its process and steps under an outside coordinator,
+// which collects NextEventTime votes from every worker, picks the global
+// window on its own Grid, calls Step on each, merges the outboxes in the same
+// deterministic (time, source LP, send order) order Run's barrier uses, and
 // hands each worker back its share through Inject. Because sequence numbers
 // are per destination LP and every phase (initial seeding, in-window local
-// pushes, barrier merge) replays in the same order as the in-process Run
-// loop, a stepped execution is event-for-event identical to Run.
+// pushes, barrier merge) replays in the same order as the in-process loop, a
+// stepped execution is event-for-event identical to Run.
+
+// ErrCausality marks a window or an injected event an outside coordinator
+// handed a Stepper that would break the conservative protocol: a window that
+// is not a finite forward step of at most the lookahead, or an event in an
+// LP's executed past. Nothing is executed or enqueued when it is returned.
+var ErrCausality = errors.New("des: causality violation")
 
 // Sent is a cross-LP event captured at a Stepper barrier, tagged with the
 // merge key Run's barrier uses: sending LP and position in that LP's outbox.
@@ -57,26 +65,39 @@ type StepResult struct {
 }
 
 // Stepper drives a subset of a kernel's LPs one window at a time. Create
-// with Kernel.Stepper, seed initial events through Kernel.Schedule first.
+// with Kernel.Stepper, seed initial events through Kernel.Schedule first, and
+// Close it when done: it holds its LPs — and, in parallel dispatch, one
+// parked goroutine per LP — until then.
 type Stepper struct {
 	k       *Kernel
 	local   []int
 	isLocal []bool
 	scheds  []*Scheduler // indexed by LP; nil for non-local LPs
-	stats   *Stats
 	res     StepResult
-	// pre and done are per-Step scratch reused across windows (pre-window
-	// event counts; worker completion signals).
-	pre    []int64
-	done   chan struct{}
+	timing  bool
+	// failed poisons the Stepper: a handler error, or Close.
 	failed error
-	timing bool
+
+	// lastEnd is the end of the last window executed on these LPs (the
+	// restored barrier time before the first): nothing may be injected before
+	// it. stepped says a window has run since the Stepper was made.
+	lastEnd float64
+	stepped bool
+
+	// Parallel dispatch (nil in sequential): one persistent worker per local
+	// LP. exec publishes the window end, kicks each worker through its channel
+	// and collects one completion each; the channel pairs order wEnd, the
+	// schedulers and the queues between this goroutine and the workers.
+	starts []chan struct{}
+	done   chan struct{}
+	wEnd   float64
+	exited sync.WaitGroup
 }
 
 // EnableTiming turns on per-LP wall-clock measurement of window execution:
 // after each Step, StepResult.Busy[lp] holds the seconds LP lp spent in
 // runWindow. Off by default; the disabled path takes no clock readings and
-// performs no extra allocations.
+// performs no extra allocations. Call it before the first Step.
 func (st *Stepper) EnableTiming() {
 	if !st.timing {
 		st.timing = true
@@ -84,46 +105,37 @@ func (st *Stepper) EnableTiming() {
 	}
 }
 
-// Stepper claims the given LPs of the kernel for external window-by-window
-// driving. The kernel must not have Run called on it; local must be a
-// non-empty set of distinct valid LPs. Observer, Recorder and OnBarrier are
-// ignored in stepped mode — the coordinator owns the barrier.
+// Stepper claims the given LPs — a non-empty set of distinct valid LPs — for
+// window-by-window driving until the Stepper is Closed; a kernel has one
+// driver at a time. Observer, Recorder and OnBarrier belong to Run's barrier
+// and are not called by Step. Statistics continue from the kernel's: a worker
+// reseated on a restored kernel reports run totals, not post-migration deltas.
+//
+// The dispatch is chosen here from what the kernel can observe: with more
+// than one local LP, GOMAXPROCS above one and no Config.Sequential, each LP
+// gets a persistent worker goroutine; otherwise workers would only add
+// context switches and windows run on the caller's goroutine. The two are
+// byte-identical by construction.
 func (k *Kernel) Stepper(local []int) (*Stepper, error) {
-	if k.ran {
-		return nil, fmt.Errorf("des: Stepper on a kernel that already ran")
+	if k.driver != nil {
+		return nil, fmt.Errorf("des: kernel is already driven by a Stepper (Close it first)")
 	}
 	if len(local) == 0 {
 		return nil, fmt.Errorf("des: Stepper needs at least one local LP")
 	}
 	n := k.cfg.NumLPs
-	// A restored kernel (Restore installed a checkpoint base) resumes its
-	// cumulative statistics, exactly as Run does — a reseated distributed
-	// worker must report run totals, not post-migration deltas.
-	stats := &Stats{
-		Events:      make([]int64, n),
-		Charges:     make([]int64, n),
-		RemoteSends: make([]int64, n),
-	}
-	if k.base != nil {
-		copy(stats.Events, k.base.Events)
-		copy(stats.Charges, k.base.Charges)
-		copy(stats.RemoteSends, k.base.RemoteSends)
-		stats.Windows = k.base.Windows
-		stats.SkippedTime = k.base.SkippedTime
-		stats.VirtualEnd = k.base.VirtualEnd
-	}
 	st := &Stepper{
 		k:       k,
 		local:   append([]int(nil), local...),
 		isLocal: make([]bool, n),
 		scheds:  make([]*Scheduler, n),
-		stats:   stats,
 		res: StepResult{
 			Events:  make([]int64, n),
 			Charges: make([]int64, n),
 			Remote:  make([]int64, n),
 			Queue:   make([]int64, n),
 		},
+		lastEnd: k.stats.VirtualEnd,
 	}
 	sort.Ints(st.local)
 	for _, lp := range st.local {
@@ -134,13 +146,43 @@ func (k *Kernel) Stepper(local []int) (*Stepper, error) {
 			return nil, fmt.Errorf("des: Stepper local LP %d listed twice", lp)
 		}
 		st.isLocal[lp] = true
-		st.scheds[lp] = k.newScheduler(lp)
+		st.scheds[lp] = &Scheduler{k: k, lp: lp, batchAt: make([]*batch, n)}
 	}
-	st.pre = make([]int64, 0, len(st.local))
-	st.done = make(chan struct{}, len(st.local))
-	k.ran = true
-	k.runStats = st.stats // lets Kernel.Checkpoint snapshot mid-stepping
+	if !k.cfg.Sequential && len(st.local) > 1 && runtime.GOMAXPROCS(0) > 1 {
+		st.starts = make([]chan struct{}, len(st.local))
+		st.done = make(chan struct{}, len(st.local)) // one completion per worker per window
+		st.exited.Add(len(st.local))
+		for i, lp := range st.local {
+			ch := make(chan struct{}, 1)
+			st.starts[i] = ch
+			go func(lp int, ch chan struct{}) {
+				defer st.exited.Done()
+				for range ch {
+					k.runWindow(lp, st.scheds[lp], st.wEnd, st.timing)
+					st.done <- struct{}{}
+				}
+			}(lp, ch)
+		}
+	}
+	k.driver = st
 	return st, nil
+}
+
+// Close stops the Stepper's workers, waits for them to exit and releases the
+// kernel for another driver. Every later Step fails. Closing twice is
+// harmless.
+func (st *Stepper) Close() {
+	if st.k.driver != st {
+		return
+	}
+	st.k.driver = nil
+	for _, ch := range st.starts {
+		close(ch)
+	}
+	st.exited.Wait()
+	if st.failed == nil {
+		st.failed = fmt.Errorf("des: Stepper is closed")
+	}
 }
 
 // NextEventTime returns the earliest pending event time across the local
@@ -149,8 +191,9 @@ func (k *Kernel) Stepper(local []int) (*Stepper, error) {
 func (st *Stepper) NextEventTime() (float64, bool) {
 	best := math.Inf(1)
 	found := false
+	queues := st.k.queues
 	for _, lp := range st.local {
-		if q := &st.k.queues[lp]; q.Len() > 0 && q.times[0] < best {
+		if q := &queues[lp]; q.Len() > 0 && q.times[0] < best {
 			best = q.times[0]
 			found = true
 		}
@@ -158,65 +201,81 @@ func (st *Stepper) NextEventTime() (float64, bool) {
 	return best, found
 }
 
-// Step executes one window [T, end) on every local LP — concurrently unless
-// the kernel is Sequential — and returns the window's per-LP counters and
-// outbox. A handler error poisons the Stepper: Step returns it now and on
-// every later call.
-func (st *Stepper) Step(T, end float64) (*StepResult, error) {
+// exec is the one window dispatch: it runs every local LP up to end — on the
+// workers if the Stepper has them — and surfaces the first handler error in
+// LP order, which also poisons the Stepper. The window's counters and
+// outgoing batches stay on the schedulers for the caller's barrier.
+func (st *Stepper) exec(end float64) error {
 	if st.failed != nil {
-		return nil, st.failed
+		return st.failed
 	}
-	k := st.k
-	st.pre = st.pre[:0]
-	for _, lp := range st.local {
-		st.pre = append(st.pre, st.stats.Events[lp])
-	}
-	// Mirror Run's dispatch policy: goroutine-per-LP only when real
-	// parallelism is available (results are identical either way).
-	if k.cfg.Sequential || len(st.local) == 1 ||
-		(runtime.GOMAXPROCS(0) == 1 && !k.cfg.ForceParallel) {
-		for _, lp := range st.local {
-			if st.timing {
-				t0 := time.Now()
-				k.runWindow(lp, st.scheds[lp], end, st.stats)
-				st.res.Busy[lp] = time.Since(t0).Seconds()
-			} else {
-				k.runWindow(lp, st.scheds[lp], end, st.stats)
-			}
+	k, scheds, timing := st.k, st.scheds, st.timing
+	if st.starts != nil {
+		st.wEnd = end
+		for _, ch := range st.starts {
+			ch <- struct{}{}
+		}
+		for range st.starts {
+			<-st.done
 		}
 	} else {
 		for _, lp := range st.local {
-			go func(lp int) {
-				if st.timing {
-					t0 := time.Now()
-					k.runWindow(lp, st.scheds[lp], end, st.stats)
-					st.res.Busy[lp] = time.Since(t0).Seconds()
-				} else {
-					k.runWindow(lp, st.scheds[lp], end, st.stats)
-				}
-				st.done <- struct{}{}
-			}(lp)
-		}
-		for range st.local {
-			<-st.done
+			k.runWindow(lp, scheds[lp], end, timing)
 		}
 	}
 	for _, lp := range st.local {
-		if err := st.scheds[lp].err; err != nil {
+		if err := scheds[lp].err; err != nil {
 			st.failed = err
-			return nil, err
+			return err
 		}
 	}
-	res := &st.res
+	return nil
+}
+
+// fold closes the window at the barrier: the schedulers' per-window counters
+// move into the reused StepResult and the window is counted.
+func (st *Stepper) fold(end float64) *StepResult {
+	res, scheds := &st.res, st.scheds
+	for _, lp := range st.local {
+		s := scheds[lp]
+		res.Events[lp], res.Charges[lp], res.Remote[lp] = s.events, s.charges, s.remote
+		s.charges, s.remote = 0, 0
+		if st.timing {
+			res.Busy[lp] = s.busy
+		}
+	}
+	stats := st.k.stats
+	stats.Windows++
+	stats.VirtualEnd = end
+	st.lastEnd, st.stepped = end, true
+	return res
+}
+
+// Step executes one window [T, end) on every local LP and returns the
+// window's per-LP counters and outbox. The window must be a finite forward
+// step no wider than the kernel's lookahead, starting at or after the previous
+// window's end (except the first after creation: a re-gridded coordinator may
+// align it below the barrier it resumed from); anything else returns
+// ErrCausality and executes nothing. A handler error poisons the Stepper:
+// Step returns it now and on every later call.
+func (st *Stepper) Step(T, end float64) (*StepResult, error) {
+	L := st.k.grid.Lookahead
+	switch {
+	case !(T >= 0) || math.IsInf(end, 0) || !(end > T):
+		return nil, fmt.Errorf("%w: window [%g,%g) is not a finite forward interval", ErrCausality, T, end)
+	case end > T+L:
+		return nil, fmt.Errorf("%w: window [%g,%g) is wider than the lookahead %g", ErrCausality, T, end, L)
+	case st.stepped && T < st.lastEnd:
+		return nil, fmt.Errorf("%w: window [%g,%g) starts before the previous window's end %g", ErrCausality, T, end, st.lastEnd)
+	}
+	if err := st.exec(end); err != nil {
+		return nil, err
+	}
+	res := st.fold(end)
 	res.Outbox = res.Outbox[:0]
-	for i, lp := range st.local {
+	for _, lp := range st.local {
 		s := st.scheds[lp]
-		res.Events[lp] = st.stats.Events[lp] - st.pre[i]
-		res.Charges[lp] = s.charges
-		res.Remote[lp] = s.remote
-		res.Queue[lp] = int64(k.queues[lp].Len())
-		s.charges = 0
-		s.remote = 0
+		res.Queue[lp] = int64(st.k.queues[lp].Len())
 		// Flatten the window's per-destination batches. The raw order is
 		// batch first-touch, not send order — consumers sort globally.
 		for _, b := range s.batches {
@@ -231,28 +290,35 @@ func (st *Stepper) Step(T, end float64) (*StepResult, error) {
 		}
 		s.batches = s.batches[:0]
 	}
-	st.stats.Windows++
-	st.stats.VirtualEnd = end
 	return res, nil
 }
 
 // Inject pushes barrier-merged events into local queues. The coordinator
 // must pass them in the global merge order — (time, Src, SrcIdx) ascending —
-// so sequence numbers are assigned exactly as Run's mergeOutboxes would.
+// so sequence numbers are assigned exactly as Run's mergeOutboxes would. An
+// event for an LP the Stepper does not hold, or one that would fire before
+// the last executed window's end (ErrCausality), rejects the whole batch:
+// nothing is enqueued.
 func (st *Stepper) Inject(evs []Sent) error {
 	for _, sv := range evs {
 		if sv.Dst < 0 || sv.Dst >= st.k.cfg.NumLPs || !st.isLocal[sv.Dst] {
 			return fmt.Errorf("des: injected event at t=%g for non-local LP %d", sv.Time, sv.Dst)
 		}
+		if !(sv.Time >= st.lastEnd-lookaheadSlack) {
+			return fmt.Errorf("%w: injected event for LP %d at t=%g, before the executed window end %g",
+				ErrCausality, sv.Dst, sv.Time, st.lastEnd)
+		}
+	}
+	for _, sv := range evs {
 		st.k.pushLocal(sv.Dst, sv.Time, sv.Data)
 	}
 	return nil
 }
 
-// Stats returns the Stepper's cumulative statistics (live; not a copy).
+// Stats returns the kernel's cumulative statistics (live; not a copy).
 // VirtualEnd and Windows reflect the Steps executed locally; per-LP slices
 // cover only local LPs.
-func (st *Stepper) Stats() *Stats { return st.stats }
+func (st *Stepper) Stats() *Stats { return st.k.stats }
 
 // SortSent orders barrier events in the deterministic global merge order the
 // in-process barrier uses: time, then sending LP, then send order.
@@ -268,7 +334,3 @@ func SortSent(evs []Sent) {
 		return a.SrcIdx < b.SrcIdx
 	})
 }
-
-// WindowFloor aligns t down onto the window grid of width L — exported so a
-// coordinator can replicate Run's idle-skip logic bit-for-bit.
-func WindowFloor(t, L float64) float64 { return windowFloor(t, L) }

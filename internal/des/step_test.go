@@ -49,16 +49,8 @@ func TestStepperValidatesLocals(t *testing.T) {
 			t.Errorf("%s local set must be rejected", tc.name)
 		}
 	}
-	// A kernel that already ran cannot be stepped.
+	// A kernel has one driver at a time: it cannot be stepped twice.
 	k := newPingKernel(t)
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.Stepper([]int{0}); err == nil {
-		t.Fatal("Stepper after Run must be rejected")
-	}
-	// And a stepped kernel cannot be stepped twice.
-	k = newPingKernel(t)
 	if _, err := k.Stepper([]int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +101,10 @@ func TestStepperMatchesRun(t *testing.T) {
 			break
 		}
 		if first {
-			T = WindowFloor(minT, L)
+			T = windowFloor(minT, L)
 			first = false
 		} else if minT >= T+L {
-			T = WindowFloor(minT, L)
+			T = windowFloor(minT, L)
 		}
 		var outbox []Sent
 		for _, st := range steppers {
@@ -161,7 +153,7 @@ func TestStepperNextEventTime(t *testing.T) {
 		t.Fatalf("NextEventTime = %g,%v; want 0.5,true", nt, ok)
 	}
 	// Drain everything: the vote must turn empty.
-	T := WindowFloor(0.5, 1)
+	T := windowFloor(0.5, 1)
 	for i := 0; i < 32; i++ {
 		res, err := st.Step(T, T+1)
 		if err != nil {
@@ -251,8 +243,8 @@ func TestWindowFloorGrid(t *testing.T) {
 		{1e9 + 0.3, 1, 1e9},
 	}
 	for _, tc := range cases {
-		if got := WindowFloor(tc.t, tc.L); got != tc.want {
-			t.Errorf("WindowFloor(%g, %g) = %g, want %g", tc.t, tc.L, got, tc.want)
+		if got := windowFloor(tc.t, tc.L); got != tc.want {
+			t.Errorf("windowFloor(%g, %g) = %g, want %g", tc.t, tc.L, got, tc.want)
 		}
 	}
 }

@@ -176,10 +176,13 @@ type coordinator struct {
 	hooks    recvHooks
 	hb       *heartbeat
 
-	// virtT and curL are the start of the last committed window and the
-	// current window width; lastResizeAt is the barrier of the last applied
-	// membership change. Together they place a worker loss in virtual time.
-	virtT, curL, lastResizeAt float64
+	// grid picks the windows — the kernel's own rule, so the run walks the
+	// windows an in-process run would. virtT is the start of the last
+	// committed window and lastResizeAt the barrier of the last applied
+	// membership change; with the grid's width they place a worker loss in
+	// virtual time.
+	grid                des.Grid
+	virtT, lastResizeAt float64
 }
 
 // drive runs the window loop over the initial workers (worker w seated on
@@ -221,7 +224,7 @@ func drive(ctx context.Context, spec *RunSpec, workers []Conn, slots [][]int, op
 	// The loss maps to the middle of the window in flight: a conservative
 	// kernel can only detect a silent peer at the following barrier, exactly
 	// as the fault-injection path models it.
-	at := s.virtT + s.curL/2
+	at := s.virtT + s.grid.Lookahead/2
 	if s.merge != nil {
 		// The kill reaches external recorders before the replay starts; the
 		// replay's own emulation never sees the silent worker.
@@ -342,13 +345,14 @@ func (s *coordinator) ready(m *member) error {
 	return nil
 }
 
-// run is the window loop — a faithful serialization of des.(*Kernel).Run:
-// merged events go out, votes come back, the global window is picked on the
-// same grid with the same skip accounting, the window executes everywhere, and
-// the barrier merges outboxes in the same deterministic order. At a
+// run is the window loop — des.(*Kernel).Run's, stretched over a wire: merged
+// events go out, votes come back, a des.Grid picks the global window from the
+// earliest vote (the same type Run walks, so alignment, idle skips and the
+// EndTime stop are the kernel's), the window executes everywhere, and the
+// barrier merges outboxes in the same deterministic order. At a
 // checkpoint-cadence barrier with pending joins or drains the membership
-// changes instead (resizeBarrier) and execution resumes on a fresh window
-// grid — exactly the sequence the in-process elastic path performs there.
+// changes instead (resizeBarrier) and the grid is re-gridded on the new
+// lookahead — exactly what Kernel.Restore does to Run's grid there.
 func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 	opt := s.opt
 	cfg := s.spec.Cfg // normalized by the entry point
@@ -441,12 +445,8 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 	opt.logf("dist: %d workers ready on %d slots, %d engines, lookahead %g",
 		len(s.members), len(s.slotEngines), n, s.initialL)
 
-	L := s.initialL
-	s.curL = L
-	endTime := merge.EndTime()
+	s.grid = des.Grid{Lookahead: s.initialL, EndTime: merge.EndTime()}
 	outbox := []emu.WireEvent(nil) // globally sorted, from the last barrier
-	T := 0.0
-	first := true
 	nextCkpt := opt.CheckpointEvery
 	perSlot := make([][]emu.WireEvent, len(s.slotEngines))
 	reports := make([]*emu.WindowReport, 0, len(s.slotEngines))
@@ -496,22 +496,10 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 				minT, has = v.Time, true
 			}
 		}
-		if !has {
+		T, end, skipped, ok := s.grid.Next(minT, has)
+		if !ok {
 			break
 		}
-		if endTime > 0 && minT >= endTime {
-			break
-		}
-		if first {
-			T = des.WindowFloor(minT, L)
-			first = false
-		}
-		if minT >= T+L {
-			nt := des.WindowFloor(minT, L)
-			merge.Skip(nt - T)
-			T = nt
-		}
-		end := T + L
 
 		if err := s.sendAll(s.members, MsgWindow, Window{Start: T, End: end}.Encode()); err != nil {
 			return nil, err
@@ -537,7 +525,7 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 			outbox = append(outbox, rep.Outbox...)
 		}
 		emu.SortWire(outbox)
-		if err := merge.CommitWindow(T, end, reports); err != nil {
+		if err := merge.CommitWindow(T, end, skipped, reports); err != nil {
 			return nil, err
 		}
 		if health != nil && tl != nil {
@@ -555,11 +543,11 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 				changing = changing || m.draining
 			}
 			if changing {
-				if L, err = s.resizeBarrier(end, deliver); err != nil {
+				L, err := s.resizeBarrier(end, deliver)
+				if err != nil {
 					return nil, err
 				}
-				s.curL = L
-				first = true
+				s.grid.Regrid(L)
 			} else {
 				if err := s.sendAll(s.members, MsgCheckpoint, CheckpointMsg{At: end}.Encode()); err != nil {
 					return nil, err
@@ -574,7 +562,6 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 				nextCkpt += opt.CheckpointEvery
 			}
 		}
-		T = end
 	}
 
 	// Finish: final states from the members, BYE everyone (members and any
@@ -610,7 +597,7 @@ func (s *coordinator) fallback(worker int, at float64) (*emu.Result, error) {
 	if len(s.log.Resizes) > 0 && at <= s.lastResizeAt {
 		// The loss raced a membership barrier: the crash must land after the
 		// resize it cannot undo.
-		at = s.lastResizeAt + s.curL/4
+		at = s.lastResizeAt + s.grid.Lookahead/4
 	}
 	if at <= 0 {
 		// Loss before the first window (handshake, spec shipping): any

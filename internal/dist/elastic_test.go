@@ -6,10 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/emu"
 	"repro/internal/mapping"
 )
 
@@ -314,5 +317,77 @@ func TestChaosConvergesOrTypedError(t *testing.T) {
 			}
 			t.Logf("converged under chaos: %d losses, %d resizes", len(mlog.Losses), len(mlog.Resizes))
 		})
+	}
+}
+
+// stepperWorkers counts the live goroutines a des.Stepper started — the
+// persistent per-engine window workers of a parallel dispatch.
+func stepperWorkers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by repro/internal/des.(*Kernel).Stepper")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestStepperCloseStopsWorkers: a worker process holding several engines on
+// real cores parks one goroutine per engine in its Stepper. A membership
+// change reseats every worker on a new Stepper and must take the old one's
+// goroutines down (DistLocal.Reseat), and a worker that is done must leave
+// none behind when Serve returns (DistLocal.Close) — here one initial worker
+// and one joiner, two engines each, so the run contains a reseat of both.
+func TestStepperCloseStopsWorkers(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	settle := func(want int) int {
+		n := stepperWorkers()
+		for deadline := time.Now().Add(10 * time.Second); n > want && time.Now().Before(deadline); n = stepperWorkers() {
+			time.Sleep(10 * time.Millisecond)
+		}
+		return n
+	}
+	base := settle(0) // earlier tests' abandoned workers wind down within a second
+
+	ctx := context.Background()
+	c, s := dist.Loopback()
+	first := startElasticWorker(ctx, s)
+	jc, js := dist.Loopback()
+	joiner := startElasticWorker(ctx, js)
+	joins := make(chan dist.Conn, 1)
+	joins <- jc
+
+	sc := scenario(t, "Campus")
+	sc.Engines = 4
+	atResize := 0
+	_, mlog, err := sc.RunElastic(ctx, []dist.Conn{c}, dist.ElasticOptions{
+		Options:          dist.Options{CheckpointEvery: elasticCkpt},
+		Joins:            joins,
+		EnginesPerWorker: 2,
+		OnResize: func(ev emu.ResizeEvent) ([]int, error) {
+			// Both workers are parked at the barrier, Steppers up.
+			atResize = stepperWorkers() - base
+			next := append([]int(nil), ev.Previous...)
+			for v := range next {
+				next[v] = ev.Engines[v%len(ev.Engines)]
+			}
+			return next, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.wait(t, "initial worker")
+	joiner.wait(t, "joiner")
+	if len(mlog.Resizes) != 1 {
+		t.Fatalf("the join must apply as one resize, got %+v", mlog.Resizes)
+	}
+	if atResize != 4 {
+		t.Errorf("at the resize barrier: %d Stepper worker goroutines, want 4 (2 workers × 2 engines)", atResize)
+	}
+	if n := settle(base); n != base {
+		t.Errorf("after every Serve returned: %d Stepper worker goroutines left, want %d", n, base)
 	}
 }

@@ -112,6 +112,13 @@ func FuzzDecodePayloads(f *testing.F) {
 	f.Add(Hello{Version: 1}.Encode())
 	f.Add(Vote{Has: true, Time: 3.25}.Encode())
 	f.Add(Window{Start: 1, End: 2}.Encode())
+	// Windows and an event the decoders accept and the worker's Stepper must
+	// refuse (TestHostileWindowAndPastInjectRejected).
+	f.Add(Window{Start: 1, End: math.Inf(1)}.Encode())
+	f.Add(Window{Start: 1, End: math.NaN()}.Encode())
+	f.Add(Window{Start: 2, End: 1}.Encode())
+	f.Add(Window{Start: 1, End: 1e9}.Encode())
+	f.Add(EncodeEvents([]emu.WireEvent{{Time: 0, Dst: 1, Kind: emu.WireFlowStart}}))
 	f.Add(EncodeEvents(nil))
 	f.Add(ExportMsg{At: 2.5}.Encode())
 	f.Add(InstallAck{Lookahead: 0.005}.Encode())

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/des"
 	"repro/internal/dist"
 	"repro/internal/emu"
 	"repro/internal/mapping"
@@ -246,6 +248,110 @@ func TestOutOfRangeDstLosesWorkerTyped(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), "worker 1") {
 				t.Fatalf("error must name the sender, got %v", err)
+			}
+		})
+	}
+}
+
+// hostileCoordConn is a hostile coordinator as one worker sees it: it
+// rewrites the nth WINDOW command (counting from 0) through window, which also
+// sees the previous honest window, and every EVENTS batch after that many
+// windows through events.
+type hostileCoordConn struct {
+	dist.Conn
+	nth     int
+	window  func(prev, w dist.Window) dist.Window
+	events  func(evs []emu.WireEvent) []emu.WireEvent
+	windows int
+	prev    dist.Window
+}
+
+func (c *hostileCoordConn) Send(f dist.Frame) error {
+	switch f.Type {
+	case dist.MsgWindow:
+		if w, err := dist.DecodeWindow(f.Payload); err == nil {
+			if c.windows == c.nth && c.window != nil {
+				f.Payload = c.window(c.prev, w).Encode()
+			}
+			c.windows++
+			c.prev = w
+		}
+	case dist.MsgEvents:
+		if c.windows == c.nth && c.events != nil {
+			if evs, err := dist.DecodeEvents(f.Payload); err == nil {
+				f.Payload = dist.EncodeEvents(c.events(evs))
+			}
+		}
+	}
+	return c.Conn.Send(f)
+}
+
+// TestHostileWindowAndPastInjectRejected: a worker checks the time invariants
+// of the conservative protocol on what the coordinator tells it instead of
+// assuming them. A WINDOW that is not a finite forward step, that is wider
+// than the worker's own (handshake-checked) lookahead, or that starts before
+// the previous window's end, and an EVENTS batch carrying an event in the
+// engine's executed past, are each refused with des.ErrCausality before
+// anything runs; the worker reports the fault and the coordinator aborts with
+// ErrWorkerFault naming the violation.
+func TestHostileWindowAndPastInjectRejected(t *testing.T) {
+	cases := []struct {
+		name   string
+		window func(prev, w dist.Window) dist.Window
+		events func(evs []emu.WireEvent) []emu.WireEvent
+		names  string
+	}{
+		{name: "end +Inf", names: "not a finite forward interval",
+			window: func(_, w dist.Window) dist.Window { return dist.Window{Start: w.Start, End: math.Inf(1)} }},
+		{name: "end NaN", names: "not a finite forward interval",
+			window: func(_, w dist.Window) dist.Window { return dist.Window{Start: w.Start, End: math.NaN()} }},
+		{name: "end == start", names: "not a finite forward interval",
+			window: func(_, w dist.Window) dist.Window { return dist.Window{Start: w.Start, End: w.Start} }},
+		{name: "end < start", names: "not a finite forward interval",
+			window: func(_, w dist.Window) dist.Window { return dist.Window{Start: w.End, End: w.Start} }},
+		{name: "start before the previous end", names: "starts before the previous window's end",
+			window: func(prev, _ dist.Window) dist.Window { return prev }},
+		{name: "wider than the lookahead", names: "wider than the lookahead",
+			window: func(_, w dist.Window) dist.Window {
+				return dist.Window{Start: w.Start, End: w.End + (w.End - w.Start)}
+			}},
+		// Worker 1 of 2 holds engine 1 (engines are dealt round-robin).
+		{name: "event in the executed past", names: "before the executed window end",
+			events: func(evs []emu.WireEvent) []emu.WireEvent {
+				return append(evs, emu.WireEvent{Time: 0, Dst: 1, Kind: emu.WireFlowStart})
+			}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			conns := make([]dist.Conn, 2)
+			served := make(chan error, 1)
+			for i := range conns {
+				c, s := dist.Loopback()
+				if i == 1 {
+					c = &hostileCoordConn{Conn: c, nth: 3, window: tc.window, events: tc.events}
+					go func() { served <- dist.Serve(ctx, s, dist.WorkerOptions{}) }()
+				} else {
+					go dist.Serve(ctx, s, dist.WorkerOptions{})
+				}
+				conns[i] = c
+			}
+			_, err := dist.Run(ctx, distSpec(t), conns, dist.Options{})
+			if !errors.Is(err, dist.ErrWorkerFault) || errors.Is(err, dist.ErrWorkerLost) {
+				t.Fatalf("want ErrWorkerFault, got %v", err)
+			}
+			if !strings.Contains(err.Error(), "worker 1") || !strings.Contains(err.Error(), tc.names) {
+				t.Fatalf("error must name the worker and the violation %q, got %v", tc.names, err)
+			}
+			select {
+			case werr := <-served:
+				if !errors.Is(werr, des.ErrCausality) {
+					t.Fatalf("worker: want des.ErrCausality, got %v", werr)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the refusing worker never returned")
 			}
 		})
 	}

@@ -107,6 +107,7 @@ func serve(ctx context.Context, conn Conn, opt *WorkerOptions) error {
 	if err != nil {
 		return err
 	}
+	defer local.Close()
 	// Tracing state: buffered wall-clock spans ship in a SPANS frame
 	// immediately before the WINDOW_DONE or CHECKPOINT_ACK they annotate, so
 	// the coordinator folds them into the matching window commit. lastT/

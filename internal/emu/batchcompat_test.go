@@ -2,22 +2,28 @@ package emu
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
-// The byte-identical acceptance matrix for the batched kernel hot path.
+// The byte-identical acceptance matrix for the kernel's one window loop.
 //
 // kernelOutcome captures everything deterministic a run produces: the full
-// JSONL observability trace (per-window, per-engine counters — any event
-// reordering shows up here) and the canonical result fields dist.ResultJSON
-// serializes (wall-clock times excluded). The batched sequential, batched
-// parallel (both natural and forced-worker) paths must match the pre-batching
-// reference barrier exactly; internal/dist's TestDistributedMatchesInProcess
-// extends the chain to the loopback distributed runtime by comparing its
-// ResultJSON against the in-process batched path.
+// JSONL observability trace (per-window, per-engine counters, RunMeta per
+// grid, recovery events — any event reordering shows up here) and the
+// canonical result fields dist.ResultJSON serializes (wall-clock times
+// excluded). Every dispatch the kernel can choose must produce the same
+// outcome, and that outcome must hash to the pins below, which were recorded
+// from the global-sort reference barrier running sequentially, with crash
+// recovery and resizes still restarting the kernel — before the window loop
+// was collapsed. internal/dist's TestDistributedMatchesInProcess extends the
+// chain to the loopback distributed runtime.
 type kernelOutcome struct {
 	trace       string
 	windows     int64
@@ -27,19 +33,21 @@ type kernelOutcome struct {
 	charges     []int64
 	remoteSends []int64
 
-	engineLoads    []float64
-	imbalance      float64
-	appTime        float64
-	netTime        float64
-	engineBusy     []float64
-	remoteEvents   int64
-	flowFCTs       []float64
-	droppedPackets int64
-	linkBytes      []int64
+	engineLoads     []float64
+	imbalance       float64
+	appTime         float64
+	netTime         float64
+	engineBusy      []float64
+	remoteEvents    int64
+	flowFCTs        []float64
+	droppedPackets  int64
+	linkBytes       []int64
+	finalAssignment []int
+	recovery        *Recovery
+	membership      *Membership
 }
 
-// runOutcome executes cfg in the current kernel mode and extracts the
-// deterministic outcome.
+// runOutcome executes cfg and extracts the deterministic outcome.
 func runOutcome(t *testing.T, cfg Config) kernelOutcome {
 	t.Helper()
 	var buf bytes.Buffer
@@ -60,94 +68,157 @@ func runOutcome(t *testing.T, cfg Config) kernelOutcome {
 		charges:     res.Kernel.Charges,
 		remoteSends: res.Kernel.RemoteSends,
 
-		engineLoads:    res.EngineLoads,
-		imbalance:      res.Imbalance,
-		appTime:        res.AppTime,
-		netTime:        res.NetTime,
-		engineBusy:     res.EngineBusy,
-		remoteEvents:   res.RemoteEvents,
-		flowFCTs:       res.FlowFCTs,
-		droppedPackets: res.DroppedPackets,
-		linkBytes:      res.LinkBytes,
+		engineLoads:     res.EngineLoads,
+		imbalance:       res.Imbalance,
+		appTime:         res.AppTime,
+		netTime:         res.NetTime,
+		engineBusy:      res.EngineBusy,
+		remoteEvents:    res.RemoteEvents,
+		flowFCTs:        res.FlowFCTs,
+		droppedPackets:  res.DroppedPackets,
+		linkBytes:       res.LinkBytes,
+		finalAssignment: res.FinalAssignment,
+		recovery:        res.Recovery,
+		membership:      res.Membership,
 	}
 }
 
-// setKernelMode flips the package test knobs and restores them at cleanup.
-func setKernelMode(t *testing.T, reference, forcePar bool) {
-	t.Helper()
-	kernelReferenceBarrier, kernelForceParallel = reference, forcePar
-	t.Cleanup(func() { kernelReferenceBarrier, kernelForceParallel = false, false })
+// pin is the SHA-256 of an outcome's trace and of its result fields, the
+// latter rendered with %v (shortest round-trip float formatting, so equal
+// hashes mean bit-equal values).
+func (o kernelOutcome) pin() [2]string {
+	fields := fmt.Sprintf("%d %v %v %v %v %v | %v %v %v %v %v %d %v %d %v %v",
+		o.windows, o.virtualEnd, o.skippedTime, o.events, o.charges, o.remoteSends,
+		o.engineLoads, o.imbalance, o.appTime, o.netTime, o.engineBusy,
+		o.remoteEvents, o.flowFCTs, o.droppedPackets, o.linkBytes, o.finalAssignment)
+	if o.recovery != nil {
+		fields += fmt.Sprintf(" | recovery %+v", *o.recovery)
+	}
+	if o.membership != nil {
+		fields += fmt.Sprintf(" | membership %+v", *o.membership)
+	}
+	return [2]string{
+		fmt.Sprintf("%x", sha256.Sum256([]byte(o.trace))),
+		fmt.Sprintf("%x", sha256.Sum256([]byte(fields))),
+	}
+}
+
+// pinnedScenario is one configuration of the matrix with the {trace, fields}
+// hashes its reference run produced.
+type pinnedScenario struct {
+	name string
+	cfg  func() Config
+	pin  [2]string
+}
+
+func pinnedScenarios() []pinnedScenario {
+	plain := func() Config {
+		return Config{
+			Network:    lineNet(),
+			Assignment: []int{0, 0, 1, 1},
+			NumEngines: 2,
+			Workload:   spreadFlows(16, 8),
+		}
+	}
+	return []pinnedScenario{
+		{"plain", plain, [2]string{
+			"9610b41d3fa3863f356ae044d3cde8c81e8a4adb589831caca651189db19848d",
+			"1bee1fabe5dce4d33c098ecdb62b551ee505651322d9a661dc641a46e726f67f"}},
+		{"faulted", faultedConfig, [2]string{
+			"2a2713fa14ff18b8a75d888f988f9ef324a16eaec57377db07054d7804bcf876",
+			"44c046a58d0f49ce42fbbb4ca7c91687c641c547fd6df9d2b8d021e15ac16dc0"}},
+		{"profile", func() Config {
+			cfg := plain()
+			cfg.Profile = true
+			return cfg
+		}, [2]string{
+			"9610b41d3fa3863f356ae044d3cde8c81e8a4adb589831caca651189db19848d",
+			"1bee1fabe5dce4d33c098ecdb62b551ee505651322d9a661dc641a46e726f67f"}},
+		{"tcp-buffered", func() Config {
+			cfg := plain()
+			cfg.Transport = TCPSlowStart
+			cfg.BufferBytes = 32 << 10
+			return cfg
+		}, [2]string{
+			"37836c32d5300fda1df167eb4447cac64c59e6236cc8bedfc3928bd868a5bfb9",
+			"4d5fa498facfd430d78e3e33dad687f2fb58d092d30237feb993014fdea0a0d9"}},
+		// TestElasticResizeMatchesStatic's grow resize: a third engine
+		// activates at the first barrier at or after t=4.
+		{"elastic", func() Config {
+			return Config{
+				Network:         lineNet(),
+				Assignment:      []int{0, 0, 1, 1},
+				NumEngines:      3,
+				Workload:        spreadFlows(6, 10),
+				Elastic:         []Resize{{At: 4, Engines: []int{0, 1, 2}, Assignment: []int{0, 1, 2, 2}}},
+				CheckpointEvery: 3,
+			}
+		}, [2]string{
+			"61fb67a690cc5e705e499acd20b8c6b7d222bdef19836bcfe37319b97e5b4926",
+			"305125b9d5b2aa02c433f511da0c68ae015131ee25c356f2090a5c1bee07c63b"}},
+		// Engine 1 dies at t=2 and is rolled back onto engine 0; the survivors
+		// then spread back out over engines 0 and 2 at t=5.
+		{"crash-then-resize", func() Config {
+			return Config{
+				Network:         lineNet(),
+				Assignment:      []int{0, 0, 1, 1},
+				NumEngines:      3,
+				Workload:        spreadFlows(8, 8),
+				Faults:          &faults.Schedule{Crashes: []faults.Crash{{Engine: 1, At: 2}}},
+				CheckpointEvery: 1,
+				OnCrash:         dumpOn(0),
+				Elastic:         []Resize{{At: 5, Engines: []int{0, 2}, Assignment: []int{0, 0, 2, 2}}},
+			}
+		}, [2]string{
+			"a3e3e9f3e5e20a0376f8e2bd6f4fe1ac5e1c1eb2052893d059278f8e523bf825",
+			"a959ff5ef5cf7b77e6b75b9838bd68d2b18356ffaf3f4336e3246b696bdaefdf"}},
+	}
 }
 
 // TestBatchedPathByteIdentical runs plain, faulted (checkpoint + rollback +
-// replay) and PROFILE scenarios through every kernel mode and requires
-// trace-for-trace, field-for-field equality with the pre-batching reference
-// barrier. This is the overhaul's acceptance gate: pooled per-destination
-// batches, the SoA heap and the per-destination barrier merge must be
-// invisible in every observable output.
+// replay), PROFILE, TCP, elastic and crash-then-resize scenarios through
+// every dispatch the kernel chooses between — Sequential, and the default at
+// GOMAXPROCS 1 (one goroutine) and 4 (persistent per-engine workers) — and
+// requires trace-for-trace, field-for-field equality with each other and with
+// the recorded reference pins. Pooled per-destination batches, the SoA heap,
+// the per-destination barrier merge, the worker dispatch and the in-place
+// re-grid after a crash or resize must be invisible in every observable
+// output.
 func TestBatchedPathByteIdentical(t *testing.T) {
-	scenarios := []struct {
-		name string
-		cfg  func() Config
-	}{
-		{"plain", func() Config {
-			return Config{
-				Network:    lineNet(),
-				Assignment: []int{0, 0, 1, 1},
-				NumEngines: 2,
-				Workload:   spreadFlows(16, 8),
-			}
-		}},
-		{"faulted", faultedConfig},
-		{"profile", func() Config {
-			cfg := Config{
-				Network:    lineNet(),
-				Assignment: []int{0, 0, 1, 1},
-				NumEngines: 2,
-				Workload:   spreadFlows(16, 8),
-			}
-			cfg.Profile = true
-			return cfg
-		}},
-		{"tcp-buffered", func() Config {
-			return Config{
-				Network:     lineNet(),
-				Assignment:  []int{0, 0, 1, 1},
-				NumEngines:  2,
-				Workload:    spreadFlows(16, 8),
-				Transport:   TCPSlowStart,
-				BufferBytes: 32 << 10,
-			}
-		}},
-	}
 	modes := []struct {
-		name                 string
-		sequential, forcePar bool
+		name       string
+		sequential bool
+		procs      int
 	}{
-		{"batched-sequential", true, false},
-		{"batched-parallel", false, false},
-		{"batched-parallel-forced", false, true},
+		{"sequential", true, 1},
+		{"parallel-gomaxprocs-1", false, 1},
+		{"parallel-gomaxprocs-4", false, 4},
 	}
-	for _, sc := range scenarios {
+	for _, sc := range pinnedScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			// The oracle: the pre-batching global-sort barrier, sequentially.
-			setKernelMode(t, true, false)
-			refCfg := sc.cfg()
-			refCfg.Sequential = true
-			ref := runOutcome(t, refCfg)
-			if ref.trace == "" || ref.windows == 0 {
-				t.Fatal("reference run produced no observable output")
-			}
-			for _, m := range modes {
-				setKernelMode(t, false, m.forcePar)
+			var first kernelOutcome
+			for i, m := range modes {
+				prev := runtime.GOMAXPROCS(m.procs)
 				cfg := sc.cfg()
 				cfg.Sequential = m.sequential
 				got := runOutcome(t, cfg)
-				if got.trace != ref.trace {
-					t.Errorf("%s: JSONL trace diverged from the reference barrier", m.name)
+				runtime.GOMAXPROCS(prev)
+				if got.trace == "" || got.windows == 0 {
+					t.Fatalf("%s: run produced no observable output", m.name)
 				}
-				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s: result fields diverged from the reference barrier", m.name)
+				if pin := got.pin(); pin != sc.pin {
+					t.Errorf("%s: outcome diverged from the recorded reference\n got {%q, %q}\nwant {%q, %q}",
+						m.name, pin[0], pin[1], sc.pin[0], sc.pin[1])
+				}
+				if i == 0 {
+					first = got
+					continue
+				}
+				if got.trace != first.trace {
+					t.Errorf("%s: JSONL trace diverged from %s", m.name, modes[0].name)
+				}
+				if !reflect.DeepEqual(got, first) {
+					t.Errorf("%s: result fields diverged from %s", m.name, modes[0].name)
 				}
 			}
 		})

@@ -180,7 +180,6 @@ type DistLocal struct {
 	kernel     *des.Kernel
 	stepper    *des.Stepper
 	engines    []int
-	localSet   []bool
 	lastBucket int
 	ckpt       *checkpointState
 	ckpts      int
@@ -226,13 +225,17 @@ func NewDistLocal(cfg Config, engines []int, tel *telemetry.Collector) (*DistLoc
 	}
 	return &DistLocal{
 		e: e, kernel: kernel, stepper: stepper,
-		engines: append([]int(nil), engines...), localSet: localSet,
+		engines: append([]int(nil), engines...),
 	}, nil
 }
 
 // Lookahead returns the synchronization window width this worker derived —
 // the coordinator cross-checks it against its own during the handshake.
 func (d *DistLocal) Lookahead() float64 { return d.e.lookahead }
+
+// Close releases the engines' kernel Stepper and stops its worker goroutines.
+// Call it when the worker is done (BYE, or any error that ends Serve).
+func (d *DistLocal) Close() { d.stepper.Close() }
 
 // EnableTiming turns on per-engine wall-clock window timing so
 // AppendComputeSpans can report measured compute spans. Off by default —
@@ -289,10 +292,7 @@ func (d *DistLocal) Step(T, end float64) (*WindowReport, error) {
 	}
 	d.busy = res.Busy
 	r := &d.rep
-	r.Events = append(r.Events[:0], res.Events...)
-	r.Charges = append(r.Charges[:0], res.Charges...)
-	r.Remote = append(r.Remote[:0], res.Remote...)
-	r.Queue = append(r.Queue[:0], res.Queue...)
+	r.Events, r.Charges, r.Remote, r.Queue = res.Events, res.Charges, res.Remote, res.Queue
 	r.Outbox = r.Outbox[:0]
 	r.Telemetry = nil
 	for _, s := range res.Outbox {
@@ -353,9 +353,13 @@ func (d *DistLocal) Final() *DistState {
 // the observation plane (time model, telemetry, recorders) and assembles the
 // final Result from the workers' state contributions.
 type DistMerge struct {
-	e       *emulation
-	stats   *des.Stats
-	winWait []float64
+	e     *emulation
+	stats *des.Stats
+	// Per-window merge scratch, reused across CommitWindow calls (recorders
+	// must not retain an obs.Window's slices). winWait stays zero: barrier
+	// wait is wall-clock and owned by the transport here.
+	charges, remote, events, queue []int64
+	winWait                        []float64
 	// active flags the engines currently in the run's membership; resizes
 	// update it, and Finalize only requires coverage of active engines.
 	active []bool
@@ -382,6 +386,10 @@ func NewDistMerge(cfg Config, opts ...Option) (*DistMerge, error) {
 			Charges:     make([]int64, n),
 			RemoteSends: make([]int64, n),
 		},
+		charges: make([]int64, n),
+		remote:  make([]int64, n),
+		events:  make([]int64, n),
+		queue:   make([]int64, n),
 		winWait: make([]float64, n),
 		active:  make([]bool, n),
 	}
@@ -427,19 +435,19 @@ func (m *DistMerge) Canceled() error {
 	return nil
 }
 
-// Skip accounts idle virtual time jumped over between busy windows.
-func (m *DistMerge) Skip(dt float64) { m.stats.SkippedTime += dt }
-
-// CommitWindow folds one executed window from the workers' reports:
-// telemetry partials install first (so Commit sees the post-window matrix,
-// as in-process), then the window observer replays with the merged charges,
-// then recorders. The reports together cover every engine exactly once.
-func (m *DistMerge) CommitWindow(T, end float64, reports []*WindowReport) error {
+// CommitWindow folds one executed window [T, end) — the one the coordinator's
+// des.Grid picked, with the idle virtual time skipped it jumped to get there
+// — from the workers' reports: telemetry partials install first (so Commit
+// sees the post-window matrix, as in-process), then the window observer
+// replays with the merged charges, then recorders. The reports together cover
+// every engine exactly once.
+func (m *DistMerge) CommitWindow(T, end, skipped float64, reports []*WindowReport) error {
 	n := m.e.cfg.NumEngines
-	charges := make([]int64, n)
-	remote := make([]int64, n)
-	events := make([]int64, n)
-	queue := make([]int64, n)
+	charges, remote, events, queue := m.charges, m.remote, m.events, m.queue
+	clear(charges)
+	clear(remote)
+	clear(events)
+	clear(queue)
 	var parts []*telemetry.Partial
 	for _, r := range reports {
 		if r == nil {
@@ -463,6 +471,7 @@ func (m *DistMerge) CommitWindow(T, end float64, reports []*WindowReport) error 
 			return err
 		}
 	}
+	m.stats.SkippedTime += skipped
 	m.e.observe(T, end, charges, remote)
 	for lp := 0; lp < n; lp++ {
 		m.stats.Events[lp] += events[lp]
@@ -471,8 +480,7 @@ func (m *DistMerge) CommitWindow(T, end float64, reports []*WindowReport) error 
 	}
 	if m.e.rec != nil {
 		// Queue depths are the workers' post-window (pre-merge) occupancy —
-		// the merge happens on the coordinator after the report is cut. Wait
-		// is wall-clock and owned by the transport here, so it records as 0.
+		// the merge happens on the coordinator after the report is cut.
 		m.e.rec.RecordWindow(obs.Window{
 			Index: m.stats.Windows, Start: T, End: end,
 			Events: events, Charges: charges, Remote: remote,

@@ -62,93 +62,100 @@ type Membership struct {
 	Stall float64
 }
 
-// resizeSignal aborts a kernel segment at the barrier that applies a resize;
-// runResilient catches it and resumes after repartitioning. The checkpoint is
-// captured inside the barrier hook, while the kernel's live statistics are
-// still installed — after Run returns they are gone.
-type resizeSignal struct {
-	idx int
-	at  float64
-	cp  *des.Checkpoint
-}
-
-func (r *resizeSignal) Error() string {
-	return fmt.Sprintf("emu: elastic resize %d at barrier t=%g", r.idx, r.at)
-}
-
-// applyResize repartitions the run onto Elastic[idx]'s engine set at barrier
-// time at. Unlike crash recovery there is no rollback: the state at the
-// barrier is consistent, so the kernel checkpoint taken here is both the
-// migration source and the new rollback fence (returned for the caller to
-// install as such).
-func (e *emulation) applyResize(k *des.Kernel, rs *resizeSignal, alive []bool) (*checkpointState, error) {
-	idx, at, cp := rs.idx, rs.at, rs.cp
-	r := e.cfg.Elastic[idx]
-	target := make([]bool, e.cfg.NumEngines)
-	for _, eng := range r.Engines {
-		if !alive[eng] {
-			return nil, fmt.Errorf("emu: elastic resize %d targets crashed engine %d", idx, eng)
-		}
-		target[eng] = true
+// checkAssignment validates a policy's node→engine assignment for a membership
+// change: it must cover the network and use only engines allowed marks.
+func (e *emulation) checkAssignment(what string, assignment []int, allowed []bool) error {
+	if len(assignment) != e.nw.NumNodes() {
+		return fmt.Errorf("emu: %s assignment covers %d nodes, network has %d",
+			what, len(assignment), e.nw.NumNodes())
 	}
-	cpStats := cp.Stats()
-
-	newAssign := r.Assignment
-	if newAssign == nil {
-		loads := make([]float64, len(cpStats.Charges))
-		for i, c := range cpStats.Charges {
-			loads[i] = float64(c)
-		}
-		var err error
-		newAssign, err = e.cfg.OnResize(ResizeEvent{
-			At:       at,
-			Engines:  append([]int(nil), r.Engines...),
-			Previous: append([]int(nil), e.assignment...),
-			Loads:    loads,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("emu: resize %d at t=%g: %w", idx, at, err)
-		}
-		if len(newAssign) != e.nw.NumNodes() {
-			return nil, fmt.Errorf("emu: resize assignment covers %d nodes, network has %d",
-				len(newAssign), e.nw.NumNodes())
-		}
-		for v, eng := range newAssign {
-			if eng < 0 || eng >= e.cfg.NumEngines || !target[eng] {
-				return nil, fmt.Errorf("emu: resize assigned node %d to engine %d outside the new set", v, eng)
-			}
+	for v, eng := range assignment {
+		if eng < 0 || eng >= e.cfg.NumEngines || !allowed[eng] {
+			return fmt.Errorf("emu: %s assigned node %d to engine %d, not in its engine set", what, v, eng)
 		}
 	}
+	return nil
+}
 
+// reassign switches the run to a new assignment at barrier time at and
+// returns how many nodes changed engines. One migration event per destination
+// engine, in engine order, keeps the trace deterministic.
+func (e *emulation) reassign(at float64, assignment []int) int {
 	migrations := 0
 	migTo := make([]int64, e.cfg.NumEngines)
-	for v, eng := range newAssign {
+	for v, eng := range assignment {
 		if eng != e.assignment[v] {
 			migrations++
 			migTo[eng]++
 		}
 	}
-	e.recordEvent(obs.Event{Kind: obs.EventResize, Time: at, LP: -1, Value: float64(len(r.Engines))})
 	for eng, n := range migTo {
 		if n > 0 {
 			e.recordEvent(obs.Event{Kind: obs.EventMigration, Time: at, LP: eng, Value: float64(n)})
 		}
 	}
+	e.assignment = append([]int(nil), assignment...)
+	return migrations
+}
 
-	// Reassign and reseat the kernel: pending events move to their new
-	// owners (ownerOf keys on flow state, not the captured LP) and the
-	// synchronization window is recomputed for the new cut.
-	e.assignment = append([]int(nil), newAssign...)
-	if err := k.Restore(cp, Lookahead(e.nw, e.assignment, e.cfg.MinLookahead), e.ownerOf); err != nil {
-		return nil, err
+// resizeTo is the membership bookkeeping an in-process resize and the
+// distributed coordinator's share, in one order so recorded traces line up:
+// the resize event, the migrations, the assignment switch, the log entry and
+// the modeled state-transfer stall.
+func (e *emulation) resizeTo(at float64, engines, assignment []int) {
+	e.recordEvent(obs.Event{Kind: obs.EventResize, Time: at, LP: -1, Value: float64(len(engines))})
+	migrations := e.reassign(at, assignment)
+	if e.membership == nil {
+		e.membership = &Membership{}
 	}
-
 	e.membership.Resizes = append(e.membership.Resizes, AppliedResize{
 		At:         at,
-		Engines:    append([]int(nil), r.Engines...),
-		Assignment: append([]int(nil), newAssign...),
+		Engines:    append([]int(nil), engines...),
+		Assignment: append([]int(nil), assignment...),
 		Migrations: migrations,
 	})
 	e.membership.Stall += float64(migrations) * e.cfg.MigrationCost
-	return e.snapshot(cp), nil
+}
+
+// applyResize repartitions the run onto Elastic[idx]'s engine set at barrier
+// time at, inside the barrier hook. Unlike crash recovery there is no
+// rollback: the state at the barrier is consistent, so the kernel checkpoint
+// taken here is both the migration source and the new rollback fence — a
+// later crash must not roll back behind a membership change. Restoring it
+// under the new assignment moves pending events to their new owners (ownerOf
+// keys on flow state, not the captured LP); the kernel's window loop resumes
+// on the lookahead of the new cut.
+func (e *emulation) applyResize(k *des.Kernel, rs *resilience, idx int, at float64) error {
+	r := e.cfg.Elastic[idx]
+	target := make([]bool, e.cfg.NumEngines)
+	for _, eng := range r.Engines {
+		if !rs.alive[eng] {
+			return fmt.Errorf("emu: elastic resize %d targets crashed engine %d", idx, eng)
+		}
+		target[eng] = true
+	}
+	cp := k.Checkpoint(at)
+
+	newAssign := r.Assignment
+	if newAssign == nil {
+		var err error
+		newAssign, err = e.cfg.OnResize(ResizeEvent{
+			At:       at,
+			Engines:  append([]int(nil), r.Engines...),
+			Previous: append([]int(nil), e.assignment...),
+			Loads:    loadsOf(cp.Stats().Charges),
+		})
+		if err != nil {
+			return fmt.Errorf("emu: resize %d at t=%g: %w", idx, at, err)
+		}
+		if err := e.checkAssignment("resize", newAssign, target); err != nil {
+			return err
+		}
+	}
+	e.resizeTo(at, r.Engines, newAssign)
+	if err := k.Restore(cp, Lookahead(e.nw, e.assignment, e.cfg.MinLookahead), e.ownerOf); err != nil {
+		return err
+	}
+	rs.last = e.snapshot(cp)
+	return nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/netgraph"
-	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
 
@@ -189,6 +188,7 @@ func (d *DistLocal) Reseat(in *ElasticInstall) error {
 	if err != nil {
 		return err
 	}
+	d.stepper.Close()
 	if err := d.kernel.Restore(cp, newL, nil); err != nil {
 		return err
 	}
@@ -207,15 +207,6 @@ func (d *DistLocal) Reseat(in *ElasticInstall) error {
 	copy(e.delivered, in.Delivered)
 	copy(e.fcts, in.FCTs)
 	d.engines = append(d.engines[:0], in.Engines...)
-	for i := range d.localSet {
-		d.localSet[i] = false
-	}
-	for _, eng := range in.Engines {
-		if eng < 0 || eng >= n {
-			return fmt.Errorf("%w: reseat engine %d out of range [0,%d)", ErrBadConfig, eng, n)
-		}
-		d.localSet[eng] = true
-	}
 	if e.tel != nil {
 		if err := e.tel.InstallPartials([]*telemetry.Partial{in.Telemetry}); err != nil {
 			return err
@@ -258,13 +249,7 @@ func (m *DistMerge) AppliedResizes() []AppliedResize {
 
 // Loads returns the cumulative per-engine kernel-event charge — the load
 // picture a repartitioning policy balances against.
-func (m *DistMerge) Loads() []float64 {
-	loads := make([]float64, len(m.stats.Charges))
-	for i, c := range m.stats.Charges {
-		loads[i] = float64(c)
-	}
-	return loads
-}
+func (m *DistMerge) Loads() []float64 { return loadsOf(m.stats.Charges) }
 
 // Resize applies a membership change at barrier time at: the workers'
 // exports are assembled into the global barrier state, the assignment
@@ -318,14 +303,8 @@ func (m *DistMerge) Resize(at float64, exports []*ElasticExport, engines, assign
 		}
 		newActive[eng] = true
 	}
-	if len(assignment) != e.nw.NumNodes() {
-		return nil, 0, fmt.Errorf("emu: resize assignment covers %d nodes, network has %d",
-			len(assignment), e.nw.NumNodes())
-	}
-	for v, eng := range assignment {
-		if eng < 0 || eng >= n || !newActive[eng] {
-			return nil, 0, fmt.Errorf("emu: resize assigned node %d to engine %d outside the new set", v, eng)
-		}
+	if err := e.checkAssignment("resize", assignment, newActive); err != nil {
+		return nil, 0, err
 	}
 	groupOf := make([]int, n)
 	for i := range groupOf {
@@ -400,34 +379,8 @@ func (m *DistMerge) Resize(at float64, exports []*ElasticExport, engines, assign
 		}
 	}
 
-	// Membership bookkeeping before the assignment switches, in the same
-	// order as the in-process path so recorded traces line up.
-	migrations := 0
-	migTo := make([]int64, n)
-	for v, eng := range assignment {
-		if eng != e.assignment[v] {
-			migrations++
-			migTo[eng]++
-		}
-	}
-	e.recordEvent(obs.Event{Kind: obs.EventResize, Time: at, LP: -1, Value: float64(len(engines))})
-	for eng, c := range migTo {
-		if c > 0 {
-			e.recordEvent(obs.Event{Kind: obs.EventMigration, Time: at, LP: eng, Value: float64(c)})
-		}
-	}
-	if e.membership == nil {
-		e.membership = &Membership{}
-	}
-	e.membership.Resizes = append(e.membership.Resizes, AppliedResize{
-		At:         at,
-		Engines:    append([]int(nil), engines...),
-		Assignment: append([]int(nil), assignment...),
-		Migrations: migrations,
-	})
-	e.membership.Stall += float64(migrations) * e.cfg.MigrationCost
-
-	e.assignment = append(e.assignment[:0], assignment...)
+	// The assembly above read the old ownership; now the assignment switches.
+	e.resizeTo(at, engines, assignment)
 	m.active = newActive
 	newL := Lookahead(e.nw, e.assignment, e.cfg.MinLookahead)
 

@@ -330,7 +330,7 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 	desCfg.Recorder = e.rec
 	if o.ctx != nil || cfg.Faults.HasCrashes() || len(cfg.Elastic) > 0 {
 		// Cancellation is observed between windows, never mid-handler; the
-		// crash-injection hook target is installed by runResilient once the
+		// crash and resize hook target is installed by runResilient once the
 		// kernel exists, and the indirection keeps des.Config construction
 		// simple.
 		desCfg.OnBarrier = func(ws, we float64) error {
@@ -512,6 +512,7 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 		speeds:          speeds,
 		buckets:         buckets,
 		engineBusy:      make([]float64, cfg.NumEngines),
+		winCost:         make([]float64, cfg.NumEngines),
 		bucketCost:      bucketCost,
 		bucketSync:      make([]float64, buckets),
 		bucketBusyWidth: make([]float64, buckets),
@@ -520,28 +521,16 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 	return e, nil
 }
 
-// kernelReferenceBarrier routes every kernel this package builds through the
-// pre-batching global-sort barrier (des.Config.ReferenceBarrier) — a testing
-// knob for the byte-identical oracle regressions. Never set outside tests.
-var kernelReferenceBarrier = false
-
-// kernelForceParallel forces the goroutine-per-engine worker path even on a
-// single-CPU host (des.Config.ForceParallel), so race-enabled tests exercise
-// the concurrent window path everywhere. Never set outside tests.
-var kernelForceParallel = false
-
 // kernelConfig is the handler-and-width core of the kernel configuration;
 // Run layers the in-process observer and barrier hooks on top, while a
 // distributed worker runs it bare (the coordinator owns the barrier).
 func (e *emulation) kernelConfig() des.Config {
 	return des.Config{
-		NumLPs:           e.cfg.NumEngines,
-		Lookahead:        e.lookahead,
-		Handler:          e.handle,
-		EndTime:          e.cfg.EndTime,
-		Sequential:       e.cfg.Sequential,
-		ReferenceBarrier: kernelReferenceBarrier,
-		ForceParallel:    kernelForceParallel,
+		NumLPs:     e.cfg.NumEngines,
+		Lookahead:  e.lookahead,
+		Handler:    e.handle,
+		EndTime:    e.cfg.EndTime,
+		Sequential: e.cfg.Sequential,
 	}
 }
 
@@ -600,10 +589,7 @@ func (e *emulation) buildResult(stats *des.Stats, recovery *Recovery) *Result {
 		appTime += e.membership.Stall
 	}
 
-	loads := make([]float64, cfg.NumEngines)
-	for lp := range loads {
-		loads[lp] = float64(stats.Charges[lp])
-	}
+	loads := loadsOf(stats.Charges)
 	var remoteTotal int64
 	for _, r := range stats.RemoteSends {
 		remoteTotal += r
@@ -738,8 +724,8 @@ func validate(cfg *Config) error {
 
 // emulation is the handler state shared by all engines during a run. Every
 // field below assignment is mutated as the run progresses and is part of the
-// barrier-checkpoint snapshot; assignment itself only changes between kernel
-// segments during crash recovery.
+// barrier-checkpoint snapshot; assignment itself only changes at a barrier,
+// when a crash recovery or a resize remaps nodes.
 type emulation struct {
 	cfg      *Config
 	ctx      context.Context
@@ -763,11 +749,13 @@ type emulation struct {
 	tel        *telemetry.Collector
 	series     *metrics.Series
 
-	// Time-model accumulators, filled by the per-window observer.
+	// Time-model accumulators, filled by the per-window observer. winCost is
+	// its per-window scratch: the modeled cost of each engine's window.
 	cost            CostModel
 	speeds          []float64
 	buckets         int
 	engineBusy      []float64
+	winCost         []float64
 	bucketCost      [][]float64
 	bucketSync      []float64
 	bucketBusyWidth []float64
@@ -778,8 +766,8 @@ type emulation struct {
 	trace   *obs.Timeline
 	spanBuf []obs.Span
 
-	// barrier is the fault-injection hook target, installed by runResilient
-	// when the schedule contains crashes.
+	// barrier is the crash-recovery and resize hook target, installed by
+	// runResilient when the run has a crash schedule or elastic resizes.
 	barrier func(ws, we float64) error
 	// membership accumulates elastic resize bookkeeping; nil unless
 	// Config.Elastic is set (or a distributed coordinator drives resizes).
@@ -812,24 +800,24 @@ func (e *emulation) bucketOf(t float64) int {
 // Commit below folds charges into its own arrays the same way).
 func (e *emulation) observe(start, end float64, charges, remote []int64) {
 	b := e.bucketOf(start)
+	cost := e.winCost
 	if e.cfg.Faults == nil && e.speeds == nil {
 		// Fault-free homogeneous fast path: no per-LP schedule lookups.
-		bc := e.bucketCost[b]
-		for lp := 0; lp < e.cfg.NumEngines; lp++ {
-			c := float64(charges[lp])*e.cost.PerEvent + float64(remote[lp])*e.cost.PerRemote
-			e.engineBusy[lp] += c
-			bc[lp] += c
-			e.series.Add(start, lp, float64(charges[lp]))
+		for lp := range cost {
+			cost[lp] = float64(charges[lp])*e.cost.PerEvent + float64(remote[lp])*e.cost.PerRemote
 		}
 	} else {
-		for lp := 0; lp < e.cfg.NumEngines; lp++ {
+		for lp := range cost {
 			evCost := float64(charges[lp]) * e.cost.PerEvent * e.cfg.Faults.SlowdownAt(lp, start)
 			rmCost := float64(remote[lp]) * e.cost.PerRemote * e.cfg.Faults.RemoteFactorAt(start)
-			c := (evCost + rmCost) / e.speedOf(lp)
-			e.engineBusy[lp] += c
-			e.bucketCost[b][lp] += c
-			e.series.Add(start, lp, float64(charges[lp]))
+			cost[lp] = (evCost + rmCost) / e.speedOf(lp)
 		}
+	}
+	bc := e.bucketCost[b]
+	for lp, c := range cost {
+		e.engineBusy[lp] += c
+		bc[lp] += c
+		e.series.Add(start, lp, float64(charges[lp]))
 	}
 	e.bucketSync[b] += e.cost.PerWindow
 	e.bucketBusyWidth[b] += end - start
@@ -842,29 +830,20 @@ func (e *emulation) observe(start, end float64, charges, remote []int64) {
 }
 
 // traceWindow commits one window's compute spans to the tracing timeline.
-// Busy is the same modeled cost observe just accumulated — recomputed here,
-// on the tracing-only branch, so the traced and untraced hot paths stay
-// byte-identical. Spans derive purely from merged counters and the cost
-// model, so the timeline's virtual fields are deterministic across
-// in-process, loopback and TCP executions. The gating worker of each window
-// also feeds the RunStats straggler attribution, bypassing the Recorder
-// stream so recorded trace artifacts are unchanged by tracing.
+// Busy is the modeled cost observe just computed into winCost. Spans derive
+// purely from merged counters and the cost model, so the timeline's virtual
+// fields are deterministic across in-process, loopback and TCP executions.
+// The gating worker of each window also feeds the RunStats straggler
+// attribution, bypassing the Recorder stream so recorded trace artifacts are
+// unchanged by tracing.
 func (e *emulation) traceWindow(start, end float64, charges, remote []int64) {
 	if e.spanBuf == nil {
 		e.spanBuf = make([]obs.Span, 0, e.cfg.NumEngines)
 	}
 	spans := e.spanBuf[:0]
-	for lp := 0; lp < e.cfg.NumEngines; lp++ {
+	for lp, c := range e.winCost {
 		if charges[lp] == 0 && remote[lp] == 0 {
 			continue
-		}
-		var c float64
-		if e.cfg.Faults == nil && e.speeds == nil {
-			c = float64(charges[lp])*e.cost.PerEvent + float64(remote[lp])*e.cost.PerRemote
-		} else {
-			evCost := float64(charges[lp]) * e.cost.PerEvent * e.cfg.Faults.SlowdownAt(lp, start)
-			rmCost := float64(remote[lp]) * e.cost.PerRemote * e.cfg.Faults.RemoteFactorAt(start)
-			c = (evCost + rmCost) / e.speedOf(lp)
 		}
 		spans = append(spans, obs.Span{
 			Kind: obs.SpanCompute, Engine: lp, Start: start, End: end, Busy: c,

@@ -1,7 +1,6 @@
 package emu
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/des"
@@ -157,6 +156,16 @@ func (e *emulation) recordEvent(ev obs.Event) {
 	}
 }
 
+// loadsOf is the per-engine load picture a remapping policy balances against:
+// the cumulative kernel-event charges, as floats.
+func loadsOf(charges []int64) []float64 {
+	loads := make([]float64, len(charges))
+	for i, c := range charges {
+		loads[i] = float64(c)
+	}
+	return loads
+}
+
 // ownerOf returns the engine owning a pending event under the current
 // (post-recovery) assignment — how a restore moves a dead engine's events to
 // the survivors that inherited its nodes.
@@ -173,46 +182,80 @@ func (e *emulation) ownerOf(ev des.Event) (int, bool) {
 	}
 }
 
-// runResilient executes the kernel, recovering from scheduled engine
-// crashes and applying scheduled elastic resizes: crash detection at the
+// resilience is the state a resilient run's barrier hook carries between
+// barriers.
+type resilience struct {
+	// alive flags the engines that have not crashed.
+	alive []bool
+	// rec accumulates crash handling; nil when the schedule has no crashes.
+	rec *Recovery
+	// last is the rollback target: the latest barrier checkpoint, or the
+	// snapshot of the latest resize, behind which no crash may roll back.
+	last *checkpointState
+	// postBase is the per-engine charge baseline at the latest recovery, so
+	// PostRecoveryImbalance measures only load emulated after it.
+	postBase []int64
+}
+
+// runResilient executes the kernel in one Run, recovering from scheduled
+// engine crashes and applying scheduled elastic resizes inside the barrier
+// hook (arm). Without crashes or resizes it is a plain kernel run.
+func (e *emulation) runResilient(k *des.Kernel) (*des.Stats, *Recovery, error) {
+	var r *resilience
+	if e.cfg.Faults.HasCrashes() || len(e.cfg.Elastic) > 0 {
+		r = e.arm(k)
+	}
+	stats, err := k.Run()
+	if err != nil {
+		return nil, nil, err
+	}
+	if r == nil || r.rec == nil {
+		return stats, nil, nil
+	}
+	if r.rec.Failures > 0 {
+		post := make([]float64, e.cfg.NumEngines)
+		for lp := range post {
+			post[lp] = float64(stats.Charges[lp] - r.postBase[lp])
+		}
+		r.rec.PostRecoveryImbalance = metrics.ImbalanceSubset(post, r.alive)
+	}
+	r.rec.Alive = r.alive
+	return stats, r.rec, nil
+}
+
+// arm installs the barrier hook of a resilient run: crash detection at the
 // window barrier triggers rollback to the last barrier checkpoint, OnCrash
 // remapping of the dead engine's nodes and pending events onto survivors, and
-// deterministic replay of the lost windows; a resize pauses at the barrier,
-// repartitions onto the new engine set from the live (un-rolled-back) state,
-// and resumes. Without crashes or resizes it is a plain kernel run.
-func (e *emulation) runResilient(k *des.Kernel) (*des.Stats, *Recovery, error) {
-	sched := e.cfg.Faults
-	hasCrashes := sched.HasCrashes()
-	elastic := e.cfg.Elastic
-	if !hasCrashes && len(elastic) == 0 {
-		stats, err := k.Run()
-		return stats, nil, err
+// deterministic replay of the lost windows; a resize repartitions onto the new
+// engine set from the live (un-rolled-back) state. Either way the kernel is
+// Restored under the running window loop, which continues on a fresh grid
+// with the new lookahead.
+func (e *emulation) arm(k *des.Kernel) *resilience {
+	sched, elastic, every := e.cfg.Faults, e.cfg.Elastic, e.cfg.CheckpointEvery
+	r := &resilience{alive: make([]bool, e.cfg.NumEngines)}
+	for i := range r.alive {
+		r.alive[i] = true
 	}
-
-	every := e.cfg.CheckpointEvery
 	var handled []bool
-	if hasCrashes {
+	if sched.HasCrashes() {
 		handled = make([]bool, len(sched.Crashes))
-	}
-	resized := make([]bool, len(elastic))
-	alive := make([]bool, e.cfg.NumEngines)
-	for i := range alive {
-		alive[i] = true
-	}
-	var rec *Recovery
-	if hasCrashes {
-		rec = &Recovery{}
+		r.rec = &Recovery{}
 	}
 	if len(elastic) > 0 {
 		e.membership = &Membership{}
 	}
+	nextResize := 0 // Elastic is sorted by At: resizes apply in order
 
-	// The initial checkpoint covers crashes before the first scheduled one.
-	last := e.snapshot(k.Checkpoint(0))
-	if rec != nil {
-		rec.Checkpoints++
+	// checkpoint makes the barrier at time at the rollback target. The initial
+	// one covers crashes before the first scheduled checkpoint.
+	checkpoint := func(at float64) {
+		r.last = e.snapshot(k.Checkpoint(at))
+		if r.rec != nil {
+			r.rec.Checkpoints++
+		}
+		e.recordEvent(obs.Event{Kind: obs.EventCheckpoint, Time: at, LP: -1})
 	}
-	e.recordEvent(obs.Event{Kind: obs.EventCheckpoint, Time: 0, LP: -1})
+	checkpoint(0)
 	nextCkpt := every
 	e.barrier = func(ws, we float64) error {
 		// Membership changes come first: a window that contains a failure
@@ -220,150 +263,81 @@ func (e *emulation) runResilient(k *des.Kernel) (*des.Stats, *Recovery, error) {
 		// past the failure instant is garbage. A pending crash and a pending
 		// resize are ordered by scheduled time, crash winning ties (the
 		// failure instant precedes the barrier that would apply the resize).
-		crashIdx, crash, crashOK := -1, faults.Crash{}, false
-		if hasCrashes {
-			crashIdx, crash, crashOK = sched.NextCrash(we, handled)
-		}
-		resizeIdx := -1
-		for i, r := range elastic {
-			if !resized[i] && we >= r.At {
-				resizeIdx = i
-				break
-			}
-		}
-		if crashOK && (resizeIdx < 0 || crash.At <= elastic[resizeIdx].At) {
+		crashIdx, crash, crashOK := sched.NextCrash(we, handled)
+		resizeOK := nextResize < len(elastic) && we >= elastic[nextResize].At
+		if crashOK && (!resizeOK || crash.At <= elastic[nextResize].At) {
 			handled[crashIdx] = true
-			return &des.LPFailure{LP: crash.Engine, Time: crash.At}
+			return e.recoverCrash(k, r, crash, we)
 		}
-		if resizeIdx >= 0 {
-			resized[resizeIdx] = true
-			return &resizeSignal{idx: resizeIdx, at: we, cp: k.Checkpoint(we)}
+		if resizeOK {
+			nextResize++
+			return e.applyResize(k, r, nextResize-1, we)
 		}
 		if we >= nextCkpt {
-			last = e.snapshot(k.Checkpoint(we))
-			if rec != nil {
-				rec.Checkpoints++
-			}
-			e.recordEvent(obs.Event{Kind: obs.EventCheckpoint, Time: we, LP: -1})
+			checkpoint(we)
 			for nextCkpt <= we {
 				nextCkpt += every
 			}
 		}
 		return nil
 	}
+	return r
+}
 
-	// postBase is the per-engine charge baseline at the latest recovery, so
-	// PostRecoveryImbalance measures only load emulated after it.
-	var postBase []int64
-	for {
-		stats, err := k.Run()
-		if err == nil {
-			if rec == nil {
-				return stats, nil, nil
-			}
-			if rec.Failures > 0 {
-				post := make([]float64, e.cfg.NumEngines)
-				for lp := range post {
-					var base int64
-					if postBase != nil {
-						base = postBase[lp]
-					}
-					post[lp] = float64(stats.Charges[lp] - base)
-				}
-				rec.PostRecoveryImbalance = metrics.ImbalanceSubset(post, alive)
-			}
-			rec.Alive = alive
-			return stats, rec, nil
-		}
-		var rs *resizeSignal
-		if errors.As(err, &rs) {
-			snap, err := e.applyResize(k, rs, alive)
-			if err != nil {
-				return nil, nil, err
-			}
-			// The resize snapshot becomes the rollback fence: a later crash
-			// must not roll back behind a membership change.
-			last = snap
-			continue
-		}
-		var lpf *des.LPFailure
-		if !errors.As(err, &lpf) {
-			return nil, nil, err
-		}
-		if !alive[lpf.LP] {
-			return nil, nil, fmt.Errorf("emu: crash of already-dead engine %d", lpf.LP)
-		}
-		if rec.Failures == 0 {
-			loads := make([]float64, len(stats.Charges))
-			for i, c := range stats.Charges {
-				loads[i] = float64(c)
-			}
-			rec.PreFailureImbalance = metrics.ImbalanceSubset(loads, alive)
-		}
-		alive[lpf.LP] = false
-		rec.Failures++
-		rec.DeadEngines = append(rec.DeadEngines, lpf.LP)
-		// Event.Value carries the fail-stop instant; Time is the barrier at
-		// which a conservative kernel could first observe the silent peer.
-		e.recordEvent(obs.Event{Kind: obs.EventCrash, Time: stats.VirtualEnd, LP: lpf.LP, Value: lpf.Time})
-
-		cpStats := last.des.Stats()
-		cpLoads := make([]float64, len(cpStats.Charges))
-		for i, c := range cpStats.Charges {
-			cpLoads[i] = float64(c)
-		}
-		newAssign, err := e.cfg.OnCrash(EngineFailure{
-			Engine:         lpf.LP,
-			Time:           lpf.Time,
-			DetectedAt:     stats.VirtualEnd,
-			CheckpointTime: last.des.Time,
-			Assignment:     append([]int(nil), e.assignment...),
-			Alive:          append([]bool(nil), alive...),
-			Loads:          cpLoads,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("emu: recovery after engine %d crash: %w", lpf.LP, err)
-		}
-		if len(newAssign) != e.nw.NumNodes() {
-			return nil, nil, fmt.Errorf("emu: recovery assignment covers %d nodes, network has %d",
-				len(newAssign), e.nw.NumNodes())
-		}
-		migrations := 0
-		migTo := make([]int64, e.cfg.NumEngines)
-		for v, eng := range newAssign {
-			if eng < 0 || eng >= e.cfg.NumEngines || !alive[eng] {
-				return nil, nil, fmt.Errorf("emu: recovery assigned node %d to dead or invalid engine %d", v, eng)
-			}
-			if eng != e.assignment[v] {
-				migrations++
-				migTo[eng]++
-			}
-		}
-		var replayed int64
-		for i, n := range stats.Events {
-			replayed += n - cpStats.Events[i]
-		}
-		rec.Migrations += migrations
-		rec.ReplayedEvents += replayed
-		rec.Downtime += (stats.VirtualEnd - last.des.Time) + float64(migrations)*e.cfg.MigrationCost
-		// Rollback.Value is the window count the recovery discards and must
-		// re-execute; one migration event per destination engine, in engine
-		// order, keeps the trace deterministic.
-		e.recordEvent(obs.Event{Kind: obs.EventRollback, Time: last.des.Time, LP: lpf.LP,
-			Value: float64(stats.Windows - cpStats.Windows)})
-		for eng, n := range migTo {
-			if n > 0 {
-				e.recordEvent(obs.Event{Kind: obs.EventMigration, Time: last.des.Time, LP: eng, Value: float64(n)})
-			}
-		}
-
-		// Roll back, remap, resume. The new assignment cuts a different set
-		// of links, so the synchronization window is recomputed.
-		e.restore(last)
-		e.assignment = append([]int(nil), newAssign...)
-		if err := k.Restore(last.des, Lookahead(e.nw, e.assignment, e.cfg.MinLookahead), e.ownerOf); err != nil {
-			return nil, nil, err
-		}
-		postBase = append([]int64(nil), cpStats.Charges...)
+// recoverCrash handles one engine crash detected at barrier we, inside the
+// barrier hook: it accounts the failure, asks OnCrash for the recovery
+// assignment over the surviving engines, rolls the emulation and the kernel
+// back to the last checkpoint and remaps the dead engine's pending events.
+// The kernel's window loop resumes from there.
+func (e *emulation) recoverCrash(k *des.Kernel, r *resilience, crash faults.Crash, we float64) error {
+	rec, last, alive := r.rec, r.last, r.alive
+	if !alive[crash.Engine] {
+		return fmt.Errorf("emu: crash of already-dead engine %d", crash.Engine)
 	}
+	// The statistics at the detection barrier, window just completed included.
+	stats := k.Checkpoint(we).Stats()
+	if rec.Failures == 0 {
+		rec.PreFailureImbalance = metrics.ImbalanceSubset(loadsOf(stats.Charges), alive)
+	}
+	alive[crash.Engine] = false
+	rec.Failures++
+	rec.DeadEngines = append(rec.DeadEngines, crash.Engine)
+	// Event.Value carries the fail-stop instant; Time is the barrier at
+	// which a conservative kernel could first observe the silent peer.
+	e.recordEvent(obs.Event{Kind: obs.EventCrash, Time: we, LP: crash.Engine, Value: crash.At})
+
+	cpStats := last.des.Stats()
+	newAssign, err := e.cfg.OnCrash(EngineFailure{
+		Engine:         crash.Engine,
+		Time:           crash.At,
+		DetectedAt:     we,
+		CheckpointTime: last.des.Time,
+		Assignment:     append([]int(nil), e.assignment...),
+		Alive:          append([]bool(nil), alive...),
+		Loads:          loadsOf(cpStats.Charges),
+	})
+	if err != nil {
+		return fmt.Errorf("emu: recovery after engine %d crash: %w", crash.Engine, err)
+	}
+	if err := e.checkAssignment("recovery", newAssign, alive); err != nil {
+		return err
+	}
+	var replayed int64
+	for i, n := range stats.Events {
+		replayed += n - cpStats.Events[i]
+	}
+	// Rollback.Value is the window count the recovery discards and must
+	// re-execute.
+	e.recordEvent(obs.Event{Kind: obs.EventRollback, Time: last.des.Time, LP: crash.Engine,
+		Value: float64(stats.Windows - cpStats.Windows)})
+
+	// Roll back, remap, resume. The new assignment cuts a different set of
+	// links, so the synchronization window is recomputed.
+	e.restore(last)
+	migrations := e.reassign(last.des.Time, newAssign)
+	rec.Migrations += migrations
+	rec.ReplayedEvents += replayed
+	rec.Downtime += (we - last.des.Time) + float64(migrations)*e.cfg.MigrationCost
+	r.postBase = cpStats.Charges
+	return k.Restore(last.des, Lookahead(e.nw, e.assignment, e.cfg.MinLookahead), e.ownerOf)
 }

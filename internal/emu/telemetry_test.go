@@ -233,6 +233,9 @@ func TestTelemetryCollectorReuse(t *testing.T) {
 // check. (The collector's own observe methods are AllocsPerRun(0)-gated in
 // internal/telemetry; this pins that emu adds nothing outside the guards.)
 func TestTelemetryDisabledZeroAddedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts over sync.Pool are not meaningful under the race detector")
+	}
 	cfg := telConfig(true)
 	// Warm the shared routing cache so neither measurement pays the one-time
 	// build.
