@@ -526,7 +526,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "wrote %s canonical result to %s\n", a, path)
 		}
 		if *stats && r.Obs != nil {
-			fmt.Printf("         kernel: %s\n", r.Obs)
+			summary := r.Obs.String()
+			if tl != nil {
+				if straggler := tl.Summary(); straggler != "" {
+					summary += "; " + straggler
+				}
+			}
+			fmt.Printf("         kernel: %s\n", summary)
 		}
 		if mlog != nil && (len(mlog.Resizes) > 0 || len(mlog.Losses) > 0) {
 			fmt.Printf("         membership: %d resize(s), %d worker loss(es)\n",

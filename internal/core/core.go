@@ -135,12 +135,6 @@ type Scenario struct {
 	// field). RunDynamic segments rebase virtual time per interval and skip
 	// it.
 	Faults *faults.Schedule
-	// NetFlowRemap makes RunDynamic repartition intervals from the NetFlow
-	// side-channel dump (the paper's offline §3.3 pipeline) instead of the
-	// default measured-telemetry feedback. The two produce identical
-	// partitions (regression-tested); the knob exists to A/B them and to run
-	// without the telemetry plane.
-	NetFlowRemap bool
 
 	routes    netgraph.Routing
 	routesErr error

@@ -29,13 +29,13 @@ import (
 // approximation this prototype accepts and the real MaSSF would have to
 // engineer away.
 //
-// The remapping signal is, by default, the live telemetry plane: the
-// collector threaded through the emulator converts its measured per-node /
-// per-link traffic into the PROFILE form (telemetry.Collector.ToProfile), so
-// the loop is closed without the NetFlow dump side-channel. Scenario.
-// NetFlowRemap switches back to the §3.3 offline pipeline; the two feeds
-// produce identical interval partitions (regression-tested), because both
-// observe the identical packet stream at the identical hot-path site.
+// The remapping signal is the live telemetry plane: the collector threaded
+// through the emulator converts its measured per-node / per-link traffic into
+// the PROFILE form (telemetry.Collector.ToProfile), so the loop is closed
+// without the NetFlow dump side-channel. The §3.3 offline pipeline would
+// produce the identical interval partitions — both observe the identical
+// packet stream at the identical hot-path site, and emu's
+// TestTelemetryMatchesNetFlowProfile holds the two summaries DeepEqual.
 
 // RemapPolicy selects how RunDynamic recomputes the partition between
 // intervals.
@@ -119,13 +119,10 @@ type DynamicSegment struct {
 	Flows int
 	// Assignment is the node→engine assignment the interval ran under.
 	Assignment []int
-	// CrossEngineBytes is the interval's engine-to-engine traffic volume
-	// (zero when the run had no telemetry plane, i.e. NetFlowRemap without
-	// CollectTelemetry).
+	// CrossEngineBytes is the interval's engine-to-engine traffic volume.
 	CrossEngineBytes int64
 	// Timeline is the interval's per-measurement-window imbalance and
-	// cross-engine-traffic history (times relative to the interval start);
-	// nil without a telemetry plane.
+	// cross-engine-traffic history (times relative to the interval start).
 	Timeline []telemetry.TrafficPoint
 	// Remap describes the remapping step that produced this segment's
 	// assignment; nil for the first segment (which runs under TOP) and for
@@ -203,11 +200,10 @@ func (sc *Scenario) RunDynamic(ctx context.Context, interval, migrationCost floa
 		return nil, fmt.Errorf("core: dynamic initial partition: %w", err)
 	}
 
-	// The remap feed: measured telemetry by default, the NetFlow side-channel
-	// under NetFlowRemap. One collector serves all segments (re-sized per
-	// segment), so a live mount watches the current interval.
+	// The remap feed is measured telemetry. One collector serves all segments
+	// (re-sized per segment), so a live mount watches the current interval.
 	tel := sc.newTelemetry()
-	if tel == nil && !sc.NetFlowRemap {
+	if tel == nil {
 		tel = telemetry.New()
 	}
 
@@ -241,16 +237,12 @@ func (sc *Scenario) RunDynamic(ctx context.Context, interval, migrationCost floa
 		if tail {
 			seg.Duration = duration - start
 		}
-		opts := sc.runOptions(ctx)
-		if tel != nil {
-			opts = append(opts, emu.WithTelemetry(tel))
-		}
+		opts := append(sc.runOptions(ctx), emu.WithTelemetry(tel))
 		cfg, err := sc.emuConfig(assignment)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Workload = seg
-		cfg.Profile = sc.NetFlowRemap
 		// A segment is re-based to t=0 and runs whole on uniform engines: the
 		// scenario's absolute-time truncation, fault schedule and engine
 		// speeds do not carry into it.
@@ -267,11 +259,9 @@ func (sc *Scenario) RunDynamic(ctx context.Context, interval, migrationCost floa
 			Assignment: append([]int(nil), assignment...),
 			Remap:      incomingRemap,
 		}
-		if segResult.Telemetry != nil {
-			segOut.CrossEngineBytes = segResult.Telemetry.CrossEngineBytes
-			segOut.Timeline = segResult.Telemetry.Timeline
-			res.CrossEngineBytes += segResult.Telemetry.CrossEngineBytes
-		}
+		segOut.CrossEngineBytes = segResult.Telemetry.CrossEngineBytes
+		segOut.Timeline = segResult.Telemetry.Timeline
+		res.CrossEngineBytes += segResult.Telemetry.CrossEngineBytes
 		res.Segments = append(res.Segments, segOut)
 		res.AppTime += segResult.AppTime + float64(incomingMigrations)*migrationCost
 		res.NetTime += segResult.NetTime
@@ -295,7 +285,10 @@ func (sc *Scenario) RunDynamic(ctx context.Context, interval, migrationCost floa
 			if err != nil {
 				return nil, err
 			}
-			in.Summary = sc.segProfile(tel, segResult, &profScratch)
+			// Exported into the previous interval's summary storage instead of
+			// reallocating it every boundary.
+			profScratch = tel.ToProfileInto(profScratch)
+			in.Summary = profScratch
 			next, moved, stats, err := sc.remapStep(policy, in, assignment, interval, migrationCost)
 			if err != nil {
 				return nil, fmt.Errorf("core: dynamic %s remap at %gs: %w", policy, end, err)
@@ -372,20 +365,6 @@ func (sc *Scenario) remapStep(policy RemapPolicy, in mapping.Input, assignment [
 		st.MovesTaken = moved
 		return next, moved, st, nil
 	}
-}
-
-// segProfile picks the interval's remap feed: the NetFlow dump under
-// NetFlowRemap, the telemetry plane's measured traffic otherwise. The two are
-// numerically identical (see emu's TestTelemetryMatchesNetFlowProfile), so
-// flipping the knob never changes the produced partitions. The telemetry
-// path exports into *scratch, reusing the previous interval's summary
-// storage instead of reallocating it every boundary.
-func (sc *Scenario) segProfile(tel *telemetry.Collector, segResult *emu.Result, scratch **netflow.Summary) *netflow.Summary {
-	if sc.NetFlowRemap {
-		return segResult.NetFlow.Summarize()
-	}
-	*scratch = tel.ToProfileInto(*scratch)
-	return *scratch
 }
 
 // sliceWorkload keeps the flows starting in [start, end), rebased so the

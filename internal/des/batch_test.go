@@ -54,8 +54,8 @@ func (k *Kernel) mergeOutboxesReference(scheds []*Scheduler) {
 
 // runReference is the test-side window loop: the kernel's own Grid and the
 // Stepper's dispatch, with the global-sort merge at the barrier instead of
-// the per-destination one. It reports to the kernel's Observer, Recorder and
-// OnBarrier the way Run does (wall-clock Wait excluded), so a reference
+// the per-destination one. It hands the kernel's OnWindow hook the window's
+// record the way Run does (wall-clock Wait left zero), so a reference
 // execution can be compared with Run on everything deterministic.
 func runReference(t *testing.T, k *Kernel) *Stats {
 	t.Helper()
@@ -69,11 +69,8 @@ func runReference(t *testing.T, k *Kernel) *Stats {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	rec := k.cfg.Recorder
+	wait := make([]float64, n)
 	for {
-		if rec != nil && !k.grid.aligned {
-			rec.RecordRun(obs.RunMeta{LPs: n, Lookahead: k.grid.Lookahead, Resumed: k.resumed})
-		}
 		T, end, skipped, ok := k.grid.Next(st.NextEventTime())
 		if !ok {
 			return k.stats
@@ -84,23 +81,18 @@ func runReference(t *testing.T, k *Kernel) *Stats {
 		}
 		k.mergeOutboxesReference(st.scheds)
 		res := st.fold(end)
-		if k.cfg.Observer != nil {
-			k.cfg.Observer(T, end, res.Charges, res.Remote)
+		if k.cfg.OnWindow == nil {
+			continue
 		}
-		if rec != nil {
-			for lp := 0; lp < n; lp++ {
-				res.Queue[lp] = int64(k.queues[lp].Len())
-			}
-			rec.RecordWindow(obs.Window{
-				Index: k.stats.Windows - 1, Start: T, End: end,
-				Events: res.Events, Charges: res.Charges, Remote: res.Remote,
-				Queue: res.Queue, Wait: make([]float64, n),
-			})
+		for lp := 0; lp < n; lp++ {
+			res.Queue[lp] = int64(k.queues[lp].Len())
 		}
-		if k.cfg.OnBarrier != nil {
-			if err := k.cfg.OnBarrier(T, end); err != nil {
-				t.Fatal(err)
-			}
+		if err := k.cfg.OnWindow(&obs.Window{
+			Index: k.stats.Windows - 1, Start: T, End: end,
+			Events: res.Events, Charges: res.Charges, Remote: res.Remote,
+			Queue: res.Queue, Wait: wait,
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -203,20 +195,19 @@ func TestBarrierMergeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestObserverBuffersAreRecycled pins the WindowObserver buffer contract the
-// doc comment promises: the charges/remote slices handed to the observer are
-// the kernel's recycled per-window buffers — the same backing arrays every
-// window — so an observer must consume them before returning and must not
-// retain a reference. Runs on the worker dispatch (GOMAXPROCS 4), so under
-// -race a retained reference mutated here would race with the next window's
-// workers.
-func TestObserverBuffersAreRecycled(t *testing.T) {
+// TestWindowRecordBuffersAreRecycled pins the buffer contract obs.Window's
+// doc comment promises: every slice of the record handed to the OnWindow hook
+// is one of the kernel's recycled per-window buffers — the same backing arrays
+// every window — so a hook must consume them before returning and must not
+// retain a reference. Runs on the worker dispatch (GOMAXPROCS 4) with
+// MeasureWait on, so under -race a retained reference mutated here would race
+// with the next window's workers.
+func TestWindowRecordBuffersAreRecycled(t *testing.T) {
 	const numLPs = 3
 	const L = 0.01
 	var (
 		windows      int
-		chargesArr   *int64
-		remoteArr    *int64
+		first        obs.Window
 		firstCharges []int64 // illustrative retained reference (read only at the end)
 	)
 	h := func(lp int, tm float64, data any, s *Scheduler) {
@@ -226,19 +217,23 @@ func TestObserverBuffersAreRecycled(t *testing.T) {
 		}
 	}
 	k, err := New(Config{
-		NumLPs:    numLPs,
-		Lookahead: L,
-		Handler:   h,
-		Observer: func(start, end float64, charges, remote []int64) {
+		NumLPs:      numLPs,
+		Lookahead:   L,
+		Handler:     h,
+		MeasureWait: true,
+		OnWindow: func(w *obs.Window) error {
+			if w.Cost != nil {
+				t.Error("the kernel filled Cost; pricing a window is the caller's")
+			}
 			if windows == 0 {
-				chargesArr, remoteArr = &charges[0], &remote[0]
-				firstCharges = charges
-			} else {
-				if &charges[0] != chargesArr || &remote[0] != remoteArr {
-					t.Error("observer buffers were reallocated; the recycled-buffer contract changed")
-				}
+				first, firstCharges = *w, w.Charges
+			} else if &w.Events[0] != &first.Events[0] || &w.Charges[0] != &first.Charges[0] ||
+				&w.Remote[0] != &first.Remote[0] || &w.Queue[0] != &first.Queue[0] ||
+				&w.Wait[0] != &first.Wait[0] {
+				t.Error("window record buffers were reallocated; the recycled-buffer contract changed")
 			}
 			windows++
+			return nil
 		},
 	})
 	if err != nil {

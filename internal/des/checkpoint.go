@@ -31,7 +31,7 @@ func (cp *Checkpoint) PendingEvents() int {
 func (cp *Checkpoint) Stats() Stats { return cp.stats.clone() }
 
 // Checkpoint snapshots the kernel at virtual time at. It is only safe where
-// no handler runs: before Run, inside an OnBarrier hook (at = windowEnd), or
+// no handler runs: before Run, inside an OnWindow hook (at = the window's End), or
 // between an outside coordinator's Steps.
 func (k *Kernel) Checkpoint(at float64) *Checkpoint {
 	n := k.cfg.NumLPs
@@ -52,7 +52,7 @@ func (k *Kernel) Checkpoint(at float64) *Checkpoint {
 
 // Restore reinstalls a checkpoint, discarding the kernel's current queues
 // and statistics, and starts a fresh window grid. Like Checkpoint it is safe
-// wherever no handler runs — in particular inside an OnBarrier hook, where the
+// wherever no handler runs — in particular inside an OnWindow hook, where the
 // running loop carries on from the restored state at its next iteration: a
 // rollback or a membership change is a step of the loop, not a restart. Each
 // pending event is offered to remap (nil keeps the original owner): the
@@ -88,6 +88,5 @@ func (k *Kernel) Restore(cp *Checkpoint, lookahead float64, remap func(Event) (i
 	stats := cp.stats.clone()
 	k.stats = &stats
 	k.grid.Regrid(lookahead)
-	k.resumed = true
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // ---- Error paths: invalid scheduling poisons the run with an error ----
@@ -86,9 +88,9 @@ func TestErrorStopsFurtherHandling(t *testing.T) {
 	}
 }
 
-// ---- OnBarrier ----
+// ---- OnWindow errors ----
 
-func TestOnBarrierStopsRun(t *testing.T) {
+func TestOnWindowErrorStopsRun(t *testing.T) {
 	h := func(lp int, tm float64, data any, s *Scheduler) {
 		s.Charge(1)
 		if tm < 10 {
@@ -99,7 +101,7 @@ func TestOnBarrierStopsRun(t *testing.T) {
 	var barriers int
 	k, _ := New(Config{
 		NumLPs: 1, Lookahead: 1, Handler: h, Sequential: true,
-		OnBarrier: func(ws, we float64) error {
+		OnWindow: func(*obs.Window) error {
 			barriers++
 			if barriers == 3 {
 				return stop
@@ -110,10 +112,10 @@ func TestOnBarrierStopsRun(t *testing.T) {
 	k.Schedule(0, 0.5, nil)
 	stats, err := k.Run()
 	if !errors.Is(err, stop) {
-		t.Fatalf("err = %v, want the OnBarrier error", err)
+		t.Fatalf("err = %v, want the OnWindow error", err)
 	}
 	if stats == nil {
-		t.Fatal("stats-so-far not returned alongside the barrier error")
+		t.Fatal("stats-so-far not returned alongside the hook error")
 	}
 	if stats.Windows != 3 {
 		t.Errorf("Windows = %d, want 3 (stopped at third barrier)", stats.Windows)
@@ -153,9 +155,9 @@ func TestCheckpointRestoreReplaysIdentically(t *testing.T) {
 	var cp *Checkpoint
 	stop := errors.New("interrupt")
 	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: chainHandler(20), Sequential: true})
-	k.cfg.OnBarrier = func(ws, we float64) error {
-		if we >= 8 && cp == nil {
-			cp = k.Checkpoint(we)
+	k.cfg.OnWindow = func(w *obs.Window) error {
+		if w.End >= 8 && cp == nil {
+			cp = k.Checkpoint(w.End)
 			return stop
 		}
 		return nil
@@ -167,7 +169,7 @@ func TestCheckpointRestoreReplaysIdentically(t *testing.T) {
 	if cp == nil || cp.PendingEvents() == 0 {
 		t.Fatal("checkpoint empty")
 	}
-	k.cfg.OnBarrier = nil
+	k.cfg.OnWindow = nil
 	if err := k.Restore(cp, 0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -272,9 +274,9 @@ func TestStatsContinueAcrossRestore(t *testing.T) {
 	var cp *Checkpoint
 	stop := errors.New("interrupt")
 	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: chainHandler(10), Sequential: true})
-	k.cfg.OnBarrier = func(ws, we float64) error {
-		if we >= 5 && cp == nil {
-			cp = k.Checkpoint(we)
+	k.cfg.OnWindow = func(w *obs.Window) error {
+		if w.End >= 5 && cp == nil {
+			cp = k.Checkpoint(w.End)
 			return stop
 		}
 		return nil
@@ -287,7 +289,7 @@ func TestStatsContinueAcrossRestore(t *testing.T) {
 	if cpEvents == 0 {
 		t.Fatal("checkpoint recorded no events")
 	}
-	k.cfg.OnBarrier = nil
+	k.cfg.OnWindow = nil
 	if err := k.Restore(cp, 0, nil); err != nil {
 		t.Fatal(err)
 	}

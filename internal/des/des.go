@@ -20,8 +20,12 @@
 // the host has cores to spare. Kernel.Run is a Stepper over every LP whose
 // barrier merges the outboxes in place; a distributed worker is a Stepper over
 // some LPs whose coordinator walks the same Grid type and merges over the wire
-// (step.go). Deterministic per-window statistics feed the engine cost model
-// that reproduces the paper's emulation-time metrics.
+// (step.go). What a window did leaves the kernel one way: Run fills one
+// obs.Window record per executed window — deterministic per-LP counters, plus
+// barrier wait where it was measured — and hands it to the single OnWindow
+// hook, behind which the emulator keeps the engine cost model that reproduces
+// the paper's emulation-time metrics, every recorder, and crash and resize
+// handling.
 //
 // Hot-path layout. Pending events live in structure-of-arrays heaps (parallel
 // time/seq/payload slices), so heap sifts compare raw float64/int64 arrays
@@ -62,17 +66,6 @@ type Event struct {
 // represents (the emulator charges one kernel event per packet, §4.1.1).
 type Handler func(lp int, t float64, data any, s *Scheduler)
 
-// WindowObserver is called once per executed window, after the barrier, on a
-// single goroutine. charges[lp] is the kernel-event load LP lp accrued during
-// [start,end); remote[lp] is the number of events it sent to other LPs.
-//
-// Both slices are recycled buffers: the kernel overwrites them in place at
-// the next barrier. An observer must fully consume (or copy) them before
-// returning and must not retain a reference — holding one past the return is
-// a data race in parallel runs, not just stale data. TestObserverBuffersAreRecycled
-// enforces this contract under the race detector.
-type WindowObserver func(start, end float64, charges, remote []int64)
-
 // Config configures a Kernel.
 type Config struct {
 	// NumLPs is the number of logical processes (simulation-engine nodes).
@@ -83,26 +76,25 @@ type Config struct {
 	Lookahead float64
 	// Handler processes events. Required.
 	Handler Handler
-	// Observer, if non-nil, receives per-window load statistics.
-	Observer WindowObserver
-	// Recorder, if non-nil, receives the kernel's observability stream: a
-	// RunMeta per window grid (one at the start, one after every Restore), a
-	// Window record per executed window with
-	// per-LP counters (handler invocations, charges, remote sends, queue
-	// occupancy, barrier wait), delivered on the coordinating goroutine
-	// after the barrier. A nil Recorder costs nothing: the instrumentation
-	// sites are guarded and allocate only when recording.
-	Recorder obs.Recorder
-	// OnBarrier, if non-nil, is called after each window's barrier — after
-	// handler errors are checked, outboxes merged, and the Observer has run —
-	// on the coordinating goroutine. No handler executes concurrently, so the
-	// hook may safely take a Checkpoint, and may Restore one: the loop then
+	// OnWindow, if non-nil, is the one per-window hook: Run calls it after each
+	// window's barrier — handler errors checked, outboxes merged — on the
+	// coordinating goroutine, with the window's record: index, bounds and the
+	// per-LP events, charges, remote sends, post-merge queue depths and barrier
+	// wait (Cost is the caller's to fill). The record is the kernel's own,
+	// overwritten in place at the next barrier and valid only during the call,
+	// as are its slices (see obs.Window). No handler executes concurrently, so
+	// the hook may safely take a Checkpoint, and may Restore one: the loop then
 	// continues on a fresh window grid with the restored queues, statistics and
 	// lookahead, which is how a crash rollback or a resize happens without
 	// leaving Run. Returning a non-nil error stops the run: Run returns that
 	// error together with the statistics accumulated so far (including the
-	// window just completed).
-	OnBarrier func(windowStart, windowEnd float64) error
+	// window just completed). A nil hook costs nothing.
+	OnWindow func(w *obs.Window) error
+	// MeasureWait says somebody will read the record's per-LP barrier wait.
+	// The kernel then times the windows it runs on per-LP workers — two clock
+	// reads per LP per window and two per window; a window run on the caller's
+	// goroutine has no barrier to wait at, is never timed, and reports zero.
+	MeasureWait bool
 	// EndTime, if positive, stops the run once the next event would fire at
 	// or beyond this virtual time.
 	EndTime float64
@@ -274,8 +266,6 @@ type Kernel struct {
 	// grid picks Run's windows; Restore re-grids it, so a running loop carries
 	// on with the restored lookahead at its next iteration.
 	grid Grid
-	// resumed is set once a Restore has installed a checkpoint.
-	resumed bool
 	// driver is the Stepper holding the kernel's LPs (Run's own, or an outside
 	// coordinator's), nil when none does.
 	driver *Stepper
@@ -346,7 +336,7 @@ func (k *Kernel) pushLocal(lp int, t float64, data any) {
 
 // Run executes the simulation to completion (or EndTime) and returns the
 // kernel's cumulative statistics: the window loop over a Stepper that holds
-// every LP. An OnBarrier hook that Restores a checkpoint changes queues,
+// every LP. An OnWindow hook that Restores a checkpoint changes queues,
 // statistics and lookahead under the loop, which continues on the fresh grid;
 // a hook error stops it, and a later Run picks up where this one stopped
 // (after a Restore, from the restored checkpoint).
@@ -363,16 +353,15 @@ func (k *Kernel) Run() (*Stats, error) {
 	defer st.Close()
 	began, wall := time.Now(), k.stats.WallTime
 
-	rec := k.cfg.Recorder
-	var winWait []float64
-	if rec != nil {
-		st.EnableTiming()
-		winWait = make([]float64, n)
+	hook := k.cfg.OnWindow
+	var win obs.Window
+	if hook != nil {
+		win.Wait = make([]float64, n)
+		if k.cfg.MeasureWait && st.starts != nil {
+			st.EnableTiming()
+		}
 	}
 	for {
-		if rec != nil && !k.grid.aligned {
-			rec.RecordRun(obs.RunMeta{LPs: n, Lookahead: k.grid.Lookahead, Resumed: k.resumed})
-		}
 		T, end, skipped, ok := k.grid.Next(st.NextEventTime())
 		if !ok {
 			break
@@ -380,40 +369,34 @@ func (k *Kernel) Run() (*Stats, error) {
 		k.stats.SkippedTime += skipped
 
 		var winStart time.Time
-		if rec != nil {
+		if st.timing {
 			winStart = time.Now()
 		}
 		if err := st.exec(end); err != nil {
 			return nil, err
 		}
-		// Barrier: merge outboxes deterministically, fold the counters, observe.
+		// Barrier: merge outboxes deterministically, fold the counters, hand the
+		// window's record to the hook.
 		k.mergeOutboxes(st.scheds)
 		res := st.fold(end)
-		if k.cfg.Observer != nil {
-			k.cfg.Observer(T, end, res.Charges, res.Remote)
+		if hook == nil {
+			continue
 		}
-		if rec != nil {
+		for lp := 0; lp < n; lp++ {
+			res.Queue[lp] = int64(k.queues[lp].Len()) // post-merge here
+		}
+		if st.timing {
 			// Barrier wait: the gap between an LP finishing its window and the
-			// slowest LP releasing the barrier. Only meaningful with real
-			// parallelism. Queue depths are post-merge here.
+			// slowest LP releasing the barrier.
 			windowWall := time.Since(winStart).Seconds()
 			for lp := 0; lp < n; lp++ {
-				res.Queue[lp] = int64(k.queues[lp].Len())
-				winWait[lp] = 0
-				if w := windowWall - res.Busy[lp]; w > 0 && !k.cfg.Sequential {
-					winWait[lp] = w
-				}
+				win.Wait[lp] = max(windowWall-res.Busy[lp], 0)
 			}
-			rec.RecordWindow(obs.Window{
-				Index: k.stats.Windows - 1, Start: T, End: end,
-				Events: res.Events, Charges: res.Charges, Remote: res.Remote,
-				Queue: res.Queue, Wait: winWait,
-			})
 		}
-		if k.cfg.OnBarrier != nil {
-			if err = k.cfg.OnBarrier(T, end); err != nil {
-				break
-			}
+		win.Index, win.Start, win.End = k.stats.Windows-1, T, end
+		win.Events, win.Charges, win.Remote, win.Queue = res.Events, res.Charges, res.Remote, res.Queue
+		if err = hook(&win); err != nil {
+			break
 		}
 	}
 	k.stats.WallTime = wall + time.Since(began)

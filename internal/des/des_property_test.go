@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/obs"
 )
 
 // cascadeHandler is a deterministic pseudo-random handler program driven by
@@ -127,11 +129,12 @@ func TestPropertyConservation(t *testing.T) {
 func TestPropertyWindowMonotonicity(t *testing.T) {
 	lastEnd := -1.0
 	violations := 0
-	obs := func(start, end float64, charges, remote []int64) {
-		if start < lastEnd-1e-12 || end <= start {
+	hook := func(w *obs.Window) error {
+		if w.Start < lastEnd-1e-12 || w.End <= w.Start {
 			violations++
 		}
-		lastEnd = end
+		lastEnd = w.End
+		return nil
 	}
 	h := func(lp int, tm float64, data any, s *Scheduler) {
 		n := data.(int)
@@ -144,7 +147,7 @@ func TestPropertyWindowMonotonicity(t *testing.T) {
 			s.Schedule((lp+1)%3, tm+gap, n-1)
 		}
 	}
-	k, _ := New(Config{NumLPs: 3, Lookahead: 0.0007, Handler: h, Observer: obs})
+	k, _ := New(Config{NumLPs: 3, Lookahead: 0.0007, Handler: h, OnWindow: hook})
 	k.Schedule(0, 0, 200)
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -221,21 +223,26 @@ func TestEndTime(t *testing.T) {
 	}
 }
 
-// TestObserver checks per-window callbacks report loads that sum to totals.
-func TestObserver(t *testing.T) {
+// TestOnWindow checks the per-window hook sees every window once, in order,
+// with loads that sum to the totals.
+func TestOnWindow(t *testing.T) {
 	var obsWindows int64
 	var obsCharges, obsRemote int64
-	obs := func(start, end float64, charges, remote []int64) {
-		obsWindows++
-		if end <= start {
-			t.Errorf("window [%v,%v) not positive", start, end)
+	hook := func(w *obs.Window) error {
+		if w.Index != obsWindows {
+			t.Errorf("window record %d carries index %d", obsWindows, w.Index)
 		}
-		for _, c := range charges {
+		obsWindows++
+		if w.End <= w.Start {
+			t.Errorf("window [%v,%v) not positive", w.Start, w.End)
+		}
+		for _, c := range w.Charges {
 			obsCharges += c
 		}
-		for _, r := range remote {
+		for _, r := range w.Remote {
 			obsRemote += r
 		}
+		return nil
 	}
 	h := func(lp int, tm float64, data any, s *Scheduler) {
 		n := data.(int)
@@ -244,24 +251,24 @@ func TestObserver(t *testing.T) {
 			s.Schedule(1-lp, tm+0.01, n+1)
 		}
 	}
-	k, _ := New(Config{NumLPs: 2, Lookahead: 0.01, Handler: h, Observer: obs})
+	k, _ := New(Config{NumLPs: 2, Lookahead: 0.01, Handler: h, OnWindow: hook})
 	k.Schedule(0, 0, 0)
 	stats, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if obsWindows != stats.Windows {
-		t.Errorf("observer saw %d windows, stats say %d", obsWindows, stats.Windows)
+		t.Errorf("hook saw %d windows, stats say %d", obsWindows, stats.Windows)
 	}
 	if obsCharges != stats.TotalCharges() {
-		t.Errorf("observer charges %d, stats %d", obsCharges, stats.TotalCharges())
+		t.Errorf("hook charges %d, stats %d", obsCharges, stats.TotalCharges())
 	}
 	var totalRemote int64
 	for _, r := range stats.RemoteSends {
 		totalRemote += r
 	}
 	if obsRemote != totalRemote {
-		t.Errorf("observer remote %d, stats %d", obsRemote, totalRemote)
+		t.Errorf("hook remote %d, stats %d", obsRemote, totalRemote)
 	}
 }
 

@@ -20,19 +20,20 @@ import (
 // coordinator — must execute seeded random handler programs identically,
 // a mid-run re-grid included.
 
-// streamRec renders the Recorder stream to lines, wall-clock Wait excluded.
+// streamRec renders what a driver's barrier observed to lines: a grid line per
+// window grid (the initial one, one after each membership change — the driver
+// announces them, as the emulator does with RunMeta) and every window record,
+// wall-clock Wait excluded.
 type streamRec struct{ lines []string }
 
-func (r *streamRec) RecordRun(m obs.RunMeta) {
-	r.lines = append(r.lines, fmt.Sprintf("run lps=%d L=%v resumed=%v", m.LPs, m.Lookahead, m.Resumed))
+func (r *streamRec) grid(lookahead float64, resumed bool) {
+	r.lines = append(r.lines, fmt.Sprintf("grid L=%v resumed=%v", lookahead, resumed))
 }
 
-func (r *streamRec) RecordWindow(w obs.Window) {
+func (r *streamRec) window(w *obs.Window) {
 	r.lines = append(r.lines, fmt.Sprintf("win %d [%v,%v) ev=%v ch=%v rm=%v q=%v",
 		w.Index, w.Start, w.End, w.Events, w.Charges, w.Remote, w.Queue))
 }
-
-func (r *streamRec) RecordEvent(e obs.Event) {}
 
 // execution is everything deterministic one driver produced.
 type execution struct {
@@ -92,21 +93,23 @@ func finish(x *execution, st *Stats, rec *streamRec) *execution {
 
 // runInPlace drives the case through Run (or, with reference set, the
 // test-side reference-merge loop); the membership change happens inside the
-// barrier hook, under the running loop.
+// window hook, under the running loop.
 func (c regridCase) runInPlace(t *testing.T, sequential, reference bool) *execution {
 	t.Helper()
 	x := &execution{logs: make([][]string, c.numLPs)}
 	rec := &streamRec{}
 	k := c.kernel(t, x, nil, sequential)
-	k.cfg.Recorder = rec
 	done := false
-	k.cfg.OnBarrier = func(ws, we float64) error {
-		if we < c.regridAt || done {
+	k.cfg.OnWindow = func(w *obs.Window) error {
+		rec.window(w)
+		if w.End < c.regridAt || done {
 			return nil
 		}
 		done = true
-		return k.Restore(k.Checkpoint(we), c.L/2, c.remap)
+		rec.grid(c.L/2, true)
+		return k.Restore(k.Checkpoint(w.End), c.L/2, c.remap)
 	}
+	rec.grid(c.L, false)
 	if reference {
 		return finish(x, runReference(t, k), rec)
 	}
@@ -124,24 +127,26 @@ func (c regridCase) runStopped(t *testing.T) *execution {
 	x := &execution{logs: make([][]string, c.numLPs)}
 	rec := &streamRec{}
 	k := c.kernel(t, x, nil, true)
-	k.cfg.Recorder = rec
 	stop := errors.New("stop for the membership change")
 	var cp *Checkpoint
-	k.cfg.OnBarrier = func(ws, we float64) error {
-		if we < c.regridAt || cp != nil {
+	k.cfg.OnWindow = func(w *obs.Window) error {
+		rec.window(w)
+		if w.End < c.regridAt || cp != nil {
 			return nil
 		}
-		cp = k.Checkpoint(we)
+		cp = k.Checkpoint(w.End)
 		return stop
 	}
+	rec.grid(c.L, false)
 	st, err := k.Run()
 	if cp != nil {
 		if !errors.Is(err, stop) {
-			t.Fatalf("err = %v, want the barrier hook's stop", err)
+			t.Fatalf("err = %v, want the window hook's stop", err)
 		}
 		if err := k.Restore(cp, c.L/2, c.remap); err != nil {
 			t.Fatal(err)
 		}
+		rec.grid(c.L/2, true)
 		st, err = k.Run()
 	}
 	if err != nil {
@@ -191,12 +196,10 @@ func (c regridCase) runGroups(t *testing.T, groups int) *execution {
 
 	total := newStats(n)
 	grid := Grid{Lookahead: c.L}
-	resumed, regridded := false, false
+	regridded := false
 	win := obs.Window{Events: make([]int64, n), Charges: make([]int64, n), Remote: make([]int64, n), Queue: make([]int64, n)}
+	rec.grid(c.L, false)
 	for {
-		if !grid.aligned {
-			rec.RecordRun(obs.RunMeta{LPs: n, Lookahead: grid.Lookahead, Resumed: resumed})
-		}
 		minT, has := math.Inf(1), false
 		for _, st := range steppers {
 			if nt, ok := st.NextEventTime(); ok && nt < minT {
@@ -235,14 +238,15 @@ func (c regridCase) runGroups(t *testing.T, groups int) *execution {
 			}
 		}
 		win.Index, win.Start, win.End = total.Windows, T, end
-		rec.RecordWindow(win)
+		rec.window(&win)
 		total.Windows++
 		total.VirtualEnd = end
 
 		if end < c.regridAt || regridded {
 			continue
 		}
-		regridded, resumed = true, true
+		regridded = true
+		rec.grid(c.L/2, true)
 		var pending []Sent
 		for g, k := range kernels {
 			steppers[g].Close()
@@ -283,10 +287,10 @@ func (c regridCase) runGroups(t *testing.T, groups int) *execution {
 }
 
 // TestRunMatchesSteppedGroups: Run ≡ 1…n Stepper groups on the shared Grid ≡
-// the reference-merge loop, on handler-call logs, Stats and the Recorder
-// stream — including a mid-run Checkpoint → Restore with a halved lookahead
-// and every pending event remapped, performed inside the barrier hook of a
-// running loop, after stopping the run, and across the groups' kernels.
+// the reference-merge loop, on handler-call logs, Stats and the stream of
+// window records — including a mid-run Checkpoint → Restore with a halved
+// lookahead and every pending event remapped, performed inside the window hook
+// of a running loop, after stopping the run, and across the groups' kernels.
 func TestRunMatchesSteppedGroups(t *testing.T) {
 	for i, c := range []regridCase{
 		{numLPs: 2, L: 0.002, seed: 1, regridAt: 0.010},
@@ -302,7 +306,7 @@ func TestRunMatchesSteppedGroups(t *testing.T) {
 			}
 			regrids := 0
 			for _, line := range want.stream {
-				if strings.HasPrefix(line, "run ") && strings.HasSuffix(line, "resumed=true") {
+				if strings.HasPrefix(line, "grid ") && strings.HasSuffix(line, "resumed=true") {
 					regrids++
 				}
 			}
@@ -318,7 +322,7 @@ func TestRunMatchesSteppedGroups(t *testing.T) {
 					t.Errorf("%s: stats diverge from Run\n got %+v\nwant %+v", name, got.stats, want.stats)
 				}
 				if !reflect.DeepEqual(got.stream, want.stream) {
-					t.Errorf("%s: recorder stream diverges from Run", name)
+					t.Errorf("%s: window-record stream diverges from Run", name)
 				}
 			}
 			atGOMAXPROCS(4, func() { check("Run on the workers", c.runInPlace(t, false, false)) })

@@ -6,17 +6,29 @@ import (
 	"repro/internal/obs"
 )
 
+// windowsTo is the smallest OnWindow hook: every window record goes to rec,
+// with barrier wait measured where the kernel can (nil rec: no hook at all).
+func windowsTo(cfg Config, rec obs.Recorder) Config {
+	if rec != nil {
+		cfg.MeasureWait = true
+		cfg.OnWindow = func(w *obs.Window) error {
+			rec.RecordWindow(*w)
+			return nil
+		}
+	}
+	return cfg
+}
+
 // chainKernel builds a kernel where each LP processes a chain of events, one
 // per tick, each event scheduling the next locally and charging one kernel
 // event; every stride-th event also pings the neighbor LP.
 func chainKernel(t testing.TB, numLPs int, events int, stride int, rec obs.Recorder, sequential bool) *Kernel {
 	t.Helper()
 	type tick struct{ n int }
-	k, err := New(Config{
+	k, err := New(windowsTo(Config{
 		NumLPs:     numLPs,
 		Lookahead:  1,
 		Sequential: sequential,
-		Recorder:   rec,
 		Handler: func(lp int, now float64, data any, s *Scheduler) {
 			tk := data.(*tick)
 			s.Charge(1)
@@ -28,7 +40,7 @@ func chainKernel(t testing.TB, numLPs int, events int, stride int, rec obs.Recor
 				s.Schedule((lp+1)%numLPs, now+1, &tick{n: 0})
 			}
 		},
-	})
+	}, rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,18 +52,15 @@ func chainKernel(t testing.TB, numLPs int, events int, stride int, rec obs.Recor
 	return k
 }
 
-// TestRecorderWindowCounters checks the per-window stream against the
+// TestWindowRecordCounters checks the per-window records against the
 // kernel's own cumulative statistics.
-func TestRecorderWindowCounters(t *testing.T) {
+func TestWindowRecordCounters(t *testing.T) {
 	for _, seq := range []bool{true, false} {
 		stats := obs.NewRunStats()
 		k := chainKernel(t, 3, 50, 10, stats, seq)
 		st, err := k.Run()
 		if err != nil {
 			t.Fatal(err)
-		}
-		if stats.Segments != 1 {
-			t.Errorf("seq=%v: segments = %d, want 1", seq, stats.Segments)
 		}
 		if stats.Windows != st.Windows {
 			t.Errorf("seq=%v: recorded %d windows, kernel says %d", seq, stats.Windows, st.Windows)
@@ -73,51 +82,123 @@ func TestRecorderWindowCounters(t *testing.T) {
 	}
 }
 
-// TestRecorderObserverCoexist verifies the Observer still sees per-window
-// charges when a Recorder is also attached (the reset happens exactly once).
-func TestRecorderObserverCoexist(t *testing.T) {
-	stats := obs.NewRunStats()
-	var observed int64
-	type tick struct{ n int }
+// TestWindowRecordIsOneWindow: the one hook sees the counters, the post-merge
+// queue depths and the barrier wait of the same window in one record. Every LP
+// runs a countdown tick per window that charges lp+2 and pings its neighbour
+// (1 charge, next window), so each field of each record is known in advance —
+// a counter folded twice, or a slice filled a window late, shows at once.
+func TestWindowRecordIsOneWindow(t *testing.T) {
+	const numLPs, rounds = 3, 8
+	var windows int64
 	k, err := New(Config{
-		NumLPs: 2, Lookahead: 1, Sequential: true,
-		Recorder: stats,
-		Observer: func(start, end float64, charges, remote []int64) {
-			for _, c := range charges {
-				observed += c
+		NumLPs: numLPs, Lookahead: 1, Sequential: true, MeasureWait: true,
+		Handler: func(lp int, now float64, data any, s *Scheduler) {
+			n := data.(int)
+			if n < 0 { // a neighbour's ping
+				s.Charge(1)
+				return
+			}
+			s.Charge(int64(lp) + 2)
+			if n > 0 {
+				s.Schedule(lp, now+1, n-1)
+				s.Schedule((lp+1)%numLPs, now+1, -1)
 			}
 		},
-		Handler: func(lp int, now float64, data any, s *Scheduler) {
-			tk := data.(*tick)
-			s.Charge(2)
-			if tk.n > 0 {
-				s.Schedule(lp, now+1, &tick{n: tk.n - 1})
+		OnWindow: func(w *obs.Window) error {
+			if w.Index != windows || w.Start != float64(windows) || w.End != w.Start+1 {
+				t.Errorf("record %d is window %d [%v,%v)", windows, w.Index, w.Start, w.End)
 			}
+			pinged, pings := int64(min(windows, 1)), int64(min(rounds-windows, 1))
+			for lp := 0; lp < numLPs; lp++ {
+				if w.Events[lp] != 1+pinged || w.Charges[lp] != int64(lp)+2+pinged {
+					t.Errorf("window %d LP %d: %d events, %d charges, want %d and %d",
+						windows, lp, w.Events[lp], w.Charges[lp], 1+pinged, int64(lp)+2+pinged)
+				}
+				// Post-merge: the neighbour's ping is already queued beside the next tick.
+				if w.Remote[lp] != pings || w.Queue[lp] != 2*pings {
+					t.Errorf("window %d LP %d: %d remote, %d queued, want %d and %d",
+						windows, lp, w.Remote[lp], w.Queue[lp], pings, 2*pings)
+				}
+				if w.Wait[lp] != 0 {
+					t.Errorf("window %d LP %d: waited %gs at a barrier a sequential run does not have",
+						windows, lp, w.Wait[lp])
+				}
+			}
+			windows++
+			return nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for lp := 0; lp < 2; lp++ {
-		if err := k.Schedule(lp, 0, &tick{n: 9}); err != nil {
+	for lp := 0; lp < numLPs; lp++ {
+		if err := k.Schedule(lp, 0.5, rounds); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st, err := k.Run()
-	if err != nil {
+	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := st.TotalCharges()
-	if observed != want {
-		t.Errorf("observer saw %d charges, kernel accumulated %d", observed, want)
+	if windows != rounds+1 {
+		t.Errorf("the hook saw %d windows, want %d", windows, rounds+1)
 	}
-	if got := stats.TotalCharges(); got != want {
-		t.Errorf("recorder saw %d charges, kernel accumulated %d", got, want)
+}
+
+// TestWaitMeasuredOnlyOnWorkers: barrier wait exists only where LPs run on
+// workers, so only there does the kernel read the clock for it. A Sequential
+// run, a single-LP run and a GOMAXPROCS=1 run leave the Stepper untimed and
+// deliver all-zero Wait however loudly MeasureWait asks; the worker dispatch
+// times its windows and delivers the wait — unless nobody asked.
+func TestWaitMeasuredOnlyOnWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		lps, procs      int
+		sequential, ask bool
+		timed           bool
+	}{
+		{"sequential", 3, 4, true, true, false},
+		{"single LP", 1, 4, false, true, false},
+		{"GOMAXPROCS=1", 3, 1, false, true, false},
+		{"workers, nobody reads wait", 3, 4, false, false, false},
+		{"workers", 3, 4, false, true, true},
+	} {
+		var k *Kernel
+		var windows int
+		var waited float64
+		hook := func(w *obs.Window) error {
+			windows++
+			if k.driver.timing != tc.timed {
+				t.Errorf("%s: Stepper timing = %v, want %v", tc.name, k.driver.timing, tc.timed)
+			}
+			for _, s := range w.Wait {
+				waited += s
+			}
+			return nil
+		}
+		k, _ = New(Config{
+			NumLPs: tc.lps, Lookahead: 1, Sequential: tc.sequential, MeasureWait: tc.ask, OnWindow: hook,
+			Handler: func(lp int, now float64, data any, s *Scheduler) {
+				if n := data.(int); n > 0 {
+					s.Schedule(lp, now+1, n-1)
+				}
+			},
+		})
+		for lp := 0; lp < tc.lps; lp++ {
+			k.Schedule(lp, 0, 20)
+		}
+		var err error
+		atGOMAXPROCS(tc.procs, func() { _, err = k.Run() })
+		if err != nil || windows != 21 {
+			t.Fatalf("%s: %d windows, err %v", tc.name, windows, err)
+		}
+		if (waited > 0) != tc.timed {
+			t.Errorf("%s: total barrier wait %gs, timed = %v", tc.name, waited, tc.timed)
+		}
 	}
 }
 
 // TestNilRecorderZeroAllocsPerEvent is the acceptance gate for the no-op
-// observability path: with Recorder nil, the kernel must not allocate per
+// observability path: with no OnWindow hook, the kernel must not allocate per
 // event. The chain workload keeps every queue at constant depth, so a run's
 // allocations are fixed setup costs; per-event allocations would scale the
 // total with the event count and trip the bound.
@@ -151,7 +232,7 @@ func TestNilRecorderZeroAllocsPerEvent(t *testing.T) {
 	// 2 LPs x 5000 events with ~40 fixed setup allocations: anything per-
 	// event would add thousands.
 	if allocs > 100 {
-		t.Errorf("nil-recorder run allocated %.0f times for %d events (> 100: not allocation-free per event)",
+		t.Errorf("hookless run allocated %.0f times for %d events (> 100: not allocation-free per event)",
 			allocs, 2*events)
 	}
 }

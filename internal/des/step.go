@@ -107,9 +107,9 @@ func (st *Stepper) EnableTiming() {
 
 // Stepper claims the given LPs — a non-empty set of distinct valid LPs — for
 // window-by-window driving until the Stepper is Closed; a kernel has one
-// driver at a time. Observer, Recorder and OnBarrier belong to Run's barrier
-// and are not called by Step. Statistics continue from the kernel's: a worker
-// reseated on a restored kernel reports run totals, not post-migration deltas.
+// driver at a time. OnWindow belongs to Run's barrier and is not called by
+// Step. Statistics continue from the kernel's: a worker reseated on a restored
+// kernel reports run totals, not post-migration deltas.
 //
 // The dispatch is chosen here from what the kernel can observe: with more
 // than one local LP, GOMAXPROCS above one and no Config.Sequential, each LP

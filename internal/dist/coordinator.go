@@ -475,9 +475,6 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 	}
 
 	for {
-		if err := merge.Canceled(); err != nil {
-			return nil, fmt.Errorf("dist: run canceled: %w", err)
-		}
 		s.admitJoins()
 		if err := deliver(); err != nil {
 			return nil, err
@@ -525,13 +522,13 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 			outbox = append(outbox, rep.Outbox...)
 		}
 		emu.SortWire(outbox)
-		if err := merge.CommitWindow(T, end, skipped, reports); err != nil {
+		// The commit is where the window is observed — cancellation included.
+		ws, err := merge.CommitWindow(T, end, skipped, reports)
+		if err != nil {
 			return nil, err
 		}
 		if health != nil && tl != nil {
-			for _, ws := range tl.DrainWindowStats() {
-				health.ObserveWindow(ws.Worker, ws.Lag)
-			}
+			health.ObserveWindow(ws.Worker, ws.Lag)
 			health.SetAttribution(tl.Health())
 		}
 		s.virtT = T

@@ -3,9 +3,12 @@ package dist_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +17,8 @@ import (
 	"repro/internal/emu"
 	"repro/internal/experiments"
 	"repro/internal/mapping"
+	"repro/internal/obs"
+	"repro/internal/telemetry"
 )
 
 // scenario builds a fresh, fast scenario for one run. Every call returns an
@@ -153,32 +158,183 @@ func TestDistributedTCPMatchesLoopback(t *testing.T) {
 	}
 }
 
+// sinks attaches every sink a run can carry at once — the JSONL recorder, the
+// RunStats collector, the telemetry collector (scenario turns it on), the
+// tracing timeline and, for a distributed run, the cluster-health plane — so
+// one window commit feeds them all.
+type sinks struct {
+	jsonl  bytes.Buffer
+	trace  *obs.Trace
+	tl     *obs.Timeline
+	health *telemetry.ClusterHealth
+}
+
+func attachSinks(sc *core.Scenario, distributed bool) *sinks {
+	s := &sinks{tl: obs.NewTimeline()}
+	s.trace = obs.NewTrace(&s.jsonl)
+	sc.Recorder, sc.CollectStats, sc.Trace = s.trace, true, s.tl
+	if distributed {
+		s.health = telemetry.NewClusterHealth()
+		sc.ClusterHealth = s.health
+	}
+	return s
+}
+
+// observed is what the sinks of one run recorded that must not depend on
+// where its engines ran.
+type observed struct {
+	// Result is the canonical result, final telemetry snapshot included.
+	Result string
+	// JSONL is the recorder stream without its queue depths: a coordinator
+	// samples them before the barrier merge, the kernel after (DESIGN.md §11).
+	JSONL string
+	// Segments to Remote are the deterministic fields of RunStats.
+	Segments                int
+	Windows                 int64
+	Events, Charges, Remote []int64
+	// Canonical is Timeline.CanonicalJSON.
+	Canonical string
+	// Attribution is the timeline's modeled spans — per window the compute
+	// span of every active engine and the barrier-wait span of every worker
+	// but the gating one, i.e. the window's WindowStat spelled out (gating
+	// worker, its busy seconds, its lead) — and Health their per-worker
+	// totals. Both name workers, so they are comparable only between runs
+	// that seat one engine per worker, as in-process does.
+	Attribution []obs.Span
+	Health      []obs.WorkerHealth
+}
+
+var queueDepths = regexp.MustCompile(`,"queue":\[[^\]]*\]`)
+
+func (s *sinks) observed(t *testing.T, r *emu.Result) observed {
+	t.Helper()
+	if err := s.trace.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := r.Obs
+	if st == nil || r.Telemetry == nil {
+		t.Fatalf("run lost a sink: stats %v, telemetry %v", st, r.Telemetry)
+	}
+	o := observed{
+		Result:    string(canonical(t, r)),
+		JSONL:     queueDepths.ReplaceAllString(s.jsonl.String(), ""),
+		Segments:  st.Segments,
+		Windows:   st.Windows,
+		Events:    st.Events,
+		Charges:   st.Charges,
+		Remote:    st.Remote,
+		Canonical: string(s.tl.CanonicalJSON()),
+		Health:    s.tl.Health(),
+	}
+	for _, sp := range s.tl.Spans() {
+		if sp.Kind == obs.SpanCompute || sp.Kind == obs.SpanBarrier {
+			sp.Wall = 0
+			o.Attribution = append(o.Attribution, sp)
+		}
+	}
+	if o.Windows != r.Kernel.Windows || s.tl.Windows() != o.Windows ||
+		strings.Count(o.JSONL, `{"type":"window"`) != int(o.Windows) || strings.Count(o.JSONL, `{"type":"run"`) != 1 {
+		t.Fatalf("sinks disagree on the windows committed: kernel %d, stats %d, timeline %d, JSONL %d (+%d run lines)",
+			r.Kernel.Windows, o.Windows, s.tl.Windows(),
+			strings.Count(o.JSONL, `{"type":"window"`), strings.Count(o.JSONL, `{"type":"run"`))
+	}
+	if s.health == nil {
+		return o
+	}
+	// The attribution each CommitWindow returned reached the health plane once:
+	// its per-worker tallies are the timeline's.
+	var doc struct {
+		Windows int64
+		Detail  []struct {
+			Worker            int
+			GatedWindows      int64   `json:"gated_windows"`
+			CriticalPathShare float64 `json:"critical_path_share"`
+		} `json:"worker_detail"`
+	}
+	var body bytes.Buffer
+	if err := s.health.WriteHealthz(&body); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body.Bytes(), &doc); err != nil {
+		t.Fatalf("healthz: %v\n%s", err, body.Bytes())
+	}
+	if doc.Windows != o.Windows || len(doc.Detail) != len(o.Health) {
+		t.Fatalf("health plane saw %d windows and %d gating workers, timeline %d and %d",
+			doc.Windows, len(doc.Detail), o.Windows, len(o.Health))
+	}
+	for i, h := range o.Health {
+		if d := doc.Detail[i]; d.Worker != h.Worker || d.GatedWindows != h.GatedWindows || d.CriticalPathShare != h.Share {
+			t.Errorf("health plane row %+v, timeline %+v", d, h)
+		}
+	}
+	return o
+}
+
 // TestStaticAndSteadyElasticMatchInProcess: the coordinator has one window
 // loop, and the two ways of dealing engines to workers must not show in the
-// result. Run deals round-robin over two workers (an uneven split: Campus is
-// 3 engines, TeraGrid 5); RunElastic at full capacity with no joins or drains
-// deals one block per worker. Both must equal the in-process bytes.
+// result — nor in anything a sink recorded, with every sink attached at once.
+// Run deals round-robin over two workers (an uneven split: Campus is 3
+// engines, TeraGrid 5); RunElastic at full capacity with no joins or drains
+// deals one block per worker. Both must equal the in-process bytes, and the
+// one-engine-per-worker elastic run the in-process straggler attribution too.
 func TestStaticAndSteadyElasticMatchInProcess(t *testing.T) {
 	for _, topology := range []string{"Campus", "TeraGrid"} {
 		topology := topology
 		t.Run(topology, func(t *testing.T) {
 			t.Parallel()
 			ctx := context.Background()
-			inproc, err := scenario(t, topology).Run(ctx, mapping.Top)
+			sc := scenario(t, topology)
+			sk := attachSinks(sc, false)
+			inproc, err := sc.Run(ctx, mapping.Top)
 			if err != nil {
 				t.Fatalf("in-process: %v", err)
 			}
-			want := canonical(t, inproc.Result)
-
-			if got := canonical(t, runDistributed(t, topology, mapping.Top, 2)); !bytes.Equal(want, got) {
-				t.Fatalf("round-robin static run diverges from in-process:\nin-process: %.600s\nstatic: %.600s", want, got)
+			want := sk.observed(t, inproc.Result)
+			if len(want.Health) < 2 || len(want.Attribution) <= int(want.Windows) {
+				t.Fatalf("degenerate run: %d gating engines, %d spans over %d windows",
+					len(want.Health), len(want.Attribution), want.Windows)
+			}
+			check := func(shape string, got observed, perWorker bool) {
+				t.Helper()
+				if want.Result != got.Result {
+					t.Fatalf("%s run diverges from in-process:\nin-process: %.600s\n%s: %.600s", shape, want.Result, shape, got.Result)
+				}
+				if !perWorker {
+					got.Attribution, got.Health = want.Attribution, want.Health
+				}
+				if want.JSONL != got.JSONL {
+					t.Errorf("%s run: recorder JSONL diverges from in-process", shape)
+				}
+				if want.Canonical != got.Canonical {
+					t.Errorf("%s run: canonical timeline diverges from in-process", shape)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("%s run: RunStats or attribution diverge from in-process:\n got %d segments %d windows ev=%v ch=%v rm=%v health=%+v\nwant %d segments %d windows ev=%v ch=%v rm=%v health=%+v",
+						shape, got.Segments, got.Windows, got.Events, got.Charges, got.Remote, got.Health,
+						want.Segments, want.Windows, want.Events, want.Charges, want.Remote, want.Health)
+				}
 			}
 
-			sc := scenario(t, topology)
+			sc = scenario(t, topology)
+			sk = attachSinks(sc, true)
+			conns, drain := startLoopbackWorkers(ctx, 2)
+			o, err := sc.RunDistributed(ctx, mapping.Top, conns, dist.Options{})
+			if err != nil {
+				t.Fatalf("round-robin static run: %v", err)
+			}
+			for i, werr := range drain() {
+				if werr != nil {
+					t.Fatalf("static worker %d: %v", i, werr)
+				}
+			}
+			check("round-robin static", sk.observed(t, o.Result), false)
+
+			sc = scenario(t, topology)
 			if sc.Engines%2 == 0 {
 				t.Fatalf("%s has %d engines; the static case must split unevenly over 2 workers", topology, sc.Engines)
 			}
-			conns, drain := startLoopbackWorkers(ctx, sc.Engines)
+			sk = attachSinks(sc, true)
+			conns, drain = startLoopbackWorkers(ctx, sc.Engines)
 			o, mlog, err := sc.RunElastic(ctx, conns, dist.ElasticOptions{})
 			if err != nil {
 				t.Fatalf("steady elastic run: %v", err)
@@ -191,9 +347,7 @@ func TestStaticAndSteadyElasticMatchInProcess(t *testing.T) {
 			if len(mlog.Resizes)+len(mlog.Losses) != 0 {
 				t.Fatalf("steady run changed membership: %+v", mlog)
 			}
-			if got := canonical(t, o.Result); !bytes.Equal(want, got) {
-				t.Fatalf("block-dealt steady elastic run diverges from in-process:\nin-process: %.600s\nelastic: %.600s", want, got)
-			}
+			check("block-dealt steady elastic", sk.observed(t, o.Result), true)
 		})
 	}
 }

@@ -3,26 +3,31 @@ package emu
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/telemetry"
 )
 
 // The byte-identical acceptance matrix for the kernel's one window loop.
 //
-// kernelOutcome captures everything deterministic a run produces: the full
-// JSONL observability trace (per-window, per-engine counters, RunMeta per
-// grid, recovery events — any event reordering shows up here) and the
-// canonical result fields dist.ResultJSON serializes (wall-clock times
-// excluded). Every dispatch the kernel can choose must produce the same
-// outcome, and that outcome must hash to the pins below, which were recorded
-// from the global-sort reference barrier running sequentially, with crash
-// recovery and resizes still restarting the kernel — before the window loop
-// was collapsed. internal/dist's TestDistributedMatchesInProcess extends the
+// kernelOutcome captures everything deterministic a run produces with every
+// sink attached at once: the full JSONL observability trace (per-window,
+// per-engine counters, RunMeta per grid, recovery events — any event
+// reordering shows up here), the canonical result fields dist.ResultJSON
+// serializes (wall-clock times excluded), and what the other sinks of the one
+// window commit recorded — the tracing timeline's canonical projection, the
+// final telemetry snapshot, RunStats' window count. Every dispatch the kernel
+// can choose must produce the same outcome, and that outcome must hash to the
+// pins below, which were recorded from the global-sort reference barrier
+// running sequentially, with crash recovery and resizes still restarting the
+// kernel — before the window loop was collapsed. internal/dist's TestDistributedMatchesInProcess extends the
 // chain to the loopback distributed runtime.
 type kernelOutcome struct {
 	trace       string
@@ -45,21 +50,40 @@ type kernelOutcome struct {
 	finalAssignment []int
 	recovery        *Recovery
 	membership      *Membership
+
+	// Outside the pins, which predate these sinks riding along.
+	timeline     string
+	telemetry    string
+	statsWindows int64
 }
 
-// runOutcome executes cfg and extracts the deterministic outcome.
+// runOutcome executes cfg with every sink attached and extracts the
+// deterministic outcome.
 func runOutcome(t *testing.T, cfg Config) kernelOutcome {
 	t.Helper()
 	var buf bytes.Buffer
 	tr := obs.NewTrace(&buf)
-	res, err := Run(cfg, WithRecorder(tr))
+	tl := obs.NewTimeline()
+	res, err := Run(cfg, WithRecorder(tr), WithTelemetry(telemetry.New()), WithTrace(tl))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	snap, err := json.Marshal(res.Telemetry)
+	if err != nil || res.Telemetry == nil || res.Obs == nil {
+		t.Fatalf("run lost a sink: telemetry %v (%v), stats %v", res.Telemetry, err, res.Obs)
+	}
+	// Every sink saw every executed window, replays included.
+	if n := int64(strings.Count(buf.String(), `{"type":"window"`)); n != res.Obs.Windows || n != tl.Windows() {
+		t.Fatalf("sinks disagree on the windows committed: JSONL %d, stats %d, timeline %d", n, res.Obs.Windows, tl.Windows())
+	}
 	return kernelOutcome{
+		timeline:     string(tl.CanonicalJSON()),
+		telemetry:    string(snap),
+		statsWindows: res.Obs.Windows,
+
 		trace:       buf.String(),
 		windows:     res.Kernel.Windows,
 		virtualEnd:  res.Kernel.VirtualEnd,
@@ -103,12 +127,32 @@ func (o kernelOutcome) pin() [2]string {
 	}
 }
 
+// lifecycle is the trace's run and event lines in order, by kind ("run+" a
+// resumed grid): where each RunMeta sits among the recovery events.
+func (o kernelOutcome) lifecycle() string {
+	var kinds []string
+	for _, line := range strings.Split(o.trace, "\n") {
+		switch {
+		case strings.HasPrefix(line, `{"type":"run"`) && strings.HasSuffix(line, `"resumed":true}`):
+			kinds = append(kinds, "run+")
+		case strings.HasPrefix(line, `{"type":"run"`):
+			kinds = append(kinds, "run")
+		case strings.HasPrefix(line, `{"type":"event","kind":"`):
+			kind, _, _ := strings.Cut(strings.TrimPrefix(line, `{"type":"event","kind":"`), `"`)
+			kinds = append(kinds, kind)
+		}
+	}
+	return strings.Join(kinds, " ")
+}
+
 // pinnedScenario is one configuration of the matrix with the {trace, fields}
-// hashes its reference run produced.
+// hashes its reference run produced and the order of its run and event lines
+// — which the trace hash pins too, unreadably.
 type pinnedScenario struct {
-	name string
-	cfg  func() Config
-	pin  [2]string
+	name      string
+	cfg       func() Config
+	pin       [2]string
+	lifecycle string
 }
 
 func pinnedScenarios() []pinnedScenario {
@@ -123,17 +167,18 @@ func pinnedScenarios() []pinnedScenario {
 	return []pinnedScenario{
 		{"plain", plain, [2]string{
 			"9610b41d3fa3863f356ae044d3cde8c81e8a4adb589831caca651189db19848d",
-			"1bee1fabe5dce4d33c098ecdb62b551ee505651322d9a661dc641a46e726f67f"}},
+			"1bee1fabe5dce4d33c098ecdb62b551ee505651322d9a661dc641a46e726f67f"}, "run"},
 		{"faulted", faultedConfig, [2]string{
 			"2a2713fa14ff18b8a75d888f988f9ef324a16eaec57377db07054d7804bcf876",
-			"44c046a58d0f49ce42fbbb4ca7c91687c641c547fd6df9d2b8d021e15ac16dc0"}},
+			"44c046a58d0f49ce42fbbb4ca7c91687c641c547fd6df9d2b8d021e15ac16dc0"},
+			"checkpoint run checkpoint crash rollback migration run+" + strings.Repeat(" checkpoint", 6)},
 		{"profile", func() Config {
 			cfg := plain()
 			cfg.Profile = true
 			return cfg
 		}, [2]string{
 			"9610b41d3fa3863f356ae044d3cde8c81e8a4adb589831caca651189db19848d",
-			"1bee1fabe5dce4d33c098ecdb62b551ee505651322d9a661dc641a46e726f67f"}},
+			"1bee1fabe5dce4d33c098ecdb62b551ee505651322d9a661dc641a46e726f67f"}, "run"},
 		{"tcp-buffered", func() Config {
 			cfg := plain()
 			cfg.Transport = TCPSlowStart
@@ -141,7 +186,7 @@ func pinnedScenarios() []pinnedScenario {
 			return cfg
 		}, [2]string{
 			"37836c32d5300fda1df167eb4447cac64c59e6236cc8bedfc3928bd868a5bfb9",
-			"4d5fa498facfd430d78e3e33dad687f2fb58d092d30237feb993014fdea0a0d9"}},
+			"4d5fa498facfd430d78e3e33dad687f2fb58d092d30237feb993014fdea0a0d9"}, "run"},
 		// TestElasticResizeMatchesStatic's grow resize: a third engine
 		// activates at the first barrier at or after t=4.
 		{"elastic", func() Config {
@@ -155,7 +200,10 @@ func pinnedScenarios() []pinnedScenario {
 			}
 		}, [2]string{
 			"61fb67a690cc5e705e499acd20b8c6b7d222bdef19836bcfe37319b97e5b4926",
-			"305125b9d5b2aa02c433f511da0c68ae015131ee25c356f2090a5c1bee07c63b"}},
+			"305125b9d5b2aa02c433f511da0c68ae015131ee25c356f2090a5c1bee07c63b"},
+			// The emulator announces each grid: the first after the initial
+			// checkpoint, the resumed one right after the resize's migrations.
+			"checkpoint run checkpoint resize migration migration run+ checkpoint"},
 		// Engine 1 dies at t=2 and is rolled back onto engine 0; the survivors
 		// then spread back out over engines 0 and 2 at t=5.
 		{"crash-then-resize", func() Config {
@@ -171,7 +219,9 @@ func pinnedScenarios() []pinnedScenario {
 			}
 		}, [2]string{
 			"a3e3e9f3e5e20a0376f8e2bd6f4fe1ac5e1c1eb2052893d059278f8e523bf825",
-			"a959ff5ef5cf7b77e6b75b9838bd68d2b18356ffaf3f4336e3246b696bdaefdf"}},
+			"a959ff5ef5cf7b77e6b75b9838bd68d2b18356ffaf3f4336e3246b696bdaefdf"},
+			"checkpoint run checkpoint crash rollback migration run+ checkpoint checkpoint checkpoint " +
+				"resize migration run+ checkpoint checkpoint checkpoint"},
 	}
 }
 
@@ -206,6 +256,9 @@ func TestBatchedPathByteIdentical(t *testing.T) {
 				if got.trace == "" || got.windows == 0 {
 					t.Fatalf("%s: run produced no observable output", m.name)
 				}
+				if lc := got.lifecycle(); lc != sc.lifecycle {
+					t.Errorf("%s: run and event lines in the order\n %s\nwant\n %s", m.name, lc, sc.lifecycle)
+				}
 				if pin := got.pin(); pin != sc.pin {
 					t.Errorf("%s: outcome diverged from the recorded reference\n got {%q, %q}\nwant {%q, %q}",
 						m.name, pin[0], pin[1], sc.pin[0], sc.pin[1])
@@ -218,7 +271,7 @@ func TestBatchedPathByteIdentical(t *testing.T) {
 					t.Errorf("%s: JSONL trace diverged from %s", m.name, modes[0].name)
 				}
 				if !reflect.DeepEqual(got, first) {
-					t.Errorf("%s: result fields diverged from %s", m.name, modes[0].name)
+					t.Errorf("%s: result fields, timeline or telemetry diverged from %s", m.name, modes[0].name)
 				}
 			}
 		})

@@ -21,10 +21,11 @@ import (
 // shared emulation state built by prepare (every process rebuilds identical
 // state from the shipped scenario, so pointers never cross the wire) and
 // speaks in WireEvents, flat value records keyed by flow index. DistMerge is
-// the coordinator half — it replays the barrier and observer logic of Run
-// against the merged per-window counters, so AppTime/NetTime, telemetry and
-// the final Result are bit-identical to an in-process run of the same
-// scenario. The transport between them lives in internal/dist.
+// the coordinator half — it sums the workers' per-window reports into the same
+// obs.Window record the in-process kernel fills and hands it to the same
+// commit, so AppTime/NetTime, telemetry, traces and the final Result are
+// bit-identical to an in-process run of the same scenario. The transport
+// between them lives in internal/dist.
 
 // Wire payload kinds. The emulator has exactly three event payloads; anything
 // else on the wire is a protocol violation surfaced as ErrBadConfig.
@@ -126,7 +127,7 @@ func NormalizeConfig(cfg *Config) error { return validate(cfg) }
 // happen in-process on the coordinator before the assignment ships, and crash
 // schedules are owned by the in-process fallback path (worker loss).
 // Straggler and degradation schedules DO distribute: they only scale the
-// coordinator's cost model in observe, never worker execution, so the result
+// coordinator's cost model in commit, never worker execution, so the result
 // path is unaffected by where engines physically run.
 func checkDistConfig(cfg *Config) error {
 	if cfg.Profile {
@@ -243,8 +244,8 @@ func (d *DistLocal) Close() { d.stepper.Close() }
 func (d *DistLocal) EnableTiming() { d.stepper.EnableTiming() }
 
 // AppendComputeSpans appends one wall-clock compute span per local engine
-// active in the window just stepped (same activity rule as the coordinator's
-// modeled spans: nonzero charges or remote sends). The coordinator overlays
+// active in the window just stepped (obs.Timeline.CommitWindow's activity
+// rule: nonzero charges or remote sends). The coordinator overlays
 // these measured durations onto its deterministic modeled spans; they never
 // influence the result path.
 func (d *DistLocal) AppendComputeSpans(dst []obs.Span, T, end float64) []obs.Span {
@@ -355,11 +356,10 @@ func (d *DistLocal) Final() *DistState {
 type DistMerge struct {
 	e     *emulation
 	stats *des.Stats
-	// Per-window merge scratch, reused across CommitWindow calls (recorders
-	// must not retain an obs.Window's slices). winWait stays zero: barrier
-	// wait is wall-clock and owned by the transport here.
-	charges, remote, events, queue []int64
-	winWait                        []float64
+	// win is the per-window record, its slices reused across CommitWindow calls
+	// (sinks must not retain them). Wait stays zero: barrier wait is wall-clock
+	// and owned by the transport here.
+	win obs.Window
 	// active flags the engines currently in the run's membership; resizes
 	// update it, and Finalize only requires coverage of active engines.
 	active []bool
@@ -386,19 +386,19 @@ func NewDistMerge(cfg Config, opts ...Option) (*DistMerge, error) {
 			Charges:     make([]int64, n),
 			RemoteSends: make([]int64, n),
 		},
-		charges: make([]int64, n),
-		remote:  make([]int64, n),
-		events:  make([]int64, n),
-		queue:   make([]int64, n),
-		winWait: make([]float64, n),
-		active:  make([]bool, n),
+		win: obs.Window{
+			Events:  make([]int64, n),
+			Charges: make([]int64, n),
+			Remote:  make([]int64, n),
+			Queue:   make([]int64, n),
+			Wait:    make([]float64, n),
+		},
+		active: make([]bool, n),
 	}
 	for i := range m.active {
 		m.active[i] = true
 	}
-	if e.rec != nil {
-		e.rec.RecordRun(obs.RunMeta{LPs: n, Lookahead: e.lookahead})
-	}
+	e.recordRun(e.lookahead, false)
 	return m, nil
 }
 
@@ -427,40 +427,37 @@ func (m *DistMerge) NoteClusterSize(n int) {
 // EndTime returns the configured truncation time (0 = none).
 func (m *DistMerge) EndTime() float64 { return m.e.cfg.EndTime }
 
-// Canceled returns the context error when the run's context is done.
-func (m *DistMerge) Canceled() error {
-	if m.e.ctx != nil {
-		return m.e.ctx.Err()
-	}
-	return nil
-}
-
-// CommitWindow folds one executed window [T, end) — the one the coordinator's
-// des.Grid picked, with the idle virtual time skipped it jumped to get there
-// — from the workers' reports: telemetry partials install first (so Commit
-// sees the post-window matrix, as in-process), then the window observer
-// replays with the merged charges, then recorders. The reports together cover
-// every engine exactly once.
-func (m *DistMerge) CommitWindow(T, end, skipped float64, reports []*WindowReport) error {
+// CommitWindow commits one executed window [T, end) — the one the
+// coordinator's des.Grid picked, with the idle virtual time skipped it jumped
+// to get there — from the workers' reports, which together cover every engine
+// exactly once: telemetry partials install first (so the commit sees the
+// post-window matrix, as in-process), the reports sum into the window record,
+// and the record goes through the same commit an in-process window does. The
+// returned attribution names the worker that gated the window (none when
+// tracing is off); an error — a malformed report, a canceled context — ends
+// the run.
+func (m *DistMerge) CommitWindow(T, end, skipped float64, reports []*WindowReport) (obs.WindowStat, error) {
 	n := m.e.cfg.NumEngines
-	charges, remote, events, queue := m.charges, m.remote, m.events, m.queue
-	clear(charges)
-	clear(remote)
-	clear(events)
-	clear(queue)
+	w := &m.win
+	clear(w.Events)
+	clear(w.Charges)
+	clear(w.Remote)
+	clear(w.Queue)
 	var parts []*telemetry.Partial
 	for _, r := range reports {
 		if r == nil {
-			return fmt.Errorf("emu: missing window report")
+			return obs.WindowStat{}, fmt.Errorf("emu: missing window report")
 		}
 		if len(r.Charges) != n || len(r.Remote) != n || len(r.Events) != n || len(r.Queue) != n {
-			return fmt.Errorf("emu: window report sized for %d engines, want %d", len(r.Charges), n)
+			return obs.WindowStat{}, fmt.Errorf("emu: window report sized for %d engines, want %d", len(r.Charges), n)
 		}
+		// Queue depths are the workers' post-window (pre-merge) occupancy — the
+		// merge happens on the coordinator after the report is cut.
 		for lp := 0; lp < n; lp++ {
-			charges[lp] += r.Charges[lp]
-			remote[lp] += r.Remote[lp]
-			events[lp] += r.Events[lp]
-			queue[lp] += r.Queue[lp]
+			w.Events[lp] += r.Events[lp]
+			w.Charges[lp] += r.Charges[lp]
+			w.Remote[lp] += r.Remote[lp]
+			w.Queue[lp] += r.Queue[lp]
 		}
 		if r.Telemetry != nil {
 			parts = append(parts, r.Telemetry)
@@ -468,28 +465,20 @@ func (m *DistMerge) CommitWindow(T, end, skipped float64, reports []*WindowRepor
 	}
 	if m.e.tel != nil && len(parts) > 0 {
 		if err := m.e.tel.InstallPartials(parts); err != nil {
-			return err
+			return obs.WindowStat{}, err
 		}
 	}
+	w.Index, w.Start, w.End = m.stats.Windows, T, end
+	st, err := m.e.commit(w)
 	m.stats.SkippedTime += skipped
-	m.e.observe(T, end, charges, remote)
 	for lp := 0; lp < n; lp++ {
-		m.stats.Events[lp] += events[lp]
-		m.stats.Charges[lp] += charges[lp]
-		m.stats.RemoteSends[lp] += remote[lp]
-	}
-	if m.e.rec != nil {
-		// Queue depths are the workers' post-window (pre-merge) occupancy —
-		// the merge happens on the coordinator after the report is cut.
-		m.e.rec.RecordWindow(obs.Window{
-			Index: m.stats.Windows, Start: T, End: end,
-			Events: events, Charges: charges, Remote: remote,
-			Queue: queue, Wait: m.winWait,
-		})
+		m.stats.Events[lp] += w.Events[lp]
+		m.stats.Charges[lp] += w.Charges[lp]
+		m.stats.RemoteSends[lp] += w.Remote[lp]
 	}
 	m.stats.Windows++
 	m.stats.VirtualEnd = end
-	return nil
+	return st, err
 }
 
 // Finalize merges the workers' final states and assembles the Result,

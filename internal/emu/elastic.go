@@ -118,7 +118,7 @@ func (e *emulation) resizeTo(at float64, engines, assignment []int) {
 }
 
 // applyResize repartitions the run onto Elastic[idx]'s engine set at barrier
-// time at, inside the barrier hook. Unlike crash recovery there is no
+// time at, inside the barrier step. Unlike crash recovery there is no
 // rollback: the state at the barrier is consistent, so the kernel checkpoint
 // taken here is both the migration source and the new rollback fence — a
 // later crash must not roll back behind a membership change. Restoring it
@@ -153,7 +153,7 @@ func (e *emulation) applyResize(k *des.Kernel, rs *resilience, idx int, at float
 		}
 	}
 	e.resizeTo(at, r.Engines, newAssign)
-	if err := k.Restore(cp, Lookahead(e.nw, e.assignment, e.cfg.MinLookahead), e.ownerOf); err != nil {
+	if err := e.regrid(k, cp); err != nil {
 		return err
 	}
 	rs.last = e.snapshot(cp)

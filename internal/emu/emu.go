@@ -24,6 +24,14 @@
 //
 // When profiling is enabled the emulator additionally runs the NetFlow-like
 // accounting of §3.3 on every node, feeding the PROFILE mapping.
+//
+// Every executed window is observed in one place, emulation.commit: the kernel
+// (in-process) or DistMerge.CommitWindow (distributed) hands it the window's
+// obs.Window record, and it feeds, in a fixed order, the time model behind
+// the three metrics, the telemetry collector, the tracing timeline and the
+// recorder chain, then observes cancellation and applies a scheduled crash or
+// resize. The emulator, not the kernel, announces each window grid to the
+// recorders (RunMeta): at the start and after every Restore.
 package emu
 
 import (
@@ -326,25 +334,8 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 	}
 
 	desCfg := e.kernelConfig()
-	desCfg.Observer = e.observe
-	desCfg.Recorder = e.rec
-	if o.ctx != nil || cfg.Faults.HasCrashes() || len(cfg.Elastic) > 0 {
-		// Cancellation is observed between windows, never mid-handler; the
-		// crash and resize hook target is installed by runResilient once the
-		// kernel exists, and the indirection keeps des.Config construction
-		// simple.
-		desCfg.OnBarrier = func(ws, we float64) error {
-			if e.ctx != nil {
-				if err := e.ctx.Err(); err != nil {
-					return fmt.Errorf("emu: run canceled at window [%g,%g): %w", ws, we, err)
-				}
-			}
-			if e.barrier != nil {
-				return e.barrier(ws, we)
-			}
-			return nil
-		}
-	}
+	desCfg.OnWindow = e.onWindow
+	desCfg.MeasureWait = e.rec != nil // recorders are the only readers of Window.Wait
 	kernel, err := des.New(desCfg)
 	if err != nil {
 		return nil, err
@@ -522,8 +513,8 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 }
 
 // kernelConfig is the handler-and-width core of the kernel configuration;
-// Run layers the in-process observer and barrier hooks on top, while a
-// distributed worker runs it bare (the coordinator owns the barrier).
+// Run hooks commit onto it, while a distributed worker runs it bare (the
+// coordinator owns the barrier and commits the merged window).
 func (e *emulation) kernelConfig() des.Config {
 	return des.Config{
 		NumLPs:     e.cfg.NumEngines,
@@ -749,8 +740,9 @@ type emulation struct {
 	tel        *telemetry.Collector
 	series     *metrics.Series
 
-	// Time-model accumulators, filled by the per-window observer. winCost is
-	// its per-window scratch: the modeled cost of each engine's window.
+	// Time-model accumulators, filled by commit. winCost is its per-window
+	// scratch: the modeled cost of each engine's window, which every sink reads
+	// through the window record's Cost.
 	cost            CostModel
 	speeds          []float64
 	buckets         int
@@ -760,13 +752,11 @@ type emulation struct {
 	bucketSync      []float64
 	bucketBusyWidth []float64
 
-	// trace is the cluster tracing timeline; nil when tracing is off (the
-	// observer then takes a single nil check and allocates nothing). spanBuf
-	// is its per-window scratch, reused across windows.
-	trace   *obs.Timeline
-	spanBuf []obs.Span
+	// trace is the cluster tracing timeline; nil when tracing is off (commit
+	// then takes a single nil check and allocates nothing).
+	trace *obs.Timeline
 
-	// barrier is the crash-recovery and resize hook target, installed by
+	// barrier is the crash-recovery and resize step of commit, installed by
 	// runResilient when the run has a crash schedule or elastic resizes.
 	barrier func(ws, we float64) error
 	// membership accumulates elastic resize bookkeeping; nil unless
@@ -792,13 +782,57 @@ func (e *emulation) bucketOf(t float64) int {
 	return b
 }
 
-// observe accumulates one executed window into the time model. Straggler and
-// cluster-degradation faults scale the cost terms here: a slowed engine pays
-// more per kernel event, a degraded cluster network more per remote send.
-// The charges/remote slices are the kernel's recycled window buffers — they
-// are fully consumed before returning and never retained (the telemetry
-// Commit below folds charges into its own arrays the same way).
-func (e *emulation) observe(start, end float64, charges, remote []int64) {
+// commit is the one place an executed window is observed, in-process (the
+// kernel's OnWindow hook, through onWindow) and distributed
+// (DistMerge.CommitWindow hands it the record summed from the workers'
+// reports). In order: the time model prices the window into w.Cost and its
+// buckets, the telemetry collector folds and republishes (engines are quiesced
+// at the barrier), the tracing timeline commits and attributes the window, the
+// recorder chain receives the record, cancellation is observed — between
+// windows, never mid-handler — and a scheduled crash or resize is applied,
+// which may Checkpoint and Restore the kernel under its running loop. The
+// returned attribution is the timeline's (no gating worker when tracing is
+// off); an error stops the run.
+//
+// The record's slices are recycled window buffers: every sink consumes them
+// before returning and none retains them.
+func (e *emulation) commit(w *obs.Window) (obs.WindowStat, error) {
+	w.Cost = e.price(w)
+	e.tel.Commit(w.Start, w.End, w.Charges)
+	st := obs.WindowStat{Window: w.Index, Worker: -1}
+	if e.trace != nil {
+		st = e.trace.CommitWindow(*w)
+	}
+	if e.rec != nil {
+		e.rec.RecordWindow(*w)
+	}
+	if e.ctx != nil {
+		if err := e.ctx.Err(); err != nil {
+			return st, fmt.Errorf("emu: run canceled at window [%g,%g): %w", w.Start, w.End, err)
+		}
+	}
+	if e.barrier != nil {
+		return st, e.barrier(w.Start, w.End)
+	}
+	return st, nil
+}
+
+// onWindow is commit as the kernel's hook: in-process each engine is its own
+// worker and nothing reads the per-window attribution live.
+func (e *emulation) onWindow(w *obs.Window) error {
+	_, err := e.commit(w)
+	return err
+}
+
+// price accumulates one executed window into the time model and returns the
+// modeled cost of each engine's share of it — the only place that formula is
+// spelled. Straggler and cluster-degradation faults scale the cost terms
+// here: a slowed engine pays more per kernel event, a degraded cluster network
+// more per remote send. Being a pure function of merged counters and the cost
+// model, the costs are identical across in-process, loopback and TCP
+// executions.
+func (e *emulation) price(w *obs.Window) []float64 {
+	start, charges, remote := w.Start, w.Charges, w.Remote
 	b := e.bucketOf(start)
 	cost := e.winCost
 	if e.cfg.Faults == nil && e.speeds == nil {
@@ -820,40 +854,8 @@ func (e *emulation) observe(start, end float64, charges, remote []int64) {
 		e.series.Add(start, lp, float64(charges[lp]))
 	}
 	e.bucketSync[b] += e.cost.PerWindow
-	e.bucketBusyWidth[b] += end - start
-	// Engines are quiesced at the barrier, so the telemetry collector can
-	// fold the window and republish its live snapshot here.
-	e.tel.Commit(start, end, charges)
-	if e.trace != nil {
-		e.traceWindow(start, end, charges, remote)
-	}
-}
-
-// traceWindow commits one window's compute spans to the tracing timeline.
-// Busy is the modeled cost observe just computed into winCost. Spans derive
-// purely from merged counters and the cost model, so the timeline's virtual
-// fields are deterministic across in-process, loopback and TCP executions.
-// The gating worker of each window also feeds the RunStats straggler
-// attribution, bypassing the Recorder stream so recorded trace artifacts are
-// unchanged by tracing.
-func (e *emulation) traceWindow(start, end float64, charges, remote []int64) {
-	if e.spanBuf == nil {
-		e.spanBuf = make([]obs.Span, 0, e.cfg.NumEngines)
-	}
-	spans := e.spanBuf[:0]
-	for lp, c := range e.winCost {
-		if charges[lp] == 0 && remote[lp] == 0 {
-			continue
-		}
-		spans = append(spans, obs.Span{
-			Kind: obs.SpanCompute, Engine: lp, Start: start, End: end, Busy: c,
-		})
-	}
-	e.spanBuf = spans
-	st := e.trace.CommitWindow(start, end, spans)
-	if e.runStats != nil && st.Worker >= 0 {
-		e.runStats.RecordGated(st.Worker, st.Busy, st.Lag)
-	}
+	e.bucketBusyWidth[b] += w.End - start
+	return cost
 }
 
 // handle processes one DES event on engine lp.

@@ -69,7 +69,7 @@ func WithCostModel(c CostModel) Option {
 
 // WithTelemetry attaches a traffic-plane telemetry collector (see
 // internal/telemetry) to the run. The emulator sizes it for the run's
-// topology, feeds it from the packet hot path and the window observer, and
+// topology, feeds it from the packet hot path and the window commit, and
 // publishes consistent snapshots at every window barrier; Result.Telemetry
 // carries the final snapshot. The collector may be shared with a live HTTP
 // mount (telemetry.Mount) for the duration of the run. A nil collector is
@@ -79,11 +79,11 @@ func WithTelemetry(c *telemetry.Collector) Option {
 }
 
 // WithTrace attaches a distributed tracing timeline (see internal/obs) to
-// the run. The window observer commits one deterministic compute span per
+// the run. The window commit records one deterministic compute span per
 // active engine per window — virtual bounds plus modeled busy seconds, with
 // straggler factors applied — and derives barrier-wait spans and the online
 // straggler attribution from them. A nil timeline is ignored; with tracing
-// off the observer takes a single nil-check and allocates nothing.
+// off the commit takes a single nil-check and allocates nothing.
 func WithTrace(t *obs.Timeline) Option {
 	return func(o *runOptions) { o.trace = t }
 }

@@ -29,7 +29,7 @@ func TestUnknownPayloadPoisonsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	desCfg := e.kernelConfig()
-	desCfg.Observer = e.observe
+	desCfg.OnWindow = e.onWindow
 	kernel, err := des.New(desCfg)
 	if err != nil {
 		t.Fatal(err)

@@ -156,6 +156,29 @@ func (e *emulation) recordEvent(ev obs.Event) {
 	}
 }
 
+// recordRun announces a window grid of the given width to the run's recorders:
+// the initial one before the first window, a resumed one right after every
+// kernel Restore. The kernel knows nothing of recorders; this is the one
+// RunMeta emitter, in-process and distributed.
+func (e *emulation) recordRun(lookahead float64, resumed bool) {
+	if e.rec != nil {
+		e.rec.RecordRun(obs.RunMeta{LPs: e.cfg.NumEngines, Lookahead: lookahead, Resumed: resumed})
+	}
+}
+
+// regrid restores the kernel from cp under the current assignment — pending
+// events move to the engines that now own their nodes, and the new cut sets
+// the window width — and announces the fresh grid. Called from the barrier
+// step of commit, under the kernel's running window loop.
+func (e *emulation) regrid(k *des.Kernel, cp *des.Checkpoint) error {
+	lookahead := Lookahead(e.nw, e.assignment, e.cfg.MinLookahead)
+	if err := k.Restore(cp, lookahead, e.ownerOf); err != nil {
+		return err
+	}
+	e.recordRun(lookahead, true)
+	return nil
+}
+
 // loadsOf is the per-engine load picture a remapping policy balances against:
 // the cumulative kernel-event charges, as floats.
 func loadsOf(charges []int64) []float64 {
@@ -182,7 +205,7 @@ func (e *emulation) ownerOf(ev des.Event) (int, bool) {
 	}
 }
 
-// resilience is the state a resilient run's barrier hook carries between
+// resilience is the state a resilient run's barrier step carries between
 // barriers.
 type resilience struct {
 	// alive flags the engines that have not crashed.
@@ -198,13 +221,14 @@ type resilience struct {
 }
 
 // runResilient executes the kernel in one Run, recovering from scheduled
-// engine crashes and applying scheduled elastic resizes inside the barrier
-// hook (arm). Without crashes or resizes it is a plain kernel run.
+// engine crashes and applying scheduled elastic resizes inside commit's
+// barrier step (arm). Without crashes or resizes it is a plain kernel run.
 func (e *emulation) runResilient(k *des.Kernel) (*des.Stats, *Recovery, error) {
 	var r *resilience
 	if e.cfg.Faults.HasCrashes() || len(e.cfg.Elastic) > 0 {
 		r = e.arm(k)
 	}
+	e.recordRun(e.lookahead, false)
 	stats, err := k.Run()
 	if err != nil {
 		return nil, nil, err
@@ -223,7 +247,7 @@ func (e *emulation) runResilient(k *des.Kernel) (*des.Stats, *Recovery, error) {
 	return stats, r.rec, nil
 }
 
-// arm installs the barrier hook of a resilient run: crash detection at the
+// arm installs the barrier step of a resilient run: crash detection at the
 // window barrier triggers rollback to the last barrier checkpoint, OnCrash
 // remapping of the dead engine's nodes and pending events onto survivors, and
 // deterministic replay of the lost windows; a resize repartitions onto the new
@@ -285,7 +309,7 @@ func (e *emulation) arm(k *des.Kernel) *resilience {
 }
 
 // recoverCrash handles one engine crash detected at barrier we, inside the
-// barrier hook: it accounts the failure, asks OnCrash for the recovery
+// barrier step: it accounts the failure, asks OnCrash for the recovery
 // assignment over the surviving engines, rolls the emulation and the kernel
 // back to the last checkpoint and remaps the dead engine's pending events.
 // The kernel's window loop resumes from there.
@@ -339,5 +363,5 @@ func (e *emulation) recoverCrash(k *des.Kernel, r *resilience, crash faults.Cras
 	rec.ReplayedEvents += replayed
 	rec.Downtime += (we - last.des.Time) + float64(migrations)*e.cfg.MigrationCost
 	r.postBase = cpStats.Charges
-	return k.Restore(last.des, Lookahead(e.nw, e.assignment, e.cfg.MinLookahead), e.ownerOf)
+	return e.regrid(k, last.des)
 }

@@ -263,8 +263,9 @@ func benchConfig() Config {
 	return cfg
 }
 
-// BenchmarkEmuTelemetryOff is the CI smoke baseline (BENCH_telemetry.json):
-// the telemetry-disabled emulator must not regress against the seed path.
+// BenchmarkEmuTelemetryOff is the telemetry-disabled side of the pair; CI runs
+// both once as a smoke test, and go run ./bench measures the ratio
+// (telemetry.tax).
 func BenchmarkEmuTelemetryOff(b *testing.B) {
 	cfg := benchConfig()
 	if _, err := Run(cfg); err != nil {

@@ -2,6 +2,7 @@ package emu
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -67,8 +68,9 @@ func TestTraceCanonicalDeterministic(t *testing.T) {
 }
 
 // TestTraceStragglerAttribution injects a 10x straggler on engine 1 and
-// requires both attribution surfaces — the timeline's health rows and the
-// RunStats counters — to blame it for the majority of the critical path.
+// requires the timeline — the one place attribution is kept — to blame it for
+// the majority of the critical path, in its health rows and its summary line,
+// with a RunStats collector riding the same commit.
 func TestTraceStragglerAttribution(t *testing.T) {
 	cfg := telConfig(true)
 	cfg.Faults = &faults.Schedule{Stragglers: []faults.Straggler{
@@ -96,13 +98,10 @@ func TestTraceStragglerAttribution(t *testing.T) {
 	if st == nil {
 		t.Fatal("WithStats produced no RunStats")
 	}
-	if len(st.Gated) < 2 || st.Gated[1] == 0 {
-		t.Fatalf("RunStats.Gated = %v, want engine 1 gating windows", st.Gated)
+	if slow.GatedWindows == 0 || slow.GatedWindows > st.Windows {
+		t.Fatalf("engine 1 gated %d of the %d windows RunStats counted", slow.GatedWindows, st.Windows)
 	}
-	if len(st.CriticalPath) < 2 || st.CriticalPath[1] != slow.CriticalPath {
-		t.Errorf("RunStats.CriticalPath = %v, timeline says %g", st.CriticalPath, slow.CriticalPath)
-	}
-	if s := st.String(); !bytes.Contains([]byte(s), []byte("straggler: worker 1")) {
+	if s := tl.Summary(); !strings.HasPrefix(s, "straggler: worker 1 gated ") {
 		t.Errorf("summary line missing straggler attribution: %q", s)
 	}
 }

@@ -1,8 +1,9 @@
-// Package obs is the kernel-level observability layer: a recorder interface
-// the DES kernel and the emulator call on every synchronization window and on
-// every lifecycle event (checkpoint, crash, rollback, migration), plus the
-// standard recorders — a deterministic JSONL tracer, an aggregating RunStats
-// collector, and a pprof/expvar debug endpoint.
+// Package obs is the kernel-level observability layer: the Window record the
+// DES kernel fills once per synchronization window, a recorder interface the
+// emulator's window commit fans that record — and every lifecycle event
+// (checkpoint, crash, rollback, migration) — out to, plus the standard
+// recorders: a deterministic JSONL tracer, an aggregating RunStats collector,
+// and a pprof/expvar debug endpoint.
 //
 // The paper's own PROFILE approach is built on observing real load (§3.3,
 // §4); this package generalizes that observation seam: the same per-LP
@@ -19,16 +20,16 @@
 //     time and event counts only. Wall-clock quantities (barrier wait) are
 //     delivered to recorders but excluded from traces; they surface in the
 //     aggregated RunStats instead.
-//   - Single-goroutine delivery. The kernel invokes recorders only on the
+//   - Single-goroutine delivery. Recorders are invoked only on the
 //     coordinating goroutine at window barriers, so simple recorders need no
 //     locking. RunStats locks anyway because the debug endpoint reads it
 //     concurrently with a live run.
 package obs
 
-// RunMeta describes a kernel run segment, delivered once at the start of
-// every Kernel.Run — including resumed segments after a checkpoint restore,
-// which carry Resumed=true (a trace therefore shows crash recovery as a new
-// run line mid-stream).
+// RunMeta describes a kernel run segment — one window grid. The emulator
+// delivers one before the first window and one right after every checkpoint
+// restore (a crash rollback, a resize), which carry Resumed=true: a trace
+// therefore shows a recovery as a new run line mid-stream.
 type RunMeta struct {
 	// LPs is the number of logical processes (simulation-engine nodes).
 	LPs int
@@ -38,9 +39,14 @@ type RunMeta struct {
 	Resumed bool
 }
 
-// Window carries one executed window's per-LP counters, delivered after the
-// barrier on the coordinating goroutine. The slices are owned by the kernel
-// and reused between calls — recorders must copy what they retain.
+// Window is the record of one executed window: its bounds and per-LP
+// counters, filled by the kernel (or summed from worker reports by a
+// distributed coordinator) after the barrier and handed, on the coordinating
+// goroutine, to the one function that observes windows — the emulator's
+// commit, which prices it (Cost) and fans it out to every sink. Every slice
+// is a recycled buffer its producer overwrites in place at the next barrier:
+// a consumer must copy what it retains, and holding a reference past its
+// return is a data race in parallel runs, not just stale data.
 type Window struct {
 	// Index is the cumulative window number (continues across checkpoint
 	// restores, so replayed windows repeat indices — deliberately: a trace
@@ -63,6 +69,11 @@ type Window struct {
 	// Nondeterministic: recorders producing reproducible artifacts must
 	// ignore it.
 	Wait []float64
+	// Cost[lp] is the modeled seconds of engine work LP lp's counters stand
+	// for under the run's cost model, straggler and degradation factors
+	// included — deterministic. Nil until the emulator's commit prices the
+	// window; the Timeline reads it, Trace does not serialize it.
+	Cost []float64
 }
 
 // EventKind classifies lifecycle events.

@@ -118,9 +118,8 @@ type WindowStat struct {
 // The store keeps what a window is, not the spans it renders as: one winRec
 // per committed window and one compRec per active engine, in append-only
 // chunks. Everything else a Span carries — Kind, Window, Start, End, the
-// barrier-wait spans, the WindowStat — is derived on read by the same
-// attribution routine CommitWindow runs (DESIGN.md §15). Engine and worker
-// ids are stored as int32.
+// barrier-wait spans — is derived on read by the same attribution routine
+// CommitWindow runs (DESIGN.md §15). Engine and worker ids are stored as int32.
 type Timeline struct {
 	mu     sync.Mutex
 	assign map[int]int // engine -> worker; engines absent map to themselves
@@ -134,7 +133,6 @@ type Timeline struct {
 	// critical-path seconds.
 	totals    []workerTotal
 	critTotal float64
-	drained   int64 // windows already returned by DrainWindowStats
 
 	attr attribution // the writer's scratch; readers bring their own
 }
@@ -293,7 +291,6 @@ func (t *Timeline) Reset() {
 	clear(t.pendWall)
 	clear(t.totals)
 	t.critTotal = 0
-	t.drained = 0
 }
 
 // Assign maps engines onto a worker slot for attribution and track layout.
@@ -333,25 +330,29 @@ func (t *Timeline) AddWall(spans []Span) {
 	}
 }
 
-// CommitWindow commits one window's deterministic compute spans — one per
-// active engine, in ascending engine order (the canonical order), of which
-// Engine and modeled Busy are read; the rest of a compute span is the window's
-// and derived on read. It folds in any pending wall measurements and updates
-// the straggler attribution, which it returns.
-func (t *Timeline) CommitWindow(start, end float64, spans []Span) WindowStat {
+// CommitWindow commits one executed window from its record: one compute span
+// per active engine — an engine with charges or remote sends in the window —
+// in ascending engine order (the canonical order), whose modeled Busy is the
+// record's Cost; the rest of a compute span is the window's and derived on
+// read. It folds in any pending wall measurements and updates the straggler
+// attribution, which it returns — the one time the window's WindowStat is
+// handed out.
+func (t *Timeline) CommitWindow(w Window) WindowStat {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	idx, first := t.wins.n, t.comp.n
-	t.wins.push(winRec{start: start, end: end, first: first})
-	for i := range spans {
-		s := &spans[i]
+	t.wins.push(winRec{start: w.Start, end: w.End, first: first})
+	for e, busy := range w.Cost {
+		if w.Charges[e] == 0 && w.Remote[e] == 0 {
+			continue
+		}
 		if len(t.pendWall) > 0 {
-			if wall, ok := t.pendWall[s.Engine]; ok {
+			if wall, ok := t.pendWall[e]; ok {
 				t.walls.push(wallRec{rec: t.comp.n, wall: wall})
-				delete(t.pendWall, s.Engine)
+				delete(t.pendWall, e)
 			}
 		}
-		t.comp.push(compRec{busy: s.Busy, engine: int32(s.Engine), worker: int32(t.workerOf(s.Engine))})
+		t.comp.push(compRec{busy: busy, engine: int32(e), worker: int32(t.workerOf(e))})
 	}
 	// Any pending wall measurement without a matching span belongs to an
 	// engine idle this window; drop it rather than mis-attributing later.
@@ -359,7 +360,7 @@ func (t *Timeline) CommitWindow(start, end float64, spans []Span) WindowStat {
 
 	st := WindowStat{Window: idx}
 	st.Worker, st.Busy, st.Lag = t.attr.window(&t.comp, first, t.comp.n)
-	t.nspans += int64(len(spans))
+	t.nspans += t.comp.n - first
 	if st.Worker >= 0 {
 		t.nspans += int64(len(t.attr.touched) - 1) // one barrier-wait per non-gating worker
 		if st.Worker >= len(t.totals) {
@@ -475,23 +476,23 @@ func (t *Timeline) Health() []WorkerHealth {
 	return out
 }
 
-// DrainWindowStats returns the window attributions accumulated since the
-// last drain — the coordinator's feed for the live health gauges. It is a
-// cursor over the window records: windows nobody drains cost nothing.
-func (t *Timeline) DrainWindowStats() []WindowStat {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.drained == t.wins.n {
-		return nil
+// Summary renders the attribution as the one-clause verdict an operator reads
+// first — the worker that held the most critical path, the windows it gated
+// and its share — or "" when no window had an active engine.
+func (t *Timeline) Summary() string {
+	var worst WorkerHealth
+	var gated int64
+	for _, h := range t.Health() {
+		gated += h.GatedWindows
+		if h.CriticalPath > worst.CriticalPath {
+			worst = h
+		}
 	}
-	out := make([]WindowStat, 0, t.wins.n-t.drained)
-	for w := t.drained; w < t.wins.n; w++ {
-		st := WindowStat{Window: w}
-		st.Worker, st.Busy, st.Lag = t.attr.window(&t.comp, t.wins.at(w).first, t.last(w))
-		out = append(out, st)
+	if worst.CriticalPath == 0 {
+		return ""
 	}
-	t.drained = t.wins.n
-	return out
+	return fmt.Sprintf("straggler: worker %d gated %d/%d window(s), %.0f%% critical path",
+		worst.Worker, worst.GatedWindows, gated, 100*worst.Share)
 }
 
 // CanonicalJSON renders the deterministic projection of the timeline: the

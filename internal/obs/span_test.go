@@ -16,8 +16,34 @@ import (
 	"testing"
 )
 
-// commit is a test helper: one window of compute spans from (engine, busy)
-// pairs, in ascending engine order as the observation plane guarantees.
+// windowOf is the window record whose commit yields exactly the given compute
+// spans (ascending engines, the window's own bounds): each span's engine is
+// active — alternately by charges and by remote sends, the two halves of the
+// activity rule — at its Busy as Cost; every other engine is idle at a cost
+// the timeline must not look at.
+func windowOf(start, end float64, spans []Span) Window {
+	n := 1
+	if len(spans) > 0 {
+		n = spans[len(spans)-1].Engine + 2
+	}
+	w := Window{Start: start, End: end,
+		Charges: make([]int64, n), Remote: make([]int64, n), Cost: make([]float64, n)}
+	for e := range w.Cost {
+		w.Cost[e] = -1
+	}
+	for i, sp := range spans {
+		if i%2 == 0 {
+			w.Charges[sp.Engine] = 1
+		} else {
+			w.Remote[sp.Engine] = 1
+		}
+		w.Cost[sp.Engine] = sp.Busy
+	}
+	return w
+}
+
+// commit is a test helper: one window with the given (engine, busy) pairs
+// active.
 func commit(t *Timeline, start, end float64, busy map[int]float64) WindowStat {
 	var spans []Span
 	for e := 0; ; e++ {
@@ -28,7 +54,7 @@ func commit(t *Timeline, start, end float64, busy map[int]float64) WindowStat {
 			spans = append(spans, Span{Kind: SpanCompute, Engine: e, Start: start, End: end, Busy: b})
 		}
 	}
-	return t.CommitWindow(start, end, spans)
+	return t.CommitWindow(windowOf(start, end, spans))
 }
 
 func TestTimelineAttributionAndBarriers(t *testing.T) {
@@ -109,7 +135,7 @@ func TestTimelineUnassignedEnginesAreTheirOwnWorker(t *testing.T) {
 
 func TestTimelineIdleWindow(t *testing.T) {
 	tl := NewTimeline()
-	st := tl.CommitWindow(0, 1, nil)
+	st := tl.CommitWindow(windowOf(0, 1, nil))
 	if st.Worker != -1 || st.Busy != 0 || st.Lag != 0 {
 		t.Fatalf("idle window stat = %+v, want worker -1", st)
 	}
@@ -185,25 +211,13 @@ func TestTimelineReset(t *testing.T) {
 	tl.Assign([]int{0}, 7)
 	commit(tl, 0, 1, map[int]float64{0: 1})
 	tl.Reset()
-	if tl.Windows() != 0 || len(tl.Spans()) != 0 || len(tl.Health()) != 0 || len(tl.DrainWindowStats()) != 0 {
+	if tl.Windows() != 0 || len(tl.Spans()) != 0 || len(tl.Health()) != 0 || tl.Summary() != "" {
 		t.Fatal("reset left state behind")
 	}
 	// Assignments are gone too: engine 0 is its own worker again.
 	commit(tl, 0, 1, map[int]float64{0: 1})
 	if s := tl.Spans(); s[0].Worker != 0 {
 		t.Fatalf("post-reset span worker = %d, want 0", s[0].Worker)
-	}
-}
-
-func TestTimelineDrainWindowStats(t *testing.T) {
-	tl := NewTimeline()
-	commit(tl, 0, 1, map[int]float64{0: 1})
-	commit(tl, 1, 2, map[int]float64{0: 1})
-	if got := len(tl.DrainWindowStats()); got != 2 {
-		t.Fatalf("first drain returned %d stats, want 2", got)
-	}
-	if got := len(tl.DrainWindowStats()); got != 0 {
-		t.Fatalf("second drain returned %d stats, want 0", got)
 	}
 }
 
@@ -259,30 +273,31 @@ func TestWriteTraceEventsIsValidTraceEventJSON(t *testing.T) {
 	}
 }
 
-// timelineAPI is the surface the reference and the store are compared on.
+// timelineAPI is the surface the reference and the store are compared on,
+// beside CommitWindow: the store commits a window record, the reference the
+// compute spans that record stands for (script.commit).
 type timelineAPI interface {
 	Reset()
 	Assign(engines []int, worker int)
 	AddWall(spans []Span)
-	CommitWindow(start, end float64, spans []Span) WindowStat
 	Windows() int64
 	Spans() []Span
 	Health() []WorkerHealth
-	DrainWindowStats() []WindowStat
 	CanonicalJSON() []byte
 	WriteTraceEvents(w io.Writer) error
 }
 
 // script drives a timeline and its reference through one seeded sequence of
-// calls. Committed spans follow CommitWindow's contract: compute kind,
-// ascending engines, the window's own bounds.
+// calls. Committed spans follow the reference CommitWindow's contract: compute
+// kind, ascending engines, the window's own bounds.
 type script struct {
-	t        *testing.T
-	rng      *rand.Rand
-	got, ref timelineAPI
-	engines  int
-	noReset  bool
-	now      float64
+	t       *testing.T
+	rng     *rand.Rand
+	got     *Timeline
+	ref     *timelineReference
+	engines int
+	noReset bool
+	now     float64
 }
 
 func (s *script) both(f func(tl timelineAPI)) { f(s.got); f(s.ref) }
@@ -340,21 +355,10 @@ func (s *script) commit() {
 		}
 		spans = append(spans, Span{Kind: SpanCompute, Engine: e, Start: start, End: end, Busy: busy})
 	}
-	got, want := s.got.CommitWindow(start, end, spans), s.ref.CommitWindow(start, end, spans)
+	// The returned attribution is the only one the window ever gets.
+	got, want := s.got.CommitWindow(windowOf(start, end, spans)), s.ref.CommitWindow(start, end, spans)
 	if got != want {
 		s.t.Fatalf("CommitWindow = %+v, reference %+v", got, want)
-	}
-}
-
-func (s *script) drain() {
-	got, want := s.got.DrainWindowStats(), s.ref.DrainWindowStats()
-	if len(got) != len(want) {
-		s.t.Fatalf("drained %d window stats, reference %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			s.t.Fatalf("drained stat %d = %+v, reference %+v", i, got[i], want[i])
-		}
 	}
 }
 
@@ -366,8 +370,6 @@ func (s *script) step() {
 		s.assign()
 	case n < 5:
 		s.addWall()
-	case n < 7:
-		s.drain()
 	default:
 		s.commit()
 	}
@@ -448,8 +450,7 @@ func TestTimelineMatchesReference(t *testing.T) {
 			}
 		}
 		s.check()
-		s.drain()
-		st := &s.got.(*Timeline).store
+		st := &s.got.store
 		if st.comp.n <= chunkLen {
 			t.Fatalf("long script %d stored %d compute records: must outgrow one %d-record chunk", seed, st.comp.n, chunkLen)
 		}
@@ -463,15 +464,17 @@ func TestTimelineMatchesReference(t *testing.T) {
 // TestTimelineBytesPerWindow is the storage cost gate: a fresh timeline fed
 // 100 000 windows of 1–4 engines may allocate 16 B per compute record and
 // 24 B per window, plus slack for the partly filled last chunks, the chunk
-// pointer slices and the attribution scratch. Nothing is kept per window for
-// DrainWindowStats — a 32 B WindowStat per window alone would break the
-// budget — and a commit that opens no chunk allocates nothing.
+// pointer slices and the attribution scratch. No WindowStat is kept — the
+// commit returns it once, and 32 B per window alone would break the budget —
+// and a commit that opens no chunk allocates nothing.
 func TestTimelineBytesPerWindow(t *testing.T) {
 	const windows = 100_000
 	spans := make([]Span, 4)
 	for e := range spans {
 		spans[e] = Span{Kind: SpanCompute, Engine: e, Busy: float64(e + 1)}
 	}
+	full := windowOf(0, 1, spans)
+	var win Window
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	tl := NewTimeline()
@@ -479,7 +482,8 @@ func TestTimelineBytesPerWindow(t *testing.T) {
 	for w := 0; w < windows; w++ {
 		n := 1 + w%4
 		records += n
-		tl.CommitWindow(float64(w), float64(w+1), spans[:n])
+		win.Start, win.End, win.Charges, win.Remote, win.Cost = float64(w), float64(w+1), full.Charges[:n], full.Remote[:n], full.Cost[:n]
+		tl.CommitWindow(win)
 	}
 	runtime.ReadMemStats(&after)
 	grew := after.TotalAlloc - before.TotalAlloc
@@ -493,8 +497,8 @@ func TestTimelineBytesPerWindow(t *testing.T) {
 	}
 
 	tl = NewTimeline()
-	tl.CommitWindow(0, 1, spans) // opens the chunks, sizes the scratch
-	if allocs := testing.AllocsPerRun(200, func() { tl.CommitWindow(1, 2, spans) }); allocs != 0 {
+	tl.CommitWindow(full) // opens the chunks, sizes the scratch
+	if allocs := testing.AllocsPerRun(200, func() { tl.CommitWindow(full) }); allocs != 0 {
 		t.Errorf("CommitWindow inside a chunk allocates %.1f times, want 0", allocs)
 	}
 }
@@ -644,10 +648,7 @@ func TestTimelineConcurrentReaders(t *testing.T) {
 				{Kind: SpanWireSend, Worker: 1, Engine: -1, Window: idx, Start: float64(idx), Wall: 0.1},
 			})
 		}
-		tl.CommitWindow(float64(idx), float64(idx+1), spans)
-		if w%64 == 0 {
-			tl.DrainWindowStats()
-		}
+		tl.CommitWindow(windowOf(float64(idx), float64(idx+1), spans))
 	}
 	awaitReads(8)
 	close(done)
@@ -658,9 +659,11 @@ func TestTimelineConcurrentReaders(t *testing.T) {
 }
 
 // timelineReference is the Timeline of commit bed0bbc, verbatim apart from
-// its name: every span materialized into one flat slice, a WindowStat kept
-// per window. It is the oracle TestTimelineMatchesReference holds the derived
-// store to.
+// its name and its DrainWindowStats cursor (gone from both; the WindowStat
+// each commit returns is compared instead): every span materialized into one
+// flat slice, committed as the compute spans the store now derives from a
+// window record. It is the oracle TestTimelineMatchesReference holds the
+// derived store to.
 type timelineReference struct {
 	mu      sync.Mutex
 	assign  map[int]int // engine -> worker; engines absent map to themselves
@@ -674,7 +677,6 @@ type timelineReference struct {
 	gated     map[int]int64
 	crit      map[int]float64
 	critTotal float64
-	stats     []WindowStat // drained by DrainWindowStats
 
 	// Per-commit scratch, reused so a window costs no allocations beyond the
 	// amortized span append: busy[w] holds worker w's max engine busy for the
@@ -710,7 +712,6 @@ func (t *timelineReference) Reset() {
 	clear(t.gated)
 	clear(t.crit)
 	t.critTotal = 0
-	t.stats = t.stats[:0]
 	// Stamps restart at 1 after a reset; stale marks from the previous run
 	// would collide with them.
 	for i := range t.mark {
@@ -842,7 +843,6 @@ func (t *timelineReference) CommitWindow(start, end float64, spans []Span) Windo
 		t.crit[st.Worker] += critBusy
 		t.critTotal += critBusy
 	}
-	t.stats = append(t.stats, st)
 	return st
 }
 
@@ -877,16 +877,6 @@ func (t *timelineReference) Health() []WorkerHealth {
 		}
 		out[i] = h
 	}
-	return out
-}
-
-// DrainWindowStats returns the window attributions accumulated since the
-// last drain — the coordinator's feed for the live health gauges.
-func (t *timelineReference) DrainWindowStats() []WindowStat {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := t.stats
-	t.stats = nil
 	return out
 }
 

@@ -44,15 +44,6 @@ type RunStats struct {
 	// engine lp.
 	MigratedNodes []int64
 
-	// Gated[w] counts sync windows worker w's engines gated — held the
-	// window's modeled critical path. In-process runs attribute per engine.
-	Gated []int64
-	// CriticalPath[w] is the modeled critical-path seconds attributed to
-	// worker w; LagSeconds accumulates the per-window gap between the gating
-	// worker and the runner-up. All deterministic (cost-model derived).
-	CriticalPath []float64
-	LagSeconds   float64
-
 	// Joins, Drains and Kills count elastic membership churn per LP — the
 	// first engine each joining/draining/killed worker (de)activates, as
 	// carried by EventJoin/EventDrain/EventHeartbeatMiss.
@@ -80,15 +71,6 @@ func (s *RunStats) grow(n int) {
 	s.Kills = growInts(s.Kills, n)
 	for len(s.BarrierWait) < n {
 		s.BarrierWait = append(s.BarrierWait, 0)
-	}
-}
-
-// growWorkers sizes the worker-indexed attribution slices independently of
-// the LP count — distributed runs have fewer workers than engines.
-func (s *RunStats) growWorkers(n int) {
-	s.Gated = growInts(s.Gated, n)
-	for len(s.CriticalPath) < n {
-		s.CriticalPath = append(s.CriticalPath, 0)
 	}
 }
 
@@ -164,22 +146,6 @@ func (s *RunStats) RecordEvent(e Event) {
 	}
 }
 
-// RecordGated accounts one committed window's straggler attribution: the
-// gating worker, its modeled critical-path seconds, and its lag over the
-// runner-up. Called by the tracing layer, not the Recorder stream, so trace
-// artifacts stay untouched.
-func (s *RunStats) RecordGated(worker int, busy, lag float64) {
-	if worker < 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.growWorkers(worker + 1)
-	s.Gated[worker]++
-	s.CriticalPath[worker] += busy
-	s.LagSeconds += lag
-}
-
 // NoteClusterSize records an observed active engine-set size so PeakEngines
 // covers the initial membership, not just resizes.
 func (s *RunStats) NoteClusterSize(n int) {
@@ -242,9 +208,6 @@ func (s *RunStats) Snapshot() *RunStats {
 		Rollbacks:       s.Rollbacks,
 		ReplayedWindows: s.ReplayedWindows,
 		MigratedNodes:   append([]int64(nil), s.MigratedNodes...),
-		Gated:           append([]int64(nil), s.Gated...),
-		CriticalPath:    append([]float64(nil), s.CriticalPath...),
-		LagSeconds:      s.LagSeconds,
 		Joins:           append([]int64(nil), s.Joins...),
 		Drains:          append([]int64(nil), s.Drains...),
 		Kills:           append([]int64(nil), s.Kills...),
@@ -269,11 +232,6 @@ func (s *RunStats) String() string {
 		fmt.Fprintf(&b, "; recovery: %d checkpoint(s), %d crash(es), %d rollback(s), %d node(s) migrated",
 			c.Checkpoints, c.Crashes, c.Rollbacks, sum(c.MigratedNodes))
 	}
-	if total := totalFloat(c.CriticalPath); total > 0 {
-		w, share := argmaxFloat(c.CriticalPath)
-		fmt.Fprintf(&b, "; straggler: worker %d gated %d/%d window(s), %.0f%% critical path",
-			w, c.Gated[w], sum(c.Gated), 100*share/total)
-	}
 	if c.Resizes > 0 || sum(c.Joins)+sum(c.Drains)+sum(c.Kills) > 0 {
 		fmt.Fprintf(&b, "; elastic: %d join(s), %d drain(s), %d kill(s), %d resize(s), peak cluster %d engine(s)",
 			sum(c.Joins), sum(c.Drains), sum(c.Kills), c.Resizes, c.PeakEngines)
@@ -297,16 +255,6 @@ func maxOf(xs []int64) int64 {
 		}
 	}
 	return m
-}
-
-func argmaxFloat(xs []float64) (int, float64) {
-	idx, best := 0, 0.0
-	for i, x := range xs {
-		if x > best {
-			idx, best = i, x
-		}
-	}
-	return idx, best
 }
 
 func totalFloat(xs []float64) float64 {
