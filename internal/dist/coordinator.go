@@ -151,6 +151,8 @@ type member struct {
 	slot     int
 	engines  []int
 	draining bool
+	// rep is the member's window report, overwritten by every WINDOW_DONE.
+	rep emu.WindowReport
 }
 
 // coordinator is the state of one run. Engines never move between workers:
@@ -170,6 +172,7 @@ type coordinator struct {
 	pending []*member // handshaken joiners awaiting the next barrier
 	bySlot  []*member // seated slots: members, pending joiners, handshaking ones
 
+	enc      []byte // the per-window payloads are built here, one Send at a time
 	blob     []byte // the encoded spec every worker is assigned
 	hash     [32]byte
 	initialL float64 // its lookahead, which every handshake must reproduce
@@ -466,7 +469,8 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 			perSlot[slot] = append(perSlot[slot], ev)
 		}
 		for _, m := range s.members {
-			if err := s.send(m, MsgEvents, EncodeEvents(perSlot[m.slot])); err != nil {
+			s.enc = EncodeEvents(s.enc[:0], perSlot[m.slot])
+			if err := s.send(m, MsgEvents, s.enc); err != nil {
 				return err
 			}
 		}
@@ -498,7 +502,8 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 			break
 		}
 
-		if err := s.sendAll(s.members, MsgWindow, Window{Start: T, End: end}.Encode()); err != nil {
+		s.enc = Window{Start: T, End: end}.Append(s.enc[:0])
+		if err := s.sendAll(s.members, MsgWindow, s.enc); err != nil {
 			return nil, err
 		}
 		reports = reports[:0]
@@ -507,8 +512,8 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep, err := DecodeWindowDone(f.Payload)
-			if err != nil {
+			rep := &m.rep
+			if err := DecodeWindowDone(f.Payload, rep); err != nil {
 				return nil, &workerLost{worker: m.slot, err: err}
 			}
 			// Dst indexes the ownership table; a frame is outside input.

@@ -133,16 +133,23 @@ func (d *decoder) count(elemSize int, what string) int {
 	return n
 }
 
-func (d *decoder) i64s(what string) []int64 {
+func (d *decoder) i64s(what string) []int64 { return d.i64sInto(nil, what) }
+
+// i64sInto is i64s into dst's storage, regrown only when too small: the
+// per-window decoders hand back the slices of the previous window.
+func (d *decoder) i64sInto(dst []int64, what string) []int64 {
 	n := d.count(8, what)
 	if d.err != nil || n == 0 {
-		return nil
+		return dst[:0]
 	}
-	xs := make([]int64, n)
-	for i := range xs {
-		xs[i] = d.i64(what)
+	if cap(dst) < n {
+		dst = make([]int64, n)
 	}
-	return xs
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = d.i64(what)
+	}
+	return dst
 }
 
 func (d *decoder) ints(what string) []int {

@@ -21,7 +21,10 @@
 //
 // Every frame is a uint32 length prefix followed by a one-byte message type
 // and a binary payload; floats travel as raw IEEE-754 bits so no value is
-// ever perturbed by a text round-trip.
+// ever perturbed by a text round-trip. A frame is written with one Write and
+// read into the connection's receive buffer, and the four per-window payloads
+// are built in and decoded into storage their owners reuse, so the loop
+// allocates nothing per window; Conn states how long a payload is valid.
 package dist
 
 import (
@@ -151,43 +154,46 @@ type Frame struct {
 	Payload []byte
 }
 
-// WriteFrame writes one frame: uint32 little-endian length (type byte +
-// payload), then the type byte, then the payload.
-func WriteFrame(w io.Writer, f Frame) error {
+// WriteFrame writes one frame — uint32 little-endian length (type byte +
+// payload), the type byte, the payload — in a single Write: header and
+// payload are assembled in *scratch, the connection's send buffer, so a
+// frame is one system call and, on a NoDelay socket, one segment.
+func WriteFrame(w io.Writer, scratch *[]byte, f Frame) error {
 	if len(f.Payload)+1 > MaxFrame {
 		return fmt.Errorf("dist: frame %s payload %d bytes exceeds MaxFrame %d", f.Type, len(f.Payload), MaxFrame)
 	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(f.Payload)+1))
-	hdr[4] = byte(f.Type)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(f.Payload) > 0 {
-		if _, err := w.Write(f.Payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	b := binary.LittleEndian.AppendUint32((*scratch)[:0], uint32(len(f.Payload)+1))
+	b = append(append(b, byte(f.Type)), f.Payload...)
+	*scratch = b
+	_, err := w.Write(b)
+	return err
 }
 
-// ReadFrame reads one frame, rejecting empty frames and length prefixes
-// beyond MaxFrame before allocating anything.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ReadFrame reads one frame into *scratch, the connection's receive buffer,
+// regrown only when a frame exceeds it: the returned payload aliases it and is
+// valid until the next ReadFrame with the same scratch. Empty frames and
+// length prefixes beyond MaxFrame are rejected before anything is allocated.
+func ReadFrame(r io.Reader, scratch *[]byte) (Frame, error) {
+	if cap(*scratch) < 4 {
+		*scratch = make([]byte, 0, 512)
+	}
+	hdr := (*scratch)[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return Frame{}, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n == 0 {
 		return Frame{}, fmt.Errorf("dist: empty frame")
 	}
 	if n > MaxFrame {
 		return Frame{}, fmt.Errorf("dist: frame length %d exceeds MaxFrame %d", n, MaxFrame)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Frame{}, fmt.Errorf("dist: truncated frame (%d of %d bytes): %w", 0, n, err)
+	if uint32(cap(*scratch)) < n {
+		*scratch = make([]byte, 0, n)
+	}
+	body := (*scratch)[:n]
+	if got, err := io.ReadFull(r, body); err != nil {
+		return Frame{}, fmt.Errorf("dist: truncated frame (%d of %d bytes): %w", got, n, err)
 	}
 	return Frame{Type: MsgType(body[0]), Payload: body[1:]}, nil
 }

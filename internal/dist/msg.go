@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/emu"
 	"repro/internal/faults"
@@ -101,14 +102,15 @@ func DecodeReady(b []byte) (Ready, error) {
 	return m, d.finish()
 }
 
-// Vote is the worker's barrier vote.
+// Vote is the worker's barrier vote. Like every per-window payload it is
+// appended to a buffer the sender owns and reuses, not allocated per frame.
 type Vote struct {
 	Has  bool
 	Time float64
 }
 
-func (m Vote) Encode() []byte {
-	var e encoder
+func (m Vote) Append(b []byte) []byte {
+	e := encoder{buf: b}
 	e.boolean(m.Has)
 	e.f64(m.Time)
 	return e.buf
@@ -125,8 +127,8 @@ type Window struct {
 	Start, End float64
 }
 
-func (m Window) Encode() []byte {
-	var e encoder
+func (m Window) Append(b []byte) []byte {
+	e := encoder{buf: b}
 	e.f64(m.Start)
 	e.f64(m.End)
 	return e.buf
@@ -204,41 +206,41 @@ func encodeWireEvents(e *encoder, evs []emu.WireEvent) {
 
 const wireEventSize = 8 + 4*6 + 1 + 8*3
 
-func decodeWireEvents(d *decoder) []emu.WireEvent {
+// decodeWireEvents appends the decoded events to dst, whose storage the
+// per-window callers hand back from the previous window.
+func decodeWireEvents(d *decoder, dst []emu.WireEvent) []emu.WireEvent {
 	n := d.count(wireEventSize, "events.count")
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	evs := make([]emu.WireEvent, n)
-	for i := range evs {
-		evs[i] = emu.WireEvent{
-			Time:   d.f64("event.time"),
-			Dst:    int32(d.u32("event.dst")),
-			Src:    int32(d.u32("event.src")),
-			SrcIdx: int32(d.u32("event.srcIdx")),
-			Kind:   d.u8("event.kind"),
-			Flow:   int32(d.u32("event.flow")),
-			Hop:    int32(d.u32("event.hop")),
-			Window: int32(d.u32("event.window")),
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, emu.WireEvent{
+			Time:    d.f64("event.time"),
+			Dst:     int32(d.u32("event.dst")),
+			Src:     int32(d.u32("event.src")),
+			SrcIdx:  int32(d.u32("event.srcIdx")),
+			Kind:    d.u8("event.kind"),
+			Flow:    int32(d.u32("event.flow")),
+			Hop:     int32(d.u32("event.hop")),
+			Window:  int32(d.u32("event.window")),
 			Packets: d.i64("event.packets"),
 			Bytes:   d.i64("event.bytes"),
 			Offset:  d.i64("event.offset"),
-		}
+		})
 	}
-	return evs
+	return dst
 }
 
-// EncodeEvents/DecodeEvents carry MsgEvents payloads.
-func EncodeEvents(evs []emu.WireEvent) []byte {
-	var e encoder
+// EncodeEvents/DecodeEvents carry MsgEvents payloads, appended to b and to
+// dst.
+func EncodeEvents(b []byte, evs []emu.WireEvent) []byte {
+	e := encoder{buf: b}
 	encodeWireEvents(&e, evs)
 	return e.buf
 }
 
-func DecodeEvents(b []byte) ([]emu.WireEvent, error) {
+func DecodeEvents(b []byte, dst []emu.WireEvent) ([]emu.WireEvent, error) {
 	d := decoder{buf: b}
-	evs := decodeWireEvents(&d)
-	return evs, d.finish()
+	dst = decodeWireEvents(&d, dst)
+	return dst, d.finish()
 }
 
 // ---- Telemetry partials ----
@@ -327,9 +329,12 @@ func decodePartial(d *decoder) *telemetry.Partial {
 	return p
 }
 
-// EncodeWindowDone/DecodeWindowDone carry MsgWindowDone payloads.
-func EncodeWindowDone(r *emu.WindowReport) []byte {
-	var e encoder
+// EncodeWindowDone/DecodeWindowDone carry MsgWindowDone payloads. The encoder
+// appends to b; the decoder overwrites r reusing its slices (the telemetry
+// share, absent unless telemetry is on, is decoded fresh), so a coordinator
+// keeping one report per member decodes its windows without allocating.
+func EncodeWindowDone(b []byte, r *emu.WindowReport) []byte {
+	e := encoder{buf: b}
 	e.i64s(r.Events)
 	e.i64s(r.Charges)
 	e.i64s(r.Remote)
@@ -339,17 +344,15 @@ func EncodeWindowDone(r *emu.WindowReport) []byte {
 	return e.buf
 }
 
-func DecodeWindowDone(b []byte) (*emu.WindowReport, error) {
+func DecodeWindowDone(b []byte, r *emu.WindowReport) error {
 	d := decoder{buf: b}
-	r := &emu.WindowReport{
-		Events:  d.i64s("windowDone.events"),
-		Charges: d.i64s("windowDone.charges"),
-		Remote:  d.i64s("windowDone.remote"),
-		Queue:   d.i64s("windowDone.queue"),
-		Outbox:  decodeWireEvents(&d),
-	}
+	r.Events = d.i64sInto(r.Events, "windowDone.events")
+	r.Charges = d.i64sInto(r.Charges, "windowDone.charges")
+	r.Remote = d.i64sInto(r.Remote, "windowDone.remote")
+	r.Queue = d.i64sInto(r.Queue, "windowDone.queue")
+	r.Outbox = decodeWireEvents(&d, r.Outbox[:0])
 	r.Telemetry = decodePartial(&d)
-	return r, d.finish()
+	return d.finish()
 }
 
 // EncodeState/DecodeState carry MsgState payloads.

@@ -42,7 +42,7 @@ func DecodeElasticExport(b []byte) (*emu.ElasticExport, error) {
 	d := decoder{buf: b}
 	x := &emu.ElasticExport{
 		Engines:   d.ints("export.engines"),
-		Events:    decodeWireEvents(&d),
+		Events:    decodeWireEvents(&d, nil),
 		BusyUntil: d.f64s("export.busyUntil"),
 		LinkBytes: d.i64s("export.linkBytes"),
 		Drops:     d.i64s("export.drops"),
@@ -87,7 +87,7 @@ func DecodeElasticInstall(b []byte) (*emu.ElasticInstall, error) {
 		Events:      d.i64s("install.events"),
 		Charges:     d.i64s("install.charges"),
 		RemoteSends: d.i64s("install.remoteSends"),
-		Pending:     decodeWireEvents(&d),
+		Pending:     decodeWireEvents(&d, nil),
 		BusyUntil:   d.f64s("install.busyUntil"),
 		LinkBytes:   d.i64s("install.linkBytes"),
 		Drops:       d.i64s("install.drops"),

@@ -121,7 +121,7 @@ func TestEventsRoundTripExactFloats(t *testing.T) {
 		{Time: math.Nextafter(1, 2), Dst: 0, Src: 2, SrcIdx: 0, Kind: emu.WireTCPRound, Flow: 1, Window: 4, Offset: 1 << 30},
 		{Time: 5, Dst: 2, Src: 1, SrcIdx: 3, Kind: emu.WireFlowStart, Flow: 0},
 	}
-	got, err := DecodeEvents(EncodeEvents(evs))
+	got, err := DecodeEvents(EncodeEvents(nil, evs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +158,8 @@ func TestWindowDoneRoundTripWithTelemetry(t *testing.T) {
 		Outbox:    []emu.WireEvent{{Time: 1.25, Dst: 2, Src: 0, SrcIdx: 1, Kind: emu.WireFlowStart, Flow: 9}},
 		Telemetry: p,
 	}
-	got, err := DecodeWindowDone(EncodeWindowDone(r))
-	if err != nil {
+	got := &emu.WindowReport{}
+	if err := DecodeWindowDone(EncodeWindowDone(nil, r), got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Events, r.Events) || !reflect.DeepEqual(got.Outbox, r.Outbox) {

@@ -210,10 +210,11 @@ type badDstConn struct {
 
 func (c *badDstConn) Send(f dist.Frame) error {
 	if f.Type == dist.MsgWindowDone && !c.fired {
-		if rep, err := dist.DecodeWindowDone(f.Payload); err == nil {
+		var rep emu.WindowReport
+		if err := dist.DecodeWindowDone(f.Payload, &rep); err == nil {
 			c.fired = true
 			rep.Outbox = append(rep.Outbox, emu.WireEvent{Dst: c.dst})
-			f.Payload = dist.EncodeWindowDone(rep)
+			f.Payload = dist.EncodeWindowDone(nil, &rep)
 		}
 	}
 	return c.Conn.Send(f)
@@ -271,15 +272,15 @@ func (c *hostileCoordConn) Send(f dist.Frame) error {
 	case dist.MsgWindow:
 		if w, err := dist.DecodeWindow(f.Payload); err == nil {
 			if c.windows == c.nth && c.window != nil {
-				f.Payload = c.window(c.prev, w).Encode()
+				f.Payload = c.window(c.prev, w).Append(nil)
 			}
 			c.windows++
 			c.prev = w
 		}
 	case dist.MsgEvents:
 		if c.windows == c.nth && c.events != nil {
-			if evs, err := dist.DecodeEvents(f.Payload); err == nil {
-				f.Payload = dist.EncodeEvents(c.events(evs))
+			if evs, err := dist.DecodeEvents(f.Payload, nil); err == nil {
+				f.Payload = dist.EncodeEvents(nil, c.events(evs))
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"math/rand"
@@ -10,11 +11,16 @@ import (
 )
 
 // Conn is one coordinator↔worker channel. Implementations must be safe for
-// one sender and one receiver goroutine (not for concurrent Sends).
+// one sender and one receiver goroutine (not for concurrent Sends, nor for
+// concurrent Recvs).
 type Conn interface {
-	// Send writes one frame, bounded by the transport's write deadline.
+	// Send writes one frame, bounded by the transport's write deadline. The
+	// payload is the caller's again once Send returns; an implementation that
+	// holds a frame back copies it.
 	Send(f Frame) error
-	// Recv reads one frame, waiting at most timeout (<= 0 means no bound).
+	// Recv reads one frame, waiting at most timeout (<= 0 means no bound). The
+	// payload lives in the connection's receive buffer and is valid only until
+	// the next Recv: decode it, or copy it, before receiving again.
 	Recv(timeout time.Duration) (Frame, error)
 	// Close tears the channel down; pending Sends/Recvs fail.
 	Close() error
@@ -30,7 +36,11 @@ const writeTimeout = 30 * time.Second
 
 type tcpConn struct {
 	c     net.Conn
+	r     *bufio.Reader // a frame's length and body arrive in one read
 	label string
+	// wbuf and rbuf are the frame scratch of the sending and of the receiving
+	// goroutine (WriteFrame, ReadFrame).
+	wbuf, rbuf []byte
 }
 
 // NewTCPConn wraps an established TCP connection (either side).
@@ -39,14 +49,14 @@ func NewTCPConn(c net.Conn) Conn {
 		// Frames are small and latency-sensitive at barriers.
 		t.SetNoDelay(true)
 	}
-	return &tcpConn{c: c, label: "tcp " + c.RemoteAddr().String()}
+	return &tcpConn{c: c, r: bufio.NewReader(c), label: "tcp " + c.RemoteAddr().String()}
 }
 
 func (t *tcpConn) Send(f Frame) error {
 	if err := t.c.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return err
 	}
-	if err := WriteFrame(t.c, f); err != nil {
+	if err := WriteFrame(t.c, &t.wbuf, f); err != nil {
 		return fmt.Errorf("%s: send %s: %w", t.label, f.Type, err)
 	}
 	return nil
@@ -60,7 +70,7 @@ func (t *tcpConn) Recv(timeout time.Duration) (Frame, error) {
 	if err := t.c.SetReadDeadline(dl); err != nil {
 		return Frame{}, err
 	}
-	f, err := ReadFrame(t.c)
+	f, err := ReadFrame(t.r, &t.rbuf)
 	if err != nil {
 		return Frame{}, fmt.Errorf("%s: recv: %w", t.label, err)
 	}
@@ -154,23 +164,36 @@ type loopConn struct {
 	done chan struct{}
 	once sync.Once
 	peer *loopConn
+	// spare holds the payload buffers this end sends with; the peer's Recv
+	// hands each one back once its frame is no longer valid.
+	spare chan []byte
+	// Owned by the receiving goroutine: the buffer of the frame last returned,
+	// and the one timer every bounded Recv re-arms.
+	last  []byte
+	timer *time.Timer
 }
 
 // Loopback returns a connected in-process pair for socketless tests. Frames
 // cross by value; closing either end fails both.
 func Loopback() (Conn, Conn) {
-	ab := make(chan Frame, 16)
-	ba := make(chan Frame, 16)
-	a := &loopConn{out: ab, in: ba, done: make(chan struct{})}
-	b := &loopConn{out: ba, in: ab, done: make(chan struct{})}
+	const depth = 16 // frames in flight per direction; the protocol is lockstep
+	ab := make(chan Frame, depth)
+	ba := make(chan Frame, depth)
+	a := &loopConn{out: ab, in: ba, done: make(chan struct{}), spare: make(chan []byte, depth+1)}
+	b := &loopConn{out: ba, in: ab, done: make(chan struct{}), spare: make(chan []byte, depth+1)}
 	a.peer, b.peer = b, a
 	return a, b
 }
 
 func (l *loopConn) Send(f Frame) error {
-	// Copy the payload: callers may reuse their encode buffers.
+	// Copy the payload, into a buffer the peer is done with when there is one.
 	if len(f.Payload) > 0 {
-		f.Payload = append([]byte(nil), f.Payload...)
+		var buf []byte
+		select {
+		case buf = <-l.spare:
+		default:
+		}
+		f.Payload = append(buf[:0], f.Payload...)
 	}
 	select {
 	case l.out <- f:
@@ -183,14 +206,31 @@ func (l *loopConn) Send(f Frame) error {
 }
 
 func (l *loopConn) Recv(timeout time.Duration) (Frame, error) {
+	if l.last != nil {
+		select {
+		case l.peer.spare <- l.last:
+		default:
+		}
+		l.last = nil
+	}
 	var timer <-chan time.Time
 	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		timer = t.C
+		if l.timer == nil {
+			l.timer = time.NewTimer(timeout)
+		} else {
+			// Stopped by the previous Recv; a tick that beat the Stop goes here.
+			select {
+			case <-l.timer.C:
+			default:
+			}
+			l.timer.Reset(timeout)
+		}
+		defer l.timer.Stop()
+		timer = l.timer.C
 	}
 	select {
 	case f := <-l.in:
+		l.last = f.Payload
 		return f, nil
 	case <-timer:
 		return Frame{}, timeoutError{msg: fmt.Sprintf("loopback: recv timeout after %v", timeout)}
@@ -200,6 +240,7 @@ func (l *loopConn) Recv(timeout time.Duration) (Frame, error) {
 		// Drain anything the peer sent before closing.
 		select {
 		case f := <-l.in:
+			l.last = f.Payload
 			return f, nil
 		default:
 		}

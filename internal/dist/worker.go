@@ -117,6 +117,10 @@ func serve(ctx context.Context, conn Conn, opt *WorkerOptions) error {
 		spanBuf        []obs.Span
 		windows        int64
 		lastT, lastEnd float64
+		// The per-window scratch: decoded barrier events, and the payload of
+		// the VOTE or WINDOW_DONE being sent.
+		evs []emu.WireEvent
+		enc []byte
 	)
 	if spec.Tracing {
 		local.EnableTiming()
@@ -143,7 +147,7 @@ func serve(ctx context.Context, conn Conn, opt *WorkerOptions) error {
 		switch f.Type {
 		case MsgEvents:
 			t0 := time.Now()
-			evs, err := DecodeEvents(f.Payload)
+			evs, err = DecodeEvents(f.Payload, evs[:0])
 			if err != nil {
 				return err
 			}
@@ -157,7 +161,8 @@ func serve(ctx context.Context, conn Conn, opt *WorkerOptions) error {
 				})
 			}
 			t, has := local.Vote()
-			if err := conn.Send(Frame{Type: MsgVote, Payload: Vote{Has: has, Time: t}.Encode()}); err != nil {
+			enc = Vote{Has: has, Time: t}.Append(enc[:0])
+			if err := conn.Send(Frame{Type: MsgVote, Payload: enc}); err != nil {
 				return err
 			}
 		case MsgWindow:
@@ -181,7 +186,8 @@ func serve(ctx context.Context, conn Conn, opt *WorkerOptions) error {
 				}
 			}
 			t0 := time.Now()
-			if err := conn.Send(Frame{Type: MsgWindowDone, Payload: EncodeWindowDone(rep)}); err != nil {
+			enc = EncodeWindowDone(enc[:0], rep)
+			if err := conn.Send(Frame{Type: MsgWindowDone, Payload: enc}); err != nil {
 				return err
 			}
 			if spec.Tracing {

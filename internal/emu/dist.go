@@ -1,8 +1,9 @@
 package emu
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/des"
@@ -105,15 +106,8 @@ func (e *emulation) decodeWire(w WireEvent) (des.Sent, error) {
 // engine, send order) — the exact order Run's barrier applies, which the
 // coordinator must replicate before routing events back to workers.
 func SortWire(evs []WireEvent) {
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		return a.SrcIdx < b.SrcIdx
+	slices.SortFunc(evs, func(a, b WireEvent) int {
+		return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Src, b.Src), cmp.Compare(a.SrcIdx, b.SrcIdx))
 	})
 }
 
