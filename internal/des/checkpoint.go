@@ -67,7 +67,7 @@ func (k *Kernel) Restore(cp *Checkpoint, lookahead float64, remap func(Event) (i
 	if len(cp.events) != n {
 		return fmt.Errorf("des: checkpoint covers %d LPs, kernel has %d", len(cp.events), n)
 	}
-	k.queues = make([]eventHeap, n)
+	k.queues = make([]eventQueue, n)
 	k.seqs = make([]int64, n)
 	for lp := 0; lp < n; lp++ {
 		for _, ev := range cp.events[lp] {

@@ -27,19 +27,20 @@
 // the paper's emulation-time metrics, every recorder, and crash and resize
 // handling.
 //
-// Hot-path layout. Pending events live in structure-of-arrays heaps (parallel
-// time/seq/payload slices), so heap sifts compare raw float64/int64 arrays
-// without chasing payload pointers. Cross-LP sends accumulate in pooled
-// per-destination batches — the in-process mirror of the dist protocol's
-// per-window framing — and are re-sequenced at the barrier with a reused
-// merge scratch, so the steady-state barrier allocates nothing. See
+// Hot-path layout. Pending events live in structure-of-arrays queues (parallel
+// time/seq/payload slices: a sorted run for what is scheduled in firing
+// order, a heap for the rest), so comparisons touch raw float64/int64 arrays
+// without chasing payload pointers. Cross-LP sends accumulate in batches each
+// scheduler owns, one per destination — the in-process mirror of the dist
+// protocol's per-window framing — and are re-sequenced at the barrier with a
+// reused merge scratch, so the steady-state barrier allocates nothing. See
 // DESIGN.md §14 for the layout and the determinism argument.
 package des
 
 import (
 	"fmt"
+	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -134,10 +135,11 @@ func (s *Stats) TotalCharges() int64 {
 
 // batch collects one window's sends from one source LP to one destination LP
 // in structure-of-arrays form — the in-process counterpart of the dist
-// protocol's per-window event frames. Batches are sync.Pool-recycled: a
-// scheduler takes one on the first send to a destination, the barrier (or
-// Stepper.Step) consumes and releases it, and the backing arrays are reused
-// window after window, so the steady-state send path allocates nothing.
+// protocol's per-window event frames. A batch never outlives its barrier —
+// the barrier (or Stepper.Step) consumes every event of the window it was
+// filled in — so each scheduler owns one per destination for the run, and the
+// backing arrays are reused window after window: the steady-state send path
+// allocates nothing.
 type batch struct {
 	// Dst is the destination LP, Src the sending LP.
 	Dst, Src int
@@ -149,24 +151,13 @@ type batch struct {
 	Datas  []any
 }
 
-var batchPool = sync.Pool{New: func() any { return new(batch) }}
-
-func getBatch(src, dst int) *batch {
-	b := batchPool.Get().(*batch)
-	b.Src, b.Dst = src, dst
-	return b
-}
-
-// putBatch clears payload references (the queues own them now) and recycles
-// the batch's backing arrays.
+// putBatch empties a consumed batch for its scheduler's next window, dropping
+// the payload references (the queues own them now).
 func putBatch(b *batch) {
-	for i := range b.Datas {
-		b.Datas[i] = nil
-	}
+	clear(b.Datas)
 	b.Times = b.Times[:0]
 	b.SrcIdx = b.SrcIdx[:0]
 	b.Datas = b.Datas[:0]
-	batchPool.Put(b)
 }
 
 // lookaheadSlack is the rounding tolerance on "a cross-LP event fires at or
@@ -188,9 +179,11 @@ type Scheduler struct {
 	charges int64
 	remote  int64
 	busy    float64
-	// batches holds this window's outgoing per-destination batches in
-	// first-touch order; batchAt indexes them by destination LP. Both are
-	// drained at the barrier.
+	// owned is the scheduler's batch for each destination LP. batches holds
+	// the ones this window sent into, in first-touch order; batchAt indexes
+	// those by destination (nil: untouched this window). Both are drained at
+	// the barrier.
+	owned   []batch
 	batches []*batch
 	batchAt []*batch
 	err     error
@@ -211,7 +204,7 @@ func (s *Scheduler) Charge(n int64) { s.charges += n }
 // the lookahead: t >= current window end. Violations poison the run with an
 // error rather than corrupting causality.
 func (s *Scheduler) Schedule(lp int, t float64, data any) {
-	if t < s.now {
+	if !(t >= s.now) { // NaN included: it would break the queue's order
 		s.fail(fmt.Errorf("des: LP %d scheduled event in the past: t=%g < now=%g", s.lp, t, s.now))
 		return
 	}
@@ -229,7 +222,7 @@ func (s *Scheduler) Schedule(lp int, t float64, data any) {
 	}
 	b := s.batchAt[lp]
 	if b == nil {
-		b = getBatch(s.lp, lp)
+		b = &s.owned[lp]
 		s.batchAt[lp] = b
 		s.batches = append(s.batches, b)
 	}
@@ -257,7 +250,7 @@ func (s *Scheduler) Fail(err error) { s.fail(err) }
 // a running loop or between runs.
 type Kernel struct {
 	cfg    Config
-	queues []eventHeap
+	queues []eventQueue
 	seqs   []int64
 
 	// stats is the cumulative run statistics, live: the window loop folds
@@ -272,7 +265,8 @@ type Kernel struct {
 
 	// Barrier merge scratch, reused across windows: batches bucketed by
 	// destination, the list of destinations with traffic, and the
-	// structure-of-arrays sort area. Zero steady-state allocations.
+	// structure-of-arrays sort area, empty between destinations. Zero
+	// steady-state allocations.
 	perDst  [][]*batch
 	dstList []int
 	merge   mergeScratch
@@ -291,7 +285,7 @@ func New(cfg Config) (*Kernel, error) {
 	}
 	return &Kernel{
 		cfg:    cfg,
-		queues: make([]eventHeap, cfg.NumLPs),
+		queues: make([]eventQueue, cfg.NumLPs),
 		seqs:   make([]int64, cfg.NumLPs),
 		stats:  newStats(cfg.NumLPs),
 		grid:   Grid{Lookahead: cfg.Lookahead, EndTime: cfg.EndTime},
@@ -321,8 +315,8 @@ func (k *Kernel) Schedule(lp int, t float64, data any) error {
 	if lp < 0 || lp >= k.cfg.NumLPs {
 		return fmt.Errorf("des: initial event for invalid LP %d", lp)
 	}
-	if t < 0 {
-		return fmt.Errorf("des: initial event at negative time %g", t)
+	if !(t >= 0) {
+		return fmt.Errorf("des: initial event at negative or NaN time %g", t)
 	}
 	k.pushLocal(lp, t, data)
 	return nil
@@ -415,8 +409,8 @@ func (k *Kernel) runWindow(lp int, s *Scheduler, windowEnd float64, timed bool) 
 	s.windowEnd = windowEnd
 	q := &k.queues[lp]
 	events := int64(0)
-	for q.Len() > 0 && q.times[0] < windowEnd {
-		if k.cfg.EndTime > 0 && q.times[0] >= k.cfg.EndTime {
+	for next := q.head(); next < windowEnd; next = q.head() {
+		if k.cfg.EndTime > 0 && next >= k.cfg.EndTime {
 			break
 		}
 		t, data := q.pop()
@@ -464,10 +458,8 @@ func (k *Kernel) mergeOutboxes(scheds []*Scheduler) {
 		}
 		s.batches = s.batches[:0]
 	}
-	if len(k.dstList) == 0 {
-		return
-	}
-	sort.Ints(k.dstList)
+	// Destinations' queues are independent, so the order they are served in
+	// (first touch) decides nothing.
 	m := &k.merge
 	for _, dst := range k.dstList {
 		bs := k.perDst[dst]
@@ -475,7 +467,6 @@ func (k *Kernel) mergeOutboxes(scheds []*Scheduler) {
 			// Single incoming event: no ordering decision to make.
 			k.pushLocal(dst, bs[0].Times[0], bs[0].Datas[0])
 		} else {
-			m.reset()
 			for _, b := range bs {
 				m.appendBatch(b)
 			}
@@ -485,14 +476,14 @@ func (k *Kernel) mergeOutboxes(scheds []*Scheduler) {
 			for i := range m.times {
 				k.pushLocal(dst, m.times[i], m.datas[i])
 			}
+			m.reset()
 		}
 		for _, b := range bs {
 			putBatch(b)
 		}
-		k.perDst[dst] = k.perDst[dst][:0]
+		k.perDst[dst] = bs[:0]
 	}
 	k.dstList = k.dstList[:0]
-	m.clearRefs()
 }
 
 // mergeScratch is the reusable structure-of-arrays sort area for one
@@ -523,7 +514,10 @@ func (m *mergeScratch) Swap(i, j int) {
 	m.datas[i], m.datas[j] = m.datas[j], m.datas[i]
 }
 
+// reset empties the scratch after a destination's merge, dropping the payload
+// references it just used (the destination queue owns them now).
 func (m *mergeScratch) reset() {
+	clear(m.datas)
 	m.times = m.times[:0]
 	m.srcs = m.srcs[:0]
 	m.idxs = m.idxs[:0]
@@ -552,93 +546,149 @@ func (m *mergeScratch) sorted() bool {
 	return true
 }
 
-// clearRefs drops payload references after a barrier (the destination queues
-// own them now) without shrinking the backing arrays.
-func (m *mergeScratch) clearRefs() {
-	d := m.datas[:cap(m.datas)]
-	for i := range d {
-		d[i] = nil
-	}
-}
-
-// eventHeap is a binary min-heap ordered by (time, seq) in structure-of-
-// arrays layout: parallel time/seq/payload slices instead of a slice of
-// Event structs. Sift comparisons touch only the flat float64/int64 arrays —
-// no payload pointers are loaded until pop returns one — and the hand-rolled
-// push/pop avoid container/heap's any-typed interface, which would box every
-// event on both push and pop.
-type eventHeap struct {
+// eventQueue is one LP's pending events, popped in (time, seq) order. It is
+// two tiers under that one order. A push whose key is at or beyond the last
+// key of the sorted run appends to the run — O(1), and how everything arrives
+// that is scheduled in firing order (the emulator seeds every flow start that
+// way) — and is consumed from the run's front by a cursor; any other push goes
+// to a binary min-heap. pop and head take the smaller of the run's front and
+// the heap's root, so what comes out is the (time, seq) minimum whichever
+// tier holds it: which tier an event sits in changes cost, never order.
+//
+// Both tiers are structure-of-arrays — parallel time/seq/payload slices, not
+// a slice of Event structs — so comparisons touch only the flat
+// float64/int64 arrays and no payload pointer is loaded until pop returns
+// one. The heap sifts by moving a hole: the travelling entry stays in locals
+// while parents or children shift into the hole, and is stored once.
+// Hand-rolled rather than container/heap, whose any-typed interface would
+// box every event on push and pop.
+type eventQueue struct {
 	times []float64
 	seqs  []int64
 	datas []any
-	// Pad each heap header out to two cache lines: the kernel stores one
-	// eventHeap per LP in a flat slice, and push/pop rewrite the slice
+	// The sorted run: entries [runHead:] are pending, ascending by (time,
+	// seq); the ones before are popped and compacted away once they outnumber
+	// the pending ones.
+	runTimes []float64
+	runSeqs  []int64
+	runDatas []any
+	runHead  int
+	// Pad each queue header out to three whole cache lines: the kernel stores
+	// one eventQueue per LP in a flat slice, and push/pop rewrite the slice
 	// headers, so without padding adjacent LPs' headers would false-share
 	// under parallel execution.
-	_ [56]byte
+	_ [40]byte
 }
 
-func (h *eventHeap) Len() int { return len(h.times) }
+func (q *eventQueue) Len() int { return len(q.times) + len(q.runTimes) - q.runHead }
 
-func (h *eventHeap) less(i, j int) bool {
-	if h.times[i] != h.times[j] {
-		return h.times[i] < h.times[j]
+// runFirst reports whether the earliest pending event is the run's front
+// rather than the heap's root. The queue must not be empty.
+func (q *eventQueue) runFirst() bool {
+	i := q.runHead
+	if i == len(q.runTimes) {
+		return false
 	}
-	return h.seqs[i] < h.seqs[j]
+	if len(q.times) == 0 {
+		return true
+	}
+	rt, ht := q.runTimes[i], q.times[0]
+	return rt < ht || rt == ht && q.runSeqs[i] < q.seqs[0]
 }
 
-func (h *eventHeap) swap(i, j int) {
-	h.times[i], h.times[j] = h.times[j], h.times[i]
-	h.seqs[i], h.seqs[j] = h.seqs[j], h.seqs[i]
-	h.datas[i], h.datas[j] = h.datas[j], h.datas[i]
+// head returns the earliest pending event's time, +Inf when there is none.
+func (q *eventQueue) head() float64 {
+	t := math.Inf(1)
+	if len(q.times) > 0 {
+		t = q.times[0]
+	}
+	if i := q.runHead; i < len(q.runTimes) && q.runTimes[i] < t {
+		t = q.runTimes[i]
+	}
+	return t
 }
 
-func (h *eventHeap) push(t float64, seq int64, data any) {
-	h.times = append(h.times, t)
-	h.seqs = append(h.seqs, seq)
-	h.datas = append(h.datas, data)
-	i := h.Len() - 1
+func (q *eventQueue) push(t float64, seq int64, data any) {
+	if n := len(q.runTimes); n == q.runHead || t > q.runTimes[n-1] || t == q.runTimes[n-1] && seq > q.runSeqs[n-1] {
+		q.runTimes = append(q.runTimes, t)
+		q.runSeqs = append(q.runSeqs, seq)
+		q.runDatas = append(q.runDatas, data)
+		return
+	}
+	i := len(q.times)
+	q.times = append(q.times, t)
+	q.seqs = append(q.seqs, seq)
+	q.datas = append(q.datas, data)
+	times, seqs, datas := q.times, q.seqs, q.datas
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		pt, ps := times[parent], seqs[parent]
+		if pt < t || pt == t && ps <= seq {
 			break
 		}
-		h.swap(i, parent)
+		times[i], seqs[i], datas[i] = pt, ps, datas[parent]
 		i = parent
 	}
+	times[i], seqs[i], datas[i] = t, seq, data
 }
 
-func (h *eventHeap) pop() (float64, any) {
-	t, data := h.times[0], h.datas[0]
-	last := h.Len() - 1
-	h.swap(0, last)
-	h.datas[last] = nil // release the payload reference
-	h.times, h.seqs, h.datas = h.times[:last], h.seqs[:last], h.datas[:last]
+func (q *eventQueue) pop() (float64, any) {
+	if q.runFirst() {
+		i := q.runHead
+		t, data := q.runTimes[i], q.runDatas[i]
+		q.runDatas[i] = nil // release the payload reference
+		i++
+		if live := len(q.runTimes) - i; live < i {
+			// More popped entries than pending ones: move the pending ones
+			// to the front (none left: just rewind).
+			copy(q.runTimes, q.runTimes[i:])
+			copy(q.runSeqs, q.runSeqs[i:])
+			copy(q.runDatas, q.runDatas[i:])
+			clear(q.runDatas[i:]) // the moved entries' old slots
+			q.runTimes, q.runSeqs, q.runDatas = q.runTimes[:live], q.runSeqs[:live], q.runDatas[:live]
+			i = 0
+		}
+		q.runHead = i
+		return t, data
+	}
+	times, seqs, datas := q.times, q.seqs, q.datas
+	t0, data0 := times[0], datas[0]
+	last := len(times) - 1
+	t, seq, data := times[last], seqs[last], datas[last]
+	datas[last] = nil // release the payload reference
+	q.times, q.seqs, q.datas = times[:last], seqs[:last], datas[:last]
+	if last == 0 { // it was the only entry: nothing to put back
+		return t0, data0
+	}
 	i := 0
 	for {
-		left := 2*i + 1
-		if left >= last {
+		child := 2*i + 1
+		if child >= last {
 			break
 		}
-		child := left
-		if right := left + 1; right < last && h.less(right, left) {
-			child = right
+		if r := child + 1; r < last && (times[r] < times[child] || times[r] == times[child] && seqs[r] < seqs[child]) {
+			child = r
 		}
-		if !h.less(child, i) {
+		ct, cs := times[child], seqs[child]
+		if !(ct < t || ct == t && cs < seq) {
 			break
 		}
-		h.swap(child, i)
+		times[i], seqs[i], datas[i] = ct, cs, datas[child]
 		i = child
 	}
-	return t, data
+	times[i], seqs[i], datas[i] = t, seq, data
+	return t0, data0
 }
 
-// export copies the heap's contents out as Events for LP lp (heap order, not
-// time order — checkpointing sorts afterwards).
-func (h *eventHeap) export(lp int) []Event {
-	evs := make([]Event, h.Len())
-	for i := range evs {
-		evs[i] = Event{Time: h.times[i], LP: lp, Data: h.datas[i], seq: h.seqs[i]}
+// export copies the queue's contents out as Events for LP lp (heap then run,
+// not time order — checkpointing sorts afterwards).
+func (q *eventQueue) export(lp int) []Event {
+	evs := make([]Event, 0, q.Len())
+	for i := range q.times {
+		evs = append(evs, Event{Time: q.times[i], LP: lp, Data: q.datas[i], seq: q.seqs[i]})
+	}
+	for i := q.runHead; i < len(q.runTimes); i++ {
+		evs = append(evs, Event{Time: q.runTimes[i], LP: lp, Data: q.runDatas[i], seq: q.runSeqs[i]})
 	}
 	return evs
 }

@@ -2,6 +2,7 @@ package des
 
 import (
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -34,6 +35,36 @@ func TestScheduleValidation(t *testing.T) {
 	}
 	if err := k.Schedule(1, 0.5, nil); err != nil {
 		t.Errorf("valid initial event rejected: %v", err)
+	}
+}
+
+// TestNaNTimeRejected: NaN compares false with everything, so a "t < now"
+// guard lets it through and the queue's order is gone. An initial event at NaN
+// is refused; a handler scheduling one, local or remote, poisons the run the
+// way an event in the past does, and nothing at NaN is ever enqueued.
+func TestNaNTimeRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dst  int // of the NaN event LP 0's handler schedules; -1: initial event
+	}{{"initial", -1}, {"local", 0}, {"remote", 1}} {
+		k, _ := New(Config{NumLPs: 2, Lookahead: 1, Sequential: true, Handler: func(lp int, tm float64, data any, s *Scheduler) {
+			if data != nil {
+				s.Schedule(data.(int), math.NaN(), nil)
+			}
+		}})
+		if tc.dst < 0 {
+			if err := k.Schedule(0, math.NaN(), nil); err == nil {
+				t.Errorf("%s: NaN initial event accepted", tc.name)
+			}
+		} else {
+			k.Schedule(0, 0.5, tc.dst)
+			if _, err := k.Run(); err == nil || !strings.Contains(err.Error(), "scheduled event in the past") {
+				t.Errorf("%s: NaN event from a handler: err = %v, want the event-in-the-past error", tc.name, err)
+			}
+		}
+		if n := k.queues[0].Len() + k.queues[1].Len(); n != 0 {
+			t.Errorf("%s: %d events left pending, want 0", tc.name, n)
+		}
 	}
 }
 

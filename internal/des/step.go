@@ -146,7 +146,11 @@ func (k *Kernel) Stepper(local []int) (*Stepper, error) {
 			return nil, fmt.Errorf("des: Stepper local LP %d listed twice", lp)
 		}
 		st.isLocal[lp] = true
-		st.scheds[lp] = &Scheduler{k: k, lp: lp, batchAt: make([]*batch, n)}
+		s := &Scheduler{k: k, lp: lp, owned: make([]batch, n), batchAt: make([]*batch, n)}
+		for dst := range s.owned {
+			s.owned[dst].Src, s.owned[dst].Dst = lp, dst
+		}
+		st.scheds[lp] = s
 	}
 	if !k.cfg.Sequential && len(st.local) > 1 && runtime.GOMAXPROCS(0) > 1 {
 		st.starts = make([]chan struct{}, len(st.local))
@@ -193,8 +197,8 @@ func (st *Stepper) NextEventTime() (float64, bool) {
 	found := false
 	queues := st.k.queues
 	for _, lp := range st.local {
-		if q := &queues[lp]; q.Len() > 0 && q.times[0] < best {
-			best = q.times[0]
+		if t := queues[lp].head(); t < best {
+			best = t
 			found = true
 		}
 	}

@@ -17,9 +17,6 @@ import (
 // or a fresh report per window each cost at least one allocation per frame —
 // four and more per window per worker — and fail the gate.
 func TestWireWindowSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
 	const workers = 2
 	spec := distSpec(t)
 	run := func(end float64) (mallocs float64, windows int64) {

@@ -128,13 +128,14 @@ func FuzzDecodePayloads(f *testing.F) {
 	f.Add(Hello{Version: 1}.Encode())
 	f.Add(Vote{Has: true, Time: 3.25}.Append(nil))
 	f.Add(Window{Start: 1, End: 2}.Append(nil))
-	// Windows and an event the decoders accept and the worker's Stepper must
+	// Windows and events the decoders accept and the worker's Stepper must
 	// refuse (TestHostileWindowAndPastInjectRejected).
 	f.Add(Window{Start: 1, End: math.Inf(1)}.Append(nil))
 	f.Add(Window{Start: 1, End: math.NaN()}.Append(nil))
 	f.Add(Window{Start: 2, End: 1}.Append(nil))
 	f.Add(Window{Start: 1, End: 1e9}.Append(nil))
 	f.Add(EncodeEvents(nil, []emu.WireEvent{{Time: 0, Dst: 1, Kind: emu.WireFlowStart}}))
+	f.Add(EncodeEvents(nil, []emu.WireEvent{{Time: math.NaN(), Dst: 1, Kind: emu.WireFlowStart}}))
 	f.Add(EncodeEvents(nil, nil))
 	done := EncodeWindowDone(nil, &emu.WindowReport{Events: []int64{3, 0}, Charges: []int64{2, 0}, Remote: []int64{1, 0}, Queue: []int64{0, 2},
 		Outbox: []emu.WireEvent{{Time: 1.25, Dst: 1, SrcIdx: 1, Kind: emu.WireChunk, Flow: 4, Hop: 1, Packets: 2, Bytes: 3000}}})

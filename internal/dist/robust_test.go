@@ -321,6 +321,10 @@ func TestHostileWindowAndPastInjectRejected(t *testing.T) {
 			events: func(evs []emu.WireEvent) []emu.WireEvent {
 				return append(evs, emu.WireEvent{Time: 0, Dst: 1, Kind: emu.WireFlowStart})
 			}},
+		{name: "event at NaN", names: "before the executed window end",
+			events: func(evs []emu.WireEvent) []emu.WireEvent {
+				return append(evs, emu.WireEvent{Time: math.NaN(), Dst: 1, Kind: emu.WireFlowStart})
+			}},
 	}
 	for _, tc := range cases {
 		tc := tc

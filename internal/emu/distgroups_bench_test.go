@@ -8,8 +8,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/dist"
 	"repro/internal/emu"
-	"repro/internal/experiments"
-	"repro/internal/mapping"
 )
 
 // runAsGroups is emu.Run spelled as the distributed runtime spells it, minus
@@ -83,29 +81,8 @@ func runAsGroups(cfg emu.Config, groups [][]int) (*emu.Result, error) {
 // API only, set-up included, canonical results required byte-equal. The bar
 // was 1.1× emu.Run; see ROADMAP.md for what it measured.
 func BenchmarkRunAsDistGroups(b *testing.B) {
-	sc, err := experiments.ScenarioFor(experiments.Config{Duration: 600, Seed: 42, Sequential: true}, "TeraGrid", "ScaLapack")
-	if err != nil {
-		b.Fatal(err)
-	}
-	routes, err := sc.Routes()
-	if err != nil {
-		b.Fatal(err)
-	}
-	w, err := sc.Workload()
-	if err != nil {
-		b.Fatal(err)
-	}
-	in, err := sc.MappingInput()
-	if err != nil {
-		b.Fatal(err)
-	}
-	top, err := mapping.TopMap(in)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := emu.Config{Network: sc.Network, Routes: routes, Assignment: top,
-		NumEngines: sc.Engines, Workload: w, Sequential: true}
-	all, each := make([]int, sc.Engines), make([][]int, sc.Engines)
+	cfg := topConfig(b, "TeraGrid", 600, true)
+	all, each := make([]int, cfg.NumEngines), make([][]int, cfg.NumEngines)
 	for e := range all {
 		all[e], each[e] = e, []int{e}
 	}
@@ -117,6 +94,7 @@ func BenchmarkRunAsDistGroups(b *testing.B) {
 		b.Run(shape.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var res *emu.Result
+				var err error
 				if shape.groups == nil {
 					res, err = emu.Run(cfg)
 				} else {

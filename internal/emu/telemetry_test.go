@@ -234,7 +234,7 @@ func TestTelemetryCollectorReuse(t *testing.T) {
 // internal/telemetry; this pins that emu adds nothing outside the guards.)
 func TestTelemetryDisabledZeroAddedAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("allocation counts over sync.Pool are not meaningful under the race detector")
+		t.Skip("the race detector allocates on its own schedule: an exact allocation count flickers by one")
 	}
 	cfg := telConfig(true)
 	// Warm the shared routing cache so neither measurement pays the one-time

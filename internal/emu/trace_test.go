@@ -130,7 +130,7 @@ func TestTraceResultUnchanged(t *testing.T) {
 // all — the window observer sees one nil check.
 func TestTraceDisabledZeroAddedAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("allocation counts over sync.Pool are not meaningful under the race detector")
+		t.Skip("the race detector allocates on its own schedule: an exact allocation count flickers by one")
 	}
 	cfg := telConfig(true)
 	// Warm the shared routing cache so neither measurement pays the one-time
