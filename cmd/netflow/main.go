@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"repro/internal/netflow"
 )
@@ -45,7 +46,9 @@ func main() {
 			last = r.Last
 		}
 	}
-	sum := netflow.SummarizeRecords(records, maxNode+1, last, 2)
+	// Totals only: nothing below reads the load series, so it gets one bucket
+	// however long the dump claims the run was.
+	sum := netflow.SummarizeRecords(records, maxNode+1, 0, 2)
 
 	var totalPackets int64
 	for _, p := range sum.NodePackets {
@@ -68,13 +71,7 @@ func main() {
 	for n, p := range sum.NodePackets {
 		nodes = append(nodes, np{n, p})
 	}
-	for i := 0; i < len(nodes); i++ {
-		for j := i + 1; j < len(nodes); j++ {
-			if nodes[j].packets > nodes[i].packets {
-				nodes[i], nodes[j] = nodes[j], nodes[i]
-			}
-		}
-	}
+	sort.SliceStable(nodes, func(i, j int) bool { return nodes[i].packets > nodes[j].packets })
 	n := *top
 	if n > len(nodes) {
 		n = len(nodes)

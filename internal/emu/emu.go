@@ -250,6 +250,7 @@ type flowRun struct {
 	bytes    int64
 	rtt      float64 // 2x one-way path latency (for TCP pacing)
 	tag      string
+	base     int // NetFlow slot of path[0]; hop h accounts at base+h (profiling runs)
 
 	// full[h] and tail[h] are the flow's two possible packet-group payloads
 	// at hop h, precomputed at prepare time. A flow's chunks all carry
@@ -388,11 +389,13 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 	// per event.
 	fullPackets := (cfg.ChunkBytes + cfg.MTU - 1) / cfg.MTU
 	flows := make([]*flowRun, 0, len(cfg.Workload.Flows))
+	hops := 0
 	for _, f := range cfg.Workload.Flows {
 		path, links := nw.RoutePath(rt, f.Src, f.Dst)
 		if path == nil {
 			return nil, fmt.Errorf("%w: flow %d has no route %d -> %d", ErrBadConfig, f.ID, f.Src, f.Dst)
 		}
+		hops += len(path)
 		var oneWay float64
 		for _, lid := range links {
 			oneWay += nw.Links[lid].Latency
@@ -442,7 +445,12 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 
 	var collector *netflow.Collector
 	if cfg.Profile {
-		collector = netflow.NewCollector(nw.NumNodes(), duration, cfg.BucketWidth)
+		// One record slot per (flow, hop), in workload order: routes are static,
+		// so the record a hop will touch is known before the first event.
+		collector = netflow.NewCollector(nw.NumNodes(), hops, duration, cfg.BucketWidth)
+		for _, fr := range flows {
+			fr.base = collector.Reserve(fr.id, fr.path, fr.links)
+		}
 	}
 	if o.tel != nil {
 		// Size the traffic-plane collector to this run; its series shares the
@@ -905,11 +913,7 @@ func (e *emulation) arrive(t float64, c *chunkArrival, s *des.Scheduler) {
 	node := f.path[c.hop]
 	s.Charge(c.packets)
 	if e.collector != nil {
-		inLink := -1
-		if c.hop > 0 {
-			inLink = f.links[c.hop-1]
-		}
-		e.collector.Observe(node, f.id, f.src, f.dst, inLink, c.packets, c.bytes, t)
+		e.collector.ObserveAt(f.base+c.hop, c.packets, c.bytes, t)
 	}
 	if e.tel != nil {
 		// Receive-side accounting, at the same site and granularity as the

@@ -7,12 +7,28 @@
 // As in MaSSF, bandwidth is measured in packets rather than bytes, "since
 // the real load in the emulator depends on the number of packets it
 // processes".
+//
+// The store is a slab of record slots. Routes are static for a run, so the
+// emulator reserves one slot per (flow, hop) before the first event, in
+// workload order, which fixes everything about a record but its counters;
+// accounting a packet group is then ObserveAt(slot): an index and a few adds,
+// no hashing and no growth. Reads are the cold path: Records emits the slots
+// traffic actually reached (a chunk dropped upstream leaves the rest of its
+// route untouched), Summarize sums the slab, Clone is one flat copy.
+//
+// Record order is a function of the emulated network and its workload, never
+// of the mapping: node, then the flow's position in the workload, then hop.
+// Two flows that share a FlowID yield two records per common (node, in-link)
+// where a keyed store would merge them; their sums, and so Summarize, are the
+// same.
 package netflow
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,67 +49,76 @@ type Record struct {
 	// Packets and Bytes observed at this node for this flow.
 	Packets int64
 	Bytes   int64
-	// First and Last are the observation window in virtual seconds.
+	// First and Last are the observation window in virtual seconds. A reserved
+	// slot nothing has reached yet holds the empty window (+Inf, -Inf).
 	First, Last float64
 }
 
+// MaxBuckets bounds the length of a load series. A duration is caller- or
+// dump-supplied, so the bucket count it implies is clamped, not trusted; at
+// the default 2 s width the bound is 36 hours of virtual time, and traffic
+// beyond the last bucket is accounted in it (metrics.Series.Add).
+const MaxBuckets = 1 << 16
+
+// bucketCount is the series length covering duration seconds.
+func bucketCount(duration, bucketWidth float64) int {
+	if n := duration / bucketWidth; n > 0 { // false for NaN
+		return int(math.Min(n, MaxBuckets-1)) + 1
+	}
+	return 1
+}
+
 // Collector accumulates flow records during an emulation run. One collector
-// services all engines; records are keyed by (node, flow, inlink) and nodes
-// are owned by exactly one engine, so updates are data-race-free by
-// construction.
+// services all engines: a slot belongs to one node, nodes are owned by exactly
+// one engine, so updates are data-race-free by construction.
 type Collector struct {
 	// BucketWidth is the granularity of the per-node load series (the
 	// "granularity of the NetFlow" tuning knob; default 2s, matching the
 	// paper's fine-grained measurement interval).
 	BucketWidth float64
-	// perNode[n] maps flow key to the record index in records[n].
-	perNode []map[flowKey]int
-	records [][]Record
+	// slots holds every reserved record, flow by flow in reservation order and
+	// hop by hop within a flow.
+	slots []Record
 	// series is the bucketed per-node kernel-event load.
 	series *metrics.Series
 }
 
-type flowKey struct {
-	flow   int
-	inLink int
-}
-
 // NewCollector creates a collector for numNodes nodes covering duration
-// seconds at the given bucket width.
-func NewCollector(numNodes int, duration, bucketWidth float64) *Collector {
+// seconds (at most MaxBuckets buckets) at the given bucket width, with room
+// for slots reserved records.
+func NewCollector(numNodes, slots int, duration, bucketWidth float64) *Collector {
 	if bucketWidth <= 0 {
 		bucketWidth = 2
 	}
-	buckets := int(duration/bucketWidth) + 1
-	if buckets < 1 {
-		buckets = 1
-	}
-	c := &Collector{
+	return &Collector{
 		BucketWidth: bucketWidth,
-		perNode:     make([]map[flowKey]int, numNodes),
-		records:     make([][]Record, numNodes),
-		series:      metrics.NewSeries(bucketWidth, numNodes, buckets),
+		slots:       make([]Record, 0, slots),
+		series:      metrics.NewSeries(bucketWidth, numNodes, bucketCount(duration, bucketWidth)),
 	}
-	for n := range c.perNode {
-		c.perNode[n] = make(map[flowKey]int)
-	}
-	return c
 }
 
-// Observe accounts packets of a flow passing through node at time t having
-// arrived over inLink (-1 at the flow source).
-func (c *Collector) Observe(node, flowID, src, dst, inLink int, packets, bytes int64, t float64) {
-	key := flowKey{flow: flowID, inLink: inLink}
-	idx, ok := c.perNode[node][key]
-	if !ok {
-		idx = len(c.records[node])
-		c.records[node] = append(c.records[node], Record{
-			Node: node, FlowID: flowID, Src: src, Dst: dst, InLink: inLink,
-			First: t, Last: t,
+// Reserve adds one slot per node of a flow's route (path holds its nodes, src
+// to dst; links the len(path)-1 links between them) and returns the first:
+// hop h of the flow is accounted at slot base+h.
+func (c *Collector) Reserve(flowID int, path, links []int) (base int) {
+	base = len(c.slots)
+	for h, node := range path {
+		inLink := -1
+		if h > 0 {
+			inLink = links[h-1]
+		}
+		c.slots = append(c.slots, Record{
+			Node: node, FlowID: flowID, Src: path[0], Dst: path[len(path)-1], InLink: inLink,
+			First: math.Inf(1), Last: math.Inf(-1),
 		})
-		c.perNode[node][key] = idx
 	}
-	r := &c.records[node][idx]
+	return base
+}
+
+// ObserveAt accounts packets of a flow passing through a reserved slot's node
+// at time t.
+func (c *Collector) ObserveAt(slot int, packets, bytes int64, t float64) {
+	r := &c.slots[slot]
 	r.Packets += packets
 	r.Bytes += bytes
 	if t < r.First {
@@ -102,7 +127,7 @@ func (c *Collector) Observe(node, flowID, src, dst, inLink int, packets, bytes i
 	if t > r.Last {
 		r.Last = t
 	}
-	c.series.Add(t, node, float64(packets))
+	c.series.Add(t, r.Node, float64(packets))
 }
 
 // Clone returns a deep copy of the collector. The emulator checkpoints its
@@ -112,29 +137,32 @@ func (c *Collector) Clone() *Collector {
 	if c == nil {
 		return nil
 	}
-	cp := &Collector{
+	return &Collector{
 		BucketWidth: c.BucketWidth,
-		perNode:     make([]map[flowKey]int, len(c.perNode)),
-		records:     make([][]Record, len(c.records)),
+		slots:       append([]Record(nil), c.slots...),
 		series:      c.series.Clone(),
 	}
-	for n := range c.perNode {
-		m := make(map[flowKey]int, len(c.perNode[n]))
-		for k, v := range c.perNode[n] {
-			m[k] = v
-		}
-		cp.perNode[n] = m
-		cp.records[n] = append([]Record(nil), c.records[n]...)
-	}
-	return cp
 }
 
-// Records returns all accumulated records in deterministic order (node, then
-// insertion order).
+// Records returns the records traffic has reached, ordered by node, then
+// reservation order (the flow's workload position, then hop).
 func (c *Collector) Records() []Record {
-	var out []Record
-	for n := range c.records {
-		out = append(out, c.records[n]...)
+	// A counting sort on node keeps the slab's order within each node.
+	next := make([]int, c.series.Nodes()+1)
+	for i := range c.slots {
+		if r := &c.slots[i]; r.First <= r.Last {
+			next[r.Node+1]++
+		}
+	}
+	for n := 1; n < len(next); n++ {
+		next[n] += next[n-1]
+	}
+	out := make([]Record, next[len(next)-1])
+	for i := range c.slots {
+		if r := &c.slots[i]; r.First <= r.Last {
+			out[next[r.Node]] = *r
+			next[r.Node]++
+		}
 	}
 	return out
 }
@@ -159,15 +187,17 @@ type Summary struct {
 func (c *Collector) Summarize() *Summary {
 	s := &Summary{
 		LinkPackets: make(map[int]int64),
-		NodePackets: make([]int64, len(c.records)),
+		NodePackets: make([]int64, c.series.Nodes()),
 		NodeSeries:  c.series,
 	}
-	for n := range c.records {
-		for _, r := range c.records[n] {
-			s.NodePackets[n] += r.Packets
-			if r.InLink >= 0 {
-				s.LinkPackets[r.InLink] += r.Packets
-			}
+	for i := range c.slots {
+		r := &c.slots[i]
+		if r.First > r.Last {
+			continue
+		}
+		s.NodePackets[r.Node] += r.Packets
+		if r.InLink >= 0 {
+			s.LinkPackets[r.InLink] += r.Packets
 		}
 	}
 	return s
@@ -182,7 +212,9 @@ func (c *Collector) Summarize() *Summary {
 // matching the paper's description of per-router local dump files that are
 // parsed offline to compute aggregated traffic.
 
-// WriteDump serializes records to w.
+// WriteDump serializes records to w in the order given; Collector.Records'
+// order (node, workload position, hop) makes the dump of a run independent of
+// the mapping it ran under.
 func WriteDump(w io.Writer, records []Record) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, "# node flow src dst inlink packets bytes first last"); err != nil {
@@ -197,7 +229,21 @@ func WriteDump(w io.Writer, records []Record) error {
 	return bw.Flush()
 }
 
-// ReadDump parses a dump produced by WriteDump.
+// ErrBadDump is returned (wrapped, with the line number) by ReadDump for a
+// line that is not a record a collector could have written.
+var ErrBadDump = errors.New("netflow: bad dump")
+
+// MaxDumpID and MaxDumpTime bound the node, flow and link ids and the
+// timestamps ReadDump accepts: readers size tables by the largest id and series
+// by the latest time they see, so either is a claim on memory.
+const (
+	MaxDumpID   = 1 << 22
+	MaxDumpTime = 1e9 // virtual seconds
+)
+
+// ReadDump parses a dump produced by WriteDump. Every field is validated:
+// ids in [0, MaxDumpID] (InLink from -1), counts non-negative,
+// 0 <= First <= Last <= MaxDumpTime.
 func ReadDump(r io.Reader) ([]Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
@@ -209,52 +255,60 @@ func ReadDump(r io.Reader) ([]Record, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		f := strings.Fields(line)
-		if len(f) != 9 {
-			return nil, fmt.Errorf("netflow: line %d: %d fields, want 9", lineNo, len(f))
-		}
-		var rec Record
-		var err error
-		ints := []*int{&rec.Node, &rec.FlowID, &rec.Src, &rec.Dst, &rec.InLink}
-		for i, p := range ints {
-			*p, err = strconv.Atoi(f[i])
-			if err != nil {
-				return nil, fmt.Errorf("netflow: line %d field %d: %v", lineNo, i+1, err)
-			}
-		}
-		if rec.Packets, err = strconv.ParseInt(f[5], 10, 64); err != nil {
-			return nil, fmt.Errorf("netflow: line %d packets: %v", lineNo, err)
-		}
-		if rec.Bytes, err = strconv.ParseInt(f[6], 10, 64); err != nil {
-			return nil, fmt.Errorf("netflow: line %d bytes: %v", lineNo, err)
-		}
-		if rec.First, err = strconv.ParseFloat(f[7], 64); err != nil {
-			return nil, fmt.Errorf("netflow: line %d first: %v", lineNo, err)
-		}
-		if rec.Last, err = strconv.ParseFloat(f[8], 64); err != nil {
-			return nil, fmt.Errorf("netflow: line %d last: %v", lineNo, err)
+		rec, err := parseRecord(strings.Fields(line))
+		if err != nil {
+			return nil, fmt.Errorf("%w: line %d: %v", ErrBadDump, lineNo, err)
 		}
 		out = append(out, rec)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("netflow: read dump: %w", err)
 	}
 	return out, nil
+}
+
+func parseRecord(f []string) (rec Record, err error) {
+	if len(f) != 9 {
+		return rec, fmt.Errorf("%d fields, want 9", len(f))
+	}
+	var v [7]int64 // the five ids, then packets and bytes
+	for i := range v {
+		if v[i], err = strconv.ParseInt(f[i], 10, 64); err != nil {
+			return rec, err
+		}
+		min := int64(0)
+		if i == 4 { // InLink: -1 at the source
+			min = -1
+		}
+		if v[i] < min || i < 5 && v[i] > MaxDumpID {
+			return rec, fmt.Errorf("field %d: %d out of range", i+1, v[i])
+		}
+	}
+	rec = Record{Node: int(v[0]), FlowID: int(v[1]), Src: int(v[2]), Dst: int(v[3]), InLink: int(v[4]),
+		Packets: v[5], Bytes: v[6]}
+	if rec.First, err = strconv.ParseFloat(f[7], 64); err != nil {
+		return rec, err
+	}
+	if rec.Last, err = strconv.ParseFloat(f[8], 64); err != nil {
+		return rec, err
+	}
+	if !(0 <= rec.First && rec.First <= rec.Last && rec.Last <= MaxDumpTime) { // false for NaN
+		return rec, fmt.Errorf("observation window [%v, %v] is not ordered within [0, %g]", rec.First, rec.Last, MaxDumpTime)
+	}
+	return rec, nil
 }
 
 // SummarizeRecords aggregates parsed dump records (the offline path: parse
 // dump files, then compute aggregated traffic). numNodes must cover every
 // node ID in records; the series is rebuilt by spreading each record's
 // packets uniformly over its [First, Last] span at the given bucket width —
-// the granularity information a NetFlow dump retains.
+// the granularity information a NetFlow dump retains. Like a collector's, the
+// series has at most MaxBuckets buckets whatever duration says.
 func SummarizeRecords(records []Record, numNodes int, duration, bucketWidth float64) *Summary {
 	if bucketWidth <= 0 {
 		bucketWidth = 2
 	}
-	buckets := int(duration/bucketWidth) + 1
-	if buckets < 1 {
-		buckets = 1
-	}
+	buckets := bucketCount(duration, bucketWidth)
 	s := &Summary{
 		LinkPackets: make(map[int]int64),
 		NodePackets: make([]int64, numNodes),

@@ -2,22 +2,30 @@ package netflow
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 )
 
 func TestCollectorAggregation(t *testing.T) {
-	c := NewCollector(5, 100, 2)
-	// Flow 0 passes through nodes 1 (from link -1, source) and 2 (link 7).
-	c.Observe(1, 0, 1, 4, -1, 10, 15000, 1.0)
-	c.Observe(2, 0, 1, 4, 7, 10, 15000, 1.5)
-	c.Observe(2, 0, 1, 4, 7, 5, 7500, 3.5) // same flow again, later
-	// Flow 1 through node 2 on link 9.
-	c.Observe(2, 1, 3, 4, 9, 20, 30000, 2.0)
+	c := NewCollector(5, 6, 100, 2)
+	// Flow 0 runs 1 -> 2 -> 4 (links 7, 8), flow 1 runs 3 -> 2 -> 4 (links
+	// 9, 8). Nothing reaches node 4: those two slots stay reserved and unseen.
+	f0 := c.Reserve(0, []int{1, 2, 4}, []int{7, 8})
+	f1 := c.Reserve(1, []int{3, 2, 4}, []int{9, 8})
+	c.ObserveAt(f0, 10, 15000, 1.0)
+	c.ObserveAt(f0+1, 10, 15000, 1.5)
+	c.ObserveAt(f0+1, 5, 7500, 3.5) // same flow again, later
+	c.ObserveAt(f1+1, 20, 30000, 2.0)
 
 	recs := c.Records()
 	if len(recs) != 3 {
-		t.Fatalf("records = %d, want 3 (merged per node+flow+inlink)", len(recs))
+		t.Fatalf("records = %d, want 3 (one per slot traffic reached)", len(recs))
+	}
+	want := Record{Node: 2, FlowID: 1, Src: 3, Dst: 4, InLink: 9, Packets: 20, Bytes: 30000, First: 2, Last: 2}
+	if recs[2] != want {
+		t.Errorf("last record %+v, want %+v (node order, then reservation order)", recs[2], want)
 	}
 	s := c.Summarize()
 	if s.NodePackets[1] != 10 || s.NodePackets[2] != 35 {
@@ -51,10 +59,12 @@ func TestCollectorAggregation(t *testing.T) {
 }
 
 func TestDumpRoundTrip(t *testing.T) {
-	c := NewCollector(4, 50, 2)
-	c.Observe(0, 0, 0, 3, -1, 7, 10500, 0.5)
-	c.Observe(1, 0, 0, 3, 2, 7, 10500, 0.7)
-	c.Observe(2, 1, 2, 3, 4, 9, 13500, 1.2)
+	c := NewCollector(4, 5, 50, 2)
+	f0 := c.Reserve(0, []int{0, 1, 3}, []int{2, 5})
+	f1 := c.Reserve(1, []int{2, 3}, []int{4})
+	c.ObserveAt(f0, 7, 10500, 0.5)
+	c.ObserveAt(f0+1, 7, 10500, 0.7)
+	c.ObserveAt(f1+1, 9, 13500, 1.2)
 	recs := c.Records()
 
 	var buf bytes.Buffer
@@ -75,27 +85,98 @@ func TestDumpRoundTrip(t *testing.T) {
 	}
 }
 
+// The two lines that used to take cmd/netflow down with an out-of-memory
+// fault: a node id that sizes a table, and a duration that sizes a series.
+const (
+	hostileNodeID   = "4000000000000 0 0 1 -1 1 1 0 1\n"
+	hostileDuration = "0 0 0 1 -1 1 1 0 1e13\n"
+)
+
 func TestReadDumpErrors(t *testing.T) {
-	cases := []string{
-		"1 2 3\n",             // wrong field count
-		"a 0 0 0 0 0 0 0 0\n", // bad int
-		"0 0 0 0 0 x 0 0 0\n", // bad packets
-		"0 0 0 0 0 0 y 0 0\n", // bad bytes
-		"0 0 0 0 0 0 0 z 0\n", // bad first
-		"0 0 0 0 0 0 0 0 w\n", // bad last
+	cases := []struct{ name, in string }{
+		{"field count", "1 2 3\n"},
+		{"bad int", "a 0 0 0 0 0 0 0 0\n"},
+		{"bad packets", "0 0 0 0 0 x 0 0 0\n"},
+		{"bad bytes", "0 0 0 0 0 0 y 0 0\n"},
+		{"bad first", "0 0 0 0 0 0 0 z 0\n"},
+		{"bad last", "0 0 0 0 0 0 0 0 w\n"},
+		{"node id sizes a table", hostileNodeID},
+		{"negative node", "-1 0 0 0 0 0 0 0 0\n"},
+		{"negative flow", "0 -1 0 0 0 0 0 0 0\n"},
+		{"negative src", "0 0 -1 0 0 0 0 0 0\n"},
+		{"negative dst", "0 0 0 -2 0 0 0 0 0\n"},
+		{"inlink below -1", "0 0 0 0 -2 0 0 0 0\n"},
+		{"flow id past the bound", "0 4194305 0 0 0 0 0 0 0\n"},
+		{"link id past the bound", "0 0 0 0 4194305 0 0 0 0\n"},
+		{"negative packets", "0 0 0 0 0 -1 0 0 0\n"},
+		{"negative bytes", "0 0 0 0 0 0 -1 0 0\n"},
+		{"NaN first", "0 0 0 0 0 0 0 NaN 0\n"},
+		{"infinite last", "0 0 0 0 0 0 0 0 +Inf\n"},
+		{"overflowing last", "0 0 0 0 0 0 0 0 1e999\n"},
+		{"inverted window", "0 0 0 0 0 0 0 2 1\n"},
+		{"negative first", "0 0 0 0 0 0 0 -1 1\n"},
+		{"duration sizes a series", hostileDuration},
+		{"bad line after a good one", "0 0 0 0 -1 1 1 0 0\n0 0 0 0 -1 1 1 1 0\n"},
 	}
-	for i, in := range cases {
-		if _, err := ReadDump(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d accepted", i)
+	for _, c := range cases {
+		if _, err := ReadDump(strings.NewReader(c.in)); !errors.Is(err, ErrBadDump) {
+			t.Errorf("%s: err = %v, want ErrBadDump", c.name, err)
 		}
 	}
-	// Comments and blank lines are fine.
-	recs, err := ReadDump(strings.NewReader("# header\n\n0 1 2 3 4 5 6 7.5 8.5\n"))
+	if _, err := ReadDump(strings.NewReader(cases[len(cases)-1].in)); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("error %v does not name line 2", err)
+	}
+	// Comments and blank lines are fine; so are the largest ids and an
+	// instantaneous record.
+	recs, err := ReadDump(strings.NewReader("# header\n\n0 1 2 3 4 5 6 7.5 8.5\n4194304 4194304 0 0 -1 0 0 3 3\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Packets != 5 || recs[0].First != 7.5 {
+	if len(recs) != 2 || recs[0].Packets != 5 || recs[0].First != 7.5 || recs[1].Node != MaxDumpID {
 		t.Errorf("parsed %+v", recs)
+	}
+}
+
+// TestBucketCountIsClamped: a duration is a claim on memory (buckets × nodes
+// floats), so neither the collector nor the offline summary takes it at its
+// word; below the bound nothing changes.
+func TestBucketCountIsClamped(t *testing.T) {
+	recs := []Record{{InLink: -1, Packets: 1, Bytes: 1, Last: MaxDumpTime}}
+	for _, d := range []float64{1e13, math.Inf(1), 2 * MaxBuckets} {
+		if got := SummarizeRecords(recs, 1, d, 2).NodeSeries.Buckets(); got != MaxBuckets {
+			t.Errorf("SummarizeRecords(duration %g): %d buckets, want MaxBuckets", d, got)
+		}
+		if got := NewCollector(1, 0, d, 2).Series().Buckets(); got != MaxBuckets {
+			t.Errorf("NewCollector(duration %g): %d buckets, want MaxBuckets", d, got)
+		}
+	}
+	for d, want := range map[float64]int{-5: 1, 0: 1, 1.9: 1, 2: 2, 100: 51, 2*MaxBuckets - 1: MaxBuckets} {
+		if got := NewCollector(1, 0, d, 2).Series().Buckets(); got != want {
+			t.Errorf("NewCollector(duration %g): %d buckets, want %d", d, got, want)
+		}
+	}
+	if got := NewCollector(1, 0, math.NaN(), 2).Series().Buckets(); got != 1 {
+		t.Errorf("NaN duration: %d buckets, want 1", got)
+	}
+	// The record's packets are all still accounted, folded into the buckets kept.
+	if got := SummarizeRecords(recs, 1, recs[0].Last, 2).NodeSeries.TotalPerNode()[0]; math.Abs(got-1) > 1e-9 {
+		t.Errorf("clamped series holds %v packets, want 1", got)
+	}
+}
+
+// TestNetFlowHotPathNoAllocs is the steady-state gate: accounting a packet
+// group at a reserved slot allocates nothing.
+func TestNetFlowHotPathNoAllocs(t *testing.T) {
+	c := NewCollector(4, 3, 50, 2)
+	base := c.Reserve(0, []int{0, 1, 3}, []int{2, 5})
+	now := 0.0
+	if n := testing.AllocsPerRun(1000, func() {
+		for h := 0; h < 3; h++ {
+			c.ObserveAt(base+h, 44, 65536, now)
+		}
+		now += 0.05
+	}); n != 0 {
+		t.Errorf("ObserveAt allocates %v times per packet group route, want 0", n)
 	}
 }
 
@@ -143,7 +224,7 @@ func TestTopLinks(t *testing.T) {
 }
 
 func TestCollectorDefaultBucketWidth(t *testing.T) {
-	c := NewCollector(1, 10, 0)
+	c := NewCollector(1, 0, 10, 0)
 	if c.BucketWidth != 2 {
 		t.Errorf("default bucket width = %v, want 2", c.BucketWidth)
 	}
