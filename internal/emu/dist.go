@@ -67,10 +67,8 @@ func (e *emulation) encodeSent(s des.Sent) (WireEvent, error) {
 		w.Window = int32(d.window)
 	case *chunkArrival:
 		w.Kind = WireChunk
-		w.Flow = int32(d.flow.idx)
-		w.Hop = int32(d.hop)
-		w.Packets = d.packets
-		w.Bytes = d.bytes
+		w.Flow, w.Hop = d.flow, d.hop
+		w.Packets, w.Bytes = e.sizeOf(&e.flows[d.flow], d)
 	default:
 		return w, fmt.Errorf("%w: unshippable event payload %T", ErrBadConfig, s.Data)
 	}
@@ -78,24 +76,34 @@ func (e *emulation) encodeSent(s des.Sent) (WireEvent, error) {
 }
 
 // decodeWire rebuilds the in-memory payload from wire form against this
-// process's own flow table. Malformed events return an error (they poison the
-// run) rather than panicking the worker.
+// process's own flow table, and admits only what a legitimate sender can
+// produce: a chunk of one of its flow's two shapes at a hop on its path, a TCP
+// round startFlowTCP would schedule. Anything else returns an error (it
+// poisons the run) rather than panicking the worker or being executed.
 func (e *emulation) decodeWire(w WireEvent) (des.Sent, error) {
 	s := des.Sent{Time: w.Time, Dst: int(w.Dst), Src: int(w.Src), SrcIdx: int(w.SrcIdx)}
 	if w.Flow < 0 || int(w.Flow) >= len(e.flows) {
 		return s, fmt.Errorf("%w: wire event names flow %d of %d", ErrBadConfig, w.Flow, len(e.flows))
 	}
-	f := e.flows[w.Flow]
+	f := &e.flows[w.Flow]
 	switch w.Kind {
 	case WireFlowStart:
 		s.Data = flowStart{flow: f}
 	case WireTCPRound:
+		if w.Offset < 0 || w.Offset >= f.bytes || w.Offset%e.cfg.ChunkBytes != 0 || w.Window < 1 || w.Window > tcpMaxWindow {
+			return s, fmt.Errorf("%w: wire TCP round at offset %d, window %d of a %d-byte flow", ErrBadConfig, w.Offset, w.Window, f.bytes)
+		}
 		s.Data = tcpRound{flow: f, offset: w.Offset, window: int(w.Window)}
 	case WireChunk:
 		if w.Hop < 0 || int(w.Hop) >= len(f.path) {
 			return s, fmt.Errorf("%w: wire chunk at hop %d of a %d-hop path", ErrBadConfig, w.Hop, len(f.path))
 		}
-		s.Data = e.chunkAt(f, int(w.Hop), w.Packets, w.Bytes)
+		full := f.bytes >= e.cfg.ChunkBytes && w.Bytes == e.cfg.ChunkBytes && w.Packets == e.fullPackets
+		tail := f.tailBytes > 0 && w.Bytes == f.tailBytes && w.Packets == f.tailPackets
+		if !full && !tail {
+			return s, fmt.Errorf("%w: wire chunk of %d packets, %d bytes is neither shape of flow %d", ErrBadConfig, w.Packets, w.Bytes, w.Flow)
+		}
+		s.Data = e.chunkAt(f, int(w.Hop), tail)
 	default:
 		return s, fmt.Errorf("%w: unknown wire event kind %d", ErrBadConfig, w.Kind)
 	}

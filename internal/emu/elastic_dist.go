@@ -85,23 +85,15 @@ type ElasticInstall struct {
 }
 
 // wireOwner computes the engine owning a wire event under the current
-// assignment — the distributed mirror of ownerOf, keyed on the same flow
-// state so both paths route a migrated event identically.
+// assignment — the distributed mirror of ownerOf, and literally that behind
+// decodeWire's validation, so both paths route a migrated event identically.
 func (e *emulation) wireOwner(w WireEvent) (int, error) {
-	if w.Flow < 0 || int(w.Flow) >= len(e.flows) {
-		return 0, fmt.Errorf("%w: pending event names flow %d of %d", ErrBadConfig, w.Flow, len(e.flows))
+	s, err := e.decodeWire(w)
+	if err != nil {
+		return 0, err
 	}
-	f := e.flows[w.Flow]
-	switch w.Kind {
-	case WireFlowStart, WireTCPRound:
-		return e.assignment[f.src], nil
-	case WireChunk:
-		if w.Hop < 0 || int(w.Hop) >= len(f.path) {
-			return 0, fmt.Errorf("%w: pending chunk at hop %d of a %d-hop path", ErrBadConfig, w.Hop, len(f.path))
-		}
-		return e.assignment[f.path[w.Hop]], nil
-	}
-	return 0, fmt.Errorf("%w: unknown pending event kind %d", ErrBadConfig, w.Kind)
+	eng, _ := e.ownerOf(des.Event{Data: s.Data})
+	return eng, nil
 }
 
 // Export captures this worker's complete state at a quiesced barrier for a

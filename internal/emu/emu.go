@@ -239,27 +239,35 @@ func (r *Result) FCTStats() (completed int, mean, p95 float64) {
 	return len(done), metrics.Mean(done), metrics.Percentile(done, 95)
 }
 
-// flowRun is the per-flow routing state shared read-only by all engines.
+// The run's flow table is three flat slabs built once by prepare and shared
+// read-only by all engines: a route per distinct (src, dst) pair, one flowRun
+// per flow aliasing its pair's route, and one chunkArrival per (flow, shape,
+// hop).
+
+// route is what every flow between one endpoint pair shares.
+type route struct {
+	path  []int   // node IDs, src..dst
+	links []int   // link IDs, len(path)-1
+	rtt   float64 // 2x one-way path latency (for TCP pacing)
+}
+
+// flowRun is one flow's entry in the table.
 type flowRun struct {
+	*route
 	idx      int // position in the workload's flow list
 	id       int
 	src, dst int
 	start    float64
-	path     []int // node IDs, src..dst
-	links    []int // link IDs, len(path)-1
 	bytes    int64
-	rtt      float64 // 2x one-way path latency (for TCP pacing)
-	tag      string
 	base     int // NetFlow slot of path[0]; hop h accounts at base+h (profiling runs)
 
-	// full[h] and tail[h] are the flow's two possible packet-group payloads
-	// at hop h, precomputed at prepare time. A flow's chunks all carry
-	// ChunkBytes except a final remainder, so every chunk event on the hot
-	// path reuses one of these immutable shared values by pointer instead of
-	// boxing a fresh payload per forwarded event. tail is nil when the flow's
-	// size divides evenly.
-	full []chunkArrival
-	tail []chunkArrival
+	// A flow's chunks all carry ChunkBytes except a final remainder of
+	// tailBytes (0 when the size divides evenly), so it has at most two
+	// packet-group shapes. full and tail are where each shape's per-hop
+	// records start in the chunk slab; a shape the flow does not have is never
+	// looked up (decodeWire refuses it).
+	tailPackets, tailBytes int64
+	full, tail             int
 }
 
 // flowStart injects a flow at its source host.
@@ -268,27 +276,32 @@ type flowStart struct {
 }
 
 // chunkArrival is one packet group arriving at path[hop]. Chunk events are
-// scheduled as *chunkArrival pointers to the flow's precomputed full/tail
-// payloads; handlers treat them as immutable (the same pointer may be pending
-// in several queues and in checkpoint snapshots at once).
+// scheduled as pointers into the run's chunk slab; handlers treat the records
+// as immutable (the same pointer may be pending in several queues and in
+// checkpoint snapshots at once). A record names its shape, not its size: size
+// is derived (sizeOf), and a wire event's claimed size is validated against
+// the flow's two shapes at decode, so the slab is the whole universe of chunk
+// payloads.
 type chunkArrival struct {
-	flow    *flowRun
-	hop     int
-	packets int64
-	bytes   int64
+	flow int32 // index into emulation.flows
+	hop  int32
+	tail bool
 }
 
-// chunkAt returns the shared payload for (flow, hop, packets, bytes),
-// falling back to a fresh value for shapes that don't match the flow's
-// precomputed chunks (only reachable via malformed wire events).
-func (e *emulation) chunkAt(f *flowRun, hop int, packets, bytes int64) *chunkArrival {
-	if bytes == e.cfg.ChunkBytes && hop < len(f.full) && f.full[hop].packets == packets {
-		return &f.full[hop]
+// chunkAt returns the shared record for (flow, shape, hop).
+func (e *emulation) chunkAt(f *flowRun, hop int, tail bool) *chunkArrival {
+	if tail {
+		return &e.chunks[f.tail+hop]
 	}
-	if hop < len(f.tail) && f.tail[hop].bytes == bytes && f.tail[hop].packets == packets {
-		return &f.tail[hop]
+	return &e.chunks[f.full+hop]
+}
+
+// sizeOf derives a chunk's packet and byte counts from its shape.
+func (e *emulation) sizeOf(f *flowRun, c *chunkArrival) (packets, bytes int64) {
+	if c.tail {
+		return f.tailPackets, f.tailBytes
 	}
-	return &chunkArrival{flow: f, hop: hop, packets: packets, bytes: bytes}
+	return e.fullPackets, e.cfg.ChunkBytes
 }
 
 // Lookahead returns the synchronization window implied by an assignment: the
@@ -352,10 +365,10 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 	return e.buildResult(stats, recovery), nil
 }
 
-// prepare validates cfg (applying defaults in place), resolves every flow's
-// route, and builds the emulation state an engine set shares — the setup half
-// of Run, reused verbatim by the distributed worker (DistLocal) and
-// coordinator (DistMerge) so all three construct bit-identical state.
+// prepare validates cfg (applying defaults in place) and builds the flow table
+// and the emulation state an engine set shares — the setup half of Run, reused
+// verbatim by the distributed worker (DistLocal) and coordinator (DistMerge)
+// so all three construct bit-identical state.
 func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 	if o.cost != nil {
 		cfg.Cost = *o.cost
@@ -382,43 +395,50 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 		rt = nw.AutoRouting()
 	}
 
-	// Resolve flow routes up front; routes are static for a run. The chunk
-	// payloads each flow can ever carry (full-size groups plus an optional
-	// tail remainder, per hop) are precomputed here so the forwarding hot
-	// path schedules shared immutable pointers instead of boxing a payload
-	// per event.
+	// Resolve routes up front, once per distinct endpoint pair; they are static
+	// for a run. The pair map is only ever looked up, never iterated, so the
+	// table (and the first flow a missing route is blamed on) follows workload
+	// order.
 	fullPackets := (cfg.ChunkBytes + cfg.MTU - 1) / cfg.MTU
-	flows := make([]*flowRun, 0, len(cfg.Workload.Flows))
-	hops := 0
-	for _, f := range cfg.Workload.Flows {
-		path, links := nw.RoutePath(rt, f.Src, f.Dst)
-		if path == nil {
-			return nil, fmt.Errorf("%w: flow %d has no route %d -> %d", ErrBadConfig, f.ID, f.Src, f.Dst)
+	routes := make(map[[2]int]*route)
+	flows := make([]flowRun, len(cfg.Workload.Flows))
+	hops, records := 0, 0
+	for i, f := range cfg.Workload.Flows {
+		pair := [2]int{f.Src, f.Dst}
+		r := routes[pair]
+		if r == nil {
+			if r = resolveRoute(nw, rt, f.Src, f.Dst); r == nil {
+				return nil, fmt.Errorf("%w: flow %d has no route %d -> %d", ErrBadConfig, f.ID, f.Src, f.Dst)
+			}
+			routes[pair] = r
 		}
-		hops += len(path)
-		var oneWay float64
-		for _, lid := range links {
-			oneWay += nw.Links[lid].Latency
-		}
-		fr := &flowRun{
-			idx: len(flows),
-			id:  f.ID, src: f.Src, dst: f.Dst, start: f.Start,
-			path: path, links: links, bytes: f.Bytes, rtt: 2 * oneWay, tag: f.Tag,
-		}
+		fr := &flows[i]
+		*fr = flowRun{route: r, idx: i, id: f.ID, src: f.Src, dst: f.Dst, start: f.Start, bytes: f.Bytes}
+		hops += len(r.path)
 		if f.Bytes >= cfg.ChunkBytes {
-			fr.full = make([]chunkArrival, len(path))
-			for h := range fr.full {
-				fr.full[h] = chunkArrival{flow: fr, hop: h, packets: fullPackets, bytes: cfg.ChunkBytes}
+			fr.full = records
+			records += len(r.path)
+		}
+		if fr.tailBytes = f.Bytes % cfg.ChunkBytes; fr.tailBytes > 0 {
+			fr.tailPackets = (fr.tailBytes + cfg.MTU - 1) / cfg.MTU
+			fr.tail = records
+			records += len(r.path)
+		}
+	}
+	// The chunk records each flow can ever carry (full-size groups plus an
+	// optional tail remainder, per hop), so the forwarding hot path schedules
+	// shared immutable pointers instead of boxing a payload per event.
+	chunks := make([]chunkArrival, records)
+	for i := range flows {
+		fr := &flows[i]
+		for h := range fr.path {
+			if fr.bytes >= cfg.ChunkBytes {
+				chunks[fr.full+h] = chunkArrival{flow: int32(i), hop: int32(h)}
+			}
+			if fr.tailBytes > 0 {
+				chunks[fr.tail+h] = chunkArrival{flow: int32(i), hop: int32(h), tail: true}
 			}
 		}
-		if tailBytes := f.Bytes % cfg.ChunkBytes; tailBytes > 0 {
-			tp := (tailBytes + cfg.MTU - 1) / cfg.MTU
-			fr.tail = make([]chunkArrival, len(path))
-			for h := range fr.tail {
-				fr.tail[h] = chunkArrival{flow: fr, hop: h, packets: tp, bytes: tailBytes}
-			}
-		}
-		flows = append(flows, fr)
 	}
 
 	duration := cfg.Workload.Duration
@@ -448,7 +468,8 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 		// One record slot per (flow, hop), in workload order: routes are static,
 		// so the record a hop will touch is known before the first event.
 		collector = netflow.NewCollector(nw.NumNodes(), hops, duration, cfg.BucketWidth)
-		for _, fr := range flows {
+		for i := range flows {
+			fr := &flows[i]
 			fr.base = collector.Reserve(fr.id, fr.path, fr.links)
 		}
 	}
@@ -496,6 +517,8 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 		runStats:        runStats,
 		nw:              nw,
 		flows:           flows,
+		chunks:          chunks,
+		fullPackets:     fullPackets,
 		duration:        duration,
 		lookahead:       lookahead,
 		assignment:      append([]int(nil), cfg.Assignment...),
@@ -520,6 +543,20 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 	return e, nil
 }
 
+// resolveRoute walks the oracle for one endpoint pair; nil if dst is
+// unreachable.
+func resolveRoute(nw *netgraph.Network, rt netgraph.Routing, src, dst int) *route {
+	path, links := nw.RoutePath(rt, src, dst)
+	if path == nil {
+		return nil
+	}
+	var oneWay float64
+	for _, lid := range links {
+		oneWay += nw.Links[lid].Latency
+	}
+	return &route{path: path, links: links, rtt: 2 * oneWay}
+}
+
 // kernelConfig is the handler-and-width core of the kernel configuration;
 // Run hooks commit onto it, while a distributed worker runs it bare (the
 // coordinator owns the barrier and commits the merged window).
@@ -538,7 +575,8 @@ func (e *emulation) kernelConfig() des.Config {
 // local engines (local != nil) assigns exactly the numbers the in-process
 // run would.
 func (e *emulation) seed(kernel *des.Kernel, local []bool) error {
-	for _, fr := range e.flows {
+	for i := range e.flows {
+		fr := &e.flows[i]
 		if e.cfg.EndTime > 0 && fr.start >= e.cfg.EndTime {
 			continue
 		}
@@ -731,12 +769,14 @@ type emulation struct {
 	rec      obs.Recorder
 	runStats *obs.RunStats
 	nw       *netgraph.Network
-	// flows, duration and lookahead are fixed at prepare time and shared
-	// read-only by every engine (and every worker process, which rebuilds
-	// them identically from the shipped scenario).
-	flows     []*flowRun
-	duration  float64
-	lookahead float64
+	// The flow table, duration and lookahead are fixed at prepare time and
+	// shared read-only by every engine (and every worker process, which
+	// rebuilds them identically from the shipped scenario).
+	flows       []flowRun
+	chunks      []chunkArrival
+	fullPackets int64 // packets in a ChunkBytes group
+	duration    float64
+	lookahead   float64
 
 	assignment []int
 	busyUntil  [][2]float64
@@ -889,31 +929,34 @@ func (e *emulation) handle(lp int, t float64, data any, s *des.Scheduler) {
 }
 
 // startFlowBlast splits the flow into chunks and forwards each from the
-// source immediately, reusing the precomputed shared payloads.
+// source immediately.
 func (e *emulation) startFlowBlast(t float64, f *flowRun, s *des.Scheduler) {
-	remaining := f.bytes
-	for remaining > 0 {
-		var c *chunkArrival
-		if remaining >= e.cfg.ChunkBytes {
-			c = &f.full[0]
-		} else {
-			c = &f.tail[0]
-		}
-		remaining -= c.bytes
+	e.release(t, f, f.bytes, math.MaxInt, s)
+}
+
+// release forwards up to limit chunks of a flow's last remaining bytes from
+// its source, reusing the shared hop-0 records.
+func (e *emulation) release(t float64, f *flowRun, remaining int64, limit int, s *des.Scheduler) {
+	for i := 0; i < limit && remaining > 0; i++ {
+		c := e.chunkAt(f, 0, remaining < e.cfg.ChunkBytes)
+		_, bytes := e.sizeOf(f, c)
+		remaining -= bytes
 		e.arrive(t, c, s)
 	}
 }
 
 // arrive processes a chunk at node path[hop]: charge the kernel events,
 // account NetFlow, and forward over the next link if not at the destination.
-// c is a shared immutable payload — never written, only replaced by its
+// c is a shared immutable record — never written, only replaced by its
 // next-hop twin when forwarding.
 func (e *emulation) arrive(t float64, c *chunkArrival, s *des.Scheduler) {
-	f := c.flow
-	node := f.path[c.hop]
-	s.Charge(c.packets)
+	f := &e.flows[c.flow]
+	hop := int(c.hop)
+	packets, bytes := e.sizeOf(f, c)
+	node := f.path[hop]
+	s.Charge(packets)
 	if e.collector != nil {
-		e.collector.ObserveAt(f.base+c.hop, c.packets, c.bytes, t)
+		e.collector.ObserveAt(f.base+hop, packets, bytes, t)
 	}
 	if e.tel != nil {
 		// Receive-side accounting, at the same site and granularity as the
@@ -921,17 +964,17 @@ func (e *emulation) arrive(t float64, c *chunkArrival, s *des.Scheduler) {
 		// rx slot (inLink, inDir) is owned by this node's engine: direction 0
 		// always delivers to the link's B endpoint, direction 1 to A.
 		inLink, inDir := -1, 0
-		if c.hop > 0 {
-			inLink = f.links[c.hop-1]
-			if e.nw.Links[inLink].B == f.path[c.hop-1] {
+		if hop > 0 {
+			inLink = f.links[hop-1]
+			if e.nw.Links[inLink].B == f.path[hop-1] {
 				inDir = 1
 			}
 		}
-		e.tel.ObserveNode(node, inLink, inDir, c.packets, t)
+		e.tel.ObserveNode(node, inLink, inDir, packets, t)
 	}
-	if c.hop == len(f.path)-1 {
+	if hop == len(f.path)-1 {
 		// Delivered: track the flow's completion at the destination.
-		e.delivered[f.idx] += c.bytes
+		e.delivered[f.idx] += bytes
 		if e.delivered[f.idx] >= f.bytes && e.fcts[f.idx] < 0 {
 			e.fcts[f.idx] = t - f.start
 			if e.tel != nil {
@@ -941,7 +984,7 @@ func (e *emulation) arrive(t float64, c *chunkArrival, s *des.Scheduler) {
 		return
 	}
 
-	lid := f.links[c.hop]
+	lid := f.links[hop]
 	link := &e.nw.Links[lid]
 	dir := 0
 	if link.B == node {
@@ -954,9 +997,9 @@ func (e *emulation) arrive(t float64, c *chunkArrival, s *des.Scheduler) {
 		if e.cfg.BufferBytes > 0 {
 			backlog := (bu - t) * link.Bandwidth / 8
 			if backlog > float64(e.cfg.BufferBytes) {
-				e.drops[lid][dir] += c.packets
+				e.drops[lid][dir] += packets
 				if e.tel != nil {
-					e.tel.ObserveDrop(e.assignment[node], c.packets)
+					e.tel.ObserveDrop(e.assignment[node], packets)
 				}
 				return
 			}
@@ -964,17 +1007,17 @@ func (e *emulation) arrive(t float64, c *chunkArrival, s *des.Scheduler) {
 		depart = bu
 	}
 	wait := depart - t
-	depart += float64(c.bytes*8) / link.Bandwidth
+	depart += float64(bytes*8) / link.Bandwidth
 	e.busyUntil[lid][dir] = depart
-	e.linkBytes[lid][dir] += c.bytes
+	e.linkBytes[lid][dir] += bytes
 	arrival := depart + link.Latency
 
-	next := f.path[c.hop+1]
+	next := f.path[hop+1]
 	if e.tel != nil {
 		// Transmit-side accounting: the engine owning this node writes its
 		// own matrix row and this (link, dir)'s tx slots.
 		e.tel.ObserveForward(e.assignment[node], e.assignment[next], lid, dir,
-			c.bytes, c.packets, wait)
+			bytes, packets, wait)
 	}
-	s.Schedule(e.assignment[next], arrival, e.chunkAt(f, c.hop+1, c.packets, c.bytes))
+	s.Schedule(e.assignment[next], arrival, e.chunkAt(f, hop+1, c.tail))
 }

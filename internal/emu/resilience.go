@@ -199,7 +199,7 @@ func (e *emulation) ownerOf(ev des.Event) (int, bool) {
 	case tcpRound:
 		return e.assignment[d.flow.src], true
 	case *chunkArrival:
-		return e.assignment[d.flow.path[d.hop]], true
+		return e.assignment[e.flows[d.flow].path[d.hop]], true
 	default:
 		return ev.LP, true
 	}

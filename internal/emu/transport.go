@@ -65,19 +65,7 @@ func (e *emulation) startFlowTCP(t float64, f *flowRun, s *des.Scheduler) {
 	}
 }
 
-// releaseRound injects up to window chunks starting at the round's offset,
-// reusing the flow's precomputed shared payloads.
+// releaseRound injects up to window chunks starting at the round's offset.
 func (e *emulation) releaseRound(t float64, r tcpRound, s *des.Scheduler) {
-	f := r.flow
-	remaining := f.bytes - r.offset
-	for i := 0; i < r.window && remaining > 0; i++ {
-		var c *chunkArrival
-		if remaining >= e.cfg.ChunkBytes {
-			c = &f.full[0]
-		} else {
-			c = &f.tail[0]
-		}
-		remaining -= c.bytes
-		e.arrive(t, c, s)
-	}
+	e.release(t, r.flow, r.flow.bytes-r.offset, r.window, s)
 }

@@ -532,75 +532,49 @@ func (rt *RoutingTable) Distance(src, dst int) float64 {
 	return rt.dist[src*rt.n+dst]
 }
 
-// Route returns the node path from src to dst, inclusive of both endpoints,
-// following the routing table; nil if unreachable.
-func (nw *Network) Route(rt Routing, src, dst int) []int {
-	if src == dst {
-		return []int{src}
-	}
-	path := []int{src}
-	cur := src
-	for cur != dst {
-		lid := rt.NextLink(cur, dst)
-		if lid < 0 {
-			return nil
-		}
-		cur = nw.Links[lid].Other(cur)
-		path = append(path, cur)
-		if len(path) > len(nw.Nodes)+1 {
-			// Defensive: a corrupt table would loop forever.
-			return nil
-		}
-	}
-	return path
-}
-
-// RoutePath walks the routing oracle once and returns both the node path
-// (inclusive of both endpoints) and the link IDs between consecutive hops —
-// the fused equivalent of Route followed by RouteLinks at half the oracle
-// walks, for callers (like the emulator's flow setup) that need both views.
-// Returns (nil, nil) if dst is unreachable.
+// RoutePath walks the routing oracle from src to dst — the one walk Route and
+// RouteLinks wrap — and returns the node path (inclusive of both endpoints)
+// and the link IDs between consecutive hops, cut from one exactly sized
+// allocation (routes longer than the 32 links the walk buffers on the stack
+// pay for that buffer's growth too). Returns (nil, nil) if dst is unreachable
+// or the oracle loops: a loop-free route has fewer links than the network has
+// nodes.
 func (nw *Network) RoutePath(rt Routing, src, dst int) (path, links []int) {
 	if src == dst {
 		return []int{src}, nil
 	}
-	path = append(path, src)
-	cur := src
-	for cur != dst {
+	var buf [32]int
+	walk := buf[:0]
+	for cur := src; cur != dst; {
 		lid := rt.NextLink(cur, dst)
-		if lid < 0 {
+		if lid < 0 || len(walk) >= len(nw.Nodes) {
 			return nil, nil
 		}
-		links = append(links, lid)
+		walk = append(walk, lid)
 		cur = nw.Links[lid].Other(cur)
-		path = append(path, cur)
-		if len(path) > len(nw.Nodes)+1 {
-			// Defensive: a corrupt table would loop forever.
-			return nil, nil
-		}
+	}
+	n := len(walk)
+	out := make([]int, 2*n+1)
+	path, links = out[:n+1:n+1], out[n+1:]
+	copy(links, walk)
+	path[0] = src
+	for i, lid := range links {
+		path[i+1] = nw.Links[lid].Other(path[i])
 	}
 	return path, links
+}
+
+// Route returns the node path from src to dst, inclusive of both endpoints,
+// following the routing table; nil if unreachable.
+func (nw *Network) Route(rt Routing, src, dst int) []int {
+	path, _ := nw.RoutePath(rt, src, dst)
+	return path
 }
 
 // RouteLinks returns the link-ID path from src to dst; nil if unreachable or
 // src == dst.
 func (nw *Network) RouteLinks(rt Routing, src, dst int) []int {
-	if src == dst {
-		return nil
-	}
-	var links []int
-	cur := src
-	for cur != dst {
-		lid := rt.NextLink(cur, dst)
-		if lid < 0 {
-			return nil
-		}
-		links = append(links, lid)
-		cur = nw.Links[lid].Other(cur)
-		if len(links) > len(nw.Links)+1 {
-			return nil
-		}
-	}
+	_, links := nw.RoutePath(rt, src, dst)
 	return links
 }
 
