@@ -58,7 +58,7 @@ func main() {
 	// Incremental remapping refines the previous assignment between
 	// intervals instead of repartitioning — far fewer migrations.
 	inc := build()
-	inc.IncrementalRemap = true
+	inc.Remap = repro.RemapIncremental
 	dyn, err := inc.RunDynamic(context.Background(), 10, 0.05)
 	if err != nil {
 		log.Fatal(err)

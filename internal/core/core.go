@@ -60,16 +60,13 @@ type Scenario struct {
 	// routing table. Paths are identical under static routing; the switch
 	// exercises the §3.2 mechanism end to end.
 	EmulatedTraceroute bool
-	// HierarchicalRouting routes with the two-level per-AS tables instead
-	// of flat network-wide shortest paths — the table-size regime behind
-	// the paper's 10 + x² router memory model. Legacy knob: it folds into
-	// Routing as the Hier backend when Routing is left automatic.
-	HierarchicalRouting bool
 	// Routing selects the route-oracle backend and its parameters (see
 	// netgraph.RoutingOptions). The zero value is the automatic policy:
 	// flat tables up to netgraph.AutoFlatMaxNodes nodes, the lazy
 	// sub-quadratic oracle beyond. Set explicitly (or via WithRouting) to
-	// force flat, lazy, or hierarchical/clustered routing.
+	// force flat, lazy, or hierarchical/clustered routing — the Hier backend
+	// is the two-level per-AS tables behind the paper's 10 + x² router
+	// memory model.
 	Routing netgraph.RoutingOptions
 	// Transport selects the flow release model (Blast or TCPSlowStart).
 	Transport emu.TransportMode
@@ -77,15 +74,9 @@ type Scenario struct {
 	// speeds per engine. Mapping approaches target load proportional to
 	// speed; the emulator divides per-event cost by the engine's speed.
 	EngineSpeeds []float64
-	// IncrementalRemap makes RunDynamic refine the previous assignment
-	// between intervals (partition.Improve) instead of repartitioning from
-	// scratch, trading some balance for far fewer migrations. Subsumed by
-	// Remap (it selects RemapIncremental when Remap is unset); kept for
-	// callers predating the policy knob.
-	IncrementalRemap bool
 	// Remap selects RunDynamic's between-interval repartitioning policy:
-	// RemapProfile (from scratch, the default), RemapIncremental, RemapGame
-	// or RemapDiffusion. Empty falls back to IncrementalRemap's choice.
+	// RemapProfile (from scratch; also what empty means), RemapIncremental,
+	// RemapGame or RemapDiffusion.
 	Remap RemapPolicy
 	// Cost overrides the engine cost model (zero = PentiumIICluster).
 	Cost emu.CostModel
@@ -179,27 +170,15 @@ func (o *Outcome) Obs() *obs.RunStats { return o.Result.Obs }
 // the scenario collected none (see Scenario.CollectTelemetry).
 func (o *Outcome) Telemetry() *telemetry.Snapshot { return o.Result.Telemetry }
 
-// routingOptions resolves the scenario's routing selection, folding the
-// legacy HierarchicalRouting flag into the Hier backend when Routing is left
-// automatic.
-func (sc *Scenario) routingOptions() netgraph.RoutingOptions {
-	o := sc.Routing
-	if sc.HierarchicalRouting && o.Backend == netgraph.Auto {
-		o.Backend = netgraph.Hier
-	}
-	return o
-}
-
 // Routes returns (building once) the scenario's route oracle per the Routing
-// options — the automatic policy by default, two-level tables when
-// HierarchicalRouting (or the Hier backend) is set. It is the single
+// options — the automatic policy by default. It is the single
 // memoized source every downstream consumer (mapping, emulation, route
 // discovery) reuses; the oracle additionally lives in the network's own
 // shared cache, so a scenario never builds the same backend twice.
 // Infeasible options surface as an error wrapping netgraph.ErrRoutingConfig.
 func (sc *Scenario) Routes() (netgraph.Routing, error) {
 	if sc.routes == nil && sc.routesErr == nil {
-		sc.routes, sc.routesErr = sc.Network.SharedRouting(sc.routingOptions())
+		sc.routes, sc.routesErr = sc.Network.SharedRouting(sc.Routing)
 	}
 	return sc.routes, sc.routesErr
 }
@@ -488,19 +467,24 @@ func (sc *Scenario) emuConfig(assignment []int) (emu.Config, error) {
 	}, nil
 }
 
-// emulate runs the emulator on an assignment.
+// start is the one way the scenario begins an in-process run: cfg under the
+// scenario's observability and cancellation settings, feeding tel and trace
+// when they are non-nil.
+func (sc *Scenario) start(ctx context.Context, cfg emu.Config, tel *telemetry.Collector, trace *obs.Timeline) (*emu.Result, error) {
+	return emu.Run(cfg, append(sc.runOptions(ctx), emu.WithTelemetry(tel), emu.WithTrace(trace))...)
+}
+
+// emulate runs the emulator on an assignment. A PROFILE pre-run collects
+// NetFlow and stays off the scenario's timeline.
 func (sc *Scenario) emulate(ctx context.Context, assignment []int, profile bool) (*emu.Result, error) {
 	cfg, err := sc.emuConfig(assignment)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Profile = profile
-	opts := sc.runOptions(ctx)
-	if tel := sc.newTelemetry(); tel != nil {
-		opts = append(opts, emu.WithTelemetry(tel))
+	trace := sc.Trace
+	if profile {
+		trace = nil
 	}
-	if sc.Trace != nil && !profile {
-		opts = append(opts, emu.WithTrace(sc.Trace))
-	}
-	return emu.Run(cfg, opts...)
+	return sc.start(ctx, cfg, sc.newTelemetry(), trace)
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/emu"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
+	"repro/internal/netgraph"
 	"repro/internal/topogen"
 	"repro/internal/traffic"
 )
@@ -204,7 +205,7 @@ func TestHierarchicalRoutingScenario(t *testing.T) {
 	// with comparable total load (paths may be slightly longer than flat).
 	flat := campusScenario(false)
 	hier := campusScenario(false)
-	hier.HierarchicalRouting = true
+	hier.Routing.Backend = netgraph.Hier
 	a, err := flat.Run(context.Background(), mapping.Top)
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +344,7 @@ func TestRoutingBuiltOncePerScenario(t *testing.T) {
 
 	// Hierarchical scenarios build the two-level table once and nothing else.
 	scHier := campusScenario(false)
-	scHier.HierarchicalRouting = true
+	scHier.Routing.Backend = netgraph.Hier
 	if _, err := scHier.Run(context.Background(), mapping.Top); err != nil {
 		t.Fatal(err)
 	}

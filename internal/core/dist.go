@@ -46,7 +46,7 @@ func (sc *Scenario) distSpec(ctx context.Context, assignment []int, onLoss func(
 	}
 	return &dist.RunSpec{
 		Cfg:          cfg,
-		Routing:      sc.routingOptions(),
+		Routing:      sc.Routing,
 		Telemetry:    sc.newTelemetry(),
 		Trace:        sc.Trace,
 		Health:       sc.ClusterHealth,

@@ -8,7 +8,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
-	"repro/internal/netflow"
 	"repro/internal/partition"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
@@ -29,13 +28,11 @@ import (
 // approximation this prototype accepts and the real MaSSF would have to
 // engineer away.
 //
-// The remapping signal is the live telemetry plane: the collector threaded
-// through the emulator converts its measured per-node / per-link traffic into
-// the PROFILE form (telemetry.Collector.ToProfile), so the loop is closed
-// without the NetFlow dump side-channel. The §3.3 offline pipeline would
-// produce the identical interval partitions — both observe the identical
-// packet stream at the identical hot-path site, and emu's
-// TestTelemetryMatchesNetFlowProfile holds the two summaries DeepEqual.
+// The remapping signal is the paper's one measurement, the per-router NetFlow
+// records of §3.3: every segment runs as a profiling run and the next
+// assignment is computed from its summary, exactly as the PROFILE approach
+// computes its own from the pre-run. The telemetry plane rides along for what
+// only it measures, the interval's cross-engine traffic and its timeline.
 
 // RemapPolicy selects how RunDynamic recomputes the partition between
 // intervals.
@@ -73,13 +70,10 @@ func ParseRemapPolicy(s string) (RemapPolicy, error) {
 	return "", fmt.Errorf("core: unknown remap policy %q (want profile, incremental, game or diffusion)", s)
 }
 
-// remapPolicy resolves the scenario's effective policy, folding in the older
-// IncrementalRemap boolean when Remap is unset.
+// remapPolicy resolves the scenario's effective policy: RemapProfile when
+// Remap is unset.
 func (sc *Scenario) remapPolicy() (RemapPolicy, error) {
 	if sc.Remap == "" {
-		if sc.IncrementalRemap {
-			return RemapIncremental, nil
-		}
 		return RemapProfile, nil
 	}
 	return ParseRemapPolicy(string(sc.Remap))
@@ -200,8 +194,8 @@ func (sc *Scenario) RunDynamic(ctx context.Context, interval, migrationCost floa
 		return nil, fmt.Errorf("core: dynamic initial partition: %w", err)
 	}
 
-	// The remap feed is measured telemetry. One collector serves all segments
-	// (re-sized per segment), so a live mount watches the current interval.
+	// One telemetry collector serves all segments (re-sized per segment), so a
+	// live mount watches the current interval.
 	tel := sc.newTelemetry()
 	if tel == nil {
 		tel = telemetry.New()
@@ -216,7 +210,6 @@ func (sc *Scenario) RunDynamic(ctx context.Context, interval, migrationCost floa
 	engineTotals := make([]float64, sc.Engines)
 	incomingMigrations := 0
 	var incomingRemap *RemapStats
-	var profScratch *netflow.Summary
 	// Segments are indexed by integer, never by accumulating start +=
 	// interval: the accumulated float error can leave start < duration after
 	// the tail segment already ran with end = +Inf, and the resulting
@@ -237,17 +230,17 @@ func (sc *Scenario) RunDynamic(ctx context.Context, interval, migrationCost floa
 		if tail {
 			seg.Duration = duration - start
 		}
-		opts := append(sc.runOptions(ctx), emu.WithTelemetry(tel))
 		cfg, err := sc.emuConfig(assignment)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Workload = seg
+		cfg.Profile = true // the remap below reads this segment's NetFlow
 		// A segment is re-based to t=0 and runs whole on uniform engines: the
 		// scenario's absolute-time truncation, fault schedule and engine
 		// speeds do not carry into it.
 		cfg.EndTime, cfg.Faults, cfg.EngineSpeeds = 0, nil, nil
-		segResult, err := emu.Run(cfg, opts...)
+		segResult, err := sc.start(ctx, cfg, tel, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: dynamic segment at %gs: %w", start, err)
 		}
@@ -285,10 +278,7 @@ func (sc *Scenario) RunDynamic(ctx context.Context, interval, migrationCost floa
 			if err != nil {
 				return nil, err
 			}
-			// Exported into the previous interval's summary storage instead of
-			// reallocating it every boundary.
-			profScratch = tel.ToProfileInto(profScratch)
-			in.Summary = profScratch
+			in.Summary = segResult.NetFlow.Summarize()
 			next, moved, stats, err := sc.remapStep(policy, in, assignment, interval, migrationCost)
 			if err != nil {
 				return nil, fmt.Errorf("core: dynamic %s remap at %gs: %w", policy, end, err)

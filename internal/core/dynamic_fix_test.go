@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/emu"
 	"repro/internal/mapping"
-	"repro/internal/telemetry"
 	"repro/internal/topogen"
 	"repro/internal/traffic"
 )
@@ -151,14 +150,14 @@ func TestRunDynamicSecondIntervalProfileFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := sliceWorkload(w, interval, 2*interval)
-	tel := telemetry.New()
-	_, err = emu.Run(emu.Config{
+	prof, err := emu.Run(emu.Config{
 		Network:    sc2.Network,
 		Routes:     routes,
 		Assignment: res.Segments[1].Assignment,
 		NumEngines: sc2.Engines,
 		Workload:   seg,
-	}, emu.WithTelemetry(tel))
+		Profile:    true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +165,13 @@ func TestRunDynamicSecondIntervalProfileFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.Summary = tel.ToProfile()
+	in.Summary = prof.NetFlow.Summarize()
 	want, err := mapping.ProfileMap(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, res.Segments[2].Assignment) {
-		t.Fatal("second-interval remap differs from a fresh collector's — cumulative telemetry leaked across segments")
+		t.Fatal("second-interval remap differs from a fresh collector's — cumulative accounting leaked across segments")
 	}
 }
 

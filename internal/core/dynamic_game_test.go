@@ -115,10 +115,6 @@ func TestRemapPolicyResolution(t *testing.T) {
 	if p, _ := sc.remapPolicy(); p != RemapProfile {
 		t.Errorf("default policy = %q", p)
 	}
-	sc.IncrementalRemap = true
-	if p, _ := sc.remapPolicy(); p != RemapIncremental {
-		t.Errorf("legacy IncrementalRemap resolved to %q", p)
-	}
 	sc.Remap = RemapGame
 	if p, _ := sc.remapPolicy(); p != RemapGame {
 		t.Errorf("explicit policy resolved to %q", p)

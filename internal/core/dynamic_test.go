@@ -149,7 +149,7 @@ func TestRunDynamicIncrementalFewerMigrations(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc := dynamicScenario()
-	inc.IncrementalRemap = true
+	inc.Remap = RemapIncremental
 	incRes, err := inc.RunDynamic(context.Background(), 10, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -104,11 +104,7 @@ func (sc *Scenario) ReplayElastic(ctx context.Context, assignment []int, log *di
 		cfg.OnCrash = sc.lossRemap()
 		cfg.CheckpointEvery = checkpointEvery
 	}
-	opts := sc.runOptions(ctx)
-	if tel := sc.newTelemetry(); tel != nil {
-		opts = append(opts, emu.WithTelemetry(tel))
-	}
-	return emu.Run(cfg, opts...)
+	return sc.start(ctx, cfg, sc.newTelemetry(), nil)
 }
 
 // ElasticReplayConfig builds the in-process configuration that reproduces an

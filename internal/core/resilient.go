@@ -108,11 +108,7 @@ func (sc *Scenario) RunResilient(ctx context.Context, opts FaultOptions) (*Resil
 		cfg.OnCrash = func(f emu.EngineFailure) ([]int, error) { return NaiveRecovery(f), nil }
 	}
 
-	runOpts := sc.runOptions(ctx)
-	if tel := sc.newTelemetry(); tel != nil {
-		runOpts = append(runOpts, emu.WithTelemetry(tel))
-	}
-	res, err := emu.Run(cfg, runOpts...)
+	res, err := sc.start(ctx, cfg, sc.newTelemetry(), nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: resilient %s on %s: %w", approach, sc.Name, err)
 	}

@@ -102,8 +102,7 @@ func TestLazyBackendMatchesFlatEndToEnd(t *testing.T) {
 }
 
 // TestScenarioConfigureWithRouting covers the functional option path into the
-// scenario and the -routing override semantics: an explicit backend wins over
-// the legacy HierarchicalRouting fold.
+// scenario.
 func TestScenarioConfigureWithRouting(t *testing.T) {
 	sc := campusScenario(false).Configure(WithRouting(netgraph.RoutingOptions{Backend: netgraph.Lazy, LazyRows: 8}))
 	r, err := sc.Routes()
@@ -112,18 +111,6 @@ func TestScenarioConfigureWithRouting(t *testing.T) {
 	}
 	if s := r.Stats(); s.Backend != "lazy" || s.Capacity != 8 {
 		t.Fatalf("WithRouting not applied: %+v", s)
-	}
-
-	// Legacy fold: HierarchicalRouting with automatic options selects Hier.
-	sc2 := campusScenario(false)
-	sc2.HierarchicalRouting = true
-	if got := sc2.routingOptions().Backend; got != netgraph.Hier {
-		t.Fatalf("HierarchicalRouting folded to %v, want Hier", got)
-	}
-	// But an explicit backend wins.
-	sc2.Routing.Backend = netgraph.Flat
-	if got := sc2.routingOptions().Backend; got != netgraph.Flat {
-		t.Fatalf("explicit backend overridden: %v", got)
 	}
 
 	// Invalid options surface as ErrRoutingConfig through the scenario.

@@ -30,6 +30,11 @@ func (cp *Checkpoint) PendingEvents() int {
 // Stats returns a copy of the run statistics at the checkpoint.
 func (cp *Checkpoint) Stats() Stats { return cp.stats.clone() }
 
+// Stats returns the kernel's cumulative statistics (live; not a copy), current
+// wherever Checkpoint is safe. Under a Stepper, VirtualEnd and Windows reflect
+// the Steps executed locally and the per-LP slices cover only local LPs.
+func (k *Kernel) Stats() *Stats { return k.stats }
+
 // Checkpoint snapshots the kernel at virtual time at. It is only safe where
 // no handler runs: before Run, inside an OnWindow hook (at = the window's End), or
 // between an outside coordinator's Steps.

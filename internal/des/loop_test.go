@@ -272,12 +272,12 @@ func (c regridCase) runGroups(t *testing.T, groups int) *execution {
 		}
 		grid.Regrid(c.L / 2)
 	}
-	for g, st := range steppers {
-		if got := st.Stats(); got.Windows != total.Windows {
+	for g, k := range kernels {
+		if got := k.Stats(); got.Windows != total.Windows {
 			t.Errorf("group %d counted %d windows, the coordinator %d", g, got.Windows, total.Windows)
 		}
 		for _, lp := range locals[g] {
-			if got := st.Stats(); got.Events[lp] != total.Events[lp] || got.Charges[lp] != total.Charges[lp] ||
+			if got := k.Stats(); got.Events[lp] != total.Events[lp] || got.Charges[lp] != total.Charges[lp] ||
 				got.RemoteSends[lp] != total.RemoteSends[lp] {
 				t.Errorf("group %d LP %d: worker totals diverge from the coordinator's", g, lp)
 			}

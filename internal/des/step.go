@@ -319,11 +319,6 @@ func (st *Stepper) Inject(evs []Sent) error {
 	return nil
 }
 
-// Stats returns the kernel's cumulative statistics (live; not a copy).
-// VirtualEnd and Windows reflect the Steps executed locally; per-LP slices
-// cover only local LPs.
-func (st *Stepper) Stats() *Stats { return st.k.stats }
-
 // SortSent orders barrier events in the deterministic global merge order the
 // in-process barrier uses: time, then sending LP, then send order.
 func SortSent(evs []Sent) {

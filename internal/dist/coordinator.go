@@ -25,7 +25,7 @@ type RunSpec struct {
 	// Routing tells workers which route-oracle backend to rebuild.
 	Routing netgraph.RoutingOptions
 	// Telemetry, when non-nil, is the coordinator-side collector the workers'
-	// traffic-plane shares merge into (it feeds /metrics and ToProfile
+	// traffic-plane shares merge into (it feeds /metrics and Result.Telemetry
 	// exactly as in-process).
 	Telemetry *telemetry.Collector
 	// EmuOpts carries recorders/stats options for the coordinator's
@@ -52,13 +52,12 @@ type Options struct {
 	// HandshakeTimeout bounds HELLO/READY waits per worker (default 30 s).
 	HandshakeTimeout time.Duration
 	// StepTimeout bounds every in-run worker response — votes, window
-	// reports, checkpoint acks, final states (default 60 s). A worker
-	// silent past it is treated as lost.
+	// reports, exports, final states (default 60 s). A worker silent past it
+	// is treated as lost.
 	StepTimeout time.Duration
-	// CheckpointEvery is the virtual-time checkpoint cadence (default
-	// emu.DefaultCheckpointEvery). Checkpoints give workers a consistent
-	// cut; the v1 recovery path replays from time zero in-process, so the
-	// cadence here only bounds worker-side snapshot staleness.
+	// CheckpointEvery is the virtual-time cadence at which membership changes
+	// apply, and the replay's rollback interval (default
+	// emu.DefaultCheckpointEvery).
 	CheckpointEvery float64
 	// Logf, when set, receives one line per protocol phase.
 	Logf func(format string, args ...any)
@@ -306,6 +305,16 @@ func (s *coordinator) step(m *member, want MsgType) (Frame, error) {
 	return s.expect(m, want, s.opt.StepTimeout, s.hb)
 }
 
+// checkPartial refuses a telemetry share that does not fit the run. A partial
+// is outside input; one that would index past the run's arrays loses its
+// sender instead of reaching the merge.
+func (s *coordinator) checkPartial(m *member, p *telemetry.Partial) error {
+	if err := s.spec.Telemetry.CheckPartial(p); err != nil {
+		return &workerLost{worker: m.slot, err: err}
+	}
+	return nil
+}
+
 // hello is the first handshake phase: m's HELLO is checked and its ASSIGN
 // goes out. Every worker — initial or joiner — receives the same original
 // spec; a joiner's engines are inactive under the original assignment, so it
@@ -523,6 +532,9 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 						err: fmt.Errorf("WINDOW_DONE outbox event for engine %d, outside [0,%d)", ev.Dst, n)}
 				}
 			}
+			if err := s.checkPartial(m, rep.Telemetry); err != nil {
+				return nil, err
+			}
 			reports = append(reports, rep)
 			outbox = append(outbox, rep.Outbox...)
 		}
@@ -550,15 +562,6 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 					return nil, err
 				}
 				s.grid.Regrid(L)
-			} else {
-				if err := s.sendAll(s.members, MsgCheckpoint, CheckpointMsg{At: end}.Encode()); err != nil {
-					return nil, err
-				}
-				for _, m := range s.members {
-					if _, err := s.step(m, MsgCheckpointAck); err != nil {
-						return nil, err
-					}
-				}
 			}
 			for nextCkpt <= end {
 				nextCkpt += opt.CheckpointEvery
@@ -580,6 +583,9 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 		st, err := DecodeState(f.Payload)
 		if err != nil {
 			return nil, &workerLost{worker: m.slot, err: err}
+		}
+		if err := s.checkPartial(m, st.Telemetry); err != nil {
+			return nil, err
 		}
 		states = append(states, st)
 	}

@@ -172,6 +172,9 @@ func (s *coordinator) resizeBarrier(end float64, deliver func() error) (float64,
 		if err != nil {
 			return 0, &workerLost{worker: m.slot, err: err}
 		}
+		if err := s.checkPartial(m, ex.Telemetry); err != nil {
+			return 0, err
+		}
 		exports = append(exports, ex)
 	}
 

@@ -15,7 +15,7 @@
 //	VOTE (min t)   ──────────────▶
 //	               ◀────────────── WINDOW [T, T+L)
 //	WINDOW_DONE    ──────────────▶  (counters, outbox, telemetry share)
-//	               ◀────────────── CHECKPOINT (at cadence) / FINISH / ABORT
+//	               ◀────────────── FINISH / ABORT
 //	STATE (final)  ──────────────▶
 //	               ◀────────────── BYE
 //
@@ -35,9 +35,9 @@ import (
 )
 
 // Version is the protocol version; HELLO/ASSIGN carry it and any mismatch
-// aborts the handshake. v3 added the SPANS frame, the spec's Tracing flag
-// and the straggler/degradation schedule fields.
-const Version = 3
+// aborts the handshake. v4 dropped the CHECKPOINT round trip and the
+// receive-side arrays of a telemetry partial.
+const Version = 4
 
 // MaxFrame bounds a frame's payload (type byte included). It is sized for
 // the largest legitimate message — a full telemetry slow-state partial on a
@@ -65,10 +65,10 @@ const (
 	MsgWindow
 	// MsgWindowDone reports a window's counters, outbox and telemetry.
 	MsgWindowDone
-	// MsgCheckpoint commands a local snapshot at a barrier; MsgCheckpointAck
-	// confirms it.
-	MsgCheckpoint
-	MsgCheckpointAck
+	// 8 and 9 are retired (CHECKPOINT and its ack, a worker snapshot at the
+	// checkpoint cadence that nothing restored) and stay unused.
+	_
+	_
 	// MsgFinish ends the run; the worker answers with MsgState.
 	MsgFinish
 	MsgState
@@ -95,8 +95,8 @@ const (
 	MsgInstall
 	MsgInstallAck
 	// MsgSpans ships a worker's buffered wall-clock trace spans. Sent only
-	// when tracing is on, immediately before the WINDOW_DONE or
-	// CHECKPOINT_ACK it annotates; the coordinator absorbs it anywhere.
+	// when tracing is on, immediately before the WINDOW_DONE it annotates; the
+	// coordinator absorbs it anywhere.
 	MsgSpans
 )
 
@@ -116,10 +116,6 @@ func (t MsgType) String() string {
 		return "WINDOW"
 	case MsgWindowDone:
 		return "WINDOW_DONE"
-	case MsgCheckpoint:
-		return "CHECKPOINT"
-	case MsgCheckpointAck:
-		return "CHECKPOINT_ACK"
 	case MsgFinish:
 		return "FINISH"
 	case MsgState:

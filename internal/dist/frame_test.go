@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -122,6 +123,14 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
+// hostilePartialCollector is a collector sized for a small run, the receiver
+// of the telemetry shares FuzzDecodePayloads decodes.
+func hostilePartialCollector() *telemetry.Collector {
+	c := telemetry.New()
+	c.Reset(telemetry.Dims{Engines: 2, Links: 2, BucketWidth: 2})
+	return c
+}
+
 // FuzzDecodePayloads drives every message decoder with arbitrary payloads:
 // the decoders must return errors, never panic, on malformed input.
 func FuzzDecodePayloads(f *testing.F) {
@@ -141,6 +150,11 @@ func FuzzDecodePayloads(f *testing.F) {
 		Outbox: []emu.WireEvent{{Time: 1.25, Dst: 1, SrcIdx: 1, Kind: emu.WireChunk, Flow: 4, Hop: 1, Packets: 2, Bytes: 3000}}})
 	f.Add(done)
 	f.Add(done[:len(done)-wireEventSize/2]) // the outbox cut mid-event
+	// A report whose telemetry share decodes but is one slot too long for any
+	// run (TestHostilePartialLosesWorkerTyped).
+	ragged := hostilePartialCollector().ExportPartial([]int{0}, true)
+	ragged.LinkTxPackets = append(ragged.LinkTxPackets, 1)
+	f.Add(EncodeWindowDone(nil, &emu.WindowReport{Telemetry: ragged}))
 	f.Add(ExportMsg{At: 2.5}.Encode())
 	f.Add(InstallAck{Lookahead: 0.005}.Encode())
 	f.Add(EncodeElasticExport(&emu.ElasticExport{Engines: []int{1}, FCTs: []float64{-1, 0.5}}))
@@ -179,8 +193,13 @@ func FuzzDecodePayloads(f *testing.F) {
 		if (err == nil) != (rerr == nil) || err == nil && !bytes.Equal(EncodeWindowDone(nil, &rep), EncodeWindowDone(nil, &dirty)) {
 			t.Fatalf("DecodeWindowDone into reused storage: %v / %+v, fresh: %v / %+v", rerr, dirty, err, rep)
 		}
-		DecodeCheckpoint(data)
-		DecodeCheckpointAck(data)
+		// A telemetry share that decodes is installed or refused, never indexed
+		// past the run's arrays.
+		if err == nil && rep.Telemetry != nil {
+			if ierr := hostilePartialCollector().InstallPartials([]*telemetry.Partial{rep.Telemetry}); ierr != nil && !errors.Is(ierr, telemetry.ErrBadPartial) {
+				t.Fatalf("InstallPartials: untyped error %v", ierr)
+			}
+		}
 		DecodeState(data)
 		DecodeText(data)
 		DecodeSpec(data)

@@ -140,36 +140,6 @@ func DecodeWindow(b []byte) (Window, error) {
 	return m, d.finish()
 }
 
-// CheckpointMsg commands a barrier snapshot at virtual time At; the ack
-// carries the worker's checkpoint count.
-type CheckpointMsg struct{ At float64 }
-
-func (m CheckpointMsg) Encode() []byte {
-	var e encoder
-	e.f64(m.At)
-	return e.buf
-}
-
-func DecodeCheckpoint(b []byte) (CheckpointMsg, error) {
-	d := decoder{buf: b}
-	m := CheckpointMsg{At: d.f64("checkpoint.at")}
-	return m, d.finish()
-}
-
-type CheckpointAck struct{ Count int64 }
-
-func (m CheckpointAck) Encode() []byte {
-	var e encoder
-	e.i64(m.Count)
-	return e.buf
-}
-
-func DecodeCheckpointAck(b []byte) (CheckpointAck, error) {
-	d := decoder{buf: b}
-	m := CheckpointAck{Count: d.i64("checkpointAck.count")}
-	return m, d.finish()
-}
-
 // TextMsg carries MsgError and MsgAbort reasons.
 type TextMsg struct{ Text string }
 
@@ -282,12 +252,6 @@ func encodePartial(e *encoder, p *telemetry.Partial) {
 	}
 	e.i64s(p.LinkTxBytes)
 	e.i64s(p.LinkTxPackets)
-	e.i64s(p.LinkRxPackets)
-	e.i64s(p.NodePackets)
-	e.u32(uint32(len(p.SeriesLoads)))
-	for _, row := range p.SeriesLoads {
-		e.f64s(row)
-	}
 	e.u32(uint32(len(p.QueueDelay)))
 	for i := range p.QueueDelay {
 		encodeHist(e, p.QueueDelay[i])
@@ -312,13 +276,6 @@ func decodePartial(d *decoder) *telemetry.Partial {
 	}
 	p.LinkTxBytes = d.i64s("partial.linkTxBytes")
 	p.LinkTxPackets = d.i64s("partial.linkTxPackets")
-	p.LinkRxPackets = d.i64s("partial.linkRxPackets")
-	p.NodePackets = d.i64s("partial.nodePackets")
-	rows := d.count(4, "partial.seriesRows")
-	p.SeriesLoads = make([][]float64, 0, rows)
-	for i := 0; i < rows && d.err == nil; i++ {
-		p.SeriesLoads = append(p.SeriesLoads, d.f64s("partial.seriesRow"))
-	}
 	nh := d.count(1, "partial.hists")
 	for i := 0; i < nh && d.err == nil; i++ {
 		p.QueueDelay = append(p.QueueDelay, decodeHist(d))
@@ -450,7 +407,7 @@ type Spec struct {
 	// traffic plane can be merged at each barrier.
 	Telemetry bool
 	// Tracing tells the worker to measure wall-clock spans (window compute,
-	// wire, checkpoint, migrate) and ship them in SPANS frames.
+	// wire, migrate) and ship them in SPANS frames.
 	Tracing bool
 }
 

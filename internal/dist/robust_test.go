@@ -10,10 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/dist"
 	"repro/internal/emu"
 	"repro/internal/mapping"
+	"repro/internal/telemetry"
 )
 
 // TestDialNeverListeningReturnsCtxErr: an address nobody ever listens on must
@@ -251,6 +253,86 @@ func TestOutOfRangeDstLosesWorkerTyped(t *testing.T) {
 				t.Fatalf("error must name the sender, got %v", err)
 			}
 		})
+	}
+}
+
+// raggedPartialConn is a hostile worker: the first slow-cadence telemetry share
+// it sends in a frame of the given type carries one slot more than the run has
+// links.
+type raggedPartialConn struct {
+	dist.Conn
+	in    dist.MsgType
+	fired bool
+}
+
+func (c *raggedPartialConn) Send(f dist.Frame) error {
+	if f.Type != c.in || c.fired {
+		return c.Conn.Send(f)
+	}
+	grow := func(p *telemetry.Partial) bool {
+		if p == nil || !p.HasSlow {
+			return false
+		}
+		p.LinkTxPackets = append(p.LinkTxPackets, 1)
+		return true
+	}
+	switch f.Type {
+	case dist.MsgWindowDone:
+		var rep emu.WindowReport
+		if err := dist.DecodeWindowDone(f.Payload, &rep); err == nil && grow(rep.Telemetry) {
+			c.fired = true
+			f.Payload = dist.EncodeWindowDone(nil, &rep)
+		}
+	case dist.MsgState:
+		if st, err := dist.DecodeState(f.Payload); err == nil && grow(st.Telemetry) {
+			c.fired = true
+			f.Payload = dist.EncodeState(st)
+		}
+	}
+	return c.Conn.Send(f)
+}
+
+// TestHostilePartialLosesWorkerTyped: a telemetry share is outside input. One
+// whose arrays are longer than the run's — it decodes; only its first array
+// used to be measured — must not index the coordinator's collector (it
+// panicked in the elementwise sum). The sender is declared lost with a typed
+// error naming it, in a window report and in the final state alike, and with a
+// loss policy configured the run carries on without it.
+func TestHostilePartialLosesWorkerTyped(t *testing.T) {
+	run := func(in dist.MsgType, onLoss func(emu.EngineFailure) ([]int, error)) (*emu.Result, error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		conns := make([]dist.Conn, 2)
+		for i := range conns {
+			c, s := dist.Loopback()
+			if i == 1 {
+				s = &raggedPartialConn{Conn: s, in: in}
+			}
+			conns[i] = c
+			go dist.Serve(ctx, s, dist.WorkerOptions{})
+		}
+		spec := distSpec(t)
+		spec.Telemetry = telemetry.New()
+		spec.OnWorkerLoss = onLoss
+		return dist.Run(ctx, spec, conns, dist.Options{})
+	}
+	for _, in := range []dist.MsgType{dist.MsgWindowDone, dist.MsgState} {
+		t.Run(in.String(), func(t *testing.T) {
+			_, err := run(in, nil)
+			if !errors.Is(err, dist.ErrWorkerLost) || !errors.Is(err, telemetry.ErrBadPartial) {
+				t.Fatalf("want ErrWorkerLost wrapping ErrBadPartial, got %v", err)
+			}
+			if !strings.Contains(err.Error(), "worker 1") {
+				t.Fatalf("error must name the sender, got %v", err)
+			}
+		})
+	}
+	res, err := run(dist.MsgWindowDone, func(f emu.EngineFailure) ([]int, error) { return core.NaiveRecovery(f), nil })
+	if err != nil {
+		t.Fatalf("with a loss policy the run must survive the hostile worker: %v", err)
+	}
+	if res.Recovery == nil || res.Recovery.Failures == 0 {
+		t.Fatal("the hostile worker's engines were not failed over")
 	}
 }
 

@@ -388,7 +388,7 @@ func TestHostileSpansLoseWorkerTyped(t *testing.T) {
 		{"start=NaN", obs.Span{Kind: obs.SpanWireRecv, Engine: -1, Start: math.NaN()}},
 		{"end=-Inf", obs.Span{Kind: obs.SpanCompute, End: math.Inf(-1)}},
 		{"kind=200", obs.Span{Kind: 200, Engine: -1}},
-		{"engine=-2", obs.Span{Kind: obs.SpanCheckpoint, Engine: -2}},
+		{"engine=-2", obs.Span{Kind: obs.SpanWireRecv, Engine: -2}},
 		{"engine=NumEngines", obs.Span{Kind: obs.SpanMigrate, Engine: engines}},
 	}
 	for _, h := range hostile {

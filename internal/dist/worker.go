@@ -109,10 +109,10 @@ func serve(ctx context.Context, conn Conn, opt *WorkerOptions) error {
 	}
 	defer local.Close()
 	// Tracing state: buffered wall-clock spans ship in a SPANS frame
-	// immediately before the WINDOW_DONE or CHECKPOINT_ACK they annotate, so
-	// the coordinator folds them into the matching window commit. lastT/
-	// lastEnd anchor worker-level spans (wire, checkpoint, migrate) to the
-	// most recent window's virtual bounds; windows is the local window count.
+	// immediately before the WINDOW_DONE they annotate, so the coordinator
+	// folds them into the matching window commit. lastT/lastEnd anchor
+	// worker-level wire spans to the most recent window's virtual bounds;
+	// windows is the local window count.
 	var (
 		spanBuf        []obs.Span
 		windows        int64
@@ -198,25 +198,6 @@ func serve(ctx context.Context, conn Conn, opt *WorkerOptions) error {
 					Start: w.Start, End: w.End, Wall: time.Since(t0).Seconds(),
 				})
 				windows++
-			}
-		case MsgCheckpoint:
-			cp, err := DecodeCheckpoint(f.Payload)
-			if err != nil {
-				return err
-			}
-			t0 := time.Now()
-			n := local.Checkpoint(cp.At)
-			if spec.Tracing {
-				spanBuf = append(spanBuf, obs.Span{
-					Kind: obs.SpanCheckpoint, Engine: -1, Window: windows,
-					Start: lastT, End: lastEnd, Wall: time.Since(t0).Seconds(),
-				})
-				if err := sendSpans(); err != nil {
-					return err
-				}
-			}
-			if err := conn.Send(Frame{Type: MsgCheckpointAck, Payload: CheckpointAck{Count: int64(n)}.Encode()}); err != nil {
-				return err
 			}
 		case MsgExport:
 			x, err := DecodeExportMsg(f.Payload)

@@ -184,8 +184,6 @@ type DistLocal struct {
 	stepper    *des.Stepper
 	engines    []int
 	lastBucket int
-	ckpt       *checkpointState
-	ckpts      int
 	// rep and injectBuf are per-window scratch reused across calls: the
 	// WindowReport Step returns is valid until the next Step, and Inject
 	// decodes the whole barrier batch into injectBuf before a single bulk
@@ -318,19 +316,9 @@ func (d *DistLocal) Step(T, end float64) (*WindowReport, error) {
 	return r, nil
 }
 
-// Checkpoint snapshots the worker's engines at a barrier — the same
-// emulation+kernel snapshot the in-process crash-recovery path takes, driven
-// here by the coordinator's checkpoint cadence so a future rollback has a
-// consistent global cut to return to.
-func (d *DistLocal) Checkpoint(at float64) int {
-	d.ckpt = d.e.snapshot(d.kernel.Checkpoint(at))
-	d.ckpts++
-	return d.ckpts
-}
-
 // Final exports the worker's end-of-run state contribution.
 func (d *DistLocal) Final() *DistState {
-	stats := d.stepper.Stats()
+	stats := d.kernel.Stats()
 	st := &DistState{
 		Engines:     append([]int(nil), d.engines...),
 		Events:      append([]int64(nil), stats.Events...),

@@ -448,36 +448,18 @@ func (m *DistMerge) Resize(at float64, exports []*ElasticExport, engines, assign
 }
 
 // maskPartialSlow zeroes the slow-cadence slots of p not owned by the member
-// engine set under the (post-resize) assignment: tx slots belong to the
-// transmitting endpoint's engine, rx slots to the receiving endpoint's, node
-// packet counters and load-series columns to the node's engine.
+// engine set under the (post-resize) assignment: a link direction's tx slots
+// belong to the transmitting endpoint's engine.
 func maskPartialSlow(p *telemetry.Partial, nw *netgraph.Network, assignment []int, member []bool) {
 	if p == nil || !p.HasSlow {
 		return
 	}
 	for l, link := range nw.Links {
-		a, b := member[assignment[link.A]], member[assignment[link.B]]
-		if !a {
-			p.LinkTxBytes[2*l] = 0
-			p.LinkTxPackets[2*l] = 0
-			p.LinkRxPackets[2*l+1] = 0
+		if !member[assignment[link.A]] {
+			p.LinkTxBytes[2*l], p.LinkTxPackets[2*l] = 0, 0
 		}
-		if !b {
-			p.LinkTxBytes[2*l+1] = 0
-			p.LinkTxPackets[2*l+1] = 0
-			p.LinkRxPackets[2*l] = 0
-		}
-	}
-	for v := range p.NodePackets {
-		if !member[assignment[v]] {
-			p.NodePackets[v] = 0
-		}
-	}
-	for _, row := range p.SeriesLoads {
-		for v := range row {
-			if !member[assignment[v]] {
-				row[v] = 0
-			}
+		if !member[assignment[link.B]] {
+			p.LinkTxBytes[2*l+1], p.LinkTxPackets[2*l+1] = 0, 0
 		}
 	}
 }

@@ -474,16 +474,7 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 		}
 	}
 	if o.tel != nil {
-		// Size the traffic-plane collector to this run; its series shares the
-		// NetFlow bucketing so ToProfile is numerically interchangeable with
-		// a Summarize of the side-channel.
-		o.tel.Reset(telemetry.Dims{
-			Engines:     cfg.NumEngines,
-			Nodes:       nw.NumNodes(),
-			Links:       len(nw.Links),
-			Duration:    duration,
-			BucketWidth: cfg.BucketWidth,
-		})
+		o.tel.Reset(telemetry.Dims{Engines: cfg.NumEngines, Links: len(nw.Links), BucketWidth: cfg.BucketWidth})
 	}
 
 	buckets := int(duration/cfg.BucketWidth) + 1
@@ -504,41 +495,43 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 	// buckets (the paper's own 2-second measurement interval) and take the
 	// cross-engine max per bucket, while synchronization is still charged
 	// per executed window — the term the latency objective minimizes.
-	// The accumulators live on the emulation struct so a crash recovery can
-	// snapshot and roll them back together with the kernel's queues.
+	// The accumulators are part of the emulation's rollbackState, so a crash
+	// recovery rolls them back together with the kernel's queues.
 	bucketCost := make([][]float64, buckets)
 	for b := range bucketCost {
 		bucketCost[b] = make([]float64, cfg.NumEngines)
 	}
 	e := &emulation{
-		cfg:             cfg,
-		ctx:             o.ctx,
-		rec:             rec,
-		runStats:        runStats,
-		nw:              nw,
-		flows:           flows,
-		chunks:          chunks,
-		fullPackets:     fullPackets,
-		duration:        duration,
-		lookahead:       lookahead,
-		assignment:      append([]int(nil), cfg.Assignment...),
-		busyUntil:       busyUntil,
-		linkBytes:       linkBytes,
-		drops:           drops,
-		delivered:       delivered,
-		fcts:            fcts,
-		collector:       collector,
-		tel:             o.tel,
-		series:          engineSeries,
-		cost:            cost,
-		speeds:          speeds,
-		buckets:         buckets,
-		engineBusy:      make([]float64, cfg.NumEngines),
-		winCost:         make([]float64, cfg.NumEngines),
-		bucketCost:      bucketCost,
-		bucketSync:      make([]float64, buckets),
-		bucketBusyWidth: make([]float64, buckets),
-		trace:           o.trace,
+		cfg:         cfg,
+		ctx:         o.ctx,
+		rec:         rec,
+		runStats:    runStats,
+		nw:          nw,
+		flows:       flows,
+		chunks:      chunks,
+		fullPackets: fullPackets,
+		duration:    duration,
+		lookahead:   lookahead,
+		assignment:  append([]int(nil), cfg.Assignment...),
+		rollbackState: rollbackState{
+			busyUntil:       busyUntil,
+			linkBytes:       linkBytes,
+			drops:           drops,
+			delivered:       delivered,
+			fcts:            fcts,
+			collector:       collector,
+			series:          engineSeries,
+			engineBusy:      make([]float64, cfg.NumEngines),
+			bucketCost:      bucketCost,
+			bucketSync:      make([]float64, buckets),
+			bucketBusyWidth: make([]float64, buckets),
+		},
+		tel:     o.tel,
+		cost:    cost,
+		speeds:  speeds,
+		buckets: buckets,
+		winCost: make([]float64, cfg.NumEngines),
+		trace:   o.trace,
 	}
 	return e, nil
 }
@@ -759,10 +752,10 @@ func validate(cfg *Config) error {
 	return nil
 }
 
-// emulation is the handler state shared by all engines during a run. Every
-// field below assignment is mutated as the run progresses and is part of the
-// barrier-checkpoint snapshot; assignment itself only changes at a barrier,
-// when a crash recovery or a resize remaps nodes.
+// emulation is the handler state shared by all engines during a run. What the
+// run mutates as it progresses is the embedded rollbackState (and the telemetry
+// collector's own run state); assignment only changes at a barrier, when a
+// crash recovery or a resize remaps nodes.
 type emulation struct {
 	cfg      *Config
 	ctx      context.Context
@@ -779,26 +772,16 @@ type emulation struct {
 	lookahead   float64
 
 	assignment []int
-	busyUntil  [][2]float64
-	linkBytes  [][2]int64
-	drops      [][2]int64
-	delivered  []int64
-	fcts       []float64
-	collector  *netflow.Collector
-	tel        *telemetry.Collector
-	series     *metrics.Series
+	rollbackState
+	tel *telemetry.Collector
 
-	// Time-model accumulators, filled by commit. winCost is its per-window
-	// scratch: the modeled cost of each engine's window, which every sink reads
-	// through the window record's Cost.
-	cost            CostModel
-	speeds          []float64
-	buckets         int
-	engineBusy      []float64
-	winCost         []float64
-	bucketCost      [][]float64
-	bucketSync      []float64
-	bucketBusyWidth []float64
+	// The time model's parameters, and winCost, its per-window scratch: the
+	// modeled cost of each engine's window, which every sink reads through the
+	// window record's Cost.
+	cost    CostModel
+	speeds  []float64
+	buckets int
+	winCost []float64
 
 	// trace is the cluster tracing timeline; nil when tracing is off (commit
 	// then takes a single nil check and allocates nothing).
@@ -946,7 +929,9 @@ func (e *emulation) release(t float64, f *flowRun, remaining int64, limit int, s
 }
 
 // arrive processes a chunk at node path[hop]: charge the kernel events,
-// account NetFlow, and forward over the next link if not at the destination.
+// account what the node received (NetFlow, on entry), and forward over the
+// next link if not at the destination, accounting what it transmitted
+// (telemetry, on exit).
 // c is a shared immutable record — never written, only replaced by its
 // next-hop twin when forwarding.
 func (e *emulation) arrive(t float64, c *chunkArrival, s *des.Scheduler) {
@@ -957,20 +942,6 @@ func (e *emulation) arrive(t float64, c *chunkArrival, s *des.Scheduler) {
 	s.Charge(packets)
 	if e.collector != nil {
 		e.collector.ObserveAt(f.base+hop, packets, bytes, t)
-	}
-	if e.tel != nil {
-		// Receive-side accounting, at the same site and granularity as the
-		// NetFlow side-channel so ToProfile matches a Summarize exactly. The
-		// rx slot (inLink, inDir) is owned by this node's engine: direction 0
-		// always delivers to the link's B endpoint, direction 1 to A.
-		inLink, inDir := -1, 0
-		if hop > 0 {
-			inLink = f.links[hop-1]
-			if e.nw.Links[inLink].B == f.path[hop-1] {
-				inDir = 1
-			}
-		}
-		e.tel.ObserveNode(node, inLink, inDir, packets, t)
 	}
 	if hop == len(f.path)-1 {
 		// Delivered: track the flow's completion at the destination.

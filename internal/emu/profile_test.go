@@ -79,7 +79,7 @@ func TestProfileSnapshotStaysPristine(t *testing.T) {
 	}
 	observe(3, 1)
 	snap := e.snapshot(nil)
-	want := snap.collector.Records()
+	want := snap.run.collector.Records()
 	for round := 0; round < 2; round++ {
 		observe(5+round, 2+float64(round)) // touches slots the snapshot has not seen
 		if reflect.DeepEqual(e.collector.Records(), want) {
@@ -89,8 +89,8 @@ func TestProfileSnapshotStaysPristine(t *testing.T) {
 		if got := e.collector.Records(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("rollback %d: %d records, the snapshot had %d", round, len(got), len(want))
 		}
-		if !reflect.DeepEqual(snap.collector.Records(), want) ||
-			!reflect.DeepEqual(e.collector.Series(), snap.collector.Series()) || e.collector.Series() == snap.collector.Series() {
+		if !reflect.DeepEqual(snap.run.collector.Records(), want) ||
+			!reflect.DeepEqual(e.collector.Series(), snap.run.collector.Series()) || e.collector.Series() == snap.run.collector.Series() {
 			t.Fatalf("rollback %d wrote through to the snapshot", round)
 		}
 	}

@@ -85,65 +85,63 @@ type Recovery struct {
 	PostRecoveryImbalance float64
 }
 
-// checkpointState pairs a kernel checkpoint with a deep copy of the
-// emulator's own mutable state at the same barrier — link transmitters, flow
-// delivery, the time-model accumulators, and profiling.
-type checkpointState struct {
-	des             *des.Checkpoint
-	busyUntil       [][2]float64
-	linkBytes       [][2]int64
-	drops           [][2]int64
-	delivered       []int64
-	fcts            []float64
+// rollbackState is everything of the emulator's own that a run mutates and a
+// crash recovery rolls back — link transmitters, flow delivery, the time-model
+// accumulators filled by commit, and profiling — as one value: snapshot stores
+// a clone and restore assigns one. A field added here is rolled back if clone
+// copies it deeply, and TestRollbackStateRollsBack fails until it does.
+type rollbackState struct {
+	busyUntil [][2]float64
+	linkBytes [][2]int64
+	drops     [][2]int64
+	delivered []int64
+	fcts      []float64
+	collector *netflow.Collector
+	series    *metrics.Series
+
 	engineBusy      []float64
 	bucketCost      [][]float64
 	bucketSync      []float64
 	bucketBusyWidth []float64
-	series          *metrics.Series
-	collector       *netflow.Collector
-	tel             *telemetry.Checkpoint
+}
+
+// clone returns a copy that shares no storage with s.
+func (s *rollbackState) clone() rollbackState {
+	c := *s
+	c.busyUntil = append([][2]float64(nil), s.busyUntil...)
+	c.linkBytes = append([][2]int64(nil), s.linkBytes...)
+	c.drops = append([][2]int64(nil), s.drops...)
+	c.delivered = append([]int64(nil), s.delivered...)
+	c.fcts = append([]float64(nil), s.fcts...)
+	c.collector = s.collector.Clone()
+	c.series = s.series.Clone()
+	c.engineBusy = append([]float64(nil), s.engineBusy...)
+	c.bucketCost = make([][]float64, len(s.bucketCost))
+	for b, row := range s.bucketCost {
+		c.bucketCost[b] = append([]float64(nil), row...)
+	}
+	c.bucketSync = append([]float64(nil), s.bucketSync...)
+	c.bucketBusyWidth = append([]float64(nil), s.bucketBusyWidth...)
+	return c
+}
+
+// checkpointState is a rollback target: a kernel checkpoint with the
+// emulator's and the telemetry collector's run state at the same barrier.
+type checkpointState struct {
+	des *des.Checkpoint
+	run rollbackState
+	tel *telemetry.Checkpoint
 }
 
 // snapshot captures the emulation state alongside a kernel checkpoint.
 func (e *emulation) snapshot(cp *des.Checkpoint) *checkpointState {
-	s := &checkpointState{
-		des:             cp,
-		busyUntil:       append([][2]float64(nil), e.busyUntil...),
-		linkBytes:       append([][2]int64(nil), e.linkBytes...),
-		drops:           append([][2]int64(nil), e.drops...),
-		delivered:       append([]int64(nil), e.delivered...),
-		fcts:            append([]float64(nil), e.fcts...),
-		engineBusy:      append([]float64(nil), e.engineBusy...),
-		bucketSync:      append([]float64(nil), e.bucketSync...),
-		bucketBusyWidth: append([]float64(nil), e.bucketBusyWidth...),
-		series:          e.series.Clone(),
-		collector:       e.collector.Clone(),
-		tel:             e.tel.Checkpoint(),
-	}
-	s.bucketCost = make([][]float64, len(e.bucketCost))
-	for b, row := range e.bucketCost {
-		s.bucketCost[b] = append([]float64(nil), row...)
-	}
-	return s
+	return &checkpointState{des: cp, run: e.rollbackState.clone(), tel: e.tel.Checkpoint()}
 }
 
 // restore rolls the emulation state back to a snapshot. The snapshot itself
 // stays pristine: a later crash may roll back to the same checkpoint again.
 func (e *emulation) restore(s *checkpointState) {
-	e.busyUntil = append([][2]float64(nil), s.busyUntil...)
-	e.linkBytes = append([][2]int64(nil), s.linkBytes...)
-	e.drops = append([][2]int64(nil), s.drops...)
-	e.delivered = append([]int64(nil), s.delivered...)
-	e.fcts = append([]float64(nil), s.fcts...)
-	e.engineBusy = append([]float64(nil), s.engineBusy...)
-	e.bucketSync = append([]float64(nil), s.bucketSync...)
-	e.bucketBusyWidth = append([]float64(nil), s.bucketBusyWidth...)
-	e.bucketCost = make([][]float64, len(s.bucketCost))
-	for b, row := range s.bucketCost {
-		e.bucketCost[b] = append([]float64(nil), row...)
-	}
-	e.series = s.series.Clone()
-	e.collector = s.collector.Clone()
+	e.rollbackState = s.run.clone()
 	e.tel.Restore(s.tel)
 }
 
@@ -319,7 +317,7 @@ func (e *emulation) recoverCrash(k *des.Kernel, r *resilience, crash faults.Cras
 		return fmt.Errorf("emu: crash of already-dead engine %d", crash.Engine)
 	}
 	// The statistics at the detection barrier, window just completed included.
-	stats := k.Checkpoint(we).Stats()
+	stats := k.Stats()
 	if rec.Failures == 0 {
 		rec.PreFailureImbalance = metrics.ImbalanceSubset(loadsOf(stats.Charges), alive)
 	}

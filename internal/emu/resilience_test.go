@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/statetest"
+	"repro/internal/telemetry"
 	"repro/internal/traffic"
 )
 
@@ -86,6 +88,36 @@ func TestLookaheadPinsWindowWidth(t *testing.T) {
 	if res.Kernel.Windows > maxWindows {
 		t.Errorf("windows = %d, want <= %d for %.3gs busy span at L=%v",
 			res.Kernel.Windows, maxWindows, span, res.Lookahead)
+	}
+}
+
+// TestRollbackStateRollsBack is the coverage check on the one rollback
+// definition: every field of rollbackState comes back from a snapshot, and none
+// of them shares storage with it — a field added to the struct and not to clone
+// fails here. The snapshot must also survive a restore (two crashes before the
+// next checkpoint roll back to it twice). The telemetry collector's own state
+// has the same check in its package.
+func TestRollbackStateRollsBack(t *testing.T) {
+	build := func() *emulation {
+		cfg := telConfig(true)
+		cfg.Profile = true
+		e, err := prepare(&cfg, &runOptions{tel: telemetry.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	e, ref := build(), build()
+	snap := e.snapshot(nil)
+	for round := 0; round < 2; round++ {
+		statetest.Scramble(t, &e.rollbackState)
+		if reflect.DeepEqual(e.rollbackState, ref.rollbackState) {
+			t.Fatal("scrambling changed nothing")
+		}
+		e.restore(snap)
+		if !reflect.DeepEqual(e.rollbackState, ref.rollbackState) {
+			t.Fatalf("round %d: restore left\n%+v\nwant\n%+v", round, e.rollbackState, ref.rollbackState)
+		}
 	}
 }
 

@@ -89,11 +89,9 @@ type Input struct {
 	DiscoveredRoutes map[[2]int][]int
 
 	// Summary is the measured per-node / per-link traffic driving PROFILE:
-	// either the NetFlow aggregation of an offline profiling run
-	// (netflow.Collector.Summarize) or the live telemetry plane's
-	// measurement of the current run (telemetry.Collector.ToProfile) — the
-	// two are numerically identical, so the closed remapping loop and the
-	// paper's §3.3 offline pipeline produce the same partitions.
+	// the NetFlow aggregation (netflow.Collector.Summarize) of a profiling
+	// run — the offline pre-run of §3.3, or the previous interval of the
+	// closed remapping loop.
 	Summary *netflow.Summary
 	// Cluster enables the §3.3 timeline clustering, turning emulation
 	// stages into extra balance constraints (PROFILE).

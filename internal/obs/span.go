@@ -12,7 +12,7 @@ import (
 // Distributed window tracing. A Span is one timed interval of the
 // conservative-window protocol — an engine computing a window, a worker
 // waiting at the barrier for the window's critical path, wire transfer,
-// checkpointing, migration. Workers emit wall-clock spans; the coordinator
+// migration. Workers emit wall-clock spans; the coordinator
 // merges them with the deterministic modeled-time spans it derives from the
 // window counters into one virtual-time-aligned cluster Timeline, which
 // renders as a Chrome trace_event file (Perfetto-loadable) and feeds the
@@ -39,23 +39,23 @@ const (
 	SpanWireSend
 	// SpanWireRecv is a worker decoding and injecting barrier events.
 	SpanWireRecv
-	// SpanCheckpoint is a worker snapshotting at a checkpoint barrier.
-	SpanCheckpoint
+	// 4 is retired (a worker snapshotting at the checkpoint cadence) and stays
+	// unused: the SPANS codec ships the number.
+	_
 	// SpanMigrate is a worker reseating state at a membership barrier.
 	SpanMigrate
 )
 
 var spanKindNames = [...]string{
-	SpanCompute:    "compute",
-	SpanBarrier:    "barrier-wait",
-	SpanWireSend:   "wire-send",
-	SpanWireRecv:   "wire-recv",
-	SpanCheckpoint: "checkpoint",
-	SpanMigrate:    "migrate",
+	SpanCompute:  "compute",
+	SpanBarrier:  "barrier-wait",
+	SpanWireSend: "wire-send",
+	SpanWireRecv: "wire-recv",
+	SpanMigrate:  "migrate",
 }
 
 func (k SpanKind) String() string {
-	if int(k) < len(spanKindNames) {
+	if int(k) < len(spanKindNames) && spanKindNames[k] != "" {
 		return spanKindNames[k]
 	}
 	return fmt.Sprintf("span(%d)", uint8(k))
@@ -528,7 +528,7 @@ func (t *Timeline) CanonicalJSON() []byte {
 // the file in Perfetto (ui.perfetto.dev) or chrome://tracing. One process
 // per worker, one thread per engine (tid 0 carries worker-level spans). The
 // time axis is virtual microseconds; compute and barrier-wait durations are
-// modeled busy seconds, wire/checkpoint/migrate durations are measured wall
+// modeled busy seconds, wire/migrate durations are measured wall
 // seconds, and each event's args carry the window index and wall time. The
 // document streams to w as it renders; the first write error is returned.
 func (t *Timeline) WriteTraceEvents(w io.Writer) error {
@@ -599,7 +599,7 @@ func (t *Timeline) WriteTraceEvents(w io.Writer) error {
 	s.each(func(sp *Span) bool {
 		ts, dur := sp.Start*usec, sp.Busy*usec
 		switch sp.Kind {
-		case SpanWireSend, SpanWireRecv, SpanCheckpoint, SpanMigrate:
+		case SpanWireSend, SpanWireRecv, SpanMigrate:
 			dur = sp.Wall * usec
 		}
 		line = line[:0]

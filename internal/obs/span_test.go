@@ -148,10 +148,10 @@ func TestTimelineWallFolding(t *testing.T) {
 	tl := NewTimeline()
 	tl.Assign([]int{0, 1}, 0)
 	// A worker-measured compute wall time is held until the commit; a
-	// checkpoint span appends directly.
+	// worker-level span appends directly.
 	tl.AddWall([]Span{
 		{Kind: SpanCompute, Worker: 0, Engine: 1, Start: 0, End: 1, Wall: 0.25},
-		{Kind: SpanCheckpoint, Worker: 0, Engine: -1, Start: 1, End: 1, Wall: 0.5},
+		{Kind: SpanMigrate, Worker: 0, Engine: -1, Start: 1, End: 1, Wall: 0.5},
 	})
 	commit(tl, 0, 1, map[int]float64{0: 1, 1: 2})
 
@@ -161,7 +161,7 @@ func TestTimelineWallFolding(t *testing.T) {
 		switch {
 		case s.Kind == SpanCompute && s.Engine == 1:
 			compute1 = &s
-		case s.Kind == SpanCheckpoint:
+		case s.Kind == SpanMigrate:
 			ckpt = &s
 		}
 	}
@@ -169,7 +169,7 @@ func TestTimelineWallFolding(t *testing.T) {
 		t.Fatalf("compute span for engine 1 = %+v, want folded wall 0.25", compute1)
 	}
 	if ckpt == nil || ckpt.Wall != 0.5 {
-		t.Fatalf("checkpoint span = %+v, want wall 0.5", ckpt)
+		t.Fatalf("migrate span = %+v, want wall 0.5", ckpt)
 	}
 	// A stale pending wall (engine idle this window) must not leak into the
 	// next window's span.
@@ -982,7 +982,7 @@ func (t *timelineReference) WriteTraceEvents(w io.Writer) error {
 	for _, s := range spans {
 		ts, dur := s.Start*usec, s.Busy*usec
 		switch s.Kind {
-		case SpanWireSend, SpanWireRecv, SpanCheckpoint, SpanMigrate:
+		case SpanWireSend, SpanWireRecv, SpanMigrate:
 			dur = s.Wall * usec
 		}
 		line = line[:0]

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/metrics"
@@ -8,13 +9,12 @@ import (
 
 // Distributed telemetry merge. Under the dist runtime each worker process
 // owns a disjoint set of engines and, by the collector's single-writer
-// discipline, a disjoint set of hot slots: matrix rows of its engines, tx/rx
-// slots of links whose transmitting/receiving endpoint it hosts, node slots
-// and series columns of its nodes, and the per-engine histograms/counters of
-// its engines. Every non-owned slot stays zero for the whole run, so the
-// coordinator reconstructs the exact in-process hot state by copying each
-// worker's matrix rows and per-engine instruments and summing the full
-// link/node arrays elementwise. The coordinator then drives Commit/Finish
+// discipline, a disjoint set of hot slots: matrix rows of its engines, tx
+// slots of links whose transmitting endpoint it hosts, and the per-engine
+// histograms/counters of its engines. Every non-owned slot stays zero for the
+// whole run, so the coordinator reconstructs the exact in-process hot state by
+// copying each worker's matrix rows and per-engine instruments and summing the
+// full link arrays elementwise. The coordinator then drives Commit/Finish
 // itself (replaying the window observer), so the published snapshots,
 // timeline and /metrics exposition are byte-identical to an in-process run.
 
@@ -32,14 +32,10 @@ type Partial struct {
 	// HasSlow marks that the slow-cadence state below is populated; workers
 	// ship it only at measurement-window crossings and at the end of the run.
 	HasSlow bool
-	// LinkTxBytes/LinkTxPackets/LinkRxPackets are the full 2×links arrays
-	// (non-owned slots zero); NodePackets and SeriesLoads likewise cover all
-	// nodes.
+	// LinkTxBytes/LinkTxPackets are the full 2×links arrays (non-owned slots
+	// zero).
 	LinkTxBytes   []int64
 	LinkTxPackets []int64
-	LinkRxPackets []int64
-	NodePackets   []int64
-	SeriesLoads   [][]float64
 	// QueueDelay and FCT are the owned engines' histograms (same order as
 	// Engines); FlowsDone and Drops their counters.
 	QueueDelay []*metrics.Histogram
@@ -78,9 +74,6 @@ func (c *Collector) ExportPartial(engines []int, slow bool) *Partial {
 	p.HasSlow = true
 	p.LinkTxBytes = append([]int64(nil), c.linkTxBytes...)
 	p.LinkTxPackets = append([]int64(nil), c.linkTxPackets...)
-	p.LinkRxPackets = append([]int64(nil), c.linkRxPackets...)
-	p.NodePackets = append([]int64(nil), c.nodePackets...)
-	p.SeriesLoads = c.series.Clone().Loads
 	for _, eng := range engines {
 		p.QueueDelay = append(p.QueueDelay, c.queueDelay[eng].CloneHistogram())
 		p.FCT = append(p.FCT, c.fct[eng].CloneHistogram())
@@ -90,15 +83,59 @@ func (c *Collector) ExportPartial(engines []int, slow bool) *Partial {
 	return p
 }
 
+// ErrBadPartial marks a partial whose shape does not fit the run it is
+// offered to. One that arrived over the wire is outside input: the receiver
+// refuses it instead of indexing with it.
+var ErrBadPartial = errors.New("telemetry: bad partial")
+
+// CheckPartial reports whether p fits this run: one matrix row of the run's
+// width per owned engine, every owned engine in range and, when the slow state
+// rides along, link arrays of the run's length and one instrument set per
+// owned engine. The error wraps ErrBadPartial. InstallPartials checks every
+// partial itself; a coordinator calls this first, per sender, to know whose
+// frame to refuse.
+func (c *Collector) CheckPartial(p *Partial) error {
+	if c == nil || p == nil {
+		return nil
+	}
+	e, owned := c.dims.Engines, len(p.Engines)
+	if len(p.MatrixBytes) != owned*e || len(p.MatrixPackets) != owned*e {
+		return fmt.Errorf("%w: %d+%d matrix cells for %d engines of %d columns",
+			ErrBadPartial, len(p.MatrixBytes), len(p.MatrixPackets), owned, e)
+	}
+	for _, eng := range p.Engines {
+		if eng < 0 || eng >= e {
+			return fmt.Errorf("%w: owns engine %d, outside [0,%d)", ErrBadPartial, eng, e)
+		}
+	}
+	if !p.HasSlow {
+		return nil
+	}
+	if len(p.LinkTxBytes) != len(c.linkTxBytes) || len(p.LinkTxPackets) != len(c.linkTxPackets) {
+		return fmt.Errorf("%w: link arrays of %d and %d slots, the run has %d",
+			ErrBadPartial, len(p.LinkTxBytes), len(p.LinkTxPackets), len(c.linkTxBytes))
+	}
+	if len(p.QueueDelay) != owned || len(p.FCT) != owned || len(p.FlowsDone) != owned || len(p.Drops) != owned {
+		return fmt.Errorf("%w: instruments do not match its %d engines", ErrBadPartial, owned)
+	}
+	return nil
+}
+
 // InstallPartials overwrites the collector's hot state from the workers'
 // latest partials (one per worker; together they must cover every engine
 // exactly once). Matrix rows install every call; the slow-cadence arrays are
-// rebuilt only when the partials carry them. The caller is the coordinator
-// at a barrier — no engine goroutines are running — and must follow up with
-// Commit (or Finish) to republish, exactly as the in-process observer would.
+// rebuilt only when the partials carry them. Nothing is installed unless every
+// partial passes CheckPartial. The caller is the coordinator at a barrier — no
+// engine goroutines are running — and must follow up with Commit (or Finish)
+// to republish, exactly as the in-process observer would.
 func (c *Collector) InstallPartials(ps []*Partial) error {
 	if c == nil {
 		return nil
+	}
+	for _, p := range ps {
+		if err := c.CheckPartial(p); err != nil {
+			return err
+		}
 	}
 	e := c.dims.Engines
 	slow := false
@@ -106,54 +143,24 @@ func (c *Collector) InstallPartials(ps []*Partial) error {
 		if p == nil {
 			continue
 		}
-		if len(p.MatrixBytes) != len(p.Engines)*e || len(p.MatrixPackets) != len(p.Engines)*e {
-			return fmt.Errorf("telemetry: partial matrix rows %d for %d engines (want %d cols)",
-				len(p.MatrixBytes), len(p.Engines), e)
-		}
 		for i, eng := range p.Engines {
-			if eng < 0 || eng >= e {
-				return fmt.Errorf("telemetry: partial owns invalid engine %d", eng)
-			}
 			copy(c.matrixBytes[eng*e:(eng+1)*e], p.MatrixBytes[i*e:(i+1)*e])
 			copy(c.matrixPackets[eng*e:(eng+1)*e], p.MatrixPackets[i*e:(i+1)*e])
 		}
-		if p.HasSlow {
-			slow = true
-		}
+		slow = slow || p.HasSlow
 	}
 	if !slow {
 		return nil
 	}
-	zero64(c.linkTxBytes)
-	zero64(c.linkTxPackets)
-	zero64(c.linkRxPackets)
-	zero64(c.nodePackets)
-	for _, row := range c.series.Loads {
-		for i := range row {
-			row[i] = 0
-		}
-	}
+	clear(c.linkTxBytes)
+	clear(c.linkTxPackets)
 	for _, p := range ps {
 		if p == nil || !p.HasSlow {
 			continue
 		}
-		if len(p.LinkTxBytes) != len(c.linkTxBytes) || len(p.NodePackets) != len(c.nodePackets) ||
-			len(p.SeriesLoads) != len(c.series.Loads) {
-			return fmt.Errorf("telemetry: partial slow-state dims do not match the run")
-		}
-		add64(c.linkTxBytes, p.LinkTxBytes)
-		add64(c.linkTxPackets, p.LinkTxPackets)
-		add64(c.linkRxPackets, p.LinkRxPackets)
-		add64(c.nodePackets, p.NodePackets)
-		for b, row := range p.SeriesLoads {
-			dst := c.series.Loads[b]
-			for i, v := range row {
-				dst[i] += v
-			}
-		}
-		if len(p.QueueDelay) != len(p.Engines) || len(p.FCT) != len(p.Engines) ||
-			len(p.FlowsDone) != len(p.Engines) || len(p.Drops) != len(p.Engines) {
-			return fmt.Errorf("telemetry: partial instruments do not match its engine set")
+		for i, v := range p.LinkTxBytes {
+			c.linkTxBytes[i] += v
+			c.linkTxPackets[i] += p.LinkTxPackets[i]
 		}
 		for i, eng := range p.Engines {
 			c.queueDelay[eng] = p.QueueDelay[i].CloneHistogram()
@@ -163,16 +170,4 @@ func (c *Collector) InstallPartials(ps []*Partial) error {
 		}
 	}
 	return nil
-}
-
-func zero64(xs []int64) {
-	for i := range xs {
-		xs[i] = 0
-	}
-}
-
-func add64(dst, src []int64) {
-	for i, v := range src {
-		dst[i] += v
-	}
 }

@@ -9,13 +9,13 @@
 //
 //   - a live src-engine × dst-engine byte/packet matrix, republished at every
 //     synchronization window barrier,
-//   - per-link, per-direction transmitted bytes/packets and received packets,
+//   - per-link, per-direction transmitted bytes/packets,
 //   - per-engine queue-delay and flow-completion-time histograms,
-//   - the per-node packet load and bucketed load series the PROFILE mapping
-//     consumes (ToProfile produces a netflow.Summary numerically identical to
-//     the NetFlow side-channel's, closing the feedback loop without it),
 //   - a measurement-window timeline of load imbalance and cross-engine
 //     traffic.
+//
+// What each node and link *received* — the PROFILE mapping's input — is the
+// NetFlow accounting's fact (internal/netflow), not kept a second time here.
 //
 // Design constraints, matching the obs contract:
 //
@@ -23,10 +23,9 @@
 //     measurable work to the per-packet path — every instrumentation site
 //     guards on the nil pointer (AllocsPerRun-enforced in emu).
 //   - Single-writer hot state: every hot slot is written by exactly one
-//     engine goroutine — matrix row e by engine e, a link direction's tx
-//     slots by the transmitting endpoint's engine, its rx slot by the
-//     receiving endpoint's engine, a node's slots by its owning engine — so
-//     the per-packet path takes no locks.
+//     engine goroutine — matrix row e and engine e's instruments by engine
+//     e, a link direction's tx slots by the transmitting endpoint's engine —
+//     so the per-packet path takes no locks.
 //   - Deterministic snapshots derived from virtual time only. Publication
 //     happens at window barriers on the coordinating goroutine (engines
 //     quiesced), so live HTTP readers only ever see a consistent
@@ -36,7 +35,6 @@ package telemetry
 
 import (
 	"repro/internal/metrics"
-	"repro/internal/netflow"
 	"sync"
 )
 
@@ -53,10 +51,8 @@ const (
 type Dims struct {
 	// Engines is the number of simulation-engine nodes.
 	Engines int
-	// Nodes and Links size the virtual topology.
-	Nodes, Links int
-	// Duration is the run's virtual length in seconds.
-	Duration float64
+	// Links sizes the virtual topology.
+	Links int
 	// BucketWidth is the measurement-window granularity in virtual seconds
 	// (the paper's fine-grained 2 s interval by default) — the cadence of
 	// full publication and of timeline points.
@@ -78,18 +74,24 @@ type TrafficPoint struct {
 
 // Collector accumulates traffic-plane telemetry during an emulation run.
 // Create one with New, hand it to emu.Run via emu.WithTelemetry, and read it
-// live (Snapshot, Metrics) or after the run (Snapshot, ToProfile). A nil
-// *Collector is a valid "disabled" collector for every method the emulator
-// calls.
+// live or after the run (Snapshot, Metrics). A nil *Collector is a valid
+// "disabled" collector for every method the emulator calls.
 type Collector struct {
 	mu   sync.RWMutex // guards pub and reg value updates against HTTP readers
 	pub  published
 	reg  *Registry
 	inst *instruments
 
-	dims    Dims
-	buckets int
+	dims Dims
 
+	runState
+}
+
+// runState is everything a run mutates, as one value, so that a crash recovery
+// rolls all of it back together: Checkpoint stores a clone and Restore assigns
+// one. A field added here is rolled back if clone copies it deeply, and
+// TestRunStateRollsBack fails until it does.
+type runState struct {
 	// Hot state: written by engine goroutines with no synchronization under
 	// the single-writer ownership discipline documented in the package
 	// comment. Read only at window barriers (engines quiesced) or after the
@@ -98,9 +100,6 @@ type Collector struct {
 	matrixPackets []int64
 	linkTxBytes   []int64 // 2×links, [2*link+dir]: transmitted (post-drop)
 	linkTxPackets []int64
-	linkRxPackets []int64 // 2×links: received at the far end (NetFlow's view)
-	nodePackets   []int64
-	series        *metrics.Series // bucketed per-node load (PROFILE input)
 	queueDelay    []*metrics.Histogram
 	fct           []*metrics.Histogram
 	flowsDone     []int64 // per engine (destination side)
@@ -116,6 +115,53 @@ type Collector struct {
 	timeline      []TrafficPoint
 	prevCross     int64
 	prevTotal     int64
+}
+
+// newRunState is the empty state of a run with d's dimensions.
+func newRunState(d Dims) runState {
+	s := runState{
+		matrixBytes:   make([]int64, d.Engines*d.Engines),
+		matrixPackets: make([]int64, d.Engines*d.Engines),
+		linkTxBytes:   make([]int64, 2*d.Links),
+		linkTxPackets: make([]int64, 2*d.Links),
+		queueDelay:    make([]*metrics.Histogram, d.Engines),
+		fct:           make([]*metrics.Histogram, d.Engines),
+		flowsDone:     make([]int64, d.Engines),
+		drops:         make([]int64, d.Engines),
+		engineCharges: make([]int64, d.Engines),
+		bucketCharges: make([]float64, d.Engines),
+	}
+	for i := range s.queueDelay {
+		s.queueDelay[i] = NewRunHistogram()
+		s.fct[i] = NewRunHistogram()
+	}
+	return s
+}
+
+// clone returns a copy that shares no storage with s: the scalars ride along
+// with the struct copy, every slice and histogram is duplicated.
+func (s *runState) clone() runState {
+	c := *s
+	c.matrixBytes = append([]int64(nil), s.matrixBytes...)
+	c.matrixPackets = append([]int64(nil), s.matrixPackets...)
+	c.linkTxBytes = append([]int64(nil), s.linkTxBytes...)
+	c.linkTxPackets = append([]int64(nil), s.linkTxPackets...)
+	c.queueDelay = cloneHists(s.queueDelay)
+	c.fct = cloneHists(s.fct)
+	c.flowsDone = append([]int64(nil), s.flowsDone...)
+	c.drops = append([]int64(nil), s.drops...)
+	c.engineCharges = append([]int64(nil), s.engineCharges...)
+	c.bucketCharges = append([]float64(nil), s.bucketCharges...)
+	c.timeline = append([]TrafficPoint(nil), s.timeline...)
+	return c
+}
+
+func cloneHists(hs []*metrics.Histogram) []*metrics.Histogram {
+	out := make([]*metrics.Histogram, len(hs))
+	for i, h := range hs {
+		out[i] = h.CloneHistogram()
+	}
+	return out
 }
 
 // published is the barrier-time copy of the hot state the HTTP endpoints
@@ -166,108 +212,22 @@ func (c *Collector) Reset(d Dims) {
 	if d.BucketWidth <= 0 {
 		d.BucketWidth = 2
 	}
-	if d.Duration <= 0 {
-		d.Duration = 1
-	}
-	// Same dimensions as the previous run (the live endpoint reuses one
-	// collector across runs): zero every structure in place instead of
-	// reallocating — the hot arrays, histograms, series and registry handles
-	// all survive, so a collector reused run-over-run settles into a
-	// fixed-allocation regime.
-	if c.pub.sized && c.dims == d {
-		zeroI64(c.matrixBytes)
-		zeroI64(c.matrixPackets)
-		zeroI64(c.linkTxBytes)
-		zeroI64(c.linkTxPackets)
-		zeroI64(c.linkRxPackets)
-		zeroI64(c.nodePackets)
-		for _, row := range c.series.Loads {
-			zeroF64(row)
-		}
-		for i := range c.queueDelay {
-			c.queueDelay[i].ResetHistogram()
-			c.fct[i].ResetHistogram()
-		}
-		zeroI64(c.flowsDone)
-		zeroI64(c.drops)
-		c.windows = 0
-		c.virtualTime = 0
-		zeroI64(c.engineCharges)
-		zeroF64(c.bucketCharges)
-		c.lastBucket = 0
-		c.timeline = c.timeline[:0]
-		c.prevCross = 0
-		c.prevTotal = 0
-		c.pub.virtualTime = 0
-		c.pub.windows = 0
-		zeroI64(c.pub.matrixBytes)
-		zeroI64(c.pub.matrixPackets)
-		zeroI64(c.pub.linkTxBytes)
-		zeroI64(c.pub.linkTxPackets)
-		zeroI64(c.pub.engineCharges)
-		c.pub.queueDelay.ResetHistogram()
-		c.pub.fct.ResetHistogram()
-		c.pub.flowsDone = 0
-		c.pub.drops = 0
-		c.pub.timeline = c.pub.timeline[:0]
-		c.inst.reset(d)
-		return
-	}
-
 	c.dims = d
-	c.buckets = int(d.Duration/d.BucketWidth) + 1
-
-	e2 := d.Engines * d.Engines
-	c.matrixBytes = make([]int64, e2)
-	c.matrixPackets = make([]int64, e2)
-	c.linkTxBytes = make([]int64, 2*d.Links)
-	c.linkTxPackets = make([]int64, 2*d.Links)
-	c.linkRxPackets = make([]int64, 2*d.Links)
-	c.nodePackets = make([]int64, d.Nodes)
-	c.series = metrics.NewSeries(d.BucketWidth, d.Nodes, c.buckets)
-	c.queueDelay = make([]*metrics.Histogram, d.Engines)
-	c.fct = make([]*metrics.Histogram, d.Engines)
-	for i := 0; i < d.Engines; i++ {
-		c.queueDelay[i] = metrics.MustLogHistogram(histLo, histHi, histPerDecade)
-		c.fct[i] = metrics.MustLogHistogram(histLo, histHi, histPerDecade)
-	}
-	c.flowsDone = make([]int64, d.Engines)
-	c.drops = make([]int64, d.Engines)
-
-	c.windows = 0
-	c.virtualTime = 0
-	c.engineCharges = make([]int64, d.Engines)
-	c.bucketCharges = make([]float64, d.Engines)
-	c.lastBucket = 0
-	c.timeline = nil
-	c.prevCross = 0
-	c.prevTotal = 0
-
+	c.runState = newRunState(d)
 	c.pub = published{
 		sized:         true,
-		matrixBytes:   make([]int64, e2),
-		matrixPackets: make([]int64, e2),
+		matrixBytes:   make([]int64, d.Engines*d.Engines),
+		matrixPackets: make([]int64, d.Engines*d.Engines),
 		linkTxBytes:   make([]int64, 2*d.Links),
 		linkTxPackets: make([]int64, 2*d.Links),
 		engineCharges: make([]int64, d.Engines),
-		queueDelay:    metrics.MustLogHistogram(histLo, histHi, histPerDecade),
-		fct:           metrics.MustLogHistogram(histLo, histHi, histPerDecade),
+		queueDelay:    NewRunHistogram(),
+		fct:           NewRunHistogram(),
 	}
 	c.inst.reset(d)
 }
 
 // ---- Hot-path observation (engine goroutines, no locks, no allocations) ----
-
-// ObserveNode accounts one packet group processed at a node, arriving over
-// link inLink in direction inDir (inLink -1 at the flow source). The caller
-// is the engine owning the node, so the node and rx slots are single-writer.
-func (c *Collector) ObserveNode(node, inLink, inDir int, packets int64, t float64) {
-	c.nodePackets[node] += packets
-	if inLink >= 0 {
-		c.linkRxPackets[2*inLink+inDir] += packets
-	}
-	c.series.Add(t, node, float64(packets))
-}
 
 // ObserveForward accounts one packet group leaving srcEngine for dstEngine
 // over link/dir, having waited queueDelay seconds behind the transmitter's
@@ -421,18 +381,6 @@ func (c *Collector) Finish(end float64) {
 	c.mu.Unlock()
 }
 
-func zeroI64(xs []int64) {
-	for i := range xs {
-		xs[i] = 0
-	}
-}
-
-func zeroF64(xs []float64) {
-	for i := range xs {
-		xs[i] = 0
-	}
-}
-
 func sumFloats(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
@@ -443,89 +391,29 @@ func sumFloats(xs []float64) float64 {
 
 // ---- Checkpoint / rollback (crash recovery) ----
 
-// Checkpoint captures the hot state at a barrier so a crash recovery can roll
-// telemetry back together with the rest of the emulation, avoiding double
-// counting of replayed windows.
-type Checkpoint struct {
-	matrixBytes, matrixPackets      []int64
-	linkTxBytes, linkTxPackets      []int64
-	linkRxPackets, nodePackets      []int64
-	series                          *metrics.Series
-	queueDelay, fct                 []*metrics.Histogram
-	flowsDone, drops, engineCharges []int64
-	bucketCharges                   []float64
-	windows                         int64
-	virtualTime                     float64
-	lastBucket                      int
-	timeline                        []TrafficPoint
-	prevCross, prevTotal            int64
-}
+// Checkpoint is the run state at a barrier, held so a crash recovery can roll
+// telemetry back together with the rest of the emulation instead of counting
+// the replayed windows twice.
+type Checkpoint struct{ state runState }
 
-// Snapshot-for-recovery: called at barrier checkpoints (engines quiesced).
+// Checkpoint captures the run state; call it at a barrier (engines quiesced).
 func (c *Collector) Checkpoint() *Checkpoint {
 	if c == nil {
 		return nil
 	}
-	cp := &Checkpoint{
-		matrixBytes:   append([]int64(nil), c.matrixBytes...),
-		matrixPackets: append([]int64(nil), c.matrixPackets...),
-		linkTxBytes:   append([]int64(nil), c.linkTxBytes...),
-		linkTxPackets: append([]int64(nil), c.linkTxPackets...),
-		linkRxPackets: append([]int64(nil), c.linkRxPackets...),
-		nodePackets:   append([]int64(nil), c.nodePackets...),
-		series:        c.series.Clone(),
-		flowsDone:     append([]int64(nil), c.flowsDone...),
-		drops:         append([]int64(nil), c.drops...),
-		engineCharges: append([]int64(nil), c.engineCharges...),
-		bucketCharges: append([]float64(nil), c.bucketCharges...),
-		windows:       c.windows,
-		virtualTime:   c.virtualTime,
-		lastBucket:    c.lastBucket,
-		timeline:      append([]TrafficPoint(nil), c.timeline...),
-		prevCross:     c.prevCross,
-		prevTotal:     c.prevTotal,
-	}
-	cp.queueDelay = cloneHists(c.queueDelay)
-	cp.fct = cloneHists(c.fct)
-	return cp
+	return &Checkpoint{c.runState.clone()}
 }
 
-// Restore rolls the hot state back to a checkpoint. The checkpoint stays
+// Restore rolls the run state back to a checkpoint. The checkpoint stays
 // pristine (a later crash may roll back to it again).
 func (c *Collector) Restore(cp *Checkpoint) {
 	if c == nil || cp == nil {
 		return
 	}
-	copy(c.matrixBytes, cp.matrixBytes)
-	copy(c.matrixPackets, cp.matrixPackets)
-	copy(c.linkTxBytes, cp.linkTxBytes)
-	copy(c.linkTxPackets, cp.linkTxPackets)
-	copy(c.linkRxPackets, cp.linkRxPackets)
-	copy(c.nodePackets, cp.nodePackets)
-	c.series = cp.series.Clone()
-	c.queueDelay = cloneHists(cp.queueDelay)
-	c.fct = cloneHists(cp.fct)
-	copy(c.flowsDone, cp.flowsDone)
-	copy(c.drops, cp.drops)
-	copy(c.engineCharges, cp.engineCharges)
-	copy(c.bucketCharges, cp.bucketCharges)
-	c.windows = cp.windows
-	c.virtualTime = cp.virtualTime
-	c.lastBucket = cp.lastBucket
-	c.timeline = append(c.timeline[:0], cp.timeline...)
-	c.prevCross = cp.prevCross
-	c.prevTotal = cp.prevTotal
+	c.runState = cp.state.clone()
 }
 
-func cloneHists(hs []*metrics.Histogram) []*metrics.Histogram {
-	out := make([]*metrics.Histogram, len(hs))
-	for i, h := range hs {
-		out[i] = h.CloneHistogram()
-	}
-	return out
-}
-
-// ---- Snapshots and the PROFILE feedback loop ----
+// ---- Snapshots ----
 
 // Snapshot is a consistent barrier-time view of the traffic plane — what the
 // /trafficmatrix endpoint serializes and emu.Result.Telemetry carries.
@@ -619,95 +507,4 @@ func (c *Collector) Snapshot() *Snapshot {
 		s.FCTP99 = s.FCT.Quantile(99)
 	}
 	return s
-}
-
-// ToProfile converts the measured traffic into the traffic-profile form the
-// PROFILE mapping consumes — the same netflow.Summary the §3.3 side-channel
-// produces, with numerically identical per-node loads, per-link packets and
-// load series (both observe the identical packet-group stream at the same
-// hot-path site), so a partition computed from telemetry matches one computed
-// from a NetFlow dump of the same run. Call it after the run (or at a
-// remapping interval boundary); it reads the hot state directly.
-func (c *Collector) ToProfile() *netflow.Summary {
-	if c == nil {
-		return nil
-	}
-	s := &netflow.Summary{
-		LinkPackets: make(map[int]int64),
-		NodePackets: append([]int64(nil), c.nodePackets...),
-		NodeSeries:  c.series.Clone(),
-	}
-	for l := 0; l < c.dims.Links; l++ {
-		if p := c.linkRxPackets[2*l] + c.linkRxPackets[2*l+1]; p > 0 {
-			s.LinkPackets[l] = p
-		}
-	}
-	return s
-}
-
-// ToProfileInto is the storage-reusing form of ToProfile for the dynamic
-// remapping loop, which re-exports the measured profile at every interval
-// boundary: passing the previous interval's summary back in reuses its node
-// slice, series rows and link map, so a steady-state remap loop allocates
-// nothing here. Pass nil for the first interval. The returned summary is
-// valid until the next call with the same argument.
-func (c *Collector) ToProfileInto(s *netflow.Summary) *netflow.Summary {
-	if c == nil {
-		return nil
-	}
-	if s == nil {
-		s = &netflow.Summary{}
-	}
-	if s.LinkPackets == nil {
-		s.LinkPackets = make(map[int]int64, c.dims.Links)
-	} else {
-		for l := range s.LinkPackets {
-			delete(s.LinkPackets, l)
-		}
-	}
-	s.NodePackets = append(s.NodePackets[:0], c.nodePackets...)
-	s.NodeSeries = c.series.CloneInto(s.NodeSeries)
-	for l := 0; l < c.dims.Links; l++ {
-		if p := c.linkRxPackets[2*l] + c.linkRxPackets[2*l+1]; p > 0 {
-			s.LinkPackets[l] = p
-		}
-	}
-	return s
-}
-
-// NodePacketTotals copies the measured per-node packet loads into dst
-// (grown only if too small) and returns it — the per-node load vector of
-// the game payoff's computational term, read from the hot array without a
-// snapshot allocation. Valid at window barriers and after the run, like
-// ToProfile.
-func (c *Collector) NodePacketTotals(dst []int64) []int64 {
-	if c == nil {
-		return dst[:0]
-	}
-	return append(dst[:0], c.nodePackets...)
-}
-
-// EngineTrafficVector fills dst with the bytes engine `engine` exchanged
-// with every engine (both directions summed; dst[engine] is its intra-engine
-// volume) and returns it, growing dst only if too small — the per-engine
-// traffic vector a payoff evaluation reads without allocating. Valid at
-// window barriers and after the run, like ToProfile.
-func (c *Collector) EngineTrafficVector(engine int, dst []int64) []int64 {
-	if c == nil || engine < 0 || engine >= c.dims.Engines {
-		return dst[:0]
-	}
-	k := c.dims.Engines
-	if cap(dst) < k {
-		dst = make([]int64, k)
-	} else {
-		dst = dst[:k]
-	}
-	for e := 0; e < k; e++ {
-		v := c.matrixBytes[engine*k+e]
-		if e != engine {
-			v += c.matrixBytes[e*k+engine]
-		}
-		dst[e] = v
-	}
-	return dst
 }

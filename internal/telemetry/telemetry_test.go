@@ -3,14 +3,18 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/statetest"
 )
 
 func sizedCollector() *Collector {
 	c := New()
-	c.Reset(Dims{Engines: 2, Nodes: 4, Links: 3, Duration: 8, BucketWidth: 2})
+	c.Reset(Dims{Engines: 2, Links: 3, BucketWidth: 2})
 	return c
 }
 
@@ -28,8 +32,8 @@ func TestNilCollectorSafe(t *testing.T) {
 	if s := c.Snapshot(); s == nil || s.Engines != 0 {
 		t.Fatalf("nil snapshot = %+v", s)
 	}
-	if p := c.ToProfile(); p != nil {
-		t.Fatal("nil profile not nil")
+	if err := c.CheckPartial(&Partial{Engines: []int{9}}); err != nil {
+		t.Fatalf("nil collector checked a partial: %v", err)
 	}
 }
 
@@ -134,43 +138,13 @@ func TestTimelineWindows(t *testing.T) {
 	}
 }
 
-func TestToProfileShape(t *testing.T) {
-	c := sizedCollector()
-	c.ObserveNode(0, -1, 0, 5, 0.1) // source host: no rx link
-	c.ObserveNode(1, 0, 0, 5, 0.2)  // router receives over link 0 dir 0
-	c.ObserveNode(2, 1, 1, 5, 0.3)  // next hop over link 1 dir 1
-	sum := c.ToProfile()
-	if sum.NodePackets[0] != 5 || sum.NodePackets[1] != 5 || sum.NodePackets[2] != 5 {
-		t.Fatalf("node packets = %v", sum.NodePackets)
-	}
-	if sum.LinkPackets[0] != 5 || sum.LinkPackets[1] != 5 {
-		t.Fatalf("link packets = %v", sum.LinkPackets)
-	}
-	if _, ok := sum.LinkPackets[2]; ok {
-		t.Fatal("idle link present in profile")
-	}
-	if sum.NodeSeries.Buckets() != 5 || sum.NodeSeries.Nodes() != 4 {
-		t.Fatalf("series %dx%d", sum.NodeSeries.Buckets(), sum.NodeSeries.Nodes())
-	}
-	if sum.NodeSeries.Loads[0][1] != 5 {
-		t.Fatalf("series bucket 0 = %v", sum.NodeSeries.Loads[0])
-	}
-	// The profile must be detached from the live series.
-	c.ObserveNode(1, 0, 0, 100, 0.2)
-	if sum.NodeSeries.Loads[0][1] != 5 {
-		t.Fatal("profile aliases live series")
-	}
-}
-
 func TestCheckpointRestore(t *testing.T) {
 	c := sizedCollector()
-	c.ObserveNode(1, 0, 0, 7, 0.5)
 	c.ObserveForward(0, 1, 0, 0, 700, 7, 1e-3)
 	c.Commit(0, 1, []int64{3, 3})
 	cp := c.Checkpoint()
 
 	// Diverge: traffic that a crash will force us to replay.
-	c.ObserveNode(1, 0, 0, 9, 1.5)
 	c.ObserveForward(0, 1, 0, 0, 900, 9, 2e-3)
 	c.ObserveFlowComplete(1, 0.5)
 	c.ObserveDrop(0, 1)
@@ -188,22 +162,49 @@ func TestCheckpointRestore(t *testing.T) {
 	if s.EngineCharges[0] != 3 {
 		t.Fatalf("restore left charges %v", s.EngineCharges)
 	}
-	p := c.ToProfile()
-	if p.NodePackets[1] != 7 || p.LinkPackets[0] != 7 {
-		t.Fatalf("restore left profile node=%v link=%v", p.NodePackets, p.LinkPackets)
+	if s.LinkTxBytes[0] != 700 || s.LinkTxPackets[0] != 7 {
+		t.Fatalf("restore left link 0 tx %d bytes / %d packets", s.LinkTxBytes[0], s.LinkTxPackets[0])
 	}
 	// The checkpoint must survive a second restore (rollback twice).
-	c.ObserveNode(1, 0, 0, 11, 1.5)
+	c.ObserveForward(0, 1, 0, 0, 1100, 11, 0)
 	c.Restore(cp)
-	if c.ToProfile().NodePackets[1] != 7 {
-		t.Fatal("checkpoint mutated by restore")
+	c.Finish(8)
+	if got := c.Snapshot().MatrixBytes[0][1]; got != 700 {
+		t.Fatalf("checkpoint mutated by restore: matrix[0][1] = %d", got)
+	}
+}
+
+// TestRunStateRollsBack is the coverage check on the one rollback definition:
+// every field of runState comes back from a checkpoint, and none of them shares
+// storage with it — a field added to the struct and not to clone fails here.
+// The checkpoint must also survive a restore (a second crash rolls back to it
+// again).
+func TestRunStateRollsBack(t *testing.T) {
+	build := func() *Collector {
+		c := sizedCollector()
+		c.ObserveForward(0, 1, 0, 0, 700, 7, 1e-3)
+		c.ObserveFlowComplete(1, 0.25)
+		c.ObserveDrop(0, 2)
+		c.Commit(0, 2.5, []int64{3, 5}) // crosses a bucket: the timeline has a point
+		return c
+	}
+	c, ref := build(), build()
+	cp := c.Checkpoint()
+	for round := 0; round < 2; round++ {
+		statetest.Scramble(t, &c.runState)
+		if reflect.DeepEqual(c.runState, ref.runState) {
+			t.Fatal("scrambling changed nothing")
+		}
+		c.Restore(cp)
+		if !reflect.DeepEqual(c.runState, ref.runState) {
+			t.Fatalf("round %d: restore left\n%+v\nwant\n%+v", round, c.runState, ref.runState)
+		}
 	}
 }
 
 func TestHotPathNoAllocs(t *testing.T) {
 	c := sizedCollector()
 	allocs := testing.AllocsPerRun(200, func() {
-		c.ObserveNode(1, 0, 0, 3, 0.5)
 		c.ObserveForward(0, 1, 0, 0, 300, 3, 1e-4)
 		c.ObserveFlowComplete(1, 0.1)
 		c.ObserveDrop(0, 1)
@@ -323,13 +324,11 @@ func TestExpositionReportsNaNObservations(t *testing.T) {
 func TestPartialExportInstallEquivalence(t *testing.T) {
 	observeEngine0 := func(c *Collector) {
 		c.ObserveForward(0, 1, 0, 0, 1000, 2, 0.5e-3) // engine 0's matrix row + link 0 tx
-		c.ObserveNode(0, 0, 1, 2, 0.5)
 		c.ObserveFlowComplete(0, 0.125)
 		c.ObserveDrop(0, 1)
 	}
 	observeEngine1 := func(c *Collector) {
 		c.ObserveForward(1, 0, 1, 1, 500, 1, 0.25e-3)
-		c.ObserveNode(2, 1, 0, 1, 1.5)
 		c.ObserveFlowComplete(1, 0.5)
 	}
 	charges := []int64{8, 4}
@@ -380,14 +379,47 @@ func TestPartialExportInstallEquivalence(t *testing.T) {
 	}
 }
 
+// TestInstallPartialsRejectsBadShapes: a partial is outside input when it
+// arrives over the wire, so every array it carries is measured against the run
+// before anything indexes with it — a slow array one slot too long used to
+// panic the coordinator in the elementwise sum. A refused partial returns
+// ErrBadPartial and installs nothing, its well-formed neighbours included.
 func TestInstallPartialsRejectsBadShapes(t *testing.T) {
+	good := func() *Partial {
+		w := sizedCollector()
+		w.ObserveForward(0, 1, 0, 0, 700, 7, 1e-3)
+		return w.ExportPartial([]int{0}, true)
+	}
+	cases := []struct {
+		name   string
+		mangle func(p *Partial)
+	}{
+		{"engine out of range", func(p *Partial) { p.Engines[0] = 5 }},
+		{"engine negative", func(p *Partial) { p.Engines[0] = -1 }},
+		{"short matrix row", func(p *Partial) { p.MatrixBytes = p.MatrixBytes[:1] }},
+		{"long matrix packets", func(p *Partial) { p.MatrixPackets = append(p.MatrixPackets, 0) }},
+		{"long link tx bytes", func(p *Partial) { p.LinkTxBytes = append(p.LinkTxBytes, 1) }},
+		{"long link tx packets", func(p *Partial) { p.LinkTxPackets = append(p.LinkTxPackets, 1) }},
+		{"short link tx packets", func(p *Partial) { p.LinkTxPackets = p.LinkTxPackets[:1] }},
+		{"missing histograms", func(p *Partial) { p.QueueDelay, p.FCT = nil, nil }},
+		{"extra flows-done", func(p *Partial) { p.FlowsDone = append(p.FlowsDone, 1) }},
+		{"missing drops", func(p *Partial) { p.Drops = nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := sizedCollector()
+			bad := good()
+			tc.mangle(bad)
+			err := c.InstallPartials([]*Partial{good(), bad})
+			if !errors.Is(err, ErrBadPartial) {
+				t.Fatalf("want ErrBadPartial, got %v", err)
+			}
+			if !reflect.DeepEqual(c.runState, sizedCollector().runState) {
+				t.Fatal("a refused install changed the collector")
+			}
+		})
+	}
 	c := sizedCollector()
-	if err := c.InstallPartials([]*Partial{{Engines: []int{5}, MatrixBytes: make([]int64, 2), MatrixPackets: make([]int64, 2)}}); err == nil {
-		t.Fatal("out-of-range engine must be rejected")
-	}
-	if err := c.InstallPartials([]*Partial{{Engines: []int{0}, MatrixBytes: make([]int64, 1), MatrixPackets: make([]int64, 1)}}); err == nil {
-		t.Fatal("short matrix row must be rejected")
-	}
 	if err := c.InstallPartials([]*Partial{nil}); err != nil {
 		t.Fatalf("nil partial must be skipped, got %v", err)
 	}

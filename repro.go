@@ -362,7 +362,7 @@ type (
 	DynamicResult = core.DynamicResult
 	// DynamicSegment is one interval of a dynamically remapped run.
 	DynamicSegment = core.DynamicSegment
-	// RemapPolicy selects how each interval's telemetry becomes the next
+	// RemapPolicy selects how each interval's NetFlow profile becomes the next
 	// assignment (Scenario.Remap).
 	RemapPolicy = core.RemapPolicy
 	// RemapStats reports the remapping step that produced a segment's
