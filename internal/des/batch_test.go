@@ -15,13 +15,13 @@ import (
 // send order), and insert in that one global sequence. It left production
 // when the window loop was collapsed and is kept, verbatim, as the testing
 // oracle the per-destination merge is verified against.
-func (k *Kernel) mergeOutboxesReference(scheds []*Scheduler) {
+func (k *Kernel[P]) mergeOutboxesReference(scheds []*Scheduler[P]) {
 	type tagged struct {
 		time   float64
 		dst    int
 		src    int
 		srcIdx int32
-		data   any
+		data   P
 	}
 	var all []tagged
 	for _, s := range scheds {
@@ -33,7 +33,7 @@ func (k *Kernel) mergeOutboxesReference(scheds []*Scheduler) {
 				})
 			}
 			s.batchAt[b.Dst] = nil
-			putBatch(b)
+			b.reset()
 		}
 		s.batches = s.batches[:0]
 	}
@@ -57,7 +57,7 @@ func (k *Kernel) mergeOutboxesReference(scheds []*Scheduler) {
 // the per-destination one. It hands the kernel's OnWindow hook the window's
 // record the way Run does (wall-clock Wait left zero), so a reference
 // execution can be compared with Run on everything deterministic.
-func runReference(t *testing.T, k *Kernel) *Stats {
+func runReference(t *testing.T, k *Kernel[any]) *Stats {
 	t.Helper()
 	n := k.cfg.NumLPs
 	all := make([]int, n)
@@ -111,8 +111,8 @@ func atGOMAXPROCS(procs int, f func()) {
 // other LPs at exactly the next window boundary, so each barrier merges
 // simultaneous events from multiple sources and the (time, src, srcIdx)
 // tiebreak decides every insertion. The per-LP logs capture execution order.
-func crossTrafficHandler(numLPs int, L float64, logs [][]string) Handler {
-	return func(lp int, t float64, data any, s *Scheduler) {
+func crossTrafficHandler(numLPs int, L float64, logs [][]string) Handler[any] {
+	return func(lp int, t float64, data any, s *Scheduler[any]) {
 		hop := data.(int)
 		// Only this LP's goroutine appends to its own log slot.
 		logs[lp] = append(logs[lp], fmt.Sprintf("t=%.3f hop=%d", t, hop))
@@ -136,7 +136,7 @@ func runCrossTraffic(t *testing.T, numLPs int, sequential, reference bool) ([][]
 	t.Helper()
 	const L = 0.01
 	logs := make([][]string, numLPs)
-	k, err := New(Config{
+	k, err := New(Config[any]{
 		NumLPs:     numLPs,
 		Lookahead:  L,
 		Handler:    crossTrafficHandler(numLPs, L, logs),
@@ -210,13 +210,13 @@ func TestWindowRecordBuffersAreRecycled(t *testing.T) {
 		first        obs.Window
 		firstCharges []int64 // illustrative retained reference (read only at the end)
 	)
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		s.Charge(int64(lp) + 1)
 		if hop := data.(int); hop > 0 {
 			s.Schedule((lp+1)%numLPs, s.windowEnd, hop-1)
 		}
 	}
-	k, err := New(Config{
+	k, err := New(Config[any]{
 		NumLPs:      numLPs,
 		Lookahead:   L,
 		Handler:     h,
@@ -273,7 +273,7 @@ func TestBarrierSteadyStateAllocs(t *testing.T) {
 	const L = 0.01
 	// Payloads are ints below 256, which box without allocating, so every
 	// allocation counted is the kernel's own.
-	h := func(lp int, t float64, data any, s *Scheduler) {
+	h := func(lp int, t float64, data any, s *Scheduler[any]) {
 		s.Charge(1)
 		if v := data.(int); v < 128 {
 			s.Schedule((lp+1+v%2)%numLPs, s.windowEnd, v)
@@ -282,7 +282,7 @@ func TestBarrierSteadyStateAllocs(t *testing.T) {
 	}
 	run := func(end float64) (mallocs float64, windows int64) {
 		mallocs = testing.AllocsPerRun(1, func() {
-			k, err := New(Config{NumLPs: numLPs, Lookahead: L, Handler: h, Sequential: true, EndTime: end})
+			k, err := New(Config[any]{NumLPs: numLPs, Lookahead: L, Handler: h, Sequential: true, EndTime: end})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -306,63 +306,5 @@ func TestBarrierSteadyStateAllocs(t *testing.T) {
 	}
 	if m2 != m1 {
 		t.Errorf("%d windows: %.0f mallocs; %d windows: %.0f mallocs — the added windows allocated", w1, m1, w2, m2)
-	}
-}
-
-// TestBarrierDropsPayloadReferences: a payload handed over at a barrier is
-// referenced by the destination queue alone afterwards. One barrier of 1000
-// cross-LP events, two sources into one destination so the merge scratch
-// carries them, grows the scratch and the senders' owned batches; 100
-// one-event barriers later — which bypass the scratch and touch one slot of
-// one batch — no slot of either, up to capacity, still holds a reference that
-// would keep a delivered payload alive.
-func TestBarrierDropsPayloadReferences(t *testing.T) {
-	const burst = 500 // per source
-	var scheds []*Scheduler
-	h := func(lp int, tm float64, data any, s *Scheduler) {
-		switch v := data.(int); {
-		case v < 0 && lp < 2: // the burst: LPs 0 and 1 flood LP 2
-			for i := 0; i < burst; i++ {
-				s.Schedule(2, s.windowEnd, 0)
-			}
-		case v > 0: // the chain: one cross-LP event per window
-			s.Schedule((lp+1)%3, s.windowEnd, v-1)
-		}
-	}
-	k, err := New(Config{NumLPs: 3, Lookahead: 0.01, Handler: h, Sequential: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.cfg.OnWindow = func(*obs.Window) error { scheds = k.driver.scheds; return nil }
-	for lp, v := range []int{-1, -1, 100} {
-		if err := k.Schedule(lp, 0.001, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats, err := k.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Windows < 101 || cap(k.merge.datas) < 2*burst {
-		t.Fatalf("%d windows, merge scratch capacity %d: the scenario did not run as designed", stats.Windows, cap(k.merge.datas))
-	}
-	held := func(what string, datas []any) {
-		for i, d := range datas[:cap(datas)] {
-			if d != nil {
-				t.Errorf("%s slot %d of %d still references a payload", what, i, cap(datas))
-				return
-			}
-		}
-	}
-	held("merge scratch", k.merge.datas)
-	grown := 0
-	for _, s := range scheds {
-		for dst := range s.owned {
-			held(fmt.Sprintf("LP %d's batch for LP %d", s.lp, dst), s.owned[dst].Datas)
-			grown += cap(s.owned[dst].Datas)
-		}
-	}
-	if grown < 2*burst {
-		t.Fatalf("owned batches hold %d slots, want >= %d", grown, 2*burst)
 	}
 }

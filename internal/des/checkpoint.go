@@ -10,16 +10,16 @@ import (
 // statistics. At a barrier no handler is executing and all cross-LP events
 // have been merged into destination queues, so the queues alone are the
 // complete simulation state the kernel owns.
-type Checkpoint struct {
+type Checkpoint[P any] struct {
 	// Time is the virtual time of the barrier the snapshot was taken at.
 	Time float64
 	// events[lp] holds LP lp's pending events ordered by (Time, seq).
-	events [][]Event
+	events [][]Event[P]
 	stats  Stats
 }
 
 // PendingEvents returns the total number of events captured in the snapshot.
-func (cp *Checkpoint) PendingEvents() int {
+func (cp *Checkpoint[P]) PendingEvents() int {
 	n := 0
 	for _, q := range cp.events {
 		n += len(q)
@@ -28,19 +28,19 @@ func (cp *Checkpoint) PendingEvents() int {
 }
 
 // Stats returns a copy of the run statistics at the checkpoint.
-func (cp *Checkpoint) Stats() Stats { return cp.stats.clone() }
+func (cp *Checkpoint[P]) Stats() Stats { return cp.stats.clone() }
 
 // Stats returns the kernel's cumulative statistics (live; not a copy), current
 // wherever Checkpoint is safe. Under a Stepper, VirtualEnd and Windows reflect
 // the Steps executed locally and the per-LP slices cover only local LPs.
-func (k *Kernel) Stats() *Stats { return k.stats }
+func (k *Kernel[P]) Stats() *Stats { return k.stats }
 
 // Checkpoint snapshots the kernel at virtual time at. It is only safe where
 // no handler runs: before Run, inside an OnWindow hook (at = the window's End), or
 // between an outside coordinator's Steps.
-func (k *Kernel) Checkpoint(at float64) *Checkpoint {
+func (k *Kernel[P]) Checkpoint(at float64) *Checkpoint[P] {
 	n := k.cfg.NumLPs
-	cp := &Checkpoint{Time: at, events: make([][]Event, n)}
+	cp := &Checkpoint[P]{Time: at, events: make([][]Event[P], n)}
 	for lp := 0; lp < n; lp++ {
 		evs := k.queues[lp].export(lp)
 		sort.Slice(evs, func(i, j int) bool {
@@ -67,12 +67,12 @@ func (k *Kernel) Checkpoint(at float64) *Checkpoint {
 // cuts a different set of links. Events are reinserted in a deterministic
 // order (LP, then time, then original sequence), so a restored run replays
 // identically.
-func (k *Kernel) Restore(cp *Checkpoint, lookahead float64, remap func(Event) (int, bool)) error {
+func (k *Kernel[P]) Restore(cp *Checkpoint[P], lookahead float64, remap func(Event[P]) (int, bool)) error {
 	n := k.cfg.NumLPs
 	if len(cp.events) != n {
 		return fmt.Errorf("des: checkpoint covers %d LPs, kernel has %d", len(cp.events), n)
 	}
-	k.queues = make([]eventQueue, n)
+	k.queues = make([]eventQueue[P], n)
 	k.seqs = make([]int64, n)
 	for lp := 0; lp < n; lp++ {
 		for _, ev := range cp.events[lp] {

@@ -11,11 +11,11 @@ import (
 // ---- Error paths: invalid scheduling poisons the run with an error ----
 
 func TestRunErrorsOnLookaheadViolation(t *testing.T) {
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		// Remote event inside the current window: a lookahead violation.
 		s.Schedule(1, tm+0.1, nil)
 	}
-	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: h, Sequential: true})
+	k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: h, Sequential: true})
 	k.Schedule(0, 0.2, nil)
 	if _, err := k.Run(); err == nil {
 		t.Fatal("lookahead violation did not error")
@@ -25,10 +25,10 @@ func TestRunErrorsOnLookaheadViolation(t *testing.T) {
 }
 
 func TestRunErrorsOnInvalidTargetLP(t *testing.T) {
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		s.Schedule(99, tm+5, nil)
 	}
-	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: h, Sequential: true})
+	k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: h, Sequential: true})
 	k.Schedule(0, 0.2, nil)
 	if _, err := k.Run(); err == nil {
 		t.Fatal("invalid target LP did not error")
@@ -38,10 +38,10 @@ func TestRunErrorsOnInvalidTargetLP(t *testing.T) {
 }
 
 func TestRunErrorsOnPastEvent(t *testing.T) {
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		s.Schedule(lp, tm-0.5, nil)
 	}
-	k, _ := New(Config{NumLPs: 1, Lookahead: 1, Handler: h, Sequential: true})
+	k, _ := New(Config[any]{NumLPs: 1, Lookahead: 1, Handler: h, Sequential: true})
 	k.Schedule(0, 0.7, nil)
 	if _, err := k.Run(); err == nil {
 		t.Fatal("past-scheduled event did not error")
@@ -53,11 +53,11 @@ func TestRunErrorsOnPastEvent(t *testing.T) {
 func TestFirstErrorWinsPerLP(t *testing.T) {
 	// One LP commits two violations in the same window; the run must report
 	// the first (Scheduler.fail keeps the first error).
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		s.Schedule(lp, tm-1, nil)  // first: past event
 		s.Schedule(42, tm+10, nil) // second: invalid LP
 	}
-	k, _ := New(Config{NumLPs: 1, Lookahead: 1, Handler: h, Sequential: true})
+	k, _ := New(Config[any]{NumLPs: 1, Lookahead: 1, Handler: h, Sequential: true})
 	k.Schedule(0, 0.5, nil)
 	_, err := k.Run()
 	if err == nil {
@@ -72,11 +72,11 @@ func TestErrorStopsFurtherHandling(t *testing.T) {
 	// After an LP poisons itself, its remaining events in the window are not
 	// handled.
 	var handled int
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		handled++
 		s.Schedule(lp, tm-1, nil)
 	}
-	k, _ := New(Config{NumLPs: 1, Lookahead: 10, Handler: h, Sequential: true})
+	k, _ := New(Config[any]{NumLPs: 1, Lookahead: 10, Handler: h, Sequential: true})
 	k.Schedule(0, 0.1, nil)
 	k.Schedule(0, 0.2, nil)
 	k.Schedule(0, 0.3, nil)
@@ -91,7 +91,7 @@ func TestErrorStopsFurtherHandling(t *testing.T) {
 // ---- OnWindow errors ----
 
 func TestOnWindowErrorStopsRun(t *testing.T) {
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		s.Charge(1)
 		if tm < 10 {
 			s.Schedule(lp, tm+1, nil)
@@ -99,7 +99,7 @@ func TestOnWindowErrorStopsRun(t *testing.T) {
 	}
 	stop := errors.New("stop here")
 	var barriers int
-	k, _ := New(Config{
+	k, _ := New(Config[any]{
 		NumLPs: 1, Lookahead: 1, Handler: h, Sequential: true,
 		OnWindow: func(*obs.Window) error {
 			barriers++
@@ -125,8 +125,8 @@ func TestOnWindowErrorStopsRun(t *testing.T) {
 // ---- Checkpoint / Restore ----
 
 // chain bounces an event between two LPs, charging one unit per hop.
-func chainHandler(until float64) Handler {
-	return func(lp int, tm float64, data any, s *Scheduler) {
+func chainHandler(until float64) Handler[any] {
+	return func(lp int, tm float64, data any, s *Scheduler[any]) {
 		s.Charge(1)
 		if tm >= until {
 			return
@@ -136,8 +136,8 @@ func chainHandler(until float64) Handler {
 }
 
 func TestCheckpointRestoreReplaysIdentically(t *testing.T) {
-	mk := func() *Kernel {
-		k, err := New(Config{NumLPs: 2, Lookahead: 1, Handler: chainHandler(20), Sequential: true})
+	mk := func() *Kernel[any] {
+		k, err := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: chainHandler(20), Sequential: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,9 +152,9 @@ func TestCheckpointRestoreReplaysIdentically(t *testing.T) {
 	}
 
 	// Interrupted: stop at a mid-run barrier, checkpoint, restore, resume.
-	var cp *Checkpoint
+	var cp *Checkpoint[any]
 	stop := errors.New("interrupt")
-	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: chainHandler(20), Sequential: true})
+	k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: chainHandler(20), Sequential: true})
 	k.cfg.OnWindow = func(w *obs.Window) error {
 		if w.End >= 8 && cp == nil {
 			cp = k.Checkpoint(w.End)
@@ -195,12 +195,12 @@ func TestRestoreRemapMovesEvents(t *testing.T) {
 	// Checkpoint before Run, then remap every event onto LP 0 and verify LP 1
 	// never executes.
 	events := make([]int64, 2)
-	h := func(lp int, tm float64, data any, s *Scheduler) { events[lp]++ }
-	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: h, Sequential: true})
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) { events[lp]++ }
+	k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: h, Sequential: true})
 	k.Schedule(0, 0.5, nil)
 	k.Schedule(1, 0.6, nil)
 	cp := k.Checkpoint(0)
-	if err := k.Restore(cp, 0, func(ev Event) (int, bool) { return 0, true }); err != nil {
+	if err := k.Restore(cp, 0, func(ev Event[any]) (int, bool) { return 0, true }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -213,12 +213,12 @@ func TestRestoreRemapMovesEvents(t *testing.T) {
 
 func TestRestoreRemapDropsEvents(t *testing.T) {
 	var handled int64
-	h := func(lp int, tm float64, data any, s *Scheduler) { handled++ }
-	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: h, Sequential: true})
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) { handled++ }
+	k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: h, Sequential: true})
 	k.Schedule(0, 0.5, nil)
 	k.Schedule(1, 0.6, nil)
 	cp := k.Checkpoint(0)
-	drop := func(ev Event) (int, bool) { return ev.LP, ev.LP == 0 }
+	drop := func(ev Event[any]) (int, bool) { return ev.LP, ev.LP == 0 }
 	if err := k.Restore(cp, 0, drop); err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +231,11 @@ func TestRestoreRemapDropsEvents(t *testing.T) {
 }
 
 func TestRestoreRejectsInvalidRemap(t *testing.T) {
-	h := func(lp int, tm float64, data any, s *Scheduler) {}
-	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: h})
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {}
+	k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: h})
 	k.Schedule(0, 0.5, nil)
 	cp := k.Checkpoint(0)
-	if err := k.Restore(cp, 0, func(Event) (int, bool) { return 7, true }); err == nil {
+	if err := k.Restore(cp, 0, func(Event[any]) (int, bool) { return 7, true }); err == nil {
 		t.Error("out-of-range remap accepted")
 	}
 }
@@ -244,12 +244,12 @@ func TestRestoreChangesLookahead(t *testing.T) {
 	// Restoring with a wider lookahead must widen the windows (fewer
 	// barriers for the same span).
 	mkRun := func(newL float64) int64 {
-		h := func(lp int, tm float64, data any, s *Scheduler) {
+		h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 			if tm < 10 {
 				s.Schedule(lp, tm+0.5, nil)
 			}
 		}
-		k, _ := New(Config{NumLPs: 1, Lookahead: 1, Handler: h, Sequential: true})
+		k, _ := New(Config[any]{NumLPs: 1, Lookahead: 1, Handler: h, Sequential: true})
 		k.Schedule(0, 0.25, nil)
 		cp := k.Checkpoint(0)
 		if err := k.Restore(cp, newL, nil); err != nil {
@@ -271,9 +271,9 @@ func TestRestoreChangesLookahead(t *testing.T) {
 func TestStatsContinueAcrossRestore(t *testing.T) {
 	// A run resumed from a mid-run checkpoint reports cumulative statistics,
 	// not just the tail segment's.
-	var cp *Checkpoint
+	var cp *Checkpoint[any]
 	stop := errors.New("interrupt")
-	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: chainHandler(10), Sequential: true})
+	k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: chainHandler(10), Sequential: true})
 	k.cfg.OnWindow = func(w *obs.Window) error {
 		if w.End >= 5 && cp == nil {
 			cp = k.Checkpoint(w.End)
@@ -303,7 +303,7 @@ func TestStatsContinueAcrossRestore(t *testing.T) {
 	}
 	// The full chain handles one event per virtual second up to t=10 plus the
 	// final bounce; an uninterrupted run gives the same total.
-	ref, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: chainHandler(10), Sequential: true})
+	ref, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: chainHandler(10), Sequential: true})
 	ref.Schedule(0, 0.5, nil)
 	rs, err := ref.Run()
 	if err != nil {

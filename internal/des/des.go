@@ -30,16 +30,27 @@
 // Hot-path layout. Pending events live in structure-of-arrays queues (parallel
 // time/seq/payload slices: a sorted run for what is scheduled in firing
 // order, a heap for the rest), so comparisons touch raw float64/int64 arrays
-// without chasing payload pointers. Cross-LP sends accumulate in batches each
+// without loading a payload. Cross-LP sends accumulate in batches each
 // scheduler owns, one per destination — the in-process mirror of the dist
 // protocol's per-window framing — and are re-sequenced at the barrier with a
 // reused merge scratch, so the steady-state barrier allocates nothing. See
 // DESIGN.md §14 for the layout and the determinism argument.
+//
+// The payload type P. The kernel is generic over what an event carries, and
+// stores payloads by value in those queues, batches, scratch and checkpoints
+// ([]P). It never clears a slot it has consumed: a popped queue entry, a
+// drained batch and a used scratch row keep their last payload until the slot
+// is overwritten. P should therefore be a small pointer-free value (the
+// emulator's is 12 bytes) — the arrays are then never scanned by the collector
+// and there is nothing to clear. A P that holds pointers (Kernel[any] in this
+// package's own tests) still runs correctly; a stale reference only delays a
+// collection.
 package des
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -47,13 +58,13 @@ import (
 )
 
 // Event is a timestamped message destined for an LP.
-type Event struct {
+type Event[P any] struct {
 	// Time is the virtual time at which the event fires (seconds).
 	Time float64
 	// LP is the destination logical process.
 	LP int
-	// Data is the opaque payload interpreted by the Handler.
-	Data any
+	// Data is the payload interpreted by the Handler.
+	Data P
 
 	// seq orders simultaneous events deterministically. Locally scheduled
 	// events get the destination LP's next sequence number; events arriving
@@ -65,10 +76,10 @@ type Event struct {
 // schedule further events — local or remote — through the Scheduler, and
 // should call Scheduler.Charge to account the kernel-event load the event
 // represents (the emulator charges one kernel event per packet, §4.1.1).
-type Handler func(lp int, t float64, data any, s *Scheduler)
+type Handler[P any] func(lp int, t float64, data P, s *Scheduler[P])
 
 // Config configures a Kernel.
-type Config struct {
+type Config[P any] struct {
 	// NumLPs is the number of logical processes (simulation-engine nodes).
 	NumLPs int
 	// Lookahead is the synchronization window width L in virtual seconds.
@@ -76,7 +87,7 @@ type Config struct {
 	// the future.
 	Lookahead float64
 	// Handler processes events. Required.
-	Handler Handler
+	Handler Handler[P]
 	// OnWindow, if non-nil, is the one per-window hook: Run calls it after each
 	// window's barrier — handler errors checked, outboxes merged — on the
 	// coordinating goroutine, with the window's record: index, bounds and the
@@ -140,7 +151,7 @@ func (s *Stats) TotalCharges() int64 {
 // filled in — so each scheduler owns one per destination for the run, and the
 // backing arrays are reused window after window: the steady-state send path
 // allocates nothing.
-type batch struct {
+type batch[P any] struct {
 	// Dst is the destination LP, Src the sending LP.
 	Dst, Src int
 	// Times[i] is the i-th event's firing time; SrcIdx[i] its send order
@@ -148,13 +159,11 @@ type batch struct {
 	// its payload.
 	Times  []float64
 	SrcIdx []int32
-	Datas  []any
+	Datas  []P
 }
 
-// putBatch empties a consumed batch for its scheduler's next window, dropping
-// the payload references (the queues own them now).
-func putBatch(b *batch) {
-	clear(b.Datas)
+// reset empties a consumed batch for its scheduler's next window.
+func (b *batch[P]) reset() {
 	b.Times = b.Times[:0]
 	b.SrcIdx = b.SrcIdx[:0]
 	b.Datas = b.Datas[:0]
@@ -167,8 +176,8 @@ const lookaheadSlack = 1e-12
 
 // Scheduler is the per-LP interface handlers use to schedule events and
 // account load. It is only valid inside a Handler invocation.
-type Scheduler struct {
-	k         *Kernel
+type Scheduler[P any] struct {
+	k         *Kernel[P]
 	lp        int
 	now       float64
 	windowEnd float64
@@ -183,27 +192,27 @@ type Scheduler struct {
 	// the ones this window sent into, in first-touch order; batchAt indexes
 	// those by destination (nil: untouched this window). Both are drained at
 	// the barrier.
-	owned   []batch
-	batches []*batch
-	batchAt []*batch
+	owned   []batch[P]
+	batches []*batch[P]
+	batchAt []*batch[P]
 	err     error
 }
 
 // Now returns the virtual time of the event being handled.
-func (s *Scheduler) Now() float64 { return s.now }
+func (s *Scheduler[P]) Now() float64 { return s.now }
 
 // LP returns the logical process the current event executes on.
-func (s *Scheduler) LP() int { return s.lp }
+func (s *Scheduler[P]) LP() int { return s.lp }
 
 // Charge accounts n kernel events (packets) to the current LP in the current
 // window.
-func (s *Scheduler) Charge(n int64) { s.charges += n }
+func (s *Scheduler[P]) Charge(n int64) { s.charges += n }
 
 // Schedule enqueues an event for LP lp at virtual time t. Local events
 // (lp == current) may be scheduled at any t >= Now(). Remote events must obey
 // the lookahead: t >= current window end. Violations poison the run with an
 // error rather than corrupting causality.
-func (s *Scheduler) Schedule(lp int, t float64, data any) {
+func (s *Scheduler[P]) Schedule(lp int, t float64, data P) {
 	if !(t >= s.now) { // NaN included: it would break the queue's order
 		s.fail(fmt.Errorf("des: LP %d scheduled event in the past: t=%g < now=%g", s.lp, t, s.now))
 		return
@@ -232,7 +241,7 @@ func (s *Scheduler) Schedule(lp int, t float64, data any) {
 	s.remote++
 }
 
-func (s *Scheduler) fail(err error) {
+func (s *Scheduler[P]) fail(err error) {
 	if s.err == nil {
 		s.err = err
 	}
@@ -242,15 +251,15 @@ func (s *Scheduler) fail(err error) {
 // processing further events on this LP and the kernel surfaces the error at
 // the barrier. Handlers use it for unrecoverable payload or protocol errors —
 // the same mechanism lookahead violations use — instead of panicking.
-func (s *Scheduler) Fail(err error) { s.fail(err) }
+func (s *Scheduler[P]) Fail(err error) { s.fail(err) }
 
 // Kernel is the parallel event engine. Create with New, seed initial events
 // with Schedule, then call Run — or claim LPs with Stepper and drive the
 // windows from outside. Restore reinstalls a checkpoint at any barrier, inside
 // a running loop or between runs.
-type Kernel struct {
-	cfg    Config
-	queues []eventQueue
+type Kernel[P any] struct {
+	cfg    Config[P]
+	queues []eventQueue[P]
 	seqs   []int64
 
 	// stats is the cumulative run statistics, live: the window loop folds
@@ -261,19 +270,19 @@ type Kernel struct {
 	grid Grid
 	// driver is the Stepper holding the kernel's LPs (Run's own, or an outside
 	// coordinator's), nil when none does.
-	driver *Stepper
+	driver *Stepper[P]
 
 	// Barrier merge scratch, reused across windows: batches bucketed by
 	// destination, the list of destinations with traffic, and the
 	// structure-of-arrays sort area, empty between destinations. Zero
 	// steady-state allocations.
-	perDst  [][]*batch
+	perDst  [][]*batch[P]
 	dstList []int
-	merge   mergeScratch
+	merge   mergeScratch[P]
 }
 
 // New validates cfg and returns a kernel ready for initial event injection.
-func New(cfg Config) (*Kernel, error) {
+func New[P any](cfg Config[P]) (*Kernel[P], error) {
 	if cfg.NumLPs < 1 {
 		return nil, fmt.Errorf("des: NumLPs = %d, must be >= 1", cfg.NumLPs)
 	}
@@ -283,9 +292,9 @@ func New(cfg Config) (*Kernel, error) {
 	if cfg.Handler == nil {
 		return nil, fmt.Errorf("des: Handler is required")
 	}
-	return &Kernel{
+	return &Kernel[P]{
 		cfg:    cfg,
-		queues: make([]eventQueue, cfg.NumLPs),
+		queues: make([]eventQueue[P], cfg.NumLPs),
 		seqs:   make([]int64, cfg.NumLPs),
 		stats:  newStats(cfg.NumLPs),
 		grid:   Grid{Lookahead: cfg.Lookahead, EndTime: cfg.EndTime},
@@ -311,7 +320,7 @@ func (s *Stats) clone() Stats {
 
 // Schedule inserts an initial event before Run (not safe during Run; use the
 // Scheduler inside handlers there).
-func (k *Kernel) Schedule(lp int, t float64, data any) error {
+func (k *Kernel[P]) Schedule(lp int, t float64, data P) error {
 	if lp < 0 || lp >= k.cfg.NumLPs {
 		return fmt.Errorf("des: initial event for invalid LP %d", lp)
 	}
@@ -322,7 +331,22 @@ func (k *Kernel) Schedule(lp int, t float64, data any) error {
 	return nil
 }
 
-func (k *Kernel) pushLocal(lp int, t float64, data any) {
+// Reserve makes room for n more events on LP lp that are about to be
+// scheduled in firing order (ascending time): the queue tier that takes them
+// is sized once instead of growing under the Schedule calls. It is a capacity
+// hint only — scheduling more, fewer or out of order stays correct, and a hint
+// for an LP the kernel does not have is ignored (Schedule is what refuses it).
+func (k *Kernel[P]) Reserve(lp, n int) {
+	if lp < 0 || lp >= k.cfg.NumLPs || n <= 0 {
+		return
+	}
+	q := &k.queues[lp]
+	q.runTimes = slices.Grow(q.runTimes, n)
+	q.runSeqs = slices.Grow(q.runSeqs, n)
+	q.runDatas = slices.Grow(q.runDatas, n)
+}
+
+func (k *Kernel[P]) pushLocal(lp int, t float64, data P) {
 	seq := k.seqs[lp]
 	k.seqs[lp]++
 	k.queues[lp].push(t, seq, data)
@@ -334,7 +358,7 @@ func (k *Kernel) pushLocal(lp int, t float64, data any) {
 // statistics and lookahead under the loop, which continues on the fresh grid;
 // a hook error stops it, and a later Run picks up where this one stopped
 // (after a Restore, from the restored checkpoint).
-func (k *Kernel) Run() (*Stats, error) {
+func (k *Kernel[P]) Run() (*Stats, error) {
 	n := k.cfg.NumLPs
 	all := make([]int, n)
 	for lp := range all {
@@ -401,18 +425,19 @@ func (k *Kernel) Run() (*Stats, error) {
 // touches the LP's queue, scheduler and statistics slots during the window;
 // remote events go to the scheduler's private per-destination batches, and
 // the window's counters stay on the scheduler until the barrier folds them.
-func (k *Kernel) runWindow(lp int, s *Scheduler, windowEnd float64, timed bool) {
+func (k *Kernel[P]) runWindow(lp int, s *Scheduler[P], windowEnd float64, timed bool) {
 	var begin time.Time
 	if timed {
 		begin = time.Now()
 	}
 	s.windowEnd = windowEnd
 	q := &k.queues[lp]
+	limit := windowEnd
+	if k.cfg.EndTime > 0 {
+		limit = min(limit, k.cfg.EndTime)
+	}
 	events := int64(0)
-	for next := q.head(); next < windowEnd; next = q.head() {
-		if k.cfg.EndTime > 0 && next >= k.cfg.EndTime {
-			break
-		}
+	for q.head() < limit {
 		t, data := q.pop()
 		s.now = t
 		events++
@@ -442,9 +467,9 @@ func (k *Kernel) runWindow(lp int, s *Scheduler, windowEnd float64, timed bool) 
 // assignment — and therefore every queue — is byte-identical to the global
 // merge (which lives on in batch_test.go as the oracle tests verify this
 // against).
-func (k *Kernel) mergeOutboxes(scheds []*Scheduler) {
+func (k *Kernel[P]) mergeOutboxes(scheds []*Scheduler[P]) {
 	if k.perDst == nil {
-		k.perDst = make([][]*batch, k.cfg.NumLPs)
+		k.perDst = make([][]*batch[P], k.cfg.NumLPs)
 	}
 	// Bucket batches by destination. Iterating sources in ascending LP order
 	// keeps each bucket's batches pre-sorted by the source tiebreak.
@@ -479,7 +504,7 @@ func (k *Kernel) mergeOutboxes(scheds []*Scheduler) {
 			m.reset()
 		}
 		for _, b := range bs {
-			putBatch(b)
+			b.reset()
 		}
 		k.perDst[dst] = bs[:0]
 	}
@@ -488,16 +513,16 @@ func (k *Kernel) mergeOutboxes(scheds []*Scheduler) {
 
 // mergeScratch is the reusable structure-of-arrays sort area for one
 // destination's barrier merge, ordered by (time, source LP, send order).
-type mergeScratch struct {
+type mergeScratch[P any] struct {
 	times []float64
 	srcs  []int32
 	idxs  []int32
-	datas []any
+	datas []P
 }
 
-func (m *mergeScratch) Len() int { return len(m.times) }
+func (m *mergeScratch[P]) Len() int { return len(m.times) }
 
-func (m *mergeScratch) Less(i, j int) bool {
+func (m *mergeScratch[P]) Less(i, j int) bool {
 	if m.times[i] != m.times[j] {
 		return m.times[i] < m.times[j]
 	}
@@ -507,24 +532,22 @@ func (m *mergeScratch) Less(i, j int) bool {
 	return m.idxs[i] < m.idxs[j]
 }
 
-func (m *mergeScratch) Swap(i, j int) {
+func (m *mergeScratch[P]) Swap(i, j int) {
 	m.times[i], m.times[j] = m.times[j], m.times[i]
 	m.srcs[i], m.srcs[j] = m.srcs[j], m.srcs[i]
 	m.idxs[i], m.idxs[j] = m.idxs[j], m.idxs[i]
 	m.datas[i], m.datas[j] = m.datas[j], m.datas[i]
 }
 
-// reset empties the scratch after a destination's merge, dropping the payload
-// references it just used (the destination queue owns them now).
-func (m *mergeScratch) reset() {
-	clear(m.datas)
+// reset empties the scratch after a destination's merge.
+func (m *mergeScratch[P]) reset() {
 	m.times = m.times[:0]
 	m.srcs = m.srcs[:0]
 	m.idxs = m.idxs[:0]
 	m.datas = m.datas[:0]
 }
 
-func (m *mergeScratch) appendBatch(b *batch) {
+func (m *mergeScratch[P]) appendBatch(b *batch[P]) {
 	src := int32(b.Src)
 	for i := range b.Times {
 		m.times = append(m.times, b.Times[i])
@@ -537,7 +560,7 @@ func (m *mergeScratch) appendBatch(b *batch) {
 // sorted reports whether the scratch is already in merge order — the common
 // case when one source feeds the destination with non-decreasing timestamps,
 // letting the barrier skip the sort entirely.
-func (m *mergeScratch) sorted() bool {
+func (m *mergeScratch[P]) sorted() bool {
 	for i := 1; i < len(m.times); i++ {
 		if m.Less(i, i-1) {
 			return false
@@ -557,21 +580,21 @@ func (m *mergeScratch) sorted() bool {
 //
 // Both tiers are structure-of-arrays — parallel time/seq/payload slices, not
 // a slice of Event structs — so comparisons touch only the flat
-// float64/int64 arrays and no payload pointer is loaded until pop returns
-// one. The heap sifts by moving a hole: the travelling entry stays in locals
-// while parents or children shift into the hole, and is stored once.
-// Hand-rolled rather than container/heap, whose any-typed interface would
-// box every event on push and pop.
-type eventQueue struct {
+// float64/int64 arrays and no payload is loaded until pop returns one. The
+// heap sifts by moving a hole: the travelling entry stays in locals while
+// parents or children shift into the hole, and is stored once. Hand-rolled
+// rather than container/heap, whose any-typed interface would box every event
+// on push and pop. Popped slots are not cleared (see the package comment on P).
+type eventQueue[P any] struct {
 	times []float64
 	seqs  []int64
-	datas []any
+	datas []P
 	// The sorted run: entries [runHead:] are pending, ascending by (time,
 	// seq); the ones before are popped and compacted away once they outnumber
 	// the pending ones.
 	runTimes []float64
 	runSeqs  []int64
-	runDatas []any
+	runDatas []P
 	runHead  int
 	// Pad each queue header out to three whole cache lines: the kernel stores
 	// one eventQueue per LP in a flat slice, and push/pop rewrite the slice
@@ -580,11 +603,11 @@ type eventQueue struct {
 	_ [40]byte
 }
 
-func (q *eventQueue) Len() int { return len(q.times) + len(q.runTimes) - q.runHead }
+func (q *eventQueue[P]) Len() int { return len(q.times) + len(q.runTimes) - q.runHead }
 
 // runFirst reports whether the earliest pending event is the run's front
 // rather than the heap's root. The queue must not be empty.
-func (q *eventQueue) runFirst() bool {
+func (q *eventQueue[P]) runFirst() bool {
 	i := q.runHead
 	if i == len(q.runTimes) {
 		return false
@@ -597,7 +620,7 @@ func (q *eventQueue) runFirst() bool {
 }
 
 // head returns the earliest pending event's time, +Inf when there is none.
-func (q *eventQueue) head() float64 {
+func (q *eventQueue[P]) head() float64 {
 	t := math.Inf(1)
 	if len(q.times) > 0 {
 		t = q.times[0]
@@ -608,7 +631,7 @@ func (q *eventQueue) head() float64 {
 	return t
 }
 
-func (q *eventQueue) push(t float64, seq int64, data any) {
+func (q *eventQueue[P]) push(t float64, seq int64, data P) {
 	if n := len(q.runTimes); n == q.runHead || t > q.runTimes[n-1] || t == q.runTimes[n-1] && seq > q.runSeqs[n-1] {
 		q.runTimes = append(q.runTimes, t)
 		q.runSeqs = append(q.runSeqs, seq)
@@ -632,11 +655,10 @@ func (q *eventQueue) push(t float64, seq int64, data any) {
 	times[i], seqs[i], datas[i] = t, seq, data
 }
 
-func (q *eventQueue) pop() (float64, any) {
+func (q *eventQueue[P]) pop() (float64, P) {
 	if q.runFirst() {
 		i := q.runHead
 		t, data := q.runTimes[i], q.runDatas[i]
-		q.runDatas[i] = nil // release the payload reference
 		i++
 		if live := len(q.runTimes) - i; live < i {
 			// More popped entries than pending ones: move the pending ones
@@ -644,7 +666,6 @@ func (q *eventQueue) pop() (float64, any) {
 			copy(q.runTimes, q.runTimes[i:])
 			copy(q.runSeqs, q.runSeqs[i:])
 			copy(q.runDatas, q.runDatas[i:])
-			clear(q.runDatas[i:]) // the moved entries' old slots
 			q.runTimes, q.runSeqs, q.runDatas = q.runTimes[:live], q.runSeqs[:live], q.runDatas[:live]
 			i = 0
 		}
@@ -655,7 +676,6 @@ func (q *eventQueue) pop() (float64, any) {
 	t0, data0 := times[0], datas[0]
 	last := len(times) - 1
 	t, seq, data := times[last], seqs[last], datas[last]
-	datas[last] = nil // release the payload reference
 	q.times, q.seqs, q.datas = times[:last], seqs[:last], datas[:last]
 	if last == 0 { // it was the only entry: nothing to put back
 		return t0, data0
@@ -682,13 +702,13 @@ func (q *eventQueue) pop() (float64, any) {
 
 // export copies the queue's contents out as Events for LP lp (heap then run,
 // not time order — checkpointing sorts afterwards).
-func (q *eventQueue) export(lp int) []Event {
-	evs := make([]Event, 0, q.Len())
+func (q *eventQueue[P]) export(lp int) []Event[P] {
+	evs := make([]Event[P], 0, q.Len())
 	for i := range q.times {
-		evs = append(evs, Event{Time: q.times[i], LP: lp, Data: q.datas[i], seq: q.seqs[i]})
+		evs = append(evs, Event[P]{Time: q.times[i], LP: lp, Data: q.datas[i], seq: q.seqs[i]})
 	}
 	for i := q.runHead; i < len(q.runTimes); i++ {
-		evs = append(evs, Event{Time: q.runTimes[i], LP: lp, Data: q.runDatas[i], seq: q.runSeqs[i]})
+		evs = append(evs, Event[P]{Time: q.runTimes[i], LP: lp, Data: q.runDatas[i], seq: q.runSeqs[i]})
 	}
 	return evs
 }

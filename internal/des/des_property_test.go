@@ -14,8 +14,8 @@ import (
 // dispatch, any driver, any LP ownership — faces an identical workload. Remote
 // follow-ups fire at least lookahead ahead. log, if non-nil, is called for
 // every handler invocation (on the invoked LP's goroutine).
-func cascadeHandler(numLPs int, lookahead float64, log func(lp int, tm float64, n int64)) Handler {
-	return func(lp int, tm float64, data any, s *Scheduler) {
+func cascadeHandler(numLPs int, lookahead float64, log func(lp int, tm float64, n int64)) Handler[any] {
+	return func(lp int, tm float64, data any, s *Scheduler[any]) {
 		n := data.(int64)
 		if log != nil {
 			log(lp, tm, n)
@@ -45,11 +45,11 @@ func cascadeHandler(numLPs int, lookahead float64, log func(lp int, tm float64, 
 
 // cascadeSeeds returns the seed events of a cascade: 2·numLPs events at
 // random LPs and times in the first hundredth of a second.
-func cascadeSeeds(numLPs int, seed int64) []Event {
+func cascadeSeeds(numLPs int, seed int64) []Event[any] {
 	rng := rand.New(rand.NewSource(seed))
-	evs := make([]Event, 2*numLPs)
+	evs := make([]Event[any], 2*numLPs)
 	for i := range evs {
-		evs[i] = Event{LP: rng.Intn(numLPs), Time: rng.Float64() * 0.01, Data: int64(8 + rng.Intn(8))}
+		evs[i] = Event[any]{LP: rng.Intn(numLPs), Time: rng.Float64() * 0.01, Data: int64(8 + rng.Intn(8))}
 	}
 	return evs
 }
@@ -57,7 +57,7 @@ func cascadeSeeds(numLPs int, seed int64) []Event {
 // randomCascade runs one seeded cascade through Run.
 func randomCascade(t *testing.T, numLPs int, lookahead float64, seed int64, sequential bool) *Stats {
 	t.Helper()
-	k, err := New(Config{NumLPs: numLPs, Lookahead: lookahead, Handler: cascadeHandler(numLPs, lookahead, nil), Sequential: sequential})
+	k, err := New(Config[any]{NumLPs: numLPs, Lookahead: lookahead, Handler: cascadeHandler(numLPs, lookahead, nil), Sequential: sequential})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestPropertyConservation(t *testing.T) {
 	var spawned, executed int64
 	numLPs := 4
 	L := 0.001
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		executed++
 		n := data.(int)
 		if n > 0 {
@@ -111,7 +111,7 @@ func TestPropertyConservation(t *testing.T) {
 			s.Schedule((lp+1)%numLPs, tm+L, n-1)
 		}
 	}
-	k, _ := New(Config{NumLPs: numLPs, Lookahead: L, Handler: h, Sequential: true})
+	k, _ := New(Config[any]{NumLPs: numLPs, Lookahead: L, Handler: h, Sequential: true})
 	const initial = 10
 	for i := 0; i < initial; i++ {
 		k.Schedule(i%numLPs, float64(i)*0.0001, 20)
@@ -136,7 +136,7 @@ func TestPropertyWindowMonotonicity(t *testing.T) {
 		lastEnd = w.End
 		return nil
 	}
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		n := data.(int)
 		if n > 0 {
 			// Mix of near and far future events to force window skips.
@@ -147,7 +147,7 @@ func TestPropertyWindowMonotonicity(t *testing.T) {
 			s.Schedule((lp+1)%3, tm+gap, n-1)
 		}
 	}
-	k, _ := New(Config{NumLPs: 3, Lookahead: 0.0007, Handler: h, OnWindow: hook})
+	k, _ := New(Config[any]{NumLPs: 3, Lookahead: 0.0007, Handler: h, OnWindow: hook})
 	k.Schedule(0, 0, 200)
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)

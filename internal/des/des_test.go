@@ -10,23 +10,23 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	h := func(int, float64, any, *Scheduler) {}
-	if _, err := New(Config{NumLPs: 0, Lookahead: 1, Handler: h}); err == nil {
+	h := func(int, float64, any, *Scheduler[any]) {}
+	if _, err := New(Config[any]{NumLPs: 0, Lookahead: 1, Handler: h}); err == nil {
 		t.Error("NumLPs=0 accepted")
 	}
-	if _, err := New(Config{NumLPs: 1, Lookahead: 0, Handler: h}); err == nil {
+	if _, err := New(Config[any]{NumLPs: 1, Lookahead: 0, Handler: h}); err == nil {
 		t.Error("Lookahead=0 accepted")
 	}
-	if _, err := New(Config{NumLPs: 1, Lookahead: 1}); err == nil {
+	if _, err := New(Config[any]{NumLPs: 1, Lookahead: 1}); err == nil {
 		t.Error("nil handler accepted")
 	}
-	if _, err := New(Config{NumLPs: 1, Lookahead: 1, Handler: h}); err != nil {
+	if _, err := New(Config[any]{NumLPs: 1, Lookahead: 1, Handler: h}); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }
 
 func TestScheduleValidation(t *testing.T) {
-	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: func(int, float64, any, *Scheduler) {}})
+	k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: func(int, float64, any, *Scheduler[any]) {}})
 	if err := k.Schedule(5, 0, nil); err == nil {
 		t.Error("invalid LP accepted")
 	}
@@ -47,7 +47,7 @@ func TestNaNTimeRejected(t *testing.T) {
 		name string
 		dst  int // of the NaN event LP 0's handler schedules; -1: initial event
 	}{{"initial", -1}, {"local", 0}, {"remote", 1}} {
-		k, _ := New(Config{NumLPs: 2, Lookahead: 1, Sequential: true, Handler: func(lp int, tm float64, data any, s *Scheduler) {
+		k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Sequential: true, Handler: func(lp int, tm float64, data any, s *Scheduler[any]) {
 			if data != nil {
 				s.Schedule(data.(int), math.NaN(), nil)
 			}
@@ -72,14 +72,14 @@ func TestNaNTimeRejected(t *testing.T) {
 // including events scheduled mid-window.
 func TestEventOrdering(t *testing.T) {
 	var times []float64
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		times = append(times, tm)
 		if data == "spawn" {
 			// Schedule a local event inside the current window.
 			s.Schedule(lp, tm+0.1, "child")
 		}
 	}
-	k, _ := New(Config{NumLPs: 1, Lookahead: 10, Handler: h, Sequential: true})
+	k, _ := New(Config[any]{NumLPs: 1, Lookahead: 10, Handler: h, Sequential: true})
 	k.Schedule(0, 3.0, nil)
 	k.Schedule(0, 1.0, "spawn")
 	k.Schedule(0, 2.0, nil)
@@ -104,7 +104,7 @@ func TestCausality(t *testing.T) {
 	const L = 0.010
 	lastTime := make([]float64, numLPs)
 	var violations int64
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		if tm < lastTime[lp]-1e-12 {
 			atomic.AddInt64(&violations, 1)
 		}
@@ -118,7 +118,7 @@ func TestCausality(t *testing.T) {
 			s.Schedule(lp, tm+L/7, -1)
 		}
 	}
-	k, _ := New(Config{NumLPs: numLPs, Lookahead: L, Handler: h})
+	k, _ := New(Config[any]{NumLPs: numLPs, Lookahead: L, Handler: h})
 	for lp := 0; lp < numLPs; lp++ {
 		k.Schedule(lp, 0.001*float64(lp+1), 0)
 	}
@@ -137,12 +137,12 @@ func TestCausality(t *testing.T) {
 // TestLookaheadViolationDetected: a remote event inside the current window
 // must poison the run.
 func TestLookaheadViolationDetected(t *testing.T) {
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		if lp == 0 {
 			s.Schedule(1, tm+1e-9, nil) // far below lookahead 1.0
 		}
 	}
-	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: h})
+	k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: h})
 	k.Schedule(0, 0, nil)
 	if _, err := k.Run(); err == nil {
 		t.Fatal("lookahead violation not detected")
@@ -150,10 +150,10 @@ func TestLookaheadViolationDetected(t *testing.T) {
 }
 
 func TestPastEventDetected(t *testing.T) {
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		s.Schedule(lp, tm-1, nil)
 	}
-	k, _ := New(Config{NumLPs: 1, Lookahead: 1, Handler: h})
+	k, _ := New(Config[any]{NumLPs: 1, Lookahead: 1, Handler: h})
 	k.Schedule(0, 5, nil)
 	if _, err := k.Run(); err == nil {
 		t.Fatal("past event not detected")
@@ -161,10 +161,10 @@ func TestPastEventDetected(t *testing.T) {
 }
 
 func TestInvalidRemoteLPDetected(t *testing.T) {
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		s.Schedule(99, tm+10, nil)
 	}
-	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: h})
+	k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: h})
 	k.Schedule(0, 0, nil)
 	if _, err := k.Run(); err == nil {
 		t.Fatal("invalid remote LP not detected")
@@ -176,7 +176,7 @@ func TestInvalidRemoteLPDetected(t *testing.T) {
 func TestDeterminismParallelVsSequential(t *testing.T) {
 	build := func(sequential bool) *Stats {
 		// A small deterministic multi-LP cascade.
-		h := func(lp int, tm float64, data any, s *Scheduler) {
+		h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 			n := data.(int)
 			s.Charge(int64(n%7) + 1)
 			if n < 500 {
@@ -188,7 +188,7 @@ func TestDeterminismParallelVsSequential(t *testing.T) {
 				}
 			}
 		}
-		k, _ := New(Config{NumLPs: 5, Lookahead: 0.002, Handler: h, Sequential: sequential})
+		k, _ := New(Config[any]{NumLPs: 5, Lookahead: 0.002, Handler: h, Sequential: sequential})
 		for lp := 0; lp < 5; lp++ {
 			k.Schedule(lp, 0.0001*float64(lp), lp)
 		}
@@ -218,8 +218,8 @@ func TestDeterminismParallelVsSequential(t *testing.T) {
 
 // TestWindowSkip: long idle gaps must be jumped, not iterated.
 func TestWindowSkip(t *testing.T) {
-	h := func(lp int, tm float64, data any, s *Scheduler) { s.Charge(1) }
-	k, _ := New(Config{NumLPs: 1, Lookahead: 0.001, Handler: h})
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) { s.Charge(1) }
+	k, _ := New(Config[any]{NumLPs: 1, Lookahead: 0.001, Handler: h})
 	k.Schedule(0, 0, nil)
 	k.Schedule(0, 100.0, nil) // 100k windows away
 	stats, err := k.Run()
@@ -236,11 +236,11 @@ func TestWindowSkip(t *testing.T) {
 
 func TestEndTime(t *testing.T) {
 	var count int64
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		count++
 		s.Schedule(lp, tm+1, nil)
 	}
-	k, _ := New(Config{NumLPs: 1, Lookahead: 0.5, Handler: h, EndTime: 10})
+	k, _ := New(Config[any]{NumLPs: 1, Lookahead: 0.5, Handler: h, EndTime: 10})
 	k.Schedule(0, 0, nil)
 	stats, err := k.Run()
 	if err != nil {
@@ -275,14 +275,14 @@ func TestOnWindow(t *testing.T) {
 		}
 		return nil
 	}
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		n := data.(int)
 		s.Charge(3)
 		if n < 50 {
 			s.Schedule(1-lp, tm+0.01, n+1)
 		}
 	}
-	k, _ := New(Config{NumLPs: 2, Lookahead: 0.01, Handler: h, OnWindow: hook})
+	k, _ := New(Config[any]{NumLPs: 2, Lookahead: 0.01, Handler: h, OnWindow: hook})
 	k.Schedule(0, 0, 0)
 	stats, err := k.Run()
 	if err != nil {
@@ -307,10 +307,10 @@ func TestOnWindow(t *testing.T) {
 // insertion order per LP.
 func TestSimultaneousEventsDeterministic(t *testing.T) {
 	var order []int
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		order = append(order, data.(int))
 	}
-	k, _ := New(Config{NumLPs: 1, Lookahead: 1, Handler: h, Sequential: true})
+	k, _ := New(Config[any]{NumLPs: 1, Lookahead: 1, Handler: h, Sequential: true})
 	for i := 0; i < 10; i++ {
 		k.Schedule(0, 1.0, i)
 	}
@@ -325,7 +325,7 @@ func TestSimultaneousEventsDeterministic(t *testing.T) {
 }
 
 func TestEmptyRun(t *testing.T) {
-	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: func(int, float64, any, *Scheduler) {}})
+	k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: func(int, float64, any, *Scheduler[any]) {}})
 	stats, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -338,14 +338,14 @@ func TestEmptyRun(t *testing.T) {
 // TestManyLPsParallelSmoke exercises the barrier with more LPs than cores.
 func TestManyLPsParallelSmoke(t *testing.T) {
 	const numLPs = 20
-	h := func(lp int, tm float64, data any, s *Scheduler) {
+	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		n := data.(int)
 		s.Charge(1)
 		if n < 100 {
 			s.Schedule((lp+7)%numLPs, tm+0.005, n+1)
 		}
 	}
-	k, _ := New(Config{NumLPs: numLPs, Lookahead: 0.005, Handler: h})
+	k, _ := New(Config[any]{NumLPs: numLPs, Lookahead: 0.005, Handler: h})
 	for lp := 0; lp < numLPs; lp++ {
 		k.Schedule(lp, 0, 0)
 	}

@@ -15,11 +15,11 @@ import "fmt"
 // LP-major in each LP's captured (Time, seq) order — precisely the order
 // Restore would push them. Dst is the owning LP at capture; Src/SrcIdx are
 // zeroed (a checkpointed event's merge key has already been consumed).
-func (cp *Checkpoint) Export() []Sent {
-	out := make([]Sent, 0, cp.PendingEvents())
+func (cp *Checkpoint[P]) Export() []Sent[P] {
+	out := make([]Sent[P], 0, cp.PendingEvents())
 	for lp, evs := range cp.events {
 		for _, ev := range evs {
-			out = append(out, Sent{Time: ev.Time, Dst: lp, Data: ev.Data})
+			out = append(out, Sent[P]{Time: ev.Time, Dst: lp, Data: ev.Data})
 		}
 	}
 	return out
@@ -31,13 +31,13 @@ func (cp *Checkpoint) Export() []Sent {
 // a coordinator that walks an exported checkpoint in capture order and
 // filters per new owner reproduces, per LP, the exact sequence numbering an
 // in-process Restore of the original checkpoint would produce.
-func BuildCheckpoint(at float64, numLPs int, stats Stats, events []Sent) (*Checkpoint, error) {
-	cp := &Checkpoint{Time: at, events: make([][]Event, numLPs)}
+func BuildCheckpoint[P any](at float64, numLPs int, stats Stats, events []Sent[P]) (*Checkpoint[P], error) {
+	cp := &Checkpoint[P]{Time: at, events: make([][]Event[P], numLPs)}
 	for _, sv := range events {
 		if sv.Dst < 0 || sv.Dst >= numLPs {
 			return nil, fmt.Errorf("des: checkpoint event at t=%g for invalid LP %d of %d", sv.Time, sv.Dst, numLPs)
 		}
-		cp.events[sv.Dst] = append(cp.events[sv.Dst], Event{Time: sv.Time, LP: sv.Dst, Data: sv.Data})
+		cp.events[sv.Dst] = append(cp.events[sv.Dst], Event[P]{Time: sv.Time, LP: sv.Dst, Data: sv.Data})
 	}
 	cp.stats = stats.clone()
 	if len(cp.stats.Events) != numLPs || len(cp.stats.Charges) != numLPs || len(cp.stats.RemoteSends) != numLPs {

@@ -62,12 +62,12 @@ func (c regridCase) newOwner(data any) int {
 	return int(uint64(data.(int64)*31+7) % uint64(c.numLPs))
 }
 
-func (c regridCase) remap(ev Event) (int, bool) { return c.newOwner(ev.Data), true }
+func (c regridCase) remap(ev Event[any]) (int, bool) { return c.newOwner(ev.Data), true }
 
 // kernel builds the case's kernel, seeding only the LPs local marks (nil: all).
-func (c regridCase) kernel(t *testing.T, x *execution, local []bool, sequential bool) *Kernel {
+func (c regridCase) kernel(t *testing.T, x *execution, local []bool, sequential bool) *Kernel[any] {
 	t.Helper()
-	k, err := New(Config{
+	k, err := New(Config[any]{
 		NumLPs: c.numLPs, Lookahead: c.L, Sequential: sequential,
 		Handler: cascadeHandler(c.numLPs, c.L, x.logger()),
 	})
@@ -128,7 +128,7 @@ func (c regridCase) runStopped(t *testing.T) *execution {
 	rec := &streamRec{}
 	k := c.kernel(t, x, nil, true)
 	stop := errors.New("stop for the membership change")
-	var cp *Checkpoint
+	var cp *Checkpoint[any]
 	k.cfg.OnWindow = func(w *obs.Window) error {
 		rec.window(w)
 		if w.End < c.regridAt || cp != nil {
@@ -174,8 +174,8 @@ func (c regridCase) runGroups(t *testing.T, groups int) *execution {
 		groupOf[lp] = lp % groups
 		locals[lp%groups] = append(locals[lp%groups], lp)
 	}
-	kernels := make([]*Kernel, groups)
-	steppers := make([]*Stepper, groups)
+	kernels := make([]*Kernel[any], groups)
+	steppers := make([]*Stepper[any], groups)
 	for g := range kernels {
 		mine := make([]bool, n)
 		for _, lp := range locals[g] {
@@ -211,7 +211,7 @@ func (c regridCase) runGroups(t *testing.T, groups int) *execution {
 			break
 		}
 		total.SkippedTime += skipped
-		var outbox []Sent
+		var outbox []Sent[any]
 		for g, st := range steppers {
 			res, err := st.Step(T, end)
 			if err != nil {
@@ -227,7 +227,7 @@ func (c regridCase) runGroups(t *testing.T, groups int) *execution {
 			outbox = append(outbox, res.Outbox...)
 		}
 		SortSent(outbox)
-		shares := make([][]Sent, groups)
+		shares := make([][]Sent[any], groups)
 		for _, sv := range outbox {
 			shares[groupOf[sv.Dst]] = append(shares[groupOf[sv.Dst]], sv)
 			win.Queue[sv.Dst]++ // Run reports post-merge depth
@@ -247,13 +247,13 @@ func (c regridCase) runGroups(t *testing.T, groups int) *execution {
 		}
 		regridded = true
 		rec.grid(c.L/2, true)
-		var pending []Sent
+		var pending []Sent[any]
 		for g, k := range kernels {
 			steppers[g].Close()
 			pending = append(pending, k.Checkpoint(end).Export()...)
 		}
 		sort.SliceStable(pending, func(i, j int) bool { return pending[i].Dst < pending[j].Dst })
-		shares = make([][]Sent, groups)
+		shares = make([][]Sent[any], groups)
 		for _, sv := range pending {
 			sv.Dst = c.newOwner(sv.Data)
 			shares[groupOf[sv.Dst]] = append(shares[groupOf[sv.Dst]], sv)
@@ -438,10 +438,10 @@ func TestStepperRejectsHostileWindows(t *testing.T) {
 			t.Errorf("%s: Step(%v, %v) = %v, want ErrCausality", w.name, w.T, w.end, err)
 		}
 	}
-	if err := st.Inject([]Sent{{Time: 1.5, Dst: 0}, {Time: 0.25, Dst: 1}}); !errors.Is(err, ErrCausality) {
+	if err := st.Inject([]Sent[any]{{Time: 1.5, Dst: 0}, {Time: 0.25, Dst: 1}}); !errors.Is(err, ErrCausality) {
 		t.Errorf("inject before the executed window end = %v, want ErrCausality", err)
 	}
-	if err := st.Inject([]Sent{{Time: math.NaN(), Dst: 0}}); !errors.Is(err, ErrCausality) {
+	if err := st.Inject([]Sent[any]{{Time: math.NaN(), Dst: 0}}); !errors.Is(err, ErrCausality) {
 		t.Errorf("inject at NaN = %v, want ErrCausality", err)
 	}
 	if k.stats.Windows != windows || k.queues[0].Len()+k.queues[1].Len() != 1 {
@@ -449,7 +449,7 @@ func TestStepperRejectsHostileWindows(t *testing.T) {
 			k.stats.Windows, k.queues[0].Len(), k.queues[1].Len())
 	}
 	// The honest continuation still works, slack included.
-	if err := st.Inject([]Sent{{Time: 1 - lookaheadSlack/2, Dst: 0, Data: pingPayload{}}}); err != nil {
+	if err := st.Inject([]Sent[any]{{Time: 1 - lookaheadSlack/2, Dst: 0, Data: pingPayload{}}}); err != nil {
 		t.Errorf("inject within the lookahead slack: %v", err)
 	}
 	if _, err := st.Step(1, 2); err != nil {

@@ -8,7 +8,7 @@ import (
 
 // windowsTo is the smallest OnWindow hook: every window record goes to rec,
 // with barrier wait measured where the kernel can (nil rec: no hook at all).
-func windowsTo(cfg Config, rec obs.Recorder) Config {
+func windowsTo(cfg Config[any], rec obs.Recorder) Config[any] {
 	if rec != nil {
 		cfg.MeasureWait = true
 		cfg.OnWindow = func(w *obs.Window) error {
@@ -22,14 +22,14 @@ func windowsTo(cfg Config, rec obs.Recorder) Config {
 // chainKernel builds a kernel where each LP processes a chain of events, one
 // per tick, each event scheduling the next locally and charging one kernel
 // event; every stride-th event also pings the neighbor LP.
-func chainKernel(t testing.TB, numLPs int, events int, stride int, rec obs.Recorder, sequential bool) *Kernel {
+func chainKernel(t testing.TB, numLPs int, events int, stride int, rec obs.Recorder, sequential bool) *Kernel[any] {
 	t.Helper()
 	type tick struct{ n int }
-	k, err := New(windowsTo(Config{
+	k, err := New(windowsTo(Config[any]{
 		NumLPs:     numLPs,
 		Lookahead:  1,
 		Sequential: sequential,
-		Handler: func(lp int, now float64, data any, s *Scheduler) {
+		Handler: func(lp int, now float64, data any, s *Scheduler[any]) {
 			tk := data.(*tick)
 			s.Charge(1)
 			if tk.n <= 0 {
@@ -90,9 +90,9 @@ func TestWindowRecordCounters(t *testing.T) {
 func TestWindowRecordIsOneWindow(t *testing.T) {
 	const numLPs, rounds = 3, 8
 	var windows int64
-	k, err := New(Config{
+	k, err := New(Config[any]{
 		NumLPs: numLPs, Lookahead: 1, Sequential: true, MeasureWait: true,
-		Handler: func(lp int, now float64, data any, s *Scheduler) {
+		Handler: func(lp int, now float64, data any, s *Scheduler[any]) {
 			n := data.(int)
 			if n < 0 { // a neighbour's ping
 				s.Charge(1)
@@ -162,7 +162,7 @@ func TestWaitMeasuredOnlyOnWorkers(t *testing.T) {
 		{"workers, nobody reads wait", 3, 4, false, false, false},
 		{"workers", 3, 4, false, true, true},
 	} {
-		var k *Kernel
+		var k *Kernel[any]
 		var windows int
 		var waited float64
 		hook := func(w *obs.Window) error {
@@ -175,9 +175,9 @@ func TestWaitMeasuredOnlyOnWorkers(t *testing.T) {
 			}
 			return nil
 		}
-		k, _ = New(Config{
+		k, _ = New(Config[any]{
 			NumLPs: tc.lps, Lookahead: 1, Sequential: tc.sequential, MeasureWait: tc.ask, OnWindow: hook,
-			Handler: func(lp int, now float64, data any, s *Scheduler) {
+			Handler: func(lp int, now float64, data any, s *Scheduler[any]) {
 				if n := data.(int); n > 0 {
 					s.Schedule(lp, now+1, n-1)
 				}
@@ -206,7 +206,7 @@ func TestNilRecorderZeroAllocsPerEvent(t *testing.T) {
 	const events = 5000
 	type tick struct{ n int }
 	payloads := make([]*tick, 2) // pre-allocated, reused via pointer payloads
-	handler := func(lp int, now float64, data any, s *Scheduler) {
+	handler := func(lp int, now float64, data any, s *Scheduler[any]) {
 		tk := data.(*tick)
 		s.Charge(1)
 		if tk.n > 0 {
@@ -215,7 +215,7 @@ func TestNilRecorderZeroAllocsPerEvent(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		k, err := New(Config{NumLPs: 2, Lookahead: 1, Sequential: true, Handler: handler})
+		k, err := New(Config[any]{NumLPs: 2, Lookahead: 1, Sequential: true, Handler: handler})
 		if err != nil {
 			t.Fatal(err)
 		}

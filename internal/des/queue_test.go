@@ -79,10 +79,10 @@ func (h *eventHeapReference) pop() (float64, any) {
 
 // export copies the heap's contents out as Events for LP lp (heap order, not
 // time order — checkpointing sorts afterwards).
-func (h *eventHeapReference) export(lp int) []Event {
-	evs := make([]Event, h.Len())
+func (h *eventHeapReference) export(lp int) []Event[any] {
+	evs := make([]Event[any], h.Len())
 	for i := range evs {
-		evs[i] = Event{Time: h.times[i], LP: lp, Data: h.datas[i], seq: h.seqs[i]}
+		evs[i] = Event[any]{Time: h.times[i], LP: lp, Data: h.datas[i], seq: h.seqs[i]}
 	}
 	return evs
 }
@@ -109,9 +109,9 @@ func (h *eventHeapReference) head() float64 {
 // pending.
 func queueScript(seed int64) (compactions int, err error) {
 	rng := rand.New(rand.NewSource(seed))
-	q, ref := &eventQueue{}, &eventHeapReference{}
-	var bySeq [640]Event // the reference's export, indexed by seq
-	var pool []int       // shuffled seqs, when the script uses them
+	q, ref := &eventQueue[any]{}, &eventHeapReference{}
+	var bySeq [640]Event[any] // the reference's export, indexed by seq
+	var pool []int            // shuffled seqs, when the script uses them
 	if seed%4 == 3 {
 		pool = rng.Perm(len(bySeq))
 	}
@@ -215,6 +215,43 @@ func TestEventQueueMatchesReference(t *testing.T) {
 		}
 		if compactions < 2 {
 			t.Fatalf("seed %d: the sorted run compacted %d times with entries pending, want >= 2", seed, compactions)
+		}
+	}
+}
+
+// TestReserveSizesTheSortedRun: after Reserve(lp, n), n events scheduled in
+// firing order (ties included) all land in the sorted run, and none of its
+// three arrays is regrown on the way; the heap tier is not touched. A hint
+// that names no LP, or no events, is ignored.
+func TestReserveSizesTheSortedRun(t *testing.T) {
+	k, err := New(Config[int]{NumLPs: 2, Lookahead: 1, Handler: func(int, float64, int, *Scheduler[int]) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1000
+	k.Reserve(1, n)
+	k.Reserve(2, n)
+	k.Reserve(-1, n)
+	k.Reserve(0, -n)
+	q := &k.queues[1]
+	caps := [3]int{cap(q.runTimes), cap(q.runSeqs), cap(q.runDatas)}
+	if min(caps[0], caps[1], caps[2]) < n || cap(k.queues[0].runTimes) != 0 {
+		t.Fatalf("Reserve(1, %d) left run capacities %v on LP 1 and %d on LP 0", n, caps, cap(k.queues[0].runTimes))
+	}
+	for i := 0; i < n; i++ {
+		if err := k.Schedule(1, float64(i/3), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := [3]int{cap(q.runTimes), cap(q.runSeqs), cap(q.runDatas)}; got != caps {
+		t.Errorf("run capacities %v after %d ascending Schedule calls, %v after Reserve", got, n, caps)
+	}
+	if len(q.runTimes) != n || len(q.times) != 0 {
+		t.Errorf("%d events in the run and %d in the heap, want all %d in the run", len(q.runTimes), len(q.times), n)
+	}
+	for i := 0; i < n; i++ {
+		if tm, d := q.pop(); tm != float64(i/3) || d != i {
+			t.Fatalf("pop %d = (%g, %d)", i, tm, d)
 		}
 	}
 }

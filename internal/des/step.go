@@ -29,13 +29,13 @@ var ErrCausality = errors.New("des: causality violation")
 
 // Sent is a cross-LP event captured at a Stepper barrier, tagged with the
 // merge key Run's barrier uses: sending LP and position in that LP's outbox.
-type Sent struct {
+type Sent[P any] struct {
 	// Time is the event's virtual firing time.
 	Time float64
 	// Dst is the destination LP.
 	Dst int
-	// Data is the opaque payload.
-	Data any
+	// Data is the payload.
+	Data P
 	// Src is the sending LP; SrcIdx its send order within the window.
 	Src    int
 	SrcIdx int
@@ -44,7 +44,7 @@ type Sent struct {
 // StepResult reports one executed window. The slices are indexed by LP over
 // the full kernel (non-local slots stay zero) and are reused across Step
 // calls — copy them if retained.
-type StepResult struct {
+type StepResult[P any] struct {
 	// Events, Charges and Remote are this window's per-LP handler
 	// invocations, kernel-event charges, and cross-LP sends.
 	Events  []int64
@@ -57,7 +57,7 @@ type StepResult struct {
 	// first-touch order, unsorted. The coordinator merges outboxes from all
 	// Steppers globally and must SortSent (or the wire equivalent) before
 	// injecting.
-	Outbox []Sent
+	Outbox []Sent[P]
 	// Busy is the measured wall-clock seconds each local LP spent executing
 	// the window. Nil unless EnableTiming was called — the tracing hot path
 	// stays allocation- and syscall-free when tracing is off.
@@ -68,12 +68,12 @@ type StepResult struct {
 // with Kernel.Stepper, seed initial events through Kernel.Schedule first, and
 // Close it when done: it holds its LPs — and, in parallel dispatch, one
 // parked goroutine per LP — until then.
-type Stepper struct {
-	k       *Kernel
+type Stepper[P any] struct {
+	k       *Kernel[P]
 	local   []int
 	isLocal []bool
-	scheds  []*Scheduler // indexed by LP; nil for non-local LPs
-	res     StepResult
+	scheds  []*Scheduler[P] // indexed by LP; nil for non-local LPs
+	res     StepResult[P]
 	timing  bool
 	// failed poisons the Stepper: a handler error, or Close.
 	failed error
@@ -98,7 +98,7 @@ type Stepper struct {
 // after each Step, StepResult.Busy[lp] holds the seconds LP lp spent in
 // runWindow. Off by default; the disabled path takes no clock readings and
 // performs no extra allocations. Call it before the first Step.
-func (st *Stepper) EnableTiming() {
+func (st *Stepper[P]) EnableTiming() {
 	if !st.timing {
 		st.timing = true
 		st.res.Busy = make([]float64, st.k.cfg.NumLPs)
@@ -116,7 +116,7 @@ func (st *Stepper) EnableTiming() {
 // gets a persistent worker goroutine; otherwise workers would only add
 // context switches and windows run on the caller's goroutine. The two are
 // byte-identical by construction.
-func (k *Kernel) Stepper(local []int) (*Stepper, error) {
+func (k *Kernel[P]) Stepper(local []int) (*Stepper[P], error) {
 	if k.driver != nil {
 		return nil, fmt.Errorf("des: kernel is already driven by a Stepper (Close it first)")
 	}
@@ -124,12 +124,12 @@ func (k *Kernel) Stepper(local []int) (*Stepper, error) {
 		return nil, fmt.Errorf("des: Stepper needs at least one local LP")
 	}
 	n := k.cfg.NumLPs
-	st := &Stepper{
+	st := &Stepper[P]{
 		k:       k,
 		local:   append([]int(nil), local...),
 		isLocal: make([]bool, n),
-		scheds:  make([]*Scheduler, n),
-		res: StepResult{
+		scheds:  make([]*Scheduler[P], n),
+		res: StepResult[P]{
 			Events:  make([]int64, n),
 			Charges: make([]int64, n),
 			Remote:  make([]int64, n),
@@ -146,7 +146,7 @@ func (k *Kernel) Stepper(local []int) (*Stepper, error) {
 			return nil, fmt.Errorf("des: Stepper local LP %d listed twice", lp)
 		}
 		st.isLocal[lp] = true
-		s := &Scheduler{k: k, lp: lp, owned: make([]batch, n), batchAt: make([]*batch, n)}
+		s := &Scheduler[P]{k: k, lp: lp, owned: make([]batch[P], n), batchAt: make([]*batch[P], n)}
 		for dst := range s.owned {
 			s.owned[dst].Src, s.owned[dst].Dst = lp, dst
 		}
@@ -175,7 +175,7 @@ func (k *Kernel) Stepper(local []int) (*Stepper, error) {
 // Close stops the Stepper's workers, waits for them to exit and releases the
 // kernel for another driver. Every later Step fails. Closing twice is
 // harmless.
-func (st *Stepper) Close() {
+func (st *Stepper[P]) Close() {
 	if st.k.driver != st {
 		return
 	}
@@ -192,7 +192,7 @@ func (st *Stepper) Close() {
 // NextEventTime returns the earliest pending event time across the local
 // LPs — the Stepper's barrier vote. ok is false when all local queues are
 // empty.
-func (st *Stepper) NextEventTime() (float64, bool) {
+func (st *Stepper[P]) NextEventTime() (float64, bool) {
 	best := math.Inf(1)
 	found := false
 	queues := st.k.queues
@@ -209,7 +209,7 @@ func (st *Stepper) NextEventTime() (float64, bool) {
 // workers if the Stepper has them — and surfaces the first handler error in
 // LP order, which also poisons the Stepper. The window's counters and
 // outgoing batches stay on the schedulers for the caller's barrier.
-func (st *Stepper) exec(end float64) error {
+func (st *Stepper[P]) exec(end float64) error {
 	if st.failed != nil {
 		return st.failed
 	}
@@ -238,7 +238,7 @@ func (st *Stepper) exec(end float64) error {
 
 // fold closes the window at the barrier: the schedulers' per-window counters
 // move into the reused StepResult and the window is counted.
-func (st *Stepper) fold(end float64) *StepResult {
+func (st *Stepper[P]) fold(end float64) *StepResult[P] {
 	res, scheds := &st.res, st.scheds
 	for _, lp := range st.local {
 		s := scheds[lp]
@@ -262,7 +262,7 @@ func (st *Stepper) fold(end float64) *StepResult {
 // align it below the barrier it resumed from); anything else returns
 // ErrCausality and executes nothing. A handler error poisons the Stepper:
 // Step returns it now and on every later call.
-func (st *Stepper) Step(T, end float64) (*StepResult, error) {
+func (st *Stepper[P]) Step(T, end float64) (*StepResult[P], error) {
 	L := st.k.grid.Lookahead
 	switch {
 	case !(T >= 0) || math.IsInf(end, 0) || !(end > T):
@@ -284,13 +284,13 @@ func (st *Stepper) Step(T, end float64) (*StepResult, error) {
 		// batch first-touch, not send order — consumers sort globally.
 		for _, b := range s.batches {
 			for j := range b.Times {
-				res.Outbox = append(res.Outbox, Sent{
+				res.Outbox = append(res.Outbox, Sent[P]{
 					Time: b.Times[j], Dst: b.Dst, Data: b.Datas[j],
 					Src: lp, SrcIdx: int(b.SrcIdx[j]),
 				})
 			}
 			s.batchAt[b.Dst] = nil
-			putBatch(b)
+			b.reset()
 		}
 		s.batches = s.batches[:0]
 	}
@@ -303,7 +303,7 @@ func (st *Stepper) Step(T, end float64) (*StepResult, error) {
 // event for an LP the Stepper does not hold, or one that would fire before
 // the last executed window's end (ErrCausality), rejects the whole batch:
 // nothing is enqueued.
-func (st *Stepper) Inject(evs []Sent) error {
+func (st *Stepper[P]) Inject(evs []Sent[P]) error {
 	for _, sv := range evs {
 		if sv.Dst < 0 || sv.Dst >= st.k.cfg.NumLPs || !st.isLocal[sv.Dst] {
 			return fmt.Errorf("des: injected event at t=%g for non-local LP %d", sv.Time, sv.Dst)
@@ -321,7 +321,7 @@ func (st *Stepper) Inject(evs []Sent) error {
 
 // SortSent orders barrier events in the deterministic global merge order the
 // in-process barrier uses: time, then sending LP, then send order.
-func SortSent(evs []Sent) {
+func SortSent[P any](evs []Sent[P]) {
 	sort.Slice(evs, func(i, j int) bool {
 		a, b := evs[i], evs[j]
 		if a.Time != b.Time {

@@ -12,7 +12,7 @@ import (
 // event per hop — a minimal workload with real cross-LP traffic.
 type pingPayload struct{ hops int }
 
-func pingHandler(lp int, t float64, data any, s *Scheduler) {
+func pingHandler(lp int, t float64, data any, s *Scheduler[any]) {
 	s.Charge(1)
 	p := data.(pingPayload)
 	if t >= 5 {
@@ -21,9 +21,9 @@ func pingHandler(lp int, t float64, data any, s *Scheduler) {
 	s.Schedule(1-lp, t+1, pingPayload{hops: p.hops + 1})
 }
 
-func newPingKernel(t *testing.T) *Kernel {
+func newPingKernel(t *testing.T) *Kernel[any] {
 	t.Helper()
-	k, err := New(Config{NumLPs: 2, Lookahead: 1, Handler: pingHandler, Sequential: true})
+	k, err := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: pingHandler, Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestStepperMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kB, err := New(Config{NumLPs: 2, Lookahead: 1, Handler: pingHandler, Sequential: true})
+	kB, err := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: pingHandler, Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestStepperMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steppers := []*Stepper{s0, s1}
+	steppers := []*Stepper[any]{s0, s1}
 
 	var totalEvents, totalCharges int64
 	first := true
@@ -106,7 +106,7 @@ func TestStepperMatchesRun(t *testing.T) {
 		} else if minT >= T+L {
 			T = windowFloor(minT, L)
 		}
-		var outbox []Sent
+		var outbox []Sent[interface{}]
 		for _, st := range steppers {
 			res, err := st.Step(T, T+L)
 			if err != nil {
@@ -120,7 +120,7 @@ func TestStepperMatchesRun(t *testing.T) {
 		}
 		SortSent(outbox)
 		for _, st := range steppers {
-			var mine []Sent
+			var mine []Sent[interface{}]
 			for _, sv := range outbox {
 				if st.isLocal[sv.Dst] {
 					mine = append(mine, sv)
@@ -178,7 +178,7 @@ func TestStepperInjectRejectsNonLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dst := range []int{1, -1, 2} {
-		err := st.Inject([]Sent{{Time: 1, Dst: dst}})
+		err := st.Inject([]Sent[any]{{Time: 1, Dst: dst}})
 		if err == nil {
 			t.Errorf("inject for LP %d must be rejected (stepper owns only LP 0)", dst)
 		}
@@ -186,8 +186,8 @@ func TestStepperInjectRejectsNonLocal(t *testing.T) {
 }
 
 func TestStepperHandlerFailurePoisons(t *testing.T) {
-	k, err := New(Config{NumLPs: 1, Lookahead: 1, Sequential: true,
-		Handler: func(lp int, tt float64, data any, s *Scheduler) {
+	k, err := New(Config[any]{NumLPs: 1, Lookahead: 1, Sequential: true,
+		Handler: func(lp int, tt float64, data any, s *Scheduler[any]) {
 			s.Fail(errors.New("deliberate"))
 		}})
 	if err != nil {
@@ -210,7 +210,7 @@ func TestStepperHandlerFailurePoisons(t *testing.T) {
 }
 
 func TestSortSentGlobalMergeOrder(t *testing.T) {
-	evs := []Sent{
+	evs := []Sent[any]{
 		{Time: 2, Src: 0, SrcIdx: 0},
 		{Time: 1, Src: 1, SrcIdx: 1},
 		{Time: 1, Src: 1, SrcIdx: 0},
@@ -229,7 +229,7 @@ func TestSortSentGlobalMergeOrder(t *testing.T) {
 	}) {
 		t.Fatalf("not in merge order: %+v", evs)
 	}
-	if evs[0] != (Sent{Time: 1, Src: 0, SrcIdx: 0}) || evs[3].Time != 2 {
+	if evs[0] != (Sent[any]{Time: 1, Src: 0, SrcIdx: 0}) || evs[3].Time != 2 {
 		t.Fatalf("unexpected order: %+v", evs)
 	}
 }

@@ -327,7 +327,7 @@ func stepperWorkers() int {
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "created by repro/internal/des.(*Kernel).Stepper")
+			return strings.Count(string(buf[:n]), "created by repro/internal/des.(*Kernel[...]).Stepper")
 		}
 		buf = make([]byte, 2*len(buf))
 	}

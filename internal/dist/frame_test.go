@@ -145,6 +145,11 @@ func FuzzDecodePayloads(f *testing.F) {
 	f.Add(Window{Start: 1, End: 1e9}.Append(nil))
 	f.Add(EncodeEvents(nil, []emu.WireEvent{{Time: 0, Dst: 1, Kind: emu.WireFlowStart}}))
 	f.Add(EncodeEvents(nil, []emu.WireEvent{{Time: math.NaN(), Dst: 1, Kind: emu.WireFlowStart}}))
+	// TCP rounds the frame decoder accepts and emu's decodeWire must refuse: a
+	// real offset paired with another round's window, and a real round sent
+	// into a Blast run (emu's TestDecodeWireRejectsMalformedEvents).
+	f.Add(EncodeEvents(nil, []emu.WireEvent{{Time: 0.25, Dst: 1, Kind: emu.WireTCPRound, Offset: 15 * 64 << 10, Window: 32}}))
+	f.Add(EncodeEvents(nil, []emu.WireEvent{{Time: 0.25, Dst: 1, Kind: emu.WireTCPRound, Offset: 15 * 64 << 10, Window: 16}}))
 	f.Add(EncodeEvents(nil, nil))
 	done := EncodeWindowDone(nil, &emu.WindowReport{Events: []int64{3, 0}, Charges: []int64{2, 0}, Remote: []int64{1, 0}, Queue: []int64{0, 2},
 		Outbox: []emu.WireEvent{{Time: 1.25, Dst: 1, SrcIdx: 1, Kind: emu.WireChunk, Flow: 4, Hop: 1, Packets: 2, Bytes: 3000}}})

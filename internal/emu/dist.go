@@ -54,23 +54,22 @@ type WireEvent struct {
 }
 
 // encodeSent flattens an outbox event into wire form.
-func (e *emulation) encodeSent(s des.Sent) (WireEvent, error) {
-	w := WireEvent{Time: s.Time, Dst: int32(s.Dst), Src: int32(s.Src), SrcIdx: int32(s.SrcIdx)}
-	switch d := s.Data.(type) {
-	case flowStart:
+func (e *emulation) encodeSent(s des.Sent[payload]) (WireEvent, error) {
+	p := s.Data
+	w := WireEvent{Time: s.Time, Dst: int32(s.Dst), Src: int32(s.Src), SrcIdx: int32(s.SrcIdx), Flow: p.flow}
+	switch p.kind {
+	case kindFlowStart:
 		w.Kind = WireFlowStart
-		w.Flow = int32(d.flow.idx)
-	case tcpRound:
+	case kindTCPRound:
 		w.Kind = WireTCPRound
-		w.Flow = int32(d.flow.idx)
-		w.Offset = d.offset
-		w.Window = int32(d.window)
-	case *chunkArrival:
+		offset, window := e.roundShape(p.arg)
+		w.Offset, w.Window = offset, int32(window)
+	case kindChunk, kindTailChunk:
 		w.Kind = WireChunk
-		w.Flow, w.Hop = d.flow, d.hop
-		w.Packets, w.Bytes = e.sizeOf(&e.flows[d.flow], d)
+		w.Hop = p.arg
+		w.Packets, w.Bytes = e.sizeOf(&e.flows[p.flow], p.kind)
 	default:
-		return w, fmt.Errorf("%w: unshippable event payload %T", ErrBadConfig, s.Data)
+		return w, fmt.Errorf("%w: unshippable event kind %d", ErrBadConfig, p.kind)
 	}
 	return w, nil
 }
@@ -78,22 +77,25 @@ func (e *emulation) encodeSent(s des.Sent) (WireEvent, error) {
 // decodeWire rebuilds the in-memory payload from wire form against this
 // process's own flow table, and admits only what a legitimate sender can
 // produce: a chunk of one of its flow's two shapes at a hop on its path, a TCP
-// round startFlowTCP would schedule. Anything else returns an error (it
-// poisons the run) rather than panicking the worker or being executed.
-func (e *emulation) decodeWire(w WireEvent) (des.Sent, error) {
-	s := des.Sent{Time: w.Time, Dst: int(w.Dst), Src: int(w.Src), SrcIdx: int(w.SrcIdx)}
+// round startFlowTCP schedules for that flow — in a run that uses slow start.
+// Anything else returns an error (it poisons the run) rather than panicking
+// the worker or being executed.
+func (e *emulation) decodeWire(w WireEvent) (des.Sent[payload], error) {
+	s := des.Sent[payload]{Time: w.Time, Dst: int(w.Dst), Src: int(w.Src), SrcIdx: int(w.SrcIdx)}
 	if w.Flow < 0 || int(w.Flow) >= len(e.flows) {
 		return s, fmt.Errorf("%w: wire event names flow %d of %d", ErrBadConfig, w.Flow, len(e.flows))
 	}
 	f := &e.flows[w.Flow]
+	s.Data.flow = w.Flow
 	switch w.Kind {
 	case WireFlowStart:
-		s.Data = flowStart{flow: f}
+		s.Data.kind = kindFlowStart
 	case WireTCPRound:
-		if w.Offset < 0 || w.Offset >= f.bytes || w.Offset%e.cfg.ChunkBytes != 0 || w.Window < 1 || w.Window > tcpMaxWindow {
-			return s, fmt.Errorf("%w: wire TCP round at offset %d, window %d of a %d-byte flow", ErrBadConfig, w.Offset, w.Window, f.bytes)
+		r, ok := e.roundAt(f, w.Offset, w.Window)
+		if !ok || e.cfg.Transport != TCPSlowStart || f.rtt <= 0 {
+			return s, fmt.Errorf("%w: wire TCP round at offset %d, window %d is no round of %d-byte flow %d in this run", ErrBadConfig, w.Offset, w.Window, f.bytes, w.Flow)
 		}
-		s.Data = tcpRound{flow: f, offset: w.Offset, window: int(w.Window)}
+		s.Data.kind, s.Data.arg = kindTCPRound, r
 	case WireChunk:
 		if w.Hop < 0 || int(w.Hop) >= len(f.path) {
 			return s, fmt.Errorf("%w: wire chunk at hop %d of a %d-hop path", ErrBadConfig, w.Hop, len(f.path))
@@ -103,7 +105,10 @@ func (e *emulation) decodeWire(w WireEvent) (des.Sent, error) {
 		if !full && !tail {
 			return s, fmt.Errorf("%w: wire chunk of %d packets, %d bytes is neither shape of flow %d", ErrBadConfig, w.Packets, w.Bytes, w.Flow)
 		}
-		s.Data = e.chunkAt(f, int(w.Hop), tail)
+		s.Data.kind, s.Data.arg = kindChunk, w.Hop
+		if !full {
+			s.Data.kind = kindTailChunk
+		}
 	default:
 		return s, fmt.Errorf("%w: unknown wire event kind %d", ErrBadConfig, w.Kind)
 	}
@@ -180,8 +185,8 @@ type DistState struct {
 // and steps its engines under the coordinator's window commands.
 type DistLocal struct {
 	e          *emulation
-	kernel     *des.Kernel
-	stepper    *des.Stepper
+	kernel     *des.Kernel[payload]
+	stepper    *des.Stepper[payload]
 	engines    []int
 	lastBucket int
 	// rep and injectBuf are per-window scratch reused across calls: the
@@ -189,7 +194,7 @@ type DistLocal struct {
 	// decodes the whole barrier batch into injectBuf before a single bulk
 	// push into the stepper.
 	rep       WindowReport
-	injectBuf []des.Sent
+	injectBuf []des.Sent[payload]
 	// busy aliases the stepper's per-LP wall timing for the last window; nil
 	// unless EnableTiming was called.
 	busy []float64

@@ -125,7 +125,7 @@ func (e *emulation) resizeTo(at float64, engines, assignment []int) {
 // under the new assignment moves pending events to their new owners (ownerOf
 // keys on flow state, not the captured LP); the kernel's window loop resumes
 // on the lookahead of the new cut.
-func (e *emulation) applyResize(k *des.Kernel, rs *resilience, idx int, at float64) error {
+func (e *emulation) applyResize(k *des.Kernel[payload], rs *resilience, idx int, at float64) error {
 	r := e.cfg.Elastic[idx]
 	target := make([]bool, e.cfg.NumEngines)
 	for _, eng := range r.Engines {

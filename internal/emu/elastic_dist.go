@@ -92,7 +92,7 @@ func (e *emulation) wireOwner(w WireEvent) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	eng, _ := e.ownerOf(des.Event{Data: s.Data})
+	eng, _ := e.ownerOf(des.Event[payload]{Data: s.Data})
 	return eng, nil
 }
 
@@ -160,7 +160,7 @@ func (d *DistLocal) Reseat(in *ElasticInstall) error {
 			ErrBadConfig, in.Lookahead, newL)
 	}
 
-	sents := make([]des.Sent, 0, len(in.Pending))
+	sents := make([]des.Sent[payload], 0, len(in.Pending))
 	for _, w := range in.Pending {
 		s, err := e.decodeWire(w)
 		if err != nil {

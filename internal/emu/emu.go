@@ -239,10 +239,10 @@ func (r *Result) FCTStats() (completed int, mean, p95 float64) {
 	return len(done), metrics.Mean(done), metrics.Percentile(done, 95)
 }
 
-// The run's flow table is three flat slabs built once by prepare and shared
-// read-only by all engines: a route per distinct (src, dst) pair, one flowRun
-// per flow aliasing its pair's route, and one chunkArrival per (flow, shape,
-// hop).
+// The run's flow table is two flat slabs built once by prepare and shared
+// read-only by all engines: a route per distinct (src, dst) pair and one
+// flowRun per flow aliasing its pair's route. Events name their flow by index
+// into it (payload).
 
 // route is what every flow between one endpoint pair shares.
 type route struct {
@@ -263,42 +263,36 @@ type flowRun struct {
 
 	// A flow's chunks all carry ChunkBytes except a final remainder of
 	// tailBytes (0 when the size divides evenly), so it has at most two
-	// packet-group shapes. full and tail are where each shape's per-hop
-	// records start in the chunk slab; a shape the flow does not have is never
-	// looked up (decodeWire refuses it).
+	// packet-group shapes; a shape the flow does not have is never scheduled
+	// (decodeWire refuses it).
 	tailPackets, tailBytes int64
-	full, tail             int
 }
 
-// flowStart injects a flow at its source host.
-type flowStart struct {
-	flow *flowRun
-}
+// The four things an event can be. The first three are the wire's kinds too
+// (WireFlowStart, WireTCPRound, WireChunk); the wire tells a tail chunk from a
+// full one by its size.
+const (
+	kindFlowStart = uint8(iota) // inject the flow at its source host
+	kindTCPRound                // release congestion window arg of the flow's slow start
+	kindChunk                   // a ChunkBytes packet group arriving at path[arg]
+	kindTailChunk               // the flow's final remainder arriving at path[arg]
+)
 
-// chunkArrival is one packet group arriving at path[hop]. Chunk events are
-// scheduled as pointers into the run's chunk slab; handlers treat the records
-// as immutable (the same pointer may be pending in several queues and in
-// checkpoint snapshots at once). A record names its shape, not its size: size
-// is derived (sizeOf), and a wire event's claimed size is validated against
-// the flow's two shapes at decode, so the slab is the whole universe of chunk
-// payloads.
-type chunkArrival struct {
+// payload is what the kernel carries per event: 12 pointer-free bytes held by
+// value in its queues, batches and checkpoints (the P of des.Kernel[P]). It
+// names its flow by index and a chunk by shape, not size: size is derived
+// (sizeOf), a TCP round's offset and window are derived (roundShape), and a
+// wire event's claimed size or round is validated against the flow at decode —
+// so every payload a run can hold is a (flow, kind, arg) the flow table admits.
+type payload struct {
 	flow int32 // index into emulation.flows
-	hop  int32
-	tail bool
+	arg  int32 // hop of a chunk, round index of a TCP round
+	kind uint8
 }
 
-// chunkAt returns the shared record for (flow, shape, hop).
-func (e *emulation) chunkAt(f *flowRun, hop int, tail bool) *chunkArrival {
-	if tail {
-		return &e.chunks[f.tail+hop]
-	}
-	return &e.chunks[f.full+hop]
-}
-
-// sizeOf derives a chunk's packet and byte counts from its shape.
-func (e *emulation) sizeOf(f *flowRun, c *chunkArrival) (packets, bytes int64) {
-	if c.tail {
+// sizeOf derives a chunk's packet and byte counts from its kind.
+func (e *emulation) sizeOf(f *flowRun, kind uint8) (packets, bytes int64) {
+	if kind == kindTailChunk {
 		return f.tailPackets, f.tailBytes
 	}
 	return e.fullPackets, e.cfg.ChunkBytes
@@ -402,7 +396,7 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 	fullPackets := (cfg.ChunkBytes + cfg.MTU - 1) / cfg.MTU
 	routes := make(map[[2]int]*route)
 	flows := make([]flowRun, len(cfg.Workload.Flows))
-	hops, records := 0, 0
+	hops := 0
 	for i, f := range cfg.Workload.Flows {
 		pair := [2]int{f.Src, f.Dst}
 		r := routes[pair]
@@ -415,29 +409,8 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 		fr := &flows[i]
 		*fr = flowRun{route: r, idx: i, id: f.ID, src: f.Src, dst: f.Dst, start: f.Start, bytes: f.Bytes}
 		hops += len(r.path)
-		if f.Bytes >= cfg.ChunkBytes {
-			fr.full = records
-			records += len(r.path)
-		}
 		if fr.tailBytes = f.Bytes % cfg.ChunkBytes; fr.tailBytes > 0 {
 			fr.tailPackets = (fr.tailBytes + cfg.MTU - 1) / cfg.MTU
-			fr.tail = records
-			records += len(r.path)
-		}
-	}
-	// The chunk records each flow can ever carry (full-size groups plus an
-	// optional tail remainder, per hop), so the forwarding hot path schedules
-	// shared immutable pointers instead of boxing a payload per event.
-	chunks := make([]chunkArrival, records)
-	for i := range flows {
-		fr := &flows[i]
-		for h := range fr.path {
-			if fr.bytes >= cfg.ChunkBytes {
-				chunks[fr.full+h] = chunkArrival{flow: int32(i), hop: int32(h)}
-			}
-			if fr.tailBytes > 0 {
-				chunks[fr.tail+h] = chunkArrival{flow: int32(i), hop: int32(h), tail: true}
-			}
 		}
 	}
 
@@ -508,7 +481,6 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 		runStats:    runStats,
 		nw:          nw,
 		flows:       flows,
-		chunks:      chunks,
 		fullPackets: fullPackets,
 		duration:    duration,
 		lookahead:   lookahead,
@@ -553,8 +525,8 @@ func resolveRoute(nw *netgraph.Network, rt netgraph.Routing, src, dst int) *rout
 // kernelConfig is the handler-and-width core of the kernel configuration;
 // Run hooks commit onto it, while a distributed worker runs it bare (the
 // coordinator owns the barrier and commits the merged window).
-func (e *emulation) kernelConfig() des.Config {
-	return des.Config{
+func (e *emulation) kernelConfig() des.Config[payload] {
+	return des.Config[payload]{
 		NumLPs:     e.cfg.NumEngines,
 		Lookahead:  e.lookahead,
 		Handler:    e.handle,
@@ -566,19 +538,29 @@ func (e *emulation) kernelConfig() des.Config {
 // seed schedules every flow's start event. The per-LP sequence-number streams
 // depend only on the workload's flow order, so a worker seeding just its
 // local engines (local != nil) assigns exactly the numbers the in-process
-// run would.
-func (e *emulation) seed(kernel *des.Kernel, local []bool) error {
+// run would. A first pass counts the starts per engine, so each pending queue
+// is sized once for what it is about to receive.
+func (e *emulation) seed(kernel *des.Kernel[payload], local []bool) error {
+	// seeds says whether this seeder starts flow fr, and on which engine.
+	seeds := func(fr *flowRun) (lp int, ok bool) {
+		lp = e.assignment[fr.src]
+		return lp, (e.cfg.EndTime <= 0 || fr.start < e.cfg.EndTime) && (local == nil || local[lp])
+	}
+	starts := make([]int, e.cfg.NumEngines)
+	for i := range e.flows {
+		if lp, ok := seeds(&e.flows[i]); ok {
+			starts[lp]++
+		}
+	}
+	for lp, n := range starts {
+		kernel.Reserve(lp, n)
+	}
 	for i := range e.flows {
 		fr := &e.flows[i]
-		if e.cfg.EndTime > 0 && fr.start >= e.cfg.EndTime {
-			continue
-		}
-		lp := e.assignment[fr.src]
-		if local != nil && !local[lp] {
-			continue
-		}
-		if err := kernel.Schedule(lp, fr.start, flowStart{flow: fr}); err != nil {
-			return err
+		if lp, ok := seeds(fr); ok {
+			if err := kernel.Schedule(lp, fr.start, payload{flow: int32(i), kind: kindFlowStart}); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -766,7 +748,6 @@ type emulation struct {
 	// shared read-only by every engine (and every worker process, which
 	// rebuilds them identically from the shipped scenario).
 	flows       []flowRun
-	chunks      []chunkArrival
 	fullPackets int64 // packets in a ChunkBytes group
 	duration    float64
 	lookahead   float64
@@ -890,39 +871,42 @@ func (e *emulation) price(w *obs.Window) []float64 {
 }
 
 // handle processes one DES event on engine lp.
-func (e *emulation) handle(lp int, t float64, data any, s *des.Scheduler) {
-	switch ev := data.(type) {
-	case flowStart:
+func (e *emulation) handle(lp int, t float64, p payload, s *des.Scheduler[payload]) {
+	switch p.kind {
+	case kindFlowStart:
 		if e.cfg.Transport == TCPSlowStart {
-			e.startFlowTCP(t, ev.flow, s)
+			e.startFlowTCP(t, &e.flows[p.flow], s)
 		} else {
-			e.startFlowBlast(t, ev.flow, s)
+			e.startFlowBlast(t, &e.flows[p.flow], s)
 		}
-	case tcpRound:
-		e.releaseRound(t, ev, s)
-	case *chunkArrival:
-		e.arrive(t, ev, s)
+	case kindTCPRound:
+		e.releaseRound(t, p, s)
+	case kindChunk, kindTailChunk:
+		e.arrive(t, p, s)
 	default:
-		// An unknown payload is a protocol error (e.g. a malformed event
-		// shipped by a remote peer), not a programming invariant worth dying
-		// for: poison the run the same way des handles lookahead violations,
-		// so a distributed worker survives and reports the error.
-		s.Fail(fmt.Errorf("%w: unknown event payload %T", ErrBadConfig, data))
+		// An unknown kind is a protocol error (e.g. a malformed event shipped
+		// by a remote peer), not a programming invariant worth dying for:
+		// poison the run the same way des handles lookahead violations, so a
+		// distributed worker survives and reports the error.
+		s.Fail(fmt.Errorf("%w: unknown event kind %d", ErrBadConfig, p.kind))
 	}
 }
 
 // startFlowBlast splits the flow into chunks and forwards each from the
 // source immediately.
-func (e *emulation) startFlowBlast(t float64, f *flowRun, s *des.Scheduler) {
+func (e *emulation) startFlowBlast(t float64, f *flowRun, s *des.Scheduler[payload]) {
 	e.release(t, f, f.bytes, math.MaxInt, s)
 }
 
 // release forwards up to limit chunks of a flow's last remaining bytes from
-// its source, reusing the shared hop-0 records.
-func (e *emulation) release(t float64, f *flowRun, remaining int64, limit int, s *des.Scheduler) {
+// its source.
+func (e *emulation) release(t float64, f *flowRun, remaining int64, limit int, s *des.Scheduler[payload]) {
 	for i := 0; i < limit && remaining > 0; i++ {
-		c := e.chunkAt(f, 0, remaining < e.cfg.ChunkBytes)
-		_, bytes := e.sizeOf(f, c)
+		c := payload{flow: int32(f.idx), kind: kindChunk}
+		if remaining < e.cfg.ChunkBytes {
+			c.kind = kindTailChunk
+		}
+		_, bytes := e.sizeOf(f, c.kind)
 		remaining -= bytes
 		e.arrive(t, c, s)
 	}
@@ -932,12 +916,10 @@ func (e *emulation) release(t float64, f *flowRun, remaining int64, limit int, s
 // account what the node received (NetFlow, on entry), and forward over the
 // next link if not at the destination, accounting what it transmitted
 // (telemetry, on exit).
-// c is a shared immutable record — never written, only replaced by its
-// next-hop twin when forwarding.
-func (e *emulation) arrive(t float64, c *chunkArrival, s *des.Scheduler) {
+func (e *emulation) arrive(t float64, c payload, s *des.Scheduler[payload]) {
 	f := &e.flows[c.flow]
-	hop := int(c.hop)
-	packets, bytes := e.sizeOf(f, c)
+	hop := int(c.arg)
+	packets, bytes := e.sizeOf(f, c.kind)
 	node := f.path[hop]
 	s.Charge(packets)
 	if e.collector != nil {
@@ -990,5 +972,6 @@ func (e *emulation) arrive(t float64, c *chunkArrival, s *des.Scheduler) {
 		e.tel.ObserveForward(e.assignment[node], e.assignment[next], lid, dir,
 			bytes, packets, wait)
 	}
-	s.Schedule(e.assignment[next], arrival, e.chunkAt(f, hop+1, c.tail))
+	c.arg++
+	s.Schedule(e.assignment[next], arrival, c)
 }

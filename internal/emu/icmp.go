@@ -25,23 +25,22 @@ import (
 // probeBytes is the size of an ICMP probe/reply packet on the wire.
 const probeBytes = 60
 
-// icmpProbe is a traceroute probe traveling toward dst with a TTL.
-type icmpProbe struct {
+// The two ICMP packets traceroute needs.
+const (
+	icmpProbe = uint8(iota) // traveling toward peer with a TTL
+	icmpReply               // time-exceeded or echo reply returning to origin
+)
+
+// icmpMsg is one ICMP packet in flight — the discovery kernel's payload, a
+// pointer-free value like the emulation's own.
+type icmpMsg struct {
+	kind   uint8
 	origin int
-	dst    int
+	peer   int // probe: the destination; reply: the router that generated it
 	node   int // current node
-	ttl    int
+	ttl    int // probes only
 	sentAt float64
 	seq    int // probe index (== original TTL), identifies the answer slot
-}
-
-// icmpReply is a time-exceeded or echo reply returning to origin.
-type icmpReply struct {
-	origin   int
-	reporter int // router that generated the reply
-	node     int // current node
-	sentAt   float64
-	seq      int
 }
 
 // TracerouteResult reports an emulated traceroute.
@@ -86,7 +85,7 @@ func RunTraceroute(nw *netgraph.Network, rt netgraph.Routing, assignment []int, 
 		assignment: assignment,
 		answers:    make(map[int]netgraph.Hop),
 	}
-	kernel, err := des.New(des.Config{
+	kernel, err := des.New(des.Config[icmpMsg]{
 		NumLPs:    numEngines,
 		Lookahead: Lookahead(nw, assignment, 0),
 		Handler:   tr.handle,
@@ -99,8 +98,8 @@ func RunTraceroute(nw *netgraph.Network, rt netgraph.Routing, assignment []int, 
 	probes := 0
 	for ttl := 1; ttl <= maxTTL; ttl++ {
 		t := float64(ttl) * 1e-3
-		err := kernel.Schedule(assignment[src], t, icmpProbe{
-			origin: src, dst: dst, node: src, ttl: ttl, sentAt: t, seq: ttl,
+		err := kernel.Schedule(assignment[src], t, icmpMsg{
+			kind: icmpProbe, origin: src, peer: dst, node: src, ttl: ttl, sentAt: t, seq: ttl,
 		})
 		if err != nil {
 			return nil, err
@@ -129,81 +128,57 @@ func RunTraceroute(nw *netgraph.Network, rt netgraph.Routing, assignment []int, 
 	return res, nil
 }
 
-func (tr *tracerouteRun) handle(lp int, t float64, data any, s *des.Scheduler) {
-	switch m := data.(type) {
+func (tr *tracerouteRun) handle(lp int, t float64, m icmpMsg, s *des.Scheduler[icmpMsg]) {
+	switch m.kind {
 	case icmpProbe:
 		tr.handleProbe(t, m, s)
 	case icmpReply:
-		tr.handleReply(t, m, s)
+		s.Charge(1)
+		tr.sendReply(t, m, s)
 	default:
 		// Same contract as the main emulation handler: an unknown payload
 		// poisons the run instead of killing the process.
-		s.Fail(fmt.Errorf("%w: traceroute: unknown payload %T", ErrBadConfig, data))
+		s.Fail(fmt.Errorf("%w: traceroute: unknown ICMP kind %d", ErrBadConfig, m.kind))
 	}
 }
 
-func (tr *tracerouteRun) handleProbe(t float64, p icmpProbe, s *des.Scheduler) {
+func (tr *tracerouteRun) handleProbe(t float64, p icmpMsg, s *des.Scheduler[icmpMsg]) {
 	s.Charge(1)
-	if p.node == p.dst {
-		// Echo reply from the destination.
-		tr.sendReply(t, icmpReply{
-			origin: p.origin, reporter: p.node, node: p.node,
-			sentAt: p.sentAt, seq: p.seq,
-		}, s)
-		return
-	}
 	if p.node != p.origin {
 		p.ttl--
 	}
-	if p.ttl == 0 {
-		// Time exceeded: this router reveals itself.
-		tr.sendReply(t, icmpReply{
-			origin: p.origin, reporter: p.node, node: p.node,
+	if p.node == p.peer || p.ttl == 0 {
+		// Echo reply from the destination, or time exceeded: this router
+		// reveals itself.
+		tr.sendReply(t, icmpMsg{
+			kind: icmpReply, origin: p.origin, peer: p.node, node: p.node,
 			sentAt: p.sentAt, seq: p.seq,
 		}, s)
 		return
 	}
-	tr.forward(t, p.node, p.dst, s, func(arrival float64, next int) any {
-		p.node = next
-		return p
-	})
+	tr.forward(t, p, p.peer, s)
 }
 
-func (tr *tracerouteRun) handleReply(t float64, r icmpReply, s *des.Scheduler) {
-	s.Charge(1)
+// sendReply moves a reply one hop toward its origin, where it becomes the
+// answer for its probe (at once, when the origin itself generated it).
+func (tr *tracerouteRun) sendReply(t float64, r icmpMsg, s *des.Scheduler[icmpMsg]) {
 	if r.node == r.origin {
-		tr.answers[r.seq] = netgraph.Hop{Node: r.reporter, RTT: t - r.sentAt}
+		tr.answers[r.seq] = netgraph.Hop{Node: r.peer, RTT: t - r.sentAt}
 		return
 	}
-	tr.forward(t, r.node, r.origin, s, func(arrival float64, next int) any {
-		r.node = next
-		return r
-	})
+	tr.forward(t, r, r.origin, s)
 }
 
-func (tr *tracerouteRun) sendReply(t float64, r icmpReply, s *des.Scheduler) {
-	if r.node == r.origin {
-		// Reply generated at the origin itself (single-hop case).
-		tr.answers[r.seq] = netgraph.Hop{Node: r.reporter, RTT: t - r.sentAt}
-		return
-	}
-	tr.forward(t, r.node, r.origin, s, func(arrival float64, next int) any {
-		r.node = next
-		return r
-	})
-}
-
-// forward moves an ICMP packet one hop toward dst; wrap rebuilds the payload
-// with the updated position.
-func (tr *tracerouteRun) forward(t float64, node, dst int, s *des.Scheduler, wrap func(arrival float64, next int) any) {
-	lid := tr.rt.NextLink(node, dst)
+// forward moves an ICMP packet one hop toward dst.
+func (tr *tracerouteRun) forward(t float64, m icmpMsg, dst int, s *des.Scheduler[icmpMsg]) {
+	lid := tr.rt.NextLink(m.node, dst)
 	if lid < 0 {
 		return // route vanished; drop silently like real ICMP
 	}
 	link := &tr.nw.Links[lid]
-	next := link.Other(node)
 	arrival := t + float64(probeBytes*8)/link.Bandwidth + link.Latency
-	s.Schedule(tr.assignment[next], arrival, wrap(arrival, next))
+	m.node = link.Other(m.node)
+	s.Schedule(tr.assignment[m.node], arrival, m)
 }
 
 // traceroutePairs runs one emulated traceroute per ordered pair, fanning the

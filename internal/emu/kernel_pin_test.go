@@ -3,6 +3,7 @@ package emu_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/emu"
@@ -102,5 +103,32 @@ func TestKernelRunInvariants(t *testing.T) {
 					c.topology, sequential, res.Kernel.Windows, events, c.windows, c.events)
 			}
 		}
+	}
+}
+
+// TestRunAllocBytes is the bytes gate behind the bench's alloc_mb_per_op: one
+// warmed emu.Run of the TeraGrid 30 s pin above allocates 402 128 bytes for its
+// 1 276 flows — 315 per flow, bound 10 % above — where the any-typed kernel,
+// its chunk slab and its append-grown start queues took 685 776 (537 per flow,
+// at 6d782c8). The byte count is exact run to run; the slack is for a Go
+// release that moves a size class.
+func TestRunAllocBytes(t *testing.T) {
+	if emu.RaceEnabled {
+		t.Skip("allocation sizes are the race detector's under -race")
+	}
+	cfg := topConfig(t, "TeraGrid", 30, true)
+	if _, err := emu.Run(cfg); err != nil { // warm what the network caches lazily
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := emu.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const bound = 347 // bytes per flow
+	if perFlow := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(cfg.Workload.Flows)); perFlow > bound {
+		t.Errorf("emu.Run allocated %d bytes for %d flows, %.1f per flow, want at most %d",
+			after.TotalAlloc-before.TotalAlloc, len(cfg.Workload.Flows), perFlow, bound)
 	}
 }

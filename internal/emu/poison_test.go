@@ -9,11 +9,11 @@ import (
 	"repro/internal/netgraph"
 )
 
-// A payload type no handler knows — what a corrupted or version-skewed wire
+// A payload kind no handler knows — what a corrupted or version-skewed wire
 // event decodes into if the kind check is ever bypassed.
-type alienPayload struct{}
+const alienKind = 0xee
 
-// TestUnknownPayloadPoisonsRun drives an unknown event payload through the
+// TestUnknownPayloadPoisonsRun drives an unknown event kind through the
 // main emulation handler: the run must fail with ErrBadConfig at the next
 // barrier instead of panicking the process (a distributed worker must survive
 // a malformed peer).
@@ -38,7 +38,7 @@ func TestUnknownPayloadPoisonsRun(t *testing.T) {
 	if err := e.seed(kernel, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := kernel.Schedule(0, 0.25, alienPayload{}); err != nil {
+	if err := kernel.Schedule(0, 0.25, payload{kind: alienKind}); err != nil {
 		t.Fatal(err)
 	}
 	_, err = kernel.Run()
@@ -61,7 +61,7 @@ func TestTracerouteUnknownPayloadPoisonsRun(t *testing.T) {
 		assignment: assignment,
 		answers:    make(map[int]netgraph.Hop),
 	}
-	kernel, err := des.New(des.Config{
+	kernel, err := des.New(des.Config[icmpMsg]{
 		NumLPs:    1,
 		Lookahead: Lookahead(nw, assignment, 0),
 		Handler:   tr.handle,
@@ -69,7 +69,7 @@ func TestTracerouteUnknownPayloadPoisonsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := kernel.Schedule(0, 1e-3, alienPayload{}); err != nil {
+	if err := kernel.Schedule(0, 1e-3, icmpMsg{kind: alienKind}); err != nil {
 		t.Fatal(err)
 	}
 	_, err = kernel.Run()
@@ -82,33 +82,56 @@ func TestTracerouteUnknownPayloadPoisonsRun(t *testing.T) {
 }
 
 // hostileWire are wire events no legitimate sender can produce for
-// lineNet()/oneFlow(1<<20) — arrive only ever forwards a flow's own full or
-// tail shape, startFlowTCP only emits 0 <= Offset < bytes on a chunk boundary
-// with 1 <= Window <= tcpMaxWindow — and that were executed, not refused,
-// before decodeWire validated shapes: negative charges, a transmitter clock
-// running backwards, a million injected chunks from one round.
-var hostileWire = []WireEvent{
-	{Kind: WireChunk, Hop: 1, Packets: -5, Bytes: -1000},
-	{Kind: WireChunk, Hop: 1, Packets: 1 << 40, Bytes: 1 << 50},
-	{Kind: WireTCPRound, Offset: -(1 << 36), Window: 1 << 30},
-	{Kind: WireTCPRound, Offset: -(1 << 62), Window: 1 << 30},
+// lineNet()/oneFlow(1<<20) under the given transport — arrive only ever
+// forwards a flow's own full or tail shape, startFlowTCP only emits the
+// (Offset, Window) pairs of roundShape that start inside the flow, and a Blast
+// run emits no round at all — and that were executed, not refused, before
+// decodeWire validated them: negative charges, a transmitter clock running
+// backwards, a million injected chunks from one round, up to 32 chunks nobody
+// sent from a round that pairs a real offset with another round's window.
+var hostileWire = []struct {
+	transport TransportMode
+	w         WireEvent
+}{
+	{TCPSlowStart, WireEvent{Kind: WireChunk, Hop: 1, Packets: -5, Bytes: -1000}},
+	{TCPSlowStart, WireEvent{Kind: WireChunk, Hop: 1, Packets: 1 << 40, Bytes: 1 << 50}},
+	{TCPSlowStart, WireEvent{Kind: WireTCPRound, Offset: -(1 << 36), Window: 1 << 30}},
+	{TCPSlowStart, WireEvent{Kind: WireTCPRound, Offset: -(1 << 62), Window: 1 << 30}},
+	{TCPSlowStart, WireEvent{Kind: WireTCPRound, Offset: 15 * 64 << 10, Window: tcpMaxWindow}}, // round 4's offset, round 5's window
+	{Blast, WireEvent{Kind: WireTCPRound, Offset: 15 * 64 << 10, Window: 16}},                  // a real round, of a run that has none
 }
 
 // TestDecodeWireRejectsMalformedEvents: a worker receiving garbage wire
 // events must get errors, not panics or silent misdelivery.
 func TestDecodeWireRejectsMalformedEvents(t *testing.T) {
-	cfg := Config{
-		Network:    lineNet(),
-		Assignment: []int{0, 0, 1, 1},
-		NumEngines: 2,
-		Workload:   oneFlow(1<<20, 0.5),
+	emulations := map[TransportMode]*emulation{}
+	for _, transport := range []TransportMode{Blast, TCPSlowStart} {
+		cfg := Config{
+			Network:    lineNet(),
+			Assignment: []int{0, 0, 1, 1},
+			NumEngines: 2,
+			Workload:   oneFlow(1<<20, 0.5),
+			Transport:  transport,
+		}
+		e, err := prepare(&cfg, &runOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		emulations[transport] = e
 	}
-	var o runOptions
-	e, err := prepare(&cfg, &o)
-	if err != nil {
-		t.Fatal(err)
+	refused := func(e *emulation, w WireEvent) {
+		t.Helper()
+		if _, err := e.decodeWire(w); err == nil {
+			t.Errorf("malformed wire event %+v decoded without error", w)
+		} else if !errors.Is(err, ErrBadConfig) {
+			t.Errorf("wire decode error must wrap ErrBadConfig, got %v", err)
+		}
 	}
-	for _, w := range append([]WireEvent{
+	for _, h := range hostileWire {
+		refused(emulations[h.transport], h.w)
+	}
+	e := emulations[TCPSlowStart]
+	for _, w := range []WireEvent{
 		{Kind: WireFlowStart, Flow: 99},                           // flow out of range
 		{Kind: WireFlowStart, Flow: -1},                           // negative flow
 		{Kind: WireChunk, Flow: 0, Hop: 100},                      // hop past the path
@@ -119,17 +142,13 @@ func TestDecodeWireRejectsMalformedEvents(t *testing.T) {
 		{Kind: WireTCPRound, Offset: 1000, Window: 1},             // off the chunk grid
 		{Kind: WireTCPRound, Window: 0},
 		{Kind: WireTCPRound, Window: tcpMaxWindow + 1},
-	}, hostileWire...) {
-		if _, err := e.decodeWire(w); err == nil {
-			t.Errorf("malformed wire event %+v decoded without error", w)
-		} else if !errors.Is(err, ErrBadConfig) {
-			t.Errorf("wire decode error must wrap ErrBadConfig, got %v", err)
-		}
+	} {
+		refused(e, w)
 	}
 	// What the flow's own sender does produce still decodes.
 	for _, w := range []WireEvent{
 		{Kind: WireChunk, Hop: 3, Packets: 44, Bytes: 64 << 10},
-		{Kind: WireTCPRound, Offset: 15 * 64 << 10, Window: tcpMaxWindow},
+		{Kind: WireTCPRound, Offset: 15 * 64 << 10, Window: 16},
 	} {
 		if _, err := e.decodeWire(w); err != nil {
 			t.Errorf("legitimate wire event %+v refused: %v", w, err)
@@ -142,10 +161,11 @@ func TestDecodeWireRejectsMalformedEvents(t *testing.T) {
 // and does so in the time of a comparison, not of the million chunks the
 // round asked for (174 ms at a049ea3, unbounded for the larger offset).
 func TestInjectRefusesHostileSender(t *testing.T) {
-	for _, w := range hostileWire {
+	for _, h := range hostileWire {
+		w := h.w
 		d, err := NewDistLocal(Config{
 			Network: lineNet(), Assignment: []int{0, 0, 1, 1}, NumEngines: 2,
-			Workload: oneFlow(1<<20, 0.5), Transport: TCPSlowStart,
+			Workload: oneFlow(1<<20, 0.5), Transport: h.transport,
 		}, []int{0, 1}, nil)
 		if err != nil {
 			t.Fatal(err)

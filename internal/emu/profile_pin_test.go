@@ -3,7 +3,6 @@ package emu_test
 import (
 	"crypto/sha256"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -153,21 +152,8 @@ func TestProfileRecordsIndependentOfMapping(t *testing.T) {
 	for _, topology := range []string{"Campus", "TeraGrid"} {
 		cfg := topConfig(t, topology, 30, true)
 		cfg.Profile = true
-		random := make([]int, len(cfg.Assignment))
-		rng := rand.New(rand.NewSource(7))
-		for v := range random {
-			random[v] = rng.Intn(cfg.NumEngines)
-		}
 		var want []netflow.Record
-		for _, m := range []struct {
-			name       string
-			assignment []int
-			engines    int
-		}{
-			{"TOP", cfg.Assignment, cfg.NumEngines},
-			{"random", random, cfg.NumEngines},
-			{"k=1", make([]int, len(cfg.Assignment)), 1},
-		} {
+		for _, m := range mappingsOf(cfg, 7) {
 			cfg := cfg
 			cfg.Assignment, cfg.NumEngines = m.assignment, m.engines
 			res, err := emu.Run(cfg)

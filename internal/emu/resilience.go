@@ -128,13 +128,13 @@ func (s *rollbackState) clone() rollbackState {
 // checkpointState is a rollback target: a kernel checkpoint with the
 // emulator's and the telemetry collector's run state at the same barrier.
 type checkpointState struct {
-	des *des.Checkpoint
+	des *des.Checkpoint[payload]
 	run rollbackState
 	tel *telemetry.Checkpoint
 }
 
 // snapshot captures the emulation state alongside a kernel checkpoint.
-func (e *emulation) snapshot(cp *des.Checkpoint) *checkpointState {
+func (e *emulation) snapshot(cp *des.Checkpoint[payload]) *checkpointState {
 	return &checkpointState{des: cp, run: e.rollbackState.clone(), tel: e.tel.Checkpoint()}
 }
 
@@ -168,7 +168,7 @@ func (e *emulation) recordRun(lookahead float64, resumed bool) {
 // events move to the engines that now own their nodes, and the new cut sets
 // the window width — and announces the fresh grid. Called from the barrier
 // step of commit, under the kernel's running window loop.
-func (e *emulation) regrid(k *des.Kernel, cp *des.Checkpoint) error {
+func (e *emulation) regrid(k *des.Kernel[payload], cp *des.Checkpoint[payload]) error {
 	lookahead := Lookahead(e.nw, e.assignment, e.cfg.MinLookahead)
 	if err := k.Restore(cp, lookahead, e.ownerOf); err != nil {
 		return err
@@ -190,14 +190,12 @@ func loadsOf(charges []int64) []float64 {
 // ownerOf returns the engine owning a pending event under the current
 // (post-recovery) assignment — how a restore moves a dead engine's events to
 // the survivors that inherited its nodes.
-func (e *emulation) ownerOf(ev des.Event) (int, bool) {
-	switch d := ev.Data.(type) {
-	case flowStart:
-		return e.assignment[d.flow.src], true
-	case tcpRound:
-		return e.assignment[d.flow.src], true
-	case *chunkArrival:
-		return e.assignment[e.flows[d.flow].path[d.hop]], true
+func (e *emulation) ownerOf(ev des.Event[payload]) (int, bool) {
+	switch p := ev.Data; p.kind {
+	case kindFlowStart, kindTCPRound:
+		return e.assignment[e.flows[p.flow].src], true
+	case kindChunk, kindTailChunk:
+		return e.assignment[e.flows[p.flow].path[p.arg]], true
 	default:
 		return ev.LP, true
 	}
@@ -221,7 +219,7 @@ type resilience struct {
 // runResilient executes the kernel in one Run, recovering from scheduled
 // engine crashes and applying scheduled elastic resizes inside commit's
 // barrier step (arm). Without crashes or resizes it is a plain kernel run.
-func (e *emulation) runResilient(k *des.Kernel) (*des.Stats, *Recovery, error) {
+func (e *emulation) runResilient(k *des.Kernel[payload]) (*des.Stats, *Recovery, error) {
 	var r *resilience
 	if e.cfg.Faults.HasCrashes() || len(e.cfg.Elastic) > 0 {
 		r = e.arm(k)
@@ -252,7 +250,7 @@ func (e *emulation) runResilient(k *des.Kernel) (*des.Stats, *Recovery, error) {
 // engine set from the live (un-rolled-back) state. Either way the kernel is
 // Restored under the running window loop, which continues on a fresh grid
 // with the new lookahead.
-func (e *emulation) arm(k *des.Kernel) *resilience {
+func (e *emulation) arm(k *des.Kernel[payload]) *resilience {
 	sched, elastic, every := e.cfg.Faults, e.cfg.Elastic, e.cfg.CheckpointEvery
 	r := &resilience{alive: make([]bool, e.cfg.NumEngines)}
 	for i := range r.alive {
@@ -311,7 +309,7 @@ func (e *emulation) arm(k *des.Kernel) *resilience {
 // assignment over the surviving engines, rolls the emulation and the kernel
 // back to the last checkpoint and remaps the dead engine's pending events.
 // The kernel's window loop resumes from there.
-func (e *emulation) recoverCrash(k *des.Kernel, r *resilience, crash faults.Crash, we float64) error {
+func (e *emulation) recoverCrash(k *des.Kernel[payload], r *resilience, crash faults.Crash, we float64) error {
 	rec, last, alive := r.rec, r.last, r.alive
 	if !alive[crash.Engine] {
 		return fmt.Errorf("emu: crash of already-dead engine %d", crash.Engine)

@@ -25,47 +25,55 @@ const (
 // congestion window, generous for 2003 paths but finite).
 const tcpMaxWindow = 32
 
-// tcpRound releases one congestion window's worth of chunks at the source.
-type tcpRound struct {
-	flow   *flowRun
-	offset int64 // first byte of this round
-	window int   // chunks in this round
+// tcpCapRound is the first round released at the window cap.
+const tcpCapRound = 5 // 1<<5 == tcpMaxWindow
+
+// roundShape is slow start's arithmetic, spelled once: round r of any flow
+// releases window chunks — 1, 2, 4, ... doubling up to tcpMaxWindow — starting
+// at byte offset, the sum of the rounds before it. A flow has the rounds whose
+// offset lies inside it. Events and the wire name a round by r; the wire's
+// Offset and Window are this function's values, derived on encode and matched
+// exactly on decode.
+func (e *emulation) roundShape(r int32) (offset int64, window int) {
+	if r < tcpCapRound {
+		return int64(1<<r-1) * e.cfg.ChunkBytes, 1 << r
+	}
+	return (tcpMaxWindow - 1 + int64(r-tcpCapRound)*tcpMaxWindow) * e.cfg.ChunkBytes, tcpMaxWindow
 }
 
-// startFlowTCP schedules the flow's rounds: window sizes 1, 2, 4, ... up to
-// tcpMaxWindow, one round per RTT.
-func (e *emulation) startFlowTCP(t float64, f *flowRun, s *des.Scheduler) {
+// roundAt inverts roundShape for flow f: the round that starts at byte offset
+// with the given window, ok=false when slow start releases no such round of f.
+func (e *emulation) roundAt(f *flowRun, offset int64, window int32) (r int32, ok bool) {
+	if offset < 0 || offset >= f.bytes {
+		return 0, false
+	}
+	for ; ; r++ { // at most f's own round count: rounds cross the wire only at a reseat
+		if o, w := e.roundShape(r); o >= offset {
+			return r, o == offset && int32(w) == window
+		}
+	}
+}
+
+// startFlowTCP schedules the flow's rounds, one per RTT.
+func (e *emulation) startFlowTCP(t float64, f *flowRun, s *des.Scheduler[payload]) {
 	rtt := f.rtt
 	if rtt <= 0 {
 		// Degenerate path; fall back to blasting.
 		e.startFlowBlast(t, f, s)
 		return
 	}
-	remaining := f.bytes
-	var offset int64
-	window := 1
-	round := 0
-	for remaining > 0 {
-		roundBytes := int64(window) * e.cfg.ChunkBytes
-		if roundBytes > remaining {
-			roundBytes = remaining
+	for r := int32(0); ; r++ {
+		if offset, _ := e.roundShape(r); offset >= f.bytes {
+			return
 		}
-		s.Schedule(s.LP(), t+float64(round)*rtt, tcpRound{
-			flow:   f,
-			offset: offset,
-			window: window,
-		})
-		offset += roundBytes
-		remaining -= roundBytes
-		round++
-		window *= 2
-		if window > tcpMaxWindow {
-			window = tcpMaxWindow
-		}
+		s.Schedule(s.LP(), t+float64(r)*rtt, payload{flow: int32(f.idx), arg: r, kind: kindTCPRound})
 	}
 }
 
-// releaseRound injects up to window chunks starting at the round's offset.
-func (e *emulation) releaseRound(t float64, r tcpRound, s *des.Scheduler) {
-	e.release(t, r.flow, r.flow.bytes-r.offset, r.window, s)
+// releaseRound injects up to the round's window of chunks starting at its
+// offset.
+func (e *emulation) releaseRound(t float64, p payload, s *des.Scheduler[payload]) {
+	f := &e.flows[p.flow]
+	offset, window := e.roundShape(p.arg)
+	e.release(t, f, f.bytes-offset, window, s)
 }

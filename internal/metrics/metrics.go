@@ -176,35 +176,6 @@ func (s *Series) Clone() *Series {
 	return out
 }
 
-// CloneInto deep-copies s into dst, reusing dst's row storage when the
-// shapes match — the allocation-free path of the dynamic remapping loop,
-// which re-exports a same-shaped series every interval. Returns the
-// destination (freshly allocated when dst is nil or mis-shaped); dst may not
-// alias s.
-func (s *Series) CloneInto(dst *Series) *Series {
-	if s == nil {
-		return nil
-	}
-	if dst == nil {
-		dst = &Series{}
-	}
-	dst.BucketWidth = s.BucketWidth
-	if cap(dst.Loads) < len(s.Loads) {
-		dst.Loads = make([][]float64, len(s.Loads))
-	} else {
-		dst.Loads = dst.Loads[:len(s.Loads)]
-	}
-	for i, row := range s.Loads {
-		if cap(dst.Loads[i]) < len(row) {
-			dst.Loads[i] = make([]float64, len(row))
-		} else {
-			dst.Loads[i] = dst.Loads[i][:len(row)]
-		}
-		copy(dst.Loads[i], row)
-	}
-	return dst
-}
-
 // Nodes returns the number of nodes (columns) in the series.
 func (s *Series) Nodes() int {
 	if len(s.Loads) == 0 {

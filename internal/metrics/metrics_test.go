@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -296,44 +295,5 @@ func TestSeriesClone(t *testing.T) {
 	var nilS *Series
 	if nilS.Clone() != nil {
 		t.Error("nil Clone not nil")
-	}
-}
-
-func TestSeriesCloneInto(t *testing.T) {
-	s := NewSeries(2, 3, 4)
-	s.Add(1, 0, 5)
-	s.Add(3, 2, 7)
-
-	got := s.CloneInto(nil)
-	if !reflect.DeepEqual(got, s.Clone()) {
-		t.Fatalf("CloneInto(nil) = %+v, want %+v", got, s.Clone())
-	}
-
-	// Reuse: a matching-shape destination keeps its row storage.
-	rows := make([]*float64, len(got.Loads))
-	for i := range got.Loads {
-		rows[i] = &got.Loads[i][0]
-	}
-	s.Add(5, 1, 9)
-	got = s.CloneInto(got)
-	if !reflect.DeepEqual(got, s.Clone()) {
-		t.Fatalf("reused CloneInto = %+v, want %+v", got, s.Clone())
-	}
-	for i := range got.Loads {
-		if &got.Loads[i][0] != rows[i] {
-			t.Fatalf("row %d was reallocated despite matching shape", i)
-		}
-	}
-
-	// Mis-shaped destination grows.
-	small := NewSeries(1, 1, 1)
-	got = s.CloneInto(small)
-	if !reflect.DeepEqual(got, s.Clone()) {
-		t.Fatalf("grown CloneInto = %+v, want %+v", got, s.Clone())
-	}
-
-	var nilS *Series
-	if nilS.CloneInto(nil) != nil {
-		t.Error("nil CloneInto not nil")
 	}
 }
