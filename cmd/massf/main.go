@@ -467,7 +467,8 @@ func main() {
 				fatal(fmt.Errorf("%s: %w", a, err))
 			}
 		} else if sched != nil {
-			ro, err := sc.RunResilient(ctx, core.FaultOptions{
+			var err error
+			o, err = sc.RunResilient(ctx, core.FaultOptions{
 				Schedule:        sched,
 				CheckpointEvery: *checkpoint,
 				Approach:        a,
@@ -476,7 +477,6 @@ func main() {
 			if err != nil {
 				fatal(fmt.Errorf("%s: %w", a, err))
 			}
-			o = &core.Outcome{Approach: a, Assignment: ro.FinalAssignment, Result: ro.Result, ProfileRun: ro.ProfileRun}
 		} else {
 			var err error
 			o, err = sc.Run(ctx, a)
@@ -581,7 +581,7 @@ func main() {
 			completed, fctMean, fctP95 := r.FCTStats()
 			fmt.Printf("         flows completed: %d/%d  fct mean=%.3gs p95=%.3gs  drops=%d\n",
 				completed, len(r.FlowFCTs), fctMean, fctP95, r.DroppedPackets)
-			q := mapping.Assess(sc.Network, o.Assignment, sc.Engines, nil)
+			q := mapping.Assess(sc.Network, r.FinalAssignment, sc.Engines, nil)
 			fmt.Printf("         %s", q.String())
 		}
 	}

@@ -63,8 +63,8 @@ type Scenario struct {
 	// Routing selects the route-oracle backend and its parameters (see
 	// netgraph.RoutingOptions). The zero value is the automatic policy:
 	// flat tables up to netgraph.AutoFlatMaxNodes nodes, the lazy
-	// sub-quadratic oracle beyond. Set explicitly (or via WithRouting) to
-	// force flat, lazy, or hierarchical/clustered routing — the Hier backend
+	// sub-quadratic oracle beyond. Set explicitly to force flat, lazy, or
+	// hierarchical/clustered routing — the Hier backend
 	// is the two-level per-AS tables behind the paper's 10 + x² router
 	// memory model.
 	Routing netgraph.RoutingOptions
@@ -133,34 +133,20 @@ type Scenario struct {
 	appHosts  []int
 }
 
-// ScenarioOption mutates a Scenario at construction time — the functional
-// options the facade exposes alongside direct field access.
-type ScenarioOption func(*Scenario)
-
-// WithRouting selects the scenario's route-oracle backend.
-func WithRouting(o netgraph.RoutingOptions) ScenarioOption {
-	return func(sc *Scenario) { sc.Routing = o }
-}
-
-// Configure applies options to the scenario and returns it, so callers can
-// chain construction: (&Scenario{...}).Configure(WithRouting(...)).
-func (sc *Scenario) Configure(opts ...ScenarioOption) *Scenario {
-	for _, o := range opts {
-		if o != nil {
-			o(sc)
-		}
-	}
-	return sc
-}
-
 // Outcome is the result of running one mapping approach on a scenario.
 type Outcome struct {
-	Approach   mapping.Approach
+	Approach mapping.Approach
+	// Assignment is the mapping the run started on; Result.FinalAssignment is
+	// the one it ended on (they differ after a crash recovery or a resize).
 	Assignment []int
 	Result     *emu.Result
 	// ProfileRun is the initial profiling run's result (PROFILE only).
 	ProfileRun *emu.Result
 }
+
+// Recovery returns the fault-handling summary: downtime, re-emulated events,
+// migrations and pre/post-failure imbalance (nil for crash-free runs).
+func (o *Outcome) Recovery() *emu.Recovery { return o.Result.Recovery }
 
 // Obs returns the main run's aggregated observability summary, or nil when
 // the scenario collected none (see Scenario.CollectStats / Recorder).
@@ -304,7 +290,12 @@ func (sc *Scenario) Partition(ctx context.Context, a mapping.Approach) ([]int, *
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: PROFILE initial partition: %w", err)
 		}
-		profRes, err := sc.emulate(ctx, topPart, true)
+		cfg, err := sc.emuConfig(topPart)
+		if err != nil {
+			return nil, nil, err
+		}
+		cfg.Profile = true // collects NetFlow, and stays off the scenario's timeline
+		profRes, err := sc.start(ctx, cfg, sc.newTelemetry(), nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: PROFILE profiling run: %w", err)
 		}
@@ -322,11 +313,25 @@ func (sc *Scenario) Partition(ctx context.Context, a mapping.Approach) ([]int, *
 // Cancellation of ctx is observed at window barriers; pass
 // context.Background() (or nil) to run to completion.
 func (sc *Scenario) Run(ctx context.Context, a mapping.Approach) (*Outcome, error) {
+	return sc.run(ctx, a, func(cfg emu.Config) (*emu.Result, error) {
+		return sc.start(ctx, cfg, sc.newTelemetry(), sc.Trace)
+	})
+}
+
+// run is the pipeline Run, RunDistributed and RunResilient share: partition
+// with the approach (profiling first if PROFILE), build the emulator
+// configuration for the shared workload on that assignment, hand it to exec —
+// the only step the three differ in — and report the Outcome.
+func (sc *Scenario) run(ctx context.Context, a mapping.Approach, exec func(emu.Config) (*emu.Result, error)) (*Outcome, error) {
 	part, profRun, err := sc.Partition(ctx, a)
 	if err != nil {
 		return nil, err
 	}
-	res, err := sc.emulate(ctx, part, false)
+	cfg, err := sc.emuConfig(part)
+	if err != nil {
+		return nil, err
+	}
+	res, err := exec(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -472,19 +477,4 @@ func (sc *Scenario) emuConfig(assignment []int) (emu.Config, error) {
 // when they are non-nil.
 func (sc *Scenario) start(ctx context.Context, cfg emu.Config, tel *telemetry.Collector, trace *obs.Timeline) (*emu.Result, error) {
 	return emu.Run(cfg, append(sc.runOptions(ctx), emu.WithTelemetry(tel), emu.WithTrace(trace))...)
-}
-
-// emulate runs the emulator on an assignment. A PROFILE pre-run collects
-// NetFlow and stays off the scenario's timeline.
-func (sc *Scenario) emulate(ctx context.Context, assignment []int, profile bool) (*emu.Result, error) {
-	cfg, err := sc.emuConfig(assignment)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Profile = profile
-	trace := sc.Trace
-	if profile {
-		trace = nil
-	}
-	return sc.start(ctx, cfg, sc.newTelemetry(), trace)
 }

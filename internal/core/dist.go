@@ -22,28 +22,18 @@ import (
 // re-emulate in-process with the lost worker's engines fail-stopped, and
 // Result.Recovery reports the remap.
 func (sc *Scenario) RunDistributed(ctx context.Context, a mapping.Approach, workers []dist.Conn, opt dist.Options) (*Outcome, error) {
-	part, profRun, err := sc.Partition(ctx, a)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := sc.distSpec(ctx, part, sc.survivorRemap())
-	if err != nil {
-		return nil, err
-	}
-	res, err := dist.Run(ctx, spec, workers, opt)
-	if err != nil {
-		return nil, fmt.Errorf("core: distributed %s on %s: %w", a, sc.Name, err)
-	}
-	return &Outcome{Approach: a, Assignment: part, Result: res, ProfileRun: profRun}, nil
+	return sc.run(ctx, a, func(cfg emu.Config) (*emu.Result, error) {
+		res, err := dist.Run(ctx, sc.distSpec(ctx, cfg), workers, opt)
+		if err != nil {
+			return nil, fmt.Errorf("core: distributed %s on %s: %w", a, sc.Name, err)
+		}
+		return res, nil
+	})
 }
 
-// distSpec is the coordinator's description of a run under an assignment.
-// RunDistributed and RunElastic differ only in the loss policy they pass.
-func (sc *Scenario) distSpec(ctx context.Context, assignment []int, onLoss func(emu.EngineFailure) ([]int, error)) (*dist.RunSpec, error) {
-	cfg, err := sc.emuConfig(assignment)
-	if err != nil {
-		return nil, err
-	}
+// distSpec is the coordinator's description of a run of cfg, a lost worker
+// recovered by the scenario's one membership policy.
+func (sc *Scenario) distSpec(ctx context.Context, cfg emu.Config) *dist.RunSpec {
 	return &dist.RunSpec{
 		Cfg:          cfg,
 		Routing:      sc.Routing,
@@ -51,33 +41,19 @@ func (sc *Scenario) distSpec(ctx context.Context, assignment []int, onLoss func(
 		Trace:        sc.Trace,
 		Health:       sc.ClusterHealth,
 		EmuOpts:      sc.runOptions(ctx),
-		OnWorkerLoss: onLoss,
-	}, nil
-}
-
-// survivorRemap is the crash-recovery policy RunResilient and RunDistributed
-// share: the dead engines' nodes are repartitioned over every engine still
-// alive.
-func (sc *Scenario) survivorRemap() func(emu.EngineFailure) ([]int, error) {
-	return func(f emu.EngineFailure) ([]int, error) {
-		var survivors []int
-		for e, ok := range f.Alive {
-			if ok {
-				survivors = append(survivors, e)
-			}
-		}
-		return sc.remapOnto(f.Assignment, survivors, f.Loads)
+		OnWorkerLoss: sc.remapOnto,
 	}
 }
 
-// remapOnto repartitions the scenario's network onto an engine set, starting
-// from a previous assignment — the one repartitioning step behind crash
-// recovery, worker loss and elastic resizes.
-func (sc *Scenario) remapOnto(previous, engines []int, loads []float64) ([]int, error) {
+// remapOnto is the scenario's one membership policy — behind an injected
+// crash (RunResilient), a lost worker (RunDistributed, RunElastic), a join or
+// drain (RunElastic) and their replays: the network is repartitioned onto the
+// engine set the run continues on, starting from the previous assignment.
+func (sc *Scenario) remapOnto(c emu.MembershipChange) ([]int, error) {
 	in, err := sc.mappingInput()
 	if err != nil {
 		return nil, err
 	}
-	next, _, err := mapping.RemapOnto(in, previous, engines, loads)
+	next, _, err := mapping.RemapOnto(in, c.Previous, c.Engines, c.Loads)
 	return next, err
 }

@@ -39,52 +39,34 @@ type FaultOptions struct {
 	Naive bool
 }
 
-// ResilientOutcome reports a resilient run.
-type ResilientOutcome struct {
-	Approach mapping.Approach
-	// InitialAssignment is the pre-failure mapping.
-	InitialAssignment []int
-	// FinalAssignment is the mapping after the last recovery (equal to
-	// InitialAssignment if nothing crashed).
-	FinalAssignment []int
-	// Result is the emulation result; Result.Recovery carries downtime,
-	// re-emulated events, migrations, and pre/post-failure imbalance.
-	Result *emu.Result
-	// ProfileRun is the profiling pre-run (PROFILE approach only).
-	ProfileRun *emu.Result
-}
-
-// Recovery returns the fault-handling summary (nil for crash-free runs).
-func (o *ResilientOutcome) Recovery() *emu.Recovery { return o.Result.Recovery }
-
 // NaiveRecovery dumps every node of the dead engine onto the least-loaded
-// survivor — the fallback RunResilient's remapping is measured against.
-func NaiveRecovery(f emu.EngineFailure) []int {
-	target := -1
-	for e, ok := range f.Alive {
-		if !ok {
-			continue
-		}
-		if target < 0 || f.Loads[e] < f.Loads[target] ||
-			(f.Loads[e] == f.Loads[target] && e < target) {
+// surviving member — the fallback RunResilient's remapping is measured against.
+func NaiveRecovery(c emu.MembershipChange) ([]int, error) {
+	if len(c.Engines) == 0 {
+		return nil, fmt.Errorf("core: engine %d was the last one standing", c.Dead)
+	}
+	target := c.Engines[0]
+	for _, e := range c.Engines[1:] {
+		if c.Loads[e] < c.Loads[target] {
 			target = e
 		}
 	}
-	next := append([]int(nil), f.Assignment...)
+	next := append([]int(nil), c.Previous...)
 	for v, e := range next {
-		if e == f.Engine {
+		if e == c.Dead {
 			next[v] = target
 		}
 	}
-	return next
+	return next, nil
 }
 
 // RunResilient executes the scenario under a fault schedule: partition with
 // the chosen approach, emulate with fault injection, and on each engine
 // crash recover by remapping the dead engine's virtual nodes across the
-// survivors (or naively, when opts.Naive). Cancellation of ctx is observed
-// at window barriers.
-func (sc *Scenario) RunResilient(ctx context.Context, opts FaultOptions) (*ResilientOutcome, error) {
+// survivors (or naively, when opts.Naive). The Outcome's Assignment is the
+// pre-failure mapping, Result.FinalAssignment the one after the last recovery.
+// Cancellation of ctx is observed at window barriers.
+func (sc *Scenario) RunResilient(ctx context.Context, opts FaultOptions) (*Outcome, error) {
 	if opts.Schedule == nil {
 		return nil, fmt.Errorf("core: RunResilient needs a fault schedule (use Run for fault-free execution)")
 	}
@@ -92,31 +74,18 @@ func (sc *Scenario) RunResilient(ctx context.Context, opts FaultOptions) (*Resil
 	if approach == "" {
 		approach = mapping.Top
 	}
-	part, profRun, err := sc.Partition(ctx, approach)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := sc.emuConfig(part)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Faults = opts.Schedule
-	cfg.CheckpointEvery = opts.CheckpointEvery
-	cfg.MigrationCost = opts.MigrationCost
-	cfg.OnCrash = sc.survivorRemap()
-	if opts.Naive {
-		cfg.OnCrash = func(f emu.EngineFailure) ([]int, error) { return NaiveRecovery(f), nil }
-	}
-
-	res, err := sc.start(ctx, cfg, sc.newTelemetry(), nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: resilient %s on %s: %w", approach, sc.Name, err)
-	}
-	return &ResilientOutcome{
-		Approach:          approach,
-		InitialAssignment: part,
-		FinalAssignment:   res.FinalAssignment,
-		Result:            res,
-		ProfileRun:        profRun,
-	}, nil
+	return sc.run(ctx, approach, func(cfg emu.Config) (*emu.Result, error) {
+		cfg.Faults = opts.Schedule
+		cfg.CheckpointEvery = opts.CheckpointEvery
+		cfg.MigrationCost = opts.MigrationCost
+		cfg.OnMembership = sc.remapOnto
+		if opts.Naive {
+			cfg.OnMembership = NaiveRecovery
+		}
+		res, err := sc.start(ctx, cfg, sc.newTelemetry(), nil)
+		if err != nil {
+			return nil, fmt.Errorf("core: resilient %s on %s: %w", approach, sc.Name, err)
+		}
+		return res, nil
+	})
 }

@@ -59,7 +59,7 @@ func TestCrashRecoveryAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, o := range []*ResilientOutcome{remap, naive} {
+	for _, o := range []*Outcome{remap, naive} {
 		rec := o.Recovery()
 		if rec == nil {
 			t.Fatal("no recovery report")
@@ -70,7 +70,7 @@ func TestCrashRecoveryAcceptance(t *testing.T) {
 		if rec.Downtime <= 0 || rec.ReplayedEvents <= 0 || rec.Migrations <= 0 {
 			t.Errorf("recovery metrics not populated: %+v", rec)
 		}
-		for v, e := range o.FinalAssignment {
+		for v, e := range o.Result.FinalAssignment {
 			if e == 1 {
 				t.Fatalf("node %d still on dead engine 1", v)
 			}
@@ -99,7 +99,7 @@ func TestResilientDeterminism(t *testing.T) {
 	// Same seeds and config give byte-identical results across runs — both
 	// fault-free (crash-free schedule) and with a crash recovery in the
 	// middle.
-	run := func(sched *faults.Schedule) *ResilientOutcome {
+	run := func(sched *faults.Schedule) *Outcome {
 		out, err := faultScenario().RunResilient(context.Background(), FaultOptions{
 			Schedule:        sched,
 			CheckpointEvery: 4,
@@ -109,12 +109,12 @@ func TestResilientDeterminism(t *testing.T) {
 		}
 		return out
 	}
-	check := func(label string, a, b *ResilientOutcome) {
+	check := func(label string, a, b *Outcome) {
 		t.Helper()
-		if !reflect.DeepEqual(a.InitialAssignment, b.InitialAssignment) {
+		if !reflect.DeepEqual(a.Assignment, b.Assignment) {
 			t.Errorf("%s: initial assignments differ", label)
 		}
-		if !reflect.DeepEqual(a.FinalAssignment, b.FinalAssignment) {
+		if !reflect.DeepEqual(a.Result.FinalAssignment, b.Result.FinalAssignment) {
 			t.Errorf("%s: final assignments differ", label)
 		}
 		ra, rb := a.Result, b.Result
@@ -142,15 +142,19 @@ func TestResilientDeterminism(t *testing.T) {
 }
 
 func TestNaiveRecoveryPicksLeastLoaded(t *testing.T) {
-	f := emu.EngineFailure{
-		Engine:     1,
-		Assignment: []int{0, 1, 1, 2, 3},
-		Alive:      []bool{true, false, true, true},
-		Loads:      []float64{50, 0, 10, 30},
+	f := emu.MembershipChange{
+		Crashed:  true,
+		Dead:     1,
+		Previous: []int{0, 1, 1, 2, 3},
+		Engines:  []int{0, 2, 3},
+		Loads:    []float64{50, 0, 10, 30},
 	}
-	next := NaiveRecovery(f)
-	for v, e := range f.Assignment {
-		if e == f.Engine {
+	next, err := NaiveRecovery(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, e := range f.Previous {
+		if e == f.Dead {
 			if next[v] != 2 {
 				t.Errorf("node %d moved to %d, want least-loaded survivor 2", v, next[v])
 			}

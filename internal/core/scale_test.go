@@ -101,16 +101,17 @@ func TestLazyBackendMatchesFlatEndToEnd(t *testing.T) {
 	}
 }
 
-// TestScenarioConfigureWithRouting covers the functional option path into the
-// scenario.
-func TestScenarioConfigureWithRouting(t *testing.T) {
-	sc := campusScenario(false).Configure(WithRouting(netgraph.RoutingOptions{Backend: netgraph.Lazy, LazyRows: 8}))
+// TestScenarioRoutingOptions covers the Routing field's path into the
+// scenario's route oracle.
+func TestScenarioRoutingOptions(t *testing.T) {
+	sc := campusScenario(false)
+	sc.Routing = netgraph.RoutingOptions{Backend: netgraph.Lazy, LazyRows: 8}
 	r, err := sc.Routes()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := r.Stats(); s.Backend != "lazy" || s.Capacity != 8 {
-		t.Fatalf("WithRouting not applied: %+v", s)
+		t.Fatalf("Routing not applied: %+v", s)
 	}
 
 	// Invalid options surface as ErrRoutingConfig through the scenario.

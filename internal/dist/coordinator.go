@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/des"
@@ -19,8 +20,9 @@ import (
 type RunSpec struct {
 	// Cfg is the scenario; it is normalized in place before shipping.
 	// Straggler/degradation schedules in Cfg.Faults ship with the spec;
-	// crash schedules are rejected (EncodeSpec), and OnCrash must be nil —
-	// worker-loss recovery supplies its own remapper via OnWorkerLoss.
+	// crash schedules are rejected (EncodeSpec), and OnMembership must be nil
+	// — the policies of a distributed run are OnWorkerLoss and, for an elastic
+	// one, ElasticOptions.OnResize.
 	Cfg emu.Config
 	// Routing tells workers which route-oracle backend to rebuild.
 	Routing netgraph.RoutingOptions
@@ -41,10 +43,10 @@ type RunSpec struct {
 	Health *telemetry.ClusterHealth
 	// OnWorkerLoss computes the recovery assignment when a worker is lost:
 	// the run degrades to the in-process crash-recovery path with the lost
-	// worker's engines fail-stopped, and this hook (typically the same
-	// RemapOnto policy used for injected faults) remaps their nodes
-	// onto survivors. When nil, worker loss is fatal.
-	OnWorkerLoss func(f emu.EngineFailure) ([]int, error)
+	// worker's engines fail-stopped, and this policy (typically the same
+	// RemapOnto policy used for injected faults and resizes) remaps their
+	// nodes onto the surviving members. When nil, worker loss is fatal.
+	OnWorkerLoss emu.MembershipPolicy
 }
 
 // Options tunes the coordinator's protocol timing.
@@ -138,8 +140,8 @@ func checkSpec(spec *RunSpec, workers []Conn) error {
 	if len(workers) == 0 {
 		return fmt.Errorf("dist: no workers")
 	}
-	if spec.Cfg.OnCrash != nil {
-		return fmt.Errorf("dist: set OnWorkerLoss, not Cfg.OnCrash (crash hooks do not ship)")
+	if spec.Cfg.OnMembership != nil {
+		return fmt.Errorf("dist: set OnWorkerLoss, not Cfg.OnMembership (policies do not ship)")
 	}
 	return emu.NormalizeConfig(&spec.Cfg)
 }
@@ -198,7 +200,7 @@ func drive(ctx context.Context, spec *RunSpec, workers []Conn, slots [][]int, op
 	s := &coordinator{
 		spec: spec, opt: opt, slotEngines: slots,
 		ownerOf: make([]int, spec.Cfg.NumEngines),
-		log:     &MembershipLog{},
+		log:     &MembershipLog{CheckpointEvery: opt.CheckpointEvery},
 		bySlot:  make([]*member, len(slots)),
 	}
 	for slot, engines := range slots {
@@ -303,16 +305,6 @@ func (s *coordinator) expect(m *member, want MsgType, timeout time.Duration, hb 
 // step is expect for in-run responses: StepTimeout, with liveness probing.
 func (s *coordinator) step(m *member, want MsgType) (Frame, error) {
 	return s.expect(m, want, s.opt.StepTimeout, s.hb)
-}
-
-// checkPartial refuses a telemetry share that does not fit the run. A partial
-// is outside input; one that would index past the run's arrays loses its
-// sender instead of reaching the merge.
-func (s *coordinator) checkPartial(m *member, p *telemetry.Partial) error {
-	if err := s.spec.Telemetry.CheckPartial(p); err != nil {
-		return &workerLost{worker: m.slot, err: err}
-	}
-	return nil
 }
 
 // hello is the first handshake phase: m's HELLO is checked and its ASSIGN
@@ -457,7 +449,7 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 	opt.logf("dist: %d workers ready on %d slots, %d engines, lookahead %g",
 		len(s.members), len(s.slotEngines), n, s.initialL)
 
-	s.grid = des.Grid{Lookahead: s.initialL, EndTime: merge.EndTime()}
+	s.grid = des.Grid{Lookahead: s.initialL, EndTime: cfg.EndTime}
 	outbox := []emu.WireEvent(nil) // globally sorted, from the last barrier
 	nextCkpt := opt.CheckpointEvery
 	perSlot := make([][]emu.WireEvent, len(s.slotEngines))
@@ -532,8 +524,10 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 						err: fmt.Errorf("WINDOW_DONE outbox event for engine %d, outside [0,%d)", ev.Dst, n)}
 				}
 			}
-			if err := s.checkPartial(m, rep.Telemetry); err != nil {
-				return nil, err
+			// So is the telemetry share: one that would index past the run's
+			// arrays loses its sender instead of reaching the merge.
+			if err := s.spec.Telemetry.CheckPartial(rep.Telemetry); err != nil {
+				return nil, &workerLost{worker: m.slot, err: err}
 			}
 			reports = append(reports, rep)
 			outbox = append(outbox, rep.Outbox...)
@@ -569,39 +563,55 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 		}
 	}
 
-	// Finish: final states from the members, BYE everyone (members and any
+	// Finish: final exports from the members, BYE everyone (members and any
 	// joiners still waiting for a barrier that never came).
-	if err := s.sendAll(s.members, MsgFinish, nil); err != nil {
+	finals, err := s.pullExports(MsgFinish, nil, MsgState)
+	if err != nil {
 		return nil, err
-	}
-	states := make([]*emu.DistState, 0, len(s.members))
-	for _, m := range s.members {
-		f, err := s.step(m, MsgState)
-		if err != nil {
-			return nil, err
-		}
-		st, err := DecodeState(f.Payload)
-		if err != nil {
-			return nil, &workerLost{worker: m.slot, err: err}
-		}
-		if err := s.checkPartial(m, st.Telemetry); err != nil {
-			return nil, err
-		}
-		states = append(states, st)
 	}
 	if err := s.sendAll(append(s.members, s.pending...), MsgBye, nil); err != nil {
 		return nil, err
 	}
-	opt.logf("dist: run complete, merging %d final states", len(states))
-	return merge.Finalize(states, time.Since(start))
+	opt.logf("dist: run complete, merging %d final states", len(finals))
+	return merge.Finalize(finals, time.Since(start))
 }
 
-// fallback replays the scenario in-process: the membership changes applied
-// so far re-apply through Config.Elastic, and the lost worker's engines
-// fail-stop at the loss instant, flowing through the standard
-// checkpoint/rollback/remap recovery.
+// pullExports sends every member the ask frame and collects the barrier state
+// each answers with (a reply frame): EXPORT at a membership barrier, FINISH →
+// STATE at the end of the run. An export is outside input and is measured as it
+// is received — it must decode, claim exactly its sender's engines and fit the
+// run (emu.DistMerge.CheckExport, telemetry share included) — so one that does
+// not loses its sender instead of reaching the merge.
+func (s *coordinator) pullExports(ask MsgType, payload []byte, reply MsgType) ([]*emu.ElasticExport, error) {
+	if err := s.sendAll(s.members, ask, payload); err != nil {
+		return nil, err
+	}
+	exports := make([]*emu.ElasticExport, 0, len(s.members))
+	for _, m := range s.members {
+		f, err := s.step(m, reply)
+		if err != nil {
+			return nil, err
+		}
+		ex, err := DecodeElasticExport(f.Payload)
+		if err == nil && !slices.Equal(ex.Engines, m.engines) {
+			err = fmt.Errorf("%s claims engines %v, the worker holds %v", reply, ex.Engines, m.engines)
+		}
+		if err == nil {
+			err = s.merge.CheckExport(ex)
+		}
+		if err != nil {
+			return nil, &workerLost{worker: m.slot, err: err}
+		}
+		exports = append(exports, ex)
+	}
+	return exports, nil
+}
+
+// fallback replays the scenario in-process from the membership log: the
+// changes applied so far re-apply through Config.Elastic, and the lost worker's
+// engines, recorded as fail-stops at the loss instant, flow through the
+// standard checkpoint/rollback/remap recovery.
 func (s *coordinator) fallback(worker int, at float64) (*emu.Result, error) {
-	cfg := s.spec.Cfg
 	if len(s.log.Resizes) > 0 && at <= s.lastResizeAt {
 		// The loss raced a membership barrier: the crash must land after the
 		// resize it cannot undo.
@@ -612,29 +622,15 @@ func (s *coordinator) fallback(worker int, at float64) (*emu.Result, error) {
 		// positive instant is detected at the first barrier.
 		at = math.SmallestNonzeroFloat64
 	}
-	sched := &faults.Schedule{}
-	if cfg.Faults != nil {
-		// Straggler/degradation schedules are part of the scenario's cost
-		// model; the replay must keep them or diverge from a loss-free run.
-		sched.Stragglers = append(sched.Stragglers, cfg.Faults.Stragglers...)
-		sched.Degradations = append(sched.Degradations, cfg.Faults.Degradations...)
-	}
 	for _, e := range s.slotEngines[worker] {
-		sched.Crashes = append(sched.Crashes, faults.Crash{Engine: e, At: at})
-	}
-	s.log.Losses = append(s.log.Losses, sched.Crashes...)
-	cfg.Faults = sched
-	cfg.OnCrash = s.spec.OnWorkerLoss
-	cfg.CheckpointEvery = s.opt.CheckpointEvery
-	for _, r := range s.log.Resizes {
-		cfg.Elastic = append(cfg.Elastic, emu.Resize{At: r.At, Engines: r.Engines, Assignment: r.Assignment})
+		s.log.Losses = append(s.log.Losses, faults.Crash{Engine: e, At: at})
 	}
 	if s.spec.Trace != nil {
 		// The replay re-executes every window from zero in-process; the
 		// partial distributed timeline would double-count them.
 		s.spec.Trace.Reset()
 	}
-	return emu.Run(cfg, s.emuOpts()...)
+	return emu.Run(s.log.ReplayConfig(s.spec.Cfg, s.spec.OnWorkerLoss), s.emuOpts()...)
 }
 
 // heartbeat configures liveness probing during coordinator waits: every

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/emu"
@@ -22,8 +21,7 @@ import (
 // every membership change repartitions the virtual nodes over the new active
 // set at a checkpoint-cadence barrier via the EXPORT/INSTALL protocol (see
 // emu.DistMerge.Resize). The applied changes are returned as a MembershipLog
-// whose replay through emu.Config.Elastic reproduces the run in-process, bit
-// for bit.
+// whose ReplayConfig reproduces the run in-process, bit for bit.
 
 // ElasticOptions tunes an elastic coordinator run.
 type ElasticOptions struct {
@@ -43,17 +41,45 @@ type ElasticOptions struct {
 	// NumEngines must be a multiple of it.
 	EnginesPerWorker int
 	// OnResize computes the post-change node→engine assignment for every
-	// membership change. Required.
-	OnResize func(ev emu.ResizeEvent) ([]int, error)
+	// join and drain. Required. It is the policy type RunSpec.OnWorkerLoss
+	// takes too (core passes one function to both); the two stay apart so a
+	// run can repartition on churn and still treat a lost worker as fatal.
+	OnResize emu.MembershipPolicy
 }
 
-// MembershipLog records what the elastic run actually did: the applied
-// membership changes, and — when the run degraded — the engine fail-stops
-// the lost worker mapped to. Replaying Resizes through emu.Config.Elastic
-// (plus Losses through faults.Schedule) reproduces the run in-process.
+// MembershipLog records what the run actually did: the applied membership
+// changes, — when the run degraded — the engine fail-stops the lost worker
+// mapped to, and the checkpoint cadence both happened under. ReplayConfig
+// turns it back into the in-process run that reproduces the result.
 type MembershipLog struct {
 	Resizes []emu.AppliedResize
 	Losses  []faults.Crash
+	// CheckpointEvery is the run's Options.CheckpointEvery: it positions the
+	// rollback checkpoints of the loss replay.
+	CheckpointEvery float64
+}
+
+// ReplayConfig is the one log → configuration step, shared by the
+// coordinator's own worker-loss fallback and offline replays
+// (core.Scenario.ReplayElastic): base — the configuration the run started from
+// — with the applied resizes as its Elastic schedule and the recorded losses as
+// engine fail-stops beside base's own straggler/degradation schedule (it shapes
+// the cost model the live run paid), recovered through policy at the run's
+// checkpoint cadence.
+func (l *MembershipLog) ReplayConfig(base emu.Config, policy emu.MembershipPolicy) emu.Config {
+	for _, r := range l.Resizes {
+		base.Elastic = append(base.Elastic, emu.Resize{At: r.At, Engines: r.Engines, Assignment: r.Assignment})
+	}
+	if len(l.Losses) > 0 {
+		var sched faults.Schedule
+		if base.Faults != nil {
+			sched = *base.Faults
+		}
+		sched.Crashes = append([]faults.Crash(nil), l.Losses...)
+		base.Faults, base.OnMembership = &sched, policy
+	}
+	base.CheckpointEvery = l.CheckpointEvery
+	return base
 }
 
 // RunElastic drives one distributed run with elastic membership. workers are
@@ -101,8 +127,7 @@ func RunElastic(ctx context.Context, spec *RunSpec, workers []Conn, opt ElasticO
 func (s *coordinator) admitJoins() {
 	reject := func(conn Conn, reason string) {
 		s.opt.logf("dist: rejecting joiner: %s", reason)
-		_ = conn.Send(Frame{Type: MsgAbort, Payload: TextMsg{Text: reason}.Encode()})
-		_ = conn.Close()
+		abortConn(conn, reason)
 	}
 	for s.opt.Joins != nil {
 		select {
@@ -159,23 +184,9 @@ func (s *coordinator) resizeBarrier(end float64, deliver func() error) (float64,
 
 	// Export every current member, draining ones included — their state
 	// must land somewhere before they leave.
-	if err := s.sendAll(s.members, MsgExport, ExportMsg{At: end}.Encode()); err != nil {
+	exports, err := s.pullExports(MsgExport, ExportMsg{At: end}.Encode(), MsgExport)
+	if err != nil {
 		return 0, err
-	}
-	exports := make([]*emu.ElasticExport, 0, len(s.members))
-	for _, m := range s.members {
-		f, err := s.step(m, MsgExport)
-		if err != nil {
-			return 0, err
-		}
-		ex, err := DecodeElasticExport(f.Payload)
-		if err != nil {
-			return 0, &workerLost{worker: m.slot, err: err}
-		}
-		if err := s.checkPartial(m, ex.Telemetry); err != nil {
-			return 0, err
-		}
-		exports = append(exports, ex)
 	}
 
 	// The new membership: continuing members keep their admission order,
@@ -192,24 +203,11 @@ func (s *coordinator) resizeBarrier(end float64, deliver func() error) (float64,
 	if len(continuing) == 0 {
 		return 0, fmt.Errorf("dist: every worker drained — no membership left at t=%g", end)
 	}
-	var engines []int
 	groups := make([][]int, len(continuing))
 	for i, m := range continuing {
-		engines = append(engines, m.engines...)
 		groups[i] = m.engines
 	}
-	sort.Ints(engines)
-
-	assignment, err := opt.OnResize(emu.ResizeEvent{
-		At:       end,
-		Engines:  append([]int(nil), engines...),
-		Previous: merge.Assignment(),
-		Loads:    merge.Loads(),
-	})
-	if err != nil {
-		return 0, fmt.Errorf("dist: resize policy at t=%g: %w", end, err)
-	}
-	installs, newL, err := merge.Resize(end, exports, engines, assignment, groups)
+	installs, newL, err := merge.Resize(end, exports, groups, opt.OnResize)
 	if err != nil {
 		return 0, err
 	}
@@ -258,7 +256,6 @@ func (s *coordinator) resizeBarrier(end float64, deliver func() error) (float64,
 	s.pending = nil
 	s.lastResizeAt = end
 	s.log.Resizes = merge.AppliedResizes()
-	opt.logf("dist: membership now %d workers (%d engines) at t=%g, lookahead %g",
-		len(s.members), len(engines), end, newL)
+	opt.logf("dist: membership now %d workers at t=%g, lookahead %g", len(s.members), end, newL)
 	return newL, nil
 }

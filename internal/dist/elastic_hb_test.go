@@ -41,7 +41,7 @@ func TestHeartbeatDetectsHungWorker(t *testing.T) {
 		Options:           Options{StepTimeout: 30 * time.Second},
 		HeartbeatInterval: interval,
 		HeartbeatMisses:   misses,
-		OnResize: func(emu.ResizeEvent) ([]int, error) {
+		OnResize: func(emu.MembershipChange) ([]int, error) {
 			return nil, errors.New("no membership change expected")
 		},
 	})

@@ -101,7 +101,7 @@ func TestElasticJoinDrainMatchesReplay(t *testing.T) {
 				t.Fatal("empty run proves nothing")
 			}
 
-			ref, err := scenario(t, topology).ReplayElastic(ctx, o.Assignment, mlog, elasticCkpt)
+			ref, err := scenario(t, topology).ReplayElastic(ctx, o.Assignment, mlog)
 			if err != nil {
 				t.Fatalf("in-process replay: %v", err)
 			}
@@ -187,7 +187,7 @@ func TestElasticJoinKillMatchesReplay(t *testing.T) {
 				}
 			}
 
-			ref, err := scenario(t, topology).ReplayElastic(ctx, o.Assignment, mlog, elasticCkpt)
+			ref, err := scenario(t, topology).ReplayElastic(ctx, o.Assignment, mlog)
 			if err != nil {
 				t.Fatalf("in-process replay: %v", err)
 			}
@@ -249,7 +249,7 @@ func TestElasticTCPMatchesLoopback(t *testing.T) {
 	if len(mlog.Resizes) == 0 {
 		t.Fatal("no membership change applied over TCP")
 	}
-	ref, err := scenario(t, "Campus").ReplayElastic(ctx, o.Assignment, mlog, elasticCkpt)
+	ref, err := scenario(t, "Campus").ReplayElastic(ctx, o.Assignment, mlog)
 	if err != nil {
 		t.Fatalf("in-process replay: %v", err)
 	}
@@ -366,7 +366,7 @@ func TestStepperCloseStopsWorkers(t *testing.T) {
 		Options:          dist.Options{CheckpointEvery: elasticCkpt},
 		Joins:            joins,
 		EnginesPerWorker: 2,
-		OnResize: func(ev emu.ResizeEvent) ([]int, error) {
+		OnResize: func(ev emu.MembershipChange) ([]int, error) {
 			// Both workers are parked at the barrier, Steppers up.
 			atResize = stepperWorkers() - base
 			next := append([]int(nil), ev.Previous...)

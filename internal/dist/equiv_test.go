@@ -490,11 +490,11 @@ func TestCoordinatorRejectsBadShapes(t *testing.T) {
 	if _, err := dist.Run(context.Background(), &dist.RunSpec{Cfg: cfg}, many, dist.Options{}); err == nil {
 		t.Fatal("more workers than engines must be rejected")
 	}
-	// Cfg.OnCrash must not be set on a distributed spec.
-	cfg.OnCrash = func(emu.EngineFailure) ([]int, error) { return nil, nil }
+	// Cfg.OnMembership must not be set on a distributed spec.
+	cfg.OnMembership = func(emu.MembershipChange) ([]int, error) { return nil, nil }
 	one := make([]dist.Conn, 1)
 	one[0], _ = dist.Loopback()
 	if _, err := dist.Run(context.Background(), &dist.RunSpec{Cfg: cfg}, one, dist.Options{}); err == nil {
-		t.Fatal("Cfg.OnCrash must be rejected")
+		t.Fatal("Cfg.OnMembership must be rejected")
 	}
 }

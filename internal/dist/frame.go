@@ -16,7 +16,7 @@
 //	               ◀────────────── WINDOW [T, T+L)
 //	WINDOW_DONE    ──────────────▶  (counters, outbox, telemetry share)
 //	               ◀────────────── FINISH / ABORT
-//	STATE (final)  ──────────────▶
+//	STATE          ──────────────▶  (the worker's final export)
 //	               ◀────────────── BYE
 //
 // Every frame is a uint32 length prefix followed by a one-byte message type
@@ -35,9 +35,9 @@ import (
 )
 
 // Version is the protocol version; HELLO/ASSIGN carry it and any mismatch
-// aborts the handshake. v4 dropped the CHECKPOINT round trip and the
-// receive-side arrays of a telemetry partial.
-const Version = 4
+// aborts the handshake. v5 made STATE the same export a resize barrier pulls
+// (one NetState layout for STATE, EXPORT and INSTALL).
+const Version = 5
 
 // MaxFrame bounds a frame's payload (type byte included). It is sized for
 // the largest legitimate message — a full telemetry slow-state partial on a
@@ -69,7 +69,8 @@ const (
 	// checkpoint cadence that nothing restored) and stay unused.
 	_
 	_
-	// MsgFinish ends the run; the worker answers with MsgState.
+	// MsgFinish ends the run; the worker answers with MsgState, its final
+	// ElasticExport (no pending events).
 	MsgFinish
 	MsgState
 	// MsgError reports a worker-side run error (poisoned run, bad event).

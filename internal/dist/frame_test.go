@@ -162,7 +162,10 @@ func FuzzDecodePayloads(f *testing.F) {
 	f.Add(EncodeWindowDone(nil, &emu.WindowReport{Telemetry: ragged}))
 	f.Add(ExportMsg{At: 2.5}.Encode())
 	f.Add(InstallAck{Lookahead: 0.005}.Encode())
-	f.Add(EncodeElasticExport(&emu.ElasticExport{Engines: []int{1}, FCTs: []float64{-1, 0.5}}))
+	f.Add(EncodeElasticExport(&emu.ElasticExport{Engines: []int{1}, NetState: emu.NetState{FCTs: []float64{-1, 0.5}}}))
+	// A final export that decodes but whose kernel counters stop short of its
+	// own engine (TestHostileExportLosesWorkerTyped).
+	f.Add(EncodeElasticExport(&emu.ElasticExport{Engines: []int{1}, Events: []int64{4}, Charges: []int64{4, 3}, RemoteSends: []int64{0, 1}}))
 	f.Add(EncodeElasticInstall(&emu.ElasticInstall{At: 2, Lookahead: 0.01, Engines: []int{0, 1}}))
 	f.Add(EncodeSpans([]obs.Span{{Kind: obs.SpanWireSend, Engine: -1, Window: 3, Start: 1, End: 2, Wall: 0.25}}))
 	f.Add(EncodeSpans([]obs.Span{{Kind: obs.SpanWireSend, Engine: -1, Wall: math.Inf(1)}}))
@@ -205,7 +208,6 @@ func FuzzDecodePayloads(f *testing.F) {
 				t.Fatalf("InstallPartials: untyped error %v", ierr)
 			}
 		}
-		DecodeState(data)
 		DecodeText(data)
 		DecodeSpec(data)
 		DecodeExportMsg(data)

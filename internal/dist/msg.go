@@ -312,20 +312,6 @@ func DecodeWindowDone(b []byte, r *emu.WindowReport) error {
 	return d.finish()
 }
 
-// EncodeState/DecodeState carry MsgState payloads.
-func EncodeState(s *emu.DistState) []byte {
-	var e encoder
-	e.ints(s.Engines)
-	e.i64s(s.Events)
-	e.i64s(s.Charges)
-	e.i64s(s.RemoteSends)
-	e.i64s(s.LinkBytes)
-	e.i64s(s.Drops)
-	e.f64s(s.FCTs)
-	encodePartial(&e, s.Telemetry)
-	return e.buf
-}
-
 // EncodeSpans/DecodeSpans carry MsgSpans payloads: a worker's buffered
 // wall-clock trace spans. Busy never ships (the coordinator derives modeled
 // busy from the merged counters itself) and Worker is implied by the sending
@@ -373,27 +359,12 @@ func DecodeSpans(b []byte) ([]obs.Span, error) {
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-func DecodeState(b []byte) (*emu.DistState, error) {
-	d := decoder{buf: b}
-	s := &emu.DistState{
-		Engines:     d.ints("state.engines"),
-		Events:      d.i64s("state.events"),
-		Charges:     d.i64s("state.charges"),
-		RemoteSends: d.i64s("state.remoteSends"),
-		LinkBytes:   d.i64s("state.linkBytes"),
-		Drops:       d.i64s("state.drops"),
-		FCTs:        d.f64s("state.fcts"),
-	}
-	s.Telemetry = decodePartial(&d)
-	return s, d.finish()
-}
-
 // ---- The scenario spec ----
 
 // Spec is the self-contained scenario a worker rebuilds the emulation from:
 // topology, workload, assignment and every numeric knob of the run, plus the
-// routing mode and whether telemetry is collected. Functions (OnCrash) and
-// crash schedules never ship — EncodeSpec rejects them; straggler and
+// routing mode and whether telemetry is collected. Functions (OnMembership)
+// and crash schedules never ship — EncodeSpec rejects them; straggler and
 // degradation schedules do ship (they parameterize the coordinator's cost
 // model, and the worker needs them only to round-trip the spec hash).
 type Spec struct {
@@ -419,8 +390,8 @@ func EncodeSpec(s *Spec) ([]byte, error) {
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("dist: spec needs a network")
 	}
-	if cfg.Faults.HasCrashes() || cfg.OnCrash != nil {
-		return nil, fmt.Errorf("dist: crash schedules and crash hooks do not ship")
+	if cfg.Faults.HasCrashes() || cfg.OnMembership != nil {
+		return nil, fmt.Errorf("dist: crash schedules and membership policies do not ship")
 	}
 	var e encoder
 	e.u32(Version)

@@ -4,8 +4,8 @@ import (
 	"repro/internal/emu"
 )
 
-// Elastic-membership payload codecs: EXPORT pulls a worker's complete
-// barrier state, INSTALL reseats a continuing worker onto the repartitioned
+// Elastic-membership payload codecs: EXPORT (and FINISH, answered by STATE)
+// pulls a worker's complete barrier state, INSTALL reseats a continuing worker onto the repartitioned
 // state, INSTALL_ACK closes the loop with the worker's derived lookahead.
 
 // ExportMsg commands a barrier state export at virtual time At.
@@ -23,17 +23,36 @@ func DecodeExportMsg(b []byte) (ExportMsg, error) {
 	return m, d.finish()
 }
 
-// EncodeElasticExport/DecodeElasticExport carry the worker's reply to
-// MsgExport.
+// encodeNetState/decodeNetState carry the link and flow slots — the one
+// listing of them on the wire, inside exports and installs alike.
+func encodeNetState(e *encoder, s *emu.NetState) {
+	e.f64s(s.BusyUntil)
+	e.i64s(s.LinkBytes)
+	e.i64s(s.Drops)
+	e.i64s(s.Delivered)
+	e.f64s(s.FCTs)
+}
+
+func decodeNetState(d *decoder) emu.NetState {
+	return emu.NetState{
+		BusyUntil: d.f64s("netState.busyUntil"),
+		LinkBytes: d.i64s("netState.linkBytes"),
+		Drops:     d.i64s("netState.drops"),
+		Delivered: d.i64s("netState.delivered"),
+		FCTs:      d.f64s("netState.fcts"),
+	}
+}
+
+// EncodeElasticExport/DecodeElasticExport carry a worker's barrier state: its
+// reply to MsgExport and, as MsgState, to MsgFinish.
 func EncodeElasticExport(x *emu.ElasticExport) []byte {
 	var e encoder
 	e.ints(x.Engines)
-	encodeWireEvents(&e, x.Events)
-	e.f64s(x.BusyUntil)
-	e.i64s(x.LinkBytes)
-	e.i64s(x.Drops)
-	e.i64s(x.Delivered)
-	e.f64s(x.FCTs)
+	e.i64s(x.Events)
+	e.i64s(x.Charges)
+	e.i64s(x.RemoteSends)
+	encodeWireEvents(&e, x.Pending)
+	encodeNetState(&e, &x.NetState)
 	encodePartial(&e, x.Telemetry)
 	return e.buf
 }
@@ -41,13 +60,12 @@ func EncodeElasticExport(x *emu.ElasticExport) []byte {
 func DecodeElasticExport(b []byte) (*emu.ElasticExport, error) {
 	d := decoder{buf: b}
 	x := &emu.ElasticExport{
-		Engines:   d.ints("export.engines"),
-		Events:    decodeWireEvents(&d, nil),
-		BusyUntil: d.f64s("export.busyUntil"),
-		LinkBytes: d.i64s("export.linkBytes"),
-		Drops:     d.i64s("export.drops"),
-		Delivered: d.i64s("export.delivered"),
-		FCTs:      d.f64s("export.fcts"),
+		Engines:     d.ints("export.engines"),
+		Events:      d.i64s("export.events"),
+		Charges:     d.i64s("export.charges"),
+		RemoteSends: d.i64s("export.remoteSends"),
+		Pending:     decodeWireEvents(&d, nil),
+		NetState:    decodeNetState(&d),
 	}
 	x.Telemetry = decodePartial(&d)
 	return x, d.finish()
@@ -66,11 +84,7 @@ func EncodeElasticInstall(in *emu.ElasticInstall) []byte {
 	e.i64s(in.Charges)
 	e.i64s(in.RemoteSends)
 	encodeWireEvents(&e, in.Pending)
-	e.f64s(in.BusyUntil)
-	e.i64s(in.LinkBytes)
-	e.i64s(in.Drops)
-	e.i64s(in.Delivered)
-	e.f64s(in.FCTs)
+	encodeNetState(&e, &in.NetState)
 	encodePartial(&e, in.Telemetry)
 	return e.buf
 }
@@ -88,11 +102,7 @@ func DecodeElasticInstall(b []byte) (*emu.ElasticInstall, error) {
 		Charges:     d.i64s("install.charges"),
 		RemoteSends: d.i64s("install.remoteSends"),
 		Pending:     decodeWireEvents(&d, nil),
-		BusyUntil:   d.f64s("install.busyUntil"),
-		LinkBytes:   d.i64s("install.linkBytes"),
-		Drops:       d.i64s("install.drops"),
-		Delivered:   d.i64s("install.delivered"),
-		FCTs:        d.f64s("install.fcts"),
+		NetState:    decodeNetState(&d),
 	}
 	in.Telemetry = decodePartial(&d)
 	return in, d.finish()

@@ -92,9 +92,9 @@ func TestSpecRoundTrip(t *testing.T) {
 
 func TestSpecRejectsFaultsAndHooks(t *testing.T) {
 	s := testSpec(t)
-	s.Cfg.OnCrash = func(emu.EngineFailure) ([]int, error) { return nil, nil }
+	s.Cfg.OnMembership = func(emu.MembershipChange) ([]int, error) { return nil, nil }
 	if _, err := EncodeSpec(s); err == nil {
-		t.Fatal("OnCrash must not ship")
+		t.Fatal("OnMembership must not ship")
 	}
 }
 
@@ -194,11 +194,13 @@ func testInstall() *emu.ElasticInstall {
 		Pending: []emu.WireEvent{
 			{Time: 4.25, Dst: 2, Src: 0, SrcIdx: 1, Kind: emu.WireChunk, Flow: 1, Hop: 1, Packets: 3, Bytes: 4500},
 		},
-		BusyUntil: []float64{0, math.Nextafter(4, 5), 0, 0, 3.5, 0},
-		LinkBytes: []int64{10, 0, 30, 0, 50, 0},
-		Drops:     []int64{0, 0, 1, 0, 0, 0},
-		Delivered: []int64{100, 0},
-		FCTs:      []float64{0.5, -1},
+		NetState: emu.NetState{
+			BusyUntil: []float64{0, math.Nextafter(4, 5), 0, 0, 3.5, 0},
+			LinkBytes: []int64{10, 0, 30, 0, 50, 0},
+			Drops:     []int64{0, 0, 1, 0, 0, 0},
+			Delivered: []int64{100, 0},
+			FCTs:      []float64{0.5, -1},
+		},
 		Telemetry: &telemetry.Partial{
 			Engines:       []int{0, 2},
 			MatrixBytes:   []int64{1, 2, 3},
@@ -233,13 +235,18 @@ func TestElasticInstallRoundTrip(t *testing.T) {
 
 func TestElasticExportRoundTrip(t *testing.T) {
 	x := &emu.ElasticExport{
-		Engines:   []int{1},
-		Events:    []emu.WireEvent{{Time: 2.5, Dst: 0, Src: 1, SrcIdx: 2, Kind: emu.WireTCPRound, Flow: 7, Window: 2, Offset: 4096}},
-		BusyUntil: []float64{0, 1.25},
-		LinkBytes: []int64{0, 99},
-		Drops:     []int64{0, 1},
-		Delivered: []int64{0, 3},
-		FCTs:      []float64{-1, math.Nextafter(1, 2)},
+		Engines:     []int{1},
+		Events:      []int64{0, 12},
+		Charges:     []int64{0, 11},
+		RemoteSends: []int64{0, 2},
+		Pending:     []emu.WireEvent{{Time: 2.5, Dst: 0, Src: 1, SrcIdx: 2, Kind: emu.WireTCPRound, Flow: 7, Window: 2, Offset: 4096}},
+		NetState: emu.NetState{
+			BusyUntil: []float64{0, 1.25},
+			LinkBytes: []int64{0, 99},
+			Drops:     []int64{0, 1},
+			Delivered: []int64{0, 3},
+			FCTs:      []float64{-1, math.Nextafter(1, 2)},
+		},
 	}
 	got, err := DecodeElasticExport(EncodeElasticExport(x))
 	if err != nil {
@@ -267,17 +274,23 @@ func TestElasticInstallTruncationNeverPanics(t *testing.T) {
 	}
 }
 
+// TestStateRoundTrip: a STATE payload is a final export — kernel counters and
+// NetState, no pending events.
 func TestStateRoundTrip(t *testing.T) {
-	s := &emu.DistState{
+	s := &emu.ElasticExport{
 		Engines:     []int{0, 2},
 		Events:      []int64{10, 0, 30},
 		Charges:     []int64{9, 0, 29},
 		RemoteSends: []int64{1, 0, 2},
-		LinkBytes:   []int64{100, 200, 300, 400},
-		Drops:       []int64{0, 1, 0, 0},
-		FCTs:        []float64{0.5, -1, math.Nextafter(2, 3)},
+		NetState: emu.NetState{
+			BusyUntil: []float64{0.25, 0, 0, 1.5},
+			LinkBytes: []int64{100, 200, 300, 400},
+			Drops:     []int64{0, 1, 0, 0},
+			Delivered: []int64{7, 0, 9},
+			FCTs:      []float64{0.5, -1, math.Nextafter(2, 3)},
+		},
 	}
-	got, err := DecodeState(EncodeState(s))
+	got, err := DecodeElasticExport(EncodeElasticExport(s))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,6 +155,17 @@ func TestTruncatedHelloFailsHandshake(t *testing.T) {
 	}
 }
 
+// TestStaleHelloVersionRefused: a worker built before STATE became the final
+// export says so in its HELLO and is refused before anything ships to it.
+func TestStaleHelloVersionRefused(t *testing.T) {
+	c, s := dist.Loopback()
+	go s.Send(dist.Frame{Type: dist.MsgHello, Payload: dist.Hello{Version: 4}.Encode()})
+	_, err := dist.Run(context.Background(), distSpec(t), []dist.Conn{c}, dist.Options{})
+	if err == nil || !strings.Contains(err.Error(), "speaks protocol 4, this build speaks 5") {
+		t.Fatalf("a v4 HELLO must be refused by version, got %v", err)
+	}
+}
+
 // TestTruncatedAssignFailsWorker: the worker side of the same cut — a partial
 // ASSIGN must surface as a prompt decode error from Serve, not a stall.
 func TestTruncatedAssignFailsWorker(t *testing.T) {
@@ -284,9 +295,9 @@ func (c *raggedPartialConn) Send(f dist.Frame) error {
 			f.Payload = dist.EncodeWindowDone(nil, &rep)
 		}
 	case dist.MsgState:
-		if st, err := dist.DecodeState(f.Payload); err == nil && grow(st.Telemetry) {
+		if st, err := dist.DecodeElasticExport(f.Payload); err == nil && grow(st.Telemetry) {
 			c.fired = true
-			f.Payload = dist.EncodeState(st)
+			f.Payload = dist.EncodeElasticExport(st)
 		}
 	}
 	return c.Conn.Send(f)
@@ -299,7 +310,7 @@ func (c *raggedPartialConn) Send(f dist.Frame) error {
 // error naming it, in a window report and in the final state alike, and with a
 // loss policy configured the run carries on without it.
 func TestHostilePartialLosesWorkerTyped(t *testing.T) {
-	run := func(in dist.MsgType, onLoss func(emu.EngineFailure) ([]int, error)) (*emu.Result, error) {
+	run := func(in dist.MsgType, onLoss emu.MembershipPolicy) (*emu.Result, error) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		conns := make([]dist.Conn, 2)
@@ -327,12 +338,136 @@ func TestHostilePartialLosesWorkerTyped(t *testing.T) {
 			}
 		})
 	}
-	res, err := run(dist.MsgWindowDone, func(f emu.EngineFailure) ([]int, error) { return core.NaiveRecovery(f), nil })
+	res, err := run(dist.MsgWindowDone, core.NaiveRecovery)
 	if err != nil {
 		t.Fatalf("with a loss policy the run must survive the hostile worker: %v", err)
 	}
 	if res.Recovery == nil || res.Recovery.Failures == 0 {
 		t.Fatal("the hostile worker's engines were not failed over")
+	}
+}
+
+// mangledExportConn is a hostile worker: the first export it sends in a frame of
+// the given type — STATE at the end of the run, EXPORT at a membership barrier —
+// goes through mangle first.
+type mangledExportConn struct {
+	dist.Conn
+	in     dist.MsgType
+	mangle func(*emu.ElasticExport)
+	fired  bool
+}
+
+func (c *mangledExportConn) Send(f dist.Frame) error {
+	if f.Type == c.in && !c.fired {
+		if ex, err := dist.DecodeElasticExport(f.Payload); err == nil {
+			c.fired = true
+			c.mangle(ex)
+			f.Payload = dist.EncodeElasticExport(ex)
+		}
+	}
+	return c.Conn.Send(f)
+}
+
+// hostileExports are exports that decode cleanly and do not fit the run: each
+// array cut short in turn, an engine the worker does not hold, a pending event
+// for an engine the run does not have.
+var hostileExports = []struct {
+	name   string
+	mangle func(*emu.ElasticExport)
+}{
+	{"short Events", func(x *emu.ElasticExport) { x.Events = x.Events[:len(x.Events)-1] }},
+	{"empty Charges", func(x *emu.ElasticExport) { x.Charges = nil }},
+	{"short RemoteSends", func(x *emu.ElasticExport) { x.RemoteSends = x.RemoteSends[:1] }},
+	{"short BusyUntil", func(x *emu.ElasticExport) { x.BusyUntil = x.BusyUntil[:len(x.BusyUntil)-1] }},
+	{"long LinkBytes", func(x *emu.ElasticExport) { x.LinkBytes = append(x.LinkBytes, 1) }},
+	{"empty Drops", func(x *emu.ElasticExport) { x.Drops = nil }},
+	{"short Delivered", func(x *emu.ElasticExport) { x.Delivered = x.Delivered[:1] }},
+	{"short FCTs", func(x *emu.ElasticExport) { x.FCTs = x.FCTs[:len(x.FCTs)-1] }},
+	{"another worker's engine", func(x *emu.ElasticExport) { x.Engines = []int{0} }},
+	{"engine out of range", func(x *emu.ElasticExport) { x.Engines = []int{1 << 20} }},
+	{"pending event for no engine", func(x *emu.ElasticExport) {
+		x.Pending = append(x.Pending, emu.WireEvent{Dst: -1})
+	}},
+}
+
+// TestHostileStateLosesWorkerTyped: the final export is outside input. One that
+// decodes but whose arrays are shorter than the run's used to be indexed before
+// anything measured it — a STATE with no kernel counters panicked the
+// coordinator at the end of an otherwise finished run. It is measured on
+// receipt now: the sender is declared lost with a typed error naming it, and
+// with a loss policy the run fails over.
+func TestHostileStateLosesWorkerTyped(t *testing.T) {
+	run := func(mangle func(*emu.ElasticExport), onLoss emu.MembershipPolicy) (*emu.Result, error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		conns := make([]dist.Conn, 2)
+		for i := range conns {
+			c, s := dist.Loopback()
+			if i == 1 {
+				s = &mangledExportConn{Conn: s, in: dist.MsgState, mangle: mangle}
+			}
+			conns[i] = c
+			go dist.Serve(ctx, s, dist.WorkerOptions{})
+		}
+		spec := distSpec(t)
+		spec.OnWorkerLoss = onLoss
+		return dist.Run(ctx, spec, conns, dist.Options{})
+	}
+	for _, tc := range hostileExports {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := run(tc.mangle, nil)
+			if !errors.Is(err, dist.ErrWorkerLost) {
+				t.Fatalf("want ErrWorkerLost, got %v", err)
+			}
+			if !strings.Contains(err.Error(), "worker 1") {
+				t.Fatalf("error must name the sender, got %v", err)
+			}
+		})
+	}
+	res, err := run(hostileExports[0].mangle, core.NaiveRecovery)
+	if err != nil {
+		t.Fatalf("with a loss policy the run must survive the hostile worker: %v", err)
+	}
+	if res.Recovery == nil || res.Recovery.Failures == 0 {
+		t.Fatal("the hostile worker's engines were not failed over")
+	}
+}
+
+// TestHostileExportLosesWorkerTyped: the same at a membership barrier. A member
+// whose EXPORT does not fit the run used to abort the whole run with an untyped
+// error from the merge; it loses its sender like any other hostile frame, so an
+// elastic run — a joiner waits at the first barrier — completes through its loss
+// policy.
+func TestHostileExportLosesWorkerTyped(t *testing.T) {
+	for _, tc := range hostileExports {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			conns := make([]dist.Conn, 2)
+			for i := range conns {
+				c, s := dist.Loopback()
+				if i == 1 {
+					s = &mangledExportConn{Conn: s, in: dist.MsgExport, mangle: tc.mangle}
+				}
+				conns[i] = c
+				go dist.Serve(ctx, s, dist.WorkerOptions{})
+			}
+			jc, js := dist.Loopback()
+			go dist.Serve(ctx, js, dist.WorkerOptions{})
+			joins := make(chan dist.Conn, 1)
+			joins <- jc
+			o, mlog, err := scenario(t, "Campus").RunElastic(ctx, conns, dist.ElasticOptions{
+				Options: dist.Options{CheckpointEvery: elasticCkpt},
+				Joins:   joins,
+			})
+			if err != nil {
+				t.Fatalf("a hostile export must lose its sender, not the run: %v", err)
+			}
+			if len(mlog.Losses) == 0 || o.Result.Recovery == nil || o.Result.Recovery.Failures == 0 {
+				t.Fatalf("the hostile worker's engines were not failed over: losses %v, recovery %+v",
+					mlog.Losses, o.Result.Recovery)
+			}
+		})
 	}
 }
 

@@ -204,7 +204,7 @@ func serve(ctx context.Context, conn Conn, opt *WorkerOptions) error {
 			if err != nil {
 				return err
 			}
-			ex, err := local.Export(x.At)
+			ex, err := local.Export(x.At, true)
 			if err != nil {
 				return err
 			}
@@ -232,23 +232,18 @@ func serve(ctx context.Context, conn Conn, opt *WorkerOptions) error {
 				return err
 			}
 		case MsgFinish:
-			st := local.Final()
-			if err := conn.Send(Frame{Type: MsgState, Payload: EncodeState(st)}); err != nil {
-				return err
-			}
-			f, err := recvCmd(ctx, conn, opt, &drained)
+			ex, err := local.Export(0, false)
 			if err != nil {
 				return err
 			}
-			if f.Type != MsgBye {
-				return fmt.Errorf("dist: worker expected BYE, got %s", f.Type)
+			if err := conn.Send(Frame{Type: MsgState, Payload: EncodeElasticExport(ex)}); err != nil {
+				return err
 			}
-			opt.logf("dist: worker %d done", as.WorkerID)
-			return nil
 		case MsgBye:
-			// A drained worker is released at the membership barrier that
-			// exported its state, without a FINISH round.
-			opt.logf("dist: worker %d drained", as.WorkerID)
+			// The coordinator holds this worker's state — pulled by FINISH, or
+			// by the EXPORT of the membership barrier it drained at — and
+			// releases it.
+			opt.logf("dist: worker %d released", as.WorkerID)
 			return nil
 		case MsgAbort:
 			m, _ := DecodeText(f.Payload)

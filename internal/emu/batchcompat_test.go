@@ -214,7 +214,7 @@ func pinnedScenarios() []pinnedScenario {
 				Workload:        spreadFlows(8, 8),
 				Faults:          &faults.Schedule{Crashes: []faults.Crash{{Engine: 1, At: 2}}},
 				CheckpointEvery: 1,
-				OnCrash:         dumpOn(0),
+				OnMembership:    dumpOn(0),
 				Elastic:         []Resize{{At: 5, Engines: []int{0, 2}, Assignment: []int{0, 0, 2, 2}}},
 			}
 		}, [2]string{

@@ -140,11 +140,8 @@ func checkDistConfig(cfg *Config) error {
 	if cfg.Profile {
 		return fmt.Errorf("%w: NetFlow profiling does not run distributed (run the PROFILE pre-run in-process)", ErrBadConfig)
 	}
-	if cfg.Faults.HasCrashes() || cfg.OnCrash != nil {
-		return fmt.Errorf("%w: crash schedules do not run distributed (injected crashes are an in-process feature)", ErrBadConfig)
-	}
-	if len(cfg.Elastic) > 0 || cfg.OnResize != nil {
-		return fmt.Errorf("%w: elastic schedules do not ship (the distributed coordinator drives membership changes itself)", ErrBadConfig)
+	if cfg.Faults.HasCrashes() || len(cfg.Elastic) > 0 || cfg.OnMembership != nil {
+		return fmt.Errorf("%w: crash and elastic schedules do not run distributed (the coordinator drives membership changes itself and replays a lost worker in-process)", ErrBadConfig)
 	}
 	return nil
 }
@@ -162,21 +159,6 @@ type WindowReport struct {
 	// slow-cadence state when the window crossed a measurement-window
 	// boundary; nil when telemetry is disabled.
 	Telemetry *telemetry.Partial
-}
-
-// DistState is a worker's final state contribution: per-engine kernel
-// counters plus every emulation slot the worker's engines own (link
-// counters and drops summed elementwise across workers; a flow's completion
-// time is taken from its destination engine's owner).
-type DistState struct {
-	Engines     []int
-	Events      []int64
-	Charges     []int64
-	RemoteSends []int64
-	LinkBytes   []int64 // flattened [2*link+dir]
-	Drops       []int64 // flattened [2*link+dir]
-	FCTs        []float64
-	Telemetry   *telemetry.Partial
 }
 
 // DistLocal runs a subset of engines on one worker process. Every worker
@@ -321,33 +303,9 @@ func (d *DistLocal) Step(T, end float64) (*WindowReport, error) {
 	return r, nil
 }
 
-// Final exports the worker's end-of-run state contribution.
-func (d *DistLocal) Final() *DistState {
-	stats := d.kernel.Stats()
-	st := &DistState{
-		Engines:     append([]int(nil), d.engines...),
-		Events:      append([]int64(nil), stats.Events...),
-		Charges:     append([]int64(nil), stats.Charges...),
-		RemoteSends: append([]int64(nil), stats.RemoteSends...),
-		LinkBytes:   make([]int64, 2*len(d.e.linkBytes)),
-		Drops:       make([]int64, 2*len(d.e.drops)),
-		FCTs:        append([]float64(nil), d.e.fcts...),
-	}
-	for l := range d.e.linkBytes {
-		st.LinkBytes[2*l] = d.e.linkBytes[l][0]
-		st.LinkBytes[2*l+1] = d.e.linkBytes[l][1]
-		st.Drops[2*l] = d.e.drops[l][0]
-		st.Drops[2*l+1] = d.e.drops[l][1]
-	}
-	if d.e.tel != nil {
-		st.Telemetry = d.e.tel.ExportPartial(d.engines, true)
-	}
-	return st
-}
-
 // DistMerge is the coordinator's half: it owns the barrier bookkeeping and
 // the observation plane (time model, telemetry, recorders) and assembles the
-// final Result from the workers' state contributions.
+// final Result from the workers' exports.
 type DistMerge struct {
 	e     *emulation
 	stats *des.Stats
@@ -356,7 +314,7 @@ type DistMerge struct {
 	// and owned by the transport here.
 	win obs.Window
 	// active flags the engines currently in the run's membership; resizes
-	// update it, and Finalize only requires coverage of active engines.
+	// update it, and assemble only requires coverage of active engines.
 	active []bool
 }
 
@@ -410,17 +368,6 @@ func (m *DistMerge) Trace() *obs.Timeline { return m.e.trace }
 // heartbeat losses) through it; all fields must be virtual-time quantities
 // so recorded traces stay deterministic.
 func (m *DistMerge) RecordEvent(ev obs.Event) { m.e.recordEvent(ev) }
-
-// NoteClusterSize records an active engine-set size with the run's stats
-// collector (peak-cluster accounting across elastic resizes).
-func (m *DistMerge) NoteClusterSize(n int) {
-	if m.e.runStats != nil {
-		m.e.runStats.NoteClusterSize(n)
-	}
-}
-
-// EndTime returns the configured truncation time (0 = none).
-func (m *DistMerge) EndTime() float64 { return m.e.cfg.EndTime }
 
 // CommitWindow commits one executed window [T, end) — the one the
 // coordinator's des.Grid picked, with the idle virtual time skipped it jumped
@@ -476,63 +423,17 @@ func (m *DistMerge) CommitWindow(T, end, skipped float64, reports []*WindowRepor
 	return st, err
 }
 
-// Finalize merges the workers' final states and assembles the Result,
-// verifying the per-engine kernel counters against the coordinator's own
-// window accounting (a cheap end-to-end protocol integrity check). wall is
+// Finalize assembles the Result from the workers' final exports (pulled with
+// no pending events) through the same assemble a resize uses, which also
+// verifies each worker's per-engine kernel counters against the coordinator's
+// own window accounting — a cheap end-to-end protocol integrity check. wall is
 // the coordinator-measured elapsed time.
-func (m *DistMerge) Finalize(states []*DistState, wall time.Duration) (*Result, error) {
-	e := m.e
-	n := e.cfg.NumEngines
-	owner := make([]int, n)
-	for i := range owner {
-		owner[i] = -1
+func (m *DistMerge) Finalize(exports []*ElasticExport, wall time.Duration) (*Result, error) {
+	net, err := m.assemble(exports)
+	if err != nil {
+		return nil, err
 	}
-	var parts []*telemetry.Partial
-	for si, st := range states {
-		if st == nil {
-			return nil, fmt.Errorf("emu: missing final state from worker %d", si)
-		}
-		for _, eng := range st.Engines {
-			if eng < 0 || eng >= n || owner[eng] >= 0 {
-				return nil, fmt.Errorf("emu: final states do not partition the engines (engine %d)", eng)
-			}
-			owner[eng] = si
-			if st.Events[eng] != m.stats.Events[eng] || st.Charges[eng] != m.stats.Charges[eng] ||
-				st.RemoteSends[eng] != m.stats.RemoteSends[eng] {
-				return nil, fmt.Errorf("emu: engine %d counters diverge between worker %d and coordinator", eng, si)
-			}
-		}
-		if len(st.LinkBytes) != 2*len(e.linkBytes) || len(st.Drops) != 2*len(e.drops) {
-			return nil, fmt.Errorf("emu: final state link arrays sized for %d links, want %d",
-				len(st.LinkBytes)/2, len(e.linkBytes))
-		}
-		if len(st.FCTs) != len(e.fcts) {
-			return nil, fmt.Errorf("emu: final state covers %d flows, want %d", len(st.FCTs), len(e.fcts))
-		}
-		for l := range e.linkBytes {
-			e.linkBytes[l][0] += st.LinkBytes[2*l]
-			e.linkBytes[l][1] += st.LinkBytes[2*l+1]
-			e.drops[l][0] += st.Drops[2*l]
-			e.drops[l][1] += st.Drops[2*l+1]
-		}
-		if st.Telemetry != nil {
-			parts = append(parts, st.Telemetry)
-		}
-	}
-	for eng, si := range owner {
-		if si < 0 && m.active[eng] {
-			return nil, fmt.Errorf("emu: no final state covers active engine %d", eng)
-		}
-	}
-	// A flow's completion time is written by its destination node's engine.
-	for i, f := range e.flows {
-		e.fcts[i] = states[owner[e.assignment[f.dst]]].FCTs[i]
-	}
-	if e.tel != nil && len(parts) > 0 {
-		if err := e.tel.InstallPartials(parts); err != nil {
-			return nil, err
-		}
-	}
+	m.e.NetState = net
 	m.stats.WallTime = wall
-	return e.buildResult(m.stats, nil), nil
+	return m.e.buildResult(m.stats, nil), nil
 }

@@ -29,7 +29,7 @@ func runAsGroups(cfg emu.Config, groups [][]int) (*emu.Result, error) {
 			groupOf[e] = g
 		}
 	}
-	grid := des.Grid{Lookahead: merge.Lookahead(), EndTime: merge.EndTime()}
+	grid := des.Grid{Lookahead: merge.Lookahead(), EndTime: cfg.EndTime}
 	var outbox []emu.WireEvent // globally sorted, from the last barrier
 	shares := make([][]emu.WireEvent, len(groups))
 	reports := make([]*emu.WindowReport, len(groups))
@@ -66,11 +66,13 @@ func runAsGroups(cfg emu.Config, groups [][]int) (*emu.Result, error) {
 			return nil, err
 		}
 	}
-	states := make([]*emu.DistState, len(locals))
+	finals := make([]*emu.ElasticExport, len(locals))
 	for g, l := range locals {
-		states[g] = l.Final()
+		if finals[g], err = l.Export(0, false); err != nil {
+			return nil, err
+		}
 	}
-	return merge.Finalize(states, time.Since(start))
+	return merge.Finalize(finals, time.Since(start))
 }
 
 // BenchmarkRunAsDistGroups answers ROADMAP's "could emu.Run be N DistLocal

@@ -10,7 +10,7 @@ import (
 // Elastic membership: the engine set of a run changes while it executes. A
 // Resize pauses the run at the next window barrier at or after At,
 // repartitions the virtual nodes onto the new engine set (explicitly or via
-// Config.OnResize), migrates pending events and accounting to the new owners,
+// Config.OnMembership), migrates pending events and accounting to the new owners,
 // and resumes. The kernel's LP count is fixed for a run, so NumEngines is the
 // capacity: a resize activates or deactivates engines within it. This
 // in-process path is the canonical reference the distributed join/drain
@@ -24,21 +24,8 @@ type Resize struct {
 	// Engines is the new active engine set (within [0, NumEngines)).
 	Engines []int
 	// Assignment optionally fixes the post-resize node→engine assignment
-	// (every value drawn from Engines). When nil, Config.OnResize decides.
+	// (every value drawn from Engines). When nil, Config.OnMembership decides.
 	Assignment []int
-}
-
-// ResizeEvent is the context handed to Config.OnResize.
-type ResizeEvent struct {
-	// At is the barrier time the resize applies at.
-	At float64
-	// Engines is the new active engine set.
-	Engines []int
-	// Previous is the assignment in effect before the resize.
-	Previous []int
-	// Loads is the cumulative kernel-event charge per engine at the barrier —
-	// the load picture a repartitioning policy balances against.
-	Loads []float64
 }
 
 // AppliedResize records one applied membership change.
@@ -62,19 +49,27 @@ type Membership struct {
 	Stall float64
 }
 
-// checkAssignment validates a policy's node→engine assignment for a membership
-// change: it must cover the network and use only engines allowed marks.
-func (e *emulation) checkAssignment(what string, assignment []int, allowed []bool) error {
-	if len(assignment) != e.nw.NumNodes() {
-		return fmt.Errorf("emu: %s assignment covers %d nodes, network has %d",
-			what, len(assignment), e.nw.NumNodes())
+// repartition is the one policy call behind every membership change — a crash
+// (recoverCrash), an in-process resize (applyResize) and a distributed one
+// (DistMerge.Resize): policy is handed the change c, completed with the
+// assignment in effect, and its answer must cover the network using only
+// engines member flags.
+func (e *emulation) repartition(policy MembershipPolicy, c MembershipChange, member []bool) ([]int, error) {
+	c.Engines = append([]int(nil), c.Engines...)
+	c.Previous = append([]int(nil), e.assignment...)
+	next, err := policy(c)
+	if err != nil {
+		return nil, fmt.Errorf("emu: membership policy at t=%g: %w", c.At, err)
 	}
-	for v, eng := range assignment {
-		if eng < 0 || eng >= e.cfg.NumEngines || !allowed[eng] {
-			return fmt.Errorf("emu: %s assigned node %d to engine %d, not in its engine set", what, v, eng)
+	if len(next) != e.nw.NumNodes() {
+		return nil, fmt.Errorf("emu: policy assignment covers %d nodes, network has %d", len(next), e.nw.NumNodes())
+	}
+	for v, eng := range next {
+		if eng < 0 || eng >= e.cfg.NumEngines || !member[eng] {
+			return nil, fmt.Errorf("emu: policy assigned node %d to engine %d, not in its engine set", v, eng)
 		}
 	}
-	return nil
+	return next, nil
 }
 
 // reassign switches the run to a new assignment at barrier time at and
@@ -139,16 +134,9 @@ func (e *emulation) applyResize(k *des.Kernel[payload], rs *resilience, idx int,
 	newAssign := r.Assignment
 	if newAssign == nil {
 		var err error
-		newAssign, err = e.cfg.OnResize(ResizeEvent{
-			At:       at,
-			Engines:  append([]int(nil), r.Engines...),
-			Previous: append([]int(nil), e.assignment...),
-			Loads:    loadsOf(cp.Stats().Charges),
-		})
+		newAssign, err = e.repartition(e.cfg.OnMembership,
+			MembershipChange{At: at, Engines: r.Engines, Loads: loadsOf(cp.Stats().Charges)}, target)
 		if err != nil {
-			return fmt.Errorf("emu: resize %d at t=%g: %w", idx, at, err)
-		}
-		if err := e.checkAssignment("resize", newAssign, target); err != nil {
 			return err
 		}
 	}

@@ -3,6 +3,7 @@ package emu
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/des"
 	"repro/internal/netgraph"
@@ -23,27 +24,31 @@ import (
 //	  INSTALL (per member) ───────────────────▶  DistLocal.Reseat
 //	  ◀──────────── ack (lookahead + next vote)
 //
-// Every array a worker exports is naturally masked by the single-writer
-// ownership discipline (a worker's slots are the only nonzero ones), so
-// exports ship raw state; installs are cut from the assembled global state
-// and masked per the NEW ownership so the discipline holds after the resize.
+// A worker's NetState is naturally masked by the single-writer ownership
+// discipline (its slots are the only ones off rest), so exports ship raw state;
+// installs are cut from the assembled global state and masked per the NEW
+// ownership so the discipline holds after the resize. FINISH pulls the same
+// export once more, without the pending events, and Finalize assembles it the
+// same way.
 
-// ElasticExport is one worker's complete barrier state, pulled at a resize
-// (or drain) barrier with its engines quiesced.
+// ElasticExport is one worker's complete barrier state, pulled with its
+// engines quiesced at a resize (or drain) barrier and, as its final state, when
+// the run ends.
 type ElasticExport struct {
 	// Engines is the worker's (old) engine set.
 	Engines []int
-	// Events is the worker's pending events in kernel-checkpoint order:
-	// LP-major, per-LP in captured (time, seq) order. Dst is the old LP.
-	Events []WireEvent
-	// BusyUntil/LinkBytes/Drops are the flattened [2*link+dir] transmitter
-	// slots (non-owned slots zero).
-	BusyUntil []float64
-	LinkBytes []int64
-	Drops     []int64
-	// Delivered/FCTs are the per-flow delivery state (non-owned flows 0/-1).
-	Delivered []int64
-	FCTs      []float64
+	// Events, Charges and RemoteSends are the worker's cumulative kernel
+	// counters; its own engines' entries must equal the coordinator's window
+	// accounting.
+	Events      []int64
+	Charges     []int64
+	RemoteSends []int64
+	// Pending is the worker's pending events in kernel-checkpoint order:
+	// LP-major, per-LP in captured (time, seq) order. Dst is the old LP. A
+	// final export carries none.
+	Pending []WireEvent
+	// NetState is the worker's link and flow slots (non-owned slots at rest).
+	NetState
 	// Telemetry is the worker's full slow-cadence telemetry share; nil when
 	// telemetry is disabled.
 	Telemetry *telemetry.Partial
@@ -72,55 +77,37 @@ type ElasticInstall struct {
 	// rewritten to the new owning LP, in the global old-LP-major scan order
 	// (the exact order an in-process Restore would push them).
 	Pending []WireEvent
-	// BusyUntil/LinkBytes/Drops/Delivered/FCTs are the global slot arrays
-	// masked to the member's new ownership.
-	BusyUntil []float64
-	LinkBytes []int64
-	Drops     []int64
-	Delivered []int64
-	FCTs      []float64
+	// NetState is the global link and flow state masked to the member's new
+	// ownership.
+	NetState
 	// Telemetry is the member's masked slow-cadence share, cut from the
 	// coordinator's just-assembled collector; nil when telemetry is disabled.
 	Telemetry *telemetry.Partial
 }
 
-// wireOwner computes the engine owning a wire event under the current
-// assignment — the distributed mirror of ownerOf, and literally that behind
-// decodeWire's validation, so both paths route a migrated event identically.
-func (e *emulation) wireOwner(w WireEvent) (int, error) {
-	s, err := e.decodeWire(w)
-	if err != nil {
-		return 0, err
-	}
-	eng, _ := e.ownerOf(des.Event[payload]{Data: s.Data})
-	return eng, nil
-}
-
-// Export captures this worker's complete state at a quiesced barrier for a
-// membership change (the worker stays runnable: a follow-up Reseat installs
-// the post-resize state, or BYE releases a drained worker).
-func (d *DistLocal) Export(at float64) (*ElasticExport, error) {
-	e := d.e
-	cp := d.kernel.Checkpoint(at)
+// Export captures this worker's state at a quiesced barrier. With pending set
+// it is the migration source of a membership change at time at and the kernel's
+// queues go along in checkpoint order (the worker stays runnable: a follow-up
+// Reseat installs the post-resize state, or BYE releases a drained worker).
+// Without, it is the answer to FINISH: what a finished — or truncated — run
+// leaves queued is nobody's input, so it is neither captured nor sorted.
+func (d *DistLocal) Export(at float64, pending bool) (*ElasticExport, error) {
+	e, stats := d.e, d.kernel.Stats()
 	ex := &ElasticExport{
-		Engines:   append([]int(nil), d.engines...),
-		BusyUntil: make([]float64, 2*len(e.busyUntil)),
-		LinkBytes: make([]int64, 2*len(e.linkBytes)),
-		Drops:     make([]int64, 2*len(e.drops)),
-		Delivered: append([]int64(nil), e.delivered...),
-		FCTs:      append([]float64(nil), e.fcts...),
+		Engines:     append([]int(nil), d.engines...),
+		Events:      append([]int64(nil), stats.Events...),
+		Charges:     append([]int64(nil), stats.Charges...),
+		RemoteSends: append([]int64(nil), stats.RemoteSends...),
+		NetState:    e.NetState.clone(),
 	}
-	for _, s := range cp.Export() {
-		w, err := e.encodeSent(s)
-		if err != nil {
-			return nil, err
+	if pending {
+		for _, s := range d.kernel.Checkpoint(at).Export() {
+			w, err := e.encodeSent(s)
+			if err != nil {
+				return nil, err
+			}
+			ex.Pending = append(ex.Pending, w)
 		}
-		ex.Events = append(ex.Events, w)
-	}
-	for l := range e.busyUntil {
-		ex.BusyUntil[2*l], ex.BusyUntil[2*l+1] = e.busyUntil[l][0], e.busyUntil[l][1]
-		ex.LinkBytes[2*l], ex.LinkBytes[2*l+1] = e.linkBytes[l][0], e.linkBytes[l][1]
-		ex.Drops[2*l], ex.Drops[2*l+1] = e.drops[l][0], e.drops[l][1]
 	}
 	if e.tel != nil {
 		ex.Telemetry = e.tel.ExportPartial(d.engines, true)
@@ -131,7 +118,7 @@ func (d *DistLocal) Export(at float64) (*ElasticExport, error) {
 // Reseat installs a post-resize state: the kernel restores from a synthetic
 // checkpoint of the member's share of the pending events (preserving the
 // in-process sequence numbering), the stepper is rebuilt over the new engine
-// set, and every emulation slot array is overwritten with its masked share.
+// set, and the emulation takes over the install's masked NetState.
 func (d *DistLocal) Reseat(in *ElasticInstall) error {
 	e := d.e
 	n := e.cfg.NumEngines
@@ -142,14 +129,8 @@ func (d *DistLocal) Reseat(in *ElasticInstall) error {
 	if len(in.Events) != n || len(in.Charges) != n || len(in.RemoteSends) != n {
 		return fmt.Errorf("%w: reseat stats cover %d engines, want %d", ErrBadConfig, len(in.Events), n)
 	}
-	if len(in.BusyUntil) != 2*len(e.busyUntil) || len(in.LinkBytes) != 2*len(e.linkBytes) ||
-		len(in.Drops) != 2*len(e.drops) {
-		return fmt.Errorf("%w: reseat link arrays sized for %d links, want %d",
-			ErrBadConfig, len(in.BusyUntil)/2, len(e.busyUntil))
-	}
-	if len(in.Delivered) != len(e.delivered) || len(in.FCTs) != len(e.fcts) {
-		return fmt.Errorf("%w: reseat flow arrays cover %d flows, want %d",
-			ErrBadConfig, len(in.Delivered), len(e.delivered))
+	if err := in.NetState.check(len(e.nw.Links), len(e.flows)); err != nil {
+		return err
 	}
 
 	// The worker independently derives the post-resize window width; any
@@ -191,13 +172,7 @@ func (d *DistLocal) Reseat(in *ElasticInstall) error {
 	d.stepper = stepper
 
 	e.assignment = append(e.assignment[:0], in.Assignment...)
-	for l := range e.busyUntil {
-		e.busyUntil[l] = [2]float64{in.BusyUntil[2*l], in.BusyUntil[2*l+1]}
-		e.linkBytes[l] = [2]int64{in.LinkBytes[2*l], in.LinkBytes[2*l+1]}
-		e.drops[l] = [2]int64{in.Drops[2*l], in.Drops[2*l+1]}
-	}
-	copy(e.delivered, in.Delivered)
-	copy(e.fcts, in.FCTs)
+	e.NetState = in.NetState
 	d.engines = append(d.engines[:0], in.Engines...)
 	if e.tel != nil {
 		if err := e.tel.InstallPartials([]*telemetry.Partial{in.Telemetry}); err != nil {
@@ -208,17 +183,12 @@ func (d *DistLocal) Reseat(in *ElasticInstall) error {
 	return nil
 }
 
-// Assignment returns the coordinator's current node→engine assignment.
-func (m *DistMerge) Assignment() []int { return append([]int(nil), m.e.assignment...) }
-
 // Activate restricts the merge's active engine set to the given members. The
 // elastic coordinator calls it once at startup: NumEngines is the capacity,
 // and only the initial workers' engine blocks are live — the rest activate
 // through Resize as workers join.
 func (m *DistMerge) Activate(engines []int) {
-	for i := range m.active {
-		m.active[i] = false
-	}
+	clear(m.active)
 	live := 0
 	for _, eng := range engines {
 		if eng >= 0 && eng < len(m.active) {
@@ -228,7 +198,9 @@ func (m *DistMerge) Activate(engines []int) {
 	}
 	// Peak-cluster accounting starts from the initial live membership;
 	// resizes raise it through EventResize.
-	m.NoteClusterSize(live)
+	if m.e.runStats != nil {
+		m.e.runStats.NoteClusterSize(live)
+	}
 }
 
 // AppliedResizes returns the membership changes applied so far.
@@ -239,148 +211,129 @@ func (m *DistMerge) AppliedResizes() []AppliedResize {
 	return append([]AppliedResize(nil), m.e.membership.Resizes...)
 }
 
-// Loads returns the cumulative per-engine kernel-event charge — the load
-// picture a repartitioning policy balances against.
-func (m *DistMerge) Loads() []float64 { return loadsOf(m.stats.Charges) }
-
-// Resize applies a membership change at barrier time at: the workers'
-// exports are assembled into the global barrier state, the assignment
-// switches to the new engine set, pending events are routed to their new
-// owners in the canonical old-LP-major order, and one install per member
-// group is cut and masked. groups lists each continuing member's new engine
-// set (an empty group yields a nil install — a drained member that gets BYE
-// instead). The returned width is the post-resize kernel lookahead; the
-// run's reported Lookahead (like in-process) stays the initial one.
-func (m *DistMerge) Resize(at float64, exports []*ElasticExport, engines, assignment []int, groups [][]int) ([]*ElasticInstall, float64, error) {
-	e := m.e
-	n := e.cfg.NumEngines
-	nlinks := len(e.nw.Links)
-
-	// Exports must partition the old active engine set.
-	owner := make([]int, n)
-	for i := range owner {
-		owner[i] = -1
+// CheckExport measures one worker's export against the run before anything
+// indexes it — the one shape test resize and final exports share: counters for
+// every engine, a NetState sized for the run's links and flows, engines and
+// pending-event destinations inside the run, a telemetry share that fits, and
+// the worker's own engines' kernel counters equal to the coordinator's window
+// accounting (a cheap end-to-end protocol integrity check). The transport
+// calls it on receipt, so a failing export is blamed on its sender.
+func (m *DistMerge) CheckExport(ex *ElasticExport) error {
+	e, n := m.e, m.e.cfg.NumEngines
+	if ex == nil {
+		return fmt.Errorf("emu: missing export")
 	}
+	if len(ex.Events) != n || len(ex.Charges) != n || len(ex.RemoteSends) != n {
+		return fmt.Errorf("emu: export counters cover %d/%d/%d engines, want %d",
+			len(ex.Events), len(ex.Charges), len(ex.RemoteSends), n)
+	}
+	if err := ex.NetState.check(len(e.nw.Links), len(e.flows)); err != nil {
+		return err
+	}
+	for _, eng := range ex.Engines {
+		if eng < 0 || eng >= n {
+			return fmt.Errorf("emu: export claims engine %d, outside [0,%d)", eng, n)
+		}
+		if ex.Events[eng] != m.stats.Events[eng] || ex.Charges[eng] != m.stats.Charges[eng] ||
+			ex.RemoteSends[eng] != m.stats.RemoteSends[eng] {
+			return fmt.Errorf("emu: engine %d counters diverge between its worker and the coordinator", eng)
+		}
+	}
+	for _, w := range ex.Pending {
+		if w.Dst < 0 || int(w.Dst) >= n {
+			return fmt.Errorf("emu: export holds an event for invalid LP %d", w.Dst)
+		}
+	}
+	return e.tel.CheckPartial(ex.Telemetry)
+}
+
+// assemble turns the workers' exports — each held to CheckExport, together
+// covering every active engine exactly once — into the global barrier state: each slot
+// from the export of the engine owning it under the current assignment. The
+// exports' telemetry shares together are the exact current global traffic
+// plane; installing them brings the coordinator's collector up to date.
+func (m *DistMerge) assemble(exports []*ElasticExport) (NetState, error) {
+	e := m.e
+	owner := make([]*NetState, e.cfg.NumEngines)
+	var parts []*telemetry.Partial
 	for xi, ex := range exports {
-		if ex == nil {
-			return nil, 0, fmt.Errorf("emu: missing resize export %d", xi)
-		}
-		if len(ex.BusyUntil) != 2*nlinks || len(ex.LinkBytes) != 2*nlinks || len(ex.Drops) != 2*nlinks {
-			return nil, 0, fmt.Errorf("emu: resize export %d link arrays sized for %d links, want %d",
-				xi, len(ex.BusyUntil)/2, nlinks)
-		}
-		if len(ex.Delivered) != len(e.delivered) || len(ex.FCTs) != len(e.fcts) {
-			return nil, 0, fmt.Errorf("emu: resize export %d covers %d flows, want %d",
-				xi, len(ex.Delivered), len(e.delivered))
+		if err := m.CheckExport(ex); err != nil {
+			return NetState{}, fmt.Errorf("export %d: %w", xi, err)
 		}
 		for _, eng := range ex.Engines {
-			if eng < 0 || eng >= n || owner[eng] >= 0 {
-				return nil, 0, fmt.Errorf("emu: resize exports do not partition the engines (engine %d)", eng)
+			if owner[eng] != nil {
+				return NetState{}, fmt.Errorf("emu: exports do not partition the engines (engine %d)", eng)
 			}
-			owner[eng] = xi
+			owner[eng] = &ex.NetState
+		}
+		if ex.Telemetry != nil {
+			parts = append(parts, ex.Telemetry)
 		}
 	}
-	for eng := 0; eng < n; eng++ {
-		if m.active[eng] && owner[eng] < 0 {
-			return nil, 0, fmt.Errorf("emu: no resize export covers active engine %d", eng)
+	for eng, on := range m.active {
+		if on && owner[eng] == nil {
+			return NetState{}, fmt.Errorf("emu: no export covers active engine %d", eng)
 		}
 	}
+	if e.tel != nil && len(parts) > 0 {
+		if err := e.tel.InstallPartials(parts); err != nil {
+			return NetState{}, err
+		}
+	}
+	return e.gather(func(eng int) *NetState { return owner[eng] }), nil
+}
 
-	// The new membership: engines must be valid and exactly covered by the
-	// member groups; the assignment must target only the new set.
-	newActive := make([]bool, n)
-	for _, eng := range engines {
-		if eng < 0 || eng >= n || newActive[eng] {
-			return nil, 0, fmt.Errorf("emu: resize engine set repeats or exceeds capacity (engine %d of %d)", eng, n)
-		}
-		newActive[eng] = true
-	}
-	if err := e.checkAssignment("resize", assignment, newActive); err != nil {
-		return nil, 0, err
-	}
-	groupOf := make([]int, n)
-	for i := range groupOf {
-		groupOf[i] = -1
-	}
+// Resize applies a membership change at barrier time at: the workers'
+// exports are assembled into the global barrier state, policy repartitions
+// the nodes onto the new engine set (handed the cumulative charges as the load
+// picture, like an in-process resize), pending events are routed to their new
+// owners in the canonical old-LP-major order, and one install per member
+// group is cut and masked. groups lists each continuing member's engine set —
+// together they are the new membership — and an empty group yields a nil
+// install (a drained member that gets BYE instead). The returned width is the
+// post-resize kernel lookahead; the run's reported Lookahead (like in-process)
+// stays the initial one.
+func (m *DistMerge) Resize(at float64, exports []*ElasticExport, groups [][]int, policy MembershipPolicy) ([]*ElasticInstall, float64, error) {
+	e := m.e
+	n := e.cfg.NumEngines
+
+	// The new membership: every engine valid and in exactly one group.
+	var engines []int
+	newActive, groupOf := make([]bool, n), make([]int, n)
 	for gi, g := range groups {
 		for _, eng := range g {
-			if eng < 0 || eng >= n || !newActive[eng] || groupOf[eng] >= 0 {
-				return nil, 0, fmt.Errorf("emu: member groups do not partition the new engine set (engine %d)", eng)
+			if eng < 0 || eng >= n || newActive[eng] {
+				return nil, 0, fmt.Errorf("emu: member groups repeat an engine or exceed capacity (engine %d of %d)", eng, n)
 			}
-			groupOf[eng] = gi
+			newActive[eng], groupOf[eng] = true, gi
+			engines = append(engines, eng)
 		}
 	}
-	for _, eng := range engines {
-		if groupOf[eng] < 0 {
-			return nil, 0, fmt.Errorf("emu: new engine %d belongs to no member group", eng)
-		}
-	}
+	sort.Ints(engines)
 
-	// Assemble the global barrier state by old ownership. Counters could be
-	// summed (non-owned slots are zero), but FCTs are -1-initialized
-	// everywhere, so selection by owner is the uniform correct rule.
-	busy := make([]float64, 2*nlinks)
-	linkBytes := make([]int64, 2*nlinks)
-	drops := make([]int64, 2*nlinks)
-	for l, link := range e.nw.Links {
-		for dir, end := 0, [2]int{link.A, link.B}; dir < 2; dir++ {
-			xi := owner[e.assignment[end[dir]]]
-			if xi < 0 {
-				continue
-			}
-			busy[2*l+dir] = exports[xi].BusyUntil[2*l+dir]
-			linkBytes[2*l+dir] = exports[xi].LinkBytes[2*l+dir]
-			drops[2*l+dir] = exports[xi].Drops[2*l+dir]
-		}
+	// The assembly reads the old ownership; then the assignment switches.
+	global, err := m.assemble(exports)
+	if err != nil {
+		return nil, 0, err
 	}
-	delivered := make([]int64, len(e.delivered))
-	fcts := make([]float64, len(e.fcts))
-	for i, f := range e.flows {
-		xi := owner[e.assignment[f.dst]]
-		if xi < 0 {
-			fcts[i] = -1
-			continue
-		}
-		delivered[i] = exports[xi].Delivered[i]
-		fcts[i] = exports[xi].FCTs[i]
+	assignment, err := e.repartition(policy,
+		MembershipChange{At: at, Engines: engines, Loads: loadsOf(m.stats.Charges)}, newActive)
+	if err != nil {
+		return nil, 0, err
 	}
-
-	// Pending events per old LP, in each export's captured order.
-	perLP := make([][]WireEvent, n)
-	for _, ex := range exports {
-		for _, w := range ex.Events {
-			if w.Dst < 0 || int(w.Dst) >= n {
-				return nil, 0, fmt.Errorf("emu: resize export holds an event for invalid LP %d", w.Dst)
-			}
-			perLP[w.Dst] = append(perLP[w.Dst], w)
-		}
-	}
-
-	// Telemetry: the workers' exports together are the exact current global
-	// state; installing them brings the coordinator's collector up to date
-	// so the members' masked shares can be cut from it.
-	if e.tel != nil {
-		parts := make([]*telemetry.Partial, 0, len(exports))
-		for _, ex := range exports {
-			if ex.Telemetry != nil {
-				parts = append(parts, ex.Telemetry)
-			}
-		}
-		if err := e.tel.InstallPartials(parts); err != nil {
-			return nil, 0, err
-		}
-	}
-
-	// The assembly above read the old ownership; now the assignment switches.
 	e.resizeTo(at, engines, assignment)
 	m.active = newActive
 	newL := Lookahead(e.nw, e.assignment, e.cfg.MinLookahead)
 
-	// Cut one install per member group.
+	// Cut one install per member group, masked to its new ownership.
 	installs := make([]*ElasticInstall, len(groups))
 	for gi, g := range groups {
 		if len(g) == 0 {
 			continue
+		}
+		mine := make([]bool, n)
+		for _, eng := range g {
+			mine[eng] = true
 		}
 		in := &ElasticInstall{
 			At:          at,
@@ -392,56 +345,43 @@ func (m *DistMerge) Resize(at float64, exports []*ElasticExport, engines, assign
 			Events:      append([]int64(nil), m.stats.Events...),
 			Charges:     append([]int64(nil), m.stats.Charges...),
 			RemoteSends: append([]int64(nil), m.stats.RemoteSends...),
-			BusyUntil:   make([]float64, 2*nlinks),
-			LinkBytes:   make([]int64, 2*nlinks),
-			Drops:       make([]int64, 2*nlinks),
-			Delivered:   make([]int64, len(delivered)),
-			FCTs:        make([]float64, len(fcts)),
-		}
-		mine := make([]bool, n)
-		for _, eng := range g {
-			mine[eng] = true
-		}
-		for l, link := range e.nw.Links {
-			for dir, end := 0, [2]int{link.A, link.B}; dir < 2; dir++ {
-				if mine[e.assignment[end[dir]]] {
-					in.BusyUntil[2*l+dir] = busy[2*l+dir]
-					in.LinkBytes[2*l+dir] = linkBytes[2*l+dir]
-					in.Drops[2*l+dir] = drops[2*l+dir]
+			NetState: e.gather(func(eng int) *NetState {
+				if mine[eng] {
+					return &global
 				}
-			}
-		}
-		for i, f := range e.flows {
-			if mine[e.assignment[f.dst]] {
-				in.Delivered[i] = delivered[i]
-				in.FCTs[i] = fcts[i]
-			} else {
-				in.FCTs[i] = -1
-			}
+				return nil
+			}),
 		}
 		if e.tel != nil {
-			p := e.tel.ExportPartial(g, true)
-			maskPartialSlow(p, e.nw, e.assignment, mine)
-			in.Telemetry = p
+			in.Telemetry = e.tel.ExportPartial(g, true)
+			maskPartialSlow(in.Telemetry, e.nw, e.assignment, mine)
 		}
 		installs[gi] = in
 	}
 
-	// Route every pending event to its new owner, scanning old LPs in order
-	// — exactly the push order an in-process Restore(cp, newL, ownerOf)
-	// would produce, so per-LP sequence numbers come out identical.
-	for lp := 0; lp < n; lp++ {
-		for _, w := range perLP[lp] {
-			eng, err := e.wireOwner(w)
+	// Route every pending event to its new owner — ownerOf itself, behind
+	// decodeWire's validation, so both paths route a migrated event identically
+	// — scanning old LPs in order (each export is LP-major and the exports
+	// partition the LPs): exactly the push order an in-process
+	// Restore(cp, newL, ownerOf) would produce, so per-LP sequence numbers come
+	// out identical.
+	perLP := make([][]WireEvent, n)
+	for _, ex := range exports {
+		for _, w := range ex.Pending {
+			perLP[w.Dst] = append(perLP[w.Dst], w)
+		}
+	}
+	for _, evs := range perLP {
+		for _, w := range evs {
+			s, err := e.decodeWire(w)
 			if err != nil {
 				return nil, 0, err
 			}
-			gi := groupOf[eng]
-			if gi < 0 || installs[gi] == nil {
-				return nil, 0, fmt.Errorf("emu: pending event routed to engine %d with no member", eng)
-			}
+			eng, _ := e.ownerOf(des.Event[payload]{Data: s.Data})
+			// The policy's assignment was held to the new membership, so the
+			// owner has a member.
 			w.Dst = int32(eng)
-			installs[gi].Pending = append(installs[gi].Pending, w)
+			installs[groupOf[eng]].Pending = append(installs[groupOf[eng]].Pending, w)
 		}
 	}
 	return installs, newL, nil

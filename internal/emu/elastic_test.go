@@ -115,7 +115,7 @@ func TestElasticValidation(t *testing.T) {
 	}
 	bad = base
 	bad.Elastic = []Resize{{At: 5, Engines: []int{0, 2}}}
-	bad.OnResize = func(ResizeEvent) ([]int, error) { return nil, nil }
+	bad.OnMembership = func(MembershipChange) ([]int, error) { return nil, nil }
 	if _, err := Run(bad); err == nil {
 		t.Fatal("out-of-range engine accepted")
 	}

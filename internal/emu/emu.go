@@ -141,20 +141,21 @@ type Config struct {
 	// Faults optionally injects a deterministic fault schedule — engine
 	// crashes, straggler slowdowns, cluster-link degradation (see
 	// internal/faults). Stragglers and degradations scale the cost model;
-	// crashes trigger checkpoint rollback and OnCrash-driven remapping.
+	// crashes trigger checkpoint rollback and OnMembership-driven remapping.
 	Faults *faults.Schedule
 	// CheckpointEvery is the virtual-time interval between barrier
 	// checkpoints when Faults contains crashes (default
 	// DefaultCheckpointEvery). Recovery rolls back to the latest checkpoint,
 	// so the interval bounds how much emulation a crash forces to replay.
 	CheckpointEvery float64
-	// OnCrash computes the recovery assignment after an engine crash: given
-	// the failure context it must return a full node→engine assignment using
-	// only surviving engines. Required when Faults contains crashes — the
-	// emulator detects and rolls back, but repartitioning policy lives with
-	// the caller (core.RunResilient supplies the remapping and naive
-	// fallbacks).
-	OnCrash func(f EngineFailure) ([]int, error)
+	// OnMembership is the one repartitioning policy: whenever the run's engine
+	// set changes — an engine crashes, or an Elastic entry without an explicit
+	// Assignment applies — it is handed the change and must return a full
+	// node→engine assignment using only MembershipChange.Engines. Required when
+	// Faults contains crashes or an Elastic entry omits its Assignment: the
+	// emulator detects, rolls back and migrates, but the policy lives with the
+	// caller (core supplies mapping.RemapOnto and the naive fallback).
+	OnMembership MembershipPolicy
 	// MigrationCost is the modeled recovery stall per virtual node that
 	// changes engines (default DefaultMigrationCost, the dynamic-remap state
 	// transfer model).
@@ -165,9 +166,6 @@ type Config struct {
 	// onto the new engine set, and resumes — the in-process reference for the
 	// distributed join/drain protocol. Entries must be sorted by At.
 	Elastic []Resize
-	// OnResize computes the post-resize assignment for Elastic entries that
-	// do not carry an explicit Assignment. Required when any entry omits one.
-	OnResize func(ev ResizeEvent) ([]int, error)
 }
 
 // Result reports a completed run.
@@ -331,8 +329,8 @@ func Lookahead(nw *netgraph.Network, assignment []int, minLookahead float64) flo
 
 // Run executes one emulation and returns its metrics. The base Config says
 // what to emulate; Options say how to run it (observability recorders,
-// cancellation, cost-model overrides) — see WithRecorder, WithStats,
-// WithContext, WithCostModel.
+// cancellation, the route oracle) — see WithRecorder, WithStats, WithContext,
+// WithRouting.
 func Run(cfg Config, opts ...Option) (*Result, error) {
 	var o runOptions
 	o.apply(opts)
@@ -364,9 +362,6 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 // verbatim by the distributed worker (DistLocal) and coordinator (DistMerge)
 // so all three construct bit-identical state.
 func prepare(cfg *Config, o *runOptions) (*emulation, error) {
-	if o.cost != nil {
-		cfg.Cost = *o.cost
-	}
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
@@ -422,20 +417,6 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 		duration = 1
 	}
 
-	// Per-(link,direction) transmitter state. Direction 0 carries A->B
-	// traffic and is owned by A's engine; direction 1 by B's. Exactly one
-	// engine writes each slot, so no synchronization is needed. The same
-	// ownership argument covers the per-direction byte counters, and a
-	// flow's delivery state is written only by its destination's engine.
-	busyUntil := make([][2]float64, len(nw.Links))
-	linkBytes := make([][2]int64, len(nw.Links))
-	drops := make([][2]int64, len(nw.Links))
-	delivered := make([]int64, len(flows))
-	fcts := make([]float64, len(flows))
-	for i := range fcts {
-		fcts[i] = -1
-	}
-
 	var collector *netflow.Collector
 	if cfg.Profile {
 		// One record slot per (flow, hop), in workload order: routes are static,
@@ -486,11 +467,7 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 		lookahead:   lookahead,
 		assignment:  append([]int(nil), cfg.Assignment...),
 		rollbackState: rollbackState{
-			busyUntil:       busyUntil,
-			linkBytes:       linkBytes,
-			drops:           drops,
-			delivered:       delivered,
-			fcts:            fcts,
+			NetState:        newNetState(len(nw.Links), len(flows)),
 			collector:       collector,
 			series:          engineSeries,
 			engineBusy:      make([]float64, cfg.NumEngines),
@@ -609,9 +586,9 @@ func (e *emulation) buildResult(stats *des.Stats, recovery *Recovery) *Result {
 
 	linkTotals := make([]int64, len(e.nw.Links))
 	var dropped int64
-	for l := range e.linkBytes {
-		linkTotals[l] = e.linkBytes[l][0] + e.linkBytes[l][1]
-		dropped += e.drops[l][0] + e.drops[l][1]
+	for l := range linkTotals {
+		linkTotals[l] = e.LinkBytes[2*l] + e.LinkBytes[2*l+1]
+		dropped += e.Drops[2*l] + e.Drops[2*l+1]
 	}
 	var telSnap *telemetry.Snapshot
 	if e.tel != nil {
@@ -628,7 +605,7 @@ func (e *emulation) buildResult(stats *des.Stats, recovery *Recovery) *Result {
 		EngineSeries:    e.series,
 		NetFlow:         e.collector,
 		RemoteEvents:    remoteTotal,
-		FlowFCTs:        e.fcts,
+		FlowFCTs:        e.FCTs,
 		LinkBytes:       linkTotals,
 		DroppedPackets:  dropped,
 		FinalAssignment: append([]int(nil), e.assignment...),
@@ -673,8 +650,8 @@ func validate(cfg *Config) error {
 			return fmt.Errorf("%w: %w", ErrBadConfig, err)
 		}
 		if cfg.Faults.HasCrashes() {
-			if cfg.OnCrash == nil {
-				return fmt.Errorf("%w: fault schedule contains crashes but no OnCrash remapper is configured",
+			if cfg.OnMembership == nil {
+				return fmt.Errorf("%w: fault schedule contains crashes but no OnMembership policy is configured",
 					ErrBadConfig)
 			}
 			if cfg.CheckpointEvery <= 0 {
@@ -723,8 +700,8 @@ func validate(cfg *Config) error {
 				}
 			}
 		}
-		if needHook && cfg.OnResize == nil {
-			return fmt.Errorf("%w: elastic resizes without explicit assignments need an OnResize policy",
+		if needHook && cfg.OnMembership == nil {
+			return fmt.Errorf("%w: elastic resizes without explicit assignments need an OnMembership policy",
 				ErrBadConfig)
 		}
 		if cfg.CheckpointEvery <= 0 {
@@ -927,11 +904,11 @@ func (e *emulation) arrive(t float64, c payload, s *des.Scheduler[payload]) {
 	}
 	if hop == len(f.path)-1 {
 		// Delivered: track the flow's completion at the destination.
-		e.delivered[f.idx] += bytes
-		if e.delivered[f.idx] >= f.bytes && e.fcts[f.idx] < 0 {
-			e.fcts[f.idx] = t - f.start
+		e.Delivered[f.idx] += bytes
+		if e.Delivered[f.idx] >= f.bytes && e.FCTs[f.idx] < 0 {
+			e.FCTs[f.idx] = t - f.start
 			if e.tel != nil {
-				e.tel.ObserveFlowComplete(e.assignment[node], e.fcts[f.idx])
+				e.tel.ObserveFlowComplete(e.assignment[node], e.FCTs[f.idx])
 			}
 		}
 		return
@@ -943,14 +920,15 @@ func (e *emulation) arrive(t float64, c payload, s *des.Scheduler[payload]) {
 	if link.B == node {
 		dir = 1
 	}
+	slot := 2*lid + dir
 	// FIFO transmitter: serialization after any queued chunks; with a
 	// finite buffer, arrivals beyond the backlog limit are tail-dropped.
 	depart := t
-	if bu := e.busyUntil[lid][dir]; bu > depart {
+	if bu := e.BusyUntil[slot]; bu > depart {
 		if e.cfg.BufferBytes > 0 {
 			backlog := (bu - t) * link.Bandwidth / 8
 			if backlog > float64(e.cfg.BufferBytes) {
-				e.drops[lid][dir] += packets
+				e.Drops[slot] += packets
 				if e.tel != nil {
 					e.tel.ObserveDrop(e.assignment[node], packets)
 				}
@@ -961,8 +939,8 @@ func (e *emulation) arrive(t float64, c payload, s *des.Scheduler[payload]) {
 	}
 	wait := depart - t
 	depart += float64(bytes*8) / link.Bandwidth
-	e.busyUntil[lid][dir] = depart
-	e.linkBytes[lid][dir] += bytes
+	e.BusyUntil[slot] = depart
+	e.LinkBytes[slot] += bytes
 	arrival := depart + link.Latency
 
 	next := f.path[hop+1]

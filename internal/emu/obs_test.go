@@ -20,7 +20,7 @@ func faultedConfig() Config {
 		Workload:        spreadFlows(8, 8),
 		Faults:          &faults.Schedule{Crashes: []faults.Crash{{Engine: 1, At: 2}}},
 		CheckpointEvery: 1,
-		OnCrash:         dumpOn(0),
+		OnMembership:    dumpOn(0),
 	}
 }
 
@@ -155,7 +155,7 @@ func TestErrBadConfigSentinel(t *testing.T) {
 		{Network: lineNet(), NumEngines: 2}, // missing assignment
 		{Network: lineNet(), NumEngines: 2, // out-of-range assignment
 			Assignment: []int{0, 0, 5, 1}},
-		{Network: lineNet(), NumEngines: 2, // crashes without OnCrash
+		{Network: lineNet(), NumEngines: 2, // crashes without OnMembership
 			Assignment: []int{0, 0, 1, 1},
 			Faults:     &faults.Schedule{Crashes: []faults.Crash{{Engine: 1, At: 1}}}},
 	}
@@ -171,9 +171,9 @@ func TestErrBadConfigSentinel(t *testing.T) {
 	}
 }
 
-// TestWithCostModelOption checks the per-run cost override takes effect
-// without touching the base Config.
-func TestWithCostModelOption(t *testing.T) {
+// TestConfigCostOverride checks Config.Cost takes effect and that its zero
+// fields still default to PentiumIICluster.
+func TestConfigCostOverride(t *testing.T) {
 	cfg := Config{
 		Network:    lineNet(),
 		Assignment: []int{0, 0, 1, 1},
@@ -185,7 +185,8 @@ func TestWithCostModelOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dear, err := Run(cfg, WithCostModel(CostModel{PerEvent: 10 * PentiumIICluster.PerEvent}))
+	cfg.Cost = CostModel{PerEvent: 10 * PentiumIICluster.PerEvent}
+	dear, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

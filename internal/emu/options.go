@@ -10,14 +10,13 @@ import (
 
 // Option configures a Run beyond the base Config — the growth path for new
 // knobs, so Config stays the stable description of *what* to emulate while
-// options say *how* to run it (observability, cancellation, pricing).
+// options say *how* to run it (observability, cancellation, route oracle).
 type Option func(*runOptions)
 
 type runOptions struct {
 	ctx       context.Context
 	recorders []obs.Recorder
 	stats     bool
-	cost      *CostModel
 	tel       *telemetry.Collector
 	routes    netgraph.Routing
 	trace     *obs.Timeline
@@ -59,12 +58,6 @@ func WithRecorder(r obs.Recorder) Option {
 // without attaching any external recorder.
 func WithStats() Option {
 	return func(o *runOptions) { o.stats = true }
-}
-
-// WithCostModel overrides Config.Cost (zero-valued fields still default to
-// PentiumIICluster).
-func WithCostModel(c CostModel) Option {
-	return func(o *runOptions) { o.cost = &c }
 }
 
 // WithTelemetry attaches a traffic-plane telemetry collector (see

@@ -48,11 +48,11 @@ func profileDigest(c *netflow.Collector) string {
 	return fmt.Sprintf("%d records %x", len(recs), h[:8])
 }
 
-// dumpOnZero is an OnCrash that moves the dead engine's nodes to engine 0.
-func dumpOnZero(f emu.EngineFailure) ([]int, error) {
-	next := append([]int(nil), f.Assignment...)
+// dumpOnZero is an OnMembership that moves the dead engine's nodes to engine 0.
+func dumpOnZero(c emu.MembershipChange) ([]int, error) {
+	next := append([]int(nil), c.Previous...)
 	for v, e := range next {
-		if e == f.Engine {
+		if e == c.Dead {
 			next[v] = 0
 		}
 	}
@@ -101,13 +101,13 @@ func TestProfileMatchesKeyedCollector(t *testing.T) {
 		{"crash-rollback", dense(func(c *emu.Config) {
 			c.Faults = &faults.Schedule{Crashes: []faults.Crash{{Engine: 1, At: 2}}}
 			c.CheckpointEvery = 1
-			c.OnCrash = dumpOnZero
+			c.OnMembership = dumpOnZero
 		}), unfaulted},
 		{"two-rollbacks-one-checkpoint", dense(func(c *emu.Config) {
 			c.Assignment, c.NumEngines = threeEngines, 3
 			c.Faults = &faults.Schedule{Crashes: []faults.Crash{{Engine: 2, At: 2.2}, {Engine: 1, At: 2.6}}}
 			c.CheckpointEvery = 2
-			c.OnCrash = dumpOnZero
+			c.OnMembership = dumpOnZero
 		}), unfaulted},
 		{"campus-top", func() emu.Config {
 			cfg := topConfig(t, "Campus", 30, false)

@@ -36,26 +36,38 @@ func NormalizedMigrationCost(stall, interval float64) float64 {
 	return stall / interval
 }
 
-// EngineFailure describes a detected engine crash, handed to Config.OnCrash
-// so the caller can compute the recovery assignment.
-type EngineFailure struct {
-	// Engine is the dead simulation-engine node.
-	Engine int
-	// Time is the virtual time of the fail-stop.
-	Time float64
-	// DetectedAt is the window barrier at which the death was observed (a
-	// conservative kernel only learns of a silent peer at the barrier).
-	DetectedAt float64
+// MembershipChange describes one change of a run's engine set — an elastic
+// resize or an engine crash — to the repartitioning policy, in-process
+// (Config.OnMembership) and distributed (the coordinator's resize and
+// worker-loss policies) alike.
+type MembershipChange struct {
+	// At is the barrier the change applies at; for a crash, the barrier at
+	// which the death was observed (a conservative kernel only learns of a
+	// silent peer at the barrier).
+	At float64
+	// Engines is the engine set the run continues on: the new active set of a
+	// resize; after a crash, the engines hosting nodes that have not crashed,
+	// ascending.
+	Engines []int
+	// Previous is the assignment in effect before the change.
+	Previous []int
+	// Loads is the cumulative kernel-event charge per engine — at the barrier
+	// for a resize, at the rollback checkpoint for a crash: the load picture
+	// the policy balances against.
+	Loads []float64
+	// Crashed marks an engine failure; the fields below are set only then.
+	Crashed bool
+	// Dead is the crashed engine and FailedAt the virtual time of its
+	// fail-stop.
+	Dead     int
+	FailedAt float64
 	// CheckpointTime is the rollback target: the last barrier checkpoint.
 	CheckpointTime float64
-	// Assignment is the node→engine assignment in effect at the crash.
-	Assignment []int
-	// Alive flags the engines still usable after this failure.
-	Alive []bool
-	// Loads is the per-engine kernel-event count at the checkpoint — the
-	// load picture a remapping policy should balance against.
-	Loads []float64
 }
+
+// MembershipPolicy computes the node→engine assignment a run continues on
+// after a membership change, using only MembershipChange.Engines.
+type MembershipPolicy func(MembershipChange) ([]int, error)
 
 // Recovery summarizes fault handling over a run with crash faults.
 type Recovery struct {
@@ -86,16 +98,13 @@ type Recovery struct {
 }
 
 // rollbackState is everything of the emulator's own that a run mutates and a
-// crash recovery rolls back — link transmitters, flow delivery, the time-model
-// accumulators filled by commit, and profiling — as one value: snapshot stores
-// a clone and restore assigns one. A field added here is rolled back if clone
-// copies it deeply, and TestRollbackStateRollsBack fails until it does.
+// crash recovery rolls back — the link and flow slots (NetState), the
+// time-model accumulators filled by commit, and profiling — as one value:
+// snapshot stores a clone and restore assigns one. A field added here or to
+// NetState is rolled back if clone copies it deeply, and
+// TestRollbackStateRollsBack fails until it does.
 type rollbackState struct {
-	busyUntil [][2]float64
-	linkBytes [][2]int64
-	drops     [][2]int64
-	delivered []int64
-	fcts      []float64
+	NetState
 	collector *netflow.Collector
 	series    *metrics.Series
 
@@ -108,11 +117,7 @@ type rollbackState struct {
 // clone returns a copy that shares no storage with s.
 func (s *rollbackState) clone() rollbackState {
 	c := *s
-	c.busyUntil = append([][2]float64(nil), s.busyUntil...)
-	c.linkBytes = append([][2]int64(nil), s.linkBytes...)
-	c.drops = append([][2]int64(nil), s.drops...)
-	c.delivered = append([]int64(nil), s.delivered...)
-	c.fcts = append([]float64(nil), s.fcts...)
+	c.NetState = s.NetState.clone()
 	c.collector = s.collector.Clone()
 	c.series = s.series.Clone()
 	c.engineBusy = append([]float64(nil), s.engineBusy...)
@@ -244,7 +249,7 @@ func (e *emulation) runResilient(k *des.Kernel[payload]) (*des.Stats, *Recovery,
 }
 
 // arm installs the barrier step of a resilient run: crash detection at the
-// window barrier triggers rollback to the last barrier checkpoint, OnCrash
+// window barrier triggers rollback to the last barrier checkpoint, OnMembership
 // remapping of the dead engine's nodes and pending events onto survivors, and
 // deterministic replay of the lost windows; a resize repartitions onto the new
 // engine set from the live (un-rolled-back) state. Either way the kernel is
@@ -305,8 +310,8 @@ func (e *emulation) arm(k *des.Kernel[payload]) *resilience {
 }
 
 // recoverCrash handles one engine crash detected at barrier we, inside the
-// barrier step: it accounts the failure, asks OnCrash for the recovery
-// assignment over the surviving engines, rolls the emulation and the kernel
+// barrier step: it accounts the failure, asks OnMembership for the recovery
+// assignment over the surviving members, rolls the emulation and the kernel
 // back to the last checkpoint and remaps the dead engine's pending events.
 // The kernel's window loop resumes from there.
 func (e *emulation) recoverCrash(k *des.Kernel[payload], r *resilience, crash faults.Crash, we float64) error {
@@ -326,21 +331,30 @@ func (e *emulation) recoverCrash(k *des.Kernel[payload], r *resilience, crash fa
 	// which a conservative kernel could first observe the silent peer.
 	e.recordEvent(obs.Event{Kind: obs.EventCrash, Time: we, LP: crash.Engine, Value: crash.At})
 
+	// The run continues on its membership — the engines hosting nodes, which
+	// leaves out capacity no resize ever activated — minus the dead.
+	hosts := make([]bool, len(alive))
+	for _, eng := range e.assignment {
+		hosts[eng] = true
+	}
+	var survivors []int
+	for eng, ok := range alive {
+		if ok && hosts[eng] {
+			survivors = append(survivors, eng)
+		}
+	}
 	cpStats := last.des.Stats()
-	newAssign, err := e.cfg.OnCrash(EngineFailure{
-		Engine:         crash.Engine,
-		Time:           crash.At,
-		DetectedAt:     we,
-		CheckpointTime: last.des.Time,
-		Assignment:     append([]int(nil), e.assignment...),
-		Alive:          append([]bool(nil), alive...),
+	newAssign, err := e.repartition(e.cfg.OnMembership, MembershipChange{
+		At:             we,
+		Engines:        survivors,
 		Loads:          loadsOf(cpStats.Charges),
-	})
+		Crashed:        true,
+		Dead:           crash.Engine,
+		FailedAt:       crash.At,
+		CheckpointTime: last.des.Time,
+	}, alive)
 	if err != nil {
 		return fmt.Errorf("emu: recovery after engine %d crash: %w", crash.Engine, err)
-	}
-	if err := e.checkAssignment("recovery", newAssign, alive); err != nil {
-		return err
 	}
 	var replayed int64
 	for i, n := range stats.Events {

@@ -25,13 +25,13 @@ func spreadFlows(n int, duration float64) traffic.Workload {
 	return w
 }
 
-// dumpOn returns an OnCrash that reassigns every node of the dead engine to
-// the given survivor.
-func dumpOn(survivor int) func(EngineFailure) ([]int, error) {
-	return func(f EngineFailure) ([]int, error) {
-		next := append([]int(nil), f.Assignment...)
+// dumpOn returns an OnMembership that reassigns every node of the dead engine
+// to the given survivor.
+func dumpOn(survivor int) MembershipPolicy {
+	return func(c MembershipChange) ([]int, error) {
+		next := append([]int(nil), c.Previous...)
 		for v, e := range next {
-			if e == f.Engine {
+			if e == c.Dead {
 				next[v] = survivor
 			}
 		}
@@ -121,6 +121,62 @@ func TestRollbackStateRollsBack(t *testing.T) {
 	}
 }
 
+// TestMembershipPolicyEngineSet: crashes and resizes reach one hook, and the
+// engine set a crash hands it is computed by the emulator — the run's current
+// membership (the engines hosting nodes, so capacity no resize ever activated
+// stays out) minus the dead. A static run over all its engines, an elastic
+// run's replayed worker loss with one never-activated capacity engine, and a
+// crash after a resize that activated it.
+func TestMembershipPolicyEngineSet(t *testing.T) {
+	crash := func(engine int, at float64) *faults.Schedule {
+		return &faults.Schedule{Crashes: []faults.Crash{{Engine: engine, At: at}}}
+	}
+	cases := []struct {
+		name       string
+		assignment []int
+		elastic    []Resize
+		faults     *faults.Schedule
+		want       []MembershipChange // At, Loads and CheckpointTime are not compared
+	}{
+		{name: "crash in a static run", assignment: []int{0, 1, 2, 2}, faults: crash(1, 2),
+			want: []MembershipChange{{Engines: []int{0, 2}, Previous: []int{0, 1, 2, 2}, Crashed: true, Dead: 1, FailedAt: 2}}},
+		{name: "loss with capacity never activated", assignment: []int{0, 0, 1, 1}, faults: crash(1, 2),
+			want: []MembershipChange{{Engines: []int{0}, Previous: []int{0, 0, 1, 1}, Crashed: true, Dead: 1, FailedAt: 2}}},
+		{name: "resize by policy, then a crash", assignment: []int{0, 0, 1, 1}, faults: crash(0, 5),
+			elastic: []Resize{{At: 3, Engines: []int{0, 1, 2}}},
+			want: []MembershipChange{
+				{Engines: []int{0, 1, 2}, Previous: []int{0, 0, 1, 1}},
+				{Engines: []int{1, 2}, Previous: []int{0, 1, 2, 2}, Crashed: true, Dead: 0, FailedAt: 5},
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []MembershipChange
+			_, err := Run(Config{
+				Network: lineNet(), Assignment: tc.assignment, NumEngines: 3, Workload: spreadFlows(8, 8),
+				Faults: tc.faults, Elastic: tc.elastic, CheckpointEvery: 1,
+				OnMembership: func(c MembershipChange) ([]int, error) {
+					if len(c.Loads) != 3 || c.At <= 0 || c.Crashed && (c.At < c.FailedAt || c.CheckpointTime > c.FailedAt) {
+						t.Errorf("implausible change %+v", c)
+					}
+					c.At, c.Loads, c.CheckpointTime = 0, nil, 0
+					got = append(got, c)
+					if !c.Crashed {
+						return []int{0, 1, 2, 2}, nil
+					}
+					return dumpOn(c.Engines[0])(c)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("the policy was handed\n%+v\nwant\n%+v", got, tc.want)
+			}
+		})
+	}
+}
+
 func TestCrashWithoutOnCrashRejected(t *testing.T) {
 	sched := &faults.Schedule{Crashes: []faults.Crash{{Engine: 1, At: 1}}}
 	_, err := Run(Config{
@@ -131,7 +187,7 @@ func TestCrashWithoutOnCrashRejected(t *testing.T) {
 		Faults:     sched,
 	})
 	if err == nil {
-		t.Fatal("crash schedule without OnCrash accepted")
+		t.Fatal("crash schedule without OnMembership accepted")
 	}
 }
 
@@ -144,7 +200,7 @@ func TestCrashRecoveryBasics(t *testing.T) {
 		Workload:        spreadFlows(8, 8),
 		Faults:          sched,
 		CheckpointEvery: 1,
-		OnCrash:         dumpOn(0),
+		OnMembership:    dumpOn(0),
 		Sequential:      true,
 	})
 	if err != nil {
@@ -208,7 +264,7 @@ func TestCrashRecoveryChargesMatchSingleEngine(t *testing.T) {
 		Workload:        spreadFlows(8, 8),
 		Faults:          sched,
 		CheckpointEvery: 1,
-		OnCrash:         dumpOn(0),
+		OnMembership:    dumpOn(0),
 		Sequential:      true,
 	})
 	if err != nil {
@@ -303,7 +359,7 @@ func TestFaultedRunDeterminism(t *testing.T) {
 			Workload:        spreadFlows(8, 8),
 			Faults:          sched,
 			CheckpointEvery: 1,
-			OnCrash:         dumpOn(0),
+			OnMembership:    dumpOn(0),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -337,7 +393,7 @@ func TestRecoveryImbalanceMetrics(t *testing.T) {
 		Workload:        spreadFlows(8, 8),
 		Faults:          sched,
 		CheckpointEvery: 1,
-		OnCrash:         dumpOn(0),
+		OnMembership:    dumpOn(0),
 		Sequential:      true,
 	})
 	if err != nil {

@@ -14,10 +14,17 @@ import (
 // so a test scrambles the live state, restores, and compares against a state
 // built the same way and never touched. A reference field that is nil or empty
 // fails t: a fixture that leaves it so could not tell a deep copy from a
-// shared one.
+// shared one. Struct fields (an embedded part of the state) are held to the
+// same rule.
 func Scramble(t testing.TB, p any) {
 	t.Helper()
 	v := reflect.ValueOf(p).Elem()
+	requireFilled(t, v)
+	scramble(v)
+}
+
+func requireFilled(t testing.TB, v reflect.Value) {
+	t.Helper()
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Field(i)
 		switch f.Kind() {
@@ -29,8 +36,9 @@ func Scramble(t testing.TB, p any) {
 			if f.IsNil() {
 				t.Errorf("statetest: the fixture leaves %s.%s nil", v.Type(), v.Type().Field(i).Name)
 			}
+		case reflect.Struct:
+			requireFilled(t, f)
 		}
-		scramble(f)
 	}
 }
 

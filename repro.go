@@ -197,8 +197,8 @@ type (
 	// EmuResult reports an emulation's metrics.
 	EmuResult = emu.Result
 	// EmuOption configures a run beyond the base EmuConfig (observability,
-	// cancellation, cost model). See WithRecorder, WithStats, WithContext,
-	// WithCostModel.
+	// cancellation, route oracle). See WithRecorder, WithStats, WithContext,
+	// WithRouting.
 	EmuOption = emu.Option
 )
 
@@ -212,8 +212,6 @@ var (
 	// WithContext threads a cancellation context, observed at window
 	// barriers.
 	WithContext = emu.WithContext
-	// WithCostModel overrides the engine cost model for one run.
-	WithCostModel = emu.WithCostModel
 	// WithRouting supplies a pre-built route oracle for one run, taking
 	// precedence over EmuConfig.Routes.
 	WithRouting = emu.WithRouting
@@ -437,11 +435,12 @@ type (
 	// FaultOptions configures a resilient run: schedule, checkpoint
 	// interval, and the recovery policy (remap vs naive dump).
 	FaultOptions = core.FaultOptions
-	// ResilientOutcome is the result of Scenario.RunResilient.
-	ResilientOutcome = core.ResilientOutcome
 	// Recovery reports crash-recovery metrics: downtime, replayed events,
-	// migrations, and pre/post-recovery imbalance.
+	// migrations, and pre/post-recovery imbalance (Outcome.Recovery).
 	Recovery = emu.Recovery
+	// MembershipChange is what EmuConfig.OnMembership — the one
+	// repartitioning policy behind crashes and elastic resizes — is handed.
+	MembershipChange = emu.MembershipChange
 )
 
 // ParseFaults builds a fault schedule from command-line style specs:
