@@ -50,7 +50,7 @@ type Scenario struct {
 
 	// PartSeed seeds the partitioner.
 	PartSeed int64
-	// LatencyPriority is the multi-objective p (default 6:4).
+	// LatencyPriority is the multi-objective p in (0, 1] (0: the default 6:4).
 	LatencyPriority float64
 	// Cluster enables §3.3 timeline clustering in the PROFILE approach.
 	Cluster bool

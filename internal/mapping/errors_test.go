@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/partition"
@@ -18,6 +19,9 @@ func TestSentinelErrBadInput(t *testing.T) {
 		{"bad-k", func() error { _, err := TopMap(Input{Network: nw}); return err }},
 		{"unknown-approach", func() error { _, err := Map("NOPE", Input{Network: nw, K: 2}); return err }},
 		{"profile-no-summary", func() error { _, err := ProfileMap(Input{Network: nw, K: 2}); return err }},
+		{"priority-nan", func() error { _, err := TopMap(Input{Network: nw, K: 2, LatencyPriority: math.NaN()}); return err }},
+		{"priority-negative", func() error { _, err := PlaceMap(Input{Network: nw, K: 2, LatencyPriority: -0.1}); return err }},
+		{"priority-above-one", func() error { _, err := TopMap(Input{Network: nw, K: 2, LatencyPriority: 1.5}); return err }},
 		{"remap-bad-assignment", func() error {
 			_, _, err := RemapOnto(Input{Network: nw, K: 2}, []int{0}, []int{0}, nil)
 			return err

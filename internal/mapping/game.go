@@ -26,7 +26,7 @@ func GameRemap(in Input, previous []int, gopts partition.GameOptions) ([]int, in
 	if err := in.defaults(); err != nil {
 		return nil, 0, nil, err
 	}
-	g, _, bw, err := profileGraph(&in)
+	g, objs, err := profileGraph(&in)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -36,7 +36,7 @@ func GameRemap(in Input, previous []int, gopts partition.GameOptions) ([]int, in
 		gopts.Seed = in.PartOpts.Seed + 0x6761
 	}
 	next := append([]int(nil), previous...)
-	moved, stats, err := partition.GameImprove(g.WithWeights(bw), next, in.K, gopts)
+	moved, stats, err := partition.GameImprove(g.WithWeights(objs[1]), next, in.K, gopts)
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("mapping: game remap: %w", err)
 	}

@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/netflow"
 	"repro/internal/netgraph"
+	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/traffic"
 )
@@ -65,7 +66,10 @@ type Input struct {
 	// PartOpts tunes the underlying partitioner (seed, imbalance, ...).
 	PartOpts partition.Options
 	// LatencyPriority is the multi-objective weight p of the latency
-	// objective; defaults to DefaultLatencyPriority.
+	// objective against the traffic objective's 1-p, in (0, 1]; 1 is pure
+	// latency. 0 means unset and selects DefaultLatencyPriority, so pure
+	// traffic (p = 0) is not expressible; NaN, negative and > 1 are
+	// ErrBadInput.
 	LatencyPriority float64
 	// MTUBytes converts predicted byte rates into packet rates; default 1500.
 	MTUBytes float64
@@ -121,7 +125,10 @@ func (in *Input) defaults() error {
 		// from the same shared cache.
 		in.Routes = in.Network.AutoRouting()
 	}
-	if in.LatencyPriority <= 0 || in.LatencyPriority >= 1 {
+	if !(in.LatencyPriority >= 0 && in.LatencyPriority <= 1) {
+		return fmt.Errorf("%w: LatencyPriority = %v, must be in (0, 1] (0 = default)", ErrBadInput, in.LatencyPriority)
+	}
+	if in.LatencyPriority == 0 {
 		in.LatencyPriority = DefaultLatencyPriority
 	}
 	if in.MTUBytes <= 0 {
@@ -266,27 +273,62 @@ const mappingTrials = 5
 // stopped replaying cycles).
 const largeGraphNodes = 20000
 
-// selectBest runs the partition function for mappingTrials seeds (one seed
-// on very large graphs) and keeps the candidate with the smallest max-norm
-// balance violation on g's constraints, breaking ties toward the lower cut
-// under cutWeights.
-func selectBest(g *partition.Graph, cutWeights partition.EdgeWeightSet, k int, opts partition.Options,
-	run func(partition.Options) ([]int, error)) ([]int, error) {
-
-	trials := mappingTrials
+// bestOfTrials is the partitioning of one mapping call: mappingTrials
+// independently seeded runs (one on very large graphs) of g under objs — one
+// objective partitions under its weights directly; several go through the
+// §2.3 combination with priorities coef — keeping the candidate with the
+// smallest max-norm balance violation on g's constraints, ties broken toward
+// the lower cut under the last objective.
+//
+// The runs are a two-phase task list over the worker pool. Phase 1 is every
+// (trial, objective) normalizer partition, phase 2 every trial's final
+// partition; nothing reads another task's output inside a phase, results land
+// in per-index slots, and the pick runs afterwards in trial order, so the
+// answer is the serial loop's whatever the scheduling, and one worker is that
+// loop. Each worker keeps one Partitioner for the whole call, and every
+// trial partitions the same read-only graph of an objective.
+func bestOfTrials(g *partition.Graph, objs []partition.EdgeWeightSet, coef []float64, k int, opts partition.Options) ([]int, error) {
+	trials, nobj := mappingTrials, len(objs)
 	if g.NumVertices() >= largeGraphNodes {
 		trials = 1
 	}
+	graphs := weighted(g, objs)
+	pool := make([]partition.Partitioner, parallel.Workers(0, trials*nobj))
+	var cuts []int64
+	if nobj > 1 {
+		var err error
+		if cuts, err = objectiveCuts(pool, graphs, k, opts, trials); err != nil {
+			return nil, err
+		}
+	}
+	parts := make([][]int, trials)
+	err := forEachTask(pool, trials, func(pt *partition.Partitioner, trial int) error {
+		gt := graphs[0]
+		if nobj > 1 {
+			combined, err := partition.CombineObjectives(g, objs, coef, cuts[trial*nobj:(trial+1)*nobj])
+			if err != nil {
+				return err
+			}
+			gt = g.WithWeights(combined)
+		}
+		part, err := pt.Partition(gt, k, trialOpts(opts, trial))
+		parts[trial] = part
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return pickBest(g, objs[nobj-1], k, parts), nil
+}
+
+// pickBest returns the first of parts, in order, with the smallest max-norm
+// balance violation on g's constraints, ties broken toward the lower cut
+// under cutWeights.
+func pickBest(g *partition.Graph, cutWeights partition.EdgeWeightSet, k int, parts [][]int) []int {
 	var best []int
 	var bestBal float64
 	var bestCut int64
-	for trial := 0; trial < trials; trial++ {
-		o := opts
-		o.Seed = opts.Seed + int64(trial)*7919
-		part, err := run(o)
-		if err != nil {
-			return nil, err
-		}
+	for _, part := range parts {
 		bal := 0.0
 		for _, b := range partition.Balance(g, part, k) {
 			if b > bal {
@@ -298,7 +340,58 @@ func selectBest(g *partition.Graph, cutWeights partition.EdgeWeightSet, k int, o
 			best, bestBal, bestCut = part, bal, cut
 		}
 	}
-	return best, nil
+	return best
+}
+
+// trialOpts returns the partitioner options of a trial: opts on the trial's
+// own seed.
+func trialOpts(opts partition.Options, trial int) partition.Options {
+	opts.Seed += int64(trial) * 7919
+	return opts
+}
+
+// weighted returns g under each objective's edge weights.
+func weighted(g *partition.Graph, objs []partition.EdgeWeightSet) []*partition.Graph {
+	graphs := make([]*partition.Graph, len(objs))
+	for i, ws := range objs {
+		graphs[i] = g.WithWeights(ws)
+	}
+	return graphs
+}
+
+// objectiveCuts returns, for each of trials seeds and each objective, the cut
+// a partition of graphs[objective] alone achieves — CombineObjectives'
+// normalizers, trial-major.
+func objectiveCuts(pool []partition.Partitioner, graphs []*partition.Graph, k int, opts partition.Options, trials int) ([]int64, error) {
+	nobj := len(graphs)
+	cuts := make([]int64, trials*nobj)
+	err := forEachTask(pool, len(cuts), func(pt *partition.Partitioner, i int) error {
+		gi := graphs[i%nobj]
+		part, err := pt.Partition(gi, k, trialOpts(opts, i/nobj))
+		if err != nil {
+			return fmt.Errorf("objective %d: %w", i%nobj, err)
+		}
+		cuts[i] = partition.EdgeCut(gi, part)
+		return nil
+	})
+	return cuts, err
+}
+
+// forEachTask calls fn(pt, i) for every i in [0, n) on at most len(pool)
+// goroutines, pt being the calling worker's own partitioner, and returns the
+// error of the lowest failing index — the one a serial loop would have
+// stopped at.
+func forEachTask(pool []partition.Partitioner, n int, fn func(pt *partition.Partitioner, i int) error) error {
+	errs := make([]error, n)
+	parallel.ForEachWorker(n, len(pool), func(worker, i int) {
+		errs[i] = fn(&pool[worker], i)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TopMap implements the topology-based approach (§3.1).
@@ -317,11 +410,7 @@ func TopMap(in Input) ([]int, error) {
 		g.VWgt[v][0] = w
 	}
 	memoryWeights(nw, g, 1)
-	lat := latencyWeights(nw, g)
-	gl := g.WithWeights(lat)
-	part, err := selectBest(g, lat, in.K, in.PartOpts, func(o partition.Options) ([]int, error) {
-		return partition.Partition(gl, in.K, o)
-	})
+	part, err := bestOfTrials(g, []partition.EdgeWeightSet{latencyWeights(nw, g)}, nil, in.K, in.PartOpts)
 	if err != nil {
 		return nil, fmt.Errorf("mapping: TOP: %w", err)
 	}
@@ -418,34 +507,31 @@ func PlaceMap(in Input) ([]int, error) {
 	}
 	memoryWeights(nw, g, 1)
 
-	lat := latencyWeights(nw, g)
-	bw := trafficEdgeWeights(nw, g, load)
-	part, err := selectBest(g, bw, in.K, in.PartOpts, func(o partition.Options) ([]int, error) {
-		p, _, err := partition.MultiObjective(
-			g,
-			[]partition.EdgeWeightSet{lat, bw},
-			[]float64{in.LatencyPriority, 1 - in.LatencyPriority},
-			in.K, o,
-		)
-		return p, err
-	})
+	objs := []partition.EdgeWeightSet{latencyWeights(nw, g), trafficEdgeWeights(nw, g, load)}
+	part, err := bestOfTrials(g, objs, in.priorities(), in.K, in.PartOpts)
 	if err != nil {
 		return nil, fmt.Errorf("mapping: PLACE: %w", err)
 	}
 	return part, nil
 }
 
+// priorities returns the §2.3 coefficients of the {latency, traffic}
+// objectives.
+func (in *Input) priorities() []float64 {
+	return []float64{in.LatencyPriority, 1 - in.LatencyPriority}
+}
+
 // profileGraph builds the PROFILE partitioning instance: the graph with
 // measured load (or clustered per-segment) constraints plus memory, and the
-// latency/traffic edge-weight objectives. Shared by ProfileMap and
+// {latency, traffic} edge-weight objectives. Shared by ProfileMap and
 // ProfileImprove.
-func profileGraph(in *Input) (*partition.Graph, partition.EdgeWeightSet, partition.EdgeWeightSet, error) {
+func profileGraph(in *Input) (*partition.Graph, []partition.EdgeWeightSet, error) {
 	if in.Summary == nil {
-		return nil, nil, nil, fmt.Errorf("%w: PROFILE requires a NetFlow summary", ErrBadInput)
+		return nil, nil, fmt.Errorf("%w: PROFILE requires a NetFlow summary", ErrBadInput)
 	}
 	nw := in.Network
 	if len(in.Summary.NodePackets) != nw.NumNodes() {
-		return nil, nil, nil, fmt.Errorf("%w: summary covers %d nodes, network has %d",
+		return nil, nil, fmt.Errorf("%w: summary covers %d nodes, network has %d",
 			ErrBadInput, len(in.Summary.NodePackets), nw.NumNodes())
 	}
 
@@ -496,9 +582,7 @@ func profileGraph(in *Input) (*partition.Graph, partition.EdgeWeightSet, partiti
 	}
 	memoryWeights(nw, g, ncon-1)
 
-	lat := latencyWeights(nw, g)
-	bw := trafficEdgeWeights(nw, g, load)
-	return g, lat, bw, nil
+	return g, []partition.EdgeWeightSet{latencyWeights(nw, g), trafficEdgeWeights(nw, g, load)}, nil
 }
 
 // ProfileMap implements the profile-based approach (§3.3).
@@ -506,19 +590,11 @@ func ProfileMap(in Input) ([]int, error) {
 	if err := in.defaults(); err != nil {
 		return nil, err
 	}
-	g, lat, bw, err := profileGraph(&in)
+	g, objs, err := profileGraph(&in)
 	if err != nil {
 		return nil, err
 	}
-	part, err := selectBest(g, bw, in.K, in.PartOpts, func(o partition.Options) ([]int, error) {
-		p, _, runErr := partition.MultiObjective(
-			g,
-			[]partition.EdgeWeightSet{lat, bw},
-			[]float64{in.LatencyPriority, 1 - in.LatencyPriority},
-			in.K, o,
-		)
-		return p, runErr
-	})
+	part, err := bestOfTrials(g, objs, in.priorities(), in.K, in.PartOpts)
 	if err != nil {
 		return nil, fmt.Errorf("mapping: PROFILE: %w", err)
 	}
@@ -534,16 +610,16 @@ func ProfileImprove(in Input, previous []int) ([]int, int, error) {
 	if err := in.defaults(); err != nil {
 		return nil, 0, err
 	}
-	g, lat, bw, err := profileGraph(&in)
+	g, objs, err := profileGraph(&in)
 	if err != nil {
 		return nil, 0, err
 	}
-	combined, _, err := partition.CombineObjectives(
-		g,
-		[]partition.EdgeWeightSet{lat, bw},
-		[]float64{in.LatencyPriority, 1 - in.LatencyPriority},
-		in.K, in.PartOpts,
-	)
+	pool := make([]partition.Partitioner, parallel.Workers(0, len(objs)))
+	cuts, err := objectiveCuts(pool, weighted(g, objs), in.K, in.PartOpts, 1)
+	if err != nil {
+		return nil, 0, fmt.Errorf("mapping: PROFILE improve: %w", err)
+	}
+	combined, err := partition.CombineObjectives(g, objs, in.priorities(), cuts)
 	if err != nil {
 		return nil, 0, fmt.Errorf("mapping: PROFILE improve: %w", err)
 	}

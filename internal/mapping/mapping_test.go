@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/emu"
@@ -262,5 +263,38 @@ func TestNilRoutesFallbackMemoized(t *testing.T) {
 	}
 	if got := nw2.RoutingBuilds(); got != 1 {
 		t.Errorf("explicit Routes still rebuilt: %d builds, want 1", got)
+	}
+}
+
+// TestLatencyPriorityOne: p = 1 is pure latency — the traffic objective's
+// coefficient is 0 — and used to be silently rewritten to the 6:4 default.
+func TestLatencyPriorityOne(t *testing.T) {
+	nw, err := topogen.ByName("Brite", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := goldenInput(t, nw, 8, 42)
+	sixFour, err := ProfileMap(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.LatencyPriority = 1
+	got, err := ProfileMap(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := in
+	if err := ref.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	g, objs, err := profileGraph(&ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := serialReference(t, g, objs, []float64{1, 0}, ref.K, ref.PartOpts); !slices.Equal(got, want) {
+		t.Error("PROFILE at p = 1 is not the partition whose traffic coefficient is 0")
+	}
+	if slices.Equal(got, sixFour) {
+		t.Error("PROFILE at p = 1 is the 6:4 answer")
 	}
 }

@@ -37,10 +37,11 @@ func Cluster(g *Graph, k int, seed int64) []int {
 	for c, t := range total {
 		maxW[c] = 4 * t / int64(k)
 	}
+	var ws workspace
 	cur := g
 	for cur.NumVertices() > k {
-		match := heavyEdgeMatch(cur, rng, maxW)
-		lv := coarsenFast(cur, match)
+		match := ws.heavyEdgeMatch(cur, rng, maxW)
+		lv := ws.coarsenFast(cur, match)
 		if lv.graph.NumVertices() >= cur.NumVertices() {
 			break // no progress at all
 		}

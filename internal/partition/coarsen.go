@@ -16,15 +16,16 @@ type level struct {
 // caps the combined weight of a matched pair per constraint — without the
 // cap, repeated coarsening can fuse hot vertices into coarse lumps heavier
 // than a whole part's budget, making balanced initial partitions impossible.
-// Returns match[v] = the partner of v, or v itself if unmatched.
-func heavyEdgeMatch(g *Graph, rng *rand.Rand, maxW []int64) []int {
+// Returns match[v] = the partner of v, or v itself if unmatched; the slice is
+// the workspace's and lasts until the next matching.
+func (ws *workspace) heavyEdgeMatch(g *Graph, rng *rand.Rand, maxW []int64) []int {
 	n := g.NumVertices()
-	match := make([]int, n)
+	ws.match, ws.perm = grow(ws.match, n), grow(ws.perm, n)
+	match := ws.match
 	for v := range match {
 		match[v] = -1
 	}
-	order := rng.Perm(n)
-	for _, v := range order {
+	for _, v := range ws.visitOrder(n, rng) {
 		if match[v] != -1 {
 			continue
 		}
@@ -63,99 +64,50 @@ func exceedsCap(g *Graph, u, v int, maxW []int64) bool {
 	return false
 }
 
-// coarsen collapses g along the given matching and returns the coarse level.
-// Matched pairs become one coarse vertex whose weight vector is the sum of
-// the pair's; parallel edges between coarse vertices are merged by summing
-// weights; edges internal to a pair disappear.
-func coarsen(g *Graph, match []int) level {
+// coarsenFast collapses g along the given matching and returns the coarse
+// level. Matched pairs become one coarse vertex whose weight vector is the sum
+// of the pair's; parallel edges between coarse vertices are merged by summing
+// weights; edges internal to a pair disappear. The level is carved from the
+// workspace's slabs and lasts until the next buildHierarchy.
+func (ws *workspace) coarsenFast(g *Graph, match []int) level {
 	n := g.NumVertices()
-	fineToCoarse := make([]int, n)
+	fineToCoarse := take(&ws.f2c, n)
 	for v := range fineToCoarse {
 		fineToCoarse[v] = -1
 	}
-	numCoarse := 0
+	members := grow(ws.members, n)[:0]
 	for v := 0; v < n; v++ {
 		if fineToCoarse[v] != -1 {
 			continue
 		}
-		fineToCoarse[v] = numCoarse
-		if m := match[v]; m != v {
-			fineToCoarse[m] = numCoarse
-		}
-		numCoarse++
-	}
-
-	cg := NewGraph(numCoarse, g.Ncon)
-	for c := 0; c < numCoarse; c++ {
-		for i := range cg.VWgt[c] {
-			cg.VWgt[c][i] = 0
-		}
-	}
-	for v := 0; v < n; v++ {
-		cv := fineToCoarse[v]
-		for c, w := range g.VWgt[v] {
-			cg.VWgt[cv][c] += w
-		}
-	}
-
-	// Merge adjacency. A scratch map per coarse vertex keeps this O(E).
-	slot := make(map[int]int) // coarse neighbor -> index in cg.Adj[cv]
-	for cv := 0; cv < numCoarse; cv++ {
-		clear(slot)
-		for v := 0; v < n; v++ {
-			if fineToCoarse[v] != cv {
-				continue
-			}
-			for _, e := range g.Adj[v] {
-				cu := fineToCoarse[e.To]
-				if cu == cv {
-					continue // collapsed edge
-				}
-				if idx, ok := slot[cu]; ok {
-					cg.Adj[cv][idx].Wgt += e.Wgt
-				} else {
-					slot[cu] = len(cg.Adj[cv])
-					cg.Adj[cv] = append(cg.Adj[cv], Edge{To: cu, Wgt: e.Wgt})
-				}
-			}
-		}
-	}
-	// The loop above is O(numCoarse * n); fine for the graph sizes here but
-	// wasteful. Rebuild with a single pass instead when n is large.
-	return level{graph: cg, fineToCoarse: fineToCoarse}
-}
-
-// coarsenFast is a single-pass variant of coarsen used for larger graphs.
-func coarsenFast(g *Graph, match []int) level {
-	n := g.NumVertices()
-	fineToCoarse := make([]int, n)
-	for v := range fineToCoarse {
-		fineToCoarse[v] = -1
-	}
-	numCoarse := 0
-	members := make([][2]int, 0, n) // coarse vertex -> up to two fine members
-	for v := 0; v < n; v++ {
-		if fineToCoarse[v] != -1 {
-			continue
-		}
-		fineToCoarse[v] = numCoarse
+		fineToCoarse[v] = len(members)
 		pair := [2]int{v, -1}
 		if m := match[v]; m != v {
-			fineToCoarse[m] = numCoarse
+			fineToCoarse[m] = len(members)
 			pair[1] = m
 		}
 		members = append(members, pair)
-		numCoarse++
 	}
+	ws.members = members
+	numCoarse := len(members)
 
-	cg := NewGraph(numCoarse, g.Ncon)
-	slot := make(map[int]int)
-	for cv := 0; cv < numCoarse; cv++ {
-		for i := range cg.VWgt[cv] {
-			cg.VWgt[cv][i] = 0
-		}
-		clear(slot)
-		for _, v := range members[cv] {
+	cg := &take(&ws.graphs, 1)[0]
+	*cg = Graph{Ncon: g.Ncon, VWgt: take(&ws.vrows, numCoarse), Adj: take(&ws.erows, numCoarse)}
+	vwgt := take(&ws.vwgt, numCoarse*g.Ncon)
+	clear(vwgt)
+	// A coarse graph has at most the fine one's adjacency slots; what the
+	// merge leaves unused goes back to the slab.
+	edges := take(&ws.edges, g.halfEdges())
+	used := 0
+	ws.slot = grow(ws.slot, numCoarse)
+	slot := ws.slot
+	for cv := range slot {
+		slot[cv] = -1
+	}
+	for cv, pair := range members {
+		cg.VWgt[cv], vwgt = vwgt[:g.Ncon:g.Ncon], vwgt[g.Ncon:]
+		start := used
+		for _, v := range pair {
 			if v == -1 {
 				continue
 			}
@@ -167,23 +119,30 @@ func coarsenFast(g *Graph, match []int) level {
 				if cu == cv {
 					continue
 				}
-				if idx, ok := slot[cu]; ok {
-					cg.Adj[cv][idx].Wgt += e.Wgt
+				if idx := slot[cu]; idx >= 0 {
+					edges[idx].Wgt += e.Wgt
 				} else {
-					slot[cu] = len(cg.Adj[cv])
-					cg.Adj[cv] = append(cg.Adj[cv], Edge{To: cu, Wgt: e.Wgt})
+					slot[cu] = used
+					edges[used] = Edge{To: cu, Wgt: e.Wgt}
+					used++
 				}
 			}
 		}
+		cg.Adj[cv] = edges[start:used:used]
+		for _, e := range cg.Adj[cv] {
+			slot[e.To] = -1
+		}
 	}
+	ws.edges = ws.edges[:len(ws.edges)-len(edges)+used]
 	return level{graph: cg, fineToCoarse: fineToCoarse}
 }
 
 // buildHierarchy coarsens g repeatedly until the coarse graph has at most
 // coarseTo vertices or coarsening stops making progress (less than 8%
 // shrinkage), returning the levels from finest to coarsest. levels[0].graph
-// is the first coarse graph; the original g is not included.
-func buildHierarchy(g *Graph, coarseTo int, rng *rand.Rand) []level {
+// is the first coarse graph; the original g is not included. The hierarchy
+// lives in the workspace and replaces the previous one.
+func (ws *workspace) buildHierarchy(g *Graph, coarseTo int, rng *rand.Rand) []level {
 	// Cap coarse-vertex weights at a few times the average weight of the
 	// target coarse graph, so no coarse vertex approaches a part's budget.
 	total := g.TotalVWgt()
@@ -191,17 +150,18 @@ func buildHierarchy(g *Graph, coarseTo int, rng *rand.Rand) []level {
 	for c, t := range total {
 		maxW[c] = 4 * t / int64(coarseTo)
 	}
-	var levels []level
+	ws.graphs, ws.f2c, ws.vwgt, ws.vrows = ws.graphs[:0], ws.f2c[:0], ws.vwgt[:0], ws.vrows[:0]
+	ws.edges, ws.erows, ws.levels = ws.edges[:0], ws.erows[:0], ws.levels[:0]
 	cur := g
 	for cur.NumVertices() > coarseTo {
-		match := heavyEdgeMatch(cur, rng, maxW)
-		lv := coarsenFast(cur, match)
+		match := ws.heavyEdgeMatch(cur, rng, maxW)
+		lv := ws.coarsenFast(cur, match)
 		if lv.graph.NumVertices() > cur.NumVertices()*92/100 {
 			// Matching has stalled (e.g. a star graph); stop coarsening.
 			break
 		}
-		levels = append(levels, lv)
+		ws.levels = append(ws.levels, lv)
 		cur = lv.graph
 	}
-	return levels
+	return ws.levels
 }

@@ -43,13 +43,21 @@ func ExampleCombineObjectives() {
 	latency := g.Weights()   // objective one: uniform
 	bandwidth := g.Weights() // objective two: uniform too, for the demo
 
-	_, cuts, err := partition.CombineObjectives(
-		g,
-		[]partition.EdgeWeightSet{latency, bandwidth},
-		[]float64{0.6, 0.4},
-		2, partition.Options{Seed: 1},
-	)
-	if err != nil {
+	// Each objective's own optimum: the cut of a partition under its weights
+	// alone. A Partitioner keeps its scratch from one partition to the next.
+	objs := []partition.EdgeWeightSet{latency, bandwidth}
+	cuts := make([]int64, len(objs))
+	var pt partition.Partitioner
+	for i, ws := range objs {
+		gi := g.WithWeights(ws)
+		part, err := pt.Partition(gi, 2, partition.Options{Seed: 1})
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		cuts[i] = partition.EdgeCut(gi, part)
+	}
+	if _, err := partition.CombineObjectives(g, objs, []float64{0.6, 0.4}, cuts); err != nil {
 		fmt.Println("error:", err)
 		return
 	}

@@ -44,6 +44,10 @@ type Graph struct {
 
 // NewGraph returns a graph with n vertices, ncon constraints (minimum 1), no
 // edges, and all vertex weights 1.
+//
+// NewGraph, Clone and the weight-set constructors back their rows with one
+// slab per array, each row capped at its length: appending to a row (AddEdge)
+// moves that row off the slab and leaves its neighbors alone.
 func NewGraph(n, ncon int) *Graph {
 	if ncon < 1 {
 		ncon = 1
@@ -53,12 +57,12 @@ func NewGraph(n, ncon int) *Graph {
 		VWgt: make([][]int64, n),
 		Adj:  make([][]Edge, n),
 	}
+	slab := make([]int64, n*ncon)
+	for i := range slab {
+		slab[i] = 1
+	}
 	for v := range g.VWgt {
-		w := make([]int64, ncon)
-		for c := range w {
-			w[c] = 1
-		}
-		g.VWgt[v] = w
+		g.VWgt[v], slab = slab[:ncon:ncon], slab[ncon:]
 	}
 	return g
 }
@@ -67,12 +71,15 @@ func NewGraph(n, ncon int) *Graph {
 func (g *Graph) NumVertices() int { return len(g.VWgt) }
 
 // NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int {
+func (g *Graph) NumEdges() int { return g.halfEdges() / 2 }
+
+// halfEdges returns the number of adjacency slots: two per undirected edge.
+func (g *Graph) halfEdges() int {
 	total := 0
 	for _, a := range g.Adj {
 		total += len(a)
 	}
-	return total / 2
+	return total
 }
 
 // AddEdge adds the undirected edge {u,v} with weight w. Self loops are
@@ -183,11 +190,18 @@ func (g *Graph) Clone() *Graph {
 		VWgt: make([][]int64, len(g.VWgt)),
 		Adj:  make([][]Edge, len(g.Adj)),
 	}
+	nw := 0
+	for _, w := range g.VWgt {
+		nw += len(w)
+	}
+	vwgt, edges := make([]int64, 0, nw), make([]Edge, 0, g.halfEdges())
 	for v, w := range g.VWgt {
-		cp.VWgt[v] = append([]int64(nil), w...)
+		vwgt = append(vwgt, w...)
+		cp.VWgt[v] = vwgt[len(vwgt)-len(w) : len(vwgt) : len(vwgt)]
 	}
 	for v, a := range g.Adj {
-		cp.Adj[v] = append([]Edge(nil), a...)
+		edges = append(edges, a...)
+		cp.Adj[v] = edges[len(edges)-len(a) : len(edges) : len(edges)]
 	}
 	return cp
 }
@@ -201,8 +215,9 @@ type EdgeWeightSet [][]int64
 // weights zero.
 func NewEdgeWeightSet(g *Graph) EdgeWeightSet {
 	s := make(EdgeWeightSet, len(g.Adj))
+	slab := make([]int64, g.halfEdges())
 	for v, a := range g.Adj {
-		s[v] = make([]int64, len(a))
+		s[v], slab = slab[:len(a):len(a)], slab[len(a):]
 	}
 	return s
 }
@@ -245,13 +260,11 @@ func (s EdgeWeightSet) addHalf(g *Graph, u, v int, w int64) bool {
 
 // Weights extracts the current edge weights of g as an EdgeWeightSet.
 func (g *Graph) Weights() EdgeWeightSet {
-	s := make(EdgeWeightSet, len(g.Adj))
+	s := NewEdgeWeightSet(g)
 	for v, a := range g.Adj {
-		row := make([]int64, len(a))
 		for i, e := range a {
-			row[i] = e.Wgt
+			s[v][i] = e.Wgt
 		}
-		s[v] = row
 	}
 	return s
 }

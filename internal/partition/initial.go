@@ -15,13 +15,14 @@ func (ws *workspace) greedyGrow(g *Graph, part []int, rng *rand.Rand) {
 		part[v] = -1
 	}
 	total := g.TotalVWgt()
-	target := make([]float64, g.Ncon)
+	f := &ws.frontier
+	f.wgt, f.target = grow(f.wgt, g.Ncon), grow(f.target, g.Ncon)
 
 	unassigned := n
 	for p := 0; p < k-1 && unassigned > 0; p++ {
 		// Part p's weight target under its capacity fraction.
 		for c, t := range total {
-			target[c] = float64(t) * frac[p]
+			f.target[c] = float64(t) * frac[p]
 		}
 		// Reserve room: never grow a part so large that the remaining parts
 		// cannot each receive at least one vertex.
@@ -29,7 +30,7 @@ func (ws *workspace) greedyGrow(g *Graph, part []int, rng *rand.Rand) {
 		if maxVertices < 1 {
 			maxVertices = 1
 		}
-		grown := ws.frontier.growOnePart(g, part, p, target, maxVertices, rng)
+		grown := f.growOnePart(g, part, p, maxVertices, rng)
 		unassigned -= grown
 	}
 	for v := range part {
@@ -46,12 +47,15 @@ type frontier struct {
 	mark  []uint64 // mark[v] == gen: v joined the frontier of the part being grown
 	gen   uint64
 	verts []int // the members; a vertex absorbed since it joined is dropped at the next scan
+	// The growing part's weight per constraint and the target that ends its
+	// growth (greedyGrow sets it).
+	wgt, target []float64
 }
 
 // growOnePart grows part p from a random unassigned seed until any balance
 // constraint reaches its target or maxVertices vertices have been absorbed.
 // Returns the number of vertices assigned.
-func (f *frontier) growOnePart(g *Graph, part []int, p int, target []float64, maxVertices int, rng *rand.Rand) int {
+func (f *frontier) growOnePart(g *Graph, part []int, p int, maxVertices int, rng *rand.Rand) int {
 	n := g.NumVertices()
 	seed := -1
 	// Pick a random unassigned seed.
@@ -67,7 +71,8 @@ func (f *frontier) growOnePart(g *Graph, part []int, p int, target []float64, ma
 		return 0
 	}
 
-	wgt := make([]float64, g.Ncon)
+	wgt, target := f.wgt, f.target
+	clear(wgt)
 	f.gen++
 	f.verts = f.verts[:0]
 	assign := func(v int) {

@@ -8,49 +8,39 @@ import "fmt"
 const combineScale = 1 << 20
 
 // CombineObjectives implements the multi-objective weight combination the
-// paper adopts from Schloegel, Karypis and Kumar (§2.3):
+// paper adopts from Schloegel, Karypis and Kumar (§2.3). Given, for each
+// objective i, the cut Cᵢ a partition under that objective's edge weights
+// alone achieves (cuts[i] = EdgeCut of Partition on g.WithWeights(objs[i])),
+// it forms the combined edge weight
 //
-//  1. for each objective i, partition with that objective's edge weights
-//     alone and record the achieved cut Cᵢ,
-//  2. form the combined edge weight
-//     w(e) = Σᵢ coef[i] · wᵢ(e)/Cᵢ
-//     so each objective contributes in proportion to how close the combined
-//     solution stays to that objective's own optimum.
+//	w(e) = Σᵢ coef[i] · wᵢ(e)/Cᵢ
 //
-// The returned weight set is scaled to integers; cuts holds each objective's
-// single-objective cut (the normalization denominators). The caller applies
-// Partition on g.WithWeights(combined) for the final answer — see
-// MultiObjective for the one-call version.
+// so each objective contributes in proportion to how close the combined
+// solution stays to that objective's own optimum. The returned weight set is
+// scaled to integers; the caller applies Partition on g.WithWeights(combined)
+// for the final answer. The single-objective partitions are the caller's so
+// that it can run them wherever it runs its other partitions (the mapping
+// layer fans them out with its trials).
 //
 // coef must have one non-negative entry per objective (they are normalized
 // internally, so only ratios matter — the paper's default latency:traffic
 // priority is 6:4).
-func CombineObjectives(g *Graph, objs []EdgeWeightSet, coef []float64, k int, opts Options) (EdgeWeightSet, []int64, error) {
+func CombineObjectives(g *Graph, objs []EdgeWeightSet, coef []float64, cuts []int64) (EdgeWeightSet, error) {
 	if len(objs) == 0 {
-		return nil, nil, fmt.Errorf("partition: CombineObjectives: no objectives")
+		return nil, fmt.Errorf("partition: CombineObjectives: no objectives")
 	}
-	if len(coef) != len(objs) {
-		return nil, nil, fmt.Errorf("partition: CombineObjectives: %d coefficients for %d objectives", len(coef), len(objs))
+	if len(coef) != len(objs) || len(cuts) != len(objs) {
+		return nil, fmt.Errorf("partition: CombineObjectives: %d coefficients and %d cuts for %d objectives", len(coef), len(cuts), len(objs))
 	}
 	var coefSum float64
 	for i, c := range coef {
-		if c < 0 {
-			return nil, nil, fmt.Errorf("partition: CombineObjectives: coefficient %d is negative", i)
+		if !(c >= 0) { // NaN too
+			return nil, fmt.Errorf("partition: CombineObjectives: coefficient %d is negative or NaN", i)
 		}
 		coefSum += c
 	}
 	if coefSum == 0 {
-		return nil, nil, fmt.Errorf("partition: CombineObjectives: all coefficients are zero")
-	}
-
-	cuts := make([]int64, len(objs))
-	for i, ws := range objs {
-		gi := g.WithWeights(ws)
-		part, err := Partition(gi, k, opts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("partition: CombineObjectives: objective %d: %w", i, err)
-		}
-		cuts[i] = EdgeCut(gi, part)
+		return nil, fmt.Errorf("partition: CombineObjectives: all coefficients are zero")
 	}
 
 	combined := NewEdgeWeightSet(g)
@@ -70,21 +60,5 @@ func CombineObjectives(g *Graph, objs []EdgeWeightSet, coef []float64, k int, op
 			combined[v][e] = int64(w*combineScale + 0.5)
 		}
 	}
-	return combined, cuts, nil
-}
-
-// MultiObjective runs the full §2.3 pipeline: single-objective partitions to
-// obtain normalizers, weight combination, and a final partition under the
-// combined weights. It returns the assignment together with the combined
-// weight set (useful for reporting per-objective cuts of the final answer).
-func MultiObjective(g *Graph, objs []EdgeWeightSet, coef []float64, k int, opts Options) ([]int, EdgeWeightSet, error) {
-	combined, _, err := CombineObjectives(g, objs, coef, k, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	part, err := Partition(g.WithWeights(combined), k, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return part, combined, nil
+	return combined, nil
 }

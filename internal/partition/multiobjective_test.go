@@ -1,6 +1,9 @@
 package partition
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // twoObjectiveFixture builds a 4-ring where the latency objective wants to
 // cut edges {0-1, 2-3} and the bandwidth objective wants {1-2, 3-0}.
@@ -21,30 +24,67 @@ func twoObjectiveFixture() (*Graph, []EdgeWeightSet) {
 	return g, []EdgeWeightSet{lat, bw}
 }
 
+// objectiveCuts partitions g under each objective alone and returns the cuts:
+// CombineObjectives' normalizers.
+func objectiveCuts(t *testing.T, g *Graph, objs []EdgeWeightSet, k int, opts Options) []int64 {
+	t.Helper()
+	cuts := make([]int64, len(objs))
+	for i, ws := range objs {
+		gi := g.WithWeights(ws)
+		part, err := Partition(gi, k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts[i] = EdgeCut(gi, part)
+	}
+	return cuts
+}
+
+// multiObjective runs the full §2.3 pipeline: single-objective partitions to
+// obtain normalizers, weight combination, and a final partition under the
+// combined weights.
+func multiObjective(t *testing.T, g *Graph, objs []EdgeWeightSet, coef []float64, k int, opts Options) []int {
+	t.Helper()
+	combined, err := CombineObjectives(g, objs, coef, objectiveCuts(t, g, objs, k, opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := Partition(g.WithWeights(combined), k, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return part
+}
+
 func TestCombineObjectivesErrors(t *testing.T) {
 	g, objs := twoObjectiveFixture()
-	if _, _, err := CombineObjectives(g, nil, nil, 2, Options{}); err == nil {
+	cuts := []int64{2, 2}
+	if _, err := CombineObjectives(g, nil, nil, nil); err == nil {
 		t.Error("no objectives accepted")
 	}
-	if _, _, err := CombineObjectives(g, objs, []float64{1}, 2, Options{}); err == nil {
+	if _, err := CombineObjectives(g, objs, []float64{1}, cuts); err == nil {
 		t.Error("coefficient arity mismatch accepted")
 	}
-	if _, _, err := CombineObjectives(g, objs, []float64{-1, 2}, 2, Options{}); err == nil {
+	if _, err := CombineObjectives(g, objs, []float64{1, 1}, cuts[:1]); err == nil {
+		t.Error("cut arity mismatch accepted")
+	}
+	if _, err := CombineObjectives(g, objs, []float64{-1, 2}, cuts); err == nil {
 		t.Error("negative coefficient accepted")
 	}
-	if _, _, err := CombineObjectives(g, objs, []float64{0, 0}, 2, Options{}); err == nil {
+	if _, err := CombineObjectives(g, objs, []float64{math.NaN(), 1}, cuts); err == nil {
+		t.Error("NaN coefficient accepted")
+	}
+	if _, err := CombineObjectives(g, objs, []float64{0, 0}, cuts); err == nil {
 		t.Error("all-zero coefficients accepted")
 	}
 }
 
 func TestCombineObjectivesNormalizes(t *testing.T) {
 	g, objs := twoObjectiveFixture()
-	combined, cuts, err := CombineObjectives(g, objs, []float64{0.5, 0.5}, 2, Options{Seed: 1})
+	cuts := objectiveCuts(t, g, objs, 2, Options{Seed: 1})
+	combined, err := CombineObjectives(g, objs, []float64{0.5, 0.5}, cuts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(cuts) != 2 {
-		t.Fatalf("got %d cuts, want 2", len(cuts))
 	}
 	// Each single-objective optimum cuts the two cheap edges: cut = 2.
 	for i, c := range cuts {
@@ -71,19 +111,13 @@ func TestCombineObjectivesExtremePriorities(t *testing.T) {
 	g, objs := twoObjectiveFixture()
 	// Pure latency priority must reproduce the latency optimum: parts {0,3},{1,2}
 	// or {1,0},{2,3} — i.e. edges 0-1 and 2-3 cut.
-	part, _, err := MultiObjective(g, objs, []float64{1, 0}, 2, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	part := multiObjective(t, g, objs, []float64{1, 0}, 2, Options{Seed: 5})
 	lat := g.WithWeights(objs[0])
 	if cut := EdgeCut(lat, part); cut != 2 {
 		t.Errorf("latency-priority cut under latency weights = %d, want 2", cut)
 	}
 	// Pure bandwidth priority must reproduce the bandwidth optimum.
-	part, _, err = MultiObjective(g, objs, []float64{0, 1}, 2, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	part = multiObjective(t, g, objs, []float64{0, 1}, 2, Options{Seed: 5})
 	bw := g.WithWeights(objs[1])
 	if cut := EdgeCut(bw, part); cut != 2 {
 		t.Errorf("bandwidth-priority cut under bandwidth weights = %d, want 2", cut)
@@ -121,10 +155,7 @@ func TestMultiObjectiveTradeoffIsBounded(t *testing.T) {
 	}
 	cBw := CutWeightOf(g, bw, bwPart)
 
-	part, _, err := MultiObjective(g, []EdgeWeightSet{lat, bw}, []float64{0.6, 0.4}, k, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	part := multiObjective(t, g, []EdgeWeightSet{lat, bw}, []float64{0.6, 0.4}, k, opts)
 	if err := Verify(g, part, k); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +175,9 @@ func TestCombineObjectivesZeroCutObjective(t *testing.T) {
 	g := ringGraph(8, 1)
 	zero := NewEdgeWeightSet(g)
 	one := g.Weights()
-	combined, cuts, err := CombineObjectives(g, []EdgeWeightSet{zero, one}, []float64{0.5, 0.5}, 2, Options{Seed: 1})
+	objs := []EdgeWeightSet{zero, one}
+	cuts := objectiveCuts(t, g, objs, 2, Options{Seed: 1})
+	combined, err := CombineObjectives(g, objs, []float64{0.5, 0.5}, cuts)
 	if err != nil {
 		t.Fatal(err)
 	}

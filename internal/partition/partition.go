@@ -54,13 +54,30 @@ func (o Options) withDefaults(k int) Options {
 	return o
 }
 
+// Partitioner is a multilevel partitioner that keeps its scratch memory —
+// refinement workspace, coarsening hierarchy, projection buffers, random
+// source — between calls, for a caller that partitions many graphs of one
+// size in a row. The zero value is ready to use. A Partitioner must not be
+// used by two goroutines at once; what a call returns does not depend on the
+// calls before it.
+type Partitioner struct {
+	ws  workspace
+	rng *rand.Rand
+}
+
+// Partition is the one-shot form of Partitioner.Partition.
+func Partition(g *Graph, k int, opts Options) ([]int, error) {
+	return new(Partitioner).Partition(g, k, opts)
+}
+
 // Partition splits g into k parts, minimizing the weight of cut edges while
 // keeping every balance constraint within Options.Imbalance of perfect. It
-// returns part[v] ∈ [0,k) for every vertex.
+// returns part[v] ∈ [0,k) for every vertex, in a slice the caller owns. It
+// only reads g, so concurrent partitions may share one graph.
 //
 // Errors: k < 1, or k > number of vertices (a part would necessarily be
 // empty).
-func Partition(g *Graph, k int, opts Options) ([]int, error) {
+func (pt *Partitioner) Partition(g *Graph, k int, opts Options) ([]int, error) {
 	if opts.Strategy == RecursiveBisection && k > 2 {
 		return PartitionRB(g, k, opts)
 	}
@@ -83,18 +100,23 @@ func Partition(g *Graph, k int, opts Options) ([]int, error) {
 	}
 
 	opts = opts.withDefaults(k)
-	rng := rand.New(rand.NewSource(opts.Seed))
-	ws := newWorkspace(g, k, opts.PartFractions)
+	if pt.rng == nil {
+		pt.rng = rand.New(rand.NewSource(opts.Seed))
+	} else {
+		pt.rng.Seed(opts.Seed) // draws what a new source of that seed draws
+	}
+	ws, rng := &pt.ws, pt.rng
+	ws.reset(g, k, opts.PartFractions)
 
 	// Phase 1: coarsen.
-	levels := buildHierarchy(g, opts.CoarsenTo, rng)
+	levels := ws.buildHierarchy(g, opts.CoarsenTo, rng)
 	coarsest := g
 	if len(levels) > 0 {
 		coarsest = levels[len(levels)-1].graph
 	}
 
 	// Phase 2: initial partition on the coarsest graph, best of Restarts.
-	part := ws.initialPartition(coarsest, opts, rng)
+	part, spare := ws.initialPartition(coarsest, opts, rng)
 
 	// Phase 3: uncoarsen, refining at every level.
 	for i := len(levels) - 1; i >= 0; i-- {
@@ -102,7 +124,7 @@ func Partition(g *Graph, k int, opts Options) ([]int, error) {
 		if i > 0 {
 			finer = levels[i-1].graph
 		}
-		part = project(part, levels[i].fineToCoarse, finer.NumVertices())
+		part, spare = project(spare, part, levels[i].fineToCoarse), part
 		ws.refine(finer, part, opts.Imbalance, opts.RefinePasses, rng)
 		ws.rebalance(finer, part, opts.Imbalance)
 	}
@@ -128,15 +150,15 @@ func Partition(g *Graph, k int, opts Options) ([]int, error) {
 	}
 	ws.rebalance(g, part, target)
 	ensureNonEmpty(g, part, k)
-	return part, nil
+	return append([]int(nil), part...), nil
 }
 
 // initialPartition tries Restarts greedy growings of the coarsest graph and
 // keeps the best result: feasible (within balance) partitions are preferred,
-// then lower edge cut, then lower max-norm imbalance.
-func (ws *workspace) initialPartition(g *Graph, opts Options, rng *rand.Rand) []int {
-	k, frac := ws.k, ws.frac
-	part, best := make([]int, g.NumVertices()), make([]int, g.NumVertices())
+// then lower edge cut, then lower max-norm imbalance. It returns the best and
+// the workspace's other assignment buffer, for the projection to fill.
+func (ws *workspace) initialPartition(g *Graph, opts Options, rng *rand.Rand) (best, spare []int) {
+	part, best := ws.parts[0][:g.NumVertices()], ws.parts[1][:g.NumVertices()]
 	var bestCut int64
 	var bestNorm float64
 	bestFeasible := false
@@ -146,7 +168,7 @@ func (ws *workspace) initialPartition(g *Graph, opts Options, rng *rand.Rand) []
 		ws.refine(g, part, opts.Imbalance, opts.RefinePasses, rng)
 		ws.rebalance(g, part, opts.Imbalance)
 		cut := EdgeCut(g, part)
-		norm := maxNorm(g, part, k, frac)
+		norm := ws.maxNorm() // rebalance left part loaded
 		feasible := norm <= 1+opts.Imbalance+1e-9
 		better := false
 		switch {
@@ -164,16 +186,17 @@ func (ws *workspace) initialPartition(g *Graph, opts Options, rng *rand.Rand) []
 			bestCut, bestNorm, bestFeasible = cut, norm, feasible
 		}
 	}
-	return best
+	return best, part
 }
 
-// project maps a coarse partition back to the finer graph.
-func project(coarsePart []int, fineToCoarse []int, fineN int) []int {
-	part := make([]int, fineN)
-	for v := 0; v < fineN; v++ {
-		part[v] = coarsePart[fineToCoarse[v]]
+// project maps a coarse partition back to the finer graph, into dst's array
+// (which must hold len(fineToCoarse) entries and not be coarsePart's).
+func project(dst, coarsePart, fineToCoarse []int) []int {
+	dst = dst[:len(fineToCoarse)]
+	for v, cv := range fineToCoarse {
+		dst[v] = coarsePart[cv]
 	}
-	return part
+	return dst
 }
 
 // ensureNonEmpty guarantees every part owns at least one vertex by donating
@@ -215,24 +238,4 @@ func ensureNonEmpty(g *Graph, part []int, k int) {
 			sizes[p]++
 		}
 	}
-}
-
-// maxNorm returns the worst per-constraint ratio of actual part weight to
-// its target total·frac[p]. 1.0 means perfect balance.
-func maxNorm(g *Graph, part []int, k int, frac []float64) float64 {
-	w := partWeights(g, part, k)
-	total := g.TotalVWgt()
-	worst := 0.0
-	for c, t := range total {
-		if t == 0 {
-			continue
-		}
-		for p := range w {
-			r := float64(w[p][c]) / (float64(t) * frac[p])
-			if r > worst {
-				worst = r
-			}
-		}
-	}
-	return worst
 }

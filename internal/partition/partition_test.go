@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -379,5 +380,36 @@ func TestImproveWithFractions(t *testing.T) {
 	total := g.TotalVWgt()[0]
 	if share := float64(w[0][0]) / float64(total); share < 0.45 {
 		t.Errorf("part 0 share after Improve = %.2f, want ~0.6", share)
+	}
+}
+
+// TestWorkspaceReuseIsInvisible drives one Partitioner through graphs of
+// different size, constraint count, part count and target fractions in
+// sequence — small random instances forced to coarsen, with the two Brite
+// fixtures in between so that the scratch shrinks and grows — and requires
+// what fresh one-shot partitions return.
+func TestWorkspaceReuseIsInvisible(t *testing.T) {
+	fixtures := []*Graph{readFixture(t, "brite_top"), readFixture(t, "brite_profile_traffic")}
+	rng := rand.New(rand.NewSource(20031115))
+	var pt Partitioner
+	for i := 0; i < 300; i++ {
+		k := 2 + rng.Intn(7)
+		g, _ := randomInstance(rng, k, i%3 == 2)
+		opts := Options{Seed: rng.Int63(), CoarsenTo: 2*k + rng.Intn(20), PartFractions: randomFractions(rng, k)}
+		if i%60 == 59 {
+			g, opts.CoarsenTo = fixtures[i/60%2], 0
+		}
+		got, err := pt.Partition(g, k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Partition(g, k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("call %d (n=%d ncon=%d k=%d): a used partitioner differs from a new one", i, g.NumVertices(), g.Ncon, k)
+		}
+		got[0] = -1 // the caller owns what it was returned
 	}
 }

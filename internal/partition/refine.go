@@ -52,11 +52,13 @@ func uniformFractions(k int, frac []float64) []float64 {
 	return out
 }
 
-// workspace is the scratch memory one Partition, PartitionRB or Improve call
-// shares between its greedyGrow, refine and rebalance calls (about 130 of
-// them on a paper topology), so that their loops do not allocate. Per-vertex
-// buffers are sized for the call's finest graph; coarser levels use a
-// prefix.
+// workspace is the scratch memory of a Partitioner (and of one PartitionRB,
+// Improve or Cluster call): what the greedyGrow, refine and rebalance calls of
+// a partition share (about 130 of them on a paper topology) so that their
+// loops do not allocate, and what coarsening and projection used to make per
+// level. reset sizes it for a call; a workspace that has served other graphs,
+// k or constraint counts behaves like a new one. Per-vertex buffers are sized
+// for the call's finest graph; coarser levels use a prefix.
 type workspace struct {
 	k    int
 	frac []float64 // target fraction per part (see uniformFractions)
@@ -67,39 +69,78 @@ type workspace struct {
 	sizes []int       // vertices per part
 	total []int64     // weight of the whole graph per constraint
 	ceil  [][]float64 // ceil[p][c]: the most part p may weigh on c
+	wFlat []int64     // the rows of w
+	cFlat []float64   // the rows of ceil
 
 	conn     partConn
-	perm     []int   // refine's visit order
+	perm     []int   // refine's and heavyEdgeMatch's visit order
 	forced   []uint8 // rebalance: forced moves per vertex in the current phase
 	cycle    cycleLog
 	frontier frontier // greedyGrow
+	parts    [2][]int // initialPartition's candidates, then projection's source and target
+
+	// Coarsening: the matching, coarsenFast's scratch, and the hierarchy —
+	// every level's graph and fineToCoarse carved from one slab per array.
+	match   []int
+	members [][2]int // coarse vertex -> up to two fine members
+	slot    []int    // coarse neighbor -> index in the row being merged, -1 = absent
+	levels  []level
+	graphs  []Graph
+	f2c     []int
+	vwgt    []int64
+	vrows   [][]int64
+	edges   []Edge
+	erows   [][]Edge
+}
+
+// grow returns s with length n, on a new array when s's is too small. What a
+// kept array holds is stale: every user either overwrites it before reading
+// or (the stamps, cycleLog.origin) is built to tell.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// take carves n elements, capped at n, off the end of *slab. A slab too small
+// is replaced by one twice the size (pieces already handed out keep the old
+// one alive), so a warmed workspace allocates nothing.
+func take[T any](slab *[]T, n int) []T {
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, 2*(cap(*slab)+n))
+	}
+	at := len(*slab)
+	*slab = (*slab)[:at+n]
+	return (*slab)[at : at+n : at+n]
 }
 
 func newWorkspace(g *Graph, k int, frac []float64) *workspace {
-	n := g.NumVertices()
-	ws := &workspace{
-		k:      k,
-		frac:   uniformFractions(k, frac),
-		w:      make([][]int64, k),
-		sizes:  make([]int, k),
-		total:  make([]int64, g.Ncon),
-		ceil:   make([][]float64, k),
-		conn:   partConn{wgt: make([]int64, k), stamp: make([]uint64, k)},
-		perm:   make([]int, n),
-		forced: make([]uint8, n),
-		cycle:  cycleLog{seen: make(map[uint64]int), origin: make([]int, n)},
-		frontier: frontier{
-			gain: make([]int64, n),
-			mark: make([]uint64, n),
-		},
-	}
-	wFlat := make([]int64, k*g.Ncon)
-	ceilFlat := make([]float64, k*g.Ncon)
-	for p := 0; p < k; p++ {
-		ws.w[p] = wFlat[p*g.Ncon : (p+1)*g.Ncon]
-		ws.ceil[p] = ceilFlat[p*g.Ncon : (p+1)*g.Ncon]
-	}
+	ws := new(workspace)
+	ws.reset(g, k, frac)
 	return ws
+}
+
+// reset sizes the refinement scratch for a k-way partition of g, the finest
+// graph of the call.
+func (ws *workspace) reset(g *Graph, k int, frac []float64) {
+	n, ncon := g.NumVertices(), g.Ncon
+	ws.k, ws.frac = k, uniformFractions(k, frac)
+	ws.w, ws.ceil = grow(ws.w, k), grow(ws.ceil, k)
+	ws.wFlat, ws.cFlat = grow(ws.wFlat, k*ncon), grow(ws.cFlat, k*ncon)
+	for p := 0; p < k; p++ {
+		ws.w[p] = ws.wFlat[p*ncon : (p+1)*ncon]
+		ws.ceil[p] = ws.cFlat[p*ncon : (p+1)*ncon]
+	}
+	ws.sizes, ws.total = grow(ws.sizes, k), grow(ws.total, ncon)
+	ws.conn.wgt, ws.conn.stamp = grow(ws.conn.wgt, k), grow(ws.conn.stamp, k)
+	ws.perm, ws.forced = grow(ws.perm, n), grow(ws.forced, n)
+	ws.frontier.gain, ws.frontier.mark = grow(ws.frontier.gain, n), grow(ws.frontier.mark, n)
+	ws.parts[0], ws.parts[1] = grow(ws.parts[0], n), grow(ws.parts[1], n)
+	ws.cycle.origin = grow(ws.cycle.origin, n)
+	if ws.cycle.seen == nil {
+		ws.cycle.seen = make(map[uint64]int)
+	}
 }
 
 // load points the workspace at an assignment: part weights and sizes, and
@@ -131,6 +172,24 @@ func (ws *workspace) load(g *Graph, part []int, tol float64) {
 			ws.ceil[p][c] = (1 + tol) * float64(t) * ws.frac[p]
 		}
 	}
+}
+
+// maxNorm returns the loaded assignment's worst per-constraint ratio of part
+// weight to its target total·frac[p]. 1.0 means perfect balance.
+func (ws *workspace) maxNorm() float64 {
+	worst := 0.0
+	for c, t := range ws.total {
+		if t == 0 {
+			continue
+		}
+		for p := range ws.w {
+			r := float64(ws.w[p][c]) / (float64(t) * ws.frac[p])
+			if r > worst {
+				worst = r
+			}
+		}
+	}
+	return worst
 }
 
 // partConn holds the edge weight from one vertex into each part: a dense
@@ -165,6 +224,21 @@ func (c *partConn) to(p int) int64 {
 		return 0
 	}
 	return c.wgt[p]
+}
+
+// connTwo returns vertex v's edge weight into parts a and b (a != b): what
+// the rebalance scans that compare exactly two parts need, without stamping
+// all k.
+func connTwo(g *Graph, part []int, v, a, b int) (wa, wb int64) {
+	for _, e := range g.Adj[v] {
+		switch part[e.To] {
+		case a:
+			wa += e.Wgt
+		case b:
+			wb += e.Wgt
+		}
+	}
+	return wa, wb
 }
 
 // moveFits reports whether moving vertex v into part dst keeps every
@@ -363,8 +437,8 @@ func (ws *workspace) pushPhase(g *Graph, part []int, maxMoves int) int {
 				if forced[v] >= 2 {
 					continue
 				}
-				conn.load(g, part, v)
-				cost := float64(conn.to(over)-conn.to(dst)) / float64(g.VWgt[v][overC])
+				internal, external := connTwo(g, part, v, over, dst)
+				cost := float64(internal-external) / float64(g.VWgt[v][overC])
 				if bestV == -1 || cost < bestCost {
 					bestV, bestDst, bestCost = v, dst, cost
 				}
@@ -458,7 +532,7 @@ func vertexInPartHash(v, p int) uint64 {
 // fillPhase pulls weight into under-floor parts; returns moves made. Every
 // vertex moves at most twice, which bounds the phase without a cycle check.
 func (ws *workspace) fillPhase(g *Graph, part []int, tol float64, maxMoves int) int {
-	w, sizes, conn, total := ws.w, ws.sizes, &ws.conn, ws.total
+	w, sizes, total := ws.w, ws.sizes, ws.total
 	forced := ws.forced[:len(part)]
 	clear(forced)
 	moves := 0
@@ -487,8 +561,8 @@ func (ws *workspace) fillPhase(g *Graph, part []int, tol float64, maxMoves int) 
 			if float64(g.VWgt[v][starveC]) > headroom {
 				continue
 			}
-			conn.load(g, part, v)
-			cost := float64(conn.to(donor)-conn.to(starve)) / float64(g.VWgt[v][starveC])
+			internal, external := connTwo(g, part, v, donor, starve)
+			cost := float64(internal-external) / float64(g.VWgt[v][starveC])
 			if bestV == -1 || cost < bestCost {
 				bestV, bestCost = v, cost
 			}

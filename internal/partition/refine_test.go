@@ -479,7 +479,7 @@ func TestRebalanceMatchesReference(t *testing.T) {
 				opts := Options{Seed: seed, Imbalance: 0.10, Restarts: 20, RefinePasses: 16}.withDefaults(k)
 				rng := rand.New(rand.NewSource(opts.Seed))
 				ws := newWorkspace(g, k, nil)
-				levels := buildHierarchy(g, opts.CoarsenTo, rng)
+				levels := ws.buildHierarchy(g, opts.CoarsenTo, rng)
 				if len(levels) == 0 {
 					t.Fatal("the Brite graph no longer coarsens")
 				}
@@ -495,13 +495,13 @@ func TestRebalanceMatchesReference(t *testing.T) {
 					ws.refine(coarsest, grown, opts.Imbalance, opts.RefinePasses, growRng)
 					check(fmt.Sprintf("trial %d restart %d", trial, r), coarsest, grown, opts.Imbalance)
 				}
-				part := ws.initialPartition(coarsest, opts, rng)
+				part, spare := ws.initialPartition(coarsest, opts, rng)
 				for i := len(levels) - 1; i >= 0; i-- {
 					finer := g
 					if i > 0 {
 						finer = levels[i-1].graph
 					}
-					part = project(part, levels[i].fineToCoarse, finer.NumVertices())
+					part, spare = project(spare, part, levels[i].fineToCoarse), part
 					ws.refine(finer, part, opts.Imbalance, opts.RefinePasses, rng)
 					check(fmt.Sprintf("trial %d level %d", trial, i), finer, part, opts.Imbalance)
 					ws.rebalance(finer, part, opts.Imbalance)
