@@ -90,7 +90,10 @@ type ElasticInstall struct {
 // queues go along in checkpoint order (the worker stays runnable: a follow-up
 // Reseat installs the post-resize state, or BYE releases a drained worker).
 // Without, it is the answer to FINISH: what a finished — or truncated — run
-// leaves queued is nobody's input, so it is neither captured nor sorted.
+// leaves queued is nobody's input, so it is neither captured nor sorted, and
+// the export aliases the worker's NetState instead of copying it: the worker
+// never steps again after FINISH, so nothing writes the slots while the
+// export is encoded and sent.
 func (d *DistLocal) Export(at float64, pending bool) (*ElasticExport, error) {
 	e, stats := d.e, d.kernel.Stats()
 	ex := &ElasticExport{
@@ -98,9 +101,10 @@ func (d *DistLocal) Export(at float64, pending bool) (*ElasticExport, error) {
 		Events:      append([]int64(nil), stats.Events...),
 		Charges:     append([]int64(nil), stats.Charges...),
 		RemoteSends: append([]int64(nil), stats.RemoteSends...),
-		NetState:    e.NetState.clone(),
+		NetState:    e.NetState,
 	}
 	if pending {
+		ex.NetState = e.NetState.clone()
 		for _, s := range d.kernel.Checkpoint(at).Export() {
 			w, err := e.encodeSent(s)
 			if err != nil {

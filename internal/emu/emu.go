@@ -420,8 +420,13 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 	var collector *netflow.Collector
 	if cfg.Profile {
 		// One record slot per (flow, hop), in workload order: routes are static,
-		// so the record a hop will touch is known before the first event.
-		collector = netflow.NewCollector(nw.NumNodes(), hops, duration, cfg.BucketWidth)
+		// so the record a hop will touch is known before the first event. Slots
+		// store node and link ids as int32.
+		if nw.NumNodes() > math.MaxInt32 || len(nw.Links) > math.MaxInt32 {
+			return nil, fmt.Errorf("%w: a profiling run needs node and link ids below 2^31, network has %d nodes and %d links",
+				ErrBadConfig, nw.NumNodes(), len(nw.Links))
+		}
+		collector = netflow.NewCollector(nw.NumNodes(), len(flows), hops, duration, cfg.BucketWidth)
 		for i := range flows {
 			fr := &flows[i]
 			fr.base = collector.Reserve(fr.id, fr.path, fr.links)
@@ -451,10 +456,6 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 	// per executed window — the term the latency objective minimizes.
 	// The accumulators are part of the emulation's rollbackState, so a crash
 	// recovery rolls them back together with the kernel's queues.
-	bucketCost := make([][]float64, buckets)
-	for b := range bucketCost {
-		bucketCost[b] = make([]float64, cfg.NumEngines)
-	}
 	e := &emulation{
 		cfg:         cfg,
 		ctx:         o.ctx,
@@ -471,7 +472,7 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 			collector:       collector,
 			series:          engineSeries,
 			engineBusy:      make([]float64, cfg.NumEngines),
-			bucketCost:      bucketCost,
+			bucketCost:      metrics.NewSeries(cfg.BucketWidth, cfg.NumEngines, buckets),
 			bucketSync:      make([]float64, buckets),
 			bucketBusyWidth: make([]float64, buckets),
 		},
@@ -546,16 +547,14 @@ func (e *emulation) seed(kernel *des.Kernel[payload], local []bool) error {
 // buildResult folds the time model and assembles the Result — the reporting
 // half of Run, shared with the distributed coordinator.
 func (e *emulation) buildResult(stats *des.Stats, recovery *Recovery) *Result {
-	cfg := e.cfg
-	buckets := e.buckets
 	e.tel.Finish(stats.VirtualEnd)
 
 	var appTime, netTime float64
-	for b := 0; b < buckets; b++ {
+	for b := 0; b < e.buckets; b++ {
 		maxCost := 0.0
-		for lp := 0; lp < cfg.NumEngines; lp++ {
-			if e.bucketCost[b][lp] > maxCost {
-				maxCost = e.bucketCost[b][lp]
+		for _, c := range e.bucketCost.Loads[b] {
+			if c > maxCost {
+				maxCost = c
 			}
 		}
 		c := maxCost + e.bucketSync[b]
@@ -836,7 +835,7 @@ func (e *emulation) price(w *obs.Window) []float64 {
 			cost[lp] = (evCost + rmCost) / e.speedOf(lp)
 		}
 	}
-	bc := e.bucketCost[b]
+	bc := e.bucketCost.Loads[b]
 	for lp, c := range cost {
 		e.engineBusy[lp] += c
 		bc[lp] += c

@@ -109,7 +109,7 @@ type rollbackState struct {
 	series    *metrics.Series
 
 	engineBusy      []float64
-	bucketCost      [][]float64
+	bucketCost      *metrics.Series // modeled compute seconds per bucket and engine
 	bucketSync      []float64
 	bucketBusyWidth []float64
 }
@@ -121,10 +121,7 @@ func (s *rollbackState) clone() rollbackState {
 	c.collector = s.collector.Clone()
 	c.series = s.series.Clone()
 	c.engineBusy = append([]float64(nil), s.engineBusy...)
-	c.bucketCost = make([][]float64, len(s.bucketCost))
-	for b, row := range s.bucketCost {
-		c.bucketCost[b] = append([]float64(nil), row...)
-	}
+	c.bucketCost = s.bucketCost.Clone()
 	c.bucketSync = append([]float64(nil), s.bucketSync...)
 	c.bucketBusyWidth = append([]float64(nil), s.bucketBusyWidth...)
 	return c

@@ -155,10 +155,13 @@ type Series struct {
 
 // NewSeries creates a Series with the given bucket width, node count, and
 // number of buckets, all loads zero.
+// The rows are carved from one slab, each capped where it ends, so an append
+// to one row reallocates it rather than growing into the next.
 func NewSeries(bucketWidth float64, nodes, buckets int) *Series {
 	s := &Series{BucketWidth: bucketWidth, Loads: make([][]float64, buckets)}
-	for i := range s.Loads {
-		s.Loads[i] = make([]float64, nodes)
+	slab := make([]float64, nodes*buckets)
+	for b := range s.Loads {
+		s.Loads[b], slab = slab[:nodes:nodes], slab[nodes:]
 	}
 	return s
 }
@@ -169,9 +172,9 @@ func (s *Series) Clone() *Series {
 	if s == nil {
 		return nil
 	}
-	out := &Series{BucketWidth: s.BucketWidth, Loads: make([][]float64, len(s.Loads))}
-	for i, row := range s.Loads {
-		out.Loads[i] = append([]float64(nil), row...)
+	out := NewSeries(s.BucketWidth, s.Nodes(), s.Buckets())
+	for b, row := range s.Loads {
+		copy(out.Loads[b], row)
 	}
 	return out
 }

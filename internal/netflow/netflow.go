@@ -12,9 +12,10 @@
 // emulator reserves one slot per (flow, hop) before the first event, in
 // workload order, which fixes everything about a record but its counters;
 // accounting a packet group is then ObserveAt(slot): an index and a few adds,
-// no hashing and no growth. Reads are the cold path: Records emits the slots
-// traffic actually reached (a chunk dropped upstream leaves the rest of its
-// route untouched), Summarize sums the slab, Clone is one flat copy.
+// no hashing and no growth. A record's flow identity is stored once per flow.
+// Reads are the cold path: Records emits the slots traffic actually reached (a
+// chunk dropped upstream leaves the rest of its route untouched), Summarize
+// sums the slab, Clone is two flat copies.
 //
 // Record order is a function of the emulated network and its workload, never
 // of the mapping: node, then the flow's position in the workload, then hop.
@@ -76,41 +77,55 @@ type Collector struct {
 	// "granularity of the NetFlow" tuning knob; default 2s, matching the
 	// paper's fine-grained measurement interval).
 	BucketWidth float64
-	// slots holds every reserved record, flow by flow in reservation order and
-	// hop by hop within a flow.
-	slots []Record
+	// flows holds every reserved flow in reservation order, slots their hops,
+	// flow by flow and hop by hop within a flow.
+	flows []flowEntry
+	slots []slot
 	// series is the bucketed per-node kernel-event load.
 	series *metrics.Series
 }
 
+// slot is one (flow, hop) Record without the flow's identity: FlowID is its
+// flow entry's, Src and Dst are the nodes of the flow's first and last slot.
+type slot struct {
+	packets, bytes int64
+	first, last    float64
+	node, inLink   int32
+}
+
+// flowEntry is one reserved flow; its slots run from base to the next entry's.
+type flowEntry struct {
+	id, base int
+}
+
 // NewCollector creates a collector for numNodes nodes covering duration
 // seconds (at most MaxBuckets buckets) at the given bucket width, with room
-// for slots reserved records.
-func NewCollector(numNodes, slots int, duration, bucketWidth float64) *Collector {
+// for flows reserved flows of slots hops in all.
+func NewCollector(numNodes, flows, slots int, duration, bucketWidth float64) *Collector {
 	if bucketWidth <= 0 {
 		bucketWidth = 2
 	}
 	return &Collector{
 		BucketWidth: bucketWidth,
-		slots:       make([]Record, 0, slots),
+		flows:       make([]flowEntry, 0, flows),
+		slots:       make([]slot, 0, slots),
 		series:      metrics.NewSeries(bucketWidth, numNodes, bucketCount(duration, bucketWidth)),
 	}
 }
 
 // Reserve adds one slot per node of a flow's route (path holds its nodes, src
 // to dst; links the len(path)-1 links between them) and returns the first:
-// hop h of the flow is accounted at slot base+h.
+// hop h of the flow is accounted at slot base+h. Node and link ids are stored
+// as int32 and must fit one.
 func (c *Collector) Reserve(flowID int, path, links []int) (base int) {
 	base = len(c.slots)
+	c.flows = append(c.flows, flowEntry{id: flowID, base: base})
 	for h, node := range path {
 		inLink := -1
 		if h > 0 {
 			inLink = links[h-1]
 		}
-		c.slots = append(c.slots, Record{
-			Node: node, FlowID: flowID, Src: path[0], Dst: path[len(path)-1], InLink: inLink,
-			First: math.Inf(1), Last: math.Inf(-1),
-		})
+		c.slots = append(c.slots, slot{node: int32(node), inLink: int32(inLink), first: math.Inf(1), last: math.Inf(-1)})
 	}
 	return base
 }
@@ -118,16 +133,16 @@ func (c *Collector) Reserve(flowID int, path, links []int) (base int) {
 // ObserveAt accounts packets of a flow passing through a reserved slot's node
 // at time t.
 func (c *Collector) ObserveAt(slot int, packets, bytes int64, t float64) {
-	r := &c.slots[slot]
-	r.Packets += packets
-	r.Bytes += bytes
-	if t < r.First {
-		r.First = t
+	s := &c.slots[slot]
+	s.packets += packets
+	s.bytes += bytes
+	if t < s.first {
+		s.first = t
 	}
-	if t > r.Last {
-		r.Last = t
+	if t > s.last {
+		s.last = t
 	}
-	c.series.Add(t, r.Node, float64(packets))
+	c.series.Add(t, int(s.node), float64(packets))
 }
 
 // Clone returns a deep copy of the collector. The emulator checkpoints its
@@ -139,7 +154,8 @@ func (c *Collector) Clone() *Collector {
 	}
 	return &Collector{
 		BucketWidth: c.BucketWidth,
-		slots:       append([]Record(nil), c.slots...),
+		flows:       append([]flowEntry(nil), c.flows...),
+		slots:       append([]slot(nil), c.slots...),
 		series:      c.series.Clone(),
 	}
 }
@@ -150,18 +166,30 @@ func (c *Collector) Records() []Record {
 	// A counting sort on node keeps the slab's order within each node.
 	next := make([]int, c.series.Nodes()+1)
 	for i := range c.slots {
-		if r := &c.slots[i]; r.First <= r.Last {
-			next[r.Node+1]++
+		if s := &c.slots[i]; s.first <= s.last {
+			next[s.node+1]++
 		}
 	}
 	for n := 1; n < len(next); n++ {
 		next[n] += next[n-1]
 	}
 	out := make([]Record, next[len(next)-1])
-	for i := range c.slots {
-		if r := &c.slots[i]; r.First <= r.Last {
-			out[next[r.Node]] = *r
-			next[r.Node]++
+	for f, fl := range c.flows {
+		end := len(c.slots)
+		if f+1 < len(c.flows) {
+			end = c.flows[f+1].base
+		}
+		hops := c.slots[fl.base:end]
+		for i := range hops {
+			s := &hops[i]
+			if s.first > s.last {
+				continue
+			}
+			out[next[s.node]] = Record{
+				Node: int(s.node), FlowID: fl.id, Src: int(hops[0].node), Dst: int(hops[len(hops)-1].node),
+				InLink: int(s.inLink), Packets: s.packets, Bytes: s.bytes, First: s.first, Last: s.last,
+			}
+			next[s.node]++
 		}
 	}
 	return out
@@ -192,12 +220,12 @@ func (c *Collector) Summarize() *Summary {
 	}
 	for i := range c.slots {
 		r := &c.slots[i]
-		if r.First > r.Last {
+		if r.first > r.last {
 			continue
 		}
-		s.NodePackets[r.Node] += r.Packets
-		if r.InLink >= 0 {
-			s.LinkPackets[r.InLink] += r.Packets
+		s.NodePackets[r.node] += r.packets
+		if r.inLink >= 0 {
+			s.LinkPackets[int(r.inLink)] += r.packets
 		}
 	}
 	return s
@@ -327,15 +355,10 @@ func SummarizeRecords(records []Record, numNodes int, duration, bucketWidth floa
 			s.NodeSeries.Add(r.First, r.Node, float64(r.Packets))
 			continue
 		}
-		// Spread uniformly across the buckets the record covers.
-		startB := int(r.First / bucketWidth)
-		endB := int(r.Last / bucketWidth)
-		if startB < 0 {
-			startB = 0
-		}
-		if endB >= buckets {
-			endB = buckets - 1
-		}
+		// Spread uniformly across the buckets the record covers, clamped into
+		// the series like an instantaneous record's time.
+		startB := min(max(int(r.First/bucketWidth), 0), buckets-1)
+		endB := min(max(int(r.Last/bucketWidth), 0), buckets-1)
 		n := endB - startB + 1
 		per := float64(r.Packets) / float64(n)
 		for b := startB; b <= endB; b++ {

@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 func TestCollectorAggregation(t *testing.T) {
-	c := NewCollector(5, 6, 100, 2)
+	c := NewCollector(5, 2, 6, 100, 2)
 	// Flow 0 runs 1 -> 2 -> 4 (links 7, 8), flow 1 runs 3 -> 2 -> 4 (links
 	// 9, 8). Nothing reaches node 4: those two slots stay reserved and unseen.
 	f0 := c.Reserve(0, []int{1, 2, 4}, []int{7, 8})
@@ -59,7 +60,7 @@ func TestCollectorAggregation(t *testing.T) {
 }
 
 func TestDumpRoundTrip(t *testing.T) {
-	c := NewCollector(4, 5, 50, 2)
+	c := NewCollector(4, 2, 5, 50, 2)
 	f0 := c.Reserve(0, []int{0, 1, 3}, []int{2, 5})
 	f1 := c.Reserve(1, []int{2, 3}, []int{4})
 	c.ObserveAt(f0, 7, 10500, 0.5)
@@ -146,16 +147,16 @@ func TestBucketCountIsClamped(t *testing.T) {
 		if got := SummarizeRecords(recs, 1, d, 2).NodeSeries.Buckets(); got != MaxBuckets {
 			t.Errorf("SummarizeRecords(duration %g): %d buckets, want MaxBuckets", d, got)
 		}
-		if got := NewCollector(1, 0, d, 2).Series().Buckets(); got != MaxBuckets {
+		if got := NewCollector(1, 0, 0, d, 2).Series().Buckets(); got != MaxBuckets {
 			t.Errorf("NewCollector(duration %g): %d buckets, want MaxBuckets", d, got)
 		}
 	}
 	for d, want := range map[float64]int{-5: 1, 0: 1, 1.9: 1, 2: 2, 100: 51, 2*MaxBuckets - 1: MaxBuckets} {
-		if got := NewCollector(1, 0, d, 2).Series().Buckets(); got != want {
+		if got := NewCollector(1, 0, 0, d, 2).Series().Buckets(); got != want {
 			t.Errorf("NewCollector(duration %g): %d buckets, want %d", d, got, want)
 		}
 	}
-	if got := NewCollector(1, 0, math.NaN(), 2).Series().Buckets(); got != 1 {
+	if got := NewCollector(1, 0, 0, math.NaN(), 2).Series().Buckets(); got != 1 {
 		t.Errorf("NaN duration: %d buckets, want 1", got)
 	}
 	// The record's packets are all still accounted, folded into the buckets kept.
@@ -167,7 +168,7 @@ func TestBucketCountIsClamped(t *testing.T) {
 // TestNetFlowHotPathNoAllocs is the steady-state gate: accounting a packet
 // group at a reserved slot allocates nothing.
 func TestNetFlowHotPathNoAllocs(t *testing.T) {
-	c := NewCollector(4, 3, 50, 2)
+	c := NewCollector(4, 1, 3, 50, 2)
 	base := c.Reserve(0, []int{0, 1, 3}, []int{2, 5})
 	now := 0.0
 	if n := testing.AllocsPerRun(1000, func() {
@@ -177,6 +178,31 @@ func TestNetFlowHotPathNoAllocs(t *testing.T) {
 		now += 0.05
 	}); n != 0 {
 		t.Errorf("ObserveAt allocates %v times per packet group route, want 0", n)
+	}
+}
+
+// TestCollectorBytesPerSlot is the storage cost gate: a collector sized for
+// its flows allocates 40 B per reserved hop and 16 B per flow, plus the series,
+// and nothing for growth.
+func TestCollectorBytesPerSlot(t *testing.T) {
+	const flows, hops, nodes, duration = 10_000, 6, 100, 100.0
+	path, links := make([]int, hops), make([]int, hops-1)
+	for h := range path {
+		path[h] = h * 7 % nodes
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := NewCollector(nodes, flows, flows*hops, duration, 2)
+	for f := 0; f < flows; f++ {
+		c.Reserve(f, path, links)
+	}
+	runtime.ReadMemStats(&after)
+	buckets := c.Series().Buckets()
+	series := buckets * (nodes*8 + 24) // the row slab and the row headers
+	const slack = 3*8<<10 + 1<<10      // three large slabs round up to 8 KiB pages; the structs
+	budget := uint64(40*flows*hops + 16*flows + series + slack)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > budget {
+		t.Errorf("%d flows of %d hops allocated %d B, budget %d B", flows, hops, grew, budget)
 	}
 }
 
@@ -201,6 +227,15 @@ func TestSummarizeRecords(t *testing.T) {
 	if total < 9.9 || total > 10.1 {
 		t.Errorf("spread packets = %v, want 10", total)
 	}
+	// A record spanning from past the last bucket is clamped into it, like an
+	// instantaneous one at the same time: no packet leaves the series.
+	late := SummarizeRecords([]Record{
+		{Node: 0, InLink: -1, Packets: 10, First: 30, Last: 30},
+		{Node: 0, InLink: -1, Packets: 10, First: 30, Last: 34},
+	}, 1, 10, 2)
+	if got, want := late.NodeSeries.TotalPerNode()[0], float64(late.NodePackets[0]); got != want || want != 20 {
+		t.Errorf("late records: series total %v, NodePackets %v, want both 20", got, want)
+	}
 	// Out-of-range node IDs are skipped, not a panic.
 	s2 := SummarizeRecords([]Record{{Node: 99, Packets: 5}}, 3, 10, 2)
 	if s2.NodePackets[0] != 0 {
@@ -224,7 +259,7 @@ func TestTopLinks(t *testing.T) {
 }
 
 func TestCollectorDefaultBucketWidth(t *testing.T) {
-	c := NewCollector(1, 0, 10, 0)
+	c := NewCollector(1, 0, 0, 10, 0)
 	if c.BucketWidth != 2 {
 		t.Errorf("default bucket width = %v, want 2", c.BucketWidth)
 	}

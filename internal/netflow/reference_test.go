@@ -180,7 +180,7 @@ func TestCollectorMatchesReference(t *testing.T) {
 			flows = append(flows, flow{id: id, path: path, links: links})
 			hops += len(path)
 		}
-		c := NewCollector(nodes, hops, duration, 2)
+		c := NewCollector(nodes, len(flows), hops, duration, 2)
 		ref := newReferenceCollector(nodes, duration, 2)
 		for i := range flows {
 			flows[i].base = c.Reserve(flows[i].id, flows[i].path, flows[i].links)
@@ -235,7 +235,7 @@ func TestCollectorMatchesReference(t *testing.T) {
 // sums, and so the summary, are the merged record's.
 func TestSharedFlowIDSplitsRecords(t *testing.T) {
 	path, links := []int{0, 1, 2}, []int{5, 6}
-	c := NewCollector(3, 6, 10, 2)
+	c := NewCollector(3, 2, 6, 10, 2)
 	ref := newReferenceCollector(3, 10, 2)
 	a, b := c.Reserve(7, path, links), c.Reserve(7, path, links)
 	for h, node := range path {

@@ -2,8 +2,10 @@ package obs
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -115,11 +117,10 @@ type WindowStat struct {
 // Methods lock internally — the coordinator commits while a debug endpoint
 // reads.
 //
-// The store keeps what a window is, not the spans it renders as: one winRec
-// per committed window and one compRec per active engine, in append-only
-// chunks. Everything else a Span carries — Kind, Window, Start, End, the
-// barrier-wait spans — is derived on read by the same attribution routine
-// CommitWindow runs (DESIGN.md §15). Engine and worker ids are stored as int32.
+// The store keeps what a window is, not the spans it renders as: one packed
+// record per committed window in an append-only byte log (winLog). Everything
+// else a Span carries — Kind, Window, the barrier-wait spans — is derived on
+// read by the same attribution routine CommitWindow runs (DESIGN.md §15).
 type Timeline struct {
 	mu     sync.Mutex
 	assign map[int]int // engine -> worker; engines absent map to themselves
@@ -134,7 +135,10 @@ type Timeline struct {
 	totals    []workerTotal
 	critTotal float64
 
-	attr attribution // the writer's scratch; readers bring their own
+	// Writer scratch (readers bring their own); spill holds a record that may straddle.
+	recs  []compRec
+	attr  attribution
+	spill []byte
 }
 
 type workerTotal struct {
@@ -147,8 +151,7 @@ type workerTotal struct {
 // rewritten below their filled length, and Reset drops them rather than
 // recycling them.
 type store struct {
-	wins chunked[winRec]
-	comp chunked[compRec]
+	log winLog
 	// Distributed runs only: a worker-measured Wall folded into a compute
 	// record, and the non-compute spans AddWall merged.
 	walls  chunked[wallRec]
@@ -156,20 +159,13 @@ type store struct {
 	nspans int64 // spans the store renders as: compute + barrier-wait + extras
 }
 
-// winRec is one committed window; its compute records are
-// comp[first : next window's first).
-type winRec struct {
-	start, end float64
-	first      int64
-}
-
-// compRec is one engine active in one window.
+// compRec is one engine active in one window, unpacked from or into the log.
 type compRec struct {
 	busy           float64
 	engine, worker int32
 }
 
-// wallRec is the measured Wall of compute record rec; ascending in rec.
+// wallRec is the measured Wall of the rec-th compute record; ascending in rec.
 type wallRec struct {
 	rec  int64
 	wall float64
@@ -208,6 +204,112 @@ func (c *chunked[T]) at(i int64) *T {
 	return &c.chunks[i>>chunkShift][i&(chunkLen-1)]
 }
 
+// winLog holds one record per committed window, floats as little-endian bits:
+//
+//	uvarint(active<<1 | startIsPrevEnd)
+//	start  8 B, omitted when bit-equal to the previous window's end (0 at first)
+//	end    8 B
+//	per active engine, engine-ascending: uvarint(engine) uvarint(worker) busy (8 B)
+//
+// Records fill fixed 16 KiB chunks (32 KiB misses the largest size class by its
+// malloc header) and may straddle two; one whose worst case fits is encoded in place.
+type winLog struct {
+	chunks []*[logChunk]byte
+	n      int64   // bytes written
+	wins   int64   // windows written
+	comp   int64   // compute records written
+	end    float64 // the last window's end
+}
+
+const (
+	logShift   = 14
+	logChunk   = 1 << logShift
+	maxWinHead = binary.MaxVarintLen64 + 16  // a record's worst case: head...
+	maxCompRec = 2*binary.MaxVarintLen64 + 8 // ...and per active engine
+)
+
+// tail returns the unwritten rest of the last chunk, opening a chunk when every
+// one is full; call it only to write.
+func (l *winLog) tail() []byte {
+	if int64(len(l.chunks))<<logShift == l.n {
+		l.chunks = append(l.chunks, new([logChunk]byte))
+	}
+	return l.chunks[len(l.chunks)-1][l.n&(logChunk-1):]
+}
+
+// push appends one window's record and returns spill for reuse.
+func (l *winLog) push(start, end float64, recs []compRec, spill []byte) []byte {
+	if t := l.tail(); len(t) >= maxWinHead+maxCompRec*len(recs) {
+		l.n += int64(len(appendWindow(t[:0], start, end, l.end, recs)))
+	} else {
+		spill = appendWindow(spill[:0], start, end, l.end, recs)
+		for b := spill; len(b) > 0; {
+			k := copy(l.tail(), b)
+			b, l.n = b[k:], l.n+int64(k)
+		}
+	}
+	l.end, l.wins, l.comp = end, l.wins+1, l.comp+int64(len(recs))
+	return spill
+}
+
+func appendWindow(b []byte, start, end, prevEnd float64, recs []compRec) []byte {
+	contiguous := math.Float64bits(start) == math.Float64bits(prevEnd)
+	head := uint64(len(recs)) << 1
+	if contiguous {
+		head |= 1
+	}
+	b = binary.AppendUvarint(b, head)
+	if !contiguous {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(start))
+	}
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(end))
+	for _, r := range recs {
+		b = binary.AppendUvarint(b, uint64(r.engine))
+		b = binary.AppendUvarint(b, uint64(r.worker))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.busy))
+	}
+	return b
+}
+
+// winReader decodes a snapshot's window log in commit order.
+type winReader struct {
+	chunks []*[logChunk]byte
+	off    int64   // bytes read
+	end    float64 // the previous window's end
+}
+
+// next decodes the next window: its bounds, and its compute records in
+// recs[:0].
+func (r *winReader) next(recs []compRec) (start, end float64, _ []compRec) {
+	head, _ := binary.ReadUvarint(r)
+	start = r.end
+	if head&1 == 0 {
+		start = r.float()
+	}
+	r.end, recs = r.float(), recs[:0]
+	for i := head >> 1; i > 0; i-- {
+		engine, _ := binary.ReadUvarint(r)
+		worker, _ := binary.ReadUvarint(r)
+		recs = append(recs, compRec{busy: r.float(), engine: int32(engine), worker: int32(worker)})
+	}
+	return start, r.end, recs
+}
+
+func (r *winReader) ReadByte() (byte, error) {
+	b := r.chunks[r.off>>logShift][r.off&(logChunk-1)]
+	r.off++
+	return b, nil
+}
+
+func (r *winReader) float() float64 {
+	var bits uint64
+	for s := 0; s < 64; s += 8 {
+		b, _ := r.ReadByte()
+		bits |= uint64(b) << s
+	}
+	return math.Float64frombits(bits)
+}
+
 // attribution derives one window's straggler attribution from its compute
 // records. CommitWindow and every reader run this one routine over the same
 // stored float64s, in the same order, so what a reader derives is bit-equal
@@ -222,16 +324,16 @@ type attribution struct {
 	touched []int
 }
 
-// window attributes the window whose records are comp[first:last): the gating
+// window attributes the window whose compute records are recs: the gating
 // worker (-1 when idle), its busy seconds and its lead over the runner-up.
 // Per-worker busy is the max over its engines — engines on one worker step
 // concurrently, and the barrier is gated by the slowest; a tie goes to the
 // lower worker. a.touched and a.busy describe the window until the next call.
-func (a *attribution) window(comp *chunked[compRec], first, last int64) (worker int, busy, lag float64) {
+func (a *attribution) window(recs []compRec) (worker int, busy, lag float64) {
 	a.gen++
 	touched := a.touched[:0]
-	for i := first; i < last; i++ {
-		rec := comp.at(i)
+	for i := range recs {
+		rec := &recs[i]
 		w := int(rec.worker)
 		if w >= len(a.busy) {
 			a.busy = append(a.busy, make([]float64, w+1-len(a.busy))...)
@@ -325,7 +427,7 @@ func (t *Timeline) AddWall(spans []Span) {
 			t.pendWall[s.Engine] = s.Wall
 			continue
 		}
-		t.extras.push(wallSpan{span: s, at: t.wins.n})
+		t.extras.push(wallSpan{span: s, at: t.log.wins})
 		t.nspans++
 	}
 }
@@ -340,27 +442,28 @@ func (t *Timeline) AddWall(spans []Span) {
 func (t *Timeline) CommitWindow(w Window) WindowStat {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idx, first := t.wins.n, t.comp.n
-	t.wins.push(winRec{start: w.Start, end: w.End, first: first})
+	recs := t.recs[:0]
 	for e, busy := range w.Cost {
 		if w.Charges[e] == 0 && w.Remote[e] == 0 {
 			continue
 		}
 		if len(t.pendWall) > 0 {
 			if wall, ok := t.pendWall[e]; ok {
-				t.walls.push(wallRec{rec: t.comp.n, wall: wall})
+				t.walls.push(wallRec{rec: t.log.comp + int64(len(recs)), wall: wall})
 				delete(t.pendWall, e)
 			}
 		}
-		t.comp.push(compRec{busy: busy, engine: int32(e), worker: int32(t.workerOf(e))})
+		recs = append(recs, compRec{busy: busy, engine: int32(e), worker: int32(t.workerOf(e))})
 	}
+	t.recs = recs
 	// Any pending wall measurement without a matching span belongs to an
 	// engine idle this window; drop it rather than mis-attributing later.
 	clear(t.pendWall)
 
-	st := WindowStat{Window: idx}
-	st.Worker, st.Busy, st.Lag = t.attr.window(&t.comp, first, t.comp.n)
-	t.nspans += t.comp.n - first
+	st := WindowStat{Window: t.log.wins}
+	t.spill = t.log.push(w.Start, w.End, recs, t.spill)
+	st.Worker, st.Busy, st.Lag = t.attr.window(recs)
+	t.nspans += int64(len(recs))
 	if st.Worker >= 0 {
 		t.nspans += int64(len(t.attr.touched) - 1) // one barrier-wait per non-gating worker
 		if st.Worker >= len(t.totals) {
@@ -377,7 +480,7 @@ func (t *Timeline) CommitWindow(w Window) WindowStat {
 func (t *Timeline) Windows() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.wins.n
+	return t.log.wins
 }
 
 // snapshot returns the store as of now, readable without the lock.
@@ -387,14 +490,6 @@ func (t *Timeline) snapshot() store {
 	return t.store
 }
 
-// last is the end of window w's compute records.
-func (s *store) last(w int64) int64 {
-	if w+1 < s.wins.n {
-		return s.wins.at(w + 1).first
-	}
-	return s.comp.n
-}
-
 // each calls yield with every span in timeline order until yield returns
 // false: per window its compute spans, engine-ascending, then the barrier-wait
 // span of every worker that waited for the gating one; spans merged by AddWall
@@ -402,31 +497,33 @@ func (s *store) last(w int64) int64 {
 func (s *store) each(yield func(*Span) bool) {
 	var (
 		attr    attribution
+		rd      = winReader{chunks: s.log.chunks}
+		recs    []compRec
+		rec     int64 // ordinal of the next compute record
 		x, wl   int64 // next extra, next wall record
 		barrier = Span{Kind: SpanBarrier, Engine: -1}
 	)
-	for w := int64(0); w < s.wins.n; w++ {
+	for w := int64(0); w < s.log.wins; w++ {
 		for ; x < s.extras.n && s.extras.at(x).at == w; x++ {
 			if !yield(&s.extras.at(x).span) {
 				return
 			}
 		}
-		win := s.wins.at(w)
-		first, last := win.first, s.last(w)
-		sp := Span{Kind: SpanCompute, Window: w, Start: win.start, End: win.end}
-		for i := first; i < last; i++ {
-			rec := s.comp.at(i)
-			sp.Worker, sp.Engine, sp.Busy, sp.Wall = int(rec.worker), int(rec.engine), rec.busy, 0
-			if wl < s.walls.n && s.walls.at(wl).rec == i {
+		sp := Span{Kind: SpanCompute, Window: w}
+		sp.Start, sp.End, recs = rd.next(recs)
+		for _, r := range recs {
+			sp.Worker, sp.Engine, sp.Busy, sp.Wall = int(r.worker), int(r.engine), r.busy, 0
+			if wl < s.walls.n && s.walls.at(wl).rec == rec {
 				sp.Wall = s.walls.at(wl).wall
 				wl++
 			}
+			rec++
 			if !yield(&sp) {
 				return
 			}
 		}
-		gating, critBusy, _ := attr.window(&s.comp, first, last)
-		barrier.Window, barrier.Start, barrier.End = w, win.start, win.end
+		gating, critBusy, _ := attr.window(recs)
+		barrier.Window, barrier.Start, barrier.End = w, sp.Start, sp.End
 		for _, wk := range attr.touched {
 			if wk == gating {
 				continue
@@ -502,25 +599,25 @@ func (t *Timeline) Summary() string {
 // bytes are identical across in-process, loopback and TCP executions,
 // mirroring dist.ResultJSON.
 func (t *Timeline) CanonicalJSON() []byte {
-	s := t.snapshot()
 	var b []byte
-	for w := int64(0); w < s.wins.n; w++ {
-		win := s.wins.at(w)
-		for i, last := win.first, s.last(w); i < last; i++ {
-			rec := s.comp.at(i)
-			b = append(b, `{"window":`...)
-			b = strconv.AppendInt(b, w, 10)
-			b = append(b, `,"engine":`...)
-			b = strconv.AppendInt(b, int64(rec.engine), 10)
-			b = append(b, `,"start":`...)
-			b = strconv.AppendFloat(b, win.start, 'g', -1, 64)
-			b = append(b, `,"end":`...)
-			b = strconv.AppendFloat(b, win.end, 'g', -1, 64)
-			b = append(b, `,"busy":`...)
-			b = strconv.AppendFloat(b, rec.busy, 'g', -1, 64)
-			b = append(b, "}\n"...)
+	s := t.snapshot()
+	s.each(func(sp *Span) bool {
+		if sp.Kind != SpanCompute {
+			return true
 		}
-	}
+		b = append(b, `{"window":`...)
+		b = strconv.AppendInt(b, sp.Window, 10)
+		b = append(b, `,"engine":`...)
+		b = strconv.AppendInt(b, int64(sp.Engine), 10)
+		b = append(b, `,"start":`...)
+		b = strconv.AppendFloat(b, sp.Start, 'g', -1, 64)
+		b = append(b, `,"end":`...)
+		b = strconv.AppendFloat(b, sp.End, 'g', -1, 64)
+		b = append(b, `,"busy":`...)
+		b = strconv.AppendFloat(b, sp.Busy, 'g', -1, 64)
+		b = append(b, "}\n"...)
+		return true
+	})
 	return b
 }
 

@@ -330,8 +330,12 @@ func (s *script) addWall() {
 }
 
 // commit commits one window: idle, one engine, tied busy values, or up to
-// every engine active.
+// every engine active. Most windows start where the last one ended; some after
+// a gap, as when the kernel skips idle time.
 func (s *script) commit() {
+	if s.rng.Intn(8) == 0 {
+		s.now += s.rng.Float64()
+	}
 	start, end := s.now, s.now+0.001+s.rng.Float64()
 	s.now = end
 	var active int
@@ -424,7 +428,9 @@ func sameBytes(t *testing.T, what string, got, want []byte) {
 // replaced: 600 short scripts compared in full after every step, and four
 // long ones without resets, compared in full every 97th or 997th step — two of
 // thousands of few-engine windows, so every chunked sequence crosses chunk
-// boundaries, two of 300-engine windows that each span chunks.
+// boundaries, two of 300-engine windows, whose records often straddle them.
+// Each long script must have written a record across a log chunk boundary and
+// a window that does not start where the previous one ended.
 func TestTimelineMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 600; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -451,22 +457,38 @@ func TestTimelineMatchesReference(t *testing.T) {
 		}
 		s.check()
 		st := &s.got.store
-		if st.comp.n <= chunkLen {
-			t.Fatalf("long script %d stored %d compute records: must outgrow one %d-record chunk", seed, st.comp.n, chunkLen)
+		var straddled, gapped int
+		rd := &winReader{chunks: st.log.chunks}
+		for w := int64(0); w < st.log.wins; w++ {
+			from, prevEnd := rd.off, rd.end
+			start, _, _ := rd.next(nil)
+			if from>>logShift != (rd.off-1)>>logShift {
+				straddled++
+			}
+			if math.Float64bits(start) != math.Float64bits(prevEnd) {
+				gapped++
+			}
 		}
-		if long.engines < 10 && (st.wins.n <= chunkLen || st.walls.n <= chunkLen || st.extras.n <= chunkLen) {
-			t.Fatalf("long script %d stored %d windows, %d walls, %d extras: each must outgrow one %d-record chunk",
-				seed, st.wins.n, st.walls.n, st.extras.n, chunkLen)
+		if rd.off != st.log.n {
+			t.Fatalf("long script %d: decoding %d windows read %d of the log's %d bytes", seed, st.log.wins, rd.off, st.log.n)
+		}
+		if straddled == 0 || gapped == 0 {
+			t.Fatalf("long script %d wrote %d B in %d chunks, %d records across a chunk boundary and %d non-contiguous windows: want some of each",
+				seed, st.log.n, len(st.log.chunks), straddled, gapped)
+		}
+		if long.engines < 10 && (st.walls.n <= chunkLen || st.extras.n <= chunkLen) {
+			t.Fatalf("long script %d stored %d walls, %d extras: each must outgrow one %d-record chunk",
+				seed, st.walls.n, st.extras.n, chunkLen)
 		}
 	}
 }
 
 // TestTimelineBytesPerWindow is the storage cost gate: a fresh timeline fed
-// 100 000 windows of 1–4 engines may allocate 16 B per compute record and
-// 24 B per window, plus slack for the partly filled last chunks, the chunk
-// pointer slices and the attribution scratch. No WindowStat is kept — the
-// commit returns it once, and 32 B per window alone would break the budget —
-// and a commit that opens no chunk allocates nothing.
+// 100 000 contiguous windows of 1–4 engines may allocate 10 B per compute
+// record and 10 B per window, plus one log chunk of slack for the partly
+// filled last chunk, the chunk pointer slice and the writer's scratch. No
+// WindowStat is kept — the commit returns it once, and 32 B per window alone
+// would break the budget — and a commit that opens no chunk allocates nothing.
 func TestTimelineBytesPerWindow(t *testing.T) {
 	const windows = 100_000
 	spans := make([]Span, 4)
@@ -487,7 +509,7 @@ func TestTimelineBytesPerWindow(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	grew := after.TotalAlloc - before.TotalAlloc
-	budget := uint64(16*records + 24*windows + 64<<10)
+	budget := uint64(10*records + 10*windows + logChunk)
 	if grew > budget {
 		t.Errorf("%d windows, %d records allocated %d B, budget %d B (%.1f B per window over)",
 			windows, records, grew, budget, float64(grew-budget)/windows)
@@ -500,6 +522,24 @@ func TestTimelineBytesPerWindow(t *testing.T) {
 	tl.CommitWindow(full) // opens the chunks, sizes the scratch
 	if allocs := testing.AllocsPerRun(200, func() { tl.CommitWindow(full) }); allocs != 0 {
 		t.Errorf("CommitWindow inside a chunk allocates %.1f times, want 0", allocs)
+	}
+}
+
+// BenchmarkCommitWindow measures the per-window cost of the timeline's write
+// path: contiguous windows of 5 engines, 4 of them active, as in TeraGrid.
+func BenchmarkCommitWindow(b *testing.B) {
+	spans := make([]Span, 5)
+	for e := range spans {
+		spans[e] = Span{Kind: SpanCompute, Engine: e, Busy: float64(e+1) * 1e-4}
+	}
+	w := windowOf(0, 0, spans)
+	w.Charges[2], w.Remote[2] = 0, 0
+	tl := NewTimeline()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Start, w.End = w.End, w.End+1e-3
+		tl.CommitWindow(w)
 	}
 }
 
