@@ -27,14 +27,14 @@
 // the paper's emulation-time metrics, every recorder, and crash and resize
 // handling.
 //
-// Hot-path layout. Pending events live in structure-of-arrays queues (parallel
-// time/seq/payload slices: a sorted run for what is scheduled in firing
-// order, a heap for the rest), so comparisons touch raw float64/int64 arrays
-// without loading a payload. Cross-LP sends accumulate in batches each
-// scheduler owns, one per destination — the in-process mirror of the dist
-// protocol's per-window framing — and are re-sequenced at the barrier with a
-// reused merge scratch, so the steady-state barrier allocates nothing. See
-// DESIGN.md §14 for the layout and the determinism argument.
+// Hot-path layout. Each LP's pending events are the ascending runs its link
+// streams feed it, kept in pooled structure-of-arrays blocks under one small
+// heap of run heads, so a push appends and a pop sifts a heap of a few runs.
+// Cross-LP sends accumulate in batches each scheduler owns, one per
+// destination — the in-process mirror of the dist protocol's per-window
+// framing — and are re-sequenced at the barrier with a reused merge scratch,
+// so the steady-state barrier allocates nothing. See DESIGN.md §14 for the
+// layout and the determinism argument.
 //
 // The payload type P. The kernel is generic over what an event carries, and
 // stores payloads by value in those queues, batches, scratch and checkpoints
@@ -50,7 +50,6 @@ package des
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -331,21 +330,6 @@ func (k *Kernel[P]) Schedule(lp int, t float64, data P) error {
 	return nil
 }
 
-// Reserve makes room for n more events on LP lp that are about to be
-// scheduled in firing order (ascending time): the queue tier that takes them
-// is sized once instead of growing under the Schedule calls. It is a capacity
-// hint only — scheduling more, fewer or out of order stays correct, and a hint
-// for an LP the kernel does not have is ignored (Schedule is what refuses it).
-func (k *Kernel[P]) Reserve(lp, n int) {
-	if lp < 0 || lp >= k.cfg.NumLPs || n <= 0 {
-		return
-	}
-	q := &k.queues[lp]
-	q.runTimes = slices.Grow(q.runTimes, n)
-	q.runSeqs = slices.Grow(q.runSeqs, n)
-	q.runDatas = slices.Grow(q.runDatas, n)
-}
-
 func (k *Kernel[P]) pushLocal(lp int, t float64, data P) {
 	seq := k.seqs[lp]
 	k.seqs[lp]++
@@ -570,145 +554,165 @@ func (m *mergeScratch[P]) sorted() bool {
 }
 
 // eventQueue is one LP's pending events, popped in (time, seq) order. It is
-// two tiers under that one order. A push whose key is at or beyond the last
-// key of the sorted run appends to the run — O(1), and how everything arrives
-// that is scheduled in firing order (the emulator seeds every flow start that
-// way) — and is consumed from the run's front by a cursor; any other push goes
-// to a binary min-heap. pop and head take the smaller of the run's front and
-// the heap's root, so what comes out is the (time, seq) minimum whichever
-// tier holds it: which tier an event sits in changes cost, never order.
-//
-// Both tiers are structure-of-arrays — parallel time/seq/payload slices, not
-// a slice of Event structs — so comparisons touch only the flat
-// float64/int64 arrays and no payload is loaded until pop returns one. The
-// heap sifts by moving a hole: the travelling entry stays in locals while
-// parents or children shift into the hole, and is stored once. Hand-rolled
-// rather than container/heap, whose any-typed interface would box every event
-// on push and pop. Popped slots are not cleared (see the package comment on P).
+// fed a few already-sorted streams — a link direction's chunks fire in the
+// order they are sent — so it keeps them as ascending runs: a push joins the
+// run whose tail (last key) is the largest at or below its key, found by a
+// binary search over tails kept descending, or opens a new run at the end
+// when every tail is above it (patience sorting). An emptied run keeps its
+// tail and takes the next push that fits. Each non-empty run's first entry
+// sits in heads, a min-heap, so the root is the queue's minimum; the rest of
+// the run is a FIFO of blocks from the queue's own free list, so nothing is
+// copied to grow. Strictly falling pushes make one-entry runs that own no
+// block: a plain heap. The heap sifts by moving a hole. Popped slots are not
+// cleared (see the package comment on P). DESIGN.md §14 has the argument.
 type eventQueue[P any] struct {
-	times []float64
-	seqs  []int64
-	datas []P
-	// The sorted run: entries [runHead:] are pending, ascending by (time,
-	// seq); the ones before are popped and compacted away once they outnumber
-	// the pending ones.
-	runTimes []float64
-	runSeqs  []int64
-	runDatas []P
-	runHead  int
-	// Pad each queue header out to three whole cache lines: the kernel stores
-	// one eventQueue per LP in a flat slice, and push/pop rewrite the slice
-	// headers, so without padding adjacent LPs' headers would false-share
-	// under parallel execution.
-	_ [40]byte
+	// One whole cache line, so adjacent LPs' headers in the kernel's flat
+	// slice do not false-share under parallel execution.
+	heads []queueHead[P]
+	runs  []queueRun[P]
+	free  *queueBlock[P]
+	n     int
 }
 
-func (q *eventQueue[P]) Len() int { return len(q.times) + len(q.runTimes) - q.runHead }
-
-// runFirst reports whether the earliest pending event is the run's front
-// rather than the heap's root. The queue must not be empty.
-func (q *eventQueue[P]) runFirst() bool {
-	i := q.runHead
-	if i == len(q.runTimes) {
-		return false
-	}
-	if len(q.times) == 0 {
-		return true
-	}
-	rt, ht := q.runTimes[i], q.times[0]
-	return rt < ht || rt == ht && q.runSeqs[i] < q.seqs[0]
+// queueHead is a run's earliest pending entry.
+type queueHead[P any] struct {
+	t    float64
+	seq  int64
+	data P
+	run  int32
 }
+
+// queueRun is one ascending run: its tail key, and the blocks holding its
+// entries after the head, read from first at read and written to last at
+// write. n counts the run's entries, head included (0: not in the heap).
+type queueRun[P any] struct {
+	t              float64
+	seq            int64
+	first, last    *queueBlock[P]
+	n, read, write int32
+}
+
+// blockSize is the entries per block: a short run pays a whole block.
+const blockSize = 64
+
+// queueBlock holds blockSize consecutive entries of one run. next comes first,
+// so for a pointer-free P the collector scans one word of it.
+type queueBlock[P any] struct {
+	next  *queueBlock[P]
+	times [blockSize]float64
+	seqs  [blockSize]int64
+	datas [blockSize]P
+}
+
+func (q *eventQueue[P]) Len() int { return q.n }
 
 // head returns the earliest pending event's time, +Inf when there is none.
 func (q *eventQueue[P]) head() float64 {
-	t := math.Inf(1)
-	if len(q.times) > 0 {
-		t = q.times[0]
+	if len(q.heads) == 0 {
+		return math.Inf(1)
 	}
-	if i := q.runHead; i < len(q.runTimes) && q.runTimes[i] < t {
-		t = q.runTimes[i]
-	}
-	return t
+	return q.heads[0].t
 }
 
 func (q *eventQueue[P]) push(t float64, seq int64, data P) {
-	if n := len(q.runTimes); n == q.runHead || t > q.runTimes[n-1] || t == q.runTimes[n-1] && seq > q.runSeqs[n-1] {
-		q.runTimes = append(q.runTimes, t)
-		q.runSeqs = append(q.runSeqs, seq)
-		q.runDatas = append(q.runDatas, data)
+	q.n++
+	lo, hi := 0, len(q.runs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if r := &q.runs[m]; r.t > t || r.t == t && r.seq > seq {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(q.runs) {
+		q.runs = append(q.runs, queueRun[P]{})
+	}
+	r := &q.runs[lo]
+	r.t, r.seq = t, seq
+	if r.n++; r.n == 1 { // the run's head: sift it up the heap
+		q.heads = append(q.heads, queueHead[P]{})
+		h, i := q.heads, len(q.heads)-1
+		for i > 0 {
+			parent := (i - 1) / 2
+			if p := &h[parent]; p.t < t || p.t == t && p.seq < seq {
+				break
+			}
+			h[i] = h[parent]
+			i = parent
+		}
+		h[i] = queueHead[P]{t, seq, data, int32(lo)}
 		return
 	}
-	i := len(q.times)
-	q.times = append(q.times, t)
-	q.seqs = append(q.seqs, seq)
-	q.datas = append(q.datas, data)
-	times, seqs, datas := q.times, q.seqs, q.datas
-	for i > 0 {
-		parent := (i - 1) / 2
-		pt, ps := times[parent], seqs[parent]
-		if pt < t || pt == t && ps <= seq {
-			break
+	if r.n == 2 || r.write == blockSize { // a first block, or the last is full
+		b := q.free
+		if b == nil {
+			b = new(queueBlock[P])
+		} else {
+			q.free, b.next = b.next, nil
 		}
-		times[i], seqs[i], datas[i] = pt, ps, datas[parent]
-		i = parent
+		if r.n == 2 {
+			r.first, r.read = b, 0
+		} else {
+			r.last.next = b
+		}
+		r.last, r.write = b, 0
 	}
-	times[i], seqs[i], datas[i] = t, seq, data
+	b, w := r.last, r.write
+	b.times[w], b.seqs[w], b.datas[w] = t, seq, data
+	r.write++
 }
 
 func (q *eventQueue[P]) pop() (float64, P) {
-	if q.runFirst() {
-		i := q.runHead
-		t, data := q.runTimes[i], q.runDatas[i]
-		i++
-		if live := len(q.runTimes) - i; live < i {
-			// More popped entries than pending ones: move the pending ones
-			// to the front (none left: just rewind).
-			copy(q.runTimes, q.runTimes[i:])
-			copy(q.runSeqs, q.runSeqs[i:])
-			copy(q.runDatas, q.runDatas[i:])
-			q.runTimes, q.runSeqs, q.runDatas = q.runTimes[:live], q.runSeqs[:live], q.runDatas[:live]
-			i = 0
+	top := q.heads[0]
+	q.n--
+	r := &q.runs[top.run]
+	var e queueHead[P] // what takes the root's place: the run's next entry, or the heap's last
+	if r.n--; r.n == 0 {
+		last := len(q.heads) - 1
+		e, q.heads = q.heads[last], q.heads[:last]
+	} else {
+		b, i := r.first, r.read
+		e = queueHead[P]{b.times[i], b.seqs[i], b.datas[i], top.run}
+		if i++; r.n == 1 || i == blockSize { // b is used up
+			r.first, i = b.next, 0
+			b.next, q.free = q.free, b
 		}
-		q.runHead = i
-		return t, data
+		r.read = i
 	}
-	times, seqs, datas := q.times, q.seqs, q.datas
-	t0, data0 := times[0], datas[0]
-	last := len(times) - 1
-	t, seq, data := times[last], seqs[last], datas[last]
-	q.times, q.seqs, q.datas = times[:last], seqs[:last], datas[:last]
-	if last == 0 { // it was the only entry: nothing to put back
-		return t0, data0
+	h, i := q.heads, 0
+	if len(h) == 0 {
+		return top.t, top.data
 	}
-	i := 0
-	for {
-		child := 2*i + 1
-		if child >= last {
+	for child := 1; child < len(h); child = 2*i + 1 {
+		if c := child + 1; c < len(h) && (h[c].t < h[child].t || h[c].t == h[child].t && h[c].seq < h[child].seq) {
+			child = c
+		}
+		if c := &h[child]; !(c.t < e.t || c.t == e.t && c.seq < e.seq) {
 			break
 		}
-		if r := child + 1; r < last && (times[r] < times[child] || times[r] == times[child] && seqs[r] < seqs[child]) {
-			child = r
-		}
-		ct, cs := times[child], seqs[child]
-		if !(ct < t || ct == t && cs < seq) {
-			break
-		}
-		times[i], seqs[i], datas[i] = ct, cs, datas[child]
+		h[i] = h[child]
 		i = child
 	}
-	times[i], seqs[i], datas[i] = t, seq, data
-	return t0, data0
+	h[i] = e
+	return top.t, top.data
 }
 
-// export copies the queue's contents out as Events for LP lp (heap then run,
-// not time order — checkpointing sorts afterwards).
+// export copies the queue's contents out as Events for LP lp (run by run, not
+// time order — checkpointing sorts afterwards).
 func (q *eventQueue[P]) export(lp int) []Event[P] {
-	evs := make([]Event[P], 0, q.Len())
-	for i := range q.times {
-		evs = append(evs, Event[P]{Time: q.times[i], LP: lp, Data: q.datas[i], seq: q.seqs[i]})
-	}
-	for i := q.runHead; i < len(q.runTimes); i++ {
-		evs = append(evs, Event[P]{Time: q.runTimes[i], LP: lp, Data: q.runDatas[i], seq: q.runSeqs[i]})
+	evs := make([]Event[P], 0, q.n)
+	for _, h := range q.heads {
+		evs = append(evs, Event[P]{Time: h.t, LP: lp, Data: h.data, seq: h.seq})
+		r := &q.runs[h.run]
+		b, i := r.first, int(r.read)
+		for left := r.n - 1; left > 0; left-- {
+			if i == blockSize {
+				b, i = b.next, 0
+			}
+			evs = append(evs, Event[P]{Time: b.times[i], LP: lp, Data: b.datas[i], seq: b.seqs[i]})
+			i++
+		}
 	}
 	return evs
 }

@@ -516,26 +516,12 @@ func (e *emulation) kernelConfig() des.Config[payload] {
 // seed schedules every flow's start event. The per-LP sequence-number streams
 // depend only on the workload's flow order, so a worker seeding just its
 // local engines (local != nil) assigns exactly the numbers the in-process
-// run would. A first pass counts the starts per engine, so each pending queue
-// is sized once for what it is about to receive.
+// run would.
 func (e *emulation) seed(kernel *des.Kernel[payload], local []bool) error {
-	// seeds says whether this seeder starts flow fr, and on which engine.
-	seeds := func(fr *flowRun) (lp int, ok bool) {
-		lp = e.assignment[fr.src]
-		return lp, (e.cfg.EndTime <= 0 || fr.start < e.cfg.EndTime) && (local == nil || local[lp])
-	}
-	starts := make([]int, e.cfg.NumEngines)
-	for i := range e.flows {
-		if lp, ok := seeds(&e.flows[i]); ok {
-			starts[lp]++
-		}
-	}
-	for lp, n := range starts {
-		kernel.Reserve(lp, n)
-	}
 	for i := range e.flows {
 		fr := &e.flows[i]
-		if lp, ok := seeds(fr); ok {
+		lp := e.assignment[fr.src]
+		if (e.cfg.EndTime <= 0 || fr.start < e.cfg.EndTime) && (local == nil || local[lp]) {
 			if err := kernel.Schedule(lp, fr.start, payload{flow: int32(i), kind: kindFlowStart}); err != nil {
 				return err
 			}

@@ -19,6 +19,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -157,7 +158,9 @@ func Write(w io.Writer, nw *netgraph.Network) error {
 	return bw.Flush()
 }
 
-// ParseRate parses "100Mbps", "2.5Gbps", "64Kbps", "1500bps" into bits/s.
+// ParseRate parses "100Mbps", "2.5Gbps", "64Kbps", "1500bps" into bits/s. The
+// rate must be finite and positive: NaN and Inf parse as numbers but are not
+// bandwidths.
 func ParseRate(s string) (float64, error) {
 	mult := 1.0
 	num := s
@@ -174,13 +177,14 @@ func ParseRate(s string) (float64, error) {
 		return 0, fmt.Errorf("rate %q needs a bps/Kbps/Mbps/Gbps suffix", s)
 	}
 	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || v <= 0 {
+	if v *= mult; err != nil || !(v > 0) || math.IsInf(v, 1) {
 		return 0, fmt.Errorf("bad rate %q", s)
 	}
-	return v * mult, nil
+	return v, nil
 }
 
-// ParseDelay parses "0.5ms", "10us", "1s" into seconds.
+// ParseDelay parses "0.5ms", "10us", "1s" into seconds. The delay must be
+// finite and non-negative.
 func ParseDelay(s string) (float64, error) {
 	mult := 1.0
 	num := s
@@ -195,10 +199,10 @@ func ParseDelay(s string) (float64, error) {
 		return 0, fmt.Errorf("delay %q needs an s/ms/us suffix", s)
 	}
 	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || v < 0 {
+	if v *= mult; err != nil || !(v >= 0) || math.IsInf(v, 1) {
 		return 0, fmt.Errorf("bad delay %q", s)
 	}
-	return v * mult, nil
+	return v, nil
 }
 
 // FormatRate renders bits/s with the largest exact unit.

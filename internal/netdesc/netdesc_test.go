@@ -57,6 +57,10 @@ func TestReadErrors(t *testing.T) {
 		{"hostNoName", "host\n"},
 		{"malformedOpt", "router a as\n"},
 		{"linkBadOpt", "router a\nrouter b\nlink a b bw=1Mbps foo=1\n"},
+		{"nanDelay", "router a\nrouter b\nlink a b bw=1Mbps lat=NaNms\n"},
+		{"infDelay", "router a\nrouter b\nlink a b bw=1Mbps lat=Infms\n"},
+		{"nanRate", "router a\nrouter b\nlink a b bw=NaNbps lat=1ms\n"},
+		{"infRate", "router a\nrouter b\nlink a b bw=+Infbps lat=1ms\n"},
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c.in)); err == nil {
@@ -124,7 +128,7 @@ func TestParseRate(t *testing.T) {
 			t.Errorf("ParseRate(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"100", "Mbps", "-1Mbps", "0bps"} {
+	for _, bad := range []string{"100", "Mbps", "-1Mbps", "0bps", "NaNbps", "+InfGbps", "1e308Gbps"} {
 		if _, err := ParseRate(bad); err == nil {
 			t.Errorf("ParseRate(%q) accepted", bad)
 		}
@@ -144,7 +148,7 @@ func TestParseDelay(t *testing.T) {
 			t.Errorf("ParseDelay(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"5", "ms", "-1ms"} {
+	for _, bad := range []string{"5", "ms", "-1ms", "NaNms", "Infus", "-Infs"} {
 		if _, err := ParseDelay(bad); err == nil {
 			t.Errorf("ParseDelay(%q) accepted", bad)
 		}

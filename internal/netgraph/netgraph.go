@@ -253,8 +253,8 @@ func (nw *Network) AccessRouter(h int) int {
 }
 
 // Validate checks topology invariants: link endpoints in range and distinct,
-// positive bandwidth, non-negative latency, every host attached by at least
-// one link, and the network connected (if non-empty).
+// finite positive bandwidth, finite non-negative latency, every host attached
+// by at least one link, and the network connected (if non-empty).
 func (nw *Network) Validate() error {
 	n := len(nw.Nodes)
 	for _, l := range nw.Links {
@@ -264,11 +264,11 @@ func (nw *Network) Validate() error {
 		if l.A == l.B {
 			return fmt.Errorf("netgraph: link %d is a self loop on node %d", l.ID, l.A)
 		}
-		if l.Bandwidth <= 0 {
-			return fmt.Errorf("netgraph: link %d has non-positive bandwidth", l.ID)
+		if !(l.Bandwidth > 0) || math.IsInf(l.Bandwidth, 1) {
+			return fmt.Errorf("netgraph: link %d has bandwidth %g, want finite and positive", l.ID, l.Bandwidth)
 		}
-		if l.Latency < 0 {
-			return fmt.Errorf("netgraph: link %d has negative latency", l.ID)
+		if !(l.Latency >= 0) || math.IsInf(l.Latency, 1) {
+			return fmt.Errorf("netgraph: link %d has latency %g, want finite and non-negative", l.ID, l.Latency)
 		}
 	}
 	for _, node := range nw.Nodes {

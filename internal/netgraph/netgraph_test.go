@@ -128,6 +128,14 @@ func TestValidate(t *testing.T) {
 	if err := nw4.Validate(); err == nil {
 		t.Error("zero bandwidth accepted")
 	}
+	// Non-finite bandwidth or latency: NaN passes a plain sign test.
+	for _, l := range [][2]float64{{math.NaN(), 0.001}, {math.Inf(1), 0.001}, {1e9, math.NaN()}, {1e9, math.Inf(1)}} {
+		nw := New("w")
+		nw.AddLink(nw.AddRouter("a", 1), nw.AddRouter("b", 1), l[0], l[1])
+		if err := nw.Validate(); err == nil {
+			t.Errorf("bandwidth %g, latency %g accepted", l[0], l[1])
+		}
+	}
 	// Self loop.
 	nw5 := New("z")
 	c := nw5.AddRouter("c", 1)
