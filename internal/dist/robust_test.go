@@ -188,6 +188,52 @@ func TestTruncatedAssignFailsWorker(t *testing.T) {
 	}
 }
 
+// TestWorkerRefusesNonFiniteSpec: DecodeSpec copies the scenario's floats as
+// they were sent, so an ASSIGN whose spec carries a NaN or infinite duration,
+// bucket width, cost, end time or engine speed — or a bucket count past
+// netflow.MaxBuckets — must end the worker with a typed configuration error
+// before it sizes a series, not with a panic or an out-of-memory kill.
+func TestWorkerRefusesNonFiniteSpec(t *testing.T) {
+	base := distSpec(t).Cfg
+	if err := emu.NormalizeConfig(&base); err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(*emu.Config){
+		"NaN bucket width":  func(c *emu.Config) { c.BucketWidth = math.NaN() },
+		"tiny bucket width": func(c *emu.Config) { c.BucketWidth = 1e-12 },
+		"+Inf duration":     func(c *emu.Config) { c.Workload.Duration = math.Inf(1) },
+		"NaN end time":      func(c *emu.Config) { c.EndTime = math.NaN() },
+		"NaN per-event":     func(c *emu.Config) { c.Cost.PerEvent = math.NaN() },
+		"NaN speed":         func(c *emu.Config) { c.EngineSpeeds = []float64{1, math.NaN(), 1} },
+	} {
+		cfg := base
+		edit(&cfg)
+		blob, err := dist.EncodeSpec(&dist.Spec{Cfg: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, s := dist.Loopback()
+		errc := make(chan error, 1)
+		go func() { errc <- dist.Serve(context.Background(), s, dist.WorkerOptions{}) }()
+		if f, err := c.Recv(10 * time.Second); err != nil || f.Type != dist.MsgHello {
+			t.Fatalf("%s: expected HELLO from worker, got %v %v", name, f.Type, err)
+		}
+		as := dist.Assign{Version: dist.Version, Workers: 1, Engines: []int{0, 1, 2}, Hash: dist.SpecHash(blob), Spec: blob}
+		if err := c.Send(dist.Frame{Type: dist.MsgAssign, Payload: as.Encode()}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the worker neither refused nor ran the spec", name)
+		case err := <-errc:
+			if !errors.Is(err, emu.ErrBadConfig) {
+				t.Errorf("%s: worker ended with %v, want emu.ErrBadConfig", name, err)
+			}
+		}
+		c.Close()
+	}
+}
+
 // TestPeerCloseMidHandshakeErrorsPromptly: the peer vanishing entirely
 // mid-handshake must error out of Serve quickly — the close is a signal, not
 // a silence to wait out.

@@ -128,7 +128,7 @@ func SortWire(evs []WireEvent) {
 // The distributed coordinator normalizes before encoding the scenario for
 // shipment, so every process hashes and rebuilds the exact same defaulted
 // configuration.
-func NormalizeConfig(cfg *Config) error { return validate(cfg) }
+func NormalizeConfig(cfg *Config) error { _, err := validate(cfg); return err }
 
 // checkDistConfig rejects features that do not distribute: PROFILE pre-runs
 // happen in-process on the coordinator before the assignment ships, and crash

@@ -362,7 +362,8 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 // verbatim by the distributed worker (DistLocal) and coordinator (DistMerge)
 // so all three construct bit-identical state.
 func prepare(cfg *Config, o *runOptions) (*emulation, error) {
-	if err := validate(cfg); err != nil {
+	duration, err := validate(cfg)
+	if err != nil {
 		return nil, err
 	}
 	if o.ctx != nil {
@@ -407,14 +408,6 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 		if fr.tailBytes = f.Bytes % cfg.ChunkBytes; fr.tailBytes > 0 {
 			fr.tailPackets = (fr.tailBytes + cfg.MTU - 1) / cfg.MTU
 		}
-	}
-
-	duration := cfg.Workload.Duration
-	if cfg.EndTime > 0 && cfg.EndTime < duration {
-		duration = cfg.EndTime
-	}
-	if duration <= 0 {
-		duration = 1
 	}
 
 	var collector *netflow.Collector
@@ -601,25 +594,26 @@ func (e *emulation) buildResult(stats *des.Stats, recovery *Recovery) *Result {
 	}
 }
 
-func validate(cfg *Config) error {
+// validate checks cfg, applies its defaults in place and returns the virtual time the run's series cover.
+func validate(cfg *Config) (duration float64, _ error) {
 	if cfg.Network == nil {
-		return fmt.Errorf("%w: Network is required", ErrBadConfig)
+		return 0, fmt.Errorf("%w: Network is required", ErrBadConfig)
 	}
 	if cfg.NumEngines < 1 {
-		return fmt.Errorf("%w: NumEngines = %d, must be >= 1", ErrBadConfig, cfg.NumEngines)
+		return 0, fmt.Errorf("%w: NumEngines = %d, must be >= 1", ErrBadConfig, cfg.NumEngines)
 	}
 	if len(cfg.Assignment) != cfg.Network.NumNodes() {
-		return fmt.Errorf("%w: assignment covers %d nodes, network has %d",
+		return 0, fmt.Errorf("%w: assignment covers %d nodes, network has %d",
 			ErrBadConfig, len(cfg.Assignment), cfg.Network.NumNodes())
 	}
 	for n, e := range cfg.Assignment {
 		if e < 0 || e >= cfg.NumEngines {
-			return fmt.Errorf("%w: node %d assigned to engine %d, want [0,%d)",
+			return 0, fmt.Errorf("%w: node %d assigned to engine %d, want [0,%d)",
 				ErrBadConfig, n, e, cfg.NumEngines)
 		}
 	}
 	if err := cfg.Workload.Validate(cfg.Network); err != nil {
-		return fmt.Errorf("%w: %w", ErrBadConfig, err)
+		return 0, fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
 	if cfg.ChunkBytes <= 0 {
 		cfg.ChunkBytes = 64 << 10
@@ -630,13 +624,29 @@ func validate(cfg *Config) error {
 	if cfg.BucketWidth <= 0 {
 		cfg.BucketWidth = 2
 	}
+	// NaN or infinite floats mis-size the series or drop out of its maxima; EndTime may be ±Inf, a speed -Inf.
+	for i, v := range append([]float64{cfg.EndTime, cfg.Workload.Duration, cfg.BucketWidth, cfg.Cost.PerEvent, cfg.Cost.PerRemote, cfg.Cost.PerWindow}, cfg.EngineSpeeds...) {
+		if math.IsNaN(v) || i > 0 && math.IsInf(v, 1) || i > 0 && i < 6 && math.IsInf(v, -1) {
+			return 0, fmt.Errorf("%w: %g is no end time, duration, bucket width, cost or engine speed", ErrBadConfig, v)
+		}
+	}
+	duration = cfg.Workload.Duration
+	if cfg.EndTime > 0 && cfg.EndTime < duration {
+		duration = cfg.EndTime
+	}
+	if duration <= 0 {
+		duration = 1
+	}
+	if duration/cfg.BucketWidth > netflow.MaxBuckets {
+		return 0, fmt.Errorf("%w: %g s in %g s buckets is more than %d buckets", ErrBadConfig, duration, cfg.BucketWidth, netflow.MaxBuckets)
+	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(cfg.NumEngines); err != nil {
-			return fmt.Errorf("%w: %w", ErrBadConfig, err)
+			return 0, fmt.Errorf("%w: %w", ErrBadConfig, err)
 		}
 		if cfg.Faults.HasCrashes() {
 			if cfg.OnMembership == nil {
-				return fmt.Errorf("%w: fault schedule contains crashes but no OnMembership policy is configured",
+				return 0, fmt.Errorf("%w: fault schedule contains crashes but no OnMembership policy is configured",
 					ErrBadConfig)
 			}
 			if cfg.CheckpointEvery <= 0 {
@@ -652,21 +662,21 @@ func validate(cfg *Config) error {
 		needHook := false
 		for i, r := range cfg.Elastic {
 			if r.At <= prevAt {
-				return fmt.Errorf("%w: elastic resize %d at t=%g must come after t=%g and be positive",
+				return 0, fmt.Errorf("%w: elastic resize %d at t=%g must come after t=%g and be positive",
 					ErrBadConfig, i, r.At, prevAt)
 			}
 			prevAt = r.At
 			if len(r.Engines) == 0 {
-				return fmt.Errorf("%w: elastic resize %d has an empty engine set", ErrBadConfig, i)
+				return 0, fmt.Errorf("%w: elastic resize %d has an empty engine set", ErrBadConfig, i)
 			}
 			seen := make(map[int]bool, len(r.Engines))
 			for _, eng := range r.Engines {
 				if eng < 0 || eng >= cfg.NumEngines {
-					return fmt.Errorf("%w: elastic resize %d targets engine %d, want [0,%d)",
+					return 0, fmt.Errorf("%w: elastic resize %d targets engine %d, want [0,%d)",
 						ErrBadConfig, i, eng, cfg.NumEngines)
 				}
 				if seen[eng] {
-					return fmt.Errorf("%w: elastic resize %d lists engine %d twice", ErrBadConfig, i, eng)
+					return 0, fmt.Errorf("%w: elastic resize %d lists engine %d twice", ErrBadConfig, i, eng)
 				}
 				seen[eng] = true
 			}
@@ -675,25 +685,25 @@ func validate(cfg *Config) error {
 				continue
 			}
 			if len(r.Assignment) != cfg.Network.NumNodes() {
-				return fmt.Errorf("%w: elastic resize %d assignment covers %d nodes, network has %d",
+				return 0, fmt.Errorf("%w: elastic resize %d assignment covers %d nodes, network has %d",
 					ErrBadConfig, i, len(r.Assignment), cfg.Network.NumNodes())
 			}
 			for v, eng := range r.Assignment {
 				if !seen[eng] {
-					return fmt.Errorf("%w: elastic resize %d assigns node %d to engine %d outside the new set",
+					return 0, fmt.Errorf("%w: elastic resize %d assigns node %d to engine %d outside the new set",
 						ErrBadConfig, i, v, eng)
 				}
 			}
 		}
 		if needHook && cfg.OnMembership == nil {
-			return fmt.Errorf("%w: elastic resizes without explicit assignments need an OnMembership policy",
+			return 0, fmt.Errorf("%w: elastic resizes without explicit assignments need an OnMembership policy",
 				ErrBadConfig)
 		}
 		if cfg.CheckpointEvery <= 0 {
 			cfg.CheckpointEvery = DefaultCheckpointEvery
 		}
 	}
-	return nil
+	return duration, nil
 }
 
 // emulation is the handler state shared by all engines during a run. What the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/faults"
@@ -149,6 +150,12 @@ func TestRunContextCancellation(t *testing.T) {
 }
 
 func TestErrBadConfigSentinel(t *testing.T) {
+	valid := func(edit func(*Config)) Config {
+		cfg := Config{Network: lineNet(), NumEngines: 2, Assignment: []int{0, 0, 1, 1}, Workload: spreadFlows(4, 4)}
+		edit(&cfg)
+		return cfg
+	}
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []Config{
 		{},                                  // no network
 		{Network: lineNet()},                // no engines
@@ -158,6 +165,26 @@ func TestErrBadConfigSentinel(t *testing.T) {
 		{Network: lineNet(), NumEngines: 2, // crashes without OnMembership
 			Assignment: []int{0, 0, 1, 1},
 			Faults:     &faults.Schedule{Crashes: []faults.Crash{{Engine: 1, At: 1}}}},
+		// Non-finite floats: the first three panicked sizing the load series,
+		// a 1e-12 s bucket ran the process out of memory, a NaN end time seeded
+		// no flow, and NaN costs and speeds dropped out of the per-bucket max.
+		valid(func(c *Config) { c.BucketWidth = nan }),
+		valid(func(c *Config) { c.Workload.Duration = nan }),
+		valid(func(c *Config) { c.Workload.Duration = inf }),
+		valid(func(c *Config) { c.Workload.Duration = -inf }),
+		valid(func(c *Config) { c.BucketWidth = 1e-12 }),
+		valid(func(c *Config) { c.BucketWidth = inf }),
+		valid(func(c *Config) { c.EndTime = nan }),
+		valid(func(c *Config) { c.Cost.PerEvent = nan }),
+		valid(func(c *Config) { c.Cost.PerRemote = -inf }),
+		valid(func(c *Config) { c.Cost.PerWindow = inf }),
+		valid(func(c *Config) { c.EngineSpeeds = []float64{1, nan} }),
+		valid(func(c *Config) { c.EngineSpeeds = []float64{inf, 1} }),
+	}
+	// What the rule leaves alone: an infinite end time cuts nothing, and a
+	// speed at or below 0 means 1.
+	if _, err := Run(valid(func(c *Config) { c.EndTime, c.EngineSpeeds = inf, []float64{-inf, 1} })); err != nil {
+		t.Errorf("an infinite end time and a -Inf speed must run: %v", err)
 	}
 	for i, cfg := range cases {
 		_, err := Run(cfg)

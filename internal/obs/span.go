@@ -204,29 +204,50 @@ func (c *chunked[T]) at(i int64) *T {
 	return &c.chunks[i>>chunkShift][i&(chunkLen-1)]
 }
 
-// winLog holds one record per committed window, floats as little-endian bits:
+// winLog holds one record per committed window, storing only what a reader
+// cannot predict from the winCodec state it evolves in step with the writer;
+// floats are little-endian bits:
 //
-//	uvarint(active<<1 | startIsPrevEnd)
-//	start  8 B, omitted when bit-equal to the previous window's end (0 at first)
-//	end    8 B
-//	per active engine, engine-ascending: uvarint(engine) uvarint(worker) busy (8 B)
+//	uvarint(active<<3 | workersAreEngines<<2 | endIsStartPlusWidth<<1 | startIsPrevEnd)
+//	start  8 B, omitted when bit-equal to the previous window's end
+//	end    8 B, omitted when bit-equal to start + width; a stored end sets width = end - start
+//	per active engine, engine-ascending:
+//	  uvarint(engine)
+//	  uvarint(worker), omitted when workersAreEngines
+//	  busy: a slot byte s < 255 naming busy[s], or 255 and 8 B that replace busy[slot(bits)]
 //
+// Decoding is stateful, so a log is read only from window 0 on, each reader
+// with a fresh zero codec; Reset zeroes the writer's with the rest of the store.
 // Records fill fixed 16 KiB chunks (32 KiB misses the largest size class by its
 // malloc header) and may straddle two; one whose worst case fits is encoded in place.
 type winLog struct {
 	chunks []*[logChunk]byte
-	n      int64   // bytes written
-	wins   int64   // windows written
-	comp   int64   // compute records written
-	end    float64 // the last window's end
+	n      int64 // bytes written
+	wins   int64 // windows written
+	comp   int64 // compute records written
+	codec  winCodec
+}
+
+// winCodec is the state a log's writer and each of its readers evolve, zero at
+// window 0: the previous window's end, the last stored width, and a
+// direct-mapped table of recent busy bits. Snapshots copy it by value, so a
+// reader never aliases the writer's table.
+type winCodec struct {
+	end, width float64
+	busy       [busySlots]uint64
 }
 
 const (
 	logShift   = 14
 	logChunk   = 1 << logShift
-	maxWinHead = binary.MaxVarintLen64 + 16  // a record's worst case: head...
-	maxCompRec = 2*binary.MaxVarintLen64 + 8 // ...and per active engine
+	busySlots  = 255                             // a slot byte; busySlots itself escapes raw bits
+	maxWinHead = binary.MaxVarintLen64 + 16      // a record's worst case: head...
+	maxCompRec = 2*binary.MaxVarintLen64 + 1 + 8 // ...and per active engine
 )
+
+// slot hashes busy bits to their table entry: the top byte of a Fibonacci
+// multiplicative hash, integer arithmetic only.
+func slot(bits uint64) uint64 { return (bits * 0x9e3779b97f4a7c15 >> 56) % busySlots }
 
 // tail returns the unwritten rest of the last chunk, opening a chunk when every
 // one is full; call it only to write.
@@ -240,42 +261,63 @@ func (l *winLog) tail() []byte {
 // push appends one window's record and returns spill for reuse.
 func (l *winLog) push(start, end float64, recs []compRec, spill []byte) []byte {
 	if t := l.tail(); len(t) >= maxWinHead+maxCompRec*len(recs) {
-		l.n += int64(len(appendWindow(t[:0], start, end, l.end, recs)))
+		l.n += int64(len(l.codec.appendWindow(t[:0], start, end, recs)))
 	} else {
-		spill = appendWindow(spill[:0], start, end, l.end, recs)
+		spill = l.codec.appendWindow(spill[:0], start, end, recs)
 		for b := spill; len(b) > 0; {
 			k := copy(l.tail(), b)
 			b, l.n = b[k:], l.n+int64(k)
 		}
 	}
-	l.end, l.wins, l.comp = end, l.wins+1, l.comp+int64(len(recs))
+	l.wins, l.comp = l.wins+1, l.comp+int64(len(recs))
 	return spill
 }
 
-func appendWindow(b []byte, start, end, prevEnd float64, recs []compRec) []byte {
-	contiguous := math.Float64bits(start) == math.Float64bits(prevEnd)
-	head := uint64(len(recs)) << 1
-	if contiguous {
+// appendWindow encodes one window's record onto b and advances the codec past it.
+func (c *winCodec) appendWindow(b []byte, start, end float64, recs []compRec) []byte {
+	head := uint64(len(recs))<<3 | 4
+	for _, r := range recs {
+		if r.worker != r.engine {
+			head &^= 4
+			break
+		}
+	}
+	if math.Float64bits(start) == math.Float64bits(c.end) {
 		head |= 1
 	}
+	if math.Float64bits(end) == math.Float64bits(start+c.width) {
+		head |= 2
+	}
 	b = binary.AppendUvarint(b, head)
-	if !contiguous {
+	if head&1 == 0 {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(start))
 	}
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(end))
+	if head&2 == 0 {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(end))
+		c.width = end - start
+	}
+	c.end = end
 	for _, r := range recs {
 		b = binary.AppendUvarint(b, uint64(r.engine))
-		b = binary.AppendUvarint(b, uint64(r.worker))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.busy))
+		if head&4 == 0 {
+			b = binary.AppendUvarint(b, uint64(r.worker))
+		}
+		bits := math.Float64bits(r.busy)
+		if s := slot(bits); c.busy[s] == bits {
+			b = append(b, byte(s))
+		} else {
+			c.busy[s] = bits
+			b = binary.LittleEndian.AppendUint64(append(b, busySlots), bits)
+		}
 	}
 	return b
 }
 
-// winReader decodes a snapshot's window log in commit order.
+// winReader decodes a snapshot's window log in commit order, from window 0.
 type winReader struct {
 	chunks []*[logChunk]byte
-	off    int64   // bytes read
-	end    float64 // the previous window's end
+	off    int64 // bytes read
+	winCodec
 }
 
 // next decodes the next window: its bounds, and its compute records in
@@ -284,15 +326,30 @@ func (r *winReader) next(recs []compRec) (start, end float64, _ []compRec) {
 	head, _ := binary.ReadUvarint(r)
 	start = r.end
 	if head&1 == 0 {
-		start = r.float()
+		start = math.Float64frombits(r.bits())
 	}
-	r.end, recs = r.float(), recs[:0]
-	for i := head >> 1; i > 0; i-- {
+	end = start + r.width
+	if head&2 == 0 {
+		end = math.Float64frombits(r.bits())
+		r.width = end - start
+	}
+	r.end, recs = end, recs[:0]
+	for i := head >> 3; i > 0; i-- {
 		engine, _ := binary.ReadUvarint(r)
-		worker, _ := binary.ReadUvarint(r)
-		recs = append(recs, compRec{busy: r.float(), engine: int32(engine), worker: int32(worker)})
+		worker := engine
+		if head&4 == 0 {
+			worker, _ = binary.ReadUvarint(r)
+		}
+		var bits uint64
+		if s, _ := r.ReadByte(); s < busySlots {
+			bits = r.busy[s]
+		} else {
+			bits = r.bits()
+			r.busy[slot(bits)] = bits
+		}
+		recs = append(recs, compRec{busy: math.Float64frombits(bits), engine: int32(engine), worker: int32(worker)})
 	}
-	return start, r.end, recs
+	return start, end, recs
 }
 
 func (r *winReader) ReadByte() (byte, error) {
@@ -301,13 +358,13 @@ func (r *winReader) ReadByte() (byte, error) {
 	return b, nil
 }
 
-func (r *winReader) float() float64 {
+func (r *winReader) bits() uint64 {
 	var bits uint64
 	for s := 0; s < 64; s += 8 {
 		b, _ := r.ReadByte()
 		bits |= uint64(b) << s
 	}
-	return math.Float64frombits(bits)
+	return bits
 }
 
 // attribution derives one window's straggler attribution from its compute

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
@@ -298,6 +299,8 @@ type script struct {
 	engines int
 	noReset bool
 	now     float64
+	width   float64   // the current window width; Reset keeps it
+	pool    []float64 // busy values the script keeps coming back to
 }
 
 func (s *script) both(f func(tl timelineAPI)) { f(s.got); f(s.ref) }
@@ -329,14 +332,25 @@ func (s *script) addWall() {
 	s.both(func(tl timelineAPI) { tl.AddWall(spans) })
 }
 
-// commit commits one window: idle, one engine, tied busy values, or up to
-// every engine active. Most windows start where the last one ended; some after
-// a gap, as when the kernel skips idle time.
+// commit commits one window: idle, one engine, or up to every engine active,
+// at busy values that are tied, drawn from the script's small pool, or fresh.
+// Most windows start where the last one ended and last the current width,
+// which changes now and then; some start after a gap, as when the kernel skips
+// idle time, and some end off the width.
 func (s *script) commit() {
+	if s.pool == nil {
+		s.pool = []float64{s.rng.Float64(), s.rng.Float64(), s.rng.Float64(), 0.25, 1e-4}
+	}
 	if s.rng.Intn(8) == 0 {
 		s.now += s.rng.Float64()
 	}
-	start, end := s.now, s.now+0.001+s.rng.Float64()
+	if s.width == 0 || s.rng.Intn(64) == 0 {
+		s.width = 0.001 + s.rng.Float64()
+	}
+	start, end := s.now, s.now+s.width
+	if s.rng.Intn(16) == 0 {
+		end = s.now + 0.001 + s.rng.Float64()
+	}
 	s.now = end
 	var active int
 	switch s.rng.Intn(6) {
@@ -346,16 +360,21 @@ func (s *script) commit() {
 	default:
 		active = 1 + s.rng.Intn(s.engines)
 	}
-	tied := s.rng.Intn(3) == 0
+	source := s.rng.Intn(3)
 	var spans []Span
 	for e := 0; e < s.engines && active > 0; e++ {
 		if s.rng.Intn(s.engines-e) >= active {
 			continue
 		}
 		active--
-		busy := s.rng.Float64()
-		if tied {
+		var busy float64
+		switch source {
+		case 0: // tied
 			busy = float64(s.rng.Intn(3)) / 2 // 0 included: active yet free
+		case 1:
+			busy = s.pool[s.rng.Intn(len(s.pool))]
+		default:
+			busy = s.rng.Float64()
 		}
 		spans = append(spans, Span{Kind: SpanCompute, Engine: e, Start: start, End: end, Busy: busy})
 	}
@@ -429,8 +448,11 @@ func sameBytes(t *testing.T, what string, got, want []byte) {
 // long ones without resets, compared in full every 97th or 997th step — two of
 // thousands of few-engine windows, so every chunked sequence crosses chunk
 // boundaries, two of 300-engine windows, whose records often straddle them.
-// Each long script must have written a record across a log chunk boundary and
-// a window that does not start where the previous one ended.
+// Each long script must have written a record across a log chunk boundary, a
+// window that does not start where the previous one ended, and one of each
+// case of the codec: a predicted end and a stored width change, a busy table
+// hit, miss and eviction, and active windows with and without the
+// workers-are-engines flag.
 func TestTimelineMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 600; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -457,24 +479,56 @@ func TestTimelineMatchesReference(t *testing.T) {
 		}
 		s.check()
 		st := &s.got.store
-		var straddled, gapped int
-		rd := &winReader{chunks: st.log.chunks}
+		var seen struct{ straddled, gapped, predicted, widths, hits, misses, evictions, own, assigned int }
+		var (
+			rd    = &winReader{chunks: st.log.chunks}
+			table [busySlots]uint64 // the busy table, replayed from the decoded values
+			recs  []compRec
+		)
 		for w := int64(0); w < st.log.wins; w++ {
-			from, prevEnd := rd.off, rd.end
-			start, _, _ := rd.next(nil)
+			from, prevEnd, prevWidth := rd.off, rd.end, rd.width
+			head, _ := binary.ReadUvarint(&winReader{chunks: st.log.chunks, off: from})
+			var start float64
+			start, _, recs = rd.next(recs)
 			if from>>logShift != (rd.off-1)>>logShift {
-				straddled++
+				seen.straddled++
 			}
 			if math.Float64bits(start) != math.Float64bits(prevEnd) {
-				gapped++
+				seen.gapped++
+			}
+			if head&2 != 0 {
+				seen.predicted++
+			} else if prevWidth != 0 && math.Float64bits(rd.width) != math.Float64bits(prevWidth) {
+				seen.widths++
+			}
+			if len(recs) > 0 && head&4 != 0 {
+				seen.own++
+			} else if len(recs) > 0 {
+				seen.assigned++
+			}
+			for _, r := range recs {
+				bits := math.Float64bits(r.busy)
+				if i := slot(bits); table[i] == bits {
+					seen.hits++
+				} else {
+					seen.misses++
+					if table[i] != 0 {
+						seen.evictions++
+					}
+					table[i] = bits
+				}
 			}
 		}
 		if rd.off != st.log.n {
 			t.Fatalf("long script %d: decoding %d windows read %d of the log's %d bytes", seed, st.log.wins, rd.off, st.log.n)
 		}
-		if straddled == 0 || gapped == 0 {
-			t.Fatalf("long script %d wrote %d B in %d chunks, %d records across a chunk boundary and %d non-contiguous windows: want some of each",
-				seed, st.log.n, len(st.log.chunks), straddled, gapped)
+		if table != rd.busy {
+			t.Fatalf("long script %d: the reader's busy table is not the one its values replay to", seed)
+		}
+		for v, i := reflect.ValueOf(seen), 0; i < v.NumField(); i++ {
+			if v.Field(i).Int() == 0 {
+				t.Fatalf("long script %d wrote %d B in %d chunks and saw %+v: want some of each", seed, st.log.n, len(st.log.chunks), seen)
+			}
 		}
 		if long.engines < 10 && (st.walls.n <= chunkLen || st.extras.n <= chunkLen) {
 			t.Fatalf("long script %d stored %d walls, %d extras: each must outgrow one %d-record chunk",
@@ -484,11 +538,15 @@ func TestTimelineMatchesReference(t *testing.T) {
 }
 
 // TestTimelineBytesPerWindow is the storage cost gate: a fresh timeline fed
-// 100 000 contiguous windows of 1–4 engines may allocate 10 B per compute
-// record and 10 B per window, plus one log chunk of slack for the partly
-// filled last chunk, the chunk pointer slice and the writer's scratch. No
-// WindowStat is kept — the commit returns it once, and 32 B per window alone
-// would break the budget — and a commit that opens no chunk allocates nothing.
+// 100 000 windows of 1–4 engines may write a budget per compute record and per
+// window to its log, and allocate that budget in whole log chunks plus one
+// chunk of slack for the chunk pointer slice and the writer's scratch.
+// Contiguous windows of one width whose busy values repeat get 3 B per record
+// and 1 B per window. Hostile ones — each after a gap, at a new width, with
+// busy values never seen before — get 10 B and 17 B, the size of the format
+// before the log predicted anything. No WindowStat is kept — the commit
+// returns it once, and 32 B per window alone would break the budget — and a
+// commit that opens no chunk allocates nothing.
 func TestTimelineBytesPerWindow(t *testing.T) {
 	const windows = 100_000
 	spans := make([]Span, 4)
@@ -496,33 +554,161 @@ func TestTimelineBytesPerWindow(t *testing.T) {
 		spans[e] = Span{Kind: SpanCompute, Engine: e, Busy: float64(e + 1)}
 	}
 	full := windowOf(0, 1, spans)
-	var win Window
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	tl := NewTimeline()
-	var records int
-	for w := 0; w < windows; w++ {
-		n := 1 + w%4
-		records += n
-		win.Start, win.End, win.Charges, win.Remote, win.Cost = float64(w), float64(w+1), full.Charges[:n], full.Remote[:n], full.Cost[:n]
-		tl.CommitWindow(win)
-	}
-	runtime.ReadMemStats(&after)
-	grew := after.TotalAlloc - before.TotalAlloc
-	budget := uint64(10*records + 10*windows + logChunk)
-	if grew > budget {
-		t.Errorf("%d windows, %d records allocated %d B, budget %d B (%.1f B per window over)",
-			windows, records, grew, budget, float64(grew-budget)/windows)
-	}
-	if got := tl.Windows(); got != windows {
-		t.Fatalf("committed %d windows, want %d", got, windows)
+	for _, row := range []struct {
+		name           string
+		perRec, perWin int
+		hostile        bool
+	}{{"repeating", 3, 1, false}, {"hostile", 10, 17, true}} {
+		cost := append([]float64(nil), full.Cost...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tl := NewTimeline()
+		var records int
+		for w := 0; w < windows; w++ {
+			n := 1 + w%4
+			start, end := float64(w), float64(w+1)
+			if row.hostile {
+				start, end = float64(2*w), float64(2*w+1)+float64(w)/windows
+				for e := range n {
+					cost[e] = float64(records + e)
+				}
+			}
+			records += n
+			tl.CommitWindow(Window{Start: start, End: end, Charges: full.Charges[:n], Remote: full.Remote[:n], Cost: cost[:n]})
+		}
+		runtime.ReadMemStats(&after)
+		grew := after.TotalAlloc - before.TotalAlloc
+		logBudget := int64(row.perRec*records + row.perWin*windows)
+		budget := uint64((logBudget+logChunk-1)/logChunk*logChunk + logChunk)
+		if tl.log.n > logBudget || grew > budget {
+			t.Errorf("%s: %d windows, %d records wrote a %d B log and allocated %d B, budgets %d B and %d B",
+				row.name, windows, records, tl.log.n, grew, logBudget, budget)
+		}
+		if got := tl.Windows(); got != windows {
+			t.Fatalf("%s: committed %d windows, want %d", row.name, got, windows)
+		}
 	}
 
-	tl = NewTimeline()
+	tl := NewTimeline()
 	tl.CommitWindow(full) // opens the chunks, sizes the scratch
 	if allocs := testing.AllocsPerRun(200, func() { tl.CommitWindow(full) }); allocs != 0 {
 		t.Errorf("CommitWindow inside a chunk allocates %.1f times, want 0", allocs)
 	}
+}
+
+// FuzzWindowLog round-trips arbitrary window sequences through the log's
+// writer and a fresh reader, which must return every bound, engine, worker and
+// busy value bit for bit. The input is read as windows: a control byte says
+// whether the start is the previous end, whether the end is the start plus the
+// last drawn width, and how many engines (0–7) are active; per engine, a byte
+// spaces it from the last (by up to 63·2²¹), a byte picks its worker (itself,
+// or a small signed number), and a byte picks its busy value from awkward bit
+// patterns or raw. Raw floats are 8 little-endian bytes, so any bit pattern —
+// NaN payloads, −0, subnormals — can be a bound or a busy value.
+func FuzzWindowLog(f *testing.F) {
+	awkward := []uint64{
+		0, 1 << 63, 1, 1<<52 - 1, // ±0, the smallest and largest subnormal
+		0x7ff8000000000001, 0x7ff0000000000001, 0xfff8dead0000beef, // quiet, signalling, negative NaNs
+		0x7ff0000000000000, 0xfff0000000000000, math.Float64bits(1e-4),
+	}
+	var seed []byte
+	for i, bits := range awkward {
+		seed = append(seed, 7<<2) // stored bounds, 7 engines
+		seed = binary.LittleEndian.AppendUint64(seed, bits)
+		seed = binary.LittleEndian.AppendUint64(seed, awkward[(i+1)%len(awkward)])
+		for e := range 7 {
+			seed = append(seed, byte(e)<<6|byte(i), byte(e+i), byte(e+i))
+		}
+		seed = append(seed, 3|2<<2, 0, 1, 3, 0, 1, 0x80) // contiguous and predicted, 2 engines, the second one's busy raw
+		seed = binary.LittleEndian.AppendUint64(seed, bits)
+	}
+	f.Add(seed)
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 64, 1 << 10} {
+		b := make([]byte, n)
+		rng.Read(b)
+		f.Add(b)
+	}
+	type window struct {
+		start, end float64
+		recs       []compRec
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		raw := func() uint64 {
+			var bits uint64
+			for s := 0; s < 64; s += 8 {
+				bits |= uint64(next()) << s
+			}
+			return bits
+		}
+		var (
+			log            winLog
+			spill          []byte
+			wins           []window
+			prevEnd, width float64
+		)
+		for len(data) > 0 {
+			c := next()
+			w := window{start: prevEnd}
+			if c&1 == 0 {
+				w.start = math.Float64frombits(raw())
+			}
+			w.end = w.start + width
+			if c&2 == 0 {
+				w.end = math.Float64frombits(raw())
+				width = w.end - w.start
+			}
+			prevEnd = w.end
+			engine := int32(-1)
+			for i := c >> 2 & 7; i > 0; i-- {
+				g := next()
+				engine += 1 + int32(g&0x3f)<<(7*(g>>6))
+				r := compRec{engine: engine, worker: engine}
+				if b := next(); b&1 == 0 {
+					r.worker = int32(int8(b)) >> 1
+				}
+				b := next()
+				bits := awkward[int(b)%len(awkward)]
+				if b >= 0x80 {
+					bits = raw()
+				}
+				r.busy = math.Float64frombits(bits)
+				w.recs = append(w.recs, r)
+			}
+			spill = log.push(w.start, w.end, w.recs, spill)
+			wins = append(wins, w)
+		}
+		rd := winReader{chunks: log.chunks}
+		var recs []compRec
+		for i, w := range wins {
+			var start, end float64
+			start, end, recs = rd.next(recs)
+			if math.Float64bits(start) != math.Float64bits(w.start) || math.Float64bits(end) != math.Float64bits(w.end) {
+				t.Fatalf("window %d decoded as [%x, %x), written as [%x, %x)", i,
+					math.Float64bits(start), math.Float64bits(end), math.Float64bits(w.start), math.Float64bits(w.end))
+			}
+			if len(recs) != len(w.recs) {
+				t.Fatalf("window %d decoded %d records, written %d", i, len(recs), len(w.recs))
+			}
+			for j, r := range recs {
+				if want := w.recs[j]; r.engine != want.engine || r.worker != want.worker || math.Float64bits(r.busy) != math.Float64bits(want.busy) {
+					t.Fatalf("window %d record %d decoded as {%d %d %x}, written as {%d %d %x}", i, j,
+						r.engine, r.worker, math.Float64bits(r.busy), want.engine, want.worker, math.Float64bits(want.busy))
+				}
+			}
+		}
+		if rd.off != log.n || int64(len(wins)) != log.wins {
+			t.Fatalf("decoding %d windows read %d of the log's %d bytes", log.wins, rd.off, log.n)
+		}
+	})
 }
 
 // BenchmarkCommitWindow measures the per-window cost of the timeline's write
