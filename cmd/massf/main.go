@@ -16,8 +16,9 @@
 //
 //	massf -topology Campus -fault crash:1@30 -fault slow:0@10-20x4 -checkpoint 5
 //
-// crash:E@T kills engine E at virtual time T (recovered by checkpoint
-// rollback and remapping onto the survivors); slow:E@T1-T2xF runs engine E F
+// crash:E@T kills engine E at virtual time T (its nodes are remapped onto the
+// survivors at the next barrier, and the run since the last -checkpoint
+// barrier is charged as recovery downtime); slow:E@T1-T2xF runs engine E F
 // times slower over [T1,T2); degrade@T1-T2xF multiplies the cross-engine
 // message cost. -naive-recovery dumps a dead engine's nodes onto one
 // survivor instead of repartitioning, for comparison.
@@ -55,7 +56,7 @@
 // keeps the listener open after the run starts — late workers join at the
 // next checkpoint barrier, a worker's Ctrl-C drains it gracefully, and a
 // killed worker is detected (add -hb-interval 500ms for liveness pings) and
-// recovered by checkpoint replay. -capacity raises the engine ceiling so
+// recovered by an in-process re-run with its engines fail-stopped. -capacity raises the engine ceiling so
 // joiners beyond the topology's default engine count have slots to fill.
 package main
 
@@ -110,7 +111,7 @@ func main() {
 		routingRows     = flag.Int("routing-rows", 0, "lazy routing LRU row capacity (0 = automatic, sized for a 256 MB budget)")
 		routingClusters = flag.Int("routing-clusters", 0, "hierarchical routing cluster count (0 = automatic: per-AS when labeled, else ~(n²/2)^⅓)")
 
-		checkpoint = flag.Float64("checkpoint", 10, "barrier-checkpoint interval in virtual seconds (crash faults and distributed runs; membership changes apply at these barriers)")
+		checkpoint = flag.Float64("checkpoint", 10, "checkpoint cadence in virtual seconds: membership changes apply at these barriers, and a crash is charged the run since the last one")
 		naive      = flag.Bool("naive-recovery", false, "recover crashes by dumping onto one survivor instead of remapping")
 
 		stats     = flag.Bool("stats", false, "print the kernel's aggregated observability counters per run")

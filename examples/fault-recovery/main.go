@@ -1,11 +1,12 @@
-// Engine fault injection and checkpoint/recovery remapping, end to end: a
-// Campus-topology emulation of GridNPB plus background HTTP loses one of its
-// four simulation engines mid-run. The emulator detects the fail-stop at the
-// next window barrier, rolls back to the last barrier checkpoint, asks the
-// mapping layer to repartition the dead engine's virtual nodes across the
-// survivors, and replays the lost windows deterministically. The same crash
-// is then recovered naively — every orphaned node dumped onto one survivor —
-// to show why partitioner-based remapping is worth the extra migrations.
+// Engine fault injection and recovery remapping, end to end: a Campus-topology
+// emulation of GridNPB plus background HTTP loses one of its four simulation
+// engines mid-run. The emulator detects the fail-stop at the next window
+// barrier, asks the mapping layer to repartition the dead engine's virtual
+// nodes across the survivors, moves its pending events there and continues;
+// the run since the last checkpoint barrier (every 4 s here) is charged as
+// downtime, the work a real cluster would lose. The same crash is then
+// recovered naively — every orphaned node dumped onto one survivor — to show
+// why partitioner-based remapping is worth the extra migrations.
 //
 //	go run ./examples/fault-recovery
 package main

@@ -144,7 +144,7 @@ type Outcome struct {
 	ProfileRun *emu.Result
 }
 
-// Recovery returns the fault-handling summary: downtime, re-emulated events,
+// Recovery returns the fault-handling summary: downtime, charged events,
 // migrations and pre/post-failure imbalance (nil for crash-free runs).
 func (o *Outcome) Recovery() *emu.Recovery { return o.Result.Recovery }
 

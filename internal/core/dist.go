@@ -18,8 +18,8 @@ import (
 
 // RunDistributed executes one approach with the engines spread across the
 // given worker connections. Worker loss degrades into the same
-// RemapOnto-driven crash recovery as RunResilient: the survivors' engines
-// re-emulate in-process with the lost worker's engines fail-stopped, and
+// RemapOnto-driven crash recovery as RunResilient: the scenario re-runs
+// in-process with the lost worker's engines fail-stopped, and
 // Result.Recovery reports the remap.
 func (sc *Scenario) RunDistributed(ctx context.Context, a mapping.Approach, workers []dist.Conn, opt dist.Options) (*Outcome, error) {
 	return sc.run(ctx, a, func(cfg emu.Config) (*emu.Result, error) {

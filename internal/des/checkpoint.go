@@ -28,7 +28,7 @@ func (cp *Checkpoint[P]) PendingEvents() int {
 }
 
 // Stats returns a copy of the run statistics at the checkpoint.
-func (cp *Checkpoint[P]) Stats() Stats { return cp.stats.clone() }
+func (cp *Checkpoint[P]) Stats() Stats { return cp.stats.Clone() }
 
 // Stats returns the kernel's cumulative statistics (live; not a copy), current
 // wherever Checkpoint is safe. Under a Stepper, VirtualEnd and Windows reflect
@@ -51,7 +51,7 @@ func (k *Kernel[P]) Checkpoint(at float64) *Checkpoint[P] {
 		})
 		cp.events[lp] = evs
 	}
-	cp.stats = k.stats.clone()
+	cp.stats = k.stats.Clone()
 	return cp
 }
 
@@ -59,7 +59,7 @@ func (k *Kernel[P]) Checkpoint(at float64) *Checkpoint[P] {
 // and statistics, and starts a fresh window grid. Like Checkpoint it is safe
 // wherever no handler runs — in particular inside an OnWindow hook, where the
 // running loop carries on from the restored state at its next iteration: a
-// rollback or a membership change is a step of the loop, not a restart. Each
+// membership change is a step of the loop, not a restart. Each
 // pending event is offered to remap (nil keeps the original owner): the
 // returned LP becomes the event's new owner — how a recovery moves a dead
 // engine's events onto survivors — and returning ok=false drops the event.
@@ -90,7 +90,7 @@ func (k *Kernel[P]) Restore(cp *Checkpoint[P], lookahead float64, remap func(Eve
 			k.pushLocal(nlp, ev.Time, ev.Data)
 		}
 	}
-	stats := cp.stats.clone()
+	stats := cp.stats.Clone()
 	k.stats = &stats
 	k.grid.Regrid(lookahead)
 	return nil

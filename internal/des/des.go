@@ -96,7 +96,7 @@ type Config[P any] struct {
 	// as are its slices (see obs.Window). No handler executes concurrently, so
 	// the hook may safely take a Checkpoint, and may Restore one: the loop then
 	// continues on a fresh window grid with the restored queues, statistics and
-	// lookahead, which is how a crash rollback or a resize happens without
+	// lookahead, which is how a crash recovery or a resize happens without
 	// leaving Run. Returning a non-nil error stops the run: Run returns that
 	// error together with the statistics accumulated so far (including the
 	// window just completed). A nil hook costs nothing.
@@ -308,8 +308,8 @@ func newStats(n int) *Stats {
 	}
 }
 
-// clone returns a deep copy of the statistics.
-func (s *Stats) clone() Stats {
+// Clone returns a deep copy of the statistics.
+func (s *Stats) Clone() Stats {
 	c := *s
 	c.Events = append([]int64(nil), s.Events...)
 	c.Charges = append([]int64(nil), s.Charges...)

@@ -39,7 +39,7 @@ func BuildCheckpoint[P any](at float64, numLPs int, stats Stats, events []Sent[P
 		}
 		cp.events[sv.Dst] = append(cp.events[sv.Dst], Event[P]{Time: sv.Time, LP: sv.Dst, Data: sv.Data})
 	}
-	cp.stats = stats.clone()
+	cp.stats = stats.Clone()
 	if len(cp.stats.Events) != numLPs || len(cp.stats.Charges) != numLPs || len(cp.stats.RemoteSends) != numLPs {
 		return nil, fmt.Errorf("des: checkpoint stats cover %d LPs, want %d", len(cp.stats.Events), numLPs)
 	}

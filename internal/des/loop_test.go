@@ -85,7 +85,7 @@ func (c regridCase) kernel(t *testing.T, x *execution, local []bool, sequential 
 }
 
 func finish(x *execution, st *Stats, rec *streamRec) *execution {
-	x.stats = st.clone()
+	x.stats = st.Clone()
 	x.stats.WallTime = 0
 	x.stream = rec.lines
 	return x

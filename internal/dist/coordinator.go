@@ -58,8 +58,8 @@ type Options struct {
 	// is treated as lost.
 	StepTimeout time.Duration
 	// CheckpointEvery is the virtual-time cadence at which membership changes
-	// apply, and the replay's rollback interval (default
-	// emu.DefaultCheckpointEvery).
+	// apply, and the cadence a worker-loss replay charges its crash from
+	// (default emu.DefaultCheckpointEvery).
 	CheckpointEvery float64
 	// Logf, when set, receives one line per protocol phase.
 	Logf func(format string, args ...any)
@@ -113,8 +113,8 @@ func (w *workerLost) Is(target error) bool { return target == ErrWorkerLost }
 // Engines are dealt round-robin (worker w gets engines w, w+W, ...). On
 // worker loss the surviving workers are aborted and the scenario re-runs
 // in-process with the lost worker's engines fail-stopped at the loss time,
-// flowing through the standard checkpoint/rollback/remap recovery — the run
-// completes (Result.Recovery reports it) instead of hanging.
+// recovered as in-process crashes — the run completes (Result.Recovery
+// reports it) instead of hanging.
 //
 // The returned Result is byte-identical to emu.Run of the same scenario
 // (modulo Kernel.WallTime and the wall-clock parts of Obs — see ResultJSON).
@@ -557,9 +557,7 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 				}
 				s.grid.Regrid(L)
 			}
-			for nextCkpt <= end {
-				nextCkpt += opt.CheckpointEvery
-			}
+			nextCkpt = emu.NextCheckpoint(end, opt.CheckpointEvery)
 		}
 	}
 
@@ -609,8 +607,9 @@ func (s *coordinator) pullExports(ask MsgType, payload []byte, reply MsgType) ([
 
 // fallback replays the scenario in-process from the membership log: the
 // changes applied so far re-apply through Config.Elastic, and the lost worker's
-// engines, recorded as fail-stops at the loss instant, flow through the
-// standard checkpoint/rollback/remap recovery.
+// engines, recorded as fail-stops at the loss instant, are recovered as
+// in-process crashes: a membership change at the detection barrier plus a
+// charge.
 func (s *coordinator) fallback(worker int, at float64) (*emu.Result, error) {
 	if len(s.log.Resizes) > 0 && at <= s.lastResizeAt {
 		// The loss raced a membership barrier: the crash must land after the

@@ -55,7 +55,7 @@ type MembershipLog struct {
 	Resizes []emu.AppliedResize
 	Losses  []faults.Crash
 	// CheckpointEvery is the run's Options.CheckpointEvery: it positions the
-	// rollback checkpoints of the loss replay.
+	// cadence barriers the loss replay charges its crashes from.
 	CheckpointEvery float64
 }
 

@@ -114,6 +114,39 @@ func TestElasticJoinDrainMatchesReplay(t *testing.T) {
 	}
 }
 
+// TestElasticTinyCadenceFinishes: a checkpoint cadence below the float
+// spacing of the barrier times advances in one step instead of stalling the
+// coordinator, and the run still equals its in-process replay.
+func TestElasticTinyCadenceFinishes(t *testing.T) {
+	ctx := context.Background()
+	conns := make([]dist.Conn, 2)
+	workers := make([]*elasticWorker, 2)
+	for i := range conns {
+		c, s := dist.Loopback()
+		conns[i] = c
+		workers[i] = startElasticWorker(ctx, s)
+	}
+	close(workers[0].drain)
+	o, mlog, err := scenario(t, "Campus").RunElastic(ctx, conns, dist.ElasticOptions{
+		Options: dist.Options{CheckpointEvery: 1e-20},
+	})
+	if err != nil {
+		t.Fatalf("elastic run: %v", err)
+	}
+	workers[0].wait(t, "drained worker")
+	workers[1].wait(t, "worker 1")
+	if len(mlog.Resizes) != 1 {
+		t.Fatalf("the drain must apply as one resize, got %+v", mlog.Resizes)
+	}
+	ref, err := scenario(t, "Campus").ReplayElastic(ctx, o.Assignment, mlog)
+	if err != nil {
+		t.Fatalf("in-process replay: %v", err)
+	}
+	if want, got := canonical(t, ref), canonical(t, o.Result); !bytes.Equal(want, got) {
+		t.Fatalf("distributed result diverges from in-process replay (%d vs %d bytes)", len(want), len(got))
+	}
+}
+
 // dieAtConn cuts the coordinator→worker link at the first window starting at
 // or after a virtual time — a worker killed mid-run, timed against the
 // emulation clock so it deterministically lands after the first membership

@@ -7,14 +7,13 @@ import (
 	"repro/internal/emu"
 )
 
-// TestNetStateSurvivesTheWire is the coverage check on the one barrier state,
-// in the style of internal/statetest: every field of emu.NetState is filled, by
-// reflection, with distinct non-zero values and sent the whole way a resize
-// takes it — export-encode → decode → DistMerge.Resize (assemble under the old
-// ownership, mask under the new) → install-encode → decode → DistLocal.Reseat.
-// Every slot must arrive at exactly one new owner and be at rest on the other,
-// so a field added to NetState that newNetState, clone, a codec or gather
-// forgets fails here, as TestRollbackStateRollsBack fails for clone alone.
+// TestNetStateSurvivesTheWire is the coverage check on the one barrier state:
+// every field of emu.NetState is filled, by reflection, with distinct non-zero
+// values and sent the whole way a resize takes it — export-encode → decode →
+// DistMerge.Resize (assemble under the old ownership, mask under the new) →
+// install-encode → decode → DistLocal.Reseat. Every slot must arrive at exactly
+// one new owner and be at rest on the other, so a field added to NetState that
+// newNetState, clone, a codec or gather forgets fails here.
 func TestNetStateSurvivesTheWire(t *testing.T) {
 	cfg := testSpec(t).Cfg // 4 nodes on 2 engines, 3 links, 2 flows
 	newLocal := func(engines ...int) *emu.DistLocal {

@@ -190,21 +190,24 @@ func TestTruncatedAssignFailsWorker(t *testing.T) {
 
 // TestWorkerRefusesNonFiniteSpec: DecodeSpec copies the scenario's floats as
 // they were sent, so an ASSIGN whose spec carries a NaN or infinite duration,
-// bucket width, cost, end time or engine speed — or a bucket count past
-// netflow.MaxBuckets — must end the worker with a typed configuration error
-// before it sizes a series, not with a panic or an out-of-memory kill.
+// bucket width, cost, end time, engine speed or migration cost — or a bucket
+// count past netflow.MaxBuckets — must end the worker with a typed
+// configuration error before it sizes a series, not with a panic or an
+// out-of-memory kill.
 func TestWorkerRefusesNonFiniteSpec(t *testing.T) {
 	base := distSpec(t).Cfg
 	if err := emu.NormalizeConfig(&base); err != nil {
 		t.Fatal(err)
 	}
 	for name, edit := range map[string]func(*emu.Config){
-		"NaN bucket width":  func(c *emu.Config) { c.BucketWidth = math.NaN() },
-		"tiny bucket width": func(c *emu.Config) { c.BucketWidth = 1e-12 },
-		"+Inf duration":     func(c *emu.Config) { c.Workload.Duration = math.Inf(1) },
-		"NaN end time":      func(c *emu.Config) { c.EndTime = math.NaN() },
-		"NaN per-event":     func(c *emu.Config) { c.Cost.PerEvent = math.NaN() },
-		"NaN speed":         func(c *emu.Config) { c.EngineSpeeds = []float64{1, math.NaN(), 1} },
+		"NaN bucket width":    func(c *emu.Config) { c.BucketWidth = math.NaN() },
+		"tiny bucket width":   func(c *emu.Config) { c.BucketWidth = 1e-12 },
+		"+Inf duration":       func(c *emu.Config) { c.Workload.Duration = math.Inf(1) },
+		"NaN end time":        func(c *emu.Config) { c.EndTime = math.NaN() },
+		"NaN per-event":       func(c *emu.Config) { c.Cost.PerEvent = math.NaN() },
+		"NaN speed":           func(c *emu.Config) { c.EngineSpeeds = []float64{1, math.NaN(), 1} },
+		"NaN migration cost":  func(c *emu.Config) { c.MigrationCost = math.NaN() },
+		"+Inf migration cost": func(c *emu.Config) { c.MigrationCost = math.Inf(1) },
 	} {
 		cfg := base
 		edit(&cfg)

@@ -27,7 +27,11 @@ import (
 // can choose must produce the same outcome, and that outcome must hash to the
 // pins below, which were recorded from the global-sort reference barrier
 // running sequentially, with crash recovery and resizes still restarting the
-// kernel — before the window loop was collapsed. internal/dist's TestDistributedMatchesInProcess extends the
+// kernel — before the window loop was collapsed. The two crash pins were
+// re-recorded when a crash stopped rolling back: the windows between the
+// cadence barrier and the detection barrier now run once, under the old
+// assignment; flows, drops, link bytes and the Recovery charge are unchanged,
+// the time model and per-engine loads are not. internal/dist's TestDistributedMatchesInProcess extends the
 // chain to the loopback distributed runtime.
 type kernelOutcome struct {
 	trace       string
@@ -75,7 +79,7 @@ func runOutcome(t *testing.T, cfg Config) kernelOutcome {
 	if err != nil || res.Telemetry == nil || res.Obs == nil {
 		t.Fatalf("run lost a sink: telemetry %v (%v), stats %v", res.Telemetry, err, res.Obs)
 	}
-	// Every sink saw every executed window, replays included.
+	// Every sink saw every executed window.
 	if n := int64(strings.Count(buf.String(), `{"type":"window"`)); n != res.Obs.Windows || n != tl.Windows() {
 		t.Fatalf("sinks disagree on the windows committed: JSONL %d, stats %d, timeline %d", n, res.Obs.Windows, tl.Windows())
 	}
@@ -169,8 +173,8 @@ func pinnedScenarios() []pinnedScenario {
 			"9610b41d3fa3863f356ae044d3cde8c81e8a4adb589831caca651189db19848d",
 			"1bee1fabe5dce4d33c098ecdb62b551ee505651322d9a661dc641a46e726f67f"}, "run"},
 		{"faulted", faultedConfig, [2]string{
-			"2a2713fa14ff18b8a75d888f988f9ef324a16eaec57377db07054d7804bcf876",
-			"44c046a58d0f49ce42fbbb4ca7c91687c641c547fd6df9d2b8d021e15ac16dc0"},
+			"4f7ba595ef617373c49776ae12b5aeaf0d652e41dd3adc5435de282b4a4b8d5c",
+			"3be3d021acb5b0ec6c1ce4f6f957d130241c5dd4105a04d516c270649245bae2"},
 			"checkpoint run checkpoint crash rollback migration run+" + strings.Repeat(" checkpoint", 6)},
 		{"profile", func() Config {
 			cfg := plain()
@@ -204,7 +208,7 @@ func pinnedScenarios() []pinnedScenario {
 			// The emulator announces each grid: the first after the initial
 			// checkpoint, the resumed one right after the resize's migrations.
 			"checkpoint run checkpoint resize migration migration run+ checkpoint"},
-		// Engine 1 dies at t=2 and is rolled back onto engine 0; the survivors
+		// Engine 1 dies at t=2 and its nodes move onto engine 0; the survivors
 		// then spread back out over engines 0 and 2 at t=5.
 		{"crash-then-resize", func() Config {
 			return Config{
@@ -218,15 +222,15 @@ func pinnedScenarios() []pinnedScenario {
 				Elastic:         []Resize{{At: 5, Engines: []int{0, 2}, Assignment: []int{0, 0, 2, 2}}},
 			}
 		}, [2]string{
-			"a3e3e9f3e5e20a0376f8e2bd6f4fe1ac5e1c1eb2052893d059278f8e523bf825",
-			"a959ff5ef5cf7b77e6b75b9838bd68d2b18356ffaf3f4336e3246b696bdaefdf"},
+			"cc19272601e3be1e7b5946eae7e9df5b7576ed7afb143f4a817afdc51e724182",
+			"cc1a75a3ca92d95c3982d6e5c4f9222482b526e2a16c4f1a1b883ccf0afc13bb"},
 			"checkpoint run checkpoint crash rollback migration run+ checkpoint checkpoint checkpoint " +
 				"resize migration run+ checkpoint checkpoint checkpoint"},
 	}
 }
 
-// TestBatchedPathByteIdentical runs plain, faulted (checkpoint + rollback +
-// replay), PROFILE, TCP, elastic and crash-then-resize scenarios through
+// TestBatchedPathByteIdentical runs plain, faulted (cadence marks + crash
+// recovery), PROFILE, TCP, elastic and crash-then-resize scenarios through
 // every dispatch the kernel chooses between — Sequential, and the default at
 // GOMAXPROCS 1 (one goroutine) and 4 (persistent per-engine workers) — and
 // requires trace-for-trace, field-for-field equality with each other and with

@@ -113,13 +113,8 @@ func (e *emulation) resizeTo(at float64, engines, assignment []int) {
 }
 
 // applyResize repartitions the run onto Elastic[idx]'s engine set at barrier
-// time at, inside the barrier step. Unlike crash recovery there is no
-// rollback: the state at the barrier is consistent, so the kernel checkpoint
-// taken here is both the migration source and the new rollback fence — a
-// later crash must not roll back behind a membership change. Restoring it
-// under the new assignment moves pending events to their new owners (ownerOf
-// keys on flow state, not the captured LP); the kernel's window loop resumes
-// on the lookahead of the new cut.
+// time at, inside the barrier step, and makes the barrier the mark a later
+// crash is charged from.
 func (e *emulation) applyResize(k *des.Kernel[payload], rs *resilience, idx int, at float64) error {
 	r := e.cfg.Elastic[idx]
 	target := make([]bool, e.cfg.NumEngines)
@@ -129,21 +124,16 @@ func (e *emulation) applyResize(k *des.Kernel[payload], rs *resilience, idx int,
 		}
 		target[eng] = true
 	}
-	cp := k.Checkpoint(at)
-
 	newAssign := r.Assignment
 	if newAssign == nil {
 		var err error
 		newAssign, err = e.repartition(e.cfg.OnMembership,
-			MembershipChange{At: at, Engines: r.Engines, Loads: loadsOf(cp.Stats().Charges)}, target)
+			MembershipChange{At: at, Engines: r.Engines, Loads: loadsOf(k.Stats().Charges)}, target)
 		if err != nil {
 			return err
 		}
 	}
 	e.resizeTo(at, r.Engines, newAssign)
-	if err := e.regrid(k, cp); err != nil {
-		return err
-	}
-	rs.last = e.snapshot(cp)
-	return nil
+	rs.mark, rs.markStats = at, k.Stats().Clone()
+	return e.regrid(k, at)
 }

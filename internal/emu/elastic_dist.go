@@ -12,8 +12,8 @@ import (
 
 // Distributed elastic membership: the coordinator's and worker's halves of a
 // resize barrier. The sequence mirrors the in-process applyResize exactly —
-// the barrier snapshot is the migration source and the new rollback fence —
-// but the state lives spread across worker processes:
+// the barrier snapshot is the migration source — but the state lives spread
+// across worker processes:
 //
 //	coordinator                                  workers
 //	  (deliver held outbox to old owners)

@@ -141,19 +141,19 @@ type Config struct {
 	// Faults optionally injects a deterministic fault schedule — engine
 	// crashes, straggler slowdowns, cluster-link degradation (see
 	// internal/faults). Stragglers and degradations scale the cost model;
-	// crashes trigger checkpoint rollback and OnMembership-driven remapping.
+	// crashes trigger OnMembership-driven remapping and a downtime charge.
 	Faults *faults.Schedule
-	// CheckpointEvery is the virtual-time interval between barrier
-	// checkpoints when Faults contains crashes (default
-	// DefaultCheckpointEvery). Recovery rolls back to the latest checkpoint,
-	// so the interval bounds how much emulation a crash forces to replay.
+	// CheckpointEvery is the virtual-time interval between cadence barriers
+	// when Faults contains crashes (default DefaultCheckpointEvery). A crash
+	// is charged the emulation since the latest one, as the work a real
+	// cluster would re-run from its checkpoint.
 	CheckpointEvery float64
 	// OnMembership is the one repartitioning policy: whenever the run's engine
 	// set changes — an engine crashes, or an Elastic entry without an explicit
 	// Assignment applies — it is handed the change and must return a full
 	// node→engine assignment using only MembershipChange.Engines. Required when
 	// Faults contains crashes or an Elastic entry omits its Assignment: the
-	// emulator detects, rolls back and migrates, but the policy lives with the
+	// emulator detects, charges and migrates, but the policy lives with the
 	// caller (core supplies mapping.RemapOnto and the naive fallback).
 	OnMembership MembershipPolicy
 	// MigrationCost is the modeled recovery stall per virtual node that
@@ -447,34 +447,30 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 	// buckets (the paper's own 2-second measurement interval) and take the
 	// cross-engine max per bucket, while synchronization is still charged
 	// per executed window — the term the latency objective minimizes.
-	// The accumulators are part of the emulation's rollbackState, so a crash
-	// recovery rolls them back together with the kernel's queues.
 	e := &emulation{
-		cfg:         cfg,
-		ctx:         o.ctx,
-		rec:         rec,
-		runStats:    runStats,
-		nw:          nw,
-		flows:       flows,
-		fullPackets: fullPackets,
-		duration:    duration,
-		lookahead:   lookahead,
-		assignment:  append([]int(nil), cfg.Assignment...),
-		rollbackState: rollbackState{
-			NetState:        newNetState(len(nw.Links), len(flows)),
-			collector:       collector,
-			series:          engineSeries,
-			engineBusy:      make([]float64, cfg.NumEngines),
-			bucketCost:      metrics.NewSeries(cfg.BucketWidth, cfg.NumEngines, buckets),
-			bucketSync:      make([]float64, buckets),
-			bucketBusyWidth: make([]float64, buckets),
-		},
-		tel:     o.tel,
-		cost:    cost,
-		speeds:  speeds,
-		buckets: buckets,
-		winCost: make([]float64, cfg.NumEngines),
-		trace:   o.trace,
+		cfg:             cfg,
+		ctx:             o.ctx,
+		rec:             rec,
+		runStats:        runStats,
+		nw:              nw,
+		flows:           flows,
+		fullPackets:     fullPackets,
+		duration:        duration,
+		lookahead:       lookahead,
+		assignment:      append([]int(nil), cfg.Assignment...),
+		NetState:        newNetState(len(nw.Links), len(flows)),
+		collector:       collector,
+		series:          engineSeries,
+		tel:             o.tel,
+		cost:            cost,
+		speeds:          speeds,
+		buckets:         buckets,
+		engineBusy:      make([]float64, cfg.NumEngines),
+		bucketCost:      metrics.NewSeries(cfg.BucketWidth, cfg.NumEngines, buckets),
+		bucketSync:      make([]float64, buckets),
+		bucketBusyWidth: make([]float64, buckets),
+		winCost:         make([]float64, cfg.NumEngines),
+		trace:           o.trace,
 	}
 	return e, nil
 }
@@ -546,13 +542,13 @@ func (e *emulation) buildResult(stats *des.Stats, recovery *Recovery) *Result {
 	// Idle virtual time still elapses in a real-time-paced emulation.
 	appTime += stats.SkippedTime
 	if recovery != nil {
-		// Recovery stalls (failure detection, rollback re-emulation,
-		// migration state transfer) dilate the paced execution.
+		// Recovery stalls (re-emulation since the cadence barrier, migration
+		// state transfer) dilate the paced execution.
 		appTime += recovery.Downtime
 	}
 	if e.membership != nil {
-		// Elastic resizes stall only for state transfer — no rollback, the
-		// barrier snapshot is already the resume point.
+		// Elastic resizes stall only for state transfer: the barrier is
+		// already the resume point.
 		appTime += e.membership.Stall
 	}
 
@@ -630,6 +626,11 @@ func validate(cfg *Config) (duration float64, _ error) {
 			return 0, fmt.Errorf("%w: %g is no end time, duration, bucket width, cost or engine speed", ErrBadConfig, v)
 		}
 	}
+	for _, v := range []float64{cfg.MigrationCost, cfg.CheckpointEvery} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, fmt.Errorf("%w: %g is no migration cost or checkpoint interval", ErrBadConfig, v)
+		}
+	}
 	duration = cfg.Workload.Duration
 	if cfg.EndTime > 0 && cfg.EndTime < duration {
 		duration = cfg.EndTime
@@ -661,8 +662,8 @@ func validate(cfg *Config) (duration float64, _ error) {
 		prevAt := 0.0
 		needHook := false
 		for i, r := range cfg.Elastic {
-			if r.At <= prevAt {
-				return 0, fmt.Errorf("%w: elastic resize %d at t=%g must come after t=%g and be positive",
+			if !(r.At > prevAt) || math.IsInf(r.At, 1) {
+				return 0, fmt.Errorf("%w: elastic resize %d at t=%g must come after t=%g and be positive and finite",
 					ErrBadConfig, i, r.At, prevAt)
 			}
 			prevAt = r.At
@@ -707,8 +708,8 @@ func validate(cfg *Config) (duration float64, _ error) {
 }
 
 // emulation is the handler state shared by all engines during a run. What the
-// run mutates as it progresses is the embedded rollbackState (and the telemetry
-// collector's own run state); assignment only changes at a barrier, when a
+// run mutates as it progresses is the network state, the collectors and the
+// time model's accumulators; assignment only changes at a barrier, when a
 // crash recovery or a resize remaps nodes.
 type emulation struct {
 	cfg      *Config
@@ -725,16 +726,22 @@ type emulation struct {
 	lookahead   float64
 
 	assignment []int
-	rollbackState
-	tel *telemetry.Collector
+	NetState
+	collector *netflow.Collector
+	series    *metrics.Series
+	tel       *telemetry.Collector
 
-	// The time model's parameters, and winCost, its per-window scratch: the
-	// modeled cost of each engine's window, which every sink reads through the
-	// window record's Cost.
-	cost    CostModel
-	speeds  []float64
-	buckets int
-	winCost []float64
+	// The time model's parameters, its accumulators, and winCost, its
+	// per-window scratch: the modeled cost of each engine's window, which
+	// every sink reads through the window record's Cost.
+	cost            CostModel
+	speeds          []float64
+	buckets         int
+	engineBusy      []float64
+	bucketCost      *metrics.Series // modeled compute seconds per bucket and engine
+	bucketSync      []float64
+	bucketBusyWidth []float64
+	winCost         []float64
 
 	// trace is the cluster tracing timeline; nil when tracing is off (commit
 	// then takes a single nil check and allocates nothing).

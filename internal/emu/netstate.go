@@ -3,10 +3,9 @@ package emu
 import "fmt"
 
 // NetState is the link and flow state a run mutates packet by packet, as one
-// flat value: a crash rollback clones it (it is the network half of
-// rollbackState), a distributed worker exports it at a resize barrier and at
-// the end of the run, and the coordinator assembles the workers' states and
-// cuts each member's share from the result.
+// flat value: a distributed worker exports it at a resize barrier and at the
+// end of the run, and the coordinator assembles the workers' states and cuts
+// each member's share from the result.
 //
 // Exactly one engine writes each slot, so handlers need no synchronization and
 // a worker's state is nonzero only in the slots its engines own: direction 0 of

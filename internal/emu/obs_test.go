@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/telemetry"
 )
 
 // faultedConfig is the shared crash scenario: engine 1 dies at t=2 over the
@@ -106,6 +107,25 @@ func TestRunStatsMatchesRecovery(t *testing.T) {
 	}
 }
 
+// TestFaultedRunCountsEachWindowOnce: a crash recovery re-executes nothing, so
+// the kernel, the recorder chain, the tracing timeline and telemetry agree on
+// how many windows a faulted run executed.
+func TestFaultedRunCountsEachWindowOnce(t *testing.T) {
+	tl := obs.NewTimeline()
+	res, err := Run(faultedConfig(), WithStats(), WithTrace(tl), WithTelemetry(telemetry.New()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recovery == nil || res.Recovery.Failures != 1 {
+		t.Fatalf("Recovery = %+v, want one crash recovered", res.Recovery)
+	}
+	kernel := res.Kernel.Windows
+	if res.Obs.Windows != kernel || tl.Windows() != kernel || res.Telemetry.Windows != kernel {
+		t.Errorf("windows: kernel %d, stats %d, timeline %d, telemetry %d — want one count",
+			kernel, res.Obs.Windows, tl.Windows(), res.Telemetry.Windows)
+	}
+}
+
 // cancelAfter is a Recorder that cancels a context after n windows — a
 // deterministic way to interrupt a run mid-flight.
 type cancelAfter struct {
@@ -180,6 +200,22 @@ func TestErrBadConfigSentinel(t *testing.T) {
 		valid(func(c *Config) { c.Cost.PerWindow = inf }),
 		valid(func(c *Config) { c.EngineSpeeds = []float64{1, nan} }),
 		valid(func(c *Config) { c.EngineSpeeds = []float64{inf, 1} }),
+		// A NaN migration cost made AppTime NaN, a NaN resize time was never
+		// applied and switched off the ordering check after it, and a NaN
+		// crash time was recovered at the first barrier.
+		valid(func(c *Config) { c.MigrationCost = nan }),
+		valid(func(c *Config) { c.MigrationCost = -inf }),
+		valid(func(c *Config) { c.CheckpointEvery = nan }),
+		valid(func(c *Config) { c.CheckpointEvery = inf }),
+		valid(func(c *Config) {
+			c.Elastic = []Resize{{At: nan, Engines: []int{0, 1}}, {At: 1, Engines: []int{0}}}
+			c.OnMembership = dumpOn(0)
+		}),
+		valid(func(c *Config) { c.Elastic = []Resize{{At: inf, Engines: []int{0, 1}, Assignment: []int{0, 0, 1, 1}}} }),
+		valid(func(c *Config) {
+			c.Faults = &faults.Schedule{Crashes: []faults.Crash{{Engine: 1, At: nan}}}
+			c.OnMembership = dumpOn(0)
+		}),
 	}
 	// What the rule leaves alone: an infinite end time cuts nothing, and a
 	// speed at or below 0 means 1.

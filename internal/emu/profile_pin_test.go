@@ -64,9 +64,9 @@ func dumpOnZero(c emu.MembershipChange) ([]int, error) {
 // driven by synthetic streams against that collector kept verbatim, is
 // netflow.TestCollectorMatchesReference). The digests were recorded from the
 // keyed collector at f900919 on these same runs: every release discipline,
-// finite buffers with drops, a truncated run, both dispatches, one crash with
-// rollback, two crashes that roll back to the same checkpoint, and a paper
-// topology. The keyed collector could only be reached through emu.Run, whose
+// finite buffers with drops, a truncated run, both dispatches, one crash, two
+// crashes charged from the same cadence barrier, and a paper topology (the
+// crash rows were recorded when a crash still rolled back and re-ran). The keyed collector could only be reached through emu.Run, whose
 // hop stream no exported hook exposes, so it is pinned here rather than run
 // side by side.
 func TestProfileMatchesKeyedCollector(t *testing.T) {
@@ -82,8 +82,9 @@ func TestProfileMatchesKeyedCollector(t *testing.T) {
 	// backlogged and loses every chunk at its first link.
 	shadowed := traffic.Flow{ID: 64, Src: 0, Dst: 9, Start: 0, Bytes: 96 << 10, Tag: "dense"}
 	threeEngines := []int{0, 0, 0, 0, 1, 1, 1, 2, 2, 2}
-	// Neither the dispatch nor a rollback leaves a trace in the accounting: five
-	// of the runs emulate the same network and must report the same thing.
+	// Neither the dispatch nor a crash recovery leaves a trace in the
+	// accounting: five of the runs emulate the same network and must report
+	// the same thing.
 	const unfaulted = "640 records 5ae4d8e16ddb27e3"
 	cases := []struct {
 		name string

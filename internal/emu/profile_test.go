@@ -1,7 +1,6 @@
 package emu
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/traffic"
@@ -56,43 +55,6 @@ func TestProfileRunSteadyStateAllocs(t *testing.T) {
 	if added[0] != added[1] || added[0] > 8 {
 		t.Errorf("profiling adds %.0f mallocs to a run of %d events and %.0f to one of %d, want the same handful",
 			added[0], events[0], added[1], events[1])
-	}
-}
-
-// TestProfileSnapshotStaysPristine: a checkpoint's copy of the accounting is
-// rolled back to twice (two crashes before the next checkpoint) and is never
-// written through — what restore installs is a copy, and the live collector
-// observes into its own slab.
-func TestProfileSnapshotStaysPristine(t *testing.T) {
-	cfg := telConfig(true)
-	cfg.Profile = true
-	e, err := prepare(&cfg, &runOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	observe := func(flows int, at float64) {
-		for _, f := range e.flows[:flows] {
-			for h := range f.path {
-				e.collector.ObserveAt(f.base+h, 4, 6000, at)
-			}
-		}
-	}
-	observe(3, 1)
-	snap := e.snapshot(nil)
-	want := snap.run.collector.Records()
-	for round := 0; round < 2; round++ {
-		observe(5+round, 2+float64(round)) // touches slots the snapshot has not seen
-		if reflect.DeepEqual(e.collector.Records(), want) {
-			t.Fatal("observations after the snapshot left no trace")
-		}
-		e.restore(snap)
-		if got := e.collector.Records(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("rollback %d: %d records, the snapshot had %d", round, len(got), len(want))
-		}
-		if !reflect.DeepEqual(snap.run.collector.Records(), want) ||
-			!reflect.DeepEqual(e.collector.Series(), snap.run.collector.Series()) || e.collector.Series() == snap.run.collector.Series() {
-			t.Fatalf("rollback %d wrote through to the snapshot", round)
-		}
 	}
 }
 

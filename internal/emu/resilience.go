@@ -2,18 +2,17 @@ package emu
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/netflow"
 	"repro/internal/obs"
-	"repro/internal/telemetry"
 )
 
-// DefaultCheckpointEvery is the default virtual-time interval between
-// barrier checkpoints when crash faults are injected: 10 s bounds a rollback
-// to a few emulation windows without checkpointing every barrier.
+// DefaultCheckpointEvery is the default virtual-time interval between cadence
+// barriers: the barriers membership changes apply at in a distributed run, and
+// the point a crash is charged from in-process. 10 s bounds that charge.
 const DefaultCheckpointEvery = 10.0
 
 // DefaultMigrationCost is the modeled stall per migrated virtual node:
@@ -52,7 +51,7 @@ type MembershipChange struct {
 	// Previous is the assignment in effect before the change.
 	Previous []int
 	// Loads is the cumulative kernel-event charge per engine — at the barrier
-	// for a resize, at the rollback checkpoint for a crash: the load picture
+	// for a resize, at the last cadence barrier for a crash: the load picture
 	// the policy balances against.
 	Loads []float64
 	// Crashed marks an engine failure; the fields below are set only then.
@@ -61,7 +60,8 @@ type MembershipChange struct {
 	// fail-stop.
 	Dead     int
 	FailedAt float64
-	// CheckpointTime is the rollback target: the last barrier checkpoint.
+	// CheckpointTime is the last cadence barrier, which the crash is charged
+	// from.
 	CheckpointTime float64
 }
 
@@ -77,14 +77,16 @@ type Recovery struct {
 	DeadEngines []int
 	// Alive flags the engines that survived the whole run.
 	Alive []bool
-	// Checkpoints is the number of barrier checkpoints taken.
+	// Checkpoints is the number of cadence barriers marked, the start of the
+	// run included.
 	Checkpoints int
-	// Downtime is the modeled recovery stall in seconds: the re-emulated
-	// span between checkpoint and detection per failure, plus the migration
-	// cost of every node that changed engines. Charged to AppTime.
+	// Downtime is the modeled recovery stall in seconds: per failure, the span
+	// between the last cadence barrier and detection, which a real cluster
+	// re-emulates from its checkpoint, plus the migration cost of every node
+	// that changed engines. Charged to AppTime.
 	Downtime float64
-	// ReplayedEvents counts kernel events that had to be re-executed
-	// because a rollback discarded them.
+	// ReplayedEvents counts the kernel events between the last cadence barrier
+	// and each detection: the work a real cluster loses and re-executes.
 	ReplayedEvents int64
 	// Migrations counts nodes that changed engines across all recoveries.
 	Migrations int
@@ -95,56 +97,6 @@ type Recovery struct {
 	// last recovery, over the surviving engines — the metric a remapping
 	// policy competes on.
 	PostRecoveryImbalance float64
-}
-
-// rollbackState is everything of the emulator's own that a run mutates and a
-// crash recovery rolls back — the link and flow slots (NetState), the
-// time-model accumulators filled by commit, and profiling — as one value:
-// snapshot stores a clone and restore assigns one. A field added here or to
-// NetState is rolled back if clone copies it deeply, and
-// TestRollbackStateRollsBack fails until it does.
-type rollbackState struct {
-	NetState
-	collector *netflow.Collector
-	series    *metrics.Series
-
-	engineBusy      []float64
-	bucketCost      *metrics.Series // modeled compute seconds per bucket and engine
-	bucketSync      []float64
-	bucketBusyWidth []float64
-}
-
-// clone returns a copy that shares no storage with s.
-func (s *rollbackState) clone() rollbackState {
-	c := *s
-	c.NetState = s.NetState.clone()
-	c.collector = s.collector.Clone()
-	c.series = s.series.Clone()
-	c.engineBusy = append([]float64(nil), s.engineBusy...)
-	c.bucketCost = s.bucketCost.Clone()
-	c.bucketSync = append([]float64(nil), s.bucketSync...)
-	c.bucketBusyWidth = append([]float64(nil), s.bucketBusyWidth...)
-	return c
-}
-
-// checkpointState is a rollback target: a kernel checkpoint with the
-// emulator's and the telemetry collector's run state at the same barrier.
-type checkpointState struct {
-	des *des.Checkpoint[payload]
-	run rollbackState
-	tel *telemetry.Checkpoint
-}
-
-// snapshot captures the emulation state alongside a kernel checkpoint.
-func (e *emulation) snapshot(cp *des.Checkpoint[payload]) *checkpointState {
-	return &checkpointState{des: cp, run: e.rollbackState.clone(), tel: e.tel.Checkpoint()}
-}
-
-// restore rolls the emulation state back to a snapshot. The snapshot itself
-// stays pristine: a later crash may roll back to the same checkpoint again.
-func (e *emulation) restore(s *checkpointState) {
-	e.rollbackState = s.run.clone()
-	e.tel.Restore(s.tel)
 }
 
 // recordEvent forwards a recovery lifecycle event to the run's recorder, if
@@ -166,13 +118,14 @@ func (e *emulation) recordRun(lookahead float64, resumed bool) {
 	}
 }
 
-// regrid restores the kernel from cp under the current assignment — pending
-// events move to the engines that now own their nodes, and the new cut sets
-// the window width — and announces the fresh grid. Called from the barrier
-// step of commit, under the kernel's running window loop.
-func (e *emulation) regrid(k *des.Kernel[payload], cp *des.Checkpoint[payload]) error {
+// regrid restores the kernel from a checkpoint of barrier at under the current
+// assignment — pending events move to the engines that now own their nodes
+// (ownerOf keys on flow state, not the captured LP), and the new cut sets the
+// window width — and announces the fresh grid. Called from the barrier step of
+// commit, under the kernel's running window loop.
+func (e *emulation) regrid(k *des.Kernel[payload], at float64) error {
 	lookahead := Lookahead(e.nw, e.assignment, e.cfg.MinLookahead)
-	if err := k.Restore(cp, lookahead, e.ownerOf); err != nil {
+	if err := k.Restore(k.Checkpoint(at), lookahead, e.ownerOf); err != nil {
 		return err
 	}
 	e.recordRun(lookahead, true)
@@ -210,12 +163,20 @@ type resilience struct {
 	alive []bool
 	// rec accumulates crash handling; nil when the schedule has no crashes.
 	rec *Recovery
-	// last is the rollback target: the latest barrier checkpoint, or the
-	// snapshot of the latest resize, behind which no crash may roll back.
-	last *checkpointState
+	// mark is the time of the latest cadence barrier or resize and markStats
+	// the kernel's statistics there: a crash is charged the emulation since.
+	mark      float64
+	markStats des.Stats
 	// postBase is the per-engine charge baseline at the latest recovery, so
 	// PostRecoveryImbalance measures only load emulated after it.
 	postBase []int64
+}
+
+// NextCheckpoint returns the next multiple of every after the barrier at, in
+// one step: an every below the float spacing of at rounds to at, so each later
+// barrier is a cadence barrier, where a loop of additions would stall.
+func NextCheckpoint(at, every float64) float64 {
+	return (math.Floor(at/every) + 1) * every
 }
 
 // runResilient executes the kernel in one Run, recovering from scheduled
@@ -245,13 +206,14 @@ func (e *emulation) runResilient(k *des.Kernel[payload]) (*des.Stats, *Recovery,
 	return stats, r.rec, nil
 }
 
-// arm installs the barrier step of a resilient run: crash detection at the
-// window barrier triggers rollback to the last barrier checkpoint, OnMembership
-// remapping of the dead engine's nodes and pending events onto survivors, and
-// deterministic replay of the lost windows; a resize repartitions onto the new
-// engine set from the live (un-rolled-back) state. Either way the kernel is
-// Restored under the running window loop, which continues on a fresh grid
-// with the new lookahead.
+// arm installs the barrier step of a resilient run. A crash and a resize are
+// both membership changes applied at the barrier that observes them: the
+// policy repartitions onto the new engine set, and the kernel is Restored from
+// a checkpoint of that barrier under the new assignment, which moves pending
+// events to their new owners; the running window loop continues on a fresh
+// grid with the new lookahead. A crash is additionally charged the emulation
+// since the last cadence barrier (CheckpointEvery), which only records its
+// time and the kernel's statistics.
 func (e *emulation) arm(k *des.Kernel[payload]) *resilience {
 	sched, elastic, every := e.cfg.Faults, e.cfg.Elastic, e.cfg.CheckpointEvery
 	r := &resilience{alive: make([]bool, e.cfg.NumEngines)}
@@ -268,38 +230,48 @@ func (e *emulation) arm(k *des.Kernel[payload]) *resilience {
 	}
 	nextResize := 0 // Elastic is sorted by At: resizes apply in order
 
-	// checkpoint makes the barrier at time at the rollback target. The initial
-	// one covers crashes before the first scheduled checkpoint.
-	checkpoint := func(at float64) {
-		r.last = e.snapshot(k.Checkpoint(at))
+	// cadence marks the barrier at time at. The initial one covers crashes
+	// before the first cadence barrier.
+	cadence := func(at float64) {
+		r.mark, r.markStats = at, k.Stats().Clone()
 		if r.rec != nil {
 			r.rec.Checkpoints++
 		}
 		e.recordEvent(obs.Event{Kind: obs.EventCheckpoint, Time: at, LP: -1})
 	}
-	checkpoint(0)
+	cadence(0)
 	nextCkpt := every
 	e.barrier = func(ws, we float64) error {
 		// Membership changes come first: a window that contains a failure
-		// must not contribute a checkpoint, because the dead engine's state
-		// past the failure instant is garbage. A pending crash and a pending
-		// resize are ordered by scheduled time, crash winning ties (the
-		// failure instant precedes the barrier that would apply the resize).
-		crashIdx, crash, crashOK := sched.NextCrash(we, handled)
+		// must not become a cadence mark, because the dead engine's work past
+		// the failure instant is lost and must be charged. A pending crash and
+		// a pending resize are ordered by scheduled time, crash winning ties
+		// (the failure instant precedes the barrier that would apply the
+		// resize). Every crash the barrier observes before the resize is
+		// recovered at it, in scheduled order.
 		resizeOK := nextResize < len(elastic) && we >= elastic[nextResize].At
-		if crashOK && (!resizeOK || crash.At <= elastic[nextResize].At) {
+		crashed := false
+		for {
+			crashIdx, crash, ok := sched.NextCrash(we, handled)
+			if !ok || resizeOK && crash.At > elastic[nextResize].At {
+				break
+			}
 			handled[crashIdx] = true
-			return e.recoverCrash(k, r, crash, we)
+			if err := e.recoverCrash(k, r, crash, we); err != nil {
+				return err
+			}
+			crashed = true
+		}
+		if crashed {
+			return nil
 		}
 		if resizeOK {
 			nextResize++
 			return e.applyResize(k, r, nextResize-1, we)
 		}
 		if we >= nextCkpt {
-			checkpoint(we)
-			for nextCkpt <= we {
-				nextCkpt += every
-			}
+			cadence(we)
+			nextCkpt = NextCheckpoint(we, every)
 		}
 		return nil
 	}
@@ -308,16 +280,18 @@ func (e *emulation) arm(k *des.Kernel[payload]) *resilience {
 
 // recoverCrash handles one engine crash detected at barrier we, inside the
 // barrier step: it accounts the failure, asks OnMembership for the recovery
-// assignment over the surviving members, rolls the emulation and the kernel
-// back to the last checkpoint and remaps the dead engine's pending events.
-// The kernel's window loop resumes from there.
+// assignment over the surviving members and moves the pending events to their
+// new owners, as a resize does. The windows since the last cadence barrier
+// are what a real cluster would lose and re-run; they are charged to Downtime
+// and ReplayedEvents from the kernel's counters. The kernel's window loop
+// resumes from the detection barrier.
 func (e *emulation) recoverCrash(k *des.Kernel[payload], r *resilience, crash faults.Crash, we float64) error {
-	rec, last, alive := r.rec, r.last, r.alive
+	rec, alive := r.rec, r.alive
 	if !alive[crash.Engine] {
 		return fmt.Errorf("emu: crash of already-dead engine %d", crash.Engine)
 	}
 	// The statistics at the detection barrier, window just completed included.
-	stats := k.Stats()
+	stats := k.Stats().Clone()
 	if rec.Failures == 0 {
 		rec.PreFailureImbalance = metrics.ImbalanceSubset(loadsOf(stats.Charges), alive)
 	}
@@ -340,35 +314,32 @@ func (e *emulation) recoverCrash(k *des.Kernel[payload], r *resilience, crash fa
 			survivors = append(survivors, eng)
 		}
 	}
-	cpStats := last.des.Stats()
 	newAssign, err := e.repartition(e.cfg.OnMembership, MembershipChange{
 		At:             we,
 		Engines:        survivors,
-		Loads:          loadsOf(cpStats.Charges),
+		Loads:          loadsOf(r.markStats.Charges),
 		Crashed:        true,
 		Dead:           crash.Engine,
 		FailedAt:       crash.At,
-		CheckpointTime: last.des.Time,
+		CheckpointTime: r.mark,
 	}, alive)
 	if err != nil {
 		return fmt.Errorf("emu: recovery after engine %d crash: %w", crash.Engine, err)
 	}
 	var replayed int64
 	for i, n := range stats.Events {
-		replayed += n - cpStats.Events[i]
+		replayed += n - r.markStats.Events[i]
 	}
-	// Rollback.Value is the window count the recovery discards and must
-	// re-execute.
-	e.recordEvent(obs.Event{Kind: obs.EventRollback, Time: last.des.Time, LP: crash.Engine,
-		Value: float64(stats.Windows - cpStats.Windows)})
+	// Rollback.Value is the window count the recovery charges as lost.
+	e.recordEvent(obs.Event{Kind: obs.EventRollback, Time: r.mark, LP: crash.Engine,
+		Value: float64(stats.Windows - r.markStats.Windows)})
 
-	// Roll back, remap, resume. The new assignment cuts a different set of
-	// links, so the synchronization window is recomputed.
-	e.restore(last)
-	migrations := e.reassign(last.des.Time, newAssign)
+	// Remap and resume. The new assignment cuts a different set of links, so
+	// the synchronization window is recomputed.
+	migrations := e.reassign(we, newAssign)
 	rec.Migrations += migrations
 	rec.ReplayedEvents += replayed
-	rec.Downtime += (we - last.des.Time) + float64(migrations)*e.cfg.MigrationCost
-	r.postBase = cpStats.Charges
-	return e.regrid(k, last.des)
+	rec.Downtime += (we - r.mark) + float64(migrations)*e.cfg.MigrationCost
+	r.postBase = stats.Charges
+	return e.regrid(k, we)
 }

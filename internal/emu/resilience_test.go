@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/statetest"
-	"repro/internal/telemetry"
 	"repro/internal/traffic"
 )
 
@@ -91,36 +89,6 @@ func TestLookaheadPinsWindowWidth(t *testing.T) {
 	}
 }
 
-// TestRollbackStateRollsBack is the coverage check on the one rollback
-// definition: every field of rollbackState comes back from a snapshot, and none
-// of them shares storage with it — a field added to the struct and not to clone
-// fails here. The snapshot must also survive a restore (two crashes before the
-// next checkpoint roll back to it twice). The telemetry collector's own state
-// has the same check in its package.
-func TestRollbackStateRollsBack(t *testing.T) {
-	build := func() *emulation {
-		cfg := telConfig(true)
-		cfg.Profile = true
-		e, err := prepare(&cfg, &runOptions{tel: telemetry.New()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	e, ref := build(), build()
-	snap := e.snapshot(nil)
-	for round := 0; round < 2; round++ {
-		statetest.Scramble(t, &e.rollbackState)
-		if reflect.DeepEqual(e.rollbackState, ref.rollbackState) {
-			t.Fatal("scrambling changed nothing")
-		}
-		e.restore(snap)
-		if !reflect.DeepEqual(e.rollbackState, ref.rollbackState) {
-			t.Fatalf("round %d: restore left\n%+v\nwant\n%+v", round, e.rollbackState, ref.rollbackState)
-		}
-	}
-}
-
 // TestMembershipPolicyEngineSet: crashes and resizes reach one hook, and the
 // engine set a crash hands it is computed by the emulator — the run's current
 // membership (the engines hosting nodes, so capacity no resize ever activated
@@ -174,6 +142,30 @@ func TestMembershipPolicyEngineSet(t *testing.T) {
 				t.Fatalf("the policy was handed\n%+v\nwant\n%+v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestTinyCheckpointCadenceFinishes: a cadence below the float spacing of the
+// barrier times advances in one step instead of stalling, so every barrier is
+// a cadence barrier and the network outcome is the one any cadence gives.
+func TestTinyCheckpointCadenceFinishes(t *testing.T) {
+	run := func(every float64) *Result {
+		cfg := faultedConfig()
+		cfg.CheckpointEvery = every
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	tiny, base := run(1e-20), run(1)
+	if !reflect.DeepEqual(tiny.FlowFCTs, base.FlowFCTs) || !reflect.DeepEqual(tiny.LinkBytes, base.LinkBytes) {
+		t.Error("the checkpoint cadence changed the network outcome")
+	}
+	// The initial mark, then one per barrier before the crash's.
+	if rec := tiny.Recovery; rec.Checkpoints < 2 || rec.Checkpoints <= base.Recovery.Checkpoints {
+		t.Errorf("Checkpoints = %d at a 1e-20 s cadence, %d at 1 s: want a mark at every barrier",
+			rec.Checkpoints, base.Recovery.Checkpoints)
 	}
 }
 
@@ -346,7 +338,7 @@ func TestDegradationInflatesRemoteCost(t *testing.T) {
 
 func TestFaultedRunDeterminism(t *testing.T) {
 	// Identical configs (including a crash) must produce identical metrics,
-	// run to run, in parallel mode — recovery replays deterministically.
+	// run to run, in parallel mode — recovery is deterministic.
 	run := func() *Result {
 		sched := &faults.Schedule{
 			Crashes:    []faults.Crash{{Engine: 1, At: 2}},

@@ -22,9 +22,8 @@ func telConfig(sequential bool) Config {
 
 // TestTelemetrySnapshotConsistency cross-checks the snapshot against the
 // emulator's own independently-maintained result counters, on a run that
-// tail-drops and on one that crashes: after a recovery has replayed windows the
-// snapshot still agrees, which it only can if telemetry was rolled back at the
-// same barrier as the rest of the run — no replayed traffic counted twice.
+// tail-drops and on one that crashes: after a recovery has remapped the nodes
+// the snapshot still agrees — no traffic counted twice.
 func TestTelemetrySnapshotConsistency(t *testing.T) {
 	drops := telConfig(false)
 	drops.BufferBytes = 16 << 10 // small enough that the blast below tail-drops

@@ -5,21 +5,21 @@
 // time so that a run — and its recovery — is exactly reproducible:
 //
 //   - Crash: a simulation-engine node fail-stops at virtual time At. The
-//     kernel detects the death at the next window barrier; the emulator rolls
-//     back to its last barrier checkpoint, remaps the dead engine's virtual
-//     nodes across the survivors, and replays the lost window(s).
+//     kernel detects the death at the next window barrier; the emulator remaps
+//     the dead engine's virtual nodes across the survivors there and charges
+//     the emulation since its last cadence barrier as lost.
 //   - Straggler: an engine processes kernel events Factor× slower over
 //     [From, To) — a background daemon, thermal throttling, a noisy neighbor.
 //   - Degradation: the cluster network's per-remote-event cost rises Factor×
 //     over [From, To) — congestion or a flapping switch between engines.
 //
-// The package is pure data and queries; the DES kernel (internal/des) supplies
-// the checkpoint/rollback mechanics and the emulator (internal/emu) applies
+// The package is pure data and queries; the emulator (internal/emu) applies
 // the cost multipliers and drives recovery.
 package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,8 +63,8 @@ func (s *Schedule) Empty() bool {
 func (s *Schedule) HasCrashes() bool { return s != nil && len(s.Crashes) > 0 }
 
 // Validate checks the schedule against an engine count: indices in range,
-// positive times, factors >= 1, no engine crashing twice, and at least one
-// engine surviving every crash.
+// finite positive times and bounds, finite factors >= 1, no engine crashing
+// twice, and at least one engine surviving every crash.
 func (s *Schedule) Validate(numEngines int) error {
 	if s == nil {
 		return nil
@@ -77,8 +77,8 @@ func (s *Schedule) Validate(numEngines int) error {
 		if c.Engine < 0 || c.Engine >= numEngines {
 			return fmt.Errorf("faults: crash engine %d out of range [0,%d)", c.Engine, numEngines)
 		}
-		if c.At <= 0 {
-			return fmt.Errorf("faults: crash of engine %d at non-positive time %g", c.Engine, c.At)
+		if !(c.At > 0) || math.IsInf(c.At, 1) {
+			return fmt.Errorf("faults: crash of engine %d at non-positive or non-finite time %g", c.Engine, c.At)
 		}
 		if seen[c.Engine] {
 			return fmt.Errorf("faults: engine %d crashes twice", c.Engine)
@@ -89,6 +89,9 @@ func (s *Schedule) Validate(numEngines int) error {
 		if st.Engine < 0 || st.Engine >= numEngines {
 			return fmt.Errorf("faults: straggler engine %d out of range [0,%d)", st.Engine, numEngines)
 		}
+		if !finite(st.From, st.To, st.Factor) {
+			return fmt.Errorf("faults: straggler on engine %d has a non-finite bound or factor", st.Engine)
+		}
 		if st.From < 0 || st.To <= st.From {
 			return fmt.Errorf("faults: straggler on engine %d has empty interval [%g,%g)", st.Engine, st.From, st.To)
 		}
@@ -97,6 +100,9 @@ func (s *Schedule) Validate(numEngines int) error {
 		}
 	}
 	for _, d := range s.Degradations {
+		if !finite(d.From, d.To, d.Factor) {
+			return fmt.Errorf("faults: degradation has a non-finite bound or factor")
+		}
 		if d.From < 0 || d.To <= d.From {
 			return fmt.Errorf("faults: degradation has empty interval [%g,%g)", d.From, d.To)
 		}
@@ -105,6 +111,16 @@ func (s *Schedule) Validate(numEngines int) error {
 		}
 	}
 	return nil
+}
+
+// finite reports whether no x is NaN or infinite.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // sortedCrashes returns the crashes ordered by (At, Engine) — the

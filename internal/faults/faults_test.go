@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -49,6 +50,7 @@ func TestParseSkipsBlanks(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name string
 		s    Schedule
@@ -63,6 +65,16 @@ func TestValidate(t *testing.T) {
 		{"straggler factor", Schedule{Stragglers: []Straggler{{Engine: 0, From: 0, To: 5, Factor: 0.5}}}, 2, "must be >= 1"},
 		{"degradation interval", Schedule{Degradations: []Degradation{{From: 3, To: 2, Factor: 2}}}, 2, "empty interval"},
 		{"degradation factor", Schedule{Degradations: []Degradation{{From: 0, To: 2, Factor: 0}}}, 2, "must be >= 1"},
+		{"NaN crash time", Schedule{Crashes: []Crash{{Engine: 0, At: nan}}}, 2, "non-finite"},
+		{"+Inf crash time", Schedule{Crashes: []Crash{{Engine: 0, At: inf}}}, 2, "non-finite"},
+		{"NaN straggler bound", Schedule{Stragglers: []Straggler{{Engine: 0, From: nan, To: 5, Factor: 2}}}, 2, "non-finite"},
+		{"+Inf straggler bound", Schedule{Stragglers: []Straggler{{Engine: 0, From: 0, To: inf, Factor: 2}}}, 2, "non-finite"},
+		{"NaN straggler factor", Schedule{Stragglers: []Straggler{{Engine: 0, From: 0, To: 5, Factor: nan}}}, 2, "non-finite"},
+		{"+Inf straggler factor", Schedule{Stragglers: []Straggler{{Engine: 0, From: 0, To: 5, Factor: inf}}}, 2, "non-finite"},
+		{"NaN degradation bound", Schedule{Degradations: []Degradation{{From: 0, To: nan, Factor: 2}}}, 2, "non-finite"},
+		{"-Inf degradation bound", Schedule{Degradations: []Degradation{{From: -inf, To: 2, Factor: 2}}}, 2, "non-finite"},
+		{"NaN degradation factor", Schedule{Degradations: []Degradation{{From: 0, To: 2, Factor: nan}}}, 2, "non-finite"},
+		{"+Inf degradation factor", Schedule{Degradations: []Degradation{{From: 0, To: 2, Factor: inf}}}, 2, "non-finite"},
 	}
 	for _, c := range cases {
 		err := c.s.Validate(c.k)

@@ -166,19 +166,6 @@ func NewSeries(bucketWidth float64, nodes, buckets int) *Series {
 	return s
 }
 
-// Clone returns a deep copy of the series — the basis of checkpointing the
-// emulator's bucketed load accounting.
-func (s *Series) Clone() *Series {
-	if s == nil {
-		return nil
-	}
-	out := NewSeries(s.BucketWidth, s.Nodes(), s.Buckets())
-	for b, row := range s.Loads {
-		copy(out.Loads[b], row)
-	}
-	return out
-}
-
 // Nodes returns the number of nodes (columns) in the series.
 func (s *Series) Nodes() int {
 	if len(s.Loads) == 0 {

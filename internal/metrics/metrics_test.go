@@ -276,24 +276,3 @@ func TestImbalanceSubset(t *testing.T) {
 		t.Errorf("short keep = %v, want 0", got)
 	}
 }
-
-func TestSeriesClone(t *testing.T) {
-	s := NewSeries(2, 3, 4)
-	s.Add(1, 0, 5)
-	s.Add(3, 2, 7)
-	c := s.Clone()
-	if c.BucketWidth != 2 || c.Nodes() != 3 || c.Buckets() != 4 {
-		t.Fatalf("clone shape wrong: %+v", c)
-	}
-	c.Add(1, 0, 100)
-	if s.Loads[0][0] != 5 {
-		t.Error("clone shares backing storage with original")
-	}
-	if c.Loads[0][0] != 105 || c.Loads[1][2] != 7 {
-		t.Errorf("clone values wrong: %v", c.Loads)
-	}
-	var nilS *Series
-	if nilS.Clone() != nil {
-		t.Error("nil Clone not nil")
-	}
-}

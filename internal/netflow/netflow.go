@@ -15,7 +15,7 @@
 // no hashing and no growth. A record's flow identity is stored once per flow.
 // Reads are the cold path: Records emits the slots traffic actually reached (a
 // chunk dropped upstream leaves the rest of its route untouched), Summarize
-// sums the slab, Clone is two flat copies.
+// sums the slab.
 //
 // Record order is a function of the emulated network and its workload, never
 // of the mapping: node, then the flow's position in the workload, then hop.
@@ -143,21 +143,6 @@ func (c *Collector) ObserveAt(slot int, packets, bytes int64, t float64) {
 		s.last = t
 	}
 	c.series.Add(t, int(s.node), float64(packets))
-}
-
-// Clone returns a deep copy of the collector. The emulator checkpoints its
-// profiling state with it so a crash recovery can roll accounting back to
-// the last barrier without double-counting replayed windows.
-func (c *Collector) Clone() *Collector {
-	if c == nil {
-		return nil
-	}
-	return &Collector{
-		BucketWidth: c.BucketWidth,
-		flows:       append([]flowEntry(nil), c.flows...),
-		slots:       append([]slot(nil), c.slots...),
-		series:      c.series.Clone(),
-	}
 }
 
 // Records returns the records traffic has reached, ordered by node, then

@@ -28,7 +28,7 @@ package obs
 
 // RunMeta describes a kernel run segment — one window grid. The emulator
 // delivers one before the first window and one right after every checkpoint
-// restore (a crash rollback, a resize), which carry Resumed=true: a trace
+// restore (a crash recovery, a resize), which carry Resumed=true: a trace
 // therefore shows a recovery as a new run line mid-stream.
 type RunMeta struct {
 	// LPs is the number of logical processes (simulation-engine nodes).
@@ -49,8 +49,7 @@ type RunMeta struct {
 // return is a data race in parallel runs, not just stale data.
 type Window struct {
 	// Index is the cumulative window number (continues across checkpoint
-	// restores, so replayed windows repeat indices — deliberately: a trace
-	// shows exactly which windows were re-executed).
+	// restores; no window repeats an index).
 	Index int64
 	// Start and End bound the window in virtual time.
 	Start, End float64
@@ -86,12 +85,12 @@ const (
 	// EventCrash marks a detected engine failure. LP is the dead engine,
 	// Time the detection barrier, Value the virtual fail-stop time.
 	EventCrash
-	// EventRollback marks a recovery rollback. LP is the dead engine, Time
-	// the checkpoint rolled back to, Value the number of windows discarded
-	// (to be re-executed).
+	// EventRollback marks a crash recovery's charge. LP is the dead engine,
+	// Time the cadence barrier charged from, Value the number of windows
+	// since it (lost on a real cluster, run once here).
 	EventRollback
 	// EventMigration reports recovery migrations onto one engine. LP is the
-	// destination engine, Time the checkpoint, Value the node count.
+	// destination engine, Time the barrier, Value the node count.
 	EventMigration
 	// EventResize marks an applied elastic membership change. Time is the
 	// barrier it was applied at, LP is -1, Value the new engine-set size.

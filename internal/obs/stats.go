@@ -10,10 +10,9 @@ import (
 // summary attached to emu.Result (and through it core.Outcome). It is itself
 // a Recorder, so it can ride any recorder chain.
 //
-// All counters include replayed work: a window re-executed after a crash
-// rollback counts again, because the collector measures work actually
-// performed, not logical progress. ReplayedWindows says how much of the total
-// is replay.
+// Every window executes once: a crash recovery charges the windows since the
+// last cadence barrier as lost without re-running them, and ReplayedWindows
+// counts that charge.
 //
 // Methods lock internally: the kernel writes from its coordinating goroutine
 // while the expvar debug endpoint may read a live run concurrently.
@@ -22,9 +21,9 @@ type RunStats struct {
 
 	// LPs is the number of logical processes (engines).
 	LPs int
-	// Segments counts kernel run segments (1 + successful rollback resumes).
+	// Segments counts window grids (1 + resumes after a crash or resize).
 	Segments int
-	// Windows is the number of executed windows, including replays.
+	// Windows is the number of executed windows.
 	Windows int64
 	// Events, Charges and Remote are per-LP totals over all executed
 	// windows (handler invocations, kernel-event load, cross-LP sends).
@@ -37,8 +36,8 @@ type RunStats struct {
 	BarrierWait []float64
 	// Checkpoints, Crashes and Rollbacks count recovery lifecycle events.
 	Checkpoints, Crashes, Rollbacks int64
-	// ReplayedWindows is the number of windows discarded by rollbacks and
-	// therefore executed more than once.
+	// ReplayedWindows is the number of windows crash recoveries charged as
+	// lost: what a real cluster would re-run from its last checkpoint.
 	ReplayedWindows int64
 	// MigratedNodes[lp] is the number of virtual nodes recovery moved onto
 	// engine lp.

@@ -87,10 +87,8 @@ type Collector struct {
 	runState
 }
 
-// runState is everything a run mutates, as one value, so that a crash recovery
-// rolls all of it back together: Checkpoint stores a clone and Restore assigns
-// one. A field added here is rolled back if clone copies it deeply, and
-// TestRunStateRollsBack fails until it does.
+// runState is everything a run mutates, as one value, so that Reset starts a
+// run from nothing in one assignment.
 type runState struct {
 	// Hot state: written by engine goroutines with no synchronization under
 	// the single-writer ownership discipline documented in the package
@@ -136,32 +134,6 @@ func newRunState(d Dims) runState {
 		s.fct[i] = NewRunHistogram()
 	}
 	return s
-}
-
-// clone returns a copy that shares no storage with s: the scalars ride along
-// with the struct copy, every slice and histogram is duplicated.
-func (s *runState) clone() runState {
-	c := *s
-	c.matrixBytes = append([]int64(nil), s.matrixBytes...)
-	c.matrixPackets = append([]int64(nil), s.matrixPackets...)
-	c.linkTxBytes = append([]int64(nil), s.linkTxBytes...)
-	c.linkTxPackets = append([]int64(nil), s.linkTxPackets...)
-	c.queueDelay = cloneHists(s.queueDelay)
-	c.fct = cloneHists(s.fct)
-	c.flowsDone = append([]int64(nil), s.flowsDone...)
-	c.drops = append([]int64(nil), s.drops...)
-	c.engineCharges = append([]int64(nil), s.engineCharges...)
-	c.bucketCharges = append([]float64(nil), s.bucketCharges...)
-	c.timeline = append([]TrafficPoint(nil), s.timeline...)
-	return c
-}
-
-func cloneHists(hs []*metrics.Histogram) []*metrics.Histogram {
-	out := make([]*metrics.Histogram, len(hs))
-	for i, h := range hs {
-		out[i] = h.CloneHistogram()
-	}
-	return out
 }
 
 // published is the barrier-time copy of the hot state the HTTP endpoints
@@ -387,30 +359,6 @@ func sumFloats(xs []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// ---- Checkpoint / rollback (crash recovery) ----
-
-// Checkpoint is the run state at a barrier, held so a crash recovery can roll
-// telemetry back together with the rest of the emulation instead of counting
-// the replayed windows twice.
-type Checkpoint struct{ state runState }
-
-// Checkpoint captures the run state; call it at a barrier (engines quiesced).
-func (c *Collector) Checkpoint() *Checkpoint {
-	if c == nil {
-		return nil
-	}
-	return &Checkpoint{c.runState.clone()}
-}
-
-// Restore rolls the run state back to a checkpoint. The checkpoint stays
-// pristine (a later crash may roll back to it again).
-func (c *Collector) Restore(cp *Checkpoint) {
-	if c == nil || cp == nil {
-		return
-	}
-	c.runState = cp.state.clone()
 }
 
 // ---- Snapshots ----

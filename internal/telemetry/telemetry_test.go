@@ -8,8 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/statetest"
 )
 
 func sizedCollector() *Collector {
@@ -25,10 +23,6 @@ func TestNilCollectorSafe(t *testing.T) {
 	}
 	c.Commit(0, 1, []int64{1, 2})
 	c.Finish(1)
-	c.Restore(nil)
-	if cp := c.Checkpoint(); cp != nil {
-		t.Fatal("nil checkpoint not nil")
-	}
 	if s := c.Snapshot(); s == nil || s.Engines != 0 {
 		t.Fatalf("nil snapshot = %+v", s)
 	}
@@ -135,70 +129,6 @@ func TestTimelineWindows(t *testing.T) {
 	}
 	if cross != 1500 {
 		t.Fatalf("timeline cross bytes sum = %d, want 1500", cross)
-	}
-}
-
-func TestCheckpointRestore(t *testing.T) {
-	c := sizedCollector()
-	c.ObserveForward(0, 1, 0, 0, 700, 7, 1e-3)
-	c.Commit(0, 1, []int64{3, 3})
-	cp := c.Checkpoint()
-
-	// Diverge: traffic that a crash will force us to replay.
-	c.ObserveForward(0, 1, 0, 0, 900, 9, 2e-3)
-	c.ObserveFlowComplete(1, 0.5)
-	c.ObserveDrop(0, 1)
-	c.Commit(1, 3, []int64{5, 5})
-
-	c.Restore(cp)
-	c.Finish(8)
-	s := c.Snapshot()
-	if s.MatrixBytes[0][1] != 700 || s.MatrixPackets[0][1] != 7 {
-		t.Fatalf("restore left matrix %v / %v", s.MatrixBytes, s.MatrixPackets)
-	}
-	if s.FlowsCompleted != 0 || s.DroppedPackets != 0 {
-		t.Fatalf("restore left flows=%d drops=%d", s.FlowsCompleted, s.DroppedPackets)
-	}
-	if s.EngineCharges[0] != 3 {
-		t.Fatalf("restore left charges %v", s.EngineCharges)
-	}
-	if s.LinkTxBytes[0] != 700 || s.LinkTxPackets[0] != 7 {
-		t.Fatalf("restore left link 0 tx %d bytes / %d packets", s.LinkTxBytes[0], s.LinkTxPackets[0])
-	}
-	// The checkpoint must survive a second restore (rollback twice).
-	c.ObserveForward(0, 1, 0, 0, 1100, 11, 0)
-	c.Restore(cp)
-	c.Finish(8)
-	if got := c.Snapshot().MatrixBytes[0][1]; got != 700 {
-		t.Fatalf("checkpoint mutated by restore: matrix[0][1] = %d", got)
-	}
-}
-
-// TestRunStateRollsBack is the coverage check on the one rollback definition:
-// every field of runState comes back from a checkpoint, and none of them shares
-// storage with it — a field added to the struct and not to clone fails here.
-// The checkpoint must also survive a restore (a second crash rolls back to it
-// again).
-func TestRunStateRollsBack(t *testing.T) {
-	build := func() *Collector {
-		c := sizedCollector()
-		c.ObserveForward(0, 1, 0, 0, 700, 7, 1e-3)
-		c.ObserveFlowComplete(1, 0.25)
-		c.ObserveDrop(0, 2)
-		c.Commit(0, 2.5, []int64{3, 5}) // crosses a bucket: the timeline has a point
-		return c
-	}
-	c, ref := build(), build()
-	cp := c.Checkpoint()
-	for round := 0; round < 2; round++ {
-		statetest.Scramble(t, &c.runState)
-		if reflect.DeepEqual(c.runState, ref.runState) {
-			t.Fatal("scrambling changed nothing")
-		}
-		c.Restore(cp)
-		if !reflect.DeepEqual(c.runState, ref.runState) {
-			t.Fatalf("round %d: restore left\n%+v\nwant\n%+v", round, c.runState, ref.runState)
-		}
 	}
 }
 

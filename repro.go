@@ -247,7 +247,7 @@ type (
 	// ObsWindow is one window's counter snapshot as recorders see it.
 	ObsWindow = obs.Window
 	// ObsEvent is one recovery lifecycle event (checkpoint, crash,
-	// rollback, migration).
+	// charge, migration).
 	ObsEvent = obs.Event
 	// Timeline merges per-window spans into the run's virtual-time trace —
 	// the source for Chrome trace_event export and straggler attribution
