@@ -119,7 +119,7 @@ func (w *workerLost) Is(target error) bool { return target == ErrWorkerLost }
 // The returned Result is byte-identical to emu.Run of the same scenario
 // (modulo Kernel.WallTime and the wall-clock parts of Obs — see ResultJSON).
 func Run(ctx context.Context, spec *RunSpec, workers []Conn, opt Options) (*emu.Result, error) {
-	if err := checkSpec(spec, workers); err != nil {
+	if err := checkSpec(spec, workers, opt); err != nil {
 		return nil, err
 	}
 	W, n := len(workers), spec.Cfg.NumEngines
@@ -136,9 +136,12 @@ func Run(ctx context.Context, spec *RunSpec, workers []Conn, opt Options) (*emu.
 
 // checkSpec is the validation every entry point shares; it normalizes
 // spec.Cfg in place.
-func checkSpec(spec *RunSpec, workers []Conn) error {
+func checkSpec(spec *RunSpec, workers []Conn, opt Options) error {
 	if len(workers) == 0 {
 		return fmt.Errorf("dist: no workers")
+	}
+	if v := opt.CheckpointEvery; math.IsNaN(v) || math.IsInf(v, 0) { // defaults would keep it, and no barrier would ever apply
+		return fmt.Errorf("%w: %g is no checkpoint interval", emu.ErrBadConfig, v)
 	}
 	if spec.Cfg.OnMembership != nil {
 		return fmt.Errorf("dist: set OnWorkerLoss, not Cfg.OnMembership (policies do not ship)")

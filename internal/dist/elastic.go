@@ -97,7 +97,7 @@ func RunElastic(ctx context.Context, spec *RunSpec, workers []Conn, opt ElasticO
 	if opt.OnResize == nil {
 		return nil, nil, fmt.Errorf("dist: elastic run needs an OnResize policy")
 	}
-	if err := checkSpec(spec, workers); err != nil {
+	if err := checkSpec(spec, workers, opt.Options); err != nil {
 		return nil, nil, err
 	}
 	q := opt.EnginesPerWorker

@@ -16,6 +16,7 @@ import (
 	"repro/internal/emu"
 	"repro/internal/mapping"
 	"repro/internal/telemetry"
+	"repro/internal/traffic"
 )
 
 // TestDialNeverListeningReturnsCtxErr: an address nobody ever listens on must
@@ -190,8 +191,8 @@ func TestTruncatedAssignFailsWorker(t *testing.T) {
 
 // TestWorkerRefusesNonFiniteSpec: DecodeSpec copies the scenario's floats as
 // they were sent, so an ASSIGN whose spec carries a NaN or infinite duration,
-// bucket width, cost, end time, engine speed or migration cost — or a bucket
-// count past netflow.MaxBuckets — must end the worker with a typed
+// bucket width, cost, end time, engine speed, migration cost or flow start — or
+// a bucket count past netflow.MaxBuckets — must end the worker with a typed
 // configuration error before it sizes a series, not with a panic or an
 // out-of-memory kill.
 func TestWorkerRefusesNonFiniteSpec(t *testing.T) {
@@ -208,6 +209,10 @@ func TestWorkerRefusesNonFiniteSpec(t *testing.T) {
 		"NaN speed":           func(c *emu.Config) { c.EngineSpeeds = []float64{1, math.NaN(), 1} },
 		"NaN migration cost":  func(c *emu.Config) { c.MigrationCost = math.NaN() },
 		"+Inf migration cost": func(c *emu.Config) { c.MigrationCost = math.Inf(1) },
+		"+Inf flow start": func(c *emu.Config) {
+			c.Workload.Flows = append([]traffic.Flow(nil), c.Workload.Flows...)
+			c.Workload.Flows[0].Start = math.Inf(1)
+		},
 	} {
 		cfg := base
 		edit(&cfg)
@@ -234,6 +239,39 @@ func TestWorkerRefusesNonFiniteSpec(t *testing.T) {
 			}
 		}
 		c.Close()
+	}
+}
+
+// TestCoordinatorRefusesNonFiniteCheckpoint: a NaN or infinite
+// Options.CheckpointEvery passed the defaulting (<= 0 is false for both), and
+// then no membership change ever applied. Run and RunElastic refuse it with a
+// typed configuration error before waiting for a single HELLO.
+func TestCoordinatorRefusesNonFiniteCheckpoint(t *testing.T) {
+	policy := func(emu.MembershipChange) ([]int, error) { return nil, errors.New("never called") }
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		// A handshake would wait for the silent peer past this bound.
+		opt := dist.Options{CheckpointEvery: v, HandshakeTimeout: 5 * time.Second}
+		var workers, peers []dist.Conn
+		for range distSpec(t).Cfg.NumEngines { // a worker per engine: the initial membership is the whole run
+			c, s := dist.Loopback()
+			workers, peers = append(workers, c), append(peers, s)
+		}
+		start := time.Now()
+		_, err := dist.Run(context.Background(), distSpec(t), workers, opt)
+		_, _, elasticErr := dist.RunElastic(context.Background(), distSpec(t), workers,
+			dist.ElasticOptions{Options: opt, OnResize: policy})
+		for name, err := range map[string]error{"Run": err, "RunElastic": elasticErr} {
+			if !errors.Is(err, emu.ErrBadConfig) {
+				t.Errorf("%s with CheckpointEvery %g: %v, want emu.ErrBadConfig", name, v, err)
+			}
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Errorf("CheckpointEvery %g refused after %v: the coordinator waited for a worker first", v, elapsed)
+		}
+		for i := range workers {
+			workers[i].Close()
+			peers[i].Close()
+		}
 	}
 }
 

@@ -67,7 +67,7 @@ func (e *emulation) encodeSent(s des.Sent[payload]) (WireEvent, error) {
 	case kindChunk, kindTailChunk:
 		w.Kind = WireChunk
 		w.Hop = p.arg
-		w.Packets, w.Bytes = e.sizeOf(&e.flows[p.flow], p.kind)
+		w.Packets, w.Bytes = e.sizeOf(p.flow, p.kind)
 	default:
 		return w, fmt.Errorf("%w: unshippable event kind %d", ErrBadConfig, p.kind)
 	}
@@ -85,23 +85,24 @@ func (e *emulation) decodeWire(w WireEvent) (des.Sent[payload], error) {
 	if w.Flow < 0 || int(w.Flow) >= len(e.flows) {
 		return s, fmt.Errorf("%w: wire event names flow %d of %d", ErrBadConfig, w.Flow, len(e.flows))
 	}
-	f := &e.flows[w.Flow]
+	bytes, rt := e.flows[w.Flow].Bytes, e.routeOf(w.Flow)
 	s.Data.flow = w.Flow
 	switch w.Kind {
 	case WireFlowStart:
 		s.Data.kind = kindFlowStart
 	case WireTCPRound:
-		r, ok := e.roundAt(f, w.Offset, w.Window)
-		if !ok || e.cfg.Transport != TCPSlowStart || f.rtt <= 0 {
-			return s, fmt.Errorf("%w: wire TCP round at offset %d, window %d is no round of %d-byte flow %d in this run", ErrBadConfig, w.Offset, w.Window, f.bytes, w.Flow)
+		r, ok := e.roundAt(bytes, w.Offset, w.Window)
+		if !ok || e.cfg.Transport != TCPSlowStart || rt.rtt <= 0 {
+			return s, fmt.Errorf("%w: wire TCP round at offset %d, window %d is no round of %d-byte flow %d in this run", ErrBadConfig, w.Offset, w.Window, bytes, w.Flow)
 		}
 		s.Data.kind, s.Data.arg = kindTCPRound, r
 	case WireChunk:
-		if w.Hop < 0 || int(w.Hop) >= len(f.path) {
-			return s, fmt.Errorf("%w: wire chunk at hop %d of a %d-hop path", ErrBadConfig, w.Hop, len(f.path))
+		if w.Hop < 0 || int(w.Hop) >= len(rt.path) {
+			return s, fmt.Errorf("%w: wire chunk at hop %d of a %d-hop path", ErrBadConfig, w.Hop, len(rt.path))
 		}
-		full := f.bytes >= e.cfg.ChunkBytes && w.Bytes == e.cfg.ChunkBytes && w.Packets == e.fullPackets
-		tail := f.tailBytes > 0 && w.Bytes == f.tailBytes && w.Packets == f.tailPackets
+		full := bytes >= e.cfg.ChunkBytes && w.Bytes == e.cfg.ChunkBytes && w.Packets == e.fullPackets
+		tailPackets, tailBytes := e.sizeOf(w.Flow, kindTailChunk)
+		tail := tailBytes > 0 && w.Bytes == tailBytes && w.Packets == tailPackets
 		if !full && !tail {
 			return s, fmt.Errorf("%w: wire chunk of %d packets, %d bytes is neither shape of flow %d", ErrBadConfig, w.Packets, w.Bytes, w.Flow)
 		}

@@ -237,33 +237,17 @@ func (r *Result) FCTStats() (completed int, mean, p95 float64) {
 	return len(done), metrics.Mean(done), metrics.Percentile(done, 95)
 }
 
-// The run's flow table is two flat slabs built once by prepare and shared
-// read-only by all engines: a route per distinct (src, dst) pair and one
-// flowRun per flow aliasing its pair's route. Events name their flow by index
-// into it (payload).
+// The run's flow table is the workload itself plus what prepare resolves once
+// and all engines share read-only: a slab of routes, one per distinct (src,
+// dst) pair, and a route index per flow. A flow's identity, start and size are
+// its Workload.Flows entry, aliased, not copied. Events name their flow by
+// index (payload).
 
 // route is what every flow between one endpoint pair shares.
 type route struct {
 	path  []int   // node IDs, src..dst
 	links []int   // link IDs, len(path)-1
 	rtt   float64 // 2x one-way path latency (for TCP pacing)
-}
-
-// flowRun is one flow's entry in the table.
-type flowRun struct {
-	*route
-	idx      int // position in the workload's flow list
-	id       int
-	src, dst int
-	start    float64
-	bytes    int64
-	base     int // NetFlow slot of path[0]; hop h accounts at base+h (profiling runs)
-
-	// A flow's chunks all carry ChunkBytes except a final remainder of
-	// tailBytes (0 when the size divides evenly), so it has at most two
-	// packet-group shapes; a shape the flow does not have is never scheduled
-	// (decodeWire refuses it).
-	tailPackets, tailBytes int64
 }
 
 // The four things an event can be. The first three are the wire's kinds too
@@ -283,15 +267,22 @@ const (
 // wire event's claimed size or round is validated against the flow at decode —
 // so every payload a run can hold is a (flow, kind, arg) the flow table admits.
 type payload struct {
-	flow int32 // index into emulation.flows
+	flow int32 // index into Workload.Flows
 	arg  int32 // hop of a chunk, round index of a TCP round
 	kind uint8
 }
 
-// sizeOf derives a chunk's packet and byte counts from its kind.
-func (e *emulation) sizeOf(f *flowRun, kind uint8) (packets, bytes int64) {
+// routeOf is the route flow travels.
+func (e *emulation) routeOf(flow int32) *route { return &e.routes[e.routeIdx[flow]] }
+
+// sizeOf derives a chunk of flow's packet and byte counts from its kind. A
+// flow's chunks all carry ChunkBytes except a final remainder (0 bytes when the
+// size divides evenly), so it has at most two packet-group shapes; a shape the
+// flow does not have is never scheduled (decodeWire refuses it).
+func (e *emulation) sizeOf(flow int32, kind uint8) (packets, bytes int64) {
 	if kind == kindTailChunk {
-		return f.tailPackets, f.tailBytes
+		bytes = e.flows[flow].Bytes % e.cfg.ChunkBytes
+		return (bytes + e.cfg.MTU - 1) / e.cfg.MTU, bytes
 	}
 	return e.fullPackets, e.cfg.ChunkBytes
 }
@@ -390,39 +381,45 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 	// table (and the first flow a missing route is blamed on) follows workload
 	// order.
 	fullPackets := (cfg.ChunkBytes + cfg.MTU - 1) / cfg.MTU
-	routes := make(map[[2]int]*route)
-	flows := make([]flowRun, len(cfg.Workload.Flows))
+	flows := cfg.Workload.Flows
+	pairs := make(map[[2]int]int32)
+	var routes []route
+	routeIdx := make([]int32, len(flows))
 	hops := 0
-	for i, f := range cfg.Workload.Flows {
+	for i, f := range flows {
 		pair := [2]int{f.Src, f.Dst}
-		r := routes[pair]
-		if r == nil {
-			if r = resolveRoute(nw, rt, f.Src, f.Dst); r == nil {
+		r, ok := pairs[pair]
+		if !ok {
+			path, links := nw.RoutePath(rt, f.Src, f.Dst)
+			if path == nil {
 				return nil, fmt.Errorf("%w: flow %d has no route %d -> %d", ErrBadConfig, f.ID, f.Src, f.Dst)
 			}
-			routes[pair] = r
+			var oneWay float64
+			for _, lid := range links {
+				oneWay += nw.Links[lid].Latency
+			}
+			r = int32(len(routes))
+			routes = append(routes, route{path: path, links: links, rtt: 2 * oneWay})
+			pairs[pair] = r
 		}
-		fr := &flows[i]
-		*fr = flowRun{route: r, idx: i, id: f.ID, src: f.Src, dst: f.Dst, start: f.Start, bytes: f.Bytes}
-		hops += len(r.path)
-		if fr.tailBytes = f.Bytes % cfg.ChunkBytes; fr.tailBytes > 0 {
-			fr.tailPackets = (fr.tailBytes + cfg.MTU - 1) / cfg.MTU
-		}
+		routeIdx[i] = r
+		hops += len(routes[r].path)
 	}
 
 	var collector *netflow.Collector
 	if cfg.Profile {
 		// One record slot per (flow, hop), in workload order: routes are static,
-		// so the record a hop will touch is known before the first event. Slots
-		// store node and link ids as int32.
+		// so the record a hop will touch is known before the first event, and a
+		// flow's position is its collector index. Slots store node and link ids
+		// as int32.
 		if nw.NumNodes() > math.MaxInt32 || len(nw.Links) > math.MaxInt32 {
 			return nil, fmt.Errorf("%w: a profiling run needs node and link ids below 2^31, network has %d nodes and %d links",
 				ErrBadConfig, nw.NumNodes(), len(nw.Links))
 		}
 		collector = netflow.NewCollector(nw.NumNodes(), len(flows), hops, duration, cfg.BucketWidth)
-		for i := range flows {
-			fr := &flows[i]
-			fr.base = collector.Reserve(fr.id, fr.path, fr.links)
+		for i, f := range flows {
+			r := &routes[routeIdx[i]]
+			collector.Reserve(f.ID, r.path, r.links)
 		}
 	}
 	if o.tel != nil {
@@ -454,6 +451,8 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 		runStats:        runStats,
 		nw:              nw,
 		flows:           flows,
+		routes:          routes,
+		routeIdx:        routeIdx,
 		fullPackets:     fullPackets,
 		duration:        duration,
 		lookahead:       lookahead,
@@ -475,20 +474,6 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 	return e, nil
 }
 
-// resolveRoute walks the oracle for one endpoint pair; nil if dst is
-// unreachable.
-func resolveRoute(nw *netgraph.Network, rt netgraph.Routing, src, dst int) *route {
-	path, links := nw.RoutePath(rt, src, dst)
-	if path == nil {
-		return nil
-	}
-	var oneWay float64
-	for _, lid := range links {
-		oneWay += nw.Links[lid].Latency
-	}
-	return &route{path: path, links: links, rtt: 2 * oneWay}
-}
-
 // kernelConfig is the handler-and-width core of the kernel configuration;
 // Run hooks commit onto it, while a distributed worker runs it bare (the
 // coordinator owns the barrier and commits the merged window).
@@ -508,10 +493,10 @@ func (e *emulation) kernelConfig() des.Config[payload] {
 // run would.
 func (e *emulation) seed(kernel *des.Kernel[payload], local []bool) error {
 	for i := range e.flows {
-		fr := &e.flows[i]
-		lp := e.assignment[fr.src]
-		if (e.cfg.EndTime <= 0 || fr.start < e.cfg.EndTime) && (local == nil || local[lp]) {
-			if err := kernel.Schedule(lp, fr.start, payload{flow: int32(i), kind: kindFlowStart}); err != nil {
+		f := &e.flows[i]
+		lp := e.assignment[f.Src]
+		if (e.cfg.EndTime <= 0 || f.Start < e.cfg.EndTime) && (local == nil || local[lp]) {
+			if err := kernel.Schedule(lp, f.Start, payload{flow: int32(i), kind: kindFlowStart}); err != nil {
 				return err
 			}
 		}
@@ -720,8 +705,10 @@ type emulation struct {
 	// The flow table, duration and lookahead are fixed at prepare time and
 	// shared read-only by every engine (and every worker process, which
 	// rebuilds them identically from the shipped scenario).
-	flows       []flowRun
-	fullPackets int64 // packets in a ChunkBytes group
+	flows       []traffic.Flow // cfg.Workload.Flows, aliased
+	routes      []route        // one per distinct (src, dst)
+	routeIdx    []int32        // flow i travels routes[routeIdx[i]]
+	fullPackets int64          // packets in a ChunkBytes group
 	duration    float64
 	lookahead   float64
 
@@ -854,9 +841,9 @@ func (e *emulation) handle(lp int, t float64, p payload, s *des.Scheduler[payloa
 	switch p.kind {
 	case kindFlowStart:
 		if e.cfg.Transport == TCPSlowStart {
-			e.startFlowTCP(t, &e.flows[p.flow], s)
+			e.startFlowTCP(t, p.flow, s)
 		} else {
-			e.startFlowBlast(t, &e.flows[p.flow], s)
+			e.startFlowBlast(t, p.flow, s)
 		}
 	case kindTCPRound:
 		e.releaseRound(t, p, s)
@@ -873,19 +860,19 @@ func (e *emulation) handle(lp int, t float64, p payload, s *des.Scheduler[payloa
 
 // startFlowBlast splits the flow into chunks and forwards each from the
 // source immediately.
-func (e *emulation) startFlowBlast(t float64, f *flowRun, s *des.Scheduler[payload]) {
-	e.release(t, f, f.bytes, math.MaxInt, s)
+func (e *emulation) startFlowBlast(t float64, flow int32, s *des.Scheduler[payload]) {
+	e.release(t, flow, e.flows[flow].Bytes, math.MaxInt, s)
 }
 
 // release forwards up to limit chunks of a flow's last remaining bytes from
 // its source.
-func (e *emulation) release(t float64, f *flowRun, remaining int64, limit int, s *des.Scheduler[payload]) {
+func (e *emulation) release(t float64, flow int32, remaining int64, limit int, s *des.Scheduler[payload]) {
 	for i := 0; i < limit && remaining > 0; i++ {
-		c := payload{flow: int32(f.idx), kind: kindChunk}
+		c := payload{flow: flow, kind: kindChunk}
 		if remaining < e.cfg.ChunkBytes {
 			c.kind = kindTailChunk
 		}
-		_, bytes := e.sizeOf(f, c.kind)
+		_, bytes := e.sizeOf(flow, c.kind)
 		remaining -= bytes
 		e.arrive(t, c, s)
 	}
@@ -896,27 +883,28 @@ func (e *emulation) release(t float64, f *flowRun, remaining int64, limit int, s
 // next link if not at the destination, accounting what it transmitted
 // (telemetry, on exit).
 func (e *emulation) arrive(t float64, c payload, s *des.Scheduler[payload]) {
-	f := &e.flows[c.flow]
+	r := e.routeOf(c.flow)
 	hop := int(c.arg)
-	packets, bytes := e.sizeOf(f, c.kind)
-	node := f.path[hop]
+	packets, bytes := e.sizeOf(c.flow, c.kind)
+	node := r.path[hop]
 	s.Charge(packets)
 	if e.collector != nil {
-		e.collector.ObserveAt(f.base+hop, packets, bytes, t)
+		e.collector.ObserveAt(int(c.flow), hop, packets, bytes, t)
 	}
-	if hop == len(f.path)-1 {
+	if hop == len(r.path)-1 {
 		// Delivered: track the flow's completion at the destination.
-		e.Delivered[f.idx] += bytes
-		if e.Delivered[f.idx] >= f.bytes && e.FCTs[f.idx] < 0 {
-			e.FCTs[f.idx] = t - f.start
+		f := &e.flows[c.flow]
+		e.Delivered[c.flow] += bytes
+		if e.Delivered[c.flow] >= f.Bytes && e.FCTs[c.flow] < 0 {
+			e.FCTs[c.flow] = t - f.Start
 			if e.tel != nil {
-				e.tel.ObserveFlowComplete(e.assignment[node], e.FCTs[f.idx])
+				e.tel.ObserveFlowComplete(e.assignment[node], e.FCTs[c.flow])
 			}
 		}
 		return
 	}
 
-	lid := f.links[hop]
+	lid := r.links[hop]
 	link := &e.nw.Links[lid]
 	dir := 0
 	if link.B == node {
@@ -945,7 +933,7 @@ func (e *emulation) arrive(t float64, c payload, s *des.Scheduler[payload]) {
 	e.LinkBytes[slot] += bytes
 	arrival := depart + link.Latency
 
-	next := f.path[hop+1]
+	next := r.path[hop+1]
 	if e.tel != nil {
 		// Transmit-side accounting: the engine owning this node writes its
 		// own matrix row and this (link, dir)'s tx slots.

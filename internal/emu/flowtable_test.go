@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -78,7 +80,9 @@ const wireStreamSHA = "683992c67ebdb3c437a2a198d92321a93cff95a69b27ce019fe3ae239
 
 // TestFlowTableMatchesPerFlowResolution: the table prepare builds per pair is
 // what resolving every flow on its own would have built, and the payload is
-// the whole universe of events over it. For every flow, path and links equal a
+// the whole universe of events over it. The table aliases Workload.Flows and
+// adds one route index per flow; the slab holds one route per distinct pair,
+// shared by all its flows. For every flow, its route's path and links equal a
 // fresh RoutePath and rtt is bit-equal to the per-flow sum; the oracle is
 // walked once per distinct pair. For every flow's start, every (shape, hop) the
 // per-flow formula gives it and — under slow start — every round the per-flow
@@ -103,8 +107,11 @@ func TestFlowTableMatchesPerFlowResolution(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(e.flows) != len(w.Flows) {
-					t.Fatalf("%s/%s: %d table entries for %d flows", name, wname, len(e.flows), len(w.Flows))
+				// The table reads the workload in place: no per-flow copy.
+				aliased := len(w.Flows) == 0 || &e.flows[0] == &w.Flows[0]
+				if len(e.flows) != len(w.Flows) || len(e.routeIdx) != len(w.Flows) || !aliased {
+					t.Fatalf("%s/%s: %d flows (aliased: %v) and %d route indexes for %d flows",
+						name, wname, len(e.flows), aliased, len(e.routeIdx), len(w.Flows))
 				}
 				// roundTrip encodes p — which must give exactly want — into the
 				// stream and decodes it back to p.
@@ -124,27 +131,28 @@ func TestFlowTableMatchesPerFlowResolution(t *testing.T) {
 						t.Fatalf("%s/%s: %+v decodes from its own wire form %+v as %+v (%v)", name, wname, p, wire, back.Data, err)
 					}
 				}
-				pairs := map[[2]int]bool{}
+				pairs := map[[2]int]int32{}
 				walked := 0
 				for i, fl := range w.Flows {
-					f := &e.flows[i]
+					flow := int32(i)
+					r := e.routeOf(flow)
 					path, links := nw.RoutePath(rt, fl.Src, fl.Dst)
 					var oneWay float64
 					for _, lid := range links {
 						oneWay += nw.Links[lid].Latency
 					}
-					if !slices.Equal(f.path, path) || !slices.Equal(f.links, links) || math.Float64bits(f.rtt) != math.Float64bits(2*oneWay) {
+					if !slices.Equal(r.path, path) || !slices.Equal(r.links, links) || math.Float64bits(r.rtt) != math.Float64bits(2*oneWay) {
 						t.Fatalf("%s/%s flow %d: route %v %v rtt %v, resolved alone %v %v rtt %v",
-							name, wname, i, f.path, f.links, f.rtt, path, links, 2*oneWay)
+							name, wname, i, r.path, r.links, r.rtt, path, links, 2*oneWay)
 					}
-					if f.idx != i || f.id != fl.ID || f.src != fl.Src || f.dst != fl.Dst || f.start != fl.Start || f.bytes != fl.Bytes {
-						t.Fatalf("%s/%s flow %d: entry %+v does not carry %+v", name, wname, i, *f, fl)
-					}
-					if !pairs[[2]int{fl.Src, fl.Dst}] {
-						pairs[[2]int{fl.Src, fl.Dst}] = true
+					// One slab entry per pair: every flow of a pair shares the first one's.
+					pair := [2]int{fl.Src, fl.Dst}
+					if idx, seen := pairs[pair]; !seen {
+						pairs[pair] = e.routeIdx[i]
 						walked += len(links)
+					} else if idx != e.routeIdx[i] {
+						t.Fatalf("%s/%s flow %d: pair %v routed by entry %d, an earlier flow of it by %d", name, wname, i, pair, e.routeIdx[i], idx)
 					}
-					flow := int32(i)
 					roundTrip(payload{flow: flow, kind: kindFlowStart}, WireEvent{Kind: WireFlowStart, Flow: flow})
 					// The per-flow formula: full groups of ChunkBytes, then the remainder.
 					type shape struct {
@@ -159,7 +167,7 @@ func TestFlowTableMatchesPerFlowResolution(t *testing.T) {
 						shapes = append(shapes, shape{kindTailChunk, (tb + cfg.MTU - 1) / cfg.MTU, tb})
 					}
 					for _, sh := range shapes {
-						if packets, bytes := e.sizeOf(f, sh.kind); packets != sh.packets || bytes != sh.bytes {
+						if packets, bytes := e.sizeOf(flow, sh.kind); packets != sh.packets || bytes != sh.bytes {
 							t.Fatalf("%s/%s flow %d kind %d: sized %d/%d, want %d/%d", name, wname, i, sh.kind, packets, bytes, sh.packets, sh.bytes)
 						}
 						for h := range path {
@@ -167,7 +175,7 @@ func TestFlowTableMatchesPerFlowResolution(t *testing.T) {
 								WireEvent{Kind: WireChunk, Flow: flow, Hop: int32(h), Packets: sh.packets, Bytes: sh.bytes})
 						}
 					}
-					if transport != TCPSlowStart || f.rtt <= 0 {
+					if transport != TCPSlowStart || r.rtt <= 0 {
 						continue
 					}
 					// The per-flow loop startFlowTCP ran before rounds were named
@@ -201,6 +209,9 @@ func TestFlowTableMatchesPerFlowResolution(t *testing.T) {
 					t.Errorf("%s/%s: %d oracle queries for %d flows over %d pairs, one walk per pair is %d",
 						name, wname, counter.queries, len(w.Flows), len(pairs), walked)
 				}
+				if len(e.routes) != len(pairs) {
+					t.Errorf("%s/%s: %d routes for %d pairs", name, wname, len(e.routes), len(pairs))
+				}
 				if wname == "own-pair" && len(pairs) != len(w.Flows) {
 					t.Fatalf("%s/own-pair: %d pairs for %d flows", name, len(pairs), len(w.Flows))
 				}
@@ -209,6 +220,60 @@ func TestFlowTableMatchesPerFlowResolution(t *testing.T) {
 	}
 	if got := hex.EncodeToString(stream.Sum(nil)); got != wireStreamSHA {
 		t.Errorf("encoded wire stream hashes to %s, want %s", got, wireStreamSHA)
+	}
+}
+
+// repeated is w's flows times times over, over the same pairs.
+func repeated(w traffic.Workload, times int) traffic.Workload {
+	out := traffic.Workload{Duration: w.Duration}
+	for r := 0; r < times; r++ {
+		out.Flows = append(out.Flows, w.Flows...)
+	}
+	return out
+}
+
+// prepareBytes is the least one prepare of cfg allocated in three tries.
+func prepareBytes(t *testing.T, cfg Config) uint64 {
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		c := cfg
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := prepare(&c, &runOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestPrepareBytesPerFlow is the set-up bytes gate: what prepare allocates per
+// flow is its route index (4 B) and its NetState delivery slots (Delivered and
+// FCTs, 16 B); identity, start and size are the workload's own, read in place.
+// Quadrupling a workload over the same pairs may grow prepare's allocation by
+// that, plus an eighth for the size classes the three slabs round up to
+// (measured: 20.6 B per added flow; the per-flow copy of the workload cost
+// 97.3 at 92111c9).
+func TestPrepareBytesPerFlow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are the race detector's under -race")
+	}
+	nw := topogen.TeraGrid()
+	cfg := Config{Network: nw, Routes: nw.BuildRoutingTable(), Assignment: roundRobin(nw.NumNodes(), 5), NumEngines: 5}
+	w := tableWorkloads(nw, 7)["mixed"]
+	var allocated [2]uint64
+	for i, times := range []int{1, 4} {
+		cfg.Workload = repeated(w, times)
+		allocated[i] = prepareBytes(t, cfg)
+	}
+	added := 3 * len(w.Flows)
+	const bound = (4 + 16) * 9 / 8.0 // bytes per added flow
+	perFlow := (float64(allocated[1]) - float64(allocated[0])) / float64(added)
+	t.Logf("prepare: %d B for %d flows, %d B for %d, %.1f B per added flow", allocated[0], len(w.Flows), allocated[1], 4*len(w.Flows), perFlow)
+	if perFlow > bound {
+		t.Errorf("prepare allocates %d B for %d flows and %d B for %d over the same pairs: %.1f B per added flow, want at most %.1f",
+			allocated[0], len(w.Flows), allocated[1], 4*len(w.Flows), perFlow, bound)
 	}
 }
 
@@ -223,14 +288,15 @@ func prepareMallocs(t *testing.T, cfg Config) float64 {
 }
 
 // TestPrepareAllocsDoNotScaleWithFlows is the set-up gate: more flows over the
-// same pairs make the table's two slabs longer, not more numerous, and what is
-// allocated per pair is its route — two allocations, on 35 for everything else
-// (measured: 209 for 86 pairs, whether they carry 372 flows or 1 488, one
-// fewer than when the chunk records were a third slab). Where every flow has a
-// pair of its own the dedup finds nothing and set-up stays on the same line
-// (639 for this workload's 299 flows; per-flow resolution paid 2 988 at
-// a049ea3). The bound is that line plus 5 % for the pair map's growth under
-// another Go release.
+// same pairs make the table's slabs longer, not more numerous, and what is
+// allocated per pair is its route — one allocation for its path and links,
+// plus the route slab's growth, on 35 for everything else (measured: 122
+// for 86 pairs, whether they carry 372 flows or 1 488; 200 when every route
+// was a heap object of its own, at 92111c9). Where every flow has a pair of
+// its own the dedup finds nothing and set-up stays on the same line (341 for
+// this workload's 299 flows; 630 at 92111c9, and per-flow resolution paid
+// 2 988 at a049ea3). The bound is that line plus 5 % for the pair map's growth
+// under another Go release.
 func TestPrepareAllocsDoNotScaleWithFlows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are the race detector's under -race")
@@ -245,15 +311,12 @@ func TestPrepareAllocsDoNotScaleWithFlows(t *testing.T) {
 	}
 	var mallocs [2]float64
 	for i, times := range []int{1, 4} {
-		cfg.Workload = traffic.Workload{Duration: w.Duration}
-		for r := 0; r < times; r++ {
-			cfg.Workload.Flows = append(cfg.Workload.Flows, w.Flows...)
-		}
+		cfg.Workload = repeated(w, times)
 		mallocs[i] = prepareMallocs(t, cfg)
 	}
 	// Two of slack: a slab that crosses a size threshold may cost the runtime
 	// one bookkeeping allocation of its own.
-	bound := func(pairs int) float64 { return 1.05 * float64(35+2*pairs) }
+	bound := func(pairs int) float64 { return 1.05 * float64(35+pairs+bits.Len(uint(pairs))) }
 	if bound := bound(len(pairs)); math.Abs(mallocs[1]-mallocs[0]) > 2 || mallocs[0] > bound {
 		t.Errorf("prepare makes %.0f allocations for %d flows and %.0f for %d over the same %d pairs, want the same and at most %.0f",
 			mallocs[0], len(w.Flows), mallocs[1], 4*len(w.Flows), len(pairs), bound)

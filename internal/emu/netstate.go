@@ -80,7 +80,7 @@ func (e *emulation) gather(from func(engine int) *NetState) NetState {
 		}
 	}
 	for i := range e.flows {
-		if s := from(e.assignment[e.flows[i].dst]); s != nil {
+		if s := from(e.assignment[e.flows[i].Dst]); s != nil {
 			out.Delivered[i], out.FCTs[i] = s.Delivered[i], s.FCTs[i]
 		}
 	}

@@ -216,6 +216,8 @@ func TestErrBadConfigSentinel(t *testing.T) {
 			c.Faults = &faults.Schedule{Crashes: []faults.Crash{{Engine: 1, At: nan}}}
 			c.OnMembership = dumpOn(0)
 		}),
+		// A NaN flow start failed in the kernel as an untyped error.
+		valid(func(c *Config) { c.Workload.Flows[1].Start = nan }),
 	}
 	// What the rule leaves alone: an infinite end time cuts nothing, and a
 	// speed at or below 0 means 1.

@@ -148,9 +148,9 @@ func loadsOf(charges []int64) []float64 {
 func (e *emulation) ownerOf(ev des.Event[payload]) (int, bool) {
 	switch p := ev.Data; p.kind {
 	case kindFlowStart, kindTCPRound:
-		return e.assignment[e.flows[p.flow].src], true
+		return e.assignment[e.flows[p.flow].Src], true
 	case kindChunk, kindTailChunk:
-		return e.assignment[e.flows[p.flow].path[p.arg]], true
+		return e.assignment[e.routeOf(p.flow).path[p.arg]], true
 	default:
 		return ev.LP, true
 	}

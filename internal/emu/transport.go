@@ -41,13 +41,14 @@ func (e *emulation) roundShape(r int32) (offset int64, window int) {
 	return (tcpMaxWindow - 1 + int64(r-tcpCapRound)*tcpMaxWindow) * e.cfg.ChunkBytes, tcpMaxWindow
 }
 
-// roundAt inverts roundShape for flow f: the round that starts at byte offset
-// with the given window, ok=false when slow start releases no such round of f.
-func (e *emulation) roundAt(f *flowRun, offset int64, window int32) (r int32, ok bool) {
-	if offset < 0 || offset >= f.bytes {
+// roundAt inverts roundShape for a flow of size bytes: the round that starts
+// at byte offset with the given window, ok=false when slow start releases no
+// such round of it.
+func (e *emulation) roundAt(bytes, offset int64, window int32) (r int32, ok bool) {
+	if offset < 0 || offset >= bytes {
 		return 0, false
 	}
-	for ; ; r++ { // at most f's own round count: rounds cross the wire only at a reseat
+	for ; ; r++ { // at most the flow's own round count: rounds cross the wire only at a reseat
 		if o, w := e.roundShape(r); o >= offset {
 			return r, o == offset && int32(w) == window
 		}
@@ -55,25 +56,24 @@ func (e *emulation) roundAt(f *flowRun, offset int64, window int32) (r int32, ok
 }
 
 // startFlowTCP schedules the flow's rounds, one per RTT.
-func (e *emulation) startFlowTCP(t float64, f *flowRun, s *des.Scheduler[payload]) {
-	rtt := f.rtt
+func (e *emulation) startFlowTCP(t float64, flow int32, s *des.Scheduler[payload]) {
+	rtt := e.routeOf(flow).rtt
 	if rtt <= 0 {
 		// Degenerate path; fall back to blasting.
-		e.startFlowBlast(t, f, s)
+		e.startFlowBlast(t, flow, s)
 		return
 	}
 	for r := int32(0); ; r++ {
-		if offset, _ := e.roundShape(r); offset >= f.bytes {
+		if offset, _ := e.roundShape(r); offset >= e.flows[flow].Bytes {
 			return
 		}
-		s.Schedule(s.LP(), t+float64(r)*rtt, payload{flow: int32(f.idx), arg: r, kind: kindTCPRound})
+		s.Schedule(s.LP(), t+float64(r)*rtt, payload{flow: flow, arg: r, kind: kindTCPRound})
 	}
 }
 
 // releaseRound injects up to the round's window of chunks starting at its
 // offset.
 func (e *emulation) releaseRound(t float64, p payload, s *des.Scheduler[payload]) {
-	f := &e.flows[p.flow]
 	offset, window := e.roundShape(p.arg)
-	e.release(t, f, f.bytes-offset, window, s)
+	e.release(t, p.flow, e.flows[p.flow].Bytes-offset, window, s)
 }

@@ -11,8 +11,8 @@
 // The store is a slab of record slots. Routes are static for a run, so the
 // emulator reserves one slot per (flow, hop) before the first event, in
 // workload order, which fixes everything about a record but its counters;
-// accounting a packet group is then ObserveAt(slot): an index and a few adds,
-// no hashing and no growth. A record's flow identity is stored once per flow.
+// accounting a packet group is then ObserveAt(flow, hop): two indexes and a
+// few adds, no hashing and no growth. A record's flow identity is stored once per flow.
 // Reads are the cold path: Records emits the slots traffic actually reached (a
 // chunk dropped upstream leaves the rest of its route untouched), Summarize
 // sums the slab.
@@ -114,12 +114,12 @@ func NewCollector(numNodes, flows, slots int, duration, bucketWidth float64) *Co
 }
 
 // Reserve adds one slot per node of a flow's route (path holds its nodes, src
-// to dst; links the len(path)-1 links between them) and returns the first:
-// hop h of the flow is accounted at slot base+h. Node and link ids are stored
-// as int32 and must fit one.
-func (c *Collector) Reserve(flowID int, path, links []int) (base int) {
-	base = len(c.slots)
-	c.flows = append(c.flows, flowEntry{id: flowID, base: base})
+// to dst; links the len(path)-1 links between them) and returns the flow's
+// index, its position in reservation order: hop h of the flow is accounted by
+// ObserveAt(flow, h, ...). Node and link ids are stored as int32 and must fit
+// one.
+func (c *Collector) Reserve(flowID int, path, links []int) (flow int) {
+	c.flows = append(c.flows, flowEntry{id: flowID, base: len(c.slots)})
 	for h, node := range path {
 		inLink := -1
 		if h > 0 {
@@ -127,13 +127,13 @@ func (c *Collector) Reserve(flowID int, path, links []int) (base int) {
 		}
 		c.slots = append(c.slots, slot{node: int32(node), inLink: int32(inLink), first: math.Inf(1), last: math.Inf(-1)})
 	}
-	return base
+	return len(c.flows) - 1
 }
 
-// ObserveAt accounts packets of a flow passing through a reserved slot's node
-// at time t.
-func (c *Collector) ObserveAt(slot int, packets, bytes int64, t float64) {
-	s := &c.slots[slot]
+// ObserveAt accounts packets of a reserved flow passing through the node at
+// hop of its route at time t.
+func (c *Collector) ObserveAt(flow, hop int, packets, bytes int64, t float64) {
+	s := &c.slots[c.flows[flow].base+hop]
 	s.packets += packets
 	s.bytes += bytes
 	if t < s.first {

@@ -15,10 +15,10 @@ func TestCollectorAggregation(t *testing.T) {
 	// 9, 8). Nothing reaches node 4: those two slots stay reserved and unseen.
 	f0 := c.Reserve(0, []int{1, 2, 4}, []int{7, 8})
 	f1 := c.Reserve(1, []int{3, 2, 4}, []int{9, 8})
-	c.ObserveAt(f0, 10, 15000, 1.0)
-	c.ObserveAt(f0+1, 10, 15000, 1.5)
-	c.ObserveAt(f0+1, 5, 7500, 3.5) // same flow again, later
-	c.ObserveAt(f1+1, 20, 30000, 2.0)
+	c.ObserveAt(f0, 0, 10, 15000, 1.0)
+	c.ObserveAt(f0, 1, 10, 15000, 1.5)
+	c.ObserveAt(f0, 1, 5, 7500, 3.5) // same flow again, later
+	c.ObserveAt(f1, 1, 20, 30000, 2.0)
 
 	recs := c.Records()
 	if len(recs) != 3 {
@@ -63,9 +63,9 @@ func TestDumpRoundTrip(t *testing.T) {
 	c := NewCollector(4, 2, 5, 50, 2)
 	f0 := c.Reserve(0, []int{0, 1, 3}, []int{2, 5})
 	f1 := c.Reserve(1, []int{2, 3}, []int{4})
-	c.ObserveAt(f0, 7, 10500, 0.5)
-	c.ObserveAt(f0+1, 7, 10500, 0.7)
-	c.ObserveAt(f1+1, 9, 13500, 1.2)
+	c.ObserveAt(f0, 0, 7, 10500, 0.5)
+	c.ObserveAt(f0, 1, 7, 10500, 0.7)
+	c.ObserveAt(f1, 1, 9, 13500, 1.2)
 	recs := c.Records()
 
 	var buf bytes.Buffer
@@ -169,11 +169,11 @@ func TestBucketCountIsClamped(t *testing.T) {
 // group at a reserved slot allocates nothing.
 func TestNetFlowHotPathNoAllocs(t *testing.T) {
 	c := NewCollector(4, 1, 3, 50, 2)
-	base := c.Reserve(0, []int{0, 1, 3}, []int{2, 5})
+	f := c.Reserve(0, []int{0, 1, 3}, []int{2, 5})
 	now := 0.0
 	if n := testing.AllocsPerRun(1000, func() {
 		for h := 0; h < 3; h++ {
-			c.ObserveAt(base+h, 44, 65536, now)
+			c.ObserveAt(f, h, 44, 65536, now)
 		}
 		now += 0.05
 	}); n != 0 {

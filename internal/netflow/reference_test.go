@@ -141,7 +141,7 @@ func TestCollectorMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		const nodes, duration = 12, 40.0
 		type flow struct {
-			id, base    int
+			id, idx     int
 			path, links []int
 		}
 		var flows []flow
@@ -162,7 +162,7 @@ func TestCollectorMatchesReference(t *testing.T) {
 		c := NewCollector(nodes, len(flows), hops, duration, 2)
 		ref := newReferenceCollector(nodes, duration, 2)
 		for i := range flows {
-			flows[i].base = c.Reserve(flows[i].id, flows[i].path, flows[i].links)
+			flows[i].idx = c.Reserve(flows[i].id, flows[i].path, flows[i].links)
 		}
 		// observe sends n chunks, each from its flow's source to a random
 		// reach; flows 25.. never start.
@@ -177,7 +177,7 @@ func TestCollectorMatchesReference(t *testing.T) {
 						inLink = f.links[h-1]
 					}
 					at := t0 + 0.01*float64(h)
-					c.ObserveAt(f.base+h, packets, packets*1500, at)
+					c.ObserveAt(f.idx, h, packets, packets*1500, at)
 					ref.Observe(f.path[h], f.id, f.path[0], f.path[len(f.path)-1], inLink, packets, packets*1500, at)
 				}
 			}
@@ -211,8 +211,8 @@ func TestSharedFlowIDSplitsRecords(t *testing.T) {
 		if h > 0 {
 			inLink = links[h-1]
 		}
-		c.ObserveAt(a+h, 3, 4500, 1)
-		c.ObserveAt(b+h, 5, 7500, 4)
+		c.ObserveAt(a, h, 3, 4500, 1)
+		c.ObserveAt(b, h, 5, 7500, 4)
 		ref.Observe(node, 7, 0, 2, inLink, 3, 4500, 1)
 		ref.Observe(node, 7, 0, 2, inLink, 5, 7500, 4)
 	}

@@ -10,6 +10,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -87,8 +88,8 @@ func (w *Workload) TotalBytes() int64 {
 }
 
 // Validate checks flows reference host nodes of nw, sizes are positive, and
-// start times are within [0, Duration] (with slack for flows that finish
-// after the nominal end).
+// start times are finite and not negative (a flow may start or finish after
+// the nominal Duration).
 func (w *Workload) Validate(nw *netgraph.Network) error {
 	for _, f := range w.Flows {
 		for _, ep := range []int{f.Src, f.Dst} {
@@ -105,8 +106,8 @@ func (w *Workload) Validate(nw *netgraph.Network) error {
 		if f.Bytes <= 0 {
 			return fmt.Errorf("traffic: flow %d has non-positive size", f.ID)
 		}
-		if f.Start < 0 {
-			return fmt.Errorf("traffic: flow %d starts at negative time", f.ID)
+		if !(f.Start >= 0) || math.IsInf(f.Start, 1) { // NaN fails the first test
+			return fmt.Errorf("traffic: flow %d starts at %g, want a finite time >= 0", f.ID, f.Start)
 		}
 	}
 	return nil

@@ -67,6 +67,10 @@ func TestValidate(t *testing.T) {
 		{Src: hosts[0], Dst: hosts[0], Bytes: 1},            // same endpoints
 		{Src: hosts[0], Dst: hosts[1], Bytes: 0},            // empty flow
 		{Src: hosts[0], Dst: hosts[1], Bytes: 1, Start: -1}, // negative time
+		// A NaN start passed (NaN < 0 is false) and failed later in the kernel;
+		// a +Inf one never started.
+		{Src: hosts[0], Dst: hosts[1], Bytes: 1, Start: math.NaN()},
+		{Src: hosts[0], Dst: hosts[1], Bytes: 1, Start: math.Inf(1)},
 	}
 	for i, f := range cases {
 		w := Workload{Flows: []Flow{f}}
