@@ -5,6 +5,7 @@ package repro
 // formats, exit codes) the README documents.
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -69,6 +70,23 @@ func TestCLIPartition(t *testing.T) {
 	if _, _, err := run(t, bin); err == nil {
 		t.Error("no arguments accepted")
 	}
+	// A tolerance that is not a number is the partitioner's error: exit 1.
+	if _, stderr, err := run(t, bin, "-k", "2", "-imbalance", "NaN", graph); exitCode(err) != 1 || !strings.Contains(stderr, "Imbalance") {
+		t.Errorf("-imbalance NaN: exit %d (%v), stderr %q; want 1 and the partitioner's error", exitCode(err), err, stderr)
+	}
+}
+
+// exitCode is the status a tool run ended with: 0 on success, -1 when it did
+// not run to an exit.
+func exitCode(err error) int {
+	var exit *exec.ExitError
+	if err == nil {
+		return 0
+	}
+	if errors.As(err, &exit) {
+		return exit.ExitCode()
+	}
+	return -1
 }
 
 func TestCLIMassfExportRoundTrip(t *testing.T) {
@@ -265,5 +283,9 @@ func TestCLINetflow(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "records: 2") || !strings.Contains(stdout, "kernel events: 14") {
 		t.Errorf("unexpected output:\n%s", stdout)
+	}
+	// A negative count is a usage error, not a panic.
+	if _, stderr, err := run(t, bin, "-top", "-1", dump); exitCode(err) != 2 || !strings.Contains(stderr, "usage:") {
+		t.Errorf("-top -1: exit %d (%v), stderr %q; want 2 and the usage message", exitCode(err), err, stderr)
 	}
 }

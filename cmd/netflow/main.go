@@ -17,9 +17,9 @@ import (
 )
 
 func main() {
-	top := flag.Int("top", 10, "how many of the busiest links/nodes to print")
+	top := flag.Int("top", 10, "how many of the busiest links/nodes to print (>= 0)")
 	flag.Parse()
-	if flag.NArg() != 1 {
+	if flag.NArg() != 1 || *top < 0 {
 		fmt.Fprintln(os.Stderr, "usage: netflow [-top N] dump.flows")
 		os.Exit(2)
 	}

@@ -92,13 +92,13 @@ func (e *emulation) decodeWire(w WireEvent) (des.Sent[payload], error) {
 		s.Data.kind = kindFlowStart
 	case WireTCPRound:
 		r, ok := e.roundAt(bytes, w.Offset, w.Window)
-		if !ok || e.cfg.Transport != TCPSlowStart || rt.rtt <= 0 {
+		if !ok || e.cfg.Transport != TCPSlowStart || e.rttOf(w.Flow) <= 0 {
 			return s, fmt.Errorf("%w: wire TCP round at offset %d, window %d is no round of %d-byte flow %d in this run", ErrBadConfig, w.Offset, w.Window, bytes, w.Flow)
 		}
 		s.Data.kind, s.Data.arg = kindTCPRound, r
 	case WireChunk:
-		if w.Hop < 0 || int(w.Hop) >= len(rt.path) {
-			return s, fmt.Errorf("%w: wire chunk at hop %d of a %d-hop path", ErrBadConfig, w.Hop, len(rt.path))
+		if w.Hop < 0 || int(w.Hop) >= len(rt.Path) {
+			return s, fmt.Errorf("%w: wire chunk at hop %d of a %d-hop path", ErrBadConfig, w.Hop, len(rt.Path))
 		}
 		full := bytes >= e.cfg.ChunkBytes && w.Bytes == e.cfg.ChunkBytes && w.Packets == e.fullPackets
 		tailPackets, tailBytes := e.sizeOf(w.Flow, kindTailChunk)

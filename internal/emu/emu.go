@@ -239,16 +239,9 @@ func (r *Result) FCTStats() (completed int, mean, p95 float64) {
 
 // The run's flow table is the workload itself plus what prepare resolves once
 // and all engines share read-only: a slab of routes, one per distinct (src,
-// dst) pair, and a route index per flow. A flow's identity, start and size are
-// its Workload.Flows entry, aliased, not copied. Events name their flow by
-// index (payload).
-
-// route is what every flow between one endpoint pair shares.
-type route struct {
-	path  []int   // node IDs, src..dst
-	links []int   // link IDs, len(path)-1
-	rtt   float64 // 2x one-way path latency (for TCP pacing)
-}
+// dst) pair, which a profiling run's NetFlow collector aliases, and a route
+// index per flow. A flow's identity, start and size are its Workload.Flows
+// entry, aliased, not copied. Events name their flow by index (payload).
 
 // The four things an event can be. The first three are the wire's kinds too
 // (WireFlowStart, WireTCPRound, WireChunk); the wire tells a tail chunk from a
@@ -273,7 +266,16 @@ type payload struct {
 }
 
 // routeOf is the route flow travels.
-func (e *emulation) routeOf(flow int32) *route { return &e.routes[e.routeIdx[flow]] }
+func (e *emulation) routeOf(flow int32) *netflow.Route { return &e.routes[e.routeIdx[flow]] }
+
+// rttOf is twice the one-way latency of flow's route: TCP pacing's round trip.
+func (e *emulation) rttOf(flow int32) float64 {
+	var oneWay float64
+	for _, lid := range e.routeOf(flow).Links {
+		oneWay += e.nw.Links[lid].Latency
+	}
+	return 2 * oneWay
+}
 
 // sizeOf derives a chunk of flow's packet and byte counts from its kind. A
 // flow's chunks all carry ChunkBytes except a final remainder (0 bytes when the
@@ -383,7 +385,7 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 	fullPackets := (cfg.ChunkBytes + cfg.MTU - 1) / cfg.MTU
 	flows := cfg.Workload.Flows
 	pairs := make(map[[2]int]int32)
-	var routes []route
+	var routes []netflow.Route
 	routeIdx := make([]int32, len(flows))
 	hops := 0
 	for i, f := range flows {
@@ -394,32 +396,25 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 			if path == nil {
 				return nil, fmt.Errorf("%w: flow %d has no route %d -> %d", ErrBadConfig, f.ID, f.Src, f.Dst)
 			}
-			var oneWay float64
-			for _, lid := range links {
-				oneWay += nw.Links[lid].Latency
-			}
 			r = int32(len(routes))
-			routes = append(routes, route{path: path, links: links, rtt: 2 * oneWay})
+			routes = append(routes, netflow.Route{Path: path, Links: links})
 			pairs[pair] = r
 		}
 		routeIdx[i] = r
-		hops += len(routes[r].path)
+		hops += len(routes[r].Path)
 	}
 
 	var collector *netflow.Collector
 	if cfg.Profile {
 		// One record slot per (flow, hop), in workload order: routes are static,
 		// so the record a hop will touch is known before the first event, and a
-		// flow's position is its collector index. Slots store node and link ids
-		// as int32.
-		if nw.NumNodes() > math.MaxInt32 || len(nw.Links) > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: a profiling run needs node and link ids below 2^31, network has %d nodes and %d links",
-				ErrBadConfig, nw.NumNodes(), len(nw.Links))
+		// flow's position is its collector index, its hops the route slab's.
+		if hops > math.MaxInt32 {
+			return nil, fmt.Errorf("%w: a profiling run reserves a record slot per hop, fewer than 2^31; the workload has %d", ErrBadConfig, hops)
 		}
-		collector = netflow.NewCollector(nw.NumNodes(), len(flows), hops, duration, cfg.BucketWidth)
+		collector = netflow.NewCollector(nw.NumNodes(), routes, cfg.ChunkBytes, cfg.MTU, len(flows), hops, duration, cfg.BucketWidth)
 		for i, f := range flows {
-			r := &routes[routeIdx[i]]
-			collector.Reserve(f.ID, r.path, r.links)
+			collector.Reserve(f.ID, int(routeIdx[i]))
 		}
 	}
 	if o.tel != nil {
@@ -705,10 +700,10 @@ type emulation struct {
 	// The flow table, duration and lookahead are fixed at prepare time and
 	// shared read-only by every engine (and every worker process, which
 	// rebuilds them identically from the shipped scenario).
-	flows       []traffic.Flow // cfg.Workload.Flows, aliased
-	routes      []route        // one per distinct (src, dst)
-	routeIdx    []int32        // flow i travels routes[routeIdx[i]]
-	fullPackets int64          // packets in a ChunkBytes group
+	flows       []traffic.Flow  // cfg.Workload.Flows, aliased
+	routes      []netflow.Route // one per distinct (src, dst)
+	routeIdx    []int32         // flow i travels routes[routeIdx[i]]
+	fullPackets int64           // packets in a ChunkBytes group
 	duration    float64
 	lookahead   float64
 
@@ -886,12 +881,12 @@ func (e *emulation) arrive(t float64, c payload, s *des.Scheduler[payload]) {
 	r := e.routeOf(c.flow)
 	hop := int(c.arg)
 	packets, bytes := e.sizeOf(c.flow, c.kind)
-	node := r.path[hop]
+	node := r.Path[hop]
 	s.Charge(packets)
 	if e.collector != nil {
-		e.collector.ObserveAt(int(c.flow), hop, packets, bytes, t)
+		e.collector.ObserveAt(int(c.flow), hop, node, packets, bytes, t)
 	}
-	if hop == len(r.path)-1 {
+	if hop == len(r.Path)-1 {
 		// Delivered: track the flow's completion at the destination.
 		f := &e.flows[c.flow]
 		e.Delivered[c.flow] += bytes
@@ -904,7 +899,7 @@ func (e *emulation) arrive(t float64, c payload, s *des.Scheduler[payload]) {
 		return
 	}
 
-	lid := r.links[hop]
+	lid := r.Links[hop]
 	link := &e.nw.Links[lid]
 	dir := 0
 	if link.B == node {
@@ -933,7 +928,7 @@ func (e *emulation) arrive(t float64, c payload, s *des.Scheduler[payload]) {
 	e.LinkBytes[slot] += bytes
 	arrival := depart + link.Latency
 
-	next := r.path[hop+1]
+	next := r.Path[hop+1]
 	if e.tel != nil {
 		// Transmit-side accounting: the engine owning this node writes its
 		// own matrix row and this (link, dir)'s tx slots.

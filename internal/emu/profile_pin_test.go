@@ -143,6 +143,27 @@ func TestProfileMatchesKeyedCollector(t *testing.T) {
 	}
 }
 
+// TestProfilePaperTopologies pins the collector's digest on the two paper
+// topologies the benchmark profiles, 30 s under TOP. The digests were recorded
+// from the 40 B slot store at cfedca9, which stored each hop's node, in-link and
+// packet count; the store that derives them must report the same.
+func TestProfilePaperTopologies(t *testing.T) {
+	for _, c := range []struct{ topology, want string }{
+		{"Brite", "8403 records a0873d95fdf0abe3"},
+		{"TeraGrid", "9002 records 32ff66352e8d97aa"},
+	} {
+		cfg := topConfig(t, c.topology, 30, false)
+		cfg.Profile = true
+		res, err := emu.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.topology, err)
+		}
+		if got := profileDigest(res.NetFlow); got != c.want {
+			t.Errorf("%s: collector digest %s, the slot store's was %s", c.topology, got, c.want)
+		}
+	}
+}
+
 // TestProfileRecordsIndependentOfMapping is the paper's premise — the mapping
 // changes how fast the emulation runs, never what the emulated network does —
 // checked on the one collector whose output order used to depend on it: with

@@ -57,7 +57,7 @@ func (e *emulation) roundAt(bytes, offset int64, window int32) (r int32, ok bool
 
 // startFlowTCP schedules the flow's rounds, one per RTT.
 func (e *emulation) startFlowTCP(t float64, flow int32, s *des.Scheduler[payload]) {
-	rtt := e.routeOf(flow).rtt
+	rtt := e.rttOf(flow)
 	if rtt <= 0 {
 		// Degenerate path; fall back to blasting.
 		e.startFlowBlast(t, flow, s)

@@ -22,6 +22,14 @@ func TestSentinelErrBadInput(t *testing.T) {
 		{"priority-nan", func() error { _, err := TopMap(Input{Network: nw, K: 2, LatencyPriority: math.NaN()}); return err }},
 		{"priority-negative", func() error { _, err := PlaceMap(Input{Network: nw, K: 2, LatencyPriority: -0.1}); return err }},
 		{"priority-above-one", func() error { _, err := TopMap(Input{Network: nw, K: 2, LatencyPriority: 1.5}); return err }},
+		{"imbalance-nan", func() error {
+			_, err := TopMap(Input{Network: nw, K: 2, PartOpts: partition.Options{Imbalance: math.NaN()}})
+			return err
+		}},
+		{"imbalance-inf", func() error {
+			_, err := PlaceMap(Input{Network: nw, K: 2, PartOpts: partition.Options{Imbalance: math.Inf(1)}})
+			return err
+		}},
 		{"remap-bad-assignment", func() error {
 			_, _, err := RemapOnto(Input{Network: nw, K: 2}, []int{0}, []int{0}, nil)
 			return err

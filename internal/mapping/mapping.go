@@ -131,6 +131,9 @@ func (in *Input) defaults() error {
 	if in.LatencyPriority == 0 {
 		in.LatencyPriority = DefaultLatencyPriority
 	}
+	if eps := in.PartOpts.Imbalance; math.IsNaN(eps) || math.IsInf(eps, 1) {
+		return fmt.Errorf("%w: PartOpts.Imbalance = %v, must be finite", ErrBadInput, eps)
+	}
 	if in.MTUBytes <= 0 {
 		in.MTUBytes = 1500
 	}

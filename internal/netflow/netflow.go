@@ -12,10 +12,11 @@
 // emulator reserves one slot per (flow, hop) before the first event, in
 // workload order, which fixes everything about a record but its counters;
 // accounting a packet group is then ObserveAt(flow, hop): two indexes and a
-// few adds, no hashing and no growth. A record's flow identity is stored once per flow.
-// Reads are the cold path: Records emits the slots traffic actually reached (a
-// chunk dropped upstream leaves the rest of its route untouched), Summarize
-// sums the slab.
+// few adds, no hashing and no growth. A slot keeps only its bytes and its
+// observation window: the flow's id and route (the caller's routes, aliased)
+// and the packetization rule (ObserveAt) give the rest. Reads are the cold
+// path: Records emits the slots traffic actually reached (a chunk dropped
+// upstream leaves the rest of its route untouched), Summarize sums them.
 //
 // Record order is a function of the emulated network and its workload, never
 // of the mapping: node, then the flow's position in the workload, then hop.
@@ -26,11 +27,12 @@ package netflow
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -69,72 +71,90 @@ func bucketCount(duration, bucketWidth float64) int {
 	return 1
 }
 
+// newSeries is the load series of numNodes nodes covering duration seconds at
+// bucketWidth, or at the 2 s default when that is not positive and finite.
+func newSeries(numNodes int, duration, bucketWidth float64) *metrics.Series {
+	if !(bucketWidth > 0) || math.IsInf(bucketWidth, 1) { // true for NaN
+		bucketWidth = 2
+	}
+	return metrics.NewSeries(bucketWidth, numNodes, bucketCount(duration, bucketWidth))
+}
+
+// Route is a path flows travel: Path holds its nodes, src to dst, Links the
+// len(Path)-1 links between them. Hop h of a flow is Path[h], entered over
+// Links[h-1] (the source, hop 0, over none).
+type Route struct {
+	Path, Links []int
+}
+
 // Collector accumulates flow records during an emulation run. One collector
 // services all engines: a slot belongs to one node, nodes are owned by exactly
 // one engine, so updates are data-race-free by construction.
 type Collector struct {
-	// BucketWidth is the granularity of the per-node load series (the
-	// "granularity of the NetFlow" tuning knob; default 2s, matching the
-	// paper's fine-grained measurement interval).
-	BucketWidth float64
-	// flows holds every reserved flow in reservation order, slots their hops,
-	// flow by flow and hop by hop within a flow.
-	flows []flowEntry
-	slots []slot
-	// series is the bucketed per-node kernel-event load.
+	// routes are the caller's routes, aliased; flows holds every reserved
+	// flow in reservation order, slots their hops, flow by flow and hop by hop
+	// within a flow.
+	routes []Route
+	flows  []flowEntry
+	slots  []slot
+	// chunk and mtu are the packetization rule (ObserveAt).
+	chunk, mtu int64
+	// series is the bucketed per-node kernel-event load (by default in the
+	// paper's fine-grained 2 s measurement interval).
 	series *metrics.Series
 }
 
-// slot is one (flow, hop) Record without the flow's identity: FlowID is its
-// flow entry's, Src and Dst are the nodes of the flow's first and last slot.
+// slot is what one (flow, hop) Record holds that nothing else gives: its
+// flow entry gives FlowID, the flow's route Node, Src, Dst and InLink, and
+// bytes give Packets.
 type slot struct {
-	packets, bytes int64
-	first, last    float64
-	node, inLink   int32
+	bytes       int64
+	first, last float64
 }
 
-// flowEntry is one reserved flow; its slots run from base to the next entry's.
+// flowEntry is one reserved flow: it travels routes[route], and its slots run
+// from base, one per node of the route.
 type flowEntry struct {
-	id, base int
+	id          int
+	base, route int32
 }
 
 // NewCollector creates a collector for numNodes nodes covering duration
-// seconds (at most MaxBuckets buckets) at the given bucket width, with room
-// for flows reserved flows of slots hops in all.
-func NewCollector(numNodes, flows, slots int, duration, bucketWidth float64) *Collector {
-	if bucketWidth <= 0 {
-		bucketWidth = 2
-	}
+// seconds (at most MaxBuckets buckets) at the given bucket width (2 s unless
+// positive and finite), with room for flows reserved flows of slots hops in
+// all, fewer than 2³¹. Flows travel routes, aliased, not copied, and send
+// packet groups by ObserveAt's rule for the positive chunkBytes and mtu.
+func NewCollector(numNodes int, routes []Route, chunkBytes, mtu int64, flows, slots int, duration, bucketWidth float64) *Collector {
 	return &Collector{
-		BucketWidth: bucketWidth,
-		flows:       make([]flowEntry, 0, flows),
-		slots:       make([]slot, 0, slots),
-		series:      metrics.NewSeries(bucketWidth, numNodes, bucketCount(duration, bucketWidth)),
+		routes: routes,
+		flows:  make([]flowEntry, 0, flows),
+		slots:  make([]slot, 0, slots),
+		chunk:  chunkBytes,
+		mtu:    mtu,
+		series: newSeries(numNodes, duration, bucketWidth),
 	}
 }
 
-// Reserve adds one slot per node of a flow's route (path holds its nodes, src
-// to dst; links the len(path)-1 links between them) and returns the flow's
-// index, its position in reservation order: hop h of the flow is accounted by
-// ObserveAt(flow, h, ...). Node and link ids are stored as int32 and must fit
-// one.
-func (c *Collector) Reserve(flowID int, path, links []int) (flow int) {
-	c.flows = append(c.flows, flowEntry{id: flowID, base: len(c.slots)})
-	for h, node := range path {
-		inLink := -1
-		if h > 0 {
-			inLink = links[h-1]
-		}
-		c.slots = append(c.slots, slot{node: int32(node), inLink: int32(inLink), first: math.Inf(1), last: math.Inf(-1)})
+// Reserve adds one slot per node of routes[route] for a flow and returns the
+// flow's index, its position in reservation order: hop h of the flow is
+// accounted by ObserveAt(flow, h, ...).
+func (c *Collector) Reserve(flowID, route int) (flow int) {
+	c.flows = append(c.flows, flowEntry{id: flowID, base: int32(len(c.slots)), route: int32(route)})
+	for range c.routes[route].Path {
+		c.slots = append(c.slots, slot{first: math.Inf(1), last: math.Inf(-1)})
 	}
 	return len(c.flows) - 1
 }
 
-// ObserveAt accounts packets of a reserved flow passing through the node at
-// hop of its route at time t.
-func (c *Collector) ObserveAt(flow, hop int, packets, bytes int64, t float64) {
-	s := &c.slots[c.flows[flow].base+hop]
-	s.packets += packets
+// ObserveAt accounts a packet group of a reserved flow reaching node, the
+// node at hop of its route, at time t. packets and node only feed the load
+// series: the slot keeps the bytes, and a hop's packets are derived from them.
+// That holds because every group a flow sends is either a full chunk of
+// chunkBytes or the flow's one remainder, its size modulo chunkBytes, each cut
+// into mtu-byte packets and a shorter last one. A hop's byte sum B then fixes
+// its packets: (B / chunkBytes)·⌈chunkBytes/mtu⌉ + ⌈(B mod chunkBytes)/mtu⌉.
+func (c *Collector) ObserveAt(flow, hop, node int, packets, bytes int64, t float64) {
+	s := &c.slots[int(c.flows[flow].base)+hop]
 	s.bytes += bytes
 	if t < s.first {
 		s.first = t
@@ -142,41 +162,48 @@ func (c *Collector) ObserveAt(flow, hop int, packets, bytes int64, t float64) {
 	if t > s.last {
 		s.last = t
 	}
-	c.series.Add(t, int(s.node), float64(packets))
+	c.series.Add(t, node, float64(packets))
+}
+
+// packets is the packet count of a slot's bytes, by ObserveAt's rule.
+func (c *Collector) packets(bytes int64) int64 {
+	return bytes/c.chunk*((c.chunk+c.mtu-1)/c.mtu) + (bytes%c.chunk+c.mtu-1)/c.mtu
+}
+
+// reached calls fn with the record of every slot traffic has reached, in
+// reservation order: flow by flow, hop by hop.
+func (c *Collector) reached(fn func(Record)) {
+	for _, fl := range c.flows {
+		r := &c.routes[fl.route]
+		for h, node := range r.Path {
+			s := &c.slots[int(fl.base)+h]
+			if s.first > s.last {
+				continue
+			}
+			inLink := -1
+			if h > 0 {
+				inLink = r.Links[h-1]
+			}
+			fn(Record{Node: node, FlowID: fl.id, Src: r.Path[0], Dst: r.Path[len(r.Path)-1], InLink: inLink,
+				Packets: c.packets(s.bytes), Bytes: s.bytes, First: s.first, Last: s.last})
+		}
+	}
 }
 
 // Records returns the records traffic has reached, ordered by node, then
 // reservation order (the flow's workload position, then hop).
 func (c *Collector) Records() []Record {
-	// A counting sort on node keeps the slab's order within each node.
+	// A counting sort on node keeps reservation order within each node.
 	next := make([]int, c.series.Nodes()+1)
-	for i := range c.slots {
-		if s := &c.slots[i]; s.first <= s.last {
-			next[s.node+1]++
-		}
-	}
+	c.reached(func(r Record) { next[r.Node+1]++ })
 	for n := 1; n < len(next); n++ {
 		next[n] += next[n-1]
 	}
 	out := make([]Record, next[len(next)-1])
-	for f, fl := range c.flows {
-		end := len(c.slots)
-		if f+1 < len(c.flows) {
-			end = c.flows[f+1].base
-		}
-		hops := c.slots[fl.base:end]
-		for i := range hops {
-			s := &hops[i]
-			if s.first > s.last {
-				continue
-			}
-			out[next[s.node]] = Record{
-				Node: int(s.node), FlowID: fl.id, Src: int(hops[0].node), Dst: int(hops[len(hops)-1].node),
-				InLink: int(s.inLink), Packets: s.packets, Bytes: s.bytes, First: s.first, Last: s.last,
-			}
-			next[s.node]++
-		}
-	}
+	c.reached(func(r Record) {
+		out[next[r.Node]] = r
+		next[r.Node]++
+	})
 	return out
 }
 
@@ -196,23 +223,23 @@ type Summary struct {
 	NodeSeries *metrics.Series
 }
 
+// newSummary is an empty summary over the nodes of series.
+func newSummary(series *metrics.Series) *Summary {
+	return &Summary{LinkPackets: make(map[int]int64), NodePackets: make([]int64, series.Nodes()), NodeSeries: series}
+}
+
+// add accounts r's packets to its node and to its in-link.
+func (s *Summary) add(r Record) {
+	s.NodePackets[r.Node] += r.Packets
+	if r.InLink >= 0 {
+		s.LinkPackets[r.InLink] += r.Packets
+	}
+}
+
 // Summarize aggregates the collector into per-link and per-node totals.
 func (c *Collector) Summarize() *Summary {
-	s := &Summary{
-		LinkPackets: make(map[int]int64),
-		NodePackets: make([]int64, c.series.Nodes()),
-		NodeSeries:  c.series,
-	}
-	for i := range c.slots {
-		r := &c.slots[i]
-		if r.first > r.last {
-			continue
-		}
-		s.NodePackets[r.node] += r.packets
-		if r.inLink >= 0 {
-			s.LinkPackets[int(r.inLink)] += r.packets
-		}
-	}
+	s := newSummary(c.series)
+	c.reached(s.add)
 	return s
 }
 
@@ -314,27 +341,17 @@ func parseRecord(f []string) (rec Record, err error) {
 // SummarizeRecords aggregates parsed dump records (the offline path: parse
 // dump files, then compute aggregated traffic). numNodes must cover every
 // node ID in records; the series is rebuilt by spreading each record's
-// packets uniformly over its [First, Last] span at the given bucket width —
-// the granularity information a NetFlow dump retains. Like a collector's, the
+// packets uniformly over its [First, Last] span at the given bucket width (2 s
+// unless positive and finite) — the granularity information a NetFlow dump retains. Like a collector's, the
 // series has at most MaxBuckets buckets whatever duration says.
 func SummarizeRecords(records []Record, numNodes int, duration, bucketWidth float64) *Summary {
-	if bucketWidth <= 0 {
-		bucketWidth = 2
-	}
-	buckets := bucketCount(duration, bucketWidth)
-	s := &Summary{
-		LinkPackets: make(map[int]int64),
-		NodePackets: make([]int64, numNodes),
-		NodeSeries:  metrics.NewSeries(bucketWidth, numNodes, buckets),
-	}
+	s := newSummary(newSeries(numNodes, duration, bucketWidth))
+	bucketWidth, buckets := s.NodeSeries.BucketWidth, s.NodeSeries.Buckets()
 	for _, r := range records {
 		if r.Node < 0 || r.Node >= numNodes {
 			continue
 		}
-		s.NodePackets[r.Node] += r.Packets
-		if r.InLink >= 0 {
-			s.LinkPackets[r.InLink] += r.Packets
-		}
+		s.add(r)
 		span := r.Last - r.First
 		if span <= 0 {
 			s.NodeSeries.Add(r.First, r.Node, float64(r.Packets))
@@ -354,28 +371,14 @@ func SummarizeRecords(records []Record, numNodes int, duration, bucketWidth floa
 }
 
 // TopLinks returns the n busiest links by packet count, descending
-// (deterministic tie-break on link ID).
+// (deterministic tie-break on link ID); none when n <= 0.
 func (s *Summary) TopLinks(n int) []int {
-	type lp struct {
-		link    int
-		packets int64
+	links := make([]int, 0, len(s.LinkPackets))
+	for l := range s.LinkPackets {
+		links = append(links, l)
 	}
-	all := make([]lp, 0, len(s.LinkPackets))
-	for l, p := range s.LinkPackets {
-		all = append(all, lp{l, p})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].packets != all[j].packets {
-			return all[i].packets > all[j].packets
-		}
-		return all[i].link < all[j].link
+	slices.SortFunc(links, func(a, b int) int {
+		return cmp.Or(cmp.Compare(s.LinkPackets[b], s.LinkPackets[a]), cmp.Compare(a, b))
 	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].link
-	}
-	return out
+	return links[:min(max(n, 0), len(links))]
 }

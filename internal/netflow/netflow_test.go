@@ -9,16 +9,22 @@ import (
 	"testing"
 )
 
+// The tests' packetization: 15 000 B chunks of 1500 B packets, 10 packets a
+// full chunk.
+const testChunk, testMTU = 15000, 1500
+
 func TestCollectorAggregation(t *testing.T) {
-	c := NewCollector(5, 2, 6, 100, 2)
 	// Flow 0 runs 1 -> 2 -> 4 (links 7, 8), flow 1 runs 3 -> 2 -> 4 (links
 	// 9, 8). Nothing reaches node 4: those two slots stay reserved and unseen.
-	f0 := c.Reserve(0, []int{1, 2, 4}, []int{7, 8})
-	f1 := c.Reserve(1, []int{3, 2, 4}, []int{9, 8})
-	c.ObserveAt(f0, 0, 10, 15000, 1.0)
-	c.ObserveAt(f0, 1, 10, 15000, 1.5)
-	c.ObserveAt(f0, 1, 5, 7500, 3.5) // same flow again, later
-	c.ObserveAt(f1, 1, 20, 30000, 2.0)
+	routes := []Route{{Path: []int{1, 2, 4}, Links: []int{7, 8}}, {Path: []int{3, 2, 4}, Links: []int{9, 8}}}
+	c := NewCollector(5, routes, testChunk, testMTU, 2, 6, 100, 2)
+	f0, f1 := c.Reserve(0, 0), c.Reserve(1, 1)
+	// Flow 0 is a full chunk and a 7500 B remainder, flow 1 two full chunks.
+	c.ObserveAt(f0, 0, 1, 10, 15000, 1.0)
+	c.ObserveAt(f0, 1, 2, 10, 15000, 1.5)
+	c.ObserveAt(f0, 1, 2, 5, 7500, 3.5) // same flow again, later
+	c.ObserveAt(f1, 1, 2, 10, 15000, 2.0)
+	c.ObserveAt(f1, 1, 2, 10, 15000, 2.0)
 
 	recs := c.Records()
 	if len(recs) != 3 {
@@ -60,12 +66,12 @@ func TestCollectorAggregation(t *testing.T) {
 }
 
 func TestDumpRoundTrip(t *testing.T) {
-	c := NewCollector(4, 2, 5, 50, 2)
-	f0 := c.Reserve(0, []int{0, 1, 3}, []int{2, 5})
-	f1 := c.Reserve(1, []int{2, 3}, []int{4})
-	c.ObserveAt(f0, 0, 7, 10500, 0.5)
-	c.ObserveAt(f0, 1, 7, 10500, 0.7)
-	c.ObserveAt(f1, 1, 9, 13500, 1.2)
+	routes := []Route{{Path: []int{0, 1, 3}, Links: []int{2, 5}}, {Path: []int{2, 3}, Links: []int{4}}}
+	c := NewCollector(4, routes, testChunk, testMTU, 2, 5, 50, 2)
+	f0, f1 := c.Reserve(0, 0), c.Reserve(1, 1)
+	c.ObserveAt(f0, 0, 0, 7, 10500, 0.5)
+	c.ObserveAt(f0, 1, 1, 7, 10500, 0.7)
+	c.ObserveAt(f1, 1, 3, 9, 13500, 1.2)
 	recs := c.Records()
 
 	var buf bytes.Buffer
@@ -147,17 +153,27 @@ func TestBucketCountIsClamped(t *testing.T) {
 		if got := SummarizeRecords(recs, 1, d, 2).NodeSeries.Buckets(); got != MaxBuckets {
 			t.Errorf("SummarizeRecords(duration %g): %d buckets, want MaxBuckets", d, got)
 		}
-		if got := NewCollector(1, 0, 0, d, 2).Series().Buckets(); got != MaxBuckets {
+		if got := NewCollector(1, nil, testChunk, testMTU, 0, 0, d, 2).Series().Buckets(); got != MaxBuckets {
 			t.Errorf("NewCollector(duration %g): %d buckets, want MaxBuckets", d, got)
 		}
 	}
 	for d, want := range map[float64]int{-5: 1, 0: 1, 1.9: 1, 2: 2, 100: 51, 2*MaxBuckets - 1: MaxBuckets} {
-		if got := NewCollector(1, 0, 0, d, 2).Series().Buckets(); got != want {
+		if got := NewCollector(1, nil, testChunk, testMTU, 0, 0, d, 2).Series().Buckets(); got != want {
 			t.Errorf("NewCollector(duration %g): %d buckets, want %d", d, got, want)
 		}
 	}
-	if got := NewCollector(1, 0, 0, math.NaN(), 2).Series().Buckets(); got != 1 {
+	if got := NewCollector(1, nil, testChunk, testMTU, 0, 0, math.NaN(), 2).Series().Buckets(); got != 1 {
 		t.Errorf("NaN duration: %d buckets, want 1", got)
+	}
+	// A width that is not positive and finite is the 2 s default, so the
+	// count is the default's, not one bucket that int(NaN) files everything in.
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0} {
+		if got := NewCollector(1, nil, testChunk, testMTU, 0, 0, 100, w).Series().Buckets(); got != 51 {
+			t.Errorf("NewCollector(width %g): %d buckets, want 51", w, got)
+		}
+		if s := SummarizeRecords(recs, 1, 100, w).NodeSeries; s.Buckets() != 51 || s.BucketWidth != 2 {
+			t.Errorf("SummarizeRecords(width %g): %d buckets of %g s, want 51 of 2", w, s.Buckets(), s.BucketWidth)
+		}
 	}
 	// The record's packets are all still accounted, folded into the buckets kept.
 	if got := SummarizeRecords(recs, 1, recs[0].Last, 2).NodeSeries.TotalPerNode()[0]; math.Abs(got-1) > 1e-9 {
@@ -168,12 +184,13 @@ func TestBucketCountIsClamped(t *testing.T) {
 // TestNetFlowHotPathNoAllocs is the steady-state gate: accounting a packet
 // group at a reserved slot allocates nothing.
 func TestNetFlowHotPathNoAllocs(t *testing.T) {
-	c := NewCollector(4, 1, 3, 50, 2)
-	f := c.Reserve(0, []int{0, 1, 3}, []int{2, 5})
+	path := []int{0, 1, 3}
+	c := NewCollector(4, []Route{{Path: path, Links: []int{2, 5}}}, 65536, 1500, 1, 3, 50, 2)
+	f := c.Reserve(0, 0)
 	now := 0.0
 	if n := testing.AllocsPerRun(1000, func() {
-		for h := 0; h < 3; h++ {
-			c.ObserveAt(f, h, 44, 65536, now)
+		for h, node := range path {
+			c.ObserveAt(f, h, node, 44, 65536, now)
 		}
 		now += 0.05
 	}); n != 0 {
@@ -182,25 +199,27 @@ func TestNetFlowHotPathNoAllocs(t *testing.T) {
 }
 
 // TestCollectorBytesPerSlot is the storage cost gate: a collector sized for
-// its flows allocates 40 B per reserved hop and 16 B per flow, plus the series,
-// and nothing for growth.
+// its flows allocates 24 B per reserved hop (bytes, first, last) and 16 B per
+// flow (id, first slot, route), plus the series, and nothing for growth or for
+// the routes, which it aliases.
 func TestCollectorBytesPerSlot(t *testing.T) {
 	const flows, hops, nodes, duration = 10_000, 6, 100, 100.0
 	path, links := make([]int, hops), make([]int, hops-1)
 	for h := range path {
 		path[h] = h * 7 % nodes
 	}
+	routes := []Route{{Path: path, Links: links}}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	c := NewCollector(nodes, flows, flows*hops, duration, 2)
+	c := NewCollector(nodes, routes, testChunk, testMTU, flows, flows*hops, duration, 2)
 	for f := 0; f < flows; f++ {
-		c.Reserve(f, path, links)
+		c.Reserve(f, 0)
 	}
 	runtime.ReadMemStats(&after)
 	buckets := c.Series().Buckets()
 	series := buckets * (nodes*8 + 24) // the row slab and the row headers
 	const slack = 3*8<<10 + 1<<10      // three large slabs round up to 8 KiB pages; the structs
-	budget := uint64(40*flows*hops + 16*flows + series + slack)
+	budget := uint64(24*flows*hops + 16*flows + series + slack)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > budget {
 		t.Errorf("%d flows of %d hops allocated %d B, budget %d B", flows, hops, grew, budget)
 	}
@@ -256,11 +275,17 @@ func TestTopLinks(t *testing.T) {
 	if got := s.TopLinks(99); len(got) != 4 {
 		t.Errorf("TopLinks(99) = %v, want all 4", got)
 	}
+	for _, n := range []int{0, -1} {
+		if got := s.TopLinks(n); got == nil || len(got) != 0 {
+			t.Errorf("TopLinks(%d) = %#v, want an empty slice", n, got)
+		}
+	}
 }
 
 func TestCollectorDefaultBucketWidth(t *testing.T) {
-	c := NewCollector(1, 0, 0, 10, 0)
-	if c.BucketWidth != 2 {
-		t.Errorf("default bucket width = %v, want 2", c.BucketWidth)
+	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got := NewCollector(1, nil, testChunk, testMTU, 0, 0, 10, w).Series().BucketWidth; got != 2 {
+			t.Errorf("width %g: series of %v s buckets, want the 2 s default", w, got)
+		}
 	}
 }

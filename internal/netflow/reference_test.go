@@ -132,21 +132,20 @@ func sameAccounting(t *testing.T, when string, c *Collector, ref *referenceColle
 
 // TestCollectorMatchesReference drives the slot store and the keyed collector
 // it replaced with the same observation streams — random loop-free routes over
-// a shared link numbering, chunks that are dropped part-way along their route
-// (so some slots are never reached), flows that never start, out-of-order
-// timestamps — in two phases. The stores must agree after each. The
-// emulator-driven half is emu.TestProfileMatchesKeyedCollector.
+// a shared link numbering, some shared by several flows, chunks that are
+// dropped part-way along their route (so some slots are never reached), flows
+// that never start, out-of-order timestamps — in two phases. The stores must
+// agree after each. Every stream has the emulator's shape, which the slot
+// store derives packet counts from: a flow sends full chunks and at most one
+// remainder, in any order. The emulator-driven half is
+// emu.TestProfileMatchesKeyedCollector.
 func TestCollectorMatchesReference(t *testing.T) {
+	const chunk, mtu = 16 << 10, 1500
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		const nodes, duration = 12, 40.0
-		type flow struct {
-			id, idx     int
-			path, links []int
-		}
-		var flows []flow
-		hops := 0
-		for id := 0; id < 30; id++ {
+		var routes []Route
+		for r := 0; r < 20; r++ {
 			path := rng.Perm(nodes)[:1+rng.Intn(6)]
 			links := make([]int, len(path)-1)
 			for h := range links {
@@ -156,29 +155,59 @@ func TestCollectorMatchesReference(t *testing.T) {
 				}
 				links[h] = a*nodes + b // one id per undirected link
 			}
-			flows = append(flows, flow{id: id, path: path, links: links})
-			hops += len(path)
+			routes = append(routes, Route{Path: path, Links: links})
 		}
-		c := NewCollector(nodes, len(flows), hops, duration, 2)
+		type flow struct {
+			id, idx, route int
+			groups         []int64 // the packet groups it has yet to send, in bytes
+		}
+		var flows []*flow
+		hops := 0
+		for id := 0; id < 30; id++ {
+			f := &flow{id: id, route: rng.Intn(len(routes))}
+			size := 1 + rng.Int63n(8*chunk)
+			for ; size >= chunk; size -= chunk {
+				f.groups = append(f.groups, chunk)
+			}
+			if size > 0 {
+				f.groups = append(f.groups, size)
+			}
+			rng.Shuffle(len(f.groups), func(i, j int) { f.groups[i], f.groups[j] = f.groups[j], f.groups[i] })
+			flows = append(flows, f)
+			hops += len(routes[f.route].Path)
+		}
+		c := NewCollector(nodes, routes, chunk, mtu, len(flows), hops, duration, 2)
 		ref := newReferenceCollector(nodes, duration, 2)
-		for i := range flows {
-			flows[i].idx = c.Reserve(flows[i].id, flows[i].path, flows[i].links)
+		for _, f := range flows {
+			f.idx = c.Reserve(f.id, f.route)
 		}
-		// observe sends n chunks, each from its flow's source to a random
-		// reach; flows 25.. never start.
+		// observe sends up to n packet groups, each from its flow's source to
+		// a random reach; flows 25.. never start.
 		observe := func(n int) {
 			for ; n > 0; n-- {
-				f := flows[rng.Intn(25)]
-				packets := int64(1 + rng.Intn(44))
+				var live []*flow
+				for _, f := range flows[:25] {
+					if len(f.groups) > 0 {
+						live = append(live, f)
+					}
+				}
+				if len(live) == 0 {
+					return
+				}
+				f := live[rng.Intn(len(live))]
+				bytes := f.groups[0]
+				f.groups = f.groups[1:]
+				packets := (bytes + mtu - 1) / mtu
+				path, links := routes[f.route].Path, routes[f.route].Links
 				t0 := rng.Float64() * (duration + 4) // past the last bucket too
-				for h, reach := 0, rng.Intn(len(f.path)); h <= reach; h++ {
+				for h, reach := 0, rng.Intn(len(path)); h <= reach; h++ {
 					inLink := -1
 					if h > 0 {
-						inLink = f.links[h-1]
+						inLink = links[h-1]
 					}
 					at := t0 + 0.01*float64(h)
-					c.ObserveAt(f.idx, h, packets, packets*1500, at)
-					ref.Observe(f.path[h], f.id, f.path[0], f.path[len(f.path)-1], inLink, packets, packets*1500, at)
+					c.ObserveAt(f.idx, h, path[h], packets, bytes, at)
+					ref.Observe(path[h], f.id, path[0], path[len(path)-1], inLink, packets, bytes, at)
 				}
 			}
 		}
@@ -203,16 +232,16 @@ func TestCollectorMatchesReference(t *testing.T) {
 // sums, and so the summary, are the merged record's.
 func TestSharedFlowIDSplitsRecords(t *testing.T) {
 	path, links := []int{0, 1, 2}, []int{5, 6}
-	c := NewCollector(3, 2, 6, 10, 2)
+	c := NewCollector(3, []Route{{Path: path, Links: links}}, 15000, 1500, 2, 6, 10, 2)
 	ref := newReferenceCollector(3, 10, 2)
-	a, b := c.Reserve(7, path, links), c.Reserve(7, path, links)
+	a, b := c.Reserve(7, 0), c.Reserve(7, 0)
 	for h, node := range path {
 		inLink := -1
 		if h > 0 {
 			inLink = links[h-1]
 		}
-		c.ObserveAt(a, h, 3, 4500, 1)
-		c.ObserveAt(b, h, 5, 7500, 4)
+		c.ObserveAt(a, h, node, 3, 4500, 1)
+		c.ObserveAt(b, h, node, 5, 7500, 4)
 		ref.Observe(node, 7, 0, 2, inLink, 3, 4500, 1)
 		ref.Observe(node, 7, 0, 2, inLink, 5, 7500, 4)
 	}

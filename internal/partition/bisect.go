@@ -29,7 +29,10 @@ func PartitionRB(g *Graph, k int, opts Options) ([]int, error) {
 	case n == 0:
 		return nil, fmt.Errorf("partition: empty graph")
 	}
-	opts = opts.withDefaults(k)
+	opts, err := opts.withDefaults(k)
+	if err != nil {
+		return nil, err
+	}
 
 	part := make([]int, n)
 	vertices := make([]int, n)

@@ -17,7 +17,10 @@ func Improve(g *Graph, part []int, k int, opts Options) (int, error) {
 	if err := Verify(g, part, k); err != nil {
 		return 0, fmt.Errorf("partition: Improve: %w", err)
 	}
-	opts = opts.withDefaults(k)
+	opts, err := opts.withDefaults(k)
+	if err != nil {
+		return 0, err
+	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	before := append([]int(nil), part...)

@@ -3,6 +3,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -14,7 +15,8 @@ type Options struct {
 	// partitions.
 	Seed int64
 	// Imbalance is the tolerated per-constraint load imbalance ε: every part
-	// may weigh at most (1+ε)·total/k on every constraint. Default 0.05.
+	// may weigh at most (1+ε)·total/k on every constraint. Default 0.05;
+	// NaN and +Inf are errors.
 	Imbalance float64
 	// CoarsenTo stops coarsening once the graph has at most this many
 	// vertices. Default max(20·k, 120).
@@ -35,7 +37,10 @@ type Options struct {
 	PartFractions []float64
 }
 
-func (o Options) withDefaults(k int) Options {
+func (o Options) withDefaults(k int) (Options, error) {
+	if math.IsNaN(o.Imbalance) || math.IsInf(o.Imbalance, 1) {
+		return o, fmt.Errorf("partition: Imbalance = %v, must be finite", o.Imbalance)
+	}
 	if o.Imbalance <= 0 {
 		o.Imbalance = 0.05
 	}
@@ -51,7 +56,7 @@ func (o Options) withDefaults(k int) Options {
 	if o.RefinePasses <= 0 {
 		o.RefinePasses = 10
 	}
-	return o
+	return o, nil
 }
 
 // Partitioner is a multilevel partitioner that keeps its scratch memory —
@@ -75,9 +80,13 @@ func Partition(g *Graph, k int, opts Options) ([]int, error) {
 // returns part[v] ∈ [0,k) for every vertex, in a slice the caller owns. It
 // only reads g, so concurrent partitions may share one graph.
 //
-// Errors: k < 1, or k > number of vertices (a part would necessarily be
-// empty).
+// Errors: k < 1, k > number of vertices (a part would necessarily be empty),
+// or an Imbalance that is NaN or +Inf.
 func (pt *Partitioner) Partition(g *Graph, k int, opts Options) ([]int, error) {
+	opts, err := opts.withDefaults(k)
+	if err != nil {
+		return nil, err
+	}
 	if opts.Strategy == RecursiveBisection && k > 2 {
 		return PartitionRB(g, k, opts)
 	}
@@ -99,7 +108,6 @@ func (pt *Partitioner) Partition(g *Graph, k int, opts Options) ([]int, error) {
 		return part, nil
 	}
 
-	opts = opts.withDefaults(k)
 	if pt.rng == nil {
 		pt.rng = rand.New(rand.NewSource(opts.Seed))
 	} else {

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -17,6 +18,21 @@ func TestPartitionErrors(t *testing.T) {
 	}
 	if _, err := Partition(NewGraph(0, 1), 1, Options{}); err == nil {
 		t.Error("empty graph accepted")
+	}
+	// A NaN or +Inf tolerance would reach every balance ceiling; -Inf is
+	// non-positive and selects the default.
+	for _, eps := range []float64{math.NaN(), math.Inf(1)} {
+		for _, s := range []Strategy{KWay, RecursiveBisection} {
+			if _, err := Partition(g, 3, Options{Imbalance: eps, Strategy: s}); err == nil {
+				t.Errorf("Imbalance %v accepted (strategy %d)", eps, s)
+			}
+		}
+		if _, err := Improve(g, []int{0, 0, 1, 1}, 2, Options{Imbalance: eps}); err == nil {
+			t.Errorf("Improve accepted Imbalance %v", eps)
+		}
+	}
+	if _, err := Partition(g, 2, Options{Imbalance: math.Inf(-1)}); err != nil {
+		t.Errorf("Imbalance -Inf: %v, want the default", err)
 	}
 }
 

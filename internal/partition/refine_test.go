@@ -476,7 +476,10 @@ func TestRebalanceMatchesReference(t *testing.T) {
 				sparedTotal += spared
 			}
 			for trial, seed := range fixture.seeds {
-				opts := Options{Seed: seed, Imbalance: 0.10, Restarts: 20, RefinePasses: 16}.withDefaults(k)
+				opts, err := Options{Seed: seed, Imbalance: 0.10, Restarts: 20, RefinePasses: 16}.withDefaults(k)
+				if err != nil {
+					t.Fatal(err)
+				}
 				rng := rand.New(rand.NewSource(opts.Seed))
 				ws := newWorkspace(g, k, nil)
 				levels := ws.buildHierarchy(g, opts.CoarsenTo, rng)
