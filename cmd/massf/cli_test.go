@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/netgraph"
@@ -106,6 +107,8 @@ func TestValidateFlagsRejects(t *testing.T) {
 		}, errWorkerExclusive},
 
 		{"negative remap interval", func(f *cliFlags) { f.remapInterval = -1 }, errBadRemapInterval},
+		{"NaN remap interval", func(f *cliFlags) { f.remapInterval = math.NaN() }, errBadRemapInterval},
+		{"infinite remap interval", func(f *cliFlags) { f.remapInterval = math.Inf(1) }, errBadRemapInterval},
 		{"policy without interval", func(f *cliFlags) { f.remapPolicy = "game" }, errRemapPolicyInterval},
 		{"bad policy", func(f *cliFlags) { f.remapInterval = 10; f.remapPolicy = "simulated-annealing" }, errBadRemapPolicy},
 		{"dynamic+approach", func(f *cliFlags) {

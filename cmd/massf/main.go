@@ -65,6 +65,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"time"
@@ -411,7 +412,7 @@ func main() {
 		fmt.Printf("total: imbalance %.3f (mean segment %.3f), app-time %.1fs, net-time %.1fs, "+
 			"%d migrations, %.1f MB cross-engine, wall %s\n",
 			res.Imbalance, res.MeanSegmentImbalance, res.AppTime, res.NetTime,
-			res.Migrations, float64(res.CrossEngineBytes)/1e6,
+			res.Migrations, float64(res.Telemetry.CrossEngineBytes)/1e6,
 			time.Since(start).Round(time.Millisecond))
 		return
 	}
@@ -635,7 +636,7 @@ var (
 	errElasticTop         = errors.New("-elastic repartitions with the TOP mapper; use -approach TOP")
 	errCapacityElastic    = errors.New("-capacity only applies together with -elastic")
 
-	errBadRemapInterval     = errors.New("-remap-interval must be positive")
+	errBadRemapInterval     = errors.New("-remap-interval must be positive and finite")
 	errBadRemapPolicy       = errors.New("-remap-policy must be profile, incremental, game or diffusion")
 	errRemapPolicyInterval  = errors.New("-remap-policy only applies together with -remap-interval")
 	errRemapApproach        = errors.New("-remap-interval always starts from the TOP partition; leave -approach unset")
@@ -684,7 +685,7 @@ func validateFlags(f cliFlags) error {
 	if f.capacity != 0 && !f.elastic {
 		return errCapacityElastic
 	}
-	if f.remapInterval < 0 {
+	if !(f.remapInterval >= 0) || math.IsInf(f.remapInterval, 1) { // true for NaN
 		return fmt.Errorf("%w (got %g)", errBadRemapInterval, f.remapInterval)
 	}
 	if f.remapInterval == 0 && f.remapPolicy != "" && f.remapPolicy != "profile" {

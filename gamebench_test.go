@@ -88,7 +88,7 @@ func gamebenchMeasure(tb testing.TB, name string, interval float64) gamebenchEnt
 		Segments:         len(res.Segments),
 		Migrations:       res.Migrations,
 		Converged:        true,
-		CrossEngineBytes: res.CrossEngineBytes,
+		CrossEngineBytes: res.Telemetry.CrossEngineBytes,
 	}
 	for _, s := range res.Segments {
 		if s.Remap == nil {

@@ -74,9 +74,9 @@ type Scenario struct {
 	// speeds per engine. Mapping approaches target load proportional to
 	// speed; the emulator divides per-event cost by the engine's speed.
 	EngineSpeeds []float64
-	// Remap selects RunDynamic's between-interval repartitioning policy:
-	// RemapProfile (from scratch; also what empty means), RemapIncremental,
-	// RemapGame or RemapDiffusion.
+	// Remap selects RunDynamic's repartitioning policy at each interval
+	// boundary: RemapProfile (from scratch; also what empty means),
+	// RemapIncremental, RemapGame or RemapDiffusion.
 	Remap RemapPolicy
 	// Cost overrides the engine cost model (zero = PentiumIICluster).
 	Cost emu.CostModel
@@ -86,8 +86,8 @@ type Scenario struct {
 	Sequential bool
 
 	// Recorder, when non-nil, receives kernel observability from every
-	// emulation the scenario runs (profiling pre-runs and dynamic-remap
-	// segments included) — e.g. an obs.Trace writing JSONL.
+	// emulation the scenario runs (profiling pre-runs included) — e.g. an
+	// obs.Trace writing JSONL.
 	Recorder obs.Recorder
 	// CollectStats attaches an aggregated obs.RunStats to each emulation
 	// result (Result.Obs) without requiring an external recorder.
@@ -107,9 +107,9 @@ type Scenario struct {
 	// Trace, when non-nil, collects the run's window timeline (per-engine
 	// compute spans, barrier-wait attribution) into an obs.Timeline — the
 	// source for Chrome trace_event export and straggler attribution. It
-	// applies to Run, RunDistributed and RunElastic main runs; PROFILE
-	// pre-runs and dynamic-remap segments are excluded so the timeline
-	// describes exactly one emulation.
+	// applies to Run, RunDynamic, RunDistributed and RunElastic main runs;
+	// PROFILE pre-runs are excluded so the timeline describes exactly one
+	// emulation.
 	Trace *obs.Timeline
 	// ClusterHealth, when non-nil, receives the coordinator's live
 	// cluster-health signal during RunDistributed/RunElastic — worker count,
@@ -118,13 +118,12 @@ type Scenario struct {
 	// Attribution needs Trace set too; in-process runs leave it untouched.
 	ClusterHealth *telemetry.ClusterHealth
 	// Faults, when non-nil, is a straggler/degradation schedule applied to
-	// Run, RunDistributed, RunElastic and their replays — the cost model
-	// slows the scheduled engines, and the tracing/attribution plane (Trace,
-	// ClusterHealth) reports who gates the windows. Straggler and
-	// degradation schedules ship to distributed workers; crash schedules do
-	// not (use RunResilient, which takes its own schedule and ignores this
-	// field). RunDynamic segments rebase virtual time per interval and skip
-	// it.
+	// Run, RunDynamic, RunDistributed, RunElastic and their replays — the
+	// cost model slows the scheduled engines, and the tracing/attribution
+	// plane (Trace, ClusterHealth) reports who gates the windows. Straggler
+	// and degradation schedules ship to distributed workers; crash schedules
+	// do not (use RunResilient, which takes its own schedule and ignores this
+	// field).
 	Faults *faults.Schedule
 
 	routes    netgraph.Routing
@@ -318,10 +317,10 @@ func (sc *Scenario) Run(ctx context.Context, a mapping.Approach) (*Outcome, erro
 	})
 }
 
-// run is the pipeline Run, RunDistributed and RunResilient share: partition
-// with the approach (profiling first if PROFILE), build the emulator
-// configuration for the shared workload on that assignment, hand it to exec —
-// the only step the three differ in — and report the Outcome.
+// run is the pipeline Run, RunDistributed, RunResilient and RunDynamic share:
+// partition with the approach (profiling first if PROFILE), build the
+// emulator configuration for the shared workload on that assignment, hand it
+// to exec — the only step they differ in — and report the Outcome.
 func (sc *Scenario) run(ctx context.Context, a mapping.Approach, exec func(emu.Config) (*emu.Result, error)) (*Outcome, error) {
 	part, profRun, err := sc.Partition(ctx, a)
 	if err != nil {

@@ -4,13 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/emu"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
+	"repro/internal/netflow"
 	"repro/internal/partition"
 	"repro/internal/telemetry"
-	"repro/internal/traffic"
 )
 
 // Dynamic remapping — the paper's §6 conclusion: "Static partitions are
@@ -19,20 +20,18 @@ import (
 // solution. Such dynamic remapping is a major challenge for distributed
 // emulators like MaSSF."
 //
-// This prototype divides the emulation into fixed intervals. The first
-// interval runs under the TOP partition; every subsequent interval is
-// repartitioned from the previous interval's measured traffic and charged a
-// migration cost per virtual node that changes engines (state transfer over
-// the cluster network). Flows are emulated within the interval they start in
-// — transfers spanning a boundary restart their queueing state, an
-// approximation this prototype accepts and the real MaSSF would have to
-// engineer away.
+// RunDynamic runs one emulation and remaps it at every multiple of an
+// interval. A remap is an elastic resize that keeps the engine set: at the
+// first window barrier at or after the boundary, the remap policy
+// repartitions from the traffic measured since the previous boundary, the
+// pending events move to the engines that now own their nodes, and every
+// virtual node that changed engines stalls AppTime by the migration cost. The
+// queues and the flows in flight carry across the boundary.
 //
 // The remapping signal is the paper's one measurement, the per-router NetFlow
-// records of §3.3: every segment runs as a profiling run and the next
-// assignment is computed from its summary, exactly as the PROFILE approach
-// computes its own from the pre-run. The telemetry plane rides along for what
-// only it measures, the interval's cross-engine traffic and its timeline.
+// records of §3.3: the run profiles, and an interval's profile is the
+// difference of the cumulative summaries at its two barriers, read exactly as
+// the PROFILE approach reads its pre-run.
 
 // RemapPolicy selects how RunDynamic recomputes the partition between
 // intervals.
@@ -84,79 +83,59 @@ func (sc *Scenario) remapPolicy() (RemapPolicy, error) {
 type RemapStats struct {
 	// Policy is the remap policy that ran.
 	Policy RemapPolicy
-	// Rounds, MovesEvaluated, Converged and Payoffs describe the game
-	// policy's convergence (zero/nil for the other policies): best-response
+	// GameStats describes the game policy's convergence: best-response
 	// rounds played, candidate moves costed, whether a fixed point was
 	// certified before the round cap, and the non-increasing potential
-	// trajectory (one entry before the first round, one after each round).
-	Rounds         int
-	MovesEvaluated int
-	Converged      bool
-	Payoffs        []float64
-	// MovesTaken counts the remap's accepted moves. For the game policy a
-	// node may move more than once on its way to the fixed point, so this
-	// can exceed the segment's Migrations field, which counts distinct
-	// nodes that changed engines.
-	MovesTaken int
+	// trajectory. The other policies set only MovesTaken, their accepted
+	// moves. A game player may move more than once on its way to the fixed
+	// point, so MovesTaken can exceed the segment's Migrations, which counts
+	// distinct nodes that changed engines.
+	partition.GameStats
 }
 
 // DynamicSegment reports one remapping interval.
 type DynamicSegment struct {
 	// Start is the interval's beginning in virtual seconds.
 	Start float64
-	// Imbalance is the interval's realized load imbalance.
+	// Imbalance is the load imbalance of the kernel events executed between
+	// the barriers that opened and closed the interval.
 	Imbalance float64
 	// Migrations is the number of nodes that changed engines entering this
 	// interval.
 	Migrations int
-	// Flows is the number of flows injected during this interval.
+	// Flows is the number of flows starting during this interval (the last
+	// interval takes every later one).
 	Flows int
 	// Assignment is the node→engine assignment the interval ran under.
 	Assignment []int
-	// CrossEngineBytes is the interval's engine-to-engine traffic volume.
+	// CrossEngineBytes is the engine-to-engine traffic volume between the
+	// interval's barriers.
 	CrossEngineBytes int64
-	// Timeline is the interval's per-measurement-window imbalance and
-	// cross-engine-traffic history (times relative to the interval start).
-	Timeline []telemetry.TrafficPoint
 	// Remap describes the remapping step that produced this segment's
-	// assignment; nil for the first segment (which runs under TOP) and for
-	// segments entered without a remap (the previous interval was empty).
+	// assignment; nil for the first segment (which runs under TOP), for a
+	// segment entered after an interval in which no flow started, and for one
+	// the run ended before reaching.
 	Remap *RemapStats
 }
 
-// DynamicResult reports a dynamically remapped emulation.
+// DynamicResult reports a dynamically remapped emulation: the one run's
+// Result, whose Membership lists the applied remaps and whose AppTime
+// includes their migration stalls, viewed per interval.
 type DynamicResult struct {
+	*emu.Result
+	// Segments views the run interval by interval, in order.
 	Segments []DynamicSegment
-	// Imbalance is the load imbalance of the total per-engine loads across
-	// the whole run.
-	Imbalance float64
-	// MeanSegmentImbalance averages the per-interval imbalances (the
-	// quantity remapping actually optimizes — it tracks load shifts).
+	// MeanSegmentImbalance averages the imbalances of the intervals the run
+	// reached in which flows started (the quantity remapping actually
+	// optimizes — it tracks load shifts).
 	MeanSegmentImbalance float64
-	// AppTime and NetTime are summed over intervals, including migration
-	// stalls in AppTime.
-	AppTime float64
-	NetTime float64
 	// Migrations is the total node-engine changes.
 	Migrations int
-	// CrossEngineBytes totals the engine-to-engine traffic over all
-	// intervals (zero without a telemetry plane).
-	CrossEngineBytes int64
 }
 
-// Timeline concatenates the segments' per-window traffic histories into one
-// absolute-time curve — the per-window imbalance / cross-engine-traffic
-// timeline the experiment reports render.
-func (r *DynamicResult) Timeline() []telemetry.TrafficPoint {
-	var out []telemetry.TrafficPoint
-	for _, s := range r.Segments {
-		for _, p := range s.Timeline {
-			p.Time += s.Start
-			out = append(out, p)
-		}
-	}
-	return out
-}
+// Timeline is the run's per-measurement-window imbalance / cross-engine
+// traffic history, the curve the experiment reports render.
+func (r *DynamicResult) Timeline() []telemetry.TrafficPoint { return r.Telemetry.Timeline }
 
 // DefaultMigrationCost is the modeled stall per migrated node: shipping a
 // router's state (routing table, queues) across 100 Mb/s Ethernet. Shared
@@ -164,14 +143,25 @@ func (r *DynamicResult) Timeline() []telemetry.TrafficPoint {
 // price migrations identically.
 const DefaultMigrationCost = emu.DefaultMigrationCost
 
-// RunDynamic emulates the scenario in intervals of the given width,
-// remapping between intervals from each interval's NetFlow profile.
-// migrationCost is the AppTime stall charged per migrated node
-// (DefaultMigrationCost when <= 0). Cancellation of ctx is observed at
-// window barriers within each segment.
+// maxIntervals bounds how many intervals RunDynamic cuts a workload into: each
+// is a scheduled resize and a segment.
+const maxIntervals = 1 << 16
+
+// RunDynamic emulates the scenario once under the TOP partition, remapping it
+// at every multiple of interval from the NetFlow profile of the interval
+// before. migrationCost is the AppTime stall charged per migrated node
+// (DefaultMigrationCost when <= 0). An interval in which no flow starts
+// carries its assignment over. The scenario's EndTime, engine speeds and
+// straggler schedule apply as in Run; a crash schedule is refused
+// (RunResilient recovers crashes). Cancellation of ctx is observed at window
+// barriers.
 func (sc *Scenario) RunDynamic(ctx context.Context, interval, migrationCost float64) (*DynamicResult, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("core: dynamic remapping needs a positive interval")
+	policy, err := sc.remapPolicy()
+	if err != nil {
+		return nil, err
+	}
+	if sc.Faults.HasCrashes() {
+		return nil, fmt.Errorf("core: dynamic remapping takes no crash schedule (RunResilient recovers crashes)")
 	}
 	if migrationCost <= 0 {
 		migrationCost = DefaultMigrationCost
@@ -180,193 +170,158 @@ func (sc *Scenario) RunDynamic(ctx context.Context, interval, migrationCost floa
 	if err != nil {
 		return nil, err
 	}
-	duration := w.Duration
-	if duration <= 0 {
-		return nil, fmt.Errorf("core: dynamic remapping needs a workload with a duration")
+	n := math.Ceil(w.Duration / interval)
+	if !(interval > 0 && n >= 1 && n <= maxIntervals) { // false for NaN
+		return nil, fmt.Errorf("core: dynamic remapping needs a positive interval cutting the workload's %g s into 1 to %d intervals, not %g",
+			w.Duration, maxIntervals, interval)
 	}
-
 	in, err := sc.mappingInput()
 	if err != nil {
 		return nil, err
 	}
-	assignment, err := mapping.TopMap(in)
-	if err != nil {
-		return nil, fmt.Errorf("core: dynamic initial partition: %w", err)
+
+	// Every boundary is a resize onto all engines; the policy decides.
+	out := &DynamicResult{Segments: make([]DynamicSegment, int(n))}
+	segs := out.Segments
+	all := make([]int, sc.Engines)
+	for e := range all {
+		all[e] = e
+	}
+	var resizes []emu.Resize
+	for i := range segs {
+		segs[i].Start = float64(i) * interval
+		if i > 0 {
+			resizes = append(resizes, emu.Resize{At: segs[i].Start, Engines: all})
+		}
+	}
+	for _, f := range w.Flows {
+		segs[sort.Search(len(segs), func(i int) bool { return segs[i].Start > f.Start })-1].Flows++
 	}
 
-	// One telemetry collector serves all segments (re-sized per segment), so a
-	// live mount watches the current interval.
 	tel := sc.newTelemetry()
 	if tel == nil {
 		tel = telemetry.New()
 	}
-
-	policy, err := sc.remapPolicy()
+	// measure closes segment i at a barrier with these cumulative engine loads
+	// and cross-engine bytes.
+	lastLoads, lastCross := make([]float64, sc.Engines), int64(0)
+	measure := func(i int, loads []float64, cross int64) {
+		l := make([]float64, len(loads))
+		for e := range l {
+			l[e] = loads[e] - lastLoads[e]
+		}
+		segs[i].Imbalance, segs[i].CrossEngineBytes = metrics.Imbalance(l), cross-lastCross
+		lastLoads, lastCross = loads, cross
+	}
+	var seen *netflow.Summary
+	opened := 0 // the segment the run is in: one per boundary applied
+	remap := func(c emu.MembershipChange) ([]int, error) {
+		measure(opened, c.Loads, tel.Snapshot().CrossEngineBytes)
+		opened++
+		now := c.NetFlow.Summarize()
+		in := in
+		in.Summary = intervalProfile(now, seen)
+		seen = intervalProfile(now, nil)
+		if segs[opened-1].Flows == 0 {
+			return c.Previous, nil
+		}
+		next, stats, err := remapStep(policy, in, c.Previous, migrationCost/interval)
+		if err != nil {
+			return nil, fmt.Errorf("core: dynamic %s remap: %w", policy, err)
+		}
+		segs[opened].Remap = stats
+		return next, nil
+	}
+	o, err := sc.run(ctx, mapping.Top, func(cfg emu.Config) (*emu.Result, error) {
+		cfg.Profile, cfg.MigrationCost, cfg.Elastic, cfg.OnMembership = true, migrationCost, resizes, remap
+		return sc.start(ctx, cfg, tel, sc.Trace)
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: dynamic run: %w", err)
 	}
 
-	res := &DynamicResult{}
-	engineTotals := make([]float64, sc.Engines)
-	incomingMigrations := 0
-	var incomingRemap *RemapStats
-	// Segments are indexed by integer, never by accumulating start +=
-	// interval: the accumulated float error can leave start < duration after
-	// the tail segment already ran with end = +Inf, and the resulting
-	// spurious extra segment would re-emulate (and re-count) trailing flows.
-	for i := 0; ; i++ {
-		start := float64(i) * interval
-		if start >= duration {
-			break
+	out.Result = o.Result
+	measure(opened, o.Result.EngineLoads, o.Result.Telemetry.CrossEngineBytes)
+	assignment, active := o.Assignment, 0
+	for i := range segs {
+		s := &segs[i]
+		if i > 0 && i <= opened {
+			r := o.Result.Membership.Resizes[i-1]
+			assignment, s.Migrations = r.Assignment, r.Migrations
 		}
-		end := float64(i+1) * interval
-		tail := end >= duration
-		if tail {
-			// Applications may emit trailing flows slightly past the
-			// nominal duration; the last interval absorbs them.
-			end = math.Inf(1)
-		}
-		seg := sliceWorkload(w, start, end)
-		if tail {
-			seg.Duration = duration - start
-		}
-		cfg, err := sc.emuConfig(assignment)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Workload = seg
-		cfg.Profile = true // the remap below reads this segment's NetFlow
-		// A segment is re-based to t=0 and runs whole on uniform engines: the
-		// scenario's absolute-time truncation, fault schedule and engine
-		// speeds do not carry into it.
-		cfg.EndTime, cfg.Faults, cfg.EngineSpeeds = 0, nil, nil
-		segResult, err := sc.start(ctx, cfg, tel, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: dynamic segment at %gs: %w", start, err)
-		}
-		segOut := DynamicSegment{
-			Start:      start,
-			Imbalance:  segResult.Imbalance,
-			Migrations: incomingMigrations,
-			Flows:      len(seg.Flows),
-			Assignment: append([]int(nil), assignment...),
-			Remap:      incomingRemap,
-		}
-		segOut.CrossEngineBytes = segResult.Telemetry.CrossEngineBytes
-		segOut.Timeline = segResult.Telemetry.Timeline
-		res.CrossEngineBytes += segResult.Telemetry.CrossEngineBytes
-		res.Segments = append(res.Segments, segOut)
-		res.AppTime += segResult.AppTime + float64(incomingMigrations)*migrationCost
-		res.NetTime += segResult.NetTime
-		res.Migrations += incomingMigrations
-		for e, l := range segResult.EngineLoads {
-			engineTotals[e] += l
-		}
-
-		incomingMigrations = 0
-		incomingRemap = nil
-		if tail {
-			// The tail segment absorbed every remaining flow; stop here —
-			// running another iteration would be pure float-drift fallout.
-			break
-		}
-		// Remap for the next interval from this interval's measured traffic,
-		// under the selected policy. An empty interval measured nothing, so
-		// its remap is skipped and the assignment carries over.
-		if len(seg.Flows) > 0 {
-			in, err := sc.mappingInput()
-			if err != nil {
-				return nil, err
-			}
-			in.Summary = segResult.NetFlow.Summarize()
-			next, moved, stats, err := sc.remapStep(policy, in, assignment, interval, migrationCost)
-			if err != nil {
-				return nil, fmt.Errorf("core: dynamic %s remap at %gs: %w", policy, end, err)
-			}
-			incomingMigrations = moved
-			incomingRemap = stats
-			assignment = next
-		}
-	}
-
-	res.Imbalance = metrics.Imbalance(engineTotals)
-	var sum float64
-	active := 0
-	for _, s := range res.Segments {
-		if s.Flows > 0 {
-			sum += s.Imbalance
+		s.Assignment = assignment
+		out.Migrations += s.Migrations
+		if s.Flows > 0 && i <= opened {
+			out.MeanSegmentImbalance += s.Imbalance
 			active++
 		}
 	}
 	if active > 0 {
-		res.MeanSegmentImbalance = sum / float64(active)
+		out.MeanSegmentImbalance /= float64(active)
 	}
-	return res, nil
+	return out, nil
+}
+
+// intervalProfile is the traffic now accounts beyond seen, a summary of the
+// same collector taken at an earlier barrier (nil for none): packets per link
+// and per node and the load series, each the difference, with links that
+// carried nothing in between left out. Counters only grow, and a hop's
+// packets split with its bytes, because its full chunks and its one remainder
+// each carry whole packets (netflow.Collector.ObserveAt); so this is what a
+// collector that saw only the traffic in between would summarize. The result
+// owns its series, which a collector's summaries share.
+func intervalProfile(now, seen *netflow.Summary) *netflow.Summary {
+	ns := now.NodeSeries
+	empty := func() *netflow.Summary {
+		return &netflow.Summary{LinkPackets: make(map[int]int64), NodePackets: make([]int64, len(now.NodePackets)),
+			NodeSeries: metrics.NewSeries(ns.BucketWidth, ns.Nodes(), ns.Buckets())}
+	}
+	d := empty()
+	if seen == nil {
+		seen = empty()
+	}
+	for l, p := range now.LinkPackets {
+		if p -= seen.LinkPackets[l]; p != 0 {
+			d.LinkPackets[l] = p
+		}
+	}
+	for v, p := range now.NodePackets {
+		d.NodePackets[v] = p - seen.NodePackets[v]
+	}
+	for b, row := range ns.Loads {
+		for v, x := range row {
+			d.NodeSeries.Loads[b][v] = x - seen.NodeSeries.Loads[b][v]
+		}
+	}
+	return d
 }
 
 // remapStep recomputes the assignment from the interval's measured profile
-// under the selected policy, returning the next assignment (a fresh slice),
-// the number of nodes that changed engines, and the step's stats.
-func (sc *Scenario) remapStep(policy RemapPolicy, in mapping.Input, assignment []int, interval, migrationCost float64) ([]int, int, *RemapStats, error) {
+// under the selected policy, returning the next assignment (a fresh slice)
+// and the step's stats. migration is the game policy's migration penalty in
+// its normalized units: the fraction of the interval one migration stalls.
+func remapStep(policy RemapPolicy, in mapping.Input, assignment []int, migration float64) ([]int, *RemapStats, error) {
 	st := &RemapStats{Policy: policy}
+	var next []int
+	var err error
 	switch policy {
 	case RemapIncremental:
-		next, moved, err := mapping.ProfileImprove(in, assignment)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		st.MovesTaken = moved
-		return next, moved, st, nil
+		next, st.MovesTaken, err = mapping.ProfileImprove(in, assignment)
 	case RemapGame:
-		// The migration penalty enters the payoff in the game's normalized
-		// units: the fraction of the interval one migration stalls. The
-		// tie-break seed derives from PartSeed inside GameRemap.
-		gopts := partition.GameOptions{
-			MigrationCost: emu.NormalizedMigrationCost(migrationCost, interval),
+		// The tie-break seed derives from PartSeed inside GameRemap.
+		var gs *partition.GameStats
+		if next, _, gs, err = mapping.GameRemap(in, assignment, partition.GameOptions{MigrationCost: migration}); err == nil {
+			st.GameStats = *gs
 		}
-		next, moved, gs, err := mapping.GameRemap(in, assignment, gopts)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		st.Rounds = gs.Rounds
-		st.MovesEvaluated = gs.MovesEvaluated
-		st.MovesTaken = gs.MovesTaken
-		st.Converged = gs.Converged
-		st.Payoffs = gs.Payoffs
-		return next, moved, st, nil
 	case RemapDiffusion:
-		next, moved, err := mapping.DiffusionRemap(in, assignment)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		st.MovesTaken = moved
-		return next, moved, st, nil
+		next, st.MovesTaken, err = mapping.DiffusionRemap(in, assignment)
 	default: // RemapProfile
-		next, err := mapping.ProfileMap(in)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		moved := 0
+		next, err = mapping.ProfileMap(in)
 		for v := range next {
 			if next[v] != assignment[v] {
-				moved++
+				st.MovesTaken++
 			}
 		}
-		st.MovesTaken = moved
-		return next, moved, st, nil
 	}
-}
-
-// sliceWorkload keeps the flows starting in [start, end), rebased so the
-// segment emulation begins at virtual time 0.
-func sliceWorkload(w traffic.Workload, start, end float64) traffic.Workload {
-	out := traffic.Workload{Duration: end - start, AppHosts: w.AppHosts}
-	for _, f := range w.Flows {
-		if f.Start >= start && f.Start < end {
-			f.Start -= start
-			f.ID = len(out.Flows)
-			out.Flows = append(out.Flows, f)
-		}
-	}
-	return out
+	return next, st, err
 }

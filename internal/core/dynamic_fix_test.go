@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/emu"
 	"repro/internal/mapping"
+	"repro/internal/netflow"
 	"repro/internal/topogen"
 	"repro/internal/traffic"
 )
@@ -39,14 +40,17 @@ func syntheticScenario(t *testing.T, flows []traffic.Flow, duration float64) *Sc
 }
 
 // Regression for the float-drift hazard: accumulating start += interval
-// drifts, so with duration 1.0 / interval 0.1 the old loop left
-// start = 0.9999999999999999 < 1.0 after ten segments and ran a spurious
-// eleventh segment re-emulating the tail's flows.
+// drifts, so with duration 1.0 / interval 0.1 a loop of additions left
+// start = 0.9999999999999999 < 1.0 after ten intervals and cut a spurious
+// eleventh. A flow starting exactly on a boundary opens the interval there,
+// and the last interval takes the flows past the duration.
 func TestRunDynamicNonDivisibleIntervalNoDrift(t *testing.T) {
 	var flows []traffic.Flow
 	for i := 0; i < 20; i++ {
 		flows = append(flows, traffic.Flow{Start: 0.025 + 0.05*float64(i)})
 	}
+	third := 3.0 // a variable, so the boundary is rounded as RunDynamic rounds it
+	flows = append(flows, traffic.Flow{Start: third * 0.1}, traffic.Flow{Start: 1.2})
 	sc := syntheticScenario(t, flows, 1.0)
 	res, err := sc.RunDynamic(context.Background(), 0.1, 0)
 	if err != nil {
@@ -55,77 +59,64 @@ func TestRunDynamicNonDivisibleIntervalNoDrift(t *testing.T) {
 	if len(res.Segments) != 10 {
 		t.Fatalf("segments = %d, want 10 (duration 1.0 / interval 0.1)", len(res.Segments))
 	}
-	total := 0
-	for _, s := range res.Segments {
-		total += s.Flows
+	for i, s := range res.Segments {
+		want := 2
+		if i == 3 || i == 9 {
+			want = 3
+		}
+		if s.Flows != want {
+			t.Errorf("segment %d at %v has %d flows, want %d", i, s.Start, s.Flows, want)
+		}
 		if s.Start >= 1.0 {
 			t.Fatalf("segment starts at %v, past the duration", s.Start)
 		}
 	}
-	if total != len(flows) {
-		t.Fatalf("segments carry %d flows, workload has %d — trailing flows double-counted or lost",
-			total, len(flows))
+}
+
+// intervalProfile must be exactly what a fresh collector that saw only the
+// traffic between two summaries would summarize.
+func TestIntervalProfileMatchesFreshCollector(t *testing.T) {
+	const chunk, mtu = 4000, 1500
+	routes := []netflow.Route{{Path: []int{0, 1, 2}, Links: []int{0, 1}}, {Path: []int{2, 1}, Links: []int{1}}}
+	fresh := func() *netflow.Collector {
+		c := netflow.NewCollector(3, routes, chunk, mtu, 2, 5, 10, 2)
+		c.Reserve(0, 0)
+		c.Reserve(1, 1)
+		return c
+	}
+	type group struct {
+		flow, hop int
+		bytes     int64
+		t         float64
+	}
+	observe := func(c *netflow.Collector, gs []group) {
+		for _, g := range gs {
+			c.ObserveAt(g.flow, g.hop, routes[g.flow].Path[g.hop], (g.bytes+mtu-1)/mtu, g.bytes, g.t)
+		}
+	}
+	// Flow 0's last hop takes its remainder before and a chunk after, flow
+	// 1's first hop the other way round, and link 0 carries nothing after.
+	before := []group{{0, 0, 700, 0.5}, {0, 1, 700, 0.6}, {0, 2, 700, 0.7}, {0, 0, chunk, 1}, {0, 1, chunk, 1.1}, {1, 0, chunk, 3}}
+	after := []group{{0, 2, chunk, 5}, {1, 1, chunk, 7}, {1, 0, 10, 9}}
+
+	whole := fresh()
+	observe(whole, before)
+	seen := intervalProfile(whole.Summarize(), nil)
+	observe(whole, after)
+	only := fresh()
+	observe(only, after)
+	if got, want := intervalProfile(whole.Summarize(), seen), only.Summarize(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("interval profile %+v\nfresh collector %+v", got, want)
+	}
+	if got, want := intervalProfile(only.Summarize(), nil), only.Summarize(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("profile since nothing %+v, want the summary %+v", got, want)
 	}
 }
 
-func TestSliceWorkloadBoundaries(t *testing.T) {
-	w := traffic.Workload{
-		Duration: 2,
-		AppHosts: []int{7},
-		Flows: []traffic.Flow{
-			{ID: 0, Src: 1, Dst: 2, Start: 0, Bytes: 10},    // exactly at slice start
-			{ID: 1, Src: 3, Dst: 4, Start: 0.5, Bytes: 20},  // interior
-			{ID: 2, Src: 5, Dst: 6, Start: 1.0, Bytes: 30},  // exactly at slice end → next slice
-			{ID: 3, Src: 7, Dst: 8, Start: 1.5, Bytes: 40},  // interior of next slice
-			{ID: 4, Src: 9, Dst: 10, Start: 2.5, Bytes: 50}, // past both
-		},
-	}
-	first := sliceWorkload(w, 0, 1)
-	second := sliceWorkload(w, 1, 2)
-
-	if got := len(first.Flows); got != 2 {
-		t.Fatalf("first slice has %d flows, want 2 (start boundary inclusive, end exclusive)", got)
-	}
-	if got := len(second.Flows); got != 2 {
-		t.Fatalf("second slice has %d flows, want 2", got)
-	}
-	if second.Flows[0].Bytes != 30 {
-		t.Fatal("flow starting exactly at the boundary must open the next slice")
-	}
-	// Rebasing: starts relative to the slice, IDs dense from zero in each
-	// slice — the uniqueness NetFlow/telemetry attribution relies on within
-	// one segment run.
-	for _, sl := range []traffic.Workload{first, second} {
-		seen := map[int]bool{}
-		for i, f := range sl.Flows {
-			if f.ID != i {
-				t.Fatalf("slice IDs not dense: flow %d has ID %d", i, f.ID)
-			}
-			if seen[f.ID] {
-				t.Fatalf("duplicate flow ID %d within a slice", f.ID)
-			}
-			seen[f.ID] = true
-			if f.Start < 0 || f.Start >= 1 {
-				t.Fatalf("rebased start %v outside [0,1)", f.Start)
-			}
-		}
-		if !reflect.DeepEqual(sl.AppHosts, w.AppHosts) {
-			t.Fatal("slice lost AppHosts")
-		}
-	}
-	if second.Flows[0].Start != 0 {
-		t.Fatalf("boundary flow rebased to %v, want 0", second.Flows[0].Start)
-	}
-	// The tail form absorbs everything else.
-	tail := sliceWorkload(w, 2, math.Inf(1))
-	if len(tail.Flows) != 1 || tail.Flows[0].Bytes != 50 {
-		t.Fatalf("tail slice = %+v, want the one trailing flow", tail.Flows)
-	}
-}
-
-// Regression for collector state leaking across segments: the remap entering
-// interval i+1 must be computed from interval i's traffic alone, exactly as
-// a fresh collector observing only that interval would produce.
+// Regression for collector state leaking across intervals: the remap entering
+// interval i+1 must be computed from interval i's traffic alone — the
+// difference of the run's cumulative NetFlow at the two barriers — not from
+// everything profiled since the run began.
 func TestRunDynamicSecondIntervalProfileFresh(t *testing.T) {
 	sc := dynamicScenario()
 	const interval = 10.0
@@ -133,45 +124,45 @@ func TestRunDynamicSecondIntervalProfileFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Segments) < 3 {
-		t.Fatalf("need >= 3 segments, got %d", len(res.Segments))
+	if len(res.Segments) < 3 || res.Segments[2].Remap == nil {
+		t.Fatalf("need a remap entering the third of %d segments", len(res.Segments))
 	}
 
-	// Replay segment 1 (the second interval, whose flow set is disjoint from
-	// the first's) on a fresh collector under the same assignment, and remap
-	// the way RunDynamic does.
+	// Replay the run with the assignments it chose, keeping the cumulative
+	// profile at each barrier, and remap the second interval the way
+	// RunDynamic does.
 	sc2 := dynamicScenario()
-	w, err := sc2.Workload()
+	cfg, err := sc2.emuConfig(res.Segments[0].Assignment)
 	if err != nil {
 		t.Fatal(err)
 	}
-	routes, err := sc2.Routes()
-	if err != nil {
-		t.Fatal(err)
+	cfg.Profile = true
+	for _, s := range res.Segments[1:] {
+		cfg.Elastic = append(cfg.Elastic, emu.Resize{At: s.Start, Engines: []int{0, 1, 2}})
 	}
-	seg := sliceWorkload(w, interval, 2*interval)
-	prof, err := emu.Run(emu.Config{
-		Network:    sc2.Network,
-		Routes:     routes,
-		Assignment: res.Segments[1].Assignment,
-		NumEngines: sc2.Engines,
-		Workload:   seg,
-		Profile:    true,
-	})
-	if err != nil {
+	var cumulative []*netflow.Summary
+	cfg.OnMembership = func(c emu.MembershipChange) ([]int, error) {
+		cumulative = append(cumulative, intervalProfile(c.NetFlow.Summarize(), nil))
+		return res.Segments[len(cumulative)].Assignment, nil
+	}
+	if _, err := emu.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	in, err := sc2.mappingInput()
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.Summary = prof.NetFlow.Summarize()
+	in.Summary = intervalProfile(cumulative[1], cumulative[0])
 	want, err := mapping.ProfileMap(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, res.Segments[2].Assignment) {
-		t.Fatal("second-interval remap differs from a fresh collector's — cumulative accounting leaked across segments")
+		t.Fatal("second-interval remap differs from one over the interval's own traffic — cumulative accounting leaked across intervals")
+	}
+	in.Summary = cumulative[1]
+	if leaked, err := mapping.ProfileMap(in); err == nil && reflect.DeepEqual(leaked, want) {
+		t.Fatal("the cumulative profile maps like the interval's: the test cannot tell them apart")
 	}
 }
 

@@ -56,9 +56,9 @@ func TestRunDynamicGameConvergesAndBeatsProfileOnMigrations(t *testing.T) {
 		t.Fatalf("game migrated %d nodes, from-scratch PROFILE %d — want strictly fewer",
 			game.Migrations, profile.Migrations)
 	}
-	if game.CrossEngineBytes > profile.CrossEngineBytes {
+	if game.Telemetry.CrossEngineBytes > profile.Telemetry.CrossEngineBytes {
 		t.Fatalf("game cross-engine bytes %d exceed PROFILE remap's %d",
-			game.CrossEngineBytes, profile.CrossEngineBytes)
+			game.Telemetry.CrossEngineBytes, profile.Telemetry.CrossEngineBytes)
 	}
 }
 

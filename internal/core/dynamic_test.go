@@ -2,10 +2,15 @@ package core
 
 import (
 	"context"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/emu"
+	"repro/internal/faults"
 	"repro/internal/mapping"
+	"repro/internal/metrics"
 	"repro/internal/topogen"
 	"repro/internal/traffic"
 )
@@ -26,8 +31,51 @@ func dynamicScenario() *Scenario {
 
 func TestRunDynamicValidation(t *testing.T) {
 	sc := dynamicScenario()
-	if _, err := sc.RunDynamic(context.Background(), 0, 0); err == nil {
-		t.Error("zero interval accepted")
+	for _, c := range []struct {
+		name                    string
+		interval, migrationCost float64
+	}{
+		{"zero interval", 0, 0},
+		{"NaN interval", math.NaN(), 0},
+		{"infinite interval", math.Inf(1), 0},
+		{"more intervals than a run schedules", 1e-9, 0},
+		{"NaN migration cost", 10, math.NaN()},
+	} {
+		if _, err := sc.RunDynamic(context.Background(), c.interval, c.migrationCost); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+	crashy := dynamicScenario()
+	crashy.Faults = &faults.Schedule{Crashes: []faults.Crash{{Engine: 1, At: 5}}}
+	if _, err := crashy.RunDynamic(context.Background(), 10, 0); err == nil {
+		t.Error("crash schedule accepted")
+	}
+}
+
+// The scenario's EndTime and straggler schedule carry into the one dynamic
+// run, as they do into Run.
+func TestRunDynamicKeepsScenarioSettings(t *testing.T) {
+	run := func(straggle bool) *DynamicResult {
+		sc := dynamicScenario()
+		sc.EndTime = 25
+		if straggle {
+			sc.Faults = &faults.Schedule{Stragglers: []faults.Straggler{{Engine: 0, From: 0, To: 25, Factor: 4}}}
+		}
+		res, err := sc.RunDynamic(context.Background(), 10, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain, slowed := run(false), run(true)
+	if end := plain.Kernel.VirtualEnd; end > 25 {
+		t.Errorf("run ended at %g, past the scenario's EndTime 25", end)
+	}
+	if slowed.AppTime <= plain.AppTime {
+		t.Errorf("straggler schedule ignored: app time %g, %g without it", slowed.AppTime, plain.AppTime)
+	}
+	if !slices.Equal(slowed.FlowFCTs, plain.FlowFCTs) {
+		t.Error("a straggler changed what the network did")
 	}
 }
 
@@ -53,6 +101,27 @@ func TestRunDynamicSegments(t *testing.T) {
 	}
 	if res.AppTime <= 0 || res.NetTime <= 0 {
 		t.Error("times not accumulated")
+	}
+	// A segment measures the run between its barriers: its imbalance is the
+	// engine series' over its five 2 s buckets (the last takes the drain),
+	// up to the windows a barrier splits, and the cross-engine bytes add up.
+	var cross int64
+	for i, s := range res.Segments {
+		loads := make([]float64, sc.Engines)
+		for b, row := range res.EngineSeries.Loads {
+			if b/5 == i || i == len(res.Segments)-1 && b/5 > i {
+				for e, x := range row {
+					loads[e] += x
+				}
+			}
+		}
+		if want := metrics.Imbalance(loads); math.Abs(s.Imbalance-want) > 0.01 {
+			t.Errorf("segment %d imbalance %.4f, its buckets' %.4f", i, s.Imbalance, want)
+		}
+		cross += s.CrossEngineBytes
+	}
+	if cross != res.Telemetry.CrossEngineBytes {
+		t.Errorf("segments carry %d cross-engine bytes, the run %d", cross, res.Telemetry.CrossEngineBytes)
 	}
 }
 
@@ -123,20 +192,50 @@ func TestRunDynamicTelemetryFeed(t *testing.T) {
 			len(telFed.Segments), telFed.Migrations)
 	}
 	// The run carries the traffic-plane extras.
-	if telFed.CrossEngineBytes == 0 {
+	if telFed.Telemetry.CrossEngineBytes == 0 {
 		t.Error("telemetry-fed run reports no cross-engine bytes")
 	}
-	if len(telFed.Timeline()) == 0 {
+	tl := telFed.Timeline()
+	if len(tl) == 0 {
 		t.Error("telemetry-fed run has an empty traffic timeline")
 	}
-	// Each segment's windows are strictly increasing in time. (Adjacent
-	// segments may overlap in absolute time: flows drain past the interval
-	// boundary, so a segment's measurement can extend beyond its nominal end.)
-	for _, s := range telFed.Segments {
-		for i := 1; i < len(s.Timeline); i++ {
-			if s.Timeline[i].Time <= s.Timeline[i-1].Time {
-				t.Fatalf("segment at %g: timeline not strictly increasing at %d: %v",
-					s.Start, i, s.Timeline[i])
+	// One run, one timeline: its windows are strictly increasing in time
+	// across the remaps.
+	for i := 1; i < len(tl); i++ {
+		if tl[i].Time <= tl[i-1].Time {
+			t.Fatalf("timeline not strictly increasing at %d: %v", i, tl[i])
+		}
+	}
+}
+
+// TestDynamicRemapNeverChangesTheNetwork is the paper's premise (emu's
+// TestMappingNeverChangesTheNetwork) for remapping during the run: under every
+// policy and both transports, the dynamic run delivers every flow at the
+// instant the static TOP run does, drops the same packets and loads every link
+// alike.
+func TestDynamicRemapNeverChangesTheNetwork(t *testing.T) {
+	for _, transport := range []emu.TransportMode{emu.Blast, emu.TCPSlowStart} {
+		sc := dynamicScenario()
+		sc.Transport = transport
+		static, err := sc.Run(context.Background(), mapping.Top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := static.Result
+		for _, p := range RemapPolicies() {
+			sc := dynamicScenario()
+			sc.Transport, sc.Remap = transport, p
+			got, err := sc.RunDynamic(context.Background(), 10, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Migrations == 0 {
+				t.Errorf("transport %d %s: no node moved, so nothing is compared", transport, p)
+			}
+			if !slices.Equal(got.FlowFCTs, want.FlowFCTs) || got.DroppedPackets != want.DroppedPackets || !slices.Equal(got.LinkBytes, want.LinkBytes) {
+				t.Errorf("transport %d %s: completion times equal %v, drops %d against %d, link bytes equal %v",
+					transport, p, slices.Equal(got.FlowFCTs, want.FlowFCTs), got.DroppedPackets, want.DroppedPackets,
+					slices.Equal(got.LinkBytes, want.LinkBytes))
 			}
 		}
 	}

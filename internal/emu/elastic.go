@@ -52,11 +52,12 @@ type Membership struct {
 // repartition is the one policy call behind every membership change — a crash
 // (recoverCrash), an in-process resize (applyResize) and a distributed one
 // (DistMerge.Resize): policy is handed the change c, completed with the
-// assignment in effect, and its answer must cover the network using only
-// engines member flags.
+// assignment in effect and the NetFlow collector, and its answer must cover
+// the network using only engines member flags.
 func (e *emulation) repartition(policy MembershipPolicy, c MembershipChange, member []bool) ([]int, error) {
 	c.Engines = append([]int(nil), c.Engines...)
 	c.Previous = append([]int(nil), e.assignment...)
+	c.NetFlow = e.collector
 	next, err := policy(c)
 	if err != nil {
 		return nil, fmt.Errorf("emu: membership policy at t=%g: %w", c.At, err)

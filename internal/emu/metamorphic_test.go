@@ -18,11 +18,14 @@ type mapped struct {
 	name       string
 	assignment []int
 	engines    int
+	// remapped re-draws the assignment at every whole second of the run.
+	remapped bool
 }
 
-// mappingsOf are the three mappings the metamorphic tests compare: the
+// mappingsOf are the four mappings the metamorphic tests compare: the
 // configuration's own (TOP), a seeded uniformly random assignment over the same
-// engines, and everything on one engine.
+// engines, everything on one engine, and TOP remapped at random every second —
+// the barrier remap of a dynamic run.
 func mappingsOf(cfg emu.Config, seed int64) []mapped {
 	random := make([]int, len(cfg.Assignment))
 	rng := rand.New(rand.NewSource(seed))
@@ -30,24 +33,51 @@ func mappingsOf(cfg emu.Config, seed int64) []mapped {
 		random[v] = rng.Intn(cfg.NumEngines)
 	}
 	return []mapped{
-		{"TOP", cfg.Assignment, cfg.NumEngines},
-		{"random", random, cfg.NumEngines},
-		{"k=1", make([]int, len(cfg.Assignment)), 1},
+		{"TOP", cfg.Assignment, cfg.NumEngines, false},
+		{"random", random, cfg.NumEngines, false},
+		{"k=1", make([]int, len(cfg.Assignment)), 1, false},
+		{"remapped", cfg.Assignment, cfg.NumEngines, true},
+	}
+}
+
+// remapEverySecond schedules a resize onto cfg's own engines at every whole
+// second of its workload, each drawing a seeded random assignment.
+func remapEverySecond(cfg *emu.Config, seed int64) {
+	engines := make([]int, cfg.NumEngines)
+	for e := range engines {
+		engines[e] = e
+	}
+	for at := 1.0; at < cfg.Workload.Duration; at++ {
+		cfg.Elastic = append(cfg.Elastic, emu.Resize{At: at, Engines: engines})
+	}
+	rng := rand.New(rand.NewSource(seed))
+	cfg.OnMembership = func(c emu.MembershipChange) ([]int, error) {
+		next := make([]int, len(c.Previous))
+		for v := range next {
+			next[v] = rng.Intn(len(engines))
+		}
+		return next, nil
 	}
 }
 
 // checkMappingInvariance runs cfg under Blast and slow start, with unbounded
 // and with 256 KiB link buffers, and requires every flow's completion time,
 // the drop count and every link's byte total to be the same — floats bit for
-// bit — under each of mappingsOf.
-func checkMappingInvariance(t *testing.T, cfg emu.Config) {
+// bit — under each of mappingsOf, the remapped one only when remaps is set.
+func checkMappingInvariance(t *testing.T, cfg emu.Config, remaps bool) {
 	for _, transport := range []emu.TransportMode{emu.Blast, emu.TCPSlowStart} {
 		for _, buffer := range []int64{0, 256 << 10} {
 			cfg.Transport, cfg.BufferBytes = transport, buffer
 			var want *emu.Result
 			for _, m := range mappingsOf(cfg, 7) {
+				if m.remapped && !remaps {
+					continue
+				}
 				cfg := cfg
 				cfg.Assignment, cfg.NumEngines = m.assignment, m.engines
+				if m.remapped {
+					remapEverySecond(&cfg, 7)
+				}
 				got, err := emu.Run(cfg)
 				if err != nil {
 					t.Fatalf("transport %d buffer %d %s: %v", transport, buffer, m.name, err)
@@ -118,6 +148,11 @@ func randomConfig(t *testing.T, seed int64) emu.Config {
 // of what the emulation computes and not this test's to make.
 var tieOrderedSeeds = map[int64]bool{10: true, 12: true, 14: true, 16: true, 18: true, 28: true}
 
+// remapTieSeeds are two more scenarios with such a tie, which only the random
+// remaps reorder: flows 37 and 39 of seed 26 and flows 81 and 82 of seed 30
+// start together with one size. Their other mappings are still compared.
+var remapTieSeeds = map[int64]bool{26: true, 30: true}
+
 // TestMappingNeverChangesTheNetwork is the paper's premise as a metamorphic
 // test: the mapping changes how fast the emulation runs, never what the
 // emulated network does. The evaluation's three topologies at 20 virtual
@@ -127,7 +162,7 @@ var tieOrderedSeeds = map[int64]bool{10: true, 12: true, 14: true, 16: true, 18:
 // alike.
 func TestMappingNeverChangesTheNetwork(t *testing.T) {
 	for _, topology := range []string{"Campus", "TeraGrid", "Brite"} {
-		t.Run(topology, func(t *testing.T) { checkMappingInvariance(t, topConfig(t, topology, 20, true)) })
+		t.Run(topology, func(t *testing.T) { checkMappingInvariance(t, topConfig(t, topology, 20, true), true) })
 	}
 	if testing.Short() {
 		return
@@ -137,7 +172,7 @@ func TestMappingNeverChangesTheNetwork(t *testing.T) {
 			if tieOrderedSeeds[seed] {
 				t.Skip("same-instant arrivals at a shared router are served in kernel sequence order, which follows the mapping (see tieOrderedSeeds)")
 			}
-			checkMappingInvariance(t, randomConfig(t, seed))
+			checkMappingInvariance(t, randomConfig(t, seed), !remapTieSeeds[seed])
 		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/metrics"
+	"repro/internal/netflow"
 	"repro/internal/obs"
 )
 
@@ -17,23 +18,8 @@ const DefaultCheckpointEvery = 10.0
 
 // DefaultMigrationCost is the modeled stall per migrated virtual node:
 // shipping a router's state (routing table, queues) across 100 Mb/s
-// Ethernet. Shared with the dynamic-remap prototype in internal/core.
+// Ethernet.
 const DefaultMigrationCost = 50e-3
-
-// NormalizedMigrationCost converts a per-node migration stall (seconds) into
-// the dimensionless units the game-theoretic repartitioner trades against
-// its normalized load and traffic objectives: the fraction of one remapping
-// interval a single migration stalls. A non-positive stall falls back to
-// DefaultMigrationCost; a non-positive interval disables the penalty.
-func NormalizedMigrationCost(stall, interval float64) float64 {
-	if stall <= 0 {
-		stall = DefaultMigrationCost
-	}
-	if interval <= 0 {
-		return 0
-	}
-	return stall / interval
-}
 
 // MembershipChange describes one change of a run's engine set — an elastic
 // resize or an engine crash — to the repartitioning policy, in-process
@@ -63,6 +49,9 @@ type MembershipChange struct {
 	// CheckpointTime is the last cadence barrier, which the crash is charged
 	// from.
 	CheckpointTime float64
+	// NetFlow is the run's NetFlow collector, quiesced at the barrier, or nil
+	// unless Config.Profile: a policy may Summarize the traffic so far.
+	NetFlow *netflow.Collector
 }
 
 // MembershipPolicy computes the node→engine assignment a run continues on

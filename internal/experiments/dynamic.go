@@ -58,7 +58,7 @@ func DynamicStudy(cfg Config) ([]DynamicRow, error) {
 			Policy:               p,
 			Imbalance:            res.Imbalance,
 			MeanSegmentImbalance: res.MeanSegmentImbalance,
-			CrossEngineBytes:     res.CrossEngineBytes,
+			CrossEngineBytes:     res.Telemetry.CrossEngineBytes,
 			Migrations:           res.Migrations,
 			AppTime:              res.AppTime,
 			Converged:            true,

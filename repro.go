@@ -406,12 +406,6 @@ func GameImprove(g *Graph, part []int, k int, opts GameOptions) (int, *GameStats
 	return partition.GameImprove(g, part, k, opts)
 }
 
-// NormalizedMigrationCost converts a migration stall (virtual seconds) into
-// game-payoff units by expressing it as a fraction of the remap interval.
-func NormalizedMigrationCost(stall, interval float64) float64 {
-	return emu.NormalizedMigrationCost(stall, interval)
-}
-
 // Baseline (traffic-blind) mapping strategies from the paper's §5 discussion.
 const (
 	// KCluster is the randomized greedy k-cluster baseline.
