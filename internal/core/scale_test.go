@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,11 +14,17 @@ import (
 	"repro/internal/traffic"
 )
 
+// scaleTopSHA is the SHA-256 of the 10⁵-router TOP assignment written as
+// "p0,p1,...", recorded before the refiner kept its connectivity current
+// across moves: the partitioner's speed-ups must not change it.
+const scaleTopSHA = "8679651af73f3a1ed4edb62218368923a146ce6d530860a33caed0334d4287c1"
+
 // TestMemoryScalableRoutingEndToEnd is the tentpole acceptance test: a
 // 10⁵-router topology builds, partitions (TOP), and emulates end to end
 // through core with the automatic routing policy — which must have selected
 // the lazy oracle and stayed far below the flat table's 12·n² bytes
-// (~120 GB at this size; the whole point of the redesign).
+// (~120 GB at this size; the whole point of the redesign). The assignment is
+// pinned (scaleTopSHA).
 func TestMemoryScalableRoutingEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and partitions a 10⁵-router topology")
@@ -46,6 +55,13 @@ func TestMemoryScalableRoutingEndToEnd(t *testing.T) {
 	}
 	if o.Result.AppTime <= 0 {
 		t.Fatalf("emulation did no work: %+v", o.Result)
+	}
+	h := sha256.New()
+	for _, p := range o.Assignment {
+		fmt.Fprintf(h, "%d,", p)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != scaleTopSHA {
+		t.Errorf("assignment sha %s, pinned %s", got, scaleTopSHA)
 	}
 
 	routes, err := sc.Routes()

@@ -3,6 +3,7 @@ package mapping
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/partition"
@@ -28,6 +29,18 @@ func TestSentinelErrBadInput(t *testing.T) {
 		}},
 		{"imbalance-inf", func() error {
 			_, err := PlaceMap(Input{Network: nw, K: 2, PartOpts: partition.Options{Imbalance: math.Inf(1)}})
+			return err
+		}},
+		{"engine-fraction-nan", func() error {
+			_, err := TopMap(Input{Network: nw, K: 2, EngineFractions: []float64{1, math.NaN()}})
+			return err
+		}},
+		{"engine-fraction-inf", func() error {
+			_, err := ProfileMap(Input{Network: nw, K: 2, EngineFractions: []float64{math.Inf(1), 1}})
+			return err
+		}},
+		{"engine-fraction-nan-wrong-length", func() error {
+			_, err := PlaceMap(Input{Network: nw, K: 2, EngineFractions: []float64{math.NaN()}})
 			return err
 		}},
 		{"remap-bad-assignment", func() error {
@@ -95,6 +108,30 @@ func TestSentinelErrInfeasible(t *testing.T) {
 		}
 		if errors.Is(err, ErrBadInput) {
 			t.Errorf("%s: infeasible error must not also wrap ErrBadInput: %v", tc.name, err)
+		}
+	}
+}
+
+// TestNonPositiveEngineFractionCountsAsOne: a capacity <= 0 is read the way
+// the emulator reads the engine speed it comes from, as speed 1, so the
+// partition targets the engines the emulation will run on.
+func TestNonPositiveEngineFractionCountsAsOne(t *testing.T) {
+	tg := topogen.TeraGrid()
+	top := func(frac ...float64) []int {
+		t.Helper()
+		part, err := TopMap(Input{Network: tg, K: 5, PartOpts: partition.Options{Seed: 42}, EngineFractions: frac})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return part
+	}
+	want := top(4, 2, 1, 1, 1)
+	if slices.Equal(want, top()) {
+		t.Fatal("the instance no longer tells unequal engines from equal ones")
+	}
+	for _, frac := range [][]float64{{4, 2, 0, 1, 1}, {4, 2, -3, 1, 1}, {4, 2, math.Inf(-1), 1, 1}} {
+		if !slices.Equal(top(frac...), want) {
+			t.Errorf("EngineFractions %v maps unlike {4 2 1 1 1}", frac)
 		}
 	}
 }

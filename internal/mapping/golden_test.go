@@ -54,7 +54,7 @@ var goldenPins = map[string]string{
 // goldenInput is the full TOP/PLACE/PROFILE input of one topology and seed:
 // predicted HTTP background, the first ten hosts as the application, and the
 // NetFlow summary of a 20 s profiling run under the TOP assignment.
-func goldenInput(t *testing.T, nw *netgraph.Network, k int, seed int64) Input {
+func goldenInput(t testing.TB, nw *netgraph.Network, k int, seed int64) Input {
 	t.Helper()
 	spec := traffic.DefaultHTTP(20, seed)
 	in := Input{

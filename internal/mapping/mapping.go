@@ -106,6 +106,8 @@ type Input struct {
 	// engine p should receive EngineFractions[p] of the load (normalized
 	// internally). Copied into the partitioner's PartFractions. This is the
 	// §5 gap ("currently assumes homogeneous physical resources") closed.
+	// Read like emu.Config.EngineSpeeds: an entry <= 0 counts as 1, NaN and
+	// +Inf are ErrBadInput, and a length other than K means uniform.
 	EngineFractions []float64
 }
 
@@ -163,18 +165,27 @@ func (in *Input) defaults() error {
 			in.PartOpts.RefinePasses = 16
 		}
 	}
+	// Engine capacities are read the way emu reads the speeds they come from
+	// (see EngineFractions).
+	for p, f := range in.EngineFractions {
+		if math.IsNaN(f) || math.IsInf(f, 1) {
+			return fmt.Errorf("%w: EngineFractions[%d] = %v, must be finite", ErrBadInput, p, f)
+		}
+	}
 	if len(in.EngineFractions) == in.K && in.PartOpts.PartFractions == nil {
+		frac := make([]float64, in.K)
 		var sum float64
-		for _, f := range in.EngineFractions {
+		for p, f := range in.EngineFractions {
+			if f <= 0 {
+				f = 1
+			}
+			frac[p] = f
 			sum += f
 		}
-		if sum > 0 {
-			frac := make([]float64, in.K)
-			for p, f := range in.EngineFractions {
-				frac[p] = f / sum
-			}
-			in.PartOpts.PartFractions = frac
+		for p := range frac {
+			frac[p] /= sum
 		}
+		in.PartOpts.PartFractions = frac
 	}
 	// A slightly loose ceiling lands better final balance than a tight one:
 	// with ε=0.05 the refiner rejects moves into near-full parts and wedges
@@ -220,36 +231,44 @@ func baseGraph(nw *netgraph.Network, ncon int) *partition.Graph {
 // partitioner prefers cutting long-haul links and keeps low-latency LAN
 // links together — the DaSSF/MaSSF convention.
 func latencyWeights(nw *netgraph.Network, g *partition.Graph) partition.EdgeWeightSet {
-	// Minimum latency per merged edge.
-	minLat := make(map[[2]int]float64)
-	for _, l := range nw.Links {
-		k := edgeKey(l.A, l.B)
-		if cur, ok := minLat[k]; !ok || l.Latency < cur {
-			minLat[k] = l.Latency
+	// Per edge, 1 + the index of its first lowest-latency link.
+	minLat := func(best int64, i int) int64 {
+		if best == 0 || nw.Links[i].Latency < nw.Links[best-1].Latency {
+			return int64(i) + 1
 		}
+		return best
 	}
-	ws := partition.NewEdgeWeightSet(g)
-	const scale = 10e-3 // a 10 ms link weighs 1; a 0.1 ms link weighs 100
-	for k, lat := range minLat {
-		w := int64(1)
-		if lat > 0 {
-			w = int64(math.Round(scale / lat))
-			if w < 1 {
-				w = 1
-			}
-		} else {
-			w = 1000 // zero-latency: never cut if avoidable
+	weight := func(best int64) int64 {
+		const scale = 10e-3 // a 10 ms link weighs 1; a 0.1 ms link weighs 100
+		lat := nw.Links[best-1].Latency
+		if !(lat > 0) {
+			return 1000 // zero-latency: never cut if avoidable
 		}
-		ws.SetSymmetric(g, k[0], k[1], w)
+		return max(1, int64(math.Round(scale/lat)))
 	}
-	return ws
+	return linkWeights(nw, g, minLat, weight)
 }
 
-func edgeKey(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
+// linkWeights folds the links of nw into g's edges (parallel links merge into
+// one) without a map: per edge, a value starts at 0 and becomes fold(value,
+// i) for each of its links i in nw.Links order; the edge then weighs
+// weight(value).
+func linkWeights(nw *netgraph.Network, g *partition.Graph, fold func(value int64, i int) int64, weight func(value int64) int64) partition.EdgeWeightSet {
+	ws := partition.NewEdgeWeightSet(g)
+	for i, l := range nw.Links {
+		for j, e := range g.Adj[l.A] {
+			if e.To == l.B {
+				ws.SetSymmetric(g, l.A, l.B, fold(ws[l.A][j], i))
+				break
+			}
+		}
 	}
-	return [2]int{a, b}
+	for _, row := range ws {
+		for j, value := range row {
+			row[j] = weight(value)
+		}
+	}
+	return ws
 }
 
 // memoryWeights fills the given constraint with the paper's memory model:
@@ -272,8 +291,10 @@ const mappingTrials = 5
 // largeGraphNodes is the node count beyond which the mapping pipeline
 // switches to its lean effort profile (fewer partitioner restarts and
 // refinement passes, a single mapping trial): at 10⁵ nodes the default
-// budget multiplies a 13 s multilevel run by ~40× (~80× before rebalance
-// stopped replaying cycles).
+// budget multiplies a 3.3 s lean TOP call by ~48× (2-vCPU Xeon, GOMAXPROCS
+// 1; the lean call took 13 s before the refiner kept its connectivity
+// current across moves, and the factor was ~80× before rebalance stopped
+// replaying cycles).
 const largeGraphNodes = 20000
 
 // bestOfTrials is the partitioning of one mapping call: mappingTrials
@@ -402,7 +423,17 @@ func TopMap(in Input) ([]int, error) {
 	if err := in.defaults(); err != nil {
 		return nil, err
 	}
-	nw := in.Network
+	g, objs := topGraph(in.Network)
+	part, err := bestOfTrials(g, objs, nil, in.K, in.PartOpts)
+	if err != nil {
+		return nil, fmt.Errorf("mapping: TOP: %w", err)
+	}
+	return part, nil
+}
+
+// topGraph builds the TOP partitioning instance: the graph with bandwidth and
+// memory constraints, and the latency objective.
+func topGraph(nw *netgraph.Network) (*partition.Graph, []partition.EdgeWeightSet) {
 	g := baseGraph(nw, 2)
 	// Constraint 0: total bandwidth in/out of the node, in Mb/s.
 	for v := 0; v < nw.NumNodes(); v++ {
@@ -413,11 +444,7 @@ func TopMap(in Input) ([]int, error) {
 		g.VWgt[v][0] = w
 	}
 	memoryWeights(nw, g, 1)
-	part, err := bestOfTrials(g, []partition.EdgeWeightSet{latencyWeights(nw, g)}, nil, in.K, in.PartOpts)
-	if err != nil {
-		return nil, fmt.Errorf("mapping: TOP: %w", err)
-	}
-	return part, nil
+	return g, []partition.EdgeWeightSet{latencyWeights(nw, g)}
 }
 
 // predictedLinkLoad accumulates PLACE's traffic estimate per link, in
@@ -464,18 +491,15 @@ func predictedLinkLoad(in *Input) map[int]float64 {
 }
 
 // trafficEdgeWeights converts per-link loads (packets/s or packets) into the
-// bandwidth objective's edge weights.
+// bandwidth objective's edge weights: an edge weighs the rounded sum of its
+// links' loads, added in nw.Links order (the running float64 sum rides in the
+// weight set as its bits).
 func trafficEdgeWeights(nw *netgraph.Network, g *partition.Graph, load map[int]float64) partition.EdgeWeightSet {
-	// Merge parallel links.
-	merged := make(map[[2]int]float64)
-	for _, l := range nw.Links {
-		merged[edgeKey(l.A, l.B)] += load[l.ID]
+	sum := func(bits int64, i int) int64 {
+		return int64(math.Float64bits(math.Float64frombits(uint64(bits)) + load[nw.Links[i].ID]))
 	}
-	ws := partition.NewEdgeWeightSet(g)
-	for k, v := range merged {
-		ws.SetSymmetric(g, k[0], k[1], int64(math.Round(v)))
-	}
-	return ws
+	round := func(bits int64) int64 { return int64(math.Round(math.Float64frombits(uint64(bits)))) }
+	return linkWeights(nw, g, sum, round)
 }
 
 // nodeThroughLoad estimates the compute weight of each node from per-link

@@ -138,10 +138,13 @@ func TestTaskErrorIsTheLowestIndex(t *testing.T) {
 // TestProfileMapAllocs is the gate behind the bench's alloc_mb_per_op on
 // map_brite_profile: a warmed ProfileMap of the Brite golden input on the
 // inline path (one worker, so one workspace serves all 15 partitions)
-// allocates 738 136 bytes in 1 248 mallocs, exact run to run, where per-
+// allocates 662 024 bytes in 1 212 mallocs, exact run to run, where per-
 // partition scratch, per-vertex graph rows and per-trial clones took
-// 2 838 688 in 35 992 (at 415c4a5). Bounds 10 % above, for a Go release that
-// moves a size class. Every further worker adds one cold workspace.
+// 2 838 688 in 35 992 (at 415c4a5). The workspace's n×k connectivity table
+// (34 KB here) is paid for by the latency and traffic weights building
+// without a map (738 136 in 1 248 before both). Bounds 10 % above, for a Go
+// release that moves a size class. Every further worker adds one cold
+// workspace.
 func TestProfileMapAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes are the race detector's under -race")
@@ -161,8 +164,10 @@ func TestProfileMapAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	const maxBytes, maxMallocs = 812_000, 1_375
-	if bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs; bytes > maxBytes || mallocs > maxMallocs {
+	const maxBytes, maxMallocs = 729_000, 1_334
+	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	if bytes > maxBytes || mallocs > maxMallocs {
 		t.Errorf("ProfileMap allocated %d bytes in %d mallocs, want at most %d in %d", bytes, mallocs, maxBytes, maxMallocs)
 	}
+	t.Logf("ProfileMap allocated %d bytes in %d mallocs", bytes, mallocs)
 }

@@ -401,13 +401,17 @@ func TestImproveWithFractions(t *testing.T) {
 
 // TestWorkspaceReuseIsInvisible drives one Partitioner through graphs of
 // different size, constraint count, part count and target fractions in
-// sequence — small random instances forced to coarsen, with the two Brite
-// fixtures in between so that the scratch shrinks and grows — and requires
-// what fresh one-shot partitions return.
+// sequence — first a Brite fixture at k = 16, larger in both n and k than
+// anything after it, then small random instances forced to coarsen, with the
+// two Brite fixtures in between so that the scratch shrinks and grows — and
+// requires what fresh one-shot partitions return.
 func TestWorkspaceReuseIsInvisible(t *testing.T) {
 	fixtures := []*Graph{readFixture(t, "brite_top"), readFixture(t, "brite_profile_traffic")}
 	rng := rand.New(rand.NewSource(20031115))
 	var pt Partitioner
+	if _, err := pt.Partition(fixtures[1], 16, Options{Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 300; i++ {
 		k := 2 + rng.Intn(7)
 		g, _ := randomInstance(rng, k, i%3 == 2)

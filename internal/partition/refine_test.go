@@ -38,6 +38,45 @@ func connectivityReference(g *Graph, part []int, v int, conn map[int]int64) {
 	}
 }
 
+// moveFitsReference reports whether moving vertex v into part dst keeps every
+// constraint of dst at or below its ceiling.
+func moveFitsReference(g *Graph, w [][]int64, v, dst int, ceil [][]float64) bool {
+	for c, x := range g.VWgt[v] {
+		if float64(w[dst][c]+x) > ceil[dst][c] {
+			return false
+		}
+	}
+	return true
+}
+
+// fitsAfterMoveReference is moveFitsReference with a 10 % margin on the
+// constraints other than the violated one.
+func fitsAfterMoveReference(g *Graph, w [][]int64, v, dst int, ceil [][]float64, violated int) bool {
+	for c, x := range g.VWgt[v] {
+		limit := ceil[dst][c]
+		if c != violated {
+			limit *= 1.10
+		}
+		if float64(w[dst][c]+x) > limit {
+			return false
+		}
+	}
+	return true
+}
+
+// applyMoveReference moves v from its current part to dst, updating part and
+// weights.
+func applyMoveReference(g *Graph, part []int, w [][]int64, sizes []int, v, dst int) {
+	src := part[v]
+	for c, x := range g.VWgt[v] {
+		w[src][c] -= x
+		w[dst][c] += x
+	}
+	sizes[src]--
+	sizes[dst]++
+	part[v] = dst
+}
+
 func refineReference(g *Graph, part []int, k int, tol float64, passes int, frac []float64, rng *rand.Rand) {
 	frac = uniformFractions(k, frac)
 	w := partWeights(g, part, k)
@@ -65,7 +104,7 @@ func refineReference(g *Graph, part []int, k int, tol float64, passes int, frac 
 				if gain < 0 {
 					continue
 				}
-				if !moveFits(g, w, v, dst, ceil) {
+				if !moveFitsReference(g, w, v, dst, ceil) {
 					continue
 				}
 				if gain > bestGain {
@@ -77,7 +116,7 @@ func refineReference(g *Graph, part []int, k int, tol float64, passes int, frac 
 				}
 			}
 			if bestDst != -1 && (bestGain > 0 || bestBalance) {
-				applyMove(g, part, w, sizes, v, bestDst)
+				applyMoveReference(g, part, w, sizes, v, bestDst)
 				moved++
 			}
 		}
@@ -155,7 +194,7 @@ func (st *rebalanceStateReference) pushPhaseReference(maxMoves int) int {
 				if dst == over {
 					continue
 				}
-				if !fitsAfterMove(g, w, v, dst, ceil, overC) {
+				if !fitsAfterMoveReference(g, w, v, dst, ceil, overC) {
 					continue
 				}
 				cost := float64(internal-conn[dst]) / float64(g.VWgt[v][overC])
@@ -190,7 +229,7 @@ func (st *rebalanceStateReference) pushPhaseReference(maxMoves int) int {
 			forcedMoves[bestV]++
 		}
 		if bestV != -1 {
-			applyMove(g, part, w, sizes, bestV, bestDst)
+			applyMoveReference(g, part, w, sizes, bestV, bestDst)
 			moves++
 		}
 	}
@@ -234,7 +273,7 @@ func (st *rebalanceStateReference) fillPhaseReference(maxMoves int) int {
 			return moves
 		}
 		forcedMoves[bestV]++
-		applyMove(g, part, w, sizes, bestV, starve)
+		applyMoveReference(g, part, w, sizes, bestV, starve)
 		moves++
 	}
 	return moves
@@ -368,8 +407,45 @@ func shortestPeriod(log []move) int {
 	return 0
 }
 
+// checkTracked fails unless the workspace's connectivity table and member
+// sets equal a recount from scratch of the assignment: what load builds and
+// every move must keep current.
+func checkTracked(t *testing.T, name string, ws *workspace, g *Graph, part []int) {
+	t.Helper()
+	k := ws.k
+	for v, adj := range g.Adj {
+		wgt, cnt := make([]int64, k), make([]int32, k)
+		for _, e := range adj {
+			wgt[part[e.To]] += e.Wgt
+			cnt[part[e.To]]++
+		}
+		if !slices.Equal(ws.connW[v*k:(v+1)*k], wgt) || !slices.Equal(ws.connN[v*k:(v+1)*k], cnt) {
+			t.Fatalf("%s: vertex %d connectivity %v/%v, recount %v/%v",
+				name, v, ws.connW[v*k:(v+1)*k], ws.connN[v*k:(v+1)*k], wgt, cnt)
+		}
+	}
+	seen := make([]bool, len(part))
+	for p := 0; p < k; p++ {
+		prev, size := -1, 0
+		for v := ws.head[p]; v != -1; prev, v = v, ws.next[v] {
+			if part[v] != p || seen[v] || ws.prev[v] != prev {
+				t.Fatalf("%s: part %d's member list is broken at vertex %d (in part %d, listed before: %v)", name, p, v, part[v], seen[v])
+			}
+			seen[v] = true
+			size++
+		}
+		if size != ws.sizes[p] {
+			t.Fatalf("%s: part %d lists %d members, holds %d", name, p, size, ws.sizes[p])
+		}
+	}
+	if i := slices.Index(seen, false); i != -1 {
+		t.Fatalf("%s: vertex %d is in no member list", name, i)
+	}
+}
+
 // checkRebalance runs production and reference rebalance phase by phase on
-// copies of one assignment and fails on the first difference. It returns the
+// copies of one assignment and fails on the first difference. The phases run
+// on the state rebalance builds (load), which a recount checks after each. It returns the
 // longest cycle period production skipped over and how many moves it was
 // spared.
 func checkRebalance(t *testing.T, name string, g *Graph, start []int, k int, tol float64, frac []float64) (period, spared int) {
@@ -387,6 +463,7 @@ func checkRebalance(t *testing.T, name string, g *Graph, start []int, k int, tol
 			t.Fatalf("%s: round %d push: %d moves, reference %d; assignments equal: %v",
 				name, round, pushed, pushedRef, slices.Equal(got, want))
 		}
+		checkTracked(t, fmt.Sprintf("%s: round %d push", name, round), ws, g, got)
 		if made := len(ws.cycle.moves); pushed == maxMoves && made < pushed {
 			// Budget spent with fewer moves logged than charged: a skip. (A
 			// forced move restarts the log, so spared is an upper estimate;
@@ -399,6 +476,7 @@ func checkRebalance(t *testing.T, name string, g *Graph, start []int, k int, tol
 			t.Fatalf("%s: round %d fill: %d moves, reference %d; assignments equal: %v",
 				name, round, filled, filledRef, slices.Equal(got, want))
 		}
+		checkTracked(t, fmt.Sprintf("%s: round %d fill", name, round), ws, g, got)
 		if pushed+filled == 0 {
 			break
 		}
@@ -407,6 +485,7 @@ func checkRebalance(t *testing.T, name string, g *Graph, start []int, k int, tol
 	// And the entry point itself, on a workspace that has been used before.
 	again := slices.Clone(start)
 	ws.rebalance(g, again, tol)
+	checkTracked(t, name+": rebalance", ws, g, again)
 	wantAgain := slices.Clone(start)
 	rebalanceReference(g, wantAgain, k, tol, frac)
 	if !slices.Equal(again, wantAgain) || !slices.Equal(again, got) {
@@ -578,6 +657,7 @@ func TestRefineMatchesReference(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("instance %d (n=%d k=%d ncon=%d): refine differs from the reference", i, g.NumVertices(), k, g.Ncon)
 		}
+		checkTracked(t, fmt.Sprintf("instance %d refine", i), ws, g, got)
 		if a, b := rngGot.Int63(), rngWant.Int63(); a != b {
 			t.Fatalf("instance %d: refine left the random stream elsewhere than rand.Perm does", i)
 		}
@@ -594,9 +674,11 @@ func TestRefineMatchesReference(t *testing.T) {
 		part[shuffle.Intn(len(part))] = shuffle.Intn(8)
 	}
 	got, want := slices.Clone(part), slices.Clone(part)
-	newWorkspace(g, 8, nil).refine(g, got, 0.05, 10, rand.New(rand.NewSource(3)))
+	ws := newWorkspace(g, 8, nil)
+	ws.refine(g, got, 0.05, 10, rand.New(rand.NewSource(3)))
 	refineReference(g, want, 8, 0.05, 10, nil, rand.New(rand.NewSource(3)))
 	if !slices.Equal(got, want) {
 		t.Fatal("Brite TOP graph: refine differs from the reference")
 	}
+	checkTracked(t, "Brite TOP graph refine", ws, g, got)
 }
