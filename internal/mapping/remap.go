@@ -2,7 +2,6 @@ package mapping
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/partition"
 )
@@ -58,16 +57,8 @@ func RemapOnto(in Input, previous []int, engines []int, engineLoads []float64) (
 	// The TOP instance: bandwidth + memory constraints, latency objective —
 	// the information still available when the profiling of the current run
 	// was lost with the crash.
-	g := baseGraph(nw, 2)
-	for v := 0; v < nw.NumNodes(); v++ {
-		w := int64(math.Round(nw.TotalBandwidth(v) / 1e6))
-		if w < 1 {
-			w = 1
-		}
-		g.VWgt[v][0] = w
-	}
-	memoryWeights(nw, g, 1)
-	lat := latencyWeights(nw, g)
+	g, objs := topGraph(nw)
+	lat := objs[0]
 
 	// Seed: nodes already on a target engine keep it; stranded nodes go to
 	// the least-loaded target one by one (deterministic ID order), tracking
