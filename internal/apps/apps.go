@@ -74,7 +74,6 @@ func (s ScaLapack) Generate(hosts []int, seed int64) (traffic.Workload, error) {
 	if len(hosts) != s.Hosts() {
 		return traffic.Workload{}, fmt.Errorf("apps: ScaLapack needs %d hosts, got %d", s.Hosts(), len(hosts))
 	}
-	rng := rand.New(rand.NewSource(seed))
 	grid := func(r, c int) int { return hosts[r*s.PCols+c] }
 	scale := s.ScaleBytes
 	if scale <= 0 {
@@ -87,55 +86,52 @@ func (s ScaLapack) Generate(hosts []int, seed int64) (traffic.Workload, error) {
 	}
 	iterSpan := s.Duration / float64(iters)
 
-	var w traffic.Workload
-	w.AppHosts = append([]int(nil), hosts...)
-	w.Duration = s.Duration
-	emit := func(src, dst int, t float64, bytes int64, tag string) {
-		if src == dst || bytes <= 0 {
-			return
-		}
-		w.Flows = append(w.Flows, traffic.Flow{
-			ID: len(w.Flows), Src: src, Dst: dst, Start: t, Bytes: bytes, Tag: tag,
-		})
-	}
-
-	for k := 0; k < iters; k++ {
-		t := float64(k) * iterSpan
-		remaining := s.N - k*s.NB
-		if remaining <= 0 {
-			break
-		}
-		// Panel is (remaining × NB) doubles; update row is (NB × remaining).
-		panelBytes := int64(float64(remaining) * float64(s.NB) * 8 * scale)
-		ownerCol := k % s.PCols
-		ownerRow := k % s.PRows
-
-		// Row broadcast: the panel-owning column sends the factored panel
-		// to every other column, per process row (ring-pipelined in real
-		// ScaLapack; the traffic volume is what matters here).
-		for r := 0; r < s.PRows; r++ {
-			src := grid(r, ownerCol)
-			for c := 0; c < s.PCols; c++ {
-				if c == ownerCol {
-					continue
-				}
-				jitter := rng.Float64() * 0.05 * iterSpan
-				emit(src, grid(r, c), t+jitter, panelBytes/int64(s.PRows), "scalapack")
+	w := traffic.Workload{AppHosts: append([]int(nil), hosts...), Duration: s.Duration}
+	w.Flows = traffic.Collect(func(add func(traffic.Flow)) {
+		rng := rand.New(rand.NewSource(seed))
+		emit := func(src, dst int, t float64, bytes int64) {
+			if src != dst && bytes > 0 {
+				add(traffic.Flow{Src: src, Dst: dst, Start: t, Bytes: bytes, Tag: "scalapack"})
 			}
 		}
-		// Column broadcast: the pivot row distributes the update block down
-		// each process column.
-		for c := 0; c < s.PCols; c++ {
-			src := grid(ownerRow, c)
+		for k := 0; k < iters; k++ {
+			t := float64(k) * iterSpan
+			remaining := s.N - k*s.NB
+			if remaining <= 0 {
+				break
+			}
+			// Panel is (remaining × NB) doubles; update row is (NB × remaining).
+			panelBytes := int64(float64(remaining) * float64(s.NB) * 8 * scale)
+			ownerCol := k % s.PCols
+			ownerRow := k % s.PRows
+
+			// Row broadcast: the panel-owning column sends the factored panel
+			// to every other column, per process row (ring-pipelined in real
+			// ScaLapack; the traffic volume is what matters here).
 			for r := 0; r < s.PRows; r++ {
-				if r == ownerRow {
-					continue
+				src := grid(r, ownerCol)
+				for c := 0; c < s.PCols; c++ {
+					if c == ownerCol {
+						continue
+					}
+					jitter := rng.Float64() * 0.05 * iterSpan
+					emit(src, grid(r, c), t+jitter, panelBytes/int64(s.PRows))
 				}
-				jitter := 0.3*iterSpan + rng.Float64()*0.05*iterSpan
-				emit(src, grid(r, c), t+jitter, panelBytes/int64(s.PCols), "scalapack")
+			}
+			// Column broadcast: the pivot row distributes the update block
+			// down each process column.
+			for c := 0; c < s.PCols; c++ {
+				src := grid(ownerRow, c)
+				for r := 0; r < s.PRows; r++ {
+					if r == ownerRow {
+						continue
+					}
+					jitter := 0.3*iterSpan + rng.Float64()*0.05*iterSpan
+					emit(src, grid(r, c), t+jitter, panelBytes/int64(s.PCols))
+				}
 			}
 		}
-	}
+	})
 	w.SortByStart()
 	for i := range w.Flows {
 		w.Flows[i].ID = i
@@ -147,8 +143,8 @@ func (s ScaLapack) Generate(hosts []int, seed int64) (traffic.Workload, error) {
 
 // gridTask is one node of a GridNPB data-flow graph.
 type gridTask struct {
-	// name like "HC.BT-0".
-	name string
+	// tag labels the task's output flows, like "gridnpb/HC.BT-0".
+	tag string
 	// benchmark kind ("BT", "SP", "LU", "MG", "FT") — sets compute time and
 	// output size.
 	kind string
@@ -212,7 +208,7 @@ func hcGraph() []gridTask {
 	kinds := []string{"BT", "SP", "LU", "BT", "SP", "LU", "BT", "SP", "LU"}
 	tasks := make([]gridTask, len(kinds))
 	for i, k := range kinds {
-		tasks[i] = gridTask{name: fmt.Sprintf("HC.%s-%d", k, i), kind: k}
+		tasks[i] = gridTask{tag: fmt.Sprintf("gridnpb/HC.%s-%d", k, i), kind: k}
 		if i > 0 {
 			tasks[i-1].succ = []int{i}
 		}
@@ -227,7 +223,7 @@ func vpGraph() []gridTask {
 	id := func(stage, depth int) int { return depth*3 + stage }
 	for depth := 0; depth < 3; depth++ {
 		for stage, k := range []string{"BT", "MG", "FT"} {
-			t := gridTask{name: fmt.Sprintf("VP.%s-%d", k, depth), kind: k}
+			t := gridTask{tag: fmt.Sprintf("gridnpb/VP.%s-%d", k, depth), kind: k}
 			tasks = append(tasks, t)
 			_ = stage
 		}
@@ -258,7 +254,7 @@ func mbGraph() []gridTask {
 	for layer := 0; layer < 3; layer++ {
 		for i := 0; i < width; i++ {
 			tasks = append(tasks, gridTask{
-				name: fmt.Sprintf("MB.%s-%d", layerKind[layer], i),
+				tag:  fmt.Sprintf("gridnpb/MB.%s-%d", layerKind[layer], i),
 				kind: layerKind[layer],
 			})
 		}
@@ -282,7 +278,6 @@ func (g GridNPB) Generate(hosts []int, seed int64) (traffic.Workload, error) {
 	if len(hosts) != g.Hosts() {
 		return traffic.Workload{}, fmt.Errorf("apps: GridNPB needs %d hosts, got %d", g.Hosts(), len(hosts))
 	}
-	rng := rand.New(rand.NewSource(seed))
 	duration := g.Duration
 	if duration <= 0 {
 		duration = 900
@@ -292,31 +287,31 @@ func (g GridNPB) Generate(hosts []int, seed int64) (traffic.Workload, error) {
 		scale = 1
 	}
 
-	var w traffic.Workload
-	w.AppHosts = append([]int(nil), hosts...)
-	w.Duration = duration
-
+	w := traffic.Workload{AppHosts: append([]int(nil), hosts...), Duration: duration}
 	graphs := [][]gridTask{hcGraph(), vpGraph(), mbGraph()}
-	// Each graph repeats until the duration is filled; compute times are
-	// scaled so one full pass of the longest chain fits in roughly a third
-	// of the duration.
-	for gi, tasks := range graphs {
-		offset := rng.Intn(len(hosts))
-		place := func(ti int) int { return hosts[(ti+offset)%len(hosts)] }
+	w.Flows = traffic.Collect(func(emit func(traffic.Flow)) {
+		rng := rand.New(rand.NewSource(seed))
+		// Each graph repeats until the duration is filled; compute times are
+		// scaled so one full pass of the longest chain fits in roughly a
+		// third of the duration.
+		for _, tasks := range graphs {
+			offset := rng.Intn(len(hosts))
+			place := func(ti int) int { return hosts[(ti+offset)%len(hosts)] }
 
-		// Critical-path length in compute units for time scaling.
-		unit := duration / 3 / criticalPath(tasks)
+			// Critical-path length in compute units for time scaling.
+			unit := duration / 3 / criticalPath(tasks)
 
-		start := rng.Float64() * 0.1 * duration
-		for start < duration {
-			finish := scheduleGraph(&w, tasks, place, start, unit, scale, rng, gi)
-			if finish <= start {
-				break
+			start := rng.Float64() * 0.1 * duration
+			for start < duration {
+				finish := scheduleGraph(emit, tasks, place, start, unit, scale, rng)
+				if finish <= start {
+					break
+				}
+				// Idle gap between repetitions (workflow restart).
+				start = finish + (0.3+0.4*rng.Float64())*unit
 			}
-			// Idle gap between repetitions (workflow restart).
-			start = finish + (0.3+0.4*rng.Float64())*unit
 		}
-	}
+	})
 	w.SortByStart()
 	for i := range w.Flows {
 		w.Flows[i].ID = i
@@ -324,9 +319,9 @@ func (g GridNPB) Generate(hosts []int, seed int64) (traffic.Workload, error) {
 	return w, nil
 }
 
-// scheduleGraph runs one pass of a task graph starting at t0, appending
+// scheduleGraph runs one pass of a task graph starting at t0, emitting
 // transfer flows, and returns the completion time of the last task.
-func scheduleGraph(w *traffic.Workload, tasks []gridTask, place func(int) int, t0, unit, scale float64, rng *rand.Rand, graphID int) float64 {
+func scheduleGraph(emit func(traffic.Flow), tasks []gridTask, place func(int) int, t0, unit, scale float64, rng *rand.Rand) float64 {
 	ready := make([]float64, len(tasks))
 	for i := range ready {
 		ready[i] = t0
@@ -344,14 +339,7 @@ func scheduleGraph(w *traffic.Workload, tasks []gridTask, place func(int) int, t
 		for _, s := range task.succ {
 			dst := place(s)
 			if src != dst && bytes > 0 {
-				w.Flows = append(w.Flows, traffic.Flow{
-					ID:    len(w.Flows),
-					Src:   src,
-					Dst:   dst,
-					Start: finish,
-					Bytes: bytes,
-					Tag:   fmt.Sprintf("gridnpb/%s", task.name),
-				})
+				emit(traffic.Flow{Src: src, Dst: dst, Start: finish, Bytes: bytes, Tag: task.tag})
 			}
 			// Successor can't start before this output lands; transfer time
 			// is approximated as part of the successor's ready lag.
@@ -360,7 +348,6 @@ func scheduleGraph(w *traffic.Workload, tasks []gridTask, place func(int) int, t
 				ready[s] = arr
 			}
 		}
-		_ = graphID
 	}
 	return finishMax
 }

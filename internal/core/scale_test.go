@@ -22,8 +22,8 @@ const scaleTopSHA = "8679651af73f3a1ed4edb62218368923a146ce6d530860a33caed0334d4
 // TestMemoryScalableRoutingEndToEnd is the tentpole acceptance test: a
 // 10⁵-router topology builds, partitions (TOP), and emulates end to end
 // through core with the automatic routing policy — which must have selected
-// the lazy oracle and stayed far below the flat table's 12·n² bytes
-// (~120 GB at this size; the whole point of the redesign). The assignment is
+// the lazy oracle and stayed far below the flat table's 4·n² bytes
+// (~40 GB at this size; the whole point of the redesign). The assignment is
 // pinned (scaleTopSHA).
 func TestMemoryScalableRoutingEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -73,7 +73,7 @@ func TestMemoryScalableRoutingEndToEnd(t *testing.T) {
 		t.Fatalf("auto policy picked %q at 10⁵ nodes, want lazy", s.Backend)
 	}
 	n := int64(nw.NumNodes())
-	flatBytes := 12 * n * n
+	flatBytes := 4 * n * n
 	if got := routes.MemoryBytes(); got >= flatBytes/100 {
 		t.Fatalf("routing holds %d bytes, not sub-quadratic (flat would be %d)", got, flatBytes)
 	}

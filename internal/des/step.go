@@ -55,8 +55,9 @@ type StepResult[P any] struct {
 	// Outbox holds the window's cross-LP events flattened from the kernel's
 	// per-destination batches: grouped by (source LP, destination) in batch
 	// first-touch order, unsorted. The coordinator merges outboxes from all
-	// Steppers globally and must SortSent (or the wire equivalent) before
-	// injecting.
+	// Steppers globally and must sort them into the in-process barrier's
+	// merge order (time, sending LP, send order; emu.SortWire does it on the
+	// wire form) before injecting.
 	Outbox []Sent[P]
 	// Busy is the measured wall-clock seconds each local LP spent executing
 	// the window. Nil unless EnableTiming was called — the tracing hot path
@@ -317,19 +318,4 @@ func (st *Stepper[P]) Inject(evs []Sent[P]) error {
 		st.k.pushLocal(sv.Dst, sv.Time, sv.Data)
 	}
 	return nil
-}
-
-// SortSent orders barrier events in the deterministic global merge order the
-// in-process barrier uses: time, then sending LP, then send order.
-func SortSent[P any](evs []Sent[P]) {
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		return a.SrcIdx < b.SrcIdx
-	})
 }

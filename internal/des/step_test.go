@@ -8,6 +8,22 @@ import (
 	"testing"
 )
 
+// SortSent orders barrier events in the deterministic global merge order the
+// in-process barrier uses: time, then sending LP, then send order — what a
+// coordinator does to the Steppers' merged outboxes before injecting.
+func SortSent[P any](evs []Sent[P]) {
+	sort.Slice(evs, func(i, j int) bool {
+		a, b := evs[i], evs[j]
+		if a.Time != b.Time {
+			return a.Time < b.Time
+		}
+		if a.Src != b.Src {
+			return a.Src < b.Src
+		}
+		return a.SrcIdx < b.SrcIdx
+	})
+}
+
 // pingPayload bounces between LPs 0 and 1 until time 5, charging one kernel
 // event per hop — a minimal workload with real cross-LP traffic.
 type pingPayload struct{ hops int }

@@ -15,7 +15,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/apps"
@@ -363,7 +362,6 @@ func renderGrid(s *Suite, title string, val func(Cell) float64, format string) s
 			tops = append(tops, c.Topology)
 		}
 	}
-	sort.SliceStable(tops, func(i, j int) bool { return false }) // keep insertion order
 	for _, t := range tops {
 		fmt.Fprintf(&b, "%-10s", t)
 		for _, a := range mapping.Approaches() {

@@ -2,7 +2,6 @@ package netgraph
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/parallel"
@@ -36,10 +35,10 @@ type HierarchicalTable struct {
 	// asIDs is the sorted list of distinct labels; asIdx maps label -> index.
 	asIDs []int
 	asIdx map[int]int
-	// intra[a] holds the intra-group routing for group index a: next-hop link
-	// and distance between the group's member nodes (indexed by member
-	// position).
-	intra []intraTable
+	// intra[a] holds the intra-group routing for group index a: the next-hop
+	// link between the group's member nodes (indexed by member position,
+	// intra[a][si*m+di] for a group of m members).
+	intra [][]int32
 	// member[a] lists node IDs of group index a; memberIdx[n] is n's position
 	// within its group.
 	member    [][]int
@@ -50,11 +49,6 @@ type HierarchicalTable struct {
 	// gateway[a*len(asIDs)+b] is the border link used to leave group index a
 	// toward (neighboring, next) group index b.
 	gateway []int32
-}
-
-type intraTable struct {
-	nextLink []int32
-	dist     []float64
 }
 
 // BuildHierarchicalRouting constructs the two-level table over the nodes'
@@ -156,7 +150,7 @@ func (nw *Network) buildTwoLevel(labels []int, workers int, kind string) *Hierar
 
 	// Intra-group shortest paths per subgraph, one independent Dijkstra
 	// sweep per group; each worker reuses one scratch across its groups.
-	h.intra = make([]intraTable, numAS)
+	h.intra = make([][]int32, numAS)
 	w := parallel.Workers(workers, numAS)
 	scratches := make([]*dijkstraScratch, w)
 	parallel.ForEachWorker(numAS, w, func(worker, a int) {
@@ -214,13 +208,9 @@ func (nw *Network) buildTwoLevel(labels []int, workers int, kind string) *Hierar
 		next[i] = -1
 	}
 	s := newDijkstraScratch(numAS)
-	dist := make([]float64, numAS)
 	for a := 0; a < numAS; a++ {
-		for i := range dist {
-			dist[i] = math.Inf(1)
-		}
 		s.reset(numAS)
-		firstHop, done := s.firstLink, s.done
+		dist, firstHop, done := s.dist, s.firstLink, s.done
 		dist[a] = 0
 		s.push(pqItem{node: a})
 		for len(s.heap) > 0 {
@@ -263,21 +253,13 @@ func (nw *Network) buildTwoLevel(labels []int, workers int, kind string) *Hierar
 
 // intraDijkstraAll computes all-pairs next-hop routing within one group
 // subgraph, reusing the caller's scratch across the group's sources.
-func (nw *Network) intraDijkstraAll(h *HierarchicalTable, a int, s *dijkstraScratch) intraTable {
+func (nw *Network) intraDijkstraAll(h *HierarchicalTable, a int, s *dijkstraScratch) []int32 {
 	members := h.member[a]
 	m := len(members)
-	t := intraTable{
-		nextLink: make([]int32, m*m),
-		dist:     make([]float64, m*m),
-	}
-	for i := range t.nextLink {
-		t.nextLink[i] = -1
-		t.dist[i] = math.Inf(1)
-	}
+	next := make([]int32, m*m)
 	for si := range members {
-		dist := t.dist[si*m : si*m+m]
 		s.reset(m)
-		first, done := s.firstLink, s.done
+		dist, first, done := s.dist, s.firstLink, s.done
 		dist[si] = 0
 		s.push(pqItem{node: si})
 		for len(s.heap) > 0 {
@@ -306,10 +288,10 @@ func (nw *Network) intraDijkstraAll(h *HierarchicalTable, a int, s *dijkstraScra
 				}
 			}
 		}
-		copy(t.nextLink[si*m:si*m+m], first)
-		t.nextLink[si*m+si] = -1
+		copy(next[si*m:si*m+m], first)
+		next[si*m+si] = -1
 	}
-	return t
+	return next
 }
 
 // NextLink implements Routing.
@@ -321,7 +303,7 @@ func (h *HierarchicalTable) NextLink(src, dst int) int {
 	b := h.asIdx[h.asOf[dst]]
 	if a == b {
 		m := len(h.member[a])
-		return int(h.intra[a].nextLink[h.memberIdx[src]*m+h.memberIdx[dst]])
+		return int(h.intra[a][h.memberIdx[src]*m+h.memberIdx[dst]])
 	}
 	numAS := len(h.asIDs)
 	na := h.nextAS[a*numAS+b]
@@ -342,36 +324,15 @@ func (h *HierarchicalTable) NextLink(src, dst int) int {
 		return int(gw)
 	}
 	m := len(h.member[a])
-	return int(h.intra[a].nextLink[h.memberIdx[src]*m+h.memberIdx[exit]])
+	return int(h.intra[a][h.memberIdx[src]*m+h.memberIdx[exit]])
 }
 
-// Distance implements Routing by walking the hierarchical path.
-func (h *HierarchicalTable) Distance(src, dst int) float64 {
-	if src == dst {
-		return 0
-	}
-	var total float64
-	cur := src
-	for steps := 0; steps <= len(h.nw.Nodes)+len(h.asIDs); steps++ {
-		if cur == dst {
-			return total
-		}
-		lid := h.NextLink(cur, dst)
-		if lid < 0 {
-			return math.Inf(1)
-		}
-		total += h.nw.Links[lid].Latency
-		cur = h.nw.Links[lid].Other(cur)
-	}
-	return math.Inf(1) // defensive: should be unreachable
-}
-
-// MemoryBytes implements Routing: the per-group intra tables (12 bytes per
+// MemoryBytes implements Routing: the per-group intra tables (4 bytes per
 // intra pair) plus the group-level next-group and gateway matrices.
 func (h *HierarchicalTable) MemoryBytes() int64 {
 	var b int64
 	for _, t := range h.intra {
-		b += int64(len(t.nextLink))*4 + int64(len(t.dist))*8
+		b += int64(len(t)) * 4
 	}
 	b += int64(len(h.nextAS)) * 8
 	b += int64(len(h.gateway)) * 4

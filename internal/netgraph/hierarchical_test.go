@@ -38,9 +38,8 @@ func TestHierarchicalIntraAS(t *testing.T) {
 	flat := nw.BuildRoutingTable()
 	for src := 0; src < 3; src++ {
 		for dst := 0; dst < 3; dst++ {
-			if math.Abs(h.Distance(src, dst)-flat.Distance(src, dst)) > 1e-12 {
-				t.Errorf("intra distance %d->%d: %v vs flat %v", src, dst,
-					h.Distance(src, dst), flat.Distance(src, dst))
+			if hd, fd := pathLatency(nw, h, src, dst), pathLatency(nw, flat, src, dst); math.Abs(hd-fd) > 1e-12 {
+				t.Errorf("intra distance %d->%d: %v vs flat %v", src, dst, hd, fd)
 			}
 		}
 	}
@@ -78,7 +77,7 @@ func TestHierarchicalAllPairsReachable(t *testing.T) {
 	for src := 0; src < 6; src++ {
 		for dst := 0; dst < 6; dst++ {
 			if src == dst {
-				if h.Distance(src, dst) != 0 {
+				if pathLatency(nw, h, src, dst) != 0 {
 					t.Errorf("self distance %d nonzero", src)
 				}
 				continue
@@ -86,7 +85,7 @@ func TestHierarchicalAllPairsReachable(t *testing.T) {
 			if nw.Route(h, src, dst) == nil {
 				t.Errorf("no route %d -> %d", src, dst)
 			}
-			if math.IsInf(h.Distance(src, dst), 1) {
+			if math.IsInf(pathLatency(nw, h, src, dst), 1) {
 				t.Errorf("infinite distance %d -> %d", src, dst)
 			}
 		}
@@ -100,9 +99,8 @@ func TestHierarchicalAtLeastFlatDistance(t *testing.T) {
 	flat := nw.BuildRoutingTable()
 	for src := 0; src < 6; src++ {
 		for dst := 0; dst < 6; dst++ {
-			if h.Distance(src, dst) < flat.Distance(src, dst)-1e-12 {
-				t.Errorf("hierarchical %d->%d shorter than flat: %v < %v",
-					src, dst, h.Distance(src, dst), flat.Distance(src, dst))
+			if hd, fd := pathLatency(nw, h, src, dst), pathLatency(nw, flat, src, dst); hd < fd-1e-12 {
+				t.Errorf("hierarchical %d->%d shorter than flat: %v < %v", src, dst, hd, fd)
 			}
 		}
 	}
@@ -121,8 +119,8 @@ func TestHierarchicalMultiHopAS(t *testing.T) {
 	if len(path) != 3 || path[1] != b {
 		t.Errorf("path = %v, want transit through AS2", path)
 	}
-	if math.Abs(h.Distance(a, c)-2e-3) > 1e-12 {
-		t.Errorf("distance = %v, want 2ms", h.Distance(a, c))
+	if d := pathLatency(nw, h, a, c); math.Abs(d-2e-3) > 1e-12 {
+		t.Errorf("distance = %v, want 2ms", d)
 	}
 }
 
@@ -250,7 +248,7 @@ func TestPropertyHierarchicalRandomNetworks(t *testing.T) {
 			if path[0] != src || path[len(path)-1] != dst {
 				return false
 			}
-			if h.Distance(src, dst) < flat.Distance(src, dst)-1e-9 {
+			if pathLatency(nw, h, src, dst) < pathLatency(nw, flat, src, dst)-1e-9 {
 				return false
 			}
 		}

@@ -309,19 +309,19 @@ func (nw *Network) connected() bool {
 
 // RoutingTable holds, for every ordered pair of nodes, the next-hop link on
 // the latency-shortest path. It is the O(n²) structure whose memory footprint
-// motivates the paper's memory constraint.
+// motivates the paper's memory constraint: 4 bytes (one int32 link ID) per
+// ordered pair.
 type RoutingTable struct {
 	n int
 	// nextLink[src*n+dst] is the link ID of the first hop from src toward
 	// dst, or -1 when src == dst or dst is unreachable.
 	nextLink []int32
-	// dist[src*n+dst] is the total path latency in seconds.
-	dist []float64
 }
 
-// BuildRoutingTable runs Dijkstra from every node over link latencies and
-// materializes the full next-hop table, fanning sources out over GOMAXPROCS
-// workers. Ties are broken deterministically by link ID, and each source
+// BuildRoutingTable materializes the full next-hop table, fanning sources
+// out over GOMAXPROCS workers. Dijkstra runs only from non-leaf nodes (see
+// leafParents); a leaf's row is its one link toward everything its parent
+// reaches. Ties are broken deterministically by link ID, and each source
 // writes only its own table row, so the result is byte-identical to the
 // sequential build regardless of worker count.
 func (nw *Network) BuildRoutingTable() *RoutingTable {
@@ -334,23 +334,69 @@ func (nw *Network) BuildRoutingTable() *RoutingTable {
 func (nw *Network) BuildRoutingTableParallel(workers int) *RoutingTable {
 	nw.builds.Add(1)
 	n := len(nw.Nodes)
-	rt := &RoutingTable{
-		n:        n,
-		nextLink: make([]int32, n*n),
-		dist:     make([]float64, n*n),
-	}
+	rt := &RoutingTable{n: n, nextLink: make([]int32, n*n)}
+	parent := nw.leafParents()
 	w := parallel.Workers(workers, n)
 	scratches := make([]*dijkstraScratch, w)
 	parallel.ForEachWorker(n, w, func(worker, src int) {
+		if parent[src] >= 0 {
+			return
+		}
 		s := scratches[worker]
 		if s == nil {
 			s = newDijkstraScratch(n)
 			scratches[worker] = s
 		}
-		base := src * n
-		nw.dijkstraRow(src, rt.nextLink[base:base+n], rt.dist[base:base+n], s)
+		nw.dijkstraRow(src, rt.row(src), parent, s)
+	})
+	// Leaf rows read only core rows, all complete after the first pass.
+	parallel.ForEach(n, w, func(src int) {
+		p := parent[src]
+		if p < 0 {
+			return
+		}
+		row, via := rt.row(src), rt.row(int(p))
+		for dst := range row {
+			row[dst] = nw.leafNext(src, p, dst, via[dst])
+		}
 	})
 	return rt
+}
+
+// row is src's slice of the table.
+func (rt *RoutingTable) row(src int) []int32 {
+	return rt.nextLink[src*rt.n : (src+1)*rt.n]
+}
+
+// leafParents returns, for every leaf, the node it hangs off, and -1 for
+// every other node. A leaf is a node with exactly one incident link whose
+// other end has at least two — a host on its access link, typically. No
+// shortest path passes through a leaf, so the route builders leave leaves
+// out of Dijkstra entirely: a leaf is never pushed onto a heap and never a
+// source, and its routes are its parent's (leafNext). The two ends of an
+// isolated link are not leaves of each other: each has one link, so neither
+// qualifies, and both stay ordinary sources.
+func (nw *Network) leafParents() []int32 {
+	parent := make([]int32, len(nw.Nodes))
+	for v, links := range nw.adj {
+		parent[v] = -1
+		if len(links) == 1 {
+			if u := nw.Links[links[0]].Other(v); len(nw.adj[u]) >= 2 {
+				parent[v] = int32(u)
+			}
+		}
+	}
+	return parent
+}
+
+// leafNext is leaf's first hop toward dst, given its parent's first hop
+// toward dst: the leaf's one link whenever the parent is dst or reaches it,
+// and -1 for the leaf itself and for what the parent cannot reach.
+func (nw *Network) leafNext(leaf int, parent int32, dst int, parentHop int32) int32 {
+	if dst != leaf && (parentHop >= 0 || dst == int(parent)) {
+		return int32(nw.adj[leaf][0])
+	}
+	return -1
 }
 
 // SharedRoutingTable returns the network's memoized flat routing table,
@@ -391,12 +437,12 @@ func pqLess(a, b pqItem) bool {
 }
 
 // dijkstraScratch is the reusable per-worker state of one Dijkstra
-// execution: visited flags, the first-hop-link column being built, and the
-// frontier heap's backing array. Reusing it across sources removes every
-// per-source allocation from the all-pairs build — the same zero-alloc
-// treatment the des kernel's event heap got, where container/heap's
-// any-typed interface was boxing two allocations onto every push/pop.
+// execution: tentative distances, visited flags, the first-hop-link column
+// being built, and the frontier heap's backing array. Distances live only
+// here — no table keeps them — and reusing the scratch across sources
+// removes every per-source allocation from the all-pairs build.
 type dijkstraScratch struct {
+	dist      []float64
 	done      []bool
 	firstLink []int32
 	heap      []pqItem
@@ -404,6 +450,7 @@ type dijkstraScratch struct {
 
 func newDijkstraScratch(n int) *dijkstraScratch {
 	return &dijkstraScratch{
+		dist:      make([]float64, n),
 		done:      make([]bool, n),
 		firstLink: make([]int32, n),
 		heap:      make([]pqItem, 0, n),
@@ -414,14 +461,18 @@ func newDijkstraScratch(n int) *dijkstraScratch {
 // when the previous search was smaller.
 func (s *dijkstraScratch) reset(n int) {
 	if cap(s.done) < n {
+		s.dist = make([]float64, n)
 		s.done = make([]bool, n)
 		s.firstLink = make([]int32, n)
 	}
+	s.dist = s.dist[:n]
 	s.done = s.done[:n]
 	s.firstLink = s.firstLink[:n]
-	for i := range s.done {
-		s.done[i] = false
+	inf := math.Inf(1)
+	for i := range s.dist {
+		s.dist[i] = inf
 	}
+	clear(s.done)
 	for i := range s.firstLink {
 		s.firstLink[i] = -1
 	}
@@ -478,17 +529,18 @@ func (s *dijkstraScratch) pop() pqItem {
 	return it
 }
 
-// dijkstraRow computes one source's next-hop and distance row into the
-// caller's slices (each of length n). It is the single row builder the flat
-// all-pairs table and the lazy oracle share, which is what makes their rows
-// byte-identical: same heap, same deterministic first-hop-link tie-break.
-func (nw *Network) dijkstraRow(src int, next []int32, dist []float64, s *dijkstraScratch) {
-	n := len(nw.Nodes)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	s.reset(n)
-	firstLink, done := s.firstLink, s.done
+// dijkstraRow computes non-leaf source src's next-hop row into next
+// (length n).
+// It is the single row builder the flat all-pairs table and the lazy oracle
+// share, which is what makes their rows byte-identical: same heap, same
+// deterministic first-hop-link tie-break. parent is leafParents: Dijkstra
+// runs over the non-leaf nodes only, and each leaf then takes its parent's
+// first hop (or its own link when the parent is src). A leaf could never
+// have improved another node's distance — its only link leads back to its
+// parent, already settled — so every other hop is that of the full search.
+func (nw *Network) dijkstraRow(src int, next, parent []int32, s *dijkstraScratch) {
+	s.reset(len(nw.Nodes))
+	dist, firstLink, done := s.dist, s.firstLink, s.done
 	dist[src] = 0
 	s.push(pqItem{node: src})
 	for len(s.heap) > 0 {
@@ -500,6 +552,9 @@ func (nw *Network) dijkstraRow(src int, next []int32, dist []float64, s *dijkstr
 		for _, lid := range nw.adj[v] {
 			l := &nw.Links[lid]
 			u := l.Other(v)
+			if parent[u] >= 0 {
+				continue
+			}
 			nd := dist[v] + l.Latency
 			first := firstLink[v]
 			if v == src {
@@ -514,22 +569,22 @@ func (nw *Network) dijkstraRow(src int, next []int32, dist []float64, s *dijkstr
 			}
 		}
 	}
-	copy(next, firstLink)
+	for dst, p := range parent {
+		switch {
+		case p < 0:
+			next[dst] = firstLink[dst]
+		case int(p) == src:
+			next[dst] = int32(nw.adj[dst][0])
+		default:
+			next[dst] = firstLink[p]
+		}
+	}
 	next[src] = -1
 }
 
 // NextLink returns the first-hop link from src toward dst, or -1.
 func (rt *RoutingTable) NextLink(src, dst int) int {
 	return int(rt.nextLink[src*rt.n+dst])
-}
-
-// Distance returns the total latency of the routed path from src to dst
-// (+Inf if unreachable, 0 if src == dst).
-func (rt *RoutingTable) Distance(src, dst int) float64 {
-	if src == dst {
-		return 0
-	}
-	return rt.dist[src*rt.n+dst]
 }
 
 // RoutePath walks the routing oracle from src to dst — the one walk Route and

@@ -158,10 +158,10 @@ func TestRoutingLine(t *testing.T) {
 			t.Fatalf("path = %v, want %v", path, want)
 		}
 	}
-	if d := rt.Distance(0, 4); math.Abs(d-0.007) > 1e-12 {
+	if d := pathLatency(nw, rt, 0, 4); math.Abs(d-0.007) > 1e-12 {
 		t.Errorf("distance = %v, want 0.007", d)
 	}
-	if d := rt.Distance(2, 2); d != 0 {
+	if d := pathLatency(nw, rt, 2, 2); d != 0 {
 		t.Errorf("self distance = %v, want 0", d)
 	}
 	links := nw.RouteLinks(rt, 0, 4)
@@ -187,7 +187,7 @@ func TestRoutingPrefersLowLatency(t *testing.T) {
 	if len(path) != 3 || path[1] != c {
 		t.Errorf("path = %v, want detour through c", path)
 	}
-	if d := rt.Distance(a, b); math.Abs(d-0.004) > 1e-12 {
+	if d := pathLatency(nw, rt, a, b); math.Abs(d-0.004) > 1e-12 {
 		t.Errorf("distance = %v, want 0.004", d)
 	}
 }
@@ -204,7 +204,7 @@ func TestRoutingUnreachable(t *testing.T) {
 	if rt.NextLink(a, b) != -1 {
 		t.Error("NextLink should be -1")
 	}
-	if !math.IsInf(rt.Distance(a, b), 1) {
+	if !math.IsInf(pathLatency(nw, rt, a, b), 1) {
 		t.Error("distance should be +Inf")
 	}
 	if nw.Traceroute(rt, a, b) != nil {
@@ -234,6 +234,50 @@ func TestTraceroute(t *testing.T) {
 	}
 }
 
+// pathLatency sums the link latencies along the route r gives from src to
+// dst: 0 for src == dst, +Inf when r has no loop-free route.
+func pathLatency(nw *Network, r Routing, src, dst int) float64 {
+	if src == dst {
+		return 0
+	}
+	_, links := nw.RoutePath(r, src, dst)
+	if links == nil {
+		return math.Inf(1)
+	}
+	var d float64
+	for _, lid := range links {
+		d += nw.Links[lid].Latency
+	}
+	return d
+}
+
+// floydWarshall returns every pair's shortest path latency, computed without
+// any route oracle.
+func floydWarshall(nw *Network) [][]float64 {
+	n := nw.NumNodes()
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+		for j := range d[i] {
+			if i != j {
+				d[i][j] = math.Inf(1)
+			}
+		}
+	}
+	for _, l := range nw.Links {
+		d[l.A][l.B] = math.Min(d[l.A][l.B], l.Latency)
+		d[l.B][l.A] = d[l.A][l.B]
+	}
+	for k := range d {
+		for i := range d {
+			for j := range d {
+				d[i][j] = math.Min(d[i][j], d[i][k]+d[k][j])
+			}
+		}
+	}
+	return d
+}
+
 // randomNetwork builds a connected random network for property tests.
 func randomNetwork(n int, seed int64) *Network {
 	rng := rand.New(rand.NewSource(seed))
@@ -257,6 +301,7 @@ func TestRoutingProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		nw := randomNetwork(30, seed)
 		rt := nw.BuildRoutingTable()
+		shortest := floydWarshall(nw)
 		rng := rand.New(rand.NewSource(seed ^ 0x77))
 		for trial := 0; trial < 10; trial++ {
 			src, dst := rng.Intn(30), rng.Intn(30)
@@ -267,7 +312,7 @@ func TestRoutingProperties(t *testing.T) {
 			if path[0] != src || path[len(path)-1] != dst {
 				return false
 			}
-			// Consecutive nodes adjacent; total latency equals Distance.
+			// Consecutive nodes adjacent; total latency is the shortest.
 			var total float64
 			for i := 1; i < len(path); i++ {
 				lid := nw.LinkBetween(path[i-1], path[i])
@@ -276,7 +321,7 @@ func TestRoutingProperties(t *testing.T) {
 				}
 				total += nw.Links[lid].Latency
 			}
-			if math.Abs(total-rt.Distance(src, dst)) > 1e-9 {
+			if math.Abs(total-shortest[src][dst]) > 1e-9 {
 				return false
 			}
 			// No repeated nodes (simple path).
@@ -302,7 +347,7 @@ func TestRoutingSymmetricDistance(t *testing.T) {
 	rt := nw.BuildRoutingTable()
 	for a := 0; a < 25; a++ {
 		for b := 0; b < 25; b++ {
-			if math.Abs(rt.Distance(a, b)-rt.Distance(b, a)) > 1e-9 {
+			if math.Abs(pathLatency(nw, rt, a, b)-pathLatency(nw, rt, b, a)) > 1e-9 {
 				t.Fatalf("asymmetric distance %d<->%d", a, b)
 			}
 		}

@@ -1,17 +1,191 @@
 package netgraph_test
 
-// Cross-backend equivalence on the paper's experiment topologies: the lazy
-// oracle must answer byte-identically to the flat table for every ordered
-// pair (same dijkstraRow builder, same tie-breaks), and the clustered
-// two-level tables must stay loop-free and never beat the true shortest path.
+// Cross-backend equivalence. The flat table and the lazy oracle must answer
+// every (src, dst) exactly as the full-graph row builder below does — the
+// builder both used before leaves were cut out of Dijkstra — on the paper's
+// topologies and on random graphs shaped to break that cut; and the
+// clustered two-level tables must stay loop-free and never beat the true
+// shortest path.
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/netgraph"
 )
+
+// refItem and refHeap are the oracle's frontier: container/heap under the
+// same (distance, node) total order the production heap uses.
+type refItem struct {
+	node int
+	dist float64
+}
+
+type refHeap []refItem
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].dist != h[j].dist {
+		return h[i].dist < h[j].dist
+	}
+	return h[i].node < h[j].node
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refItem)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// referenceRow is the full-graph row builder, kept as the oracle: Dijkstra
+// from src over every node, leaves and hosts included, ties broken on the
+// first-hop link ID. It returns src's next-hop row (-1 for src itself and
+// for unreachable nodes) and its distances.
+func referenceRow(nw *netgraph.Network, src int) (next []int, dist []float64) {
+	n := nw.NumNodes()
+	dist = make([]float64, n)
+	next = make([]int, n)
+	done := make([]bool, n)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+		next[i] = -1
+	}
+	dist[src] = 0
+	h := &refHeap{{node: src}}
+	for h.Len() > 0 {
+		v := heap.Pop(h).(refItem).node
+		if done[v] {
+			continue
+		}
+		done[v] = true
+		for _, lid := range nw.IncidentLinks(v) {
+			l := nw.Links[lid]
+			u := l.Other(v)
+			nd := dist[v] + l.Latency
+			first := next[v]
+			if v == src {
+				first = lid
+			}
+			if nd < dist[u] || (nd == dist[u] && !done[u] && next[u] > first) {
+				dist[u] = nd
+				next[u] = first
+				heap.Push(h, refItem{node: u, dist: nd})
+			}
+		}
+	}
+	next[src] = -1
+	return next, dist
+}
+
+// oracleGraph draws a small random network built to stress the leaf cut:
+// sparse router cores that may fall apart, parallel core links, hosts behind
+// hosts (chains), hosts with two parallel access links (degree 2, so not
+// leaves), isolated hosts, two-node components, and zero-latency links among
+// repeated latencies, so distance ties are common.
+func oracleGraph(seed int64) *netgraph.Network {
+	rng := rand.New(rand.NewSource(seed))
+	nw := netgraph.New(fmt.Sprintf("oracle-%d", seed))
+	lat := func() float64 { return []float64{0, 0, 1e-3, 1e-3, 2e-3, 5e-3}[rng.Intn(6)] }
+	routers := 1 + rng.Intn(12)
+	for i := 0; i < routers; i++ {
+		nw.AddRouter("r", 1+rng.Intn(2))
+	}
+	for e := rng.Intn(2*routers + 1); e > 0; e-- {
+		a, b := rng.Intn(routers), rng.Intn(routers)
+		if a == b {
+			continue
+		}
+		nw.AddLink(a, b, 1e9, lat())
+		if rng.Intn(5) == 0 {
+			nw.AddLink(a, b, 1e9, lat())
+		}
+	}
+	for h := rng.Intn(16); h > 0; h-- {
+		id := nw.AddHost("h", 1)
+		r := rng.Intn(routers)
+		switch rng.Intn(6) {
+		case 0: // behind any earlier node, hosts included: chains
+			nw.AddLink(id, rng.Intn(id), 100e6, lat())
+		case 1: // parallel access links
+			nw.AddLink(id, r, 100e6, lat())
+			nw.AddLink(id, r, 100e6, lat())
+		case 2: // isolated, unless a later host chains onto it
+		default:
+			nw.AddLink(id, r, 100e6, lat())
+		}
+	}
+	for c := rng.Intn(3); c > 0; c-- {
+		a, b := nw.AddHost("p", 3), nw.AddHost("q", 3)
+		nw.AddLink(a, b, 100e6, lat())
+	}
+	return nw
+}
+
+// TestNextLinkMatchesOracle: flat and lazy NextLink equal the full-graph
+// oracle on every (src, dst), leaf sources and leaf destinations included,
+// on the four paper topologies and on 300 random graphs. The lazy oracle
+// holds 4 rows, so rows are evicted and rebuilt throughout.
+func TestNextLinkMatchesOracle(t *testing.T) {
+	check := func(t *testing.T, nw *netgraph.Network) {
+		t.Helper()
+		flat := nw.BuildRoutingTable()
+		lazy, err := netgraph.NewLazyRouting(nw, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for src := 0; src < nw.NumNodes(); src++ {
+			want, _ := referenceRow(nw, src)
+			for dst, w := range want {
+				if f, l := flat.NextLink(src, dst), lazy.NextLink(src, dst); f != w || l != w {
+					t.Fatalf("%s: NextLink(%d,%d): oracle %d, flat %d, lazy %d", nw.Name, src, dst, w, f, l)
+				}
+			}
+		}
+	}
+	for _, name := range []string{"Campus", "TeraGrid", "Brite", "Brite-large"} {
+		t.Run(name, func(t *testing.T) { check(t, paperTopology(t, name)) })
+	}
+	t.Run("random", func(t *testing.T) {
+		var shapes [5]int // host chains, parallel access links, zero latency, pairs, unreachable pairs
+		for seed := int64(1); seed <= 300; seed++ {
+			nw := oracleGraph(seed)
+			check(t, nw)
+			for v, node := range nw.Nodes {
+				links := nw.IncidentLinks(v)
+				if node.Kind == netgraph.Host && len(links) == 1 {
+					if u := nw.Links[links[0]].Other(v); nw.Nodes[u].Kind == netgraph.Host {
+						shapes[0]++
+						if len(nw.IncidentLinks(u)) == 1 {
+							shapes[3]++
+						}
+					}
+				}
+				if len(links) == 2 && nw.Links[links[0]].Other(v) == nw.Links[links[1]].Other(v) {
+					shapes[1]++
+				}
+			}
+			for _, l := range nw.Links {
+				if l.Latency == 0 {
+					shapes[2]++
+				}
+			}
+			if next, _ := referenceRow(nw, 0); slices.Contains(next[1:], -1) {
+				shapes[4]++
+			}
+		}
+		for i, c := range shapes {
+			if c == 0 {
+				t.Errorf("the random graphs miss shape %d of (host chains, parallel access links, zero latency, pairs, unreachable pairs)", i)
+			}
+		}
+	})
+}
 
 func TestLazyMatchesFlatOnPaperTopologies(t *testing.T) {
 	for _, name := range []string{"Campus", "TeraGrid", "Brite", "Brite-large"} {
@@ -27,10 +201,6 @@ func TestLazyMatchesFlatOnPaperTopologies(t *testing.T) {
 				for dst := 0; dst < n; dst++ {
 					if f, l := flat.NextLink(src, dst), lazy.NextLink(src, dst); f != l {
 						t.Fatalf("NextLink(%d,%d): flat %d, lazy %d", src, dst, f, l)
-					}
-					fd, ld := flat.Distance(src, dst), lazy.Distance(src, dst)
-					if fd != ld && !(math.IsInf(fd, 1) && math.IsInf(ld, 1)) {
-						t.Fatalf("Distance(%d,%d): flat %g, lazy %g", src, dst, fd, ld)
 					}
 				}
 			}
@@ -58,15 +228,20 @@ func TestClusteredRoutingOnPaperTopologies(t *testing.T) {
 					hier.MemoryBytes(), flat.MemoryBytes())
 			}
 			for src := 0; src < n; src++ {
+				_, shortest := referenceRow(nw, src)
 				for dst := 0; dst < n; dst++ {
 					if src == dst {
 						continue
 					}
-					path := nw.Route(hier, src, dst)
+					path, links := nw.RoutePath(hier, src, dst)
 					if path == nil || len(path) > n {
 						t.Fatalf("clustered route %d->%d broken or looping: %d hops", src, dst, len(path))
 					}
-					if hier.Distance(src, dst) < flat.Distance(src, dst)-1e-12 {
+					var d float64
+					for _, lid := range links {
+						d += nw.Links[lid].Latency
+					}
+					if d < shortest[dst]-1e-12 {
 						t.Fatalf("clustered distance beats shortest path for %d->%d", src, dst)
 					}
 				}

@@ -70,19 +70,17 @@ func (s CBRSpec) Generate(nw *netgraph.Network) Workload {
 	if bytes <= 0 {
 		return Workload{Duration: s.Duration}
 	}
-	rng := rand.New(rand.NewSource(s.Seed + 1))
-	var w Workload
-	w.Duration = s.Duration
-	for _, p := range s.pairsOf(nw) {
-		t := rng.Float64() * period
-		for t < s.Duration {
-			w.Flows = append(w.Flows, Flow{
-				ID: len(w.Flows), Src: p[0], Dst: p[1],
-				Start: t, Bytes: bytes, Tag: "cbr",
-			})
-			t += period
+	pairs := s.pairsOf(nw)
+	w := Workload{Duration: s.Duration, Flows: Collect(func(emit func(Flow)) {
+		rng := rand.New(rand.NewSource(s.Seed + 1))
+		for _, p := range pairs {
+			t := rng.Float64() * period
+			for t < s.Duration {
+				emit(Flow{Src: p[0], Dst: p[1], Start: t, Bytes: bytes, Tag: "cbr"})
+				t += period
+			}
 		}
-	}
+	})}
 	w.SortByStart()
 	for i := range w.Flows {
 		w.Flows[i].ID = i
@@ -137,22 +135,20 @@ func (s OnOffSpec) pairsOf(nw *netgraph.Network) [][2]int {
 
 // Generate materializes the on/off workload.
 func (s OnOffSpec) Generate(nw *netgraph.Network) Workload {
-	rng := rand.New(rand.NewSource(s.Seed + 1))
-	var w Workload
-	w.Duration = s.Duration
-	for _, p := range s.pairsOf(nw) {
-		t := rng.ExpFloat64() * s.GapSeconds
-		for t < s.Duration {
-			bytes := int64(rng.ExpFloat64() * s.BurstBytes)
-			if bytes > 0 {
-				w.Flows = append(w.Flows, Flow{
-					ID: len(w.Flows), Src: p[0], Dst: p[1],
-					Start: t, Bytes: bytes, Tag: "onoff",
-				})
+	pairs := s.pairsOf(nw)
+	w := Workload{Duration: s.Duration, Flows: Collect(func(emit func(Flow)) {
+		rng := rand.New(rand.NewSource(s.Seed + 1))
+		for _, p := range pairs {
+			t := rng.ExpFloat64() * s.GapSeconds
+			for t < s.Duration {
+				bytes := int64(rng.ExpFloat64() * s.BurstBytes)
+				if bytes > 0 {
+					emit(Flow{Src: p[0], Dst: p[1], Start: t, Bytes: bytes, Tag: "onoff"})
+				}
+				t += rng.ExpFloat64() * s.GapSeconds
 			}
-			t += rng.ExpFloat64() * s.GapSeconds
 		}
-	}
+	})}
 	w.SortByStart()
 	for i := range w.Flows {
 		w.Flows[i].ID = i

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -45,7 +46,13 @@ func WriteWorkload(out io.Writer, w *Workload) error {
 	return bw.Flush()
 }
 
-// ReadWorkload parses a trace file written by WriteWorkload.
+// finiteTime reports whether t is a usable virtual time: finite and not
+// negative (NaN fails the first test).
+func finiteTime(t float64) bool { return t >= 0 && !math.IsInf(t, 1) }
+
+// ReadWorkload parses a trace file written by WriteWorkload. It refuses, at
+// its line, a duration or flow start that is negative or not finite and a
+// flow of no bytes.
 func ReadWorkload(in io.Reader) (Workload, error) {
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
@@ -64,7 +71,7 @@ func ReadWorkload(in io.Reader) (Workload, error) {
 				return w, fmt.Errorf("traffic: line %d: duration takes one value", lineNo)
 			}
 			d, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil || d < 0 {
+			if err != nil || !finiteTime(d) {
 				return w, fmt.Errorf("traffic: line %d: bad duration %q", lineNo, fields[1])
 			}
 			w.Duration = d
@@ -88,11 +95,11 @@ func ReadWorkload(in io.Reader) (Workload, error) {
 			if f.Dst, err = strconv.Atoi(fields[2]); err != nil {
 				return w, fmt.Errorf("traffic: line %d: bad dst: %v", lineNo, err)
 			}
-			if f.Start, err = strconv.ParseFloat(fields[3], 64); err != nil {
-				return w, fmt.Errorf("traffic: line %d: bad start: %v", lineNo, err)
+			if f.Start, err = strconv.ParseFloat(fields[3], 64); err != nil || !finiteTime(f.Start) {
+				return w, fmt.Errorf("traffic: line %d: bad start %q", lineNo, fields[3])
 			}
-			if f.Bytes, err = strconv.ParseInt(fields[4], 10, 64); err != nil {
-				return w, fmt.Errorf("traffic: line %d: bad bytes: %v", lineNo, err)
+			if f.Bytes, err = strconv.ParseInt(fields[4], 10, 64); err != nil || f.Bytes <= 0 {
+				return w, fmt.Errorf("traffic: line %d: bad bytes %q", lineNo, fields[4])
 			}
 			if len(fields) == 6 {
 				f.Tag = fields[5]

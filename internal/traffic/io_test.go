@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -74,11 +75,22 @@ func TestReadWorkloadErrors(t *testing.T) {
 		"flow 1 2 c 1\n",
 		"flow 1 2 0 d\n",
 		"bogus\n",
+		"duration NaN\n",
+		"duration +Inf\n",
+		"flow 1 2 NaN 1\n",
+		"flow 1 2 0 -5\n",
+		"flow 1 2 -1 1\n",
+		"flow 1 2 Inf 1\n",
+		"flow 1 2 0 0\n",
 	}
 	for i, in := range cases {
 		if _, err := ReadWorkload(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d accepted: %q", i, in)
 		}
+	}
+	// A bad value is reported at its own line.
+	if _, err := ReadWorkload(strings.NewReader("duration 5\nflow 1 2 0 1\nflow 1 2 NaN 1\n")); err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("NaN start on line 3: error %v", err)
 	}
 	// Comments and blanks fine.
 	w, err := ReadWorkload(strings.NewReader("# hi\n\nduration 5\nflow 1 2 0.25 100 x\n"))
@@ -88,4 +100,47 @@ func TestReadWorkloadErrors(t *testing.T) {
 	if w.Duration != 5 || len(w.Flows) != 1 || w.Flows[0].Tag != "x" {
 		t.Errorf("parsed %+v", w)
 	}
+}
+
+// FuzzReadWorkload: whatever the trace parser accepts has a finite,
+// non-negative duration and flow starts and positive flow sizes, and writes
+// back out to a trace that reads in as the same workload.
+func FuzzReadWorkload(f *testing.F) {
+	for _, seed := range []string{
+		"# hi\n\nduration 5\napphosts 3 1 3\nflow 1 2 0.25 100 x\nflow 2 1 0 7\n",
+		"duration 0x1p-2\nflow -1 2 1e-300 +9 gridnpb/HC.BT-0\n",
+		"duration -0\nflow 1 2 -0 1\n",
+		"duration NaN\n",
+		"duration +Inf\n",
+		"flow 1 2 NaN 1\n",
+		"flow 1 2 0 -5\n",
+		"apphosts\nflow 1 2 3\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		w, err := ReadWorkload(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		if !finiteTime(w.Duration) {
+			t.Fatalf("accepted duration %g", w.Duration)
+		}
+		for _, fl := range w.Flows {
+			if !finiteTime(fl.Start) || fl.Bytes <= 0 {
+				t.Fatalf("accepted flow %+v", fl)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteWorkload(&buf, &w); err != nil {
+			t.Fatalf("accepted workload does not write: %v", err)
+		}
+		back, err := ReadWorkload(&buf)
+		if err != nil {
+			t.Fatalf("written workload does not read: %v\n%s", err, buf.String())
+		}
+		if !reflect.DeepEqual(back, w) {
+			t.Fatalf("round trip changed the workload:\n%+v\n%+v", w, back)
+		}
+	})
 }

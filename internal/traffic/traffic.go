@@ -9,10 +9,11 @@
 package traffic
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/netgraph"
 )
@@ -44,37 +45,59 @@ type Workload struct {
 }
 
 // Merge combines workloads into one, renumbering flow IDs and keeping the
-// union of app hosts and the max duration.
+// sorted union of app hosts and the max duration. The flows are copied into
+// one exactly sized slice.
 func Merge(ws ...Workload) Workload {
 	var out Workload
-	seen := make(map[int]bool)
+	var flows, hosts int
+	for _, w := range ws {
+		flows += len(w.Flows)
+		hosts += len(w.AppHosts)
+	}
+	if flows > 0 {
+		out.Flows = make([]Flow, 0, flows)
+	}
+	if hosts > 0 {
+		out.AppHosts = make([]int, 0, hosts)
+	}
 	for _, w := range ws {
 		for _, f := range w.Flows {
 			f.ID = len(out.Flows)
 			out.Flows = append(out.Flows, f)
 		}
-		for _, h := range w.AppHosts {
-			if !seen[h] {
-				seen[h] = true
-				out.AppHosts = append(out.AppHosts, h)
-			}
-		}
+		out.AppHosts = append(out.AppHosts, w.AppHosts...)
 		if w.Duration > out.Duration {
 			out.Duration = w.Duration
 		}
 	}
-	sort.Ints(out.AppHosts)
+	slices.Sort(out.AppHosts)
+	out.AppHosts = slices.Compact(out.AppHosts)
 	return out
+}
+
+// Collect returns the flows gen emits, in emission order and numbered by
+// position, in one exactly sized slice (nil when gen emits none). gen runs
+// twice, first only to count, so it must emit the same flows both times: a
+// generator draws from an RNG it seeds inside gen.
+func Collect(gen func(emit func(Flow))) []Flow {
+	n := 0
+	gen(func(Flow) { n++ })
+	if n == 0 {
+		return nil
+	}
+	flows := make([]Flow, 0, n)
+	gen(func(f Flow) {
+		f.ID = len(flows)
+		flows = append(flows, f)
+	})
+	return flows
 }
 
 // SortByStart orders flows by start time (stable on ID), the order the
 // emulator injects them.
 func (w *Workload) SortByStart() {
-	sort.SliceStable(w.Flows, func(i, j int) bool {
-		if w.Flows[i].Start != w.Flows[j].Start {
-			return w.Flows[i].Start < w.Flows[j].Start
-		}
-		return w.Flows[i].ID < w.Flows[j].ID
+	slices.SortStableFunc(w.Flows, func(a, b Flow) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID))
 	})
 }
 
@@ -224,26 +247,25 @@ func (s HTTPSpec) pairs(nw *netgraph.Network) pairing {
 // requests separated by exponential think times until Duration.
 func (s HTTPSpec) Generate(nw *netgraph.Network) Workload {
 	p := s.pairs(nw)
-	rng := rand.New(rand.NewSource(s.Seed + 1))
-	var w Workload
-	w.Duration = s.Duration
-	for si, srv := range p.server {
-		for _, cl := range p.client[si] {
-			// Stagger session starts uniformly over one think period.
-			t := rng.Float64() * s.ThinkTime
-			for t < s.Duration {
-				w.Flows = append(w.Flows, Flow{
-					ID:    len(w.Flows),
-					Src:   srv, // response dominates: server -> client
-					Dst:   cl,
-					Start: t,
-					Bytes: s.RequestBytes,
-					Tag:   "http",
-				})
-				t += rng.ExpFloat64() * s.ThinkTime
+	w := Workload{Duration: s.Duration, Flows: Collect(func(emit func(Flow)) {
+		rng := rand.New(rand.NewSource(s.Seed + 1))
+		for si, srv := range p.server {
+			for _, cl := range p.client[si] {
+				// Stagger session starts uniformly over one think period.
+				t := rng.Float64() * s.ThinkTime
+				for t < s.Duration {
+					emit(Flow{
+						Src:   srv, // response dominates: server -> client
+						Dst:   cl,
+						Start: t,
+						Bytes: s.RequestBytes,
+						Tag:   "http",
+					})
+					t += rng.ExpFloat64() * s.ThinkTime
+				}
 			}
 		}
-	}
+	})}
 	w.SortByStart()
 	for i := range w.Flows {
 		w.Flows[i].ID = i

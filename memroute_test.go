@@ -25,8 +25,8 @@ type memrouteEntry struct {
 	Nodes    int    `json:"nodes"`
 	Backend  string `json:"backend"`
 	Bytes    int64  `json:"bytes"`
-	// Model marks entries computed from the 12·n² closed form instead of a
-	// built table — the flat table at 10⁵ nodes would need ~120 GB.
+	// Model marks entries computed from the 4·n² closed form instead of a
+	// built table — the flat table at 10⁵ nodes would need ~40 GB.
 	Model bool `json:"model,omitempty"`
 }
 
@@ -64,8 +64,8 @@ func memrouteMeasure(tb testing.TB, nw *netgraph.Network, backend string, model 
 	tb.Helper()
 	n := nw.NumNodes()
 	if model {
-		// Flat stores two dense n×n arrays: int32 next-links + float64 costs.
-		return 12 * int64(n) * int64(n)
+		// Flat stores one dense n×n array of int32 next links.
+		return 4 * int64(n) * int64(n)
 	}
 	switch backend {
 	case "flat":
@@ -107,7 +107,7 @@ func memrouteCompute(tb testing.TB) []memrouteEntry {
 			backend string
 			model   bool
 		}{
-			{"flat", name == "ScaleFree-100k"}, // never build 120 GB
+			{"flat", name == "ScaleFree-100k"}, // never build 40 GB
 			{"lazy", false},
 			{"hier", false},
 		}
@@ -138,8 +138,8 @@ func TestMemRouteBaseline(t *testing.T) {
 	if os.Getenv("MEMROUTE_WRITE") != "" {
 		b := memrouteBaseline{
 			Suite:       "memroute",
-			Description: "Deterministic routing-oracle memory footprints (bytes): flat table vs lazy (32 warmed rows) vs auto-clustered hierarchical, per paper topology plus the 10⁵-router scale-free network. Flat at 10⁵ nodes is the 12·n² closed form, not a build.",
-			Date:        "2026-08-08",
+			Description: "Deterministic routing-oracle memory footprints (bytes): flat table vs lazy (32 warmed rows) vs auto-clustered hierarchical, per paper topology plus the 10⁵-router scale-free network. Flat at 10⁵ nodes is the 4·n² closed form, not a build.",
+			Date:        "2026-10-17",
 			Entries:     got,
 		}
 		data, err := json.MarshalIndent(b, "", "  ")
