@@ -70,7 +70,7 @@ func TestElasticJoinDrainMatchesReplay(t *testing.T) {
 			joins <- jc
 			close(workers[0].drain)
 
-			sc := scenario(t, topology)
+			sc, tel := observedScenario(t, topology)
 			o, mlog, err := sc.RunElastic(ctx, conns, dist.ElasticOptions{
 				Options: dist.Options{CheckpointEvery: elasticCkpt},
 				Joins:   joins,
@@ -101,7 +101,8 @@ func TestElasticJoinDrainMatchesReplay(t *testing.T) {
 				t.Fatal("empty run proves nothing")
 			}
 
-			ref, err := scenario(t, topology).ReplayElastic(ctx, o.Assignment, mlog)
+			refSc, refTel := observedScenario(t, topology)
+			ref, err := refSc.ReplayElastic(ctx, o.Assignment, mlog)
 			if err != nil {
 				t.Fatalf("in-process replay: %v", err)
 			}
@@ -109,6 +110,9 @@ func TestElasticJoinDrainMatchesReplay(t *testing.T) {
 			if !bytes.Equal(want, got) {
 				t.Fatalf("elastic distributed result diverges from in-process replay (%d vs %d bytes):\nreplay: %.600s\ndistributed: %.600s",
 					len(want), len(got), want, got)
+			}
+			if exp, distExp := exposition(t, refTel), exposition(t, tel); exp != distExp {
+				t.Fatalf("elastic distributed exposition diverges from in-process replay:\nreplay:\n%s\ndistributed:\n%s", exp, distExp)
 			}
 		})
 	}

@@ -54,11 +54,13 @@ func startLoopbackWorkers(ctx context.Context, w int) ([]dist.Conn, func() []err
 	}
 }
 
-func runDistributed(t *testing.T, topology string, a mapping.Approach, workers int) *emu.Result {
+// runDistributed runs the scenario over loopback workers and returns its
+// result and its telemetry exposition.
+func runDistributed(t *testing.T, topology string, a mapping.Approach, workers int) (*emu.Result, string) {
 	t.Helper()
 	ctx := context.Background()
 	conns, drain := startLoopbackWorkers(ctx, workers)
-	sc := scenario(t, topology)
+	sc, tel := observedScenario(t, topology)
 	o, err := sc.RunDistributed(ctx, a, conns, dist.Options{})
 	if err != nil {
 		t.Fatalf("distributed %s on %s: %v", a, topology, err)
@@ -68,7 +70,27 @@ func runDistributed(t *testing.T, topology string, a mapping.Approach, workers i
 			t.Fatalf("worker %d: %v", i, werr)
 		}
 	}
-	return o.Result
+	return o.Result, exposition(t, tel)
+}
+
+// observedScenario is scenario with a telemetry collector the caller keeps,
+// so the run's exposition can be read after it.
+func observedScenario(t *testing.T, topology string) (*core.Scenario, *telemetry.Collector) {
+	t.Helper()
+	sc := scenario(t, topology)
+	sc.TelemetryCollector = telemetry.New()
+	return sc, sc.TelemetryCollector
+}
+
+// exposition renders the collector's /metrics body: every histogram bucket,
+// _sum and _count, where the canonical result holds only p50 and p99.
+func exposition(t *testing.T, tel *telemetry.Collector) string {
+	t.Helper()
+	var b strings.Builder
+	if err := tel.Metrics().WriteExposition(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 func canonical(t *testing.T, r *emu.Result) []byte {
@@ -96,16 +118,20 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("%s-%dw", tc.topology, tc.workers), func(t *testing.T) {
 			t.Parallel()
-			inproc, err := scenario(t, tc.topology).Run(context.Background(), mapping.Top)
+			sc, tel := observedScenario(t, tc.topology)
+			inproc, err := sc.Run(context.Background(), mapping.Top)
 			if err != nil {
 				t.Fatalf("in-process: %v", err)
 			}
-			distRes := runDistributed(t, tc.topology, mapping.Top, tc.workers)
+			distRes, distExp := runDistributed(t, tc.topology, mapping.Top, tc.workers)
 			want := canonical(t, inproc.Result)
 			got := canonical(t, distRes)
 			if !bytes.Equal(want, got) {
 				t.Fatalf("distributed result diverges from in-process (canonical JSON, %d vs %d bytes):\nin-process: %.600s\ndistributed: %.600s",
 					len(want), len(got), want, got)
+			}
+			if exp := exposition(t, tel); exp != distExp {
+				t.Fatalf("distributed exposition diverges from in-process:\nin-process:\n%s\ndistributed:\n%s", exp, distExp)
 			}
 			if distRes.Kernel.TotalCharges() == 0 {
 				t.Fatal("empty run proves nothing")
@@ -142,7 +168,7 @@ func TestDistributedTCPMatchesLoopback(t *testing.T) {
 		}
 		conns[i] = c
 	}
-	sc := scenario(t, "Campus")
+	sc, tel := observedScenario(t, "Campus")
 	o, err := sc.RunDistributed(ctx, mapping.Top, conns, dist.Options{})
 	if err != nil {
 		t.Fatalf("distributed over TCP: %v", err)
@@ -152,9 +178,12 @@ func TestDistributedTCPMatchesLoopback(t *testing.T) {
 			t.Fatalf("tcp worker %d: %v", i, werr)
 		}
 	}
-	loopback := runDistributed(t, "Campus", mapping.Top, workers)
+	loopback, loopbackExp := runDistributed(t, "Campus", mapping.Top, workers)
 	if !bytes.Equal(canonical(t, o.Result), canonical(t, loopback)) {
 		t.Fatal("TCP and loopback transports produced different results")
+	}
+	if exposition(t, tel) != loopbackExp {
+		t.Fatal("TCP and loopback transports produced different expositions")
 	}
 }
 

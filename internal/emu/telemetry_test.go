@@ -2,10 +2,13 @@ package emu
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
 )
@@ -115,6 +118,53 @@ func checkSnapshotConsistency(t *testing.T, res *Result) {
 	}
 	if s.FCT.Count != completed {
 		t.Errorf("FCT histogram count %d != completed %d", s.FCT.Count, completed)
+	}
+}
+
+// TestTelemetryCrashPinned pins every byte the traffic plane publishes for the
+// crash run of TestTelemetrySnapshotConsistency/crash-replay and for the same
+// crash detected in the middle of a measurement window (t=2.7, buckets end at
+// 2 and 4), where the traffic before the recovery must be binned by the
+// assignment it ran under. The SHA-256 values were recorded at commit 74e6511,
+// while the matrix was still counted packet by packet.
+func TestTelemetryCrashPinned(t *testing.T) {
+	midBucket := faultedConfig()
+	midBucket.Faults = &faults.Schedule{Crashes: []faults.Crash{{Engine: 1, At: 2.7}}}
+	for _, tc := range []struct {
+		name               string
+		cfg                Config
+		matrix, exposition string
+	}{
+		{"crash-replay", faultedConfig(),
+			"016ad45b2a4b544fdc52827ada02939b1b1dc55f55dabc981cbc55df31fcb958",
+			"31fd9c4bc70b707fe5eeec9f55f0abf5aded2be3627c86cd8ae5d35138f0aff8"},
+		{"crash-mid-bucket", midBucket,
+			"1f7ee704861e3613b3b03d5587d7a6240ee97dcb88d932936928ff15b72c2962",
+			"cbc87738214fa1ea289ebdffb75f6fe6fde8b6501f1e0bf137527ac8f76a10f8"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tel := telemetry.New()
+			res, err := Run(tc.cfg, WithTelemetry(tel))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Recovery == nil || res.Recovery.Migrations == 0 {
+				t.Fatal("the crash moved no node; the remapped matrix is not pinned")
+			}
+			var m, e bytes.Buffer
+			if err := telemetry.WriteMatrixJSON(&m, tel.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			if err := tel.Metrics().WriteExposition(&e); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(m.Bytes())); got != tc.matrix {
+				t.Errorf("trafficmatrix sha256 = %s, want %s", got, tc.matrix)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(e.Bytes())); got != tc.exposition {
+				t.Errorf("exposition sha256 = %s, want %s", got, tc.exposition)
+			}
+		})
 	}
 }
 
