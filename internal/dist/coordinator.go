@@ -520,16 +520,10 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 			if err := DecodeWindowDone(f.Payload, rep); err != nil {
 				return nil, &workerLost{worker: m.slot, err: err}
 			}
-			// Dst indexes the ownership table; a frame is outside input.
-			for _, ev := range rep.Outbox {
-				if ev.Dst < 0 || int(ev.Dst) >= n {
-					return nil, &workerLost{worker: m.slot,
-						err: fmt.Errorf("WINDOW_DONE outbox event for engine %d, outside [0,%d)", ev.Dst, n)}
-				}
-			}
-			// So is the telemetry share: one that would index past the run's
-			// arrays loses its sender instead of reaching the merge.
-			if err := s.spec.Telemetry.CheckPartial(rep.Telemetry); err != nil {
+			// A frame is outside input: one whose outbox or telemetry share
+			// would index past the run's arrays loses its sender instead of
+			// reaching the merge.
+			if err := merge.CheckReport(rep); err != nil {
 				return nil, &workerLost{worker: m.slot, err: err}
 			}
 			reports = append(reports, rep)

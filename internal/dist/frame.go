@@ -35,14 +35,15 @@ import (
 )
 
 // Version is the protocol version; HELLO/ASSIGN carry it and any mismatch
-// aborts the handshake. v5 made STATE the same export a resize barrier pulls
-// (one NetState layout for STATE, EXPORT and INSTALL).
-const Version = 5
+// aborts the handshake. v6 cut the telemetry share to per-engine histograms,
+// sent in WINDOW_DONE only at measurement-window crossings beside the
+// worker's NetState, which gained per-direction packet counts.
+const Version = 6
 
 // MaxFrame bounds a frame's payload (type byte included). It is sized for
-// the largest legitimate message — a full telemetry slow-state partial on a
-// large topology — while keeping a corrupt or hostile length prefix from
-// driving an unbounded allocation.
+// the largest legitimate message — a NetState export on a large topology —
+// while keeping a corrupt or hostile length prefix from driving an unbounded
+// allocation.
 const MaxFrame = 64 << 20
 
 // MsgType identifies a frame's payload.

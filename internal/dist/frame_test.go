@@ -155,11 +155,19 @@ func FuzzDecodePayloads(f *testing.F) {
 		Outbox: []emu.WireEvent{{Time: 1.25, Dst: 1, SrcIdx: 1, Kind: emu.WireChunk, Flow: 4, Hop: 1, Packets: 2, Bytes: 3000}}})
 	f.Add(done)
 	f.Add(done[:len(done)-wireEventSize/2]) // the outbox cut mid-event
-	// A report whose telemetry share decodes but is one slot too long for any
-	// run (TestHostilePartialLosesWorkerTyped).
-	ragged := hostilePartialCollector().ExportPartial([]int{0}, true)
-	ragged.LinkTxPackets = append(ragged.LinkTxPackets, 1)
-	f.Add(EncodeWindowDone(nil, &emu.WindowReport{Telemetry: ragged}))
+	// A measurement-window crossing's report: both engines' histograms beside
+	// the worker's state.
+	f.Add(EncodeWindowDone(nil, &emu.WindowReport{Events: []int64{1, 1}, Charges: []int64{1, 1}, Remote: []int64{0, 0}, Queue: []int64{0, 0},
+		Telemetry: hostilePartialCollector().ExportPartial([]int{0, 1}),
+		State: &emu.NetState{BusyUntil: []float64{0.5, 0, 0, 0}, LinkBytes: []int64{3000, 0, 0, 1500}, LinkPackets: []int64{2, 0, 0, 1},
+			Drops: []int64{0, 0, 1, 0}, Delivered: []int64{4500}, FCTs: []float64{0.25}}}))
+	// A crossing report whose telemetry share decodes but names an engine the
+	// run does not have, beside link counters one slot too long
+	// (TestHostilePartialLosesWorkerTyped).
+	ragged := hostilePartialCollector().ExportPartial([]int{0, 1})
+	ragged.Engines[1] = 2
+	f.Add(EncodeWindowDone(nil, &emu.WindowReport{Telemetry: ragged,
+		State: &emu.NetState{LinkBytes: make([]int64, 5), LinkPackets: make([]int64, 4), Drops: make([]int64, 4)}}))
 	f.Add(ExportMsg{At: 2.5}.Encode())
 	f.Add(InstallAck{Lookahead: 0.005}.Encode())
 	f.Add(EncodeElasticExport(&emu.ElasticExport{Engines: []int{1}, NetState: emu.NetState{FCTs: []float64{-1, 0.5}}}))
@@ -196,7 +204,7 @@ func FuzzDecodePayloads(f *testing.F) {
 		}
 		var rep emu.WindowReport
 		dirty := emu.WindowReport{Events: []int64{9, 9, 9}, Charges: []int64{9}, Remote: []int64{9, 9}, Queue: []int64{9, 9, 9, 9},
-			Outbox: []emu.WireEvent{{Time: 9, Dst: 9}}, Telemetry: &telemetry.Partial{HasSlow: true}}
+			Outbox: []emu.WireEvent{{Time: 9, Dst: 9}}, Telemetry: &telemetry.Partial{Engines: []int{9}}, State: &emu.NetState{Drops: []int64{9}}}
 		err, rerr = DecodeWindowDone(data, &rep), DecodeWindowDone(data, &dirty)
 		if (err == nil) != (rerr == nil) || err == nil && !bytes.Equal(EncodeWindowDone(nil, &rep), EncodeWindowDone(nil, &dirty)) {
 			t.Fatalf("DecodeWindowDone into reused storage: %v / %+v, fresh: %v / %+v", rerr, dirty, err, rep)

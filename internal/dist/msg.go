@@ -244,52 +244,31 @@ func encodePartial(e *encoder, p *telemetry.Partial) {
 	}
 	e.boolean(true)
 	e.ints(p.Engines)
-	e.i64s(p.MatrixBytes)
-	e.i64s(p.MatrixPackets)
-	e.boolean(p.HasSlow)
-	if !p.HasSlow {
-		return
-	}
-	e.i64s(p.LinkTxBytes)
-	e.i64s(p.LinkTxPackets)
 	e.u32(uint32(len(p.QueueDelay)))
 	for i := range p.QueueDelay {
 		encodeHist(e, p.QueueDelay[i])
 		encodeHist(e, p.FCT[i])
 	}
-	e.i64s(p.FlowsDone)
-	e.i64s(p.Drops)
 }
 
 func decodePartial(d *decoder) *telemetry.Partial {
 	if !d.boolean("partial.present") {
 		return nil
 	}
-	p := &telemetry.Partial{
-		Engines:       d.ints("partial.engines"),
-		MatrixBytes:   d.i64s("partial.matrixBytes"),
-		MatrixPackets: d.i64s("partial.matrixPackets"),
-		HasSlow:       d.boolean("partial.hasSlow"),
-	}
-	if !p.HasSlow {
-		return p
-	}
-	p.LinkTxBytes = d.i64s("partial.linkTxBytes")
-	p.LinkTxPackets = d.i64s("partial.linkTxPackets")
+	p := &telemetry.Partial{Engines: d.ints("partial.engines")}
 	nh := d.count(1, "partial.hists")
 	for i := 0; i < nh && d.err == nil; i++ {
 		p.QueueDelay = append(p.QueueDelay, decodeHist(d))
 		p.FCT = append(p.FCT, decodeHist(d))
 	}
-	p.FlowsDone = d.i64s("partial.flowsDone")
-	p.Drops = d.i64s("partial.drops")
 	return p
 }
 
 // EncodeWindowDone/DecodeWindowDone carry MsgWindowDone payloads. The encoder
 // appends to b; the decoder overwrites r reusing its slices (the telemetry
-// share, absent unless telemetry is on, is decoded fresh), so a coordinator
-// keeping one report per member decodes its windows without allocating.
+// share, absent except at a measurement-window crossing with telemetry on, is
+// decoded fresh), so a coordinator keeping one report per member decodes its
+// windows without allocating.
 func EncodeWindowDone(b []byte, r *emu.WindowReport) []byte {
 	e := encoder{buf: b}
 	e.i64s(r.Events)
@@ -298,6 +277,10 @@ func EncodeWindowDone(b []byte, r *emu.WindowReport) []byte {
 	e.i64s(r.Queue)
 	encodeWireEvents(&e, r.Outbox)
 	encodePartial(&e, r.Telemetry)
+	e.boolean(r.State != nil)
+	if r.State != nil {
+		encodeNetState(&e, r.State)
+	}
 	return e.buf
 }
 
@@ -308,7 +291,11 @@ func DecodeWindowDone(b []byte, r *emu.WindowReport) error {
 	r.Remote = d.i64sInto(r.Remote, "windowDone.remote")
 	r.Queue = d.i64sInto(r.Queue, "windowDone.queue")
 	r.Outbox = decodeWireEvents(&d, r.Outbox[:0])
-	r.Telemetry = decodePartial(&d)
+	r.Telemetry, r.State = decodePartial(&d), nil
+	if d.boolean("windowDone.state") {
+		st := decodeNetState(&d)
+		r.State = &st
+	}
 	return d.finish()
 }
 

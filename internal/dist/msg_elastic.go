@@ -24,10 +24,12 @@ func DecodeExportMsg(b []byte) (ExportMsg, error) {
 }
 
 // encodeNetState/decodeNetState carry the link and flow slots — the one
-// listing of them on the wire, inside exports and installs alike.
+// listing of them on the wire, inside exports, installs and crossing window
+// reports alike.
 func encodeNetState(e *encoder, s *emu.NetState) {
 	e.f64s(s.BusyUntil)
 	e.i64s(s.LinkBytes)
+	e.i64s(s.LinkPackets)
 	e.i64s(s.Drops)
 	e.i64s(s.Delivered)
 	e.f64s(s.FCTs)
@@ -35,11 +37,12 @@ func encodeNetState(e *encoder, s *emu.NetState) {
 
 func decodeNetState(d *decoder) emu.NetState {
 	return emu.NetState{
-		BusyUntil: d.f64s("netState.busyUntil"),
-		LinkBytes: d.i64s("netState.linkBytes"),
-		Drops:     d.i64s("netState.drops"),
-		Delivered: d.i64s("netState.delivered"),
-		FCTs:      d.f64s("netState.fcts"),
+		BusyUntil:   d.f64s("netState.busyUntil"),
+		LinkBytes:   d.i64s("netState.linkBytes"),
+		LinkPackets: d.i64s("netState.linkPackets"),
+		Drops:       d.i64s("netState.drops"),
+		Delivered:   d.i64s("netState.delivered"),
+		FCTs:        d.f64s("netState.fcts"),
 	}
 }
 

@@ -136,17 +136,12 @@ func TestWindowDoneRoundTripWithTelemetry(t *testing.T) {
 	h.Observe(2.5)
 	h.Observe(math.NaN()) // NaNCount must survive the wire
 	p := &telemetry.Partial{
-		Engines:       []int{1},
-		MatrixBytes:   []int64{10, 20, 30},
-		MatrixPackets: []int64{1, 2, 3},
-		HasSlow:       true,
-		LinkTxBytes:   []int64{5, 6},
-		LinkTxPackets: []int64{1, 1},
-		QueueDelay:    []*metrics.Histogram{h},
-		FCT:           []*metrics.Histogram{telemetry.NewRunHistogram()},
-		FlowsDone:     []int64{4},
-		Drops:         []int64{0},
+		Engines:    []int{1},
+		QueueDelay: []*metrics.Histogram{h},
+		FCT:        []*metrics.Histogram{telemetry.NewRunHistogram()},
 	}
+	state := &emu.NetState{BusyUntil: []float64{0, 0.5}, LinkBytes: []int64{5, 6}, LinkPackets: []int64{1, 1}, Drops: []int64{0, 2},
+		Delivered: []int64{7}, FCTs: []float64{-1}}
 	r := &emu.WindowReport{
 		Events:    []int64{3, 0, 5},
 		Charges:   []int64{2, 0, 4},
@@ -154,6 +149,7 @@ func TestWindowDoneRoundTripWithTelemetry(t *testing.T) {
 		Queue:     []int64{0, 0, 2},
 		Outbox:    []emu.WireEvent{{Time: 1.25, Dst: 2, Src: 0, SrcIdx: 1, Kind: emu.WireFlowStart, Flow: 9}},
 		Telemetry: p,
+		State:     state,
 	}
 	got := &emu.WindowReport{}
 	if err := DecodeWindowDone(EncodeWindowDone(nil, r), got); err != nil {
@@ -163,11 +159,11 @@ func TestWindowDoneRoundTripWithTelemetry(t *testing.T) {
 		t.Fatal("window counters/outbox did not round-trip")
 	}
 	gp := got.Telemetry
-	if gp == nil || !gp.HasSlow {
+	if gp == nil || !reflect.DeepEqual(gp.Engines, p.Engines) || len(gp.FCT) != 1 {
 		t.Fatal("telemetry partial lost")
 	}
-	if !reflect.DeepEqual(gp.LinkTxBytes, p.LinkTxBytes) || !reflect.DeepEqual(gp.LinkTxPackets, p.LinkTxPackets) {
-		t.Fatal("link arrays did not round-trip")
+	if !reflect.DeepEqual(got.State, state) {
+		t.Fatalf("state did not round-trip: %+v", got.State)
 	}
 	gh := gp.QueueDelay[0]
 	if gh.Count != h.Count || gh.Sum != h.Sum || gh.NaNCount != 1 {
@@ -195,23 +191,17 @@ func testInstall() *emu.ElasticInstall {
 			{Time: 4.25, Dst: 2, Src: 0, SrcIdx: 1, Kind: emu.WireChunk, Flow: 1, Hop: 1, Packets: 3, Bytes: 4500},
 		},
 		NetState: emu.NetState{
-			BusyUntil: []float64{0, math.Nextafter(4, 5), 0, 0, 3.5, 0},
-			LinkBytes: []int64{10, 0, 30, 0, 50, 0},
-			Drops:     []int64{0, 0, 1, 0, 0, 0},
-			Delivered: []int64{100, 0},
-			FCTs:      []float64{0.5, -1},
+			BusyUntil:   []float64{0, math.Nextafter(4, 5), 0, 0, 3.5, 0},
+			LinkBytes:   []int64{10, 0, 30, 0, 50, 0},
+			LinkPackets: []int64{1, 0, 1, 0, 2, 0},
+			Drops:       []int64{0, 0, 1, 0, 0, 0},
+			Delivered:   []int64{100, 0},
+			FCTs:        []float64{0.5, -1},
 		},
 		Telemetry: &telemetry.Partial{
-			Engines:       []int{0, 2},
-			MatrixBytes:   []int64{1, 2, 3},
-			MatrixPackets: []int64{4, 5, 6},
-			HasSlow:       true,
-			LinkTxBytes:   []int64{7, 8, 9, 10, 11, 12},
-			LinkTxPackets: []int64{1, 1, 1, 1, 1, 1},
-			QueueDelay:    []*metrics.Histogram{h},
-			FCT:           []*metrics.Histogram{telemetry.NewRunHistogram()},
-			FlowsDone:     []int64{1},
-			Drops:         []int64{0},
+			Engines:    []int{0, 2},
+			QueueDelay: []*metrics.Histogram{h, telemetry.NewRunHistogram()},
+			FCT:        []*metrics.Histogram{telemetry.NewRunHistogram(), h},
 		},
 	}
 }
@@ -227,8 +217,8 @@ func TestElasticInstallRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, in) {
 		t.Fatalf("install did not round-trip:\n got %+v\nwant %+v", got, in)
 	}
-	if gt == nil || !reflect.DeepEqual(gt.MatrixBytes, it.MatrixBytes) ||
-		gt.QueueDelay[0].Count != it.QueueDelay[0].Count {
+	if gt == nil || !reflect.DeepEqual(gt.Engines, it.Engines) ||
+		gt.QueueDelay[0].Count != it.QueueDelay[0].Count || gt.FCT[1].Count != it.FCT[1].Count {
 		t.Fatal("install telemetry did not round-trip")
 	}
 }
@@ -241,11 +231,12 @@ func TestElasticExportRoundTrip(t *testing.T) {
 		RemoteSends: []int64{0, 2},
 		Pending:     []emu.WireEvent{{Time: 2.5, Dst: 0, Src: 1, SrcIdx: 2, Kind: emu.WireTCPRound, Flow: 7, Window: 2, Offset: 4096}},
 		NetState: emu.NetState{
-			BusyUntil: []float64{0, 1.25},
-			LinkBytes: []int64{0, 99},
-			Drops:     []int64{0, 1},
-			Delivered: []int64{0, 3},
-			FCTs:      []float64{-1, math.Nextafter(1, 2)},
+			BusyUntil:   []float64{0, 1.25},
+			LinkBytes:   []int64{0, 99},
+			LinkPackets: []int64{0, 1},
+			Drops:       []int64{0, 1},
+			Delivered:   []int64{0, 3},
+			FCTs:        []float64{-1, math.Nextafter(1, 2)},
 		},
 	}
 	got, err := DecodeElasticExport(EncodeElasticExport(x))
@@ -283,11 +274,12 @@ func TestStateRoundTrip(t *testing.T) {
 		Charges:     []int64{9, 0, 29},
 		RemoteSends: []int64{1, 0, 2},
 		NetState: emu.NetState{
-			BusyUntil: []float64{0.25, 0, 0, 1.5},
-			LinkBytes: []int64{100, 200, 300, 400},
-			Drops:     []int64{0, 1, 0, 0},
-			Delivered: []int64{7, 0, 9},
-			FCTs:      []float64{0.5, -1, math.Nextafter(2, 3)},
+			BusyUntil:   []float64{0.25, 0, 0, 1.5},
+			LinkBytes:   []int64{100, 200, 300, 400},
+			LinkPackets: []int64{1, 2, 3, 4},
+			Drops:       []int64{0, 1, 0, 0},
+			Delivered:   []int64{7, 0, 9},
+			FCTs:        []float64{0.5, -1, math.Nextafter(2, 3)},
 		},
 	}
 	got, err := DecodeElasticExport(EncodeElasticExport(s))

@@ -156,14 +156,15 @@ func TestTruncatedHelloFailsHandshake(t *testing.T) {
 	}
 }
 
-// TestStaleHelloVersionRefused: a worker built before STATE became the final
-// export says so in its HELLO and is refused before anything ships to it.
+// TestStaleHelloVersionRefused: a worker built before the telemetry share
+// shrank to histograms says so in its HELLO and is refused before anything
+// ships to it.
 func TestStaleHelloVersionRefused(t *testing.T) {
 	c, s := dist.Loopback()
-	go s.Send(dist.Frame{Type: dist.MsgHello, Payload: dist.Hello{Version: 4}.Encode()})
+	go s.Send(dist.Frame{Type: dist.MsgHello, Payload: dist.Hello{Version: 5}.Encode()})
 	_, err := dist.Run(context.Background(), distSpec(t), []dist.Conn{c}, dist.Options{})
-	if err == nil || !strings.Contains(err.Error(), "speaks protocol 4, this build speaks 5") {
-		t.Fatalf("a v4 HELLO must be refused by version, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), "speaks protocol 5, this build speaks 6") {
+		t.Fatalf("a v5 HELLO must be refused by version, got %v", err)
 	}
 }
 
@@ -354,12 +355,14 @@ func TestOutOfRangeDstLosesWorkerTyped(t *testing.T) {
 	}
 }
 
-// raggedPartialConn is a hostile worker: the first slow-cadence telemetry share
-// it sends in a frame of the given type carries one slot more than the run has
-// links.
+// raggedPartialConn is a hostile worker: the first telemetry share it sends in
+// a frame of the given type carries one histogram pair more than it has
+// engines — or, with links set, the window report's state carries one link
+// counter slot more than the run has link directions.
 type raggedPartialConn struct {
 	dist.Conn
 	in    dist.MsgType
+	links bool
 	fired bool
 }
 
@@ -368,16 +371,22 @@ func (c *raggedPartialConn) Send(f dist.Frame) error {
 		return c.Conn.Send(f)
 	}
 	grow := func(p *telemetry.Partial) bool {
-		if p == nil || !p.HasSlow {
+		if p == nil {
 			return false
 		}
-		p.LinkTxPackets = append(p.LinkTxPackets, 1)
+		p.QueueDelay = append(p.QueueDelay, telemetry.NewRunHistogram())
+		p.FCT = append(p.FCT, telemetry.NewRunHistogram())
 		return true
 	}
 	switch f.Type {
 	case dist.MsgWindowDone:
 		var rep emu.WindowReport
-		if err := dist.DecodeWindowDone(f.Payload, &rep); err == nil && grow(rep.Telemetry) {
+		if err := dist.DecodeWindowDone(f.Payload, &rep); err == nil && rep.State != nil {
+			if c.links {
+				rep.State.LinkPackets = append(rep.State.LinkPackets, 1)
+			} else {
+				grow(rep.Telemetry)
+			}
 			c.fired = true
 			f.Payload = dist.EncodeWindowDone(nil, &rep)
 		}
@@ -391,20 +400,20 @@ func (c *raggedPartialConn) Send(f dist.Frame) error {
 }
 
 // TestHostilePartialLosesWorkerTyped: a telemetry share is outside input. One
-// whose arrays are longer than the run's — it decodes; only its first array
-// used to be measured — must not index the coordinator's collector (it
-// panicked in the elementwise sum). The sender is declared lost with a typed
-// error naming it, in a window report and in the final state alike, and with a
-// loss policy configured the run carries on without it.
+// whose histograms outnumber its engines — it decodes — must not index the
+// coordinator's collector. The sender is declared lost with a typed error
+// naming it, in a window report and in the final state alike, and with a loss
+// policy configured the run carries on without it. So is a crossing report
+// whose link counters are one slot longer than the run's.
 func TestHostilePartialLosesWorkerTyped(t *testing.T) {
-	run := func(in dist.MsgType, onLoss emu.MembershipPolicy) (*emu.Result, error) {
+	run := func(in dist.MsgType, links bool, onLoss emu.MembershipPolicy) (*emu.Result, error) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		conns := make([]dist.Conn, 2)
 		for i := range conns {
 			c, s := dist.Loopback()
 			if i == 1 {
-				s = &raggedPartialConn{Conn: s, in: in}
+				s = &raggedPartialConn{Conn: s, in: in, links: links}
 			}
 			conns[i] = c
 			go dist.Serve(ctx, s, dist.WorkerOptions{})
@@ -416,7 +425,7 @@ func TestHostilePartialLosesWorkerTyped(t *testing.T) {
 	}
 	for _, in := range []dist.MsgType{dist.MsgWindowDone, dist.MsgState} {
 		t.Run(in.String(), func(t *testing.T) {
-			_, err := run(in, nil)
+			_, err := run(in, false, nil)
 			if !errors.Is(err, dist.ErrWorkerLost) || !errors.Is(err, telemetry.ErrBadPartial) {
 				t.Fatalf("want ErrWorkerLost wrapping ErrBadPartial, got %v", err)
 			}
@@ -425,7 +434,16 @@ func TestHostilePartialLosesWorkerTyped(t *testing.T) {
 			}
 		})
 	}
-	res, err := run(dist.MsgWindowDone, core.NaiveRecovery)
+	t.Run("WINDOW_DONE-links", func(t *testing.T) {
+		_, err := run(dist.MsgWindowDone, true, nil)
+		if !errors.Is(err, dist.ErrWorkerLost) || !errors.Is(err, emu.ErrBadConfig) {
+			t.Fatalf("want ErrWorkerLost wrapping ErrBadConfig, got %v", err)
+		}
+		if !strings.Contains(err.Error(), "worker 1") {
+			t.Fatalf("error must name the sender, got %v", err)
+		}
+	})
+	res, err := run(dist.MsgWindowDone, false, core.NaiveRecovery)
 	if err != nil {
 		t.Fatalf("with a loss policy the run must survive the hostile worker: %v", err)
 	}

@@ -149,17 +149,20 @@ func checkDistConfig(cfg *Config) error {
 
 // WindowReport is one executed window as a worker reports it: the per-engine
 // counters of its local engines (full-length arrays, non-local slots zero),
-// the cross-engine outbox in wire form, and the worker's telemetry share.
+// the cross-engine outbox in wire form and, at a window that crosses a
+// measurement-window boundary, the worker's telemetry share.
 type WindowReport struct {
 	Events  []int64
 	Charges []int64
 	Remote  []int64
 	Queue   []int64
 	Outbox  []WireEvent
-	// Telemetry carries the owned matrix rows every window and the full
-	// slow-cadence state when the window crossed a measurement-window
-	// boundary; nil when telemetry is disabled.
+	// Telemetry is the histograms of the worker's engines and State its
+	// NetState, whose link counters the coordinator folds the traffic matrix
+	// from; both are nil unless telemetry is on and the window crosses a
+	// measurement-window (BucketWidth) boundary.
 	Telemetry *telemetry.Partial
+	State     *NetState
 }
 
 // DistLocal runs a subset of engines on one worker process. Every worker
@@ -283,7 +286,7 @@ func (d *DistLocal) Step(T, end float64) (*WindowReport, error) {
 	r := &d.rep
 	r.Events, r.Charges, r.Remote, r.Queue = res.Events, res.Charges, res.Remote, res.Queue
 	r.Outbox = r.Outbox[:0]
-	r.Telemetry = nil
+	r.Telemetry, r.State = nil, nil
 	for _, s := range res.Outbox {
 		w, err := d.e.encodeSent(s)
 		if err != nil {
@@ -291,15 +294,13 @@ func (d *DistLocal) Step(T, end float64) (*WindowReport, error) {
 		}
 		r.Outbox = append(r.Outbox, w)
 	}
-	if d.e.tel != nil {
-		// Ship slow-cadence state exactly when the in-process Commit would
-		// republish it: when this window crosses a measurement-window
-		// (BucketWidth) boundary.
-		crossed := int(end/d.e.cfg.BucketWidth) > d.lastBucket
-		r.Telemetry = d.e.tel.ExportPartial(d.engines, crossed)
-		if crossed {
-			d.lastBucket = int(end / d.e.cfg.BucketWidth)
-		}
+	if b := int(end / d.e.cfg.BucketWidth); d.e.tel != nil && b > d.lastBucket {
+		// Ship the share exactly when the coordinator's Commit folds and
+		// publishes: when this window crosses a measurement-window boundary.
+		// The state is aliased, not copied: the report is encoded before the
+		// next Step writes it.
+		r.Telemetry, r.State = d.e.tel.ExportPartial(d.engines), &d.e.NetState
+		d.lastBucket = b
 	}
 	return r, nil
 }
@@ -370,15 +371,39 @@ func (m *DistMerge) Trace() *obs.Timeline { return m.e.trace }
 // so recorded traces stay deterministic.
 func (m *DistMerge) RecordEvent(ev obs.Event) { m.e.recordEvent(ev) }
 
+// CheckReport measures one worker's window report against the run before
+// anything indexes it: counters for every engine, outbox events for engines
+// inside the run and, at a measurement-window crossing, a telemetry share
+// that fits beside a NetState sized for the run. The transport calls it on
+// receipt, so a failing report is blamed on its sender.
+func (m *DistMerge) CheckReport(r *WindowReport) error {
+	n := m.e.cfg.NumEngines
+	if len(r.Charges) != n || len(r.Remote) != n || len(r.Events) != n || len(r.Queue) != n {
+		return fmt.Errorf("emu: window report sized for %d engines, want %d", len(r.Charges), n)
+	}
+	for _, ev := range r.Outbox {
+		if ev.Dst < 0 || int(ev.Dst) >= n {
+			return fmt.Errorf("emu: window report outbox event for engine %d, outside [0,%d)", ev.Dst, n)
+		}
+	}
+	if r.State != nil {
+		if err := r.State.check(len(m.e.nw.Links), len(m.e.flows)); err != nil {
+			return err
+		}
+	}
+	return m.e.tel.CheckPartial(r.Telemetry)
+}
+
 // CommitWindow commits one executed window [T, end) — the one the
 // coordinator's des.Grid picked, with the idle virtual time skipped it jumped
-// to get there — from the workers' reports, which together cover every engine
-// exactly once: telemetry partials install first (so the commit sees the
-// post-window matrix, as in-process), the reports sum into the window record,
-// and the record goes through the same commit an in-process window does. The
-// returned attribution names the worker that gated the window (none when
-// tracing is off); an error — a malformed report, a canceled context — ends
-// the run.
+// to get there — from the workers' reports, each held to CheckReport and
+// together covering every engine exactly once: at a measurement-window
+// crossing the telemetry shares install and the states are gathered first (so
+// the commit folds the post-window traffic, as in-process), the reports sum
+// into the window record, and the record goes through the same commit an
+// in-process window does. The returned attribution names the worker that
+// gated the window (none when tracing is off); an error — a canceled
+// context — ends the run.
 func (m *DistMerge) CommitWindow(T, end, skipped float64, reports []*WindowReport) (obs.WindowStat, error) {
 	n := m.e.cfg.NumEngines
 	w := &m.win
@@ -387,13 +412,8 @@ func (m *DistMerge) CommitWindow(T, end, skipped float64, reports []*WindowRepor
 	clear(w.Remote)
 	clear(w.Queue)
 	var parts []*telemetry.Partial
+	var owner []*NetState // engine → the state of the report sharing its histograms
 	for _, r := range reports {
-		if r == nil {
-			return obs.WindowStat{}, fmt.Errorf("emu: missing window report")
-		}
-		if len(r.Charges) != n || len(r.Remote) != n || len(r.Events) != n || len(r.Queue) != n {
-			return obs.WindowStat{}, fmt.Errorf("emu: window report sized for %d engines, want %d", len(r.Charges), n)
-		}
 		// Queue depths are the workers' post-window (pre-merge) occupancy — the
 		// merge happens on the coordinator after the report is cut.
 		for lp := 0; lp < n; lp++ {
@@ -404,12 +424,19 @@ func (m *DistMerge) CommitWindow(T, end, skipped float64, reports []*WindowRepor
 		}
 		if r.Telemetry != nil {
 			parts = append(parts, r.Telemetry)
+			if owner == nil {
+				owner = make([]*NetState, n)
+			}
+			for _, eng := range r.Telemetry.Engines {
+				owner[eng] = r.State
+			}
 		}
 	}
-	if m.e.tel != nil && len(parts) > 0 {
+	if len(parts) > 0 {
 		if err := m.e.tel.InstallPartials(parts); err != nil {
 			return obs.WindowStat{}, err
 		}
+		m.e.NetState = m.e.gather(func(eng int) *NetState { return owner[eng] })
 	}
 	w.Index, w.Start, w.End = m.stats.Windows, T, end
 	st, err := m.e.commit(w)
@@ -430,11 +457,9 @@ func (m *DistMerge) CommitWindow(T, end, skipped float64, reports []*WindowRepor
 // own window accounting — a cheap end-to-end protocol integrity check. wall is
 // the coordinator-measured elapsed time.
 func (m *DistMerge) Finalize(exports []*ElasticExport, wall time.Duration) (*Result, error) {
-	net, err := m.assemble(exports)
-	if err != nil {
+	if err := m.assemble(exports); err != nil {
 		return nil, err
 	}
-	m.e.NetState = net
 	m.stats.WallTime = wall
 	return m.e.buildResult(m.stats, nil), nil
 }

@@ -53,8 +53,12 @@ type Membership struct {
 // (recoverCrash), an in-process resize (applyResize) and a distributed one
 // (DistMerge.Resize): policy is handed the change c, completed with the
 // assignment in effect and the NetFlow collector, and its answer must cover
-// the network using only engines member flags.
+// the network using only engines member flags. The telemetry collector folds
+// first, while the traffic since its last fold is still binned by the
+// assignment it ran under, so a policy reading the live matrix sees it
+// current.
 func (e *emulation) repartition(policy MembershipPolicy, c MembershipChange, member []bool) ([]int, error) {
+	e.tel.Fold(e)
 	c.Engines = append([]int(nil), c.Engines...)
 	c.Previous = append([]int(nil), e.assignment...)
 	c.NetFlow = e.collector
@@ -125,14 +129,14 @@ func (e *emulation) applyResize(k *des.Kernel[payload], rs *resilience, idx int,
 		}
 		target[eng] = true
 	}
-	newAssign := r.Assignment
-	if newAssign == nil {
-		var err error
-		newAssign, err = e.repartition(e.cfg.OnMembership,
-			MembershipChange{At: at, Engines: r.Engines, Loads: loadsOf(k.Stats().Charges)}, target)
-		if err != nil {
-			return err
-		}
+	policy := e.cfg.OnMembership
+	if r.Assignment != nil {
+		policy = func(MembershipChange) ([]int, error) { return r.Assignment, nil }
+	}
+	newAssign, err := e.repartition(policy,
+		MembershipChange{At: at, Engines: r.Engines, Loads: loadsOf(k.Stats().Charges)}, target)
+	if err != nil {
+		return err
 	}
 	e.resizeTo(at, r.Engines, newAssign)
 	rs.mark, rs.markStats = at, k.Stats().Clone()

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/des"
-	"repro/internal/netgraph"
 	"repro/internal/telemetry"
 )
 
@@ -18,7 +17,7 @@ import (
 //	coordinator                                  workers
 //	  (deliver held outbox to old owners)
 //	  EXPORT ────────────────────────────────▶   DistLocal.Export
-//	  ◀──────────── ElasticExport (events, slot arrays, telemetry)
+//	  ◀──────────── ElasticExport (events, slot arrays, histograms)
 //	  DistMerge.Resize: assemble, repartition,
 //	  route pending events to new owners
 //	  INSTALL (per member) ───────────────────▶  DistLocal.Reseat
@@ -27,7 +26,9 @@ import (
 // A worker's NetState is naturally masked by the single-writer ownership
 // discipline (its slots are the only ones off rest), so exports ship raw state;
 // installs are cut from the assembled global state and masked per the NEW
-// ownership so the discipline holds after the resize. FINISH pulls the same
+// ownership so the discipline holds after the resize. Telemetry rides along as
+// per-engine histograms only: the traffic matrix is folded on the coordinator
+// from the link counters NetState already carries. FINISH pulls the same
 // export once more, without the pending events, and Finalize assembles it the
 // same way.
 
@@ -49,8 +50,8 @@ type ElasticExport struct {
 	Pending []WireEvent
 	// NetState is the worker's link and flow slots (non-owned slots at rest).
 	NetState
-	// Telemetry is the worker's full slow-cadence telemetry share; nil when
-	// telemetry is disabled.
+	// Telemetry is the histograms of the worker's engines; nil when telemetry
+	// is disabled.
 	Telemetry *telemetry.Partial
 }
 
@@ -80,7 +81,7 @@ type ElasticInstall struct {
 	// NetState is the global link and flow state masked to the member's new
 	// ownership.
 	NetState
-	// Telemetry is the member's masked slow-cadence share, cut from the
+	// Telemetry is the histograms of the member's new engines, cut from the
 	// coordinator's just-assembled collector; nil when telemetry is disabled.
 	Telemetry *telemetry.Partial
 }
@@ -104,7 +105,7 @@ func (d *DistLocal) Export(at float64, pending bool) (*ElasticExport, error) {
 		NetState:    e.NetState,
 	}
 	if pending {
-		ex.NetState = e.NetState.clone()
+		ex.NetState = e.gather(func(int) *NetState { return &e.NetState }) // a copy
 		for _, s := range d.kernel.Checkpoint(at).Export() {
 			w, err := e.encodeSent(s)
 			if err != nil {
@@ -113,9 +114,7 @@ func (d *DistLocal) Export(at float64, pending bool) (*ElasticExport, error) {
 			ex.Pending = append(ex.Pending, w)
 		}
 	}
-	if e.tel != nil {
-		ex.Telemetry = e.tel.ExportPartial(d.engines, true)
-	}
+	ex.Telemetry = e.tel.ExportPartial(d.engines)
 	return ex, nil
 }
 
@@ -178,10 +177,8 @@ func (d *DistLocal) Reseat(in *ElasticInstall) error {
 	e.assignment = append(e.assignment[:0], in.Assignment...)
 	e.NetState = in.NetState
 	d.engines = append(d.engines[:0], in.Engines...)
-	if e.tel != nil {
-		if err := e.tel.InstallPartials([]*telemetry.Partial{in.Telemetry}); err != nil {
-			return err
-		}
+	if err := e.tel.InstallPartials([]*telemetry.Partial{in.Telemetry}); err != nil {
+		return err
 	}
 	d.lastBucket = int(in.At / e.cfg.BucketWidth)
 	return nil
@@ -252,21 +249,22 @@ func (m *DistMerge) CheckExport(ex *ElasticExport) error {
 }
 
 // assemble turns the workers' exports — each held to CheckExport, together
-// covering every active engine exactly once — into the global barrier state: each slot
-// from the export of the engine owning it under the current assignment. The
-// exports' telemetry shares together are the exact current global traffic
-// plane; installing them brings the coordinator's collector up to date.
-func (m *DistMerge) assemble(exports []*ElasticExport) (NetState, error) {
+// covering every active engine exactly once — into the coordinator's global
+// barrier state: each slot from the export of the engine owning it under the
+// current assignment. The exports' histograms install into the coordinator's
+// collector, which then folds from the assembled counters like an in-process
+// run's.
+func (m *DistMerge) assemble(exports []*ElasticExport) error {
 	e := m.e
 	owner := make([]*NetState, e.cfg.NumEngines)
 	var parts []*telemetry.Partial
 	for xi, ex := range exports {
 		if err := m.CheckExport(ex); err != nil {
-			return NetState{}, fmt.Errorf("export %d: %w", xi, err)
+			return fmt.Errorf("export %d: %w", xi, err)
 		}
 		for _, eng := range ex.Engines {
 			if owner[eng] != nil {
-				return NetState{}, fmt.Errorf("emu: exports do not partition the engines (engine %d)", eng)
+				return fmt.Errorf("emu: exports do not partition the engines (engine %d)", eng)
 			}
 			owner[eng] = &ex.NetState
 		}
@@ -276,15 +274,14 @@ func (m *DistMerge) assemble(exports []*ElasticExport) (NetState, error) {
 	}
 	for eng, on := range m.active {
 		if on && owner[eng] == nil {
-			return NetState{}, fmt.Errorf("emu: no export covers active engine %d", eng)
+			return fmt.Errorf("emu: no export covers active engine %d", eng)
 		}
 	}
-	if e.tel != nil && len(parts) > 0 {
-		if err := e.tel.InstallPartials(parts); err != nil {
-			return NetState{}, err
-		}
+	if err := e.tel.InstallPartials(parts); err != nil {
+		return err
 	}
-	return e.gather(func(eng int) *NetState { return owner[eng] }), nil
+	e.NetState = e.gather(func(eng int) *NetState { return owner[eng] })
+	return nil
 }
 
 // Resize applies a membership change at barrier time at: the workers'
@@ -315,11 +312,12 @@ func (m *DistMerge) Resize(at float64, exports []*ElasticExport, groups [][]int,
 	}
 	sort.Ints(engines)
 
-	// The assembly reads the old ownership; then the assignment switches.
-	global, err := m.assemble(exports)
-	if err != nil {
+	// The assembly and the policy's telemetry fold read the old ownership;
+	// then the assignment switches.
+	if err := m.assemble(exports); err != nil {
 		return nil, 0, err
 	}
+	global := &e.NetState
 	assignment, err := e.repartition(policy,
 		MembershipChange{At: at, Engines: engines, Loads: loadsOf(m.stats.Charges)}, newActive)
 	if err != nil {
@@ -351,15 +349,12 @@ func (m *DistMerge) Resize(at float64, exports []*ElasticExport, groups [][]int,
 			RemoteSends: append([]int64(nil), m.stats.RemoteSends...),
 			NetState: e.gather(func(eng int) *NetState {
 				if mine[eng] {
-					return &global
+					return global
 				}
 				return nil
 			}),
 		}
-		if e.tel != nil {
-			in.Telemetry = e.tel.ExportPartial(g, true)
-			maskPartialSlow(in.Telemetry, e.nw, e.assignment, mine)
-		}
+		in.Telemetry = e.tel.ExportPartial(g)
 		installs[gi] = in
 	}
 
@@ -389,21 +384,4 @@ func (m *DistMerge) Resize(at float64, exports []*ElasticExport, groups [][]int,
 		}
 	}
 	return installs, newL, nil
-}
-
-// maskPartialSlow zeroes the slow-cadence slots of p not owned by the member
-// engine set under the (post-resize) assignment: a link direction's tx slots
-// belong to the transmitting endpoint's engine.
-func maskPartialSlow(p *telemetry.Partial, nw *netgraph.Network, assignment []int, member []bool) {
-	if p == nil || !p.HasSlow {
-		return
-	}
-	for l, link := range nw.Links {
-		if !member[assignment[link.A]] {
-			p.LinkTxBytes[2*l], p.LinkTxPackets[2*l] = 0, 0
-		}
-		if !member[assignment[link.B]] {
-			p.LinkTxBytes[2*l+1], p.LinkTxPackets[2*l+1] = 0, 0
-		}
-	}
 }

@@ -502,7 +502,7 @@ func (e *emulation) seed(kernel *des.Kernel[payload], local []bool) error {
 // buildResult folds the time model and assembles the Result — the reporting
 // half of Run, shared with the distributed coordinator.
 func (e *emulation) buildResult(stats *des.Stats, recovery *Recovery) *Result {
-	e.tel.Finish(stats.VirtualEnd)
+	e.tel.Finish(stats.VirtualEnd, e)
 
 	var appTime, netTime float64
 	for b := 0; b < e.buckets; b++ {
@@ -759,8 +759,9 @@ func (e *emulation) bucketOf(t float64) int {
 // kernel's OnWindow hook, through onWindow) and distributed
 // (DistMerge.CommitWindow hands it the record summed from the workers'
 // reports). In order: the time model prices the window into w.Cost and its
-// buckets, the telemetry collector folds and republishes (engines are quiesced
-// at the barrier), the tracing timeline commits and attributes the window, the
+// buckets, the telemetry collector commits it — folding the link counters and
+// republishing at a measurement-window crossing (engines are quiesced at the
+// barrier) — the tracing timeline commits and attributes the window, the
 // recorder chain receives the record, cancellation is observed — between
 // windows, never mid-handler — and a scheduled crash or resize is applied,
 // which may Checkpoint and Restore the kernel under its running loop. The
@@ -771,7 +772,7 @@ func (e *emulation) bucketOf(t float64) int {
 // before returning and none retains them.
 func (e *emulation) commit(w *obs.Window) (obs.WindowStat, error) {
 	w.Cost = e.price(w)
-	e.tel.Commit(w.Start, w.End, w.Charges)
+	e.tel.Commit(w.Start, w.End, w.Charges, e)
 	st := obs.WindowStat{Window: w.Index, Worker: -1}
 	if e.trace != nil {
 		st = e.trace.CommitWindow(*w)
@@ -875,8 +876,8 @@ func (e *emulation) release(t float64, flow int32, remaining int64, limit int, s
 
 // arrive processes a chunk at node path[hop]: charge the kernel events,
 // account what the node received (NetFlow, on entry), and forward over the
-// next link if not at the destination, accounting what it transmitted
-// (telemetry, on exit).
+// next link if not at the destination, counting what the link carried or
+// dropped and observing the queueing delay (telemetry, on exit).
 func (e *emulation) arrive(t float64, c payload, s *des.Scheduler[payload]) {
 	r := e.routeOf(c.flow)
 	hop := int(c.arg)
@@ -914,27 +915,18 @@ func (e *emulation) arrive(t float64, c payload, s *des.Scheduler[payload]) {
 			backlog := (bu - t) * link.Bandwidth / 8
 			if backlog > float64(e.cfg.BufferBytes) {
 				e.Drops[slot] += packets
-				if e.tel != nil {
-					e.tel.ObserveDrop(e.assignment[node], packets)
-				}
 				return
 			}
 		}
 		depart = bu
 	}
-	wait := depart - t
+	if e.tel != nil {
+		e.tel.ObserveQueueDelay(e.assignment[node], depart-t)
+	}
 	depart += float64(bytes*8) / link.Bandwidth
 	e.BusyUntil[slot] = depart
 	e.LinkBytes[slot] += bytes
-	arrival := depart + link.Latency
-
-	next := r.Path[hop+1]
-	if e.tel != nil {
-		// Transmit-side accounting: the engine owning this node writes its
-		// own matrix row and this (link, dir)'s tx slots.
-		e.tel.ObserveForward(e.assignment[node], e.assignment[next], lid, dir,
-			bytes, packets, wait)
-	}
+	e.LinkPackets[slot] += packets
 	c.arg++
-	s.Schedule(e.assignment[next], arrival, c)
+	s.Schedule(e.assignment[r.Path[hop+1]], depart+link.Latency, c)
 }

@@ -62,9 +62,10 @@ func WithStats() Option {
 
 // WithTelemetry attaches a traffic-plane telemetry collector (see
 // internal/telemetry) to the run. The emulator sizes it for the run's
-// topology, feeds it from the packet hot path and the window commit, and
-// publishes consistent snapshots at every window barrier; Result.Telemetry
-// carries the final snapshot. The collector may be shared with a live HTTP
+// topology, feeds it a queue delay per forwarded packet group and an FCT per
+// completed flow, commits every window to it and has it fold the link
+// counters at measurement-window crossings, before membership changes and at
+// the end; Result.Telemetry carries the final snapshot. The collector may be shared with a live HTTP
 // mount (telemetry.Mount) for the duration of the run. A nil collector is
 // ignored — the hot path then stays on its zero-allocation disabled branch.
 func WithTelemetry(c *telemetry.Collector) Option {

@@ -220,12 +220,13 @@ func TestTelemetryCollectorReuse(t *testing.T) {
 	}
 }
 
-// TestTelemetryDisabledZeroAddedAllocs is the disabled-path cost gate: a run
-// with telemetry disabled must have the exact allocation profile of a run
-// with no telemetry option at all — the per-packet hot path sees only a nil
-// check. (The collector's own observe methods are AllocsPerRun(0)-gated in
+// TestDisabledSinksZeroAddedAllocs is the disabled-path cost gate of every
+// sink option: a run given a nil telemetry collector, tracing timeline or
+// recorder must have the exact allocation profile of a run with no option at
+// all — the per-packet hot path and the window commit see only nil checks.
+// (The collector's own observe methods are AllocsPerRun(0)-gated in
 // internal/telemetry; this pins that emu adds nothing outside the guards.)
-func TestTelemetryDisabledZeroAddedAllocs(t *testing.T) {
+func TestDisabledSinksZeroAddedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own schedule: an exact allocation count flickers by one")
 	}
@@ -240,13 +241,24 @@ func TestTelemetryDisabledZeroAddedAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	off := testing.AllocsPerRun(5, func() {
-		if _, err := Run(cfg, WithTelemetry(nil)); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if off > base {
-		t.Errorf("disabled telemetry allocates more than the bare path: %.1f > %.1f per run", off, base)
+	for _, tc := range []struct {
+		name string
+		opt  Option
+	}{
+		{"telemetry", WithTelemetry(nil)},
+		{"trace", WithTrace(nil)},
+		{"recorder", WithRecorder(nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			off := testing.AllocsPerRun(5, func() {
+				if _, err := Run(cfg, tc.opt); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if off > base {
+				t.Errorf("a nil %s sink allocates more than the bare path: %.1f > %.1f per run", tc.name, off, base)
+			}
+		})
 	}
 }
 
@@ -273,8 +285,9 @@ func BenchmarkEmuTelemetryOff(b *testing.B) {
 	}
 }
 
-// BenchmarkEmuTelemetryOn measures the enabled-path overhead: full matrix,
-// link, histogram and series accounting plus measurement-window publication.
+// BenchmarkEmuTelemetryOn measures the enabled-path overhead: the queue-delay
+// and FCT observations, the per-window commit, and the fold and publication
+// at every measurement-window crossing.
 func BenchmarkEmuTelemetryOn(b *testing.B) {
 	cfg := benchConfig()
 	tel := telemetry.New()

@@ -125,34 +125,6 @@ func TestTraceResultUnchanged(t *testing.T) {
 	}
 }
 
-// TestTraceDisabledZeroAddedAllocs is the disabled-path cost gate: a run with
-// tracing disabled must allocate exactly like a run with no trace option at
-// all — the window observer sees one nil check.
-func TestTraceDisabledZeroAddedAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates on its own schedule: an exact allocation count flickers by one")
-	}
-	cfg := telConfig(true)
-	// Warm the shared routing cache so neither measurement pays the one-time
-	// build.
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	base := testing.AllocsPerRun(5, func() {
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	off := testing.AllocsPerRun(5, func() {
-		if _, err := Run(cfg, WithTrace(nil)); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if off > base {
-		t.Errorf("disabled tracing allocates more than the bare path: %.1f > %.1f per run", off, base)
-	}
-}
-
 // BenchmarkEmuTraceOff is the untraced run BenchmarkEmuTraceOn is read
 // against.
 func BenchmarkEmuTraceOff(b *testing.B) {

@@ -360,51 +360,34 @@ func (in *instruments) reset(d Dims) {
 		"Flow completion times (all engines merged).")
 }
 
-// publishWindow refreshes the scalar, per-engine and matrix values. Called
-// from Commit (measurement-window crossings only) and Finish with c.mu held
-// (engines quiesced at the barrier).
-func (in *instruments) publishWindow(c *Collector) {
-	p := &c.pub
-	in.virtualTime.Set(p.virtualTime)
-	in.windows.Set(float64(p.windows))
+// publish refreshes every value from the collector's barrier state. Called
+// at measurement-window crossings and at Finish with c.mu held (engines
+// quiesced at the barrier).
+func (in *instruments) publish(c *Collector) {
+	in.virtualTime.Set(c.virtualTime)
+	in.windows.Set(float64(c.windows))
 	in.loads = in.loads[:0]
-	for i, ch := range p.engineCharges {
+	for i, ch := range c.engineCharges {
 		in.engineCharges[i].Set(float64(ch))
 		in.loads = append(in.loads, float64(ch))
 	}
 	in.imbalance.Set(metrics.Imbalance(in.loads))
-	var cross, total int64
-	e := c.dims.Engines
-	for s := 0; s < e; s++ {
-		for d := 0; d < e; d++ {
-			v := p.matrixBytes[s*e+d]
-			in.matrixBytes[s*e+d].Set(float64(v))
-			in.matrixPackets[s*e+d].Set(float64(p.matrixPackets[s*e+d]))
-			total += v
-			if s != d {
-				cross += v
-			}
-		}
+	for i, v := range c.matrixBytes {
+		in.matrixBytes[i].Set(float64(v))
+		in.matrixPackets[i].Set(float64(c.matrixPackets[i]))
 	}
+	cross, total := c.crossTotal()
 	in.crossBytes.Set(float64(cross))
 	in.totalBytes.Set(float64(total))
-}
-
-// publishSlow refreshes the measurement-window-cadence values. Called from
-// publishSlowLocked with c.mu held.
-func (in *instruments) publishSlow(c *Collector) {
-	p := &c.pub
-	in.flowsDone.Set(float64(p.flowsDone))
-	in.drops.Set(float64(p.drops))
+	in.flowsDone.Set(float64(c.fctAll.Count))
+	in.drops.Set(float64(c.drops))
 	var bytes, packets int64
-	for _, v := range p.linkTxBytes {
+	for i, v := range c.linkTxBytes {
 		bytes += v
-	}
-	for _, v := range p.linkTxPackets {
-		packets += v
+		packets += c.linkTxPackets[i]
 	}
 	in.linkBytes.Set(float64(bytes))
 	in.linkPackets.Set(float64(packets))
-	in.queueDelay.Set(p.queueDelay)
-	in.fct.Set(p.fct)
+	in.queueDelay.Set(c.queueDelayAll)
+	in.fct.Set(c.fctAll)
 }

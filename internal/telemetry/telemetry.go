@@ -4,13 +4,21 @@
 // PROFILE strategy is built on: who sends how much to whom, over which links,
 // between which engines — continuously, while the emulation runs.
 //
-// The Collector is threaded through the emulator's per-packet-group path and
-// maintains:
+// The emulator already counts, per link direction, the bytes and packets
+// each transmitter carried and the packets tail-dropped at its full buffer
+// (emu.NetState). The collector does not count them a second time; it keeps:
 //
-//   - a live src-engine × dst-engine byte/packet matrix, republished at every
-//     synchronization window barrier,
-//   - per-link, per-direction transmitted bytes/packets,
-//   - per-engine queue-delay and flow-completion-time histograms,
+//   - a src-engine × dst-engine byte/packet matrix, per-link transmitted
+//     bytes/packets and the drop total: views folded from the emulator's
+//     counters (Traffic) at every measurement-window (BucketWidth) crossing,
+//     before every membership change and at Finish. A fold bins each link
+//     direction's growth since the previous fold by the engines of its two
+//     ends; the assignment only changes at barriers, and a membership change
+//     folds before it applies, so the cumulative matrix is exact across
+//     remaps,
+//   - per-engine queue-delay and flow-completion-time histograms — the only
+//     facts the collector measures itself: one observation per forwarded
+//     packet group, one per completed flow,
 //   - a measurement-window timeline of load imbalance and cross-engine
 //     traffic.
 //
@@ -22,15 +30,17 @@
 //   - Zero cost when disabled: a nil *Collector adds no allocations and no
 //     measurable work to the per-packet path — every instrumentation site
 //     guards on the nil pointer (AllocsPerRun-enforced in emu).
-//   - Single-writer hot state: every hot slot is written by exactly one
-//     engine goroutine — matrix row e and engine e's instruments by engine
-//     e, a link direction's tx slots by the transmitting endpoint's engine —
-//     so the per-packet path takes no locks.
-//   - Deterministic snapshots derived from virtual time only. Publication
-//     happens at window barriers on the coordinating goroutine (engines
-//     quiesced), so live HTTP readers only ever see a consistent
-//     barrier-time copy; two identical runs publish byte-identical final
-//     snapshots.
+//   - Single-writer hot state: engine e's two histograms are written only by
+//     engine e's goroutine, so the per-packet path takes no locks.
+//   - Deterministic snapshots derived from virtual time only. Folds and
+//     publication happen at window barriers on the coordinating goroutine
+//     (engines quiesced), under the lock HTTP readers take, so live readers
+//     only ever see a consistent barrier-time view; two identical runs
+//     publish byte-identical final snapshots. The live view refreshes at
+//     different cadences: the window count, virtual time and engine charges
+//     every synchronization window, the matrix, link totals and drops at
+//     every fold, the histograms, timeline and Prometheus registry at
+//     measurement-window crossings and at Finish.
 package telemetry
 
 import (
@@ -59,6 +69,15 @@ type Dims struct {
 	BucketWidth float64
 }
 
+// Traffic is the emulator side of a fold: its counters per link direction,
+// indexed [2*link+dir] and never decreasing — bytes and packets transmitted,
+// packets tail-dropped at a full buffer — and the engines at a direction's
+// transmitting (src) and receiving (dst) end under the assignment in force.
+type Traffic interface {
+	Counters() (bytes, packets, drops []int64)
+	SlotEngines(slot int) (src, dst int)
+}
+
 // TrafficPoint is one measurement window of the traffic timeline.
 type TrafficPoint struct {
 	// Time is the window's end in virtual seconds.
@@ -77,8 +96,7 @@ type TrafficPoint struct {
 // live or after the run (Snapshot, Metrics). A nil *Collector is a valid
 // "disabled" collector for every method the emulator calls.
 type Collector struct {
-	mu   sync.RWMutex // guards pub and reg value updates against HTTP readers
-	pub  published
+	mu   sync.RWMutex // guards the barrier state against HTTP readers
 	reg  *Registry
 	inst *instruments
 
@@ -90,21 +108,15 @@ type Collector struct {
 // runState is everything a run mutates, as one value, so that Reset starts a
 // run from nothing in one assignment.
 type runState struct {
-	// Hot state: written by engine goroutines with no synchronization under
-	// the single-writer ownership discipline documented in the package
-	// comment. Read only at window barriers (engines quiesced) or after the
-	// run.
-	matrixBytes   []int64 // engines×engines, row-major [src*engines+dst]
-	matrixPackets []int64
-	linkTxBytes   []int64 // 2×links, [2*link+dir]: transmitted (post-drop)
-	linkTxPackets []int64
-	queueDelay    []*metrics.Histogram
-	fct           []*metrics.Histogram
-	flowsDone     []int64 // per engine (destination side)
-	drops         []int64 // per engine (transmitting side)
+	// Hot state: engine e's histograms, written by engine e's goroutine with
+	// no synchronization and read only at window barriers (engines quiesced)
+	// or after the run.
+	queueDelay []*metrics.Histogram
+	fct        []*metrics.Histogram
 
-	// Barrier-time accumulators, written only by Commit on the coordinating
-	// goroutine.
+	// Barrier state, written under mu on the coordinating goroutine. sized
+	// marks a Reset: until one, commits, folds and Finish are ignored.
+	sized         bool
 	windows       int64
 	virtualTime   float64
 	engineCharges []int64
@@ -113,21 +125,32 @@ type runState struct {
 	timeline      []TrafficPoint
 	prevCross     int64
 	prevTotal     int64
+	// The folded views. The link arrays are the counters at the last fold,
+	// so the next fold bins only the growth since.
+	matrixBytes   []int64 // engines×engines, row-major [src*engines+dst]
+	matrixPackets []int64
+	linkTxBytes   []int64 // 2×links, [2*link+dir]
+	linkTxPackets []int64
+	drops         int64
+	// queueDelayAll and fctAll merge the engines' histograms at the last
+	// measurement-window crossing.
+	queueDelayAll *metrics.Histogram
+	fctAll        *metrics.Histogram
 }
 
 // newRunState is the empty state of a run with d's dimensions.
 func newRunState(d Dims) runState {
 	s := runState{
+		queueDelay:    make([]*metrics.Histogram, d.Engines),
+		fct:           make([]*metrics.Histogram, d.Engines),
+		engineCharges: make([]int64, d.Engines),
+		bucketCharges: make([]float64, d.Engines),
 		matrixBytes:   make([]int64, d.Engines*d.Engines),
 		matrixPackets: make([]int64, d.Engines*d.Engines),
 		linkTxBytes:   make([]int64, 2*d.Links),
 		linkTxPackets: make([]int64, 2*d.Links),
-		queueDelay:    make([]*metrics.Histogram, d.Engines),
-		fct:           make([]*metrics.Histogram, d.Engines),
-		flowsDone:     make([]int64, d.Engines),
-		drops:         make([]int64, d.Engines),
-		engineCharges: make([]int64, d.Engines),
-		bucketCharges: make([]float64, d.Engines),
+		queueDelayAll: NewRunHistogram(),
+		fctAll:        NewRunHistogram(),
 	}
 	for i := range s.queueDelay {
 		s.queueDelay[i] = NewRunHistogram()
@@ -136,32 +159,11 @@ func newRunState(d Dims) runState {
 	return s
 }
 
-// published is the barrier-time copy of the hot state the HTTP endpoints
-// serve. The matrix and scalars refresh every synchronization window; link
-// counters, histograms and the timeline refresh at measurement-window
-// boundaries and at Finish.
-type published struct {
-	sized       bool
-	virtualTime float64
-	windows     int64
-
-	matrixBytes   []int64
-	matrixPackets []int64
-	linkTxBytes   []int64
-	linkTxPackets []int64
-	engineCharges []int64
-	queueDelay    *metrics.Histogram
-	fct           *metrics.Histogram
-	flowsDone     int64
-	drops         int64
-	timeline      []TrafficPoint
-}
-
 // New returns an empty, unsized Collector. The emulator sizes it (Reset) at
 // run start; until then snapshots are empty. The registry exists from the
 // outset so HTTP endpoints can be mounted before the run begins.
 func New() *Collector {
-	c := &Collector{reg: NewRegistry()}
+	c := &Collector{reg: NewRegistry(), runState: newRunState(Dims{})}
 	c.inst = newInstruments(c.reg)
 	return c
 }
@@ -172,7 +174,8 @@ func (c *Collector) Enabled() bool { return c != nil }
 
 // Metrics returns the collector's Prometheus-style registry. Values update at
 // measurement-window (BucketWidth) boundaries and at Finish — not every
-// synchronization window; Snapshot serves the faster per-window view.
+// synchronization window, at which Snapshot's window count, virtual time and
+// charges refresh.
 func (c *Collector) Metrics() *Registry { return c.reg }
 
 // Reset sizes the collector for a run and zeroes all state. The emulator
@@ -186,61 +189,41 @@ func (c *Collector) Reset(d Dims) {
 	}
 	c.dims = d
 	c.runState = newRunState(d)
-	c.pub = published{
-		sized:         true,
-		matrixBytes:   make([]int64, d.Engines*d.Engines),
-		matrixPackets: make([]int64, d.Engines*d.Engines),
-		linkTxBytes:   make([]int64, 2*d.Links),
-		linkTxPackets: make([]int64, 2*d.Links),
-		engineCharges: make([]int64, d.Engines),
-		queueDelay:    NewRunHistogram(),
-		fct:           NewRunHistogram(),
-	}
+	c.sized = true
 	c.inst.reset(d)
 }
 
 // ---- Hot-path observation (engine goroutines, no locks, no allocations) ----
 
-// ObserveForward accounts one packet group leaving srcEngine for dstEngine
-// over link/dir, having waited queueDelay seconds behind the transmitter's
-// backlog. The caller is the engine owning the transmitting endpoint.
-func (c *Collector) ObserveForward(srcEngine, dstEngine, link, dir int, bytes, packets int64, queueDelay float64) {
-	i := srcEngine*c.dims.Engines + dstEngine
-	c.matrixBytes[i] += bytes
-	c.matrixPackets[i] += packets
-	c.linkTxBytes[2*link+dir] += bytes
-	c.linkTxPackets[2*link+dir] += packets
-	c.queueDelay[srcEngine].Observe(queueDelay)
-}
-
-// ObserveDrop accounts packets tail-dropped at a full link buffer on the
-// given engine.
-func (c *Collector) ObserveDrop(engine int, packets int64) {
-	c.drops[engine] += packets
+// ObserveQueueDelay records that a packet group leaving engine's node waited
+// delay seconds behind the transmitter's backlog. The caller is that engine.
+func (c *Collector) ObserveQueueDelay(engine int, delay float64) {
+	c.queueDelay[engine].Observe(delay)
 }
 
 // ObserveFlowComplete records one finished flow's completion time at its
 // destination engine.
 func (c *Collector) ObserveFlowComplete(engine int, fct float64) {
-	c.flowsDone[engine]++
 	c.fct[engine].Observe(fct)
 }
 
-// ---- Barrier-time publication (coordinating goroutine) ----
+// ---- Barrier-time folds and publication (coordinating goroutine) ----
 
 // Commit folds one executed synchronization window into the collector:
 // charges[lp] is the kernel-event load of engine lp during [start, end). The
-// published snapshot (matrix and scalars) refreshes every window; the
-// Prometheus registry, link counters, histograms and the timeline refresh
-// only when the window crosses a measurement-window (BucketWidth) boundary —
-// sync windows are microseconds of virtual time apart and re-rendering ~2e²
-// registry series at that cadence was the dominant telemetry-on cost, while
-// BucketWidth is the paper's own observation granularity. Called by the
-// emulator's window observer with the engines quiesced at the barrier.
-func (c *Collector) Commit(start, end float64, charges []int64) {
-	if c == nil || !c.pub.sized {
+// window count, virtual time and charges refresh every window; when the
+// window crosses a measurement-window (BucketWidth) boundary the collector
+// also folds t's counters, closes timeline points and republishes the
+// histograms and the Prometheus registry — sync windows are microseconds of
+// virtual time apart, and BucketWidth is the paper's own observation
+// granularity. Called by the emulator's window observer with the engines
+// quiesced at the barrier.
+func (c *Collector) Commit(start, end float64, charges []int64, t Traffic) {
+	if c == nil || !c.sized {
 		return
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for lp, ch := range charges {
 		if lp >= len(c.engineCharges) {
 			break
@@ -250,23 +233,47 @@ func (c *Collector) Commit(start, end float64, charges []int64) {
 	}
 	c.windows++
 	c.virtualTime = end
-
-	crossed := int(end/c.dims.BucketWidth) > c.lastBucket
-	if crossed {
+	if int(end/c.dims.BucketWidth) > c.lastBucket {
+		c.fold(t)
 		c.recordTimeline(end)
+		c.publish()
 	}
+}
 
-	c.mu.Lock()
-	c.pub.windows = c.windows
-	c.pub.virtualTime = end
-	copy(c.pub.matrixBytes, c.matrixBytes)
-	copy(c.pub.matrixPackets, c.matrixPackets)
-	copy(c.pub.engineCharges, c.engineCharges)
-	if crossed {
-		c.publishSlowLocked()
-		c.inst.publishWindow(c)
+// Fold brings the matrix, link totals and drop total up to t's counters. The
+// emulator calls it at a barrier just before a membership change's policy
+// runs, while the assignment the traffic since the last fold ran under is
+// still in force, so the policy reads a current matrix and none of that
+// traffic is binned by the new assignment.
+func (c *Collector) Fold(t Traffic) {
+	if c == nil || !c.sized {
+		return
 	}
+	c.mu.Lock()
+	c.fold(t)
 	c.mu.Unlock()
+}
+
+// fold bins each link direction's growth since the previous fold into the
+// matrix cell of its two ends' engines. Caller holds mu.
+func (c *Collector) fold(t Traffic) {
+	bytes, packets, drops := t.Counters()
+	e := c.dims.Engines
+	for i, b := range bytes {
+		db, dp := b-c.linkTxBytes[i], packets[i]-c.linkTxPackets[i]
+		if db == 0 && dp == 0 {
+			continue
+		}
+		src, dst := t.SlotEngines(i)
+		c.matrixBytes[src*e+dst] += db
+		c.matrixPackets[src*e+dst] += dp
+	}
+	copy(c.linkTxBytes, bytes)
+	copy(c.linkTxPackets, packets)
+	c.drops = 0
+	for _, d := range drops {
+		c.drops += d
+	}
 }
 
 // recordTimeline closes every measurement window up to end, emitting one
@@ -306,51 +313,39 @@ func (c *Collector) crossTotal() (cross, total int64) {
 	return cross, total
 }
 
-// publishSlowLocked refreshes the slow-cadence published state (links,
-// histograms, counters, timeline). Caller holds mu with engines quiesced.
-func (c *Collector) publishSlowLocked() {
-	copy(c.pub.linkTxBytes, c.linkTxBytes)
-	copy(c.pub.linkTxPackets, c.linkTxPackets)
-	c.pub.queueDelay.ResetHistogram()
-	c.pub.fct.ResetHistogram()
-	c.pub.flowsDone = 0
-	c.pub.drops = 0
+// publish merges the engines' histograms and refreshes the registry. Caller
+// holds mu with engines quiesced.
+func (c *Collector) publish() {
+	c.queueDelayAll.ResetHistogram()
+	c.fctAll.ResetHistogram()
 	for i := range c.queueDelay {
-		_ = c.pub.queueDelay.Merge(c.queueDelay[i])
-		_ = c.pub.fct.Merge(c.fct[i])
-		c.pub.flowsDone += c.flowsDone[i]
-		c.pub.drops += c.drops[i]
+		_ = c.queueDelayAll.Merge(c.queueDelay[i])
+		_ = c.fctAll.Merge(c.fct[i])
 	}
-	c.pub.timeline = append(c.pub.timeline[:0], c.timeline...)
-	c.inst.publishSlow(c)
+	c.inst.publish(c)
 }
 
-// Finish publishes the final state of the run — the emulator calls it once
-// after the kernel completes, so Snapshot and the HTTP endpoints serve the
-// exact end-of-run picture (and so identical runs publish byte-identical
-// snapshots regardless of window/bucket alignment).
-func (c *Collector) Finish(end float64) {
-	if c == nil || !c.pub.sized {
+// Finish folds and publishes the final state of the run — the emulator calls
+// it once after the kernel completes, so Snapshot and the HTTP endpoints
+// serve the exact end-of-run picture (and so identical runs publish
+// byte-identical snapshots regardless of window/bucket alignment).
+func (c *Collector) Finish(end float64, t Traffic) {
+	if c == nil || !c.sized {
 		return
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if end > c.virtualTime {
 		c.virtualTime = end
 	}
+	c.fold(t)
 	// Close any open measurement window, so every observed byte and charge
 	// appears in the timeline exactly once.
 	cross, total := c.crossTotal()
 	if sumFloats(c.bucketCharges) > 0 || cross != c.prevCross || total != c.prevTotal {
 		c.recordTimeline(float64(c.lastBucket+1) * c.dims.BucketWidth)
 	}
-	c.mu.Lock()
-	c.pub.windows = c.windows
-	c.pub.virtualTime = c.virtualTime
-	copy(c.pub.matrixBytes, c.matrixBytes)
-	copy(c.pub.matrixPackets, c.matrixPackets)
-	copy(c.pub.engineCharges, c.engineCharges)
-	c.publishSlowLocked()
-	c.inst.publishWindow(c)
-	c.mu.Unlock()
+	c.publish()
 }
 
 func sumFloats(xs []float64) float64 {
@@ -364,7 +359,9 @@ func sumFloats(xs []float64) float64 {
 // ---- Snapshots ----
 
 // Snapshot is a consistent barrier-time view of the traffic plane — what the
-// /trafficmatrix endpoint serializes and emu.Result.Telemetry carries.
+// /trafficmatrix endpoint serializes and emu.Result.Telemetry carries. Live,
+// its parts refresh at the cadences the package comment lists; after Finish
+// they all describe the end of the run.
 type Snapshot struct {
 	// Engines is the matrix dimension.
 	Engines int `json:"engines"`
@@ -386,7 +383,8 @@ type Snapshot struct {
 	// LinkTxBytes[l] / LinkTxPackets[l] total both directions of link l.
 	LinkTxBytes   []int64 `json:"linkTxBytes"`
 	LinkTxPackets []int64 `json:"linkTxPackets"`
-	// FlowsCompleted and DroppedPackets total all engines.
+	// FlowsCompleted is the merged FCT histogram's count; DroppedPackets
+	// totals every link direction's drops.
 	FlowsCompleted int64 `json:"flowsCompleted"`
 	DroppedPackets int64 `json:"droppedPackets"`
 	// QueueDelay and FCT are the merged per-engine histograms.
@@ -410,49 +408,44 @@ func (c *Collector) Snapshot() *Snapshot {
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	p := &c.pub
 	e := c.dims.Engines
 	s := &Snapshot{
 		Engines:        e,
-		VirtualTime:    p.virtualTime,
-		Windows:        p.windows,
+		VirtualTime:    c.virtualTime,
+		Windows:        c.windows,
 		MatrixBytes:    make([][]int64, e),
 		MatrixPackets:  make([][]int64, e),
-		EngineCharges:  append([]int64(nil), p.engineCharges...),
-		LinkTxBytes:    make([]int64, len(p.linkTxBytes)/2),
-		LinkTxPackets:  make([]int64, len(p.linkTxPackets)/2),
-		FlowsCompleted: p.flowsDone,
-		DroppedPackets: p.drops,
-		QueueDelay:     p.queueDelay.CloneHistogram(),
-		FCT:            p.fct.CloneHistogram(),
-		Timeline:       append([]TrafficPoint(nil), p.timeline...),
+		EngineCharges:  append([]int64(nil), c.engineCharges...),
+		LinkTxBytes:    make([]int64, len(c.linkTxBytes)/2),
+		LinkTxPackets:  make([]int64, len(c.linkTxPackets)/2),
+		FlowsCompleted: c.fctAll.Count,
+		DroppedPackets: c.drops,
+		QueueDelay:     c.queueDelayAll.CloneHistogram(),
+		FCT:            c.fctAll.CloneHistogram(),
+		Timeline:       append([]TrafficPoint(nil), c.timeline...),
 	}
 	for row := 0; row < e; row++ {
-		s.MatrixBytes[row] = append([]int64(nil), p.matrixBytes[row*e:(row+1)*e]...)
-		s.MatrixPackets[row] = append([]int64(nil), p.matrixPackets[row*e:(row+1)*e]...)
-		for col, v := range s.MatrixBytes[row] {
-			s.TotalBytes += v
-			if col != row {
-				s.CrossEngineBytes += v
-			}
-		}
+		s.MatrixBytes[row] = append([]int64(nil), c.matrixBytes[row*e:(row+1)*e]...)
+		s.MatrixPackets[row] = append([]int64(nil), c.matrixPackets[row*e:(row+1)*e]...)
 	}
+	s.CrossEngineBytes, s.TotalBytes = c.crossTotal()
 	for l := range s.LinkTxBytes {
-		s.LinkTxBytes[l] = p.linkTxBytes[2*l] + p.linkTxBytes[2*l+1]
-		s.LinkTxPackets[l] = p.linkTxPackets[2*l] + p.linkTxPackets[2*l+1]
+		s.LinkTxBytes[l] = c.linkTxBytes[2*l] + c.linkTxBytes[2*l+1]
+		s.LinkTxPackets[l] = c.linkTxPackets[2*l] + c.linkTxPackets[2*l+1]
 	}
-	loads := make([]float64, e)
-	for i, ch := range s.EngineCharges {
+	s.Imbalance = metrics.Imbalance(loadsOf(c.engineCharges))
+	s.QueueDelayP50 = s.QueueDelay.Quantile(50)
+	s.QueueDelayP99 = s.QueueDelay.Quantile(99)
+	s.FCTP50 = s.FCT.Quantile(50)
+	s.FCTP99 = s.FCT.Quantile(99)
+	return s
+}
+
+// loadsOf converts per-engine charges to the float loads Imbalance reads.
+func loadsOf(charges []int64) []float64 {
+	loads := make([]float64, len(charges))
+	for i, ch := range charges {
 		loads[i] = float64(ch)
 	}
-	s.Imbalance = metrics.Imbalance(loads)
-	if s.QueueDelay != nil {
-		s.QueueDelayP50 = s.QueueDelay.Quantile(50)
-		s.QueueDelayP99 = s.QueueDelay.Quantile(99)
-	}
-	if s.FCT != nil {
-		s.FCTP50 = s.FCT.Quantile(50)
-		s.FCTP99 = s.FCT.Quantile(99)
-	}
-	return s
+	return loads
 }

@@ -16,13 +16,36 @@ func sizedCollector() *Collector {
 	return c
 }
 
+// line is an emulator stand-in for sizedCollector's run: per-direction
+// counters over 3 links whose ends sit on engines 0–1 (link 0), 0–0 (link 1)
+// and 1–1 (link 2).
+type line struct{ bytes, packets, drops []int64 }
+
+func newLine() *line {
+	return &line{bytes: make([]int64, 6), packets: make([]int64, 6), drops: make([]int64, 6)}
+}
+
+func (l *line) Counters() (bytes, packets, drops []int64) { return l.bytes, l.packets, l.drops }
+
+func (l *line) SlotEngines(slot int) (src, dst int) {
+	ends := [3][2]int{{0, 1}, {0, 0}, {1, 1}}[slot/2]
+	return ends[slot%2], ends[1-slot%2]
+}
+
+// forward counts a packet group transmitted over link direction slot.
+func (l *line) forward(slot int, bytes, packets int64) {
+	l.bytes[slot] += bytes
+	l.packets[slot] += packets
+}
+
 func TestNilCollectorSafe(t *testing.T) {
 	var c *Collector
 	if c.Enabled() {
 		t.Fatal("nil collector reports enabled")
 	}
-	c.Commit(0, 1, []int64{1, 2})
-	c.Finish(1)
+	c.Commit(0, 1, []int64{1, 2}, newLine())
+	c.Fold(newLine())
+	c.Finish(1, newLine())
 	if s := c.Snapshot(); s == nil || s.Engines != 0 {
 		t.Fatalf("nil snapshot = %+v", s)
 	}
@@ -33,23 +56,25 @@ func TestNilCollectorSafe(t *testing.T) {
 
 func TestUnsizedCommitIgnored(t *testing.T) {
 	c := New()
-	c.Commit(0, 1, []int64{5})
-	c.Finish(1)
+	c.Commit(0, 3, []int64{5}, newLine())
+	c.Finish(3, newLine())
 	if s := c.Snapshot(); s.Windows != 0 {
 		t.Fatalf("unsized collector committed windows: %+v", s)
 	}
 }
 
 func TestMatrixAndSnapshot(t *testing.T) {
-	c := sizedCollector()
+	c, l := sizedCollector(), newLine()
 	// Engine 0 sends 3 packets / 3000 bytes to engine 1 over link 0 dir 0,
 	// and 1 packet / 500 bytes to itself over link 1 dir 1.
-	c.ObserveForward(0, 1, 0, 0, 3000, 3, 0.5e-3)
-	c.ObserveForward(0, 0, 1, 1, 500, 1, 0)
+	l.forward(0, 3000, 3)
+	c.ObserveQueueDelay(0, 0.5e-3)
+	l.forward(3, 500, 1)
+	c.ObserveQueueDelay(0, 0)
 	c.ObserveFlowComplete(1, 0.25)
-	c.ObserveDrop(0, 2)
-	c.Commit(0, 1, []int64{10, 30})
-	c.Finish(8)
+	l.drops[0] += 2
+	c.Commit(0, 1, []int64{10, 30}, l)
+	c.Finish(8, l)
 
 	s := c.Snapshot()
 	if s.MatrixBytes[0][1] != 3000 || s.MatrixBytes[0][0] != 500 {
@@ -73,38 +98,73 @@ func TestMatrixAndSnapshot(t *testing.T) {
 	if s.Imbalance <= 0 {
 		t.Fatalf("imbalance = %g, want > 0 for uneven charges", s.Imbalance)
 	}
-	if s.FCTP50 <= 0 {
-		t.Fatalf("fct p50 = %g", s.FCTP50)
+	if s.FCTP50 <= 0 || s.QueueDelay.Count != 2 {
+		t.Fatalf("fct p50 = %g, %d queue delays", s.FCTP50, s.QueueDelay.Count)
 	}
 	if s.VirtualTime != 8 || s.Windows != 1 {
 		t.Fatalf("vt=%g windows=%d", s.VirtualTime, s.Windows)
 	}
 }
 
+// TestSnapshotIsolatedFromLiveState: a snapshot shares no storage with the
+// collector, and the matrix moves only at folds — a measurement-window
+// crossing or an explicit Fold — not at every window.
 func TestSnapshotIsolatedFromLiveState(t *testing.T) {
-	c := sizedCollector()
-	c.ObserveForward(0, 1, 0, 0, 100, 1, 0)
-	c.Commit(0, 1, []int64{1, 1})
+	c, l := sizedCollector(), newLine()
+	l.forward(0, 100, 1)
+	c.Commit(0, 2.5, []int64{1, 1}, l) // crosses 2 s: folds
 	s := c.Snapshot()
-	// Mutating hot state after the snapshot must not leak into it.
-	c.ObserveForward(0, 1, 0, 0, 900, 9, 0)
+	l.forward(0, 900, 9)
+	c.Commit(2.5, 3, []int64{1, 1}, l) // no crossing
 	if s.MatrixBytes[0][1] != 100 {
 		t.Fatalf("snapshot aliased live state: %v", s.MatrixBytes)
 	}
-	// And a snapshot without a new Commit still serves barrier-time data.
 	if got := c.Snapshot().MatrixBytes[0][1]; got != 100 {
-		t.Fatalf("unpublished data leaked: %d", got)
+		t.Fatalf("traffic since the last fold leaked: %d", got)
+	}
+	c.Fold(l)
+	if got := c.Snapshot().MatrixBytes[0][1]; got != 1000 {
+		t.Fatalf("after a fold the matrix holds %d, want 1000", got)
 	}
 }
 
+// TestFoldBinsByTheAssignmentInForce: traffic is binned by the engines its
+// link direction's ends had when it flowed, so a fold before the assignment
+// changes keeps it where it was — the fold every membership change runs
+// first.
+func TestFoldBinsByTheAssignmentInForce(t *testing.T) {
+	c := sizedCollector()
+	l := &remapped{line: newLine()}
+	l.forward(0, 100, 1) // 0 → 1
+	c.Fold(l)
+	l.moved = true      // link 0's ends now both sit on engine 1
+	l.forward(0, 40, 1) // 1 → 1
+	c.Finish(1, l)
+	if s := c.Snapshot(); s.MatrixBytes[0][1] != 100 || s.MatrixBytes[1][1] != 40 || s.CrossEngineBytes != 100 {
+		t.Fatalf("matrix %v, cross %d: traffic binned by the wrong assignment", s.MatrixBytes, s.CrossEngineBytes)
+	}
+}
+
+type remapped struct {
+	*line
+	moved bool
+}
+
+func (r *remapped) SlotEngines(slot int) (src, dst int) {
+	if r.moved && slot < 2 {
+		return 1, 1
+	}
+	return r.line.SlotEngines(slot)
+}
+
 func TestTimelineWindows(t *testing.T) {
-	c := sizedCollector() // BucketWidth 2, Duration 8
-	c.ObserveForward(0, 1, 0, 0, 1000, 1, 0)
-	c.Commit(0, 1, []int64{4, 4})
-	c.Commit(1, 2.5, []int64{4, 4}) // crosses the 2s boundary
-	c.ObserveForward(1, 0, 0, 1, 500, 1, 0)
-	c.Commit(2.5, 5, []int64{2, 6}) // crosses 4s
-	c.Finish(8)
+	c, l := sizedCollector(), newLine() // BucketWidth 2, Duration 8
+	l.forward(0, 1000, 1)
+	c.Commit(0, 1, []int64{4, 4}, l)
+	c.Commit(1, 2.5, []int64{4, 4}, l) // crosses the 2s boundary
+	l.forward(1, 500, 1)
+	c.Commit(2.5, 5, []int64{2, 6}, l) // crosses 4s
+	c.Finish(8, l)
 
 	s := c.Snapshot()
 	if len(s.Timeline) != 2 {
@@ -132,12 +192,14 @@ func TestTimelineWindows(t *testing.T) {
 	}
 }
 
+// TestHotPathNoAllocs: the two observations the packet path makes — a queue
+// delay per forwarded packet group, an FCT per completed flow — allocate
+// nothing.
 func TestHotPathNoAllocs(t *testing.T) {
 	c := sizedCollector()
 	allocs := testing.AllocsPerRun(200, func() {
-		c.ObserveForward(0, 1, 0, 0, 300, 3, 1e-4)
+		c.ObserveQueueDelay(0, 1e-4)
 		c.ObserveFlowComplete(1, 0.1)
-		c.ObserveDrop(0, 1)
 	})
 	if allocs > 0 {
 		t.Fatalf("hot path allocated %.1f/run, want 0", allocs)
@@ -145,11 +207,12 @@ func TestHotPathNoAllocs(t *testing.T) {
 }
 
 func TestRegistryExposition(t *testing.T) {
-	c := sizedCollector()
-	c.ObserveForward(0, 1, 0, 0, 1000, 2, 0.5e-3)
+	c, l := sizedCollector(), newLine()
+	l.forward(0, 1000, 2)
+	c.ObserveQueueDelay(0, 0.5e-3)
 	c.ObserveFlowComplete(1, 0.25)
-	c.Commit(0, 2.5, []int64{8, 4})
-	c.Finish(8)
+	c.Commit(0, 2.5, []int64{8, 4}, l)
+	c.Finish(8, l)
 
 	var b strings.Builder
 	if err := c.Metrics().WriteExposition(&b); err != nil {
@@ -211,8 +274,8 @@ func TestExpositionReportsNaNObservations(t *testing.T) {
 	c := sizedCollector()
 	c.ObserveFlowComplete(1, math.NaN())
 	c.ObserveFlowComplete(1, 0.25)
-	c.Commit(0, 2.5, []int64{8, 4})
-	c.Finish(8)
+	c.Commit(0, 2.5, []int64{8, 4}, newLine())
+	c.Finish(8, newLine())
 
 	var b strings.Builder
 	if err := c.Metrics().WriteExposition(&b); err != nil {
@@ -236,8 +299,8 @@ func TestExpositionReportsNaNObservations(t *testing.T) {
 	// Golden stability: a clean collector must not grow _nan_count lines.
 	clean := sizedCollector()
 	clean.ObserveFlowComplete(1, 0.25)
-	clean.Commit(0, 2.5, []int64{8, 4})
-	clean.Finish(8)
+	clean.Commit(0, 2.5, []int64{8, 4}, newLine())
+	clean.Finish(8, newLine())
 	var cb strings.Builder
 	if err := clean.Metrics().WriteExposition(&cb); err != nil {
 		t.Fatal(err)
@@ -248,27 +311,31 @@ func TestExpositionReportsNaNObservations(t *testing.T) {
 }
 
 // TestPartialExportInstallEquivalence is the distributed-telemetry contract:
-// two workers with disjoint engines, merged via ExportPartial/InstallPartials
-// on a coordinator, must publish the identical snapshot and exposition as one
+// two workers with disjoint engines, their histograms merged via
+// ExportPartial/InstallPartials on a coordinator that folds the same link
+// counters, must publish the identical snapshot and exposition as one
 // collector that saw every observation locally.
 func TestPartialExportInstallEquivalence(t *testing.T) {
 	observeEngine0 := func(c *Collector) {
-		c.ObserveForward(0, 1, 0, 0, 1000, 2, 0.5e-3) // engine 0's matrix row + link 0 tx
+		c.ObserveQueueDelay(0, 0.5e-3)
 		c.ObserveFlowComplete(0, 0.125)
-		c.ObserveDrop(0, 1)
 	}
 	observeEngine1 := func(c *Collector) {
-		c.ObserveForward(1, 0, 1, 1, 500, 1, 0.25e-3)
+		c.ObserveQueueDelay(1, 0.25e-3)
 		c.ObserveFlowComplete(1, 0.5)
 	}
+	l := newLine()
+	l.forward(0, 1000, 2) // engine 0 → 1
+	l.forward(1, 500, 1)  // engine 1 → 0
+	l.drops[0]++
 	charges := []int64{8, 4}
 
 	// Reference: one collector sees everything.
 	ref := sizedCollector()
 	observeEngine0(ref)
 	observeEngine1(ref)
-	ref.Commit(0, 2.5, charges)
-	ref.Finish(8)
+	ref.Commit(0, 2.5, charges, l)
+	ref.Finish(8, l)
 
 	// Distributed: each worker only its own engines, never committing.
 	w0 := sizedCollector()
@@ -277,13 +344,13 @@ func TestPartialExportInstallEquivalence(t *testing.T) {
 	observeEngine1(w1)
 	coord := sizedCollector()
 	if err := coord.InstallPartials([]*Partial{
-		w0.ExportPartial([]int{0}, true),
-		w1.ExportPartial([]int{1}, true),
+		w0.ExportPartial([]int{0}),
+		w1.ExportPartial([]int{1}),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	coord.Commit(0, 2.5, charges)
-	coord.Finish(8)
+	coord.Commit(0, 2.5, charges, l)
+	coord.Finish(8, l)
 
 	wantSnap, err := json.Marshal(ref.Snapshot())
 	if err != nil {
@@ -310,15 +377,15 @@ func TestPartialExportInstallEquivalence(t *testing.T) {
 }
 
 // TestInstallPartialsRejectsBadShapes: a partial is outside input when it
-// arrives over the wire, so every array it carries is measured against the run
-// before anything indexes with it — a slow array one slot too long used to
-// panic the coordinator in the elementwise sum. A refused partial returns
-// ErrBadPartial and installs nothing, its well-formed neighbours included.
+// arrives over the wire, so every engine it names and every histogram it
+// carries is measured against the run before anything indexes with it. A
+// refused partial returns ErrBadPartial and installs nothing, its
+// well-formed neighbours included.
 func TestInstallPartialsRejectsBadShapes(t *testing.T) {
 	good := func() *Partial {
 		w := sizedCollector()
-		w.ObserveForward(0, 1, 0, 0, 700, 7, 1e-3)
-		return w.ExportPartial([]int{0}, true)
+		w.ObserveQueueDelay(0, 1e-3)
+		return w.ExportPartial([]int{0})
 	}
 	cases := []struct {
 		name   string
@@ -326,14 +393,9 @@ func TestInstallPartialsRejectsBadShapes(t *testing.T) {
 	}{
 		{"engine out of range", func(p *Partial) { p.Engines[0] = 5 }},
 		{"engine negative", func(p *Partial) { p.Engines[0] = -1 }},
-		{"short matrix row", func(p *Partial) { p.MatrixBytes = p.MatrixBytes[:1] }},
-		{"long matrix packets", func(p *Partial) { p.MatrixPackets = append(p.MatrixPackets, 0) }},
-		{"long link tx bytes", func(p *Partial) { p.LinkTxBytes = append(p.LinkTxBytes, 1) }},
-		{"long link tx packets", func(p *Partial) { p.LinkTxPackets = append(p.LinkTxPackets, 1) }},
-		{"short link tx packets", func(p *Partial) { p.LinkTxPackets = p.LinkTxPackets[:1] }},
 		{"missing histograms", func(p *Partial) { p.QueueDelay, p.FCT = nil, nil }},
-		{"extra flows-done", func(p *Partial) { p.FlowsDone = append(p.FlowsDone, 1) }},
-		{"missing drops", func(p *Partial) { p.Drops = nil }},
+		{"missing FCT histogram", func(p *Partial) { p.FCT = nil }},
+		{"engine without histograms", func(p *Partial) { p.Engines = append(p.Engines, 1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
