@@ -91,10 +91,12 @@ type TrafficPoint struct {
 	TotalBytes       int64 `json:"totalBytes"`
 }
 
-// Collector accumulates traffic-plane telemetry during an emulation run.
-// Create one with New, hand it to emu.Run via emu.WithTelemetry, and read it
-// live or after the run (Snapshot, Metrics). A nil *Collector is a valid
-// "disabled" collector for every method the emulator calls.
+// Collector accumulates traffic-plane telemetry during an emulation run: two
+// per-engine histograms it observes itself, and the matrix, link totals and
+// drops it folds from the emulator's counters at barriers. Create one with
+// New, hand it to emu.Run via emu.WithTelemetry, and read it live or after
+// the run (Snapshot, Metrics). A nil *Collector is a valid "disabled"
+// collector for every method the emulator calls.
 type Collector struct {
 	mu   sync.RWMutex // guards the barrier state against HTTP readers
 	reg  *Registry
@@ -433,19 +435,14 @@ func (c *Collector) Snapshot() *Snapshot {
 		s.LinkTxBytes[l] = c.linkTxBytes[2*l] + c.linkTxBytes[2*l+1]
 		s.LinkTxPackets[l] = c.linkTxPackets[2*l] + c.linkTxPackets[2*l+1]
 	}
-	s.Imbalance = metrics.Imbalance(loadsOf(c.engineCharges))
+	loads := make([]float64, e)
+	for i, ch := range c.engineCharges {
+		loads[i] = float64(ch)
+	}
+	s.Imbalance = metrics.Imbalance(loads)
 	s.QueueDelayP50 = s.QueueDelay.Quantile(50)
 	s.QueueDelayP99 = s.QueueDelay.Quantile(99)
 	s.FCTP50 = s.FCT.Quantile(50)
 	s.FCTP99 = s.FCT.Quantile(99)
 	return s
-}
-
-// loadsOf converts per-engine charges to the float loads Imbalance reads.
-func loadsOf(charges []int64) []float64 {
-	loads := make([]float64, len(charges))
-	for i, ch := range charges {
-		loads[i] = float64(ch)
-	}
-	return loads
 }
