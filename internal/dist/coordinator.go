@@ -521,9 +521,14 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 				return nil, &workerLost{worker: m.slot, err: err}
 			}
 			// A frame is outside input: one whose outbox or telemetry share
-			// would index past the run's arrays loses its sender instead of
+			// would index past the run's arrays, or whose share claims
+			// engines other than its sender's, loses its sender instead of
 			// reaching the merge.
-			if err := merge.CheckReport(rep); err != nil {
+			err = merge.CheckReport(end, rep)
+			if err == nil && rep.Telemetry != nil && !slices.Equal(rep.Telemetry.Engines, m.engines) {
+				err = fmt.Errorf("telemetry share claims engines %v, the worker holds %v", rep.Telemetry.Engines, m.engines)
+			}
+			if err != nil {
 				return nil, &workerLost{worker: m.slot, err: err}
 			}
 			reports = append(reports, rep)

@@ -36,8 +36,8 @@ import (
 
 // Version is the protocol version; HELLO/ASSIGN carry it and any mismatch
 // aborts the handshake. v6 cut the telemetry share to per-engine histograms,
-// sent in WINDOW_DONE only at measurement-window crossings beside the
-// worker's NetState, which gained per-direction packet counts.
+// sent in WINDOW_DONE only at measurement-window crossings beside the link
+// arrays of the worker's NetState, which gained per-direction packet counts.
 const Version = 6
 
 // MaxFrame bounds a frame's payload (type byte included). It is sized for
@@ -102,46 +102,18 @@ const (
 	MsgSpans
 )
 
+// msgNames spells each message type the way the protocol sketch does.
+var msgNames = [...]string{
+	MsgHello: "HELLO", MsgAssign: "ASSIGN", MsgReady: "READY",
+	MsgEvents: "EVENTS", MsgVote: "VOTE", MsgWindow: "WINDOW", MsgWindowDone: "WINDOW_DONE",
+	MsgFinish: "FINISH", MsgState: "STATE", MsgError: "ERROR", MsgAbort: "ABORT", MsgBye: "BYE",
+	MsgPing: "PING", MsgPong: "PONG", MsgDrain: "DRAIN",
+	MsgExport: "EXPORT", MsgInstall: "INSTALL", MsgInstallAck: "INSTALL_ACK", MsgSpans: "SPANS",
+}
+
 func (t MsgType) String() string {
-	switch t {
-	case MsgHello:
-		return "HELLO"
-	case MsgAssign:
-		return "ASSIGN"
-	case MsgReady:
-		return "READY"
-	case MsgEvents:
-		return "EVENTS"
-	case MsgVote:
-		return "VOTE"
-	case MsgWindow:
-		return "WINDOW"
-	case MsgWindowDone:
-		return "WINDOW_DONE"
-	case MsgFinish:
-		return "FINISH"
-	case MsgState:
-		return "STATE"
-	case MsgError:
-		return "ERROR"
-	case MsgAbort:
-		return "ABORT"
-	case MsgBye:
-		return "BYE"
-	case MsgPing:
-		return "PING"
-	case MsgPong:
-		return "PONG"
-	case MsgDrain:
-		return "DRAIN"
-	case MsgExport:
-		return "EXPORT"
-	case MsgInstall:
-		return "INSTALL"
-	case MsgInstallAck:
-		return "INSTALL_ACK"
-	case MsgSpans:
-		return "SPANS"
+	if int(t) < len(msgNames) && msgNames[t] != "" {
+		return msgNames[t]
 	}
 	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }

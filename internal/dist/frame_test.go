@@ -156,11 +156,11 @@ func FuzzDecodePayloads(f *testing.F) {
 	f.Add(done)
 	f.Add(done[:len(done)-wireEventSize/2]) // the outbox cut mid-event
 	// A measurement-window crossing's report: both engines' histograms beside
-	// the worker's state.
+	// the worker's link state.
 	f.Add(EncodeWindowDone(nil, &emu.WindowReport{Events: []int64{1, 1}, Charges: []int64{1, 1}, Remote: []int64{0, 0}, Queue: []int64{0, 0},
 		Telemetry: hostilePartialCollector().ExportPartial([]int{0, 1}),
 		State: &emu.NetState{BusyUntil: []float64{0.5, 0, 0, 0}, LinkBytes: []int64{3000, 0, 0, 1500}, LinkPackets: []int64{2, 0, 0, 1},
-			Drops: []int64{0, 0, 1, 0}, Delivered: []int64{4500}, FCTs: []float64{0.25}}}))
+			Drops: []int64{0, 0, 1, 0}}}))
 	// A crossing report whose telemetry share decodes but names an engine the
 	// run does not have, beside link counters one slot too long
 	// (TestHostilePartialLosesWorkerTyped).

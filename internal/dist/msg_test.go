@@ -140,8 +140,7 @@ func TestWindowDoneRoundTripWithTelemetry(t *testing.T) {
 		QueueDelay: []*metrics.Histogram{h},
 		FCT:        []*metrics.Histogram{telemetry.NewRunHistogram()},
 	}
-	state := &emu.NetState{BusyUntil: []float64{0, 0.5}, LinkBytes: []int64{5, 6}, LinkPackets: []int64{1, 1}, Drops: []int64{0, 2},
-		Delivered: []int64{7}, FCTs: []float64{-1}}
+	state := &emu.NetState{BusyUntil: []float64{0, 0.5}, LinkBytes: []int64{5, 6}, LinkPackets: []int64{1, 1}, Drops: []int64{0, 2}}
 	r := &emu.WindowReport{
 		Events:    []int64{3, 0, 5},
 		Charges:   []int64{2, 0, 4},

@@ -15,6 +15,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/emu"
 	"repro/internal/mapping"
+	"repro/internal/metrics"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
 )
@@ -355,38 +356,34 @@ func TestOutOfRangeDstLosesWorkerTyped(t *testing.T) {
 	}
 }
 
-// raggedPartialConn is a hostile worker: the first telemetry share it sends in
-// a frame of the given type carries one histogram pair more than it has
-// engines — or, with links set, the window report's state carries one link
-// counter slot more than the run has link directions.
-type raggedPartialConn struct {
-	dist.Conn
-	in    dist.MsgType
-	links bool
-	fired bool
+// grow gives a telemetry share one histogram pair more than it has engines.
+func grow(p *telemetry.Partial) bool {
+	if p == nil {
+		return false
+	}
+	p.QueueDelay = append(p.QueueDelay, telemetry.NewRunHistogram())
+	p.FCT = append(p.FCT, telemetry.NewRunHistogram())
+	return true
 }
 
-func (c *raggedPartialConn) Send(f dist.Frame) error {
+// hostileReportConn is a hostile worker: the first frame of the given type
+// that mangle changes (it reports whether it did) goes out changed. A STATE
+// frame's telemetry share is ragged by grow.
+type hostileReportConn struct {
+	dist.Conn
+	in     dist.MsgType
+	mangle func(*emu.WindowReport) bool
+	fired  bool
+}
+
+func (c *hostileReportConn) Send(f dist.Frame) error {
 	if f.Type != c.in || c.fired {
 		return c.Conn.Send(f)
-	}
-	grow := func(p *telemetry.Partial) bool {
-		if p == nil {
-			return false
-		}
-		p.QueueDelay = append(p.QueueDelay, telemetry.NewRunHistogram())
-		p.FCT = append(p.FCT, telemetry.NewRunHistogram())
-		return true
 	}
 	switch f.Type {
 	case dist.MsgWindowDone:
 		var rep emu.WindowReport
-		if err := dist.DecodeWindowDone(f.Payload, &rep); err == nil && rep.State != nil {
-			if c.links {
-				rep.State.LinkPackets = append(rep.State.LinkPackets, 1)
-			} else {
-				grow(rep.Telemetry)
-			}
+		if err := dist.DecodeWindowDone(f.Payload, &rep); err == nil && c.mangle(&rep) {
 			c.fired = true
 			f.Payload = dist.EncodeWindowDone(nil, &rep)
 		}
@@ -399,51 +396,113 @@ func (c *raggedPartialConn) Send(f dist.Frame) error {
 	return c.Conn.Send(f)
 }
 
-// TestHostilePartialLosesWorkerTyped: a telemetry share is outside input. One
-// whose histograms outnumber its engines — it decodes — must not index the
-// coordinator's collector. The sender is declared lost with a typed error
+// hostileReports are window reports that decode cleanly and do not fit the
+// run, each with the error its sender's loss must wrap (nil: ErrWorkerLost
+// alone) and whether the run has telemetry on.
+var hostileReports = []struct {
+	name      string
+	telemetry bool
+	mangle    func(*emu.WindowReport) bool
+	want      error
+}{
+	{"ragged share", true, func(r *emu.WindowReport) bool { return grow(r.Telemetry) }, telemetry.ErrBadPartial},
+	{"long LinkPackets", true, func(r *emu.WindowReport) bool {
+		if r.State == nil {
+			return false
+		}
+		r.State.LinkPackets = append(r.State.LinkPackets, 1)
+		return true
+	}, emu.ErrBadConfig},
+	{"flows beside the links", true, func(r *emu.WindowReport) bool {
+		if r.State == nil {
+			return false
+		}
+		r.State.Delivered = []int64{0}
+		return true
+	}, emu.ErrBadConfig},
+	{"share without state", true, func(r *emu.WindowReport) bool {
+		if r.State == nil {
+			return false
+		}
+		r.State = nil
+		return true
+	}, telemetry.ErrBadPartial},
+	{"state without share", true, func(r *emu.WindowReport) bool {
+		if r.Telemetry == nil {
+			return false
+		}
+		r.Telemetry = nil
+		return true
+	}, telemetry.ErrBadPartial},
+	{"another worker's engines", true, func(r *emu.WindowReport) bool {
+		if r.Telemetry == nil {
+			return false
+		}
+		for i := range r.Telemetry.Engines {
+			r.Telemetry.Engines[i] = 0
+		}
+		return true
+	}, nil},
+	{"share on a run without telemetry", false, func(r *emu.WindowReport) bool {
+		r.Telemetry = &telemetry.Partial{
+			Engines:    []int{99},
+			QueueDelay: []*metrics.Histogram{telemetry.NewRunHistogram()},
+			FCT:        []*metrics.Histogram{telemetry.NewRunHistogram()},
+		}
+		return true
+	}, telemetry.ErrBadPartial},
+}
+
+// TestHostilePartialLosesWorkerTyped: a telemetry share is outside input. A
+// report carrying one that does not fit — histograms outnumbering its
+// engines, link counters longer than the run's, flow arrays beside the link
+// arrays, a share without its state or a state without its share, engines its
+// sender does not hold, a share on a run without telemetry — must not index
+// the coordinator's collector. The sender is declared lost with a typed error
 // naming it, in a window report and in the final state alike, and with a loss
-// policy configured the run carries on without it. So is a crossing report
-// whose link counters are one slot longer than the run's.
+// policy configured the run carries on without it.
 func TestHostilePartialLosesWorkerTyped(t *testing.T) {
-	run := func(in dist.MsgType, links bool, onLoss emu.MembershipPolicy) (*emu.Result, error) {
+	run := func(in dist.MsgType, tel bool, mangle func(*emu.WindowReport) bool, onLoss emu.MembershipPolicy) (*emu.Result, error) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		conns := make([]dist.Conn, 2)
 		for i := range conns {
 			c, s := dist.Loopback()
 			if i == 1 {
-				s = &raggedPartialConn{Conn: s, in: in, links: links}
+				s = &hostileReportConn{Conn: s, in: in, mangle: mangle}
 			}
 			conns[i] = c
 			go dist.Serve(ctx, s, dist.WorkerOptions{})
 		}
 		spec := distSpec(t)
-		spec.Telemetry = telemetry.New()
+		if tel {
+			spec.Telemetry = telemetry.New()
+		}
 		spec.OnWorkerLoss = onLoss
 		return dist.Run(ctx, spec, conns, dist.Options{})
 	}
-	for _, in := range []dist.MsgType{dist.MsgWindowDone, dist.MsgState} {
-		t.Run(in.String(), func(t *testing.T) {
-			_, err := run(in, false, nil)
-			if !errors.Is(err, dist.ErrWorkerLost) || !errors.Is(err, telemetry.ErrBadPartial) {
-				t.Fatalf("want ErrWorkerLost wrapping ErrBadPartial, got %v", err)
-			}
-			if !strings.Contains(err.Error(), "worker 1") {
-				t.Fatalf("error must name the sender, got %v", err)
-			}
-		})
-	}
-	t.Run("WINDOW_DONE-links", func(t *testing.T) {
-		_, err := run(dist.MsgWindowDone, true, nil)
-		if !errors.Is(err, dist.ErrWorkerLost) || !errors.Is(err, emu.ErrBadConfig) {
-			t.Fatalf("want ErrWorkerLost wrapping ErrBadConfig, got %v", err)
+	check := func(t *testing.T, err, want error) {
+		t.Helper()
+		if !errors.Is(err, dist.ErrWorkerLost) || want != nil && !errors.Is(err, want) {
+			t.Fatalf("want ErrWorkerLost wrapping %v, got %v", want, err)
 		}
 		if !strings.Contains(err.Error(), "worker 1") {
 			t.Fatalf("error must name the sender, got %v", err)
 		}
+	}
+	t.Run(dist.MsgWindowDone.String(), func(t *testing.T) {
+		for _, h := range hostileReports {
+			t.Run(h.name, func(t *testing.T) {
+				_, err := run(dist.MsgWindowDone, h.telemetry, h.mangle, nil)
+				check(t, err, h.want)
+			})
+		}
 	})
-	res, err := run(dist.MsgWindowDone, false, core.NaiveRecovery)
+	t.Run(dist.MsgState.String(), func(t *testing.T) {
+		_, err := run(dist.MsgState, true, nil, nil)
+		check(t, err, telemetry.ErrBadPartial)
+	})
+	res, err := run(dist.MsgWindowDone, true, hostileReports[0].mangle, core.NaiveRecovery)
 	if err != nil {
 		t.Fatalf("with a loss policy the run must survive the hostile worker: %v", err)
 	}

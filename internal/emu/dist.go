@@ -157,10 +157,11 @@ type WindowReport struct {
 	Remote  []int64
 	Queue   []int64
 	Outbox  []WireEvent
-	// Telemetry is the histograms of the worker's engines and State its
-	// NetState, whose link counters the coordinator folds the traffic matrix
-	// from; both are nil unless telemetry is on and the window crosses a
-	// measurement-window (BucketWidth) boundary.
+	// Telemetry is the histograms of the worker's engines and State the link
+	// arrays of its NetState (the flow arrays stay empty), whose counters the
+	// coordinator folds the traffic matrix from; both are nil unless
+	// telemetry is on and the window crosses a measurement-window
+	// (BucketWidth) boundary.
 	Telemetry *telemetry.Partial
 	State     *NetState
 }
@@ -297,9 +298,11 @@ func (d *DistLocal) Step(T, end float64) (*WindowReport, error) {
 	if b := int(end / d.e.cfg.BucketWidth); d.e.tel != nil && b > d.lastBucket {
 		// Ship the share exactly when the coordinator's Commit folds and
 		// publishes: when this window crosses a measurement-window boundary.
-		// The state is aliased, not copied: the report is encoded before the
-		// next Step writes it.
-		r.Telemetry, r.State = d.e.tel.ExportPartial(d.engines), &d.e.NetState
+		// The link arrays are aliased, not copied: the report is encoded
+		// before the next Step writes them.
+		r.Telemetry = d.e.tel.ExportPartial(d.engines)
+		s := &d.e.NetState
+		r.State = &NetState{BusyUntil: s.BusyUntil, LinkBytes: s.LinkBytes, LinkPackets: s.LinkPackets, Drops: s.Drops}
 		d.lastBucket = b
 	}
 	return r, nil
@@ -371,12 +374,13 @@ func (m *DistMerge) Trace() *obs.Timeline { return m.e.trace }
 // so recorded traces stay deterministic.
 func (m *DistMerge) RecordEvent(ev obs.Event) { m.e.recordEvent(ev) }
 
-// CheckReport measures one worker's window report against the run before
-// anything indexes it: counters for every engine, outbox events for engines
-// inside the run and, at a measurement-window crossing, a telemetry share
-// that fits beside a NetState sized for the run. The transport calls it on
-// receipt, so a failing report is blamed on its sender.
-func (m *DistMerge) CheckReport(r *WindowReport) error {
+// CheckReport measures one worker's report for the window ending at end
+// against the run before anything indexes it: counters for every engine,
+// outbox events for engines inside the run and — exactly when the window
+// crosses a measurement-window boundary on a run with telemetry — a
+// telemetry share that fits beside link state sized for the run. The
+// transport calls it on receipt, so a failing report is blamed on its sender.
+func (m *DistMerge) CheckReport(end float64, r *WindowReport) error {
 	n := m.e.cfg.NumEngines
 	if len(r.Charges) != n || len(r.Remote) != n || len(r.Events) != n || len(r.Queue) != n {
 		return fmt.Errorf("emu: window report sized for %d engines, want %d", len(r.Charges), n)
@@ -386,8 +390,12 @@ func (m *DistMerge) CheckReport(r *WindowReport) error {
 			return fmt.Errorf("emu: window report outbox event for engine %d, outside [0,%d)", ev.Dst, n)
 		}
 	}
+	if want := m.e.tel.Crosses(end); (r.Telemetry != nil) != want || (r.State != nil) != want {
+		return fmt.Errorf("%w: window report ending at %g carries share %t and state %t, want both %t",
+			telemetry.ErrBadPartial, end, r.Telemetry != nil, r.State != nil, want)
+	}
 	if r.State != nil {
-		if err := r.State.check(len(m.e.nw.Links), len(m.e.flows)); err != nil {
+		if err := r.State.check(len(m.e.nw.Links), 0); err != nil {
 			return err
 		}
 	}
@@ -398,12 +406,12 @@ func (m *DistMerge) CheckReport(r *WindowReport) error {
 // coordinator's des.Grid picked, with the idle virtual time skipped it jumped
 // to get there — from the workers' reports, each held to CheckReport and
 // together covering every engine exactly once: at a measurement-window
-// crossing the telemetry shares install and the states are gathered first (so
-// the commit folds the post-window traffic, as in-process), the reports sum
-// into the window record, and the record goes through the same commit an
-// in-process window does. The returned attribution names the worker that
-// gated the window (none when tracing is off); an error — a canceled
-// context — ends the run.
+// crossing the telemetry shares install and the link states are gathered
+// first (so the commit folds the post-window traffic, as in-process), the
+// reports sum into the window record, and the record goes through the same
+// commit an in-process window does. The returned attribution names the
+// worker that gated the window (none when tracing is off); an error — a
+// canceled context — ends the run.
 func (m *DistMerge) CommitWindow(T, end, skipped float64, reports []*WindowReport) (obs.WindowStat, error) {
 	n := m.e.cfg.NumEngines
 	w := &m.win
@@ -432,7 +440,7 @@ func (m *DistMerge) CommitWindow(T, end, skipped float64, reports []*WindowRepor
 			}
 		}
 	}
-	if len(parts) > 0 {
+	if m.e.tel.Crosses(end) {
 		if err := m.e.tel.InstallPartials(parts); err != nil {
 			return obs.WindowStat{}, err
 		}

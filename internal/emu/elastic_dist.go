@@ -3,6 +3,7 @@ package emu
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/des"
@@ -333,11 +334,7 @@ func (m *DistMerge) Resize(at float64, exports []*ElasticExport, groups [][]int,
 		if len(g) == 0 {
 			continue
 		}
-		mine := make([]bool, n)
-		for _, eng := range g {
-			mine[eng] = true
-		}
-		in := &ElasticInstall{
+		installs[gi] = &ElasticInstall{
 			At:          at,
 			Lookahead:   newL,
 			Engines:     append([]int(nil), g...),
@@ -348,14 +345,13 @@ func (m *DistMerge) Resize(at float64, exports []*ElasticExport, groups [][]int,
 			Charges:     append([]int64(nil), m.stats.Charges...),
 			RemoteSends: append([]int64(nil), m.stats.RemoteSends...),
 			NetState: e.gather(func(eng int) *NetState {
-				if mine[eng] {
+				if slices.Contains(g, eng) {
 					return global
 				}
 				return nil
 			}),
+			Telemetry: e.tel.ExportPartial(g),
 		}
-		in.Telemetry = e.tel.ExportPartial(g)
-		installs[gi] = in
 	}
 
 	// Route every pending event to its new owner — ownerOf itself, behind

@@ -62,8 +62,9 @@ func (s *NetState) check(links, flows int) error {
 
 // gather builds a state slot by slot from the engine that owns each slot under
 // the current assignment: from(engine) is the state to read that engine's slots
-// out of, or nil to leave them at rest. Assembling the workers' exports and
-// masking a member's share are both this walk.
+// out of, or nil to leave them at rest. Assembling the workers' exports, their
+// crossing reports' link state and masking a member's share are all this walk;
+// a state without flow arrays leaves the flow slots at rest.
 func (e *emulation) gather(from func(engine int) *NetState) NetState {
 	out := newNetState(len(e.nw.Links), len(e.flows))
 	for i := range out.BusyUntil {
@@ -74,7 +75,7 @@ func (e *emulation) gather(from func(engine int) *NetState) NetState {
 		}
 	}
 	for i := range e.flows {
-		if s := from(e.assignment[e.flows[i].Dst]); s != nil {
+		if s := from(e.assignment[e.flows[i].Dst]); s != nil && len(s.Delivered) > 0 {
 			out.Delivered[i], out.FCTs[i] = s.Delivered[i], s.FCTs[i]
 		}
 	}

@@ -235,11 +235,18 @@ func (c *Collector) Commit(start, end float64, charges []int64, t Traffic) {
 	}
 	c.windows++
 	c.virtualTime = end
-	if int(end/c.dims.BucketWidth) > c.lastBucket {
+	if c.Crosses(end) {
 		c.fold(t)
 		c.recordTimeline(end)
 		c.publish()
 	}
+}
+
+// Crosses reports whether a window ending at end closes a measurement window,
+// the windows whose Commit folds and publishes; a nil collector's never do.
+// Call it where Commit is called.
+func (c *Collector) Crosses(end float64) bool {
+	return c != nil && c.sized && int(end/c.dims.BucketWidth) > c.lastBucket
 }
 
 // Fold brings the matrix, link totals and drop total up to t's counters. The
