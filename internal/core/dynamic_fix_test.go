@@ -2,8 +2,12 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/emu"
@@ -230,5 +234,91 @@ func TestRunDynamicZeroFlowGapAccounting(t *testing.T) {
 	gotDelta := pricey.AppTime - res.AppTime
 	if math.Abs(gotDelta-wantDelta) > 1e-6*wantDelta+1e-9 {
 		t.Fatalf("AppTime stall delta = %g, want %g (migrations charged once)", gotDelta, wantDelta)
+	}
+}
+
+// intervalDigest hashes a summary: its per-link and per-node packet totals and
+// its load series. Floats print with %v, so equal digests mean bit-equal
+// values.
+func intervalDigest(s *netflow.Summary) string {
+	links := make([]int, 0, len(s.LinkPackets))
+	for l := range s.LinkPackets {
+		links = append(links, l)
+	}
+	sort.Ints(links)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "nodes %v\nlinks", s.NodePackets)
+	for _, l := range links {
+		fmt.Fprintf(&sb, " %d:%d", l, s.LinkPackets[l])
+	}
+	fmt.Fprintf(&sb, "\nseries %v %v\n", s.NodeSeries.BucketWidth, s.NodeSeries.Loads)
+	h := sha256.Sum256([]byte(sb.String()))
+	return fmt.Sprintf("%d links %x", len(links), h[:8])
+}
+
+// TestRunDynamicIntervalProfilesPinned pins the profile each remap of a
+// RunDynamic run reads: Campus in 7 s intervals, so every barrier lands
+// mid-bucket and splits a bucket's load between two intervals. The run is
+// replayed with the assignments it chose, taking intervalProfile at each
+// barrier the way RunDynamic does, and each profile must be the one the run's
+// remap was computed from (it maps to the next segment's assignment). The
+// digests were recorded at 87dbae0.
+func TestRunDynamicIntervalProfilesPinned(t *testing.T) {
+	const interval = 7.0
+	res, err := dynamicScenario().RunDynamic(context.Background(), interval, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := dynamicScenario()
+	cfg, err := sc.emuConfig(res.Segments[0].Assignment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Profile = true
+	for _, s := range res.Segments[1:] {
+		cfg.Elastic = append(cfg.Elastic, emu.Resize{At: s.Start, Engines: []int{0, 1, 2}})
+	}
+	var profiles []*netflow.Summary
+	var seen *netflow.Summary
+	cfg.OnMembership = func(c emu.MembershipChange) ([]int, error) {
+		now := c.NetFlow.Summarize()
+		profiles = append(profiles, intervalProfile(now, seen))
+		seen = intervalProfile(now, nil)
+		return res.Segments[len(profiles)].Assignment, nil
+	}
+	if _, err := emu.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"56 links e8afaf6d1dec213c", "56 links 57451886f6ca921b", "54 links 1e3f285812c1b0ee",
+		"56 links 03076d036e170865", "56 links d2db1e6c98dacfbb",
+	}
+	if len(profiles) != len(want) {
+		t.Fatalf("%d interval profiles, want %d", len(profiles), len(want))
+	}
+	in, err := sc.mappingInput()
+	if err != nil {
+		t.Fatal(err)
+	}
+	remaps := 0
+	for i, p := range profiles {
+		if got := intervalDigest(p); got != want[i] {
+			t.Errorf("interval %d: profile digest %s, want %s", i, got, want[i])
+		}
+		if res.Segments[i+1].Remap == nil {
+			continue
+		}
+		in.Summary = p
+		next, _, err := remapStep(RemapProfile, in, res.Segments[i].Assignment, DefaultMigrationCost/interval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(next, res.Segments[i+1].Assignment) {
+			t.Errorf("interval %d: the replayed profile maps elsewhere than the run's remap did", i)
+		}
+		remaps++
+	}
+	if remaps == 0 {
+		t.Fatal("no interval remapped: nothing ties the profiles to the run")
 	}
 }

@@ -48,6 +48,25 @@ func profileDigest(c *netflow.Collector) string {
 	return fmt.Sprintf("%d records %x", len(recs), h[:8])
 }
 
+// summaryDigest hashes what PROFILE reads of a profiling run: the summary's
+// per-link and per-node packet totals and its load series. Floats print with
+// %v, so equal digests mean bit-equal values.
+func summaryDigest(s *netflow.Summary) string {
+	links := make([]int, 0, len(s.LinkPackets))
+	for l := range s.LinkPackets {
+		links = append(links, l)
+	}
+	sort.Ints(links)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "nodes %v\nlinks", s.NodePackets)
+	for _, l := range links {
+		fmt.Fprintf(&sb, " %d:%d", l, s.LinkPackets[l])
+	}
+	fmt.Fprintf(&sb, "\nseries %v %v\n", s.NodeSeries.BucketWidth, s.NodeSeries.Loads)
+	h := sha256.Sum256([]byte(sb.String()))
+	return fmt.Sprintf("%d links %x", len(links), h[:8])
+}
+
 // dumpOnZero is an OnMembership that moves the dead engine's nodes to engine 0.
 func dumpOnZero(c emu.MembershipChange) ([]int, error) {
 	next := append([]int(nil), c.Previous...)
@@ -68,7 +87,8 @@ func dumpOnZero(c emu.MembershipChange) ([]int, error) {
 // crashes charged from the same cadence barrier, and a paper topology (the
 // crash rows were recorded when a crash still rolled back and re-ran). The keyed collector could only be reached through emu.Run, whose
 // hop stream no exported hook exposes, so it is pinned here rather than run
-// side by side.
+// side by side. Each row also pins summaryDigest alone, what PROFILE reads,
+// recorded from the slot store at 87dbae0.
 func TestProfileMatchesKeyedCollector(t *testing.T) {
 	dense := func(mod func(*emu.Config)) emu.Config {
 		cfg := denseConfig()
@@ -85,36 +105,36 @@ func TestProfileMatchesKeyedCollector(t *testing.T) {
 	// Neither the dispatch nor a crash recovery leaves a trace in the
 	// accounting: five of the runs emulate the same network and must report
 	// the same thing.
-	const unfaulted = "640 records 5ae4d8e16ddb27e3"
+	const unfaulted, unfaultedSum = "640 records 5ae4d8e16ddb27e3", "9 links c996a3833a698d47"
 	cases := []struct {
-		name string
-		cfg  emu.Config
-		want string
+		name      string
+		cfg       emu.Config
+		want, sum string
 	}{
-		{"blast", dense(nil), unfaulted},
-		{"blast-sequential", dense(func(c *emu.Config) { c.Sequential = true }), unfaulted},
-		{"tcp", dense(func(c *emu.Config) { c.Transport = emu.TCPSlowStart }), "640 records 3ad70244bc9e9420"},
+		{"blast", dense(nil), unfaulted, unfaultedSum},
+		{"blast-sequential", dense(func(c *emu.Config) { c.Sequential = true }), unfaulted, unfaultedSum},
+		{"tcp", dense(func(c *emu.Config) { c.Transport = emu.TCPSlowStart }), "640 records 3ad70244bc9e9420", unfaultedSum},
 		{"buffered-drops", dense(func(c *emu.Config) {
 			c.BufferBytes = 8 << 10
 			c.Workload.Flows = append(c.Workload.Flows[:len(c.Workload.Flows):len(c.Workload.Flows)], shadowed)
-		}), "641 records bd0d709db9470aec"},
-		{"truncated", dense(func(c *emu.Config) { c.EndTime = 1.5 }), "300 records 5c9b86907873b7d7"},
+		}), "641 records bd0d709db9470aec", "9 links 47847b7ed8f4f54b"},
+		{"truncated", dense(func(c *emu.Config) { c.EndTime = 1.5 }), "300 records 5c9b86907873b7d7", "9 links c99a67dc2373c3b0"},
 		{"crash-rollback", dense(func(c *emu.Config) {
 			c.Faults = &faults.Schedule{Crashes: []faults.Crash{{Engine: 1, At: 2}}}
 			c.CheckpointEvery = 1
 			c.OnMembership = dumpOnZero
-		}), unfaulted},
+		}), unfaulted, unfaultedSum},
 		{"two-rollbacks-one-checkpoint", dense(func(c *emu.Config) {
 			c.Assignment, c.NumEngines = threeEngines, 3
 			c.Faults = &faults.Schedule{Crashes: []faults.Crash{{Engine: 2, At: 2.2}, {Engine: 1, At: 2.6}}}
 			c.CheckpointEvery = 2
 			c.OnMembership = dumpOnZero
-		}), unfaulted},
+		}), unfaulted, unfaultedSum},
 		{"campus-top", func() emu.Config {
 			cfg := topConfig(t, "Campus", 30, false)
 			cfg.Profile = true
 			return cfg
-		}(), "6610 records df9fa8ad70a5a199"},
+		}(), "6610 records df9fa8ad70a5a199", "56 links 452febe311cf46db"},
 	}
 	for _, c := range cases {
 		res, err := emu.Run(c.cfg)
@@ -124,6 +144,9 @@ func TestProfileMatchesKeyedCollector(t *testing.T) {
 		got := profileDigest(res.NetFlow)
 		if got != c.want {
 			t.Errorf("%s: collector digest %s, the keyed collector's was %s", c.name, got, c.want)
+		}
+		if got := summaryDigest(res.NetFlow.Summarize()); got != c.sum {
+			t.Errorf("%s: summary digest %s, want %s", c.name, got, c.sum)
 		}
 		switch c.name {
 		case "buffered-drops":
@@ -146,11 +169,12 @@ func TestProfileMatchesKeyedCollector(t *testing.T) {
 // TestProfilePaperTopologies pins the collector's digest on the two paper
 // topologies the benchmark profiles, 30 s under TOP. The digests were recorded
 // from the 40 B slot store at cfedca9, which stored each hop's node, in-link and
-// packet count; the store that derives them must report the same.
+// packet count; the store that derives them must report the same. The summary
+// digests were recorded from the slot store at 87dbae0.
 func TestProfilePaperTopologies(t *testing.T) {
-	for _, c := range []struct{ topology, want string }{
-		{"Brite", "8403 records a0873d95fdf0abe3"},
-		{"TeraGrid", "9002 records 32ff66352e8d97aa"},
+	for _, c := range []struct{ topology, want, sum string }{
+		{"Brite", "8403 records a0873d95fdf0abe3", "322 links b4106320b209b603"},
+		{"TeraGrid", "9002 records 32ff66352e8d97aa", "179 links d24e2a221f663368"},
 	} {
 		cfg := topConfig(t, c.topology, 30, false)
 		cfg.Profile = true
@@ -160,6 +184,9 @@ func TestProfilePaperTopologies(t *testing.T) {
 		}
 		if got := profileDigest(res.NetFlow); got != c.want {
 			t.Errorf("%s: collector digest %s, the slot store's was %s", c.topology, got, c.want)
+		}
+		if got := summaryDigest(res.NetFlow.Summarize()); got != c.sum {
+			t.Errorf("%s: summary digest %s, want %s", c.topology, got, c.sum)
 		}
 	}
 }
