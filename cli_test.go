@@ -264,28 +264,3 @@ func TestCLIMassfTrafficMatrix(t *testing.T) {
 		}
 	}
 }
-
-func TestCLINetflow(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
-	bin := buildTool(t, "netflow")
-	dump := filepath.Join(t.TempDir(), "d.flows")
-	content := "# node flow src dst inlink packets bytes first last\n" +
-		"0 0 0 3 -1 7 10500 0.5 0.5\n" +
-		"1 0 0 3 2 7 10500 0.7 0.7\n"
-	if err := os.WriteFile(dump, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout, stderr, err := run(t, bin, dump)
-	if err != nil {
-		t.Fatalf("netflow failed: %v\n%s", err, stderr)
-	}
-	if !strings.Contains(stdout, "records: 2") || !strings.Contains(stdout, "kernel events: 14") {
-		t.Errorf("unexpected output:\n%s", stdout)
-	}
-	// A negative count is a usage error, not a panic.
-	if _, stderr, err := run(t, bin, "-top", "-1", dump); exitCode(err) != 2 || !strings.Contains(stderr, "usage:") {
-		t.Errorf("-top -1: exit %d (%v), stderr %q; want 2 and the usage message", exitCode(err), err, stderr)
-	}
-}

@@ -1,7 +1,7 @@
 // The PROFILE pipeline, step by step: run an initial emulation under a TOP
-// partition with NetFlow profiling on every router, dump and re-parse the
-// flow records (the paper's offline path), cluster the emulation timeline
-// into load segments, repartition with multi-constraint multi-objective
+// partition with NetFlow profiling on every router, aggregate the profile into
+// per-link and per-node packet counts, cluster the emulation timeline into
+// load segments, repartition with multi-constraint multi-objective
 // partitioning, and compare the fine-grained imbalance before and after —
 // the machinery of §3.3 and Figure 8.
 //
@@ -9,14 +9,12 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 
 	"repro"
 	"repro/internal/emu"
 	"repro/internal/mapping"
-	"repro/internal/netflow"
 	"repro/internal/partition"
 )
 
@@ -53,24 +51,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("profiling run: imbalance=%.3f, %d flow records collected\n",
-		profiled.Imbalance, len(profiled.NetFlow.Records()))
+	fmt.Printf("profiling run: imbalance=%.3f\n", profiled.Imbalance)
 
-	// Step 3: dump the records to the NetFlow file format and parse them
-	// back — the offline path the paper describes ("the dump files record
-	// the average bandwidth and duration of every flow on every router").
-	var dump bytes.Buffer
-	if err := netflow.WriteDump(&dump, profiled.NetFlow.Records()); err != nil {
-		log.Fatal(err)
-	}
-	dumpBytes := dump.Len()
-	records, err := netflow.ReadDump(&dump)
-	if err != nil {
-		log.Fatal(err)
-	}
-	summary := netflow.SummarizeRecords(records, network.NumNodes(), duration, 2)
-	fmt.Printf("dump: %d bytes, %d records; busiest links: %v\n",
-		dumpBytes, len(records), summary.TopLinks(3))
+	// Step 3: aggregate the profile — packets per link and per router, and
+	// each router's load per 2 s bucket: what PROFILE reads of the paper's
+	// per-router dump files.
+	summary := profiled.NetFlow.Summarize()
+	fmt.Printf("profile: %d links carried traffic; busiest links: %v\n",
+		len(summary.LinkPackets), summary.TopLinks(3))
 
 	// Step 4: cluster the timeline at dominating-node changes (§3.3).
 	segments := mapping.SegmentTimeline(summary.NodeSeries, 4)

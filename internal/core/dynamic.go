@@ -29,7 +29,7 @@ import (
 // queues and the flows in flight carry across the boundary.
 //
 // The remapping signal is the paper's one measurement, the per-router NetFlow
-// records of §3.3: the run profiles, and an interval's profile is the
+// accounting of §3.3: the run profiles, and an interval's profile is the
 // difference of the cumulative summaries at its two barriers, read exactly as
 // the PROFILE approach reads its pre-run.
 
@@ -265,9 +265,8 @@ func (sc *Scenario) RunDynamic(ctx context.Context, interval, migrationCost floa
 // intervalProfile is the traffic now accounts beyond seen, a summary of the
 // same collector taken at an earlier barrier (nil for none): packets per link
 // and per node and the load series, each the difference, with links that
-// carried nothing in between left out. Counters only grow, and a hop's
-// packets split with its bytes, because its full chunks and its one remainder
-// each carry whole packets (netflow.Collector.ObserveAt); so this is what a
+// carried nothing in between left out. The collector's counters only grow and
+// hold whole packet counts (netflow.Collector.Observe); so this is what a
 // collector that saw only the traffic in between would summarize. The result
 // owns its series, which a collector's summaries share.
 func intervalProfile(now, seen *netflow.Summary) *netflow.Summary {

@@ -80,28 +80,27 @@ func TestRunDynamicNonDivisibleIntervalNoDrift(t *testing.T) {
 // intervalProfile must be exactly what a fresh collector that saw only the
 // traffic between two summaries would summarize.
 func TestIntervalProfileMatchesFreshCollector(t *testing.T) {
-	const chunk, mtu = 4000, 1500
-	routes := []netflow.Route{{Path: []int{0, 1, 2}, Links: []int{0, 1}}, {Path: []int{2, 1}, Links: []int{1}}}
-	fresh := func() *netflow.Collector {
-		c := netflow.NewCollector(3, routes, chunk, mtu, 2, 5, 10, 2)
-		c.Reserve(0, 0)
-		c.Reserve(1, 1)
-		return c
-	}
+	// Flow 0 runs 0 -> 1 -> 2 over links 0 and 1, flow 1 runs 2 -> 1 back
+	// over link 1. Hop h of a flow is node path[h], entered over slot
+	// slots[h] (2·link+dir, the sending end's direction).
+	type route struct{ path, slots []int }
+	routes := []route{{[]int{0, 1, 2}, []int{-1, 0, 2}}, {[]int{2, 1}, []int{-1, 3}}}
+	fresh := func() *netflow.Collector { return netflow.NewCollector(3, 2, 10, 2) }
 	type group struct {
 		flow, hop int
-		bytes     int64
+		packets   int64
 		t         float64
 	}
 	observe := func(c *netflow.Collector, gs []group) {
 		for _, g := range gs {
-			c.ObserveAt(g.flow, g.hop, routes[g.flow].Path[g.hop], (g.bytes+mtu-1)/mtu, g.bytes, g.t)
+			r := routes[g.flow]
+			c.Observe(r.path[g.hop], r.slots[g.hop], g.packets, g.t)
 		}
 	}
-	// Flow 0's last hop takes its remainder before and a chunk after, flow
-	// 1's first hop the other way round, and link 0 carries nothing after.
-	before := []group{{0, 0, 700, 0.5}, {0, 1, 700, 0.6}, {0, 2, 700, 0.7}, {0, 0, chunk, 1}, {0, 1, chunk, 1.1}, {1, 0, chunk, 3}}
-	after := []group{{0, 2, chunk, 5}, {1, 1, chunk, 7}, {1, 0, 10, 9}}
+	// Flow 0's last hop takes a group before and one after, flow 1's first
+	// hop the other way round, and link 0 carries nothing after.
+	before := []group{{0, 0, 1, 0.5}, {0, 1, 1, 0.6}, {0, 2, 1, 0.7}, {0, 0, 3, 1}, {0, 1, 3, 1.1}, {1, 0, 3, 3}}
+	after := []group{{0, 2, 3, 5}, {1, 1, 3, 7}, {1, 0, 1, 9}}
 
 	whole := fresh()
 	observe(whole, before)

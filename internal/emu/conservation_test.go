@@ -14,7 +14,6 @@ import (
 func TestLinkBytesEqualRoutedVolume(t *testing.T) {
 	for _, topology := range []string{"Campus", "TeraGrid"} {
 		cfg := topConfig(t, topology, 30, true)
-		cfg.Profile = true
 		var offered, routed int64
 		for _, f := range cfg.Workload.Flows {
 			offered += f.Bytes
@@ -22,7 +21,7 @@ func TestLinkBytesEqualRoutedVolume(t *testing.T) {
 		}
 		for _, transport := range []emu.TransportMode{emu.Blast, emu.TCPSlowStart} {
 			cfg.Transport = transport
-			res, err := emu.Run(cfg)
+			res, delivered, err := emu.RunDelivered(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -31,18 +30,19 @@ func TestLinkBytesEqualRoutedVolume(t *testing.T) {
 					t.Fatalf("%s transport %d: flow %d never completed", topology, transport, i)
 				}
 			}
-			var carried, delivered int64
+			var carried, received int64
 			for _, b := range res.LinkBytes {
 				carried += b
 			}
-			for _, r := range res.NetFlow.Records() {
-				if r.Node == r.Dst {
-					delivered += r.Bytes
+			for i, f := range cfg.Workload.Flows {
+				if delivered[i] != f.Bytes {
+					t.Errorf("%s transport %d: flow %d's destination saw %d of its %d bytes", topology, transport, i, delivered[i], f.Bytes)
 				}
+				received += delivered[i]
 			}
-			if carried != routed || delivered != offered || res.DroppedPackets != 0 {
+			if carried != routed || received != offered || res.DroppedPackets != 0 {
 				t.Errorf("%s transport %d: links carried %d bytes, routes predict %d; destinations saw %d of %d offered; %d packets dropped",
-					topology, transport, carried, routed, delivered, offered, res.DroppedPackets)
+					topology, transport, carried, routed, received, offered, res.DroppedPackets)
 			}
 		}
 	}

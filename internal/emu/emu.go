@@ -239,9 +239,8 @@ func (r *Result) FCTStats() (completed int, mean, p95 float64) {
 
 // The run's flow table is the workload itself plus what prepare resolves once
 // and all engines share read-only: a slab of routes, one per distinct (src,
-// dst) pair, which a profiling run's NetFlow collector aliases, and a route
-// index per flow. A flow's identity, start and size are its Workload.Flows
-// entry, aliased, not copied. Events name their flow by index (payload).
+// dst) pair, and a route index per flow. A flow's identity, start and size
+// are read from its Workload.Flows entry, aliased. Events name it by index.
 
 // The four things an event can be. The first three are the wire's kinds too
 // (WireFlowStart, WireTCPRound, WireChunk); the wire tells a tail chunk from a
@@ -265,8 +264,12 @@ type payload struct {
 	kind uint8
 }
 
+// route is a path flows travel: Path its nodes, src to dst, and Links the
+// links between them. Hop h is Path[h], entered over Links[h-1].
+type route struct{ Path, Links []int }
+
 // routeOf is the route flow travels.
-func (e *emulation) routeOf(flow int32) *netflow.Route { return &e.routes[e.routeIdx[flow]] }
+func (e *emulation) routeOf(flow int32) *route { return &e.routes[e.routeIdx[flow]] }
 
 // rttOf is twice the one-way latency of flow's route: TCP pacing's round trip.
 func (e *emulation) rttOf(flow int32) float64 {
@@ -385,9 +388,8 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 	fullPackets := (cfg.ChunkBytes + cfg.MTU - 1) / cfg.MTU
 	flows := cfg.Workload.Flows
 	pairs := make(map[[2]int]int32)
-	var routes []netflow.Route
+	var routes []route
 	routeIdx := make([]int32, len(flows))
-	hops := 0
 	for i, f := range flows {
 		pair := [2]int{f.Src, f.Dst}
 		r, ok := pairs[pair]
@@ -397,25 +399,15 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 				return nil, fmt.Errorf("%w: flow %d has no route %d -> %d", ErrBadConfig, f.ID, f.Src, f.Dst)
 			}
 			r = int32(len(routes))
-			routes = append(routes, netflow.Route{Path: path, Links: links})
+			routes = append(routes, route{Path: path, Links: links})
 			pairs[pair] = r
 		}
 		routeIdx[i] = r
-		hops += len(routes[r].Path)
 	}
 
 	var collector *netflow.Collector
 	if cfg.Profile {
-		// One record slot per (flow, hop), in workload order: routes are static,
-		// so the record a hop will touch is known before the first event, and a
-		// flow's position is its collector index, its hops the route slab's.
-		if hops > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: a profiling run reserves a record slot per hop, fewer than 2^31; the workload has %d", ErrBadConfig, hops)
-		}
-		collector = netflow.NewCollector(nw.NumNodes(), routes, cfg.ChunkBytes, cfg.MTU, len(flows), hops, duration, cfg.BucketWidth)
-		for i, f := range flows {
-			collector.Reserve(f.ID, int(routeIdx[i]))
-		}
+		collector = netflow.NewCollector(nw.NumNodes(), len(nw.Links), duration, cfg.BucketWidth)
 	}
 	if o.tel != nil {
 		o.tel.Reset(telemetry.Dims{Engines: cfg.NumEngines, Links: len(nw.Links), BucketWidth: cfg.BucketWidth})
@@ -700,10 +692,10 @@ type emulation struct {
 	// The flow table, duration and lookahead are fixed at prepare time and
 	// shared read-only by every engine (and every worker process, which
 	// rebuilds them identically from the shipped scenario).
-	flows       []traffic.Flow  // cfg.Workload.Flows, aliased
-	routes      []netflow.Route // one per distinct (src, dst)
-	routeIdx    []int32         // flow i travels routes[routeIdx[i]]
-	fullPackets int64           // packets in a ChunkBytes group
+	flows       []traffic.Flow // cfg.Workload.Flows, aliased
+	routes      []route        // one per distinct (src, dst)
+	routeIdx    []int32        // flow i travels routes[routeIdx[i]]
+	fullPackets int64          // packets in a ChunkBytes group
 	duration    float64
 	lookahead   float64
 
@@ -874,6 +866,15 @@ func (e *emulation) release(t float64, flow int32, remaining int64, limit int, s
 	}
 }
 
+// slotOf is the NetState slot of link lid sent over from node from: a link's
+// B end sends in direction 1.
+func (e *emulation) slotOf(lid, from int) int {
+	if e.nw.Links[lid].B == from {
+		return 2*lid + 1
+	}
+	return 2 * lid
+}
+
 // arrive processes a chunk at node path[hop]: charge the kernel events,
 // account what the node received (NetFlow, on entry), and forward over the
 // next link if not at the destination, counting what the link carried or
@@ -885,7 +886,11 @@ func (e *emulation) arrive(t float64, c payload, s *des.Scheduler[payload]) {
 	node := r.Path[hop]
 	s.Charge(packets)
 	if e.collector != nil {
-		e.collector.ObserveAt(int(c.flow), hop, node, packets, bytes, t)
+		in := -1 // at the source, the group came in over no link
+		if hop > 0 {
+			in = e.slotOf(r.Links[hop-1], r.Path[hop-1])
+		}
+		e.collector.Observe(node, in, packets, t)
 	}
 	if hop == len(r.Path)-1 {
 		// Delivered: track the flow's completion at the destination.
@@ -902,11 +907,7 @@ func (e *emulation) arrive(t float64, c payload, s *des.Scheduler[payload]) {
 
 	lid := r.Links[hop]
 	link := &e.nw.Links[lid]
-	dir := 0
-	if link.B == node {
-		dir = 1
-	}
-	slot := 2*lid + dir
+	slot := e.slotOf(lid, node)
 	// FIFO transmitter: serialization after any queued chunks; with a
 	// finite buffer, arrivals beyond the backlog limit are tail-dropped.
 	depart := t

@@ -8,11 +8,9 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"repro/internal/des"
 	"repro/internal/netgraph"
@@ -222,33 +220,6 @@ func TestFlowTableMatchesPerFlowResolution(t *testing.T) {
 	}
 	if got := hex.EncodeToString(stream.Sum(nil)); got != wireStreamSHA {
 		t.Errorf("encoded wire stream hashes to %s, want %s", got, wireStreamSHA)
-	}
-}
-
-// TestCollectorAliasesRouteSlab: a profiling run's NetFlow collector names each
-// hop from the route slab prepare built, the same backing array, not a copy of
-// it, and reserves each flow on its own slab entry.
-func TestCollectorAliasesRouteSlab(t *testing.T) {
-	nw := topogen.TeraGrid()
-	cfg := Config{Network: nw, Routes: nw.BuildRoutingTable(), Assignment: roundRobin(nw.NumNodes(), 5), NumEngines: 5,
-		Workload: tableWorkloads(nw, 7)["mixed"], Profile: true}
-	e, err := prepare(&cfg, &runOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	collector := reflect.ValueOf(e.collector).Elem()
-	routes := collector.FieldByName("routes")
-	if routes.Len() != len(e.routes) || routes.Pointer() != uintptr(unsafe.Pointer(unsafe.SliceData(e.routes))) {
-		t.Fatalf("the collector holds %d routes at %#x, the slab is %d at %p", routes.Len(), routes.Pointer(), len(e.routes), unsafe.SliceData(e.routes))
-	}
-	flows := collector.FieldByName("flows")
-	if flows.Len() != len(e.flows) {
-		t.Fatalf("%d flows reserved, the workload has %d", flows.Len(), len(e.flows))
-	}
-	for i := range e.flows {
-		if got := flows.Index(i).FieldByName("route").Int(); got != int64(e.routeIdx[i]) {
-			t.Fatalf("flow %d reserved on route %d, it travels %d", i, got, e.routeIdx[i])
-		}
 	}
 }
 

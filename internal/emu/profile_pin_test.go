@@ -3,6 +3,8 @@ package emu_test
 import (
 	"crypto/sha256"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -12,41 +14,6 @@ import (
 	"repro/internal/netflow"
 	"repro/internal/traffic"
 )
-
-// profileDigest hashes everything a profiling run's collector reports, in a
-// form that does not depend on record order: the records sorted by (node,
-// flow, in-link), the summary's per-node and per-link totals, and the load
-// series. Floats print with %v, so equal digests mean bit-equal values.
-func profileDigest(c *netflow.Collector) string {
-	recs := c.Records()
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.FlowID != b.FlowID {
-			return a.FlowID < b.FlowID
-		}
-		return a.InLink < b.InLink
-	})
-	var sb strings.Builder
-	for _, r := range recs {
-		fmt.Fprintf(&sb, "%+v\n", r)
-	}
-	sum := c.Summarize()
-	links := make([]int, 0, len(sum.LinkPackets))
-	for l := range sum.LinkPackets {
-		links = append(links, l)
-	}
-	sort.Ints(links)
-	fmt.Fprintf(&sb, "nodes %v\nlinks", sum.NodePackets)
-	for _, l := range links {
-		fmt.Fprintf(&sb, " %d:%d", l, sum.LinkPackets[l])
-	}
-	fmt.Fprintf(&sb, "\nseries %v %v\n", c.Series().BucketWidth, c.Series().Loads)
-	h := sha256.Sum256([]byte(sb.String()))
-	return fmt.Sprintf("%d records %x", len(recs), h[:8])
-}
 
 // summaryDigest hashes what PROFILE reads of a profiling run: the summary's
 // per-link and per-node packet totals and its load series. Floats print with
@@ -79,16 +46,17 @@ func dumpOnZero(c emu.MembershipChange) ([]int, error) {
 }
 
 // TestProfileMatchesKeyedCollector is the emulator half of the differential
-// test against the map-keyed collector the slot store replaced (the store half,
+// test against the map-keyed per-flow record collector (the collector half,
 // driven by synthetic streams against that collector kept verbatim, is
-// netflow.TestCollectorMatchesReference). The digests were recorded from the
-// keyed collector at f900919 on these same runs: every release discipline,
-// finite buffers with drops, a truncated run, both dispatches, one crash, two
-// crashes charged from the same cadence barrier, and a paper topology (the
-// crash rows were recorded when a crash still rolled back and re-ran). The keyed collector could only be reached through emu.Run, whose
-// hop stream no exported hook exposes, so it is pinned here rather than run
-// side by side. Each row also pins summaryDigest alone, what PROFILE reads,
-// recorded from the slot store at 87dbae0.
+// netflow.TestCollectorMatchesReference). The runs cover every release
+// discipline, finite buffers with drops, a truncated run, both dispatches, one
+// crash, two crashes charged from the same cadence barrier, and a paper
+// topology. Each row pins the summary PROFILE reads. The digests were recorded
+// at 87dbae0 from the per-(flow, hop) record store, whose records these same
+// runs held equal to the keyed collector's (recorded at f900919, the crash rows
+// when a crash still rolled back and re-ran). The keyed collector could only be
+// reached through emu.Run, whose hop stream no exported hook exposes, so it is
+// pinned here rather than run side by side.
 func TestProfileMatchesKeyedCollector(t *testing.T) {
 	dense := func(mod func(*emu.Config)) emu.Config {
 		cfg := denseConfig()
@@ -104,59 +72,53 @@ func TestProfileMatchesKeyedCollector(t *testing.T) {
 	threeEngines := []int{0, 0, 0, 0, 1, 1, 1, 2, 2, 2}
 	// Neither the dispatch nor a crash recovery leaves a trace in the
 	// accounting: five of the runs emulate the same network and must report
-	// the same thing.
-	const unfaulted, unfaultedSum = "640 records 5ae4d8e16ddb27e3", "9 links c996a3833a698d47"
+	// the same thing, and slow start only moves packets within 2 s buckets.
+	const unfaulted = "9 links c996a3833a698d47"
 	cases := []struct {
-		name      string
-		cfg       emu.Config
-		want, sum string
+		name string
+		cfg  emu.Config
+		want string
 	}{
-		{"blast", dense(nil), unfaulted, unfaultedSum},
-		{"blast-sequential", dense(func(c *emu.Config) { c.Sequential = true }), unfaulted, unfaultedSum},
-		{"tcp", dense(func(c *emu.Config) { c.Transport = emu.TCPSlowStart }), "640 records 3ad70244bc9e9420", unfaultedSum},
+		{"blast", dense(nil), unfaulted},
+		{"blast-sequential", dense(func(c *emu.Config) { c.Sequential = true }), unfaulted},
+		{"tcp", dense(func(c *emu.Config) { c.Transport = emu.TCPSlowStart }), unfaulted},
 		{"buffered-drops", dense(func(c *emu.Config) {
 			c.BufferBytes = 8 << 10
 			c.Workload.Flows = append(c.Workload.Flows[:len(c.Workload.Flows):len(c.Workload.Flows)], shadowed)
-		}), "641 records bd0d709db9470aec", "9 links 47847b7ed8f4f54b"},
-		{"truncated", dense(func(c *emu.Config) { c.EndTime = 1.5 }), "300 records 5c9b86907873b7d7", "9 links c99a67dc2373c3b0"},
+		}), "9 links 47847b7ed8f4f54b"},
+		{"truncated", dense(func(c *emu.Config) { c.EndTime = 1.5 }), "9 links c99a67dc2373c3b0"},
 		{"crash-rollback", dense(func(c *emu.Config) {
 			c.Faults = &faults.Schedule{Crashes: []faults.Crash{{Engine: 1, At: 2}}}
 			c.CheckpointEvery = 1
 			c.OnMembership = dumpOnZero
-		}), unfaulted, unfaultedSum},
+		}), unfaulted},
 		{"two-rollbacks-one-checkpoint", dense(func(c *emu.Config) {
 			c.Assignment, c.NumEngines = threeEngines, 3
 			c.Faults = &faults.Schedule{Crashes: []faults.Crash{{Engine: 2, At: 2.2}, {Engine: 1, At: 2.6}}}
 			c.CheckpointEvery = 2
 			c.OnMembership = dumpOnZero
-		}), unfaulted, unfaultedSum},
+		}), unfaulted},
 		{"campus-top", func() emu.Config {
 			cfg := topConfig(t, "Campus", 30, false)
 			cfg.Profile = true
 			return cfg
-		}(), "6610 records df9fa8ad70a5a199", "56 links 452febe311cf46db"},
+		}(), "56 links 452febe311cf46db"},
 	}
 	for _, c := range cases {
 		res, err := emu.Run(c.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		got := profileDigest(res.NetFlow)
-		if got != c.want {
-			t.Errorf("%s: collector digest %s, the keyed collector's was %s", c.name, got, c.want)
-		}
-		if got := summaryDigest(res.NetFlow.Summarize()); got != c.sum {
-			t.Errorf("%s: summary digest %s, want %s", c.name, got, c.sum)
+		if got := summaryDigest(res.NetFlow.Summarize()); got != c.want {
+			t.Errorf("%s: summary digest %s, want %s", c.name, got, c.want)
 		}
 		switch c.name {
 		case "buffered-drops":
 			if res.DroppedPackets == 0 {
 				t.Error("buffered-drops dropped nothing")
 			}
-			for _, r := range res.NetFlow.Records() {
-				if r.FlowID == shadowed.ID && r.Node != shadowed.Src {
-					t.Errorf("flow %d lost every chunk at its source yet has a record at node %d", r.FlowID, r.Node)
-				}
+			if fct := res.FlowFCTs[len(res.FlowFCTs)-1]; fct >= 0 {
+				t.Errorf("flow %d lost every chunk at its source yet completed in %v s", shadowed.ID, fct)
 			}
 		case "crash-rollback", "two-rollbacks-one-checkpoint":
 			if res.Recovery == nil || res.Recovery.Failures != len(c.cfg.Faults.Crashes) {
@@ -166,15 +128,13 @@ func TestProfileMatchesKeyedCollector(t *testing.T) {
 	}
 }
 
-// TestProfilePaperTopologies pins the collector's digest on the two paper
-// topologies the benchmark profiles, 30 s under TOP. The digests were recorded
-// from the 40 B slot store at cfedca9, which stored each hop's node, in-link and
-// packet count; the store that derives them must report the same. The summary
-// digests were recorded from the slot store at 87dbae0.
+// TestProfilePaperTopologies pins the summary on the two paper topologies the
+// benchmark profiles, 30 s under TOP. The digests were recorded at 87dbae0
+// from the per-(flow, hop) record store.
 func TestProfilePaperTopologies(t *testing.T) {
-	for _, c := range []struct{ topology, want, sum string }{
-		{"Brite", "8403 records a0873d95fdf0abe3", "322 links b4106320b209b603"},
-		{"TeraGrid", "9002 records 32ff66352e8d97aa", "179 links d24e2a221f663368"},
+	for _, c := range []struct{ topology, want string }{
+		{"Brite", "322 links b4106320b209b603"},
+		{"TeraGrid", "179 links d24e2a221f663368"},
 	} {
 		cfg := topConfig(t, c.topology, 30, false)
 		cfg.Profile = true
@@ -182,55 +142,96 @@ func TestProfilePaperTopologies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.topology, err)
 		}
-		if got := profileDigest(res.NetFlow); got != c.want {
-			t.Errorf("%s: collector digest %s, the slot store's was %s", c.topology, got, c.want)
-		}
-		if got := summaryDigest(res.NetFlow.Summarize()); got != c.sum {
-			t.Errorf("%s: summary digest %s, want %s", c.topology, got, c.sum)
+		if got := summaryDigest(res.NetFlow.Summarize()); got != c.want {
+			t.Errorf("%s: summary digest %s, want %s", c.topology, got, c.want)
 		}
 	}
 }
 
-// TestProfileRecordsIndependentOfMapping is the paper's premise — the mapping
-// changes how fast the emulation runs, never what the emulated network does —
-// checked on the one collector whose output order used to depend on it: with
-// unbounded buffers, the records of a run under TOP, under a seeded random
-// assignment and on a single engine agree in order, static fields, Packets
-// and Bytes, and in First and Last.
-func TestProfileRecordsIndependentOfMapping(t *testing.T) {
+// TestProfileIndependentOfMapping is the paper's premise — the mapping changes
+// how fast the emulation runs, never what the emulated network does — stated
+// on what PROFILE reads: with unbounded buffers, the summary of a run under
+// TOP, under a seeded random assignment, on a single engine and under TOP
+// remapped at random every second is the same, its per-link and per-node
+// packet totals and its load series bit for bit.
+func TestProfileIndependentOfMapping(t *testing.T) {
 	for _, topology := range []string{"Campus", "TeraGrid"} {
 		cfg := topConfig(t, topology, 30, true)
 		cfg.Profile = true
-		var want []netflow.Record
+		var want *netflow.Summary
 		for _, m := range mappingsOf(cfg, 7) {
 			cfg := cfg
 			cfg.Assignment, cfg.NumEngines = m.assignment, m.engines
+			if m.remapped {
+				remapEverySecond(&cfg, 7)
+			}
 			res, err := emu.Run(cfg)
 			if err != nil {
 				t.Fatalf("%s %s: %v", topology, m.name, err)
 			}
-			got := res.NetFlow.Records()
+			got := res.NetFlow.Summarize()
 			if want == nil {
 				want = got
-				if len(want) == 0 {
-					t.Fatalf("%s: no records", topology)
+				if len(want.LinkPackets) == 0 {
+					t.Fatalf("%s: no link carried traffic", topology)
 				}
 				continue
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%s %s: %d records, TOP has %d", topology, m.name, len(got), len(want))
+			if !reflect.DeepEqual(got.LinkPackets, want.LinkPackets) {
+				t.Errorf("%s %s: link packets differ from TOP's", topology, m.name)
 			}
-			diffs := 0
-			for i := range want {
-				if got[i] != want[i] {
-					if diffs++; diffs <= 3 {
-						t.Errorf("%s %s: record %d is %+v, under TOP %+v", topology, m.name, i, got[i], want[i])
-					}
-				}
+			if !slices.Equal(got.NodePackets, want.NodePackets) {
+				t.Errorf("%s %s: node packets differ from TOP's", topology, m.name)
 			}
-			if diffs > 3 {
-				t.Errorf("%s %s: %d of %d records differ from TOP's", topology, m.name, diffs, len(want))
+			if !reflect.DeepEqual(got.NodeSeries, want.NodeSeries) {
+				t.Errorf("%s %s: load series differs from TOP's", topology, m.name)
 			}
 		}
+	}
+}
+
+// TestProfileCutLinkBothWays is the race regression of the per-direction
+// ingress counters. On the parallel kernel the two directions of a cut link
+// arrive on different engines in the same window, so a counter both shared
+// would be written from two goroutines at once, which go test -race flags.
+// Each direction has its own slot, written by its receiver's engine, and the
+// link's total is both directions' packets: every flow's, since every flow
+// crosses the cut.
+func TestProfileCutLinkBothWays(t *testing.T) {
+	cfg := denseConfig()
+	cfg.Profile, cfg.MTU = true, 1500
+	// Each flow starts with its reverse, so the two cross the cut at once.
+	flows := append([]traffic.Flow(nil), cfg.Workload.Flows...)
+	for i := range flows {
+		flows[i].Start = 0.05 * float64(i/2)
+	}
+	cfg.Workload.Flows = flows
+	var cut []int
+	for l, link := range cfg.Network.Links {
+		if cfg.Assignment[link.A] != cfg.Assignment[link.B] {
+			cut = append(cut, l)
+		}
+	}
+	var want int64
+	dirs := map[[2]int]bool{}
+	for _, f := range cfg.Workload.Flows {
+		dirs[[2]int{f.Src, f.Dst}] = true
+		full, rem := f.Bytes/cfg.ChunkBytes, f.Bytes%cfg.ChunkBytes
+		want += full*((cfg.ChunkBytes+cfg.MTU-1)/cfg.MTU) + (rem+cfg.MTU-1)/cfg.MTU
+	}
+	if len(cut) != 1 || len(dirs) != 2 || cfg.Sequential {
+		t.Fatalf("want one cut link carrying traffic both ways on the parallel kernel: %d cut, %d directions, sequential %v", len(cut), len(dirs), cfg.Sequential)
+	}
+	res, err := emu.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, fct := range res.FlowFCTs {
+		if fct < 0 {
+			t.Fatalf("flow %d never completed", i)
+		}
+	}
+	if got := res.NetFlow.Summarize().LinkPackets[cut[0]]; got != want {
+		t.Errorf("the cut link carried %d packets, its flows sent %d", got, want)
 	}
 }

@@ -7,15 +7,16 @@ import (
 )
 
 // TestProfileRunSteadyStateAllocs is the emulator half of the NetFlow
-// steady-state gate (netflow.TestNetFlowHotPathNoAllocs is the store's): the
-// same run is cut at two virtual times, and what profiling adds to its mallocs
-// is the same at both — the collector, its slab and its series, all sized at
-// prepare time. The later cut adds four seconds of the heavy flows' chunks and
-// sixteen flows that start after the earlier cut, so their records are touched
-// for the first time; a store that grew on first observation would show as at
-// least one malloc per new record. The bare run's own count moves with the cut
-// (a flow that starts past EndTime is never seeded), hence the difference. One
-// load bucket, so the series the two cuts size are the same.
+// steady-state gate (netflow.TestNetFlowHotPathNoAllocs is the collector's):
+// the same run is cut at two virtual times, and what profiling adds to its
+// mallocs is the same at both — the collector, its link-direction counters and
+// its series, all sized at prepare time. The later cut adds four seconds of
+// the heavy flows' chunks and sixteen flows that start and complete after the
+// earlier cut; a collector that grew per flow or per hop on first observation
+// would show as at least one malloc per new flow. The bare run's own count
+// moves with the cut (a flow that starts past EndTime is never seeded), hence
+// the difference. One load bucket, so the series the two cuts size are the
+// same.
 func TestProfileRunSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own schedule: an exact allocation count flickers")
@@ -42,15 +43,16 @@ func TestProfileRunSteadyStateAllocs(t *testing.T) {
 		return mallocs, res
 	}
 	var added [2]float64
-	var events, records [2]int
+	var events, completed [2]int
 	for i, end := range []float64{2, 6} {
 		bare, _ := run(end, false)
 		with, res := run(end, true)
 		added[i] = with - bare
-		events[i], records[i] = int(res.Kernel.Events[0]+res.Kernel.Events[1]), len(res.NetFlow.Records())
+		events[i] = int(res.Kernel.Events[0] + res.Kernel.Events[1])
+		completed[i], _, _ = res.FCTStats()
 	}
-	if events[1]-events[0] < 1000 || records[1]-records[0] < 16*4 {
-		t.Fatalf("the later cut adds %d events and %d records, want at least 1000 and 64", events[1]-events[0], records[1]-records[0])
+	if events[1]-events[0] < 1000 || completed[1]-completed[0] < 16 {
+		t.Fatalf("the later cut adds %d events and completes %d more flows, want at least 1000 and 16", events[1]-events[0], completed[1]-completed[0])
 	}
 	if added[0] != added[1] || added[0] > 8 {
 		t.Errorf("profiling adds %.0f mallocs to a run of %d events and %.0f to one of %d, want the same handful",

@@ -4,7 +4,7 @@ package netgraph_test
 // routing-table construction on the paper's topologies. Each benchmark
 // reports serial (workers=1, the seed's execution shape) against parallel
 // (workers=GOMAXPROCS) so the speedup and the allocs/op reduction are
-// measured in one run; BENCH_routing.json records the committed baseline.
+// measured in one run: go test -bench BenchmarkRoutingTable ./internal/netgraph.
 //
 // BenchmarkRoutingTableBrite runs the Table 2 configuration (200 routers /
 // 364 hosts) — the scalability case whose precompute cost §4.2.3 is about.
