@@ -46,6 +46,24 @@ func TestValidateFlagsAccepts(t *testing.T) {
 			f.metricsAddr = ":1"
 		}},
 		{"policy profile without interval", func(f *cliFlags) { f.remapPolicy = "profile" }},
+		{"dynamic from PROFILE", func(f *cliFlags) { f.remapInterval = 10; f.approach = "PROFILE" }},
+		{"dynamic+straggler fault", func(f *cliFlags) { f.remapInterval = 10; f.faults = true }},
+		{"dynamic+trace+trace-out", func(f *cliFlags) {
+			f.remapInterval = 10
+			f.tracePath = "t.jsonl"
+			f.traceOut = "t.json"
+		}},
+		{"dynamic+result-out+matrix-out", func(f *cliFlags) {
+			f.remapInterval = 10
+			f.resultOut = "o.json"
+			f.matrixOut = "m.json"
+		}},
+		{"coordinator+straggler fault", func(f *cliFlags) {
+			f.approach = "TOP"
+			f.coordinator = ":1"
+			f.workers = 1
+			f.faults = true
+		}},
 	}
 	for _, tc := range cases {
 		f := base()
@@ -86,11 +104,11 @@ func TestValidateFlagsRejects(t *testing.T) {
 			f.coordinator = ":1"
 			f.workers = 1
 		}, errCoordinatorOneRun},
-		{"coordinator+fault", func(f *cliFlags) {
+		{"coordinator+crash", func(f *cliFlags) {
 			f.approach = "TOP"
 			f.coordinator = ":1"
 			f.workers = 1
-			f.faults = true
+			f.faults, f.crashes = true, true
 		}, errCoordinatorFaults},
 		{"coordinator without workers", func(f *cliFlags) {
 			f.approach = "TOP"
@@ -111,21 +129,22 @@ func TestValidateFlagsRejects(t *testing.T) {
 		{"infinite remap interval", func(f *cliFlags) { f.remapInterval = math.Inf(1) }, errBadRemapInterval},
 		{"policy without interval", func(f *cliFlags) { f.remapPolicy = "game" }, errRemapPolicyInterval},
 		{"bad policy", func(f *cliFlags) { f.remapInterval = 10; f.remapPolicy = "simulated-annealing" }, errBadRemapPolicy},
-		{"dynamic+approach", func(f *cliFlags) {
+		{"dynamic+crash", func(f *cliFlags) {
 			f.remapInterval = 10
-			f.approach = "PROFILE"
-		}, errRemapApproach},
-		{"dynamic+fault", func(f *cliFlags) {
-			f.remapInterval = 10
-			f.faults = true
+			f.faults, f.crashes = true, true
 		}, errRemapModeExclusive},
-		{"dynamic+trace-out", func(f *cliFlags) {
+		{"dynamic+coordinator", func(f *cliFlags) {
 			f.remapInterval = 10
-			f.traceOut = "t.json"
+			f.approach = "TOP"
+			f.coordinator = ":1"
+			f.workers = 1
 		}, errRemapModeExclusive},
-		{"dynamic+result-out", func(f *cliFlags) {
+		{"dynamic+elastic", func(f *cliFlags) {
 			f.remapInterval = 10
-			f.resultOut = "o.json"
+			f.approach = "TOP"
+			f.coordinator = ":1"
+			f.workers = 1
+			f.elastic = true
 		}, errRemapModeExclusive},
 		{"worker+remap", func(f *cliFlags) {
 			*f = cliFlags{worker: ":1", remapInterval: 10}

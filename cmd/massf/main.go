@@ -24,10 +24,11 @@
 // survivor instead of repartitioning, for comparison.
 //
 // Dynamic remapping: -remap-interval N re-partitions the virtual network
-// every N virtual seconds from the live measured traffic, printing the
-// per-segment imbalance, migration and cross-engine-traffic table —
+// every N virtual seconds from the live measured traffic, starting from each
+// -approach's mapping, and prints the per-segment imbalance, migration and
+// cross-engine-traffic table instead of the approach row —
 //
-//	massf -topology Campus -app GridNPB -remap-interval 10 -remap-policy game
+//	massf -topology Campus -app GridNPB -approach TOP -remap-interval 10 -remap-policy game
 //
 // -remap-policy selects profile (from-scratch PROFILE, the default),
 // incremental (refine the previous assignment), game (game-theoretic
@@ -140,6 +141,14 @@ func main() {
 	flag.Var(&faultSpecs, "fault", "fault spec (crash:E@T | slow:E@T1-T2xF | degrade@T1-T2xF); repeatable")
 	flag.Parse()
 
+	var sched *faults.Schedule
+	if len(faultSpecs) > 0 {
+		var err error
+		if sched, err = faults.Parse(faultSpecs); err != nil {
+			fatal(err)
+		}
+	}
+
 	if err := validateFlags(cliFlags{
 		routing:         *routing,
 		routingRows:     *routingRows,
@@ -163,7 +172,8 @@ func main() {
 		coordinator: *coordAddr,
 		workers:     *workers,
 		resultOut:   *resultOut,
-		faults:      len(faultSpecs) > 0,
+		faults:      sched != nil,
+		crashes:     sched.HasCrashes(),
 		elastic:     *elastic,
 		capacity:    *capacity,
 
@@ -282,12 +292,7 @@ func main() {
 		sc.Name, sc.Network.NumNodes(), sc.Network.NumRouters(), sc.Network.NumHosts(),
 		sc.Engines, len(w.Flows), float64(w.TotalBytes())/1e6)
 
-	var sched *faults.Schedule
-	if len(faultSpecs) > 0 {
-		sched, err = faults.Parse(faultSpecs)
-		if err != nil {
-			fatal(err)
-		}
+	if sched != nil {
 		fmt.Printf("fault schedule: %s\n", sched)
 	}
 
@@ -380,45 +385,39 @@ func main() {
 		}
 	}
 
+	// The scenario says who changes membership mid-run; where says where the
+	// engines run.
+	sc.Faults = sched
 	if *remapInterval > 0 {
-		// Dynamic remapping mode: one TOP-seeded run, repartitioned every
-		// interval from the measured traffic under the selected policy.
-		policy, _ := core.ParseRemapPolicy(*remapPolicy) // validated above
-		sc.Remap = policy
-		if live != nil {
-			sc.Recorder = live
+		sc.Remap, _ = core.ParseRemapPolicy(*remapPolicy) // validated above
+		sc.RemapEvery = *remapInterval
+	}
+	var where []core.RunOption
+	if workerConns != nil {
+		opt := dist.Options{Logf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "coordinator: "+format+"\n", args...)
+		}}
+		if *elastic {
+			opt.CheckpointEvery = *checkpoint
+			where = append(where, core.Elastic(workerConns, dist.ElasticOptions{
+				Options:           opt,
+				Joins:             joins,
+				HeartbeatInterval: *hbInterval,
+				HeartbeatMisses:   *hbMisses,
+			}))
+		} else {
+			where = append(where, core.OnWorkers(workerConns, opt))
 		}
-		start := time.Now()
-		res, err := sc.RunDynamic(ctx, *remapInterval, 0)
-		if err != nil {
-			fatal(fmt.Errorf("dynamic: %w", err))
-		}
-		fmt.Printf("dynamic remapping: policy=%s interval=%gs\n", policy, *remapInterval)
-		fmt.Printf("%8s %10s %7s %11s %9s %7s %6s %10s\n",
-			"start(s)", "imbalance", "flows", "migrations", "cross-MB", "rounds", "moves", "converged")
-		for _, s := range res.Segments {
-			rounds, moves, conv := "-", "-", "-"
-			if s.Remap != nil {
-				moves = fmt.Sprint(s.Remap.MovesTaken)
-				if s.Remap.Policy == core.RemapGame {
-					rounds = fmt.Sprint(s.Remap.Rounds)
-					conv = fmt.Sprint(s.Remap.Converged)
-				}
-			}
-			fmt.Printf("%8.1f %10.3f %7d %11d %9.2f %7s %6s %10s\n",
-				s.Start, s.Imbalance, s.Flows, s.Migrations,
-				float64(s.CrossEngineBytes)/1e6, rounds, moves, conv)
-		}
-		fmt.Printf("total: imbalance %.3f (mean segment %.3f), app-time %.1fs, net-time %.1fs, "+
-			"%d migrations, %.1f MB cross-engine, wall %s\n",
-			res.Imbalance, res.MeanSegmentImbalance, res.AppTime, res.NetTime,
-			res.Migrations, float64(res.Telemetry.CrossEngineBytes)/1e6,
-			time.Since(start).Round(time.Millisecond))
-		return
+	} else {
+		sc.CheckpointEvery, sc.NaiveRecovery = *checkpoint, *naive
 	}
 
-	fmt.Printf("%-8s %10s %12s %12s %10s %9s %10s %9s\n",
-		"approach", "imbalance", "app-time(s)", "net-time(s)", "lookahead", "windows", "remote-ev", "wall")
+	if sc.RemapEvery > 0 {
+		fmt.Printf("dynamic remapping: policy=%s interval=%gs\n", sc.Remap, sc.RemapEvery)
+	} else {
+		fmt.Printf("%-8s %10s %12s %12s %10s %9s %10s %9s\n",
+			"approach", "imbalance", "app-time(s)", "net-time(s)", "lookahead", "windows", "remote-ev", "wall")
+	}
 	for _, a := range approaches {
 		var tr *obs.Trace
 		recs := []obs.Recorder{}
@@ -448,43 +447,9 @@ func main() {
 		}
 
 		start := time.Now()
-		var o *core.Outcome
-		var mlog *dist.MembershipLog
-		if workerConns != nil {
-			logf := func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "coordinator: "+format+"\n", args...)
-			}
-			var err error
-			if *elastic {
-				o, mlog, err = sc.RunElastic(ctx, workerConns, dist.ElasticOptions{
-					Options:           dist.Options{Logf: logf, CheckpointEvery: *checkpoint},
-					Joins:             joins,
-					HeartbeatInterval: *hbInterval,
-					HeartbeatMisses:   *hbMisses,
-				})
-			} else {
-				o, err = sc.RunDistributed(ctx, a, workerConns, dist.Options{Logf: logf})
-			}
-			if err != nil {
-				fatal(fmt.Errorf("%s: %w", a, err))
-			}
-		} else if sched != nil {
-			var err error
-			o, err = sc.RunResilient(ctx, core.FaultOptions{
-				Schedule:        sched,
-				CheckpointEvery: *checkpoint,
-				Approach:        a,
-				Naive:           *naive,
-			})
-			if err != nil {
-				fatal(fmt.Errorf("%s: %w", a, err))
-			}
-		} else {
-			var err error
-			o, err = sc.Run(ctx, a)
-			if err != nil {
-				fatal(fmt.Errorf("%s: %w", a, err))
-			}
+		o, err := sc.Run(ctx, a, where...)
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", a, err))
 		}
 		if tr != nil {
 			if err := tr.Close(); err != nil {
@@ -509,10 +474,17 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s window trace to %s\n", a, path)
 		}
-		r := o.Result
-		fmt.Printf("%-8s %10.3f %12.1f %12.1f %9.2gms %9d %10d %9s\n",
-			a, r.Imbalance, r.AppTime, r.NetTime, r.Lookahead*1e3,
-			r.Kernel.Windows, r.RemoteEvents, time.Since(start).Round(time.Millisecond))
+		r, wall := o.Result, time.Since(start).Round(time.Millisecond)
+		if o.Segments != nil {
+			if len(approaches) > 1 {
+				fmt.Printf("%s:\n", a)
+			}
+			printSegments(o, wall)
+		} else {
+			fmt.Printf("%-8s %10.3f %12.1f %12.1f %9.2gms %9d %10d %9s\n",
+				a, r.Imbalance, r.AppTime, r.NetTime, r.Lookahead*1e3,
+				r.Kernel.Windows, r.RemoteEvents, wall)
+		}
 		if *resultOut != "" {
 			path := *resultOut
 			if len(approaches) > 1 {
@@ -536,7 +508,7 @@ func main() {
 			}
 			fmt.Printf("         kernel: %s\n", summary)
 		}
-		if mlog != nil && (len(mlog.Resizes) > 0 || len(mlog.Losses) > 0) {
+		if mlog := o.Membership; mlog != nil && (len(mlog.Resizes) > 0 || len(mlog.Losses) > 0) {
 			fmt.Printf("         membership: %d resize(s), %d worker loss(es)\n",
 				len(mlog.Resizes), len(mlog.Losses))
 			for _, rz := range mlog.Resizes {
@@ -570,12 +542,14 @@ func main() {
 				}
 				fmt.Fprintf(os.Stderr, "wrote %s traffic matrix to %s\n", a, path)
 			}
-			crossPct := 0.0
-			if ts.TotalBytes > 0 {
-				crossPct = 100 * float64(ts.CrossEngineBytes) / float64(ts.TotalBytes)
+			if o.Segments == nil { // a remapped run's total line reports its traffic
+				crossPct := 0.0
+				if ts.TotalBytes > 0 {
+					crossPct = 100 * float64(ts.CrossEngineBytes) / float64(ts.TotalBytes)
+				}
+				fmt.Printf("         traffic: %.1f MB total, %.1f%% cross-engine, queue-delay p99 %.3gms, fct p99 %.3gs\n",
+					float64(ts.TotalBytes)/1e6, crossPct, ts.QueueDelayP99*1e3, ts.FCTP99)
 			}
-			fmt.Printf("         traffic: %.1f MB total, %.1f%% cross-engine, queue-delay p99 %.3gms, fct p99 %.3gs\n",
-				float64(ts.TotalBytes)/1e6, crossPct, ts.QueueDelayP99*1e3, ts.FCTP99)
 		}
 		if *verbose {
 			fmt.Printf("         engine loads: %v (max/mean %.2f)\n",
@@ -587,6 +561,30 @@ func main() {
 			fmt.Printf("         %s", q.String())
 		}
 	}
+}
+
+// printSegments prints a remapped run's per-segment table and its total line.
+func printSegments(o *core.Outcome, wall time.Duration) {
+	fmt.Printf("%8s %10s %7s %11s %9s %7s %6s %10s\n",
+		"start(s)", "imbalance", "flows", "migrations", "cross-MB", "rounds", "moves", "converged")
+	for _, s := range o.Segments {
+		rounds, moves, conv := "-", "-", "-"
+		if s.Remap != nil {
+			moves = fmt.Sprint(s.Remap.MovesTaken)
+			if s.Remap.Policy == core.RemapGame {
+				rounds = fmt.Sprint(s.Remap.Rounds)
+				conv = fmt.Sprint(s.Remap.Converged)
+			}
+		}
+		fmt.Printf("%8.1f %10.3f %7d %11d %9.2f %7s %6s %10s\n",
+			s.Start, s.Imbalance, s.Flows, s.Migrations,
+			float64(s.CrossEngineBytes)/1e6, rounds, moves, conv)
+	}
+	r := o.Result
+	fmt.Printf("total: imbalance %.3f (mean segment %.3f), app-time %.1fs, net-time %.1fs, "+
+		"%d migrations, %.1f MB cross-engine, wall %s\n",
+		r.Imbalance, o.MeanSegmentImbalance, r.AppTime, r.NetTime,
+		o.Migrations, float64(r.Telemetry.CrossEngineBytes)/1e6, wall)
 }
 
 // cliFlags is the subset of flag state the combination checks inspect.
@@ -608,7 +606,7 @@ type cliFlags struct {
 	worker, coordinator    string
 	workers                int
 	resultOut              string
-	faults                 bool
+	faults, crashes        bool
 	elastic                bool
 	capacity               int
 
@@ -629,18 +627,17 @@ var (
 
 	errWorkerExclusive    = errors.New("-worker runs no local emulation and takes no other mode flags")
 	errCoordinatorOneRun  = errors.New("-coordinator needs a single -approach (not all)")
-	errCoordinatorFaults  = errors.New("-coordinator cannot combine with -fault (worker loss is the distributed fault path)")
+	errCoordinatorFaults  = errors.New("-coordinator cannot combine with a crash -fault (worker loss is the distributed fault path)")
 	errCoordinatorWorkers = errors.New("-coordinator requires -workers >= 1")
 	errWorkersNeedCoord   = errors.New("-workers only applies together with -coordinator")
 	errElasticNeedsCoord  = errors.New("-elastic only applies together with -coordinator")
 	errElasticTop         = errors.New("-elastic repartitions with the TOP mapper; use -approach TOP")
 	errCapacityElastic    = errors.New("-capacity only applies together with -elastic")
 
-	errBadRemapInterval     = errors.New("-remap-interval must be positive and finite")
-	errBadRemapPolicy       = errors.New("-remap-policy must be profile, incremental, game or diffusion")
-	errRemapPolicyInterval  = errors.New("-remap-policy only applies together with -remap-interval")
-	errRemapApproach        = errors.New("-remap-interval always starts from the TOP partition; leave -approach unset")
-	errRemapModeExclusive   = errors.New("-remap-interval runs the in-process dynamic loop and cannot combine with -coordinator, -fault, -elastic, -trace, -trace-out, -result-out or -matrix-out")
+	errBadRemapInterval    = errors.New("-remap-interval must be positive and finite")
+	errBadRemapPolicy      = errors.New("-remap-policy must be profile, incremental, game or diffusion")
+	errRemapPolicyInterval = errors.New("-remap-policy only applies together with -remap-interval")
+	errRemapModeExclusive  = errors.New("-remap-interval runs in-process without crashes and cannot combine with -coordinator or a crash -fault")
 )
 
 // validateFlags rejects contradictory flag combinations up front, before any
@@ -668,7 +665,7 @@ func validateFlags(f cliFlags) error {
 		if f.approach == "all" {
 			return errCoordinatorOneRun
 		}
-		if f.faults {
+		if f.crashes {
 			return errCoordinatorFaults
 		}
 		if f.workers < 1 {
@@ -699,11 +696,7 @@ func validateFlags(f cliFlags) error {
 		if _, err := core.ParseRemapPolicy(policy); err != nil {
 			return fmt.Errorf("%w (got %q)", errBadRemapPolicy, f.remapPolicy)
 		}
-		if f.approach != "all" {
-			return errRemapApproach
-		}
-		if f.coordinator != "" || f.faults || f.elastic ||
-			f.tracePath != "" || f.traceOut != "" || f.resultOut != "" || f.matrixOut != "" {
+		if f.coordinator != "" || f.crashes {
 			return errRemapModeExclusive
 		}
 	}

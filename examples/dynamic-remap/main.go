@@ -46,26 +46,28 @@ func main() {
 		static.Result.Imbalance, staticFine, static.Result.AppTime)
 
 	for _, interval := range []float64{20, 10, 5} {
-		dyn, err := build().RunDynamic(context.Background(), interval, 0.05)
+		sc := build()
+		sc.RemapEvery, sc.MigrationCost = interval, 0.05
+		dyn, err := sc.Run(context.Background(), mapping.Top)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("dynamic @%4.0fs:    overall imbalance %.3f, mean segment imbalance %.3f, "+
 			"app-time %.1fs, %d node migrations\n",
-			interval, dyn.Imbalance, dyn.MeanSegmentImbalance, dyn.AppTime, dyn.Migrations)
+			interval, dyn.Result.Imbalance, dyn.MeanSegmentImbalance, dyn.Result.AppTime, dyn.Migrations)
 	}
 
 	// Incremental remapping refines the previous assignment between
 	// intervals instead of repartitioning — far fewer migrations.
 	inc := build()
-	inc.Remap = repro.RemapIncremental
-	dyn, err := inc.RunDynamic(context.Background(), 10, 0.05)
+	inc.Remap, inc.RemapEvery, inc.MigrationCost = repro.RemapIncremental, 10, 0.05
+	dyn, err := inc.Run(context.Background(), mapping.Top)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("incremental @10s: overall imbalance %.3f, mean segment imbalance %.3f, "+
 		"app-time %.1fs, %d node migrations\n",
-		dyn.Imbalance, dyn.MeanSegmentImbalance, dyn.AppTime, dyn.Migrations)
+		dyn.Result.Imbalance, dyn.MeanSegmentImbalance, dyn.Result.AppTime, dyn.Migrations)
 	fmt.Println("\nShorter intervals track load shifts more closely but pay more migration stalls —")
 	fmt.Println("the tension the paper predicts makes dynamic remapping 'a major challenge'.")
 }

@@ -51,15 +51,13 @@ func main() {
 
 	var post [2]float64
 	for i, naive := range []bool{false, true} {
-		out, err := scenario().RunResilient(context.Background(), repro.FaultOptions{
-			Schedule:        schedule,
-			CheckpointEvery: 4,
-			Naive:           naive,
-		})
+		sc := scenario()
+		sc.Faults, sc.CheckpointEvery, sc.NaiveRecovery = schedule, 4, naive
+		out, err := sc.Run(context.Background(), repro.Top)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rec := out.Recovery()
+		rec := out.Result.Recovery
 		name := "remap (partitioner)"
 		if naive {
 			name = "naive (dump on one)"

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/mapping"
 )
 
 const gamebenchFile = "BENCH_game.json"
@@ -63,20 +64,20 @@ func gamebenchCases() []struct {
 	}
 }
 
-func gamebenchScenario(tb testing.TB) *core.Scenario {
+func gamebenchScenario(tb testing.TB, interval float64) *core.Scenario {
 	tb.Helper()
 	sc, err := experiments.ScenarioFor(experiments.Config{Duration: 60, Seed: 42}, "Campus", "GridNPB")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sc.Remap = core.RemapGame
+	sc.Remap, sc.RemapEvery = core.RemapGame, interval
 	return sc
 }
 
 func gamebenchMeasure(tb testing.TB, name string, interval float64) gamebenchEntry {
 	tb.Helper()
-	run := func() *core.DynamicResult {
-		res, err := gamebenchScenario(tb).RunDynamic(context.Background(), interval, 0)
+	run := func() *core.Outcome {
+		res, err := gamebenchScenario(tb, interval).Run(context.Background(), mapping.Top)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func gamebenchMeasure(tb testing.TB, name string, interval float64) gamebenchEnt
 		Segments:         len(res.Segments),
 		Migrations:       res.Migrations,
 		Converged:        true,
-		CrossEngineBytes: res.Telemetry.CrossEngineBytes,
+		CrossEngineBytes: res.Result.Telemetry.CrossEngineBytes,
 	}
 	for _, s := range res.Segments {
 		if s.Remap == nil {
@@ -115,7 +116,7 @@ func BenchmarkGameRemap(b *testing.B) {
 	for _, c := range gamebenchCases() {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := gamebenchScenario(b).RunDynamic(context.Background(), c.interval, 0); err != nil {
+				if _, err := gamebenchScenario(b, c.interval).Run(context.Background(), mapping.Top); err != nil {
 					b.Fatal(err)
 				}
 			}

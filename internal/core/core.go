@@ -12,9 +12,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/apps"
+	"repro/internal/dist"
 	"repro/internal/emu"
 	"repro/internal/faults"
 	"repro/internal/mapping"
@@ -74,10 +76,20 @@ type Scenario struct {
 	// speeds per engine. Mapping approaches target load proportional to
 	// speed; the emulator divides per-event cost by the engine's speed.
 	EngineSpeeds []float64
-	// Remap selects RunDynamic's repartitioning policy at each interval
-	// boundary: RemapProfile (from scratch; also what empty means),
-	// RemapIncremental, RemapGame or RemapDiffusion.
+	// RemapEvery, when nonzero, remaps the run every this many virtual seconds
+	// from the approach's mapping (see dynamic.go). Run refuses a value that is
+	// not positive or cuts the workload into more than 2¹⁶ intervals.
+	RemapEvery float64
+	// Remap selects the repartitioning policy at each RemapEvery boundary:
+	// RemapProfile (from scratch; also what empty means), RemapIncremental,
+	// RemapGame or RemapDiffusion.
 	Remap RemapPolicy
+	// MigrationCost is the AppTime stall per node that changes engines at an
+	// in-process crash recovery or remap (default DefaultMigrationCost).
+	MigrationCost float64
+	// CheckpointEvery spaces an in-process run's cadence barriers; a crash is
+	// charged the run since the last one (default emu.DefaultCheckpointEvery).
+	CheckpointEvery float64
 	// Cost overrides the engine cost model (zero = PentiumIICluster).
 	Cost emu.CostModel
 	// EndTime optionally truncates the emulation.
@@ -104,27 +116,28 @@ type Scenario struct {
 	// RunAll serializes approaches when it is set (like Recorder) and the
 	// live view always shows the most recent emulation.
 	TelemetryCollector *telemetry.Collector
-	// Trace, when non-nil, collects the run's window timeline (per-engine
-	// compute spans, barrier-wait attribution) into an obs.Timeline — the
-	// source for Chrome trace_event export and straggler attribution. It
-	// applies to Run, RunDynamic, RunDistributed and RunElastic main runs;
-	// PROFILE pre-runs are excluded so the timeline describes exactly one
-	// emulation.
+	// Trace, when non-nil, collects the window timeline (per-engine compute
+	// spans, barrier-wait attribution) of every main run into an
+	// obs.Timeline — the source for Chrome trace_event export and straggler
+	// attribution. PROFILE pre-runs are excluded so the timeline describes
+	// exactly one emulation.
 	Trace *obs.Timeline
 	// ClusterHealth, when non-nil, receives the coordinator's live
-	// cluster-health signal during RunDistributed/RunElastic — worker count,
+	// cluster-health signal during a run on workers — worker count,
 	// per-worker gated windows and critical-path share, the window-lag
 	// histogram, heartbeat RTTs. Mount it with telemetry.MountCluster.
 	// Attribution needs Trace set too; in-process runs leave it untouched.
 	ClusterHealth *telemetry.ClusterHealth
-	// Faults, when non-nil, is a straggler/degradation schedule applied to
-	// Run, RunDynamic, RunDistributed, RunElastic and their replays — the
-	// cost model slows the scheduled engines, and the tracing/attribution
-	// plane (Trace, ClusterHealth) reports who gates the windows. Straggler
-	// and degradation schedules ship to distributed workers; crash schedules
-	// do not (use RunResilient, which takes its own schedule and ignores this
-	// field).
+	// Faults, when non-nil, is the run's fault schedule. Stragglers and
+	// degradations slow the scheduled engines in the cost model, in-process
+	// and on workers alike; Trace and ClusterHealth report who gates the
+	// windows. A crash fail-stops its engine, and the in-process run rolls back
+	// to the last checkpoint and repartitions the dead engine's nodes across
+	// the survivors. PROFILE's pre-run leaves the crashes out.
 	Faults *faults.Schedule
+	// NaiveRecovery recovers crashes with NaiveRecovery instead of
+	// repartitioning: the baseline that remapping must beat.
+	NaiveRecovery bool
 
 	routes    netgraph.Routing
 	routesErr error
@@ -141,19 +154,20 @@ type Outcome struct {
 	Result     *emu.Result
 	// ProfileRun is the initial profiling run's result (PROFILE only).
 	ProfileRun *emu.Result
+
+	// Segments views a remapped run (Scenario.RemapEvery) interval by
+	// interval, in order; nil for any other run.
+	Segments []DynamicSegment
+	// MeanSegmentImbalance averages the imbalances of the reached segments in
+	// which flows started: the quantity remapping optimizes.
+	MeanSegmentImbalance float64
+	// Migrations totals the nodes that changed engines at remap boundaries.
+	Migrations int
+
+	// Membership is an elastic run's log (the Elastic option), which Replay
+	// re-runs in-process; nil for any other run.
+	Membership *dist.MembershipLog
 }
-
-// Recovery returns the fault-handling summary: downtime, charged events,
-// migrations and pre/post-failure imbalance (nil for crash-free runs).
-func (o *Outcome) Recovery() *emu.Recovery { return o.Result.Recovery }
-
-// Obs returns the main run's aggregated observability summary, or nil when
-// the scenario collected none (see Scenario.CollectStats / Recorder).
-func (o *Outcome) Obs() *obs.RunStats { return o.Result.Obs }
-
-// Telemetry returns the main run's final traffic-plane snapshot, or nil when
-// the scenario collected none (see Scenario.CollectTelemetry).
-func (o *Outcome) Telemetry() *telemetry.Snapshot { return o.Result.Telemetry }
 
 // Routes returns (building once) the scenario's route oracle per the Routing
 // options — the automatic policy by default. It is the single
@@ -293,7 +307,14 @@ func (sc *Scenario) Partition(ctx context.Context, a mapping.Approach) ([]int, *
 		if err != nil {
 			return nil, nil, err
 		}
-		cfg.Profile = true // collects NetFlow, and stays off the scenario's timeline
+		// The pre-run collects NetFlow and stays off the scenario's timeline;
+		// it profiles the network's traffic, not a crash's.
+		cfg.Profile = true
+		if sc.Faults.HasCrashes() {
+			f := *sc.Faults
+			f.Crashes = nil
+			cfg.Faults = &f
+		}
 		profRes, err := sc.start(ctx, cfg, sc.newTelemetry(), nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: PROFILE profiling run: %w", err)
@@ -307,34 +328,190 @@ func (sc *Scenario) Partition(ctx context.Context, a mapping.Approach) ([]int, *
 	}
 }
 
-// Run executes one approach end to end: partition (profiling first if
-// PROFILE), then emulate the shared workload on the resulting assignment.
-// Cancellation of ctx is observed at window barriers; pass
-// context.Background() (or nil) to run to completion.
-func (sc *Scenario) Run(ctx context.Context, a mapping.Approach) (*Outcome, error) {
-	return sc.run(ctx, a, func(cfg emu.Config) (*emu.Result, error) {
-		return sc.start(ctx, cfg, sc.newTelemetry(), sc.Trace)
-	})
+// ErrRunConfig marks a Run whose scenario and options do not combine, or
+// whose RemapEvery cuts the workload into no valid intervals.
+var ErrRunConfig = errors.New("core: run configuration")
+
+// RunOption says where a run's engines execute: in-process without one; the
+// last one given wins.
+type RunOption func(*placement)
+
+type placement struct {
+	workers []dist.Conn
+	dist    *dist.Options
+	elastic *dist.ElasticOptions
+	log     *dist.MembershipLog // replayed in-process from start
+	start   []int
 }
 
-// run is the pipeline Run, RunDistributed, RunResilient and RunDynamic share:
-// partition with the approach (profiling first if PROFILE), build the
-// emulator configuration for the shared workload on that assignment, hand it
-// to exec — the only step they differ in — and report the Outcome.
-func (sc *Scenario) run(ctx context.Context, a mapping.Approach, exec func(emu.Config) (*emu.Result, error)) (*Outcome, error) {
-	part, profRun, err := sc.Partition(ctx, a)
+// OnWorkers runs the engines on the given worker connections (dist.Run). A
+// lost worker degrades into the in-process crash recovery: the run re-runs
+// with its engines fail-stopped, and Result.Recovery reports the remap.
+func OnWorkers(workers []dist.Conn, opt dist.Options) RunOption {
+	return func(p *placement) { *p = placement{workers: workers, dist: &opt} }
+}
+
+// Elastic runs the engines on workers that join (opt.Joins), drain or die
+// mid-run (dist.RunElastic). Scenario.Engines is the capacity: the run starts
+// from TOP over the first len(workers)×EnginesPerWorker engines, and each
+// membership change repartitions as a crash does unless opt.OnResize is set.
+// Outcome.Membership is the log Replay re-runs.
+func Elastic(workers []dist.Conn, opt dist.ElasticOptions) RunOption {
+	return func(p *placement) { *p = placement{workers: workers, elastic: &opt} }
+}
+
+// Replay re-runs an elastic run in-process from its starting assignment
+// (Outcome.Assignment) and membership log: its resizes, its lost workers as
+// engine fail-stops, and its checkpoint cadence. It is the equivalence oracle
+// for elastic runs, and an offline reproduction tool.
+func Replay(start []int, log *dist.MembershipLog) RunOption {
+	return func(p *placement) { *p = placement{start: start, log: log} }
+}
+
+// Run executes one approach end to end: partition (profiling first if
+// PROFILE), then emulate the shared workload on the resulting assignment.
+// The scenario says who changes membership mid-run (Faults' crashes, the
+// RemapEvery policy), opts where the engines run; what does not combine is
+// refused with ErrRunConfig (see checkRun). Cancellation of ctx is observed
+// at window barriers; pass context.Background() (or nil) to run to completion.
+func (sc *Scenario) Run(ctx context.Context, a mapping.Approach, opts ...RunOption) (o *Outcome, err error) {
+	defer func() {
+		if err != nil {
+			o, err = nil, fmt.Errorf("core: %s on %s: %w", a, sc.Name, err)
+		}
+	}()
+	var p placement
+	for _, opt := range opts {
+		opt(&p)
+	}
+	if err := sc.checkRun(a, &p); err != nil {
+		return nil, err
+	}
+	o = &Outcome{Approach: a, Assignment: p.start}
+	switch {
+	case p.elastic != nil:
+		o.Assignment, err = sc.topOver(len(p.workers) * max(p.elastic.EnginesPerWorker, 1))
+	case p.log == nil:
+		o.Assignment, o.ProfileRun, err = sc.Partition(ctx, a)
+	}
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := sc.emuConfig(part)
+	cfg, err := sc.emuConfig(o.Assignment)
 	if err != nil {
 		return nil, err
 	}
-	res, err := exec(cfg)
+	switch {
+	case p.elastic != nil:
+		if p.elastic.OnResize == nil {
+			p.elastic.OnResize = sc.remapOnto
+		}
+		o.Result, o.Membership, err = dist.RunElastic(ctx, sc.distSpec(ctx, cfg), p.workers, *p.elastic)
+	case p.dist != nil:
+		o.Result, err = dist.Run(ctx, sc.distSpec(ctx, cfg), p.workers, *p.dist)
+	case p.log != nil:
+		o.Result, err = sc.start(ctx, p.log.ReplayConfig(cfg, sc.remapOnto), sc.newTelemetry(), sc.Trace)
+	default:
+		cfg.MigrationCost, cfg.CheckpointEvery, cfg.OnMembership = sc.MigrationCost, sc.CheckpointEvery, sc.remapOnto
+		if sc.NaiveRecovery {
+			cfg.OnMembership = NaiveRecovery
+		}
+		if sc.RemapEvery != 0 {
+			err = sc.runDynamic(ctx, cfg, o)
+		} else {
+			o.Result, err = sc.start(ctx, cfg, sc.newTelemetry(), sc.Trace)
+		}
+	}
+	return o, err
+}
+
+// checkRun refuses what the scenario and placement p cannot run together: a
+// crash schedule, RemapEvery, NaiveRecovery, MigrationCost and
+// CheckpointEvery drive in-process membership changes only, RemapEvery takes
+// no crash schedule, and an elastic run starts from TOP.
+func (sc *Scenario) checkRun(a mapping.Approach, p *placement) error {
+	inProcess := sc.Faults.HasCrashes() || sc.RemapEvery != 0 || sc.NaiveRecovery ||
+		sc.MigrationCost != 0 || sc.CheckpointEvery != 0
+	var why string
+	switch {
+	case (p.elastic != nil || p.log != nil) && a != mapping.Top:
+		why = fmt.Sprintf("an elastic run and its replay start from TOP, not %s", a)
+	case (p.dist != nil || p.elastic != nil || p.log != nil) && inProcess:
+		why = "a crash schedule, RemapEvery, NaiveRecovery, MigrationCost and CheckpointEvery drive in-process membership changes; " +
+			"on workers and in a replay, dist decides membership"
+	case sc.RemapEvery != 0 && sc.Faults.HasCrashes():
+		why = "a remap resizes onto every engine, a crashed one included, so RemapEvery takes no crash schedule"
+	case sc.RemapEvery != 0:
+		if _, err := sc.remapPolicy(); err != nil {
+			return err
+		}
+		_, err := sc.intervals()
+		return err
+	default:
+		return nil
+	}
+	return fmt.Errorf("%w: %s", ErrRunConfig, why)
+}
+
+// topOver is the TOP partition over the first k engines, the start of an
+// elastic run.
+func (sc *Scenario) topOver(k int) ([]int, error) {
+	if k <= 0 || k > sc.Engines {
+		return nil, fmt.Errorf("%d initial engines exceed capacity %d", k, sc.Engines)
+	}
+	in, err := sc.mappingInput()
 	if err != nil {
 		return nil, err
 	}
-	return &Outcome{Approach: a, Assignment: part, Result: res, ProfileRun: profRun}, nil
+	in.K = k
+	return mapping.TopMap(in)
+}
+
+// distSpec is the coordinator's description of a run of cfg, a lost worker
+// recovered by the scenario's one membership policy.
+func (sc *Scenario) distSpec(ctx context.Context, cfg emu.Config) *dist.RunSpec {
+	return &dist.RunSpec{
+		Cfg:          cfg,
+		Routing:      sc.Routing,
+		Telemetry:    sc.newTelemetry(),
+		Trace:        sc.Trace,
+		Health:       sc.ClusterHealth,
+		EmuOpts:      sc.runOptions(ctx),
+		OnWorkerLoss: sc.remapOnto,
+	}
+}
+
+// remapOnto is the scenario's one membership policy, behind a crash, a lost
+// worker, an elastic join or drain and their replays: it repartitions the
+// network onto the engine set the run continues on, from the previous one.
+func (sc *Scenario) remapOnto(c emu.MembershipChange) ([]int, error) {
+	in, err := sc.mappingInput()
+	if err != nil {
+		return nil, err
+	}
+	next, _, err := mapping.RemapOnto(in, c.Previous, c.Engines, c.Loads)
+	return next, err
+}
+
+// NaiveRecovery dumps every node of the dead engine onto the least-loaded
+// surviving member: the baseline (Scenario.NaiveRecovery) remapping must beat.
+func NaiveRecovery(c emu.MembershipChange) ([]int, error) {
+	if len(c.Engines) == 0 {
+		return nil, fmt.Errorf("core: engine %d was the last one standing", c.Dead)
+	}
+	target := c.Engines[0]
+	for _, e := range c.Engines[1:] {
+		if c.Loads[e] < c.Loads[target] {
+			target = e
+		}
+	}
+	next := append([]int(nil), c.Previous...)
+	for v, e := range next {
+		if e == c.Dead {
+			next[v] = target
+		}
+	}
+	return next, nil
 }
 
 // RunAll evaluates all three approaches on the same workload, reported in
@@ -367,11 +544,8 @@ func (sc *Scenario) RunAll(ctx context.Context) ([]*Outcome, error) {
 	out := make([]*Outcome, len(as))
 	err := parallel.ForEachErr(len(as), workers, func(i int) error {
 		o, err := sc.Run(ctx, as[i])
-		if err != nil {
-			return fmt.Errorf("core: %s on %s: %w", as[i], sc.Name, err)
-		}
 		out[i] = o
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err

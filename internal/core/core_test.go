@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/dist"
 	"repro/internal/emu"
+	"repro/internal/faults"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
 	"repro/internal/netgraph"
@@ -138,6 +141,40 @@ func TestRunUnknownApproach(t *testing.T) {
 	sc := campusScenario(false)
 	if _, err := sc.Run(context.Background(), "NOPE"); err == nil {
 		t.Error("unknown approach accepted")
+	}
+}
+
+// TestRunRefusesCombinations: what the scenario's membership fields and a
+// RunOption cannot run together is refused up front with ErrRunConfig, before
+// any worker is contacted.
+func TestRunRefusesCombinations(t *testing.T) {
+	workers := make([]dist.Conn, 1) // never dialed: every row is refused first
+	crash := &faults.Schedule{Crashes: []faults.Crash{{Engine: 1, At: 5}}}
+	for _, c := range []struct {
+		name     string
+		approach mapping.Approach
+		mod      func(*Scenario)
+		opt      RunOption
+	}{
+		{"crash schedule on workers", mapping.Top, func(sc *Scenario) { sc.Faults = crash }, OnWorkers(workers, dist.Options{})},
+		{"crash schedule on elastic workers", mapping.Top, func(sc *Scenario) { sc.Faults = crash }, Elastic(workers, dist.ElasticOptions{})},
+		{"RemapEvery on workers", mapping.Top, func(sc *Scenario) { sc.RemapEvery = 10 }, OnWorkers(workers, dist.Options{})},
+		{"naive recovery on workers", mapping.Top, func(sc *Scenario) { sc.NaiveRecovery = true }, OnWorkers(workers, dist.Options{})},
+		{"checkpoint cadence on workers", mapping.Top, func(sc *Scenario) { sc.CheckpointEvery = 5 }, OnWorkers(workers, dist.Options{})},
+		{"migration cost on workers", mapping.Top, func(sc *Scenario) { sc.MigrationCost = 1 }, OnWorkers(workers, dist.Options{})},
+		{"elastic from PLACE", mapping.Place, func(*Scenario) {}, Elastic(workers, dist.ElasticOptions{})},
+		{"replay of PROFILE", mapping.Profile, func(*Scenario) {}, Replay(nil, &dist.MembershipLog{})},
+		{"replay with RemapEvery", mapping.Top, func(sc *Scenario) { sc.RemapEvery = 10 }, Replay(nil, &dist.MembershipLog{})},
+	} {
+		sc := campusScenario(false)
+		c.mod(sc)
+		var opts []RunOption
+		if c.opt != nil {
+			opts = append(opts, c.opt)
+		}
+		if _, err := sc.Run(context.Background(), c.approach, opts...); !errors.Is(err, ErrRunConfig) {
+			t.Errorf("%s: error %v, want ErrRunConfig", c.name, err)
+		}
 	}
 }
 

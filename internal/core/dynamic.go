@@ -20,20 +20,20 @@ import (
 // solution. Such dynamic remapping is a major challenge for distributed
 // emulators like MaSSF."
 //
-// RunDynamic runs one emulation and remaps it at every multiple of an
-// interval. A remap is an elastic resize that keeps the engine set: at the
-// first window barrier at or after the boundary, the remap policy
-// repartitions from the traffic measured since the previous boundary, the
-// pending events move to the engines that now own their nodes, and every
-// virtual node that changed engines stalls AppTime by the migration cost. The
-// queues and the flows in flight carry across the boundary.
+// Scenario.RemapEvery remaps a run at every multiple of an interval. A remap
+// is an elastic resize that keeps the engine set: at the first window barrier
+// at or after the boundary, the remap policy repartitions from the traffic
+// measured since the previous boundary, the pending events move to the
+// engines that now own their nodes, and every virtual node that changed
+// engines stalls AppTime by the migration cost. The queues and the flows in
+// flight carry across the boundary.
 //
 // The remapping signal is the paper's one measurement, the per-router NetFlow
 // accounting of §3.3: the run profiles, and an interval's profile is the
 // difference of the cumulative summaries at its two barriers, read exactly as
 // the PROFILE approach reads its pre-run.
 
-// RemapPolicy selects how RunDynamic recomputes the partition between
+// RemapPolicy selects how a remapped run recomputes the partition between
 // intervals.
 type RemapPolicy string
 
@@ -83,13 +83,11 @@ func (sc *Scenario) remapPolicy() (RemapPolicy, error) {
 type RemapStats struct {
 	// Policy is the remap policy that ran.
 	Policy RemapPolicy
-	// GameStats describes the game policy's convergence: best-response
-	// rounds played, candidate moves costed, whether a fixed point was
-	// certified before the round cap, and the non-increasing potential
-	// trajectory. The other policies set only MovesTaken, their accepted
-	// moves. A game player may move more than once on its way to the fixed
-	// point, so MovesTaken can exceed the segment's Migrations, which counts
-	// distinct nodes that changed engines.
+	// GameStats describes the game policy's convergence: rounds played,
+	// moves costed, whether a fixed point was certified before the round cap,
+	// and the non-increasing potential trajectory. The other policies set only
+	// MovesTaken. A game player may move more than once, so MovesTaken can
+	// exceed the segment's Migrations, the distinct nodes that moved.
 	partition.GameStats
 }
 
@@ -111,78 +109,53 @@ type DynamicSegment struct {
 	// CrossEngineBytes is the engine-to-engine traffic volume between the
 	// interval's barriers.
 	CrossEngineBytes int64
-	// Remap describes the remapping step that produced this segment's
-	// assignment; nil for the first segment (which runs under TOP), for a
-	// segment entered after an interval in which no flow started, and for one
-	// the run ended before reaching.
+	// Remap describes the step that produced this segment's assignment; nil
+	// for the first segment (the approach's mapping), for one entered after an
+	// interval in which no flow started, and for one the run never reached.
 	Remap *RemapStats
 }
 
-// DynamicResult reports a dynamically remapped emulation: the one run's
-// Result, whose Membership lists the applied remaps and whose AppTime
-// includes their migration stalls, viewed per interval.
-type DynamicResult struct {
-	*emu.Result
-	// Segments views the run interval by interval, in order.
-	Segments []DynamicSegment
-	// MeanSegmentImbalance averages the imbalances of the intervals the run
-	// reached in which flows started (the quantity remapping actually
-	// optimizes — it tracks load shifts).
-	MeanSegmentImbalance float64
-	// Migrations is the total node-engine changes.
-	Migrations int
-}
-
-// Timeline is the run's per-measurement-window imbalance / cross-engine
-// traffic history, the curve the experiment reports render.
-func (r *DynamicResult) Timeline() []telemetry.TrafficPoint { return r.Telemetry.Timeline }
-
-// DefaultMigrationCost is the modeled stall per migrated node: shipping a
-// router's state (routing table, queues) across 100 Mb/s Ethernet. Shared
-// with crash recovery (emu.DefaultMigrationCost) so both remapping paths
-// price migrations identically.
+// DefaultMigrationCost is the modeled stall per migrated node, shared by
+// crash recovery and remapping: a router's state over 100 Mb/s Ethernet.
 const DefaultMigrationCost = emu.DefaultMigrationCost
 
-// maxIntervals bounds how many intervals RunDynamic cuts a workload into: each
-// is a scheduled resize and a segment.
+// maxIntervals bounds how many intervals RemapEvery cuts a workload into:
+// each is a scheduled resize and a segment.
 const maxIntervals = 1 << 16
 
-// RunDynamic emulates the scenario once under the TOP partition, remapping it
-// at every multiple of interval from the NetFlow profile of the interval
-// before. migrationCost is the AppTime stall charged per migrated node
-// (DefaultMigrationCost when <= 0). An interval in which no flow starts
-// carries its assignment over. The scenario's EndTime, engine speeds and
-// straggler schedule apply as in Run; a crash schedule is refused
-// (RunResilient recovers crashes). Cancellation of ctx is observed at window
-// barriers.
-func (sc *Scenario) RunDynamic(ctx context.Context, interval, migrationCost float64) (*DynamicResult, error) {
-	policy, err := sc.remapPolicy()
+// intervals is how many RemapEvery intervals the workload spans.
+func (sc *Scenario) intervals() (int, error) {
+	w, err := sc.Workload()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if sc.Faults.HasCrashes() {
-		return nil, fmt.Errorf("core: dynamic remapping takes no crash schedule (RunResilient recovers crashes)")
+	n := math.Ceil(w.Duration / sc.RemapEvery)
+	if !(sc.RemapEvery > 0 && n >= 1 && n <= maxIntervals) { // false for NaN
+		return 0, fmt.Errorf("%w: RemapEvery must be positive and cut the workload's %g s into 1 to %d intervals, not %g",
+			ErrRunConfig, w.Duration, maxIntervals, sc.RemapEvery)
 	}
+	return int(n), nil
+}
+
+// runDynamic runs cfg, the in-process configuration of o's assignment,
+// remapping it at every multiple of RemapEvery from the NetFlow profile of
+// the interval before, and fills o with the result and its per-interval view.
+// An interval in which no flow starts carries its assignment over. Run has
+// validated the interval and the policy.
+func (sc *Scenario) runDynamic(ctx context.Context, cfg emu.Config, o *Outcome) error {
+	policy, _ := sc.remapPolicy()
+	n, _ := sc.intervals()
+	interval, migrationCost := sc.RemapEvery, cfg.MigrationCost
 	if migrationCost <= 0 {
 		migrationCost = DefaultMigrationCost
 	}
-	w, err := sc.Workload()
-	if err != nil {
-		return nil, err
-	}
-	n := math.Ceil(w.Duration / interval)
-	if !(interval > 0 && n >= 1 && n <= maxIntervals) { // false for NaN
-		return nil, fmt.Errorf("core: dynamic remapping needs a positive interval cutting the workload's %g s into 1 to %d intervals, not %g",
-			w.Duration, maxIntervals, interval)
-	}
 	in, err := sc.mappingInput()
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Every boundary is a resize onto all engines; the policy decides.
-	out := &DynamicResult{Segments: make([]DynamicSegment, int(n))}
-	segs := out.Segments
+	segs := make([]DynamicSegment, n)
 	all := make([]int, sc.Engines)
 	for e := range all {
 		all[e] = e
@@ -194,7 +167,7 @@ func (sc *Scenario) RunDynamic(ctx context.Context, interval, migrationCost floa
 			resizes = append(resizes, emu.Resize{At: segs[i].Start, Engines: all})
 		}
 	}
-	for _, f := range w.Flows {
+	for _, f := range cfg.Workload.Flows {
 		segs[sort.Search(len(segs), func(i int) bool { return segs[i].Start > f.Start })-1].Flows++
 	}
 
@@ -232,34 +205,32 @@ func (sc *Scenario) RunDynamic(ctx context.Context, interval, migrationCost floa
 		segs[opened].Remap = stats
 		return next, nil
 	}
-	o, err := sc.run(ctx, mapping.Top, func(cfg emu.Config) (*emu.Result, error) {
-		cfg.Profile, cfg.MigrationCost, cfg.Elastic, cfg.OnMembership = true, migrationCost, resizes, remap
-		return sc.start(ctx, cfg, tel, sc.Trace)
-	})
+	cfg.Profile, cfg.Elastic, cfg.OnMembership = true, resizes, remap
+	res, err := sc.start(ctx, cfg, tel, sc.Trace)
 	if err != nil {
-		return nil, fmt.Errorf("core: dynamic run: %w", err)
+		return err
 	}
 
-	out.Result = o.Result
-	measure(opened, o.Result.EngineLoads, o.Result.Telemetry.CrossEngineBytes)
+	o.Result, o.Segments = res, segs
+	measure(opened, res.EngineLoads, res.Telemetry.CrossEngineBytes)
 	assignment, active := o.Assignment, 0
 	for i := range segs {
 		s := &segs[i]
 		if i > 0 && i <= opened {
-			r := o.Result.Membership.Resizes[i-1]
+			r := res.Membership.Resizes[i-1]
 			assignment, s.Migrations = r.Assignment, r.Migrations
 		}
 		s.Assignment = assignment
-		out.Migrations += s.Migrations
+		o.Migrations += s.Migrations
 		if s.Flows > 0 && i <= opened {
-			out.MeanSegmentImbalance += s.Imbalance
+			o.MeanSegmentImbalance += s.Imbalance
 			active++
 		}
 	}
 	if active > 0 {
-		out.MeanSegmentImbalance /= float64(active)
+		o.MeanSegmentImbalance /= float64(active)
 	}
-	return out, nil
+	return nil
 }
 
 // intervalProfile is the traffic now accounts beyond seen, a summary of the

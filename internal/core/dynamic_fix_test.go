@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"crypto/sha256"
 	"fmt"
 	"math"
@@ -53,10 +52,10 @@ func TestRunDynamicNonDivisibleIntervalNoDrift(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		flows = append(flows, traffic.Flow{Start: 0.025 + 0.05*float64(i)})
 	}
-	third := 3.0 // a variable, so the boundary is rounded as RunDynamic rounds it
+	third := 3.0 // a variable, so the boundary is rounded as a remapped run rounds it
 	flows = append(flows, traffic.Flow{Start: third * 0.1}, traffic.Flow{Start: 1.2})
 	sc := syntheticScenario(t, flows, 1.0)
-	res, err := sc.RunDynamic(context.Background(), 0.1, 0)
+	res, err := remapped(sc, 0.1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +122,7 @@ func TestIntervalProfileMatchesFreshCollector(t *testing.T) {
 func TestRunDynamicSecondIntervalProfileFresh(t *testing.T) {
 	sc := dynamicScenario()
 	const interval = 10.0
-	res, err := sc.RunDynamic(context.Background(), interval, 0)
+	res, err := remapped(sc, interval, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +132,7 @@ func TestRunDynamicSecondIntervalProfileFresh(t *testing.T) {
 
 	// Replay the run with the assignments it chose, keeping the cumulative
 	// profile at each barrier, and remap the second interval the way
-	// RunDynamic does.
+	// a remapped run does.
 	sc2 := dynamicScenario()
 	cfg, err := sc2.emuConfig(res.Segments[0].Assignment)
 	if err != nil {
@@ -181,9 +180,9 @@ func TestRunDynamicZeroFlowGapAccounting(t *testing.T) {
 		}
 		flows = append(flows, traffic.Flow{Start: start, Bytes: 400e3})
 	}
-	run := func(cost float64) *DynamicResult {
+	run := func(cost float64) *Outcome {
 		sc := syntheticScenario(t, append([]traffic.Flow(nil), flows...), 25)
-		res, err := sc.RunDynamic(context.Background(), 5, cost)
+		res, err := remapped(sc, 5, cost)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +229,7 @@ func TestRunDynamicZeroFlowGapAccounting(t *testing.T) {
 		t.Fatalf("migration count changed with the cost: %d vs %d", pricey.Migrations, m)
 	}
 	wantDelta := float64(m) * (1.0 - 1e-9)
-	gotDelta := pricey.AppTime - res.AppTime
+	gotDelta := pricey.Result.AppTime - res.Result.AppTime
 	if math.Abs(gotDelta-wantDelta) > 1e-6*wantDelta+1e-9 {
 		t.Fatalf("AppTime stall delta = %g, want %g (migrations charged once)", gotDelta, wantDelta)
 	}
@@ -256,15 +255,15 @@ func intervalDigest(s *netflow.Summary) string {
 }
 
 // TestRunDynamicIntervalProfilesPinned pins the profile each remap of a
-// RunDynamic run reads: Campus in 7 s intervals, so every barrier lands
+// remapped run reads: Campus in 7 s intervals, so every barrier lands
 // mid-bucket and splits a bucket's load between two intervals. The run is
 // replayed with the assignments it chose, taking intervalProfile at each
-// barrier the way RunDynamic does, and each profile must be the one the run's
+// barrier the way a remapped run does, and each profile must be the one the run's
 // remap was computed from (it maps to the next segment's assignment). The
 // digests were recorded at 87dbae0.
 func TestRunDynamicIntervalProfilesPinned(t *testing.T) {
 	const interval = 7.0
-	res, err := dynamicScenario().RunDynamic(context.Background(), interval, 0)
+	res, err := remapped(dynamicScenario(), interval, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

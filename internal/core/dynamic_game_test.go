@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"testing"
 )
@@ -17,11 +16,11 @@ func dynamicPolicyScenario(p RemapPolicy) *Scenario {
 // lands cross-engine traffic no worse than from-scratch PROFILE remapping
 // while migrating strictly fewer nodes.
 func TestRunDynamicGameConvergesAndBeatsProfileOnMigrations(t *testing.T) {
-	game, err := dynamicPolicyScenario(RemapGame).RunDynamic(context.Background(), 10, 0)
+	game, err := remapped(dynamicPolicyScenario(RemapGame), 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile, err := dynamicPolicyScenario(RemapProfile).RunDynamic(context.Background(), 10, 0)
+	profile, err := remapped(dynamicPolicyScenario(RemapProfile), 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,20 +55,20 @@ func TestRunDynamicGameConvergesAndBeatsProfileOnMigrations(t *testing.T) {
 		t.Fatalf("game migrated %d nodes, from-scratch PROFILE %d — want strictly fewer",
 			game.Migrations, profile.Migrations)
 	}
-	if game.Telemetry.CrossEngineBytes > profile.Telemetry.CrossEngineBytes {
+	if game.Result.Telemetry.CrossEngineBytes > profile.Result.Telemetry.CrossEngineBytes {
 		t.Fatalf("game cross-engine bytes %d exceed PROFILE remap's %d",
-			game.Telemetry.CrossEngineBytes, profile.Telemetry.CrossEngineBytes)
+			game.Result.Telemetry.CrossEngineBytes, profile.Result.Telemetry.CrossEngineBytes)
 	}
 }
 
 // Determinism gate: the same scenario and seed must reproduce the assignment
 // sequence exactly, segment by segment.
 func TestRunDynamicGameDeterministic(t *testing.T) {
-	a, err := dynamicPolicyScenario(RemapGame).RunDynamic(context.Background(), 10, 0)
+	a, err := remapped(dynamicPolicyScenario(RemapGame), 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := dynamicPolicyScenario(RemapGame).RunDynamic(context.Background(), 10, 0)
+	b, err := remapped(dynamicPolicyScenario(RemapGame), 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +83,13 @@ func TestRunDynamicGameDeterministic(t *testing.T) {
 			t.Fatalf("segment %d remap stats diverged across identical runs", i)
 		}
 	}
-	if a.Migrations != b.Migrations || a.Imbalance != b.Imbalance {
+	if a.Migrations != b.Migrations || a.Result.Imbalance != b.Result.Imbalance {
 		t.Fatal("totals diverged across identical runs")
 	}
 }
 
 func TestRunDynamicDiffusionPolicyRuns(t *testing.T) {
-	res, err := dynamicPolicyScenario(RemapDiffusion).RunDynamic(context.Background(), 20, 0)
+	res, err := remapped(dynamicPolicyScenario(RemapDiffusion), 20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +124,7 @@ func TestRemapPolicyResolution(t *testing.T) {
 	}
 	bad := dynamicScenario()
 	bad.Remap = "bogus"
-	if _, err := bad.RunDynamic(context.Background(), 10, 0); err == nil {
-		t.Error("RunDynamic accepted a bogus policy")
+	if _, err := remapped(bad, 10, 0); err == nil {
+		t.Error("a remapped Run accepted a bogus policy")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -30,58 +31,59 @@ func dynamicScenario() *Scenario {
 }
 
 func TestRunDynamicValidation(t *testing.T) {
-	sc := dynamicScenario()
+	crash := &faults.Schedule{Crashes: []faults.Crash{{Engine: 1, At: 5}}}
 	for _, c := range []struct {
 		name                    string
 		interval, migrationCost float64
+		faults                  *faults.Schedule
+		want                    error
 	}{
-		{"zero interval", 0, 0},
-		{"NaN interval", math.NaN(), 0},
-		{"infinite interval", math.Inf(1), 0},
-		{"more intervals than a run schedules", 1e-9, 0},
-		{"NaN migration cost", 10, math.NaN()},
+		{"negative interval", -10, 0, nil, ErrRunConfig},
+		{"NaN interval", math.NaN(), 0, nil, ErrRunConfig},
+		{"infinite interval", math.Inf(1), 0, nil, ErrRunConfig},
+		{"negative infinite interval", math.Inf(-1), 0, nil, ErrRunConfig},
+		{"more intervals than a run schedules", 1e-9, 0, nil, ErrRunConfig},
+		{"crash schedule", 10, 0, crash, ErrRunConfig},
+		{"NaN migration cost", 10, math.NaN(), nil, emu.ErrBadConfig},
 	} {
-		if _, err := sc.RunDynamic(context.Background(), c.interval, c.migrationCost); err == nil {
-			t.Errorf("%s accepted", c.name)
+		sc := dynamicScenario()
+		sc.Faults = c.faults
+		if _, err := remapped(sc, c.interval, c.migrationCost); !errors.Is(err, c.want) {
+			t.Errorf("%s: error %v, want %v", c.name, err, c.want)
 		}
-	}
-	crashy := dynamicScenario()
-	crashy.Faults = &faults.Schedule{Crashes: []faults.Crash{{Engine: 1, At: 5}}}
-	if _, err := crashy.RunDynamic(context.Background(), 10, 0); err == nil {
-		t.Error("crash schedule accepted")
 	}
 }
 
 // The scenario's EndTime and straggler schedule carry into the one dynamic
 // run, as they do into Run.
 func TestRunDynamicKeepsScenarioSettings(t *testing.T) {
-	run := func(straggle bool) *DynamicResult {
+	run := func(straggle bool) *Outcome {
 		sc := dynamicScenario()
 		sc.EndTime = 25
 		if straggle {
 			sc.Faults = &faults.Schedule{Stragglers: []faults.Straggler{{Engine: 0, From: 0, To: 25, Factor: 4}}}
 		}
-		res, err := sc.RunDynamic(context.Background(), 10, 0)
+		res, err := remapped(sc, 10, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 	plain, slowed := run(false), run(true)
-	if end := plain.Kernel.VirtualEnd; end > 25 {
+	if end := plain.Result.Kernel.VirtualEnd; end > 25 {
 		t.Errorf("run ended at %g, past the scenario's EndTime 25", end)
 	}
-	if slowed.AppTime <= plain.AppTime {
-		t.Errorf("straggler schedule ignored: app time %g, %g without it", slowed.AppTime, plain.AppTime)
+	if slowed.Result.AppTime <= plain.Result.AppTime {
+		t.Errorf("straggler schedule ignored: app time %g, %g without it", slowed.Result.AppTime, plain.Result.AppTime)
 	}
-	if !slices.Equal(slowed.FlowFCTs, plain.FlowFCTs) {
+	if !slices.Equal(slowed.Result.FlowFCTs, plain.Result.FlowFCTs) {
 		t.Error("a straggler changed what the network did")
 	}
 }
 
 func TestRunDynamicSegments(t *testing.T) {
 	sc := dynamicScenario()
-	res, err := sc.RunDynamic(context.Background(), 10, 0)
+	res, err := remapped(sc, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func TestRunDynamicSegments(t *testing.T) {
 	if flows != len(w.Flows) {
 		t.Errorf("segments carry %d flows, workload has %d", flows, len(w.Flows))
 	}
-	if res.AppTime <= 0 || res.NetTime <= 0 {
+	if res.Result.AppTime <= 0 || res.Result.NetTime <= 0 {
 		t.Error("times not accumulated")
 	}
 	// A segment measures the run between its barriers: its imbalance is the
@@ -108,7 +110,7 @@ func TestRunDynamicSegments(t *testing.T) {
 	var cross int64
 	for i, s := range res.Segments {
 		loads := make([]float64, sc.Engines)
-		for b, row := range res.EngineSeries.Loads {
+		for b, row := range res.Result.EngineSeries.Loads {
 			if b/5 == i || i == len(res.Segments)-1 && b/5 > i {
 				for e, x := range row {
 					loads[e] += x
@@ -120,18 +122,18 @@ func TestRunDynamicSegments(t *testing.T) {
 		}
 		cross += s.CrossEngineBytes
 	}
-	if cross != res.Telemetry.CrossEngineBytes {
-		t.Errorf("segments carry %d cross-engine bytes, the run %d", cross, res.Telemetry.CrossEngineBytes)
+	if cross != res.Result.Telemetry.CrossEngineBytes {
+		t.Errorf("segments carry %d cross-engine bytes, the run %d", cross, res.Result.Telemetry.CrossEngineBytes)
 	}
 }
 
 func TestRunDynamicRemapsAndCharges(t *testing.T) {
 	sc := dynamicScenario()
-	free, err := sc.RunDynamic(context.Background(), 10, 1e-9)
+	free, err := remapped(sc, 10, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	costly, err := dynamicScenario().RunDynamic(context.Background(), 10, 1.0)
+	costly, err := remapped(dynamicScenario(), 10, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +142,7 @@ func TestRunDynamicRemapsAndCharges(t *testing.T) {
 	}
 	if free.Migrations > 0 {
 		wantExtra := float64(free.Migrations) * 1.0
-		got := costly.AppTime - free.AppTime
+		got := costly.Result.AppTime - free.Result.AppTime
 		if got < wantExtra*0.9 {
 			t.Errorf("migration cost not charged: extra %.2f, want ~%.2f", got, wantExtra)
 		}
@@ -151,7 +153,7 @@ func TestRunDynamicBeatsStaticPerSegment(t *testing.T) {
 	// The point of dynamic remapping: per-interval imbalance should not be
 	// worse than a static TOP partition's per-interval imbalance.
 	sc := dynamicScenario()
-	dyn, err := sc.RunDynamic(context.Background(), 10, 0)
+	dyn, err := remapped(sc, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +180,12 @@ func TestRunDynamicBeatsStaticPerSegment(t *testing.T) {
 }
 
 // TestRunDynamicTelemetryFeed is the closed-loop acceptance criterion:
-// RunDynamic repartitions from the live telemetry plane, whose PROFILE summary
+// a remapped run repartitions from the live telemetry plane, whose PROFILE summary
 // emu's TestTelemetryMatchesNetFlowProfile holds DeepEqual to the offline
 // NetFlow pipeline's — so what is checked here is that the feed is live: the
 // run remaps, and carries the traffic-plane extras.
 func TestRunDynamicTelemetryFeed(t *testing.T) {
-	telFed, err := dynamicScenario().RunDynamic(context.Background(), 10, 0)
+	telFed, err := remapped(dynamicScenario(), 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,10 +194,10 @@ func TestRunDynamicTelemetryFeed(t *testing.T) {
 			len(telFed.Segments), telFed.Migrations)
 	}
 	// The run carries the traffic-plane extras.
-	if telFed.Telemetry.CrossEngineBytes == 0 {
+	if telFed.Result.Telemetry.CrossEngineBytes == 0 {
 		t.Error("telemetry-fed run reports no cross-engine bytes")
 	}
-	tl := telFed.Timeline()
+	tl := telFed.Result.Telemetry.Timeline
 	if len(tl) == 0 {
 		t.Error("telemetry-fed run has an empty traffic timeline")
 	}
@@ -209,10 +211,10 @@ func TestRunDynamicTelemetryFeed(t *testing.T) {
 }
 
 // TestDynamicRemapNeverChangesTheNetwork is the paper's premise (emu's
-// TestMappingNeverChangesTheNetwork) for remapping during the run: under every
-// policy and both transports, the dynamic run delivers every flow at the
-// instant the static TOP run does, drops the same packets and loads every link
-// alike.
+// TestMappingNeverChangesTheNetwork) for remapping during the run: from every
+// starting approach, under every policy and both transports, the dynamic run
+// delivers every flow at the instant the static TOP run does, drops the same
+// packets and loads every link alike.
 func TestDynamicRemapNeverChangesTheNetwork(t *testing.T) {
 	for _, transport := range []emu.TransportMode{emu.Blast, emu.TCPSlowStart} {
 		sc := dynamicScenario()
@@ -222,20 +224,23 @@ func TestDynamicRemapNeverChangesTheNetwork(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := static.Result
-		for _, p := range RemapPolicies() {
-			sc := dynamicScenario()
-			sc.Transport, sc.Remap = transport, p
-			got, err := sc.RunDynamic(context.Background(), 10, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Migrations == 0 {
-				t.Errorf("transport %d %s: no node moved, so nothing is compared", transport, p)
-			}
-			if !slices.Equal(got.FlowFCTs, want.FlowFCTs) || got.DroppedPackets != want.DroppedPackets || !slices.Equal(got.LinkBytes, want.LinkBytes) {
-				t.Errorf("transport %d %s: completion times equal %v, drops %d against %d, link bytes equal %v",
-					transport, p, slices.Equal(got.FlowFCTs, want.FlowFCTs), got.DroppedPackets, want.DroppedPackets,
-					slices.Equal(got.LinkBytes, want.LinkBytes))
+		for _, a := range mapping.Approaches() {
+			for _, p := range RemapPolicies() {
+				sc := dynamicScenario()
+				sc.Transport, sc.Remap, sc.RemapEvery = transport, p, 10
+				o, err := sc.Run(context.Background(), a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if o.Migrations == 0 {
+					t.Errorf("transport %d %s from %s: no node moved, so nothing is compared", transport, p, a)
+				}
+				got := o.Result
+				if !slices.Equal(got.FlowFCTs, want.FlowFCTs) || got.DroppedPackets != want.DroppedPackets || !slices.Equal(got.LinkBytes, want.LinkBytes) {
+					t.Errorf("transport %d %s from %s: completion times equal %v, drops %d against %d, link bytes equal %v",
+						transport, p, a, slices.Equal(got.FlowFCTs, want.FlowFCTs), got.DroppedPackets, want.DroppedPackets,
+						slices.Equal(got.LinkBytes, want.LinkBytes))
+				}
 			}
 		}
 	}
@@ -243,13 +248,13 @@ func TestDynamicRemapNeverChangesTheNetwork(t *testing.T) {
 
 func TestRunDynamicIncrementalFewerMigrations(t *testing.T) {
 	full := dynamicScenario()
-	fullRes, err := full.RunDynamic(context.Background(), 10, 0)
+	fullRes, err := remapped(full, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inc := dynamicScenario()
 	inc.Remap = RemapIncremental
-	incRes, err := inc.RunDynamic(context.Background(), 10, 0)
+	incRes, err := remapped(inc, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,4 +267,11 @@ func TestRunDynamicIncrementalFewerMigrations(t *testing.T) {
 		t.Errorf("incremental segment imbalance %.3f far above full %.3f",
 			incRes.MeanSegmentImbalance, fullRes.MeanSegmentImbalance)
 	}
+}
+
+// remapped runs sc from TOP, remapped every interval virtual seconds at
+// migrationCost per migrated node.
+func remapped(sc *Scenario, interval, migrationCost float64) (*Outcome, error) {
+	sc.RemapEvery, sc.MigrationCost = interval, migrationCost
+	return sc.Run(context.Background(), mapping.Top)
 }

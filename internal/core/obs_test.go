@@ -20,9 +20,9 @@ func TestScenarioCollectStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := o.Obs()
+	st := o.Result.Obs
 	if st == nil {
-		t.Fatal("CollectStats did not attach Outcome.Obs")
+		t.Fatal("CollectStats did not attach Result.Obs")
 	}
 	var kernelEvents int64
 	for _, n := range o.Result.Kernel.Events {
@@ -74,11 +74,13 @@ func TestScenarioRunCanceled(t *testing.T) {
 	if _, err := campusScenario(false).Run(ctx, mapping.Top); !errors.Is(err, context.Canceled) {
 		t.Errorf("Run error = %v, want context.Canceled", err)
 	}
-	if _, err := campusScenario(false).RunDynamic(ctx, 10, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunDynamic error = %v, want context.Canceled", err)
+	remapped := campusScenario(false)
+	remapped.RemapEvery = 10
+	if _, err := remapped.Run(ctx, mapping.Top); !errors.Is(err, context.Canceled) {
+		t.Errorf("remapped Run error = %v, want context.Canceled", err)
 	}
-	if _, err := faultScenario().RunResilient(ctx, FaultOptions{Schedule: midRunCrash()}); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunResilient error = %v, want context.Canceled", err)
+	if _, err := crashRun(ctx, midRunCrash(), false); !errors.Is(err, context.Canceled) {
+		t.Errorf("crash Run error = %v, want context.Canceled", err)
 	}
 }
 
@@ -87,12 +89,12 @@ func TestScenarioRunCanceled(t *testing.T) {
 // Recovery report.
 func TestResilientStatsMatchRecovery(t *testing.T) {
 	sc := faultScenario()
-	sc.CollectStats = true
-	out, err := sc.RunResilient(context.Background(), FaultOptions{Schedule: midRunCrash(), CheckpointEvery: 4})
+	sc.CollectStats, sc.Faults, sc.CheckpointEvery = true, midRunCrash(), 4
+	out, err := sc.Run(context.Background(), mapping.Top)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := out.Recovery()
+	rec := out.Result.Recovery
 	st := out.Result.Obs
 	if rec == nil || st == nil {
 		t.Fatalf("missing recovery (%v) or stats (%v)", rec, st)

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/dist"
 	"repro/internal/emu"
 	"repro/internal/faults"
+	"repro/internal/mapping"
+	"repro/internal/obs"
 	"repro/internal/topogen"
 	"repro/internal/traffic"
 )
@@ -32,10 +36,12 @@ func midRunCrash() *faults.Schedule {
 	return &faults.Schedule{Crashes: []faults.Crash{{Engine: 1, At: 8}}}
 }
 
-func TestRunResilientNeedsSchedule(t *testing.T) {
-	if _, err := faultScenario().RunResilient(context.Background(), FaultOptions{}); err == nil {
-		t.Error("nil schedule accepted")
-	}
+// crashRun runs faultScenario from TOP under sched, checkpointing every 4 s
+// and recovering crashes naively when naive is set.
+func crashRun(ctx context.Context, sched *faults.Schedule, naive bool) (*Outcome, error) {
+	sc := faultScenario()
+	sc.Faults, sc.CheckpointEvery, sc.NaiveRecovery = sched, 4, naive
+	return sc.Run(ctx, mapping.Top)
 }
 
 // TestCrashRecoveryAcceptance is the ISSUE's acceptance scenario: a Campus
@@ -43,24 +49,17 @@ func TestRunResilientNeedsSchedule(t *testing.T) {
 // recovery metrics, and partitioner-based remapping leaves the post-recovery
 // load strictly better balanced than the naive dump-on-one-survivor fallback.
 func TestCrashRecoveryAcceptance(t *testing.T) {
-	remap, err := faultScenario().RunResilient(context.Background(), FaultOptions{
-		Schedule:        midRunCrash(),
-		CheckpointEvery: 4,
-	})
+	remap, err := crashRun(context.Background(), midRunCrash(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := faultScenario().RunResilient(context.Background(), FaultOptions{
-		Schedule:        midRunCrash(),
-		CheckpointEvery: 4,
-		Naive:           true,
-	})
+	naive, err := crashRun(context.Background(), midRunCrash(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, o := range []*Outcome{remap, naive} {
-		rec := o.Recovery()
+		rec := o.Result.Recovery
 		if rec == nil {
 			t.Fatal("no recovery report")
 		}
@@ -81,8 +80,8 @@ func TestCrashRecoveryAcceptance(t *testing.T) {
 		}
 	}
 
-	ri := remap.Recovery().PostRecoveryImbalance
-	ni := naive.Recovery().PostRecoveryImbalance
+	ri := remap.Result.Recovery.PostRecoveryImbalance
+	ni := naive.Result.Recovery.PostRecoveryImbalance
 	if ri >= ni {
 		t.Errorf("remap post-recovery imbalance %.3f not strictly below naive %.3f", ri, ni)
 	}
@@ -91,8 +90,8 @@ func TestCrashRecoveryAcceptance(t *testing.T) {
 	// engine owned (both did) while balancing better.
 	t.Logf("post-recovery imbalance: remap=%.3f naive=%.3f (downtime %.3fs vs %.3fs, migrations %d vs %d)",
 		ri, ni,
-		remap.Recovery().Downtime, naive.Recovery().Downtime,
-		remap.Recovery().Migrations, naive.Recovery().Migrations)
+		remap.Result.Recovery.Downtime, naive.Result.Recovery.Downtime,
+		remap.Result.Recovery.Migrations, naive.Result.Recovery.Migrations)
 }
 
 func TestResilientDeterminism(t *testing.T) {
@@ -100,10 +99,7 @@ func TestResilientDeterminism(t *testing.T) {
 	// fault-free (crash-free schedule) and with a crash recovery in the
 	// middle.
 	run := func(sched *faults.Schedule) *Outcome {
-		out, err := faultScenario().RunResilient(context.Background(), FaultOptions{
-			Schedule:        sched,
-			CheckpointEvery: 4,
-		})
+		out, err := crashRun(context.Background(), sched, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,5 +164,51 @@ func TestDefaultMigrationCostShared(t *testing.T) {
 	// The recovery and dynamic-remap paths must price migrations identically.
 	if DefaultMigrationCost != 50e-3 {
 		t.Errorf("DefaultMigrationCost = %v, want 50e-3", DefaultMigrationCost)
+	}
+}
+
+// TestCrashRunFromProfile: a PROFILE run under a crash schedule profiles the
+// network without the crash, and its main run recovers it.
+func TestCrashRunFromProfile(t *testing.T) {
+	sc := faultScenario()
+	sc.Faults = midRunCrash()
+	o, err := sc.Run(context.Background(), mapping.Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.ProfileRun.Recovery != nil {
+		t.Errorf("the profiling pre-run recovered a crash: %+v", o.ProfileRun.Recovery)
+	}
+	if rec := o.Result.Recovery; rec == nil || rec.Failures != 1 {
+		t.Errorf("the main run's recovery is %+v, want one crash", rec)
+	}
+}
+
+// TestCrashRunTraced: Scenario.Trace records a crash-recovery run's windows
+// past the crash, and tracing leaves the run's canonical result unchanged.
+func TestCrashRunTraced(t *testing.T) {
+	plain, err := crashRun(context.Background(), midRunCrash(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := faultScenario()
+	sc.Faults, sc.CheckpointEvery, sc.Trace = midRunCrash(), 4, obs.NewTimeline()
+	traced, err := sc.Run(context.Background(), mapping.Top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash, last := midRunCrash().Crashes[0].At, 0.0
+	for _, s := range sc.Trace.Spans() {
+		last = max(last, s.End)
+	}
+	if last <= crash {
+		t.Errorf("the timeline ends at t=%g, not past the crash at t=%g", last, crash)
+	}
+	want, err := dist.ResultJSON(plain.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := dist.ResultJSON(traced.Result); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("tracing changed the crash run's canonical result (%v)", err)
 	}
 }

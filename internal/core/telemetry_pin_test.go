@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -72,7 +71,7 @@ func TestTelemetryRemapPinned(t *testing.T) {
 		sc := dynamicScenario()
 		tel := telemetry.New()
 		sc.TelemetryCollector = tel
-		res, err := sc.RunDynamic(context.Background(), 7, 0)
+		res, err := remapped(sc, 7, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

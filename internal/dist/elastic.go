@@ -61,7 +61,7 @@ type MembershipLog struct {
 
 // ReplayConfig is the one log → configuration step, shared by the
 // coordinator's own worker-loss fallback and offline replays
-// (core.Scenario.ReplayElastic): base — the configuration the run started from
+// (the core.Replay run option): base — the configuration the run started from
 // — with the applied resizes as its Elastic schedule and the recorded losses as
 // engine fail-stops beside base's own straggler/degradation schedule (it shapes
 // the cost model the live run paid), recovered through policy at the run's

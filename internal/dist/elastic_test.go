@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/emu"
 	"repro/internal/mapping"
@@ -71,10 +72,10 @@ func TestElasticJoinDrainMatchesReplay(t *testing.T) {
 			close(workers[0].drain)
 
 			sc, tel := observedScenario(t, topology)
-			o, mlog, err := sc.RunElastic(ctx, conns, dist.ElasticOptions{
+			o, err := sc.Run(ctx, mapping.Top, core.Elastic(conns, dist.ElasticOptions{
 				Options: dist.Options{CheckpointEvery: elasticCkpt},
 				Joins:   joins,
-			})
+			}))
 			if err != nil {
 				t.Fatalf("elastic run: %v", err)
 			}
@@ -82,14 +83,14 @@ func TestElasticJoinDrainMatchesReplay(t *testing.T) {
 			workers[1].wait(t, "worker 1")
 			joiner.wait(t, "joiner")
 
-			if len(mlog.Losses) != 0 {
-				t.Fatalf("clean join/drain run recorded losses: %v", mlog.Losses)
+			if len(o.Membership.Losses) != 0 {
+				t.Fatalf("clean join/drain run recorded losses: %v", o.Membership.Losses)
 			}
-			if len(mlog.Resizes) != 1 {
+			if len(o.Membership.Resizes) != 1 {
 				t.Fatalf("join+drain at the first barrier must be one resize, got %d: %+v",
-					len(mlog.Resizes), mlog.Resizes)
+					len(o.Membership.Resizes), o.Membership.Resizes)
 			}
-			rz := mlog.Resizes[0]
+			rz := o.Membership.Resizes[0]
 			if !reflect.DeepEqual(rz.Engines, []int{1, 2}) {
 				t.Fatalf("post-resize active set must be engines {1,2}, got %v", rz.Engines)
 			}
@@ -102,11 +103,11 @@ func TestElasticJoinDrainMatchesReplay(t *testing.T) {
 			}
 
 			refSc, refTel := observedScenario(t, topology)
-			ref, err := refSc.ReplayElastic(ctx, o.Assignment, mlog)
+			ref, err := refSc.Run(ctx, mapping.Top, core.Replay(o.Assignment, o.Membership))
 			if err != nil {
 				t.Fatalf("in-process replay: %v", err)
 			}
-			want, got := canonical(t, ref), canonical(t, o.Result)
+			want, got := canonical(t, ref.Result), canonical(t, o.Result)
 			if !bytes.Equal(want, got) {
 				t.Fatalf("elastic distributed result diverges from in-process replay (%d vs %d bytes):\nreplay: %.600s\ndistributed: %.600s",
 					len(want), len(got), want, got)
@@ -131,22 +132,22 @@ func TestElasticTinyCadenceFinishes(t *testing.T) {
 		workers[i] = startElasticWorker(ctx, s)
 	}
 	close(workers[0].drain)
-	o, mlog, err := scenario(t, "Campus").RunElastic(ctx, conns, dist.ElasticOptions{
+	o, err := scenario(t, "Campus").Run(ctx, mapping.Top, core.Elastic(conns, dist.ElasticOptions{
 		Options: dist.Options{CheckpointEvery: 1e-20},
-	})
+	}))
 	if err != nil {
 		t.Fatalf("elastic run: %v", err)
 	}
 	workers[0].wait(t, "drained worker")
 	workers[1].wait(t, "worker 1")
-	if len(mlog.Resizes) != 1 {
-		t.Fatalf("the drain must apply as one resize, got %+v", mlog.Resizes)
+	if len(o.Membership.Resizes) != 1 {
+		t.Fatalf("the drain must apply as one resize, got %+v", o.Membership.Resizes)
 	}
-	ref, err := scenario(t, "Campus").ReplayElastic(ctx, o.Assignment, mlog)
+	ref, err := scenario(t, "Campus").Run(ctx, mapping.Top, core.Replay(o.Assignment, o.Membership))
 	if err != nil {
 		t.Fatalf("in-process replay: %v", err)
 	}
-	if want, got := canonical(t, ref), canonical(t, o.Result); !bytes.Equal(want, got) {
+	if want, got := canonical(t, ref.Result), canonical(t, o.Result); !bytes.Equal(want, got) {
 		t.Fatalf("distributed result diverges from in-process replay (%d vs %d bytes)", len(want), len(got))
 	}
 }
@@ -194,23 +195,23 @@ func TestElasticJoinKillMatchesReplay(t *testing.T) {
 			joins <- jc
 
 			sc := scenario(t, topology)
-			o, mlog, err := sc.RunElastic(ctx, conns, dist.ElasticOptions{
+			o, err := sc.Run(ctx, mapping.Top, core.Elastic(conns, dist.ElasticOptions{
 				Options: dist.Options{CheckpointEvery: elasticCkpt},
 				Joins:   joins,
-			})
+			}))
 			if err != nil {
 				t.Fatalf("worker loss must degrade, not fail: %v", err)
 			}
-			if len(mlog.Resizes) == 0 {
+			if len(o.Membership.Resizes) == 0 {
 				t.Fatal("the join never applied: kill at t=3 should follow the t=2 barrier")
 			}
-			if len(mlog.Losses) == 0 {
+			if len(o.Membership.Losses) == 0 {
 				t.Fatal("the kill was never recorded")
 			}
-			for _, l := range mlog.Losses {
-				if l.At <= mlog.Resizes[len(mlog.Resizes)-1].At {
+			for _, l := range o.Membership.Losses {
+				if l.At <= o.Membership.Resizes[len(o.Membership.Resizes)-1].At {
 					t.Fatalf("recorded loss at t=%g precedes the last resize at t=%g",
-						l.At, mlog.Resizes[len(mlog.Resizes)-1].At)
+						l.At, o.Membership.Resizes[len(o.Membership.Resizes)-1].At)
 				}
 			}
 			if o.Result.Recovery == nil {
@@ -224,11 +225,11 @@ func TestElasticJoinKillMatchesReplay(t *testing.T) {
 				}
 			}
 
-			ref, err := scenario(t, topology).ReplayElastic(ctx, o.Assignment, mlog)
+			ref, err := scenario(t, topology).Run(ctx, mapping.Top, core.Replay(o.Assignment, o.Membership))
 			if err != nil {
 				t.Fatalf("in-process replay: %v", err)
 			}
-			want, got := canonical(t, ref), canonical(t, o.Result)
+			want, got := canonical(t, ref.Result), canonical(t, o.Result)
 			if !bytes.Equal(want, got) {
 				t.Fatalf("degraded elastic result diverges from its replay (%d vs %d bytes):\nreplay: %.600s\ndistributed: %.600s",
 					len(want), len(got), want, got)
@@ -276,21 +277,21 @@ func TestElasticTCPMatchesLoopback(t *testing.T) {
 	joins <- jc
 
 	sc := scenario(t, "Campus")
-	o, mlog, err := sc.RunElastic(ctx, conns, dist.ElasticOptions{
+	o, err := sc.Run(ctx, mapping.Top, core.Elastic(conns, dist.ElasticOptions{
 		Options: dist.Options{CheckpointEvery: elasticCkpt},
 		Joins:   joins,
-	})
+	}))
 	if err != nil {
 		t.Fatalf("elastic over TCP: %v", err)
 	}
-	if len(mlog.Resizes) == 0 {
+	if len(o.Membership.Resizes) == 0 {
 		t.Fatal("no membership change applied over TCP")
 	}
-	ref, err := scenario(t, "Campus").ReplayElastic(ctx, o.Assignment, mlog)
+	ref, err := scenario(t, "Campus").Run(ctx, mapping.Top, core.Replay(o.Assignment, o.Membership))
 	if err != nil {
 		t.Fatalf("in-process replay: %v", err)
 	}
-	if !bytes.Equal(canonical(t, ref), canonical(t, o.Result)) {
+	if !bytes.Equal(canonical(t, ref.Result), canonical(t, o.Result)) {
 		t.Fatal("TCP elastic result diverges from its in-process replay")
 	}
 }
@@ -328,14 +329,14 @@ func TestChaosConvergesOrTypedError(t *testing.T) {
 				go dist.Serve(ctx, chaotic, dist.WorkerOptions{})
 			}
 			sc := scenario(t, "Campus")
-			o, mlog, err := sc.RunElastic(ctx, conns, dist.ElasticOptions{
+			o, err := sc.Run(ctx, mapping.Top, core.Elastic(conns, dist.ElasticOptions{
 				Options: dist.Options{
 					CheckpointEvery:  elasticCkpt,
 					StepTimeout:      10 * time.Second,
 					HandshakeTimeout: 10 * time.Second,
 				},
 				HeartbeatInterval: 100 * time.Millisecond,
-			})
+			}))
 			if err != nil {
 				if !errors.Is(err, dist.ErrWorkerLost) && !errors.Is(err, dist.ErrWorkerFault) &&
 					!errors.Is(err, context.DeadlineExceeded) {
@@ -347,12 +348,12 @@ func TestChaosConvergesOrTypedError(t *testing.T) {
 			// Converged: the physical outcome must match the clean run exactly,
 			// whether or not the protocol had to degrade to the recovery replay.
 			if !reflect.DeepEqual(o.Result.FlowFCTs, clean.Result.FlowFCTs) {
-				t.Fatalf("chaos run converged to a DIFFERENT physical outcome (losses: %d)", len(mlog.Losses))
+				t.Fatalf("chaos run converged to a DIFFERENT physical outcome (losses: %d)", len(o.Membership.Losses))
 			}
-			if len(mlog.Losses) > 0 && o.Result.Recovery == nil {
+			if len(o.Membership.Losses) > 0 && o.Result.Recovery == nil {
 				t.Fatal("recorded losses without a recovery report")
 			}
-			t.Logf("converged under chaos: %d losses, %d resizes", len(mlog.Losses), len(mlog.Resizes))
+			t.Logf("converged under chaos: %d losses, %d resizes", len(o.Membership.Losses), len(o.Membership.Resizes))
 		})
 	}
 }
@@ -399,7 +400,7 @@ func TestStepperCloseStopsWorkers(t *testing.T) {
 	sc := scenario(t, "Campus")
 	sc.Engines = 4
 	atResize := 0
-	_, mlog, err := sc.RunElastic(ctx, []dist.Conn{c}, dist.ElasticOptions{
+	o, err := sc.Run(ctx, mapping.Top, core.Elastic([]dist.Conn{c}, dist.ElasticOptions{
 		Options:          dist.Options{CheckpointEvery: elasticCkpt},
 		Joins:            joins,
 		EnginesPerWorker: 2,
@@ -412,14 +413,14 @@ func TestStepperCloseStopsWorkers(t *testing.T) {
 			}
 			return next, nil
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	first.wait(t, "initial worker")
 	joiner.wait(t, "joiner")
-	if len(mlog.Resizes) != 1 {
-		t.Fatalf("the join must apply as one resize, got %+v", mlog.Resizes)
+	if len(o.Membership.Resizes) != 1 {
+		t.Fatalf("the join must apply as one resize, got %+v", o.Membership.Resizes)
 	}
 	if atResize != 4 {
 		t.Errorf("at the resize barrier: %d Stepper worker goroutines, want 4 (2 workers × 2 engines)", atResize)

@@ -61,7 +61,7 @@ func runDistributed(t *testing.T, topology string, a mapping.Approach, workers i
 	ctx := context.Background()
 	conns, drain := startLoopbackWorkers(ctx, workers)
 	sc, tel := observedScenario(t, topology)
-	o, err := sc.RunDistributed(ctx, a, conns, dist.Options{})
+	o, err := sc.Run(ctx, a, core.OnWorkers(conns, dist.Options{}))
 	if err != nil {
 		t.Fatalf("distributed %s on %s: %v", a, topology, err)
 	}
@@ -169,7 +169,7 @@ func TestDistributedTCPMatchesLoopback(t *testing.T) {
 		conns[i] = c
 	}
 	sc, tel := observedScenario(t, "Campus")
-	o, err := sc.RunDistributed(ctx, mapping.Top, conns, dist.Options{})
+	o, err := sc.Run(ctx, mapping.Top, core.OnWorkers(conns, dist.Options{}))
 	if err != nil {
 		t.Fatalf("distributed over TCP: %v", err)
 	}
@@ -347,7 +347,7 @@ func TestStaticAndSteadyElasticMatchInProcess(t *testing.T) {
 			sc = scenario(t, topology)
 			sk = attachSinks(sc, true)
 			conns, drain := startLoopbackWorkers(ctx, 2)
-			o, err := sc.RunDistributed(ctx, mapping.Top, conns, dist.Options{})
+			o, err := sc.Run(ctx, mapping.Top, core.OnWorkers(conns, dist.Options{}))
 			if err != nil {
 				t.Fatalf("round-robin static run: %v", err)
 			}
@@ -364,7 +364,7 @@ func TestStaticAndSteadyElasticMatchInProcess(t *testing.T) {
 			}
 			sk = attachSinks(sc, true)
 			conns, drain = startLoopbackWorkers(ctx, sc.Engines)
-			o, mlog, err := sc.RunElastic(ctx, conns, dist.ElasticOptions{})
+			o, err = sc.Run(ctx, mapping.Top, core.Elastic(conns, dist.ElasticOptions{}))
 			if err != nil {
 				t.Fatalf("steady elastic run: %v", err)
 			}
@@ -373,8 +373,8 @@ func TestStaticAndSteadyElasticMatchInProcess(t *testing.T) {
 					t.Fatalf("elastic worker %d: %v", i, werr)
 				}
 			}
-			if len(mlog.Resizes)+len(mlog.Losses) != 0 {
-				t.Fatalf("steady run changed membership: %+v", mlog)
+			if len(o.Membership.Resizes)+len(o.Membership.Losses) != 0 {
+				t.Fatalf("steady run changed membership: %+v", o.Membership)
 			}
 			check("block-dealt steady elastic", sk.observed(t, o.Result), true)
 		})
@@ -413,7 +413,7 @@ func TestWorkerLossDegradesToRecovery(t *testing.T) {
 		conns, _ := startLoopbackWorkers(ctx, 2)
 		conns[1] = &flakyConn{Conn: conns[1], failAfter: 3}
 		sc := scenario(t, "Campus")
-		o, err := sc.RunDistributed(ctx, mapping.Top, conns, dist.Options{})
+		o, err := sc.Run(ctx, mapping.Top, core.OnWorkers(conns, dist.Options{}))
 		if err != nil {
 			fail <- err
 			return
@@ -471,7 +471,7 @@ func TestStaticLossBeforeFirstWindowDegrades(t *testing.T) {
 	conns, _ := startLoopbackWorkers(ctx, 2)
 	conns[1] = &failSendConn{Conn: conns[1], typ: dist.MsgAssign}
 	sc := scenario(t, "TeraGrid") // 5 engines: worker 1 owns engines 1 and 3
-	o, err := sc.RunDistributed(ctx, mapping.Top, conns, dist.Options{})
+	o, err := sc.Run(ctx, mapping.Top, core.OnWorkers(conns, dist.Options{}))
 	if err != nil {
 		t.Fatalf("worker loss must degrade, not fail the run: %v", err)
 	}

@@ -108,7 +108,7 @@ func TestWorkerErrorFrameAbortsTyped(t *testing.T) {
 			go dist.Serve(ctx, s, dist.WorkerOptions{})
 		}
 		sc := scenario(t, "Campus")
-		_, err := sc.RunDistributed(ctx, mapping.Top, conns, dist.Options{})
+		_, err := sc.Run(ctx, mapping.Top, core.OnWorkers(conns, dist.Options{}))
 		errc <- err
 	}()
 	select {
@@ -620,16 +620,16 @@ func TestHostileExportLosesWorkerTyped(t *testing.T) {
 			go dist.Serve(ctx, js, dist.WorkerOptions{})
 			joins := make(chan dist.Conn, 1)
 			joins <- jc
-			o, mlog, err := scenario(t, "Campus").RunElastic(ctx, conns, dist.ElasticOptions{
+			o, err := scenario(t, "Campus").Run(ctx, mapping.Top, core.Elastic(conns, dist.ElasticOptions{
 				Options: dist.Options{CheckpointEvery: elasticCkpt},
 				Joins:   joins,
-			})
+			}))
 			if err != nil {
 				t.Fatalf("a hostile export must lose its sender, not the run: %v", err)
 			}
-			if len(mlog.Losses) == 0 || o.Result.Recovery == nil || o.Result.Recovery.Failures == 0 {
+			if len(o.Membership.Losses) == 0 || o.Result.Recovery == nil || o.Result.Recovery.Failures == 0 {
 				t.Fatalf("the hostile worker's engines were not failed over: losses %v, recovery %+v",
-					mlog.Losses, o.Result.Recovery)
+					o.Membership.Losses, o.Result.Recovery)
 			}
 		})
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/faults"
 	"repro/internal/mapping"
@@ -43,7 +44,7 @@ func tracedLoopback(t *testing.T, topology string, workers int) []byte {
 	sc := scenario(t, topology)
 	tl := obs.NewTimeline()
 	sc.Trace = tl
-	if _, err := sc.RunDistributed(ctx, mapping.Top, conns, dist.Options{}); err != nil {
+	if _, err := sc.Run(ctx, mapping.Top, core.OnWorkers(conns, dist.Options{})); err != nil {
 		t.Fatalf("distributed traced run: %v", err)
 	}
 	for i, werr := range drain() {
@@ -114,7 +115,7 @@ func TestDistributedTraceTCPMatchesLoopback(t *testing.T) {
 	sc := scenario(t, "Campus")
 	tl := obs.NewTimeline()
 	sc.Trace = tl
-	if _, err := sc.RunDistributed(ctx, mapping.Top, conns, dist.Options{}); err != nil {
+	if _, err := sc.Run(ctx, mapping.Top, core.OnWorkers(conns, dist.Options{})); err != nil {
 		t.Fatalf("distributed over TCP: %v", err)
 	}
 	for i := 0; i < workers; i++ {
@@ -172,9 +173,9 @@ func TestElasticStragglerTraceAndHealth(t *testing.T) {
 	health := telemetry.NewClusterHealth()
 	sc.ClusterHealth = health
 
-	o, _, err := sc.RunElastic(ctx, conns, dist.ElasticOptions{
+	o, err := sc.Run(ctx, mapping.Top, core.Elastic(conns, dist.ElasticOptions{
 		Options: dist.Options{CheckpointEvery: elasticCkpt},
-	})
+	}))
 	if err != nil {
 		t.Fatalf("elastic straggler run: %v", err)
 	}
@@ -306,10 +307,10 @@ func TestElasticChurnStats(t *testing.T) {
 	stats := obs.NewRunStats()
 	sc := scenario(t, "Campus")
 	sc.Recorder = stats
-	o, _, err := sc.RunElastic(ctx, conns, dist.ElasticOptions{
+	o, err := sc.Run(ctx, mapping.Top, core.Elastic(conns, dist.ElasticOptions{
 		Options: dist.Options{CheckpointEvery: elasticCkpt},
 		Joins:   joins,
-	})
+	}))
 	if err != nil {
 		t.Fatalf("elastic churn run: %v", err)
 	}
@@ -412,7 +413,7 @@ func TestHostileSpansLoseWorkerTyped(t *testing.T) {
 	defer cancel()
 	sc := scenario(t, "Campus")
 	sc.Trace = obs.NewTimeline()
-	o, err := sc.RunDistributed(ctx, mapping.Top, hostileSpansWorkers(ctx, hostile[0].span), dist.Options{})
+	o, err := sc.Run(ctx, mapping.Top, core.OnWorkers(hostileSpansWorkers(ctx, hostile[0].span), dist.Options{}))
 	if err != nil {
 		t.Fatalf("run with survivor remap: %v", err)
 	}

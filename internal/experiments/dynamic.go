@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/mapping"
 )
 
 // DynamicRow is one remap policy's outcome on the bursty dynamic-remapping
@@ -49,21 +50,22 @@ func DynamicStudy(cfg Config) ([]DynamicRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		sc.Remap = p
-		res, err := sc.RunDynamic(context.Background(), interval, 0)
+		sc.Remap, sc.RemapEvery = p, interval
+		o, err := sc.Run(context.Background(), mapping.Top)
 		if err != nil {
 			return nil, fmt.Errorf("dynamic study %s: %w", p, err)
 		}
+		res := o.Result
 		row := DynamicRow{
 			Policy:               p,
 			Imbalance:            res.Imbalance,
-			MeanSegmentImbalance: res.MeanSegmentImbalance,
+			MeanSegmentImbalance: o.MeanSegmentImbalance,
 			CrossEngineBytes:     res.Telemetry.CrossEngineBytes,
-			Migrations:           res.Migrations,
+			Migrations:           o.Migrations,
 			AppTime:              res.AppTime,
 			Converged:            true,
 		}
-		for _, s := range res.Segments {
+		for _, s := range o.Segments {
 			if s.Remap == nil {
 				continue
 			}

@@ -249,7 +249,7 @@ func RunSuite(app string, cfg Config) (*Suite, error) {
 				Windows:   o.Result.Kernel.Windows,
 				Remote:    o.Result.RemoteEvents,
 			}
-			if st := o.Obs(); st != nil {
+			if st := o.Result.Obs; st != nil {
 				cell.Events = st.TotalEvents()
 				for _, q := range st.MaxQueue {
 					if q > cell.MaxQueue {
@@ -259,7 +259,7 @@ func RunSuite(app string, cfg Config) (*Suite, error) {
 				cell.BarrierWait = st.TotalBarrierWait()
 			}
 			key := spec.Name + "/" + string(o.Approach)
-			if ts := o.Telemetry(); ts != nil {
+			if ts := o.Result.Telemetry; ts != nil {
 				cell.CrossEngineBytes = ts.CrossEngineBytes
 				cell.TotalBytes = ts.TotalBytes
 				suite.Timelines[key] = ts.Timeline

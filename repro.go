@@ -22,7 +22,7 @@
 //		CollectStats: true,
 //	}
 //	out, err := sc.Run(context.Background(), repro.Profile)
-//	fmt.Println(out.Result.Imbalance, out.Obs())
+//	fmt.Println(out.Result.Imbalance, out.Result.Obs)
 //
 // Emulator-level runs compose options the same way:
 //
@@ -292,7 +292,7 @@ type (
 	// TelemetryCollector, or WithTelemetry at the emulator level).
 	TelemetryCollector = telemetry.Collector
 	// TelemetrySnapshot is a published, immutable view of one run's traffic
-	// plane (EmuResult.Telemetry, Outcome.Telemetry()).
+	// plane (EmuResult.Telemetry, Outcome.Result.Telemetry).
 	TelemetrySnapshot = telemetry.Snapshot
 	// TrafficPoint is one measurement window of the imbalance /
 	// cross-engine-traffic timeline.
@@ -354,11 +354,9 @@ const (
 	TCPSlowStart = emu.TCPSlowStart
 )
 
-// Dynamic remapping (Scenario.RunDynamic, the paper's §6 future work).
+// Dynamic remapping (Scenario.RemapEvery, the paper's §6 future work).
 type (
-	// DynamicResult reports a dynamically remapped emulation.
-	DynamicResult = core.DynamicResult
-	// DynamicSegment is one interval of a dynamically remapped run.
+	// DynamicSegment is one interval of a remapped run (Outcome.Segments).
 	DynamicSegment = core.DynamicSegment
 	// RemapPolicy selects how each interval's NetFlow profile becomes the next
 	// assignment (Scenario.Remap).
@@ -421,16 +419,13 @@ func ImprovePartition(g *Graph, part []int, k int, opts PartitionOptions) (int, 
 	return partition.Improve(g, part, k, opts)
 }
 
-// Fault injection and checkpoint/recovery (Scenario.RunResilient).
+// Fault injection and checkpoint/recovery (Scenario.Faults).
 type (
 	// FaultSchedule is a deterministic schedule of engine crashes,
 	// stragglers, and cluster-interconnect degradations.
 	FaultSchedule = faults.Schedule
-	// FaultOptions configures a resilient run: schedule, checkpoint
-	// interval, and the recovery policy (remap vs naive dump).
-	FaultOptions = core.FaultOptions
 	// Recovery reports crash-recovery metrics: downtime, replayed events,
-	// migrations, and pre/post-recovery imbalance (Outcome.Recovery).
+	// migrations, and pre/post-recovery imbalance (Outcome.Result.Recovery).
 	Recovery = emu.Recovery
 	// MembershipChange is what EmuConfig.OnMembership — the one
 	// repartitioning policy behind crashes and elastic resizes — is handed.
@@ -445,7 +440,7 @@ func ParseFaults(specs []string) (*FaultSchedule, error) { return faults.Parse(s
 // dynamic-remapping paths.
 const (
 	// DefaultCheckpointEvery is the barrier-checkpoint interval in virtual
-	// seconds used when FaultOptions leaves CheckpointEvery zero.
+	// seconds used when Scenario.CheckpointEvery is zero.
 	DefaultCheckpointEvery = emu.DefaultCheckpointEvery
 	// DefaultMigrationCost is the virtual-time price of moving one node
 	// between engines.

@@ -134,8 +134,8 @@ func TestFacadeDynamic(t *testing.T) {
 		Background: DefaultHTTP(12, 1),
 		App:        app, AppSeed: 1,
 	}
-	var res *DynamicResult
-	res, err := sc.RunDynamic(context.Background(), 6, 0.01)
+	sc.RemapEvery, sc.MigrationCost = 6, 0.01
+	res, err := sc.Run(context.Background(), Top)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestFacadeTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap *TelemetrySnapshot = out.Telemetry()
+	var snap *TelemetrySnapshot = out.Result.Telemetry
 	if snap == nil || snap.TotalBytes == 0 {
 		t.Fatal("no telemetry measured")
 	}
