@@ -592,8 +592,8 @@ type queueRun[P any] struct {
 	n, read, write int32
 }
 
-// blockSize is the entries per block: a short run pays a whole block.
-const blockSize = 64
+// blockSize: a short run pays a whole block, and 72 fill its size class.
+const blockSize = 72
 
 // queueBlock holds blockSize consecutive entries of one run. next comes first,
 // so for a pointer-free P the collector scans one word of it.

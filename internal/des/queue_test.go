@@ -313,6 +313,21 @@ func TestQueueSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestQueueBlockFillsItsSizeClass: a block of a 12-byte pointer-free payload,
+// the emulator's, stays inside the allocator's 2 048-byte size class and fills
+// more of it than the 1 792-byte class below would hold, so a change of
+// blockSize or of the entry layout cannot spill a block into the next class
+// unnoticed.
+func TestQueueBlockFillsItsSizeClass(t *testing.T) {
+	type payload struct{ a, b, c int32 }
+	if size := unsafe.Sizeof(payload{}); size != 12 {
+		t.Fatalf("payload is %d bytes, want 12", size)
+	}
+	if size := unsafe.Sizeof(queueBlock[payload]{}); size <= 1792 || size > 2048 {
+		t.Errorf("a block is %d bytes, want it in (1792, 2048]", size)
+	}
+}
+
 // TestQueueHeaderIsWholeCacheLines: the kernel stores one eventQueue per LP
 // in a flat slice and the parallel path has workers rewrite adjacent headers,
 // so a header must fill whole 64-byte lines.

@@ -11,7 +11,7 @@ import "repro/internal/metrics"
 //  1. remove buckets that carry little traffic (they cannot contribute load
 //     imbalance worth balancing),
 //  2. smooth each node's load curve with a moving average,
-//  3. find the dominating (maximum-load) node of every bucket,
+//  3. find the dominating (maximum-load) node of every kept bucket,
 //  4. split the timeline where the dominating node changes — those points
 //     mark major load-pattern shifts,
 //  5. merge slivers and cap the segment count (each segment costs one
@@ -49,32 +49,27 @@ func SegmentTimeline(series *metrics.Series, maxSegments int) [][2]int {
 		keep[b] = t >= threshold
 	}
 
-	// Step 2: smooth ("a smooth load curve ... by calculating the average
-	// load of each node over a larger period of time").
-	smoothed := series.Smooth(5)
-
-	// Step 3: dominating node per kept bucket.
-	dom := smoothed.DominatingNode()
-
-	// Step 4: split where the dominating node changes, skipping dropped
-	// buckets entirely (they belong to no segment's constraint, but segment
-	// ranges still cover them for contiguity).
+	// Steps 2-4: split where the dominating node of the smoothed curve
+	// changes, skipping dropped buckets entirely (they belong to no segment's
+	// constraint, but segment ranges still cover them for contiguity).
 	type seg struct {
 		first, last int
 		node        int
 		load        float64
 	}
 	var segs []seg
+	row := make([]float64, series.Nodes())
 	for b := 0; b < nb; b++ {
 		if !keep[b] {
 			continue
 		}
-		if len(segs) > 0 && segs[len(segs)-1].node == dom[b] {
+		dom := smoothedDominator(series, b, row)
+		if len(segs) > 0 && segs[len(segs)-1].node == dom {
 			segs[len(segs)-1].last = b
 			segs[len(segs)-1].load += totals[b]
 			continue
 		}
-		segs = append(segs, seg{first: b, last: b, node: dom[b], load: totals[b]})
+		segs = append(segs, seg{first: b, last: b, node: dom, load: totals[b]})
 	}
 	if len(segs) == 0 {
 		return [][2]int{{0, nb - 1}}
@@ -126,4 +121,34 @@ func SegmentTimeline(series *metrics.Series, maxSegments int) [][2]int {
 		out[i] = [2]int{s.first, s.last}
 	}
 	return out
+}
+
+// smoothWindow is the width, in buckets, of the moving average the
+// clustering smooths with ("a smooth load curve ... by calculating the
+// average load of each node over a larger period of time").
+const smoothWindow = 5
+
+// smoothedDominator returns the dominating node of bucket b on the smoothed
+// curve: the first node of maximal mean load over the smoothWindow buckets
+// centered on b, truncated at the series' ends. The means are summed in
+// bucket order into row, one entry per node, then divided by the window's
+// span — so every bucket's answer is that of a whole smoothed copy of the
+// series, without one.
+func smoothedDominator(s *metrics.Series, b int, row []float64) int {
+	lo, hi := max(b-smoothWindow/2, 0), min(b+smoothWindow/2, s.Buckets()-1)
+	clear(row)
+	for i := lo; i <= hi; i++ {
+		for n, load := range s.Loads[i] {
+			row[n] += load
+		}
+	}
+	span := float64(hi - lo + 1)
+	best := 0
+	for n := range row {
+		row[n] /= span
+		if row[n] > row[best] {
+			best = n
+		}
+	}
+	return best
 }

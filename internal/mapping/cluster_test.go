@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/metrics"
@@ -119,5 +120,82 @@ func TestSegmentTimelineDefaultCap(t *testing.T) {
 	got := SegmentTimeline(seriesWith(plan, 4), 0) // 0 -> default 4
 	if len(got) > 4 {
 		t.Errorf("default cap violated: %d segments", len(got))
+	}
+}
+
+// smoothReference is the smoothed copy the clustering read its dominators
+// from before it scanned one bucket at a time: every node's centered moving
+// average over window buckets (an even window rounded up to odd), truncated
+// at the ends.
+func smoothReference(s *metrics.Series, window int) *metrics.Series {
+	if window < 1 {
+		window = 1
+	}
+	if window%2 == 0 {
+		window++
+	}
+	half := window / 2
+	out := metrics.NewSeries(s.BucketWidth, s.Nodes(), s.Buckets())
+	for b := range s.Loads {
+		lo := b - half
+		if lo < 0 {
+			lo = 0
+		}
+		hi := b + half
+		if hi > len(s.Loads)-1 {
+			hi = len(s.Loads) - 1
+		}
+		span := float64(hi - lo + 1)
+		for n := 0; n < s.Nodes(); n++ {
+			var sum float64
+			for i := lo; i <= hi; i++ {
+				sum += s.Loads[i][n]
+			}
+			out.Loads[b][n] = sum / span
+		}
+	}
+	return out
+}
+
+// TestSmoothedDominatorMatchesSmoothedSeries: the one-row scan names, for
+// every bucket, the node DominatingNode names on the whole smoothed copy —
+// on series whose loads are few distinct tenths, so windows tie exactly or
+// differ only in how their sums round, and on continuous ones.
+func TestSmoothedDominatorMatchesSmoothedSeries(t *testing.T) {
+	// The reference itself: centered means inside, truncated ones at the
+	// ends, and a window below 1 is the identity.
+	ramp := metrics.NewSeries(1, 1, 5)
+	for b := range ramp.Loads {
+		ramp.Loads[b][0] = float64(b)
+	}
+	if sm := smoothReference(ramp, 3); sm.Loads[2][0] != 2 || sm.Loads[0][0] != 0.5 {
+		t.Fatalf("reference smooths 0..4 to %v, want 2 inside and 0.5 at the start", sm.Loads)
+	}
+	for b, row := range smoothReference(ramp, 0).Loads {
+		if row[0] != ramp.Loads[b][0] {
+			t.Fatalf("reference with window 0 changed bucket %d", b)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		nodes, buckets := 1+rng.Intn(6), 1+rng.Intn(40)
+		s := metrics.NewSeries(2, nodes, buckets)
+		for _, row := range s.Loads {
+			for n := range row {
+				if trial%2 == 0 {
+					row[n] = 0.1 * float64(rng.Intn(4))
+				} else {
+					row[n] = rng.ExpFloat64()
+				}
+			}
+		}
+		want := smoothReference(s, smoothWindow).DominatingNode()
+		row := make([]float64, nodes)
+		for b := range want {
+			if got := smoothedDominator(s, b, row); got != want[b] {
+				t.Fatalf("trial %d (%d nodes, %d buckets), bucket %d: dominator %d, the smoothed copy's %d", trial, nodes, buckets, b, got, want[b])
+			}
+		}
 	}
 }

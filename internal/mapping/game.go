@@ -36,7 +36,8 @@ func GameRemap(in Input, previous []int, gopts partition.GameOptions) ([]int, in
 		gopts.Seed = in.PartOpts.Seed + 0x6761
 	}
 	next := append([]int(nil), previous...)
-	moved, stats, err := partition.GameImprove(g.WithWeights(objs[1]), next, in.K, gopts)
+	g.SetWeights(objs[1])
+	moved, stats, err := partition.GameImprove(g, next, in.K, gopts)
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("mapping: game remap: %w", err)
 	}

@@ -23,6 +23,7 @@ package mapping
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/netflow"
 	"repro/internal/netgraph"
@@ -302,40 +303,41 @@ const largeGraphNodes = 20000
 // objective partitions under its weights directly; several go through the
 // §2.3 combination with priorities coef — keeping the candidate with the
 // smallest max-norm balance violation on g's constraints, ties broken toward
-// the lower cut under the last objective.
+// the lower cut under the last objective. Under one objective it weighs g
+// itself (every caller builds g for the call); under several it leaves g's
+// edge weights alone.
 //
 // The runs are a two-phase task list over the worker pool. Phase 1 is every
 // (trial, objective) normalizer partition, phase 2 every trial's final
 // partition; nothing reads another task's output inside a phase, results land
 // in per-index slots, and the pick runs afterwards in trial order, so the
 // answer is the serial loop's whatever the scheduling, and one worker is that
-// loop. Each worker keeps one Partitioner for the whole call, and every
-// trial partitions the same read-only graph of an objective.
+// loop. Under one objective every trial partitions g, read-only; under
+// several, each task weighs its worker's own copy of g.
 func bestOfTrials(g *partition.Graph, objs []partition.EdgeWeightSet, coef []float64, k int, opts partition.Options) ([]int, error) {
 	trials, nobj := mappingTrials, len(objs)
 	if g.NumVertices() >= largeGraphNodes {
 		trials = 1
 	}
-	graphs := weighted(g, objs)
-	pool := make([]partition.Partitioner, parallel.Workers(0, trials*nobj))
 	var cuts []int64
 	if nobj > 1 {
 		var err error
-		if cuts, err = objectiveCuts(pool, graphs, k, opts, trials); err != nil {
+		if cuts, err = objectiveCuts(g, objs, k, opts, trials); err != nil {
 			return nil, err
 		}
+	} else {
+		g.SetWeights(objs[0])
 	}
 	parts := make([][]int, trials)
-	err := forEachTask(pool, trials, func(pt *partition.Partitioner, trial int) error {
-		gt := graphs[0]
+	err := forEachTask(trials, func(w *worker, trial int) error {
+		gt := g
 		if nobj > 1 {
-			combined, err := partition.CombineObjectives(g, objs, coef, cuts[trial*nobj:(trial+1)*nobj])
-			if err != nil {
+			gt = w.graph(g)
+			if err := partition.CombineObjectives(gt, objs, coef, cuts[trial*nobj:(trial+1)*nobj]); err != nil {
 				return err
 			}
-			gt = g.WithWeights(combined)
 		}
-		part, err := pt.Partition(gt, k, trialOpts(opts, trial))
+		part, err := w.pt.Partition(gt, k, trialOpts(opts, trial))
 		parts[trial] = part
 		return err
 	})
@@ -374,24 +376,16 @@ func trialOpts(opts partition.Options, trial int) partition.Options {
 	return opts
 }
 
-// weighted returns g under each objective's edge weights.
-func weighted(g *partition.Graph, objs []partition.EdgeWeightSet) []*partition.Graph {
-	graphs := make([]*partition.Graph, len(objs))
-	for i, ws := range objs {
-		graphs[i] = g.WithWeights(ws)
-	}
-	return graphs
-}
-
 // objectiveCuts returns, for each of trials seeds and each objective, the cut
-// a partition of graphs[objective] alone achieves — CombineObjectives'
-// normalizers, trial-major.
-func objectiveCuts(pool []partition.Partitioner, graphs []*partition.Graph, k int, opts partition.Options, trials int) ([]int64, error) {
-	nobj := len(graphs)
+// a partition of g under that objective alone achieves — CombineObjectives'
+// normalizers, trial-major. g's own edge weights are not touched.
+func objectiveCuts(g *partition.Graph, objs []partition.EdgeWeightSet, k int, opts partition.Options, trials int) ([]int64, error) {
+	nobj := len(objs)
 	cuts := make([]int64, trials*nobj)
-	err := forEachTask(pool, len(cuts), func(pt *partition.Partitioner, i int) error {
-		gi := graphs[i%nobj]
-		part, err := pt.Partition(gi, k, trialOpts(opts, i/nobj))
+	err := forEachTask(len(cuts), func(w *worker, i int) error {
+		gi := w.graph(g)
+		gi.SetWeights(objs[i%nobj])
+		part, err := w.pt.Partition(gi, k, trialOpts(opts, i/nobj))
 		if err != nil {
 			return fmt.Errorf("objective %d: %w", i%nobj, err)
 		}
@@ -401,15 +395,64 @@ func objectiveCuts(pool []partition.Partitioner, graphs []*partition.Graph, k in
 	return cuts, err
 }
 
-// forEachTask calls fn(pt, i) for every i in [0, n) on at most len(pool)
-// goroutines, pt being the calling worker's own partitioner, and returns the
+// workers holds mapping calls' per-goroutine state between calls, so that a
+// warm process partitions without building workspaces. A call takes one
+// worker per goroutine it fans out over and gives them back when its tasks
+// have returned: from Get to Put a worker belongs to that call alone, and
+// only the one goroutine the call hands it to touches it.
+var workers = sync.Pool{New: func() any { return new(worker) }}
+
+// worker is what one goroutine of a mapping call partitions with: a
+// Partitioner, and storage for a copy of the call's graph whose edge weights
+// each task overwrites.
+type worker struct {
+	pt    partition.Partitioner
+	g     partition.Graph
+	adj   [][]partition.Edge
+	edges []partition.Edge
+}
+
+// graph returns w's copy of g: g's vertex weights, read in place, over an
+// adjacency in w's own storage, which is kept from one call to the next and
+// grows when a graph needs more. Only the copy's edge weights are the
+// caller's to change.
+func (w *worker) graph(g *partition.Graph) *partition.Graph {
+	n, m := len(g.Adj), 0
+	for _, a := range g.Adj {
+		m += len(a)
+	}
+	if cap(w.adj) < n {
+		w.adj = make([][]partition.Edge, n)
+	}
+	if cap(w.edges) < m {
+		w.edges = make([]partition.Edge, m)
+	}
+	adj, edges := w.adj[:n], w.edges[:m]
+	for v, a := range g.Adj {
+		adj[v] = edges[:len(a):len(a)]
+		edges = edges[copy(edges, a):]
+	}
+	w.g = partition.Graph{Ncon: g.Ncon, VWgt: g.VWgt, Adj: adj}
+	return &w.g
+}
+
+// forEachTask calls fn(w, i) for every i in [0, n) on at most GOMAXPROCS
+// goroutines, w being the calling goroutine's own worker, and returns the
 // error of the lowest failing index — the one a serial loop would have
 // stopped at.
-func forEachTask(pool []partition.Partitioner, n int, fn func(pt *partition.Partitioner, i int) error) error {
+func forEachTask(n int, fn func(w *worker, i int) error) error {
+	ws := make([]*worker, parallel.Workers(0, n))
+	for i := range ws {
+		ws[i] = workers.Get().(*worker)
+	}
 	errs := make([]error, n)
-	parallel.ForEachWorker(n, len(pool), func(worker, i int) {
-		errs[i] = fn(&pool[worker], i)
+	parallel.ForEachWorker(n, len(ws), func(wk, i int) {
+		errs[i] = fn(ws[wk], i)
 	})
+	for _, w := range ws {
+		w.g = partition.Graph{} // do not keep the call's graph alive
+		workers.Put(w)
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -520,8 +563,20 @@ func PlaceMap(in Input) ([]int, error) {
 	if err := in.defaults(); err != nil {
 		return nil, err
 	}
+	g, objs := placeGraph(&in)
+	part, err := bestOfTrials(g, objs, in.priorities(), in.K, in.PartOpts)
+	if err != nil {
+		return nil, fmt.Errorf("mapping: PLACE: %w", err)
+	}
+	return part, nil
+}
+
+// placeGraph builds the PLACE partitioning instance: the graph with
+// predicted through-load and memory constraints, and the {latency, traffic}
+// edge-weight objectives.
+func placeGraph(in *Input) (*partition.Graph, []partition.EdgeWeightSet) {
 	nw := in.Network
-	load := predictedLinkLoad(&in)
+	load := predictedLinkLoad(in)
 
 	g := baseGraph(nw, 2)
 	through := nodeThroughLoad(nw, load)
@@ -533,13 +588,7 @@ func PlaceMap(in Input) ([]int, error) {
 		g.VWgt[v][0] = w
 	}
 	memoryWeights(nw, g, 1)
-
-	objs := []partition.EdgeWeightSet{latencyWeights(nw, g), trafficEdgeWeights(nw, g, load)}
-	part, err := bestOfTrials(g, objs, in.priorities(), in.K, in.PartOpts)
-	if err != nil {
-		return nil, fmt.Errorf("mapping: PLACE: %w", err)
-	}
-	return part, nil
+	return g, []partition.EdgeWeightSet{latencyWeights(nw, g), trafficEdgeWeights(nw, g, load)}
 }
 
 // priorities returns the §2.3 coefficients of the {latency, traffic}
@@ -641,17 +690,15 @@ func ProfileImprove(in Input, previous []int) ([]int, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	pool := make([]partition.Partitioner, parallel.Workers(0, len(objs)))
-	cuts, err := objectiveCuts(pool, weighted(g, objs), in.K, in.PartOpts, 1)
+	cuts, err := objectiveCuts(g, objs, in.K, in.PartOpts, 1)
 	if err != nil {
 		return nil, 0, fmt.Errorf("mapping: PROFILE improve: %w", err)
 	}
-	combined, err := partition.CombineObjectives(g, objs, in.priorities(), cuts)
-	if err != nil {
+	if err := partition.CombineObjectives(g, objs, in.priorities(), cuts); err != nil {
 		return nil, 0, fmt.Errorf("mapping: PROFILE improve: %w", err)
 	}
 	part := append([]int(nil), previous...)
-	moved, err := partition.Improve(g.WithWeights(combined), part, in.K, in.PartOpts)
+	moved, err := partition.Improve(g, part, in.K, in.PartOpts)
 	if err != nil {
 		return nil, 0, fmt.Errorf("mapping: PROFILE improve: %w", err)
 	}

@@ -138,7 +138,8 @@ func RemapOnto(in Input, previous []int, engines []int, engineLoads []float64) (
 		}
 	}
 
-	if _, err := partition.Improve(g.WithWeights(lat), part, m, in.PartOpts); err != nil {
+	g.SetWeights(lat)
+	if _, err := partition.Improve(g, part, m, in.PartOpts); err != nil {
 		return nil, 0, fmt.Errorf("mapping: remap: %w", err)
 	}
 

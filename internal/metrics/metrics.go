@@ -224,40 +224,6 @@ func (s *Series) TotalPerBucket() []float64 {
 	return out
 }
 
-// Smooth returns a new Series in which each node's load curve has been
-// replaced by a centered moving average over window buckets (window is
-// rounded up to the next odd number). Smoothing is the first step of the
-// paper's §3.3 clustering algorithm.
-func (s *Series) Smooth(window int) *Series {
-	if window < 1 {
-		window = 1
-	}
-	if window%2 == 0 {
-		window++
-	}
-	half := window / 2
-	out := NewSeries(s.BucketWidth, s.Nodes(), s.Buckets())
-	for b := range s.Loads {
-		lo := b - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := b + half
-		if hi > len(s.Loads)-1 {
-			hi = len(s.Loads) - 1
-		}
-		span := float64(hi - lo + 1)
-		for n := 0; n < s.Nodes(); n++ {
-			var sum float64
-			for i := lo; i <= hi; i++ {
-				sum += s.Loads[i][n]
-			}
-			out.Loads[b][n] = sum / span
-		}
-	}
-	return out
-}
-
 // DominatingNode returns, for each bucket, the index of the node with the
 // maximal load (ties broken toward the lower index). The paper's clustering
 // algorithm splits the emulation timeline where the dominating node changes.

@@ -184,45 +184,6 @@ func TestSeriesImbalancePerBucket(t *testing.T) {
 	}
 }
 
-func TestSeriesSmooth(t *testing.T) {
-	s := NewSeries(1.0, 1, 5)
-	for b := range s.Loads {
-		s.Loads[b][0] = float64(b) // 0,1,2,3,4
-	}
-	sm := s.Smooth(3)
-	// Interior points: centered average of 3.
-	if !almostEqual(sm.Loads[2][0], 2, 1e-12) {
-		t.Errorf("smoothed mid = %v, want 2", sm.Loads[2][0])
-	}
-	// Edges: truncated window (0,1)/2 = 0.5.
-	if !almostEqual(sm.Loads[0][0], 0.5, 1e-12) {
-		t.Errorf("smoothed edge = %v, want 0.5", sm.Loads[0][0])
-	}
-	// Even window is promoted to odd; window<1 behaves as 1 (identity).
-	id := s.Smooth(0)
-	for b := range id.Loads {
-		if id.Loads[b][0] != s.Loads[b][0] {
-			t.Errorf("window-0 smooth changed bucket %d", b)
-		}
-	}
-}
-
-func TestSeriesSmoothPreservesTotalApproximately(t *testing.T) {
-	// Smoothing is a moving average: per-node totals drift only at edges.
-	s := NewSeries(1.0, 2, 30)
-	for b := range s.Loads {
-		s.Loads[b][0] = float64(b % 7)
-		s.Loads[b][1] = float64((b * 3) % 5)
-	}
-	sm := s.Smooth(5)
-	for n := 0; n < 2; n++ {
-		a, b := s.TotalPerNode()[n], sm.TotalPerNode()[n]
-		if math.Abs(a-b) > 0.25*a {
-			t.Errorf("node %d smoothing drifted: %v -> %v", n, a, b)
-		}
-	}
-}
-
 func TestDominatingNode(t *testing.T) {
 	s := NewSeries(1.0, 3, 3)
 	s.Loads[0] = []float64{5, 1, 1}

@@ -44,20 +44,22 @@ func ExampleCombineObjectives() {
 	bandwidth := g.Weights() // objective two: uniform too, for the demo
 
 	// Each objective's own optimum: the cut of a partition under its weights
-	// alone. A Partitioner keeps its scratch from one partition to the next.
+	// alone. A Partitioner keeps its scratch from one partition to the next,
+	// and the graph is weighed in place for each.
 	objs := []partition.EdgeWeightSet{latency, bandwidth}
 	cuts := make([]int64, len(objs))
 	var pt partition.Partitioner
 	for i, ws := range objs {
-		gi := g.WithWeights(ws)
-		part, err := pt.Partition(gi, 2, partition.Options{Seed: 1})
+		g.SetWeights(ws)
+		part, err := pt.Partition(g, 2, partition.Options{Seed: 1})
 		if err != nil {
 			fmt.Println("error:", err)
 			return
 		}
-		cuts[i] = partition.EdgeCut(gi, part)
+		cuts[i] = partition.EdgeCut(g, part)
 	}
-	if _, err := partition.CombineObjectives(g, objs, []float64{0.6, 0.4}, cuts); err != nil {
+	// The combined weights go into g too, ready for the final partition.
+	if err := partition.CombineObjectives(g, objs, []float64{0.6, 0.4}, cuts); err != nil {
 		fmt.Println("error:", err)
 		return
 	}

@@ -269,20 +269,18 @@ func (g *Graph) Weights() EdgeWeightSet {
 	return s
 }
 
-// WithWeights returns a copy of g whose edge weights are replaced by s.
-// The shape of s must match g's adjacency.
-func (g *Graph) WithWeights(s EdgeWeightSet) *Graph {
-	cp := g.Clone()
-	if len(s) != len(cp.Adj) {
-		panic("partition: WithWeights: weight set shape mismatch")
+// SetWeights overwrites g's edge weights with s, whose shape must match g's
+// adjacency.
+func (g *Graph) SetWeights(s EdgeWeightSet) {
+	if len(s) != len(g.Adj) {
+		panic("partition: SetWeights: weight set shape mismatch")
 	}
-	for v := range cp.Adj {
-		if len(s[v]) != len(cp.Adj[v]) {
-			panic("partition: WithWeights: weight set shape mismatch")
+	for v, a := range g.Adj {
+		if len(s[v]) != len(a) {
+			panic("partition: SetWeights: weight set shape mismatch")
 		}
-		for i := range cp.Adj[v] {
-			cp.Adj[v][i].Wgt = s[v][i]
+		for i := range a {
+			a[i].Wgt = s[v][i]
 		}
 	}
-	return cp
 }

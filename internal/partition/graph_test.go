@@ -139,14 +139,14 @@ func TestEdgeWeightSetRoundTrip(t *testing.T) {
 	ws := NewEdgeWeightSet(g)
 	ws.SetSymmetric(g, 0, 1, 10)
 	ws.AddSymmetric(g, 0, 1, 5)
-	g2 := g.WithWeights(ws)
+	g2 := withWeights(g, ws)
 	w, _ := g2.EdgeWeight(0, 1)
 	if w != 15 {
-		t.Errorf("weight after WithWeights = %d, want 15", w)
+		t.Errorf("weight after SetWeights = %d, want 15", w)
 	}
 	w, _ = g2.EdgeWeight(1, 0)
 	if w != 15 {
-		t.Errorf("reverse weight after WithWeights = %d, want 15", w)
+		t.Errorf("reverse weight after SetWeights = %d, want 15", w)
 	}
 	// Untouched edges become zero.
 	w, _ = g2.EdgeWeight(1, 2)
@@ -154,7 +154,7 @@ func TestEdgeWeightSetRoundTrip(t *testing.T) {
 		t.Errorf("untouched edge weight = %d, want 0", w)
 	}
 	if err := g2.Validate(); err != nil {
-		t.Errorf("Validate after WithWeights: %v", err)
+		t.Errorf("Validate after SetWeights: %v", err)
 	}
 }
 

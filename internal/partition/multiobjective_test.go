@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -24,13 +25,30 @@ func twoObjectiveFixture() (*Graph, []EdgeWeightSet) {
 	return g, []EdgeWeightSet{lat, bw}
 }
 
+// withWeights returns a copy of g under the edge weights ws.
+func withWeights(g *Graph, ws EdgeWeightSet) *Graph {
+	cp := g.Clone()
+	cp.SetWeights(ws)
+	return cp
+}
+
+// combined returns the §2.3 combination of objs as a weight set, leaving g
+// alone.
+func combined(g *Graph, objs []EdgeWeightSet, coef []float64, cuts []int64) (EdgeWeightSet, error) {
+	cp := g.Clone()
+	if err := CombineObjectives(cp, objs, coef, cuts); err != nil {
+		return nil, err
+	}
+	return cp.Weights(), nil
+}
+
 // objectiveCuts partitions g under each objective alone and returns the cuts:
 // CombineObjectives' normalizers.
 func objectiveCuts(t *testing.T, g *Graph, objs []EdgeWeightSet, k int, opts Options) []int64 {
 	t.Helper()
 	cuts := make([]int64, len(objs))
 	for i, ws := range objs {
-		gi := g.WithWeights(ws)
+		gi := withWeights(g, ws)
 		part, err := Partition(gi, k, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -45,11 +63,11 @@ func objectiveCuts(t *testing.T, g *Graph, objs []EdgeWeightSet, k int, opts Opt
 // combined weights.
 func multiObjective(t *testing.T, g *Graph, objs []EdgeWeightSet, coef []float64, k int, opts Options) []int {
 	t.Helper()
-	combined, err := CombineObjectives(g, objs, coef, objectiveCuts(t, g, objs, k, opts))
-	if err != nil {
+	gc := g.Clone()
+	if err := CombineObjectives(gc, objs, coef, objectiveCuts(t, g, objs, k, opts)); err != nil {
 		t.Fatal(err)
 	}
-	part, err := Partition(g.WithWeights(combined), k, opts)
+	part, err := Partition(gc, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,31 +76,35 @@ func multiObjective(t *testing.T, g *Graph, objs []EdgeWeightSet, coef []float64
 
 func TestCombineObjectivesErrors(t *testing.T) {
 	g, objs := twoObjectiveFixture()
+	before := g.Weights()
 	cuts := []int64{2, 2}
-	if _, err := CombineObjectives(g, nil, nil, nil); err == nil {
+	if err := CombineObjectives(g, nil, nil, nil); err == nil {
 		t.Error("no objectives accepted")
 	}
-	if _, err := CombineObjectives(g, objs, []float64{1}, cuts); err == nil {
+	if err := CombineObjectives(g, objs, []float64{1}, cuts); err == nil {
 		t.Error("coefficient arity mismatch accepted")
 	}
-	if _, err := CombineObjectives(g, objs, []float64{1, 1}, cuts[:1]); err == nil {
+	if err := CombineObjectives(g, objs, []float64{1, 1}, cuts[:1]); err == nil {
 		t.Error("cut arity mismatch accepted")
 	}
-	if _, err := CombineObjectives(g, objs, []float64{-1, 2}, cuts); err == nil {
+	if err := CombineObjectives(g, objs, []float64{-1, 2}, cuts); err == nil {
 		t.Error("negative coefficient accepted")
 	}
-	if _, err := CombineObjectives(g, objs, []float64{math.NaN(), 1}, cuts); err == nil {
+	if err := CombineObjectives(g, objs, []float64{math.NaN(), 1}, cuts); err == nil {
 		t.Error("NaN coefficient accepted")
 	}
-	if _, err := CombineObjectives(g, objs, []float64{0, 0}, cuts); err == nil {
+	if err := CombineObjectives(g, objs, []float64{0, 0}, cuts); err == nil {
 		t.Error("all-zero coefficients accepted")
+	}
+	if !reflect.DeepEqual(g.Weights(), before) {
+		t.Error("a refused combination changed the graph's weights")
 	}
 }
 
 func TestCombineObjectivesNormalizes(t *testing.T) {
 	g, objs := twoObjectiveFixture()
 	cuts := objectiveCuts(t, g, objs, 2, Options{Seed: 1})
-	combined, err := CombineObjectives(g, objs, []float64{0.5, 0.5}, cuts)
+	ws, err := combined(g, objs, []float64{0.5, 0.5}, cuts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +121,9 @@ func TestCombineObjectivesNormalizes(t *testing.T) {
 	for v := range g.Adj {
 		for i := range g.Adj[v] {
 			if first == -1 {
-				first = combined[v][i]
-			} else if combined[v][i] != first {
-				t.Fatalf("combined weights differ: %d vs %d", first, combined[v][i])
+				first = ws[v][i]
+			} else if ws[v][i] != first {
+				t.Fatalf("combined weights differ: %d vs %d", first, ws[v][i])
 			}
 		}
 	}
@@ -112,13 +134,13 @@ func TestCombineObjectivesExtremePriorities(t *testing.T) {
 	// Pure latency priority must reproduce the latency optimum: parts {0,3},{1,2}
 	// or {1,0},{2,3} — i.e. edges 0-1 and 2-3 cut.
 	part := multiObjective(t, g, objs, []float64{1, 0}, 2, Options{Seed: 5})
-	lat := g.WithWeights(objs[0])
+	lat := withWeights(g, objs[0])
 	if cut := EdgeCut(lat, part); cut != 2 {
 		t.Errorf("latency-priority cut under latency weights = %d, want 2", cut)
 	}
 	// Pure bandwidth priority must reproduce the bandwidth optimum.
 	part = multiObjective(t, g, objs, []float64{0, 1}, 2, Options{Seed: 5})
-	bw := g.WithWeights(objs[1])
+	bw := withWeights(g, objs[1])
 	if cut := EdgeCut(bw, part); cut != 2 {
 		t.Errorf("bandwidth-priority cut under bandwidth weights = %d, want 2", cut)
 	}
@@ -144,12 +166,12 @@ func TestMultiObjectiveTradeoffIsBounded(t *testing.T) {
 	opts := Options{Seed: 17}
 	k := 4
 
-	latPart, err := Partition(g.WithWeights(lat), k, opts)
+	latPart, err := Partition(withWeights(g, lat), k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cLat := CutWeightOf(g, lat, latPart)
-	bwPart, err := Partition(g.WithWeights(bw), k, opts)
+	bwPart, err := Partition(withWeights(g, bw), k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,15 +199,15 @@ func TestCombineObjectivesZeroCutObjective(t *testing.T) {
 	one := g.Weights()
 	objs := []EdgeWeightSet{zero, one}
 	cuts := objectiveCuts(t, g, objs, 2, Options{Seed: 1})
-	combined, err := CombineObjectives(g, objs, []float64{0.5, 0.5}, cuts)
+	ws, err := combined(g, objs, []float64{0.5, 0.5}, cuts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cuts[0] != 0 {
 		t.Errorf("zero objective cut = %d, want 0", cuts[0])
 	}
-	for v := range combined {
-		for _, w := range combined[v] {
+	for v := range ws {
+		for _, w := range ws[v] {
 			if w < 0 {
 				t.Fatal("negative combined weight")
 			}

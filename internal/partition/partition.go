@@ -64,7 +64,9 @@ func (o Options) withDefaults(k int) (Options, error) {
 // source — between calls, for a caller that partitions many graphs of one
 // size in a row. The zero value is ready to use. A Partitioner must not be
 // used by two goroutines at once; what a call returns does not depend on the
-// calls before it.
+// calls before it (the random source is reseeded and the workspace reset for
+// each), so partitioners may be pooled — internal/mapping keeps its in a
+// sync.Pool — and whichever one serves a call, the answer is the same.
 type Partitioner struct {
 	ws  workspace
 	rng *rand.Rand
