@@ -303,17 +303,16 @@ const largeGraphNodes = 20000
 // objective partitions under its weights directly; several go through the
 // §2.3 combination with priorities coef — keeping the candidate with the
 // smallest max-norm balance violation on g's constraints, ties broken toward
-// the lower cut under the last objective. Under one objective it weighs g
-// itself (every caller builds g for the call); under several it leaves g's
-// edge weights alone.
+// the lower cut under the last objective.
 //
 // The runs are a two-phase task list over the worker pool. Phase 1 is every
 // (trial, objective) normalizer partition, phase 2 every trial's final
 // partition; nothing reads another task's output inside a phase, results land
 // in per-index slots, and the pick runs afterwards in trial order, so the
 // answer is the serial loop's whatever the scheduling, and one worker is that
-// loop. Under one objective every trial partitions g, read-only; under
-// several, each task weighs its worker's own copy of g.
+// loop. Under one objective g is weighed once, in place (every caller builds
+// g for the call), and every trial reads it; under several, each task weighs
+// its worker's own copy of g and g's edge weights are left alone.
 func bestOfTrials(g *partition.Graph, objs []partition.EdgeWeightSet, coef []float64, k int, opts partition.Options) ([]int, error) {
 	trials, nobj := mappingTrials, len(objs)
 	if g.NumVertices() >= largeGraphNodes {

@@ -209,21 +209,18 @@ func TestTaskErrorIsTheLowestIndex(t *testing.T) {
 }
 
 // TestProfileMapAllocs is the gate behind the bench's alloc_mb_per_op on
-// map_brite_profile, whose op maps with TOP and then with PROFILE: a warmed
-// call on the Brite golden input allocates its row's bytes in its row's
-// mallocs, exact run to run on the inline path (GOMAXPROCS 1, one worker
-// serving all 5 or 15 partitions). Warm, a call draws its workers —
-// partitioner workspace and weighted graph copy — from the package's pool,
-// so what it allocates is its own graph, weights and answers: PROFILE went
-// 662 024 B in 1 212 mallocs (a fresh workspace, two weighted graph copies,
-// five combined weight sets and their copies, a smoothed copy of the load
-// series) to 148 168 in 1 103; TOP allocates 87 232 in 837. At GOMAXPROCS 2
-// the measured call took 148 520 to 175 912 B in 1 115 to 1 121 mallocs over
-// 90 calls: which worker runs which task is the scheduler's, so a worker may
-// meet a coarsening hierarchy larger than any it has held and grow a slab —
-// a fresh workspace would cost 139 KB more. Collection is off from the
-// warm-up through the measured call: a GC there could empty the pool. Bounds
-// 10 % above the largest measured, for a Go release that moves a size class.
+// map_brite_profile, whose op maps with TOP and then with PROFILE. A warmed
+// call on the Brite golden input draws its workers — partitioner workspace
+// and weighted graph copy — from the package's pool, so it allocates only its
+// own graph, weights and answers: TOP 87 232 B in 837 mallocs and PROFILE
+// 148 168 in 1 103 on the inline path (GOMAXPROCS 1), exact run to run. A
+// worker built anew adds about 139 KB. At GOMAXPROCS 2 PROFILE took 148 520
+// to 175 912 B in 1 115 to 1 121 mallocs over 90 calls: the scheduler picks
+// which worker runs which task, so a worker may meet a coarsening hierarchy
+// larger than any it has held and grow a slab. Collection is off from the
+// warm-up through the measured call, since a GC there could empty the pool.
+// Bounds are 10 % above the largest measured, for a Go release that moves a
+// size class.
 func TestProfileMapAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes are the race detector's under -race")
