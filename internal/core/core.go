@@ -56,12 +56,6 @@ type Scenario struct {
 	LatencyPriority float64
 	// Cluster enables §3.3 timeline clustering in the PROFILE approach.
 	Cluster bool
-	// EmulatedTraceroute makes PLACE discover its routes by running real
-	// ICMP traceroutes inside the emulator (between sub-network
-	// representatives, the paper's optimization) instead of walking the
-	// routing table. Paths are identical under static routing; the switch
-	// exercises the §3.2 mechanism end to end.
-	EmulatedTraceroute bool
 	// Routing selects the route-oracle backend and its parameters (see
 	// netgraph.RoutingOptions). The zero value is the automatic policy:
 	// flat tables up to netgraph.AutoFlatMaxNodes nodes, the lazy
@@ -288,13 +282,6 @@ func (sc *Scenario) Partition(ctx context.Context, a mapping.Approach) ([]int, *
 			in.Background = sc.Background.Predict(sc.Network)
 		}
 		in.AppHosts = sc.AppPlacement()
-		if sc.EmulatedTraceroute {
-			routes, err := sc.discoverRoutes(in.Background, in.AppHosts)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: PLACE route discovery: %w", err)
-			}
-			in.DiscoveredRoutes = routes
-		}
 		part, err := mapping.PlaceMap(in)
 		return part, nil, err
 	case mapping.Profile:
@@ -551,41 +538,6 @@ func (sc *Scenario) RunAll(ctx context.Context) ([]*Outcome, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// discoverRoutes runs the §3.2 emulated-traceroute discovery over every
-// endpoint PLACE will predict traffic for, using an interim TOP partition to
-// host the probes (route discovery precedes the final mapping, so some
-// initial placement must carry it — as in the paper's workflow).
-func (sc *Scenario) discoverRoutes(background []traffic.PairRate, appHosts []int) (map[[2]int][]int, error) {
-	seen := make(map[int]bool)
-	var endpoints []int
-	add := func(n int) {
-		if !seen[n] {
-			seen[n] = true
-			endpoints = append(endpoints, n)
-		}
-	}
-	for _, p := range background {
-		add(p.Src)
-		add(p.Dst)
-	}
-	for _, h := range appHosts {
-		add(h)
-	}
-	in, err := sc.mappingInput()
-	if err != nil {
-		return nil, err
-	}
-	interim, err := mapping.TopMap(in)
-	if err != nil {
-		return nil, err
-	}
-	routes, err := sc.Routes()
-	if err != nil {
-		return nil, err
-	}
-	return emu.DiscoverRoutes(sc.Network, routes, interim, sc.Engines, endpoints, true)
 }
 
 // runOptions translates the scenario's observability and cancellation

@@ -214,29 +214,6 @@ func TestScenarioDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestPlaceWithEmulatedTraceroute(t *testing.T) {
-	// PLACE via real in-DES traceroute discovery must produce the same
-	// partition quality class as the routing-table walk (identical paths
-	// under static routing).
-	scTable := campusScenario(false)
-	scProbe := campusScenario(false)
-	scProbe.EmulatedTraceroute = true
-
-	a, err := scTable.Run(context.Background(), mapping.Place)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := scProbe.Run(context.Background(), mapping.Place)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same engine count, same workload; imbalance must be comparable.
-	if b.Result.Imbalance > a.Result.Imbalance*2+0.05 {
-		t.Errorf("traceroute-discovered PLACE imbalance %.3f vs table %.3f",
-			b.Result.Imbalance, a.Result.Imbalance)
-	}
-}
-
 func TestHierarchicalRoutingScenario(t *testing.T) {
 	// A multi-AS topology emulated under hierarchical routing must complete
 	// with comparable total load (paths may be slightly longer than flat).
@@ -357,9 +334,9 @@ func TestHeterogeneousEngines(t *testing.T) {
 }
 
 // TestRoutingBuiltOncePerScenario is the satellite regression for the shared
-// route cache: a core-driven pipeline — partitioning, emulation, and even
-// the emulated-traceroute discovery — must build its routing exactly once,
-// never falling back to mapping.Input's nil-Routes rebuild.
+// route cache: a core-driven pipeline — partitioning and emulation — must
+// build its routing exactly once, never falling back to mapping.Input's
+// nil-Routes rebuild.
 func TestRoutingBuiltOncePerScenario(t *testing.T) {
 	sc := campusScenario(false)
 	if _, err := sc.RunAll(context.Background()); err != nil {
@@ -367,16 +344,6 @@ func TestRoutingBuiltOncePerScenario(t *testing.T) {
 	}
 	if got := sc.Network.RoutingBuilds(); got != 1 {
 		t.Errorf("RunAll built the routing table %d times, want exactly 1", got)
-	}
-
-	// The PLACE traceroute-discovery path threads the same cached table.
-	scProbe := campusScenario(false)
-	scProbe.EmulatedTraceroute = true
-	if _, err := scProbe.Run(context.Background(), mapping.Place); err != nil {
-		t.Fatal(err)
-	}
-	if got := scProbe.Network.RoutingBuilds(); got != 1 {
-		t.Errorf("traceroute discovery built the routing table %d times, want exactly 1", got)
 	}
 
 	// Hierarchical scenarios build the two-level table once and nothing else.

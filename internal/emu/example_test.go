@@ -41,26 +41,3 @@ func Example() {
 	// engine loads: [4 4]
 	// lookahead: 1ms
 }
-
-// ExampleRunTraceroute discovers a route by emulating ICMP probes through
-// the conservative DES — the §3.2 mechanism PLACE uses.
-func ExampleRunTraceroute() {
-	nw := netgraph.New("demo")
-	h0 := nw.AddHost("h0", 1)
-	r0 := nw.AddRouter("r0", 1)
-	h1 := nw.AddHost("h1", 1)
-	nw.AddLink(h0, r0, 100e6, 1e-3)
-	nw.AddLink(r0, h1, 100e6, 1e-3)
-
-	res, err := emu.RunTraceroute(nw, nil, []int{0, 0, 0}, 1, h0, h1, 0)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	for i, hop := range res.Hops {
-		fmt.Printf("hop %d: node %d\n", i+1, hop.Node)
-	}
-	// Output:
-	// hop 1: node 1
-	// hop 2: node 2
-}

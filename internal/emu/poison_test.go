@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/des"
-	"repro/internal/netgraph"
 )
 
 // A payload kind no handler knows — what a corrupted or version-skewed wire
@@ -47,37 +46,6 @@ func TestUnknownPayloadPoisonsRun(t *testing.T) {
 	}
 	if !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("poisoned run must wrap ErrBadConfig, got %v", err)
-	}
-}
-
-// TestTracerouteUnknownPayloadPoisonsRun covers the same contract on the ICMP
-// discovery kernel: its handler shares the poison-don't-panic rule.
-func TestTracerouteUnknownPayloadPoisonsRun(t *testing.T) {
-	nw := lineNet()
-	assignment := []int{0, 0, 0, 0}
-	tr := &tracerouteRun{
-		nw:         nw,
-		rt:         nw.SharedRoutingTable(),
-		assignment: assignment,
-		answers:    make(map[int]netgraph.Hop),
-	}
-	kernel, err := des.New(des.Config[icmpMsg]{
-		NumLPs:    1,
-		Lookahead: Lookahead(nw, assignment, 0),
-		Handler:   tr.handle,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := kernel.Schedule(0, 1e-3, icmpMsg{kind: alienKind}); err != nil {
-		t.Fatal(err)
-	}
-	_, err = kernel.Run()
-	if err == nil {
-		t.Fatal("unknown traceroute payload must poison the run")
-	}
-	if !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("poisoned traceroute must wrap ErrBadConfig, got %v", err)
 	}
 }
 

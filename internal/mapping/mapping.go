@@ -9,8 +9,10 @@
 //     is predicted from the generators' own specifications, foreground
 //     traffic from the application's injection points assuming full access-
 //     link utilization spread evenly over all peers; routes come from the
-//     emulated traceroute. Enables the second objective (minimize traffic
-//     across partitions) via multi-objective combination.
+//     route oracle the emulator forwards with (the paper ran ICMP
+//     traceroutes inside MaSSF instead; see EXPERIMENTS.md). Enables the
+//     second objective (minimize traffic across partitions) via
+//     multi-objective combination.
 //   - PROFILE (§3.3): NetFlow profile data from a prior run supplies exact
 //     per-link and per-node loads; optionally the emulation timeline is
 //     clustered into segments at dominating-node changes and each segment
@@ -85,13 +87,6 @@ type Input struct {
 	Background []traffic.PairRate
 	// AppHosts are the foreground application's injection points (PLACE).
 	AppHosts []int
-	// DiscoveredRoutes optionally supplies traceroute-discovered link paths
-	// per ordered endpoint pair (emu.DiscoverRoutes output). When a pair is
-	// present PLACE aggregates its predicted traffic over these links; pairs
-	// not covered fall back to the routing table (identical paths under
-	// static routing, but discovery exercises the paper's actual ICMP
-	// mechanism and costs emulation load).
-	DiscoveredRoutes map[[2]int][]int
 
 	// Summary is the measured per-node / per-link traffic driving PROFILE:
 	// the NetFlow aggregation (netflow.Collector.Summarize) of a profiling
@@ -491,20 +486,14 @@ func topGraph(nw *netgraph.Network) (*partition.Graph, []partition.EdgeWeightSet
 
 // predictedLinkLoad accumulates PLACE's traffic estimate per link, in
 // packets per second: the background pair rates plus the foreground
-// injection-point model, both routed with the emulated traceroute-discovered
-// paths (which, for static routing, equal the routing-table paths).
+// injection-point model, both routed over in.Routes — the route oracle the
+// emulator forwards with, standing in for the paper's in-emulator ICMP
+// traceroute (§3.2), which under static routing reports the same paths.
 func predictedLinkLoad(in *Input) map[int]float64 {
 	nw := in.Network
 	load := make(map[int]float64)
 	addPair := func(src, dst int, bytesPerSec float64) {
-		// Route discovery via the ICMP/traceroute emulation (§3.2) when its
-		// results were provided; otherwise the routing-table walk (equal
-		// paths under static routing).
-		links, ok := in.DiscoveredRoutes[[2]int{src, dst}]
-		if !ok {
-			links = nw.RouteLinks(in.Routes, src, dst)
-		}
-		for _, lid := range links {
+		for _, lid := range nw.RouteLinks(in.Routes, src, dst) {
 			load[lid] += bytesPerSec / in.MTUBytes
 		}
 	}

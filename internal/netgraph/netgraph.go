@@ -1,7 +1,7 @@
 // Package netgraph models the virtual network that the emulator studies: the
 // routers, hosts, and links of the target topology, together with static
-// shortest-path routing and an ICMP-style route discovery (the emulated
-// traceroute the PLACE approach relies on).
+// shortest-path routing — the one route oracle the emulator forwards with and
+// the PLACE approach reads its routes from.
 //
 // It corresponds to MaSSF's network description layer: "hosts and routers are
 // viewed as graph nodes and network links are taken as graph edges" (§2.1).
@@ -172,20 +172,6 @@ func (nw *Network) Neighbors(n int) []int {
 	return out
 }
 
-// LinkBetween returns the lowest-latency link directly connecting a and b,
-// or -1 if none exists.
-func (nw *Network) LinkBetween(a, b int) int {
-	best := -1
-	for _, lid := range nw.adj[a] {
-		if nw.Links[lid].Other(a) == b {
-			if best == -1 || nw.Links[lid].Latency < nw.Links[best].Latency {
-				best = lid
-			}
-		}
-	}
-	return best
-}
-
 // TotalBandwidth returns the sum of link bandwidths in and out of node n —
 // the TOP approach's vertex weight ("each virtual node is weighted with the
 // total bandwidth in and out of it", §3.1).
@@ -239,17 +225,6 @@ func (nw *Network) Routers() []int {
 		}
 	}
 	return out
-}
-
-// AccessRouter returns the first router reachable from host h (its attachment
-// point), or -1 if h has no router neighbor.
-func (nw *Network) AccessRouter(h int) int {
-	for _, nb := range nw.Neighbors(h) {
-		if nw.Nodes[nb].Kind == Router {
-			return nb
-		}
-	}
-	return -1
 }
 
 // Validate checks topology invariants: link endpoints in range and distinct,
@@ -631,33 +606,4 @@ func (nw *Network) Route(rt Routing, src, dst int) []int {
 func (nw *Network) RouteLinks(rt Routing, src, dst int) []int {
 	_, links := nw.RoutePath(rt, src, dst)
 	return links
-}
-
-// Hop is one line of a Traceroute result.
-type Hop struct {
-	Node int
-	// RTT is the round-trip time to this hop in seconds (twice the one-way
-	// accumulated latency, as a real traceroute would observe).
-	RTT float64
-}
-
-// Traceroute emulates the ICMP-based route discovery the paper implements
-// inside MaSSF for the PLACE approach (§3.2): it reports every hop on the
-// routed path from src to dst with cumulative round-trip times. Returns nil
-// if dst is unreachable.
-func (nw *Network) Traceroute(rt Routing, src, dst int) []Hop {
-	path := nw.Route(rt, src, dst)
-	if path == nil {
-		return nil
-	}
-	hops := make([]Hop, 0, len(path)-1)
-	var oneWay float64
-	for i := 1; i < len(path); i++ {
-		lid := nw.LinkBetween(path[i-1], path[i])
-		if lid >= 0 {
-			oneWay += nw.Links[lid].Latency
-		}
-		hops = append(hops, Hop{Node: path[i], RTT: 2 * oneWay})
-	}
-	return hops
 }

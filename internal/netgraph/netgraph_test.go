@@ -45,28 +45,11 @@ func TestLinkOther(t *testing.T) {
 	l.Other(5)
 }
 
-func TestNeighborsAndLinkBetween(t *testing.T) {
+func TestNeighbors(t *testing.T) {
 	nw := lineNetwork()
 	nb := nw.Neighbors(1) // r0: h0 and r1
 	if len(nb) != 2 {
 		t.Fatalf("r0 neighbors = %v", nb)
-	}
-	if lid := nw.LinkBetween(1, 2); lid != 1 {
-		t.Errorf("LinkBetween(r0,r1) = %d, want 1", lid)
-	}
-	if lid := nw.LinkBetween(0, 4); lid != -1 {
-		t.Errorf("LinkBetween(h0,h1) = %d, want -1", lid)
-	}
-}
-
-func TestLinkBetweenPicksLowestLatency(t *testing.T) {
-	nw := New("par")
-	a := nw.AddRouter("a", 1)
-	b := nw.AddRouter("b", 1)
-	nw.AddLink(a, b, 1e9, 0.010)
-	fast := nw.AddLink(a, b, 1e9, 0.001)
-	if got := nw.LinkBetween(a, b); got != fast {
-		t.Errorf("LinkBetween = %d, want %d (lower latency)", got, fast)
 	}
 }
 
@@ -90,16 +73,6 @@ func TestMemoryWeight(t *testing.T) {
 	}
 	if got := nw.MemoryWeight(0, asr); got != 10 {
 		t.Errorf("host MemoryWeight = %d, want 10", got)
-	}
-}
-
-func TestAccessRouter(t *testing.T) {
-	nw := lineNetwork()
-	if got := nw.AccessRouter(0); got != 1 {
-		t.Errorf("AccessRouter(h0) = %d, want 1", got)
-	}
-	if got := nw.AccessRouter(4); got != 3 {
-		t.Errorf("AccessRouter(h1) = %d, want 3", got)
 	}
 }
 
@@ -207,31 +180,6 @@ func TestRoutingUnreachable(t *testing.T) {
 	if !math.IsInf(pathLatency(nw, rt, a, b), 1) {
 		t.Error("distance should be +Inf")
 	}
-	if nw.Traceroute(rt, a, b) != nil {
-		t.Error("traceroute across disconnected components")
-	}
-}
-
-func TestTraceroute(t *testing.T) {
-	nw := lineNetwork()
-	rt := nw.BuildRoutingTable()
-	hops := nw.Traceroute(rt, 0, 4)
-	if len(hops) != 4 {
-		t.Fatalf("hops = %v, want 4", hops)
-	}
-	if hops[0].Node != 1 || hops[3].Node != 4 {
-		t.Errorf("hop nodes = %v", hops)
-	}
-	// RTT accumulates: last hop RTT = 2 * 0.007.
-	if math.Abs(hops[3].RTT-0.014) > 1e-12 {
-		t.Errorf("final RTT = %v, want 0.014", hops[3].RTT)
-	}
-	// RTTs are non-decreasing.
-	for i := 1; i < len(hops); i++ {
-		if hops[i].RTT < hops[i-1].RTT {
-			t.Error("RTT decreased along path")
-		}
-	}
 }
 
 // pathLatency sums the link latencies along the route r gives from src to
@@ -305,21 +253,22 @@ func TestRoutingProperties(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed ^ 0x77))
 		for trial := 0; trial < 10; trial++ {
 			src, dst := rng.Intn(30), rng.Intn(30)
-			path := nw.Route(rt, src, dst)
+			path, links := nw.RoutePath(rt, src, dst)
 			if path == nil {
 				return false // connected by construction
 			}
-			if path[0] != src || path[len(path)-1] != dst {
+			if path[0] != src || path[len(path)-1] != dst || len(links) != len(path)-1 {
 				return false
 			}
-			// Consecutive nodes adjacent; total latency is the shortest.
+			// Each link joins its two consecutive nodes; total latency is
+			// the shortest.
 			var total float64
-			for i := 1; i < len(path); i++ {
-				lid := nw.LinkBetween(path[i-1], path[i])
-				if lid < 0 {
+			for i, lid := range links {
+				l := nw.Links[lid]
+				if !(l.A == path[i] && l.B == path[i+1]) && !(l.B == path[i] && l.A == path[i+1]) {
 					return false
 				}
-				total += nw.Links[lid].Latency
+				total += l.Latency
 			}
 			if math.Abs(total-shortest[src][dst]) > 1e-9 {
 				return false

@@ -308,9 +308,9 @@ func (nw *Network) SharedRouting(o RoutingOptions) (Routing, error) {
 }
 
 // AutoRouting returns the shared oracle under the automatic policy — the
-// fallback every nil-Routes code path (emu.Run, the ICMP discovery, the
-// mapping approaches) uses, so even a bare pipeline on a 10⁵-node topology
-// never materializes the O(n²) flat table.
+// fallback every nil-Routes code path (emu.Run, the mapping approaches)
+// uses, so even a bare pipeline on a 10⁵-node topology never materializes
+// the O(n²) flat table.
 func (nw *Network) AutoRouting() Routing {
 	r, err := nw.SharedRouting(RoutingOptions{})
 	if err != nil {

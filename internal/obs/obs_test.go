@@ -143,6 +143,31 @@ func TestRunStatsConcurrentSnapshot(t *testing.T) {
 	}
 }
 
+// TestRunStatsTotalsWhileGrowing reads the totals while RecordRun keeps
+// reallocating the per-LP slices; under -race a slice header read outside the
+// lock shows up as a data race.
+func TestRunStatsTotalsWhileGrowing(t *testing.T) {
+	s := NewRunStats()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= 2000; i++ {
+			s.RecordRun(RunMeta{LPs: i})
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			_ = s.TotalEvents() + s.TotalCharges() + s.TotalRemote() + s.TotalMigrations()
+		}
+	}()
+	wg.Wait()
+	if s.LPs != 2000 {
+		t.Errorf("LPs = %d, want 2000", s.LPs)
+	}
+}
+
 func TestMulti(t *testing.T) {
 	if Multi(nil, nil) != nil {
 		t.Error("Multi of nils should be nil")

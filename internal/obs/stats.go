@@ -156,22 +156,24 @@ func (s *RunStats) NoteClusterSize(n int) {
 }
 
 // TotalEvents sums handler invocations over all LPs.
-func (s *RunStats) TotalEvents() int64 { return sumLocked(s, s.Events) }
+func (s *RunStats) TotalEvents() int64 { return sumLocked(s, &s.Events) }
 
 // TotalCharges sums the kernel-event load over all LPs.
-func (s *RunStats) TotalCharges() int64 { return sumLocked(s, s.Charges) }
+func (s *RunStats) TotalCharges() int64 { return sumLocked(s, &s.Charges) }
 
 // TotalRemote sums cross-LP event messages over all LPs.
-func (s *RunStats) TotalRemote() int64 { return sumLocked(s, s.Remote) }
+func (s *RunStats) TotalRemote() int64 { return sumLocked(s, &s.Remote) }
 
 // TotalMigrations sums recovery migrations over all engines.
-func (s *RunStats) TotalMigrations() int64 { return sumLocked(s, s.MigratedNodes) }
+func (s *RunStats) TotalMigrations() int64 { return sumLocked(s, &s.MigratedNodes) }
 
-func sumLocked(s *RunStats, xs []int64) int64 {
+// sumLocked takes the field's address, not its value: grow may reallocate
+// the slice, so its header is read only under the lock.
+func sumLocked(s *RunStats, xs *[]int64) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var t int64
-	for _, x := range xs {
+	for _, x := range *xs {
 		t += x
 	}
 	return t
