@@ -136,7 +136,6 @@ func BenchmarkAblationPartitioner(b *testing.B) {
 		{"restarts=1", partition.Options{Seed: 45, Restarts: 1}},
 		{"restarts=40", partition.Options{Seed: 45, Restarts: 40}},
 		{"no-coarsen", partition.Options{Seed: 45, CoarsenTo: 1 << 20}},
-		{"recursive-bisect", partition.Options{Seed: 45, Strategy: partition.RecursiveBisection}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var predicted float64

@@ -5,7 +5,6 @@ package repro
 // formats, exit codes) the README documents.
 
 import (
-	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -33,60 +32,6 @@ func run(t *testing.T, bin string, args ...string) (string, string, error) {
 	cmd.Stderr = &stderr
 	err := cmd.Run()
 	return stdout.String(), stderr.String(), err
-}
-
-func TestCLIPartition(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
-	bin := buildTool(t, "partition")
-	dir := t.TempDir()
-	graph := filepath.Join(dir, "g.metis")
-	// A 6-cycle in METIS format.
-	content := "6 6\n2 6\n1 3\n2 4\n3 5\n4 6\n5 1\n"
-	if err := os.WriteFile(graph, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	partFile := filepath.Join(dir, "out.part")
-	_, stderr, err := run(t, bin, "-k", "2", graph, partFile)
-	if err != nil {
-		t.Fatalf("partition failed: %v\n%s", err, stderr)
-	}
-	if !strings.Contains(stderr, "edge-cut=2") {
-		t.Errorf("expected optimal ring cut report, got: %s", stderr)
-	}
-	data, err := os.ReadFile(partFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Fields(strings.TrimSpace(string(data)))
-	if len(lines) != 6 {
-		t.Errorf("partition file has %d entries, want 6", len(lines))
-	}
-	// Bad input exits nonzero.
-	if _, _, err := run(t, bin, "-k", "2", filepath.Join(dir, "missing")); err == nil {
-		t.Error("missing input accepted")
-	}
-	if _, _, err := run(t, bin); err == nil {
-		t.Error("no arguments accepted")
-	}
-	// A tolerance that is not a number is the partitioner's error: exit 1.
-	if _, stderr, err := run(t, bin, "-k", "2", "-imbalance", "NaN", graph); exitCode(err) != 1 || !strings.Contains(stderr, "Imbalance") {
-		t.Errorf("-imbalance NaN: exit %d (%v), stderr %q; want 1 and the partitioner's error", exitCode(err), err, stderr)
-	}
-}
-
-// exitCode is the status a tool run ended with: 0 on success, -1 when it did
-// not run to an exit.
-func exitCode(err error) int {
-	var exit *exec.ExitError
-	if err == nil {
-		return 0
-	}
-	if errors.As(err, &exit) {
-		return exit.ExitCode()
-	}
-	return -1
 }
 
 func TestCLIMassfExportRoundTrip(t *testing.T) {

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/metrics"
@@ -207,7 +208,7 @@ func TestGridNPBBursty(t *testing.T) {
 		vals = append(vals, v)
 	}
 	// Top bin should hold well above the uniform share.
-	top := metrics.Max(vals)
+	top := slices.Max(vals)
 	uniform := total / float64(int(g.Duration/10))
 	if top < 2*uniform {
 		t.Errorf("top bin %.3g < 2x uniform share %.3g: not bursty", top, uniform)

@@ -55,11 +55,6 @@ const (
 	RemapDiffusion RemapPolicy = "diffusion"
 )
 
-// RemapPolicies lists the valid policies in presentation order.
-func RemapPolicies() []RemapPolicy {
-	return []RemapPolicy{RemapProfile, RemapIncremental, RemapGame, RemapDiffusion}
-}
-
 // ParseRemapPolicy validates a policy name from a flag or config file.
 func ParseRemapPolicy(s string) (RemapPolicy, error) {
 	switch p := RemapPolicy(s); p {

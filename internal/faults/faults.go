@@ -274,7 +274,7 @@ func parseWindowFactor(s string) (from, to, factor float64, err error) {
 	if !ok {
 		return 0, 0, 0, fmt.Errorf("want T1-T2xF")
 	}
-	fromStr, toStr, ok := strings.Cut(window, "-")
+	fromStr, toStr, ok := cutInterval(window)
 	if !ok {
 		return 0, 0, 0, fmt.Errorf("want T1-T2xF")
 	}
@@ -288,4 +288,16 @@ func parseWindowFactor(s string) (from, to, factor float64, err error) {
 		return 0, 0, 0, fmt.Errorf("bad factor: %v", err)
 	}
 	return from, to, factor, nil
+}
+
+// cutInterval splits "T1-T2" at the first '-' that is not an exponent's sign,
+// so a bound with a negative exponent — String writes any bound below 1e-4
+// that way — reads back as one number.
+func cutInterval(s string) (from, to string, ok bool) {
+	for i := 0; i < len(s); i++ {
+		if s[i] == '-' && (i == 0 || (s[i-1] != 'e' && s[i-1] != 'E')) {
+			return s[:i], s[i+1:], true
+		}
+	}
+	return "", "", false
 }

@@ -2,30 +2,92 @@ package faults
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 func TestParseRoundTrip(t *testing.T) {
-	s, err := Parse([]string{"crash:2@30", "slow:0@10-20x2.5", "degrade@5-50x3"})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		specs []string
+		want  Schedule
+		str   string
+	}{
+		{
+			[]string{"crash:2@30", "slow:0@10-20x2.5", "degrade@5-50x3"},
+			Schedule{
+				Crashes:      []Crash{{Engine: 2, At: 30}},
+				Stragglers:   []Straggler{{Engine: 0, From: 10, To: 20, Factor: 2.5}},
+				Degradations: []Degradation{{From: 5, To: 50, Factor: 3}},
+			},
+			"crash:2@30 slow:0@10-20x2.5 degrade@5-50x3",
+		},
+		// Bounds below 1e-4 render with an exponent, whose '-' is not the
+		// interval's.
+		{
+			[]string{"slow:0@0.00001-2x3"},
+			Schedule{Stragglers: []Straggler{{Engine: 0, From: 1e-5, To: 2, Factor: 3}}},
+			"slow:0@1e-05-2x3",
+		},
+		{
+			[]string{"degrade@0.00001-2x3"},
+			Schedule{Degradations: []Degradation{{From: 1e-5, To: 2, Factor: 3}}},
+			"degrade@1e-05-2x3",
+		},
+		{
+			[]string{"slow:1@1e-06-2.5E-05x4"},
+			Schedule{Stragglers: []Straggler{{Engine: 1, From: 1e-6, To: 2.5e-5, Factor: 4}}},
+			"slow:1@1e-06-2.5e-05x4",
+		},
+	} {
+		s, err := Parse(tc.specs)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", tc.specs, err)
+			continue
+		}
+		if !reflect.DeepEqual(*s, tc.want) {
+			t.Errorf("Parse(%q) = %+v, want %+v", tc.specs, *s, tc.want)
+		}
+		if got := s.String(); got != tc.str {
+			t.Errorf("String() = %q, want %q", got, tc.str)
+		}
+		if err := s.Validate(4); err != nil {
+			t.Errorf("valid schedule %q rejected: %v", tc.str, err)
+		}
+		back, err := Parse(strings.Fields(s.String()))
+		if err != nil {
+			t.Errorf("Parse of String() %q: %v", s, err)
+		} else if !reflect.DeepEqual(*back, tc.want) {
+			t.Errorf("Parse of String() %q = %+v, want %+v", s, *back, tc.want)
+		}
 	}
-	if len(s.Crashes) != 1 || s.Crashes[0] != (Crash{Engine: 2, At: 30}) {
-		t.Errorf("crashes = %+v", s.Crashes)
+}
+
+// FuzzParseFaults: Parse never panics, and every schedule it accepts that is
+// valid for eight engines reads back from its String() unchanged. (An empty
+// schedule renders as "none", a label rather than a spec, so it is skipped.)
+func FuzzParseFaults(f *testing.F) {
+	for _, seed := range []string{
+		"crash:2@30,slow:0@10-20x2.5,degrade@5-50x3",
+		"slow:0@0.00001-2x3",
+		"degrade@0.00001-2x3",
+		"slow:1@1e-06-2.5E-05x4",
+	} {
+		f.Add(seed)
 	}
-	if len(s.Stragglers) != 1 || s.Stragglers[0] != (Straggler{Engine: 0, From: 10, To: 20, Factor: 2.5}) {
-		t.Errorf("stragglers = %+v", s.Stragglers)
-	}
-	if len(s.Degradations) != 1 || s.Degradations[0] != (Degradation{From: 5, To: 50, Factor: 3}) {
-		t.Errorf("degradations = %+v", s.Degradations)
-	}
-	if got := s.String(); got != "crash:2@30 slow:0@10-20x2.5 degrade@5-50x3" {
-		t.Errorf("String() = %q", got)
-	}
-	if err := s.Validate(4); err != nil {
-		t.Errorf("valid schedule rejected: %v", err)
-	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := Parse(strings.Split(in, ","))
+		if err != nil || s.Validate(8) != nil || s.Empty() {
+			return
+		}
+		back, err := Parse(strings.Fields(s.String()))
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its String() %q does not parse: %v", in, s, err)
+		}
+		if back.String() != s.String() {
+			t.Fatalf("Parse(%q) renders %q, which reads back as %q", in, s, back)
+		}
+	})
 }
 
 func TestParseErrors(t *testing.T) {

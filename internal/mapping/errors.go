@@ -10,6 +10,6 @@ var (
 	ErrBadInput = errors.New("mapping: invalid input")
 	// ErrInfeasible marks a well-formed problem with no admissible
 	// solution: more engines than placeable nodes, no surviving engines to
-	// remap onto, a memory guard with non-positive capacity.
+	// remap onto.
 	ErrInfeasible = errors.New("mapping: infeasible problem")
 )

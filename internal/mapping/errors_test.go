@@ -92,10 +92,6 @@ func TestSentinelErrInfeasible(t *testing.T) {
 			_, _, err := RemapOnto(Input{Network: nw, K: 2}, prev, nil, nil)
 			return err
 		}},
-		{"guard-bad-capacity", func() error {
-			_, err := MapWithMemoryGuard(Top, Input{Network: nw, K: 2}, 0, 1)
-			return err
-		}},
 	}
 	for _, tc := range cases {
 		err := tc.err()

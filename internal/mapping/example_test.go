@@ -22,7 +22,7 @@ func ExampleTopMap() {
 		return
 	}
 	fmt.Println("nodes assigned:", len(part))
-	fmt.Println("valid:", mapping.Verify(nw, part, 3) == nil)
+	fmt.Println("valid:", partition.Verify(partition.NewGraph(nw.NumNodes(), 1), part, 3) == nil)
 	// Output:
 	// nodes assigned: 60
 	// valid: true

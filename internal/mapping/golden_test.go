@@ -47,7 +47,6 @@ var goldenPins = map[string]string{
 	"Brite/7/PROFILE":     "cfba8ed01880aaec83b74c6e7c1623ee467b67b251948697cb5d044abd311f7a",
 	"Campus/improve":      "ee253b5e84f527bd032ea3c3e543995aa8f13a95482a7c339ddcfe7bf39c21d3",
 	"Campus/remap":        "aa4b16193985bd6026d9d14a31f63443bad3d09ed1d7932093a3ee97102bf8de",
-	"TeraGrid/rb":         "58462e162219869f10e16361cafe261d628cbf78c51d560ce26540906764e567",
 	"TeraGrid/fractions":  "d732182056791713186a465e51c693da7bfb59041f16ebaf0c7ed311e75d414b",
 }
 
@@ -127,11 +126,7 @@ func TestMappingGolden(t *testing.T) {
 	check("Campus/remap", remapped, err)
 
 	tg := topogen.TeraGrid()
-	rb := Input{Network: tg, K: 5, PartOpts: partition.Options{Seed: 42, Strategy: partition.RecursiveBisection}}
-	part, err := TopMap(rb)
-	check("TeraGrid/rb", part, err)
-
 	het := Input{Network: tg, K: 5, PartOpts: partition.Options{Seed: 42}, EngineFractions: []float64{4, 2, 2, 1, 1}}
-	part, err = TopMap(het)
+	part, err := TopMap(het)
 	check("TeraGrid/fractions", part, err)
 }

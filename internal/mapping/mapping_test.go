@@ -226,10 +226,11 @@ func TestAssessQuality(t *testing.T) {
 	if q.String() == "" {
 		t.Error("empty report")
 	}
-	if err := Verify(nw, part, 3); err != nil {
+	g := partition.NewGraph(nw.NumNodes(), 1)
+	if err := partition.Verify(g, part, 3); err != nil {
 		t.Errorf("Verify rejected a valid mapping: %v", err)
 	}
-	if err := Verify(nw, part, 99); err == nil {
+	if err := partition.Verify(g, part, 99); err == nil {
 		t.Error("Verify accepted wrong k")
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/emu"
 	"repro/internal/netgraph"
-	"repro/internal/partition"
 )
 
 // Quality reports why a mapping is good or bad in the paper's terms: the
@@ -58,11 +57,4 @@ func (q Quality) String() string {
 	}
 	b.WriteString("\n")
 	return b.String()
-}
-
-// Verify checks an assignment is structurally valid for the network: every
-// node assigned to [0,k) with no engine left empty.
-func Verify(nw *netgraph.Network, assignment []int, k int) error {
-	g := partition.NewGraph(nw.NumNodes(), 1)
-	return partition.Verify(g, assignment, k)
 }

@@ -82,34 +82,6 @@ func MaxOverMean(loads []float64) float64 {
 	return mx / m
 }
 
-// Max returns the maximum of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	mx := xs[0]
-	for _, x := range xs[1:] {
-		if x > mx {
-			mx = x
-		}
-	}
-	return mx
-}
-
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	mn := xs[0]
-	for _, x := range xs[1:] {
-		if x < mn {
-			mn = x
-		}
-	}
-	return mn
-}
-
 // Sum returns the sum of xs.
 func Sum(xs []float64) float64 {
 	var s float64

@@ -96,19 +96,13 @@ func TestMaxOverMean(t *testing.T) {
 	}
 }
 
-func TestMinMaxSum(t *testing.T) {
+func TestSum(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
-	if got := Max(xs); got != 7 {
-		t.Errorf("Max = %v, want 7", got)
-	}
-	if got := Min(xs); got != -1 {
-		t.Errorf("Min = %v, want -1", got)
-	}
 	if got := Sum(xs); got != 11 {
 		t.Errorf("Sum = %v, want 11", got)
 	}
-	if Max(nil) != 0 || Min(nil) != 0 || Sum(nil) != 0 {
-		t.Error("empty-slice Max/Min/Sum should be 0")
+	if Sum(nil) != 0 {
+		t.Error("empty-slice Sum should be 0")
 	}
 }
 

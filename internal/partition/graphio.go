@@ -142,65 +142,3 @@ func nextDataLine(sc *bufio.Scanner) (string, error) {
 	}
 	return "", io.ErrUnexpectedEOF
 }
-
-// WriteGraph emits g in the METIS format accepted by ReadGraph, always with
-// both vertex and edge weights (fmt code 011).
-func WriteGraph(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%d %d 011 %d\n", g.NumVertices(), g.NumEdges(), g.Ncon); err != nil {
-		return err
-	}
-	for v := range g.Adj {
-		var sb strings.Builder
-		for c, x := range g.VWgt[v] {
-			if c > 0 {
-				sb.WriteByte(' ')
-			}
-			sb.WriteString(strconv.FormatInt(x, 10))
-		}
-		for _, e := range g.Adj[v] {
-			sb.WriteByte(' ')
-			sb.WriteString(strconv.Itoa(e.To + 1))
-			sb.WriteByte(' ')
-			sb.WriteString(strconv.FormatInt(e.Wgt, 10))
-		}
-		sb.WriteByte('\n')
-		if _, err := bw.WriteString(sb.String()); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WritePartition emits the assignment in METIS's partition-file format: one
-// part id per line, vertex order.
-func WritePartition(w io.Writer, part []int) error {
-	bw := bufio.NewWriter(w)
-	for _, p := range part {
-		if _, err := fmt.Fprintln(bw, p); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadPartition parses a METIS partition file produced by WritePartition.
-func ReadPartition(r io.Reader) ([]int, error) {
-	sc := bufio.NewScanner(r)
-	var part []int
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
-		}
-		p, err := strconv.Atoi(line)
-		if err != nil || p < 0 {
-			return nil, fmt.Errorf("partition: bad part id %q on line %d", line, len(part)+1)
-		}
-		part = append(part, p)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return part, nil
-}

@@ -1,7 +1,11 @@
 package partition
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -108,35 +112,6 @@ func TestGraphRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPartitionFileRoundTrip(t *testing.T) {
-	part := []int{0, 2, 1, 1, 0}
-	var buf bytes.Buffer
-	if err := WritePartition(&buf, part); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadPartition(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(part) {
-		t.Fatalf("length %d, want %d", len(got), len(part))
-	}
-	for i := range part {
-		if got[i] != part[i] {
-			t.Fatalf("part[%d] = %d, want %d", i, got[i], part[i])
-		}
-	}
-}
-
-func TestReadPartitionErrors(t *testing.T) {
-	if _, err := ReadPartition(strings.NewReader("0\nx\n")); err == nil {
-		t.Error("bad part id accepted")
-	}
-	if _, err := ReadPartition(strings.NewReader("-1\n")); err == nil {
-		t.Error("negative part id accepted")
-	}
-}
-
 func TestReadGraphSelfLoopDropped(t *testing.T) {
 	// Vertex 1 lists itself; loop must be dropped silently (half-edge count
 	// still includes it, so the header says 2 edges -> 4 halves: 1-1 twice
@@ -149,4 +124,34 @@ func TestReadGraphSelfLoopDropped(t *testing.T) {
 	if g.NumEdges() != 1 {
 		t.Errorf("NumEdges = %d, want 1 (self loop dropped)", g.NumEdges())
 	}
+}
+
+// WriteGraph emits g in the METIS format accepted by ReadGraph, always with
+// both vertex and edge weights (fmt code 011): the oracle TestGraphRoundTrip
+// and FuzzReadGraph round-trip through.
+func WriteGraph(w io.Writer, g *Graph) error {
+	bw := bufio.NewWriter(w)
+	if _, err := fmt.Fprintf(bw, "%d %d 011 %d\n", g.NumVertices(), g.NumEdges(), g.Ncon); err != nil {
+		return err
+	}
+	for v := range g.Adj {
+		var sb strings.Builder
+		for c, x := range g.VWgt[v] {
+			if c > 0 {
+				sb.WriteByte(' ')
+			}
+			sb.WriteString(strconv.FormatInt(x, 10))
+		}
+		for _, e := range g.Adj[v] {
+			sb.WriteByte(' ')
+			sb.WriteString(strconv.Itoa(e.To + 1))
+			sb.WriteByte(' ')
+			sb.WriteString(strconv.FormatInt(e.Wgt, 10))
+		}
+		sb.WriteByte('\n')
+		if _, err := bw.WriteString(sb.String()); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }

@@ -26,14 +26,11 @@ type Options struct {
 	Restarts int
 	// RefinePasses bounds the refinement passes per level. Default 10.
 	RefinePasses int
-	// Strategy selects the algorithm: KWay (default) or RecursiveBisection.
-	Strategy Strategy
 	// PartFractions optionally sets heterogeneous target part weights
 	// (METIS's tpwgts): part p should receive PartFractions[p] of every
 	// constraint's total. len must equal k and entries sum to 1; nil means
 	// uniform. Used to map onto simulation engines of unequal speed — the
-	// capability the paper's §5 notes MaSSF lacked. Ignored by
-	// RecursiveBisection.
+	// capability the paper's §5 notes MaSSF lacked.
 	PartFractions []float64
 }
 
@@ -88,9 +85,6 @@ func (pt *Partitioner) Partition(g *Graph, k int, opts Options) ([]int, error) {
 	opts, err := opts.withDefaults(k)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Strategy == RecursiveBisection && k > 2 {
-		return PartitionRB(g, k, opts)
 	}
 	n := g.NumVertices()
 	switch {

@@ -22,10 +22,8 @@ func TestPartitionErrors(t *testing.T) {
 	// A NaN or +Inf tolerance would reach every balance ceiling; -Inf is
 	// non-positive and selects the default.
 	for _, eps := range []float64{math.NaN(), math.Inf(1)} {
-		for _, s := range []Strategy{KWay, RecursiveBisection} {
-			if _, err := Partition(g, 3, Options{Imbalance: eps, Strategy: s}); err == nil {
-				t.Errorf("Imbalance %v accepted (strategy %d)", eps, s)
-			}
+		if _, err := Partition(g, 3, Options{Imbalance: eps}); err == nil {
+			t.Errorf("Imbalance %v accepted", eps)
 		}
 		if _, err := Improve(g, []int{0, 0, 1, 1}, 2, Options{Imbalance: eps}); err == nil {
 			t.Errorf("Improve accepted Imbalance %v", eps)
@@ -354,7 +352,7 @@ func TestPartitionFractions(t *testing.T) {
 	if err := Verify(g, part, 3); err != nil {
 		t.Fatal(err)
 	}
-	w := PartWeights(g, part, 3)
+	w := partWeights(g, part, 3)
 	total := g.TotalVWgt()[0]
 	for p, f := range frac {
 		share := float64(w[p][0]) / float64(total)
@@ -392,7 +390,7 @@ func TestImproveWithFractions(t *testing.T) {
 	if _, err := Improve(g, part, 3, Options{Seed: 4, PartFractions: frac}); err != nil {
 		t.Fatal(err)
 	}
-	w := PartWeights(g, part, 3)
+	w := partWeights(g, part, 3)
 	total := g.TotalVWgt()[0]
 	if share := float64(w[0][0]) / float64(total); share < 0.45 {
 		t.Errorf("part 0 share after Improve = %.2f, want ~0.6", share)

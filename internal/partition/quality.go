@@ -16,20 +16,6 @@ func EdgeCut(g *Graph, part []int) int64 {
 	return cut
 }
 
-// CutEdges returns the number of distinct undirected edges crossing the
-// partition (unweighted count).
-func CutEdges(g *Graph, part []int) int {
-	count := 0
-	for u, adj := range g.Adj {
-		for _, e := range adj {
-			if u < e.To && part[u] != part[e.To] {
-				count++
-			}
-		}
-	}
-	return count
-}
-
 // CutWeightOf returns the cut of the partition measured under an alternative
 // edge-weight set (e.g. one objective of a multi-objective problem).
 func CutWeightOf(g *Graph, ws EdgeWeightSet, part []int) int64 {
@@ -67,11 +53,6 @@ func Balance(g *Graph, part []int, k int) []float64 {
 		out[c] = worst
 	}
 	return out
-}
-
-// PartWeights exposes the per-part per-constraint weights of an assignment.
-func PartWeights(g *Graph, part []int, k int) [][]int64 {
-	return partWeights(g, part, k)
 }
 
 // Verify checks that part is a structurally valid k-way assignment of g:

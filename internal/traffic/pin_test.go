@@ -56,8 +56,4 @@ func TestGeneratorOutputPinned(t *testing.T) {
 			}
 		}
 	}
-	merged := Merge(DefaultCBR(60, 3).Generate(topogen.Campus()), DefaultHTTP(60, 3).Generate(topogen.Campus()))
-	if got, want := workloadSHA(merged), "c43bbdae86992ceb5ddcde3b8916e405b6766c779c732910b9843390df634b87"; got != want {
-		t.Errorf("merged CBR+HTTP on Campus: workload SHA-256 %s, pinned %s", got, want)
-	}
 }
