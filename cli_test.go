@@ -97,7 +97,7 @@ func TestCLIMassfObservability(t *testing.T) {
 	traceOf := func(name string) ([]byte, string) {
 		path := filepath.Join(dir, name)
 		stdout, stderr, err := run(t, bin, "-topology", "Campus", "-app", "GridNPB",
-			"-duration", "5", "-approach", "TOP", "-sequential", "-stats", "-trace", path)
+			"-duration", "5", "-approach", "TOP", "-stats", "-trace", path)
 		if err != nil {
 			t.Fatalf("massf -trace failed: %v\n%s", err, stderr)
 		}
@@ -174,7 +174,7 @@ func TestCLIMassfTrafficMatrix(t *testing.T) {
 	matrixOf := func(name string) ([]byte, string) {
 		path := filepath.Join(dir, name)
 		stdout, stderr, err := run(t, bin, "-topology", "Campus", "-app", "GridNPB",
-			"-duration", "5", "-approach", "TOP", "-sequential", "-matrix-out", path)
+			"-duration", "5", "-approach", "TOP", "-matrix-out", path)
 		if err != nil {
 			t.Fatalf("massf -matrix-out failed: %v\n%s", err, stderr)
 		}
@@ -200,7 +200,7 @@ func TestCLIMassfTrafficMatrix(t *testing.T) {
 	// -approach all suffixes per approach.
 	path := filepath.Join(dir, "all.json")
 	if _, stderr, err := run(t, bin, "-topology", "Campus", "-app", "GridNPB",
-		"-duration", "5", "-approach", "all", "-sequential", "-matrix-out", path); err != nil {
+		"-duration", "5", "-approach", "all", "-matrix-out", path); err != nil {
 		t.Fatalf("massf -approach all -matrix-out failed: %v\n%s", err, stderr)
 	}
 	for _, a := range []string{"TOP", "PLACE", "PROFILE"} {

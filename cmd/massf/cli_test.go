@@ -81,6 +81,8 @@ func TestValidateFlagsRejects(t *testing.T) {
 		want error
 	}{
 		{"bad duration", func(f *cliFlags) { f.duration = 0 }, errBadDuration},
+		{"NaN duration", func(f *cliFlags) { f.duration = math.NaN() }, errBadDuration},
+		{"+Inf duration", func(f *cliFlags) { f.duration = math.Inf(1) }, errBadDuration},
 		{"bad approach", func(f *cliFlags) { f.approach = "BOGUS" }, errBadApproach},
 		{"netfile without engines", func(f *cliFlags) { f.netfile = "x.net" }, errNetfileNeedsEngines},
 		{"engines without netfile", func(f *cliFlags) { f.engines = 4 }, errEnginesNeedNetfile},

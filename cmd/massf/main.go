@@ -103,7 +103,6 @@ func main() {
 		approach  = flag.String("approach", "all", "TOP | PLACE | PROFILE | all")
 		duration  = flag.Float64("duration", 120, "virtual duration in seconds")
 		seed      = flag.Int64("seed", 42, "seed for generators and partitioner")
-		seq       = flag.Bool("sequential", false, "run the DES kernel single-threaded")
 		verbose   = flag.Bool("v", false, "print per-engine loads")
 		topostats = flag.Bool("topostats", false, "print topology statistics and exit")
 		record    = flag.String("record", "", "write the generated workload trace to this file")
@@ -212,7 +211,7 @@ func main() {
 		return
 	}
 
-	cfg := experiments.Config{Duration: *duration, Seed: *seed, Sequential: *seq}
+	cfg := experiments.Config{Duration: *duration, Seed: *seed}
 	sc, err := experiments.ScenarioFor(cfg, *topology, *app)
 	if err != nil {
 		fatal(err)
@@ -623,7 +622,7 @@ var (
 	errNoRun               = errors.New("needs an emulation run, but -export/-topostats exit before one")
 	errAddrClash           = errors.New("-metrics and -pprof need distinct addresses (the -metrics server already includes pprof and expvar)")
 	errBadApproach         = errors.New("-approach must be TOP, PLACE, PROFILE, or all")
-	errBadDuration         = errors.New("-duration must be positive")
+	errBadDuration         = errors.New("-duration must be positive and finite")
 
 	errWorkerExclusive    = errors.New("-worker runs no local emulation and takes no other mode flags")
 	errCoordinatorOneRun  = errors.New("-coordinator needs a single -approach (not all)")
@@ -700,7 +699,7 @@ func validateFlags(f cliFlags) error {
 			return errRemapModeExclusive
 		}
 	}
-	if f.duration <= 0 {
+	if !(f.duration > 0) || math.IsInf(f.duration, 1) { // true for NaN
 		return fmt.Errorf("%w (got %g)", errBadDuration, f.duration)
 	}
 	if f.approach != "all" {

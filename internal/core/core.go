@@ -88,8 +88,6 @@ type Scenario struct {
 	Cost emu.CostModel
 	// EndTime optionally truncates the emulation.
 	EndTime float64
-	// Sequential forces single-threaded kernel execution.
-	Sequential bool
 
 	// Recorder, when non-nil, receives kernel observability from every
 	// emulation the scenario runs (profiling pre-runs included) — e.g. an
@@ -592,7 +590,6 @@ func (sc *Scenario) emuConfig(assignment []int) (emu.Config, error) {
 		EndTime:      sc.EndTime,
 		Transport:    sc.Transport,
 		EngineSpeeds: sc.EngineSpeeds,
-		Sequential:   sc.Sequential,
 		Faults:       sc.Faults,
 	}, nil
 }

@@ -3,7 +3,6 @@ package des
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -69,7 +68,6 @@ func runReference(t *testing.T, k *Kernel[any]) *Stats {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	wait := make([]float64, n)
 	for {
 		T, end, skipped, ok := k.grid.Next(st.NextEventTime())
 		if !ok {
@@ -90,20 +88,11 @@ func runReference(t *testing.T, k *Kernel[any]) *Stats {
 		if err := k.cfg.OnWindow(&obs.Window{
 			Index: k.stats.Windows - 1, Start: T, End: end,
 			Events: res.Events, Charges: res.Charges, Remote: res.Remote,
-			Queue: res.Queue, Wait: wait,
+			Queue: res.Queue,
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-}
-
-// atGOMAXPROCS runs f with GOMAXPROCS set to procs — the one input besides
-// Config.Sequential and the LP count the dispatch choice reads — and restores
-// it.
-func atGOMAXPROCS(procs int, f func()) {
-	prev := runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(prev)
-	f()
 }
 
 // crossTrafficHandler builds a handler that bounces events between LPs with
@@ -114,7 +103,6 @@ func atGOMAXPROCS(procs int, f func()) {
 func crossTrafficHandler(numLPs int, L float64, logs [][]string) Handler[any] {
 	return func(lp int, t float64, data any, s *Scheduler[any]) {
 		hop := data.(int)
-		// Only this LP's goroutine appends to its own log slot.
 		logs[lp] = append(logs[lp], fmt.Sprintf("t=%.3f hop=%d", t, hop))
 		s.Charge(1)
 		if hop == 0 {
@@ -132,15 +120,14 @@ func crossTrafficHandler(numLPs int, L float64, logs [][]string) Handler[any] {
 // runCrossTraffic executes the collision-heavy scenario — through Run, or
 // through the reference loop — and returns the per-LP execution logs plus
 // final stats.
-func runCrossTraffic(t *testing.T, numLPs int, sequential, reference bool) ([][]string, *Stats) {
+func runCrossTraffic(t *testing.T, numLPs int, reference bool) ([][]string, *Stats) {
 	t.Helper()
 	const L = 0.01
 	logs := make([][]string, numLPs)
 	k, err := New(Config[any]{
-		NumLPs:     numLPs,
-		Lookahead:  L,
-		Handler:    crossTrafficHandler(numLPs, L, logs),
-		Sequential: sequential,
+		NumLPs:    numLPs,
+		Lookahead: L,
+		Handler:   crossTrafficHandler(numLPs, L, logs),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,35 +150,19 @@ func runCrossTraffic(t *testing.T, numLPs int, sequential, reference bool) ([][]
 // TestBarrierMergeMatchesReference is the determinism oracle for the pooled
 // per-destination barrier merge: under heavy timestamp collisions, the
 // batched merge must execute event-for-event identically to the pre-batching
-// global (time, source LP, send order) sort — sequentially, and on both sides
-// of the dispatch choice (one goroutine at GOMAXPROCS 1, the persistent
-// workers at 4, which the race detector then sees on any host).
+// global (time, source LP, send order) sort.
 func TestBarrierMergeMatchesReference(t *testing.T) {
 	const numLPs = 5
-	refLogs, refStats := runCrossTraffic(t, numLPs, true, true)
-	modes := []struct {
-		name                  string
-		sequential, reference bool
-		procs                 int
-	}{
-		{"batched-sequential", true, false, 1},
-		{"batched-gomaxprocs-1", false, false, 1},
-		{"batched-workers", false, false, 4},
-		{"reference-workers", false, true, 4},
+	refLogs, refStats := runCrossTraffic(t, numLPs, true)
+	logs, stats := runCrossTraffic(t, numLPs, false)
+	if !reflect.DeepEqual(logs, refLogs) {
+		t.Error("execution order diverged from the reference barrier")
 	}
-	for _, m := range modes {
-		var logs [][]string
-		var stats *Stats
-		atGOMAXPROCS(m.procs, func() { logs, stats = runCrossTraffic(t, numLPs, m.sequential, m.reference) })
-		if !reflect.DeepEqual(logs, refLogs) {
-			t.Errorf("%s: execution order diverged from the reference barrier", m.name)
-		}
-		if !reflect.DeepEqual(stats.Events, refStats.Events) ||
-			!reflect.DeepEqual(stats.Charges, refStats.Charges) ||
-			!reflect.DeepEqual(stats.RemoteSends, refStats.RemoteSends) ||
-			stats.Windows != refStats.Windows {
-			t.Errorf("%s: stats diverged from the reference barrier", m.name)
-		}
+	if !reflect.DeepEqual(stats.Events, refStats.Events) ||
+		!reflect.DeepEqual(stats.Charges, refStats.Charges) ||
+		!reflect.DeepEqual(stats.RemoteSends, refStats.RemoteSends) ||
+		stats.Windows != refStats.Windows {
+		t.Error("stats diverged from the reference barrier")
 	}
 }
 
@@ -199,9 +170,7 @@ func TestBarrierMergeMatchesReference(t *testing.T) {
 // doc comment promises: every slice of the record handed to the OnWindow hook
 // is one of the kernel's recycled per-window buffers — the same backing arrays
 // every window — so a hook must consume them before returning and must not
-// retain a reference. Runs on the worker dispatch (GOMAXPROCS 4) with
-// MeasureWait on, so under -race a retained reference mutated here would race
-// with the next window's workers.
+// retain a reference.
 func TestWindowRecordBuffersAreRecycled(t *testing.T) {
 	const numLPs = 3
 	const L = 0.01
@@ -217,10 +186,9 @@ func TestWindowRecordBuffersAreRecycled(t *testing.T) {
 		}
 	}
 	k, err := New(Config[any]{
-		NumLPs:      numLPs,
-		Lookahead:   L,
-		Handler:     h,
-		MeasureWait: true,
+		NumLPs:    numLPs,
+		Lookahead: L,
+		Handler:   h,
 		OnWindow: func(w *obs.Window) error {
 			if w.Cost != nil {
 				t.Error("the kernel filled Cost; pricing a window is the caller's")
@@ -228,8 +196,7 @@ func TestWindowRecordBuffersAreRecycled(t *testing.T) {
 			if windows == 0 {
 				first, firstCharges = *w, w.Charges
 			} else if &w.Events[0] != &first.Events[0] || &w.Charges[0] != &first.Charges[0] ||
-				&w.Remote[0] != &first.Remote[0] || &w.Queue[0] != &first.Queue[0] ||
-				&w.Wait[0] != &first.Wait[0] {
+				&w.Remote[0] != &first.Remote[0] || &w.Queue[0] != &first.Queue[0] {
 				t.Error("window record buffers were reallocated; the recycled-buffer contract changed")
 			}
 			windows++
@@ -244,8 +211,7 @@ func TestWindowRecordBuffersAreRecycled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	atGOMAXPROCS(4, func() { _, err = k.Run() })
-	if err != nil {
+	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if windows < 2 {
@@ -260,7 +226,7 @@ func TestWindowRecordBuffersAreRecycled(t *testing.T) {
 }
 
 // TestBarrierSteadyStateAllocs verifies the owned-batch barrier and the SoA
-// queues reach a zero-allocation steady state: the same sequential run — a
+// queues reach a zero-allocation steady state: the same run — a
 // constant population of tokens, each hop one cross-LP send and one local
 // echo — is cut at two virtual times, and the windows the later cut adds
 // allocate nothing. A per-event or per-barrier allocation would show as at
@@ -282,7 +248,7 @@ func TestBarrierSteadyStateAllocs(t *testing.T) {
 	}
 	run := func(end float64) (mallocs float64, windows int64) {
 		mallocs = testing.AllocsPerRun(1, func() {
-			k, err := New(Config[any]{NumLPs: numLPs, Lookahead: L, Handler: h, Sequential: true, EndTime: end})
+			k, err := New(Config[any]{NumLPs: numLPs, Lookahead: L, Handler: h, EndTime: end})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,16 +15,17 @@
 // link latency cut by the partition — matters: a larger lookahead means wider
 // windows, fewer barriers, and more concurrency (§2.2.3).
 //
-// That loop exists once: a Grid picks each window and a Stepper dispatches it
-// across a set of LPs — on one goroutine, or on persistent per-LP workers when
-// the host has cores to spare. Kernel.Run is a Stepper over every LP whose
-// barrier merges the outboxes in place; a distributed worker is a Stepper over
-// some LPs whose coordinator walks the same Grid type and merges over the wire
-// (step.go). What a window did leaves the kernel one way: Run fills one
-// obs.Window record per executed window — deterministic per-LP counters, plus
-// barrier wait where it was measured — and hands it to the single OnWindow
-// hook, behind which the emulator keeps the engine cost model that reproduces
-// the paper's emulation-time metrics, every recorder, and crash and resize
+// That loop exists once: a Grid picks each window and a Stepper runs it on
+// each of a set of LPs in LP order, on the caller's goroutine. Kernel.Run is a
+// Stepper over every LP whose barrier merges the outboxes in place; a
+// distributed worker is a Stepper over some LPs whose coordinator walks the
+// same Grid type and merges over the wire (step.go). Using more than one core
+// means running more than one such worker, one process per engine group, as
+// the paper runs one MaSSF engine per cluster node. What a window did leaves
+// the kernel one way: Run fills one obs.Window record per executed window —
+// deterministic per-LP counters — and hands it to the single OnWindow hook,
+// behind which the emulator keeps the engine cost model that reproduces the
+// paper's emulation-time metrics, every recorder, and crash and resize
 // handling.
 //
 // Hot-path layout. Each LP's pending events are the ascending runs its link
@@ -88,32 +89,22 @@ type Config[P any] struct {
 	// Handler processes events. Required.
 	Handler Handler[P]
 	// OnWindow, if non-nil, is the one per-window hook: Run calls it after each
-	// window's barrier — handler errors checked, outboxes merged — on the
-	// coordinating goroutine, with the window's record: index, bounds and the
-	// per-LP events, charges, remote sends, post-merge queue depths and barrier
-	// wait (Cost is the caller's to fill). The record is the kernel's own,
-	// overwritten in place at the next barrier and valid only during the call,
-	// as are its slices (see obs.Window). No handler executes concurrently, so
-	// the hook may safely take a Checkpoint, and may Restore one: the loop then
-	// continues on a fresh window grid with the restored queues, statistics and
-	// lookahead, which is how a crash recovery or a resize happens without
-	// leaving Run. Returning a non-nil error stops the run: Run returns that
-	// error together with the statistics accumulated so far (including the
-	// window just completed). A nil hook costs nothing.
+	// window's barrier — handler errors checked, outboxes merged — with the
+	// window's record: index, bounds and the per-LP events, charges, remote
+	// sends and post-merge queue depths (Cost is the caller's to fill). The
+	// record is the kernel's own, overwritten in place at the next barrier and
+	// valid only during the call, as are its slices (see obs.Window). No
+	// handler is executing, so the hook may safely take a Checkpoint, and may
+	// Restore one: the loop then continues on a fresh window grid with the
+	// restored queues, statistics and lookahead, which is how a crash recovery
+	// or a resize happens without leaving Run. Returning a non-nil error stops
+	// the run: Run returns that error together with the statistics
+	// accumulated so far (including the window just completed). A nil hook
+	// costs nothing.
 	OnWindow func(w *obs.Window) error
-	// MeasureWait says somebody will read the record's per-LP barrier wait.
-	// The kernel then times the windows it runs on per-LP workers — two clock
-	// reads per LP per window and two per window; a window run on the caller's
-	// goroutine has no barrier to wait at, is never timed, and reports zero.
-	MeasureWait bool
 	// EndTime, if positive, stops the run once the next event would fire at
 	// or beyond this virtual time.
 	EndTime float64
-	// Sequential forces single-goroutine execution (useful to isolate
-	// determinism bugs; results must be identical either way). Otherwise the
-	// dispatch is chosen from what the kernel can observe: per-LP workers when
-	// more than one LP is driven and GOMAXPROCS > 1, one goroutine when not.
-	Sequential bool
 }
 
 // Stats summarizes a completed run.
@@ -357,12 +348,6 @@ func (k *Kernel[P]) Run() (*Stats, error) {
 
 	hook := k.cfg.OnWindow
 	var win obs.Window
-	if hook != nil {
-		win.Wait = make([]float64, n)
-		if k.cfg.MeasureWait && st.starts != nil {
-			st.EnableTiming()
-		}
-	}
 	for {
 		T, end, skipped, ok := k.grid.Next(st.NextEventTime())
 		if !ok {
@@ -370,10 +355,6 @@ func (k *Kernel[P]) Run() (*Stats, error) {
 		}
 		k.stats.SkippedTime += skipped
 
-		var winStart time.Time
-		if st.timing {
-			winStart = time.Now()
-		}
 		if err := st.exec(end); err != nil {
 			return nil, err
 		}
@@ -387,14 +368,6 @@ func (k *Kernel[P]) Run() (*Stats, error) {
 		for lp := 0; lp < n; lp++ {
 			res.Queue[lp] = int64(k.queues[lp].Len()) // post-merge here
 		}
-		if st.timing {
-			// Barrier wait: the gap between an LP finishing its window and the
-			// slowest LP releasing the barrier.
-			windowWall := time.Since(winStart).Seconds()
-			for lp := 0; lp < n; lp++ {
-				win.Wait[lp] = max(windowWall-res.Busy[lp], 0)
-			}
-		}
 		win.Index, win.Start, win.End = k.stats.Windows-1, T, end
 		win.Events, win.Charges, win.Remote, win.Queue = res.Events, res.Charges, res.Remote, res.Queue
 		if err = hook(&win); err != nil {
@@ -405,10 +378,9 @@ func (k *Kernel[P]) Run() (*Stats, error) {
 	return k.stats, err
 }
 
-// runWindow drains one LP's queue up to windowEnd. Only this goroutine
-// touches the LP's queue, scheduler and statistics slots during the window;
-// remote events go to the scheduler's private per-destination batches, and
-// the window's counters stay on the scheduler until the barrier folds them.
+// runWindow drains one LP's queue up to windowEnd. Remote events go to the
+// scheduler's per-destination batches, and the window's counters stay on the
+// scheduler until the barrier folds them.
 func (k *Kernel[P]) runWindow(lp int, s *Scheduler[P], windowEnd float64, timed bool) {
 	var begin time.Time
 	if timed {
@@ -431,8 +403,6 @@ func (k *Kernel[P]) runWindow(lp int, s *Scheduler[P], windowEnd float64, timed 
 		}
 	}
 	s.events = events
-	// The cumulative per-LP slots are written once per window, not per event:
-	// adjacent LPs' slots share cache lines.
 	stats := k.stats
 	stats.Events[lp] += events
 	stats.Charges[lp] += s.charges
@@ -566,8 +536,6 @@ func (m *mergeScratch[P]) sorted() bool {
 // block: a plain heap. The heap sifts by moving a hole. Popped slots are not
 // cleared (see the package comment on P). DESIGN.md §14 has the argument.
 type eventQueue[P any] struct {
-	// One whole cache line, so adjacent LPs' headers in the kernel's flat
-	// slice do not false-share under parallel execution.
 	heads []queueHead[P]
 	runs  []queueRun[P]
 	free  *queueBlock[P]

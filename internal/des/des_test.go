@@ -47,7 +47,7 @@ func TestNaNTimeRejected(t *testing.T) {
 		name string
 		dst  int // of the NaN event LP 0's handler schedules; -1: initial event
 	}{{"initial", -1}, {"local", 0}, {"remote", 1}} {
-		k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Sequential: true, Handler: func(lp int, tm float64, data any, s *Scheduler[any]) {
+		k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: func(lp int, tm float64, data any, s *Scheduler[any]) {
 			if data != nil {
 				s.Schedule(data.(int), math.NaN(), nil)
 			}
@@ -79,7 +79,7 @@ func TestEventOrdering(t *testing.T) {
 			s.Schedule(lp, tm+0.1, "child")
 		}
 	}
-	k, _ := New(Config[any]{NumLPs: 1, Lookahead: 10, Handler: h, Sequential: true})
+	k, _ := New(Config[any]{NumLPs: 1, Lookahead: 10, Handler: h})
 	k.Schedule(0, 3.0, nil)
 	k.Schedule(0, 1.0, "spawn")
 	k.Schedule(0, 2.0, nil)
@@ -168,51 +168,6 @@ func TestInvalidRemoteLPDetected(t *testing.T) {
 	k.Schedule(0, 0, nil)
 	if _, err := k.Run(); err == nil {
 		t.Fatal("invalid remote LP not detected")
-	}
-}
-
-// TestDeterminismParallelVsSequential runs the same workload both ways and
-// compares full stats: the parallel barrier protocol must not change results.
-func TestDeterminismParallelVsSequential(t *testing.T) {
-	build := func(sequential bool) *Stats {
-		// A small deterministic multi-LP cascade.
-		h := func(lp int, tm float64, data any, s *Scheduler[any]) {
-			n := data.(int)
-			s.Charge(int64(n%7) + 1)
-			if n < 500 {
-				dst := (lp + n) % 5
-				if dst == lp {
-					s.Schedule(lp, tm+0.0003, n+1)
-				} else {
-					s.Schedule(dst, tm+0.002+0.0001*float64(n%5), n+1)
-				}
-			}
-		}
-		k, _ := New(Config[any]{NumLPs: 5, Lookahead: 0.002, Handler: h, Sequential: sequential})
-		for lp := 0; lp < 5; lp++ {
-			k.Schedule(lp, 0.0001*float64(lp), lp)
-		}
-		st, err := k.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	seq := build(true)
-	par := build(false)
-	if seq.Windows != par.Windows {
-		t.Errorf("windows: seq %d vs par %d", seq.Windows, par.Windows)
-	}
-	for lp := 0; lp < 5; lp++ {
-		if seq.Events[lp] != par.Events[lp] {
-			t.Errorf("LP %d events: seq %d vs par %d", lp, seq.Events[lp], par.Events[lp])
-		}
-		if seq.Charges[lp] != par.Charges[lp] {
-			t.Errorf("LP %d charges: seq %d vs par %d", lp, seq.Charges[lp], par.Charges[lp])
-		}
-		if seq.RemoteSends[lp] != par.RemoteSends[lp] {
-			t.Errorf("LP %d remote: seq %d vs par %d", lp, seq.RemoteSends[lp], par.RemoteSends[lp])
-		}
 	}
 }
 
@@ -310,7 +265,7 @@ func TestSimultaneousEventsDeterministic(t *testing.T) {
 	h := func(lp int, tm float64, data any, s *Scheduler[any]) {
 		order = append(order, data.(int))
 	}
-	k, _ := New(Config[any]{NumLPs: 1, Lookahead: 1, Handler: h, Sequential: true})
+	k, _ := New(Config[any]{NumLPs: 1, Lookahead: 1, Handler: h})
 	for i := 0; i < 10; i++ {
 		k.Schedule(0, 1.0, i)
 	}
@@ -335,7 +290,7 @@ func TestEmptyRun(t *testing.T) {
 	}
 }
 
-// TestManyLPsParallelSmoke exercises the barrier with more LPs than cores.
+// TestManyLPsParallelSmoke exercises the barrier with twenty LPs.
 func TestManyLPsParallelSmoke(t *testing.T) {
 	const numLPs = 20
 	h := func(lp int, tm float64, data any, s *Scheduler[any]) {

@@ -15,15 +15,13 @@ import (
 )
 
 // The tests that pin the collapse of the window loop: every driver of the
-// kernel — Run on either dispatch, Run stopped and resumed, the test-side
-// reference-merge loop, and 1…n Stepper groups under a Grid-walking
-// coordinator — must execute seeded random handler programs identically,
-// a mid-run re-grid included.
+// kernel — Run, Run stopped and resumed, the test-side reference-merge loop,
+// and 1…n Stepper groups under a Grid-walking coordinator — must execute
+// seeded random handler programs identically, a mid-run re-grid included.
 
 // streamRec renders what a driver's barrier observed to lines: a grid line per
 // window grid (the initial one, one after each membership change — the driver
-// announces them, as the emulator does with RunMeta) and every window record,
-// wall-clock Wait excluded.
+// announces them, as the emulator does with RunMeta) and every window record.
 type streamRec struct{ lines []string }
 
 func (r *streamRec) grid(lookahead float64, resumed bool) {
@@ -65,10 +63,10 @@ func (c regridCase) newOwner(data any) int {
 func (c regridCase) remap(ev Event[any]) (int, bool) { return c.newOwner(ev.Data), true }
 
 // kernel builds the case's kernel, seeding only the LPs local marks (nil: all).
-func (c regridCase) kernel(t *testing.T, x *execution, local []bool, sequential bool) *Kernel[any] {
+func (c regridCase) kernel(t *testing.T, x *execution, local []bool) *Kernel[any] {
 	t.Helper()
 	k, err := New(Config[any]{
-		NumLPs: c.numLPs, Lookahead: c.L, Sequential: sequential,
+		NumLPs: c.numLPs, Lookahead: c.L,
 		Handler: cascadeHandler(c.numLPs, c.L, x.logger()),
 	})
 	if err != nil {
@@ -94,11 +92,11 @@ func finish(x *execution, st *Stats, rec *streamRec) *execution {
 // runInPlace drives the case through Run (or, with reference set, the
 // test-side reference-merge loop); the membership change happens inside the
 // window hook, under the running loop.
-func (c regridCase) runInPlace(t *testing.T, sequential, reference bool) *execution {
+func (c regridCase) runInPlace(t *testing.T, reference bool) *execution {
 	t.Helper()
 	x := &execution{logs: make([][]string, c.numLPs)}
 	rec := &streamRec{}
-	k := c.kernel(t, x, nil, sequential)
+	k := c.kernel(t, x, nil)
 	done := false
 	k.cfg.OnWindow = func(w *obs.Window) error {
 		rec.window(w)
@@ -126,7 +124,7 @@ func (c regridCase) runStopped(t *testing.T) *execution {
 	t.Helper()
 	x := &execution{logs: make([][]string, c.numLPs)}
 	rec := &streamRec{}
-	k := c.kernel(t, x, nil, true)
+	k := c.kernel(t, x, nil)
 	stop := errors.New("stop for the membership change")
 	var cp *Checkpoint[any]
 	k.cfg.OnWindow = func(w *obs.Window) error {
@@ -181,7 +179,7 @@ func (c regridCase) runGroups(t *testing.T, groups int) *execution {
 		for _, lp := range locals[g] {
 			mine[lp] = true
 		}
-		kernels[g] = c.kernel(t, x, mine, true)
+		kernels[g] = c.kernel(t, x, mine)
 		st, err := kernels[g].Stepper(locals[g])
 		if err != nil {
 			t.Fatal(err)
@@ -300,7 +298,7 @@ func TestRunMatchesSteppedGroups(t *testing.T) {
 		{numLPs: 4, L: 0.002, seed: 31337, regridAt: math.Inf(1)}, // no membership change
 	} {
 		t.Run(fmt.Sprintf("case%d", i), func(t *testing.T) {
-			want := c.runInPlace(t, true, false)
+			want := c.runInPlace(t, false)
 			if want.stats.Windows < 4 || len(want.stream) < 5 {
 				t.Fatalf("degenerate program: %d windows", want.stats.Windows)
 			}
@@ -325,10 +323,8 @@ func TestRunMatchesSteppedGroups(t *testing.T) {
 					t.Errorf("%s: window-record stream diverges from Run", name)
 				}
 			}
-			atGOMAXPROCS(4, func() { check("Run on the workers", c.runInPlace(t, false, false)) })
 			check("Run stopped for the membership change", c.runStopped(t))
-			check("reference-merge loop", c.runInPlace(t, true, true))
-			atGOMAXPROCS(4, func() { check("reference-merge loop on the workers", c.runInPlace(t, false, true)) })
+			check("reference-merge loop", c.runInPlace(t, true))
 			for g := 1; g <= c.numLPs; g++ {
 				check(fmt.Sprintf("%d stepped groups", g), c.runGroups(t, g))
 			}
@@ -336,10 +332,12 @@ func TestRunMatchesSteppedGroups(t *testing.T) {
 	}
 }
 
-// TestStepperCloseStopsWorkers: a parallel Stepper parks one goroutine per LP
-// and Close takes them all down before it returns — after Run, after an
-// explicit Close, and after a Restore reseats the kernel under a new Stepper.
-func TestStepperCloseStopsWorkers(t *testing.T) {
+// TestKernelStartsNoGoroutines: the kernel runs every window on the caller's
+// goroutine — inside a running loop's window hook, under a Stepper over four
+// LPs and under one reseated after a Restore — even where GOMAXPROCS leaves
+// cores to spare. Close is idempotent, a closed Stepper refuses to Step, and
+// Close releases the kernel for another Stepper.
+func TestKernelStartsNoGoroutines(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	settled := func() int {
@@ -359,21 +357,28 @@ func TestStepperCloseStopsWorkers(t *testing.T) {
 	c := regridCase{numLPs: 4, L: 0.002, seed: 5, regridAt: math.Inf(1)}
 	x := &execution{logs: make([][]string, c.numLPs)}
 
-	k := c.kernel(t, x, nil, false)
+	k := c.kernel(t, x, nil)
+	inHook := -1 // goroutines seen by the first window's hook
+	k.cfg.OnWindow = func(*obs.Window) error {
+		if inHook < 0 {
+			inHook = runtime.NumGoroutine()
+		}
+		return nil
+	}
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n := runtime.NumGoroutine(); n != base {
-		t.Errorf("after Run: %d goroutines, want %d", n, base)
+	if inHook != base {
+		t.Errorf("inside OnWindow during Run: %d goroutines, want %d", inHook, base)
 	}
 
-	k = c.kernel(t, x, nil, false)
+	k = c.kernel(t, x, nil)
 	st, err := k.Stepper([]int{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := runtime.NumGoroutine(); n != base+4 {
-		t.Errorf("parallel Stepper over 4 LPs: %d goroutines, want %d", n, base+4)
+	if n := runtime.NumGoroutine(); n != base {
+		t.Errorf("Stepper over 4 LPs: %d goroutines, want %d", n, base)
 	}
 	if _, err := st.Step(0, c.L); err != nil {
 		t.Fatal(err)
@@ -381,9 +386,6 @@ func TestStepperCloseStopsWorkers(t *testing.T) {
 	cp := k.Checkpoint(c.L)
 	st.Close()
 	st.Close() // idempotent
-	if n := runtime.NumGoroutine(); n != base {
-		t.Errorf("after Close: %d goroutines, want %d", n, base)
-	}
 	if _, err := st.Step(c.L, 2*c.L); err == nil {
 		t.Error("Step on a closed Stepper must fail")
 	}
@@ -395,12 +397,9 @@ func TestStepperCloseStopsWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Stepper after Close: %v", err)
 	}
-	if n := runtime.NumGoroutine(); n != base+2 {
-		t.Errorf("reseated Stepper over 2 LPs: %d goroutines, want %d", n, base+2)
-	}
-	st2.Close()
+	defer st2.Close()
 	if n := runtime.NumGoroutine(); n != base {
-		t.Errorf("after the reseated Stepper's Close: %d goroutines, want %d", n, base)
+		t.Errorf("reseated Stepper over 2 LPs: %d goroutines, want %d", n, base)
 	}
 }
 

@@ -6,11 +6,10 @@ import (
 	"repro/internal/obs"
 )
 
-// windowsTo is the smallest OnWindow hook: every window record goes to rec,
-// with barrier wait measured where the kernel can (nil rec: no hook at all).
+// windowsTo is the smallest OnWindow hook: every window record goes to rec
+// (nil rec: no hook at all).
 func windowsTo(cfg Config[any], rec obs.Recorder) Config[any] {
 	if rec != nil {
-		cfg.MeasureWait = true
 		cfg.OnWindow = func(w *obs.Window) error {
 			rec.RecordWindow(*w)
 			return nil
@@ -22,13 +21,12 @@ func windowsTo(cfg Config[any], rec obs.Recorder) Config[any] {
 // chainKernel builds a kernel where each LP processes a chain of events, one
 // per tick, each event scheduling the next locally and charging one kernel
 // event; every stride-th event also pings the neighbor LP.
-func chainKernel(t testing.TB, numLPs int, events int, stride int, rec obs.Recorder, sequential bool) *Kernel[any] {
+func chainKernel(t testing.TB, numLPs int, events int, stride int, rec obs.Recorder) *Kernel[any] {
 	t.Helper()
 	type tick struct{ n int }
 	k, err := New(windowsTo(Config[any]{
-		NumLPs:     numLPs,
-		Lookahead:  1,
-		Sequential: sequential,
+		NumLPs:    numLPs,
+		Lookahead: 1,
 		Handler: func(lp int, now float64, data any, s *Scheduler[any]) {
 			tk := data.(*tick)
 			s.Charge(1)
@@ -55,35 +53,33 @@ func chainKernel(t testing.TB, numLPs int, events int, stride int, rec obs.Recor
 // TestWindowRecordCounters checks the per-window records against the
 // kernel's own cumulative statistics.
 func TestWindowRecordCounters(t *testing.T) {
-	for _, seq := range []bool{true, false} {
-		stats := obs.NewRunStats()
-		k := chainKernel(t, 3, 50, 10, stats, seq)
-		st, err := k.Run()
-		if err != nil {
-			t.Fatal(err)
+	stats := obs.NewRunStats()
+	k := chainKernel(t, 3, 50, 10, stats)
+	st, err := k.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Windows != st.Windows {
+		t.Errorf("recorded %d windows, kernel says %d", stats.Windows, st.Windows)
+	}
+	for lp := 0; lp < 3; lp++ {
+		if stats.Events[lp] != st.Events[lp] {
+			t.Errorf("LP %d recorded events %d, kernel %d", lp, stats.Events[lp], st.Events[lp])
 		}
-		if stats.Windows != st.Windows {
-			t.Errorf("seq=%v: recorded %d windows, kernel says %d", seq, stats.Windows, st.Windows)
+		if stats.Charges[lp] != st.Charges[lp] {
+			t.Errorf("LP %d recorded charges %d, kernel %d", lp, stats.Charges[lp], st.Charges[lp])
 		}
-		for lp := 0; lp < 3; lp++ {
-			if stats.Events[lp] != st.Events[lp] {
-				t.Errorf("seq=%v: LP %d recorded events %d, kernel %d", seq, lp, stats.Events[lp], st.Events[lp])
-			}
-			if stats.Charges[lp] != st.Charges[lp] {
-				t.Errorf("seq=%v: LP %d recorded charges %d, kernel %d", seq, lp, stats.Charges[lp], st.Charges[lp])
-			}
-			if stats.Remote[lp] != st.RemoteSends[lp] {
-				t.Errorf("seq=%v: LP %d recorded remote %d, kernel %d", seq, lp, stats.Remote[lp], st.RemoteSends[lp])
-			}
-			if stats.MaxQueue[lp] < 1 {
-				t.Errorf("seq=%v: LP %d max queue = %d, want >= 1", seq, lp, stats.MaxQueue[lp])
-			}
+		if stats.Remote[lp] != st.RemoteSends[lp] {
+			t.Errorf("LP %d recorded remote %d, kernel %d", lp, stats.Remote[lp], st.RemoteSends[lp])
+		}
+		if stats.MaxQueue[lp] < 1 {
+			t.Errorf("LP %d max queue = %d, want >= 1", lp, stats.MaxQueue[lp])
 		}
 	}
 }
 
-// TestWindowRecordIsOneWindow: the one hook sees the counters, the post-merge
-// queue depths and the barrier wait of the same window in one record. Every LP
+// TestWindowRecordIsOneWindow: the one hook sees the counters and the
+// post-merge queue depths of the same window in one record. Every LP
 // runs a countdown tick per window that charges lp+2 and pings its neighbour
 // (1 charge, next window), so each field of each record is known in advance —
 // a counter folded twice, or a slice filled a window late, shows at once.
@@ -91,7 +87,7 @@ func TestWindowRecordIsOneWindow(t *testing.T) {
 	const numLPs, rounds = 3, 8
 	var windows int64
 	k, err := New(Config[any]{
-		NumLPs: numLPs, Lookahead: 1, Sequential: true, MeasureWait: true,
+		NumLPs: numLPs, Lookahead: 1,
 		Handler: func(lp int, now float64, data any, s *Scheduler[any]) {
 			n := data.(int)
 			if n < 0 { // a neighbour's ping
@@ -119,10 +115,6 @@ func TestWindowRecordIsOneWindow(t *testing.T) {
 					t.Errorf("window %d LP %d: %d remote, %d queued, want %d and %d",
 						windows, lp, w.Remote[lp], w.Queue[lp], pings, 2*pings)
 				}
-				if w.Wait[lp] != 0 {
-					t.Errorf("window %d LP %d: waited %gs at a barrier a sequential run does not have",
-						windows, lp, w.Wait[lp])
-				}
 			}
 			windows++
 			return nil
@@ -144,59 +136,6 @@ func TestWindowRecordIsOneWindow(t *testing.T) {
 	}
 }
 
-// TestWaitMeasuredOnlyOnWorkers: barrier wait exists only where LPs run on
-// workers, so only there does the kernel read the clock for it. A Sequential
-// run, a single-LP run and a GOMAXPROCS=1 run leave the Stepper untimed and
-// deliver all-zero Wait however loudly MeasureWait asks; the worker dispatch
-// times its windows and delivers the wait — unless nobody asked.
-func TestWaitMeasuredOnlyOnWorkers(t *testing.T) {
-	for _, tc := range []struct {
-		name            string
-		lps, procs      int
-		sequential, ask bool
-		timed           bool
-	}{
-		{"sequential", 3, 4, true, true, false},
-		{"single LP", 1, 4, false, true, false},
-		{"GOMAXPROCS=1", 3, 1, false, true, false},
-		{"workers, nobody reads wait", 3, 4, false, false, false},
-		{"workers", 3, 4, false, true, true},
-	} {
-		var k *Kernel[any]
-		var windows int
-		var waited float64
-		hook := func(w *obs.Window) error {
-			windows++
-			if k.driver.timing != tc.timed {
-				t.Errorf("%s: Stepper timing = %v, want %v", tc.name, k.driver.timing, tc.timed)
-			}
-			for _, s := range w.Wait {
-				waited += s
-			}
-			return nil
-		}
-		k, _ = New(Config[any]{
-			NumLPs: tc.lps, Lookahead: 1, Sequential: tc.sequential, MeasureWait: tc.ask, OnWindow: hook,
-			Handler: func(lp int, now float64, data any, s *Scheduler[any]) {
-				if n := data.(int); n > 0 {
-					s.Schedule(lp, now+1, n-1)
-				}
-			},
-		})
-		for lp := 0; lp < tc.lps; lp++ {
-			k.Schedule(lp, 0, 20)
-		}
-		var err error
-		atGOMAXPROCS(tc.procs, func() { _, err = k.Run() })
-		if err != nil || windows != 21 {
-			t.Fatalf("%s: %d windows, err %v", tc.name, windows, err)
-		}
-		if (waited > 0) != tc.timed {
-			t.Errorf("%s: total barrier wait %gs, timed = %v", tc.name, waited, tc.timed)
-		}
-	}
-}
-
 // TestNilRecorderZeroAllocsPerEvent is the acceptance gate for the no-op
 // observability path: with no OnWindow hook, the kernel must not allocate per
 // event. The chain workload keeps every queue at constant depth, so a run's
@@ -215,7 +154,7 @@ func TestNilRecorderZeroAllocsPerEvent(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		k, err := New(Config[any]{NumLPs: 2, Lookahead: 1, Sequential: true, Handler: handler})
+		k, err := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: handler})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +191,7 @@ func BenchmarkKernelRunStats(b *testing.B) {
 func benchKernel(b *testing.B, rec obs.Recorder) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		k := chainKernel(b, 4, 2000, 50, rec, false)
+		k := chainKernel(b, 4, 2000, 50, rec)
 		if _, err := k.Run(); err != nil {
 			b.Fatal(err)
 		}

@@ -4,19 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 )
 
 // The window dispatcher. A Stepper holds a set of a kernel's LPs and executes
-// them one window at a time, for whoever walks the Grid: Kernel.Run holds all
-// of them and merges the outboxes in place; a distributed worker holds the
-// engines assigned to its process and steps under an outside coordinator,
-// which collects NextEventTime votes from every worker, picks the global
-// window on its own Grid, calls Step on each, merges the outboxes in the same
-// deterministic (time, source LP, send order) order Run's barrier uses, and
-// hands each worker back its share through Inject. Because sequence numbers
+// them one window at a time, in LP order on the caller's goroutine, for
+// whoever walks the Grid: Kernel.Run holds all of them and merges the outboxes
+// in place; a distributed worker holds the engines assigned to its process
+// and steps under an outside coordinator, which collects NextEventTime votes
+// from every worker, picks the global window on its own Grid, calls Step on
+// each, merges the outboxes in the same deterministic (time, source LP, send
+// order) order Run's barrier uses, and hands each worker back its share
+// through Inject. Because sequence numbers
 // are per destination LP and every phase (initial seeding, in-window local
 // pushes, barrier merge) replays in the same order as the in-process loop, a
 // stepped execution is event-for-event identical to Run.
@@ -67,8 +66,7 @@ type StepResult[P any] struct {
 
 // Stepper drives a subset of a kernel's LPs one window at a time. Create
 // with Kernel.Stepper, seed initial events through Kernel.Schedule first, and
-// Close it when done: it holds its LPs — and, in parallel dispatch, one
-// parked goroutine per LP — until then.
+// Close it when done: it holds its LPs until then.
 type Stepper[P any] struct {
 	k       *Kernel[P]
 	local   []int
@@ -84,15 +82,6 @@ type Stepper[P any] struct {
 	// it. stepped says a window has run since the Stepper was made.
 	lastEnd float64
 	stepped bool
-
-	// Parallel dispatch (nil in sequential): one persistent worker per local
-	// LP. exec publishes the window end, kicks each worker through its channel
-	// and collects one completion each; the channel pairs order wEnd, the
-	// schedulers and the queues between this goroutine and the workers.
-	starts []chan struct{}
-	done   chan struct{}
-	wEnd   float64
-	exited sync.WaitGroup
 }
 
 // EnableTiming turns on per-LP wall-clock measurement of window execution:
@@ -111,12 +100,6 @@ func (st *Stepper[P]) EnableTiming() {
 // driver at a time. OnWindow belongs to Run's barrier and is not called by
 // Step. Statistics continue from the kernel's: a worker reseated on a restored
 // kernel reports run totals, not post-migration deltas.
-//
-// The dispatch is chosen here from what the kernel can observe: with more
-// than one local LP, GOMAXPROCS above one and no Config.Sequential, each LP
-// gets a persistent worker goroutine; otherwise workers would only add
-// context switches and windows run on the caller's goroutine. The two are
-// byte-identical by construction.
 func (k *Kernel[P]) Stepper(local []int) (*Stepper[P], error) {
 	if k.driver != nil {
 		return nil, fmt.Errorf("des: kernel is already driven by a Stepper (Close it first)")
@@ -153,38 +136,17 @@ func (k *Kernel[P]) Stepper(local []int) (*Stepper[P], error) {
 		}
 		st.scheds[lp] = s
 	}
-	if !k.cfg.Sequential && len(st.local) > 1 && runtime.GOMAXPROCS(0) > 1 {
-		st.starts = make([]chan struct{}, len(st.local))
-		st.done = make(chan struct{}, len(st.local)) // one completion per worker per window
-		st.exited.Add(len(st.local))
-		for i, lp := range st.local {
-			ch := make(chan struct{}, 1)
-			st.starts[i] = ch
-			go func(lp int, ch chan struct{}) {
-				defer st.exited.Done()
-				for range ch {
-					k.runWindow(lp, st.scheds[lp], st.wEnd, st.timing)
-					st.done <- struct{}{}
-				}
-			}(lp, ch)
-		}
-	}
 	k.driver = st
 	return st, nil
 }
 
-// Close stops the Stepper's workers, waits for them to exit and releases the
-// kernel for another driver. Every later Step fails. Closing twice is
-// harmless.
+// Close releases the kernel for another driver. Every later Step fails.
+// Closing twice is harmless.
 func (st *Stepper[P]) Close() {
 	if st.k.driver != st {
 		return
 	}
 	st.k.driver = nil
-	for _, ch := range st.starts {
-		close(ch)
-	}
-	st.exited.Wait()
 	if st.failed == nil {
 		st.failed = fmt.Errorf("des: Stepper is closed")
 	}
@@ -206,32 +168,20 @@ func (st *Stepper[P]) NextEventTime() (float64, bool) {
 	return best, found
 }
 
-// exec is the one window dispatch: it runs every local LP up to end — on the
-// workers if the Stepper has them — and surfaces the first handler error in
-// LP order, which also poisons the Stepper. The window's counters and
-// outgoing batches stay on the schedulers for the caller's barrier.
+// exec is the one window dispatch: it runs every local LP up to end, in LP
+// order on the caller's goroutine, and stops at the first handler error,
+// which also poisons the Stepper. The window's counters and outgoing batches
+// stay on the schedulers for the caller's barrier.
 func (st *Stepper[P]) exec(end float64) error {
 	if st.failed != nil {
 		return st.failed
 	}
-	k, scheds, timing := st.k, st.scheds, st.timing
-	if st.starts != nil {
-		st.wEnd = end
-		for _, ch := range st.starts {
-			ch <- struct{}{}
-		}
-		for range st.starts {
-			<-st.done
-		}
-	} else {
-		for _, lp := range st.local {
-			k.runWindow(lp, scheds[lp], end, timing)
-		}
-	}
 	for _, lp := range st.local {
-		if err := scheds[lp].err; err != nil {
-			st.failed = err
-			return err
+		s := st.scheds[lp]
+		st.k.runWindow(lp, s, end, st.timing)
+		if s.err != nil {
+			st.failed = s.err
+			return s.err
 		}
 	}
 	return nil

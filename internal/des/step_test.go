@@ -39,7 +39,7 @@ func pingHandler(lp int, t float64, data any, s *Scheduler[any]) {
 
 func newPingKernel(t *testing.T) *Kernel[any] {
 	t.Helper()
-	k, err := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: pingHandler, Sequential: true})
+	k, err := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: pingHandler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestStepperMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kB, err := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: pingHandler, Sequential: true})
+	kB, err := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: pingHandler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestStepperInjectRejectsNonLocal(t *testing.T) {
 }
 
 func TestStepperHandlerFailurePoisons(t *testing.T) {
-	k, err := New(Config[any]{NumLPs: 1, Lookahead: 1, Sequential: true,
+	k, err := New(Config[any]{NumLPs: 1, Lookahead: 1,
 		Handler: func(lp int, tt float64, data any, s *Scheduler[any]) {
 			s.Fail(errors.New("deliberate"))
 		}})

@@ -38,7 +38,8 @@ import (
 // aborts the handshake. v6 cut the telemetry share to per-engine histograms,
 // sent in WINDOW_DONE only at measurement-window crossings beside the link
 // arrays of the worker's NetState, which gained per-direction packet counts.
-const Version = 6
+// v7 dropped the spec's sequential byte: a worker's kernel has one dispatch.
+const Version = 7
 
 // MaxFrame bounds a frame's payload (type byte included). It is sized for
 // the largest legitimate message — a NetState export on a large topology —

@@ -424,7 +424,6 @@ func EncodeSpec(s *Spec) ([]byte, error) {
 	e.f64s(cfg.EngineSpeeds)
 	e.i64(cfg.BufferBytes)
 	e.f64(cfg.MinLookahead)
-	e.boolean(cfg.Sequential)
 	e.f64(cfg.MigrationCost)
 	e.u8(uint8(s.Routing.Backend))
 	e.i64(int64(s.Routing.LazyRows))
@@ -529,7 +528,6 @@ func DecodeSpec(b []byte) (*Spec, error) {
 	cfg.EngineSpeeds = d.f64s("spec.engineSpeeds")
 	cfg.BufferBytes = d.i64("spec.bufferBytes")
 	cfg.MinLookahead = d.f64("spec.minLookahead")
-	cfg.Sequential = d.boolean("spec.sequential")
 	cfg.MigrationCost = d.f64("spec.migrationCost")
 	s.Routing.Backend = netgraph.Backend(d.u8("spec.routing.backend"))
 	s.Routing.LazyRows = int(d.i64("spec.routing.lazyRows"))

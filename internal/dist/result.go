@@ -10,9 +10,8 @@ import (
 // canonicalResult is the deterministic projection of an emu.Result used for
 // in-process vs distributed equivalence checks. It carries every simulation
 // output and excludes only what is legitimately nondeterministic between the
-// two execution modes: wall-clock time (Kernel.WallTime, and the wall-clock
-// Wait/Busy parts of Obs) and the distributed runtime's pre-merge queue-depth
-// sampling (see DESIGN.md §11).
+// two execution modes: wall-clock time (Kernel.WallTime) and the distributed
+// runtime's pre-merge queue-depth sampling (see DESIGN.md §11).
 type canonicalResult struct {
 	Windows         int64
 	VirtualEnd      float64

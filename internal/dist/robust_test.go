@@ -157,15 +157,15 @@ func TestTruncatedHelloFailsHandshake(t *testing.T) {
 	}
 }
 
-// TestStaleHelloVersionRefused: a worker built before the telemetry share
-// shrank to histograms says so in its HELLO and is refused before anything
-// ships to it.
+// TestStaleHelloVersionRefused: a worker built before the spec lost its
+// sequential byte says so in its HELLO and is refused before anything ships
+// to it.
 func TestStaleHelloVersionRefused(t *testing.T) {
 	c, s := dist.Loopback()
-	go s.Send(dist.Frame{Type: dist.MsgHello, Payload: dist.Hello{Version: 5}.Encode()})
+	go s.Send(dist.Frame{Type: dist.MsgHello, Payload: dist.Hello{Version: 6}.Encode()})
 	_, err := dist.Run(context.Background(), distSpec(t), []dist.Conn{c}, dist.Options{})
-	if err == nil || !strings.Contains(err.Error(), "speaks protocol 5, this build speaks 6") {
-		t.Fatalf("a v5 HELLO must be refused by version, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), "speaks protocol 6, this build speaks 7") {
+		t.Fatalf("a v6 HELLO must be refused by version, got %v", err)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // route read from an independent RouteLinks walk, not from the run.
 func TestLinkBytesEqualRoutedVolume(t *testing.T) {
 	for _, topology := range []string{"Campus", "TeraGrid"} {
-		cfg := topConfig(t, topology, 30, true)
+		cfg := topConfig(t, topology, 30)
 		var offered, routed int64
 		for _, f := range cfg.Workload.Flows {
 			offered += f.Bytes

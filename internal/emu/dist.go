@@ -226,7 +226,7 @@ func NewDistLocal(cfg Config, engines []int, tel *telemetry.Collector) (*DistLoc
 // the coordinator cross-checks it against its own during the handshake.
 func (d *DistLocal) Lookahead() float64 { return d.e.lookahead }
 
-// Close releases the engines' kernel Stepper and stops its worker goroutines.
+// Close releases the engines' kernel Stepper.
 // Call it when the worker is done (BYE, or any error that ends Serve).
 func (d *DistLocal) Close() { d.stepper.Close() }
 
@@ -315,8 +315,7 @@ type DistMerge struct {
 	e     *emulation
 	stats *des.Stats
 	// win is the per-window record, its slices reused across CommitWindow calls
-	// (sinks must not retain them). Wait stays zero: barrier wait is wall-clock
-	// and owned by the transport here.
+	// (sinks must not retain them).
 	win obs.Window
 	// active flags the engines currently in the run's membership; resizes
 	// update it, and assemble only requires coverage of active engines.
@@ -349,7 +348,6 @@ func NewDistMerge(cfg Config, opts ...Option) (*DistMerge, error) {
 			Charges: make([]int64, n),
 			Remote:  make([]int64, n),
 			Queue:   make([]int64, n),
-			Wait:    make([]float64, n),
 		},
 		active: make([]bool, n),
 	}

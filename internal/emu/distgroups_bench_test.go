@@ -78,12 +78,12 @@ func runAsGroups(cfg emu.Config, groups [][]int) (*emu.Result, error) {
 // BenchmarkRunAsDistGroups answers ROADMAP's "could emu.Run be N DistLocal
 // groups and a DistMerge, so that commit is the only barrier code?" with a
 // number anyone can reproduce: the bench's replay_teragrid_seq inputs
-// (TeraGrid, 600 s, seed 42, 5 engines, sequential) through emu.Run, through
+// (TeraGrid, 600 s, seed 42, 5 engines) through emu.Run, through
 // one group of all five engines, and through one group per engine — exported
 // API only, set-up included, canonical results required byte-equal. The bar
 // was 1.1× emu.Run; see ROADMAP.md for what it measured.
 func BenchmarkRunAsDistGroups(b *testing.B) {
-	cfg := topConfig(b, "TeraGrid", 600, true)
+	cfg := topConfig(b, "TeraGrid", 600)
 	all, each := make([]int, cfg.NumEngines), make([][]int, cfg.NumEngines)
 	for e := range all {
 		all[e], each[e] = e, []int{e}

@@ -135,7 +135,9 @@ type Config struct {
 	// MinLookahead floors the synchronization window (default 100 µs) so a
 	// pathological partition cannot drive the window count to infinity.
 	MinLookahead float64
-	// Sequential forces the kernel to run single-threaded.
+	// Sequential is ignored: the kernel runs every window on the caller's
+	// goroutine, and more cores mean more distributed workers. It stays only
+	// for callers written against the retired in-process parallel kernel.
 	Sequential bool
 
 	// Faults optionally injects a deterministic fault schedule — engine
@@ -212,9 +214,8 @@ type Result struct {
 	// was empty.
 	Membership *Membership
 	// Obs is the aggregated observability summary — per-engine event,
-	// charge, remote-send and queue counters, barrier wait, and recovery
-	// lifecycle counts. nil unless the run was given WithStats or
-	// WithRecorder.
+	// charge, remote-send and queue counters, and recovery lifecycle counts.
+	// nil unless the run was given WithStats or WithRecorder.
 	Obs *obs.RunStats
 	// Telemetry is the final traffic-plane snapshot — engine traffic
 	// matrix, link totals, queue-delay/FCT histograms and the per-window
@@ -337,7 +338,6 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 
 	desCfg := e.kernelConfig()
 	desCfg.OnWindow = e.onWindow
-	desCfg.MeasureWait = e.rec != nil // recorders are the only readers of Window.Wait
 	kernel, err := des.New(desCfg)
 	if err != nil {
 		return nil, err
@@ -466,11 +466,10 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 // coordinator owns the barrier and commits the merged window).
 func (e *emulation) kernelConfig() des.Config[payload] {
 	return des.Config[payload]{
-		NumLPs:     e.cfg.NumEngines,
-		Lookahead:  e.lookahead,
-		Handler:    e.handle,
-		EndTime:    e.cfg.EndTime,
-		Sequential: e.cfg.Sequential,
+		NumLPs:    e.cfg.NumEngines,
+		Lookahead: e.lookahead,
+		Handler:   e.handle,
+		EndTime:   e.cfg.EndTime,
 	}
 }
 

@@ -183,38 +183,6 @@ func TestProfileCollectsNetFlow(t *testing.T) {
 	}
 }
 
-func TestDeterminismAcrossParallelism(t *testing.T) {
-	nw := topogen.Campus()
-	spec := traffic.DefaultHTTP(20, 3)
-	w := spec.Generate(nw)
-	assign := roundRobin(nw.NumNodes(), 3)
-	run := func(seq bool) *Result {
-		res, err := Run(Config{
-			Network: nw, Assignment: assign, NumEngines: 3,
-			Workload: w, Sequential: seq,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(true), run(false)
-	if a.Kernel.TotalCharges() != b.Kernel.TotalCharges() {
-		t.Errorf("charges differ: %d vs %d", a.Kernel.TotalCharges(), b.Kernel.TotalCharges())
-	}
-	for e := range a.EngineLoads {
-		if a.EngineLoads[e] != b.EngineLoads[e] {
-			t.Errorf("engine %d load differs: %v vs %v", e, a.EngineLoads[e], b.EngineLoads[e])
-		}
-	}
-	if a.Kernel.Windows != b.Kernel.Windows {
-		t.Errorf("windows differ: %d vs %d", a.Kernel.Windows, b.Kernel.Windows)
-	}
-	if math.Abs(a.AppTime-b.AppTime) > 1e-9 {
-		t.Errorf("AppTime differs: %v vs %v", a.AppTime, b.AppTime)
-	}
-}
-
 func TestAppTimeAtLeastNetTime(t *testing.T) {
 	nw := topogen.Campus()
 	w := traffic.DefaultHTTP(30, 5).Generate(nw)

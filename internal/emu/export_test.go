@@ -7,8 +7,7 @@ const RaceEnabled = raceEnabled
 
 // RunLogged is Run without options, with the handler wrapped to report every
 // executed event's virtual time and LP first: what the tests in package
-// emu_test that replay window rules offline work from. cfg must be
-// Sequential, so that log is called from one goroutine.
+// emu_test that replay window rules offline work from.
 func RunLogged(cfg Config, log func(t float64, lp int)) (*Result, error) {
 	res, _, err := runEmulation(cfg, func(e *emulation) des.Handler[payload] {
 		return func(lp int, t float64, p payload, s *des.Scheduler[payload]) {

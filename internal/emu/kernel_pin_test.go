@@ -47,9 +47,9 @@ func denseConfig() emu.Config {
 // topConfig is the evaluation's emulation of one paper topology with all
 // precomputation resolved: ScaLapack over the HTTP background at seed 42,
 // memoized routes, TOP partition.
-func topConfig(tb testing.TB, topology string, duration float64, sequential bool) emu.Config {
+func topConfig(tb testing.TB, topology string, duration float64) emu.Config {
 	tb.Helper()
-	sc, err := experiments.ScenarioFor(experiments.Config{Duration: duration, Seed: 42, Sequential: sequential}, topology, "ScaLapack")
+	sc, err := experiments.ScenarioFor(experiments.Config{Duration: duration, Seed: 42}, topology, "ScaLapack")
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -66,14 +66,14 @@ func topConfig(tb testing.TB, topology string, duration float64, sequential bool
 		tb.Fatal(err)
 	}
 	return emu.Config{Network: sc.Network, Routes: routes, Assignment: part,
-		NumEngines: sc.Engines, Workload: w, Sequential: sequential}
+		NumEngines: sc.Engines, Workload: w}
 }
 
 // TestKernelRunInvariants pins the two exact run invariants — executed
 // windows and handled events — of a full emulation on the paper topologies
-// (30 s) and on the dense stress case, on both sides of the kernel's dispatch
-// choice. They are the deterministic half of the retired BENCH_kernel.json; a
-// queue or barrier change that moves either changed what the emulation does.
+// (30 s) and on the dense stress case. They are the deterministic half of
+// the retired BENCH_kernel.json; a queue or barrier change that moves either
+// changed what the emulation does.
 func TestKernelRunInvariants(t *testing.T) {
 	for _, c := range []struct {
 		topology        string // "": the dense stress case
@@ -86,22 +86,19 @@ func TestKernelRunInvariants(t *testing.T) {
 	} {
 		cfg := denseConfig()
 		if c.topology != "" {
-			cfg = topConfig(t, c.topology, 30, true)
+			cfg = topConfig(t, c.topology, 30)
 		}
-		for _, sequential := range []bool{true, false} {
-			cfg.Sequential = sequential
-			res, err := emu.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var events int64
-			for _, e := range res.Kernel.Events {
-				events += e
-			}
-			if res.Kernel.Windows != c.windows || events != c.events {
-				t.Errorf("%q sequential=%v: %d windows, %d events, want %d and %d",
-					c.topology, sequential, res.Kernel.Windows, events, c.windows, c.events)
-			}
+		res, err := emu.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events int64
+		for _, e := range res.Kernel.Events {
+			events += e
+		}
+		if res.Kernel.Windows != c.windows || events != c.events {
+			t.Errorf("%q: %d windows, %d events, want %d and %d",
+				c.topology, res.Kernel.Windows, events, c.windows, c.events)
 		}
 	}
 }
@@ -118,7 +115,7 @@ func TestRunAllocBytes(t *testing.T) {
 	if emu.RaceEnabled {
 		t.Skip("allocation sizes are the race detector's under -race")
 	}
-	cfg := topConfig(t, "TeraGrid", 30, true)
+	cfg := topConfig(t, "TeraGrid", 30)
 	if _, err := emu.Run(cfg); err != nil { // warm what the network caches lazily
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func randomConfig(t *testing.T, seed int64) emu.Config {
 		}
 	}
 	w.SortByStart()
-	return emu.Config{Network: nw, Assignment: top, NumEngines: engines, Workload: w, Sequential: true}
+	return emu.Config{Network: nw, Assignment: top, NumEngines: engines, Workload: w}
 }
 
 // tieOrderedSeeds are the random scenarios the premise does not hold on today,
@@ -162,7 +162,7 @@ var remapTieSeeds = map[int64]bool{26: true, 30: true}
 // alike.
 func TestMappingNeverChangesTheNetwork(t *testing.T) {
 	for _, topology := range []string{"Campus", "TeraGrid", "Brite"} {
-		t.Run(topology, func(t *testing.T) { checkMappingInvariance(t, topConfig(t, topology, 20, true), true) })
+		t.Run(topology, func(t *testing.T) { checkMappingInvariance(t, topConfig(t, topology, 20), true) })
 	}
 	if testing.Short() {
 		return

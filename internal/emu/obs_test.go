@@ -12,8 +12,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// faultedConfig is the shared crash scenario: engine 1 dies at t=2 over the
-// parallel kernel, recovery dumps its nodes onto engine 0.
+// faultedConfig is the shared crash scenario: engine 1 dies at t=2,
+// recovery dumps its nodes onto engine 0.
 func faultedConfig() Config {
 	return Config{
 		Network:         lineNet(),
@@ -27,8 +27,8 @@ func faultedConfig() Config {
 }
 
 // TestTraceDeterministicAcrossRuns is the acceptance gate for trace
-// determinism: identical scenarios — including faulted runs under the
-// parallel kernel — must produce byte-identical JSONL traces.
+// determinism: identical scenarios — faulted runs included — must produce
+// byte-identical JSONL traces.
 func TestTraceDeterministicAcrossRuns(t *testing.T) {
 	cases := []struct {
 		name string
@@ -244,7 +244,6 @@ func TestConfigCostOverride(t *testing.T) {
 		Assignment: []int{0, 0, 1, 1},
 		NumEngines: 2,
 		Workload:   spreadFlows(4, 4),
-		Sequential: true,
 	}
 	cheap, err := Run(cfg)
 	if err != nil {

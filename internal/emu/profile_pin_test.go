@@ -80,7 +80,6 @@ func TestProfileMatchesKeyedCollector(t *testing.T) {
 		want string
 	}{
 		{"blast", dense(nil), unfaulted},
-		{"blast-sequential", dense(func(c *emu.Config) { c.Sequential = true }), unfaulted},
 		{"tcp", dense(func(c *emu.Config) { c.Transport = emu.TCPSlowStart }), unfaulted},
 		{"buffered-drops", dense(func(c *emu.Config) {
 			c.BufferBytes = 8 << 10
@@ -99,7 +98,7 @@ func TestProfileMatchesKeyedCollector(t *testing.T) {
 			c.OnMembership = dumpOnZero
 		}), unfaulted},
 		{"campus-top", func() emu.Config {
-			cfg := topConfig(t, "Campus", 30, false)
+			cfg := topConfig(t, "Campus", 30)
 			cfg.Profile = true
 			return cfg
 		}(), "56 links 452febe311cf46db"},
@@ -136,7 +135,7 @@ func TestProfilePaperTopologies(t *testing.T) {
 		{"Brite", "322 links b4106320b209b603"},
 		{"TeraGrid", "179 links d24e2a221f663368"},
 	} {
-		cfg := topConfig(t, c.topology, 30, false)
+		cfg := topConfig(t, c.topology, 30)
 		cfg.Profile = true
 		res, err := emu.Run(cfg)
 		if err != nil {
@@ -156,7 +155,7 @@ func TestProfilePaperTopologies(t *testing.T) {
 // packet totals and its load series bit for bit.
 func TestProfileIndependentOfMapping(t *testing.T) {
 	for _, topology := range []string{"Campus", "TeraGrid"} {
-		cfg := topConfig(t, topology, 30, true)
+		cfg := topConfig(t, topology, 30)
 		cfg.Profile = true
 		var want *netflow.Summary
 		for _, m := range mappingsOf(cfg, 7) {
@@ -190,13 +189,11 @@ func TestProfileIndependentOfMapping(t *testing.T) {
 	}
 }
 
-// TestProfileCutLinkBothWays is the race regression of the per-direction
-// ingress counters. On the parallel kernel the two directions of a cut link
-// arrive on different engines in the same window, so a counter both shared
-// would be written from two goroutines at once, which go test -race flags.
-// Each direction has its own slot, written by its receiver's engine, and the
-// link's total is both directions' packets: every flow's, since every flow
-// crosses the cut.
+// TestProfileCutLinkBothWays pins the per-direction ingress counters. The
+// two directions of a cut link arrive on different engines in the same
+// window; each direction has its own slot, written by its receiver's engine,
+// and the link's total is both directions' packets: every flow's, since every
+// flow crosses the cut.
 func TestProfileCutLinkBothWays(t *testing.T) {
 	cfg := denseConfig()
 	cfg.Profile, cfg.MTU = true, 1500
@@ -219,8 +216,8 @@ func TestProfileCutLinkBothWays(t *testing.T) {
 		full, rem := f.Bytes/cfg.ChunkBytes, f.Bytes%cfg.ChunkBytes
 		want += full*((cfg.ChunkBytes+cfg.MTU-1)/cfg.MTU) + (rem+cfg.MTU-1)/cfg.MTU
 	}
-	if len(cut) != 1 || len(dirs) != 2 || cfg.Sequential {
-		t.Fatalf("want one cut link carrying traffic both ways on the parallel kernel: %d cut, %d directions, sequential %v", len(cut), len(dirs), cfg.Sequential)
+	if len(cut) != 1 || len(dirs) != 2 {
+		t.Fatalf("want one cut link carrying traffic both ways: %d cut, %d directions", len(cut), len(dirs))
 	}
 	res, err := emu.Run(cfg)
 	if err != nil {

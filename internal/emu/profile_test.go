@@ -21,7 +21,7 @@ func TestProfileRunSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own schedule: an exact allocation count flickers")
 	}
-	cfg := telConfig(true)
+	cfg := telConfig()
 	cfg.BucketWidth = 10
 	cfg.Workload = traffic.Workload{Duration: 8}
 	for i := 0; i < 20; i++ {

@@ -73,7 +73,6 @@ func TestLookaheadPinsWindowWidth(t *testing.T) {
 		Assignment: []int{0, 0, 1, 1},
 		NumEngines: 2,
 		Workload:   oneFlow(64000, 0),
-		Sequential: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +192,6 @@ func TestCrashRecoveryBasics(t *testing.T) {
 		Faults:          sched,
 		CheckpointEvery: 1,
 		OnMembership:    dumpOn(0),
-		Sequential:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +241,6 @@ func TestCrashRecoveryChargesMatchSingleEngine(t *testing.T) {
 		Assignment: []int{0, 0, 1, 1},
 		NumEngines: 2,
 		Workload:   spreadFlows(8, 8),
-		Sequential: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +254,6 @@ func TestCrashRecoveryChargesMatchSingleEngine(t *testing.T) {
 		Faults:          sched,
 		CheckpointEvery: 1,
 		OnMembership:    dumpOn(0),
-		Sequential:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +275,6 @@ func TestStragglerInflatesCost(t *testing.T) {
 			NumEngines: 2,
 			Workload:   spreadFlows(8, 8),
 			Faults:     sched,
-			Sequential: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -312,7 +307,6 @@ func TestDegradationInflatesRemoteCost(t *testing.T) {
 			NumEngines: 2,
 			Workload:   spreadFlows(8, 8),
 			Faults:     sched,
-			Sequential: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -386,7 +380,6 @@ func TestRecoveryImbalanceMetrics(t *testing.T) {
 		Faults:          sched,
 		CheckpointEvery: 1,
 		OnMembership:    dumpOn(0),
-		Sequential:      true,
 	})
 	if err != nil {
 		t.Fatal(err)

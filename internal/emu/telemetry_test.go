@@ -13,13 +13,12 @@ import (
 	"repro/internal/traffic"
 )
 
-func telConfig(sequential bool) Config {
+func telConfig() Config {
 	return Config{
 		Network:    lineNet(),
 		Assignment: []int{0, 0, 1, 1},
 		NumEngines: 2,
 		Workload:   spreadFlows(8, 8),
-		Sequential: sequential,
 	}
 }
 
@@ -28,7 +27,7 @@ func telConfig(sequential bool) Config {
 // tail-drops and on one that crashes: after a recovery has remapped the nodes
 // the snapshot still agrees — no traffic counted twice.
 func TestTelemetrySnapshotConsistency(t *testing.T) {
-	drops := telConfig(false)
+	drops := telConfig()
 	drops.BufferBytes = 16 << 10 // small enough that the blast below tail-drops
 	drops.Workload = traffic.Workload{Duration: 8}
 	for i := 0; i < 4; i++ {
@@ -174,7 +173,7 @@ func TestTelemetryCrashPinned(t *testing.T) {
 func TestTelemetryDeterministic(t *testing.T) {
 	render := func() (string, string) {
 		tel := telemetry.New()
-		if _, err := Run(telConfig(false), WithTelemetry(tel)); err != nil {
+		if _, err := Run(telConfig(), WithTelemetry(tel)); err != nil {
 			t.Fatal(err)
 		}
 		var m bytes.Buffer
@@ -204,11 +203,11 @@ func TestTelemetryDeterministic(t *testing.T) {
 // latest run (the live massf endpoint reuses one mount).
 func TestTelemetryCollectorReuse(t *testing.T) {
 	tel := telemetry.New()
-	if _, err := Run(telConfig(true), WithTelemetry(tel)); err != nil {
+	if _, err := Run(telConfig(), WithTelemetry(tel)); err != nil {
 		t.Fatal(err)
 	}
 	first := tel.Snapshot()
-	if _, err := Run(telConfig(true), WithTelemetry(tel)); err != nil {
+	if _, err := Run(telConfig(), WithTelemetry(tel)); err != nil {
 		t.Fatal(err)
 	}
 	second := tel.Snapshot()
@@ -230,7 +229,7 @@ func TestDisabledSinksZeroAddedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own schedule: an exact allocation count flickers by one")
 	}
-	cfg := telConfig(true)
+	cfg := telConfig()
 	// Warm the shared routing cache so neither measurement pays the one-time
 	// build.
 	if _, err := Run(cfg); err != nil {
@@ -263,7 +262,7 @@ func TestDisabledSinksZeroAddedAllocs(t *testing.T) {
 }
 
 func benchConfig() Config {
-	cfg := telConfig(true)
+	cfg := telConfig()
 	cfg.Workload = spreadFlows(64, 8)
 	return cfg
 }

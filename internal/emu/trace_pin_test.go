@@ -13,7 +13,7 @@ import (
 
 // TestTraceRenderingPins pins every byte the timeline renders for three
 // in-process runs of the evaluation's scenarios (ScaLapack over the HTTP
-// background, TOP mapping, sequential kernel, seed 42). The SHA-256 values
+// background, TOP mapping, seed 42). The SHA-256 values
 // were recorded at commit bed0bbc, before the timeline's store was rewritten:
 // a storage change that moves one rendered byte fails here.
 func TestTraceRenderingPins(t *testing.T) {
@@ -35,7 +35,7 @@ func TestTraceRenderingPins(t *testing.T) {
 	for _, p := range pins {
 		p := p
 		t.Run(p.topo, func(t *testing.T) {
-			sc, err := experiments.ScenarioFor(experiments.Config{Duration: p.duration, Seed: 42, Sequential: true}, p.topo, "ScaLapack")
+			sc, err := experiments.ScenarioFor(experiments.Config{Duration: p.duration, Seed: 42}, p.topo, "ScaLapack")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func TestTraceRenderingPins(t *testing.T) {
 			tl := obs.NewTimeline()
 			if _, err := emu.Run(emu.Config{
 				Network: sc.Network, Routes: routes, Assignment: top,
-				NumEngines: sc.Engines, Workload: w, Sequential: true,
+				NumEngines: sc.Engines, Workload: w,
 			}, emu.WithTrace(tl)); err != nil {
 				t.Fatal(err)
 			}

@@ -15,7 +15,7 @@ import (
 // engine loads.
 func TestTraceTimelineCoversRun(t *testing.T) {
 	tl := obs.NewTimeline()
-	cfg := telConfig(false)
+	cfg := telConfig()
 	res, err := Run(cfg, WithTrace(tl))
 	if err != nil {
 		t.Fatal(err)
@@ -44,26 +44,22 @@ func TestTraceTimelineCoversRun(t *testing.T) {
 	}
 }
 
-// TestTraceCanonicalDeterministic: identical runs — sequential and parallel
-// kernels included — produce byte-identical canonical span projections, the
-// same contract as the result path.
+// TestTraceCanonicalDeterministic: identical runs produce byte-identical
+// canonical span projections, the same contract as the result path.
 func TestTraceCanonicalDeterministic(t *testing.T) {
-	render := func(sequential bool) []byte {
+	render := func() []byte {
 		tl := obs.NewTimeline()
-		if _, err := Run(telConfig(sequential), WithTrace(tl)); err != nil {
+		if _, err := Run(telConfig(), WithTrace(tl)); err != nil {
 			t.Fatal(err)
 		}
 		return tl.CanonicalJSON()
 	}
-	seq := render(true)
-	if len(seq) == 0 {
+	first := render()
+	if len(first) == 0 {
 		t.Fatal("empty canonical projection")
 	}
-	if !bytes.Equal(seq, render(true)) {
-		t.Error("canonical spans differ between identical sequential runs")
-	}
-	if !bytes.Equal(seq, render(false)) {
-		t.Error("canonical spans differ between sequential and parallel kernels")
+	if !bytes.Equal(first, render()) {
+		t.Error("canonical spans differ between identical runs")
 	}
 }
 
@@ -72,7 +68,7 @@ func TestTraceCanonicalDeterministic(t *testing.T) {
 // the majority of the critical path, in its health rows and its summary line,
 // with a RunStats collector riding the same commit.
 func TestTraceStragglerAttribution(t *testing.T) {
-	cfg := telConfig(true)
+	cfg := telConfig()
 	cfg.Faults = &faults.Schedule{Stragglers: []faults.Straggler{
 		{Engine: 1, From: 0, To: cfg.Workload.Duration, Factor: 10},
 	}}
@@ -110,7 +106,7 @@ func TestTraceStragglerAttribution(t *testing.T) {
 // simulation — the canonical result quantities are identical with tracing on
 // and off.
 func TestTraceResultUnchanged(t *testing.T) {
-	cfg := telConfig(false)
+	cfg := telConfig()
 	base, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

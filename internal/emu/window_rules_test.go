@@ -53,7 +53,7 @@ func TestWindowRuleEstimates(t *testing.T) {
 		topology string
 		duration float64 // the bench's length for that topology
 	}{{"TeraGrid", 600}, {"Campus", 30}, {"Brite", 120}} {
-		cfg := topConfig(t, c.topology, c.duration, true)
+		cfg := topConfig(t, c.topology, c.duration)
 		perLP := make([][]float64, cfg.NumEngines)
 		res, err := emu.RunLogged(cfg, func(at float64, lp int) { perLP[lp] = append(perLP[lp], at) })
 		if err != nil {

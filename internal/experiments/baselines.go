@@ -48,7 +48,6 @@ func Baselines(cfg Config) ([]BaselineRow, error) {
 			Assignment: assignment,
 			NumEngines: sc.Engines,
 			Workload:   w,
-			Sequential: cfg.Sequential,
 		})
 		if err != nil {
 			return err

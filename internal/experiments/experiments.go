@@ -15,6 +15,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/apps"
@@ -32,12 +33,15 @@ import (
 type Config struct {
 	// Duration is the virtual length of each emulation in seconds
 	// (default 120; Full overrides to the paper's application runtimes).
+	// NaN and ±Inf are refused.
 	Duration float64
 	// Full runs the paper's durations (ScaLapack 600 s, GridNPB 900 s).
 	Full bool
 	// Seed drives all generators and the partitioner.
 	Seed int64
-	// Sequential forces single-threaded kernel execution.
+	// Sequential is ignored: the kernel runs every window on one goroutine.
+	// It stays only for callers written against the retired in-process
+	// parallel kernel.
 	Sequential bool
 	// SerialSuite runs RunSuite's topology cells one at a time instead of
 	// fanning them out over the worker pool — the reference execution the
@@ -51,7 +55,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Duration <= 0 {
+	if c.Duration <= 0 && !math.IsInf(c.Duration, -1) { // scenario refuses -Inf with NaN and +Inf
 		c.Duration = 120
 	}
 	if c.Seed == 0 {
@@ -104,6 +108,9 @@ func (c Config) background(duration float64) traffic.HTTPSpec {
 
 // scenario assembles one topology × application study.
 func (c Config) scenario(topology, app string) (*core.Scenario, error) {
+	if math.IsNaN(c.Duration) || math.IsInf(c.Duration, 0) {
+		return nil, fmt.Errorf("experiments: Duration %g is not finite", c.Duration)
+	}
 	nw, err := topogen.ByName(topology, c.Seed)
 	if err != nil {
 		return nil, err
@@ -126,7 +133,6 @@ func (c Config) scenario(topology, app string) (*core.Scenario, error) {
 		AppSeed:    c.Seed + 5,
 		PartSeed:   c.Seed + 3,
 		Cluster:    true,
-		Sequential: c.Sequential,
 		// The report's kernel-observability section reads each run's
 		// aggregated counters from Result.Obs.
 		CollectStats: true,
@@ -170,9 +176,6 @@ type Cell struct {
 	// MaxQueue is the deepest per-engine pending-event queue seen at any
 	// window barrier — the kernel's memory high-water mark.
 	MaxQueue int64
-	// BarrierWait is the total wall-clock time engines spent waiting at
-	// window barriers (parallel kernel only; ~0 when Sequential).
-	BarrierWait float64
 
 	// Traffic-plane telemetry (from the run's telemetry.Snapshot).
 	// CrossEngineBytes is the volume carried between distinct engines — the
@@ -256,7 +259,6 @@ func RunSuite(app string, cfg Config) (*Suite, error) {
 						cell.MaxQueue = q
 					}
 				}
-				cell.BarrierWait = st.TotalBarrierWait()
 			}
 			key := spec.Name + "/" + string(o.Approach)
 			if ts := o.Result.Telemetry; ts != nil {

@@ -121,8 +121,7 @@ func (r *Report) Markdown() string {
 	b.WriteString("## Kernel observability — runtime counters per run\n\n")
 	b.WriteString("Per-run aggregates from the kernel's observability stream: total kernel events, ")
 	b.WriteString("executed synchronization windows, cross-engine event messages, the deepest pending-event ")
-	b.WriteString("queue at any barrier (memory high-water mark), and total wall-clock barrier wait ")
-	b.WriteString("(zero in sequential runs).\n\n")
+	b.WriteString("queue at any barrier (memory high-water mark).\n\n")
 	b.WriteString("```\n" + RenderObservability(r.ScaLapack, r.GridNPB) + "```\n\n")
 
 	b.WriteString("## Traffic-plane telemetry — cross-engine traffic and per-window timeline\n\n")
@@ -159,15 +158,15 @@ func (r *Report) Markdown() string {
 // for every (topology, approach) run of the given suites.
 func RenderObservability(suites ...*Suite) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %-10s %-8s %12s %9s %10s %10s %12s\n",
-		"app", "topology", "approach", "events", "windows", "remote-ev", "max-queue", "barrier-wait")
+	fmt.Fprintf(&b, "%-10s %-10s %-8s %12s %9s %10s %10s\n",
+		"app", "topology", "approach", "events", "windows", "remote-ev", "max-queue")
 	for _, s := range suites {
 		if s == nil {
 			continue
 		}
 		for _, c := range s.Cells {
-			fmt.Fprintf(&b, "%-10s %-10s %-8s %12d %9d %10d %10d %11.3fs\n",
-				s.App, c.Topology, c.Approach, c.Events, c.Windows, c.Remote, c.MaxQueue, c.BarrierWait)
+			fmt.Fprintf(&b, "%-10s %-10s %-8s %12d %9d %10d %10d\n",
+				s.App, c.Topology, c.Approach, c.Events, c.Windows, c.Remote, c.MaxQueue)
 		}
 	}
 	return b.String()

@@ -91,7 +91,7 @@ func TestHostContractionEstimates(t *testing.T) {
 		{"Brite", 120, mapping.Top},
 		{"Brite", 120, mapping.Profile},
 	} {
-		sc, err := experiments.ScenarioFor(experiments.Config{Duration: c.duration, Seed: 42, Sequential: true}, c.topology, "ScaLapack")
+		sc, err := experiments.ScenarioFor(experiments.Config{Duration: c.duration, Seed: 42}, c.topology, "ScaLapack")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestHostContractionEstimates(t *testing.T) {
 		var res [2]*emu.Result
 		for i, assignment := range [][]int{part, contracted} {
 			if res[i], err = emu.Run(emu.Config{Network: sc.Network, Routes: routes, Assignment: assignment,
-				NumEngines: sc.Engines, Workload: w, Sequential: true}); err != nil {
+				NumEngines: sc.Engines, Workload: w}); err != nil {
 				t.Fatal(err)
 			}
 		}

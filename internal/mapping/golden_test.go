@@ -71,7 +71,7 @@ func goldenInput(t testing.TB, nw *netgraph.Network, k int, seed int64) Input {
 	}
 	prof, err := emu.Run(emu.Config{
 		Network: nw, Routes: in.Routes, Assignment: top, NumEngines: k,
-		Workload: spec.Generate(nw), Profile: true, Sequential: true,
+		Workload: spec.Generate(nw), Profile: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func tiedSeries() *metrics.Series {
 // seed 42, ScaLapack for 120 s, partition seed 45, mapped with TOP.
 func britePreRun(t *testing.T) *metrics.Series {
 	t.Helper()
-	sc, err := experiments.ScenarioFor(experiments.Config{Duration: 120, Seed: 42, Sequential: true}, "Brite", "ScaLapack")
+	sc, err := experiments.ScenarioFor(experiments.Config{Duration: 120, Seed: 42}, "Brite", "ScaLapack")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,7 @@
 //     guard on the nil interface.
 //   - Deterministic traces. Identical scenarios must produce byte-identical
 //     JSONL traces, so every field a Trace serializes derives from virtual
-//     time and event counts only. Wall-clock quantities (barrier wait) are
-//     delivered to recorders but excluded from traces; they surface in the
-//     aggregated RunStats instead.
+//     time and event counts only. The window record carries nothing else.
 //   - Single-goroutine delivery. Recorders are invoked only on the
 //     coordinating goroutine at window barriers, so simple recorders need no
 //     locking. RunStats locks anyway because the debug endpoint reads it
@@ -45,8 +43,7 @@ type RunMeta struct {
 // goroutine, to the one function that observes windows — the emulator's
 // commit, which prices it (Cost) and fans it out to every sink. Every slice
 // is a recycled buffer its producer overwrites in place at the next barrier:
-// a consumer must copy what it retains, and holding a reference past its
-// return is a data race in parallel runs, not just stale data.
+// a consumer must copy what it retains, or it reads a later window's values.
 type Window struct {
 	// Index is the cumulative window number (continues across checkpoint
 	// restores; no window repeats an index).
@@ -63,11 +60,6 @@ type Window struct {
 	// Queue[lp] is LP lp's pending-event queue length after the barrier
 	// merge — the channel occupancy entering the next window.
 	Queue []int64
-	// Wait[lp] is the wall-clock time in seconds LP lp spent idle at the
-	// barrier waiting for the slowest LP (zero in sequential mode).
-	// Nondeterministic: recorders producing reproducible artifacts must
-	// ignore it.
-	Wait []float64
 	// Cost[lp] is the modeled seconds of engine work LP lp's counters stand
 	// for under the run's cost model, straggler and degradation factors
 	// included — deterministic. Nil until the emulator's commit prices the

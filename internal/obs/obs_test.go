@@ -16,7 +16,6 @@ func sampleWindow(i int64) Window {
 		Charges: []int64{30, 10},
 		Remote:  []int64{2, 0},
 		Queue:   []int64{5, 7},
-		Wait:    []float64{0.001, 0},
 	}
 }
 
@@ -109,9 +108,6 @@ func TestRunStatsAccumulation(t *testing.T) {
 	}
 	if got := s.TotalMigrations(); got != 5 {
 		t.Errorf("TotalMigrations = %d, want 5", got)
-	}
-	if w := s.TotalBarrierWait(); w <= 0 {
-		t.Errorf("TotalBarrierWait = %g, want > 0", w)
 	}
 	if str := s.String(); !strings.Contains(str, "recovery:") {
 		t.Errorf("String() missing recovery section: %q", str)

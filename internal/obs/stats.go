@@ -31,9 +31,6 @@ type RunStats struct {
 	// MaxQueue is the maximum post-barrier pending-event queue length
 	// observed per LP — peak channel occupancy.
 	MaxQueue []int64
-	// BarrierWait is the accumulated wall-clock barrier wait per LP in
-	// seconds (zero under the sequential kernel). Nondeterministic.
-	BarrierWait []float64
 	// Checkpoints, Crashes and Rollbacks count recovery lifecycle events.
 	Checkpoints, Crashes, Rollbacks int64
 	// ReplayedWindows is the number of windows crash recoveries charged as
@@ -68,9 +65,6 @@ func (s *RunStats) grow(n int) {
 	s.Joins = growInts(s.Joins, n)
 	s.Drains = growInts(s.Drains, n)
 	s.Kills = growInts(s.Kills, n)
-	for len(s.BarrierWait) < n {
-		s.BarrierWait = append(s.BarrierWait, 0)
-	}
 }
 
 func growInts(xs []int64, n int) []int64 {
@@ -101,7 +95,6 @@ func (s *RunStats) RecordWindow(w Window) {
 		if w.Queue[lp] > s.MaxQueue[lp] {
 			s.MaxQueue[lp] = w.Queue[lp]
 		}
-		s.BarrierWait[lp] += w.Wait[lp]
 	}
 }
 
@@ -179,17 +172,10 @@ func sumLocked(s *RunStats, xs *[]int64) int64 {
 	return t
 }
 
-// TotalBarrierWait sums the wall-clock barrier wait over all LPs, in
-// seconds.
-func (s *RunStats) TotalBarrierWait() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var t float64
-	for _, w := range s.BarrierWait {
-		t += w
-	}
-	return t
-}
+// TotalBarrierWait returns 0. The kernel runs every window on one goroutine,
+// so no LP waits at a barrier; the method stays only for callers written
+// against the in-process parallel kernel, and goes with them.
+func (s *RunStats) TotalBarrierWait() float64 { return 0 }
 
 // Snapshot returns a consistent copy safe to read while the run continues.
 func (s *RunStats) Snapshot() *RunStats {
@@ -203,7 +189,6 @@ func (s *RunStats) Snapshot() *RunStats {
 		Charges:         append([]int64(nil), s.Charges...),
 		Remote:          append([]int64(nil), s.Remote...),
 		MaxQueue:        append([]int64(nil), s.MaxQueue...),
-		BarrierWait:     append([]float64(nil), s.BarrierWait...),
 		Checkpoints:     s.Checkpoints,
 		Crashes:         s.Crashes,
 		Rollbacks:       s.Rollbacks,
@@ -225,9 +210,6 @@ func (s *RunStats) String() string {
 		c.Windows, c.ReplayedWindows, sum(c.Events), sum(c.Charges), sum(c.Remote))
 	if mq := maxOf(c.MaxQueue); mq > 0 {
 		fmt.Fprintf(&b, ", max queue %d", mq)
-	}
-	if w := totalFloat(c.BarrierWait); w > 0 {
-		fmt.Fprintf(&b, ", barrier wait %.3fs", w)
 	}
 	if c.Checkpoints > 0 || c.Crashes > 0 {
 		fmt.Fprintf(&b, "; recovery: %d checkpoint(s), %d crash(es), %d rollback(s), %d node(s) migrated",
@@ -256,12 +238,4 @@ func maxOf(xs []int64) int64 {
 		}
 	}
 	return m
-}
-
-func totalFloat(xs []float64) float64 {
-	var t float64
-	for _, x := range xs {
-		t += x
-	}
-	return t
 }

@@ -9,7 +9,7 @@ import (
 // Trace writes a deterministic JSONL trace: one line per kernel run segment,
 // executed window, and lifecycle event. Only virtual-time and counter fields
 // are serialized — never wall-clock quantities — so two runs of the same
-// scenario produce byte-identical traces even under the parallel kernel.
+// scenario produce byte-identical traces.
 //
 // Line schema (fields always present, in this order):
 //
