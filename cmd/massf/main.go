@@ -117,7 +117,7 @@ func main() {
 
 		stats     = flag.Bool("stats", false, "print the kernel's aggregated observability counters per run")
 		tracePath = flag.String("trace", "", "write the deterministic JSONL kernel trace to this file (.<approach> suffix with -approach all)")
-		pprofAddr = flag.String("pprof", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")
+		pprofAddr = flag.String("pprof", "", "serve /debug/pprof and Go's runtime vars at /debug/vars on this address (e.g. localhost:6060); live run counters are on -metrics")
 
 		metricsAddr = flag.String("metrics", "", "serve Prometheus /metrics and live /trafficmatrix (plus pprof and expvar) on this address")
 		matrixOut   = flag.String("matrix-out", "", "write each run's final traffic matrix JSON to this file (.<approach> suffix with -approach all)")
@@ -345,7 +345,6 @@ func main() {
 	}
 
 	sc.CollectStats = *stats
-	var live *obs.RunStats
 	if *pprofAddr != "" {
 		srv, base, err := obs.ServeDebug(*pprofAddr)
 		if err != nil {
@@ -353,10 +352,6 @@ func main() {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "debug endpoint: %s/debug/pprof/ and %s/debug/vars\n", base, base)
-		// A recorder we own gives live counters at /debug/vars while the
-		// run is still in flight.
-		live = obs.NewRunStats()
-		obs.Publish("massf", live)
 	}
 	var tel *telemetry.Collector
 	if *metricsAddr != "" || *matrixOut != "" {
@@ -419,10 +414,7 @@ func main() {
 	}
 	for _, a := range approaches {
 		var tr *obs.Trace
-		recs := []obs.Recorder{}
-		if live != nil {
-			recs = append(recs, live)
-		}
+		sc.Recorder = nil
 		if *tracePath != "" {
 			path := *tracePath
 			if len(approaches) > 1 {
@@ -433,10 +425,9 @@ func main() {
 				fatal(err)
 			}
 			tr = obs.NewTraceCloser(f)
-			recs = append(recs, tr)
+			sc.Recorder = tr
 			fmt.Fprintf(os.Stderr, "tracing %s run to %s\n", a, path)
 		}
-		sc.Recorder = obs.Multi(recs...)
 		var tl *obs.Timeline
 		if *traceOut != "" || health != nil {
 			// Fresh per approach so the timeline describes one run; the health

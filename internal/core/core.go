@@ -93,7 +93,7 @@ type Scenario struct {
 	// emulation the scenario runs (profiling pre-runs included) — e.g. an
 	// obs.Trace writing JSONL.
 	Recorder obs.Recorder
-	// CollectStats attaches an aggregated obs.RunStats to each emulation
+	// CollectStats attaches the obs.RunStats run summary to each emulation
 	// result (Result.Obs) without requiring an external recorder.
 	CollectStats bool
 	// CollectTelemetry attaches a fresh traffic-plane telemetry collector

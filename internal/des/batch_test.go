@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -246,23 +247,29 @@ func TestBarrierSteadyStateAllocs(t *testing.T) {
 			s.Schedule(lp, t+L/4, 128+v)
 		}
 	}
+	// Allocations by other goroutines of the process (the runtime's, a test
+	// running beside this one) only ever add to the count, so each cut is
+	// the least of several trials.
 	run := func(end float64) (mallocs float64, windows int64) {
-		mallocs = testing.AllocsPerRun(1, func() {
-			k, err := New(Config[any]{NumLPs: numLPs, Lookahead: L, Handler: h, EndTime: end})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := 0; v < 4*numLPs; v++ {
-				if err := k.Schedule(v%numLPs, 0.001*float64(v+1), v); err != nil {
+		mallocs = math.Inf(1)
+		for trial := 0; trial < 5; trial++ {
+			mallocs = min(mallocs, testing.AllocsPerRun(1, func() {
+				k, err := New(Config[any]{NumLPs: numLPs, Lookahead: L, Handler: h, EndTime: end})
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			stats, err := k.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			windows = stats.Windows
-		})
+				for v := 0; v < 4*numLPs; v++ {
+					if err := k.Schedule(v%numLPs, 0.001*float64(v+1), v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				stats, err := k.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				windows = stats.Windows
+			}))
+		}
 		return mallocs, windows
 	}
 	m1, w1 := run(2)

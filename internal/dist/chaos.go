@@ -40,10 +40,10 @@ type chaosConn struct {
 	inner Conn
 	cfg   ChaosConfig
 
-	mu    sync.Mutex
-	rng   *rand.Rand
-	sent  int
-	held  *Frame // reorder buffer: emitted after the next send
+	mu   sync.Mutex
+	rng  *rand.Rand
+	sent int
+	held *Frame // reorder buffer: emitted after the next send
 }
 
 // NewChaosConn wraps a Conn with deterministic fault injection on its send

@@ -285,9 +285,9 @@ func TestElasticStragglerTraceAndHealth(t *testing.T) {
 }
 
 // TestElasticChurnStats: the membership churn of an elastic run — a join and
-// a drain at the first checkpoint barrier — lands in an external
-// obs.RunStats recorder attached through the coordinator's observation
-// plane, matching the membership record the result carries.
+// a drain at the first checkpoint barrier — lands in the run summary
+// (Result.Obs) the coordinator's observation plane fills, matching the
+// membership record the result carries.
 func TestElasticChurnStats(t *testing.T) {
 	ctx := context.Background()
 
@@ -304,9 +304,8 @@ func TestElasticChurnStats(t *testing.T) {
 	joins <- jc
 	close(ws[0].drain)
 
-	stats := obs.NewRunStats()
 	sc := scenario(t, "Campus")
-	sc.Recorder = stats
+	sc.CollectStats = true
 	o, err := sc.Run(ctx, mapping.Top, core.Elastic(conns, dist.ElasticOptions{
 		Options: dist.Options{CheckpointEvery: elasticCkpt},
 		Joins:   joins,
@@ -318,9 +317,12 @@ func TestElasticChurnStats(t *testing.T) {
 	ws[1].wait(t, "worker 1")
 	joiner.wait(t, "joiner")
 
-	m := o.Result.Membership
+	m, stats := o.Result.Membership, o.Result.Obs
 	if m == nil || len(m.Resizes) != 1 {
 		t.Fatalf("expected one membership resize, got %+v", m)
+	}
+	if stats == nil {
+		t.Fatal("CollectStats did not attach Result.Obs")
 	}
 	// The joiner occupied slot 2 (engine 2), the drainer left slot 0.
 	if got := sum(stats.Joins); got != 1 || len(stats.Joins) <= 2 || stats.Joins[2] != 1 {

@@ -200,9 +200,7 @@ func (m *DistMerge) Activate(engines []int) {
 	}
 	// Peak-cluster accounting starts from the initial live membership;
 	// resizes raise it through EventResize.
-	if m.e.runStats != nil {
-		m.e.runStats.NoteClusterSize(live)
-	}
+	m.e.runStats.NoteClusterSize(live)
 }
 
 // AppliedResizes returns the membership changes applied so far.

@@ -38,6 +38,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/faults"
@@ -213,9 +214,10 @@ type Result struct {
 	// Membership reports elastic engine-set changes; nil when Config.Elastic
 	// was empty.
 	Membership *Membership
-	// Obs is the aggregated observability summary — per-engine event,
-	// charge, remote-send and queue counters, and recovery lifecycle counts.
-	// nil unless the run was given WithStats or WithRecorder.
+	// Obs is the observability summary — per-engine event, charge,
+	// remote-send and peak queue counters, and lifecycle counts. Its window
+	// totals are Kernel's, copied. nil unless the run was given WithStats or
+	// WithRecorder.
 	Obs *obs.RunStats
 	// Telemetry is the final traffic-plane snapshot — engine traffic
 	// matrix, link totals, queue-delay/FCT histograms and the per-window
@@ -367,7 +369,6 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 			return nil, fmt.Errorf("emu: run canceled before start: %w", err)
 		}
 	}
-	rec, runStats := o.recorder()
 	nw := cfg.Network
 	rt := cfg.Routes
 	if o.routes != nil {
@@ -434,8 +435,7 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 	e := &emulation{
 		cfg:             cfg,
 		ctx:             o.ctx,
-		rec:             rec,
-		runStats:        runStats,
+		rec:             obs.Multi(o.recorders...),
 		nw:              nw,
 		flows:           flows,
 		routes:          routes,
@@ -457,6 +457,9 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 		bucketBusyWidth: make([]float64, buckets),
 		winCost:         make([]float64, cfg.NumEngines),
 		trace:           o.trace,
+	}
+	if o.stats {
+		e.runStats = obs.NewRunStats(cfg.NumEngines)
 	}
 	return e, nil
 }
@@ -538,6 +541,11 @@ func (e *emulation) buildResult(stats *des.Stats, recovery *Recovery) *Result {
 	var telSnap *telemetry.Snapshot
 	if e.tel != nil {
 		telSnap = e.tel.Snapshot()
+	}
+	if s := e.runStats; s != nil {
+		s.Windows = stats.Windows
+		s.Events, s.Charges = slices.Clone(stats.Events), slices.Clone(stats.Charges)
+		s.Remote = slices.Clone(stats.RemoteSends)
 	}
 	return &Result{
 		Kernel:          stats,
@@ -752,12 +760,12 @@ func (e *emulation) bucketOf(t float64) int {
 // reports). In order: the time model prices the window into w.Cost and its
 // buckets, the telemetry collector commits it — folding the link counters and
 // republishing at a measurement-window crossing (engines are quiesced at the
-// barrier) — the tracing timeline commits and attributes the window, the
-// recorder chain receives the record, cancellation is observed — between
-// windows, never mid-handler — and a scheduled crash or resize is applied,
-// which may Checkpoint and Restore the kernel under its running loop. The
-// returned attribution is the timeline's (no gating worker when tracing is
-// off); an error stops the run.
+// barrier) — the tracing timeline commits and attributes the window, the run
+// summary takes its queue peaks, the recorder chain receives the record,
+// cancellation is observed — between windows, never mid-handler — and a
+// scheduled crash or resize is applied, which may Checkpoint and Restore the
+// kernel under its running loop. The returned attribution is the timeline's
+// (no gating worker when tracing is off); an error stops the run.
 //
 // The record's slices are recycled window buffers: every sink consumes them
 // before returning and none retains them.
@@ -768,6 +776,7 @@ func (e *emulation) commit(w *obs.Window) (obs.WindowStat, error) {
 	if e.trace != nil {
 		st = e.trace.CommitWindow(*w)
 	}
+	e.runStats.NoteQueue(w.Queue)
 	if e.rec != nil {
 		e.rec.RecordWindow(*w)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/faults"
@@ -123,6 +124,81 @@ func TestFaultedRunCountsEachWindowOnce(t *testing.T) {
 	if res.Obs.Windows != kernel || tl.Windows() != kernel || res.Telemetry.Windows != kernel {
 		t.Errorf("windows: kernel %d, stats %d, timeline %d, telemetry %d — want one count",
 			kernel, res.Obs.Windows, tl.Windows(), res.Telemetry.Windows)
+	}
+}
+
+// TestWithStatsAddsNoRecorder: the run summary rides no recorder chain, so a
+// run given only WithStats hands its window records to nobody.
+func TestWithStatsAddsNoRecorder(t *testing.T) {
+	cfg := telConfig()
+	var o runOptions
+	o.apply([]Option{WithStats()})
+	e, err := prepare(&cfg, &o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.rec != nil || e.runStats == nil {
+		t.Errorf("WithStats alone: recorder chain %v, summary %v; want no chain and a summary", e.rec, e.runStats)
+	}
+}
+
+// streamRows is a Recorder that keeps every window's queue row and counts the
+// run segments it is told of.
+type streamRows struct {
+	runs  int
+	queue [][]int64
+}
+
+func (r *streamRows) RecordRun(obs.RunMeta)     { r.runs++ }
+func (r *streamRows) RecordEvent(obs.Event)     {}
+func (r *streamRows) RecordWindow(w obs.Window) { r.queue = append(r.queue, slices.Clone(w.Queue)) }
+
+// TestRunStatsIsReadOffTheRun: on a plain, a crashed and an elastic run,
+// Result.Obs carries the kernel's own window totals, the segments the
+// recorder stream announced, and as MaxQueue the per-engine peak of the queue
+// rows that stream delivered.
+func TestRunStatsIsReadOffTheRun(t *testing.T) {
+	elastic := telConfig()
+	elastic.NumEngines, elastic.CheckpointEvery = 3, 3
+	elastic.Elastic = []Resize{{At: 4, Engines: []int{0, 1, 2}, Assignment: []int{0, 1, 2, 2}}}
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		segments int
+	}{
+		{"plain", telConfig(), 1},
+		{"crash", faultedConfig(), 2},
+		{"elastic", elastic, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rows := &streamRows{}
+			res, err := Run(tc.cfg, WithRecorder(rows))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, k := res.Obs, res.Kernel
+			if st == nil {
+				t.Fatal("a recorder did not imply Result.Obs")
+			}
+			if st.Windows != k.Windows || !slices.Equal(st.Events, k.Events) ||
+				!slices.Equal(st.Charges, k.Charges) || !slices.Equal(st.Remote, k.RemoteSends) {
+				t.Errorf("Obs windows %d events %v charges %v remote %v; kernel %d %v %v %v",
+					st.Windows, st.Events, st.Charges, st.Remote, k.Windows, k.Events, k.Charges, k.RemoteSends)
+			}
+			if st.Segments != tc.segments || rows.runs != tc.segments || int64(len(rows.queue)) != k.Windows {
+				t.Errorf("Obs segments %d, stream %d segments and %d windows; want %d segments and %d windows",
+					st.Segments, rows.runs, len(rows.queue), tc.segments, k.Windows)
+			}
+			peak := make([]int64, tc.cfg.NumEngines)
+			for _, q := range rows.queue {
+				for lp := range peak {
+					peak[lp] = max(peak[lp], q[lp])
+				}
+			}
+			if !slices.Equal(st.MaxQueue, peak) || slices.Max(peak) < 1 {
+				t.Errorf("Obs MaxQueue %v, stream peak %v (want equal and some queue seen)", st.MaxQueue, peak)
+			}
+		})
 	}
 }
 

@@ -30,32 +30,22 @@ func (o *runOptions) apply(opts []Option) {
 	}
 }
 
-// recorder assembles the recorder chain for the run: the caller's recorders
-// plus, when any observability is requested, an aggregating RunStats
-// collector whose summary is attached to Result.Obs. Returns (nil, nil) when
-// observability is fully disabled — the zero-cost path.
-func (o *runOptions) recorder() (obs.Recorder, *obs.RunStats) {
-	if len(o.recorders) == 0 && !o.stats {
-		return nil, nil
-	}
-	stats := obs.NewRunStats()
-	return obs.Multi(append(append([]obs.Recorder(nil), o.recorders...), stats)...), stats
-}
-
 // WithRecorder attaches an observability recorder (see internal/obs) to the
 // run: it receives per-window per-engine counters and recovery lifecycle
-// events. May be given multiple times; nil recorders are ignored. Any
-// recorder implies WithStats.
+// events, on the coordinating goroutine. May be given multiple times; nil
+// recorders are ignored. Any recorder implies WithStats.
 func WithRecorder(r obs.Recorder) Option {
 	return func(o *runOptions) {
 		if r != nil {
 			o.recorders = append(o.recorders, r)
+			o.stats = true
 		}
 	}
 }
 
-// WithStats collects an aggregated obs.RunStats summary into Result.Obs
-// without attaching any external recorder.
+// WithStats attaches the obs.RunStats summary to Result.Obs. It adds no
+// recorder: the window totals are the kernel's own, and the lifecycle counts
+// and queue peaks are tallied where the run emits them.
 func WithStats() Option {
 	return func(o *runOptions) { o.stats = true }
 }

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/traffic"
@@ -31,15 +32,21 @@ func TestProfileRunSteadyStateAllocs(t *testing.T) {
 		}
 		cfg.Workload.Flows = append(cfg.Workload.Flows, f)
 	}
+	// Allocations by other goroutines of the process (the runtime's, a test
+	// running beside this one) only ever add to the count, so each run is
+	// the least of several trials.
 	run := func(end float64, profile bool) (mallocs float64, res *Result) {
 		cfg := cfg
 		cfg.EndTime, cfg.Profile = end, profile
-		mallocs = testing.AllocsPerRun(1, func() {
-			var err error
-			if res, err = Run(cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
+		mallocs = math.Inf(1)
+		for trial := 0; trial < 5; trial++ {
+			mallocs = min(mallocs, testing.AllocsPerRun(1, func() {
+				var err error
+				if res, err = Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
 		return mallocs, res
 	}
 	var added [2]float64

@@ -88,10 +88,11 @@ type Recovery struct {
 	PostRecoveryImbalance float64
 }
 
-// recordEvent forwards a recovery lifecycle event to the run's recorder, if
-// any. All event fields are virtual-time quantities, so faulted traces stay
-// deterministic.
+// recordEvent counts a lifecycle event into the run's summary and forwards it
+// to the run's recorder, if any. All event fields are virtual-time
+// quantities, so faulted traces stay deterministic.
 func (e *emulation) recordEvent(ev obs.Event) {
+	e.runStats.NoteEvent(ev)
 	if e.rec != nil {
 		e.rec.RecordEvent(ev)
 	}
@@ -102,6 +103,7 @@ func (e *emulation) recordEvent(ev obs.Event) {
 // kernel Restore. The kernel knows nothing of recorders; this is the one
 // RunMeta emitter, in-process and distributed.
 func (e *emulation) recordRun(lookahead float64, resumed bool) {
+	e.runStats.NoteSegment()
 	if e.rec != nil {
 		e.rec.RecordRun(obs.RunMeta{LPs: e.cfg.NumEngines, Lookahead: lookahead, Resumed: resumed})
 	}

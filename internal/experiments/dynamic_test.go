@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mapping"
 )
 
 func TestDynamicStudy(t *testing.T) {
@@ -45,6 +47,55 @@ func TestDynamicStudy(t *testing.T) {
 	for _, p := range []string{"profile", "incremental", "game", "diffusion"} {
 		if !strings.Contains(out, p) {
 			t.Errorf("rendered study missing policy %q:\n%s", p, out)
+		}
+	}
+}
+
+// TestGameRemapConvergencePinned pins the game policy's convergence profile on
+// Campus+GridNPB (60 s, seed 42) at two remap cadences: segments, best-response
+// rounds, candidate moves evaluated, moves taken, node migrations, cross-engine
+// bytes and whether every remap converged. Coarser intervals aggregate more
+// traffic per decision, so the two profiles differ. Every field is exact under
+// the fixed-order, seeded-tie-break contract, so any drift means the game
+// dynamics changed; after an intentional policy change, take the new row from
+// the failure message.
+func TestGameRemapConvergencePinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full dynamic emulations")
+	}
+	type profile struct {
+		Segments, Rounds, MovesEvaluated, MovesTaken, Migrations int
+		CrossEngineBytes                                         int64
+		Converged                                                bool
+	}
+	for _, c := range []struct {
+		interval float64
+		want     profile
+	}{
+		{10, profile{6, 12, 1440, 24, 18, 1468932096, true}},
+		{20, profile{3, 7, 840, 25, 15, 1518919680, true}},
+	} {
+		sc, err := ScenarioFor(Config{Duration: 60, Seed: 42}, "Campus", "GridNPB")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Remap, sc.RemapEvery = core.RemapGame, c.interval
+		o, err := sc.Run(context.Background(), mapping.Top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := profile{Segments: len(o.Segments), Migrations: o.Migrations,
+			CrossEngineBytes: o.Result.Telemetry.CrossEngineBytes, Converged: true}
+		for _, s := range o.Segments {
+			if r := s.Remap; r != nil {
+				got.Rounds += r.Rounds
+				got.MovesEvaluated += r.MovesEvaluated
+				got.MovesTaken += r.MovesTaken
+				got.Converged = got.Converged && r.Converged
+			}
+		}
+		if got != c.want {
+			t.Errorf("interval %gs: convergence profile drifted\n got  %+v\n want %+v", c.interval, got, c.want)
 		}
 	}
 }

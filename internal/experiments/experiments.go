@@ -133,8 +133,8 @@ func (c Config) scenario(topology, app string) (*core.Scenario, error) {
 		AppSeed:    c.Seed + 5,
 		PartSeed:   c.Seed + 3,
 		Cluster:    true,
-		// The report's kernel-observability section reads each run's
-		// aggregated counters from Result.Obs.
+		// The report's kernel-observability section reads each run's peak
+		// queue depth from Result.Obs.
 		CollectStats: true,
 		// The traffic-plane section reads each run's measured traffic matrix
 		// and per-window timeline from Result.Telemetry. Fresh per-run
@@ -171,10 +171,10 @@ type Cell struct {
 	Windows   int64
 	Remote    int64
 
-	// Kernel observability counters (from the run's obs.RunStats).
-	Events int64 // total kernel events processed
+	// Events is the total kernel events processed (Result.Kernel).
+	Events int64
 	// MaxQueue is the deepest per-engine pending-event queue seen at any
-	// window barrier — the kernel's memory high-water mark.
+	// window barrier — the kernel's memory high-water mark (Result.Obs).
 	MaxQueue int64
 
 	// Traffic-plane telemetry (from the run's telemetry.Snapshot).
@@ -252,8 +252,10 @@ func RunSuite(app string, cfg Config) (*Suite, error) {
 				Windows:   o.Result.Kernel.Windows,
 				Remote:    o.Result.RemoteEvents,
 			}
+			for _, n := range o.Result.Kernel.Events {
+				cell.Events += n
+			}
 			if st := o.Result.Obs; st != nil {
-				cell.Events = st.TotalEvents()
 				for _, q := range st.MaxQueue {
 					if q > cell.MaxQueue {
 						cell.MaxQueue = q

@@ -6,41 +6,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
 
 // Debug endpoint: a small HTTP server exposing Go's runtime profiling
-// (net/http/pprof) and process counters (expvar), plus any published
-// RunStats. It uses its own mux rather than http.DefaultServeMux so
-// importing this package never mutates global handlers.
-
-var (
-	publishMu  sync.Mutex
-	published  = map[string]*RunStats{}
-	registered bool
-)
-
-// Publish exposes the collector's live snapshot under the given expvar name
-// (visible at /debug/vars). Re-publishing a name replaces the previous
-// collector — unlike expvar.Publish, which panics on duplicates — so
-// repeated runs can reuse one name.
-func Publish(name string, s *RunStats) {
-	publishMu.Lock()
-	defer publishMu.Unlock()
-	if !registered {
-		registered = true
-		expvar.Publish("repro.runstats", expvar.Func(func() any {
-			publishMu.Lock()
-			defer publishMu.Unlock()
-			out := make(map[string]*RunStats, len(published))
-			for n, st := range published {
-				out[n] = st.Snapshot()
-			}
-			return out
-		}))
-	}
-	published[name] = s
-}
+// (net/http/pprof) and process counters (expvar). It uses its own mux rather
+// than http.DefaultServeMux so importing this package never mutates global
+// handlers.
 
 // ServeDebug starts an HTTP server on addr (e.g. "localhost:6060") serving
 // /debug/pprof/* and /debug/vars, and returns the server together with its

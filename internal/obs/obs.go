@@ -1,9 +1,10 @@
 // Package obs is the kernel-level observability layer: the Window record the
 // DES kernel fills once per synchronization window, a recorder interface the
 // emulator's window commit fans that record — and every lifecycle event
-// (checkpoint, crash, rollback, migration) — out to, plus the standard
-// recorders: a deterministic JSONL tracer, an aggregating RunStats collector,
-// and a pprof/expvar debug endpoint.
+// (checkpoint, crash, rollback, migration) — out to, plus its one standard
+// recorder, a deterministic JSONL tracer. Beside them sit the cluster
+// Timeline, RunStats (the run summary the emulator fills from the counters it
+// keeps anyway) and a pprof/expvar debug endpoint.
 //
 // The paper's own PROFILE approach is built on observing real load (§3.3,
 // §4); this package generalizes that observation seam: the same per-LP
@@ -19,9 +20,8 @@
 //     JSONL traces, so every field a Trace serializes derives from virtual
 //     time and event counts only. The window record carries nothing else.
 //   - Single-goroutine delivery. Recorders are invoked only on the
-//     coordinating goroutine at window barriers, so simple recorders need no
-//     locking. RunStats locks anyway because the debug endpoint reads it
-//     concurrently with a live run.
+//     coordinating goroutine at window barriers, so they need no locking;
+//     the RunStats summary is read only once the run has returned it.
 package obs
 
 // RunMeta describes a kernel run segment — one window grid. The emulator

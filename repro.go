@@ -132,7 +132,7 @@ var (
 	WithContext = emu.WithContext
 	// WithRecorder attaches an observability recorder to the run.
 	WithRecorder = emu.WithRecorder
-	// WithStats collects an aggregated RunStats into the result's Obs.
+	// WithStats attaches the RunStats summary to the result's Obs.
 	WithStats = emu.WithStats
 	// WithRouting supplies a pre-built route oracle for one run, taking
 	// precedence over EmuConfig.Routes.
@@ -148,13 +148,8 @@ var (
 var (
 	// NewTrace returns a deterministic JSONL trace recorder writing to w.
 	NewTrace = obs.NewTrace
-	// NewRunStats returns an empty aggregating collector.
-	NewRunStats = obs.NewRunStats
 	// MultiRecorder fans one event stream out to several recorders.
 	MultiRecorder = obs.Multi
-	// PublishStats exposes a collector's live snapshot via expvar
-	// (/debug/vars on the ServeDebug endpoint).
-	PublishStats = obs.Publish
 	// ServeDebug starts the pprof + expvar debug HTTP endpoint.
 	ServeDebug = obs.ServeDebug
 	// NewTelemetry returns an idle traffic-plane collector, reusable across
