@@ -35,7 +35,6 @@ func TestValidateFlagsAccepts(t *testing.T) {
 		}},
 		{"result-out in-process", func(f *cliFlags) { f.resultOut = "out.json" }},
 		{"routing lazy", func(f *cliFlags) { f.routing = "lazy"; f.routingRows = 128 }},
-		{"routing hier+clusters", func(f *cliFlags) { f.routing = "hier"; f.routingClusters = 8 }},
 		{"routing flat", func(f *cliFlags) { f.routing = "flat" }},
 		{"routing auto default", func(f *cliFlags) { f.routing = "auto" }},
 		{"dynamic default policy", func(f *cliFlags) { f.remapInterval = 10 }},
@@ -120,8 +119,7 @@ func TestValidateFlagsRejects(t *testing.T) {
 
 		{"unknown routing backend", func(f *cliFlags) { f.routing = "quantum" }, netgraph.ErrRoutingConfig},
 		{"negative lazy rows", func(f *cliFlags) { f.routing = "lazy"; f.routingRows = -1 }, netgraph.ErrRoutingConfig},
-		{"one cluster", func(f *cliFlags) { f.routing = "hier"; f.routingClusters = 1 }, netgraph.ErrRoutingConfig},
-		{"negative clusters", func(f *cliFlags) { f.routing = "hier"; f.routingClusters = -3 }, netgraph.ErrRoutingConfig},
+		{"retired hier backend", func(f *cliFlags) { f.routing = "hier" }, netgraph.ErrRoutingConfig},
 		{"worker+routing", func(f *cliFlags) {
 			*f = cliFlags{worker: ":1", routing: "lazy"}
 		}, errWorkerExclusive},

@@ -108,9 +108,8 @@ func main() {
 		record    = flag.String("record", "", "write the generated workload trace to this file")
 		replay    = flag.String("replay", "", "emulate a previously recorded workload trace instead of generating traffic")
 
-		routing         = flag.String("routing", "auto", "route oracle backend: auto | flat | lazy | hier")
-		routingRows     = flag.Int("routing-rows", 0, "lazy routing LRU row capacity (0 = automatic, sized for a 256 MB budget)")
-		routingClusters = flag.Int("routing-clusters", 0, "hierarchical routing cluster count (0 = automatic: per-AS when labeled, else ~(n²/2)^⅓)")
+		routing     = flag.String("routing", "auto", "route oracle backend: auto | flat | lazy")
+		routingRows = flag.Int("routing-rows", 0, "lazy routing LRU row capacity (0 = automatic, sized for a 256 MB budget)")
 
 		checkpoint = flag.Float64("checkpoint", 10, "checkpoint cadence in virtual seconds: membership changes apply at these barriers, and a crash is charged the run since the last one")
 		naive      = flag.Bool("naive-recovery", false, "recover crashes by dumping onto one survivor instead of remapping")
@@ -149,9 +148,8 @@ func main() {
 	}
 
 	if err := validateFlags(cliFlags{
-		routing:         *routing,
-		routingRows:     *routingRows,
-		routingClusters: *routingClusters,
+		routing:     *routing,
+		routingRows: *routingRows,
 
 		netfile:     *netfile,
 		engines:     *engines,
@@ -217,7 +215,7 @@ func main() {
 		fatal(err)
 	}
 	// Already validated above; resolve the oracle selection for the scenario.
-	sc.Routing, _ = routingOptions(*routing, *routingRows, *routingClusters)
+	sc.Routing, _ = routingOptions(*routing, *routingRows)
 	if *netfile != "" {
 		f, err := os.Open(*netfile)
 		if err != nil {
@@ -579,8 +577,8 @@ func printSegments(o *core.Outcome, wall time.Duration) {
 
 // cliFlags is the subset of flag state the combination checks inspect.
 type cliFlags struct {
-	routing                      string
-	routingRows, routingClusters int
+	routing     string
+	routingRows int
 
 	netfile, export        string
 	engines                int
@@ -641,7 +639,7 @@ func validateFlags(f cliFlags) error {
 			f.topostats, f.record != "", f.replay != "", f.tracePath != "",
 			f.stats, f.metricsAddr != "", f.matrixOut != "", f.traceOut != "", f.resultOut != "",
 			f.faults, f.elastic, f.capacity != 0,
-			f.routing != "" && f.routing != "auto", f.routingRows != 0, f.routingClusters != 0,
+			f.routing != "" && f.routing != "auto", f.routingRows != 0,
 			f.remapInterval != 0, f.remapPolicy != "" && f.remapPolicy != "profile",
 		}
 		for _, set := range others {
@@ -736,7 +734,7 @@ func validateFlags(f cliFlags) error {
 	if f.metricsAddr != "" && f.metricsAddr == f.pprofAddr {
 		return errAddrClash
 	}
-	if _, err := routingOptions(f.routing, f.routingRows, f.routingClusters); err != nil {
+	if _, err := routingOptions(f.routing, f.routingRows); err != nil {
 		return err
 	}
 	return nil
@@ -745,7 +743,7 @@ func validateFlags(f cliFlags) error {
 // routingOptions parses the -routing flags into the netgraph selection. The
 // returned errors wrap netgraph.ErrRoutingConfig, so callers and tests match
 // them with errors.Is.
-func routingOptions(backend string, rows, clusters int) (netgraph.RoutingOptions, error) {
+func routingOptions(backend string, rows int) (netgraph.RoutingOptions, error) {
 	if backend == "" {
 		backend = "auto"
 	}
@@ -753,7 +751,7 @@ func routingOptions(backend string, rows, clusters int) (netgraph.RoutingOptions
 	if err != nil {
 		return netgraph.RoutingOptions{}, fmt.Errorf("-routing: %w", err)
 	}
-	o := netgraph.RoutingOptions{Backend: b, LazyRows: rows, Clusters: clusters}
+	o := netgraph.RoutingOptions{Backend: b, LazyRows: rows}
 	if err := o.Validate(); err != nil {
 		return netgraph.RoutingOptions{}, err
 	}

@@ -59,10 +59,8 @@ type Scenario struct {
 	// Routing selects the route-oracle backend and its parameters (see
 	// netgraph.RoutingOptions). The zero value is the automatic policy:
 	// flat tables up to netgraph.AutoFlatMaxNodes nodes, the lazy
-	// sub-quadratic oracle beyond. Set explicitly to force flat, lazy, or
-	// hierarchical/clustered routing — the Hier backend
-	// is the two-level per-AS tables behind the paper's 10 + x² router
-	// memory model.
+	// sub-quadratic oracle beyond. Set explicitly to force flat or lazy;
+	// both route on the same shortest paths.
 	Routing netgraph.RoutingOptions
 	// Transport selects the flow release model (Blast or TCPSlowStart).
 	Transport emu.TransportMode
@@ -131,10 +129,8 @@ type Scenario struct {
 	// repartitioning: the baseline that remapping must beat.
 	NaiveRecovery bool
 
-	routes    netgraph.Routing
-	routesErr error
-	workload  *traffic.Workload
-	appHosts  []int
+	workload *traffic.Workload
+	appHosts []int
 }
 
 // Outcome is the result of running one mapping approach on a scenario.
@@ -161,17 +157,13 @@ type Outcome struct {
 	Membership *dist.MembershipLog
 }
 
-// Routes returns (building once) the scenario's route oracle per the Routing
-// options — the automatic policy by default. It is the single
-// memoized source every downstream consumer (mapping, emulation, route
-// discovery) reuses; the oracle additionally lives in the network's own
-// shared cache, so a scenario never builds the same backend twice.
-// Infeasible options surface as an error wrapping netgraph.ErrRoutingConfig.
+// Routes returns the scenario's route oracle per the Routing options — the
+// automatic policy by default — from the network's shared cache, so every
+// downstream consumer (mapping, emulation, route discovery) reuses one oracle
+// and a scenario never builds the same backend twice. Infeasible options
+// surface as an error wrapping netgraph.ErrRoutingConfig.
 func (sc *Scenario) Routes() (netgraph.Routing, error) {
-	if sc.routes == nil && sc.routesErr == nil {
-		sc.routes, sc.routesErr = sc.Network.SharedRouting(sc.Routing)
-	}
-	return sc.routes, sc.routesErr
+	return sc.Network.SharedRouting(sc.Routing)
 }
 
 // SpreadHosts picks n injection points spread evenly over the network's
@@ -243,12 +235,9 @@ func (sc *Scenario) Workload() (traffic.Workload, error) {
 	return w, nil
 }
 
-// MappingInput exposes the approach-independent mapping parameters, for
-// callers driving mapping strategies (e.g. baselines) outside Run.
-func (sc *Scenario) MappingInput() (mapping.Input, error) { return sc.mappingInput() }
-
-// mappingInput assembles the approach-independent mapping parameters.
-func (sc *Scenario) mappingInput() (mapping.Input, error) {
+// MappingInput assembles the approach-independent mapping parameters, for
+// Run and for callers driving mapping strategies (e.g. baselines) outside it.
+func (sc *Scenario) MappingInput() (mapping.Input, error) {
 	routes, err := sc.Routes()
 	if err != nil {
 		return mapping.Input{}, err
@@ -267,7 +256,7 @@ func (sc *Scenario) mappingInput() (mapping.Input, error) {
 // Partition computes the assignment for one approach without emulating.
 // For PROFILE this includes the profiling pre-run, which observes ctx.
 func (sc *Scenario) Partition(ctx context.Context, a mapping.Approach) ([]int, *emu.Result, error) {
-	in, err := sc.mappingInput()
+	in, err := sc.MappingInput()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -444,7 +433,7 @@ func (sc *Scenario) topOver(k int) ([]int, error) {
 	if k <= 0 || k > sc.Engines {
 		return nil, fmt.Errorf("%d initial engines exceed capacity %d", k, sc.Engines)
 	}
-	in, err := sc.mappingInput()
+	in, err := sc.MappingInput()
 	if err != nil {
 		return nil, err
 	}
@@ -470,7 +459,7 @@ func (sc *Scenario) distSpec(ctx context.Context, cfg emu.Config) *dist.RunSpec 
 // worker, an elastic join or drain and their replays: it repartitions the
 // network onto the engine set the run continues on, from the previous one.
 func (sc *Scenario) remapOnto(c emu.MembershipChange) ([]int, error) {
-	in, err := sc.mappingInput()
+	in, err := sc.MappingInput()
 	if err != nil {
 		return nil, err
 	}

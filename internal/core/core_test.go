@@ -214,26 +214,6 @@ func TestScenarioDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestHierarchicalRoutingScenario(t *testing.T) {
-	// A multi-AS topology emulated under hierarchical routing must complete
-	// with comparable total load (paths may be slightly longer than flat).
-	flat := campusScenario(false)
-	hier := campusScenario(false)
-	hier.Routing.Backend = netgraph.Hier
-	a, err := flat.Run(context.Background(), mapping.Top)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := hier.Run(context.Background(), mapping.Top)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ca, cb := a.Result.Kernel.TotalCharges(), b.Result.Kernel.TotalCharges()
-	if cb < ca || float64(cb) > 1.5*float64(ca) {
-		t.Errorf("hierarchical charges %d vs flat %d: expected equal or mildly inflated", cb, ca)
-	}
-}
-
 func TestTCPTransportScenario(t *testing.T) {
 	blast := campusScenario(false)
 	tcp := campusScenario(false)
@@ -306,14 +286,14 @@ func TestRoutingBuiltOncePerScenario(t *testing.T) {
 		t.Errorf("RunAll built the routing table %d times, want exactly 1", got)
 	}
 
-	// Hierarchical scenarios build the two-level table once and nothing else.
-	scHier := campusScenario(false)
-	scHier.Routing.Backend = netgraph.Hier
-	if _, err := scHier.Run(context.Background(), mapping.Top); err != nil {
+	// Lazy scenarios compute rows on demand and never build the dense table.
+	scLazy := campusScenario(false)
+	scLazy.Routing.Backend = netgraph.Lazy
+	if _, err := scLazy.Run(context.Background(), mapping.Top); err != nil {
 		t.Fatal(err)
 	}
-	if got := scHier.Network.RoutingBuilds(); got != 1 {
-		t.Errorf("hierarchical scenario performed %d routing builds, want exactly 1", got)
+	if got := scLazy.Network.RoutingBuilds(); got != 0 {
+		t.Errorf("lazy scenario built the dense table %d times, want 0", got)
 	}
 }
 

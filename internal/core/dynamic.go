@@ -144,7 +144,7 @@ func (sc *Scenario) runDynamic(ctx context.Context, cfg emu.Config, o *Outcome) 
 	if migrationCost <= 0 {
 		migrationCost = DefaultMigrationCost
 	}
-	in, err := sc.mappingInput()
+	in, err := sc.MappingInput()
 	if err != nil {
 		return err
 	}

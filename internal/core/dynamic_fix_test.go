@@ -150,7 +150,7 @@ func TestRunDynamicSecondIntervalProfileFresh(t *testing.T) {
 	if _, err := emu.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	in, err := sc2.mappingInput()
+	in, err := sc2.MappingInput()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestRunDynamicIntervalProfilesPinned(t *testing.T) {
 	if len(profiles) != len(want) {
 		t.Fatalf("%d interval profiles, want %d", len(profiles), len(want))
 	}
-	in, err := sc.mappingInput()
+	in, err := sc.MappingInput()
 	if err != nil {
 		t.Fatal(err)
 	}

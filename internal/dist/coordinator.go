@@ -190,6 +190,11 @@ type coordinator struct {
 	// virtual time.
 	grid                des.Grid
 	virtT, lastResizeAt float64
+
+	// churn (the join, drain and kill events) and live (the initial members'
+	// engine count) are what a worker-loss replay, which has no workers, lacks.
+	churn []obs.Event
+	live  int
 }
 
 // drive runs the window loop over the initial workers (worker w seated on
@@ -232,22 +237,30 @@ func drive(ctx context.Context, spec *RunSpec, workers []Conn, slots [][]int, op
 	// kernel can only detect a silent peer at the following barrier, exactly
 	// as the fault-injection path models it.
 	at := s.virtT + s.grid.Lookahead/2
-	if s.merge != nil {
-		// The kill reaches external recorders before the replay starts; the
-		// replay's own emulation never sees the silent worker.
-		misses := 1.0
-		if s.hb != nil {
-			misses = float64(s.hb.misses)
-		}
-		s.merge.RecordEvent(obs.Event{Kind: obs.EventHeartbeatMiss, Time: at,
-			LP: slots[lost.worker][0], Value: misses})
+	// The kill reaches external recorders before the replay starts; the
+	// replay's own emulation never sees the silent worker.
+	misses := 1.0
+	if s.hb != nil {
+		misses = float64(s.hb.misses)
 	}
+	s.recordChurn(obs.Event{Kind: obs.EventHeartbeatMiss, Time: at,
+		LP: slots[lost.worker][0], Value: misses})
 	opt.logf("%v; degrading to in-process recovery replay", lost)
 	res, err = s.fallback(lost.worker, at)
 	if err != nil {
 		return nil, nil, err
 	}
+	res.Obs.NoteClusterSize(s.live)
+	for _, ev := range s.churn {
+		res.Obs.NoteEvent(ev)
+	}
 	return res, s.log, nil
+}
+
+// recordChurn records a membership event on the merge and keeps it in churn.
+func (s *coordinator) recordChurn(ev obs.Event) {
+	s.merge.RecordEvent(ev)
+	s.churn = append(s.churn, ev)
 }
 
 // emuOpts are the observation-plane options the live merge and the recovery
@@ -389,6 +402,7 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 		live = append(live, m.engines...)
 	}
 	merge.Activate(live)
+	s.live = len(live)
 	start := time.Now()
 	s.initialL = merge.Lookahead()
 

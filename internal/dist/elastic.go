@@ -243,10 +243,10 @@ func (s *coordinator) resizeBarrier(end float64, deliver func() error) (float64,
 	// Churn accounting: each joiner and leaver is recorded against the first
 	// engine of its slot, mirroring the in-process elastic event stream.
 	for _, m := range s.pending {
-		merge.RecordEvent(obs.Event{Kind: obs.EventJoin, Time: end, LP: m.engines[0], Value: 1})
+		s.recordChurn(obs.Event{Kind: obs.EventJoin, Time: end, LP: m.engines[0], Value: 1})
 	}
 	for _, m := range leaving {
-		merge.RecordEvent(obs.Event{Kind: obs.EventDrain, Time: end, LP: m.engines[0], Value: 1})
+		s.recordChurn(obs.Event{Kind: obs.EventDrain, Time: end, LP: m.engines[0], Value: 1})
 	}
 	if s.spec.Health != nil {
 		s.spec.Health.SetWorkers(len(continuing))

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -404,7 +405,8 @@ func (f *flakyConn) Send(fr dist.Frame) error {
 
 // TestWorkerLossDegradesToRecovery kills a worker mid-run and requires the
 // run to complete — deadline-bounded — through the crash-recovery remap path
-// instead of hanging or failing.
+// instead of hanging or failing. The replay's summary carries the kill the
+// coordinator recorded before it started.
 func TestWorkerLossDegradesToRecovery(t *testing.T) {
 	done := make(chan *core.Outcome, 1)
 	fail := make(chan error, 1)
@@ -413,6 +415,7 @@ func TestWorkerLossDegradesToRecovery(t *testing.T) {
 		conns, _ := startLoopbackWorkers(ctx, 2)
 		conns[1] = &flakyConn{Conn: conns[1], failAfter: 3}
 		sc := scenario(t, "Campus")
+		sc.CollectStats = true
 		o, err := sc.Run(ctx, mapping.Top, core.OnWorkers(conns, dist.Options{}))
 		if err != nil {
 			fail <- err
@@ -435,6 +438,19 @@ func TestWorkerLossDegradesToRecovery(t *testing.T) {
 		}
 		if o.Result.Kernel.TotalCharges() == 0 {
 			t.Fatal("degraded run produced an empty result")
+		}
+		// Worker 1 is dealt engine 1 first; its kill is counted there.
+		st := o.Result.Obs
+		if st == nil {
+			t.Fatal("CollectStats run has no Obs summary")
+		}
+		want := make([]int64, len(st.Kills))
+		want[1] = 1
+		if !slices.Equal(st.Kills, want) {
+			t.Errorf("Obs.Kills = %v, want %v", st.Kills, want)
+		}
+		if s := st.String(); !strings.Contains(s, "1 kill(s)") || !strings.Contains(s, "peak cluster 3 engine(s)") {
+			t.Errorf("Obs.String() = %q, want 1 kill(s) and the 3 engines the run started on", s)
 		}
 		// The lost worker owned engines 1 (and 3, 5, ... if any); recovery
 		// must have remapped onto survivors: final assignment avoids them.

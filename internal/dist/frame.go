@@ -35,11 +35,9 @@ import (
 )
 
 // Version is the protocol version; HELLO/ASSIGN carry it and any mismatch
-// aborts the handshake. v6 cut the telemetry share to per-engine histograms,
-// sent in WINDOW_DONE only at measurement-window crossings beside the link
-// arrays of the worker's NetState, which gained per-direction packet counts.
-// v7 dropped the spec's sequential byte: a worker's kernel has one dispatch.
-const Version = 7
+// aborts the handshake. v8 dropped the spec's routing cluster count with the
+// two-level route tables.
+const Version = 8
 
 // MaxFrame bounds a frame's payload (type byte included). It is sized for
 // the largest legitimate message — a NetState export on a large topology —

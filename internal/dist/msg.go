@@ -427,7 +427,6 @@ func EncodeSpec(s *Spec) ([]byte, error) {
 	e.f64(cfg.MigrationCost)
 	e.u8(uint8(s.Routing.Backend))
 	e.i64(int64(s.Routing.LazyRows))
-	e.i64(int64(s.Routing.Clusters))
 	e.boolean(s.Telemetry)
 	e.boolean(s.Tracing)
 	// Straggler/degradation schedule (crash-free, checked above). Workers
@@ -531,7 +530,6 @@ func DecodeSpec(b []byte) (*Spec, error) {
 	cfg.MigrationCost = d.f64("spec.migrationCost")
 	s.Routing.Backend = netgraph.Backend(d.u8("spec.routing.backend"))
 	s.Routing.LazyRows = int(d.i64("spec.routing.lazyRows"))
-	s.Routing.Clusters = int(d.i64("spec.routing.clusters"))
 	s.Telemetry = d.boolean("spec.telemetry")
 	s.Tracing = d.boolean("spec.tracing")
 	nst := d.count(32, "spec.stragglers")

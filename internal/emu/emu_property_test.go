@@ -99,39 +99,3 @@ func TestPropertyImbalanceInvariantToEngineOrder(t *testing.T) {
 		t.Error("charges changed under engine relabeling")
 	}
 }
-
-// TestPropertyHierarchicalRoutingDelivers: flows routed hierarchically are
-// still fully delivered (conservation holds with inflated paths).
-func TestPropertyHierarchicalRoutingDelivers(t *testing.T) {
-	nw := topogen.TeraGrid()
-	h := nw.BuildHierarchicalRouting()
-	w := traffic.DefaultHTTP(5, 9).Generate(nw)
-	res, err := Run(Config{
-		Network: nw, Routes: h, Assignment: roundRobin(nw.NumNodes(), 5),
-		NumEngines: 5, Workload: w,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want int64
-	for _, fl := range w.Flows {
-		path := nw.Route(h, fl.Src, fl.Dst)
-		if path == nil {
-			t.Fatalf("flow %d unroutable hierarchically", fl.ID)
-		}
-		remaining := fl.Bytes
-		var packets int64
-		for remaining > 0 {
-			b := int64(64 << 10)
-			if b > remaining {
-				b = remaining
-			}
-			remaining -= b
-			packets += (b + 1499) / 1500
-		}
-		want += packets * int64(len(path))
-	}
-	if res.Kernel.TotalCharges() != want {
-		t.Errorf("hierarchical charges %d, want %d", res.Kernel.TotalCharges(), want)
-	}
-}

@@ -2,7 +2,7 @@ package netgraph_test
 
 // Memory-footprint gate for the routing oracles. Every number here is a
 // deterministic byte count, so the table is an exact-match regression gate:
-// any change to the oracle layouts, the clustering, or the generators shows
+// any change to the oracle layouts or the generators shows
 // up as drift. After an intentional layout change, update the table from the
 // current values the failure messages print.
 
@@ -18,17 +18,17 @@ import (
 const memrouteWarmRows = 32
 
 // memrouteBytes is the committed footprint per topology: flat table vs lazy
-// (32 warmed rows) vs auto-clustered hierarchical. Flat at 10⁵ nodes is the
+// (32 warmed rows). Flat at 10⁵ nodes is the
 // 4·n² closed form, not a build — the table would need ~40 GB.
 var memrouteBytes = []struct {
-	topology         string
-	nodes            int
-	flat, lazy, hier int64
+	topology   string
+	nodes      int
+	flat, lazy int64
 }{
-	{"Campus", 60, 14400, 3420, 4952},
-	{"TeraGrid", 177, 125316, 7965, 30596},
-	{"Brite-large", 564, 1272384, 81780, 92364},
-	{"ScaleFree-100k", 100200, 40160160000, 14529000, 98092552},
+	{"Campus", 60, 14400, 3420},
+	{"TeraGrid", 177, 125316, 7965},
+	{"Brite-large", 564, 1272384, 81780},
+	{"ScaleFree-100k", 100200, 40160160000, 14529000},
 }
 
 func memrouteTopology(tb testing.TB, name string) *netgraph.Network {
@@ -45,8 +45,8 @@ func memrouteTopology(tb testing.TB, name string) *netgraph.Network {
 	return paperTopology(tb, name)
 }
 
-// memrouteMeasure returns the flat, lazy and hierarchical footprints of nw.
-func memrouteMeasure(tb testing.TB, nw *netgraph.Network, flatModel bool) (flat, lazy, hier int64) {
+// memrouteMeasure returns the flat and lazy footprints of nw.
+func memrouteMeasure(tb testing.TB, nw *netgraph.Network, flatModel bool) (flat, lazy int64) {
 	tb.Helper()
 	n := nw.NumNodes()
 	if flatModel {
@@ -62,20 +62,13 @@ func memrouteMeasure(tb testing.TB, nw *netgraph.Network, flatModel bool) (flat,
 	for src := 0; src < min(memrouteWarmRows, n); src++ {
 		l.NextLink(src, (src+1)%n)
 	}
-	lazy = l.MemoryBytes()
-	// Through the normalizing constructor: per-AS grouping on the paper
-	// topologies, auto-clustered on the single-AS scale-free network.
-	h, err := nw.BuildRouting(netgraph.RoutingOptions{Backend: netgraph.Hier})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return flat, lazy, h.MemoryBytes()
+	return flat, l.MemoryBytes()
 }
 
 // TestMemRouteBaseline is the drift check: the byte counts in memrouteBytes
-// must exactly match what the current code produces, and the sub-quadratic
-// oracles must actually be sub-quadratic — on the 10⁵ topology both lazy and
-// clustered-hier must undercut the flat model by at least 100×.
+// must exactly match what the current code produces, and the lazy oracle
+// must actually be sub-quadratic — on the 10⁵ topology it must undercut the
+// flat model by at least 100×.
 func TestMemRouteBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the 10⁵-router topology")
@@ -83,21 +76,21 @@ func TestMemRouteBaseline(t *testing.T) {
 	for _, want := range memrouteBytes {
 		nw := memrouteTopology(t, want.topology)
 		large := want.topology == "ScaleFree-100k"
-		flat, lazy, hier := memrouteMeasure(t, nw, large) // never build 40 GB
+		flat, lazy := memrouteMeasure(t, nw, large) // never build 40 GB
 		if n := nw.NumNodes(); n != want.nodes {
 			t.Errorf("%s: drift — %d nodes, want %d", want.topology, n, want.nodes)
 		}
-		if flat != want.flat || lazy != want.lazy || hier != want.hier {
-			t.Errorf("%s: drift — flat/lazy/hier bytes %d/%d/%d, want %d/%d/%d",
-				want.topology, flat, lazy, hier, want.flat, want.lazy, want.hier)
+		if flat != want.flat || lazy != want.lazy {
+			t.Errorf("%s: drift — flat/lazy bytes %d/%d, want %d/%d",
+				want.topology, flat, lazy, want.flat, want.lazy)
 		}
 
 		// The ordering the redesign exists for.
-		if lazy >= flat || hier >= flat {
-			t.Errorf("%s: not sub-quadratic — flat %d, lazy %d, hier %d", want.topology, flat, lazy, hier)
+		if lazy >= flat {
+			t.Errorf("%s: not sub-quadratic — flat %d, lazy %d", want.topology, flat, lazy)
 		}
-		if large && (lazy >= flat/100 || hier >= flat/100) {
-			t.Errorf("10⁵ nodes: oracles must undercut flat 100× — flat %d, lazy %d, hier %d", flat, lazy, hier)
+		if large && lazy >= flat/100 {
+			t.Errorf("10⁵ nodes: the lazy oracle must undercut flat 100× — flat %d, lazy %d", flat, lazy)
 		}
 	}
 }

@@ -87,7 +87,7 @@ type Network struct {
 	// oracles keyed by normalized RoutingOptions, invalidated by topology
 	// mutations via gen. gen is atomic so long-lived oracles (LazyRouting)
 	// can cheaply detect staleness on every query without taking mu. builds
-	// counts every full routing construction (flat or hierarchical) for the
+	// counts every full flat-table construction for the
 	// tests asserting that pipelines reuse one table instead of rebuilding
 	// O(n²) state.
 	mu     sync.Mutex
@@ -120,8 +120,8 @@ func (nw *Network) addNode(n Node) int {
 }
 
 // invalidateRouting marks any cached routing stale after a topology
-// mutation: SharedRouting drops every memoized backend (flat, lazy,
-// hierarchical) on the next lookup, and live LazyRouting oracles purge their
+// mutation: SharedRouting drops every memoized backend (flat, lazy) on the
+// next lookup, and live LazyRouting oracles purge their
 // cached rows on the next query.
 func (nw *Network) invalidateRouting() {
 	nw.gen.Add(1)
@@ -389,8 +389,8 @@ func (nw *Network) SharedRoutingTable() *RoutingTable {
 	return r.(*RoutingTable)
 }
 
-// RoutingBuilds reports how many full routing constructions (flat or
-// hierarchical) this network has performed — the counter the "built exactly
+// RoutingBuilds reports how many full flat-table constructions this network
+// has performed — the counter the "built exactly
 // once per scenario" regression tests watch.
 func (nw *Network) RoutingBuilds() int64 { return nw.builds.Load() }
 

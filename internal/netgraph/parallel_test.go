@@ -55,24 +55,6 @@ func TestBuildRoutingTableParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBuildHierarchicalRoutingParallelMatchesSequential does the same for the
-// two-level build's per-AS fan-out.
-func TestBuildHierarchicalRoutingParallelMatchesSequential(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		nw := randomASNetwork(t, 36, 24, 6, seed)
-		seq := nw.BuildHierarchicalRoutingParallel(1)
-		for _, workers := range []int{2, 5, 16} {
-			par := nw.BuildHierarchicalRoutingParallel(workers)
-			if !reflect.DeepEqual(seq.intra, par.intra) {
-				t.Fatalf("seed %d workers %d: intra tables differ from sequential build", seed, workers)
-			}
-			if !reflect.DeepEqual(seq.nextAS, par.nextAS) || !reflect.DeepEqual(seq.gateway, par.gateway) {
-				t.Fatalf("seed %d workers %d: AS-level tables differ from sequential build", seed, workers)
-			}
-		}
-	}
-}
-
 // TestDijkstraScratchAllocFree is the allocs/op guard on the new inner loop:
 // with the scratch warmed up, a full single-source Dijkstra allocates
 // nothing — the property that makes the all-pairs build allocation-lean.

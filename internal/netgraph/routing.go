@@ -3,19 +3,17 @@ package netgraph
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Routing is the route-oracle contract the emulator, the mapping approaches,
-// and the route discovery consume. Implementations answer next-hop queries
-// and account for their own memory, so callers can choose a backend by
-// footprint instead of hard-coding the O(n²) flat table:
+// and the route discovery consume: static latency-shortest paths, the
+// paper's Dijkstra routing. Both implementations answer every next-hop query
+// identically and differ only in how they store the answers, so callers can
+// choose a backend by footprint instead of hard-coding the O(n²) flat table:
 //
 //   - RoutingTable: flat all-pairs next hops, O(n²) memory, O(1) queries.
 //   - LazyRouting: per-source Dijkstra rows computed on demand behind a
 //     bounded LRU — O(cachedRows·n) memory.
-//   - HierarchicalTable: two-level per-AS (or auto-clustered) compressed
-//     tables — O(Σ cluster² + clusters²) memory with bounded path inflation.
 //
 // All implementations are safe for concurrent queries after construction.
 type Routing interface {
@@ -32,12 +30,11 @@ type Routing interface {
 
 var (
 	_ Routing = (*RoutingTable)(nil)
-	_ Routing = (*HierarchicalTable)(nil)
 	_ Routing = (*LazyRouting)(nil)
 )
 
 // ErrRoutingConfig reports an infeasible routing configuration — a negative
-// LRU size, a cluster count below 2, an unknown backend name. Callers test
+// LRU size, an unknown backend name or number. Callers test
 // with errors.Is.
 var ErrRoutingConfig = errors.New("netgraph: bad routing config")
 
@@ -53,9 +50,6 @@ const (
 	Flat
 	// Lazy is the on-demand per-source-row oracle (LazyRouting).
 	Lazy
-	// Hier is the two-level compressed table: per-AS when the topology has
-	// at least two ASes, auto-clustered via graph coarsening otherwise.
-	Hier
 )
 
 func (b Backend) String() string {
@@ -66,14 +60,12 @@ func (b Backend) String() string {
 		return "flat"
 	case Lazy:
 		return "lazy"
-	case Hier:
-		return "hier"
 	default:
 		return fmt.Sprintf("Backend(%d)", int(b))
 	}
 }
 
-// ParseBackend parses a backend name ("auto", "flat", "lazy", "hier") — the
+// ParseBackend parses a backend name ("auto", "flat", "lazy") — the
 // cmd/massf -routing flag values. Unknown names wrap ErrRoutingConfig.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
@@ -83,10 +75,8 @@ func ParseBackend(s string) (Backend, error) {
 		return Flat, nil
 	case "lazy":
 		return Lazy, nil
-	case "hier":
-		return Hier, nil
 	default:
-		return Auto, fmt.Errorf("%w: unknown routing backend %q (want auto|flat|lazy|hier)", ErrRoutingConfig, s)
+		return Auto, fmt.Errorf("%w: unknown routing backend %q (want auto|flat|lazy)", ErrRoutingConfig, s)
 	}
 }
 
@@ -121,26 +111,17 @@ type RoutingOptions struct {
 	Backend Backend
 	// LazyRows caps the lazy oracle's LRU row cache. 0 means automatic
 	// (byte-budgeted, see DefaultLazyBytes); negative is rejected with
-	// ErrRoutingConfig. Ignored by other backends.
+	// ErrRoutingConfig. Ignored by the flat backend.
 	LazyRows int
-	// Clusters is the two-level table's cluster count when the topology has
-	// no usable AS labels (or to force clustered routing over per-AS). 0
-	// means automatic: per-AS tables when ≥ 2 ASes exist, else
-	// DefaultClusters(n). 1 or negative is rejected with ErrRoutingConfig.
-	// Ignored by other backends.
-	Clusters int
 }
 
 // Validate checks the options without resolving automatic values.
 func (o RoutingOptions) Validate() error {
-	if o.Backend < Auto || o.Backend > Hier {
+	if o.Backend < Auto || o.Backend > Lazy {
 		return fmt.Errorf("%w: unknown backend %d", ErrRoutingConfig, int(o.Backend))
 	}
 	if o.LazyRows < 0 {
 		return fmt.Errorf("%w: LazyRows = %d, must be >= 0 (0 = automatic)", ErrRoutingConfig, o.LazyRows)
-	}
-	if o.Clusters < 0 || o.Clusters == 1 {
-		return fmt.Errorf("%w: Clusters = %d, must be >= 2 (0 = automatic)", ErrRoutingConfig, o.Clusters)
 	}
 	return nil
 }
@@ -158,14 +139,11 @@ func (o RoutingOptions) normalized(n int) RoutingOptions {
 	}
 	switch o.Backend {
 	case Flat:
-		o.LazyRows, o.Clusters = 0, 0
+		o.LazyRows = 0
 	case Lazy:
-		o.Clusters = 0
 		if o.LazyRows == 0 {
 			o.LazyRows = DefaultLazyRows(n)
 		}
-	case Hier:
-		o.LazyRows = 0
 	}
 	return o
 }
@@ -194,32 +172,17 @@ func DefaultLazyRows(n int) int {
 	return rows
 }
 
-// DefaultClusters returns the automatic cluster count for an n-node topology
-// without AS labels: C ≈ (n²/2)^(1/3), which minimizes the two-level memory
-// model 4·(n²/C + C²) — O(n^(4/3)) total bytes.
-func DefaultClusters(n int) int {
-	c := int(math.Cbrt(float64(n) * float64(n) / 2))
-	if c < 2 {
-		c = 2
-	}
-	if c > n {
-		c = n
-	}
-	return c
-}
-
 // RoutingStats is a point-in-time accounting snapshot of a route oracle.
 type RoutingStats struct {
-	// Backend names the implementation: "flat", "lazy", "hier-as",
-	// "hier-cluster".
+	// Backend names the implementation: "flat" or "lazy".
 	Backend string
 	// MemoryBytes mirrors Routing.MemoryBytes at snapshot time.
 	MemoryBytes int64
 	// Sources is the number of materialized per-source rows (flat: n; lazy:
-	// currently cached rows; hierarchical: n — every node can answer).
+	// currently cached rows).
 	Sources int
-	// Capacity is the lazy oracle's row-cache bound (flat/hierarchical
-	// report their full source count).
+	// Capacity is the lazy oracle's row-cache bound (flat reports its full
+	// source count).
 	Capacity int
 	// Hits, Misses, Evictions count lazy row-cache events; zero for the
 	// precomputed backends.
@@ -227,7 +190,7 @@ type RoutingStats struct {
 }
 
 // BuildRouting constructs a fresh route oracle for the given options,
-// resolving the automatic policy against the network's size and labels. Most
+// resolving the automatic policy against the network's size. Most
 // callers want the memoizing SharedRouting instead.
 func (nw *Network) BuildRouting(o RoutingOptions) (Routing, error) {
 	if err := o.Validate(); err != nil {
@@ -243,33 +206,9 @@ func (nw *Network) buildRouting(o RoutingOptions) (Routing, error) {
 		return nw.BuildRoutingTable(), nil
 	case Lazy:
 		return NewLazyRouting(nw, o.LazyRows)
-	case Hier:
-		if o.Clusters == 0 && nw.multiAS() {
-			return nw.BuildHierarchicalRouting(), nil
-		}
-		k := o.Clusters
-		if k == 0 {
-			k = DefaultClusters(len(nw.Nodes))
-		}
-		return nw.BuildClusteredRouting(k)
 	default:
 		return nil, fmt.Errorf("%w: unknown backend %d", ErrRoutingConfig, int(o.Backend))
 	}
-}
-
-// multiAS reports whether the topology carries at least two distinct AS
-// labels — the signal that per-AS hierarchical routing is meaningful.
-func (nw *Network) multiAS() bool {
-	if len(nw.Nodes) == 0 {
-		return false
-	}
-	first := nw.Nodes[0].AS
-	for _, n := range nw.Nodes[1:] {
-		if n.AS != first {
-			return true
-		}
-	}
-	return false
 }
 
 // sharedEntry is one memoized oracle with the topology generation it was
@@ -281,8 +220,8 @@ type sharedEntry struct {
 
 // SharedRouting returns the network's memoized oracle for the given options,
 // building it on first use and after any topology mutation (AddLink /
-// AddRouter / AddHost bump the generation, which drops every cached backend —
-// flat, lazy, and hierarchical alike). Equivalent option values (e.g. Auto on
+// AddRouter / AddHost bump the generation, which drops every cached backend,
+// flat and lazy alike). Equivalent option values (e.g. Auto on
 // a small network and explicit Flat) share one entry. Safe for concurrent
 // use; do not mutate the topology while runs are in flight.
 func (nw *Network) SharedRouting(o RoutingOptions) (Routing, error) {

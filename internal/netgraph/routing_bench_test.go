@@ -27,8 +27,8 @@ func paperTopology(tb testing.TB, name string) *netgraph.Network {
 }
 
 // TestParallelRoutingMatchesSequentialOnPaperTopologies is the satellite
-// regression: flat and hierarchical tables built with the parallel fan-out
-// are byte-identical to the sequential build on every experiment topology.
+// regression: flat tables built with the parallel fan-out are
+// byte-identical to the sequential build on every experiment topology.
 func TestParallelRoutingMatchesSequentialOnPaperTopologies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("all-pairs builds on the full topologies")
@@ -37,13 +37,9 @@ func TestParallelRoutingMatchesSequentialOnPaperTopologies(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			nw := paperTopology(t, name)
 			seqFlat := nw.BuildRoutingTableParallel(1)
-			seqHier := nw.BuildHierarchicalRoutingParallel(1)
 			for _, workers := range []int{2, 4, 8} {
 				if par := nw.BuildRoutingTableParallel(workers); !reflect.DeepEqual(seqFlat, par) {
 					t.Fatalf("%s: flat table with %d workers differs from sequential", name, workers)
-				}
-				if par := nw.BuildHierarchicalRoutingParallel(workers); !reflect.DeepEqual(seqHier, par) {
-					t.Fatalf("%s: hierarchical table with %d workers differs from sequential", name, workers)
 				}
 			}
 		})
@@ -73,21 +69,3 @@ func BenchmarkRoutingTableTeraGrid(b *testing.B) { benchRoutingTable(b, "TeraGri
 // (200 routers / 364 hosts) — the acceptance case: parallel must be >= 2x
 // serial at GOMAXPROCS >= 4.
 func BenchmarkRoutingTableBrite(b *testing.B) { benchRoutingTable(b, "Brite-large") }
-
-// BenchmarkHierarchicalRoutingBrite covers the two-level build's per-AS
-// fan-out on the same large network.
-func BenchmarkHierarchicalRoutingBrite(b *testing.B) {
-	nw := paperTopology(b, "Brite-large")
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = nw.BuildHierarchicalRoutingParallel(1)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = nw.BuildHierarchicalRoutingParallel(0)
-		}
-	})
-}

@@ -3,12 +3,11 @@ package netgraph_test
 // Cross-backend equivalence. The flat table and the lazy oracle must answer
 // every (src, dst) exactly as the full-graph row builder below does — the
 // builder both used before leaves were cut out of Dijkstra — on the paper's
-// topologies and on random graphs shaped to break that cut; and the
-// clustered two-level tables must stay loop-free and never beat the true
-// shortest path.
+// topologies and on random graphs shaped to break that cut.
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/netgraph"
+	"repro/internal/topogen"
 )
 
 // refItem and refHeap are the oracle's frontier: container/heap under the
@@ -208,46 +208,77 @@ func TestLazyMatchesFlatOnPaperTopologies(t *testing.T) {
 	}
 }
 
-func TestClusteredRoutingOnPaperTopologies(t *testing.T) {
-	if testing.Short() {
-		t.Skip("all-pairs walks on the full topologies")
+// TestEveryBackendRoutesShortest keeps the route oracle to one semantics:
+// every backend ParseBackend accepts must route each host pair over a path
+// exactly as long as the flat table's, on the paper topologies and on a
+// scale-free network past AutoFlatMaxNodes, where Auto resolves to lazy. A
+// backend that trades path length for table size (the retired two-level
+// "hier" tables stretched routes 4.6× at 10⁴ routers) emulates a different
+// network, so the backend enumeration and this check must not admit one.
+func TestEveryBackendRoutesShortest(t *testing.T) {
+	var backends []netgraph.Backend
+	for b := netgraph.Backend(-2); b < 16; b++ {
+		parsed, perr := netgraph.ParseBackend(b.String())
+		verr := netgraph.RoutingOptions{Backend: b}.Validate()
+		if (perr == nil) != (verr == nil) {
+			t.Fatalf("%v: ParseBackend error %v but Validate error %v", b, perr, verr)
+		}
+		if perr == nil {
+			if parsed != b {
+				t.Fatalf("ParseBackend(%q) = %v", b.String(), parsed)
+			}
+			backends = append(backends, b)
+		}
 	}
-	// Brite is single-AS, the case the auto-clustered tables exist for;
-	// Campus exercises the nearly-tree shape.
-	for _, name := range []string{"Campus", "Brite"} {
-		t.Run(name, func(t *testing.T) {
-			nw := paperTopology(t, name)
-			n := nw.NumNodes()
-			flat := nw.BuildRoutingTable()
-			hier, err := nw.BuildClusteredRouting(netgraph.DefaultClusters(n))
+	if len(backends) == 0 {
+		t.Fatal("ParseBackend accepts no backend")
+	}
+	if _, err := netgraph.ParseBackend("hier"); !errors.Is(err, netgraph.ErrRoutingConfig) {
+		t.Fatalf(`ParseBackend("hier") = %v, want ErrRoutingConfig`, err)
+	}
+	if err := (netgraph.RoutingOptions{Backend: 3}).Validate(); !errors.Is(err, netgraph.ErrRoutingConfig) {
+		t.Fatalf("Validate(Backend 3) = %v, want ErrRoutingConfig", err)
+	}
+
+	check := func(t *testing.T, nw *netgraph.Network) {
+		hosts := nw.Hosts()
+		flat := nw.BuildRoutingTable()
+		latency := func(r netgraph.Routing, src, dst int) float64 {
+			var d float64
+			for _, l := range nw.RouteLinks(r, src, dst) {
+				d += nw.Links[l].Latency
+			}
+			return d
+		}
+		for _, b := range backends {
+			r, err := nw.BuildRouting(netgraph.RoutingOptions{Backend: b})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%v: %v", b, err)
 			}
-			if hier.MemoryBytes() >= flat.MemoryBytes() {
-				t.Fatalf("clustered table (%d B) not smaller than flat (%d B)",
-					hier.MemoryBytes(), flat.MemoryBytes())
-			}
-			for src := 0; src < n; src++ {
-				_, shortest := referenceRow(nw, src)
-				for dst := 0; dst < n; dst++ {
-					if src == dst {
-						continue
-					}
-					path, links := nw.RoutePath(hier, src, dst)
-					if path == nil || len(path) > n {
-						t.Fatalf("clustered route %d->%d broken or looping: %d hops", src, dst, len(path))
-					}
-					var d float64
-					for _, lid := range links {
-						d += nw.Links[lid].Latency
-					}
-					if d < shortest[dst]-1e-12 {
-						t.Fatalf("clustered distance beats shortest path for %d->%d", src, dst)
+			for i, src := range hosts {
+				for _, dst := range hosts[i+1:] {
+					if got, want := latency(r, src, dst), latency(flat, src, dst); got != want {
+						t.Fatalf("%v (%s): route %d->%d is %g s, flat %g s", b, r.Stats().Backend, src, dst, got, want)
 					}
 				}
 			}
-		})
+		}
 	}
+	for _, name := range []string{"Campus", "TeraGrid", "Brite", "Brite-large"} {
+		t.Run(name, func(t *testing.T) { check(t, paperTopology(t, name)) })
+	}
+	t.Run("ScaleFree-2k", func(t *testing.T) {
+		nw, err := topogen.ScaleFree(topogen.ScaleFreeConfig{
+			Routers: 2000, Hosts: 100, LinksPerNewRouter: 2, Seed: 42,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nw.NumNodes() <= netgraph.AutoFlatMaxNodes {
+			t.Fatalf("%d nodes: Auto would stay flat", nw.NumNodes())
+		}
+		check(t, nw)
+	})
 }
 
 // loopingOracle routes every node toward a and a itself toward b, so a walk

@@ -181,14 +181,13 @@ func TestLazySelfPurgesOnMutation(t *testing.T) {
 }
 
 // TestSharedRoutingDropsAllBackendsOnMutation checks the generation cache
-// across every backend: AddLink must invalidate flat, lazy, and hierarchical
-// entries alike.
+// across every backend: AddLink must invalidate flat and lazy entries
+// alike.
 func TestSharedRoutingDropsAllBackendsOnMutation(t *testing.T) {
 	nw := tieHeavyNetwork(30, 11)
 	opts := []RoutingOptions{
 		{Backend: Flat},
 		{Backend: Lazy, LazyRows: 4},
-		{Backend: Hier, Clusters: 3},
 	}
 	before := make([]Routing, len(opts))
 	for i, o := range opts {
@@ -218,73 +217,8 @@ func TestSharedRoutingDropsAllBackendsOnMutation(t *testing.T) {
 	}
 }
 
-// TestClusteredRoutingProperties checks the auto-clustered two-level tables on
-// single-AS random networks: every pair routes loop-free to its destination,
-// never beats the true shortest path, and stays within a bounded inflation of
-// it.
-func TestClusteredRoutingProperties(t *testing.T) {
-	for _, seed := range []int64{2, 13} {
-		n := 80
-		nw := tieHeavyNetwork(n, seed)
-		flat := nw.BuildRoutingTable()
-		hier, err := nw.BuildClusteredRouting(DefaultClusters(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sumFlat, sumHier float64
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				if src == dst {
-					continue
-				}
-				path := nw.Route(hier, src, dst)
-				if path == nil || path[0] != src || path[len(path)-1] != dst {
-					t.Fatalf("seed %d: clustered route %d->%d broken: %v", seed, src, dst, path)
-				}
-				if len(path) > n {
-					t.Fatalf("seed %d: clustered route %d->%d has a loop (%d hops)", seed, src, dst, len(path))
-				}
-				fd, hd := pathLatency(nw, flat, src, dst), pathLatency(nw, hier, src, dst)
-				if hd < fd-1e-12 {
-					t.Fatalf("seed %d: clustered distance %g beats shortest path %g for %d->%d", seed, hd, fd, src, dst)
-				}
-				sumFlat += fd
-				sumHier += hd
-			}
-		}
-		if sumHier > 2.5*sumFlat {
-			t.Fatalf("seed %d: clustered path inflation %.2fx exceeds the 2.5x bound", seed, sumHier/sumFlat)
-		}
-	}
-}
-
-func TestClusteredRoutingDeterministic(t *testing.T) {
-	nw := tieHeavyNetwork(50, 21)
-	a, err := nw.BuildClusteredRouting(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := nw.BuildClusteredRouting(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for src := 0; src < 50; src++ {
-		for dst := 0; dst < 50; dst++ {
-			if a.NextLink(src, dst) != b.NextLink(src, dst) {
-				t.Fatalf("clustered build not deterministic at (%d,%d)", src, dst)
-			}
-		}
-	}
-	if a.Clusters() < 2 || a.Clusters() > 5 {
-		t.Fatalf("got %d clusters, want 2..5", a.Clusters())
-	}
-	if s := a.Stats(); s.Backend != "hier-cluster" {
-		t.Fatalf("backend = %q, want hier-cluster", s.Backend)
-	}
-}
-
 func TestParseBackend(t *testing.T) {
-	for name, want := range map[string]Backend{"auto": Auto, "flat": Flat, "lazy": Lazy, "hier": Hier} {
+	for name, want := range map[string]Backend{"auto": Auto, "flat": Flat, "lazy": Lazy} {
 		got, err := ParseBackend(name)
 		if err != nil || got != want {
 			t.Fatalf("ParseBackend(%q) = %v, %v", name, got, err)
@@ -298,8 +232,7 @@ func TestParseBackend(t *testing.T) {
 func TestRoutingOptionsValidate(t *testing.T) {
 	bad := []RoutingOptions{
 		{LazyRows: -1},
-		{Clusters: -2},
-		{Clusters: 1},
+		{Backend: Backend(-1)},
 		{Backend: Backend(99)},
 	}
 	for _, o := range bad {
@@ -318,9 +251,6 @@ func TestRoutingOptionsValidate(t *testing.T) {
 	}
 	if _, err := NewLazyRouting(nw, -1); !errors.Is(err, ErrRoutingConfig) {
 		t.Fatalf("NewLazyRouting(-1) = %v, want ErrRoutingConfig", err)
-	}
-	if _, err := nw.BuildClusteredRouting(1); !errors.Is(err, ErrRoutingConfig) {
-		t.Fatalf("BuildClusteredRouting(1) = %v, want ErrRoutingConfig", err)
 	}
 }
 
@@ -358,16 +288,5 @@ func TestDefaultSizing(t *testing.T) {
 	}
 	if r := DefaultLazyRows(100); r != 100 {
 		t.Fatalf("DefaultLazyRows(100) = %d, want clamped to n", r)
-	}
-	if c := DefaultClusters(100_000); c < 2 {
-		t.Fatalf("DefaultClusters(1e5) = %d", c)
-	}
-	// The auto cluster count keeps two-level memory sub-quadratic: for 1e5
-	// nodes the model 4·(n²/C + C²) must be far below the 4·n² flat cost.
-	n := float64(100_000)
-	c := float64(DefaultClusters(100_000))
-	model := 4 * (n*n/c + c*c)
-	if flat := 4 * n * n; model > flat/50 {
-		t.Fatalf("two-level memory model %.3g is not ≪ flat %.3g", model, flat)
 	}
 }

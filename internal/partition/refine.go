@@ -52,8 +52,8 @@ func uniformFractions(k int, frac []float64) []float64 {
 	return out
 }
 
-// workspace is the scratch memory of a Partitioner (and of one Improve or
-// Cluster call): what the greedyGrow, refine and rebalance calls of a
+// workspace is the scratch memory of a Partitioner (and of one Improve
+// call): what the greedyGrow, refine and rebalance calls of a
 // partition share (about 130 of them on a paper topology) so that their
 // loops do not allocate, and what coarsening and projection used to make per
 // level. reset sizes it for a call; a workspace that has served other graphs,

@@ -88,12 +88,8 @@ type Routing = netgraph.Routing
 // nodes and the lazy oracle beyond.
 type RoutingOptions = netgraph.RoutingOptions
 
-// RoutingHier selects the two-level compressed route table (per-AS or
-// auto-clustered) in RoutingOptions.Backend.
-const RoutingHier = netgraph.Hier
-
 // ErrRoutingConfig reports an infeasible routing configuration (negative LRU
-// size, cluster count below 2, unknown backend name); test with errors.Is.
+// size, unknown backend name); test with errors.Is.
 var ErrRoutingConfig = netgraph.ErrRoutingConfig
 
 // Workload is a timestamped list of flows.
