@@ -1,7 +1,9 @@
 package apps
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -327,5 +329,51 @@ func TestGridNPBDefaultsApplied(t *testing.T) {
 	}
 	if len(w.Flows) == 0 {
 		t.Error("no flows with defaults")
+	}
+}
+
+// TestSortByStartMatchesStableSort: Workload.SortByStart sorts keys and
+// permutes once; it must leave flows in exactly the order a stable sort by
+// (Start, ID) does. Each generated workload is shuffled and given few
+// distinct IDs, so equal (Start, ID) pairs are common and only the stable
+// tiebreak orders them; the hand-made one has equal starts and duplicate IDs
+// on distinguishable flows.
+func TestSortByStartMatchesStableSort(t *testing.T) {
+	nw := topogen.TeraGrid()
+	http := traffic.DefaultHTTP(120, 3).Generate(nw)
+	cases := map[string][]traffic.Flow{
+		"http":      http.Flows,
+		"scalapack": mustGen(t, DefaultScaLapack(), appHosts(10), 3).Flows,
+		"gridnpb":   mustGen(t, GridNPB{NumHosts: 10, Duration: 120}, appHosts(10), 3).Flows,
+		"hand-made": {
+			{ID: 2, Start: 1}, {ID: 1, Start: 1}, {ID: 2, Start: 1}, {ID: 0, Start: 0.5},
+			{ID: 2, Start: 1}, {ID: 1, Start: 1}, {ID: 0, Start: 0.5}, {ID: 9, Start: 0},
+		},
+	}
+	for name, flows := range cases {
+		if len(flows) < 8 {
+			t.Fatalf("%s: %d flows, too few to exercise the sort", name, len(flows))
+		}
+		in := slices.Clone(flows)
+		if name != "hand-made" {
+			rng := rand.New(rand.NewSource(7))
+			rng.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+			for i := range in {
+				in[i].ID = i % 5
+				in[i].Start = math.Round(in[i].Start) // many equal starts
+			}
+		}
+		for i := range in {
+			in[i].Bytes = int64(i) // tells equal-key flows apart
+		}
+		want := slices.Clone(in)
+		slices.SortStableFunc(want, func(a, b traffic.Flow) int {
+			return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID))
+		})
+		got := traffic.Workload{Flows: slices.Clone(in)}
+		got.SortByStart()
+		if !slices.Equal(got.Flows, want) {
+			t.Errorf("%s: SortByStart differs from the stable sort by (Start, ID)", name)
+		}
 	}
 }

@@ -48,7 +48,9 @@ func (k *Kernel[P]) mergeOutboxesReference(scheds []*Scheduler[P]) {
 		return a.srcIdx < b.srcIdx
 	})
 	for _, t := range all {
-		k.pushLocal(t.dst, t.time, t.data)
+		if err := k.push(t.dst, t.time, t.data, phaseArrival); err != nil {
+			panic(err)
+		}
 	}
 }
 

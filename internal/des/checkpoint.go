@@ -65,15 +65,16 @@ func (k *Kernel[P]) Checkpoint(at float64) *Checkpoint[P] {
 // engine's events onto survivors — and returning ok=false drops the event.
 // When lookahead > 0 it replaces the window width, since a changed assignment
 // cuts a different set of links. Events are reinserted in a deterministic
-// order (LP, then time, then original sequence), so a restored run replays
-// identically.
+// order (LP, then time, then original sequence) under the restored window
+// count's epoch, so a restored run replays identically.
 func (k *Kernel[P]) Restore(cp *Checkpoint[P], lookahead float64, remap func(Event[P]) (int, bool)) error {
 	n := k.cfg.NumLPs
 	if len(cp.events) != n {
 		return fmt.Errorf("des: checkpoint covers %d LPs, kernel has %d", len(cp.events), n)
 	}
 	k.queues = make([]eventQueue[P], n)
-	k.seqs = make([]int64, n)
+	k.keys = make([]keyClock, n)
+	k.epoch = cp.stats.Windows
 	for lp := 0; lp < n; lp++ {
 		for _, ev := range cp.events[lp] {
 			nlp := ev.LP
@@ -87,7 +88,9 @@ func (k *Kernel[P]) Restore(cp *Checkpoint[P], lookahead float64, remap func(Eve
 			if nlp < 0 || nlp >= n {
 				return fmt.Errorf("des: restore remapped event at t=%g to invalid LP %d", ev.Time, nlp)
 			}
-			k.pushLocal(nlp, ev.Time, ev.Data)
+			if err := k.push(nlp, ev.Time, ev.Data, phaseArrival); err != nil {
+				return err
+			}
 		}
 	}
 	stats := cp.stats.Clone()

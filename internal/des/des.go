@@ -17,41 +17,42 @@
 //
 // That loop exists once: a Grid picks each window and a Stepper runs it on
 // each of a set of LPs in LP order, on the caller's goroutine. Kernel.Run is a
-// Stepper over every LP whose barrier merges the outboxes in place; a
-// distributed worker is a Stepper over some LPs whose coordinator walks the
-// same Grid type and merges over the wire (step.go). Using more than one core
-// means running more than one such worker, one process per engine group, as
-// the paper runs one MaSSF engine per cluster node. What a window did leaves
-// the kernel one way: Run fills one obs.Window record per executed window —
-// deterministic per-LP counters — and hands it to the single OnWindow hook,
-// behind which the emulator keeps the engine cost model that reproduces the
-// paper's emulation-time metrics, every recorder, and crash and resize
-// handling.
+// Stepper over every LP that sends each cross-LP event straight into its
+// destination's queue; a distributed worker is a Stepper over some LPs whose
+// coordinator walks the same Grid type and merges over the wire (step.go).
+// Using more than one core means running more than one such worker, one
+// process per engine group, as the paper runs one MaSSF engine per cluster
+// node. What a window did leaves the kernel one way: Run fills one obs.Window
+// record per executed window — deterministic per-LP counters — and hands it to
+// the single OnWindow hook, behind which the emulator keeps the engine cost
+// model that reproduces the paper's emulation-time metrics, every recorder, and
+// crash and resize handling.
 //
 // Hot-path layout. Each LP's pending events are the ascending runs its link
 // streams feed it, kept in pooled structure-of-arrays blocks under one small
 // heap of run heads, so a push appends and a pop sifts a heap of a few runs.
-// Cross-LP sends accumulate in batches each scheduler owns, one per
-// destination — the in-process mirror of the dist protocol's per-window
-// framing — and are re-sequenced at the barrier with a reused merge scratch,
-// so the steady-state barrier allocates nothing. See DESIGN.md §14 for the
-// layout and the determinism argument.
+// Equal-time events pop by a provenance key fixed at push time (window, the
+// LP's own pushes before arrivals, push order), so Run's barrier has nothing
+// to merge. A worker's sends, and the few landing just short of a window's
+// end, go through batches each scheduler owns per destination — the mirror of
+// the dist protocol's per-window framing — reused window after window, so the
+// steady-state barrier allocates nothing. DESIGN.md §14 has the layout and the
+// determinism argument.
 //
 // The payload type P. The kernel is generic over what an event carries, and
-// stores payloads by value in those queues, batches, scratch and checkpoints
-// ([]P). It never clears a slot it has consumed: a popped queue entry, a
-// drained batch and a used scratch row keep their last payload until the slot
-// is overwritten. P should therefore be a small pointer-free value (the
-// emulator's is 12 bytes) — the arrays are then never scanned by the collector
-// and there is nothing to clear. A P that holds pointers (Kernel[any] in this
-// package's own tests) still runs correctly; a stale reference only delays a
-// collection.
+// stores payloads by value in those queues, batches and checkpoints ([]P). It
+// never clears a slot it has consumed: a popped queue entry and a drained
+// batch keep their last payload until the slot is overwritten. P should
+// therefore be a small pointer-free value (the emulator's is 12 bytes) — the
+// arrays are then never scanned by the collector and there is nothing to
+// clear. A P that holds pointers (Kernel[any] in this package's own tests)
+// still runs correctly; a stale reference only delays a collection.
 package des
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -66,9 +67,8 @@ type Event[P any] struct {
 	// Data is the payload interpreted by the Handler.
 	Data P
 
-	// seq orders simultaneous events deterministically. Locally scheduled
-	// events get the destination LP's next sequence number; events arriving
-	// over the barrier are re-sequenced in a deterministic merge order.
+	// seq orders simultaneous events deterministically: the provenance key
+	// the destination LP's push gave it (see Kernel.push).
 	seq int64
 }
 
@@ -89,9 +89,9 @@ type Config[P any] struct {
 	// Handler processes events. Required.
 	Handler Handler[P]
 	// OnWindow, if non-nil, is the one per-window hook: Run calls it after each
-	// window's barrier — handler errors checked, outboxes merged — with the
+	// window's barrier — handler errors checked, every send enqueued — with the
 	// window's record: index, bounds and the per-LP events, charges, remote
-	// sends and post-merge queue depths (Cost is the caller's to fill). The
+	// sends and post-barrier queue depths (Cost is the caller's to fill). The
 	// record is the kernel's own, overwritten in place at the next barrier and
 	// valid only during the call, as are its slices (see obs.Window). No
 	// handler is executing, so the hook may safely take a Checkpoint, and may
@@ -136,17 +136,18 @@ func (s *Stats) TotalCharges() int64 {
 
 // batch collects one window's sends from one source LP to one destination LP
 // in structure-of-arrays form — the in-process counterpart of the dist
-// protocol's per-window event frames. A batch never outlives its barrier —
-// the barrier (or Stepper.Step) consumes every event of the window it was
-// filled in — so each scheduler owns one per destination for the run, and the
-// backing arrays are reused window after window: the steady-state send path
-// allocates nothing.
+// protocol's per-window event frames. Under Run it holds only the sends that
+// land just short of the window end. A batch never outlives its barrier — the
+// barrier (or Stepper.Step) consumes every event of the window it was filled
+// in — so each scheduler owns one per destination for the run, and the backing
+// arrays are reused window after window: the steady-state send path allocates
+// nothing.
 type batch[P any] struct {
 	// Dst is the destination LP, Src the sending LP.
 	Dst, Src int
 	// Times[i] is the i-th event's firing time; SrcIdx[i] its send order
-	// within the source LP's window (the barrier merge tiebreak); Datas[i]
-	// its payload.
+	// within the source LP's window (the coordinator's merge tiebreak);
+	// Datas[i] its payload.
 	Times  []float64
 	SrcIdx []int32
 	Datas  []P
@@ -164,6 +165,28 @@ func (b *batch[P]) reset() {
 // ulp short of it.
 const lookaheadSlack = 1e-12
 
+// The provenance key an LP pops equal-time events by, packed into the queue's
+// int64 sequence number as epoch<<32 | phase<<31 | rank: the epoch is the
+// index of the window a push belongs to plus one, or the window count outside
+// any window (seeding, Restore, Inject); the phase puts the LP's own pushes
+// before arrivals; the rank counts the LP's pushes per epoch and phase. A field
+// past 31 bits is ErrKeySpace, never a wrap.
+const (
+	phaseLocal   = 0 // pushed by the LP's own handler
+	phaseArrival = 1 // anything else
+	maxKeyField  = 1<<31 - 1
+)
+
+// ErrKeySpace marks a push past the provenance key's range: more than 2³¹−1
+// windows, or pushes onto one LP in one phase of one window.
+var ErrKeySpace = errors.New("des: event key space exhausted")
+
+// keyClock is one LP's key state: its last epoch and each phase's next rank.
+type keyClock struct {
+	epoch int64
+	next  [2]int64
+}
+
 // Scheduler is the per-LP interface handlers use to schedule events and
 // account load. It is only valid inside a Handler invocation.
 type Scheduler[P any] struct {
@@ -178,6 +201,9 @@ type Scheduler[P any] struct {
 	charges int64
 	remote  int64
 	busy    float64
+	// direct pushes a cross-LP event at or past the window end straight into
+	// its destination's queue (Run); otherwise it goes to a batch.
+	direct bool
 	// owned is the scheduler's batch for each destination LP. batches holds
 	// the ones this window sent into, in first-touch order; batchAt indexes
 	// those by destination (nil: untouched this window). Both are drained at
@@ -200,15 +226,17 @@ func (s *Scheduler[P]) Charge(n int64) { s.charges += n }
 
 // Schedule enqueues an event for LP lp at virtual time t. Local events
 // (lp == current) may be scheduled at any t >= Now(). Remote events must obey
-// the lookahead: t >= current window end. Violations poison the run with an
-// error rather than corrupting causality.
+// the lookahead: t >= current window end. Violations, and a full key space,
+// poison the run with an error rather than corrupting causality.
 func (s *Scheduler[P]) Schedule(lp int, t float64, data P) {
 	if !(t >= s.now) { // NaN included: it would break the queue's order
 		s.fail(fmt.Errorf("des: LP %d scheduled event in the past: t=%g < now=%g", s.lp, t, s.now))
 		return
 	}
 	if lp == s.lp {
-		s.k.pushLocal(lp, t, data)
+		if err := s.k.push(lp, t, data, phaseLocal); err != nil {
+			s.fail(err)
+		}
 		return
 	}
 	if lp < 0 || lp >= s.k.cfg.NumLPs {
@@ -219,6 +247,13 @@ func (s *Scheduler[P]) Schedule(lp int, t float64, data P) {
 		s.fail(fmt.Errorf("des: LP %d violated lookahead: remote event at t=%g before window end %g", s.lp, t, s.windowEnd))
 		return
 	}
+	s.remote++
+	if s.direct && t >= s.windowEnd { // LPs send in ascending order: rank = (source, send order)
+		if err := s.k.push(lp, t, data, phaseArrival); err != nil {
+			s.fail(err)
+		}
+		return
+	}
 	b := s.batchAt[lp]
 	if b == nil {
 		b = &s.owned[lp]
@@ -226,9 +261,8 @@ func (s *Scheduler[P]) Schedule(lp int, t float64, data P) {
 		s.batches = append(s.batches, b)
 	}
 	b.Times = append(b.Times, t)
-	b.SrcIdx = append(b.SrcIdx, int32(s.remote))
+	b.SrcIdx = append(b.SrcIdx, int32(s.remote-1))
 	b.Datas = append(b.Datas, data)
-	s.remote++
 }
 
 func (s *Scheduler[P]) fail(err error) {
@@ -250,7 +284,10 @@ func (s *Scheduler[P]) Fail(err error) { s.fail(err) }
 type Kernel[P any] struct {
 	cfg    Config[P]
 	queues []eventQueue[P]
-	seqs   []int64
+	// keys is each LP's key state; epoch is a push's epoch now: the window
+	// count, plus one from a window's start until its barrier folds it.
+	keys  []keyClock
+	epoch int64
 
 	// stats is the cumulative run statistics, live: the window loop folds
 	// every window into it, Checkpoint snapshots it and Restore replaces it.
@@ -261,14 +298,6 @@ type Kernel[P any] struct {
 	// driver is the Stepper holding the kernel's LPs (Run's own, or an outside
 	// coordinator's), nil when none does.
 	driver *Stepper[P]
-
-	// Barrier merge scratch, reused across windows: batches bucketed by
-	// destination, the list of destinations with traffic, and the
-	// structure-of-arrays sort area, empty between destinations. Zero
-	// steady-state allocations.
-	perDst  [][]*batch[P]
-	dstList []int
-	merge   mergeScratch[P]
 }
 
 // New validates cfg and returns a kernel ready for initial event injection.
@@ -285,7 +314,7 @@ func New[P any](cfg Config[P]) (*Kernel[P], error) {
 	return &Kernel[P]{
 		cfg:    cfg,
 		queues: make([]eventQueue[P], cfg.NumLPs),
-		seqs:   make([]int64, cfg.NumLPs),
+		keys:   make([]keyClock, cfg.NumLPs),
 		stats:  newStats(cfg.NumLPs),
 		grid:   Grid{Lookahead: cfg.Lookahead, EndTime: cfg.EndTime},
 	}, nil
@@ -317,14 +346,23 @@ func (k *Kernel[P]) Schedule(lp int, t float64, data P) error {
 	if !(t >= 0) {
 		return fmt.Errorf("des: initial event at negative or NaN time %g", t)
 	}
-	k.pushLocal(lp, t, data)
-	return nil
+	return k.push(lp, t, data, phaseArrival)
 }
 
-func (k *Kernel[P]) pushLocal(lp int, t float64, data P) {
-	seq := k.seqs[lp]
-	k.seqs[lp]++
-	k.queues[lp].push(t, seq, data)
+// push enqueues an event on LP lp under the next provenance key of phase in
+// the current epoch.
+func (k *Kernel[P]) push(lp int, t float64, data P, phase int) error {
+	c := &k.keys[lp]
+	if c.epoch != k.epoch {
+		*c = keyClock{epoch: k.epoch}
+	}
+	rank := c.next[phase]
+	if rank > maxKeyField || k.epoch > maxKeyField {
+		return fmt.Errorf("%w: push %d of phase %d onto LP %d in epoch %d", ErrKeySpace, rank, phase, lp, k.epoch)
+	}
+	c.next[phase]++
+	k.queues[lp].push(t, k.epoch<<32|int64(phase)<<31|rank, data)
+	return nil
 }
 
 // Run executes the simulation to completion (or EndTime) and returns the
@@ -344,6 +382,9 @@ func (k *Kernel[P]) Run() (*Stats, error) {
 		return nil, err
 	}
 	defer st.Close()
+	for _, s := range st.scheds {
+		s.direct = true
+	}
 	began, wall := time.Now(), k.stats.WallTime
 
 	hook := k.cfg.OnWindow
@@ -358,15 +399,17 @@ func (k *Kernel[P]) Run() (*Stats, error) {
 		if err := st.exec(end); err != nil {
 			return nil, err
 		}
-		// Barrier: merge outboxes deterministically, fold the counters, hand the
-		// window's record to the hook.
-		k.mergeOutboxes(st.scheds)
+		// Barrier: enqueue the sends that landed short of the window end,
+		// fold the counters, hand the window's record to the hook.
+		if err := st.drain(nil); err != nil {
+			return nil, err
+		}
 		res := st.fold(end)
 		if hook == nil {
 			continue
 		}
 		for lp := 0; lp < n; lp++ {
-			res.Queue[lp] = int64(k.queues[lp].Len()) // post-merge here
+			res.Queue[lp] = int64(k.queues[lp].Len()) // post-barrier here
 		}
 		win.Index, win.Start, win.End = k.stats.Windows-1, T, end
 		win.Events, win.Charges, win.Remote, win.Queue = res.Events, res.Charges, res.Remote, res.Queue
@@ -378,20 +421,24 @@ func (k *Kernel[P]) Run() (*Stats, error) {
 	return k.stats, err
 }
 
-// runWindow drains one LP's queue up to windowEnd. Remote events go to the
-// scheduler's per-destination batches, and the window's counters stay on the
-// scheduler until the barrier folds them.
+// runWindow drains one LP's queue up to windowEnd. Remote events go to their
+// destination's queue or the scheduler's batches (Schedule), and the window's
+// counters stay on the scheduler until the barrier folds them.
 func (k *Kernel[P]) runWindow(lp int, s *Scheduler[P], windowEnd float64, timed bool) {
-	var begin time.Time
-	if timed {
-		begin = time.Now()
-	}
-	s.windowEnd = windowEnd
 	q := &k.queues[lp]
 	limit := windowEnd
 	if k.cfg.EndTime > 0 {
 		limit = min(limit, k.cfg.EndTime)
 	}
+	if !(q.head() < limit) { // idle this window
+		s.events, s.busy = 0, 0
+		return
+	}
+	var begin time.Time
+	if timed {
+		begin = time.Now()
+	}
+	s.windowEnd = windowEnd
 	events := int64(0)
 	for q.head() < limit {
 		t, data := q.pop()
@@ -410,117 +457,6 @@ func (k *Kernel[P]) runWindow(lp int, s *Scheduler[P], windowEnd float64, timed 
 	if timed {
 		s.busy = time.Since(begin).Seconds()
 	}
-}
-
-// mergeOutboxes distributes the window's cross-LP batches into destination
-// queues. Sequence numbers are per destination LP, so the historical global
-// (time, source LP, send order) insertion order can be applied one
-// destination at a time: sorting each destination's incoming events by that
-// same key is exactly the restriction of the global order to that
-// destination, and destinations' queues are independent, so the per-LP seq
-// assignment — and therefore every queue — is byte-identical to the global
-// merge (which lives on in batch_test.go as the oracle tests verify this
-// against).
-func (k *Kernel[P]) mergeOutboxes(scheds []*Scheduler[P]) {
-	if k.perDst == nil {
-		k.perDst = make([][]*batch[P], k.cfg.NumLPs)
-	}
-	// Bucket batches by destination. Iterating sources in ascending LP order
-	// keeps each bucket's batches pre-sorted by the source tiebreak.
-	for _, s := range scheds {
-		for _, b := range s.batches {
-			if len(k.perDst[b.Dst]) == 0 {
-				k.dstList = append(k.dstList, b.Dst)
-			}
-			k.perDst[b.Dst] = append(k.perDst[b.Dst], b)
-			s.batchAt[b.Dst] = nil
-		}
-		s.batches = s.batches[:0]
-	}
-	// Destinations' queues are independent, so the order they are served in
-	// (first touch) decides nothing.
-	m := &k.merge
-	for _, dst := range k.dstList {
-		bs := k.perDst[dst]
-		if len(bs) == 1 && len(bs[0].Times) == 1 {
-			// Single incoming event: no ordering decision to make.
-			k.pushLocal(dst, bs[0].Times[0], bs[0].Datas[0])
-		} else {
-			for _, b := range bs {
-				m.appendBatch(b)
-			}
-			if !m.sorted() {
-				sort.Sort(m)
-			}
-			for i := range m.times {
-				k.pushLocal(dst, m.times[i], m.datas[i])
-			}
-			m.reset()
-		}
-		for _, b := range bs {
-			b.reset()
-		}
-		k.perDst[dst] = bs[:0]
-	}
-	k.dstList = k.dstList[:0]
-}
-
-// mergeScratch is the reusable structure-of-arrays sort area for one
-// destination's barrier merge, ordered by (time, source LP, send order).
-type mergeScratch[P any] struct {
-	times []float64
-	srcs  []int32
-	idxs  []int32
-	datas []P
-}
-
-func (m *mergeScratch[P]) Len() int { return len(m.times) }
-
-func (m *mergeScratch[P]) Less(i, j int) bool {
-	if m.times[i] != m.times[j] {
-		return m.times[i] < m.times[j]
-	}
-	if m.srcs[i] != m.srcs[j] {
-		return m.srcs[i] < m.srcs[j]
-	}
-	return m.idxs[i] < m.idxs[j]
-}
-
-func (m *mergeScratch[P]) Swap(i, j int) {
-	m.times[i], m.times[j] = m.times[j], m.times[i]
-	m.srcs[i], m.srcs[j] = m.srcs[j], m.srcs[i]
-	m.idxs[i], m.idxs[j] = m.idxs[j], m.idxs[i]
-	m.datas[i], m.datas[j] = m.datas[j], m.datas[i]
-}
-
-// reset empties the scratch after a destination's merge.
-func (m *mergeScratch[P]) reset() {
-	m.times = m.times[:0]
-	m.srcs = m.srcs[:0]
-	m.idxs = m.idxs[:0]
-	m.datas = m.datas[:0]
-}
-
-func (m *mergeScratch[P]) appendBatch(b *batch[P]) {
-	src := int32(b.Src)
-	for i := range b.Times {
-		m.times = append(m.times, b.Times[i])
-		m.srcs = append(m.srcs, src)
-		m.idxs = append(m.idxs, b.SrcIdx[i])
-		m.datas = append(m.datas, b.Datas[i])
-	}
-}
-
-// sorted reports whether the scratch is already in merge order — the common
-// case when one source feeds the destination with non-decreasing timestamps,
-// letting the barrier skip the sort entirely.
-func (m *mergeScratch[P]) sorted() bool {
-	for i := 1; i < len(m.times); i++ {
-		if m.Less(i, i-1) {
-			return false
-		}
-	}
-	return true
 }
 
 // eventQueue is one LP's pending events, popped in (time, seq) order. It is

@@ -9,16 +9,14 @@ import (
 
 // The window dispatcher. A Stepper holds a set of a kernel's LPs and executes
 // them one window at a time, in LP order on the caller's goroutine, for
-// whoever walks the Grid: Kernel.Run holds all of them and merges the outboxes
-// in place; a distributed worker holds the engines assigned to its process
-// and steps under an outside coordinator, which collects NextEventTime votes
-// from every worker, picks the global window on its own Grid, calls Step on
-// each, merges the outboxes in the same deterministic (time, source LP, send
-// order) order Run's barrier uses, and hands each worker back its share
-// through Inject. Because sequence numbers
-// are per destination LP and every phase (initial seeding, in-window local
-// pushes, barrier merge) replays in the same order as the in-process loop, a
-// stepped execution is event-for-event identical to Run.
+// whoever walks the Grid: Kernel.Run holds all of them; a distributed worker
+// holds the engines assigned to its process and steps under an outside
+// coordinator, which collects NextEventTime votes from every worker, picks the
+// global window on its own Grid, calls Step on each, merges the outboxes in
+// (time, source LP, send order) order, and hands each worker back its share
+// through Inject. Each destination then ranks the arrivals in the (source LP,
+// send order) order Run's ascending LP loop sends them in, so a stepped
+// execution is event-for-event identical to Run.
 
 // ErrCausality marks a window or an injected event an outside coordinator
 // handed a Stepper that would break the conservative protocol: a window that
@@ -26,8 +24,8 @@ import (
 // LP's executed past. Nothing is executed or enqueued when it is returned.
 var ErrCausality = errors.New("des: causality violation")
 
-// Sent is a cross-LP event captured at a Stepper barrier, tagged with the
-// merge key Run's barrier uses: sending LP and position in that LP's outbox.
+// Sent is a cross-LP event captured at a Stepper barrier, tagged with its
+// merge key: sending LP and position in that LP's outbox.
 type Sent[P any] struct {
 	// Time is the event's virtual firing time.
 	Time float64
@@ -54,9 +52,9 @@ type StepResult[P any] struct {
 	// Outbox holds the window's cross-LP events flattened from the kernel's
 	// per-destination batches: grouped by (source LP, destination) in batch
 	// first-touch order, unsorted. The coordinator merges outboxes from all
-	// Steppers globally and must sort them into the in-process barrier's
-	// merge order (time, sending LP, send order; emu.SortWire does it on the
-	// wire form) before injecting.
+	// Steppers globally and must sort them into merge order (time, sending
+	// LP, send order; emu.SortWire does it on the wire form) before
+	// injecting.
 	Outbox []Sent[P]
 	// Busy is the measured wall-clock seconds each local LP spent executing
 	// the window. Nil unless EnableTiming was called — the tracing hot path
@@ -176,6 +174,7 @@ func (st *Stepper[P]) exec(end float64) error {
 	if st.failed != nil {
 		return st.failed
 	}
+	st.k.epoch = st.k.stats.Windows + 1
 	for _, lp := range st.local {
 		s := st.scheds[lp]
 		st.k.runWindow(lp, s, end, st.timing)
@@ -183,6 +182,30 @@ func (st *Stepper[P]) exec(end float64) error {
 			st.failed = s.err
 			return s.err
 		}
+	}
+	return nil
+}
+
+// drain empties the window's batches, sources ascending and each in send
+// order: onto out when it is non-nil (Step's outbox), else into their
+// destination queues as arrivals — under Run, the sends that landed within
+// lookaheadSlack short of the window end, which a destination running later in
+// the window would otherwise have popped.
+func (st *Stepper[P]) drain(out *[]Sent[P]) error {
+	for _, lp := range st.local {
+		s := st.scheds[lp]
+		for _, b := range s.batches {
+			for i, t := range b.Times {
+				if out != nil {
+					*out = append(*out, Sent[P]{Time: t, Dst: b.Dst, Data: b.Datas[i], Src: lp, SrcIdx: int(b.SrcIdx[i])})
+				} else if err := st.k.push(b.Dst, t, b.Datas[i], phaseArrival); err != nil {
+					return err
+				}
+			}
+			s.batchAt[b.Dst] = nil
+			b.reset()
+		}
+		s.batches = s.batches[:0]
 	}
 	return nil
 }
@@ -229,43 +252,38 @@ func (st *Stepper[P]) Step(T, end float64) (*StepResult[P], error) {
 	res := st.fold(end)
 	res.Outbox = res.Outbox[:0]
 	for _, lp := range st.local {
-		s := st.scheds[lp]
 		res.Queue[lp] = int64(st.k.queues[lp].Len())
-		// Flatten the window's per-destination batches. The raw order is
-		// batch first-touch, not send order — consumers sort globally.
-		for _, b := range s.batches {
-			for j := range b.Times {
-				res.Outbox = append(res.Outbox, Sent[P]{
-					Time: b.Times[j], Dst: b.Dst, Data: b.Datas[j],
-					Src: lp, SrcIdx: int(b.SrcIdx[j]),
-				})
-			}
-			s.batchAt[b.Dst] = nil
-			b.reset()
-		}
-		s.batches = s.batches[:0]
 	}
-	return res, nil
+	return res, st.drain(&res.Outbox) // appending cannot fail
 }
 
-// Inject pushes barrier-merged events into local queues. The coordinator
-// must pass them in the global merge order — (time, Src, SrcIdx) ascending —
-// so sequence numbers are assigned exactly as Run's mergeOutboxes would. An
-// event for an LP the Stepper does not hold, or one that would fire before
-// the last executed window's end (ErrCausality), rejects the whole batch:
-// nothing is enqueued.
+// Inject pushes barrier-merged events into local queues as the last window's
+// arrivals, which the coordinator must pass in the global merge order —
+// (time, Src, SrcIdx) ascending — to rank them as Run ranks its sends. An
+// event for an LP the Stepper does not hold, one that would fire before the
+// last executed window's end (ErrCausality), or a batch that could exhaust a
+// destination's key space (ErrKeySpace) rejects the whole batch: nothing is
+// enqueued.
 func (st *Stepper[P]) Inject(evs []Sent[P]) error {
+	k := st.k
 	for _, sv := range evs {
-		if sv.Dst < 0 || sv.Dst >= st.k.cfg.NumLPs || !st.isLocal[sv.Dst] {
+		if sv.Dst < 0 || sv.Dst >= k.cfg.NumLPs || !st.isLocal[sv.Dst] {
 			return fmt.Errorf("des: injected event at t=%g for non-local LP %d", sv.Time, sv.Dst)
 		}
 		if !(sv.Time >= st.lastEnd-lookaheadSlack) {
 			return fmt.Errorf("%w: injected event for LP %d at t=%g, before the executed window end %g",
 				ErrCausality, sv.Dst, sv.Time, st.lastEnd)
 		}
+		used := int64(0)
+		if c := k.keys[sv.Dst]; c.epoch == k.epoch {
+			used = c.next[phaseArrival]
+		}
+		if k.epoch > maxKeyField || used+int64(len(evs)) > maxKeyField+1 {
+			return fmt.Errorf("%w: %d events injected onto LP %d in epoch %d", ErrKeySpace, len(evs), sv.Dst, k.epoch)
+		}
 	}
 	for _, sv := range evs {
-		st.k.pushLocal(sv.Dst, sv.Time, sv.Data)
+		_ = k.push(sv.Dst, sv.Time, sv.Data, phaseArrival) // cannot fail: checked above
 	}
 	return nil
 }

@@ -369,7 +369,8 @@ func (s *coordinator) ready(m *member) error {
 // events go out, votes come back, a des.Grid picks the global window from the
 // earliest vote (the same type Run walks, so alignment, idle skips and the
 // EndTime stop are the kernel's), the window executes everywhere, and the
-// barrier merges outboxes in the same deterministic order. At a
+// barrier merges outboxes in (time, source, send order), the order Run's
+// direct sends reach each queue in. At a
 // checkpoint-cadence barrier with pending joins or drains the membership
 // changes instead (resizeBarrier) and the grid is re-gridded on the new
 // lookahead — exactly what Kernel.Restore does to Run's grid there.

@@ -458,8 +458,11 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 		winCost:         make([]float64, cfg.NumEngines),
 		trace:           o.trace,
 	}
-	if o.stats {
+	if o.stats { // a run starts on the engines its assignment uses
 		e.runStats = obs.NewRunStats(cfg.NumEngines)
+		used := slices.Clone(cfg.Assignment)
+		slices.Sort(used)
+		e.runStats.NoteClusterSize(len(slices.Compact(used)))
 	}
 	return e, nil
 }
@@ -743,15 +746,9 @@ func (e *emulation) speedOf(lp int) float64 {
 	return e.speeds[lp]
 }
 
+// bucketOf is the series bucket holding virtual time t, clamped to the series.
 func (e *emulation) bucketOf(t float64) int {
-	b := int(t / e.cfg.BucketWidth)
-	if b < 0 {
-		b = 0
-	}
-	if b >= e.buckets {
-		b = e.buckets - 1
-	}
-	return b
+	return min(max(int(t/e.cfg.BucketWidth), 0), e.buckets-1)
 }
 
 // commit is the one place an executed window is observed, in-process (the
@@ -821,11 +818,11 @@ func (e *emulation) price(w *obs.Window) []float64 {
 			cost[lp] = (evCost + rmCost) / e.speedOf(lp)
 		}
 	}
-	bc := e.bucketCost.Loads[b]
+	bc, loads := e.bucketCost.Loads[b], e.series.Loads[b]
 	for lp, c := range cost {
 		e.engineBusy[lp] += c
 		bc[lp] += c
-		e.series.Add(start, lp, float64(charges[lp]))
+		loads[lp] += float64(charges[lp])
 	}
 	e.bucketSync[b] += e.cost.PerWindow
 	e.bucketBusyWidth[b] += w.End - start

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -332,5 +333,27 @@ func TestConfigCostOverride(t *testing.T) {
 	}
 	if dear.NetTime <= cheap.NetTime {
 		t.Errorf("10x per-event cost did not raise NetTime: %g vs %g", dear.NetTime, cheap.NetTime)
+	}
+}
+
+// TestInProcessPeakEngines: an in-process run counts the engine set it
+// starts on, so a crash run — which never resizes — and an elastic run that
+// shrinks both report at least their starting engines as the peak, and the
+// summary never reads "peak cluster 0".
+func TestInProcessPeakEngines(t *testing.T) {
+	shrink := faultedConfig()
+	shrink.Faults, shrink.OnMembership = nil, nil
+	shrink.Elastic = []Resize{{At: 3, Engines: []int{0}, Assignment: []int{0, 0, 0, 0}}}
+	for name, cfg := range map[string]Config{"crash": faultedConfig(), "elastic shrink": shrink} {
+		res, err := Run(cfg, WithStats())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st := res.Obs; st.PeakEngines < 2 {
+			t.Errorf("%s: PeakEngines = %d, want at least the 2 engines the run started on", name, st.PeakEngines)
+		}
+		if s := res.Obs.String(); strings.Contains(s, "peak cluster 0 engine(s)") {
+			t.Errorf("%s: Obs.String() = %q", name, s)
+		}
 	}
 }

@@ -93,12 +93,34 @@ func Collect(gen func(emit func(Flow))) []Flow {
 	return flows
 }
 
-// SortByStart orders flows by start time (stable on ID), the order the
-// emulator injects them.
+// SortByStart orders flows by start time, then ID, then current order — the
+// order the emulator injects them. It sorts a permutation of flow indices and
+// then moves each flow once, rather than shifting whole flows in a stable
+// sort.
 func (w *Workload) SortByStart() {
-	slices.SortStableFunc(w.Flows, func(a, b Flow) int {
-		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID))
+	flows := w.Flows
+	perm := make([]int32, len(flows))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		fa, fb := &flows[a], &flows[b]
+		if c := cmp.Compare(fa.Start, fb.Start); c != 0 {
+			return c
+		}
+		return cmp.Or(cmp.Compare(fa.ID, fb.ID), cmp.Compare(a, b))
 	})
+	// Position j takes the flow at perm[j]: walk each cycle of the
+	// permutation once, marking a filled position by pointing it at itself.
+	for i := range perm {
+		held, j := flows[i], int32(i)
+		for perm[j] != int32(i) {
+			from := perm[j]
+			flows[j], perm[j] = flows[from], j
+			j = from
+		}
+		flows[j], perm[j] = held, j
+	}
 }
 
 // TotalBytes sums all flow sizes.
