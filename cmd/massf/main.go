@@ -30,10 +30,9 @@
 //
 //	massf -topology Campus -app GridNPB -approach TOP -remap-interval 10 -remap-policy game
 //
-// -remap-policy selects profile (from-scratch PROFILE, the default),
-// incremental (refine the previous assignment), game (game-theoretic
-// iterative repartitioning to a Nash-style fixed point) or diffusion (the
-// traffic-blind load-diffusion baseline).
+// -remap-policy selects profile (from-scratch PROFILE, the default), game
+// (game-theoretic iterative repartitioning to a Nash-style fixed point) or
+// diffusion (the traffic-blind load-diffusion baseline).
 //
 // Observability: -stats prints the kernel's aggregated run counters, -trace
 // FILE writes the deterministic JSONL kernel trace (suffixed .<approach> when
@@ -128,7 +127,7 @@ func main() {
 		resultOut  = flag.String("result-out", "", "write the run's canonical result JSON to this file (.<approach> suffix with -approach all)")
 
 		remapInterval = flag.Float64("remap-interval", 0, "dynamic remapping: repartition every N virtual seconds from the measured traffic (0 = off)")
-		remapPolicy   = flag.String("remap-policy", "profile", "dynamic remap policy: profile | incremental | game | diffusion (with -remap-interval)")
+		remapPolicy   = flag.String("remap-policy", "profile", "dynamic remap policy: profile | game | diffusion (with -remap-interval)")
 
 		elastic    = flag.Bool("elastic", false, "elastic membership: keep listening for joiners mid-run; workers may drain (Ctrl-C) or die (TOP only)")
 		capacity   = flag.Int("capacity", 0, "engine capacity for -elastic (max workers × engines-per-worker; default: the topology's engine count)")
@@ -623,7 +622,7 @@ var (
 	errCapacityElastic    = errors.New("-capacity only applies together with -elastic")
 
 	errBadRemapInterval    = errors.New("-remap-interval must be positive and finite")
-	errBadRemapPolicy      = errors.New("-remap-policy must be profile, incremental, game or diffusion")
+	errBadRemapPolicy      = errors.New("-remap-policy must be profile, game or diffusion")
 	errRemapPolicyInterval = errors.New("-remap-policy only applies together with -remap-interval")
 	errRemapModeExclusive  = errors.New("-remap-interval runs in-process without crashes and cannot combine with -coordinator or a crash -fault")
 )

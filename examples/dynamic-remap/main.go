@@ -17,6 +17,7 @@ import (
 	"log"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/mapping"
 )
 
@@ -57,15 +58,15 @@ func main() {
 			interval, dyn.Result.Imbalance, dyn.MeanSegmentImbalance, dyn.Result.AppTime, dyn.Migrations)
 	}
 
-	// Incremental remapping refines the previous assignment between
-	// intervals instead of repartitioning — far fewer migrations.
-	inc := build()
-	inc.Remap, inc.RemapEvery, inc.MigrationCost = repro.RemapIncremental, 10, 0.05
-	dyn, err := inc.Run(context.Background(), mapping.Top)
+	// Diffusion shifts nodes from the most- to the least-loaded engine
+	// between intervals instead of repartitioning — far fewer migrations.
+	diff := build()
+	diff.Remap, diff.RemapEvery, diff.MigrationCost = core.RemapDiffusion, 10, 0.05
+	dyn, err := diff.Run(context.Background(), mapping.Top)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("incremental @10s: overall imbalance %.3f, mean segment imbalance %.3f, "+
+	fmt.Printf("diffusion @10s:   overall imbalance %.3f, mean segment imbalance %.3f, "+
 		"app-time %.1fs, %d node migrations\n",
 		dyn.Result.Imbalance, dyn.MeanSegmentImbalance, dyn.Result.AppTime, dyn.Migrations)
 	fmt.Println("\nShorter intervals track load shifts more closely but pay more migration stalls —")

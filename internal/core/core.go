@@ -73,8 +73,8 @@ type Scenario struct {
 	// not positive or cuts the workload into more than 2¹⁶ intervals.
 	RemapEvery float64
 	// Remap selects the repartitioning policy at each RemapEvery boundary:
-	// RemapProfile (from scratch; also what empty means), RemapIncremental,
-	// RemapGame or RemapDiffusion.
+	// RemapProfile (from scratch; also what empty means), RemapGame or
+	// RemapDiffusion.
 	Remap RemapPolicy
 	// MigrationCost is the AppTime stall per node that changes engines at an
 	// in-process crash recovery or remap (default DefaultMigrationCost).
@@ -140,8 +140,6 @@ type Outcome struct {
 	// the one it ended on (they differ after a crash recovery or a resize).
 	Assignment []int
 	Result     *emu.Result
-	// ProfileRun is the initial profiling run's result (PROFILE only).
-	ProfileRun *emu.Result
 
 	// Segments views a remapped run (Scenario.RemapEvery) interval by
 	// interval, in order; nil for any other run.
@@ -366,7 +364,7 @@ func (sc *Scenario) Run(ctx context.Context, a mapping.Approach, opts ...RunOpti
 	case p.elastic != nil:
 		o.Assignment, err = sc.topOver(len(p.workers) * max(p.elastic.EnginesPerWorker, 1))
 	case p.log == nil:
-		o.Assignment, o.ProfileRun, err = sc.Partition(ctx, a)
+		o.Assignment, _, err = sc.Partition(ctx, a)
 	}
 	if err != nil {
 		return nil, err

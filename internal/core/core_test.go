@@ -91,8 +91,8 @@ func TestRunTopAndPlace(t *testing.T) {
 		if o.Result == nil || o.Result.Kernel.TotalCharges() == 0 {
 			t.Errorf("%s: empty result", a)
 		}
-		if o.ProfileRun != nil {
-			t.Errorf("%s: unexpected profiling run", a)
+		if _, pre, err := sc.Partition(context.Background(), a); err != nil || pre != nil {
+			t.Errorf("%s: unexpected profiling run %v (%v)", a, pre, err)
 		}
 	}
 }
@@ -103,13 +103,17 @@ func TestRunProfileHasPreRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.ProfileRun == nil {
+	_, pre, err := sc.Partition(context.Background(), mapping.Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pre == nil {
 		t.Fatal("PROFILE without profiling run")
 	}
-	if o.ProfileRun.NetFlow == nil {
+	if pre.NetFlow == nil {
 		t.Error("profiling run did not collect NetFlow")
 	}
-	if o.Result.Kernel.TotalCharges() != o.ProfileRun.Kernel.TotalCharges() {
+	if o.Result.Kernel.TotalCharges() != pre.Kernel.TotalCharges() {
 		t.Error("profile and final runs saw different workloads")
 	}
 }

@@ -42,9 +42,6 @@ const (
 	// PROFILE pipeline — the best partition money can buy, paid for in
 	// migrations.
 	RemapProfile RemapPolicy = "profile"
-	// RemapIncremental refines the previous assignment with the multilevel
-	// partitioner's boundary refinement (mapping.ProfileImprove).
-	RemapIncremental RemapPolicy = "incremental"
 	// RemapGame plays the game-theoretic iterative repartitioner: every
 	// virtual node selfishly trades load, cross-engine traffic and the
 	// modeled migration cost until a Nash-style fixed point
@@ -55,13 +52,14 @@ const (
 	RemapDiffusion RemapPolicy = "diffusion"
 )
 
-// ParseRemapPolicy validates a policy name from a flag or config file.
+// ParseRemapPolicy validates a policy name from a flag or config file. An
+// unknown name is an ErrRunConfig.
 func ParseRemapPolicy(s string) (RemapPolicy, error) {
 	switch p := RemapPolicy(s); p {
-	case RemapProfile, RemapIncremental, RemapGame, RemapDiffusion:
+	case RemapProfile, RemapGame, RemapDiffusion:
 		return p, nil
 	}
-	return "", fmt.Errorf("core: unknown remap policy %q (want profile, incremental, game or diffusion)", s)
+	return "", fmt.Errorf("%w: unknown remap policy %q (want profile, game or diffusion)", ErrRunConfig, s)
 }
 
 // remapPolicy resolves the scenario's effective policy: RemapProfile when
@@ -99,8 +97,6 @@ type DynamicSegment struct {
 	// Flows is the number of flows starting during this interval (the last
 	// interval takes every later one).
 	Flows int
-	// Assignment is the node→engine assignment the interval ran under.
-	Assignment []int
 	// CrossEngineBytes is the engine-to-engine traffic volume between the
 	// interval's barriers.
 	CrossEngineBytes int64
@@ -208,14 +204,12 @@ func (sc *Scenario) runDynamic(ctx context.Context, cfg emu.Config, o *Outcome) 
 
 	o.Result, o.Segments = res, segs
 	measure(opened, res.EngineLoads, res.Telemetry.CrossEngineBytes)
-	assignment, active := o.Assignment, 0
+	active := 0
 	for i := range segs {
 		s := &segs[i]
 		if i > 0 && i <= opened {
-			r := res.Membership.Resizes[i-1]
-			assignment, s.Migrations = r.Assignment, r.Migrations
+			s.Migrations = res.Membership.Resizes[i-1].Migrations
 		}
-		s.Assignment = assignment
 		o.Migrations += s.Migrations
 		if s.Flows > 0 && i <= opened {
 			o.MeanSegmentImbalance += s.Imbalance
@@ -270,8 +264,6 @@ func remapStep(policy RemapPolicy, in mapping.Input, assignment []int, migration
 	var next []int
 	var err error
 	switch policy {
-	case RemapIncremental:
-		next, st.MovesTaken, err = mapping.ProfileImprove(in, assignment)
 	case RemapGame:
 		// The tie-break seed derives from PartSeed inside GameRemap.
 		var gs *partition.GameStats

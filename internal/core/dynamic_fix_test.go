@@ -134,7 +134,7 @@ func TestRunDynamicSecondIntervalProfileFresh(t *testing.T) {
 	// profile at each barrier, and remap the second interval the way
 	// a remapped run does.
 	sc2 := dynamicScenario()
-	cfg, err := sc2.emuConfig(res.Segments[0].Assignment)
+	cfg, err := sc2.emuConfig(segmentAssignment(res, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestRunDynamicSecondIntervalProfileFresh(t *testing.T) {
 	var cumulative []*netflow.Summary
 	cfg.OnMembership = func(c emu.MembershipChange) ([]int, error) {
 		cumulative = append(cumulative, intervalProfile(c.NetFlow.Summarize(), nil))
-		return res.Segments[len(cumulative)].Assignment, nil
+		return segmentAssignment(res, len(cumulative)), nil
 	}
 	if _, err := emu.Run(cfg); err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestRunDynamicSecondIntervalProfileFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, res.Segments[2].Assignment) {
+	if !reflect.DeepEqual(want, segmentAssignment(res, 2)) {
 		t.Fatal("second-interval remap differs from one over the interval's own traffic — cumulative accounting leaked across intervals")
 	}
 	in.Summary = cumulative[1]
@@ -215,7 +215,7 @@ func TestRunDynamicZeroFlowGapAccounting(t *testing.T) {
 		if res.Segments[i].Remap != nil {
 			t.Fatalf("segment %d records a remap after an empty interval", i)
 		}
-		if !reflect.DeepEqual(res.Segments[i].Assignment, res.Segments[1].Assignment) {
+		if !reflect.DeepEqual(segmentAssignment(res, i), segmentAssignment(res, 1)) {
 			t.Fatalf("segment %d changed assignment without a remap", i)
 		}
 	}
@@ -268,7 +268,7 @@ func TestRunDynamicIntervalProfilesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := dynamicScenario()
-	cfg, err := sc.emuConfig(res.Segments[0].Assignment)
+	cfg, err := sc.emuConfig(segmentAssignment(res, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestRunDynamicIntervalProfilesPinned(t *testing.T) {
 		now := c.NetFlow.Summarize()
 		profiles = append(profiles, intervalProfile(now, seen))
 		seen = intervalProfile(now, nil)
-		return res.Segments[len(profiles)].Assignment, nil
+		return segmentAssignment(res, len(profiles)), nil
 	}
 	if _, err := emu.Run(cfg); err != nil {
 		t.Fatal(err)
@@ -307,11 +307,11 @@ func TestRunDynamicIntervalProfilesPinned(t *testing.T) {
 			continue
 		}
 		in.Summary = p
-		next, _, err := remapStep(RemapProfile, in, res.Segments[i].Assignment, DefaultMigrationCost/interval)
+		next, _, err := remapStep(RemapProfile, in, segmentAssignment(res, i), DefaultMigrationCost/interval)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(next, res.Segments[i+1].Assignment) {
+		if !reflect.DeepEqual(next, segmentAssignment(res, i+1)) {
 			t.Errorf("interval %d: the replayed profile maps elsewhere than the run's remap did", i)
 		}
 		remaps++
@@ -319,4 +319,14 @@ func TestRunDynamicIntervalProfilesPinned(t *testing.T) {
 	if remaps == 0 {
 		t.Fatal("no interval remapped: nothing ties the profiles to the run")
 	}
+}
+
+// segmentAssignment is the node→engine assignment segment i of a remapped
+// run ran under: the approach's mapping, then each applied resize's, the
+// last one held by segments the run never reached.
+func segmentAssignment(o *Outcome, i int) []int {
+	if rs := o.Result.Membership.Resizes; i > 0 && len(rs) > 0 {
+		return rs[min(i, len(rs))-1].Assignment
+	}
+	return o.Assignment
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -76,7 +77,7 @@ func TestRunDynamicGameDeterministic(t *testing.T) {
 		t.Fatalf("segment counts diverged: %d vs %d", len(a.Segments), len(b.Segments))
 	}
 	for i := range a.Segments {
-		if !reflect.DeepEqual(a.Segments[i].Assignment, b.Segments[i].Assignment) {
+		if !reflect.DeepEqual(segmentAssignment(a, i), segmentAssignment(b, i)) {
 			t.Fatalf("segment %d assignments diverged across identical runs", i)
 		}
 		if !reflect.DeepEqual(a.Segments[i].Remap, b.Segments[i].Remap) {
@@ -104,7 +105,7 @@ func TestRemapPolicyResolution(t *testing.T) {
 	if _, err := ParseRemapPolicy("nope"); err == nil {
 		t.Error("bad policy accepted")
 	}
-	for _, p := range []RemapPolicy{RemapProfile, RemapIncremental, RemapGame, RemapDiffusion} {
+	for _, p := range []RemapPolicy{RemapProfile, RemapGame, RemapDiffusion} {
 		got, err := ParseRemapPolicy(string(p))
 		if err != nil || got != p {
 			t.Errorf("ParseRemapPolicy(%q) = %q, %v", p, got, err)
@@ -122,9 +123,11 @@ func TestRemapPolicyResolution(t *testing.T) {
 	if _, err := sc.remapPolicy(); err == nil {
 		t.Error("bogus scenario policy accepted")
 	}
-	bad := dynamicScenario()
-	bad.Remap = "bogus"
-	if _, err := remapped(bad, 10, 0); err == nil {
-		t.Error("a remapped Run accepted a bogus policy")
+	for _, name := range []RemapPolicy{"bogus", "incremental"} {
+		bad := dynamicScenario()
+		bad.Remap = name
+		if _, err := remapped(bad, 10, 0); !errors.Is(err, ErrRunConfig) {
+			t.Errorf("a remapped Run with policy %q returned %v, want ErrRunConfig", name, err)
+		}
 	}
 }

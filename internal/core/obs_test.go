@@ -24,11 +24,14 @@ func TestScenarioCollectStats(t *testing.T) {
 	if st == nil {
 		t.Fatal("CollectStats did not attach Result.Obs")
 	}
-	var kernelEvents int64
+	var kernelEvents, got int64
 	for _, n := range o.Result.Kernel.Events {
 		kernelEvents += n
 	}
-	if got := st.TotalEvents(); got != kernelEvents {
+	for _, n := range st.Events {
+		got += n
+	}
+	if got != kernelEvents {
 		t.Errorf("obs events = %d, kernel counted %d", got, kernelEvents)
 	}
 	if st.Windows != o.Result.Kernel.Windows {
@@ -106,7 +109,11 @@ func TestResilientStatsMatchRecovery(t *testing.T) {
 		t.Errorf("obs checkpoints/crashes/rollbacks = %d/%d/%d, recovery checkpoints = %d",
 			st.Checkpoints, st.Crashes, st.Rollbacks, rec.Checkpoints)
 	}
-	if got := st.TotalMigrations(); got != int64(rec.Migrations) {
+	var migrated int64
+	for _, n := range st.MigratedNodes {
+		migrated += n
+	}
+	if got := migrated; got != int64(rec.Migrations) {
 		t.Errorf("obs migrations = %d, recovery says %d", got, rec.Migrations)
 	}
 	if st.ReplayedWindows <= 0 {

@@ -139,7 +139,6 @@ func TestResilientDeterminism(t *testing.T) {
 
 func TestNaiveRecoveryPicksLeastLoaded(t *testing.T) {
 	f := emu.MembershipChange{
-		Crashed:  true,
 		Dead:     1,
 		Previous: []int{0, 1, 1, 2, 3},
 		Engines:  []int{0, 2, 3},
@@ -176,8 +175,12 @@ func TestCrashRunFromProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.ProfileRun.Recovery != nil {
-		t.Errorf("the profiling pre-run recovered a crash: %+v", o.ProfileRun.Recovery)
+	_, pre, err := sc.Partition(context.Background(), mapping.Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pre.Recovery != nil {
+		t.Errorf("the profiling pre-run recovered a crash: %+v", pre.Recovery)
 	}
 	if rec := o.Result.Recovery; rec == nil || rec.Failures != 1 {
 		t.Errorf("the main run's recovery is %+v, want one crash", rec)

@@ -68,16 +68,19 @@ func TestMemoryScalableRoutingEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := routes.Stats()
-	if s.Backend != "lazy" {
-		t.Fatalf("auto policy picked %q at 10⁵ nodes, want lazy", s.Backend)
+	if _, ok := routes.(*netgraph.LazyRouting); !ok {
+		t.Fatalf("auto policy picked %T at 10⁵ nodes, want the lazy oracle", routes)
 	}
 	n := int64(nw.NumNodes())
 	flatBytes := 4 * n * n
 	if got := routes.MemoryBytes(); got >= flatBytes/100 {
 		t.Fatalf("routing holds %d bytes, not sub-quadratic (flat would be %d)", got, flatBytes)
 	}
-	if s.Misses == 0 {
+	empty, err := netgraph.NewLazyRouting(nw, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if routes.MemoryBytes() <= empty.MemoryBytes() {
 		t.Fatal("lazy oracle computed no rows — flows were not routed through it")
 	}
 	if sc.Network.RoutingBuilds() != 0 {
@@ -126,8 +129,12 @@ func TestScenarioRoutingOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := r.Stats(); s.Backend != "lazy" || s.Capacity != 8 {
-		t.Fatalf("Routing not applied: %+v", s)
+	want, err := sc.Network.SharedRouting(netgraph.RoutingOptions{Backend: netgraph.Lazy, LazyRows: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.(*netgraph.LazyRouting); !ok || r != want {
+		t.Fatalf("Routing not applied: got %T %p, want the 8-row lazy oracle %p", r, r, want)
 	}
 
 	// Invalid options surface as ErrRoutingConfig through the scenario.

@@ -11,8 +11,6 @@ import (
 // have been merged into destination queues, so the queues alone are the
 // complete simulation state the kernel owns.
 type Checkpoint[P any] struct {
-	// Time is the virtual time of the barrier the snapshot was taken at.
-	Time float64
 	// events[lp] holds LP lp's pending events ordered by (Time, seq).
 	events [][]Event[P]
 	stats  Stats
@@ -27,20 +25,17 @@ func (cp *Checkpoint[P]) PendingEvents() int {
 	return n
 }
 
-// Stats returns a copy of the run statistics at the checkpoint.
-func (cp *Checkpoint[P]) Stats() Stats { return cp.stats.Clone() }
-
 // Stats returns the kernel's cumulative statistics (live; not a copy), current
 // wherever Checkpoint is safe. Under a Stepper, VirtualEnd and Windows reflect
 // the Steps executed locally and the per-LP slices cover only local LPs.
 func (k *Kernel[P]) Stats() *Stats { return k.stats }
 
-// Checkpoint snapshots the kernel at virtual time at. It is only safe where
-// no handler runs: before Run, inside an OnWindow hook (at = the window's End), or
-// between an outside coordinator's Steps.
-func (k *Kernel[P]) Checkpoint(at float64) *Checkpoint[P] {
+// Checkpoint snapshots the kernel. It is only safe where no handler runs:
+// before Run, inside an OnWindow hook, or between an outside coordinator's
+// Steps.
+func (k *Kernel[P]) Checkpoint() *Checkpoint[P] {
 	n := k.cfg.NumLPs
-	cp := &Checkpoint[P]{Time: at, events: make([][]Event[P], n)}
+	cp := &Checkpoint[P]{events: make([][]Event[P], n)}
 	for lp := 0; lp < n; lp++ {
 		evs := k.queues[lp].export(lp)
 		sort.Slice(evs, func(i, j int) bool {

@@ -157,7 +157,7 @@ func TestCheckpointRestoreReplaysIdentically(t *testing.T) {
 	k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: chainHandler(20)})
 	k.cfg.OnWindow = func(w *obs.Window) error {
 		if w.End >= 8 && cp == nil {
-			cp = k.Checkpoint(w.End)
+			cp = k.Checkpoint()
 			return stop
 		}
 		return nil
@@ -199,7 +199,7 @@ func TestRestoreRemapMovesEvents(t *testing.T) {
 	k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: h})
 	k.Schedule(0, 0.5, nil)
 	k.Schedule(1, 0.6, nil)
-	cp := k.Checkpoint(0)
+	cp := k.Checkpoint()
 	if err := k.Restore(cp, 0, func(ev Event[any]) (int, bool) { return 0, true }); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestRestoreRemapDropsEvents(t *testing.T) {
 	k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: h})
 	k.Schedule(0, 0.5, nil)
 	k.Schedule(1, 0.6, nil)
-	cp := k.Checkpoint(0)
+	cp := k.Checkpoint()
 	drop := func(ev Event[any]) (int, bool) { return ev.LP, ev.LP == 0 }
 	if err := k.Restore(cp, 0, drop); err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestRestoreRejectsInvalidRemap(t *testing.T) {
 	h := func(lp int, tm float64, data any, s *Scheduler[any]) {}
 	k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: h})
 	k.Schedule(0, 0.5, nil)
-	cp := k.Checkpoint(0)
+	cp := k.Checkpoint()
 	if err := k.Restore(cp, 0, func(Event[any]) (int, bool) { return 7, true }); err == nil {
 		t.Error("out-of-range remap accepted")
 	}
@@ -251,7 +251,7 @@ func TestRestoreChangesLookahead(t *testing.T) {
 		}
 		k, _ := New(Config[any]{NumLPs: 1, Lookahead: 1, Handler: h})
 		k.Schedule(0, 0.25, nil)
-		cp := k.Checkpoint(0)
+		cp := k.Checkpoint()
 		if err := k.Restore(cp, newL, nil); err != nil {
 			panic(err)
 		}
@@ -276,7 +276,7 @@ func TestStatsContinueAcrossRestore(t *testing.T) {
 	k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: chainHandler(10)})
 	k.cfg.OnWindow = func(w *obs.Window) error {
 		if w.End >= 5 && cp == nil {
-			cp = k.Checkpoint(w.End)
+			cp = k.Checkpoint()
 			return stop
 		}
 		return nil
@@ -285,7 +285,7 @@ func TestStatsContinueAcrossRestore(t *testing.T) {
 	if _, err := k.Run(); !errors.Is(err, stop) {
 		t.Fatal("expected interrupt")
 	}
-	cpEvents := cp.Stats().Events[0] + cp.Stats().Events[1]
+	cpEvents := cp.stats.Events[0] + cp.stats.Events[1]
 	if cpEvents == 0 {
 		t.Fatal("checkpoint recorded no events")
 	}

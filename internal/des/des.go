@@ -214,9 +214,6 @@ type Scheduler[P any] struct {
 	err     error
 }
 
-// Now returns the virtual time of the event being handled.
-func (s *Scheduler[P]) Now() float64 { return s.now }
-
 // LP returns the logical process the current event executes on.
 func (s *Scheduler[P]) LP() int { return s.lp }
 

@@ -25,14 +25,14 @@ func (cp *Checkpoint[P]) Export() []Sent[P] {
 	return out
 }
 
-// BuildCheckpoint assembles a synthetic checkpoint at virtual time at from
-// barrier-transfer records. Events append to their Dst queue in the given
+// BuildCheckpoint assembles a synthetic checkpoint from barrier-transfer
+// records. Events append to their Dst queue in the given
 // order WITHOUT re-sorting: the caller's order is the restore push order, so
 // a coordinator that walks an exported checkpoint in capture order and
 // filters per new owner reproduces, per LP, the exact sequence numbering an
 // in-process Restore of the original checkpoint would produce.
-func BuildCheckpoint[P any](at float64, numLPs int, stats Stats, events []Sent[P]) (*Checkpoint[P], error) {
-	cp := &Checkpoint[P]{Time: at, events: make([][]Event[P], numLPs)}
+func BuildCheckpoint[P any](numLPs int, stats Stats, events []Sent[P]) (*Checkpoint[P], error) {
+	cp := &Checkpoint[P]{events: make([][]Event[P], numLPs)}
 	for _, sv := range events {
 		if sv.Dst < 0 || sv.Dst >= numLPs {
 			return nil, fmt.Errorf("des: checkpoint event at t=%g for invalid LP %d of %d", sv.Time, sv.Dst, numLPs)

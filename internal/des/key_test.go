@@ -136,7 +136,7 @@ func TestKeyOrderAcrossRestore(t *testing.T) {
 		if w.Index != 0 {
 			return nil
 		}
-		cp := k.Checkpoint(w.End)
+		cp := k.Checkpoint()
 		if err := k.Restore(cp, 0, func(Event[any]) (int, bool) { return 0, true }); err != nil {
 			return err
 		}

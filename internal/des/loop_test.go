@@ -105,7 +105,7 @@ func (c regridCase) runInPlace(t *testing.T, reference bool) *execution {
 		}
 		done = true
 		rec.grid(c.L/2, true)
-		return k.Restore(k.Checkpoint(w.End), c.L/2, c.remap)
+		return k.Restore(k.Checkpoint(), c.L/2, c.remap)
 	}
 	rec.grid(c.L, false)
 	if reference {
@@ -132,7 +132,7 @@ func (c regridCase) runStopped(t *testing.T) *execution {
 		if w.End < c.regridAt || cp != nil {
 			return nil
 		}
-		cp = k.Checkpoint(w.End)
+		cp = k.Checkpoint()
 		return stop
 	}
 	rec.grid(c.L, false)
@@ -248,7 +248,7 @@ func (c regridCase) runGroups(t *testing.T, groups int) *execution {
 		var pending []Sent[any]
 		for g, k := range kernels {
 			steppers[g].Close()
-			pending = append(pending, k.Checkpoint(end).Export()...)
+			pending = append(pending, k.Checkpoint().Export()...)
 		}
 		sort.SliceStable(pending, func(i, j int) bool { return pending[i].Dst < pending[j].Dst })
 		shares = make([][]Sent[any], groups)
@@ -257,7 +257,7 @@ func (c regridCase) runGroups(t *testing.T, groups int) *execution {
 			shares[groupOf[sv.Dst]] = append(shares[groupOf[sv.Dst]], sv)
 		}
 		for g, k := range kernels {
-			cp, err := BuildCheckpoint(end, n, *total, shares[g])
+			cp, err := BuildCheckpoint(n, *total, shares[g])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -383,7 +383,7 @@ func TestKernelStartsNoGoroutines(t *testing.T) {
 	if _, err := st.Step(0, c.L); err != nil {
 		t.Fatal(err)
 	}
-	cp := k.Checkpoint(c.L)
+	cp := k.Checkpoint()
 	st.Close()
 	st.Close() // idempotent
 	if _, err := st.Step(c.L, 2*c.L); err == nil {

@@ -327,14 +327,3 @@ func TestQueueBlockFillsItsSizeClass(t *testing.T) {
 		t.Errorf("a block is %d bytes, want it in (1792, 2048]", size)
 	}
 }
-
-// TestQueueHeaderIsWholeCacheLines: the kernel stores one eventQueue per LP
-// in a flat slice and the parallel path has workers rewrite adjacent headers,
-// so a header must fill whole 64-byte lines.
-func TestQueueHeaderIsWholeCacheLines(t *testing.T) {
-	for _, size := range []uintptr{unsafe.Sizeof(eventQueue[any]{}), unsafe.Sizeof(eventQueue[int32]{})} {
-		if size%64 != 0 {
-			t.Errorf("eventQueue header is %d bytes, want a multiple of 64", size)
-		}
-	}
-}

@@ -85,7 +85,7 @@ func TestSpecRoundTrip(t *testing.T) {
 	if !got.Telemetry || got.Routing != s.Routing {
 		t.Fatal("flags did not survive")
 	}
-	if got.Cfg.Routes == nil || got.Cfg.Routes.Stats().Backend != "lazy" {
+	if _, ok := got.Cfg.Routes.(*netgraph.LazyRouting); !ok {
 		t.Fatalf("decoded spec did not resolve the lazy oracle: %+v", got.Cfg.Routes)
 	}
 }

@@ -25,7 +25,7 @@ func TestNetStateSurvivesTheWire(t *testing.T) {
 		return l
 	}
 	export := func(l *emu.DistLocal, pending bool) *emu.ElasticExport {
-		ex, err := l.Export(0, pending)
+		ex, err := l.Export(pending)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -200,11 +200,10 @@ func serve(ctx context.Context, conn Conn, opt *WorkerOptions) error {
 				windows++
 			}
 		case MsgExport:
-			x, err := DecodeExportMsg(f.Payload)
-			if err != nil {
+			if _, err := DecodeExportMsg(f.Payload); err != nil {
 				return err
 			}
-			ex, err := local.Export(x.At, true)
+			ex, err := local.Export(true)
 			if err != nil {
 				return err
 			}
@@ -232,7 +231,7 @@ func serve(ctx context.Context, conn Conn, opt *WorkerOptions) error {
 				return err
 			}
 		case MsgFinish:
-			ex, err := local.Export(0, false)
+			ex, err := local.Export(false)
 			if err != nil {
 				return err
 			}

@@ -68,7 +68,7 @@ func runAsGroups(cfg emu.Config, groups [][]int) (*emu.Result, error) {
 	}
 	finals := make([]*emu.ElasticExport, len(locals))
 	for g, l := range locals {
-		if finals[g], err = l.Export(0, false); err != nil {
+		if finals[g], err = l.Export(false); err != nil {
 			return nil, err
 		}
 	}

@@ -140,5 +140,5 @@ func (e *emulation) applyResize(k *des.Kernel[payload], rs *resilience, idx int,
 	}
 	e.resizeTo(at, r.Engines, newAssign)
 	rs.mark, rs.markStats = at, k.Stats().Clone()
-	return e.regrid(k, at)
+	return e.regrid(k)
 }

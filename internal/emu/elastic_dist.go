@@ -88,15 +88,15 @@ type ElasticInstall struct {
 }
 
 // Export captures this worker's state at a quiesced barrier. With pending set
-// it is the migration source of a membership change at time at and the kernel's
-// queues go along in checkpoint order (the worker stays runnable: a follow-up
+// it is the migration source of a membership change and the kernel's queues
+// go along in checkpoint order (the worker stays runnable: a follow-up
 // Reseat installs the post-resize state, or BYE releases a drained worker).
 // Without, it is the answer to FINISH: what a finished — or truncated — run
 // leaves queued is nobody's input, so it is neither captured nor sorted, and
 // the export aliases the worker's NetState instead of copying it: the worker
 // never steps again after FINISH, so nothing writes the slots while the
 // export is encoded and sent.
-func (d *DistLocal) Export(at float64, pending bool) (*ElasticExport, error) {
+func (d *DistLocal) Export(pending bool) (*ElasticExport, error) {
 	e, stats := d.e, d.kernel.Stats()
 	ex := &ElasticExport{
 		Engines:     append([]int(nil), d.engines...),
@@ -107,7 +107,7 @@ func (d *DistLocal) Export(at float64, pending bool) (*ElasticExport, error) {
 	}
 	if pending {
 		ex.NetState = e.gather(func(int) *NetState { return &e.NetState }) // a copy
-		for _, s := range d.kernel.Checkpoint(at).Export() {
+		for _, s := range d.kernel.Checkpoint().Export() {
 			w, err := e.encodeSent(s)
 			if err != nil {
 				return nil, err
@@ -161,7 +161,7 @@ func (d *DistLocal) Reseat(in *ElasticInstall) error {
 		Charges:     in.Charges,
 		RemoteSends: in.RemoteSends,
 	}
-	cp, err := des.BuildCheckpoint(in.At, n, stats, sents)
+	cp, err := des.BuildCheckpoint(n, stats, sents)
 	if err != nil {
 		return err
 	}

@@ -769,7 +769,7 @@ func (e *emulation) bucketOf(t float64) int {
 func (e *emulation) commit(w *obs.Window) (obs.WindowStat, error) {
 	w.Cost = e.price(w)
 	e.tel.Commit(w.Start, w.End, w.Charges, e)
-	st := obs.WindowStat{Window: w.Index, Worker: -1}
+	st := obs.WindowStat{Worker: -1}
 	if e.trace != nil {
 		st = e.trace.CommitWindow(*w)
 	}

@@ -52,7 +52,7 @@ func TestPropertyChargeConservation(t *testing.T) {
 		// ceil(chunkBytes/1500), each packet charged once per path node.
 		var want int64
 		for _, fl := range w.Flows {
-			path := nw.Route(rt, fl.Src, fl.Dst)
+			path, _ := nw.RoutePath(rt, fl.Src, fl.Dst)
 			remaining := fl.Bytes
 			var packets int64
 			for remaining > 0 {

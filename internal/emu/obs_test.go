@@ -92,7 +92,11 @@ func TestRunStatsMatchesRecovery(t *testing.T) {
 		t.Errorf("obs crashes/rollbacks = %d/%d, recovery failures = %d",
 			st.Crashes, st.Rollbacks, rec.Failures)
 	}
-	if got := st.TotalMigrations(); got != int64(rec.Migrations) {
+	var migrated int64
+	for _, n := range st.MigratedNodes {
+		migrated += n
+	}
+	if got := migrated; got != int64(rec.Migrations) {
 		t.Errorf("obs migrations = %d, recovery says %d", got, rec.Migrations)
 	}
 	// Every node engine 1 owned moved to engine 0: the per-engine breakdown

@@ -158,7 +158,7 @@ func TestInjectRefusesHostileSender(t *testing.T) {
 		if _, err := d.Step(0, 1e-3); err != nil {
 			t.Fatal(err)
 		}
-		if st, _ := d.Export(0, false); st.Charges[0] != 0 || st.Charges[1] != 0 || st.Events[0] != 0 || st.Events[1] != 0 {
+		if st, _ := d.Export(false); st.Charges[0] != 0 || st.Charges[1] != 0 || st.Events[0] != 0 || st.Events[1] != 0 {
 			t.Errorf("after refusing %+v the worker charged %v over %v events", w, st.Charges, st.Events)
 		}
 		d.Close()

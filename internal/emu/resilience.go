@@ -40,15 +40,8 @@ type MembershipChange struct {
 	// for a resize, at the last cadence barrier for a crash: the load picture
 	// the policy balances against.
 	Loads []float64
-	// Crashed marks an engine failure; the fields below are set only then.
-	Crashed bool
-	// Dead is the crashed engine and FailedAt the virtual time of its
-	// fail-stop.
-	Dead     int
-	FailedAt float64
-	// CheckpointTime is the last cadence barrier, which the crash is charged
-	// from.
-	CheckpointTime float64
+	// Dead is the crashed engine of a crash; zero for a resize.
+	Dead int
 	// NetFlow is the run's NetFlow collector, quiesced at the barrier, or nil
 	// unless Config.Profile: a policy may Summarize the traffic so far.
 	NetFlow *netflow.Collector
@@ -109,14 +102,14 @@ func (e *emulation) recordRun(lookahead float64, resumed bool) {
 	}
 }
 
-// regrid restores the kernel from a checkpoint of barrier at under the current
-// assignment — pending events move to the engines that now own their nodes
-// (ownerOf keys on flow state, not the captured LP), and the new cut sets the
-// window width — and announces the fresh grid. Called from the barrier step of
-// commit, under the kernel's running window loop.
-func (e *emulation) regrid(k *des.Kernel[payload], at float64) error {
+// regrid restores the kernel from a checkpoint of the current barrier under
+// the current assignment — pending events move to the engines that now own
+// their nodes (ownerOf keys on flow state, not the captured LP), and the new
+// cut sets the window width — and announces the fresh grid. Called from the
+// barrier step of commit, under the kernel's running window loop.
+func (e *emulation) regrid(k *des.Kernel[payload]) error {
 	lookahead := Lookahead(e.nw, e.assignment, e.cfg.MinLookahead)
-	if err := k.Restore(k.Checkpoint(at), lookahead, e.ownerOf); err != nil {
+	if err := k.Restore(k.Checkpoint(), lookahead, e.ownerOf); err != nil {
 		return err
 	}
 	e.recordRun(lookahead, true)
@@ -306,13 +299,10 @@ func (e *emulation) recoverCrash(k *des.Kernel[payload], r *resilience, crash fa
 		}
 	}
 	newAssign, err := e.repartition(e.cfg.OnMembership, MembershipChange{
-		At:             we,
-		Engines:        survivors,
-		Loads:          loadsOf(r.markStats.Charges),
-		Crashed:        true,
-		Dead:           crash.Engine,
-		FailedAt:       crash.At,
-		CheckpointTime: r.mark,
+		At:      we,
+		Engines: survivors,
+		Loads:   loadsOf(r.markStats.Charges),
+		Dead:    crash.Engine,
 	}, alive)
 	if err != nil {
 		return fmt.Errorf("emu: recovery after engine %d crash: %w", crash.Engine, err)
@@ -332,5 +322,5 @@ func (e *emulation) recoverCrash(k *des.Kernel[payload], r *resilience, crash fa
 	rec.ReplayedEvents += replayed
 	rec.Downtime += (we - r.mark) + float64(migrations)*e.cfg.MigrationCost
 	r.postBase = stats.Charges
-	return e.regrid(k, we)
+	return e.regrid(k)
 }

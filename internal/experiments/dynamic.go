@@ -26,8 +26,8 @@ type DynamicRow struct {
 }
 
 // DynamicStudy compares the dynamic remap policies — from-scratch PROFILE,
-// incremental refinement, the game-theoretic best-response policy, and the
-// traffic-blind diffusion baseline — on the bursty GridNPB workload the
+// the game-theoretic best-response policy, and the traffic-blind diffusion
+// baseline — on the bursty GridNPB workload the
 // paper's Table-1 Campus configuration runs. Every policy sees the same
 // scenario, interval grid and seeds; the rows differ only in how each
 // interval's telemetry is turned into the next assignment.
@@ -40,7 +40,6 @@ func DynamicStudy(cfg Config) ([]DynamicRow, error) {
 
 	policies := []core.RemapPolicy{
 		core.RemapProfile,
-		core.RemapIncremental,
 		core.RemapGame,
 		core.RemapDiffusion,
 	}

@@ -14,8 +14,8 @@ func TestDynamicStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows, want 4 policies", len(rows))
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows, want 3 policies", len(rows))
 	}
 	byPolicy := map[core.RemapPolicy]DynamicRow{}
 	for _, r := range rows {
@@ -44,7 +44,7 @@ func TestDynamicStudy(t *testing.T) {
 	}
 
 	out := RenderDynamicStudy(rows)
-	for _, p := range []string{"profile", "incremental", "game", "diffusion"} {
+	for _, p := range []string{"profile", "game", "diffusion"} {
 		if !strings.Contains(out, p) {
 			t.Errorf("rendered study missing policy %q:\n%s", p, out)
 		}

@@ -162,12 +162,10 @@ func ScenarioFor(cfg Config, topology, app string) (*core.Scenario, error) {
 // Cell is one (topology, approach) measurement.
 type Cell struct {
 	Topology  string
-	Engines   int
 	Approach  mapping.Approach
 	Imbalance float64
 	AppTime   float64
 	NetTime   float64
-	Lookahead float64
 	Windows   int64
 	Remote    int64
 
@@ -243,12 +241,10 @@ func RunSuite(app string, cfg Config) (*Suite, error) {
 		for _, o := range cellOuts[i] {
 			cell := Cell{
 				Topology:  spec.Name,
-				Engines:   spec.Engines,
 				Approach:  o.Approach,
 				Imbalance: o.Result.Imbalance,
 				AppTime:   o.Result.AppTime,
 				NetTime:   o.Result.NetTime,
-				Lookahead: o.Result.Lookahead,
 				Windows:   o.Result.Kernel.Windows,
 				Remote:    o.Result.RemoteEvents,
 			}

@@ -21,8 +21,8 @@ type Report struct {
 	// Baselines is the §5 comparison against the pre-existing traffic-blind
 	// strategies (greedy k-cluster, simple hierarchical).
 	Baselines []BaselineRow
-	// Dynamic is the remap-policy comparison (PROFILE / incremental / game /
-	// diffusion) on the bursty GridNPB Campus run.
+	// Dynamic is the remap-policy comparison (PROFILE / game / diffusion) on
+	// the bursty GridNPB Campus run.
 	Dynamic []DynamicRow
 	Elapsed time.Duration
 }
@@ -144,7 +144,7 @@ func (r *Report) Markdown() string {
 	if len(r.Dynamic) > 0 {
 		b.WriteString("## Beyond the paper's figures — dynamic remap policies\n\n")
 		b.WriteString("The same bursty GridNPB Campus run under each remap policy: from-scratch ")
-		b.WriteString("PROFILE, incremental refinement, the game-theoretic best-response policy, ")
+		b.WriteString("PROFILE, the game-theoretic best-response policy, ")
 		b.WriteString("and a traffic-blind diffusion baseline. The game policy's claim: cross-engine ")
 		b.WriteString("traffic no worse than PROFILE's with strictly fewer migrations.\n\n")
 		b.WriteString("```\n" + RenderDynamicStudy(r.Dynamic) + "```\n\n")

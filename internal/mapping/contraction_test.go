@@ -62,7 +62,7 @@ func contractHosts(g *partition.Graph, objs []partition.EdgeWeightSet, hosts []i
 		for u, adj := range g.Adj {
 			for j, e := range adj {
 				if u < e.To && of[u] != of[e.To] {
-					cobjs[i].AddSymmetric(cg, of[u], of[e.To], obj[u][j])
+					addSymmetric(cobjs[i], cg, of[u], of[e.To], obj[u][j])
 				}
 			}
 		}
@@ -155,5 +155,16 @@ func TestHostContractionEstimates(t *testing.T) {
 			a.Kernel.Windows, b.Kernel.Windows, pct(float64(a.Kernel.Windows), float64(b.Kernel.Windows)),
 			a.RemoteEvents, b.RemoteEvents, a.Imbalance, b.Imbalance,
 			a.AppTime, b.AppTime, pct(a.AppTime, b.AppTime), a.NetTime, b.NetTime, pct(a.NetTime, b.NetTime))
+	}
+}
+
+// addSymmetric adds w to the weight of edge {u,v} of g in s, both directions.
+func addSymmetric(s partition.EdgeWeightSet, g *partition.Graph, u, v int, w int64) {
+	for _, d := range [][2]int{{u, v}, {v, u}} {
+		for i, e := range g.Adj[d[0]] {
+			if e.To == d[1] {
+				s[d[0]][i] += w
+			}
+		}
 	}
 }

@@ -7,18 +7,18 @@ import (
 	"repro/internal/partition"
 )
 
-// Dynamic remapping policies beyond ProfileImprove: the game-theoretic
+// Dynamic remapping policies beyond from-scratch PROFILE: the game-theoretic
 // iterative repartitioner (the ROADMAP's Kurve et al. item) and the classic
 // traffic-blind load-diffusion baseline it is measured against.
 
-// GameRemap is the game-theoretic sibling of ProfileImprove: instead of
-// re-running the multilevel partitioner over the measured profile, it lets
-// every virtual node play selfish best responses — trading its computational
-// load, its share of the cross-engine traffic, and the modeled migration
-// cost — until a Nash-style fixed point (see partition.GameImprove). The
-// measured traffic edge weights are the payoff's traffic objective. Returns
-// the refined assignment (a fresh slice), the number of nodes that changed
-// engines, and the convergence stats.
+// GameRemap is the game-theoretic remap policy: instead of re-running the
+// multilevel partitioner over the measured profile, it lets every virtual
+// node play selfish best responses — trading its computational load, its
+// share of the cross-engine traffic, and the modeled migration cost — until
+// a Nash-style fixed point (see partition.GameImprove). The measured traffic
+// edge weights are the payoff's traffic objective. Returns the refined
+// assignment (a fresh slice), the number of nodes that changed engines, and
+// the convergence stats.
 func GameRemap(in Input, previous []int, gopts partition.GameOptions) ([]int, int, *partition.GameStats, error) {
 	// The game balances the interval's total measured load; the whole-run
 	// timeline clustering of §3.3 does not apply to one interval's profile.

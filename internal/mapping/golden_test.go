@@ -45,7 +45,6 @@ var goldenPins = map[string]string{
 	"Brite/7/TOP":         "b2abe4bad462ae1bcf271899c0b6cd6036c35d0c0c5c5a5ed034c64b6dcf9f4f",
 	"Brite/7/PLACE":       "ab9e4ee7b165b21f142ffc4af7d6ebfa29a76d09c6f8bf4bee17da7c7a02903a",
 	"Brite/7/PROFILE":     "cfba8ed01880aaec83b74c6e7c1623ee467b67b251948697cb5d044abd311f7a",
-	"Campus/improve":      "ee253b5e84f527bd032ea3c3e543995aa8f13a95482a7c339ddcfe7bf39c21d3",
 	"Campus/remap":        "aa4b16193985bd6026d9d14a31f63443bad3d09ed1d7932093a3ee97102bf8de",
 	"TeraGrid/fractions":  "d732182056791713186a465e51c693da7bfb59041f16ebaf0c7ed311e75d414b",
 }
@@ -109,13 +108,6 @@ func TestMappingGolden(t *testing.T) {
 	// The other entry points that reach refine/rebalance.
 	campus := topogen.Campus()
 	in := goldenInput(t, campus, 3, 42)
-	top, err := TopMap(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	improved, _, err := ProfileImprove(in, top)
-	check("Campus/improve", improved, err)
-
 	in4 := in
 	in4.K = 4
 	prev, err := TopMap(in4)

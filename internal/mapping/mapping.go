@@ -587,8 +587,7 @@ func (in *Input) priorities() []float64 {
 
 // profileGraph builds the PROFILE partitioning instance: the graph with
 // measured load (or clustered per-segment) constraints plus memory, and the
-// {latency, traffic} edge-weight objectives. Shared by ProfileMap and
-// ProfileImprove.
+// {latency, traffic} edge-weight objectives.
 func profileGraph(in *Input) (*partition.Graph, []partition.EdgeWeightSet, error) {
 	if in.Summary == nil {
 		return nil, nil, fmt.Errorf("%w: PROFILE requires a NetFlow summary", ErrBadInput)
@@ -663,34 +662,6 @@ func ProfileMap(in Input) ([]int, error) {
 		return nil, fmt.Errorf("mapping: PROFILE: %w", err)
 	}
 	return part, nil
-}
-
-// ProfileImprove is the incremental variant of ProfileMap for dynamic
-// remapping: instead of repartitioning from scratch — which reassigns many
-// nodes and therefore costs many migrations — it refines the previous
-// assignment under the new profile's weights. Returns the improved
-// assignment (a fresh slice) and the number of nodes that changed engines.
-func ProfileImprove(in Input, previous []int) ([]int, int, error) {
-	if err := in.defaults(); err != nil {
-		return nil, 0, err
-	}
-	g, objs, err := profileGraph(&in)
-	if err != nil {
-		return nil, 0, err
-	}
-	cuts, err := objectiveCuts(g, objs, in.K, in.PartOpts, 1)
-	if err != nil {
-		return nil, 0, fmt.Errorf("mapping: PROFILE improve: %w", err)
-	}
-	if err := partition.CombineObjectives(g, objs, in.priorities(), cuts); err != nil {
-		return nil, 0, fmt.Errorf("mapping: PROFILE improve: %w", err)
-	}
-	part := append([]int(nil), previous...)
-	moved, err := partition.Improve(g, part, in.K, in.PartOpts)
-	if err != nil {
-		return nil, 0, fmt.Errorf("mapping: PROFILE improve: %w", err)
-	}
-	return part, moved, nil
 }
 
 // PredictMemory returns the per-engine memory requirement of an assignment

@@ -7,18 +7,17 @@ import (
 )
 
 // RemapOnto redistributes the virtual network onto an arbitrary target engine
-// set — the membership-change and crash-recovery remap, and the recovery-path
-// analogue of ProfileImprove: the TOP partitioning instance (bandwidth +
-// memory constraints, latency objective) is rebuilt with one part per target
-// engine. It covers both directions: shrink (crash or graceful drain: the
-// target set omits departed engines, so their nodes strand and are re-seeded
-// greedily onto the least-loaded targets) and grow (elastic join: the target
-// set includes fresh engines that start with empty parts and are filled from
-// the biggest donors before refinement). Nodes already on a target engine
-// keep it in the seed, so partition.Improve moves state only when the balance
-// gain pays for the migration. engineLoads, when provided, orders the greedy
-// seeding by measured engine load; otherwise seeded bandwidth weight is used
-// alone.
+// set — the membership-change and crash-recovery remap: the TOP partitioning
+// instance (bandwidth + memory constraints, latency objective) is rebuilt with
+// one part per target engine. It covers both directions: shrink (crash or
+// graceful drain: the target set omits departed engines, so their nodes strand
+// and are re-seeded greedily onto the least-loaded targets) and grow (elastic
+// join: the target set includes fresh engines that start with empty parts and
+// are filled from the biggest donors before refinement). Nodes already on a
+// target engine keep it in the seed, so partition.Improve moves state only
+// when the balance gain pays for the migration. engineLoads, when provided,
+// orders the greedy seeding by measured engine load; otherwise seeded
+// bandwidth weight is used alone.
 //
 // The returned assignment is in engine-ID space (values drawn from engines)
 // together with the number of nodes that changed engines.

@@ -95,9 +95,6 @@ func (h *Histogram) Observe(v float64) {
 	h.Sum += v
 }
 
-// NumBuckets returns the number of buckets.
-func (h *Histogram) NumBuckets() int { return len(h.Counts) }
-
 // UpperBound returns the exclusive upper bound of bucket i.
 func (h *Histogram) UpperBound(i int) float64 {
 	return h.Lo * math.Pow(h.Growth, float64(i+1))
@@ -110,14 +107,6 @@ func (h *Histogram) lowerBound(i int) float64 {
 		return 0
 	}
 	return h.Lo * math.Pow(h.Growth, float64(i))
-}
-
-// Mean returns the mean of all observations, 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
 }
 
 // Quantile estimates the p-th percentile (0 <= p <= 100) from the bucket

@@ -208,18 +208,3 @@ func (l *LazyRouting) memoryBytesLocked() int64 {
 	}
 	return cached*rowBytes + int64(l.n)*(8+1+4+4)
 }
-
-// Stats implements Routing.
-func (l *LazyRouting) Stats() RoutingStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return RoutingStats{
-		Backend:     "lazy",
-		MemoryBytes: l.memoryBytesLocked(),
-		Sources:     len(l.rows),
-		Capacity:    l.capRows,
-		Hits:        l.hits,
-		Misses:      l.misses,
-		Evictions:   l.evictions,
-	}
-}

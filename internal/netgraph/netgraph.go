@@ -160,9 +160,6 @@ func (nw *Network) countKind(k NodeKind) int {
 	return c
 }
 
-// IncidentLinks returns the IDs of links touching node n.
-func (nw *Network) IncidentLinks(n int) []int { return nw.adj[n] }
-
 // Neighbors returns the node IDs adjacent to n.
 func (nw *Network) Neighbors(n int) []int {
 	out := make([]int, 0, len(nw.adj[n]))
@@ -374,24 +371,6 @@ func (nw *Network) leafNext(leaf int, parent int32, dst int, parentHop int32) in
 	return -1
 }
 
-// SharedRoutingTable returns the network's memoized flat routing table,
-// building it on first use and after any topology mutation. It is the
-// flat-specific entry of the SharedRouting cache, kept for callers that need
-// the dense table itself; size-agnostic code should use SharedRouting or
-// AutoRouting, which stay sub-quadratic on large topologies. Safe for
-// concurrent use; do not mutate the topology while runs are in flight.
-func (nw *Network) SharedRoutingTable() *RoutingTable {
-	r, err := nw.SharedRouting(RoutingOptions{Backend: Flat})
-	if err != nil {
-		// Flat options always validate and the dense build cannot fail.
-		panic(fmt.Sprintf("netgraph: SharedRoutingTable: %v", err))
-	}
-	return r.(*RoutingTable)
-}
-
-// RoutingBuilds reports how many full flat-table constructions this network
-// has performed — the counter the "built exactly
-// once per scenario" regression tests watch.
 func (nw *Network) RoutingBuilds() int64 { return nw.builds.Load() }
 
 // pqItem is one priority-queue entry: a node (an index local to the graph
@@ -592,13 +571,6 @@ func (nw *Network) RoutePath(rt Routing, src, dst int) (path, links []int) {
 		path[i+1] = nw.Links[lid].Other(path[i])
 	}
 	return path, links
-}
-
-// Route returns the node path from src to dst, inclusive of both endpoints,
-// following the routing table; nil if unreachable.
-func (nw *Network) Route(rt Routing, src, dst int) []int {
-	path, _ := nw.RoutePath(rt, src, dst)
-	return path
 }
 
 // RouteLinks returns the link-ID path from src to dst; nil if unreachable or

@@ -121,7 +121,7 @@ func TestValidate(t *testing.T) {
 func TestRoutingLine(t *testing.T) {
 	nw := lineNetwork()
 	rt := nw.BuildRoutingTable()
-	path := nw.Route(rt, 0, 4)
+	path, _ := nw.RoutePath(rt, 0, 4)
 	want := []int{0, 1, 2, 3, 4}
 	if len(path) != len(want) {
 		t.Fatalf("path = %v, want %v", path, want)
@@ -156,7 +156,7 @@ func TestRoutingPrefersLowLatency(t *testing.T) {
 	nw.AddLink(a, c, 1e9, 0.002)
 	nw.AddLink(c, b, 1e9, 0.002)
 	rt := nw.BuildRoutingTable()
-	path := nw.Route(rt, a, b)
+	path, _ := nw.RoutePath(rt, a, b)
 	if len(path) != 3 || path[1] != c {
 		t.Errorf("path = %v, want detour through c", path)
 	}
@@ -171,7 +171,7 @@ func TestRoutingUnreachable(t *testing.T) {
 	b := nw.AddRouter("b", 1)
 	_ = b
 	rt := nw.BuildRoutingTable()
-	if nw.Route(rt, a, b) != nil {
+	if path, _ := nw.RoutePath(rt, a, b); path != nil {
 		t.Error("route across disconnected components")
 	}
 	if rt.NextLink(a, b) != -1 {

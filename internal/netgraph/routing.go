@@ -24,8 +24,6 @@ type Routing interface {
 	// (backing arrays only, not Go object headers). For LazyRouting it
 	// changes as rows are cached and evicted.
 	MemoryBytes() int64
-	// Stats returns a point-in-time accounting snapshot.
-	Stats() RoutingStats
 }
 
 var (
@@ -172,33 +170,6 @@ func DefaultLazyRows(n int) int {
 	return rows
 }
 
-// RoutingStats is a point-in-time accounting snapshot of a route oracle.
-type RoutingStats struct {
-	// Backend names the implementation: "flat" or "lazy".
-	Backend string
-	// MemoryBytes mirrors Routing.MemoryBytes at snapshot time.
-	MemoryBytes int64
-	// Sources is the number of materialized per-source rows (flat: n; lazy:
-	// currently cached rows).
-	Sources int
-	// Capacity is the lazy oracle's row-cache bound (flat reports its full
-	// source count).
-	Capacity int
-	// Hits, Misses, Evictions count lazy row-cache events; zero for the
-	// precomputed backends.
-	Hits, Misses, Evictions int64
-}
-
-// BuildRouting constructs a fresh route oracle for the given options,
-// resolving the automatic policy against the network's size. Most
-// callers want the memoizing SharedRouting instead.
-func (nw *Network) BuildRouting(o RoutingOptions) (Routing, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	return nw.buildRouting(o.normalized(len(nw.Nodes)))
-}
-
 // buildRouting dispatches on already-normalized options.
 func (nw *Network) buildRouting(o RoutingOptions) (Routing, error) {
 	switch o.Backend {
@@ -264,14 +235,4 @@ func (nw *Network) AutoRouting() Routing {
 // 4 bytes (one int32 next hop) per ordered pair.
 func (rt *RoutingTable) MemoryBytes() int64 {
 	return int64(len(rt.nextLink)) * 4
-}
-
-// Stats implements Routing.
-func (rt *RoutingTable) Stats() RoutingStats {
-	return RoutingStats{
-		Backend:     "flat",
-		MemoryBytes: rt.MemoryBytes(),
-		Sources:     rt.n,
-		Capacity:    rt.n,
-	}
 }

@@ -258,7 +258,7 @@ func TestEveryBackendRoutesShortest(t *testing.T) {
 			for i, src := range hosts {
 				for _, dst := range hosts[i+1:] {
 					if got, want := latency(r, src, dst), latency(flat, src, dst); got != want {
-						t.Fatalf("%v (%s): route %d->%d is %g s, flat %g s", b, r.Stats().Backend, src, dst, got, want)
+						t.Fatalf("%v (%T): route %d->%d is %g s, flat %g s", b, r, src, dst, got, want)
 					}
 				}
 			}
@@ -295,10 +295,10 @@ func (o loopingOracle) NextLink(src, dst int) int {
 	return o.Routing.NextLink(src, o.a)
 }
 
-// TestRouteWalkersAgree: Route and RouteLinks are views of the one RoutePath
-// walk, and that walk is what following NextLink hop by hop gives — on every
-// host pair of the paper topologies, for src == dst, for a host no link
-// reaches, and under an oracle that loops (all three return nil and return).
+// TestRouteWalkersAgree: RouteLinks is a view of the RoutePath walk, and
+// that walk is what following NextLink hop by hop gives — on every host pair
+// of the paper topologies, for src == dst, for a host no link reaches, and
+// under an oracle that loops (both return nil and return).
 func TestRouteWalkersAgree(t *testing.T) {
 	for _, name := range []string{"Campus", "TeraGrid", "Brite"} {
 		t.Run(name, func(t *testing.T) {
@@ -309,8 +309,8 @@ func TestRouteWalkersAgree(t *testing.T) {
 			for _, src := range hosts {
 				for _, dst := range hosts {
 					path, links := nw.RoutePath(rt, src, dst)
-					if p, l := nw.Route(rt, src, dst), nw.RouteLinks(rt, src, dst); !slices.Equal(p, path) || !slices.Equal(l, links) {
-						t.Fatalf("%d -> %d: Route %v, RouteLinks %v; RoutePath %v, %v", src, dst, p, l, path, links)
+					if l := nw.RouteLinks(rt, src, dst); !slices.Equal(l, links) {
+						t.Fatalf("%d -> %d: RouteLinks %v; RoutePath %v, %v", src, dst, l, path, links)
 					}
 					switch {
 					case src == dst:
@@ -342,8 +342,7 @@ func TestRouteWalkersAgree(t *testing.T) {
 				t.Errorf("RoutePath makes %.0f allocations per call, want at most 2", allocs)
 			}
 			loop := loopingOracle{rt, src, dst}
-			if path, links := nw.RoutePath(loop, src, dst); path != nil || links != nil ||
-				nw.Route(loop, src, dst) != nil || nw.RouteLinks(loop, src, dst) != nil {
+			if path, links := nw.RoutePath(loop, src, dst); path != nil || links != nil || nw.RouteLinks(loop, src, dst) != nil {
 				t.Errorf("a looping oracle yields path %v, links %v, want nil", path, links)
 			}
 		})

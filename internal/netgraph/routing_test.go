@@ -55,7 +55,7 @@ func TestLazyMatchesFlatAllPairs(t *testing.T) {
 				t.Fatalf("seed %d: recomputed NextLink(%d,0) flat %d, lazy %d", seed, src, f, l)
 			}
 		}
-		if s := lazy.Stats(); s.Evictions == 0 || s.Sources > s.Capacity {
+		if s := lazy.stats(); s.Evictions == 0 || s.Sources > s.Capacity {
 			t.Fatalf("seed %d: expected eviction churn within capacity, got %+v", seed, s)
 		}
 	}
@@ -75,19 +75,16 @@ func TestLazyLRUStats(t *testing.T) {
 	for src := 1; src < 5; src++ {
 		lazy.NextLink(src, 11)
 	}
-	s := lazy.Stats()
+	s := lazy.stats()
 	if s.Misses != 5 || s.Evictions != 1 || s.Hits != 4 {
 		t.Fatalf("stats = %+v, want 5 misses / 1 eviction / 4 hits", s)
 	}
 	if s.Sources != 4 || s.Capacity != 4 {
 		t.Fatalf("stats = %+v, want 4 of 4 rows resident", s)
 	}
-	if s.Backend != "lazy" {
-		t.Fatalf("backend = %q", s.Backend)
-	}
 	// Source 0 was evicted (least recently used): touching it recomputes.
 	lazy.NextLink(0, 3)
-	if s := lazy.Stats(); s.Misses != 6 || s.Evictions != 2 {
+	if s := lazy.stats(); s.Misses != 6 || s.Evictions != 2 {
 		t.Fatalf("after LRU re-touch: %+v, want 6 misses / 2 evictions", s)
 	}
 }
@@ -262,8 +259,8 @@ func TestAutoPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := r.Stats(); s.Backend != "flat" {
-		t.Fatalf("auto on %d nodes picked %q, want flat", 30, s.Backend)
+	if _, ok := r.(*RoutingTable); !ok {
+		t.Fatalf("auto on %d nodes picked %T, want the flat table", 30, r)
 	}
 	// Auto and explicit Flat normalize to the same cache key.
 	rf, err := small.SharedRouting(RoutingOptions{Backend: Flat})

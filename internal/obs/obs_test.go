@@ -67,8 +67,8 @@ func TestTraceDeferredWriteError(t *testing.T) {
 	if err := tr.Flush(); err == nil {
 		t.Fatal("expected deferred write error")
 	}
-	if tr.Err() == nil {
-		t.Fatal("Err() lost the write error")
+	if tr.Close() == nil {
+		t.Fatal("Close lost the write error")
 	}
 }
 
@@ -92,11 +92,11 @@ func TestRunStatsAccumulation(t *testing.T) {
 	if s.Segments != 2 {
 		t.Errorf("Segments = %d, want 2", s.Segments)
 	}
-	if got := s.TotalEvents(); got != 12 {
-		t.Errorf("TotalEvents = %d, want 12", got)
+	if got := sum(s.Events); got != 12 {
+		t.Errorf("events sum to %d, want 12", got)
 	}
-	if got := s.TotalCharges(); got != 120 {
-		t.Errorf("TotalCharges = %d, want 120", got)
+	if got := sum(s.Charges); got != 120 {
+		t.Errorf("charges sum to %d, want 120", got)
 	}
 	if s.MaxQueue[0] != 6 || s.MaxQueue[1] != 7 {
 		t.Errorf("MaxQueue = %v, want [6 7]", s.MaxQueue)
@@ -107,8 +107,8 @@ func TestRunStatsAccumulation(t *testing.T) {
 	if s.ReplayedWindows != 3 {
 		t.Errorf("ReplayedWindows = %d, want 3", s.ReplayedWindows)
 	}
-	if got := s.TotalMigrations(); got != 5 {
-		t.Errorf("TotalMigrations = %d, want 5", got)
+	if got := sum(s.MigratedNodes); got != 5 {
+		t.Errorf("migrations sum to %d, want 5", got)
 	}
 	if s.Resizes != 1 || s.PeakEngines != 2 || s.Joins[1] != 1 || s.Drains[0] != 1 || s.Kills[1] != 1 {
 		t.Errorf("elastic counts: %d resizes, peak %d, joins %v, drains %v, kills %v",

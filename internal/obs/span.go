@@ -99,8 +99,6 @@ type WorkerHealth struct {
 
 // WindowStat is one committed window's attribution record.
 type WindowStat struct {
-	// Window is the commit-order index.
-	Window int64
 	// Worker gated the window (held its critical path); -1 when the window
 	// had no active engine.
 	Worker int
@@ -517,7 +515,7 @@ func (t *Timeline) CommitWindow(w Window) WindowStat {
 	// engine idle this window; drop it rather than mis-attributing later.
 	clear(t.pendWall)
 
-	st := WindowStat{Window: t.log.wins}
+	var st WindowStat
 	t.spill = t.log.push(w.Start, w.End, recs, t.spill)
 	st.Worker, st.Busy, st.Lag = t.attr.window(recs)
 	t.nspans += int64(len(recs))

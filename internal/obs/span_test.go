@@ -1035,7 +1035,7 @@ func (t *timelineReference) CommitWindow(start, end float64, spans []Span) Windo
 		}
 	}
 
-	st := WindowStat{Window: idx, Worker: -1}
+	st := WindowStat{Worker: -1}
 	if len(touched) > 0 {
 		if len(touched) > 1 {
 			sort.Ints(touched) // near-sorted already: spans arrive engine-ascending

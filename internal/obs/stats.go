@@ -16,8 +16,6 @@ import (
 // last cadence barrier as lost without re-running them, and ReplayedWindows
 // counts that charge.
 type RunStats struct {
-	// LPs is the number of logical processes (engines).
-	LPs int
 	// Segments counts window grids (1 + resumes after a crash or resize).
 	Segments int
 	// Windows is the number of executed windows.
@@ -49,7 +47,6 @@ type RunStats struct {
 // NewRunStats returns an empty summary of a run over lps engines.
 func NewRunStats(lps int) *RunStats {
 	return &RunStats{
-		LPs:           lps,
 		MaxQueue:      make([]int64, lps),
 		MigratedNodes: make([]int64, lps),
 		Joins:         make([]int64, lps),
@@ -111,18 +108,6 @@ func (s *RunStats) NoteClusterSize(n int) {
 		s.PeakEngines = max(s.PeakEngines, int64(n))
 	}
 }
-
-// TotalEvents sums handler invocations over all LPs.
-func (s *RunStats) TotalEvents() int64 { return sum(s.Events) }
-
-// TotalCharges sums the kernel-event load over all LPs.
-func (s *RunStats) TotalCharges() int64 { return sum(s.Charges) }
-
-// TotalRemote sums cross-LP event messages over all LPs.
-func (s *RunStats) TotalRemote() int64 { return sum(s.Remote) }
-
-// TotalMigrations sums recovery migrations over all engines.
-func (s *RunStats) TotalMigrations() int64 { return sum(s.MigratedNodes) }
 
 // TotalBarrierWait returns 0. The kernel runs every window on one goroutine,
 // so no LP waits at a barrier; the method stays only for callers written

@@ -112,9 +112,6 @@ func (t *Trace) Close() error {
 	return err
 }
 
-// Err reports the first write error, if any.
-func (t *Trace) Err() error { return t.err }
-
 // appendFloat formats a float64 with the shortest round-trip representation
 // — stable across runs and platforms for identical values.
 func appendFloat(b []byte, f float64) []byte {

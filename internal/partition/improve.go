@@ -7,10 +7,9 @@ import (
 
 // Improve refines an existing assignment in place: boundary refinement plus
 // balance repair under the given options, without rebuilding the partition
-// from scratch. It is the primitive behind incremental remapping — when
-// weights shift between emulation intervals, improving the previous
-// assignment moves far fewer vertices than repartitioning, which matters
-// when every moved vertex costs a migration.
+// from scratch. It is the primitive behind RemapOnto's membership-change
+// remap: improving the previous assignment moves far fewer vertices than
+// repartitioning, which matters when every moved vertex costs a migration.
 //
 // Returns the number of vertices whose part changed.
 func Improve(g *Graph, part []int, k int, opts Options) (int, error) {

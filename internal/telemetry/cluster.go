@@ -65,9 +65,6 @@ func NewClusterHealth() *ClusterHealth {
 	return h
 }
 
-// Registry exposes the underlying registry (rendered by WriteExposition).
-func (h *ClusterHealth) Registry() *Registry { return h.reg }
-
 // WriteExposition renders the cluster families in the Prometheus text
 // format.
 func (h *ClusterHealth) WriteExposition(w io.Writer) error {

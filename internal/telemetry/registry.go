@@ -107,13 +107,6 @@ func (v Value) Add(d float64) {
 	v.r.mu.Unlock()
 }
 
-// Get returns the current value (mainly for tests).
-func (v Value) Get() float64 {
-	v.r.mu.RLock()
-	defer v.r.mu.RUnlock()
-	return v.sv.val
-}
-
 // HistValue is a handle on one histogram series.
 type HistValue struct {
 	r  *Registry

@@ -170,10 +170,6 @@ func New() *Collector {
 	return c
 }
 
-// Enabled reports whether the collector is non-nil — the emulator's hot-path
-// guard reads (telemetry on at all?), kept as a method for symmetry.
-func (c *Collector) Enabled() bool { return c != nil }
-
 // Metrics returns the collector's Prometheus-style registry. Values update at
 // measurement-window (BucketWidth) boundaries and at Finish — not every
 // synchronization window, at which Snapshot's window count, virtual time and

@@ -40,9 +40,6 @@ func (l *line) forward(slot int, bytes, packets int64) {
 
 func TestNilCollectorSafe(t *testing.T) {
 	var c *Collector
-	if c.Enabled() {
-		t.Fatal("nil collector reports enabled")
-	}
 	c.Commit(0, 1, []int64{1, 2}, newLine())
 	c.Fold(newLine())
 	c.Finish(1, newLine())
@@ -265,7 +262,7 @@ func TestRegistryReuseSameHandle(t *testing.T) {
 	b := r.Counter("c", "h", Label{"x", "1"})
 	a.Add(2)
 	b.Add(3)
-	if got := a.Get(); got != 5 {
+	if got := a.sv.val; got != 5 {
 		t.Fatalf("re-registered handle diverged: %g", got)
 	}
 }

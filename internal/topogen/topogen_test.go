@@ -128,7 +128,7 @@ func TestBritePreferentialAttachmentSkew(t *testing.T) {
 	nw := mustBrite(t, BriteConfig{Routers: 200, Hosts: 0, LinksPerNewRouter: 2, Seed: 3})
 	maxDeg, sumDeg := 0, 0
 	for _, r := range nw.Routers() {
-		d := len(nw.IncidentLinks(r))
+		d := len(nw.Neighbors(r))
 		sumDeg += d
 		if d > maxDeg {
 			maxDeg = d
@@ -183,7 +183,7 @@ func TestAllTopologiesRoutable(t *testing.T) {
 		// Every host pair must be routable.
 		for i := 0; i < len(hosts); i += 7 {
 			for j := 0; j < len(hosts); j += 11 {
-				if nw.Route(rt, hosts[i], hosts[j]) == nil {
+				if path, _ := nw.RoutePath(rt, hosts[i], hosts[j]); path == nil {
 					t.Fatalf("%s: no route %d -> %d", name, hosts[i], hosts[j])
 				}
 			}

@@ -188,7 +188,6 @@ type PairRate struct {
 // Each client repeatedly requests RequestBytes from its server and then
 // thinks for an exponentially distributed time with the given mean.
 type HTTPSpec struct {
-	Name string
 	// RequestBytes is the response size per request (paper: 200 KB).
 	RequestBytes int64
 	// ThinkTime is the mean think time between a client's requests, seconds
@@ -210,7 +209,6 @@ type HTTPSpec struct {
 // from servers where possible.
 func DefaultHTTP(duration float64, seed int64) HTTPSpec {
 	return HTTPSpec{
-		Name:             "HTTP",
 		RequestBytes:     200 << 10,
 		ThinkTime:        12,
 		ClientsPerServer: 10,

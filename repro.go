@@ -78,15 +78,12 @@ type BriteConfig = topogen.BriteConfig
 // ScaleFreeConfig parameterizes the ScaleFree generator.
 type ScaleFreeConfig = topogen.ScaleFreeConfig
 
-// Routing is the route-oracle interface (next hop, distance, memory
-// accounting) the emulator and the mapping approaches consume. See
-// netgraph.Routing.
+// Routing is the route-oracle interface (next hop, memory accounting) the
+// emulator and the mapping approaches consume. See netgraph.Routing.
+// Scenario.Routing's zero value picks exact flat tables up to 2048 nodes and
+// the lazy oracle beyond; Scenario.Routing.LazyRows sizes the lazy oracle's
+// row cache.
 type Routing = netgraph.Routing
-
-// RoutingOptions selects and parameterizes a routing backend
-// (Scenario.Routing). The zero value picks exact flat tables up to 2048
-// nodes and the lazy oracle beyond.
-type RoutingOptions = netgraph.RoutingOptions
 
 // ErrRoutingConfig reports an infeasible routing configuration (negative LRU
 // size, unknown backend name); test with errors.Is.
@@ -160,7 +157,3 @@ var (
 // ParseFaults builds a fault schedule (Scenario.Faults) from command-line
 // style specs: "crash:E@T", "slow:E@T1-T2xF", "degrade@T1-T2xF".
 func ParseFaults(specs []string) (*faults.Schedule, error) { return faults.Parse(specs) }
-
-// RemapIncremental is the dynamic remap policy (Scenario.Remap) that refines
-// the previous interval's assignment instead of mapping from scratch.
-const RemapIncremental = core.RemapIncremental
