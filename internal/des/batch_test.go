@@ -28,7 +28,7 @@ func (k *Kernel[P]) mergeOutboxesReference(scheds []*Scheduler[P]) {
 		for _, b := range s.batches {
 			for i := range b.Times {
 				all = append(all, tagged{
-					time: b.Times[i], dst: b.Dst, src: b.Src,
+					time: b.Times[i], dst: b.Dst, src: s.lp,
 					srcIdx: b.SrcIdx[i], data: b.Datas[i],
 				})
 			}

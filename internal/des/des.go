@@ -143,8 +143,8 @@ func (s *Stats) TotalCharges() int64 {
 // arrays are reused window after window: the steady-state send path allocates
 // nothing.
 type batch[P any] struct {
-	// Dst is the destination LP, Src the sending LP.
-	Dst, Src int
+	// Dst is the destination LP; the sending LP is the owning scheduler's.
+	Dst int
 	// Times[i] is the i-th event's firing time; SrcIdx[i] its send order
 	// within the source LP's window (the coordinator's merge tiebreak);
 	// Datas[i] its payload.

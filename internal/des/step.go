@@ -130,7 +130,7 @@ func (k *Kernel[P]) Stepper(local []int) (*Stepper[P], error) {
 		st.isLocal[lp] = true
 		s := &Scheduler[P]{k: k, lp: lp, owned: make([]batch[P], n), batchAt: make([]*batch[P], n)}
 		for dst := range s.owned {
-			s.owned[dst].Src, s.owned[dst].Dst = lp, dst
+			s.owned[dst].Dst = dst
 		}
 		st.scheds[lp] = s
 	}

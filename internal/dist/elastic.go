@@ -184,7 +184,7 @@ func (s *coordinator) resizeBarrier(end float64, deliver func() error) (float64,
 
 	// Export every current member, draining ones included — their state
 	// must land somewhere before they leave.
-	exports, err := s.pullExports(MsgExport, ExportMsg{At: end}.Encode(), MsgExport)
+	exports, err := s.pullExports(MsgExport, nil, MsgExport)
 	if err != nil {
 		return 0, err
 	}

@@ -35,9 +35,9 @@ import (
 )
 
 // Version is the protocol version; HELLO/ASSIGN carry it and any mismatch
-// aborts the handshake. v8 dropped the spec's routing cluster count with the
-// two-level route tables.
-const Version = 8
+// aborts the handshake. v9 dropped the EXPORT command's barrier time, which
+// no worker read.
+const Version = 9
 
 // MaxFrame bounds a frame's payload (type byte included). It is sized for
 // the largest legitimate message — a NetState export on a large topology —

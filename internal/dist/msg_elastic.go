@@ -7,21 +7,7 @@ import (
 // Elastic-membership payload codecs: EXPORT (and FINISH, answered by STATE)
 // pulls a worker's complete barrier state, INSTALL reseats a continuing worker onto the repartitioned
 // state, INSTALL_ACK closes the loop with the worker's derived lookahead.
-
-// ExportMsg commands a barrier state export at virtual time At.
-type ExportMsg struct{ At float64 }
-
-func (m ExportMsg) Encode() []byte {
-	var e encoder
-	e.f64(m.At)
-	return e.buf
-}
-
-func DecodeExportMsg(b []byte) (ExportMsg, error) {
-	d := decoder{buf: b}
-	m := ExportMsg{At: d.f64("export.at")}
-	return m, d.finish()
-}
+// The EXPORT command itself carries no payload.
 
 // encodeNetState/decodeNetState carry the link and flow slots — the one
 // listing of them on the wire, inside exports, installs and crossing window

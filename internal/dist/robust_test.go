@@ -158,15 +158,15 @@ func TestTruncatedHelloFailsHandshake(t *testing.T) {
 	}
 }
 
-// TestStaleHelloVersionRefused: a worker built before the spec lost its
-// routing cluster count says so in its HELLO and is refused before anything
-// ships to it.
+// TestStaleHelloVersionRefused: a worker built before the EXPORT command lost
+// its barrier time says so in its HELLO and is refused before anything ships
+// to it.
 func TestStaleHelloVersionRefused(t *testing.T) {
 	c, s := dist.Loopback()
-	go s.Send(dist.Frame{Type: dist.MsgHello, Payload: dist.Hello{Version: 7}.Encode()})
+	go s.Send(dist.Frame{Type: dist.MsgHello, Payload: dist.Hello{Version: 8}.Encode()})
 	_, err := dist.Run(context.Background(), distSpec(t), []dist.Conn{c}, dist.Options{})
-	if err == nil || !strings.Contains(err.Error(), "speaks protocol 7, this build speaks 8") {
-		t.Fatalf("a v7 HELLO must be refused by version, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), "speaks protocol 8, this build speaks 9") {
+		t.Fatalf("a v8 HELLO must be refused by version, got %v", err)
 	}
 }
 
@@ -676,6 +676,48 @@ func TestHostileExportLosesWorkerTyped(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestExportPayloadRefused: the EXPORT command is an empty frame since v9,
+// so a worker refuses one that carries a payload — a v8 coordinator's barrier
+// time, say — as trailing bytes.
+func TestExportPayloadRefused(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	conns := make([]dist.Conn, 2)
+	served := make(chan error, 1)
+	for i := range conns {
+		c, s := dist.Loopback()
+		if i == 1 {
+			c = &paddedExportConn{Conn: c}
+			go func() { served <- dist.Serve(ctx, s, dist.WorkerOptions{}) }()
+		} else {
+			go dist.Serve(ctx, s, dist.WorkerOptions{})
+		}
+		conns[i] = c
+	}
+	jc, js := dist.Loopback()
+	go dist.Serve(ctx, js, dist.WorkerOptions{})
+	joins := make(chan dist.Conn, 1)
+	joins <- jc
+	scenario(t, "Campus").Run(ctx, mapping.Top, core.Elastic(conns, dist.ElasticOptions{
+		Options: dist.Options{CheckpointEvery: elasticCkpt},
+		Joins:   joins,
+	}))
+	if err := <-served; err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Fatalf("an EXPORT with a payload must be refused as trailing bytes, got %v", err)
+	}
+}
+
+// paddedExportConn sends every EXPORT command with a v8 payload: a barrier
+// time, 8 zero bytes.
+type paddedExportConn struct{ dist.Conn }
+
+func (c *paddedExportConn) Send(f dist.Frame) error {
+	if f.Type == dist.MsgExport {
+		f.Payload = make([]byte, 8)
+	}
+	return c.Conn.Send(f)
 }
 
 // hostileCoordConn is a hostile coordinator as one worker sees it: it

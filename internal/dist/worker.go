@@ -200,7 +200,7 @@ func serve(ctx context.Context, conn Conn, opt *WorkerOptions) error {
 				windows++
 			}
 		case MsgExport:
-			if _, err := DecodeExportMsg(f.Payload); err != nil {
+			if err := (&decoder{buf: f.Payload}).finish(); err != nil {
 				return err
 			}
 			ex, err := local.Export(true)

@@ -378,7 +378,7 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 		// Callers running a pipeline should thread one Routing through
 		// (core.Scenario.Routes() is the memoized source); the shared cache
 		// keeps even bare emu.Run loops from rebuilding routing, and the
-		// automatic policy keeps large topologies off the O(n²) flat table.
+		// automatic policy keeps large topologies off the O(k²) flat table.
 		rt = nw.AutoRouting()
 	}
 

@@ -57,7 +57,7 @@ const DefaultLatencyPriority = 0.6
 type Input struct {
 	// Network is the virtual topology. Required.
 	Network *netgraph.Network
-	// Routes is the routing table. Leaving it nil triggers a full O(n²)
+	// Routes is the routing table. Leaving it nil triggers a full O(k²)
 	// all-pairs rebuild via Network.SharedRoutingTable() — memoized per
 	// network, but still a cost pipelines should not pay implicitly: core-
 	// driven runs always thread core.Scenario.Routes() through here (the
@@ -118,7 +118,7 @@ func (in *Input) defaults() error {
 		return fmt.Errorf("%w: K = %d exceeds %d nodes", ErrInfeasible, in.K, n)
 	}
 	if in.Routes == nil {
-		// The automatic backend keeps a huge topology off the O(n²) flat
+		// The automatic backend keeps a huge topology off the O(k²) flat
 		// table; the paper-scale topologies still get the exact flat table
 		// from the same shared cache.
 		in.Routes = in.Network.AutoRouting()

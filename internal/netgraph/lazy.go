@@ -6,19 +6,20 @@ import (
 )
 
 // LazyRouting is the on-demand route oracle: instead of materializing the
-// O(n²) all-pairs table it computes single-source Dijkstra rows the first
-// time a source is queried and keeps the most recently used rows in a
-// bounded LRU. Memory is O(capacity·n); a scenario that touches s distinct
-// sources (emu.prepare resolves every flow route up front, so s is the
-// number of distinct flow endpoints) pays min(s, capacity) rows.
+// all-pairs table it computes single-source Dijkstra rows the first time a
+// source is queried and keeps the most recently used rows in a bounded LRU.
+// A row holds one next hop per routing-core node (see routeCore), so memory
+// is O(capacity·k) for k core nodes; a scenario that touches s distinct core
+// sources (emu.prepare resolves every flow route up front, so s is at most
+// the number of distinct flow endpoints) pays min(s, capacity) rows.
 //
-// Rows come from the same dijkstraRow builder as the flat table, so answers
-// are byte-identical to RoutingTable for every (src, dst) pair. Only
-// non-leaf sources get rows: a leaf (see leafParents) answers through its
-// parent's row, so hosts cost no rows of their own. The oracle watches its
-// network's topology generation: a mutation (AddLink, AddRouter, AddHost)
-// purges all cached rows on the next query, so a held reference can never
-// serve stale routes.
+// Rows come from the same dijkstraRow builder as the flat table and queries
+// go through the same routeCore.next, so answers are byte-identical to
+// RoutingTable for every (src, dst) pair. Only core sources get rows: a
+// leaf answers through its parent's row, so hosts cost no rows of their own.
+// The oracle watches its network's topology generation: a mutation (AddLink,
+// AddRouter, AddHost) purges all cached rows on the next query, so a held
+// reference can never serve stale routes.
 //
 // Safe for concurrent use; queries serialize on one mutex (hits are
 // allocation-free, so the critical section is a map lookup plus two pointer
@@ -29,14 +30,11 @@ type LazyRouting struct {
 
 	mu         sync.Mutex
 	gen        int64
-	n          int     // row length the cache was (re)built for
-	parent     []int32 // leafParents of the topology the rows describe
+	core       routeCore // of the topology the rows describe
 	rows       map[int]*lazyRow
 	head, tail *lazyRow // LRU list, most recent at head
 	free       *lazyRow // recycled rows (singly linked via next)
 	scratch    *dijkstraScratch
-
-	hits, misses, evictions int64
 }
 
 // lazyRow is one cached per-source row plus its LRU links.
@@ -61,37 +59,34 @@ func NewLazyRouting(nw *Network, rows int) (*LazyRouting, error) {
 		nw:      nw,
 		capRows: rows,
 		gen:     nw.gen.Load(),
-		n:       n,
-		parent:  nw.leafParents(),
+		core:    nw.routeCore(),
 		rows:    make(map[int]*lazyRow, rows),
 		scratch: newDijkstraScratch(n),
 	}, nil
 }
 
-// row returns the cached (or freshly computed) row for non-leaf source src.
-// Caller holds mu and has called refresh.
-func (l *LazyRouting) row(src int) *lazyRow {
+// coreRow implements coreRows: the cached (or freshly computed) row of core
+// node src. Caller holds mu and has called refresh.
+func (l *LazyRouting) coreRow(src int) []int32 {
 	if r := l.rows[src]; r != nil {
-		l.hits++
 		l.moveToFront(r)
-		return r
+		return r.nextLink
 	}
-	l.misses++
 	r := l.free
 	if r != nil {
 		l.free = r.next
 		r.next = nil
 	} else {
-		r = &lazyRow{nextLink: make([]int32, l.n)}
+		r = &lazyRow{nextLink: make([]int32, l.core.k)}
 	}
 	r.src = src
-	l.nw.dijkstraRow(src, r.nextLink, l.parent, l.scratch)
+	l.nw.dijkstraRow(src, r.nextLink, l.core.parent, l.scratch)
 	l.rows[src] = r
 	l.pushFront(r)
 	if len(l.rows) > l.capRows {
 		l.evict()
 	}
-	return r
+	return r.nextLink
 }
 
 // refresh purges the cache if the topology changed since it was filled. Caller
@@ -104,12 +99,12 @@ func (l *LazyRouting) refresh() {
 }
 
 // purge drops every cached row after a topology mutation and re-derives the
-// leaves. Row buffers are recycled only while the node count is unchanged; a
-// grown topology needs longer rows.
+// core. Row buffers are recycled only while the core size is unchanged; a
+// grown core needs longer rows. The scratch grows on its next use.
 func (l *LazyRouting) purge() {
-	l.parent = l.nw.leafParents()
-	n := len(l.nw.Nodes)
-	recycle := n == l.n
+	c := l.nw.routeCore()
+	recycle := c.k == l.core.k
+	l.core = c
 	for r := l.head; r != nil; {
 		nx := r.next
 		if recycle {
@@ -119,28 +114,19 @@ func (l *LazyRouting) purge() {
 		r = nx
 	}
 	if !recycle {
-		l.n = n
 		l.free = nil
-		l.scratch = newDijkstraScratch(n)
 	}
 	l.head, l.tail = nil, nil
 	clear(l.rows)
 }
 
-// evict removes the least recently used row into the freelist.
+// evict removes the least recently used row into the freelist. It runs only
+// on an overflow, and capRows ≥ 1, so a row stays behind as the new tail.
 func (l *LazyRouting) evict() {
 	t := l.tail
-	if t == nil {
-		return
-	}
-	l.evictions++
 	delete(l.rows, t.src)
 	l.tail = t.prev
-	if l.tail != nil {
-		l.tail.next = nil
-	} else {
-		l.head = nil
-	}
+	l.tail.next = nil
 	t.prev, t.next = nil, l.free
 	l.free = t
 }
@@ -156,55 +142,41 @@ func (l *LazyRouting) pushFront(r *lazyRow) {
 	}
 }
 
+// moveToFront unlinks resident row r, which has a predecessor unless it is
+// already the head, and pushes it back in front.
 func (l *LazyRouting) moveToFront(r *lazyRow) {
 	if l.head == r {
 		return
 	}
-	if r.prev != nil {
-		r.prev.next = r.next
-	}
+	r.prev.next = r.next
 	if r.next != nil {
 		r.next.prev = r.prev
-	}
-	if l.tail == r {
+	} else {
 		l.tail = r.prev
 	}
-	r.prev, r.next = nil, l.head
-	if l.head != nil {
-		l.head.prev = r
-	}
-	l.head = r
+	l.pushFront(r)
 }
 
 // NextLink implements Routing. A leaf source reads its parent's row.
 func (l *LazyRouting) NextLink(src, dst int) int {
 	l.mu.Lock()
 	l.refresh()
-	var v int32
-	if p := l.parent[src]; p >= 0 {
-		v = l.nw.leafNext(src, p, dst, l.row(int(p)).nextLink[dst])
-	} else {
-		v = l.row(src).nextLink[dst]
-	}
+	v := l.core.next(l, src, dst)
 	l.mu.Unlock()
 	return int(v)
 }
 
-// MemoryBytes implements Routing: 4 bytes per cached (src, dst) entry, the
-// same per-entry cost as the flat table over only the cached rows.
+// MemoryBytes implements Routing: 4 bytes per cached (src, core dst) entry,
+// the same per-entry cost as the flat table over only the cached rows.
 func (l *LazyRouting) MemoryBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.memoryBytesLocked()
-}
-
-func (l *LazyRouting) memoryBytesLocked() int64 {
-	rowBytes := int64(l.n) * 4
 	cached := int64(len(l.rows))
 	// Free rows keep their backing arrays; count them too, plus the scratch
-	// (dist + done + firstLink) and the leaf parents.
+	// (dist + done + firstLink) and the core mapping.
 	for r := l.free; r != nil; r = r.next {
 		cached++
 	}
-	return cached*rowBytes + int64(l.n)*(8+1+4+4)
+	n := int64(len(l.core.parent))
+	return cached*int64(l.core.k)*4 + n*(8+1+4) + l.core.memoryBytes()
 }

@@ -89,7 +89,7 @@ type Network struct {
 	// can cheaply detect staleness on every query without taking mu. builds
 	// counts every full flat-table construction for the
 	// tests asserting that pipelines reuse one table instead of rebuilding
-	// O(n²) state.
+	// O(k²) state.
 	mu     sync.Mutex
 	gen    atomic.Int64
 	shared map[RoutingOptions]sharedEntry
@@ -279,23 +279,22 @@ func (nw *Network) connected() bool {
 
 // ---- Shortest-path routing ----
 
-// RoutingTable holds, for every ordered pair of nodes, the next-hop link on
-// the latency-shortest path. It is the O(n²) structure whose memory footprint
-// motivates the paper's memory constraint: 4 bytes (one int32 link ID) per
-// ordered pair.
+// RoutingTable holds the next-hop link on the latency-shortest path between
+// every ordered pair of the k routing-core nodes (see routeCore), whose
+// answers cover the leaves too: 4 bytes (one int32 link ID) per pair, 4·k²
+// where storing every node would cost 4·n².
 type RoutingTable struct {
-	n int
-	// nextLink[src*n+dst] is the link ID of the first hop from src toward
-	// dst, or -1 when src == dst or dst is unreachable.
+	core routeCore
+	// nextLink[i*k+j] is the link ID of the first hop from the i-th core node
+	// toward the j-th, or -1 when i == j or the j-th is unreachable.
 	nextLink []int32
 }
 
-// BuildRoutingTable materializes the full next-hop table, fanning sources
-// out over GOMAXPROCS workers. Dijkstra runs only from non-leaf nodes (see
-// leafParents); a leaf's row is its one link toward everything its parent
-// reaches. Ties are broken deterministically by link ID, and each source
-// writes only its own table row, so the result is byte-identical to the
-// sequential build regardless of worker count.
+// BuildRoutingTable materializes the core next-hop table, fanning sources
+// out over GOMAXPROCS workers: one Dijkstra per core node. Ties are broken
+// deterministically by link ID, and each source writes only its own table
+// row, so the result is byte-identical to the sequential build regardless
+// of worker count.
 func (nw *Network) BuildRoutingTable() *RoutingTable {
 	return nw.BuildRoutingTableParallel(0)
 }
@@ -306,12 +305,12 @@ func (nw *Network) BuildRoutingTable() *RoutingTable {
 func (nw *Network) BuildRoutingTableParallel(workers int) *RoutingTable {
 	nw.builds.Add(1)
 	n := len(nw.Nodes)
-	rt := &RoutingTable{n: n, nextLink: make([]int32, n*n)}
-	parent := nw.leafParents()
+	rt := &RoutingTable{core: nw.routeCore()}
+	rt.nextLink = make([]int32, rt.core.k*rt.core.k)
 	w := parallel.Workers(workers, n)
 	scratches := make([]*dijkstraScratch, w)
 	parallel.ForEachWorker(n, w, func(worker, src int) {
-		if parent[src] >= 0 {
+		if rt.core.parent[src] >= 0 {
 			return
 		}
 		s := scratches[worker]
@@ -319,25 +318,15 @@ func (nw *Network) BuildRoutingTableParallel(workers int) *RoutingTable {
 			s = newDijkstraScratch(n)
 			scratches[worker] = s
 		}
-		nw.dijkstraRow(src, rt.row(src), parent, s)
-	})
-	// Leaf rows read only core rows, all complete after the first pass.
-	parallel.ForEach(n, w, func(src int) {
-		p := parent[src]
-		if p < 0 {
-			return
-		}
-		row, via := rt.row(src), rt.row(int(p))
-		for dst := range row {
-			row[dst] = nw.leafNext(src, p, dst, via[dst])
-		}
+		nw.dijkstraRow(src, rt.coreRow(src), rt.core.parent, s)
 	})
 	return rt
 }
 
-// row is src's slice of the table.
-func (rt *RoutingTable) row(src int) []int32 {
-	return rt.nextLink[src*rt.n : (src+1)*rt.n]
+// coreRow implements coreRows: core node src's slice of the table.
+func (rt *RoutingTable) coreRow(src int) []int32 {
+	i := int(rt.core.slot[src]) * rt.core.k
+	return rt.nextLink[i : i+rt.core.k]
 }
 
 // leafParents returns, for every leaf, the node it hangs off, and -1 for
@@ -345,9 +334,9 @@ func (rt *RoutingTable) row(src int) []int32 {
 // other end has at least two — a host on its access link, typically. No
 // shortest path passes through a leaf, so the route builders leave leaves
 // out of Dijkstra entirely: a leaf is never pushed onto a heap and never a
-// source, and its routes are its parent's (leafNext). The two ends of an
-// isolated link are not leaves of each other: each has one link, so neither
-// qualifies, and both stay ordinary sources.
+// source, and its routes are its parent's (routeCore.next). The two ends of
+// an isolated link are not leaves of each other: each has one link, so
+// neither qualifies, and both stay ordinary sources.
 func (nw *Network) leafParents() []int32 {
 	parent := make([]int32, len(nw.Nodes))
 	for v, links := range nw.adj {
@@ -361,15 +350,66 @@ func (nw *Network) leafParents() []int32 {
 	return parent
 }
 
-// leafNext is leaf's first hop toward dst, given its parent's first hop
-// toward dst: the leaf's one link whenever the parent is dst or reaches it,
-// and -1 for the leaf itself and for what the parent cannot reach.
-func (nw *Network) leafNext(leaf int, parent int32, dst int, parentHop int32) int32 {
-	if dst != leaf && (parentHop >= 0 || dst == int(parent)) {
-		return int32(nw.adj[leaf][0])
-	}
-	return -1
+// routeCore maps a topology onto its routing core, the k nodes that are not
+// leaves: both route oracles store next hops among these only, and answer
+// every query touching a leaf through next.
+type routeCore struct {
+	// parent is leafParents: a leaf's parent, -1 for a core node.
+	parent []int32
+	// slot is a core node's position among the k core nodes (its row and
+	// column), and a leaf's one link.
+	slot []int32
+	k    int
 }
+
+func (nw *Network) routeCore() routeCore {
+	c := routeCore{parent: nw.leafParents(), slot: make([]int32, len(nw.Nodes))}
+	for v, p := range c.parent {
+		if p < 0 {
+			c.slot[v] = int32(c.k)
+			c.k++
+		} else {
+			c.slot[v] = int32(nw.adj[v][0])
+		}
+	}
+	return c
+}
+
+// coreRows serves a core node's next-hop row, indexed by core position.
+type coreRows interface{ coreRow(src int) []int32 }
+
+// next answers NextLink(src, dst) from at most one core row. A leaf
+// destination reads its parent's column, or is the leaf's own link when the
+// source is that parent; a leaf source reads its parent's row and answers
+// with its own link whenever its parent is, or reaches, dst.
+func (c *routeCore) next(rows coreRows, src, dst int) int32 {
+	if src == dst {
+		return -1
+	}
+	s, via := src, int32(-1)
+	if p := c.parent[src]; p >= 0 {
+		if int(p) == dst {
+			return c.slot[src]
+		}
+		s, via = int(p), c.slot[src]
+	}
+	var hop int32
+	switch p := c.parent[dst]; {
+	case p < 0:
+		hop = rows.coreRow(s)[c.slot[dst]]
+	case int(p) == s:
+		hop = c.slot[dst]
+	default:
+		hop = rows.coreRow(s)[c.slot[p]]
+	}
+	if via >= 0 && hop >= 0 {
+		return via
+	}
+	return hop
+}
+
+// memoryBytes is the mapping's footprint: parent and slot, 4 bytes a node each.
+func (c *routeCore) memoryBytes() int64 { return 8 * int64(len(c.parent)) }
 
 func (nw *Network) RoutingBuilds() int64 { return nw.builds.Load() }
 
@@ -483,15 +523,13 @@ func (s *dijkstraScratch) pop() pqItem {
 	return it
 }
 
-// dijkstraRow computes non-leaf source src's next-hop row into next
-// (length n).
-// It is the single row builder the flat all-pairs table and the lazy oracle
-// share, which is what makes their rows byte-identical: same heap, same
-// deterministic first-hop-link tie-break. parent is leafParents: Dijkstra
-// runs over the non-leaf nodes only, and each leaf then takes its parent's
-// first hop (or its own link when the parent is src). A leaf could never
-// have improved another node's distance — its only link leads back to its
-// parent, already settled — so every other hop is that of the full search.
+// dijkstraRow computes non-leaf source src's next-hop row into next, one
+// column per core node in node order (see routeCore). It is the one row
+// builder both oracles share, which makes their rows byte-identical: same
+// heap, same deterministic first-hop-link tie-break. parent is leafParents:
+// Dijkstra runs over the non-leaf nodes only. A leaf could never have
+// improved another node's distance — its only link leads back to its
+// parent, already settled — so every hop is that of the full search.
 func (nw *Network) dijkstraRow(src int, next, parent []int32, s *dijkstraScratch) {
 	s.reset(len(nw.Nodes))
 	dist, firstLink, done := s.dist, s.firstLink, s.done
@@ -523,22 +561,18 @@ func (nw *Network) dijkstraRow(src int, next, parent []int32, s *dijkstraScratch
 			}
 		}
 	}
-	for dst, p := range parent {
-		switch {
-		case p < 0:
-			next[dst] = firstLink[dst]
-		case int(p) == src:
-			next[dst] = int32(nw.adj[dst][0])
-		default:
-			next[dst] = firstLink[p]
+	col := 0
+	for v, p := range parent {
+		if p < 0 {
+			next[col] = firstLink[v]
+			col++
 		}
 	}
-	next[src] = -1
 }
 
 // NextLink returns the first-hop link from src toward dst, or -1.
 func (rt *RoutingTable) NextLink(src, dst int) int {
-	return int(rt.nextLink[src*rt.n+dst])
+	return int(rt.core.next(rt, src, dst))
 }
 
 // RoutePath walks the routing oracle from src to dst — the one walk Route and

@@ -9,11 +9,12 @@ import (
 // and the route discovery consume: static latency-shortest paths, the
 // paper's Dijkstra routing. Both implementations answer every next-hop query
 // identically and differ only in how they store the answers, so callers can
-// choose a backend by footprint instead of hard-coding the O(n²) flat table:
+// choose a backend by footprint. Both store next hops among the k routing-core
+// nodes only (see routeCore); a host costs no row or column:
 //
-//   - RoutingTable: flat all-pairs next hops, O(n²) memory, O(1) queries.
+//   - RoutingTable: flat all-pairs core next hops, O(k²) memory, O(1) queries.
 //   - LazyRouting: per-source Dijkstra rows computed on demand behind a
-//     bounded LRU — O(cachedRows·n) memory.
+//     bounded LRU — O(cachedRows·k) memory.
 //
 // All implementations are safe for concurrent queries after construction.
 type Routing interface {
@@ -79,19 +80,18 @@ func ParseBackend(s string) (Backend, error) {
 }
 
 // AutoFlatMaxNodes is the largest topology the Auto backend still serves
-// with the flat table, at 4 bytes per (src, dst) entry: 4·2048² ≈ 16.8 MB
-// here, built by one Dijkstra per non-leaf node — about 1.5 s for 2048
-// routers on one core of a 2-vCPU Xeon, 0.17 s when 1348 of the 2048 are
-// hosts. Past it the memory grows quadratically (10⁴ nodes: 400 MB) and the
-// build time faster still, while the lazy oracle pays only for the rows a
-// run touches, so Auto switches to lazy. All of the paper's topologies
-// (Table 1 and Table 2, ≤ 564 nodes) stay flat.
+// with the flat table, at 4 bytes per pair of core nodes: 4·2048² ≈ 16.8 MB
+// and ~1.5 s on one core of a 2-vCPU Xeon for 2048 routers, ≈ 2 MB and 0.17 s
+// when 1348 of them are hosts. Past it the memory grows quadratically (10⁴
+// routers: 400 MB) and the build time faster still, while the lazy oracle
+// pays only for the rows a run touches, so Auto switches to lazy. All of the
+// paper's topologies (Table 1 and Table 2, ≤ 564 nodes) stay flat.
 const AutoFlatMaxNodes = 2048
 
-// DefaultLazyBytes is the lazy oracle's default row-cache budget: 256 MB,
-// 4·n bytes a row, so 671 rows at 10⁵ nodes and the MaxLazyRows cap at or
-// below 16 384 nodes. The automatic row capacity is DefaultLazyBytes /
-// (4·n), clamped to [MinLazyRows, MaxLazyRows].
+// DefaultLazyBytes is the lazy oracle's default row-cache budget: 256 MB at
+// 4·n bytes a row (a row holds 4·k ≤ 4·n), so 671 rows at 10⁵ nodes and the
+// MaxLazyRows cap at or below 16 384 nodes. The automatic row capacity is
+// DefaultLazyBytes / (4·n), clamped to [MinLazyRows, MaxLazyRows].
 const DefaultLazyBytes = 256 << 20
 
 // MinLazyRows and MaxLazyRows bound the automatic lazy row capacity.
@@ -147,9 +147,9 @@ func (o RoutingOptions) normalized(n int) RoutingOptions {
 }
 
 // DefaultLazyRows returns the automatic lazy row capacity for an n-node
-// topology: the DefaultLazyBytes budget divided by one row's 4·n bytes (one
-// int32 next hop per destination), clamped to [MinLazyRows, MaxLazyRows]
-// and never above n.
+// topology: the DefaultLazyBytes budget divided by 4·n bytes, the most one
+// row can take (one int32 next hop per core node), clamped to
+// [MinLazyRows, MaxLazyRows] and never above n.
 func DefaultLazyRows(n int) int {
 	if n <= 0 {
 		return MinLazyRows
@@ -220,7 +220,7 @@ func (nw *Network) SharedRouting(o RoutingOptions) (Routing, error) {
 // AutoRouting returns the shared oracle under the automatic policy — the
 // fallback every nil-Routes code path (emu.Run, the mapping approaches)
 // uses, so even a bare pipeline on a 10⁵-node topology never materializes
-// the O(n²) flat table.
+// the O(k²) flat table.
 func (nw *Network) AutoRouting() Routing {
 	r, err := nw.SharedRouting(RoutingOptions{})
 	if err != nil {
@@ -231,8 +231,9 @@ func (nw *Network) AutoRouting() Routing {
 	return r
 }
 
-// MemoryBytes implements Routing: the flat table's dense footprint,
-// 4 bytes (one int32 next hop) per ordered pair.
+// MemoryBytes implements Routing: the flat table's dense footprint, 4 bytes
+// (one int32 next hop) per ordered pair of core nodes, plus the core
+// mapping.
 func (rt *RoutingTable) MemoryBytes() int64 {
-	return int64(len(rt.nextLink)) * 4
+	return int64(len(rt.nextLink))*4 + rt.core.memoryBytes()
 }

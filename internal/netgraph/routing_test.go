@@ -3,6 +3,7 @@ package netgraph
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -67,25 +68,45 @@ func TestLazyLRUStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 5 distinct sources through a 4-row cache: 5 misses, 1 eviction.
+	order := func() []int {
+		var srcs []int
+		for _, r := range lazy.lru() {
+			srcs = append(srcs, r.src)
+		}
+		return srcs
+	}
+	// 5 distinct sources through a 4-row cache: each new source is a miss
+	// that computes a row at the front; the fifth evicts source 0, the least
+	// recent.
 	for src := 0; src < 5; src++ {
 		lazy.NextLink(src, 10)
 	}
-	// Sources 1..4 are resident: all hits.
-	for src := 1; src < 5; src++ {
-		lazy.NextLink(src, 11)
+	if got := order(); !slices.Equal(got, []int{4, 3, 2, 1}) {
+		t.Fatalf("resident sources %v, want [4 3 2 1]", got)
 	}
-	s := lazy.stats()
-	if s.Misses != 5 || s.Evictions != 1 || s.Hits != 4 {
-		t.Fatalf("stats = %+v, want 5 misses / 1 eviction / 4 hits", s)
-	}
-	if s.Sources != 4 || s.Capacity != 4 {
+	if s := lazy.stats(); s.Sources != 4 || s.Capacity != 4 {
 		t.Fatalf("stats = %+v, want 4 of 4 rows resident", s)
 	}
-	// Source 0 was evicted (least recently used): touching it recomputes.
+	// Sources 1..4 are resident: each query is a hit that moves the same row
+	// to the front, recomputing and evicting nothing.
+	resident := map[int]*lazyRow{}
+	for _, r := range lazy.lru() {
+		resident[r.src] = r
+	}
+	for src := 1; src < 5; src++ {
+		lazy.NextLink(src, 11)
+		if rows := lazy.lru(); len(rows) != 4 || rows[0] != resident[src] {
+			t.Fatalf("query %d: resident %v, want its cached row in front", src, order())
+		}
+	}
+	if got := order(); !slices.Equal(got, []int{4, 3, 2, 1}) {
+		t.Fatalf("after hits: resident sources %v, want [4 3 2 1]", got)
+	}
+	// Source 0 was evicted: touching it is a miss that recomputes its row
+	// and evicts source 1, now the least recent.
 	lazy.NextLink(0, 3)
-	if s := lazy.stats(); s.Misses != 6 || s.Evictions != 2 {
-		t.Fatalf("after LRU re-touch: %+v, want 6 misses / 2 evictions", s)
+	if got := order(); !slices.Equal(got, []int{0, 4, 3, 2}) {
+		t.Fatalf("after LRU re-touch: resident sources %v, want [0 4 3 2]", got)
 	}
 }
 
