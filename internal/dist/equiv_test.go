@@ -88,7 +88,7 @@ func observedScenario(t *testing.T, topology string) (*core.Scenario, *telemetry
 func exposition(t *testing.T, tel *telemetry.Collector) string {
 	t.Helper()
 	var b strings.Builder
-	if err := tel.Metrics().WriteExposition(&b); err != nil {
+	if err := tel.WriteExposition(&b); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()

@@ -297,7 +297,7 @@ func (d *DistLocal) Step(T, end float64) (*WindowReport, error) {
 	}
 	if b := int(end / d.e.cfg.BucketWidth); d.e.tel != nil && b > d.lastBucket {
 		// Ship the share exactly when the coordinator's Commit folds and
-		// publishes: when this window crosses a measurement-window boundary.
+		// merges: when this window crosses a measurement-window boundary.
 		// The link arrays are aliased, not copied: the report is encoded
 		// before the next Step writes them.
 		r.Telemetry = d.e.tel.ExportPartial(d.engines)

@@ -756,8 +756,8 @@ func (e *emulation) bucketOf(t float64) int {
 // (DistMerge.CommitWindow hands it the record summed from the workers'
 // reports). In order: the time model prices the window into w.Cost and its
 // buckets, the telemetry collector commits it — folding the link counters and
-// republishing at a measurement-window crossing (engines are quiesced at the
-// barrier) — the tracing timeline commits and attributes the window, the run
+// merging the histograms at a measurement-window crossing (engines are
+// quiesced at the barrier) — the tracing timeline commits and attributes the window, the run
 // summary takes its queue peaks, the recorder chain receives the record,
 // cancellation is observed — between windows, never mid-handler — and a
 // scheduled crash or resize is applied, which may Checkpoint and Restore the

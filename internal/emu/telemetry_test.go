@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -154,7 +155,7 @@ func TestTelemetryCrashPinned(t *testing.T) {
 			if err := telemetry.WriteMatrixJSON(&m, tel.Snapshot()); err != nil {
 				t.Fatal(err)
 			}
-			if err := tel.Metrics().WriteExposition(&e); err != nil {
+			if err := tel.WriteExposition(&e); err != nil {
 				t.Fatal(err)
 			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(m.Bytes())); got != tc.matrix {
@@ -181,7 +182,7 @@ func TestTelemetryDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var e strings.Builder
-		if err := tel.Metrics().WriteExposition(&e); err != nil {
+		if err := tel.WriteExposition(&e); err != nil {
 			t.Fatal(err)
 		}
 		return m.String(), e.String()
@@ -196,6 +197,58 @@ func TestTelemetryDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(e1, "massf_traffic_matrix_bytes_total") {
 		t.Error("exposition missing traffic matrix family")
+	}
+}
+
+// TestTelemetryLiveScrape: a reader loops the /metrics and /trafficmatrix
+// renders while the run writes the collector, as a live massf endpoint does.
+// Under -race this checks that both read only under the collector's lock;
+// either way, the bodies after the run equal those of a run nobody scraped.
+func TestTelemetryLiveScrape(t *testing.T) {
+	render := func(tel *telemetry.Collector) (string, string) {
+		var m, e bytes.Buffer
+		if err := telemetry.WriteMatrixJSON(&m, tel.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		if err := tel.WriteExposition(&e); err != nil {
+			t.Fatal(err)
+		}
+		return m.String(), e.String()
+	}
+	quiet := telemetry.New()
+	if _, err := Run(benchConfig(), WithTelemetry(quiet)); err != nil {
+		t.Fatal(err)
+	}
+	wantM, wantE := render(quiet)
+
+	tel := telemetry.New()
+	stop, done := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				done <- n
+				return
+			default:
+			}
+			if err := tel.WriteExposition(io.Discard); err != nil {
+				t.Error(err)
+			}
+			_ = tel.Snapshot()
+			n++
+		}
+	}()
+	_, err := Run(benchConfig(), WithTelemetry(tel))
+	close(stop)
+	if n := <-done; n == 0 {
+		t.Error("the reader never scraped")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, e := render(tel); m != wantM || e != wantE {
+		t.Error("a scraped run's final bodies differ from an unscraped run's")
 	}
 }
 

@@ -57,12 +57,14 @@ const DefaultLatencyPriority = 0.6
 type Input struct {
 	// Network is the virtual topology. Required.
 	Network *netgraph.Network
-	// Routes is the routing table. Leaving it nil triggers a full O(k²)
-	// all-pairs rebuild via Network.SharedRoutingTable() — memoized per
-	// network, but still a cost pipelines should not pay implicitly: core-
-	// driven runs always thread core.Scenario.Routes() through here (the
-	// "built exactly once per scenario" tests enforce it), so the fallback
-	// exists only for callers invoking an approach standalone.
+	// Routes is the routing table. Leaving it nil takes the network's shared
+	// oracle via Network.AutoRouting(): the O(k²) flat table up to
+	// netgraph.AutoFlatMaxNodes nodes, the lazy oracle past it. It is
+	// memoized per network, but still a cost pipelines should not pay
+	// implicitly: core-driven runs always thread core.Scenario.Routes()
+	// through here (the "built exactly once per scenario" tests enforce it),
+	// so the fallback exists only for callers invoking an approach
+	// standalone.
 	Routes netgraph.Routing
 	// K is the number of simulation-engine nodes. Required.
 	K int

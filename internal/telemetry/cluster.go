@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -15,141 +14,105 @@ import (
 // ClusterHealth is the coordinator's live cluster-health signal: worker
 // count, per-worker straggler attribution (gated-window counts and
 // critical-path share from the tracing timeline), the window-lag histogram,
-// and measured heartbeat round trips. It owns its own Registry — separate
-// from the traffic-plane Collector's, whose instrument set is rebuilt per
-// run — so MountCluster can append its exposition to /metrics and serve a
-// machine-readable /healthz.
+// and measured heartbeat round trips. WriteExposition (which MountCluster
+// appends to /metrics) and WriteHealthz both render these fields.
 //
 // Everything except the RTT gauges derives from the deterministic modeled
 // timeline; RTTs are wall-clock by nature and only exist while heartbeat
 // probing is active.
 type ClusterHealth struct {
-	mu  sync.Mutex
-	reg *Registry
-
-	workers Value
-	windows Value
-	lagHist HistValue
+	mu      sync.Mutex
+	workers int
+	windows int64
 	lag     *metrics.Histogram
-
-	gated map[int]Value
-	share map[int]Value
-	rtt   map[int]Value
-
-	// summary mirrors the gauge state for Healthz.
-	nWorkers int
-	nWindows int64
-	gatedN   map[int]int64
-	shareV   map[int]float64
-	rttV     map[int]float64
+	// Per-worker values, keyed by worker id. A worker appears once it has
+	// gated a window, been attributed a share or reported an RTT.
+	gated map[int]int64
+	share map[int]float64
+	rtt   map[int]float64
 }
 
-// NewClusterHealth returns an empty cluster-health registry.
+// NewClusterHealth returns an empty cluster-health signal.
 func NewClusterHealth() *ClusterHealth {
-	h := &ClusterHealth{
-		reg:    NewRegistry(),
-		gated:  make(map[int]Value),
-		share:  make(map[int]Value),
-		rtt:    make(map[int]Value),
-		gatedN: make(map[int]int64),
-		shareV: make(map[int]float64),
-		rttV:   make(map[int]float64),
+	return &ClusterHealth{
+		lag:   metrics.MustLogHistogram(1e-9, 1e3, 4),
+		gated: make(map[int]int64),
+		share: make(map[int]float64),
+		rtt:   make(map[int]float64),
 	}
-	h.workers = h.reg.Gauge("massf_cluster_workers",
-		"Workers currently active in the distributed run.")
-	h.windows = h.reg.Counter("massf_cluster_windows_total",
-		"Synchronization windows committed by the coordinator.")
-	h.lagHist = h.reg.Histogram("massf_window_lag_seconds",
-		"Per-window modeled gap between the gating worker and the runner-up.")
-	h.lag = metrics.MustLogHistogram(1e-9, 1e3, 4)
-	return h
 }
 
 // WriteExposition renders the cluster families in the Prometheus text
-// format.
+// format. A per-worker family appears once a worker has a value in it; the
+// lag histogram renders empty until a worker gates a window.
 func (h *ClusterHealth) WriteExposition(w io.Writer) error {
-	return h.reg.WriteExposition(w)
+	var b exposition
+	h.mu.Lock()
+	lag := h.lag
+	if len(h.gated) == 0 {
+		lag = nil
+	}
+	b.family("massf_cluster_windows_total", "counter",
+		"Synchronization windows committed by the coordinator.", series{"", float64(h.windows)})
+	b.family("massf_cluster_workers", "gauge",
+		"Workers currently active in the distributed run.", series{"", float64(h.workers)})
+	b.histogram("massf_window_lag_seconds",
+		"Per-window modeled gap between the gating worker and the runner-up.", lag)
+	b.family("massf_worker_critical_path_share", "gauge",
+		"Fraction of the run's modeled critical path attributed to this worker.", perWorker(h.share)...)
+	b.family("massf_worker_gated_windows_total", "counter",
+		"Windows this worker's engines gated (held the critical path).", perWorker(h.gated)...)
+	b.family("massf_worker_heartbeat_rtt_seconds", "gauge",
+		"Last measured heartbeat round-trip time to this worker.", perWorker(h.rtt)...)
+	h.mu.Unlock()
+	_, err := w.Write(b.Bytes())
+	return err
+}
+
+// perWorker lists a per-worker map as worker-labelled series.
+func perWorker[V int64 | float64](m map[int]V) []series {
+	ss := make([]series, 0, len(m))
+	for id, v := range m {
+		ss = append(ss, series{idLabel("worker", id), float64(v)})
+	}
+	return ss
 }
 
 // SetWorkers records the active worker count.
 func (h *ClusterHealth) SetWorkers(n int) {
 	h.mu.Lock()
-	h.nWorkers = n
+	h.workers = n
 	h.mu.Unlock()
-	h.workers.Set(float64(n))
 }
-
-func workerLabel(w int) Label { return Label{"worker", strconv.Itoa(w)} }
 
 // ObserveWindow accounts one committed window: the gating worker's
 // gated-window counter bumps and the lag histogram absorbs the gap to the
 // runner-up. worker < 0 (an all-idle window) only counts the window.
 func (h *ClusterHealth) ObserveWindow(worker int, lag float64) {
 	h.mu.Lock()
-	h.nWindows++
-	var gv Value
-	haveG := false
+	h.windows++
 	if worker >= 0 {
-		h.gatedN[worker]++
-		var ok bool
-		if gv, ok = h.gated[worker]; !ok {
-			gv = h.reg.Counter("massf_worker_gated_windows_total",
-				"Windows this worker's engines gated (held the critical path).",
-				workerLabel(worker))
-			h.gated[worker] = gv
-		}
-		haveG = true
+		h.gated[worker]++
 		h.lag.Observe(lag)
 	}
 	h.mu.Unlock()
-
-	h.windows.Add(1)
-	if haveG {
-		gv.Add(1)
-		h.lagHist.Set(h.lag)
-	}
 }
 
-// SetAttribution replaces the per-worker critical-path share gauges with the
+// SetAttribution records each listed worker's critical-path share from the
 // timeline's current attribution.
 func (h *ClusterHealth) SetAttribution(health []obs.WorkerHealth) {
 	h.mu.Lock()
-	type upd struct {
-		v Value
-		x float64
-	}
-	ups := make([]upd, 0, len(health))
 	for _, wh := range health {
-		v, ok := h.share[wh.Worker]
-		if !ok {
-			v = h.reg.Gauge("massf_worker_critical_path_share",
-				"Fraction of the run's modeled critical path attributed to this worker.",
-				workerLabel(wh.Worker))
-			h.share[wh.Worker] = v
-		}
-		h.shareV[wh.Worker] = wh.Share
-		ups = append(ups, upd{v, wh.Share})
+		h.share[wh.Worker] = wh.Share
 	}
 	h.mu.Unlock()
-	for _, u := range ups {
-		u.v.Set(u.x)
-	}
 }
 
 // ObserveRTT records a measured heartbeat PING→PONG round trip for a worker.
 func (h *ClusterHealth) ObserveRTT(worker int, rtt time.Duration) {
-	s := rtt.Seconds()
 	h.mu.Lock()
-	v, ok := h.rtt[worker]
-	if !ok {
-		v = h.reg.Gauge("massf_worker_heartbeat_rtt_seconds",
-			"Last measured heartbeat round-trip time to this worker.",
-			workerLabel(worker))
-		h.rtt[worker] = v
-	}
-	h.rttV[worker] = s
+	h.rtt[worker] = rtt.Seconds()
 	h.mu.Unlock()
-	v.Set(s)
 }
 
 // healthzWorker is one worker's row in the /healthz document.
@@ -173,16 +136,16 @@ type healthzDoc struct {
 // worker id.
 func (h *ClusterHealth) WriteHealthz(w io.Writer) error {
 	h.mu.Lock()
-	doc := healthzDoc{Status: "ok", Workers: h.nWorkers, Windows: h.nWindows}
-	ids := make([]int, 0, len(h.gatedN)+len(h.rttV))
+	doc := healthzDoc{Status: "ok", Workers: h.workers, Windows: h.windows}
+	ids := make([]int, 0, len(h.gated)+len(h.rtt))
 	seen := make(map[int]bool)
-	for id := range h.gatedN {
+	for id := range h.gated {
 		if !seen[id] {
 			seen[id] = true
 			ids = append(ids, id)
 		}
 	}
-	for id := range h.rttV {
+	for id := range h.rtt {
 		if !seen[id] {
 			seen[id] = true
 			ids = append(ids, id)
@@ -192,9 +155,9 @@ func (h *ClusterHealth) WriteHealthz(w io.Writer) error {
 	for _, id := range ids {
 		doc.Detail = append(doc.Detail, healthzWorker{
 			Worker:            id,
-			GatedWindows:      h.gatedN[id],
-			CriticalPathShare: h.shareV[id],
-			HeartbeatRTT:      h.rttV[id],
+			GatedWindows:      h.gated[id],
+			CriticalPathShare: h.share[id],
+			HeartbeatRTT:      h.rtt[id],
 		})
 	}
 	h.mu.Unlock()

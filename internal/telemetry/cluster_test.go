@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -102,4 +103,30 @@ func TestMountClusterEndpoints(t *testing.T) {
 	if body := get("/trafficmatrix"); body != "{}\n" {
 		t.Errorf("nil-collector /trafficmatrix = %q, want {}", body)
 	}
+}
+
+// TestClusterHealthConcurrentScrape: the coordinator writes the signal while
+// /metrics and /healthz render it; under -race this checks that every access
+// is under the one mutex.
+func TestClusterHealthConcurrentScrape(t *testing.T) {
+	h := NewClusterHealth()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			h.SetWorkers(i%5 + 1)
+			h.ObserveWindow(i%12, float64(i)*1e-6)
+			h.SetAttribution([]obs.WorkerHealth{{Worker: i % 12, Share: 0.5}})
+			h.ObserveRTT(i%7, time.Duration(i)*time.Microsecond)
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if err := h.WriteExposition(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.WriteHealthz(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
 }

@@ -83,7 +83,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 func TestGoldenExposition(t *testing.T) {
 	render := func() []byte {
 		var b bytes.Buffer
-		if err := goldenRun(t).Metrics().WriteExposition(&b); err != nil {
+		if err := goldenRun(t).WriteExposition(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes()

@@ -9,12 +9,12 @@ import (
 // Mount returns a mux-mounting function for obs.ServeDebug that exposes the
 // collector's traffic plane over HTTP:
 //
-//	/metrics        Prometheus text exposition of the registry
+//	/metrics        Prometheus text exposition (Collector.WriteExposition)
 //	/trafficmatrix  JSON Snapshot (matrix, link totals, quantiles, timeline)
 //
-// Both endpoints serve the latest published barrier-time state; they are safe
-// to hit while a run is live and return byte-identical bodies for identical
-// completed runs. telemetry does not import obs (callers compose the two):
+// Both endpoints render the collector's one barrier-time state, so they agree
+// with each other; they are safe to hit while a run is live and return
+// byte-identical bodies for identical completed runs. telemetry does not import obs (callers compose the two):
 //
 //	srv, addr, err := obs.ServeDebug(addr, telemetry.Mount(col))
 func Mount(c *Collector) func(*http.ServeMux) {
@@ -28,14 +28,15 @@ func Mount(c *Collector) func(*http.ServeMux) {
 //
 // Either argument may be nil — a nil collector serves an empty traffic plane
 // (the coordinator-only deployment), a nil health drops /healthz and the
-// extra /metrics families. The two registries render back-to-back in one
-// body because a ServeMux allows only one /metrics handler.
+// extra /metrics families. The collector's and the health's families render
+// back-to-back in one body because a ServeMux allows only one /metrics
+// handler.
 func MountCluster(c *Collector, h *ClusterHealth) func(*http.ServeMux) {
 	return func(mux *http.ServeMux) {
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			if c != nil {
-				_ = c.Metrics().WriteExposition(w)
+				_ = c.WriteExposition(w)
 			}
 			if h != nil {
 				_ = h.WriteExposition(w)

@@ -77,7 +77,7 @@ func (c *Collector) CheckPartial(p *Partial) error {
 // latest partials. Nothing is installed unless every partial passes
 // CheckPartial. The caller is the coordinator at a barrier — no engine
 // goroutines are running — and must follow up with Commit (or Finish) to
-// republish, exactly as the in-process observer would.
+// merge them, exactly as the in-process observer would.
 func (c *Collector) InstallPartials(ps []*Partial) error {
 	if c == nil {
 		return nil

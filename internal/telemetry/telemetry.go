@@ -25,6 +25,9 @@
 // What each node and link *received* — the PROFILE mapping's input — is the
 // NetFlow accounting's fact (internal/netflow), not kept a second time here.
 //
+// Snapshot (/trafficmatrix) and WriteExposition (/metrics) render this one
+// state under one lock; neither keeps a copy of its own.
+//
 // Design constraints, matching the obs contract:
 //
 //   - Zero cost when disabled: a nil *Collector adds no allocations and no
@@ -32,15 +35,16 @@
 //     guards on the nil pointer (AllocsPerRun-enforced in emu).
 //   - Single-writer hot state: engine e's two histograms are written only by
 //     engine e's goroutine, so the per-packet path takes no locks.
-//   - Deterministic snapshots derived from virtual time only. Folds and
-//     publication happen at window barriers on the coordinating goroutine
+//   - Deterministic snapshots derived from virtual time only. Commits,
+//     folds and merges happen at window barriers on the coordinating goroutine
 //     (engines quiesced), under the lock HTTP readers take, so live readers
 //     only ever see a consistent barrier-time view; two identical runs
-//     publish byte-identical final snapshots. The live view refreshes at
-//     different cadences: the window count, virtual time and engine charges
-//     every synchronization window, the matrix, link totals and drops at
-//     every fold, the histograms, timeline and Prometheus registry at
-//     measurement-window crossings and at Finish.
+//     publish byte-identical final snapshots and expositions. The live view,
+//     /metrics and /trafficmatrix alike, refreshes at different cadences:
+//     the window count, virtual time, engine charges and load imbalance
+//     every synchronization window; the matrix, link totals and drops at
+//     every fold; the histograms (and so the completed-flow count) and the
+//     timeline at measurement-window crossings and at Finish.
 package telemetry
 
 import (
@@ -65,7 +69,7 @@ type Dims struct {
 	Links int
 	// BucketWidth is the measurement-window granularity in virtual seconds
 	// (the paper's fine-grained 2 s interval by default) — the cadence of
-	// full publication and of timeline points.
+	// folds, histogram merges and timeline points.
 	BucketWidth float64
 }
 
@@ -95,13 +99,10 @@ type TrafficPoint struct {
 // per-engine histograms it observes itself, and the matrix, link totals and
 // drops it folds from the emulator's counters at barriers. Create one with
 // New, hand it to emu.Run via emu.WithTelemetry, and read it live or after
-// the run (Snapshot, Metrics). A nil *Collector is a valid "disabled"
-// collector for every method the emulator calls.
+// the run (Snapshot, WriteExposition). A nil *Collector is a valid
+// "disabled" collector for every method the emulator calls.
 type Collector struct {
 	mu   sync.RWMutex // guards the barrier state against HTTP readers
-	reg  *Registry
-	inst *instruments
-
 	dims Dims
 
 	runState
@@ -135,9 +136,10 @@ type runState struct {
 	linkTxPackets []int64
 	drops         int64
 	// queueDelayAll and fctAll merge the engines' histograms at the last
-	// measurement-window crossing.
+	// measurement-window crossing; merged is false until the first.
 	queueDelayAll *metrics.Histogram
 	fctAll        *metrics.Histogram
+	merged        bool
 }
 
 // newRunState is the empty state of a run with d's dimensions.
@@ -162,19 +164,11 @@ func newRunState(d Dims) runState {
 }
 
 // New returns an empty, unsized Collector. The emulator sizes it (Reset) at
-// run start; until then snapshots are empty. The registry exists from the
-// outset so HTTP endpoints can be mounted before the run begins.
+// run start; until then snapshots and the exposition are empty, so HTTP
+// endpoints can be mounted before the run begins.
 func New() *Collector {
-	c := &Collector{reg: NewRegistry(), runState: newRunState(Dims{})}
-	c.inst = newInstruments(c.reg)
-	return c
+	return &Collector{runState: newRunState(Dims{})}
 }
-
-// Metrics returns the collector's Prometheus-style registry. Values update at
-// measurement-window (BucketWidth) boundaries and at Finish — not every
-// synchronization window, at which Snapshot's window count, virtual time and
-// charges refresh.
-func (c *Collector) Metrics() *Registry { return c.reg }
 
 // Reset sizes the collector for a run and zeroes all state. The emulator
 // calls it once at run start; callers reusing one collector across runs (the
@@ -188,7 +182,6 @@ func (c *Collector) Reset(d Dims) {
 	c.dims = d
 	c.runState = newRunState(d)
 	c.sized = true
-	c.inst.reset(d)
 }
 
 // ---- Hot-path observation (engine goroutines, no locks, no allocations) ----
@@ -205,16 +198,15 @@ func (c *Collector) ObserveFlowComplete(engine int, fct float64) {
 	c.fct[engine].Observe(fct)
 }
 
-// ---- Barrier-time folds and publication (coordinating goroutine) ----
+// ---- Barrier-time folds and merges (coordinating goroutine) ----
 
 // Commit folds one executed synchronization window into the collector:
 // charges[lp] is the kernel-event load of engine lp during [start, end). The
 // window count, virtual time and charges refresh every window; when the
 // window crosses a measurement-window (BucketWidth) boundary the collector
-// also folds t's counters, closes timeline points and republishes the
-// histograms and the Prometheus registry — sync windows are microseconds of
-// virtual time apart, and BucketWidth is the paper's own observation
-// granularity. Called by the emulator's window observer with the engines
+// also folds t's counters, closes timeline points and merges the histograms
+// — sync windows are microseconds of virtual time apart, and BucketWidth is
+// the paper's own observation granularity. Called by the emulator's window observer with the engines
 // quiesced at the barrier.
 func (c *Collector) Commit(start, end float64, charges []int64, t Traffic) {
 	if c == nil || !c.sized {
@@ -234,12 +226,12 @@ func (c *Collector) Commit(start, end float64, charges []int64, t Traffic) {
 	if c.Crosses(end) {
 		c.fold(t)
 		c.recordTimeline(end)
-		c.publish()
+		c.merge()
 	}
 }
 
 // Crosses reports whether a window ending at end closes a measurement window,
-// the windows whose Commit folds and publishes; a nil collector's never do.
+// the windows whose Commit folds and merges; a nil collector's never do.
 // Call it where Commit is called.
 func (c *Collector) Crosses(end float64) bool {
 	return c != nil && c.sized && int(end/c.dims.BucketWidth) > c.lastBucket
@@ -318,19 +310,19 @@ func (c *Collector) crossTotal() (cross, total int64) {
 	return cross, total
 }
 
-// publish merges the engines' histograms and refreshes the registry. Caller
-// holds mu with engines quiesced.
-func (c *Collector) publish() {
+// merge merges the engines' histograms. Caller holds mu with engines
+// quiesced.
+func (c *Collector) merge() {
 	c.queueDelayAll.ResetHistogram()
 	c.fctAll.ResetHistogram()
 	for i := range c.queueDelay {
 		_ = c.queueDelayAll.Merge(c.queueDelay[i])
 		_ = c.fctAll.Merge(c.fct[i])
 	}
-	c.inst.publish(c)
+	c.merged = true
 }
 
-// Finish folds and publishes the final state of the run — the emulator calls
+// Finish folds and merges the final state of the run — the emulator calls
 // it once after the kernel completes, so Snapshot and the HTTP endpoints
 // serve the exact end-of-run picture (and so identical runs publish
 // byte-identical snapshots regardless of window/bucket alignment).
@@ -347,18 +339,10 @@ func (c *Collector) Finish(end float64, t Traffic) {
 	// Close any open measurement window, so every observed byte and charge
 	// appears in the timeline exactly once.
 	cross, total := c.crossTotal()
-	if sumFloats(c.bucketCharges) > 0 || cross != c.prevCross || total != c.prevTotal {
+	if metrics.Sum(c.bucketCharges) > 0 || cross != c.prevCross || total != c.prevTotal {
 		c.recordTimeline(float64(c.lastBucket+1) * c.dims.BucketWidth)
 	}
-	c.publish()
-}
-
-func sumFloats(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
+	c.merge()
 }
 
 // ---- Snapshots ----
@@ -405,7 +389,7 @@ type Snapshot struct {
 	Timeline []TrafficPoint `json:"timeline"`
 }
 
-// Snapshot returns the latest published view. Safe to call concurrently with
+// Snapshot returns a copy of the collector's state. Safe to call concurrently with
 // a live run; nil-safe (returns an empty snapshot).
 func (c *Collector) Snapshot() *Snapshot {
 	if c == nil {
@@ -438,14 +422,20 @@ func (c *Collector) Snapshot() *Snapshot {
 		s.LinkTxBytes[l] = c.linkTxBytes[2*l] + c.linkTxBytes[2*l+1]
 		s.LinkTxPackets[l] = c.linkTxPackets[2*l] + c.linkTxPackets[2*l+1]
 	}
-	loads := make([]float64, e)
-	for i, ch := range c.engineCharges {
-		loads[i] = float64(ch)
-	}
-	s.Imbalance = metrics.Imbalance(loads)
+	s.Imbalance = c.imbalance()
 	s.QueueDelayP50 = s.QueueDelay.Quantile(50)
 	s.QueueDelayP99 = s.QueueDelay.Quantile(99)
 	s.FCTP50 = s.FCT.Quantile(50)
 	s.FCTP99 = s.FCT.Quantile(99)
 	return s
+}
+
+// imbalance is the normalized standard deviation of the cumulative engine
+// charges, as Snapshot and WriteExposition report it. Caller holds mu.
+func (c *Collector) imbalance() float64 {
+	loads := make([]float64, len(c.engineCharges))
+	for i, ch := range c.engineCharges {
+		loads[i] = float64(ch)
+	}
+	return metrics.Imbalance(loads)
 }

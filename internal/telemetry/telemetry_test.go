@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -212,7 +214,7 @@ func TestRegistryExposition(t *testing.T) {
 	c.Finish(8, l)
 
 	var b strings.Builder
-	if err := c.Metrics().WriteExposition(&b); err != nil {
+	if err := c.WriteExposition(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -235,35 +237,11 @@ func TestRegistryExposition(t *testing.T) {
 
 	// Deterministic: a second render is byte-identical.
 	var b2 strings.Builder
-	if err := c.Metrics().WriteExposition(&b2); err != nil {
+	if err := c.WriteExposition(&b2); err != nil {
 		t.Fatal(err)
 	}
 	if out != b2.String() {
-		t.Error("two renders of the same registry differ")
-	}
-}
-
-func TestRegistryLabelEscaping(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("g", "h", Label{"k", `a"b\c` + "\n"}).Set(1)
-	var b strings.Builder
-	if err := r.WriteExposition(&b); err != nil {
-		t.Fatal(err)
-	}
-	want := `g{k="a\"b\\c\n"} 1`
-	if !strings.Contains(b.String(), want) {
-		t.Fatalf("escaped label missing %q in %q", want, b.String())
-	}
-}
-
-func TestRegistryReuseSameHandle(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("c", "h", Label{"x", "1"})
-	b := r.Counter("c", "h", Label{"x", "1"})
-	a.Add(2)
-	b.Add(3)
-	if got := a.sv.val; got != 5 {
-		t.Fatalf("re-registered handle diverged: %g", got)
+		t.Error("two renders of the same collector differ")
 	}
 }
 
@@ -275,7 +253,7 @@ func TestExpositionReportsNaNObservations(t *testing.T) {
 	c.Finish(8, newLine())
 
 	var b strings.Builder
-	if err := c.Metrics().WriteExposition(&b); err != nil {
+	if err := c.WriteExposition(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -299,7 +277,7 @@ func TestExpositionReportsNaNObservations(t *testing.T) {
 	clean.Commit(0, 2.5, []int64{8, 4}, newLine())
 	clean.Finish(8, newLine())
 	var cb strings.Builder
-	if err := clean.Metrics().WriteExposition(&cb); err != nil {
+	if err := clean.WriteExposition(&cb); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(cb.String(), "_nan_count") {
@@ -362,10 +340,10 @@ func TestPartialExportInstallEquivalence(t *testing.T) {
 	}
 
 	var wantExp, gotExp strings.Builder
-	if err := ref.Metrics().WriteExposition(&wantExp); err != nil {
+	if err := ref.WriteExposition(&wantExp); err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.Metrics().WriteExposition(&gotExp); err != nil {
+	if err := coord.WriteExposition(&gotExp); err != nil {
 		t.Fatal(err)
 	}
 	if wantExp.String() != gotExp.String() {
@@ -412,4 +390,83 @@ func TestInstallPartialsRejectsBadShapes(t *testing.T) {
 	if err := c.InstallPartials([]*Partial{nil}); err != nil {
 		t.Fatalf("nil partial must be skipped, got %v", err)
 	}
+}
+
+// TestExpositionAgreesWithSnapshot: /metrics and Snapshot render one state,
+// so after every step of a run — a crossing commit, a commit inside a
+// measurement window, an explicit fold and Finish — each scalar series in
+// the exposition equals its Snapshot field.
+func TestExpositionAgreesWithSnapshot(t *testing.T) {
+	c, l := sizedCollector(), newLine()
+	check := func(step string) {
+		t.Helper()
+		var b strings.Builder
+		if err := c.WriteExposition(&b); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]float64{}
+		for _, line := range strings.Split(b.String(), "\n") {
+			series, val, ok := strings.Cut(line, " ")
+			if !ok || strings.HasPrefix(line, "#") || strings.Contains(series, "_seconds_") {
+				continue
+			}
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatalf("%s: series %q: %v", step, series, err)
+			}
+			got[series] = v
+		}
+		s := c.Snapshot()
+		want := map[string]float64{
+			"massf_windows_total":            float64(s.Windows),
+			"massf_virtual_time_seconds":     s.VirtualTime,
+			"massf_cross_engine_bytes_total": float64(s.CrossEngineBytes),
+			"massf_forwarded_bytes_total":    float64(s.TotalBytes),
+			"massf_dropped_packets_total":    float64(s.DroppedPackets),
+			"massf_flows_completed_total":    float64(s.FlowsCompleted),
+			"massf_load_imbalance":           s.Imbalance,
+			"massf_link_tx_bytes_total":      float64(sumInts(s.LinkTxBytes)),
+			"massf_link_tx_packets_total":    float64(sumInts(s.LinkTxPackets)),
+		}
+		for e, ch := range s.EngineCharges {
+			want[fmt.Sprintf(`massf_engine_charges_total{engine="%d"}`, e)] = float64(ch)
+		}
+		for src, row := range s.MatrixBytes {
+			for dst, v := range row {
+				cell := fmt.Sprintf(`{dst="%d",src="%d"}`, dst, src)
+				want["massf_traffic_matrix_bytes_total"+cell] = float64(v)
+				want["massf_traffic_matrix_packets_total"+cell] = float64(s.MatrixPackets[src][dst])
+			}
+		}
+		for series, w := range want {
+			if g, ok := got[series]; !ok || g != w {
+				t.Errorf("%s: %s = %g (present %v), Snapshot says %g", step, series, g, ok, w)
+			}
+		}
+		if len(got) != len(want) {
+			t.Errorf("%s: the exposition has %d scalar series, Snapshot %d", step, len(got), len(want))
+		}
+	}
+	check("reset")
+	l.forward(0, 1000, 2)
+	l.drops[0]++
+	c.ObserveFlowComplete(1, 0.25)
+	c.Commit(0, 2.5, []int64{8, 4}, l)
+	check("crossing commit")
+	l.forward(3, 500, 1)
+	c.Commit(2.5, 3, []int64{1, 7}, l)
+	check("non-crossing commit")
+	c.Fold(l)
+	check("fold")
+	l.forward(0, 200, 1)
+	c.ObserveFlowComplete(0, 0.5)
+	c.Finish(5, l)
+	check("finish")
+}
+
+func sumInts(xs []int64) (s int64) {
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }
