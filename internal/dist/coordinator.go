@@ -573,6 +573,7 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 					return nil, err
 				}
 				s.grid.Regrid(L)
+				tl.Regrid(L)
 			}
 			nextCkpt = emu.NextCheckpoint(end, opt.CheckpointEvery)
 		}

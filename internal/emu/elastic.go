@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/des"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -134,7 +135,7 @@ func (e *emulation) applyResize(k *des.Kernel[payload], rs *resilience, idx int,
 		policy = func(MembershipChange) ([]int, error) { return r.Assignment, nil }
 	}
 	newAssign, err := e.repartition(policy,
-		MembershipChange{At: at, Engines: r.Engines, Loads: loadsOf(k.Stats().Charges)}, target)
+		MembershipChange{At: at, Engines: r.Engines, Loads: metrics.Floats(k.Stats().Charges)}, target)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/des"
+	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
 
@@ -318,7 +319,7 @@ func (m *DistMerge) Resize(at float64, exports []*ElasticExport, groups [][]int,
 	}
 	global := &e.NetState
 	assignment, err := e.repartition(policy,
-		MembershipChange{At: at, Engines: engines, Loads: loadsOf(m.stats.Charges)}, newActive)
+		MembershipChange{At: at, Engines: engines, Loads: metrics.Floats(m.stats.Charges)}, newActive)
 	if err != nil {
 		return nil, 0, err
 	}

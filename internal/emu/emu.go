@@ -529,11 +529,7 @@ func (e *emulation) buildResult(stats *des.Stats, recovery *Recovery) *Result {
 		appTime += e.membership.Stall
 	}
 
-	loads := loadsOf(stats.Charges)
-	var remoteTotal int64
-	for _, r := range stats.RemoteSends {
-		remoteTotal += r
-	}
+	loads := metrics.Floats(stats.Charges)
 
 	linkTotals := make([]int64, len(e.nw.Links))
 	var dropped int64
@@ -560,7 +556,7 @@ func (e *emulation) buildResult(stats *des.Stats, recovery *Recovery) *Result {
 		EngineBusy:      e.engineBusy,
 		EngineSeries:    e.series,
 		NetFlow:         e.collector,
-		RemoteEvents:    remoteTotal,
+		RemoteEvents:    metrics.Sum(stats.RemoteSends),
 		FlowFCTs:        e.FCTs,
 		LinkBytes:       linkTotals,
 		DroppedPackets:  dropped,

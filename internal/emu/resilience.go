@@ -91,12 +91,13 @@ func (e *emulation) recordEvent(ev obs.Event) {
 	}
 }
 
-// recordRun announces a window grid of the given width to the run's recorders:
-// the initial one before the first window, a resumed one right after every
-// kernel Restore. The kernel knows nothing of recorders; this is the one
-// RunMeta emitter, in-process and distributed.
+// recordRun announces a window grid of the given width to the run's recorders
+// and its timeline: the initial one before the first window, a resumed one
+// right after every kernel Restore. The kernel knows nothing of recorders;
+// this is the one RunMeta emitter, in-process and distributed.
 func (e *emulation) recordRun(lookahead float64, resumed bool) {
 	e.runStats.NoteSegment()
+	e.trace.Regrid(lookahead)
 	if e.rec != nil {
 		e.rec.RecordRun(obs.RunMeta{LPs: e.cfg.NumEngines, Lookahead: lookahead, Resumed: resumed})
 	}
@@ -114,16 +115,6 @@ func (e *emulation) regrid(k *des.Kernel[payload]) error {
 	}
 	e.recordRun(lookahead, true)
 	return nil
-}
-
-// loadsOf is the per-engine load picture a remapping policy balances against:
-// the cumulative kernel-event charges, as floats.
-func loadsOf(charges []int64) []float64 {
-	loads := make([]float64, len(charges))
-	for i, c := range charges {
-		loads[i] = float64(c)
-	}
-	return loads
 }
 
 // ownerOf returns the engine owning a pending event under the current
@@ -277,7 +268,7 @@ func (e *emulation) recoverCrash(k *des.Kernel[payload], r *resilience, crash fa
 	// The statistics at the detection barrier, window just completed included.
 	stats := k.Stats().Clone()
 	if rec.Failures == 0 {
-		rec.PreFailureImbalance = metrics.ImbalanceSubset(loadsOf(stats.Charges), alive)
+		rec.PreFailureImbalance = metrics.ImbalanceSubset(metrics.Floats(stats.Charges), alive)
 	}
 	alive[crash.Engine] = false
 	rec.Failures++
@@ -301,7 +292,7 @@ func (e *emulation) recoverCrash(k *des.Kernel[payload], r *resilience, crash fa
 	newAssign, err := e.repartition(e.cfg.OnMembership, MembershipChange{
 		At:      we,
 		Engines: survivors,
-		Loads:   loadsOf(r.markStats.Charges),
+		Loads:   metrics.Floats(r.markStats.Charges),
 		Dead:    crash.Engine,
 	}, alive)
 	if err != nil {

@@ -82,13 +82,23 @@ func MaxOverMean(loads []float64) float64 {
 	return mx / m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
+// Sum returns the sum of xs, in order.
+func Sum[T int64 | float64](xs []T) T {
+	var s T
 	for _, x := range xs {
 		s += x
 	}
 	return s
+}
+
+// Floats returns integer counters as float64s: the load picture Imbalance
+// and a remapping policy read from kernel-event charges.
+func Floats(xs []int64) []float64 {
+	fs := make([]float64, len(xs))
+	for i, x := range xs {
+		fs[i] = float64(x)
+	}
+	return fs
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear

@@ -101,7 +101,7 @@ func TestSum(t *testing.T) {
 	if got := Sum(xs); got != 11 {
 		t.Errorf("Sum = %v, want 11", got)
 	}
-	if Sum(nil) != 0 {
+	if Sum[float64](nil) != 0 {
 		t.Error("empty-slice Sum should be 0")
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func sampleWindow(i int64) Window {
@@ -92,10 +94,10 @@ func TestRunStatsAccumulation(t *testing.T) {
 	if s.Segments != 2 {
 		t.Errorf("Segments = %d, want 2", s.Segments)
 	}
-	if got := sum(s.Events); got != 12 {
+	if got := metrics.Sum(s.Events); got != 12 {
 		t.Errorf("events sum to %d, want 12", got)
 	}
-	if got := sum(s.Charges); got != 120 {
+	if got := metrics.Sum(s.Charges); got != 120 {
 		t.Errorf("charges sum to %d, want 120", got)
 	}
 	if s.MaxQueue[0] != 6 || s.MaxQueue[1] != 7 {
@@ -107,7 +109,7 @@ func TestRunStatsAccumulation(t *testing.T) {
 	if s.ReplayedWindows != 3 {
 		t.Errorf("ReplayedWindows = %d, want 3", s.ReplayedWindows)
 	}
-	if got := sum(s.MigratedNodes); got != 5 {
+	if got := metrics.Sum(s.MigratedNodes); got != 5 {
 		t.Errorf("migrations sum to %d, want 5", got)
 	}
 	if s.Resizes != 1 || s.PeakEngines != 2 || s.Joins[1] != 1 || s.Drains[0] != 1 || s.Kills[1] != 1 {

@@ -2,10 +2,13 @@ package obs
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -206,32 +209,39 @@ func (c *chunked[T]) at(i int64) *T {
 // cannot predict from the winCodec state it evolves in step with the writer;
 // floats are little-endian bits:
 //
-//	uvarint(active<<3 | workersAreEngines<<2 | endIsStartPlusWidth<<1 | startIsPrevEnd)
-//	start  8 B, omitted when bit-equal to the previous window's end
-//	end    8 B, omitted when bit-equal to start + width; a stored end sets width = end - start
-//	per active engine, engine-ascending:
-//	  uvarint(engine)
-//	  uvarint(worker), omitted when workersAreEngines
-//	  busy: a slot byte s < 255 naming busy[s], or 255 and 8 B that replace busy[slot(bits)]
+//	uvarint(set<<2 | form): set has bit e for each active engine e
+//	  form 0: start is the previous end; 1: start is gridStart(idx + varint delta);
+//	  2: start and end follow, 8 B each; 3: a flag byte follows, a form 0–2 plus
+//	  regrid (4): 8 B of a new width, and idx restarts at 0, before the bounds;
+//	  listed (8): set is the record count and each record opens with
+//	  uvarint(engine), uvarint(worker), where it is otherwise worker = engine
+//	end = start + width, unless form 2
+//	per active engine, engine-ascending: a busy slot byte s < 255 naming
+//	busy[s], or 255 and 8 B that replace busy[slot(v)]
 //
-// Decoding is stateful, so a log is read only from window 0 on, each reader
-// with a fresh zero codec; Reset zeroes the writer's with the rest of the store.
-// Records fill fixed 16 KiB chunks (32 KiB misses the largest size class by its
-// malloc header) and may straddle two; one whose worst case fits is encoded in place.
+// The writer checks every prediction bit for bit before it relies on it, so a
+// window off the announced grid, an engine past maskBits or a worker other
+// than the engine costs bytes, never exactness. Decoding is stateful, so a log
+// is read only from window 0 on, each reader with a fresh zero codec; Reset
+// zeroes the writer's with the rest of the store. Records fill fixed 16 KiB
+// chunks (32 KiB misses the largest size class by its malloc header) and may
+// straddle two; one whose worst case fits is encoded in place.
 type winLog struct {
 	chunks []*[logChunk]byte
-	n      int64 // bytes written
-	wins   int64 // windows written
-	comp   int64 // compute records written
+	n      int64   // bytes written
+	wins   int64   // windows written
+	comp   int64   // compute records written
+	grid   float64 // the width Regrid announced, adopted at the first window on it
 	codec  winCodec
 }
 
 // winCodec is the state a log's writer and each of its readers evolve, zero at
-// window 0: the previous window's end, the last stored width, and a
-// direct-mapped table of recent busy bits. Snapshots copy it by value, so a
-// reader never aliases the writer's table.
+// window 0: the previous window's end, the grid width, the grid index after
+// the previous window's, and a direct-mapped table of recent busy bits.
+// Snapshots copy it by value, so a reader never aliases the writer's table.
 type winCodec struct {
 	end, width float64
+	idx        int64
 	busy       [busySlots]uint64
 }
 
@@ -239,13 +249,28 @@ const (
 	logShift   = 14
 	logChunk   = 1 << logShift
 	busySlots  = 255                             // a slot byte; busySlots itself escapes raw bits
-	maxWinHead = binary.MaxVarintLen64 + 16      // a record's worst case: head...
+	maskBits   = 62                              // engines a head's set holds
+	maxWinHead = binary.MaxVarintLen64 + 25      // a record's worst case: head, flags, width, bounds...
 	maxCompRec = 2*binary.MaxVarintLen64 + 1 + 8 // ...and per active engine
+
+	formNext, formJump, formRaw, formEscape = 0, 1, 2, 3
+	escRegrid, escListed                    = 4, 8
 )
 
 // slot hashes busy bits to their table entry: the top byte of a Fibonacci
 // multiplicative hash, integer arithmetic only.
-func slot(bits uint64) uint64 { return (bits * 0x9e3779b97f4a7c15 >> 56) % busySlots }
+func slot(v uint64) uint64 { return (v * 0x9e3779b97f4a7c15 >> 56) % busySlots }
+
+// gridStart is the start of window m on a grid of the given width. The
+// conversion rounds the product, so no caller's add fuses with it into an FMA.
+func gridStart(m int64, width float64) float64 { return float64(float64(m) * width) }
+
+// gridIndex returns the m whose window on the grid is [start, end) bit for bit.
+func gridIndex(start, end, width float64) (int64, bool) {
+	m := math.Round(start / width)
+	s := gridStart(int64(m), width)
+	return int64(m), math.Abs(m) < 1<<53 && math.Float64bits(s) == math.Float64bits(start) && math.Float64bits(s+width) == math.Float64bits(end)
+}
 
 // tail returns the unwritten rest of the last chunk, opening a chunk when every
 // one is full; call it only to write.
@@ -259,9 +284,9 @@ func (l *winLog) tail() []byte {
 // push appends one window's record and returns spill for reuse.
 func (l *winLog) push(start, end float64, recs []compRec, spill []byte) []byte {
 	if t := l.tail(); len(t) >= maxWinHead+maxCompRec*len(recs) {
-		l.n += int64(len(l.codec.appendWindow(t[:0], start, end, recs)))
+		l.n += int64(len(l.codec.appendWindow(t[:0], l.grid, start, end, recs)))
 	} else {
-		spill = l.codec.appendWindow(spill[:0], start, end, recs)
+		spill = l.codec.appendWindow(spill[:0], l.grid, start, end, recs)
 		for b := spill; len(b) > 0; {
 			k := copy(l.tail(), b)
 			b, l.n = b[k:], l.n+int64(k)
@@ -271,41 +296,53 @@ func (l *winLog) push(start, end float64, recs []compRec, spill []byte) []byte {
 	return spill
 }
 
-// appendWindow encodes one window's record onto b and advances the codec past it.
-func (c *winCodec) appendWindow(b []byte, start, end float64, recs []compRec) []byte {
-	head := uint64(len(recs))<<3 | 4
+// appendWindow encodes one window's record onto b and advances the codec past
+// it, adopting grid as its width if the window lies on grid and not on width.
+func (c *winCodec) appendWindow(b []byte, grid, start, end float64, recs []compRec) []byte {
+	var set, flags uint64
 	for _, r := range recs {
-		if r.worker != r.engine {
-			head &^= 4
-			break
+		if e := uint64(r.engine); e >= maskBits || set>>(e&63) != 0 || r.worker != r.engine {
+			flags = escListed
 		}
+		set |= 1 << (uint64(r.engine) & 63)
 	}
-	if math.Float64bits(start) == math.Float64bits(c.end) {
-		head |= 1
+	if flags != 0 {
+		set = uint64(len(recs))
 	}
-	if math.Float64bits(end) == math.Float64bits(start+c.width) {
-		head |= 2
+	form, m := uint64(formRaw), int64(0)
+	if math.Float64bits(start) == math.Float64bits(c.end) && math.Float64bits(end) == math.Float64bits(start+c.width) {
+		form = formNext
+	} else if i, ok := gridIndex(start, end, c.width); ok {
+		form, m = formJump, i
+	} else if i, ok := gridIndex(start, end, grid); ok {
+		form, m, flags, c.width, c.idx = formJump, i, flags|escRegrid, grid, 0
 	}
-	b = binary.AppendUvarint(b, head)
-	if head&1 == 0 {
+	if flags != 0 {
+		b = append(binary.AppendUvarint(b, set<<2|formEscape), byte(flags|form))
+	} else {
+		b = binary.AppendUvarint(b, set<<2|form)
+	}
+	if flags&escRegrid != 0 {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.width))
+	}
+	switch form {
+	case formJump:
+		b, c.idx = binary.AppendVarint(b, m-c.idx), m
+	case formRaw:
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(start))
-	}
-	if head&2 == 0 {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(end))
-		c.width = end - start
 	}
-	c.end = end
+	c.end, c.idx = end, c.idx+1
 	for _, r := range recs {
-		b = binary.AppendUvarint(b, uint64(r.engine))
-		if head&4 == 0 {
-			b = binary.AppendUvarint(b, uint64(r.worker))
+		if flags&escListed != 0 {
+			b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(r.engine)), uint64(r.worker))
 		}
-		bits := math.Float64bits(r.busy)
-		if s := slot(bits); c.busy[s] == bits {
+		v := math.Float64bits(r.busy)
+		if s := slot(v); c.busy[s] == v {
 			b = append(b, byte(s))
 		} else {
-			c.busy[s] = bits
-			b = binary.LittleEndian.AppendUint64(append(b, busySlots), bits)
+			c.busy[s] = v
+			b = binary.LittleEndian.AppendUint64(append(b, busySlots), v)
 		}
 	}
 	return b
@@ -322,30 +359,43 @@ type winReader struct {
 // recs[:0].
 func (r *winReader) next(recs []compRec) (start, end float64, _ []compRec) {
 	head, _ := binary.ReadUvarint(r)
-	start = r.end
-	if head&1 == 0 {
-		start = math.Float64frombits(r.bits())
+	form, flags := head&3, uint64(0)
+	if form == formEscape {
+		f, _ := r.ReadByte()
+		form, flags = uint64(f&3), uint64(f)
 	}
-	end = start + r.width
-	if head&2 == 0 {
-		end = math.Float64frombits(r.bits())
-		r.width = end - start
+	if flags&escRegrid != 0 {
+		r.width, r.idx = math.Float64frombits(r.word()), 0
 	}
-	r.end, recs = end, recs[:0]
-	for i := head >> 3; i > 0; i-- {
-		engine, _ := binary.ReadUvarint(r)
+	start, end = r.end, r.end+r.width
+	switch form {
+	case formJump:
+		d, _ := binary.ReadVarint(r)
+		r.idx += d
+		start = gridStart(r.idx, r.width)
+		end = start + r.width
+	case formRaw:
+		start, end = math.Float64frombits(r.word()), math.Float64frombits(r.word())
+	}
+	r.end, r.idx, recs = end, r.idx+1, recs[:0]
+	for set := head >> 2; set != 0; {
+		engine := uint64(bits.TrailingZeros64(set))
 		worker := engine
-		if head&4 == 0 {
+		if flags&escListed != 0 {
+			engine, _ = binary.ReadUvarint(r)
 			worker, _ = binary.ReadUvarint(r)
-		}
-		var bits uint64
-		if s, _ := r.ReadByte(); s < busySlots {
-			bits = r.busy[s]
+			set--
 		} else {
-			bits = r.bits()
-			r.busy[slot(bits)] = bits
+			set &= set - 1
 		}
-		recs = append(recs, compRec{busy: math.Float64frombits(bits), engine: int32(engine), worker: int32(worker)})
+		var v uint64
+		if s, _ := r.ReadByte(); s < busySlots {
+			v = r.busy[s]
+		} else {
+			v = r.word()
+			r.busy[slot(v)] = v
+		}
+		recs = append(recs, compRec{busy: math.Float64frombits(v), engine: int32(engine), worker: int32(worker)})
 	}
 	return start, end, recs
 }
@@ -356,13 +406,13 @@ func (r *winReader) ReadByte() (byte, error) {
 	return b, nil
 }
 
-func (r *winReader) bits() uint64 {
-	var bits uint64
+func (r *winReader) word() uint64 {
+	var v uint64
 	for s := 0; s < 64; s += 8 {
 		b, _ := r.ReadByte()
-		bits |= uint64(b) << s
+		v |= uint64(b) << s
 	}
-	return bits
+	return v
 }
 
 // attribution derives one window's straggler attribution from its compute
@@ -386,7 +436,7 @@ type attribution struct {
 // lower worker. a.touched and a.busy describe the window until the next call.
 func (a *attribution) window(recs []compRec) (worker int, busy, lag float64) {
 	a.gen++
-	touched := a.touched[:0]
+	touched, sorted := a.touched[:0], true
 	for i := range recs {
 		rec := &recs[i]
 		w := int(rec.worker)
@@ -397,6 +447,7 @@ func (a *attribution) window(recs []compRec) (worker int, busy, lag float64) {
 		if a.mark[w] != a.gen {
 			a.mark[w] = a.gen
 			a.busy[w] = rec.busy
+			sorted = sorted && (len(touched) == 0 || w > touched[len(touched)-1])
 			touched = append(touched, w)
 		} else if rec.busy > a.busy[w] {
 			a.busy[w] = rec.busy
@@ -406,8 +457,8 @@ func (a *attribution) window(recs []compRec) (worker int, busy, lag float64) {
 	if len(touched) == 0 {
 		return -1, 0, 0
 	}
-	if len(touched) > 1 {
-		sort.Ints(touched) // near-sorted already: records are engine-ascending
+	if !sorted {
+		sort.Ints(touched) // records are engine-ascending, so only an Assign disorders them
 	}
 	worker = -1
 	critBusy, runnerUp := 0.0, 0.0
@@ -436,10 +487,10 @@ func NewTimeline() *Timeline {
 	}
 }
 
-// Reset discards all spans, attribution and assignments — the recovery
-// fallback replays a partial distributed run from time zero in-process, and
-// the replay's timeline must not double-count the windows committed before
-// the loss.
+// Reset discards all spans, attribution, assignments and the announced grid —
+// the recovery fallback replays a partial distributed run from time zero
+// in-process, which announces its own grid, and the replay's timeline must not
+// double-count the windows committed before the loss.
 func (t *Timeline) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -448,6 +499,18 @@ func (t *Timeline) Reset() {
 	clear(t.pendWall)
 	clear(t.totals)
 	t.critTotal = 0
+}
+
+// Regrid announces the window grid the next commits are cut on: windows
+// lookahead wide, a start after idle time at Floor(t/lookahead)·lookahead.
+// The log then stores such windows as grid indices, and any other window as it
+// is. A nil timeline ignores it, as a run without tracing does.
+func (t *Timeline) Regrid(lookahead float64) {
+	if t != nil {
+		t.mu.Lock()
+		t.log.grid = lookahead
+		t.mu.Unlock()
+	}
 }
 
 // Assign maps engines onto a worker slot for attribution and track layout.
@@ -461,7 +524,7 @@ func (t *Timeline) Assign(engines []int, worker int) {
 }
 
 func (t *Timeline) workerOf(engine int) int {
-	if len(t.assign) == 0 { // in-process shape: skip the hash on the hot path
+	if len(t.assign) == 0 { // in-process shape: skip the map call on the hot path
 		return engine
 	}
 	if w, ok := t.assign[engine]; ok {
@@ -558,11 +621,14 @@ func (s *store) each(yield func(*Span) bool) {
 		x, wl   int64 // next extra, next wall record
 		barrier = Span{Kind: SpanBarrier, Engine: -1}
 	)
-	for w := int64(0); w < s.log.wins; w++ {
+	for w := int64(0); ; w++ {
 		for ; x < s.extras.n && s.extras.at(x).at == w; x++ {
 			if !yield(&s.extras.at(x).span) {
 				return
 			}
+		}
+		if w == s.log.wins {
+			return // the extras that arrived after the last window are out
 		}
 		sp := Span{Kind: SpanCompute, Window: w}
 		sp.Start, sp.End, recs = rd.next(recs)
@@ -587,11 +653,6 @@ func (s *store) each(yield func(*Span) bool) {
 			if !yield(&barrier) {
 				return
 			}
-		}
-	}
-	for ; x < s.extras.n; x++ {
-		if !yield(&s.extras.at(x).span) {
-			return
 		}
 	}
 }
@@ -705,45 +766,28 @@ func (t *Timeline) WriteTraceEvents(w io.Writer) error {
 	seen := map[track]bool{}
 	var tracks []track
 	s.each(func(sp *Span) bool {
-		tr := track{sp.Worker, sp.Engine}
-		if !seen[tr] {
+		if tr := (track{sp.Worker, sp.Engine}); !seen[tr] {
 			seen[tr] = true
 			tracks = append(tracks, tr)
 		}
 		return true
 	})
-	sort.Slice(tracks, func(i, j int) bool {
-		if tracks[i].worker != tracks[j].worker {
-			return tracks[i].worker < tracks[j].worker
-		}
-		return tracks[i].engine < tracks[j].engine
+	slices.SortFunc(tracks, func(a, b track) int {
+		return cmp.Or(cmp.Compare(a.worker, b.worker), cmp.Compare(a.engine, b.engine))
 	})
 	var line []byte
 	lastWorker := -1
 	for _, tr := range tracks {
 		if tr.worker != lastWorker {
 			lastWorker = tr.worker
-			line = line[:0]
-			line = append(line, `{"ph":"M","name":"process_name","pid":`...)
-			line = strconv.AppendInt(line, int64(tr.worker), 10)
-			line = append(line, `,"args":{"name":"worker `...)
-			line = strconv.AppendInt(line, int64(tr.worker), 10)
-			line = append(line, `"}}`...)
+			line = fmt.Appendf(line[:0], `{"ph":"M","name":"process_name","pid":%d,"args":{"name":"worker %d"}}`, tr.worker, tr.worker)
 			emit(line)
 		}
-		line = line[:0]
-		line = append(line, `{"ph":"M","name":"thread_name","pid":`...)
-		line = strconv.AppendInt(line, int64(tr.worker), 10)
-		line = append(line, `,"tid":`...)
-		line = strconv.AppendInt(line, int64(tr.engine+1), 10)
-		line = append(line, `,"args":{"name":"`...)
-		if tr.engine < 0 {
-			line = append(line, `worker`...)
-		} else {
-			line = append(line, `engine `...)
-			line = strconv.AppendInt(line, int64(tr.engine), 10)
+		name := "worker"
+		if tr.engine >= 0 {
+			name = "engine " + strconv.Itoa(tr.engine)
 		}
-		line = append(line, `"}}`...)
+		line = fmt.Appendf(line[:0], `{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":"%s"}}`, tr.worker, tr.engine+1, name)
 		emit(line)
 	}
 
@@ -762,23 +806,16 @@ func (t *Timeline) WriteTraceEvents(w io.Writer) error {
 		line = append(line, `,"tid":`...)
 		line = strconv.AppendInt(line, int64(sp.Engine+1), 10)
 		line = append(line, `,"ts":`...)
-		line = appendTraceFloat(line, ts)
+		line = appendFloat(line, ts)
 		line = append(line, `,"dur":`...)
-		line = appendTraceFloat(line, dur)
+		line = appendFloat(line, dur)
 		line = append(line, `,"args":{"window":`...)
 		line = strconv.AppendInt(line, sp.Window, 10)
 		line = append(line, `,"wall_ms":`...)
-		line = appendTraceFloat(line, sp.Wall*1e3)
+		line = appendFloat(line, sp.Wall*1e3)
 		line = append(line, `}}`...)
 		return emit(line)
 	})
 	bw.WriteString(`]}`)
 	return bw.Flush()
-}
-
-// appendTraceFloat formats trace_event numbers: shortest round-trip form,
-// never exponent notation with a bare leading dot (JSON-safe as 'g' output
-// from AppendFloat already is).
-func appendTraceFloat(b []byte, f float64) []byte {
-	return strconv.AppendFloat(b, f, 'g', -1, 64)
 }

@@ -335,17 +335,25 @@ func (s *script) addWall() {
 // commit commits one window: idle, one engine, or up to every engine active,
 // at busy values that are tied, drawn from the script's small pool, or fresh.
 // Most windows start where the last one ended and last the current width,
-// which changes now and then; some start after a gap, as when the kernel skips
-// idle time, and some end off the width.
+// which changes now and then — mostly announced by Regrid, as a kernel run
+// announces its grids, sometimes not. Some start after a gap, most of those
+// at the grid's Floor(t/width)·width, as when the kernel skips idle time; and
+// some end off the width.
 func (s *script) commit() {
 	if s.pool == nil {
 		s.pool = []float64{s.rng.Float64(), s.rng.Float64(), s.rng.Float64(), 0.25, 1e-4}
 	}
-	if s.rng.Intn(8) == 0 {
-		s.now += s.rng.Float64()
-	}
 	if s.width == 0 || s.rng.Intn(64) == 0 {
 		s.width = 0.001 + s.rng.Float64()
+		if s.rng.Intn(4) != 0 {
+			s.got.Regrid(s.width)
+		}
+	}
+	if s.rng.Intn(8) == 0 {
+		s.now += s.rng.Float64()
+		if s.rng.Intn(4) != 0 {
+			s.now = math.Floor(s.now/s.width) * s.width
+		}
 	}
 	start, end := s.now, s.now+s.width
 	if s.rng.Intn(16) == 0 {
@@ -389,6 +397,9 @@ func (s *script) step() {
 	switch n := s.rng.Intn(20); {
 	case n == 0 && !s.noReset:
 		s.both(func(tl timelineAPI) { tl.Reset() })
+		if s.rng.Intn(2) == 0 {
+			s.got.Regrid(s.width) // a run after a Reset announces its grid again
+		}
 	case n == 1:
 		s.assign()
 	case n < 5:
@@ -448,11 +459,12 @@ func sameBytes(t *testing.T, what string, got, want []byte) {
 // long ones without resets, compared in full every 97th or 997th step — two of
 // thousands of few-engine windows, so every chunked sequence crosses chunk
 // boundaries, two of 300-engine windows, whose records often straddle them.
-// Each long script must have written a record across a log chunk boundary, a
-// window that does not start where the previous one ended, and one of each
-// case of the codec: a predicted end and a stored width change, a busy table
-// hit, miss and eviction, and active windows with and without the
-// workers-are-engines flag.
+// Each long script must have written a record across a log chunk boundary and
+// one of each case of the codec: a window that starts where the previous one
+// ended, one at a grid index after a gap, one that announces a new width, one
+// stored raw; a busy table hit, miss and eviction; and active windows with
+// their engines in the head's mask and listed. The 300-engine scripts, and
+// only they, must have listed engines past the mask.
 func TestTimelineMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 600; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -479,32 +491,43 @@ func TestTimelineMatchesReference(t *testing.T) {
 		}
 		s.check()
 		st := &s.got.store
-		var seen struct{ straddled, gapped, predicted, widths, hits, misses, evictions, own, assigned int }
+		var seen struct{ straddled, next, jumps, regrids, raw, hits, misses, evictions, masked, listed int }
 		var (
 			rd    = &winReader{chunks: st.log.chunks}
 			table [busySlots]uint64 // the busy table, replayed from the decoded values
 			recs  []compRec
+			past  int // windows with an engine past the mask
 		)
 		for w := int64(0); w < st.log.wins; w++ {
-			from, prevEnd, prevWidth := rd.off, rd.end, rd.width
-			head, _ := binary.ReadUvarint(&winReader{chunks: st.log.chunks, off: from})
-			var start float64
-			start, _, recs = rd.next(recs)
+			from := rd.off
+			hd := &winReader{chunks: st.log.chunks, off: from}
+			head, _ := binary.ReadUvarint(hd)
+			form, flags := head&3, uint64(0)
+			if form == formEscape {
+				f, _ := hd.ReadByte()
+				form, flags = uint64(f&3), uint64(f)
+			}
+			_, _, recs = rd.next(recs)
 			if from>>logShift != (rd.off-1)>>logShift {
 				seen.straddled++
 			}
-			if math.Float64bits(start) != math.Float64bits(prevEnd) {
-				seen.gapped++
+			switch {
+			case flags&escRegrid != 0:
+				seen.regrids++
+			case form == formNext:
+				seen.next++
+			case form == formJump:
+				seen.jumps++
+			default:
+				seen.raw++
 			}
-			if head&2 != 0 {
-				seen.predicted++
-			} else if prevWidth != 0 && math.Float64bits(rd.width) != math.Float64bits(prevWidth) {
-				seen.widths++
-			}
-			if len(recs) > 0 && head&4 != 0 {
-				seen.own++
+			if len(recs) > 0 && flags&escListed == 0 {
+				seen.masked++
 			} else if len(recs) > 0 {
-				seen.assigned++
+				seen.listed++
+			}
+			if len(recs) > 0 && recs[len(recs)-1].engine >= maskBits {
+				past++
 			}
 			for _, r := range recs {
 				bits := math.Float64bits(r.busy)
@@ -530,6 +553,9 @@ func TestTimelineMatchesReference(t *testing.T) {
 				t.Fatalf("long script %d wrote %d B in %d chunks and saw %+v: want some of each", seed, st.log.n, len(st.log.chunks), seen)
 			}
 		}
+		if (past > 0) != (long.engines > maskBits) {
+			t.Fatalf("long script %d of %d engines listed engines past the mask in %d windows", seed, long.engines, past)
+		}
 		if long.engines < 10 && (st.walls.n <= chunkLen || st.extras.n <= chunkLen) {
 			t.Fatalf("long script %d stored %d walls, %d extras: each must outgrow one %d-record chunk",
 				seed, st.walls.n, st.extras.n, chunkLen)
@@ -538,51 +564,69 @@ func TestTimelineMatchesReference(t *testing.T) {
 }
 
 // TestTimelineBytesPerWindow is the storage cost gate: a fresh timeline fed
-// 100 000 windows of 1–4 engines may write a budget per compute record and per
-// window to its log, and allocate that budget in whole log chunks plus one
-// chunk of slack for the chunk pointer slice and the writer's scratch.
-// Contiguous windows of one width whose busy values repeat get 3 B per record
-// and 1 B per window. Hostile ones — each after a gap, at a new width, with
-// busy values never seen before — get 10 B and 17 B, the size of the format
-// before the log predicted anything. No WindowStat is kept — the commit
-// returns it once, and 32 B per window alone would break the budget — and a
-// commit that opens no chunk allocates nothing.
+// 100 000 windows of 1–4 engines (1–5 on the grid row) may write a budget per
+// compute record, per window and per jump to its log, plus 64 B for a run's
+// first announced width and first busy misses, and allocate that budget in
+// whole log chunks plus one chunk of slack for the chunk pointer slice and the
+// writer's scratch. Contiguous windows on an announced grid whose busy values
+// repeat get 1 B per record and 1 B per window. Grid-shaped ones — a jump of
+// 1–17 windows to Floor(t/L)·L after every third, a Regrid to a new L
+// half-way — get 1 B more per jump. Hostile ones — each after a gap, at a new
+// width, with busy values never seen before — get 9 B and 17 B, what the
+// format stores raw. No WindowStat is kept — the commit returns it once, and
+// 32 B per window alone would break the budget — and a commit that opens no
+// chunk allocates nothing.
 func TestTimelineBytesPerWindow(t *testing.T) {
 	const windows = 100_000
-	spans := make([]Span, 4)
+	spans := make([]Span, 5)
 	for e := range spans {
 		spans[e] = Span{Kind: SpanCompute, Engine: e, Busy: float64(e + 1)}
 	}
 	full := windowOf(0, 1, spans)
 	for _, row := range []struct {
-		name           string
-		perRec, perWin int
-		hostile        bool
-	}{{"repeating", 3, 1, false}, {"hostile", 10, 17, true}} {
+		name                    string
+		perRec, perWin, perJump int
+	}{{"repeating", 1, 1, 0}, {"grid", 1, 1, 1}, {"hostile", 9, 17, 0}} {
 		cost := append([]float64(nil), full.Cost...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		tl := NewTimeline()
-		var records int
+		var records, jumps int
+		end, width := 0.0, 1.0
+		if row.name != "hostile" {
+			tl.Regrid(width)
+		}
 		for w := 0; w < windows; w++ {
 			n := 1 + w%4
-			start, end := float64(w), float64(w+1)
-			if row.hostile {
-				start, end = float64(2*w), float64(2*w+1)+float64(w)/windows
+			start := end
+			switch row.name {
+			case "grid":
+				n = 1 + w%5
+				if w == windows/2 {
+					width = 0.37
+					tl.Regrid(width)
+				}
+				if w%3 == 2 {
+					start = math.Floor((end+float64(1+w%17)*width+width/2)/width) * width
+					jumps++
+				}
+			case "hostile":
+				start, width = float64(2*w), 1+float64(w)/windows
 				for e := range n {
 					cost[e] = float64(records + e)
 				}
 			}
+			end = start + width
 			records += n
 			tl.CommitWindow(Window{Start: start, End: end, Charges: full.Charges[:n], Remote: full.Remote[:n], Cost: cost[:n]})
 		}
 		runtime.ReadMemStats(&after)
 		grew := after.TotalAlloc - before.TotalAlloc
-		logBudget := int64(row.perRec*records + row.perWin*windows)
+		logBudget := int64(row.perRec*records + row.perWin*windows + row.perJump*jumps + 64)
 		budget := uint64((logBudget+logChunk-1)/logChunk*logChunk + logChunk)
 		if tl.log.n > logBudget || grew > budget {
-			t.Errorf("%s: %d windows, %d records wrote a %d B log and allocated %d B, budgets %d B and %d B",
-				row.name, windows, records, tl.log.n, grew, logBudget, budget)
+			t.Errorf("%s: %d windows, %d records, %d jumps wrote a %d B log and allocated %d B, budgets %d B and %d B",
+				row.name, windows, records, jumps, tl.log.n, grew, logBudget, budget)
 		}
 		if got := tl.Windows(); got != windows {
 			t.Fatalf("%s: committed %d windows, want %d", row.name, got, windows)
@@ -598,31 +642,58 @@ func TestTimelineBytesPerWindow(t *testing.T) {
 
 // FuzzWindowLog round-trips arbitrary window sequences through the log's
 // writer and a fresh reader, which must return every bound, engine, worker and
-// busy value bit for bit. The input is read as windows: a control byte says
-// whether the start is the previous end, whether the end is the start plus the
-// last drawn width, and how many engines (0–7) are active; per engine, a byte
-// spaces it from the last (by up to 63·2²¹), a byte picks its worker (itself,
-// or a small signed number), and a byte picks its busy value from awkward bit
-// patterns or raw. Raw floats are 8 little-endian bytes, so any bit pattern —
-// NaN payloads, −0, subnormals — can be a bound or a busy value.
+// busy value bit for bit. The input is read as windows. A control byte's low
+// two bits place the window: 0 where the last one ended, one width L long; 1
+// on the grid of width L at a signed byte's distance from the index after the
+// last grid window; 2 at two raw bounds; 3 on a new grid, whose raw L is
+// announced, at a signed byte's index. Its bit 5 draws a raw L first without
+// announcing it, and bits 2–4 say how many engines (0–7) are active; per
+// engine, a byte spaces it from the last (by up to 63·2²¹, so ids pass the
+// head's mask and 128), a byte picks its worker (itself, or a small signed
+// number), and a byte picks its busy value from awkward bit patterns or raw.
+// Raw floats are 8 little-endian bytes, so any bit pattern — NaN payloads,
+// −0, subnormals — can be a bound, a width or a busy value.
 func FuzzWindowLog(f *testing.F) {
 	awkward := []uint64{
 		0, 1 << 63, 1, 1<<52 - 1, // ±0, the smallest and largest subnormal
 		0x7ff8000000000001, 0x7ff0000000000001, 0xfff8dead0000beef, // quiet, signalling, negative NaNs
 		0x7ff0000000000000, 0xfff0000000000000, math.Float64bits(1e-4),
 	}
+	le := binary.LittleEndian.AppendUint64
 	var seed []byte
 	for i, bits := range awkward {
-		seed = append(seed, 7<<2) // stored bounds, 7 engines
-		seed = binary.LittleEndian.AppendUint64(seed, bits)
-		seed = binary.LittleEndian.AppendUint64(seed, awkward[(i+1)%len(awkward)])
+		seed = append(seed, 2|7<<2) // raw bounds, 7 engines
+		seed = le(le(seed, bits), awkward[(i+1)%len(awkward)])
 		for e := range 7 {
 			seed = append(seed, byte(e)<<6|byte(i), byte(e+i), byte(e+i))
 		}
-		seed = append(seed, 3|2<<2, 0, 1, 3, 0, 1, 0x80) // contiguous and predicted, 2 engines, the second one's busy raw
-		seed = binary.LittleEndian.AppendUint64(seed, bits)
+		seed = append(seed, 3|2<<2) // a new grid of an awkward width, 2 engines, the second one's busy raw
+		seed = append(le(seed, bits), byte(i), 0, 1, 3, 0, 1, 0x80)
+		seed = le(seed, bits)
 	}
 	f.Add(seed)
+	// Grid jumps and a width change mid-log, as a kernel run cuts them.
+	seed = append(le([]byte{3 | 2<<2}, math.Float64bits(1e-3)), 5, 0, 1, 0, 1, 1, 1)
+	for d := range 18 {
+		seed = append(seed, 0|1<<2, 1, 1, 2, 1|1<<2, byte(d), 0, 1, 2)
+	}
+	seed = append(le(append(seed, 3|1<<2), math.Float64bits(0.37)), 0x7f, 0, 1, 3)
+	seed = append(le(append(seed, 1<<5|1<<2), math.Float64bits(0.5)), 0, 1, 3) // an unannounced width
+	f.Add(append(seed, 1|1<<2, 0xfe, 0, 1, 4))
+	// Bounds off the announced grid: the raw fallback.
+	seed = append(le([]byte{3 | 1<<2}, math.Float64bits(1e-3)), 1, 0, 1, 0)
+	seed = le(le(append(seed, 2|1<<2), math.Float64bits(0.1)), math.Float64bits(0.35))
+	f.Add(append(seed, 0, 1, 0, 0|1<<2, 0, 1, 0))
+	// Engines at and past what the head's mask holds, and past 128 (61, 62,
+	// 63, 127, 128, 385), then a window with no active engine.
+	seed = append(le([]byte{3 | 6<<2}, math.Float64bits(1)), 0)
+	for _, g := range []byte{61, 0, 0, 63, 0, 0x40 | 2} {
+		seed = append(seed, g, 1, g)
+	}
+	f.Add(append(seed, 0|0<<2, 0|2<<2, 60, 1, 0, 0, 1, 1))
+	// Workers other than the engines, as a distributed run assigns them.
+	seed = append(le([]byte{3 | 3<<2}, math.Float64bits(0.25)), 9, 0, 2, 0, 0, 0xfe, 1, 0, 4, 2)
+	f.Add(append(seed, 0|3<<2, 0, 2, 0, 0, 0xfe, 1, 0, 4, 2))
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 64, 1 << 10} {
 		b := make([]byte, n)
@@ -642,31 +713,43 @@ func FuzzWindowLog(f *testing.F) {
 			data = data[1:]
 			return b
 		}
-		raw := func() uint64 {
+		raw := func() float64 {
 			var bits uint64
 			for s := 0; s < 64; s += 8 {
 				bits |= uint64(next()) << s
 			}
-			return bits
+			return math.Float64frombits(bits)
 		}
 		var (
-			log            winLog
-			spill          []byte
-			wins           []window
-			prevEnd, width float64
+			log        winLog
+			spill      []byte
+			wins       []window
+			prevEnd, L float64
+			idx        int64
 		)
 		for len(data) > 0 {
 			c := next()
-			w := window{start: prevEnd}
-			if c&1 == 0 {
-				w.start = math.Float64frombits(raw())
+			if c&(1<<5) != 0 {
+				L = raw()
 			}
-			w.end = w.start + width
-			if c&2 == 0 {
-				w.end = math.Float64frombits(raw())
-				width = w.end - w.start
+			var w window
+			switch c & 3 {
+			case 0:
+				w.start = prevEnd
+			case 2:
+				w.start, w.end = raw(), raw()
+			case 3:
+				L, idx = raw(), 0
+				log.grid = L
+				fallthrough
+			case 1:
+				idx += int64(int8(next()))
+				w.start = float64(idx) * L
 			}
-			prevEnd = w.end
+			if c&3 != 2 {
+				w.end = w.start + L
+			}
+			prevEnd, idx = w.end, idx+1
 			engine := int32(-1)
 			for i := c >> 2 & 7; i > 0; i-- {
 				g := next()
@@ -678,7 +761,7 @@ func FuzzWindowLog(f *testing.F) {
 				b := next()
 				bits := awkward[int(b)%len(awkward)]
 				if b >= 0x80 {
-					bits = raw()
+					bits = math.Float64bits(raw())
 				}
 				r.busy = math.Float64frombits(bits)
 				w.recs = append(w.recs, r)
@@ -712,7 +795,8 @@ func FuzzWindowLog(f *testing.F) {
 }
 
 // BenchmarkCommitWindow measures the per-window cost of the timeline's write
-// path: contiguous windows of 5 engines, 4 of them active, as in TeraGrid.
+// path: contiguous windows on an announced grid, of 5 engines, 4 of them
+// active, as in TeraGrid.
 func BenchmarkCommitWindow(b *testing.B) {
 	spans := make([]Span, 5)
 	for e := range spans {
@@ -721,6 +805,7 @@ func BenchmarkCommitWindow(b *testing.B) {
 	w := windowOf(0, 0, spans)
 	w.Charges[2], w.Remote[2] = 0, 0
 	tl := NewTimeline()
+	tl.Regrid(1e-3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1219,13 +1304,13 @@ func (t *timelineReference) WriteTraceEvents(w io.Writer) error {
 		line = append(line, `,"tid":`...)
 		line = strconv.AppendInt(line, int64(s.Engine+1), 10)
 		line = append(line, `,"ts":`...)
-		line = appendTraceFloat(line, ts)
+		line = appendFloat(line, ts)
 		line = append(line, `,"dur":`...)
-		line = appendTraceFloat(line, dur)
+		line = appendFloat(line, dur)
 		line = append(line, `,"args":{"window":`...)
 		line = strconv.AppendInt(line, s.Window, 10)
 		line = append(line, `,"wall_ms":`...)
-		line = appendTraceFloat(line, s.Wall*1e3)
+		line = appendFloat(line, s.Wall*1e3)
 		line = append(line, `}}`...)
 		emit(line)
 	}

@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/metrics"
 )
 
 // RunStats is a run's observability summary — per-LP totals and lifecycle
@@ -118,27 +120,19 @@ func (s *RunStats) TotalBarrierWait() float64 { return 0 }
 func (s *RunStats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "windows %d (replayed %d), events %d, kernel-events %d, remote %d",
-		s.Windows, s.ReplayedWindows, sum(s.Events), sum(s.Charges), sum(s.Remote))
+		s.Windows, s.ReplayedWindows, metrics.Sum(s.Events), metrics.Sum(s.Charges), metrics.Sum(s.Remote))
 	if mq := maxOf(s.MaxQueue); mq > 0 {
 		fmt.Fprintf(&b, ", max queue %d", mq)
 	}
 	if s.Checkpoints > 0 || s.Crashes > 0 {
 		fmt.Fprintf(&b, "; recovery: %d checkpoint(s), %d crash(es), %d rollback(s), %d node(s) migrated",
-			s.Checkpoints, s.Crashes, s.Rollbacks, sum(s.MigratedNodes))
+			s.Checkpoints, s.Crashes, s.Rollbacks, metrics.Sum(s.MigratedNodes))
 	}
-	if s.Resizes > 0 || sum(s.Joins)+sum(s.Drains)+sum(s.Kills) > 0 {
+	if s.Resizes > 0 || metrics.Sum(s.Joins)+metrics.Sum(s.Drains)+metrics.Sum(s.Kills) > 0 {
 		fmt.Fprintf(&b, "; elastic: %d join(s), %d drain(s), %d kill(s), %d resize(s), peak cluster %d engine(s)",
-			sum(s.Joins), sum(s.Drains), sum(s.Kills), s.Resizes, s.PeakEngines)
+			metrics.Sum(s.Joins), metrics.Sum(s.Drains), metrics.Sum(s.Kills), s.Resizes, s.PeakEngines)
 	}
 	return b.String()
-}
-
-func sum(xs []int64) int64 {
-	var t int64
-	for _, x := range xs {
-		t += x
-	}
-	return t
 }
 
 func maxOf(xs []int64) int64 {

@@ -16,10 +16,7 @@
 // with randomized greedy boundary refinement and balance repair (refine.go).
 package partition
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Edge is one half of an undirected edge: the neighbor index and the edge
 // weight. Every undirected edge {u,v} appears both in Adj[u] and Adj[v] with
@@ -101,16 +98,6 @@ func (g *Graph) addHalf(u, v int, w int64) {
 	g.Adj[u] = append(g.Adj[u], Edge{To: v, Wgt: w})
 }
 
-// EdgeWeight returns the weight of edge {u,v} and whether it exists.
-func (g *Graph) EdgeWeight(u, v int) (int64, bool) {
-	for _, e := range g.Adj[u] {
-		if e.To == v {
-			return e.Wgt, true
-		}
-	}
-	return 0, false
-}
-
 // TotalVWgt returns the per-constraint sum of all vertex weights.
 func (g *Graph) TotalVWgt() []int64 {
 	tot := make([]int64, g.Ncon)
@@ -120,55 +107,6 @@ func (g *Graph) TotalVWgt() []int64 {
 		}
 	}
 	return tot
-}
-
-// Validate checks structural invariants: symmetric adjacency with matching
-// weights, in-range neighbor indices, no self loops, positive constraint
-// count, consistent weight-vector lengths, and non-negative weights.
-func (g *Graph) Validate() error {
-	if g.Ncon < 1 {
-		return errors.New("partition: Ncon < 1")
-	}
-	if len(g.VWgt) != len(g.Adj) {
-		return fmt.Errorf("partition: %d weight vectors vs %d adjacency lists", len(g.VWgt), len(g.Adj))
-	}
-	n := len(g.Adj)
-	for v, w := range g.VWgt {
-		if len(w) != g.Ncon {
-			return fmt.Errorf("partition: vertex %d has %d weights, want %d", v, len(w), g.Ncon)
-		}
-		for c, x := range w {
-			if x < 0 {
-				return fmt.Errorf("partition: vertex %d constraint %d has negative weight %d", v, c, x)
-			}
-		}
-	}
-	for u, adj := range g.Adj {
-		seen := make(map[int]bool, len(adj))
-		for _, e := range adj {
-			if e.To < 0 || e.To >= n {
-				return fmt.Errorf("partition: vertex %d has out-of-range neighbor %d", u, e.To)
-			}
-			if e.To == u {
-				return fmt.Errorf("partition: vertex %d has a self loop", u)
-			}
-			if seen[e.To] {
-				return fmt.Errorf("partition: duplicate edge %d-%d", u, e.To)
-			}
-			seen[e.To] = true
-			if e.Wgt < 0 {
-				return fmt.Errorf("partition: edge %d-%d has negative weight %d", u, e.To, e.Wgt)
-			}
-			back, ok := g.EdgeWeight(e.To, u)
-			if !ok {
-				return fmt.Errorf("partition: edge %d-%d has no reverse edge", u, e.To)
-			}
-			if back != e.Wgt {
-				return fmt.Errorf("partition: edge %d-%d weight %d != reverse weight %d", u, e.To, e.Wgt, back)
-			}
-		}
-	}
-	return nil
 }
 
 // Clone returns a deep copy of the graph.

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -362,4 +364,64 @@ func TestBuildHierarchyShrinks(t *testing.T) {
 	if last := levels[len(levels)-1].graph.NumVertices(); last > 100 {
 		t.Errorf("coarsest graph still has %d vertices", last)
 	}
+}
+
+// Validate checks structural invariants — the oracle the partition tests
+// and ReadGraph hold a graph to: symmetric adjacency with matching
+// weights, in-range neighbor indices, no self loops, positive constraint
+// count, consistent weight-vector lengths, and non-negative weights.
+func (g *Graph) Validate() error {
+	if g.Ncon < 1 {
+		return errors.New("partition: Ncon < 1")
+	}
+	if len(g.VWgt) != len(g.Adj) {
+		return fmt.Errorf("partition: %d weight vectors vs %d adjacency lists", len(g.VWgt), len(g.Adj))
+	}
+	n := len(g.Adj)
+	for v, w := range g.VWgt {
+		if len(w) != g.Ncon {
+			return fmt.Errorf("partition: vertex %d has %d weights, want %d", v, len(w), g.Ncon)
+		}
+		for c, x := range w {
+			if x < 0 {
+				return fmt.Errorf("partition: vertex %d constraint %d has negative weight %d", v, c, x)
+			}
+		}
+	}
+	for u, adj := range g.Adj {
+		seen := make(map[int]bool, len(adj))
+		for _, e := range adj {
+			if e.To < 0 || e.To >= n {
+				return fmt.Errorf("partition: vertex %d has out-of-range neighbor %d", u, e.To)
+			}
+			if e.To == u {
+				return fmt.Errorf("partition: vertex %d has a self loop", u)
+			}
+			if seen[e.To] {
+				return fmt.Errorf("partition: duplicate edge %d-%d", u, e.To)
+			}
+			seen[e.To] = true
+			if e.Wgt < 0 {
+				return fmt.Errorf("partition: edge %d-%d has negative weight %d", u, e.To, e.Wgt)
+			}
+			back, ok := g.EdgeWeight(e.To, u)
+			if !ok {
+				return fmt.Errorf("partition: edge %d-%d has no reverse edge", u, e.To)
+			}
+			if back != e.Wgt {
+				return fmt.Errorf("partition: edge %d-%d weight %d != reverse weight %d", u, e.To, e.Wgt, back)
+			}
+		}
+	}
+	return nil
+}
+
+// EdgeWeight returns the weight of edge {u,v} and whether it exists.
+func (g *Graph) EdgeWeight(u, v int) (int64, bool) {
+	for _, e := range g.Adj[u] {
+		if e.To == v {
+			return e.Wgt, true
+		}
+	}
+	return 0, false
 }

@@ -3,7 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -138,21 +138,14 @@ func (h *ClusterHealth) WriteHealthz(w io.Writer) error {
 	h.mu.Lock()
 	doc := healthzDoc{Status: "ok", Workers: h.workers, Windows: h.windows}
 	ids := make([]int, 0, len(h.gated)+len(h.rtt))
-	seen := make(map[int]bool)
 	for id := range h.gated {
-		if !seen[id] {
-			seen[id] = true
-			ids = append(ids, id)
-		}
+		ids = append(ids, id)
 	}
 	for id := range h.rtt {
-		if !seen[id] {
-			seen[id] = true
-			ids = append(ids, id)
-		}
+		ids = append(ids, id)
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	slices.Sort(ids)
+	for _, id := range slices.Compact(ids) {
 		doc.Detail = append(doc.Detail, healthzWorker{
 			Worker:            id,
 			GatedWindows:      h.gated[id],

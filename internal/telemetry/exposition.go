@@ -104,11 +104,7 @@ func (c *Collector) render(b *exposition) {
 		matrixBytes[i] = series{cell, float64(v)}
 		matrixPackets[i] = series{cell, float64(c.matrixPackets[i])}
 	}
-	var linkBytes, linkPackets int64
-	for i, v := range c.linkTxBytes {
-		linkBytes += v
-		linkPackets += c.linkTxPackets[i]
-	}
+	linkBytes, linkPackets := metrics.Sum(c.linkTxBytes), metrics.Sum(c.linkTxPackets)
 	queueDelay, fct := c.queueDelayAll, c.fctAll
 	if !c.merged {
 		queueDelay, fct = nil, nil

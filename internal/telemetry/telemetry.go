@@ -267,10 +267,7 @@ func (c *Collector) fold(t Traffic) {
 	}
 	copy(c.linkTxBytes, bytes)
 	copy(c.linkTxPackets, packets)
-	c.drops = 0
-	for _, d := range drops {
-		c.drops += d
-	}
+	c.drops = metrics.Sum(drops)
 }
 
 // recordTimeline closes every measurement window up to end, emitting one
@@ -288,9 +285,7 @@ func (c *Collector) recordTimeline(end float64) {
 		// Only the first closed window carries the accumulated deltas; any
 		// further windows skipped in one jump were idle.
 		c.prevCross, c.prevTotal = cross, total
-		for i := range c.bucketCharges {
-			c.bucketCharges[i] = 0
-		}
+		clear(c.bucketCharges)
 	}
 	c.lastBucket = int(end / c.dims.BucketWidth)
 }
@@ -433,9 +428,5 @@ func (c *Collector) Snapshot() *Snapshot {
 // imbalance is the normalized standard deviation of the cumulative engine
 // charges, as Snapshot and WriteExposition report it. Caller holds mu.
 func (c *Collector) imbalance() float64 {
-	loads := make([]float64, len(c.engineCharges))
-	for i, ch := range c.engineCharges {
-		loads[i] = float64(ch)
-	}
-	return metrics.Imbalance(loads)
+	return metrics.Imbalance(metrics.Floats(c.engineCharges))
 }

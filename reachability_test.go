@@ -25,8 +25,6 @@ var unreachedAllowlist = map[string]string{
 	"core.Replay":       "the elastic-replay oracle that dist's byte-identity tests compare every distributed run against",
 	"dist.NewChaosConn": "the chaos-transport fixture of dist's elastic-membership and heartbeat tests",
 	"emu.Blast":         "the zero value of TransportMode and so Config.Transport's default: production selects it by leaving the field unset",
-	"partition.ReadGraph": "loads testdata/*.graph for the refine tests and is the target of FuzzReadGraph; " +
-		"the METIS reader is the partitioner's one file-format entry point",
 
 	// Oracles that the tests of more than one package compare against, so no
 	// one package's export_test.go can hold them.
