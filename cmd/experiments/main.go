@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"repro/internal/experiments"
 )
@@ -37,10 +38,13 @@ func main() {
 
 	switch *exp {
 	case "all":
+		start := time.Now()
 		report, err := experiments.All(cfg)
 		if err != nil {
 			fatal(err)
 		}
+		// On stderr, so two runs print the same report bytes.
+		fmt.Fprintf(os.Stderr, "generated in %s\n", time.Since(start).Round(time.Millisecond))
 		md := report.Markdown()
 		fmt.Print(md)
 		if *mdPath != "" {

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-
-	"repro/internal/netgraph"
 )
 
 // base returns a flag state that validates cleanly.
@@ -34,9 +32,6 @@ func TestValidateFlagsAccepts(t *testing.T) {
 			f.resultOut = "out.json"
 		}},
 		{"result-out in-process", func(f *cliFlags) { f.resultOut = "out.json" }},
-		{"routing lazy", func(f *cliFlags) { f.routing = "lazy"; f.routingRows = 128 }},
-		{"routing flat", func(f *cliFlags) { f.routing = "flat" }},
-		{"routing auto default", func(f *cliFlags) { f.routing = "auto" }},
 		{"dynamic default policy", func(f *cliFlags) { f.remapInterval = 10 }},
 		{"dynamic explicit policy", func(f *cliFlags) { f.remapInterval = 10; f.remapPolicy = "game" }},
 		{"dynamic diffusion+metrics", func(f *cliFlags) {
@@ -116,13 +111,6 @@ func TestValidateFlagsRejects(t *testing.T) {
 			f.coordinator = ":1"
 		}, errCoordinatorWorkers},
 		{"workers without coordinator", func(f *cliFlags) { f.workers = 2 }, errWorkersNeedCoord},
-
-		{"unknown routing backend", func(f *cliFlags) { f.routing = "quantum" }, netgraph.ErrRoutingConfig},
-		{"negative lazy rows", func(f *cliFlags) { f.routing = "lazy"; f.routingRows = -1 }, netgraph.ErrRoutingConfig},
-		{"retired hier backend", func(f *cliFlags) { f.routing = "hier" }, netgraph.ErrRoutingConfig},
-		{"worker+routing", func(f *cliFlags) {
-			*f = cliFlags{worker: ":1", routing: "lazy"}
-		}, errWorkerExclusive},
 
 		{"negative remap interval", func(f *cliFlags) { f.remapInterval = -1 }, errBadRemapInterval},
 		{"NaN remap interval", func(f *cliFlags) { f.remapInterval = math.NaN() }, errBadRemapInterval},

@@ -77,7 +77,6 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/metrics"
 	"repro/internal/netdesc"
-	"repro/internal/netgraph"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
@@ -106,9 +105,6 @@ func main() {
 		topostats = flag.Bool("topostats", false, "print topology statistics and exit")
 		record    = flag.String("record", "", "write the generated workload trace to this file")
 		replay    = flag.String("replay", "", "emulate a previously recorded workload trace instead of generating traffic")
-
-		routing     = flag.String("routing", "auto", "route oracle backend: auto | flat | lazy")
-		routingRows = flag.Int("routing-rows", 0, "lazy routing LRU row capacity (0 = automatic, sized for a 256 MB budget)")
 
 		checkpoint = flag.Float64("checkpoint", 10, "checkpoint cadence in virtual seconds: membership changes apply at these barriers, and a crash is charged the run since the last one")
 		naive      = flag.Bool("naive-recovery", false, "recover crashes by dumping onto one survivor instead of remapping")
@@ -147,9 +143,6 @@ func main() {
 	}
 
 	if err := validateFlags(cliFlags{
-		routing:     *routing,
-		routingRows: *routingRows,
-
 		netfile:     *netfile,
 		engines:     *engines,
 		export:      *export,
@@ -213,8 +206,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Already validated above; resolve the oracle selection for the scenario.
-	sc.Routing, _ = routingOptions(*routing, *routingRows)
 	if *netfile != "" {
 		f, err := os.Open(*netfile)
 		if err != nil {
@@ -576,9 +567,6 @@ func printSegments(o *core.Outcome, wall time.Duration) {
 
 // cliFlags is the subset of flag state the combination checks inspect.
 type cliFlags struct {
-	routing     string
-	routingRows int
-
 	netfile, export        string
 	engines                int
 	topostats              bool
@@ -638,7 +626,6 @@ func validateFlags(f cliFlags) error {
 			f.topostats, f.record != "", f.replay != "", f.tracePath != "",
 			f.stats, f.metricsAddr != "", f.matrixOut != "", f.traceOut != "", f.resultOut != "",
 			f.faults, f.elastic, f.capacity != 0,
-			f.routing != "" && f.routing != "auto", f.routingRows != 0,
 			f.remapInterval != 0, f.remapPolicy != "" && f.remapPolicy != "profile",
 		}
 		for _, set := range others {
@@ -733,28 +720,7 @@ func validateFlags(f cliFlags) error {
 	if f.metricsAddr != "" && f.metricsAddr == f.pprofAddr {
 		return errAddrClash
 	}
-	if _, err := routingOptions(f.routing, f.routingRows); err != nil {
-		return err
-	}
 	return nil
-}
-
-// routingOptions parses the -routing flags into the netgraph selection. The
-// returned errors wrap netgraph.ErrRoutingConfig, so callers and tests match
-// them with errors.Is.
-func routingOptions(backend string, rows int) (netgraph.RoutingOptions, error) {
-	if backend == "" {
-		backend = "auto"
-	}
-	b, err := netgraph.ParseBackend(backend)
-	if err != nil {
-		return netgraph.RoutingOptions{}, fmt.Errorf("-routing: %w", err)
-	}
-	o := netgraph.RoutingOptions{Backend: b, LazyRows: rows}
-	if err := o.Validate(); err != nil {
-		return netgraph.RoutingOptions{}, err
-	}
-	return o, nil
 }
 
 func fatal(err error) {

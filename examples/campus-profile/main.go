@@ -23,7 +23,7 @@ func main() {
 	const engines = 3
 
 	network := repro.Campus()
-	routes := network.BuildRoutingTable()
+	routes := network.SharedRouting()
 
 	app := repro.DefaultGridNPB()
 	app.Duration = duration

@@ -56,12 +56,6 @@ type Scenario struct {
 	LatencyPriority float64
 	// Cluster enables §3.3 timeline clustering in the PROFILE approach.
 	Cluster bool
-	// Routing selects the route-oracle backend and its parameters (see
-	// netgraph.RoutingOptions). The zero value is the automatic policy:
-	// flat tables up to netgraph.AutoFlatMaxNodes nodes, the lazy
-	// sub-quadratic oracle beyond. Set explicitly to force flat or lazy;
-	// both route on the same shortest paths.
-	Routing netgraph.RoutingOptions
 	// Transport selects the flow release model (Blast or TCPSlowStart).
 	Transport emu.TransportMode
 	// EngineSpeeds optionally models a heterogeneous cluster: relative
@@ -155,13 +149,12 @@ type Outcome struct {
 	Membership *dist.MembershipLog
 }
 
-// Routes returns the scenario's route oracle per the Routing options — the
-// automatic policy by default — from the network's shared cache, so every
-// downstream consumer (mapping, emulation, route discovery) reuses one oracle
-// and a scenario never builds the same backend twice. Infeasible options
-// surface as an error wrapping netgraph.ErrRoutingConfig.
+// Routes returns the scenario's route oracle, the network's shared one
+// (netgraph.Network.SharedRouting), so every downstream consumer (mapping,
+// emulation, route discovery) reuses one set of cached rows. The error is
+// always nil.
 func (sc *Scenario) Routes() (netgraph.Routing, error) {
-	return sc.Network.SharedRouting(sc.Routing)
+	return sc.Network.SharedRouting(), nil
 }
 
 // SpreadHosts picks n injection points spread evenly over the network's
@@ -236,13 +229,9 @@ func (sc *Scenario) Workload() (traffic.Workload, error) {
 // MappingInput assembles the approach-independent mapping parameters, for
 // Run and for callers driving mapping strategies (e.g. baselines) outside it.
 func (sc *Scenario) MappingInput() (mapping.Input, error) {
-	routes, err := sc.Routes()
-	if err != nil {
-		return mapping.Input{}, err
-	}
 	return mapping.Input{
 		Network:         sc.Network,
-		Routes:          routes,
+		Routes:          sc.Network.SharedRouting(),
 		K:               sc.Engines,
 		PartOpts:        partition.Options{Seed: sc.PartSeed},
 		LatencyPriority: sc.LatencyPriority,
@@ -444,7 +433,6 @@ func (sc *Scenario) topOver(k int) ([]int, error) {
 func (sc *Scenario) distSpec(ctx context.Context, cfg emu.Config) *dist.RunSpec {
 	return &dist.RunSpec{
 		Cfg:          cfg,
-		Routing:      sc.Routing,
 		Telemetry:    sc.newTelemetry(),
 		Trace:        sc.Trace,
 		Health:       sc.ClusterHealth,
@@ -495,12 +483,10 @@ func NaiveRecovery(c emu.MembershipChange) ([]int, error) {
 // the shared trace's record order deterministic.
 func (sc *Scenario) RunAll(ctx context.Context) ([]*Outcome, error) {
 	// Materialize the lazily-memoized shared state before fanning out: the
-	// memoization writes (routes, workload, app placement) are unsynchronized
-	// by design — after this point every approach only reads them.
+	// memoization writes (workload, app placement) are unsynchronized by
+	// design — after this point every approach only reads them. The shared
+	// route oracle locks its own memoization.
 	if _, err := sc.Workload(); err != nil {
-		return nil, fmt.Errorf("core: %s: %w", sc.Name, err)
-	}
-	if _, err := sc.Routes(); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", sc.Name, err)
 	}
 	sc.AppPlacement()
@@ -563,13 +549,9 @@ func (sc *Scenario) emuConfig(assignment []int) (emu.Config, error) {
 	if err != nil {
 		return emu.Config{}, err
 	}
-	routes, err := sc.Routes()
-	if err != nil {
-		return emu.Config{}, err
-	}
 	return emu.Config{
 		Network:      sc.Network,
-		Routes:       routes,
+		Routes:       sc.Network.SharedRouting(),
 		Assignment:   assignment,
 		NumEngines:   sc.Engines,
 		Workload:     w,

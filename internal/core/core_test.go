@@ -12,7 +12,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
-	"repro/internal/netgraph"
 	"repro/internal/topogen"
 	"repro/internal/traffic"
 )
@@ -277,27 +276,24 @@ func TestHeterogeneousEngines(t *testing.T) {
 	}
 }
 
-// TestRoutingBuiltOncePerScenario is the satellite regression for the shared
-// route cache: a core-driven pipeline — partitioning and emulation — must
-// build its routing exactly once, never falling back to mapping.Input's
-// nil-Routes rebuild.
+// TestRoutingBuiltOncePerScenario is the regression for the shared route
+// oracle: a core-driven pipeline — partitioning and emulation, every
+// approach at once or one alone — must build its oracle exactly once.
 func TestRoutingBuiltOncePerScenario(t *testing.T) {
 	sc := campusScenario(false)
 	if _, err := sc.RunAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := sc.Network.RoutingBuilds(); got != 1 {
-		t.Errorf("RunAll built the routing table %d times, want exactly 1", got)
+		t.Errorf("RunAll built the route oracle %d times, want exactly 1", got)
 	}
 
-	// Lazy scenarios compute rows on demand and never build the dense table.
-	scLazy := campusScenario(false)
-	scLazy.Routing.Backend = netgraph.Lazy
-	if _, err := scLazy.Run(context.Background(), mapping.Top); err != nil {
+	one := campusScenario(false)
+	if _, err := one.Run(context.Background(), mapping.Profile); err != nil {
 		t.Fatal(err)
 	}
-	if got := scLazy.Network.RoutingBuilds(); got != 0 {
-		t.Errorf("lazy scenario built the dense table %d times, want 0", got)
+	if got := one.Network.RoutingBuilds(); got != 1 {
+		t.Errorf("a PROFILE run built the route oracle %d times, want exactly 1", got)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/emu"
 	"repro/internal/faults"
-	"repro/internal/netgraph"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
@@ -24,8 +23,6 @@ type RunSpec struct {
 	// — the policies of a distributed run are OnWorkerLoss and, for an elastic
 	// one, ElasticOptions.OnResize.
 	Cfg emu.Config
-	// Routing tells workers which route-oracle backend to rebuild.
-	Routing netgraph.RoutingOptions
 	// Telemetry, when non-nil, is the coordinator-side collector the workers'
 	// traffic-plane shares merge into (it feeds /metrics and Result.Telemetry
 	// exactly as in-process).
@@ -380,8 +377,7 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 	n := cfg.NumEngines
 
 	var err error
-	s.blob, err = EncodeSpec(&Spec{Cfg: cfg, Routing: s.spec.Routing,
-		Telemetry: s.spec.Telemetry != nil, Tracing: s.spec.Trace != nil})
+	s.blob, err = EncodeSpec(&Spec{Cfg: cfg, Telemetry: s.spec.Telemetry != nil, Tracing: s.spec.Trace != nil})
 	if err != nil {
 		return nil, err
 	}
@@ -573,7 +569,6 @@ func (s *coordinator) run(ctx context.Context) (*emu.Result, error) {
 					return nil, err
 				}
 				s.grid.Regrid(L)
-				tl.Regrid(L)
 			}
 			nextCkpt = emu.NextCheckpoint(end, opt.CheckpointEvery)
 		}

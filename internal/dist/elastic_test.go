@@ -72,6 +72,7 @@ func TestElasticJoinDrainMatchesReplay(t *testing.T) {
 			close(workers[0].drain)
 
 			sc, tel := observedScenario(t, topology)
+			sk := attachSinks(sc, true)
 			o, err := sc.Run(ctx, mapping.Top, core.Elastic(conns, dist.ElasticOptions{
 				Options: dist.Options{CheckpointEvery: elasticCkpt},
 				Joins:   joins,
@@ -103,6 +104,7 @@ func TestElasticJoinDrainMatchesReplay(t *testing.T) {
 			}
 
 			refSc, refTel := observedScenario(t, topology)
+			refSk := attachSinks(refSc, false)
 			ref, err := refSc.Run(ctx, mapping.Top, core.Replay(o.Assignment, o.Membership))
 			if err != nil {
 				t.Fatalf("in-process replay: %v", err)
@@ -114,6 +116,14 @@ func TestElasticJoinDrainMatchesReplay(t *testing.T) {
 			}
 			if exp, distExp := exposition(t, refTel), exposition(t, tel); exp != distExp {
 				t.Fatalf("elastic distributed exposition diverges from in-process replay:\nreplay:\n%s\ndistributed:\n%s", exp, distExp)
+			}
+			// The resize resumes the run on a new grid: both shapes announce
+			// it to the recorder and count it as a segment.
+			wantObs, gotObs := refSk.observed(t, ref.Result), sk.observed(t, o.Result)
+			runs := func(jsonl string) int { return strings.Count(jsonl, `"type":"run"`) }
+			if runs(gotObs.JSONL) != runs(wantObs.JSONL) || gotObs.Segments != wantObs.Segments || wantObs.Segments != 2 {
+				t.Fatalf("distributed run has %d run lines and %d segments, its replay %d and %d (want 2)",
+					runs(gotObs.JSONL), gotObs.Segments, runs(wantObs.JSONL), wantObs.Segments)
 			}
 		})
 	}

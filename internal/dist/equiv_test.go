@@ -263,10 +263,10 @@ func (s *sinks) observed(t *testing.T, r *emu.Result) observed {
 		}
 	}
 	if o.Windows != r.Kernel.Windows || s.tl.Windows() != o.Windows ||
-		strings.Count(o.JSONL, `{"type":"window"`) != int(o.Windows) || strings.Count(o.JSONL, `{"type":"run"`) != 1 {
-		t.Fatalf("sinks disagree on the windows committed: kernel %d, stats %d, timeline %d, JSONL %d (+%d run lines)",
+		strings.Count(o.JSONL, `{"type":"window"`) != int(o.Windows) || strings.Count(o.JSONL, `{"type":"run"`) != o.Segments {
+		t.Fatalf("sinks disagree on the windows committed: kernel %d, stats %d, timeline %d, JSONL %d (+%d run lines for %d segments)",
 			r.Kernel.Windows, o.Windows, s.tl.Windows(),
-			strings.Count(o.JSONL, `{"type":"window"`), strings.Count(o.JSONL, `{"type":"run"`))
+			strings.Count(o.JSONL, `{"type":"window"`), strings.Count(o.JSONL, `{"type":"run"`), o.Segments)
 	}
 	if s.health == nil {
 		return o

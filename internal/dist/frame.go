@@ -35,9 +35,9 @@ import (
 )
 
 // Version is the protocol version; HELLO/ASSIGN carry it and any mismatch
-// aborts the handshake. v9 dropped the EXPORT command's barrier time, which
-// no worker read.
-const Version = 9
+// aborts the handshake. v10 dropped the spec's route-oracle selection (a
+// backend byte and a row count): every side builds the one shared oracle.
+const Version = 10
 
 // MaxFrame bounds a frame's payload (type byte included). It is sized for
 // the largest legitimate message — a NetState export on a large topology —

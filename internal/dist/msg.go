@@ -349,18 +349,13 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // ---- The scenario spec ----
 
 // Spec is the self-contained scenario a worker rebuilds the emulation from:
-// topology, workload, assignment and every numeric knob of the run, plus the
-// routing mode and whether telemetry is collected. Functions (OnMembership)
+// topology, workload, assignment and every numeric knob of the run, plus
+// whether telemetry is collected and spans are traced. Functions (OnMembership)
 // and crash schedules never ship — EncodeSpec rejects them; straggler and
 // degradation schedules do ship (they parameterize the coordinator's cost
 // model, and the worker needs them only to round-trip the spec hash).
 type Spec struct {
 	Cfg emu.Config
-	// Routing selects the route-oracle backend the worker rebuilds. The raw
-	// (un-normalized) options ship on the wire; both sides normalize against
-	// the same node count, so coordinator and workers always resolve the
-	// same backend.
-	Routing netgraph.RoutingOptions
 	// Telemetry tells the worker to run a collector so its share of the
 	// traffic plane can be merged at each barrier.
 	Telemetry bool
@@ -425,8 +420,6 @@ func EncodeSpec(s *Spec) ([]byte, error) {
 	e.i64(cfg.BufferBytes)
 	e.f64(cfg.MinLookahead)
 	e.f64(cfg.MigrationCost)
-	e.u8(uint8(s.Routing.Backend))
-	e.i64(int64(s.Routing.LazyRows))
 	e.boolean(s.Telemetry)
 	e.boolean(s.Tracing)
 	// Straggler/degradation schedule (crash-free, checked above). Workers
@@ -459,8 +452,7 @@ func EncodeSpec(s *Spec) ([]byte, error) {
 func SpecHash(blob []byte) [32]byte { return sha256.Sum256(blob) }
 
 // DecodeSpec rebuilds the scenario. The returned config's Routes field is
-// set to the oracle the spec's RoutingOptions select, resolved through the
-// rebuilt network's shared routing cache.
+// set to the rebuilt network's shared route oracle.
 func DecodeSpec(b []byte) (*Spec, error) {
 	d := decoder{buf: b}
 	if v := d.u32("spec.version"); d.err == nil && v != Version {
@@ -528,8 +520,6 @@ func DecodeSpec(b []byte) (*Spec, error) {
 	cfg.BufferBytes = d.i64("spec.bufferBytes")
 	cfg.MinLookahead = d.f64("spec.minLookahead")
 	cfg.MigrationCost = d.f64("spec.migrationCost")
-	s.Routing.Backend = netgraph.Backend(d.u8("spec.routing.backend"))
-	s.Routing.LazyRows = int(d.i64("spec.routing.lazyRows"))
 	s.Telemetry = d.boolean("spec.telemetry")
 	s.Tracing = d.boolean("spec.tracing")
 	nst := d.count(32, "spec.stragglers")
@@ -557,10 +547,6 @@ func DecodeSpec(b []byte) (*Spec, error) {
 	if err := d.finish(); err != nil {
 		return nil, err
 	}
-	routes, err := nw.SharedRouting(s.Routing)
-	if err != nil {
-		return nil, fmt.Errorf("dist: spec routing: %w", err)
-	}
-	cfg.Routes = routes
+	cfg.Routes = nw.SharedRouting()
 	return s, nil
 }

@@ -47,7 +47,6 @@ func testSpec(t *testing.T) *Spec {
 
 func TestSpecRoundTrip(t *testing.T) {
 	s := testSpec(t)
-	s.Routing = netgraph.RoutingOptions{Backend: netgraph.Lazy, LazyRows: 3}
 	s.Telemetry = true
 	blob, err := EncodeSpec(s)
 	if err != nil {
@@ -82,11 +81,11 @@ func TestSpecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Cfg.Assignment, s.Cfg.Assignment) {
 		t.Fatal("assignment did not survive")
 	}
-	if !got.Telemetry || got.Routing != s.Routing {
+	if !got.Telemetry {
 		t.Fatal("flags did not survive")
 	}
-	if _, ok := got.Cfg.Routes.(*netgraph.LazyRouting); !ok {
-		t.Fatalf("decoded spec did not resolve the lazy oracle: %+v", got.Cfg.Routes)
+	if got.Cfg.Routes != got.Cfg.Network.SharedRouting() {
+		t.Fatalf("decoded spec did not resolve the rebuilt network's shared oracle: %+v", got.Cfg.Routes)
 	}
 }
 

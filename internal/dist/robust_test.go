@@ -16,7 +16,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
-	"repro/internal/netgraph"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
 )
@@ -158,15 +157,15 @@ func TestTruncatedHelloFailsHandshake(t *testing.T) {
 	}
 }
 
-// TestStaleHelloVersionRefused: a worker built before the EXPORT command lost
-// its barrier time says so in its HELLO and is refused before anything ships
-// to it.
+// TestStaleHelloVersionRefused: a worker built one protocol version back
+// says so in its HELLO and is refused before anything ships to it.
 func TestStaleHelloVersionRefused(t *testing.T) {
+	stale := uint32(dist.Version - 1)
 	c, s := dist.Loopback()
-	go s.Send(dist.Frame{Type: dist.MsgHello, Payload: dist.Hello{Version: 8}.Encode()})
+	go s.Send(dist.Frame{Type: dist.MsgHello, Payload: dist.Hello{Version: stale}.Encode()})
 	_, err := dist.Run(context.Background(), distSpec(t), []dist.Conn{c}, dist.Options{})
-	if err == nil || !strings.Contains(err.Error(), "speaks protocol 8, this build speaks 9") {
-		t.Fatalf("a v8 HELLO must be refused by version, got %v", err)
+	if want := fmt.Sprintf("speaks protocol %d, this build speaks %d", stale, dist.Version); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("a v%d HELLO must be refused by version, got %v", stale, err)
 	}
 }
 
@@ -240,48 +239,6 @@ func TestWorkerRefusesNonFiniteSpec(t *testing.T) {
 			if !errors.Is(err, emu.ErrBadConfig) {
 				t.Errorf("%s: worker ended with %v, want emu.ErrBadConfig", name, err)
 			}
-		}
-		c.Close()
-	}
-}
-
-// TestWorkerRefusesUnknownRoutingBackend: a spec whose routing-backend byte
-// names no backend fails DecodeSpec with netgraph.ErrRoutingConfig, and a
-// worker assigned it ends with that typed error (and tells the coordinator)
-// before it builds a route oracle, not with a panic.
-func TestWorkerRefusesUnknownRoutingBackend(t *testing.T) {
-	base := distSpec(t).Cfg
-	if err := emu.NormalizeConfig(&base); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range []netgraph.Backend{netgraph.Lazy + 1, 255} {
-		blob, err := dist.EncodeSpec(&dist.Spec{Cfg: base, Routing: netgraph.RoutingOptions{Backend: b}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dist.DecodeSpec(blob); !errors.Is(err, netgraph.ErrRoutingConfig) {
-			t.Fatalf("backend byte %d: DecodeSpec = %v, want ErrRoutingConfig", b, err)
-		}
-		c, s := dist.Loopback()
-		errc := make(chan error, 1)
-		go func() { errc <- dist.Serve(context.Background(), s, dist.WorkerOptions{}) }()
-		if f, err := c.Recv(10 * time.Second); err != nil || f.Type != dist.MsgHello {
-			t.Fatalf("backend byte %d: expected HELLO from worker, got %v %v", b, f.Type, err)
-		}
-		as := dist.Assign{Version: dist.Version, Workers: 1, Engines: []int{0, 1, 2}, Hash: dist.SpecHash(blob), Spec: blob}
-		if err := c.Send(dist.Frame{Type: dist.MsgAssign, Payload: as.Encode()}); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-time.After(10 * time.Second):
-			t.Fatalf("backend byte %d: the worker neither refused nor ran the spec", b)
-		case err := <-errc:
-			if !errors.Is(err, netgraph.ErrRoutingConfig) {
-				t.Errorf("backend byte %d: worker ended with %v, want netgraph.ErrRoutingConfig", b, err)
-			}
-		}
-		if f, err := c.Recv(10 * time.Second); err != nil || f.Type != dist.MsgError {
-			t.Errorf("backend byte %d: the coordinator got %v %v, want the worker's ERROR", b, f.Type, err)
 		}
 		c.Close()
 	}

@@ -292,8 +292,8 @@ func (m *DistMerge) assemble(exports []*ElasticExport) error {
 // group is cut and masked. groups lists each continuing member's engine set —
 // together they are the new membership — and an empty group yields a nil
 // install (a drained member that gets BYE instead). The returned width is the
-// post-resize kernel lookahead; the run's reported Lookahead (like in-process)
-// stays the initial one.
+// post-resize lookahead, announced as a resumed grid (recordRun); the run's
+// reported Lookahead (like in-process) stays the initial one.
 func (m *DistMerge) Resize(at float64, exports []*ElasticExport, groups [][]int, policy MembershipPolicy) ([]*ElasticInstall, float64, error) {
 	e := m.e
 	n := e.cfg.NumEngines
@@ -326,6 +326,7 @@ func (m *DistMerge) Resize(at float64, exports []*ElasticExport, groups [][]int,
 	e.resizeTo(at, engines, assignment)
 	m.active = newActive
 	newL := Lookahead(e.nw, e.assignment, e.cfg.MinLookahead)
+	e.recordRun(newL, true) // the resumed grid, as an in-process regrid announces it
 
 	// Cut one install per member group, masked to its new ownership.
 	installs := make([]*ElasticInstall, len(groups))

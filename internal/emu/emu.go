@@ -94,8 +94,8 @@ type Config struct {
 	// Network is the virtual topology. Required.
 	Network *netgraph.Network
 	// Routes is the route oracle; when nil the run uses the network's
-	// shared automatic backend (flat below netgraph.AutoFlatMaxNodes nodes,
-	// lazy beyond). WithRouting overrides it per run.
+	// shared one (netgraph.Network.SharedRouting). WithRouting overrides it
+	// per run.
 	Routes netgraph.Routing
 	// Assignment maps every node to a simulation engine in [0, NumEngines).
 	// Required.
@@ -376,10 +376,9 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 	}
 	if rt == nil {
 		// Callers running a pipeline should thread one Routing through
-		// (core.Scenario.Routes() is the memoized source); the shared cache
-		// keeps even bare emu.Run loops from rebuilding routing, and the
-		// automatic policy keeps large topologies off the O(k²) flat table.
-		rt = nw.AutoRouting()
+		// (core.Scenario.Routes() is the memoized source); the shared oracle
+		// keeps even bare emu.Run loops from recomputing rows.
+		rt = nw.SharedRouting()
 	}
 
 	// Resolve routes up front, once per distinct endpoint pair; they are static

@@ -14,7 +14,7 @@ import (
 // the partition, engine count, or transport mode.
 func TestPropertyChargeConservation(t *testing.T) {
 	nw := topogen.Campus()
-	rt := nw.BuildRoutingTable()
+	rt := nw.SharedRouting()
 	hosts := nw.Hosts()
 	f := func(seed int64, kRaw, modeRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -96,7 +96,7 @@ func TestFlowTableMatchesPerFlowResolution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt := nw.BuildRoutingTable()
+		rt := nw.SharedRouting()
 		workloads := tableWorkloads(nw, 7)
 		for _, wname := range []string{"http", "mixed", "own-pair", "bulk"} {
 			for _, transport := range []TransportMode{Blast, TCPSlowStart} {
@@ -260,7 +260,7 @@ func TestPrepareBytesPerFlow(t *testing.T) {
 		t.Skip("allocation sizes are the race detector's under -race")
 	}
 	nw := topogen.TeraGrid()
-	cfg := Config{Network: nw, Routes: nw.BuildRoutingTable(), Assignment: roundRobin(nw.NumNodes(), 5), NumEngines: 5}
+	cfg := Config{Network: nw, Routes: nw.SharedRouting(), Assignment: roundRobin(nw.NumNodes(), 5), NumEngines: 5}
 	w := tableWorkloads(nw, 7)["mixed"]
 	var allocated [2]uint64
 	for i, times := range []int{1, 4} {
@@ -302,7 +302,7 @@ func TestPrepareAllocsDoNotScaleWithFlows(t *testing.T) {
 		t.Skip("allocation counts are the race detector's under -race")
 	}
 	nw := topogen.TeraGrid()
-	cfg := Config{Network: nw, Routes: nw.BuildRoutingTable(), Assignment: roundRobin(nw.NumNodes(), 5), NumEngines: 5}
+	cfg := Config{Network: nw, Routes: nw.SharedRouting(), Assignment: roundRobin(nw.NumNodes(), 5), NumEngines: 5}
 	workloads := tableWorkloads(nw, 7)
 	w := workloads["mixed"]
 	pairs := map[[2]int]bool{}

@@ -73,10 +73,10 @@ func WithTrace(t *obs.Timeline) Option {
 }
 
 // WithRouting overrides the run's route oracle (taking precedence over
-// Config.Routes). Any netgraph.Routing backend works — the flat table or the
-// lazy per-source oracle; the emulator resolves every endpoint pair's path
-// through it once, up front, so oracle query cost never touches the kernel
-// hot loop. A nil oracle is ignored.
+// Config.Routes) — a netgraph.LazyRouting of another row capacity, say; the
+// emulator resolves every endpoint pair's path through it once, up front, so
+// oracle query cost never touches the kernel hot loop. A nil oracle is
+// ignored.
 func WithRouting(r netgraph.Routing) Option {
 	return func(o *runOptions) {
 		if r != nil {

@@ -35,10 +35,7 @@ func Baselines(cfg Config) ([]BaselineRow, error) {
 		return nil, err
 	}
 
-	routes, err := sc.Routes()
-	if err != nil {
-		return nil, err
-	}
+	routes := sc.Network.SharedRouting()
 
 	var rows []BaselineRow
 	evaluate := func(a mapping.Approach, assignment []int) error {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/mapping"
 	"repro/internal/metrics"
@@ -24,13 +23,11 @@ type Report struct {
 	// Dynamic is the remap-policy comparison (PROFILE / game / diffusion) on
 	// the bursty GridNPB Campus run.
 	Dynamic []DynamicRow
-	Elapsed time.Duration
 }
 
 // All runs the complete evaluation: every table and figure of §4.
 func All(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	start := time.Now()
 	r := &Report{Config: cfg}
 	var err error
 	if r.Table1, err = Table1(cfg); err != nil {
@@ -57,7 +54,6 @@ func All(cfg Config) (*Report, error) {
 	if r.Dynamic, err = DynamicStudy(cfg); err != nil {
 		return nil, fmt.Errorf("dynamic study: %w", err)
 	}
-	r.Elapsed = time.Since(start)
 	return r, nil
 }
 
@@ -150,7 +146,7 @@ func (r *Report) Markdown() string {
 		b.WriteString("```\n" + RenderDynamicStudy(r.Dynamic) + "```\n\n")
 	}
 
-	fmt.Fprintf(&b, "---\nGenerated in %s.\n", r.Elapsed.Round(time.Millisecond))
+	b.WriteString("---\n")
 	return b.String()
 }
 

@@ -57,7 +57,7 @@ func goldenInput(t testing.TB, nw *netgraph.Network, k int, seed int64) Input {
 	spec := traffic.DefaultHTTP(20, seed)
 	in := Input{
 		Network:    nw,
-		Routes:     nw.BuildRoutingTable(),
+		Routes:     nw.SharedRouting(),
 		K:          k,
 		PartOpts:   partition.Options{Seed: seed},
 		Background: spec.Predict(nw),

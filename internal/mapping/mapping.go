@@ -57,14 +57,11 @@ const DefaultLatencyPriority = 0.6
 type Input struct {
 	// Network is the virtual topology. Required.
 	Network *netgraph.Network
-	// Routes is the routing table. Leaving it nil takes the network's shared
-	// oracle via Network.AutoRouting(): the O(k²) flat table up to
-	// netgraph.AutoFlatMaxNodes nodes, the lazy oracle past it. It is
-	// memoized per network, but still a cost pipelines should not pay
-	// implicitly: core-driven runs always thread core.Scenario.Routes()
-	// through here (the "built exactly once per scenario" tests enforce it),
-	// so the fallback exists only for callers invoking an approach
-	// standalone.
+	// Routes is the route oracle. Leaving it nil takes the network's shared
+	// oracle (Network.SharedRouting). It is memoized per network, but
+	// core-driven runs still thread core.Scenario.Routes() through here (the
+	// "built exactly once per scenario" tests enforce it), so the fallback
+	// exists only for callers invoking an approach standalone.
 	Routes netgraph.Routing
 	// K is the number of simulation-engine nodes. Required.
 	K int
@@ -120,10 +117,7 @@ func (in *Input) defaults() error {
 		return fmt.Errorf("%w: K = %d exceeds %d nodes", ErrInfeasible, in.K, n)
 	}
 	if in.Routes == nil {
-		// The automatic backend keeps a huge topology off the O(k²) flat
-		// table; the paper-scale topologies still get the exact flat table
-		// from the same shared cache.
-		in.Routes = in.Network.AutoRouting()
+		in.Routes = in.Network.SharedRouting()
 	}
 	if !(in.LatencyPriority >= 0 && in.LatencyPriority <= 1) {
 		return fmt.Errorf("%w: LatencyPriority = %v, must be in (0, 1] (0 = default)", ErrBadInput, in.LatencyPriority)

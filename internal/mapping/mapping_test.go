@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/emu"
 	"repro/internal/netflow"
+	"repro/internal/netgraph"
 	"repro/internal/partition"
 	"repro/internal/topogen"
 	"repro/internal/traffic"
@@ -236,9 +237,8 @@ func TestAssessQuality(t *testing.T) {
 }
 
 // TestNilRoutesFallbackMemoized documents Input.Routes' contract: a nil
-// Routes triggers the full O(n²) all-pairs rebuild, but through the
-// network's shared cache — so repeated standalone approach calls on the same
-// network still build the table exactly once.
+// Routes takes the network's shared oracle, so repeated standalone approach
+// calls on the same network build it exactly once.
 func TestNilRoutesFallbackMemoized(t *testing.T) {
 	nw := topogen.Campus()
 	if got := nw.RoutingBuilds(); got != 0 {
@@ -254,16 +254,19 @@ func TestNilRoutesFallbackMemoized(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := nw.RoutingBuilds(); got != 1 {
-		t.Errorf("second nil-Routes call rebuilt the table: %d builds, want 1 (shared cache)", got)
+		t.Errorf("second nil-Routes call rebuilt the oracle: %d builds, want 1 (shared)", got)
 	}
 	// An explicitly threaded Routing suppresses the fallback entirely.
 	nw2 := topogen.Campus()
-	rt := nw2.BuildRoutingTable()
+	rt, err := netgraph.NewLazyRouting(nw2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := TopMap(Input{Network: nw2, Routes: rt, K: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if got := nw2.RoutingBuilds(); got != 1 {
-		t.Errorf("explicit Routes still rebuilt: %d builds, want 1", got)
+	if got := nw2.RoutingBuilds(); got != 0 {
+		t.Errorf("explicit Routes still built the shared oracle: %d builds, want 0", got)
 	}
 }
 

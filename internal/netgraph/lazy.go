@@ -5,21 +5,20 @@ import (
 	"sync"
 )
 
-// LazyRouting is the on-demand route oracle: instead of materializing the
-// all-pairs table it computes single-source Dijkstra rows the first time a
-// source is queried and keeps the most recently used rows in a bounded LRU.
-// A row holds one next hop per routing-core node (see routeCore), so memory
-// is O(capacity·k) for k core nodes; a scenario that touches s distinct core
-// sources (emu.prepare resolves every flow route up front, so s is at most
-// the number of distinct flow endpoints) pays min(s, capacity) rows.
+// LazyRouting is the route oracle: it computes a single-source Dijkstra row
+// the first time a source is queried and keeps the most recently used rows
+// in a bounded LRU. A row holds one next hop per routing-core node (see
+// routeCore), so memory is O(capacity·k) for k core nodes; a scenario that
+// touches s distinct core sources (emu.prepare walks every flow route up
+// front, one query per hop, so s is at most the number of distinct core
+// nodes on flow routes) pays min(s, capacity) rows. Under the default
+// capacity (DefaultLazyRows) a topology of up to 8192 core nodes keeps every
+// row it computes.
 //
-// Rows come from the same dijkstraRow builder as the flat table and queries
-// go through the same routeCore.next, so answers are byte-identical to
-// RoutingTable for every (src, dst) pair. Only core sources get rows: a
-// leaf answers through its parent's row, so hosts cost no rows of their own.
-// The oracle watches its network's topology generation: a mutation (AddLink,
-// AddRouter, AddHost) purges all cached rows on the next query, so a held
-// reference can never serve stale routes.
+// Only core sources get rows: a leaf answers through its parent's row, so
+// hosts cost no rows of their own. The oracle watches its network's topology
+// generation: a mutation (AddLink, AddRouter, AddHost) purges all cached rows
+// on the next query, so a held reference can never serve stale routes.
 //
 // Safe for concurrent use; queries serialize on one mutex (hits are
 // allocation-free, so the critical section is a map lookup plus two pointer
@@ -44,29 +43,34 @@ type lazyRow struct {
 	prev, next *lazyRow
 }
 
-// NewLazyRouting returns a lazy oracle over nw holding at most rows cached
-// source rows; rows = 0 selects the automatic byte-budgeted capacity
-// (DefaultLazyRows) and a negative value is rejected with ErrRoutingConfig.
+// NewLazyRouting returns an oracle over nw holding at most rows cached
+// source rows; rows = 0 selects the byte-budgeted capacity (DefaultLazyRows)
+// and a negative value is rejected with ErrRoutingConfig. Most callers want
+// the network's shared oracle (Network.SharedRouting) instead.
 func NewLazyRouting(nw *Network, rows int) (*LazyRouting, error) {
 	if rows < 0 {
 		return nil, fmt.Errorf("%w: lazy LRU size %d, must be >= 0 (0 = automatic)", ErrRoutingConfig, rows)
 	}
-	n := len(nw.Nodes)
+	return newLazyRouting(nw, rows), nil
+}
+
+func newLazyRouting(nw *Network, rows int) *LazyRouting {
+	c := nw.routeCore()
 	if rows == 0 {
-		rows = DefaultLazyRows(n)
+		rows = DefaultLazyRows(c.k)
 	}
 	return &LazyRouting{
 		nw:      nw,
 		capRows: rows,
 		gen:     nw.gen.Load(),
-		core:    nw.routeCore(),
+		core:    c,
 		rows:    make(map[int]*lazyRow, rows),
-		scratch: newDijkstraScratch(n),
-	}, nil
+		scratch: newDijkstraScratch(len(nw.Nodes)),
+	}
 }
 
-// coreRow implements coreRows: the cached (or freshly computed) row of core
-// node src. Caller holds mu and has called refresh.
+// coreRow returns the cached (or freshly computed) row of core node src.
+// Caller holds mu and has called refresh.
 func (l *LazyRouting) coreRow(src int) []int32 {
 	if r := l.rows[src]; r != nil {
 		l.moveToFront(r)
@@ -157,17 +161,49 @@ func (l *LazyRouting) moveToFront(r *lazyRow) {
 	l.pushFront(r)
 }
 
+// next answers NextLink(src, dst) from at most one core row. A leaf
+// destination reads its parent's column, or is the leaf's own link when the
+// source is that parent; a leaf source reads its parent's row and answers
+// with its own link whenever its parent is, or reaches, dst. Caller holds
+// l.mu and has called refresh.
+func (l *LazyRouting) next(src, dst int) int32 {
+	if src == dst {
+		return -1
+	}
+	c := &l.core
+	s, via := src, int32(-1)
+	if p := c.parent[src]; p >= 0 {
+		if int(p) == dst {
+			return c.slot[src]
+		}
+		s, via = int(p), c.slot[src]
+	}
+	var hop int32
+	switch p := c.parent[dst]; {
+	case p < 0:
+		hop = l.coreRow(s)[c.slot[dst]]
+	case int(p) == s:
+		hop = c.slot[dst]
+	default:
+		hop = l.coreRow(s)[c.slot[p]]
+	}
+	if via >= 0 && hop >= 0 {
+		return via
+	}
+	return hop
+}
+
 // NextLink implements Routing. A leaf source reads its parent's row.
 func (l *LazyRouting) NextLink(src, dst int) int {
 	l.mu.Lock()
 	l.refresh()
-	v := l.core.next(l, src, dst)
+	v := l.next(src, dst)
 	l.mu.Unlock()
 	return int(v)
 }
 
-// MemoryBytes implements Routing: 4 bytes per cached (src, core dst) entry,
-// the same per-entry cost as the flat table over only the cached rows.
+// MemoryBytes implements Routing: 4 bytes (one int32 next hop) per cached
+// (src, core dst) entry.
 func (l *LazyRouting) MemoryBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -1,10 +1,10 @@
 package netgraph_test
 
-// Memory-footprint gate for the routing oracles. Every number here is a
+// Memory-footprint gate for the route oracle. Every number here is a
 // deterministic byte count, so the table is an exact-match regression gate:
-// any change to the oracle layouts or the generators shows
-// up as drift. After an intentional layout change, update the table from the
-// current values the failure messages print.
+// any change to the oracle's layout or the generators shows up as drift.
+// After an intentional layout change, update the table from the current
+// values the failure messages print.
 
 import (
 	"testing"
@@ -13,23 +13,25 @@ import (
 	"repro/internal/topogen"
 )
 
-// memrouteWarmRows is how many lazy rows the gate warms (and caps), so the
-// lazy oracle's footprint is a fixed, deterministic number of rows.
+// memrouteWarmRows is how many rows the gate warms (and caps), so the
+// oracle's footprint is a fixed, deterministic number of rows.
 const memrouteWarmRows = 32
 
-// memrouteBytes is the committed footprint per topology: flat table vs lazy
-// (32 warmed rows). Flat at 10⁵ nodes is the 4·k² + 8·n closed form, not a
-// build — the table would need ~40 GB.
+// memrouteBytes is the committed footprint per topology with 32 warmed rows.
 var memrouteBytes = []struct {
-	topology   string
-	nodes      int
-	flat, lazy int64
+	topology string
+	nodes    int
+	lazy     int64
 }{
-	{"Campus", 60, 1636, 1940},
-	{"TeraGrid", 177, 4332, 4473},
-	{"Brite-large", 564, 164512, 37444},
-	{"ScaleFree-100k", 100200, 40000801600, 14904200},
+	{"Campus", 60, 1940},
+	{"TeraGrid", 177, 4473},
+	{"Brite-large", 564, 37444},
+	{"ScaleFree-100k", 100200, 14904200},
 }
+
+// allPairs100k is what storing every core row of ScaleFree-100k would take:
+// the 4·k² + 8·n closed form (k = 100 000 core nodes, n = 100 200), ~40 GB.
+const allPairs100k = 40000801600
 
 // coreNodes lists the routing core: the nodes that are not leaves, a leaf
 // being a node with one link whose other end has at least two.
@@ -44,7 +46,7 @@ func coreNodes(nw *netgraph.Network) []int {
 	return core
 }
 
-// routeIndexBytes is the core mapping both oracles keep beside their rows:
+// routeIndexBytes is the core mapping the oracle keeps beside its rows:
 // a leaf's parent, and a core node's position or a leaf's access link, 4
 // bytes each per node.
 func routeIndexBytes(nw *netgraph.Network) int64 { return 8 * int64(nw.NumNodes()) }
@@ -63,17 +65,11 @@ func memrouteTopology(tb testing.TB, name string) *netgraph.Network {
 	return paperTopology(tb, name)
 }
 
-// memrouteMeasure returns the flat and lazy footprints of nw.
-func memrouteMeasure(tb testing.TB, nw *netgraph.Network, flatModel bool) (flat, lazy int64) {
+// memrouteMeasure returns the footprint of an oracle over nw holding
+// memrouteWarmRows rows, after as many sources have been queried.
+func memrouteMeasure(tb testing.TB, nw *netgraph.Network) int64 {
 	tb.Helper()
 	n := nw.NumNodes()
-	if flatModel {
-		// Flat stores one dense k×k array of int32 next links over the core.
-		k := int64(len(coreNodes(nw)))
-		flat = 4*k*k + routeIndexBytes(nw)
-	} else {
-		flat = nw.BuildRoutingTable().MemoryBytes()
-	}
 	l, err := netgraph.NewLazyRouting(nw, memrouteWarmRows)
 	if err != nil {
 		tb.Fatal(err)
@@ -81,52 +77,48 @@ func memrouteMeasure(tb testing.TB, nw *netgraph.Network, flatModel bool) (flat,
 	for src := 0; src < min(memrouteWarmRows, n); src++ {
 		l.NextLink(src, (src+1)%n)
 	}
-	return flat, l.MemoryBytes()
+	return l.MemoryBytes()
 }
 
 // TestMemRouteBaseline is the drift check: the byte counts in memrouteBytes
-// must exactly match what the current code produces, and the lazy oracle
-// must actually be sub-quadratic — on the 10⁵ topology it must undercut the
-// flat model by at least 100×. Lazy undercuts flat only where the warmed
-// rows are fewer than the k core rows: the whole flat table of Campus
-// (k = 17) or TeraGrid (k = 27) costs less than 32 warmed lazy rows.
+// must exactly match what the current code produces, and the oracle must be
+// sub-quadratic — on the 10⁵ topology 32 warmed rows must undercut storing
+// every core row (allPairs100k) at least 100×.
 func TestMemRouteBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the 10⁵-router topology")
 	}
 	for _, want := range memrouteBytes {
 		nw := memrouteTopology(t, want.topology)
-		large := want.topology == "ScaleFree-100k"
-		flat, lazy := memrouteMeasure(t, nw, large) // never build 40 GB
+		lazy := memrouteMeasure(t, nw)
 		if n := nw.NumNodes(); n != want.nodes {
 			t.Errorf("%s: drift — %d nodes, want %d", want.topology, n, want.nodes)
 		}
-		if flat != want.flat || lazy != want.lazy {
-			t.Errorf("%s: drift — flat/lazy bytes %d/%d, want %d/%d",
-				want.topology, flat, lazy, want.flat, want.lazy)
+		if lazy != want.lazy {
+			t.Errorf("%s: drift — %d bytes, want %d", want.topology, lazy, want.lazy)
 		}
-
-		// The ordering the redesign exists for.
-		if memrouteWarmRows < len(coreNodes(nw)) && lazy >= flat {
-			t.Errorf("%s: not sub-quadratic — flat %d, lazy %d", want.topology, flat, lazy)
+		if want.topology != "ScaleFree-100k" {
+			continue
 		}
-		if large && lazy >= flat/100 {
-			t.Errorf("10⁵ nodes: the lazy oracle must undercut flat 100× — flat %d, lazy %d", flat, lazy)
+		k := int64(len(coreNodes(nw)))
+		if all := 4*k*k + routeIndexBytes(nw); all != allPairs100k {
+			t.Errorf("10⁵ nodes: drift — every core row would take %d bytes, want %d", all, int64(allPairs100k))
+		}
+		if lazy >= allPairs100k/100 {
+			t.Errorf("10⁵ nodes: the oracle must undercut every core row 100× — %d of %d bytes", lazy, int64(allPairs100k))
 		}
 	}
 }
 
-// TestRouteMemoryIsCoreSized: both oracles store next hops among the k core
-// nodes only. The flat table is 4·k² bytes plus the index; each row the lazy
-// oracle caches costs 4·k, and leaf queries cache no rows of their own.
+// TestRouteMemoryIsCoreSized: the oracle stores next hops among the k core
+// nodes only. Each row it caches costs 4·k bytes, leaf queries cache no rows
+// of their own, and a cache holding every row costs 4·k² beside the index
+// and the search scratch.
 func TestRouteMemoryIsCoreSized(t *testing.T) {
 	check := func(t *testing.T, nw *netgraph.Network) {
 		t.Helper()
 		n, core := nw.NumNodes(), coreNodes(nw)
 		k := int64(len(core))
-		if got, want := nw.BuildRoutingTable().MemoryBytes(), 4*k*k+routeIndexBytes(nw); got != want {
-			t.Fatalf("%s: flat table %d bytes, want 4·%d² + %d", nw.Name, got, k, routeIndexBytes(nw))
-		}
 		lazy, err := netgraph.NewLazyRouting(nw, n)
 		if err != nil {
 			t.Fatal(err)
@@ -148,6 +140,9 @@ func TestRouteMemoryIsCoreSized(t *testing.T) {
 		}
 		if got := lazy.MemoryBytes(); got != full {
 			t.Fatalf("%s: querying every pair grew the lazy cache from %d to %d bytes", nw.Name, full, got)
+		}
+		if k > 1 && full != empty+4*k*k {
+			t.Fatalf("%s: every row costs %d bytes over the empty oracle's %d, want 4·%d²", nw.Name, full-empty, empty, k)
 		}
 	}
 	for _, name := range []string{"Campus", "TeraGrid", "Brite", "Brite-large"} {

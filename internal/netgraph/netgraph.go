@@ -12,8 +12,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/parallel"
 )
 
 // NodeKind distinguishes packet-forwarding routers from traffic-terminating
@@ -83,17 +81,16 @@ type Network struct {
 	// adj[n] lists link IDs incident to node n.
 	adj [][]int
 
-	// Shared routing cache (SharedRouting / SharedRoutingTable): memoized
-	// oracles keyed by normalized RoutingOptions, invalidated by topology
-	// mutations via gen. gen is atomic so long-lived oracles (LazyRouting)
-	// can cheaply detect staleness on every query without taking mu. builds
-	// counts every full flat-table construction for the
-	// tests asserting that pipelines reuse one table instead of rebuilding
-	// O(k²) state.
-	mu     sync.Mutex
-	gen    atomic.Int64
-	shared map[RoutingOptions]sharedEntry
-	builds atomic.Int64
+	// The shared route oracle (SharedRouting), built at generation
+	// sharedGen and rebuilt once a topology mutation bumps gen. gen is atomic
+	// so a held oracle can cheaply detect staleness on every query without
+	// taking mu. builds counts the shared builds, for the tests asserting
+	// that a pipeline shares one oracle.
+	mu        sync.Mutex
+	gen       atomic.Int64
+	shared    *LazyRouting
+	sharedGen int64
+	builds    atomic.Int64
 }
 
 // New returns an empty network with the given name.
@@ -120,9 +117,8 @@ func (nw *Network) addNode(n Node) int {
 }
 
 // invalidateRouting marks any cached routing stale after a topology
-// mutation: SharedRouting drops every memoized backend (flat, lazy) on the
-// next lookup, and live LazyRouting oracles purge their
-// cached rows on the next query.
+// mutation: SharedRouting builds a fresh oracle on the next lookup, and live
+// LazyRouting oracles purge their cached rows on the next query.
 func (nw *Network) invalidateRouting() {
 	nw.gen.Add(1)
 }
@@ -279,56 +275,6 @@ func (nw *Network) connected() bool {
 
 // ---- Shortest-path routing ----
 
-// RoutingTable holds the next-hop link on the latency-shortest path between
-// every ordered pair of the k routing-core nodes (see routeCore), whose
-// answers cover the leaves too: 4 bytes (one int32 link ID) per pair, 4·k²
-// where storing every node would cost 4·n².
-type RoutingTable struct {
-	core routeCore
-	// nextLink[i*k+j] is the link ID of the first hop from the i-th core node
-	// toward the j-th, or -1 when i == j or the j-th is unreachable.
-	nextLink []int32
-}
-
-// BuildRoutingTable materializes the core next-hop table, fanning sources
-// out over GOMAXPROCS workers: one Dijkstra per core node. Ties are broken
-// deterministically by link ID, and each source writes only its own table
-// row, so the result is byte-identical to the sequential build regardless
-// of worker count.
-func (nw *Network) BuildRoutingTable() *RoutingTable {
-	return nw.BuildRoutingTableParallel(0)
-}
-
-// BuildRoutingTableParallel is BuildRoutingTable with an explicit worker
-// count: non-positive means GOMAXPROCS, 1 is the exact sequential build the
-// equivalence tests compare against.
-func (nw *Network) BuildRoutingTableParallel(workers int) *RoutingTable {
-	nw.builds.Add(1)
-	n := len(nw.Nodes)
-	rt := &RoutingTable{core: nw.routeCore()}
-	rt.nextLink = make([]int32, rt.core.k*rt.core.k)
-	w := parallel.Workers(workers, n)
-	scratches := make([]*dijkstraScratch, w)
-	parallel.ForEachWorker(n, w, func(worker, src int) {
-		if rt.core.parent[src] >= 0 {
-			return
-		}
-		s := scratches[worker]
-		if s == nil {
-			s = newDijkstraScratch(n)
-			scratches[worker] = s
-		}
-		nw.dijkstraRow(src, rt.coreRow(src), rt.core.parent, s)
-	})
-	return rt
-}
-
-// coreRow implements coreRows: core node src's slice of the table.
-func (rt *RoutingTable) coreRow(src int) []int32 {
-	i := int(rt.core.slot[src]) * rt.core.k
-	return rt.nextLink[i : i+rt.core.k]
-}
-
 // leafParents returns, for every leaf, the node it hangs off, and -1 for
 // every other node. A leaf is a node with exactly one incident link whose
 // other end has at least two — a host on its access link, typically. No
@@ -351,8 +297,8 @@ func (nw *Network) leafParents() []int32 {
 }
 
 // routeCore maps a topology onto its routing core, the k nodes that are not
-// leaves: both route oracles store next hops among these only, and answer
-// every query touching a leaf through next.
+// leaves: the route oracle stores next hops among these only, and answers
+// every query touching a leaf through LazyRouting.next.
 type routeCore struct {
 	// parent is leafParents: a leaf's parent, -1 for a core node.
 	parent []int32
@@ -375,43 +321,8 @@ func (nw *Network) routeCore() routeCore {
 	return c
 }
 
-// coreRows serves a core node's next-hop row, indexed by core position.
-type coreRows interface{ coreRow(src int) []int32 }
-
-// next answers NextLink(src, dst) from at most one core row. A leaf
-// destination reads its parent's column, or is the leaf's own link when the
-// source is that parent; a leaf source reads its parent's row and answers
-// with its own link whenever its parent is, or reaches, dst.
-func (c *routeCore) next(rows coreRows, src, dst int) int32 {
-	if src == dst {
-		return -1
-	}
-	s, via := src, int32(-1)
-	if p := c.parent[src]; p >= 0 {
-		if int(p) == dst {
-			return c.slot[src]
-		}
-		s, via = int(p), c.slot[src]
-	}
-	var hop int32
-	switch p := c.parent[dst]; {
-	case p < 0:
-		hop = rows.coreRow(s)[c.slot[dst]]
-	case int(p) == s:
-		hop = c.slot[dst]
-	default:
-		hop = rows.coreRow(s)[c.slot[p]]
-	}
-	if via >= 0 && hop >= 0 {
-		return via
-	}
-	return hop
-}
-
 // memoryBytes is the mapping's footprint: parent and slot, 4 bytes a node each.
 func (c *routeCore) memoryBytes() int64 { return 8 * int64(len(c.parent)) }
-
-func (nw *Network) RoutingBuilds() int64 { return nw.builds.Load() }
 
 // pqItem is one priority-queue entry: a node (an index local to the graph
 // being searched) at a tentative distance.
@@ -422,7 +333,7 @@ type pqItem struct {
 
 // pqLess orders the Dijkstra frontier by (distance, node) — the same total
 // order the original container/heap implementation used, which makes the pop
-// sequence (and therefore the built table) independent of heap layout.
+// sequence (and therefore the built rows) independent of heap layout.
 func pqLess(a, b pqItem) bool {
 	if a.dist != b.dist {
 		return a.dist < b.dist
@@ -430,11 +341,11 @@ func pqLess(a, b pqItem) bool {
 	return a.node < b.node
 }
 
-// dijkstraScratch is the reusable per-worker state of one Dijkstra
+// dijkstraScratch is the reusable per-oracle state of one Dijkstra
 // execution: tentative distances, visited flags, the first-hop-link column
 // being built, and the frontier heap's backing array. Distances live only
-// here — no table keeps them — and reusing the scratch across sources
-// removes every per-source allocation from the all-pairs build.
+// here — no row keeps them — and reusing the scratch across sources
+// removes every per-source allocation from a row build.
 type dijkstraScratch struct {
 	dist      []float64
 	done      []bool
@@ -524,9 +435,8 @@ func (s *dijkstraScratch) pop() pqItem {
 }
 
 // dijkstraRow computes non-leaf source src's next-hop row into next, one
-// column per core node in node order (see routeCore). It is the one row
-// builder both oracles share, which makes their rows byte-identical: same
-// heap, same deterministic first-hop-link tie-break. parent is leafParents:
+// column per core node in node order (see routeCore), with a deterministic
+// tie-break on the first-hop link ID. parent is leafParents:
 // Dijkstra runs over the non-leaf nodes only. A leaf could never have
 // improved another node's distance — its only link leads back to its
 // parent, already settled — so every hop is that of the full search.
@@ -568,11 +478,6 @@ func (nw *Network) dijkstraRow(src int, next, parent []int32, s *dijkstraScratch
 			col++
 		}
 	}
-}
-
-// NextLink returns the first-hop link from src toward dst, or -1.
-func (rt *RoutingTable) NextLink(src, dst int) int {
-	return int(rt.core.next(rt, src, dst))
 }
 
 // RoutePath walks the routing oracle from src to dst — the one walk Route and

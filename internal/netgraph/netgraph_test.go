@@ -120,7 +120,7 @@ func TestValidate(t *testing.T) {
 
 func TestRoutingLine(t *testing.T) {
 	nw := lineNetwork()
-	rt := nw.BuildRoutingTable()
+	rt := nw.SharedRouting()
 	path, _ := nw.RoutePath(rt, 0, 4)
 	want := []int{0, 1, 2, 3, 4}
 	if len(path) != len(want) {
@@ -155,7 +155,7 @@ func TestRoutingPrefersLowLatency(t *testing.T) {
 	nw.AddLink(a, b, 1e9, 0.010)
 	nw.AddLink(a, c, 1e9, 0.002)
 	nw.AddLink(c, b, 1e9, 0.002)
-	rt := nw.BuildRoutingTable()
+	rt := nw.SharedRouting()
 	path, _ := nw.RoutePath(rt, a, b)
 	if len(path) != 3 || path[1] != c {
 		t.Errorf("path = %v, want detour through c", path)
@@ -170,7 +170,7 @@ func TestRoutingUnreachable(t *testing.T) {
 	a := nw.AddRouter("a", 1)
 	b := nw.AddRouter("b", 1)
 	_ = b
-	rt := nw.BuildRoutingTable()
+	rt := nw.SharedRouting()
 	if path, _ := nw.RoutePath(rt, a, b); path != nil {
 		t.Error("route across disconnected components")
 	}
@@ -248,7 +248,7 @@ func randomNetwork(n int, seed int64) *Network {
 func TestRoutingProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		nw := randomNetwork(30, seed)
-		rt := nw.BuildRoutingTable()
+		rt := nw.SharedRouting()
 		shortest := floydWarshall(nw)
 		rng := rand.New(rand.NewSource(seed ^ 0x77))
 		for trial := 0; trial < 10; trial++ {
@@ -293,7 +293,7 @@ func TestRoutingProperties(t *testing.T) {
 func TestRoutingSymmetricDistance(t *testing.T) {
 	// Undirected links: distance must be symmetric.
 	nw := randomNetwork(25, 42)
-	rt := nw.BuildRoutingTable()
+	rt := nw.SharedRouting()
 	for a := 0; a < 25; a++ {
 		for b := 0; b < 25; b++ {
 			if math.Abs(pathLatency(nw, rt, a, b)-pathLatency(nw, rt, b, a)) > 1e-9 {

@@ -1,13 +1,12 @@
 package netgraph_test
 
-// Cross-backend equivalence. The flat table and the lazy oracle must answer
-// every (src, dst) exactly as the full-graph row builder below does — the
-// builder both used before leaves were cut out of Dijkstra — on the paper's
+// Oracle equivalence. The route oracle must answer every (src, dst) exactly
+// as the full-graph row builder below does — the builder it used before
+// leaves were cut out of Dijkstra — at any row capacity, on the paper's
 // topologies and on random graphs shaped to break that cut.
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,6 +16,15 @@ import (
 	"repro/internal/netgraph"
 	"repro/internal/topogen"
 )
+
+func paperTopology(tb testing.TB, name string) *netgraph.Network {
+	tb.Helper()
+	nw, err := topogen.ByName(name, 42)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return nw
+}
 
 // refItem and refHeap are the oracle's frontier: container/heap under the
 // same (distance, node) total order the production heap uses.
@@ -127,23 +135,30 @@ func oracleGraph(seed int64) *netgraph.Network {
 	return nw
 }
 
-// TestNextLinkMatchesOracle: flat and lazy NextLink equal the full-graph
-// oracle on every (src, dst), leaf sources and leaf destinations included,
-// on the four paper topologies and on 300 random graphs. The lazy oracle
-// holds 4 rows, so rows are evicted and rebuilt throughout.
+// TestNextLinkMatchesOracle: NextLink equals the full-graph reference on
+// every (src, dst), leaf sources and leaf destinations included, on the four
+// paper topologies and on 300 random graphs, for an oracle holding 1 row, 4
+// rows and all k core rows (the shared oracle's capacity on these sizes).
+// Below k, rows are evicted and rebuilt throughout.
 func TestNextLinkMatchesOracle(t *testing.T) {
 	check := func(t *testing.T, nw *netgraph.Network) {
 		t.Helper()
-		flat := nw.BuildRoutingTable()
-		lazy, err := netgraph.NewLazyRouting(nw, 4)
-		if err != nil {
-			t.Fatal(err)
+		capacities := []int{1, 4, len(coreNodes(nw))}
+		oracles := make([]*netgraph.LazyRouting, len(capacities))
+		for i, rows := range capacities {
+			var err error
+			if oracles[i], err = netgraph.NewLazyRouting(nw, rows); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for src := 0; src < nw.NumNodes(); src++ {
 			want, _ := referenceRow(nw, src)
 			for dst, w := range want {
-				if f, l := flat.NextLink(src, dst), lazy.NextLink(src, dst); f != w || l != w {
-					t.Fatalf("%s: NextLink(%d,%d): oracle %d, flat %d, lazy %d", nw.Name, src, dst, w, f, l)
+				for i, r := range oracles {
+					if got := r.NextLink(src, dst); got != w {
+						t.Fatalf("%s: NextLink(%d,%d) = %d at capacity %d, reference %d",
+							nw.Name, src, dst, got, capacities[i], w)
+					}
 				}
 			}
 		}
@@ -187,79 +202,26 @@ func TestNextLinkMatchesOracle(t *testing.T) {
 	})
 }
 
-func TestLazyMatchesFlatOnPaperTopologies(t *testing.T) {
-	for _, name := range []string{"Campus", "TeraGrid", "Brite", "Brite-large"} {
-		t.Run(name, func(t *testing.T) {
-			nw := paperTopology(t, name)
-			n := nw.NumNodes()
-			flat := nw.BuildRoutingTable()
-			lazy, err := netgraph.NewLazyRouting(nw, 32)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for src := 0; src < n; src++ {
-				for dst := 0; dst < n; dst++ {
-					if f, l := flat.NextLink(src, dst), lazy.NextLink(src, dst); f != l {
-						t.Fatalf("NextLink(%d,%d): flat %d, lazy %d", src, dst, f, l)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestEveryBackendRoutesShortest keeps the route oracle to one semantics:
-// every backend ParseBackend accepts must route each host pair over a path
-// exactly as long as the flat table's, on the paper topologies and on a
-// scale-free network past AutoFlatMaxNodes, where Auto resolves to lazy. A
-// backend that trades path length for table size (the retired two-level
-// "hier" tables stretched routes 4.6× at 10⁴ routers) emulates a different
-// network, so the backend enumeration and this check must not admit one.
+// the shared oracle must route each host pair over a path as long as the
+// full-graph reference distance (to 1e-12, relative: the reference sums the
+// same latencies in another order), on the paper topologies and on a
+// 2100-node scale-free network. An oracle that trades path length for table
+// size (the retired two-level "hier" tables stretched routes 4.6× at 10⁴
+// routers) emulates a different network.
 func TestEveryBackendRoutesShortest(t *testing.T) {
-	var backends []netgraph.Backend
-	for b := netgraph.Backend(-2); b < 16; b++ {
-		parsed, perr := netgraph.ParseBackend(b.String())
-		verr := netgraph.RoutingOptions{Backend: b}.Validate()
-		if (perr == nil) != (verr == nil) {
-			t.Fatalf("%v: ParseBackend error %v but Validate error %v", b, perr, verr)
-		}
-		if perr == nil {
-			if parsed != b {
-				t.Fatalf("ParseBackend(%q) = %v", b.String(), parsed)
-			}
-			backends = append(backends, b)
-		}
-	}
-	if len(backends) == 0 {
-		t.Fatal("ParseBackend accepts no backend")
-	}
-	if _, err := netgraph.ParseBackend("hier"); !errors.Is(err, netgraph.ErrRoutingConfig) {
-		t.Fatalf(`ParseBackend("hier") = %v, want ErrRoutingConfig`, err)
-	}
-	if err := (netgraph.RoutingOptions{Backend: 3}).Validate(); !errors.Is(err, netgraph.ErrRoutingConfig) {
-		t.Fatalf("Validate(Backend 3) = %v, want ErrRoutingConfig", err)
-	}
-
 	check := func(t *testing.T, nw *netgraph.Network) {
 		hosts := nw.Hosts()
-		flat := nw.BuildRoutingTable()
-		latency := func(r netgraph.Routing, src, dst int) float64 {
-			var d float64
-			for _, l := range nw.RouteLinks(r, src, dst) {
-				d += nw.Links[l].Latency
-			}
-			return d
-		}
-		for _, b := range backends {
-			r, err := nw.BuildRouting(netgraph.RoutingOptions{Backend: b})
-			if err != nil {
-				t.Fatalf("%v: %v", b, err)
-			}
-			for i, src := range hosts {
-				for _, dst := range hosts[i+1:] {
-					if got, want := latency(r, src, dst), latency(flat, src, dst); got != want {
-						t.Fatalf("%v (%T): route %d->%d is %g s, flat %g s", b, r, src, dst, got, want)
-					}
+		r := nw.SharedRouting()
+		for i, src := range hosts {
+			_, dist := referenceRow(nw, src)
+			for _, dst := range hosts[i+1:] {
+				var got float64
+				for _, l := range nw.RouteLinks(r, src, dst) {
+					got += nw.Links[l].Latency
+				}
+				if want := dist[dst]; math.Abs(got-want) > 1e-12*want {
+					t.Fatalf("route %d->%d is %g s, shortest %g s", src, dst, got, want)
 				}
 			}
 		}
@@ -273,9 +235,6 @@ func TestEveryBackendRoutesShortest(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if nw.NumNodes() <= netgraph.AutoFlatMaxNodes {
-			t.Fatalf("%d nodes: Auto would stay flat", nw.NumNodes())
 		}
 		check(t, nw)
 	})
@@ -304,7 +263,7 @@ func TestRouteWalkersAgree(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			nw := paperTopology(t, name)
 			island := nw.AddHost("island", 1)
-			rt := nw.BuildRoutingTable()
+			rt := nw.SharedRouting()
 			hosts := nw.Hosts()
 			for _, src := range hosts {
 				for _, dst := range hosts {

@@ -9,8 +9,8 @@ import (
 )
 
 // tieHeavyNetwork builds a connected network where most links share the same
-// latency, so Dijkstra faces many equal-cost paths — the setting where a
-// divergent tie-break between backends would show up immediately.
+// latency, so Dijkstra faces many equal-cost paths — the setting where a row
+// rebuilt after an eviction would show a divergent tie-break immediately.
 func tieHeavyNetwork(n int, seed int64) *Network {
 	rng := rand.New(rand.NewSource(seed))
 	nw := New("ties")
@@ -29,35 +29,44 @@ func tieHeavyNetwork(n int, seed int64) *Network {
 	return nw
 }
 
-// TestLazyMatchesFlatAllPairs is the equivalence matrix on tie-heavy random
-// networks: every (src, dst) next hop must be byte-identical
-// between the flat table and the lazy oracle, including after evictions force
-// rows to be recomputed.
-func TestLazyMatchesFlatAllPairs(t *testing.T) {
+// TestLazyEvictionMatchesFullCache is the eviction matrix on tie-heavy
+// random networks: an oracle holding 1 or 8 rows must answer every
+// (src, dst) exactly as one holding all n rows, which never evicts, also
+// after the LRU has churned and rows are recomputed. TestNextLinkMatchesOracle
+// holds the answers themselves to the full-graph reference.
+func TestLazyEvictionMatchesFullCache(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		n := 60
 		nw := tieHeavyNetwork(n, seed)
-		flat := nw.BuildRoutingTable()
-		lazy, err := NewLazyRouting(nw, 8) // far below n: evictions guaranteed
+		full, err := NewLazyRouting(nw, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				if f, l := flat.NextLink(src, dst), lazy.NextLink(src, dst); f != l {
-					t.Fatalf("seed %d: NextLink(%d,%d) flat %d, lazy %d", seed, src, dst, f, l)
+		for _, rows := range []int{1, 8} { // far below n: evictions guaranteed
+			lazy, err := NewLazyRouting(nw, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for src := 0; src < n; src++ {
+				for dst := 0; dst < n; dst++ {
+					if f, l := full.NextLink(src, dst), lazy.NextLink(src, dst); f != l {
+						t.Fatalf("seed %d, %d rows: NextLink(%d,%d) %d, full cache %d", seed, rows, src, dst, l, f)
+					}
 				}
 			}
-		}
-		// Re-query ascending after the LRU has churned: recomputed rows must
-		// still match.
-		for src := 0; src < n; src++ {
-			if f, l := flat.NextLink(src, 0), lazy.NextLink(src, 0); f != l {
-				t.Fatalf("seed %d: recomputed NextLink(%d,0) flat %d, lazy %d", seed, src, f, l)
+			// Re-query ascending after the LRU has churned: recomputed rows
+			// must still match.
+			for src := 0; src < n; src++ {
+				if f, l := full.NextLink(src, 0), lazy.NextLink(src, 0); f != l {
+					t.Fatalf("seed %d, %d rows: recomputed NextLink(%d,0) %d, full cache %d", seed, rows, src, l, f)
+				}
+			}
+			if s := lazy.stats(); s.Evictions == 0 || s.Sources > s.Capacity {
+				t.Fatalf("seed %d: expected eviction churn within capacity, got %+v", seed, s)
 			}
 		}
-		if s := lazy.stats(); s.Evictions == 0 || s.Sources > s.Capacity {
-			t.Fatalf("seed %d: expected eviction churn within capacity, got %+v", seed, s)
+		if s := full.stats(); s.Evictions != 0 || s.Sources != nw.routeCore().k {
+			t.Fatalf("seed %d: the full cache must hold every core row and evict none, got %+v", seed, s)
 		}
 	}
 }
@@ -128,16 +137,25 @@ func TestLazyHitPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestLazyConcurrentQueries drives the oracle from many goroutines (run under
-// -race in CI); every answer is checked against the flat table. A third of
-// the nodes are hosts, so leaf sources read their parents' rows concurrently.
+// TestLazyConcurrentQueries drives an oracle holding 6 of its 40 core rows
+// from many goroutines (run under -race in CI), so misses and evictions race
+// with hits; every answer is checked against the answers one goroutine read
+// first. A third of the nodes are hosts, so leaf sources read their parents'
+// rows concurrently.
 func TestLazyConcurrentQueries(t *testing.T) {
 	nw := tieHeavyNetwork(40, 9)
 	for h := 0; h < 20; h++ {
 		nw.AddLink(nw.AddHost("h", 1), 2*h, 1e8, 1e-4)
 	}
 	n := nw.NumNodes()
-	flat := nw.BuildRoutingTable()
+	want := make([][]int, n)
+	full := nw.SharedRouting()
+	for src := range want {
+		want[src] = make([]int, n)
+		for dst := range want[src] {
+			want[src][dst] = full.NextLink(src, dst)
+		}
+	}
 	lazy, err := NewLazyRouting(nw, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -151,9 +169,9 @@ func TestLazyConcurrentQueries(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 300; i++ {
 				src, dst := rng.Intn(n), rng.Intn(n)
-				if f, l := flat.NextLink(src, dst), lazy.NextLink(src, dst); f != l {
+				if lazy.NextLink(src, dst) != want[src][dst] {
 					select {
-					case errc <- errors.New("concurrent lazy answer diverged from flat"):
+					case errc <- errors.New("concurrent lazy answer diverged from the sequential one"):
 					default:
 					}
 					return
@@ -198,113 +216,53 @@ func TestLazySelfPurgesOnMutation(t *testing.T) {
 	}
 }
 
-// TestSharedRoutingDropsAllBackendsOnMutation checks the generation cache
-// across every backend: AddLink must invalidate flat and lazy entries
-// alike.
-func TestSharedRoutingDropsAllBackendsOnMutation(t *testing.T) {
+// TestSharedRoutingMemoized checks the shared oracle: repeated lookups
+// return the same oracle without rebuilding, RoutingBuilds counts the
+// builds, and a topology mutation makes the next lookup build a fresh one.
+func TestSharedRoutingMemoized(t *testing.T) {
 	nw := tieHeavyNetwork(30, 11)
-	opts := []RoutingOptions{
-		{Backend: Flat},
-		{Backend: Lazy, LazyRows: 4},
+	if got := nw.RoutingBuilds(); got != 0 {
+		t.Fatalf("fresh network reports %d builds", got)
 	}
-	before := make([]Routing, len(opts))
-	for i, o := range opts {
-		r, err := nw.SharedRouting(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before[i] = r
-		// Memoized: the same options return the identical oracle.
-		again, err := nw.SharedRouting(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again != r {
-			t.Fatalf("%s: SharedRouting did not memoize", o.Backend)
-		}
+	a := nw.SharedRouting()
+	if b := nw.SharedRouting(); b != a {
+		t.Error("SharedRouting rebuilt instead of memoizing")
+	}
+	if got := nw.RoutingBuilds(); got != 1 {
+		t.Errorf("RoutingBuilds = %d after two shared lookups, want 1", got)
 	}
 	nw.AddLink(0, 29, 1e9, 1e-6)
-	for i, o := range opts {
-		r, err := nw.SharedRouting(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r == before[i] {
-			t.Fatalf("%s: SharedRouting served a stale oracle after AddLink", o.Backend)
-		}
+	if c := nw.SharedRouting(); c == a {
+		t.Error("SharedRouting served a stale oracle after AddLink")
+	}
+	if got := nw.RoutingBuilds(); got != 2 {
+		t.Errorf("RoutingBuilds = %d after invalidation, want 2", got)
 	}
 }
 
-func TestParseBackend(t *testing.T) {
-	for name, want := range map[string]Backend{"auto": Auto, "flat": Flat, "lazy": Lazy} {
-		got, err := ParseBackend(name)
-		if err != nil || got != want {
-			t.Fatalf("ParseBackend(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := ParseBackend("quantum"); !errors.Is(err, ErrRoutingConfig) {
-		t.Fatalf("unknown backend error = %v, want ErrRoutingConfig", err)
-	}
-}
-
-func TestRoutingOptionsValidate(t *testing.T) {
-	bad := []RoutingOptions{
-		{LazyRows: -1},
-		{Backend: Backend(-1)},
-		{Backend: Backend(99)},
-	}
-	for _, o := range bad {
-		if err := o.Validate(); !errors.Is(err, ErrRoutingConfig) {
-			t.Fatalf("Validate(%+v) = %v, want ErrRoutingConfig", o, err)
+// TestDefaultSizing checks the byte-budgeted capacity: every row up to 8192
+// core nodes, the 256 MB budget past it, at least one row, and what
+// NewLazyRouting picks for 0 and refuses below it.
+func TestDefaultSizing(t *testing.T) {
+	for k, want := range map[int]int{0: 1, 1: 1, 100: 100, 8192: 8192, 8193: 8191, 100_000: 671, 1 << 27: 1} {
+		if got := DefaultLazyRows(k); got != want {
+			t.Errorf("DefaultLazyRows(%d) = %d, want %d", k, got, want)
 		}
 	}
 	nw := tieHeavyNetwork(10, 1)
-	for _, o := range bad {
-		if _, err := nw.BuildRouting(o); !errors.Is(err, ErrRoutingConfig) {
-			t.Fatalf("BuildRouting(%+v) = %v, want ErrRoutingConfig", o, err)
-		}
-		if _, err := nw.SharedRouting(o); !errors.Is(err, ErrRoutingConfig) {
-			t.Fatalf("SharedRouting(%+v) = %v, want ErrRoutingConfig", o, err)
-		}
+	nw.AddLink(nw.AddHost("h", 1), 0, 1e8, 1e-4)
+	lazy, err := NewLazyRouting(nw, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := nw.routeCore().k
+	if s := lazy.stats(); s.Capacity != k {
+		t.Errorf("default capacity on %d core nodes is %d rows, want all of them", k, s.Capacity)
+	}
+	if s := nw.SharedRouting().stats(); s.Capacity != k {
+		t.Errorf("the shared oracle holds %d rows of %d", s.Capacity, k)
 	}
 	if _, err := NewLazyRouting(nw, -1); !errors.Is(err, ErrRoutingConfig) {
 		t.Fatalf("NewLazyRouting(-1) = %v, want ErrRoutingConfig", err)
-	}
-}
-
-// TestAutoPolicy checks the size cutover and that equivalent options share one
-// shared-cache entry.
-func TestAutoPolicy(t *testing.T) {
-	small := tieHeavyNetwork(30, 17)
-	r, err := small.SharedRouting(RoutingOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.(*RoutingTable); !ok {
-		t.Fatalf("auto on %d nodes picked %T, want the flat table", 30, r)
-	}
-	// Auto and explicit Flat normalize to the same cache key.
-	rf, err := small.SharedRouting(RoutingOptions{Backend: Flat})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rf != r {
-		t.Fatal("Auto and Flat built separate oracles on a small network")
-	}
-
-	if o := (RoutingOptions{}).normalized(AutoFlatMaxNodes + 1); o.Backend != Lazy {
-		t.Fatalf("auto above the flat ceiling picked %v, want Lazy", o.Backend)
-	}
-	if o := (RoutingOptions{}).normalized(AutoFlatMaxNodes); o.Backend != Flat {
-		t.Fatalf("auto at the flat ceiling picked %v, want Flat", o.Backend)
-	}
-}
-
-func TestDefaultSizing(t *testing.T) {
-	if r := DefaultLazyRows(100_000); r < MinLazyRows || r > MaxLazyRows {
-		t.Fatalf("DefaultLazyRows(1e5) = %d, outside [%d,%d]", r, MinLazyRows, MaxLazyRows)
-	}
-	if r := DefaultLazyRows(100); r != 100 {
-		t.Fatalf("DefaultLazyRows(100) = %d, want clamped to n", r)
 	}
 }

@@ -28,8 +28,8 @@ type ScaleFreeConfig struct {
 // Latencies are drawn from the same continental range Brite's plane distance
 // produces ([0.5ms, 20ms]) and bandwidths from the same 2003 transit tiers,
 // but without the O(n) coordinate bookkeeping per link. All routers share
-// one AS; past netgraph.AutoFlatMaxNodes nodes the automatic routing policy
-// serves it with the lazy oracle.
+// one AS; past 8192 core nodes the route oracle's byte budget holds fewer
+// rows than the network has sources (netgraph.DefaultLazyRows).
 func ScaleFree(cfg ScaleFreeConfig) (*netgraph.Network, error) {
 	if cfg.Routers < 2 {
 		return nil, fmt.Errorf("topogen: ScaleFree needs at least 2 routers, got %d", cfg.Routers)

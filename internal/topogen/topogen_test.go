@@ -178,7 +178,7 @@ func TestAllTopologiesRoutable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt := nw.BuildRoutingTable()
+		rt := nw.SharedRouting()
 		hosts := nw.Hosts()
 		// Every host pair must be routable.
 		for i := 0; i < len(hosts); i += 7 {

@@ -29,7 +29,7 @@ var unreachedAllowlist = map[string]string{
 	// Oracles that the tests of more than one package compare against, so no
 	// one package's export_test.go can hold them.
 	"des.Stats.TotalCharges":         "the kernel-event total that the des, emu, dist, core and root tests assert conservation on",
-	"netgraph.Network.RoutingBuilds": "the flat-build counter the built-once regression tests of netgraph, mapping and core read",
+	"netgraph.Network.RoutingBuilds": "the shared-oracle build counter the built-once regression tests of netgraph, mapping and core read",
 	"obs.Timeline.CanonicalJSON":     "the deployment-independent timeline bytes that the emu, dist and obs tests compare across run shapes",
 	"obs.Timeline.Spans":             "the merged span list the obs, emu, dist and core tests inspect",
 	"obs.Timeline.Windows":           "the committed-window count the obs, emu and dist tests check against the kernel's",

@@ -79,15 +79,10 @@ type BriteConfig = topogen.BriteConfig
 type ScaleFreeConfig = topogen.ScaleFreeConfig
 
 // Routing is the route-oracle interface (next hop, memory accounting) the
-// emulator and the mapping approaches consume. See netgraph.Routing.
-// Scenario.Routing's zero value picks exact flat tables up to 2048 nodes and
-// the lazy oracle beyond; Scenario.Routing.LazyRows sizes the lazy oracle's
-// row cache.
+// emulator and the mapping approaches consume. See netgraph.Routing: one
+// oracle computes shortest-path rows on first use and caches them under a
+// 256 MB budget, so every paper topology keeps all its rows.
 type Routing = netgraph.Routing
-
-// ErrRoutingConfig reports an infeasible routing configuration (negative LRU
-// size, unknown backend name); test with errors.Is.
-var ErrRoutingConfig = netgraph.ErrRoutingConfig
 
 // Workload is a timestamped list of flows.
 type Workload = traffic.Workload
