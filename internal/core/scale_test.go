@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/mapping"
@@ -80,5 +81,73 @@ func TestMemoryScalableRoutingEndToEnd(t *testing.T) {
 	}
 	if got := sc.Network.RoutingBuilds(); got != 1 {
 		t.Fatalf("the scenario built its route oracle %d times on the 10⁵ topology, want once", got)
+	}
+}
+
+// TestLazyBackendMatchesFlatEndToEnd runs the identical Campus PROFILE
+// pipeline on the scenario's shared oracle, which holds every core row as
+// the flat table did, and by hand on a 4-row oracle that evicts and
+// rebuilds rows throughout: every result the emulator reports must be
+// identical, because both oracles build rows with the same Dijkstra.
+func TestLazyBackendMatchesFlatEndToEnd(t *testing.T) {
+	ctx := context.Background()
+	sc := campusScenario(false)
+	flat, err := sc.Run(ctx, mapping.Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	small, err := netgraph.NewLazyRouting(sc.Network, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := sc.MappingInput()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Routes = small
+	topPart, err := mapping.TopMap(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := sc.emuConfig(topPart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Routes, cfg.Profile = small, true
+	prof, err := sc.start(ctx, cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Summary = prof.NetFlow.Summarize()
+	part, err := mapping.ProfileMap(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(flat.Assignment, part) {
+		t.Fatal("the full and the 4-row oracle produced different partitions")
+	}
+	if cfg, err = sc.emuConfig(part); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Routes = small
+	lr, err := sc.start(ctx, cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := small.MemoryBytes(); s >= sc.Network.SharedRouting().MemoryBytes() {
+		t.Fatalf("the 4-row oracle holds %d bytes, no fewer than the full one", s)
+	}
+
+	fr := flat.Result
+	if fr.AppTime != lr.AppTime || fr.NetTime != lr.NetTime || fr.Imbalance != lr.Imbalance {
+		t.Fatalf("headline metrics differ: all rows {%g %g %g}, 4 rows {%g %g %g}",
+			fr.AppTime, fr.NetTime, fr.Imbalance, lr.AppTime, lr.NetTime, lr.Imbalance)
+	}
+	if !reflect.DeepEqual(fr.EngineLoads, lr.EngineLoads) {
+		t.Fatal("per-engine loads differ between the full and the 4-row oracle")
+	}
+	if !reflect.DeepEqual(fr.FlowFCTs, lr.FlowFCTs) {
+		t.Fatal("flow completion times differ between the full and the 4-row oracle")
 	}
 }

@@ -221,24 +221,29 @@ func TestTelemetryLiveScrape(t *testing.T) {
 	}
 	wantM, wantE := render(quiet)
 
+	// The run starts only once the reader has scraped: a run that finishes
+	// within one scheduler slice must still have a reader going beside it.
 	tel := telemetry.New()
-	stop, done := make(chan struct{}), make(chan int)
+	started, stop, done := make(chan struct{}), make(chan struct{}), make(chan int)
 	go func() {
 		n := 0
 		for {
+			if err := tel.WriteExposition(io.Discard); err != nil {
+				t.Error(err)
+			}
+			_ = tel.Snapshot()
+			if n++; n == 1 {
+				close(started)
+			}
 			select {
 			case <-stop:
 				done <- n
 				return
 			default:
 			}
-			if err := tel.WriteExposition(io.Discard); err != nil {
-				t.Error(err)
-			}
-			_ = tel.Snapshot()
-			n++
 		}
 	}()
+	<-started
 	_, err := Run(benchConfig(), WithTelemetry(tel))
 	close(stop)
 	if n := <-done; n == 0 {

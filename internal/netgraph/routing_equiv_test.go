@@ -202,6 +202,34 @@ func TestNextLinkMatchesOracle(t *testing.T) {
 	})
 }
 
+// TestLazyMatchesFlatOnPaperTopologies: on the paper topologies (17 to 200
+// core nodes), an 8-row oracle, which evicts and rebuilds rows throughout,
+// answers every (src, dst) as one holding every core row does — the flat
+// all-pairs table's successor, which never evicts.
+func TestLazyMatchesFlatOnPaperTopologies(t *testing.T) {
+	for _, name := range []string{"Campus", "TeraGrid", "Brite", "Brite-large"} {
+		t.Run(name, func(t *testing.T) {
+			nw := paperTopology(t, name)
+			n := nw.NumNodes()
+			flat, err := netgraph.NewLazyRouting(nw, len(coreNodes(nw)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lazy, err := netgraph.NewLazyRouting(nw, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for src := 0; src < n; src++ {
+				for dst := 0; dst < n; dst++ {
+					if f, l := flat.NextLink(src, dst), lazy.NextLink(src, dst); f != l {
+						t.Fatalf("NextLink(%d,%d): all rows %d, 8 rows %d", src, dst, f, l)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestEveryBackendRoutesShortest keeps the route oracle to one semantics:
 // the shared oracle must route each host pair over a path as long as the
 // full-graph reference distance (to 1e-12, relative: the reference sums the

@@ -216,11 +216,11 @@ func TestLazySelfPurgesOnMutation(t *testing.T) {
 	}
 }
 
-// TestSharedRoutingMemoized checks the shared oracle: repeated lookups
+// TestSharedRoutingTableMemoized checks the shared oracle: repeated lookups
 // return the same oracle without rebuilding, RoutingBuilds counts the
 // builds, and a topology mutation makes the next lookup build a fresh one.
-func TestSharedRoutingMemoized(t *testing.T) {
-	nw := tieHeavyNetwork(30, 11)
+func TestSharedRoutingTableMemoized(t *testing.T) {
+	nw := randomASNetwork(t, 10, 5, 2, 3)
 	if got := nw.RoutingBuilds(); got != 0 {
 		t.Fatalf("fresh network reports %d builds", got)
 	}
@@ -231,12 +231,51 @@ func TestSharedRoutingMemoized(t *testing.T) {
 	if got := nw.RoutingBuilds(); got != 1 {
 		t.Errorf("RoutingBuilds = %d after two shared lookups, want 1", got)
 	}
-	nw.AddLink(0, 29, 1e9, 1e-6)
+	nw.AddLink(0, nw.NumNodes()-1, 1e9, 0.5e-3)
 	if c := nw.SharedRouting(); c == a {
 		t.Error("SharedRouting served a stale oracle after AddLink")
 	}
 	if got := nw.RoutingBuilds(); got != 2 {
 		t.Errorf("RoutingBuilds = %d after invalidation, want 2", got)
+	}
+}
+
+// TestSharedRoutingDropsAllBackendsOnMutation checks invalidation on every
+// oracle a network hands out: after an AddLink the shared oracle is replaced,
+// and a caller-built 4-row oracle that had cached rows answers from the new
+// topology — both agree with a fresh full-capacity oracle on every pair.
+func TestSharedRoutingDropsAllBackendsOnMutation(t *testing.T) {
+	nw := tieHeavyNetwork(30, 11)
+	small, err := NewLazyRouting(nw, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := nw.SharedRouting()
+	for src := 0; src < nw.NumNodes(); src++ {
+		for dst := 0; dst < nw.NumNodes(); dst++ {
+			small.NextLink(src, dst)
+			shared.NextLink(src, dst)
+		}
+	}
+	nw.AddLink(0, 29, 1e9, 1e-6)
+	after := nw.SharedRouting()
+	if after == shared {
+		t.Fatal("SharedRouting served a stale oracle after AddLink")
+	}
+	fresh, err := NewLazyRouting(nw, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for src := 0; src < nw.NumNodes(); src++ {
+		for dst := 0; dst < nw.NumNodes(); dst++ {
+			want := fresh.NextLink(src, dst)
+			if got := after.NextLink(src, dst); got != want {
+				t.Fatalf("shared NextLink(%d,%d) = %d after AddLink, fresh oracle %d", src, dst, got, want)
+			}
+			if got := small.NextLink(src, dst); got != want {
+				t.Fatalf("4-row NextLink(%d,%d) = %d after AddLink, fresh oracle %d", src, dst, got, want)
+			}
+		}
 	}
 }
 
