@@ -31,8 +31,11 @@ import (
 // re-recorded when a crash stopped rolling back: the windows between the
 // cadence barrier and the detection barrier now run once, under the old
 // assignment; flows, drops, link bytes and the Recovery charge are unchanged,
-// the time model and per-engine loads are not. internal/dist's TestDistributedMatchesInProcess extends the
-// chain to the loopback distributed runtime.
+// the time model and per-engine loads are not. The fields pins of all but
+// the elastic scenario were re-recorded when the time model began pricing
+// per-bucket counts: AppTime, NetTime and EngineBusy moved in their last bits
+// and nothing else did. internal/dist's TestDistributedMatchesInProcess
+// extends the chain to the loopback distributed runtime.
 type kernelOutcome struct {
 	trace       string
 	windows     int64
@@ -171,10 +174,10 @@ func pinnedScenarios() []pinnedScenario {
 	return []pinnedScenario{
 		{"plain", plain, [2]string{
 			"9610b41d3fa3863f356ae044d3cde8c81e8a4adb589831caca651189db19848d",
-			"1bee1fabe5dce4d33c098ecdb62b551ee505651322d9a661dc641a46e726f67f"}, "run"},
+			"8207652748d2b00c43f358b517b2779fe7886b6ed08dc8268b4228820ef73aa5"}, "run"},
 		{"faulted", faultedConfig, [2]string{
 			"4f7ba595ef617373c49776ae12b5aeaf0d652e41dd3adc5435de282b4a4b8d5c",
-			"3be3d021acb5b0ec6c1ce4f6f957d130241c5dd4105a04d516c270649245bae2"},
+			"a3daa2ff39c5e231f66b9cb3558ad53a9dca7878c7ee3b748a846534b81b36b5"},
 			"checkpoint run checkpoint crash rollback migration run+" + strings.Repeat(" checkpoint", 6)},
 		{"profile", func() Config {
 			cfg := plain()
@@ -182,7 +185,7 @@ func pinnedScenarios() []pinnedScenario {
 			return cfg
 		}, [2]string{
 			"9610b41d3fa3863f356ae044d3cde8c81e8a4adb589831caca651189db19848d",
-			"1bee1fabe5dce4d33c098ecdb62b551ee505651322d9a661dc641a46e726f67f"}, "run"},
+			"8207652748d2b00c43f358b517b2779fe7886b6ed08dc8268b4228820ef73aa5"}, "run"},
 		{"tcp-buffered", func() Config {
 			cfg := plain()
 			cfg.Transport = TCPSlowStart
@@ -190,7 +193,7 @@ func pinnedScenarios() []pinnedScenario {
 			return cfg
 		}, [2]string{
 			"37836c32d5300fda1df167eb4447cac64c59e6236cc8bedfc3928bd868a5bfb9",
-			"4d5fa498facfd430d78e3e33dad687f2fb58d092d30237feb993014fdea0a0d9"}, "run"},
+			"2933b35c7a71de68bdc9ddbb4b0d900f6703199f5dbd29453e8c04185e2155e2"}, "run"},
 		// TestElasticResizeMatchesStatic's grow resize: a third engine
 		// activates at the first barrier at or after t=4.
 		{"elastic", func() Config {
@@ -223,7 +226,7 @@ func pinnedScenarios() []pinnedScenario {
 			}
 		}, [2]string{
 			"cc19272601e3be1e7b5946eae7e9df5b7576ed7afb143f4a817afdc51e724182",
-			"cc1a75a3ca92d95c3982d6e5c4f9222482b526e2a16c4f1a1b883ccf0afc13bb"},
+			"bec9d05a868c1fb8b155b48d72080620ad73d3859207a0291f6b8e7095f18281"},
 			"checkpoint run checkpoint crash rollback migration run+ checkpoint checkpoint checkpoint " +
 				"resize migration run+ checkpoint checkpoint checkpoint"},
 	}
