@@ -64,7 +64,7 @@ func Baselines(cfg Config) ([]BaselineRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("baseline %s: %w", a, err)
 		}
-		part, err := mapping.MapAny(a, in)
+		part, err := mapping.Map(a, in)
 		if err != nil {
 			return nil, fmt.Errorf("baseline %s: %w", a, err)
 		}

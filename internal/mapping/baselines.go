@@ -27,18 +27,6 @@ const (
 // BaselineApproaches lists the non-paper comparator strategies.
 func BaselineApproaches() []Approach { return []Approach{KCluster, Hier} }
 
-// MapAny dispatches across the paper's approaches and the baselines.
-func MapAny(a Approach, in Input) ([]int, error) {
-	switch a {
-	case KCluster:
-		return KClusterMap(in)
-	case Hier:
-		return HierMap(in)
-	default:
-		return Map(a, in)
-	}
-}
-
 // KClusterMap implements the greedy k-cluster baseline. Seeds are chosen at
 // random; clusters then claim adjacent unassigned nodes in round-robin
 // order, each cluster greedily following a link out of its current connected

@@ -103,11 +103,11 @@ func TestHierMapErrors(t *testing.T) {
 	}
 }
 
-func TestMapAnyDispatch(t *testing.T) {
+func TestMapDispatchesBaselines(t *testing.T) {
 	nw := topogen.Campus()
 	in := Input{Network: nw, K: 3, PartOpts: partition.Options{Seed: 3}}
 	for _, a := range append(BaselineApproaches(), Top) {
-		part, err := MapAny(a, in)
+		part, err := Map(a, in)
 		if err != nil {
 			t.Fatalf("%s: %v", a, err)
 		}
@@ -115,7 +115,7 @@ func TestMapAnyDispatch(t *testing.T) {
 			t.Fatalf("%s: %v", a, err)
 		}
 	}
-	if _, err := MapAny("NOPE", in); err == nil {
+	if _, err := Map("NOPE", in); err == nil {
 		t.Error("unknown approach accepted")
 	}
 }
