@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"reflect"
 	"regexp"
 	"slices"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/emu"
 	"repro/internal/experiments"
+	"repro/internal/faults"
 	"repro/internal/mapping"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
@@ -56,12 +56,16 @@ func startLoopbackWorkers(ctx context.Context, w int) ([]dist.Conn, func() []err
 }
 
 // runDistributed runs the scenario over loopback workers and returns its
-// result and its telemetry exposition.
-func runDistributed(t *testing.T, topology string, a mapping.Approach, workers int) (*emu.Result, string) {
+// result and its telemetry exposition;
+// set, when non-nil, adjusts the scenario first.
+func runDistributed(t *testing.T, topology string, a mapping.Approach, workers int, set func(*core.Scenario)) (*emu.Result, string) {
 	t.Helper()
 	ctx := context.Background()
 	conns, drain := startLoopbackWorkers(ctx, workers)
 	sc, tel := observedScenario(t, topology)
+	if set != nil {
+		set(sc)
+	}
 	o, err := sc.Run(ctx, a, core.OnWorkers(conns, dist.Options{}))
 	if err != nil {
 		t.Fatalf("distributed %s on %s: %v", a, topology, err)
@@ -103,28 +107,46 @@ func canonical(t *testing.T, r *emu.Result) []byte {
 	return b
 }
 
+// priced sets every factor the time model prices that the run spec ships: a
+// straggler, a cluster-link degradation, engine speeds and a non-default
+// cost model.
+func priced(sc *core.Scenario) {
+	sc.Faults = &faults.Schedule{
+		Stragglers:   []faults.Straggler{{Engine: 1, From: 1, To: 6, Factor: 3}},
+		Degradations: []faults.Degradation{{From: 3, To: 8, Factor: 4}},
+	}
+	sc.EngineSpeeds = []float64{1, 0.5, 2}
+	sc.Cost = emu.CostModel{PerEvent: 20e-6, PerRemote: 300e-6, PerWindow: 80e-6}
+}
+
 // TestDistributedMatchesInProcess is the core fidelity guarantee: a run
 // spread over worker processes must produce byte-identical results to the
-// same scenario run in-process.
+// same scenario run in-process, whatever the time model is told to price.
 func TestDistributedMatchesInProcess(t *testing.T) {
 	cases := []struct {
+		name     string
 		topology string
 		workers  int
+		set      func(*core.Scenario)
 	}{
-		{"Campus", 2},
-		{"Campus", 3}, // one engine per worker
-		{"TeraGrid", 2},
+		{"Campus-2w", "Campus", 2, nil},
+		{"Campus-3w", "Campus", 3, nil}, // one engine per worker
+		{"TeraGrid-2w", "TeraGrid", 2, nil},
+		{"Campus-2w-priced", "Campus", 2, priced},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(fmt.Sprintf("%s-%dw", tc.topology, tc.workers), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			sc, tel := observedScenario(t, tc.topology)
+			if tc.set != nil {
+				tc.set(sc)
+			}
 			inproc, err := sc.Run(context.Background(), mapping.Top)
 			if err != nil {
 				t.Fatalf("in-process: %v", err)
 			}
-			distRes, distExp := runDistributed(t, tc.topology, mapping.Top, tc.workers)
+			distRes, distExp := runDistributed(t, tc.topology, mapping.Top, tc.workers, tc.set)
 			want := canonical(t, inproc.Result)
 			got := canonical(t, distRes)
 			if !bytes.Equal(want, got) {
@@ -179,7 +201,7 @@ func TestDistributedTCPMatchesLoopback(t *testing.T) {
 			t.Fatalf("tcp worker %d: %v", i, werr)
 		}
 	}
-	loopback, loopbackExp := runDistributed(t, "Campus", mapping.Top, workers)
+	loopback, loopbackExp := runDistributed(t, "Campus", mapping.Top, workers, nil)
 	if !bytes.Equal(canonical(t, o.Result), canonical(t, loopback)) {
 		t.Fatal("TCP and loopback transports produced different results")
 	}
