@@ -211,15 +211,18 @@ func TestTaskErrorIsTheLowestIndex(t *testing.T) {
 // TestProfileMapAllocs is the gate behind the bench's alloc_mb_per_op on
 // map_brite_profile, whose op maps with TOP and then with PROFILE. A warmed
 // call on the Brite golden input draws its workers — partitioner workspace
-// and weighted graph copy — from the package's pool, so it allocates only its
-// own graph, weights and answers: TOP 87 232 B in 837 mallocs and PROFILE
-// 148 168 in 1 103 on the inline path (GOMAXPROCS 1), exact run to run. A
-// worker built anew adds about 139 KB. At GOMAXPROCS 2 PROFILE took 148 520
-// to 175 912 B in 1 115 to 1 121 mallocs over 90 calls: the scheduler picks
-// which worker runs which task, so a worker may meet a coarsening hierarchy
-// larger than any it has held and grow a slab. Collection is off from the
-// warm-up through the measured call, since a GC there could empty the pool.
-// Bounds are 10 % above the largest measured, for a Go release that moves a
+// and weighted graph copy — from the package's idle list, so it allocates
+// only its own graph, weights and answers: TOP 87 232 B in 837 mallocs and
+// PROFILE 148 168 in 1 103 on the inline path (GOMAXPROCS 1), exact run to
+// run. A worker built anew adds about 139 KB. At GOMAXPROCS 2 PROFILE took
+// 148 520 to 175 912 B in 1 115 to 1 121 mallocs over 90 calls: the
+// scheduler picks which worker runs which task, so a worker may meet a
+// coarsening hierarchy larger than any it has held and grow a slab. (When the
+// workers were kept in a sync.Pool, a measured call that ran on another P than
+// the warm-up could not reach the worker left in that P's private slot and
+// built one: 315–319 KB in 5 of 80 calls with two test binaries running.)
+// Collection is off from the warm-up through the measured call: with it on,
+// TopMap's count varied by up to 5.5 KB and 5 mallocs over 80 calls. Bounds are 10 % above the largest measured, for a Go release that moves a
 // size class.
 func TestProfileMapAllocs(t *testing.T) {
 	if raceEnabled {

@@ -62,8 +62,8 @@ func (o Options) withDefaults(k int) (Options, error) {
 // size in a row. The zero value is ready to use. A Partitioner must not be
 // used by two goroutines at once; what a call returns does not depend on the
 // calls before it (the random source is reseeded and the workspace reset for
-// each), so partitioners may be pooled — internal/mapping keeps its in a
-// sync.Pool — and whichever one serves a call, the answer is the same.
+// each), so partitioners may be pooled — internal/mapping keeps its in an
+// idle list — and whichever one serves a call, the answer is the same.
 type Partitioner struct {
 	ws  workspace
 	rng *rand.Rand
