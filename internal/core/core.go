@@ -227,8 +227,12 @@ func (sc *Scenario) Workload() (traffic.Workload, error) {
 }
 
 // MappingInput assembles the approach-independent mapping parameters, for
-// Run and for callers driving mapping strategies (e.g. baselines) outside it.
-func (sc *Scenario) MappingInput() (mapping.Input, error) {
+// callers driving mapping strategies (e.g. baselines) outside Run. The error
+// is always nil.
+func (sc *Scenario) MappingInput() (mapping.Input, error) { return sc.mappingInput(), nil }
+
+// mappingInput assembles the approach-independent mapping parameters.
+func (sc *Scenario) mappingInput() mapping.Input {
 	return mapping.Input{
 		Network:         sc.Network,
 		Routes:          sc.Network.SharedRouting(),
@@ -237,16 +241,13 @@ func (sc *Scenario) MappingInput() (mapping.Input, error) {
 		LatencyPriority: sc.LatencyPriority,
 		Cluster:         sc.Cluster,
 		EngineFractions: sc.EngineSpeeds,
-	}, nil
+	}
 }
 
 // Partition computes the assignment for one approach without emulating.
 // For PROFILE this includes the profiling pre-run, which observes ctx.
 func (sc *Scenario) Partition(ctx context.Context, a mapping.Approach) ([]int, *emu.Result, error) {
-	in, err := sc.MappingInput()
-	if err != nil {
-		return nil, nil, err
-	}
+	in := sc.mappingInput()
 	switch a {
 	case mapping.Top:
 		part, err := mapping.TopMap(in)
@@ -420,10 +421,7 @@ func (sc *Scenario) topOver(k int) ([]int, error) {
 	if k <= 0 || k > sc.Engines {
 		return nil, fmt.Errorf("%d initial engines exceed capacity %d", k, sc.Engines)
 	}
-	in, err := sc.MappingInput()
-	if err != nil {
-		return nil, err
-	}
+	in := sc.mappingInput()
 	in.K = k
 	return mapping.TopMap(in)
 }
@@ -445,10 +443,7 @@ func (sc *Scenario) distSpec(ctx context.Context, cfg emu.Config) *dist.RunSpec 
 // worker, an elastic join or drain and their replays: it repartitions the
 // network onto the engine set the run continues on, from the previous one.
 func (sc *Scenario) remapOnto(c emu.MembershipChange) ([]int, error) {
-	in, err := sc.MappingInput()
-	if err != nil {
-		return nil, err
-	}
+	in := sc.mappingInput()
 	next, _, err := mapping.RemapOnto(in, c.Previous, c.Engines, c.Loads)
 	return next, err
 }

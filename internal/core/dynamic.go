@@ -140,10 +140,7 @@ func (sc *Scenario) runDynamic(ctx context.Context, cfg emu.Config, o *Outcome) 
 	if migrationCost <= 0 {
 		migrationCost = DefaultMigrationCost
 	}
-	in, err := sc.MappingInput()
-	if err != nil {
-		return err
-	}
+	in := sc.mappingInput()
 
 	// Every boundary is a resize onto all engines; the policy decides.
 	segs := make([]DynamicSegment, n)

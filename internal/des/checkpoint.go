@@ -51,7 +51,9 @@ func (k *Kernel[P]) Checkpoint() *Checkpoint[P] {
 }
 
 // Restore reinstalls a checkpoint, discarding the kernel's current queues
-// and statistics, and starts a fresh window grid. Like Checkpoint it is safe
+// and statistics, and starts a fresh window grid. The discarded queues'
+// blocks go back to the kernel's free list, and a seeded stream's rest, which
+// the checkpoint holds as events, is pushed like any other event. Like Checkpoint it is safe
 // wherever no handler runs — in particular inside an OnWindow hook, where the
 // running loop carries on from the restored state at its next iteration: a
 // membership change is a step of the loop, not a restart. Each
@@ -67,8 +69,16 @@ func (k *Kernel[P]) Restore(cp *Checkpoint[P], lookahead float64, remap func(Eve
 	if len(cp.events) != n {
 		return fmt.Errorf("des: checkpoint covers %d LPs, kernel has %d", len(cp.events), n)
 	}
-	k.queues = make([]eventQueue[P], n)
-	k.keys = make([]keyClock, n)
+	for lp := range k.queues { // hand the blocks to the free list, keep the slices
+		q := &k.queues[lp]
+		for i := range q.runs {
+			if r := &q.runs[i]; r.n > 1 { // r.first..r.last is a chain ending in nil
+				r.last.next, k.free = k.free, r.first
+			}
+		}
+		*q = eventQueue[P]{heads: q.heads[:0], runs: q.runs[:0]}
+	}
+	clear(k.keys)
 	k.epoch = cp.stats.Windows
 	for lp := 0; lp < n; lp++ {
 		for _, ev := range cp.events[lp] {

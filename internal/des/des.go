@@ -29,11 +29,13 @@
 // crash and resize handling.
 //
 // Hot-path layout. Each LP's pending events are the ascending runs its link
-// streams feed it, kept in pooled structure-of-arrays blocks under one small
-// heap of run heads, so a push appends and a pop sifts a heap of a few runs.
-// Equal-time events pop by a provenance key fixed at push time (window, the
-// LP's own pushes before arrivals, push order), so Run's barrier has nothing
-// to merge. A worker's sends, and the few landing just short of a window's
+// streams feed it, kept in structure-of-arrays blocks from one free list per
+// kernel under one small heap of run heads, so a push appends and a pop sifts
+// a heap of a few runs. An LP's initial events are a seeded stream
+// (Kernel.Seed) read one entry at a time, so a queue holds what is in flight,
+// not the whole workload. Equal-time events pop by a provenance key fixed at
+// push time (window, the LP's own pushes before arrivals, push order), so
+// Run's barrier has nothing to merge. A worker's sends, and the few landing just short of a window's
 // end, go through batches each scheduler owns per destination — the mirror of
 // the dist protocol's per-window framing — reused window after window, so the
 // steady-state barrier allocates nothing. DESIGN.md §14 has the layout and the
@@ -168,7 +170,7 @@ const lookaheadSlack = 1e-12
 // The provenance key an LP pops equal-time events by, packed into the queue's
 // int64 sequence number as epoch<<32 | phase<<31 | rank: the epoch is the
 // index of the window a push belongs to plus one, or the window count outside
-// any window (seeding, Restore, Inject); the phase puts the LP's own pushes
+// any window (Seed, Restore, Inject); the phase puts the LP's own pushes
 // before arrivals; the rank counts the LP's pushes per epoch and phase. A field
 // past 31 bits is ErrKeySpace, never a wrap.
 const (
@@ -180,6 +182,10 @@ const (
 // ErrKeySpace marks a push past the provenance key's range: more than 2³¹−1
 // windows, or pushes onto one LP in one phase of one window.
 var ErrKeySpace = errors.New("des: event key space exhausted")
+
+// ErrBadSeed marks a refused Seed: an LP out of range or already seeded, a
+// negative length, or a time that is NaN, negative or below the one before.
+var ErrBadSeed = errors.New("des: bad seed stream")
 
 // keyClock is one LP's key state: its last epoch and each phase's next rank.
 type keyClock struct {
@@ -274,13 +280,16 @@ func (s *Scheduler[P]) fail(err error) {
 // the same mechanism lookahead violations use — instead of panicking.
 func (s *Scheduler[P]) Fail(err error) { s.fail(err) }
 
-// Kernel is the parallel event engine. Create with New, seed initial events
-// with Schedule, then call Run — or claim LPs with Stepper and drive the
-// windows from outside. Restore reinstalls a checkpoint at any barrier, inside
-// a running loop or between runs.
+// Kernel is the parallel event engine. Create with New, hand each LP its
+// initial events with Seed, then call Run — or claim LPs with Stepper and
+// drive the windows from outside. Restore reinstalls a checkpoint at any
+// barrier, inside a running loop or between runs.
 type Kernel[P any] struct {
 	cfg    Config[P]
 	queues []eventQueue[P]
+	// free is the blocks no queue holds. Every LP of a kernel runs on the
+	// caller's goroutine, so its queues share the one list.
+	free *queueBlock[P]
 	// keys is each LP's key state; epoch is a push's epoch now: the window
 	// count, plus one from a window's start until its barrier folds it.
 	keys  []keyClock
@@ -334,16 +343,47 @@ func (s *Stats) Clone() Stats {
 	return c
 }
 
-// Schedule inserts an initial event before Run (not safe during Run; use the
-// Scheduler inside handlers there).
-func (k *Kernel[P]) Schedule(lp int, t float64, data P) error {
+// Seed hands LP lp its initial events as a stream of n: the i-th fires at
+// the time at(i) returns and carries its payload. The times must be
+// non-negative and non-decreasing in i. The events keep the provenance
+// keys n pushes in stream order would get — this epoch, the arrival phase, n
+// ranks reserved now — so a later push ties after them. The kernel reads the
+// stream lazily: only its next entry waits in the LP's queue, so the events
+// not yet due take no storage. at must therefore answer the same for the same
+// i until the stream is consumed or a Checkpoint copies out its rest. One
+// non-empty stream per LP (an empty one is nothing); like Restore, Seed is
+// only safe where no handler runs.
+func (k *Kernel[P]) Seed(lp, n int, at func(int) (float64, P)) error {
 	if lp < 0 || lp >= k.cfg.NumLPs {
-		return fmt.Errorf("des: initial event for invalid LP %d", lp)
+		return fmt.Errorf("%w: LP %d out of range [0,%d)", ErrBadSeed, lp, k.cfg.NumLPs)
 	}
-	if !(t >= 0) {
-		return fmt.Errorf("des: initial event at negative or NaN time %g", t)
+	if k.queues[lp].stream.at != nil {
+		return fmt.Errorf("%w: LP %d is already seeded", ErrBadSeed, lp)
 	}
-	return k.push(lp, t, data, phaseArrival)
+	if n < 0 {
+		return fmt.Errorf("%w: LP %d seeded with %d events", ErrBadSeed, lp, n)
+	}
+	c := &k.keys[lp]
+	if c.epoch != k.epoch {
+		*c = keyClock{epoch: k.epoch}
+	}
+	rank := c.next[phaseArrival]
+	if k.epoch > maxKeyField || rank+int64(n)-1 > maxKeyField {
+		return fmt.Errorf("%w: %d events seeded onto LP %d in epoch %d", ErrKeySpace, n, lp, k.epoch)
+	}
+	prev := 0.0
+	for i := 0; i < n; i++ {
+		t, _ := at(i)
+		if !(t >= prev) { // NaN included
+			return fmt.Errorf("%w: LP %d event %d at t=%g after %g", ErrBadSeed, lp, i, t, prev)
+		}
+		prev = t
+	}
+	if n > 0 {
+		c.next[phaseArrival] += int64(n)
+		k.queues[lp].seed(at, n, k.epoch<<32|int64(phaseArrival)<<31|rank)
+	}
+	return nil
 }
 
 // push enqueues an event on LP lp under the next provenance key of phase in
@@ -358,7 +398,7 @@ func (k *Kernel[P]) push(lp int, t float64, data P, phase int) error {
 		return fmt.Errorf("%w: push %d of phase %d onto LP %d in epoch %d", ErrKeySpace, rank, phase, lp, k.epoch)
 	}
 	c.next[phase]++
-	k.queues[lp].push(t, k.epoch<<32|int64(phase)<<31|rank, data)
+	k.queues[lp].push(&k.free, t, k.epoch<<32|int64(phase)<<31|rank, data)
 	return nil
 }
 
@@ -438,7 +478,7 @@ func (k *Kernel[P]) runWindow(lp int, s *Scheduler[P], windowEnd float64, timed 
 	s.windowEnd = windowEnd
 	events := int64(0)
 	for q.head() < limit {
-		t, data := q.pop()
+		t, data := q.pop(&k.free)
 		s.now = t
 		events++
 		k.cfg.Handler(lp, t, data, s)
@@ -464,18 +504,20 @@ func (k *Kernel[P]) runWindow(lp int, s *Scheduler[P], windowEnd float64, timed 
 // when every tail is above it (patience sorting). An emptied run keeps its
 // tail and takes the next push that fits. Each non-empty run's first entry
 // sits in heads, a min-heap, so the root is the queue's minimum; the rest of
-// the run is a FIFO of blocks from the queue's own free list, so nothing is
-// copied to grow. Strictly falling pushes make one-entry runs that own no
-// block: a plain heap. The heap sifts by moving a hole. Popped slots are not
+// the run is a FIFO of blocks from the kernel's free list (the free argument
+// of push and pop), so nothing is copied to grow. Strictly falling pushes make
+// one-entry runs that own no block: a plain heap. The seeded stream is one
+// more ascending run whose rest is computed, not stored: its next entry sits
+// in heads as run -1. The heap sifts by moving a hole. Popped slots are not
 // cleared (see the package comment on P). DESIGN.md §14 has the argument.
 type eventQueue[P any] struct {
-	heads []queueHead[P]
-	runs  []queueRun[P]
-	free  *queueBlock[P]
-	n     int
+	heads  []queueHead[P]
+	runs   []queueRun[P]
+	stream seedStream[P]
+	n      int
 }
 
-// queueHead is a run's earliest pending entry.
+// queueHead is a run's earliest pending entry (run -1: the seeded stream).
 type queueHead[P any] struct {
 	t    float64
 	seq  int64
@@ -491,6 +533,14 @@ type queueRun[P any] struct {
 	seq            int64
 	first, last    *queueBlock[P]
 	n, read, write int32
+}
+
+// seedStream is an LP's seeded events (Kernel.Seed): entry i is at(i) under
+// key seq+i. Entries below read have left for heads; at is nil until seeded.
+type seedStream[P any] struct {
+	at      func(int) (float64, P)
+	read, n int
+	seq     int64
 }
 
 // blockSize: a short run pays a whole block, and 72 fill its size class.
@@ -515,7 +565,31 @@ func (q *eventQueue[P]) head() float64 {
 	return q.heads[0].t
 }
 
-func (q *eventQueue[P]) push(t float64, seq int64, data P) {
+// seed installs a stream of n > 0 entries whose first key is seq and puts its
+// first entry in the heap.
+func (q *eventQueue[P]) seed(at func(int) (float64, P), n int, seq int64) {
+	t, data := at(0)
+	q.stream = seedStream[P]{at: at, read: 1, n: n, seq: seq}
+	q.n += n
+	q.enter(queueHead[P]{t, seq, data, -1})
+}
+
+// enter adds a run's head to the heap, sifting it up.
+func (q *eventQueue[P]) enter(e queueHead[P]) {
+	q.heads = append(q.heads, queueHead[P]{})
+	h, i := q.heads, len(q.heads)-1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if p := &h[parent]; p.t < e.t || p.t == e.t && p.seq < e.seq {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+}
+
+func (q *eventQueue[P]) push(free **queueBlock[P], t float64, seq int64, data P) {
 	q.n++
 	lo, hi := 0, len(q.runs)
 	for lo < hi {
@@ -531,26 +605,16 @@ func (q *eventQueue[P]) push(t float64, seq int64, data P) {
 	}
 	r := &q.runs[lo]
 	r.t, r.seq = t, seq
-	if r.n++; r.n == 1 { // the run's head: sift it up the heap
-		q.heads = append(q.heads, queueHead[P]{})
-		h, i := q.heads, len(q.heads)-1
-		for i > 0 {
-			parent := (i - 1) / 2
-			if p := &h[parent]; p.t < t || p.t == t && p.seq < seq {
-				break
-			}
-			h[i] = h[parent]
-			i = parent
-		}
-		h[i] = queueHead[P]{t, seq, data, int32(lo)}
+	if r.n++; r.n == 1 { // the run's head
+		q.enter(queueHead[P]{t, seq, data, int32(lo)})
 		return
 	}
 	if r.n == 2 || r.write == blockSize { // a first block, or the last is full
-		b := q.free
+		b := *free
 		if b == nil {
 			b = new(queueBlock[P])
 		} else {
-			q.free, b.next = b.next, nil
+			*free, b.next = b.next, nil
 		}
 		if r.n == 2 {
 			r.first, r.read = b, 0
@@ -564,22 +628,32 @@ func (q *eventQueue[P]) push(t float64, seq int64, data P) {
 	r.write++
 }
 
-func (q *eventQueue[P]) pop() (float64, P) {
+func (q *eventQueue[P]) pop(free **queueBlock[P]) (float64, P) {
 	top := q.heads[0]
 	q.n--
-	r := &q.runs[top.run]
 	var e queueHead[P] // what takes the root's place: the run's next entry, or the heap's last
-	if r.n--; r.n == 0 {
-		last := len(q.heads) - 1
-		e, q.heads = q.heads[last], q.heads[:last]
-	} else {
+	more := false
+	if top.run < 0 {
+		if s := &q.stream; s.read < s.n {
+			t, data := s.at(s.read)
+			e, more = queueHead[P]{t, s.seq + int64(s.read), data, -1}, true
+			s.read++
+		}
+	} else if r := &q.runs[top.run]; r.n > 1 {
+		r.n--
 		b, i := r.first, r.read
-		e = queueHead[P]{b.times[i], b.seqs[i], b.datas[i], top.run}
+		e, more = queueHead[P]{b.times[i], b.seqs[i], b.datas[i], top.run}, true
 		if i++; r.n == 1 || i == blockSize { // b is used up
 			r.first, i = b.next, 0
-			b.next, q.free = q.free, b
+			b.next, *free = *free, b
 		}
 		r.read = i
+	} else {
+		r.n = 0
+	}
+	if !more {
+		last := len(q.heads) - 1
+		e, q.heads = q.heads[last], q.heads[:last]
 	}
 	h, i := q.heads, 0
 	if len(h) == 0 {
@@ -600,11 +674,20 @@ func (q *eventQueue[P]) pop() (float64, P) {
 }
 
 // export copies the queue's contents out as Events for LP lp (run by run, not
-// time order — checkpointing sorts afterwards).
+// time order — checkpointing sorts afterwards), the seeded stream's rest
+// included.
 func (q *eventQueue[P]) export(lp int) []Event[P] {
 	evs := make([]Event[P], 0, q.n)
 	for _, h := range q.heads {
 		evs = append(evs, Event[P]{Time: h.t, LP: lp, Data: h.data, seq: h.seq})
+		if h.run < 0 {
+			s := &q.stream
+			for i := s.read; i < s.n; i++ {
+				t, data := s.at(i)
+				evs = append(evs, Event[P]{Time: t, LP: lp, Data: data, seq: s.seq + int64(i)})
+			}
+			continue
+		}
 		r := &q.runs[h.run]
 		b, i := r.first, int(r.read)
 		for left := r.n - 1; left > 0; left-- {

@@ -25,19 +25,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestScheduleValidation(t *testing.T) {
-	k, _ := New(Config[any]{NumLPs: 2, Lookahead: 1, Handler: func(int, float64, any, *Scheduler[any]) {}})
-	if err := k.Schedule(5, 0, nil); err == nil {
-		t.Error("invalid LP accepted")
-	}
-	if err := k.Schedule(0, -1, nil); err == nil {
-		t.Error("negative time accepted")
-	}
-	if err := k.Schedule(1, 0.5, nil); err != nil {
-		t.Errorf("valid initial event rejected: %v", err)
-	}
-}
-
 // TestNaNTimeRejected: NaN compares false with everything, so a "t < now"
 // guard lets it through and the queue's order is gone. An initial event at NaN
 // is refused; a handler scheduling one, local or remote, poisons the run the
@@ -53,7 +40,7 @@ func TestNaNTimeRejected(t *testing.T) {
 			}
 		}})
 		if tc.dst < 0 {
-			if err := k.Schedule(0, math.NaN(), nil); err == nil {
+			if err := k.Seed(0, 1, func(int) (float64, any) { return math.NaN(), nil }); err == nil {
 				t.Errorf("%s: NaN initial event accepted", tc.name)
 			}
 		} else {

@@ -109,14 +109,38 @@ func (h *eventHeapReference) head() float64 {
 // to empty before a refill that starts where it ended, and a pop of more than
 // half. Seqs rise as pushLocal's do, or — every fourth script — come
 // from a shuffled pool, so the order is exercised as (time, seq), not as
-// (time, arrival). cov counts what the script made the queue's structure do.
+// (time, arrival). Before the first push the queue is seeded with a stream of
+// 3 to 150 events on the same 1/8 grid, ties included, whose keys are all
+// below or all above the pushes' (as Seed's ranks fall before or after an
+// LP's other pushes of its epoch); every fifth script has none. The reference
+// is fed the stream's events by push. cov counts what the script made the
+// queue's structure do.
 func queueScript(seed int64) (cov queueCoverage, err error) {
 	rng := rand.New(rand.NewSource(seed))
 	q, ref := &eventQueue[any]{}, &eventHeapReference{}
-	var bySeq [640]Event[any] // the reference's export, indexed by seq
+	var free *queueBlock[any]
+	const pushSeqs = 640      // the pushes' seqs are below this, before any offset
+	var bySeq [790]Event[any] // the reference's export, indexed by seq
 	var pool []int            // shuffled seqs, when the script uses them
 	if seed%4 == 3 {
-		pool = rng.Perm(len(bySeq))
+		pool = rng.Perm(pushSeqs)
+	}
+	m, streamSeq, pushSeq := 0, int64(pushSeqs), int64(0) // the stream's length and first seq, the pushes' offset
+	if seed%5 != 0 {
+		m = 3 + rng.Intn(148)
+	}
+	if seed%2 == 1 {
+		streamSeq, pushSeq = 0, int64(m)
+	}
+	times := make([]float64, m)
+	for i := range times {
+		if i > 0 {
+			times[i] = times[i-1] + float64(rng.Intn(3))/8
+		}
+		ref.push(times[i], streamSeq+int64(i), -1-i)
+	}
+	if m > 0 {
+		q.seed(func(i int) (float64, any) { return times[i], -1 - i }, m, streamSeq)
 	}
 	pushed, step := 0, 0
 	check := func(what string) error {
@@ -137,15 +161,18 @@ func queueScript(seed int64) (cov queueCoverage, err error) {
 		if len(got) != len(want) {
 			return fmt.Errorf("seed %d step %d (%s): export holds %d events, reference %d", seed, step, what, len(got), len(want))
 		}
+		if s := &q.stream; s.read > 1 && s.read < s.n {
+			cov.midStream++
+		}
 		return nil
 	}
 	push := func(t float64) error {
-		seq := int64(pushed)
+		seq := pushSeq + int64(pushed)
 		if pool != nil {
-			seq = int64(pool[pushed])
+			seq = pushSeq + int64(pool[pushed])
 		}
 		runs, live := len(q.runs), len(q.heads)
-		q.push(t, seq, pushed)
+		q.push(&free, t, seq, pushed)
 		ref.push(t, seq, pushed)
 		pushed++
 		if len(q.runs) == runs && len(q.heads) > live {
@@ -154,12 +181,22 @@ func queueScript(seed int64) (cov queueCoverage, err error) {
 		cov.maxLive = max(cov.maxLive, len(q.heads))
 		return check("push")
 	}
-	popped := 0.0
+	popped, streamed := math.Inf(-1), false // the last pop's time and source
 	pop := func() error {
-		r := &q.runs[q.heads[0].run]
-		first := r.first
-		t, d := q.pop()
-		popped = t
+		var r *queueRun[any]
+		var first *queueBlock[any]
+		fromStream := q.heads[0].run < 0
+		if !fromStream {
+			r = &q.runs[q.heads[0].run]
+			first = r.first
+		}
+		t, d := q.pop(&free)
+		if t == popped && fromStream && streamed {
+			cov.streamTies++
+		} else if t == popped && (fromStream || streamed) {
+			cov.crossTies++
+		}
+		popped, streamed = t, fromStream
 		wt, wd := ref.pop()
 		if t != wt || d != wd {
 			return fmt.Errorf("seed %d step %d: popped (%g, %v), reference (%g, %v)", seed, step+1, t, d, wt, wd)
@@ -220,15 +257,20 @@ func queueScript(seed int64) (cov queueCoverage, err error) {
 
 // queueCoverage counts, over one script, the pops that moved a run's read
 // position into its next block, the pushes that refilled a run emptied
-// earlier, and the most runs non-empty at once.
-type queueCoverage struct{ crossed, reused, maxLive int }
+// earlier, and the most runs non-empty at once; the checks that exported a
+// stream popped from but not used up; the pops that tied the previous pop's
+// time, both from the stream, or one from the stream and one from a run.
+type queueCoverage struct{ crossed, reused, maxLive, midStream, streamTies, crossTies int }
 
 // TestEventQueueMatchesReference: the run queue pops, measures and exports
 // exactly what the single heap it replaced does, step by step, over 500
 // seeded scripts, each of which reads a run across a block boundary, refills
-// an emptied run and holds two runs at once. (Checkpoint → Restore with a
-// remap in mid-run is TestRunMatchesSteppedGroups'.)
+// an emptied run and holds two runs at once, and each non-empty seeded stream
+// of which is exported partly consumed. Over all scripts, equal times pop
+// from inside a stream and across a stream and the pushes. (Checkpoint →
+// Restore with a remap in mid-run is TestRunMatchesSteppedGroups'.)
 func TestEventQueueMatchesReference(t *testing.T) {
+	var streamTies, crossTies int
 	for seed := int64(0); seed < 500; seed++ {
 		cov, err := queueScript(seed)
 		if err != nil {
@@ -238,6 +280,13 @@ func TestEventQueueMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: %d block crossings, %d emptied runs refilled, at most %d runs at once; want >= 1, >= 1, >= 2",
 				seed, cov.crossed, cov.reused, cov.maxLive)
 		}
+		if seed%5 != 0 && cov.midStream == 0 {
+			t.Fatalf("seed %d: the stream was never exported partly consumed", seed)
+		}
+		streamTies, crossTies = streamTies+cov.streamTies, crossTies+cov.crossTies
+	}
+	if streamTies == 0 || crossTies == 0 {
+		t.Fatalf("%d ties inside streams, %d between a stream and the pushes; want >= 1 each", streamTies, crossTies)
 	}
 }
 
@@ -264,11 +313,12 @@ func TestQueueAdversarialOrders(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		q := &eventQueue[int]{}
+		var free *queueBlock[int]
 		for i := 0; i < n; i++ {
-			q.push(c.time(i), int64(i), i)
+			q.push(&free, c.time(i), int64(i), i)
 		}
 		for i := 0; i < n; i++ {
-			tm, d := q.pop()
+			tm, d := q.pop(&free)
 			if wt, wd := ref.pop(); tm != wt || d != wd.(int) {
 				t.Fatalf("%s: pop %d = (%g, %d), reference (%g, %v)", c.name, i, tm, d, wt, wd)
 			}
@@ -285,7 +335,7 @@ func TestQueueAdversarialOrders(t *testing.T) {
 
 // TestQueueSteadyStateAllocs: once a queue has grown to what its streams
 // need, refilling and draining its blocks allocates nothing — a consumed block
-// goes back to the queue's free list and the next push takes it from there.
+// goes back to the free list and the next push takes it from there.
 // Each cycle feeds five interleaved rising streams three blocks deep and pops
 // everything, as a kernel's windows do.
 func TestQueueSteadyStateAllocs(t *testing.T) {
@@ -293,20 +343,21 @@ func TestQueueSteadyStateAllocs(t *testing.T) {
 		t.Skip("the race detector allocates on its own schedule")
 	}
 	q := &eventQueue[int]{}
+	var free *queueBlock[int]
 	var seq int64
 	now := 0.0
 	cycle := func() {
 		for i := 0; i < 5*3*blockSize; i++ {
-			q.push(now+float64(i/5)-float64(i%5)/64, seq, i)
+			q.push(&free, now+float64(i/5)-float64(i%5)/64, seq, i)
 			seq++
 		}
 		for q.Len() > 0 {
-			now, _ = q.pop()
+			now, _ = q.pop(&free)
 		}
 	}
 	cycle() // warm-up: the runs, the heap and the blocks
-	if len(q.runs) != 5 || q.free == nil {
-		t.Fatalf("warm-up left %d runs and free list %p, want 5 runs and pooled blocks", len(q.runs), q.free)
+	if len(q.runs) != 5 || free == nil {
+		t.Fatalf("warm-up left %d runs and free list %p, want 5 runs and pooled blocks", len(q.runs), free)
 	}
 	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
 		t.Errorf("a push/pop cycle allocated %.0f times, want 0", allocs)

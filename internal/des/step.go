@@ -63,8 +63,8 @@ type StepResult[P any] struct {
 }
 
 // Stepper drives a subset of a kernel's LPs one window at a time. Create
-// with Kernel.Stepper, seed initial events through Kernel.Schedule first, and
-// Close it when done: it holds its LPs until then.
+// with Kernel.Stepper, hand its LPs their initial events through Kernel.Seed
+// first, and Close it when done: it holds its LPs until then.
 type Stepper[P any] struct {
 	k       *Kernel[P]
 	local   []int

@@ -508,18 +508,23 @@ func (e *emulation) kernelConfig() des.Config[payload] {
 	}
 }
 
-// seed schedules every flow's start event. The per-LP sequence-number streams
-// depend only on the workload's flow order, so a worker seeding just its
-// local engines (local != nil) assigns exactly the numbers the in-process
-// run would.
+// seed hands each engine its flow starts as one des stream, in
+// traffic.StartOrder. The streams' keys depend only on the workload's flow
+// order, so a worker seeding just its local engines (local != nil) gets
+// exactly the keys the in-process run would.
 func (e *emulation) seed(kernel *des.Kernel[payload], local []bool) error {
-	for i := range e.flows {
+	starts := traffic.StartOrder(e.flows, e.cfg.NumEngines, func(i int) int {
 		f := &e.flows[i]
-		lp := e.assignment[f.Src]
-		if (e.cfg.EndTime <= 0 || f.Start < e.cfg.EndTime) && (local == nil || local[lp]) {
-			if err := kernel.Schedule(lp, f.Start, payload{flow: int32(i), kind: kindFlowStart}); err != nil {
-				return err
-			}
+		if lp := e.assignment[f.Src]; (e.cfg.EndTime <= 0 || f.Start < e.cfg.EndTime) && (local == nil || local[lp]) {
+			return lp
+		}
+		return -1
+	})
+	for lp, mine := range starts {
+		if err := kernel.Seed(lp, len(mine), func(j int) (float64, payload) {
+			return e.flows[mine[j]].Start, payload{flow: mine[j], kind: kindFlowStart}
+		}); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -104,9 +104,11 @@ func TestKernelRunInvariants(t *testing.T) {
 }
 
 // TestRunAllocBytes is the bytes gate behind the bench's alloc_mb_per_op: one
-// warmed emu.Run of the TeraGrid 30 s pin above allocates 314 088 bytes for its
-// 1 276 flows on Go 1.24 — 246 per flow, bound 10 % above — where the flow
-// table's 80 B per-flow copy of the workload took 371 896 (291 per flow, at
+// warmed emu.Run of the TeraGrid 30 s pin above allocates 198 896 bytes for its
+// 1 276 flows on Go 1.24 — 156 per flow, bound 10 % above — where every flow
+// start pushed into the queues before the run, with a block free list per
+// queue, took 270 912 (212 per flow, at 5a1fb20), the flow
+// table's 80 B per-flow copy of the workload 371 896 (291 per flow, at
 // 92111c9), the two-tier sorted-run-and-heap queue 401 856 (315 per flow, at
 // 9edccfb) and the any-typed kernel, its chunk slab and its append-grown start
 // queues 685 776 (537 per flow, at 6d782c8). The byte count is exact run to
@@ -125,7 +127,7 @@ func TestRunAllocBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	const bound = 271 // bytes per flow
+	const bound = 172 // bytes per flow
 	if perFlow := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(cfg.Workload.Flows)); perFlow > bound {
 		t.Errorf("emu.Run allocated %d bytes for %d flows, %.1f per flow, want at most %d",
 			after.TotalAlloc-before.TotalAlloc, len(cfg.Workload.Flows), perFlow, bound)

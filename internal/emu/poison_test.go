@@ -37,7 +37,7 @@ func TestUnknownPayloadPoisonsRun(t *testing.T) {
 	if err := e.seed(kernel, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := kernel.Schedule(0, 0.25, payload{kind: alienKind}); err != nil {
+	if err := kernel.Seed(1, 1, func(int) (float64, payload) { return 0.25, payload{kind: alienKind} }); err != nil {
 		t.Fatal(err)
 	}
 	_, err = kernel.Run()

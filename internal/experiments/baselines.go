@@ -60,10 +60,7 @@ func Baselines(cfg Config) ([]BaselineRow, error) {
 
 	// Baselines first (traffic-blind), then the paper's approaches.
 	for _, a := range mapping.BaselineApproaches() {
-		in, err := sc.MappingInput()
-		if err != nil {
-			return nil, fmt.Errorf("baseline %s: %w", a, err)
-		}
+		in, _ := sc.MappingInput() // always nil
 		part, err := mapping.Map(a, in)
 		if err != nil {
 			return nil, fmt.Errorf("baseline %s: %w", a, err)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/metrics"
@@ -121,8 +122,8 @@ func (s *RunStats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "windows %d (replayed %d), events %d, kernel-events %d, remote %d",
 		s.Windows, s.ReplayedWindows, metrics.Sum(s.Events), metrics.Sum(s.Charges), metrics.Sum(s.Remote))
-	if mq := maxOf(s.MaxQueue); mq > 0 {
-		fmt.Fprintf(&b, ", max queue %d", mq)
+	if len(s.MaxQueue) > 0 && slices.Max(s.MaxQueue) > 0 {
+		fmt.Fprintf(&b, ", max queue %d", slices.Max(s.MaxQueue))
 	}
 	if s.Checkpoints > 0 || s.Crashes > 0 {
 		fmt.Fprintf(&b, "; recovery: %d checkpoint(s), %d crash(es), %d rollback(s), %d node(s) migrated",
@@ -133,14 +134,4 @@ func (s *RunStats) String() string {
 			metrics.Sum(s.Joins), metrics.Sum(s.Drains), metrics.Sum(s.Kills), s.Resizes, s.PeakEngines)
 	}
 	return b.String()
-}
-
-func maxOf(xs []int64) int64 {
-	var m int64
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -123,6 +123,33 @@ func (w *Workload) SortByStart() {
 	}
 }
 
+// StartOrder deals the indices of flows into n groups, each stable-sorted by
+// Start, so equal starts keep index order — the order an emulator engine
+// starts its flows in. group(i) names flow i's group in [0, n), or -1 to
+// leave the flow out. One slab backs every group.
+func StartOrder(flows []Flow, n int, group func(i int) int) [][]int32 {
+	size, total := make([]int, n), 0
+	for i := range flows {
+		if g := group(i); g >= 0 {
+			size[g]++
+			total++
+		}
+	}
+	groups, slab := make([][]int32, n), make([]int32, total)
+	for g := range groups {
+		groups[g], slab = slab[:0:size[g]], slab[size[g]:]
+	}
+	for i := range flows {
+		if g := group(i); g >= 0 {
+			groups[g] = append(groups[g], int32(i))
+		}
+	}
+	for _, idx := range groups {
+		slices.SortStableFunc(idx, func(a, b int32) int { return cmp.Compare(flows[a].Start, flows[b].Start) })
+	}
+	return groups
+}
+
 // TotalBytes sums all flow sizes.
 func (w *Workload) TotalBytes() int64 {
 	var t int64

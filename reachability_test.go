@@ -22,9 +22,8 @@ import (
 // reach or loses its declaration fails TestExportedIdentifiersAreReached
 // until it is removed.
 var unreachedAllowlist = map[string]string{
-	"core.Replay":       "the elastic-replay oracle that dist's byte-identity tests compare every distributed run against",
-	"dist.NewChaosConn": "the chaos-transport fixture of dist's elastic-membership and heartbeat tests",
-	"emu.Blast":         "the zero value of TransportMode and so Config.Transport's default: production selects it by leaving the field unset",
+	"core.Replay": "the elastic-replay oracle that dist's byte-identity tests compare every distributed run against",
+	"emu.Blast":   "the zero value of TransportMode and so Config.Transport's default: production selects it by leaving the field unset",
 
 	// Oracles that the tests of more than one package compare against, so no
 	// one package's export_test.go can hold them.
