@@ -132,10 +132,6 @@ func (s ScaLapack) Generate(hosts []int, seed int64) (traffic.Workload, error) {
 			}
 		}
 	})
-	w.SortByStart()
-	for i := range w.Flows {
-		w.Flows[i].ID = i
-	}
 	return w, nil
 }
 
@@ -312,10 +308,6 @@ func (g GridNPB) Generate(hosts []int, seed int64) (traffic.Workload, error) {
 			}
 		}
 	})
-	w.SortByStart()
-	for i := range w.Flows {
-		w.Flows[i].ID = i
-	}
 	return w, nil
 }
 

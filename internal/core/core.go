@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/apps"
 	"repro/internal/dist"
@@ -194,17 +195,14 @@ func (sc *Scenario) SetWorkload(w traffic.Workload) {
 	sc.workload = &w
 }
 
-// Workload returns (generating once) the merged background + foreground
-// traffic. All approaches are evaluated against this same workload, as the
-// paper does.
+// Workload returns (generating once) the background and foreground traffic
+// in one exactly sized slice, the application's flows after the background's.
+// All approaches are evaluated against this same workload, as the paper does.
 func (sc *Scenario) Workload() (traffic.Workload, error) {
 	if sc.workload != nil {
 		return *sc.workload, nil
 	}
-	var parts []traffic.Workload
-	if sc.Background != nil {
-		parts = append(parts, sc.Background.Generate(sc.Network))
-	}
+	var w traffic.Workload
 	if sc.App != nil {
 		hosts := sc.AppPlacement()
 		if len(hosts) != sc.App.Hosts() {
@@ -212,13 +210,17 @@ func (sc *Scenario) Workload() (traffic.Workload, error) {
 				"core: app %s needs %d hosts, network offers %d",
 				sc.App.Name(), sc.App.Hosts(), len(hosts))
 		}
-		app, err := sc.App.Generate(hosts, sc.AppSeed)
-		if err != nil {
+		var err error
+		if w, err = sc.App.Generate(hosts, sc.AppSeed); err != nil {
 			return traffic.Workload{}, err
 		}
-		parts = append(parts, app)
+		slices.Sort(w.AppHosts)
+		w.AppHosts = slices.Compact(w.AppHosts)
 	}
-	w := traffic.Merge(parts...)
+	if sc.Background != nil {
+		bg := sc.Background.Generate(sc.Network, w)
+		w.Flows, w.Duration = bg.Flows, max(w.Duration, bg.Duration)
+	}
 	if err := w.Validate(sc.Network); err != nil {
 		return traffic.Workload{}, err
 	}

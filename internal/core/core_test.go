@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -49,6 +50,9 @@ func TestSpreadHosts(t *testing.T) {
 	}
 }
 
+// TestWorkloadMergedAndCached: the scenario's workload is its background's
+// generated flows followed by its application's, renumbered by position, in
+// one slice with no spare capacity, and it is generated once.
 func TestWorkloadMergedAndCached(t *testing.T) {
 	sc := campusScenario(false)
 	w1, err := sc.Workload()
@@ -57,6 +61,17 @@ func TestWorkloadMergedAndCached(t *testing.T) {
 	}
 	if len(w1.Flows) == 0 {
 		t.Fatal("empty workload")
+	}
+	app, err := sc.App.Generate(sc.AppPlacement(), sc.AppSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(sc.Background.Generate(sc.Network).Flows, app.Flows...)
+	for i := range want {
+		want[i].ID = i
+	}
+	if !slices.Equal(w1.Flows, want) || cap(w1.Flows) != len(w1.Flows) {
+		t.Errorf("workload holds %d flows (cap %d), not the %d generated ones in one exactly sized slice", len(w1.Flows), cap(w1.Flows), len(want))
 	}
 	// Contains both tags.
 	var hasHTTP, hasApp bool

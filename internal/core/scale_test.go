@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/mapping"
@@ -23,14 +24,19 @@ const scaleTopSHA = "8679651af73f3a1ed4edb62218368923a146ce6d530860a33caed0334d4
 // 10⁵-router topology builds, partitions (TOP), and emulates end to end
 // through core on one shared route oracle, which must stay far below the
 // 4·n² bytes of an all-pairs table (~40 GB at this size) while holding the
-// rows the flows touched. The assignment is pinned (scaleTopSHA).
+// rows the flows touched. The assignment is pinned (scaleTopSHA). It logs
+// what the network build and the whole run allocate: the 10⁵ point of
+// emu.TestSetupAllocationCensus.
 func TestMemoryScalableRoutingEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and partitions a 10⁵-router topology")
 	}
+	var start, built, done runtime.MemStats
+	runtime.ReadMemStats(&start)
 	nw, err := topogen.ScaleFree(topogen.ScaleFreeConfig{
 		Routers: 100_000, Hosts: 200, LinksPerNewRouter: 2, Seed: 42,
 	})
+	runtime.ReadMemStats(&built)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +55,12 @@ func TestMemoryScalableRoutingEndToEnd(t *testing.T) {
 	sc.SetWorkload(w)
 
 	o, err := sc.Run(context.Background(), mapping.Top)
+	runtime.ReadMemStats(&done)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("%d routers, %d links: network build %.1f MB, whole run %.1f MB allocated",
+		nw.NumRouters(), len(nw.Links), float64(built.TotalAlloc-start.TotalAlloc)/1e6, float64(done.TotalAlloc-start.TotalAlloc)/1e6)
 	if o.Result.AppTime <= 0 {
 		t.Fatalf("emulation did no work: %+v", o.Result)
 	}

@@ -460,6 +460,7 @@ func DecodeSpec(b []byte) (*Spec, error) {
 	}
 	nw := netgraph.New(d.str("spec.network.name"))
 	nodes := d.count(6, "spec.nodes")
+	nw.Grow(nodes, 0)
 	for i := 0; i < nodes && d.err == nil; i++ {
 		kind := d.u8("spec.node.kind")
 		name := d.str("spec.node.name")
@@ -479,6 +480,7 @@ func DecodeSpec(b []byte) (*Spec, error) {
 		}
 	}
 	links := d.count(24, "spec.links")
+	nw.Grow(0, links)
 	for i := 0; i < links && d.err == nil; i++ {
 		a := int(d.i64("spec.link.a"))
 		b2 := int(d.i64("spec.link.b"))
@@ -491,6 +493,7 @@ func DecodeSpec(b []byte) (*Spec, error) {
 	}
 	var wl traffic.Workload
 	flows := d.count(40, "spec.flows")
+	wl.Flows = slices.Grow(wl.Flows, flows)
 	for i := 0; i < flows && d.err == nil; i++ {
 		wl.Flows = append(wl.Flows, traffic.Flow{
 			ID:    int(d.i64("spec.flow.id")),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/emu"
@@ -71,6 +72,9 @@ func TestSpecRoundTrip(t *testing.T) {
 	if got.Cfg.Network.NumNodes() != 4 || len(got.Cfg.Network.Links) != 3 {
 		t.Fatalf("topology did not survive: %d nodes, %d links",
 			got.Cfg.Network.NumNodes(), len(got.Cfg.Network.Links))
+	}
+	if nw := got.Cfg.Network; cap(nw.Nodes) != cap(slices.Grow([]netgraph.Node(nil), len(nw.Nodes))) || cap(nw.Links) != cap(slices.Grow([]netgraph.Link(nil), len(nw.Links))) {
+		t.Errorf("decoded into %d node and %d link slots for %d and %d", cap(nw.Nodes), cap(nw.Links), len(nw.Nodes), len(nw.Links))
 	}
 	if got.Cfg.Network.Nodes[2].Site != "siteA" {
 		t.Fatal("node site lost")

@@ -97,8 +97,8 @@ func (e *emulation) decodeWire(w WireEvent) (des.Sent[payload], error) {
 		}
 		s.Data.kind, s.Data.arg = kindTCPRound, r
 	case WireChunk:
-		if w.Hop < 0 || int(w.Hop) >= len(rt.Path) {
-			return s, fmt.Errorf("%w: wire chunk at hop %d of a %d-hop path", ErrBadConfig, w.Hop, len(rt.Path))
+		if w.Hop < 0 || int(w.Hop) > len(rt) {
+			return s, fmt.Errorf("%w: wire chunk at hop %d of a %d-link route", ErrBadConfig, w.Hop, len(rt))
 		}
 		full := bytes >= e.cfg.ChunkBytes && w.Bytes == e.cfg.ChunkBytes && w.Packets == e.fullPackets
 		tailPackets, tailBytes := e.sizeOf(w.Flow, kindTailChunk)

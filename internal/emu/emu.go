@@ -279,9 +279,9 @@ func (r *Result) FCTStats() (completed int, mean, p95 float64) {
 }
 
 // The run's flow table is the workload itself plus what prepare resolves once
-// and all engines share read-only: a slab of routes, one per distinct (src,
-// dst) pair, and a route index per flow. A flow's identity, start and size
-// are read from its Workload.Flows entry, aliased. Events name it by index.
+// and all engines share read-only: one slab of link slots, a route per distinct
+// (src, dst), and a route index per flow. A flow's identity, start and size are
+// read from its Workload.Flows entry, aliased. Events name it by index.
 
 // The four things an event can be. The first three are the wire's kinds too
 // (WireFlowStart, WireTCPRound, WireChunk); the wire tells a tail chunk from a
@@ -289,8 +289,8 @@ func (r *Result) FCTStats() (completed int, mean, p95 float64) {
 const (
 	kindFlowStart = uint8(iota) // inject the flow at its source host
 	kindTCPRound                // release congestion window arg of the flow's slow start
-	kindChunk                   // a ChunkBytes packet group arriving at path[arg]
-	kindTailChunk               // the flow's final remainder arriving at path[arg]
+	kindChunk                   // a ChunkBytes packet group arriving at hop arg of its route
+	kindTailChunk               // the flow's final remainder arriving at hop arg
 )
 
 // payload is what the kernel carries per event: 12 pointer-free bytes held by
@@ -305,18 +305,26 @@ type payload struct {
 	kind uint8
 }
 
-// route is a path flows travel: Path its nodes, src to dst, and Links the
-// links between them. Hop h is Path[h], entered over Links[h-1].
-type route struct{ Path, Links []int }
+// routeOf is flow's route as link slots (netgraph.AppendRoute), the NetState
+// index of each link in the direction crossed: hop h < n leaves over slot h.
+func (e *emulation) routeOf(flow int32) []int32 {
+	r := e.routeIdx[flow]
+	return e.slots[e.routeAt[r]:e.routeAt[r+1]]
+}
 
-// routeOf is the route flow travels.
-func (e *emulation) routeOf(flow int32) *route { return &e.routes[e.routeIdx[flow]] }
+// nodeAt is the node at hop h of flow's route: its source, then slot heads.
+func (e *emulation) nodeAt(flow int32, hop int) int {
+	if hop == 0 {
+		return e.flows[flow].Src
+	}
+	return e.nw.SlotHead(e.routeOf(flow)[hop-1])
+}
 
 // rttOf is twice the one-way latency of flow's route: TCP pacing's round trip.
 func (e *emulation) rttOf(flow int32) float64 {
 	var oneWay float64
-	for _, lid := range e.routeOf(flow).Links {
-		oneWay += e.nw.Links[lid].Latency
+	for _, slot := range e.routeOf(flow) {
+		oneWay += e.nw.Links[slot/2].Latency
 	}
 	return 2 * oneWay
 }
@@ -419,30 +427,8 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 		rt = nw.SharedRouting()
 	}
 
-	// Resolve routes up front, once per distinct endpoint pair; they are static
-	// for a run. The pair map is only ever looked up, never iterated, so the
-	// table (and the first flow a missing route is blamed on) follows workload
-	// order.
 	fullPackets := (cfg.ChunkBytes + cfg.MTU - 1) / cfg.MTU
 	flows := cfg.Workload.Flows
-	pairs := make(map[[2]int]int32)
-	var routes []route
-	routeIdx := make([]int32, len(flows))
-	for i, f := range flows {
-		pair := [2]int{f.Src, f.Dst}
-		r, ok := pairs[pair]
-		if !ok {
-			path, links := nw.RoutePath(rt, f.Src, f.Dst)
-			if path == nil {
-				return nil, fmt.Errorf("%w: flow %d has no route %d -> %d", ErrBadConfig, f.ID, f.Src, f.Dst)
-			}
-			r = int32(len(routes))
-			routes = append(routes, route{Path: path, Links: links})
-			pairs[pair] = r
-		}
-		routeIdx[i] = r
-	}
-
 	var collector *netflow.Collector
 	if cfg.Profile {
 		collector = netflow.NewCollector(nw.NumNodes(), len(nw.Links), duration, cfg.BucketWidth)
@@ -470,8 +456,8 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 		rec:         obs.Multi(o.recorders...),
 		nw:          nw,
 		flows:       flows,
-		routes:      routes,
-		routeIdx:    routeIdx,
+		routeAt:     []int32{0},
+		routeIdx:    make([]int32, len(flows)),
 		fullPackets: fullPackets,
 		duration:    duration,
 		lookahead:   lookahead,
@@ -486,6 +472,24 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 			remote: make([]float64, cfg.NumEngines*buckets), windows: make([]int, buckets), width: make([]float64, buckets)},
 		winCost: make([]float64, cfg.NumEngines),
 		trace:   o.trace,
+	}
+	// Resolve routes up front into one slab, once per distinct endpoint pair;
+	// they are static for a run. The pair map is only ever looked up, never
+	// iterated, so the slab (and the first flow a missing route is blamed on)
+	// follows workload order.
+	pairs := make(map[[2]int32]int32)
+	for i, f := range flows {
+		pair := [2]int32{int32(f.Src), int32(f.Dst)}
+		r, ok := pairs[pair]
+		if !ok {
+			if e.slots, ok = nw.AppendRoute(e.slots, rt, f.Src, f.Dst); !ok {
+				return nil, fmt.Errorf("%w: flow %d has no route %d -> %d", ErrBadConfig, f.ID, f.Src, f.Dst)
+			}
+			r = int32(len(e.routeAt) - 1)
+			e.routeAt = append(e.routeAt, int32(len(e.slots)))
+			pairs[pair] = r
+		}
+		e.routeIdx[i] = r
 	}
 	if o.stats { // a run starts on the engines its assignment uses
 		e.runStats = obs.NewRunStats(cfg.NumEngines)
@@ -719,8 +723,9 @@ type emulation struct {
 	// shared read-only by every engine (and every worker process, which
 	// rebuilds them identically from the shipped scenario).
 	flows       []traffic.Flow // cfg.Workload.Flows, aliased
-	routes      []route        // one per distinct (src, dst)
-	routeIdx    []int32        // flow i travels routes[routeIdx[i]]
+	slots       []int32        // a route per distinct (src, dst), one after another
+	routeAt     []int32        // route r is slots[routeAt[r]:routeAt[r+1]]
+	routeIdx    []int32        // flow i travels route routeIdx[i]
 	fullPackets int64          // packets in a ChunkBytes group
 	duration    float64
 	lookahead   float64
@@ -862,16 +867,7 @@ func (e *emulation) release(t float64, flow int32, remaining int64, limit int, s
 	}
 }
 
-// slotOf is the NetState slot of link lid sent over from node from: a link's
-// B end sends in direction 1.
-func (e *emulation) slotOf(lid, from int) int {
-	if e.nw.Links[lid].B == from {
-		return 2*lid + 1
-	}
-	return 2 * lid
-}
-
-// arrive processes a chunk at node path[hop]: charge the kernel events,
+// arrive processes a chunk at hop arg of its route: charge the kernel events,
 // account what the node received (NetFlow, on entry), and forward over the
 // next link if not at the destination, counting what the link carried or
 // dropped and observing the queueing delay (telemetry, on exit).
@@ -879,16 +875,16 @@ func (e *emulation) arrive(t float64, c payload, s *des.Scheduler[payload]) {
 	r := e.routeOf(c.flow)
 	hop := int(c.arg)
 	packets, bytes := e.sizeOf(c.flow, c.kind)
-	node := r.Path[hop]
+	node := e.nodeAt(c.flow, hop)
 	s.Charge(packets)
 	if e.collector != nil {
 		in := -1 // at the source, the group came in over no link
 		if hop > 0 {
-			in = e.slotOf(r.Links[hop-1], r.Path[hop-1])
+			in = int(r[hop-1])
 		}
 		e.collector.Observe(node, in, packets, t)
 	}
-	if hop == len(r.Path)-1 {
+	if hop == len(r) {
 		// Delivered: track the flow's completion at the destination.
 		f := &e.flows[c.flow]
 		e.Delivered[c.flow] += bytes
@@ -901,9 +897,8 @@ func (e *emulation) arrive(t float64, c payload, s *des.Scheduler[payload]) {
 		return
 	}
 
-	lid := r.Links[hop]
-	link := &e.nw.Links[lid]
-	slot := e.slotOf(lid, node)
+	slot := r[hop]
+	link := &e.nw.Links[slot/2]
 	// FIFO transmitter: serialization after any queued chunks; with a
 	// finite buffer, arrivals beyond the backlog limit are tail-dropped.
 	depart := t
@@ -925,5 +920,5 @@ func (e *emulation) arrive(t float64, c payload, s *des.Scheduler[payload]) {
 	e.LinkBytes[slot] += bytes
 	e.LinkPackets[slot] += packets
 	c.arg++
-	s.Schedule(e.assignment[r.Path[hop+1]], depart+link.Latency, c)
+	s.Schedule(e.assignment[e.nw.SlotHead(slot)], depart+link.Latency, c)
 }

@@ -78,13 +78,33 @@ func tableWorkloads(nw *netgraph.Network, seed int64) map[string]traffic.Workloa
 // its own offset and window.
 const wireStreamSHA = "683992c67ebdb3c437a2a198d92321a93cff95a69b27ce019fe3ae239b67af6b"
 
+// slotPath decodes a route's link slots from src into the node path and link
+// IDs RoutePath returns: slot 2·l crosses link l from its A end to its B end,
+// slot 2·l+1 the other way. A slot that does not leave the node the route has
+// reached decodes to (nil, nil).
+func slotPath(nw *netgraph.Network, src int, slots []int32) (path, links []int) {
+	path = []int{src}
+	for _, s := range slots {
+		l := nw.Links[s/2]
+		from, to := l.A, l.B
+		if s%2 == 1 {
+			from, to = l.B, l.A
+		}
+		if from != path[len(path)-1] {
+			return nil, nil
+		}
+		path, links = append(path, to), append(links, int(s/2))
+	}
+	return path, links
+}
+
 // TestFlowTableMatchesPerFlowResolution: the table prepare builds per pair is
 // what resolving every flow on its own would have built, and the payload is
 // the whole universe of events over it. The table aliases Workload.Flows and
 // adds one route index per flow; the slab holds one route per distinct pair,
-// shared by all its flows. For every flow, its route's path and links equal a
-// fresh RoutePath and rtt is bit-equal to the per-flow sum; the oracle is
-// walked once per distinct pair. For every flow's start, every (shape, hop) the
+// shared by all its flows. For every flow, its route's slots decode to the
+// path and links of a fresh RoutePath and rtt is bit-equal to the per-flow
+// sum; the oracle is walked once per distinct pair. For every flow's start, every (shape, hop) the
 // per-flow formula gives it and — under slow start — every round the per-flow
 // loop releases, the payload derives the formula's size or the loop's offset
 // and window, encodes to exactly that wire event, and decodes back to itself;
@@ -135,15 +155,15 @@ func TestFlowTableMatchesPerFlowResolution(t *testing.T) {
 				walked := 0
 				for i, fl := range w.Flows {
 					flow := int32(i)
-					r := e.routeOf(flow)
+					rpath, rlinks := slotPath(nw, fl.Src, e.routeOf(flow))
 					path, links := nw.RoutePath(rt, fl.Src, fl.Dst)
 					var oneWay float64
 					for _, lid := range links {
 						oneWay += nw.Links[lid].Latency
 					}
-					if rtt := e.rttOf(flow); !slices.Equal(r.Path, path) || !slices.Equal(r.Links, links) || math.Float64bits(rtt) != math.Float64bits(2*oneWay) {
+					if rtt := e.rttOf(flow); !slices.Equal(rpath, path) || !slices.Equal(rlinks, links) || math.Float64bits(rtt) != math.Float64bits(2*oneWay) {
 						t.Fatalf("%s/%s flow %d: route %v %v rtt %v, resolved alone %v %v rtt %v",
-							name, wname, i, r.Path, r.Links, rtt, path, links, 2*oneWay)
+							name, wname, i, rpath, rlinks, rtt, path, links, 2*oneWay)
 					}
 					// One slab entry per pair: every flow of a pair shares the first one's.
 					pair := [2]int{fl.Src, fl.Dst}
@@ -209,8 +229,8 @@ func TestFlowTableMatchesPerFlowResolution(t *testing.T) {
 					t.Errorf("%s/%s: %d oracle queries for %d flows over %d pairs, one walk per pair is %d",
 						name, wname, counter.queries, len(w.Flows), len(pairs), walked)
 				}
-				if len(e.routes) != len(pairs) {
-					t.Errorf("%s/%s: %d routes for %d pairs", name, wname, len(e.routes), len(pairs))
+				if routes := len(e.routeAt) - 1; routes != len(pairs) || len(e.slots) != walked {
+					t.Errorf("%s/%s: %d routes of %d slots for %d pairs of %d hops", name, wname, routes, len(e.slots), len(pairs), walked)
 				}
 				if wname == "own-pair" && len(pairs) != len(w.Flows) {
 					t.Fatalf("%s/own-pair: %d pairs for %d flows", name, len(pairs), len(w.Flows))
@@ -277,6 +297,42 @@ func TestPrepareBytesPerFlow(t *testing.T) {
 	}
 }
 
+// TestPrepareBytesPerPair is the route table's bytes gate: a distinct
+// (src, dst) pair costs its route's link slots, 4 B a hop in the run's one
+// slab, which appending grows through about four times its final bytes at
+// this size, plus 48 B for its route offset (4 B, grown the same way) and its
+// pair-map entry. Every flow of TeraGrid's own-pair workload on a pair of its
+// own is measured against the same flows all on the first one's pair: the
+// difference is what the 298 added pairs cost (measured: 130.5 B a pair of
+// 5.9 hops; 307.0 B at 1cfb53e, when each pair paid a RoutePath allocation
+// of 16 B a hop and a route struct).
+func TestPrepareBytesPerPair(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are the race detector's under -race")
+	}
+	nw := topogen.TeraGrid()
+	cfg := Config{Network: nw, Routes: nw.SharedRouting(), Assignment: roundRobin(nw.NumNodes(), 5), NumEngines: 5}
+	own := tableWorkloads(nw, 7)["own-pair"]
+	one := traffic.Workload{Duration: own.Duration, Flows: slices.Clone(own.Flows)}
+	hops := 0
+	for i, f := range own.Flows {
+		hops += len(nw.RouteLinks(cfg.Routes, f.Src, f.Dst))
+		one.Flows[i].Src, one.Flows[i].Dst = own.Flows[0].Src, own.Flows[0].Dst
+	}
+	cfg.Workload = own
+	distinct := prepareBytes(t, cfg)
+	cfg.Workload = one
+	shared := prepareBytes(t, cfg)
+	added := len(own.Flows) - 1
+	perPair := (float64(distinct) - float64(shared)) / float64(added)
+	bound := 4*4*float64(hops)/float64(len(own.Flows)) + 48
+	t.Logf("prepare: %d B for %d flows on their own pairs (%d hops), %d B on one pair: %.1f B per added pair", distinct, len(own.Flows), hops, shared, perPair)
+	if perPair > bound {
+		t.Errorf("prepare allocates %.1f B per added distinct pair of %.1f hops, want at most %.1f",
+			perPair, float64(hops)/float64(len(own.Flows)), bound)
+	}
+}
+
 // prepareMallocs counts one prepare's allocations.
 func prepareMallocs(t *testing.T, cfg Config) float64 {
 	return testing.AllocsPerRun(3, func() {
@@ -288,15 +344,18 @@ func prepareMallocs(t *testing.T, cfg Config) float64 {
 }
 
 // TestPrepareAllocsDoNotScaleWithFlows is the set-up gate: more flows over the
-// same pairs make the table's slabs longer, not more numerous, and what is
-// allocated per pair is its route — one allocation for its path and links,
-// plus the route slab's growth, on 35 for everything else (measured: 122
-// for 86 pairs, whether they carry 372 flows or 1 488; 200 when every route
-// was a heap object of its own, at 92111c9). Where every flow has a pair of
-// its own the dedup finds nothing and set-up stays on the same line (341 for
-// this workload's 299 flows; 630 at 92111c9, and per-flow resolution paid
-// 2 988 at a049ea3). The bound is that line plus 5 % for the pair map's growth
-// under another Go release.
+// same pairs make the table's slabs longer, not more numerous, and no pair
+// costs an allocation of its own: every route's link slots go into one slab,
+// so the pairs cost only the growth of that slab, of the route offsets and of
+// the pair map, about two allocations a doubling of the pairs, on 35 for
+// everything else (measured: 45 for 86 pairs, whether
+// they carry 372 flows or 1 488; 122 at 1cfb53e, when each pair's RoutePath
+// was an allocation, and 200 when every route was a heap object of its own,
+// at 92111c9). Where every flow has a pair of its own the dedup finds
+// nothing and set-up stays on the same line (54 for this workload's 299
+// flows; 341 at 1cfb53e, 630 at 92111c9, and per-flow resolution paid 2 988
+// at a049ea3). The bound is that line plus 5 % for the pair map's growth under
+// another Go release.
 func TestPrepareAllocsDoNotScaleWithFlows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are the race detector's under -race")
@@ -316,7 +375,7 @@ func TestPrepareAllocsDoNotScaleWithFlows(t *testing.T) {
 	}
 	// Two of slack: a slab that crosses a size threshold may cost the runtime
 	// one bookkeeping allocation of its own.
-	bound := func(pairs int) float64 { return 1.05 * float64(35+pairs+bits.Len(uint(pairs))) }
+	bound := func(pairs int) float64 { return 1.05 * float64(35+2*bits.Len(uint(pairs))) }
 	if bound := bound(len(pairs)); math.Abs(mallocs[1]-mallocs[0]) > 2 || mallocs[0] > bound {
 		t.Errorf("prepare makes %.0f allocations for %d flows and %.0f for %d over the same %d pairs, want the same and at most %.0f",
 			mallocs[0], len(w.Flows), mallocs[1], 4*len(w.Flows), len(pairs), bound)

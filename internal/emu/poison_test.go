@@ -2,10 +2,13 @@ package emu
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/des"
+	"repro/internal/topogen"
 )
 
 // A payload kind no handler knows — what a corrupted or version-skewed wire
@@ -120,6 +123,38 @@ func TestDecodeWireRejectsMalformedEvents(t *testing.T) {
 	} {
 		if _, err := e.decodeWire(w); err != nil {
 			t.Errorf("legitimate wire event %+v refused: %v", w, err)
+		}
+	}
+	// A route of n links has hops 0 to n, its source to its destination: for
+	// every flow of the flow-table workloads, a chunk of the flow's own shape
+	// decodes at each of them and is refused one hop before and one past.
+	for _, name := range []string{"Campus", "TeraGrid", "Brite"} {
+		nw, err := topogen.ByName(name, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for wname, w := range tableWorkloads(nw, 7) {
+			cfg := Config{Network: nw, Assignment: roundRobin(nw.NumNodes(), 3), NumEngines: 3, Workload: w}
+			e, err := prepare(&cfg, &runOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, f := range w.Flows {
+				chunk := WireEvent{Kind: WireChunk, Flow: int32(i), Packets: e.fullPackets, Bytes: cfg.ChunkBytes}
+				if f.Bytes < cfg.ChunkBytes {
+					chunk.Packets, chunk.Bytes = e.sizeOf(int32(i), kindTailChunk)
+				}
+				links := len(nw.RouteLinks(nw.SharedRouting(), f.Src, f.Dst))
+				for hop := -1; hop <= links+1; hop++ {
+					chunk.Hop = int32(hop)
+					_, err := e.decodeWire(chunk)
+					if inRoute := hop >= 0 && hop <= links; inRoute && err != nil {
+						t.Fatalf("%s/%s flow %d: hop %d of a %d-link route refused: %v", name, wname, i, hop, links, err)
+					} else if !inRoute && (!errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), fmt.Sprintf("of a %d-link route", links))) {
+						t.Fatalf("%s/%s flow %d: hop %d of a %d-link route is not refused as past the route: %v", name, wname, i, hop, links, err)
+					}
+				}
+			}
 		}
 	}
 }

@@ -125,7 +125,7 @@ func (e *emulation) ownerOf(ev des.Event[payload]) (int, bool) {
 	case kindFlowStart, kindTCPRound:
 		return e.assignment[e.flows[p.flow].Src], true
 	case kindChunk, kindTailChunk:
-		return e.assignment[e.routeOf(p.flow).Path[p.arg]], true
+		return e.assignment[e.nodeAt(p.flow, int(p.arg))], true
 	default:
 		return ev.LP, true
 	}

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// TestScenarioWorkloadPinned pins each paper scenario's merged workload
-// (HTTP background plus the foreground application, renumbered by
-// traffic.Merge) at the harness defaults: every flow of every evaluation
+// TestScenarioWorkloadPinned pins each paper scenario's workload (HTTP
+// background then the foreground application, gathered and numbered by one
+// traffic.Collect) at the harness defaults: every flow of every evaluation
 // cell stays bit-identical.
 func TestScenarioWorkloadPinned(t *testing.T) {
 	pins := map[string]string{

@@ -17,6 +17,7 @@ package netdesc
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -28,9 +29,18 @@ import (
 
 // Read parses a network description.
 func Read(r io.Reader) (*netgraph.Network, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	// A leading newline puts one before every line, so that counting
+	// "\nlink " counts the link lines (less any indented ones, which are
+	// read all the same): the network's size.
+	data, err := io.ReadAll(io.MultiReader(strings.NewReader("\n"), r))
+	if err != nil {
+		return nil, err
+	}
+	count := func(directive string) int { return bytes.Count(data, []byte("\n"+directive+" ")) }
 	nw := netgraph.New("")
+	nw.Grow(count("router")+count("host"), count("link"))
+	sc := bufio.NewScanner(bytes.NewReader(data[1:]))
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	byName := make(map[string]int)
 	lineNo := 0
 	for sc.Scan() {

@@ -3,9 +3,11 @@ package netdesc
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/netgraph"
 	"repro/internal/topogen"
 )
 
@@ -93,6 +95,10 @@ func TestRoundTripGeneratedTopologies(t *testing.T) {
 		if got.NumNodes() != nw.NumNodes() || len(got.Links) != len(nw.Links) {
 			t.Fatalf("%s: shape changed: %d/%d -> %d/%d", name,
 				nw.NumNodes(), len(nw.Links), got.NumNodes(), len(got.Links))
+		}
+		// Read sizes the network from its directive lines before adding to it.
+		if cap(got.Nodes) != cap(slices.Grow([]netgraph.Node(nil), len(got.Nodes))) || cap(got.Links) != cap(slices.Grow([]netgraph.Link(nil), len(got.Links))) {
+			t.Errorf("%s: read into %d node and %d link slots for %d and %d", name, cap(got.Nodes), cap(got.Links), len(got.Nodes), len(got.Links))
 		}
 		for i, n := range nw.Nodes {
 			g := got.Nodes[i]

@@ -10,6 +10,7 @@ package netgraph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -114,6 +115,16 @@ func (nw *Network) addNode(n Node) int {
 	nw.adj = append(nw.adj, nil)
 	nw.invalidateRouting()
 	return n.ID
+}
+
+// Grow makes room for nodes more nodes and links more links (a negative count
+// is none), so that a builder that knows its counts adds them without
+// regrowing Nodes, Links or the adjacency index's per-node headers.
+func (nw *Network) Grow(nodes, links int) {
+	nodes, links = max(nodes, 0), max(links, 0)
+	nw.Nodes = slices.Grow(nw.Nodes, nodes)
+	nw.adj = slices.Grow(nw.adj, nodes)
+	nw.Links = slices.Grow(nw.Links, links)
 }
 
 // invalidateRouting marks any cached routing stale after a topology
@@ -480,34 +491,58 @@ func (nw *Network) dijkstraRow(src int, next, parent []int32, s *dijkstraScratch
 	}
 }
 
-// RoutePath walks the routing oracle from src to dst — the one walk Route and
-// RouteLinks wrap — and returns the node path (inclusive of both endpoints)
-// and the link IDs between consecutive hops, cut from one exactly sized
-// allocation (routes longer than the 32 links the walk buffers on the stack
-// pay for that buffer's growth too). Returns (nil, nil) if dst is unreachable
-// or the oracle loops: a loop-free route has fewer links than the network has
-// nodes.
-func (nw *Network) RoutePath(rt Routing, src, dst int) (path, links []int) {
-	if src == dst {
-		return []int{src}, nil
-	}
-	var buf [32]int
-	walk := buf[:0]
+// AppendRoute walks the routing oracle from src to dst — the one route walk,
+// which RoutePath and RouteLinks render from — and appends each hop's directed
+// link slot to slots: 2·link, plus 1 when the hop leaves the link's B end, the
+// index of the emulator's per-direction link state. It returns slots as given
+// and false if dst is unreachable or the oracle loops: a loop-free route has
+// fewer links than the network has nodes.
+func (nw *Network) AppendRoute(slots []int32, rt Routing, src, dst int) ([]int32, bool) {
+	n := len(slots)
 	for cur := src; cur != dst; {
 		lid := rt.NextLink(cur, dst)
-		if lid < 0 || len(walk) >= len(nw.Nodes) {
-			return nil, nil
+		if lid < 0 || len(slots)-n >= len(nw.Nodes) {
+			return slots[:n], false
 		}
-		walk = append(walk, lid)
+		slot := int32(2 * lid)
+		if nw.Links[lid].B == cur {
+			slot++
+		}
+		slots = append(slots, slot)
 		cur = nw.Links[lid].Other(cur)
 	}
-	n := len(walk)
+	return slots, true
+}
+
+// SlotHead is the node a directed link slot leads to: its link's B end in
+// direction 0, its A end in direction 1.
+func (nw *Network) SlotHead(slot int32) int {
+	if slot%2 == 1 {
+		return nw.Links[slot/2].A
+	}
+	return nw.Links[slot/2].B
+}
+
+// RoutePath renders AppendRoute's walk from src to dst as the node path
+// (inclusive of both endpoints) and the link IDs between consecutive hops,
+// cut from one exactly sized allocation (routes longer than the 32 links the
+// walk buffers on the stack pay for that buffer's growth too). Returns
+// (nil, nil) where AppendRoute fails.
+func (nw *Network) RoutePath(rt Routing, src, dst int) (path, links []int) {
+	var buf [32]int32
+	slots, ok := nw.AppendRoute(buf[:0], rt, src, dst)
+	switch {
+	case !ok:
+		return nil, nil
+	case len(slots) == 0:
+		return []int{src}, nil
+	}
+	n := len(slots)
 	out := make([]int, 2*n+1)
 	path, links = out[:n+1:n+1], out[n+1:]
-	copy(links, walk)
 	path[0] = src
-	for i, lid := range links {
-		path[i+1] = nw.Links[lid].Other(path[i])
+	for i, s := range slots {
+		links[i], path[i+1] = int(s/2), nw.SlotHead(s)
 	}
 	return path, links
 }

@@ -282,10 +282,35 @@ func (o loopingOracle) NextLink(src, dst int) int {
 	return o.Routing.NextLink(src, o.a)
 }
 
-// TestRouteWalkersAgree: RouteLinks is a view of the RoutePath walk, and
-// that walk is what following NextLink hop by hop gives — on every host pair
-// of the paper topologies, for src == dst, for a host no link reaches, and
-// under an oracle that loops (both return nil and return).
+// slotRoute decodes a route's link slots from src into a node path and link
+// IDs: slot 2·l crosses link l from its A end to its B end, 2·l+1 the other
+// way. A failed walk, or a slot that does not leave the node the route has
+// reached, decodes to (nil, nil).
+func slotRoute(nw *netgraph.Network, src int, slots []int32, ok bool) (path, links []int) {
+	if !ok {
+		return nil, nil
+	}
+	path = []int{src}
+	for _, s := range slots {
+		l := nw.Links[s/2]
+		from, to := l.A, l.B
+		if s%2 == 1 {
+			from, to = l.B, l.A
+		}
+		if from != path[len(path)-1] {
+			return nil, nil
+		}
+		path, links = append(path, to), append(links, int(s/2))
+	}
+	return path, links
+}
+
+// TestRouteWalkersAgree: RouteLinks and RoutePath are views of the
+// AppendRoute walk, and that walk is what following NextLink hop by hop gives
+// — on every host pair of the paper topologies, for src == dst, for a host no
+// link reaches, and under an oracle that loops (all return nil and return).
+// The slots one slab gathers for every pair decode to exactly RoutePath's
+// path and links, and appending into a warm slab allocates nothing.
 func TestRouteWalkersAgree(t *testing.T) {
 	for _, name := range []string{"Campus", "TeraGrid", "Brite"} {
 		t.Run(name, func(t *testing.T) {
@@ -293,11 +318,19 @@ func TestRouteWalkersAgree(t *testing.T) {
 			island := nw.AddHost("island", 1)
 			rt := nw.SharedRouting()
 			hosts := nw.Hosts()
+			var slab []int32
 			for _, src := range hosts {
 				for _, dst := range hosts {
 					path, links := nw.RoutePath(rt, src, dst)
 					if l := nw.RouteLinks(rt, src, dst); !slices.Equal(l, links) {
 						t.Fatalf("%d -> %d: RouteLinks %v; RoutePath %v, %v", src, dst, l, path, links)
+					}
+					n := len(slab)
+					var ok bool
+					slab, ok = nw.AppendRoute(slab, rt, src, dst)
+					spath, slinks := slotRoute(nw, src, slab[n:], ok)
+					if !slices.Equal(spath, path) || !slices.Equal(slinks, links) || (spath == nil) != (path == nil) || (slinks == nil) != (links == nil) {
+						t.Fatalf("%d -> %d: slots %v (ok %v) decode to %v, %v; RoutePath %v, %v", src, dst, slab[n:], ok, spath, slinks, path, links)
 					}
 					switch {
 					case src == dst:
@@ -328,9 +361,15 @@ func TestRouteWalkersAgree(t *testing.T) {
 			if allocs := testing.AllocsPerRun(10, func() { nw.RoutePath(rt, src, dst) }); allocs > 2 {
 				t.Errorf("RoutePath makes %.0f allocations per call, want at most 2", allocs)
 			}
+			if allocs := testing.AllocsPerRun(10, func() { slab, _ = nw.AppendRoute(slab[:0], rt, src, dst) }); allocs != 0 {
+				t.Errorf("AppendRoute into a warm slab makes %.0f allocations per call, want 0", allocs)
+			}
 			loop := loopingOracle{rt, src, dst}
 			if path, links := nw.RoutePath(loop, src, dst); path != nil || links != nil || nw.RouteLinks(loop, src, dst) != nil {
 				t.Errorf("a looping oracle yields path %v, links %v, want nil", path, links)
+			}
+			if slots, ok := nw.AppendRoute(slab[:3], loop, src, dst); ok || len(slots) != 3 {
+				t.Errorf("a looping oracle appends %d slots (ok %v) to a slab of 3, want none and false", len(slots)-3, ok)
 			}
 		})
 	}

@@ -39,20 +39,13 @@ func ScaleFree(cfg ScaleFreeConfig) (*netgraph.Network, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nw := netgraph.New(fmt.Sprintf("ScaleFree-%dr%dh", cfg.Routers, cfg.Hosts))
+	// The links, as Brite's: a seed clique, m for each later router, one a host.
+	m, seedN := cfg.LinksPerNewRouter, min(cfg.LinksPerNewRouter+1, cfg.Routers)
+	nw.Grow(cfg.Routers+cfg.Hosts, seedN*(seedN-1)/2+(cfg.Routers-seedN)*m+cfg.Hosts)
 	const as = 1
 
 	latency := func() float64 {
 		return 0.5*ms + rng.Float64()*19.5*ms
-	}
-	bandwidth := func() float64 {
-		switch r := rng.Float64(); {
-		case r < 0.5:
-			return 155 * Mbps
-		case r < 0.85:
-			return 622 * Mbps
-		default:
-			return 2.5 * Gbps
-		}
 	}
 
 	routers := make([]int, cfg.Routers)
@@ -62,38 +55,29 @@ func ScaleFree(cfg ScaleFreeConfig) (*netgraph.Network, error) {
 
 	// endpoints holds every link endpoint once; uniform sampling from it is
 	// degree-proportional sampling.
-	m := cfg.LinksPerNewRouter
 	endpoints := make([]int, 0, 2*m*cfg.Routers)
 	addLink := func(i, j int) {
-		nw.AddLink(routers[i], routers[j], bandwidth(), latency())
+		nw.AddLink(routers[i], routers[j], transitBandwidth(rng), latency())
 		endpoints = append(endpoints, i, j)
 	}
 
 	// Seed clique of m+1 routers.
-	seedN := m + 1
-	if seedN > cfg.Routers {
-		seedN = cfg.Routers
-	}
 	for i := 0; i < seedN; i++ {
 		for j := i + 1; j < seedN; j++ {
 			addLink(i, j)
 		}
 	}
 
-	// Incremental attachment: each new router draws m distinct targets from
-	// the endpoint list (degree-proportional), falling back to a uniform
-	// draw after repeated collisions so dense early graphs cannot stall.
+	// Incremental attachment: each new router (i > m) draws m distinct
+	// targets from the endpoint list (degree-proportional), falling back to a
+	// uniform draw after repeated collisions so dense early graphs cannot stall.
 	chosen := make(map[int]bool, m)
 	for i := seedN; i < cfg.Routers; i++ {
-		mi := m
-		if mi > i {
-			mi = i
-		}
 		clear(chosen)
 		// Sample from the endpoint list as it stood before router i started
 		// attaching, so i can never draw itself into a self-loop.
 		limit := len(endpoints)
-		for len(chosen) < mi {
+		for len(chosen) < m {
 			t := endpoints[rng.Intn(limit)]
 			if chosen[t] {
 				t = rng.Intn(i)

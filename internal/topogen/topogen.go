@@ -59,6 +59,7 @@ func Table2Spec() Spec {
 // "well-engineered networks with evenly distributed traffic").
 func Campus() *netgraph.Network {
 	nw := netgraph.New("Campus")
+	nw.Grow(60, 59) // Table 1's 20 routers and 40 hosts, joined as a tree
 	const as = 1
 
 	coreA := nw.AddRouter("core-0", as)
@@ -116,6 +117,7 @@ type teraGridSite struct {
 // Table 1: 27 routers, 150 hosts.
 func TeraGrid() *netgraph.Network {
 	nw := netgraph.New("TeraGrid")
+	nw.Grow(177, 191) // Table 1's 27 routers and 150 hosts
 	sites := []teraGridSite{
 		{"SDSC", 5, 40},
 		{"NCSA", 5, 40},
@@ -194,6 +196,10 @@ func Brite(cfg BriteConfig) (*netgraph.Network, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nw := netgraph.New(fmt.Sprintf("Brite-%dr%dh", cfg.Routers, cfg.Hosts))
+	// The links: a seed clique of m+1 routers, m for each later router, and
+	// one for each host.
+	m, seedN := cfg.LinksPerNewRouter, min(cfg.LinksPerNewRouter+1, cfg.Routers)
+	nw.Grow(cfg.Routers+cfg.Hosts, seedN*(seedN-1)/2+(cfg.Routers-seedN)*m+cfg.Hosts)
 	const as = 1
 
 	// Router placement on the unit square; latency ∝ distance (speed of
@@ -217,39 +223,19 @@ func Brite(cfg BriteConfig) (*netgraph.Network, error) {
 		}
 		return l
 	}
-	bandwidth := func() float64 {
-		// 2003 transit tiers: OC-3 (155 Mb/s), OC-12 (622 Mb/s),
-		// OC-48 (2.5 Gb/s) — heavier tail on the slower tiers.
-		switch r := rng.Float64(); {
-		case r < 0.5:
-			return 155 * Mbps
-		case r < 0.85:
-			return 622 * Mbps
-		default:
-			return 2.5 * Gbps
-		}
-	}
 
 	// Seed clique of m+1 routers.
-	seedN := cfg.LinksPerNewRouter + 1
-	if seedN > cfg.Routers {
-		seedN = cfg.Routers
-	}
 	for i := 0; i < seedN; i++ {
 		for j := i + 1; j < seedN; j++ {
-			nw.AddLink(routers[i], routers[j], bandwidth(), latency(i, j))
+			nw.AddLink(routers[i], routers[j], transitBandwidth(rng), latency(i, j))
 			deg[i]++
 			deg[j]++
 			totalDeg += 2
 		}
 	}
 
-	// Incremental preferential attachment.
+	// Incremental preferential attachment: m links per router, as i > m.
 	for i := seedN; i < cfg.Routers; i++ {
-		m := cfg.LinksPerNewRouter
-		if m > i {
-			m = i
-		}
 		chosen := make(map[int]bool, m)
 		for len(chosen) < m {
 			t := pickPreferential(rng, deg[:i], totalDeg)
@@ -261,7 +247,7 @@ func Brite(cfg BriteConfig) (*netgraph.Network, error) {
 				}
 			}
 			chosen[t] = true
-			nw.AddLink(routers[i], routers[t], bandwidth(), latency(i, t))
+			nw.AddLink(routers[i], routers[t], transitBandwidth(rng), latency(i, t))
 			deg[i]++
 			deg[t]++
 			totalDeg += 2
@@ -275,6 +261,20 @@ func Brite(cfg BriteConfig) (*netgraph.Network, error) {
 		nw.AddLink(id, r, 100*Mbps, 0.5*ms)
 	}
 	return nw, nil
+}
+
+// transitBandwidth draws a router link's bandwidth from the 2003 transit
+// tiers: OC-3 (155 Mb/s), OC-12 (622 Mb/s), OC-48 (2.5 Gb/s) — heavier tail
+// on the slower tiers.
+func transitBandwidth(rng *rand.Rand) float64 {
+	switch r := rng.Float64(); {
+	case r < 0.5:
+		return 155 * Mbps
+	case r < 0.85:
+		return 622 * Mbps
+	default:
+		return 2.5 * Gbps
+	}
 }
 
 // pickPreferential samples an index from deg with probability proportional

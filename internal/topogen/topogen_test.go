@@ -1,6 +1,7 @@
 package topogen
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/netgraph"
@@ -217,4 +218,43 @@ func TestCampusStats(t *testing.T) {
 	if s.MinDegree < 1 {
 		t.Errorf("Campus has an isolated router: %+v", s)
 	}
+}
+
+// TestGeneratorsBuildAtFinalSize: every generator sizes its network with
+// netgraph.Network.Grow from the counts it knows before adding anything, so
+// Nodes and Links end with the capacity one allocation of their final length
+// has — none grew by append.
+func TestGeneratorsBuildAtFinalSize(t *testing.T) {
+	nets := map[string]*netgraph.Network{
+		"Campus":   Campus(),
+		"TeraGrid": TeraGrid(),
+		"Brite-m3": mustBrite(t, BriteConfig{Routers: 50, Hosts: 7, LinksPerNewRouter: 3, Seed: 1}),
+		"Brite-2":  mustBrite(t, BriteConfig{Routers: 2, Hosts: 3, LinksPerNewRouter: 4, Seed: 1}),
+	}
+	for _, name := range []string{"Brite", "Brite-large"} {
+		nw, err := ByName(name, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[name] = nw
+	}
+	for _, cfg := range []ScaleFreeConfig{{Routers: 500, Hosts: 50, Seed: 1}, {Routers: 3, Hosts: 0, LinksPerNewRouter: 5, Seed: 1}} {
+		nw, err := ScaleFree(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[nw.Name] = nw
+	}
+	for name, nw := range nets {
+		if !builtAtFinalSize(nw) {
+			t.Errorf("%s: %d node and %d link slots for %d nodes and %d links", name, cap(nw.Nodes), cap(nw.Links), len(nw.Nodes), len(nw.Links))
+		}
+	}
+}
+
+// builtAtFinalSize reports whether nw's Nodes and Links have the capacity of
+// one allocation of their final length.
+func builtAtFinalSize(nw *netgraph.Network) bool {
+	return cap(nw.Nodes) == cap(slices.Grow([]netgraph.Node(nil), len(nw.Nodes))) &&
+		cap(nw.Links) == cap(slices.Grow([]netgraph.Link(nil), len(nw.Links)))
 }

@@ -66,17 +66,17 @@ func (s CBRSpec) pairsOf(nw *netgraph.Network) [][2]int {
 
 // Generate materializes the CBR workload: each pair sends
 // Rate·Period bytes every Period, with a random phase per pair.
-func (s CBRSpec) Generate(nw *netgraph.Network) Workload {
+func (s CBRSpec) Generate(nw *netgraph.Network, after ...Workload) Workload {
 	period := s.Period
 	if period <= 0 {
 		period = 1
 	}
 	bytes := int64(s.RateBytesPerSecond * period)
 	if bytes <= 0 {
-		return Workload{Duration: s.Duration}
+		return Workload{Duration: s.Duration, Flows: Collect(func(func(Flow)) {}, after...)}
 	}
 	pairs := s.pairsOf(nw)
-	w := Workload{Duration: s.Duration, Flows: Collect(func(emit func(Flow)) {
+	return Workload{Duration: s.Duration, Flows: Collect(func(emit func(Flow)) {
 		rng := rand.New(rand.NewSource(s.Seed + 1))
 		for _, p := range pairs {
 			t := rng.Float64() * period
@@ -85,12 +85,7 @@ func (s CBRSpec) Generate(nw *netgraph.Network) Workload {
 				t += period
 			}
 		}
-	})}
-	w.SortByStart()
-	for i := range w.Flows {
-		w.Flows[i].ID = i
-	}
-	return w
+	}, after...)}
 }
 
 // Predict returns the exact average rates (CBR prediction is trivially
@@ -139,9 +134,9 @@ func (s OnOffSpec) pairsOf(nw *netgraph.Network) [][2]int {
 }
 
 // Generate materializes the on/off workload.
-func (s OnOffSpec) Generate(nw *netgraph.Network) Workload {
+func (s OnOffSpec) Generate(nw *netgraph.Network, after ...Workload) Workload {
 	pairs := s.pairsOf(nw)
-	w := Workload{Duration: s.Duration, Flows: Collect(func(emit func(Flow)) {
+	return Workload{Duration: s.Duration, Flows: Collect(func(emit func(Flow)) {
 		rng := rand.New(rand.NewSource(s.Seed + 1))
 		for _, p := range pairs {
 			t := rng.ExpFloat64() * s.GapSeconds
@@ -153,12 +148,7 @@ func (s OnOffSpec) Generate(nw *netgraph.Network) Workload {
 				t += rng.ExpFloat64() * s.GapSeconds
 			}
 		}
-	})}
-	w.SortByStart()
-	for i := range w.Flows {
-		w.Flows[i].ID = i
-	}
-	return w
+	}, after...)}
 }
 
 // Predict returns the average-rate model: BurstBytes every GapSeconds per

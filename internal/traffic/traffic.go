@@ -44,44 +44,17 @@ type Workload struct {
 	Duration float64
 }
 
-// Merge combines workloads into one, renumbering flow IDs and keeping the
-// sorted union of app hosts and the max duration. The flows are copied into
-// one exactly sized slice.
-func Merge(ws ...Workload) Workload {
-	var out Workload
-	var flows, hosts int
-	for _, w := range ws {
-		flows += len(w.Flows)
-		hosts += len(w.AppHosts)
-	}
-	if flows > 0 {
-		out.Flows = make([]Flow, 0, flows)
-	}
-	if hosts > 0 {
-		out.AppHosts = make([]int, 0, hosts)
-	}
-	for _, w := range ws {
-		for _, f := range w.Flows {
-			f.ID = len(out.Flows)
-			out.Flows = append(out.Flows, f)
-		}
-		out.AppHosts = append(out.AppHosts, w.AppHosts...)
-		if w.Duration > out.Duration {
-			out.Duration = w.Duration
-		}
-	}
-	slices.Sort(out.AppHosts)
-	out.AppHosts = slices.Compact(out.AppHosts)
-	return out
-}
-
-// Collect returns the flows gen emits, in emission order and numbered by
-// position, in one exactly sized slice (nil when gen emits none). gen runs
-// twice, first only to count, so it must emit the same flows both times: a
-// generator draws from an RNG it seeds inside gen.
-func Collect(gen func(emit func(Flow))) []Flow {
+// Collect returns the flows gen emits, sorted by start in place (SortByStart's
+// order), then the flows of each after workload as they are, in one exactly
+// sized slice numbered by position (nil when there are none). gen runs twice,
+// first only to count, so it must emit the same flows both times: a generator
+// draws from an RNG it seeds inside gen.
+func Collect(gen func(emit func(Flow)), after ...Workload) []Flow {
 	n := 0
 	gen(func(Flow) { n++ })
+	for _, w := range after {
+		n += len(w.Flows)
+	}
 	if n == 0 {
 		return nil
 	}
@@ -90,6 +63,14 @@ func Collect(gen func(emit func(Flow))) []Flow {
 		f.ID = len(flows)
 		flows = append(flows, f)
 	})
+	own := Workload{Flows: flows}
+	own.SortByStart()
+	for _, w := range after {
+		flows = append(flows, w.Flows...)
+	}
+	for i := range flows {
+		flows[i].ID = i
+	}
 	return flows
 }
 
@@ -191,7 +172,10 @@ func (w *Workload) Validate(nw *netgraph.Network) error {
 // that all traffic generators can provide some prediction of their generated
 // traffic load"). HTTPSpec, CBRSpec and OnOffSpec implement it.
 type Background interface {
-	Generate(nw *netgraph.Network) Workload
+	// Generate materializes the workload by one Collect: its flows, then
+	// those of the after workloads (a scenario's foreground application), in
+	// one exactly sized slice. Duration and AppHosts are its own.
+	Generate(nw *netgraph.Network, after ...Workload) Workload
 	Predict(nw *netgraph.Network) []PairRate
 }
 
@@ -290,11 +274,11 @@ func (s HTTPSpec) pairs(nw *netgraph.Network) pairing {
 	return p
 }
 
-// Generate materializes the background workload: every client issues
-// requests separated by exponential think times until Duration.
-func (s HTTPSpec) Generate(nw *netgraph.Network) Workload {
+// Generate implements Background: every client issues requests separated by
+// exponential think times until Duration.
+func (s HTTPSpec) Generate(nw *netgraph.Network, after ...Workload) Workload {
 	p := s.pairs(nw)
-	w := Workload{Duration: s.Duration, Flows: Collect(func(emit func(Flow)) {
+	return Workload{Duration: s.Duration, Flows: Collect(func(emit func(Flow)) {
 		rng := rand.New(rand.NewSource(s.Seed + 1))
 		for si, srv := range p.server {
 			for _, cl := range p.client[si] {
@@ -312,12 +296,7 @@ func (s HTTPSpec) Generate(nw *netgraph.Network) Workload {
 				}
 			}
 		}
-	})}
-	w.SortByStart()
-	for i := range w.Flows {
-		w.Flows[i].ID = i
-	}
-	return w
+	}, after...)}
 }
 
 // Predict returns the generator's own average-rate prediction per

@@ -2,36 +2,41 @@ package traffic
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/topogen"
 )
 
-func TestMerge(t *testing.T) {
-	a := Workload{
-		Flows:    []Flow{{ID: 0, Src: 1, Dst: 2, Bytes: 10}},
-		AppHosts: []int{1, 2},
-		Duration: 5,
-	}
-	b := Workload{
-		Flows:    []Flow{{ID: 0, Src: 3, Dst: 4, Bytes: 20}, {ID: 1, Src: 4, Dst: 3, Bytes: 30}},
-		AppHosts: []int{2, 3},
-		Duration: 9,
-	}
-	m := Merge(a, b)
-	if len(m.Flows) != 3 {
-		t.Fatalf("merged flows = %d, want 3", len(m.Flows))
-	}
-	for i, f := range m.Flows {
-		if f.ID != i {
-			t.Errorf("flow %d has ID %d (not renumbered)", i, f.ID)
+// TestCollect: Collect sorts a generator's flows by start in place (ties in
+// emission order), appends the flows of the after workloads as they are, and
+// numbers every flow by its position, in one exactly sized slice.
+func TestCollect(t *testing.T) {
+	gen := func(starts ...float64) func(func(Flow)) {
+		return func(emit func(Flow)) {
+			for i, st := range starts {
+				emit(Flow{ID: 7, Start: st, Bytes: int64(i), Tag: "gen"})
+			}
 		}
 	}
-	if m.Duration != 9 {
-		t.Errorf("duration = %v, want 9", m.Duration)
+	after := Workload{Flows: []Flow{{ID: 0, Start: 2, Tag: "app"}, {ID: 1, Start: 0, Tag: "app"}}}
+	flows := Collect(gen(5, 1, 3, 1), Workload{}, after)
+	want := []Flow{
+		{ID: 0, Start: 1, Bytes: 1, Tag: "gen"},
+		{ID: 1, Start: 1, Bytes: 3, Tag: "gen"},
+		{ID: 2, Start: 3, Bytes: 2, Tag: "gen"},
+		{ID: 3, Start: 5, Bytes: 0, Tag: "gen"},
+		{ID: 4, Start: 2, Tag: "app"},
+		{ID: 5, Start: 0, Tag: "app"},
 	}
-	if len(m.AppHosts) != 3 {
-		t.Errorf("AppHosts = %v, want 3 unique", m.AppHosts)
+	if !slices.Equal(flows, want) || cap(flows) != len(flows) {
+		t.Errorf("Collect = %+v (cap %d), want %+v", flows, cap(flows), want)
+	}
+	if after.Flows[0].ID != 0 || after.Flows[1].ID != 1 {
+		t.Errorf("Collect renumbered the after workload's own flows: %+v", after.Flows)
+	}
+	if got := Collect(gen(), Workload{}); got != nil {
+		t.Errorf("Collect of no flows = %+v, want nil", got)
 	}
 }
 
