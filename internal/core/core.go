@@ -152,7 +152,7 @@ type Outcome struct {
 
 // Routes returns the scenario's route oracle, the network's shared one
 // (netgraph.Network.SharedRouting), so every downstream consumer (mapping,
-// emulation, route discovery) reuses one set of cached rows. The error is
+// emulation, route discovery) reuses one set of cached columns. The error is
 // always nil.
 func (sc *Scenario) Routes() (netgraph.Routing, error) {
 	return sc.Network.SharedRouting(), nil

@@ -34,7 +34,7 @@ func censusAt(t *testing.T, routers int) setupCensus {
 		for k := 1; k <= 10; k++ {
 			dst := hosts[(i+7*k)%len(hosts)]
 			w.Flows = append(w.Flows, traffic.Flow{ID: len(w.Flows), Src: src, Dst: dst, Start: 0.001 * float64(len(w.Flows)), Bytes: 1 << 20})
-			hops += len(nw.RouteLinks(nw.SharedRouting(), src, dst)) // warms the oracle's rows, too
+			hops += len(nw.RouteLinks(nw.SharedRouting(), src, dst)) // warms the oracle's columns, too
 		}
 	}
 	cfg := Config{Network: nw, Routes: nw.SharedRouting(), Assignment: make([]int, nw.NumNodes()), NumEngines: 1, Workload: w}
@@ -53,16 +53,17 @@ func censusAt(t *testing.T, routers int) setupCensus {
 // core.TestMemoryScalableRoutingEndToEnd's log). It fails when a coefficient
 // rises more than 10 % above its recorded value, or when it rises more than
 // 10 % from 10³ to 10⁴ routers: set-up that grows faster than linearly. The
-// recorded values are the 10⁴ measurements, when generators sized the
-// network with Grow and routes became link slots in one slab: 293.0 B a
-// router, 145.8 B a link and 24.8 B a hop. At 1cfb53e, when Nodes and Links
-// grew by append and each pair paid a RoutePath allocation, they were 902.0,
-// 448.8 and 44.9, and the build grew from 647.0 B a router at 10³.
+// recorded values are the 10⁴ measurements: 293.0 B a router and 145.8 B a
+// link since generators sized the network with Grow, and 13.0 B a hop since
+// prepare allocates the route slab and its offsets once at their final size
+// (24.8 B at f748697, when both grew by append). At 1cfb53e, when Nodes and
+// Links grew by append and each pair paid a RoutePath allocation, they were
+// 902.0, 448.8 and 44.9, and the build grew from 647.0 B a router at 10³.
 func TestSetupAllocationCensus(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes are the race detector's under -race")
 	}
-	recorded := setupCensus{perRouter: 293.0, perLink: 145.8, perHop: 24.8}
+	recorded := setupCensus{perRouter: 293.0, perLink: 145.8, perHop: 13.0}
 	small, large := censusAt(t, 1_000), censusAt(t, 10_000)
 	for _, c := range []struct {
 		name                   string

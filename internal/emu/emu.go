@@ -35,6 +35,7 @@
 package emu
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -415,19 +416,14 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 			return nil, fmt.Errorf("emu: run canceled before start: %w", err)
 		}
 	}
-	nw := cfg.Network
-	rt := cfg.Routes
-	if o.routes != nil {
-		rt = o.routes
-	}
+	nw, rt := cfg.Network, cmp.Or(o.routes, cfg.Routes)
 	if rt == nil {
 		// Callers running a pipeline should thread one Routing through
 		// (core.Scenario.Routes() is the memoized source); the shared oracle
-		// keeps even bare emu.Run loops from recomputing rows.
+		// keeps even bare emu.Run loops from recomputing columns.
 		rt = nw.SharedRouting()
 	}
 
-	fullPackets := (cfg.ChunkBytes + cfg.MTU - 1) / cfg.MTU
 	flows := cfg.Workload.Flows
 	var collector *netflow.Collector
 	if cfg.Profile {
@@ -438,10 +434,6 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 	}
 
 	buckets := int(duration/cfg.BucketWidth) + 1
-	engineSeries := metrics.NewSeries(cfg.BucketWidth, cfg.NumEngines, buckets)
-
-	lookahead := Lookahead(nw, cfg.Assignment, cfg.MinLookahead)
-	cost := cfg.Cost.withDefaults()
 	speeds := make([]float64, cfg.NumEngines) // absent, misfit or non-positive speeds are 1
 	for lp := range speeds {
 		speeds[lp] = 1
@@ -456,17 +448,16 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 		rec:         obs.Multi(o.recorders...),
 		nw:          nw,
 		flows:       flows,
-		routeAt:     []int32{0},
 		routeIdx:    make([]int32, len(flows)),
-		fullPackets: fullPackets,
+		fullPackets: (cfg.ChunkBytes + cfg.MTU - 1) / cfg.MTU,
 		duration:    duration,
-		lookahead:   lookahead,
+		lookahead:   Lookahead(nw, cfg.Assignment, cfg.MinLookahead),
 		assignment:  append([]int(nil), cfg.Assignment...),
 		NetState:    newNetState(len(nw.Links), len(flows)),
 		collector:   collector,
-		series:      engineSeries,
+		series:      metrics.NewSeries(cfg.BucketWidth, cfg.NumEngines, buckets),
 		tel:         o.tel,
-		cost:        cost,
+		cost:        cfg.Cost.withDefaults(),
 		speeds:      speeds,
 		counts: counts{engines: cfg.NumEngines, events: make([]float64, cfg.NumEngines*buckets),
 			remote: make([]float64, cfg.NumEngines*buckets), windows: make([]int, buckets), width: make([]float64, buckets)},
@@ -474,22 +465,30 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 		trace:   o.trace,
 	}
 	// Resolve routes up front into one slab, once per distinct endpoint pair;
-	// they are static for a run. The pair map is only ever looked up, never
-	// iterated, so the slab (and the first flow a missing route is blamed on)
-	// follows workload order.
+	// they are static for a run. A first walk numbers the pairs in workload
+	// order (as the flow a missing route is blamed on) and counts their hops,
+	// so the slab and its offsets are allocated once at their final size; a
+	// second fills them. The pair map is only looked up, never iterated.
 	pairs := make(map[[2]int32]int32)
+	route, hops := make([]int32, 0, 32), 0
 	for i, f := range flows {
 		pair := [2]int32{int32(f.Src), int32(f.Dst)}
 		r, ok := pairs[pair]
 		if !ok {
-			if e.slots, ok = nw.AppendRoute(e.slots, rt, f.Src, f.Dst); !ok {
+			if route, ok = nw.AppendRoute(route[:0], rt, f.Src, f.Dst); !ok {
 				return nil, fmt.Errorf("%w: flow %d has no route %d -> %d", ErrBadConfig, f.ID, f.Src, f.Dst)
 			}
-			r = int32(len(e.routeAt) - 1)
-			e.routeAt = append(e.routeAt, int32(len(e.slots)))
+			r, hops = int32(len(pairs)), hops+len(route)
 			pairs[pair] = r
 		}
 		e.routeIdx[i] = r
+	}
+	e.slots, e.routeAt = make([]int32, 0, hops), make([]int32, 1, len(pairs)+1)
+	for i, f := range flows {
+		if int(e.routeIdx[i]) == len(e.routeAt)-1 {
+			e.slots, _ = nw.AppendRoute(e.slots, rt, f.Src, f.Dst)
+			e.routeAt = append(e.routeAt, int32(len(e.slots)))
+		}
 	}
 	if o.stats { // a run starts on the engines its assignment uses
 		e.runStats = obs.NewRunStats(cfg.NumEngines)

@@ -104,7 +104,8 @@ func slotPath(nw *netgraph.Network, src int, slots []int32) (path, links []int) 
 // adds one route index per flow; the slab holds one route per distinct pair,
 // shared by all its flows. For every flow, its route's slots decode to the
 // path and links of a fresh RoutePath and rtt is bit-equal to the per-flow
-// sum; the oracle is walked once per distinct pair. For every flow's start, every (shape, hop) the
+// sum; the oracle is walked twice per distinct pair, once to count its hops
+// and once to fill the exactly sized slab. For every flow's start, every (shape, hop) the
 // per-flow formula gives it and — under slow start — every round the per-flow
 // loop releases, the payload derives the formula's size or the loop's offset
 // and window, encodes to exactly that wire event, and decodes back to itself;
@@ -225,9 +226,9 @@ func TestFlowTableMatchesPerFlowResolution(t *testing.T) {
 						t.Fatalf("%s/%s flow %d: round %d past its %d bytes decodes (%v)", name, wname, i, round, fl.Bytes, err)
 					}
 				}
-				if counter.queries != walked {
-					t.Errorf("%s/%s: %d oracle queries for %d flows over %d pairs, one walk per pair is %d",
-						name, wname, counter.queries, len(w.Flows), len(pairs), walked)
+				if counter.queries != 2*walked {
+					t.Errorf("%s/%s: %d oracle queries for %d flows over %d pairs, two walks per pair is %d",
+						name, wname, counter.queries, len(w.Flows), len(pairs), 2*walked)
 				}
 				if routes := len(e.routeAt) - 1; routes != len(pairs) || len(e.slots) != walked {
 					t.Errorf("%s/%s: %d routes of %d slots for %d pairs of %d hops", name, wname, routes, len(e.slots), len(pairs), walked)
@@ -299,13 +300,14 @@ func TestPrepareBytesPerFlow(t *testing.T) {
 
 // TestPrepareBytesPerPair is the route table's bytes gate: a distinct
 // (src, dst) pair costs its route's link slots, 4 B a hop in the run's one
-// slab, which appending grows through about four times its final bytes at
-// this size, plus 48 B for its route offset (4 B, grown the same way) and its
-// pair-map entry. Every flow of TeraGrid's own-pair workload on a pair of its
-// own is measured against the same flows all on the first one's pair: the
-// difference is what the 298 added pairs cost (measured: 130.5 B a pair of
-// 5.9 hops; 307.0 B at 1cfb53e, when each pair paid a RoutePath allocation
-// of 16 B a hop and a route struct).
+// slab, allocated at its final size, plus 64 B for its route offset (4 B,
+// allocated the same way) and its pair-map entry, most of it the map's
+// growth. Every flow of TeraGrid's own-pair workload on a pair of its own is
+// measured against the same flows all on the first one's pair: the
+// difference is what the 298 added pairs cost (measured: 77.8 B a pair of
+// 5.9 hops; 130.5 B at f748697, when the slab and offsets grew by append,
+// against a bound of 4·4·hops + 48; 307.0 B at 1cfb53e, when each pair paid
+// a RoutePath allocation of 16 B a hop and a route struct).
 func TestPrepareBytesPerPair(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes are the race detector's under -race")
@@ -325,7 +327,7 @@ func TestPrepareBytesPerPair(t *testing.T) {
 	shared := prepareBytes(t, cfg)
 	added := len(own.Flows) - 1
 	perPair := (float64(distinct) - float64(shared)) / float64(added)
-	bound := 4*4*float64(hops)/float64(len(own.Flows)) + 48
+	bound := 4*float64(hops)/float64(len(own.Flows)) + 64
 	t.Logf("prepare: %d B for %d flows on their own pairs (%d hops), %d B on one pair: %.1f B per added pair", distinct, len(own.Flows), hops, shared, perPair)
 	if perPair > bound {
 		t.Errorf("prepare allocates %.1f B per added distinct pair of %.1f hops, want at most %.1f",
@@ -345,17 +347,18 @@ func prepareMallocs(t *testing.T, cfg Config) float64 {
 
 // TestPrepareAllocsDoNotScaleWithFlows is the set-up gate: more flows over the
 // same pairs make the table's slabs longer, not more numerous, and no pair
-// costs an allocation of its own: every route's link slots go into one slab,
-// so the pairs cost only the growth of that slab, of the route offsets and of
-// the pair map, about two allocations a doubling of the pairs, on 35 for
-// everything else (measured: 45 for 86 pairs, whether
-// they carry 372 flows or 1 488; 122 at 1cfb53e, when each pair's RoutePath
-// was an allocation, and 200 when every route was a heap object of its own,
-// at 92111c9). Where every flow has a pair of its own the dedup finds
-// nothing and set-up stays on the same line (54 for this workload's 299
-// flows; 341 at 1cfb53e, 630 at 92111c9, and per-flow resolution paid 2 988
-// at a049ea3). The bound is that line plus 5 % for the pair map's growth under
-// another Go release.
+// costs an allocation of its own: every route's link slots go into one slab
+// and the route offsets into another, each allocated once at its final size,
+// so the pairs cost only the growth of the pair map, about two allocations a
+// doubling of the pairs, on 16 for everything else (measured: 30 for 86
+// pairs, whether they carry 372 flows or 1 488; 45 at f748697, when the
+// slab and the offsets grew by append under a bound of 35 + 2 a doubling;
+// 122 at 1cfb53e, when each pair's RoutePath was an allocation, and 200 when
+// every route was a heap object of its own, at 92111c9). Where every flow has
+// a pair of its own the dedup finds nothing and set-up stays on the same line
+// (34 for this workload's 299 flows; 54 at f748697, 341 at 1cfb53e, 630 at
+// 92111c9, and per-flow resolution paid 2 988 at a049ea3). The bound is that
+// line plus 5 % for the pair map's growth under another Go release.
 func TestPrepareAllocsDoNotScaleWithFlows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are the race detector's under -race")
@@ -375,7 +378,7 @@ func TestPrepareAllocsDoNotScaleWithFlows(t *testing.T) {
 	}
 	// Two of slack: a slab that crosses a size threshold may cost the runtime
 	// one bookkeeping allocation of its own.
-	bound := func(pairs int) float64 { return 1.05 * float64(35+2*bits.Len(uint(pairs))) }
+	bound := func(pairs int) float64 { return 1.05 * float64(16+2*bits.Len(uint(pairs))) }
 	if bound := bound(len(pairs)); math.Abs(mallocs[1]-mallocs[0]) > 2 || mallocs[0] > bound {
 		t.Errorf("prepare makes %.0f allocations for %d flows and %.0f for %d over the same %d pairs, want the same and at most %.0f",
 			mallocs[0], len(w.Flows), mallocs[1], 4*len(w.Flows), len(pairs), bound)

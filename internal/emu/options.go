@@ -73,7 +73,7 @@ func WithTrace(t *obs.Timeline) Option {
 }
 
 // WithRouting overrides the run's route oracle (taking precedence over
-// Config.Routes) — a netgraph.LazyRouting of another row capacity, say; the
+// Config.Routes) — a netgraph.LazyRouting of another column capacity; the
 // emulator resolves every endpoint pair's path through it once, up front, so
 // oracle query cost never touches the kernel hot loop. A nil oracle is
 // ignored.

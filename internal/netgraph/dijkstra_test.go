@@ -38,22 +38,21 @@ func randomASNetwork(t *testing.T, routers, hosts, ases int, seed int64) *Networ
 	return nw
 }
 
-// TestDijkstraScratchAllocFree is the allocs/op guard on the new inner loop:
-// with the scratch warmed up, a full single-source Dijkstra allocates
-// nothing — the property that makes a row miss allocation-lean.
+// TestDijkstraScratchAllocFree is the allocs/op guard on the inner loop:
+// with the scratch warmed up, a full single-destination Dijkstra allocates
+// nothing — the property that makes a column miss allocation-lean.
 func TestDijkstraScratchAllocFree(t *testing.T) {
 	nw := randomASNetwork(t, 50, 40, 4, 7)
-	n := nw.NumNodes()
-	next := make([]int32, n)
-	parent := nw.leafParents()
-	s := newDijkstraScratch(n)
-	src := 0
+	c := nw.routeCore()
+	next := make([]int32, c.k)
+	s := newDijkstraScratch(nw.NumNodes())
+	dst := 0
 	allocs := testing.AllocsPerRun(20, func() {
-		nw.dijkstraRow(src, next, parent, s)
-		src = (src + 1) % nw.NumRouters() // routers come first; hosts are leaves
+		nw.dijkstraColumn(dst, next, &c, s)
+		dst = (dst + 1) % nw.NumRouters() // routers come first; hosts are leaves
 	})
 	if allocs != 0 {
-		t.Errorf("dijkstra allocates %.1f objects per source with a warm scratch, want 0", allocs)
+		t.Errorf("dijkstra allocates %.1f objects per destination with a warm scratch, want 0", allocs)
 	}
 }
 

@@ -5,92 +5,97 @@ import (
 	"sync"
 )
 
-// LazyRouting is the route oracle: it computes a single-source Dijkstra row
-// the first time a source is queried and keeps the most recently used rows
-// in a bounded LRU. A row holds one next hop per routing-core node (see
-// routeCore), so memory is O(capacity·k) for k core nodes; a scenario that
-// touches s distinct core sources (emu.prepare walks every flow route up
-// front, one query per hop, so s is at most the number of distinct core
-// nodes on flow routes) pays min(s, capacity) rows. Under the default
-// capacity (DefaultLazyRows) a topology of up to 8192 core nodes keeps every
-// row it computes.
+// LazyRouting is the route oracle: it computes a destination's column — one
+// Dijkstra from that destination (dijkstraColumn), holding every core node's
+// first-hop link toward it — the first time the destination is queried, and
+// keeps the most recently used columns in a bounded LRU. A column holds one
+// next hop per routing-core node (see routeCore), so memory is
+// O(capacity·k) for k core nodes. Every hop of every route toward one
+// destination reads the same column, so a scenario whose flows reach d
+// distinct core destinations (emu.prepare walks every flow route up front)
+// pays min(d, capacity) columns, however long its routes are. Under the
+// default capacity (DefaultLazyColumns) a topology of up to 8192 core nodes
+// keeps every column it computes.
 //
-// Only core sources get rows: a leaf answers through its parent's row, so
-// hosts cost no rows of their own. The oracle watches its network's topology
-// generation: a mutation (AddLink, AddRouter, AddHost) purges all cached rows
-// on the next query, so a held reference can never serve stale routes.
+// Only core destinations get columns: a leaf is reached through its parent's
+// column, and a leaf source answers from its parent's entry, so hosts cost no
+// columns of their own. The oracle watches its network's topology
+// generation: a mutation (AddLink, AddRouter, AddHost) purges all cached
+// columns on the next query, so a held reference can never serve stale
+// routes.
 //
 // Safe for concurrent use; queries serialize on one mutex (hits are
 // allocation-free, so the critical section is a map lookup plus two pointer
 // swaps).
 type LazyRouting struct {
 	nw      *Network
-	capRows int
+	capCols int
 
 	mu         sync.Mutex
 	gen        int64
-	core       routeCore // of the topology the rows describe
-	rows       map[int]*lazyRow
-	head, tail *lazyRow // LRU list, most recent at head
-	free       *lazyRow // recycled rows (singly linked via next)
+	core       routeCore // of the topology the columns describe
+	cols       map[int]*lazyCol
+	head, tail *lazyCol // LRU list, most recent at head
+	free       *lazyCol // recycled columns (singly linked via next)
 	scratch    *dijkstraScratch
 }
 
-// lazyRow is one cached per-source row plus its LRU links.
-type lazyRow struct {
-	src        int
+// lazyCol is one cached per-destination column plus its LRU links.
+type lazyCol struct {
+	dst        int
 	nextLink   []int32
-	prev, next *lazyRow
+	prev, next *lazyCol
 }
 
-// NewLazyRouting returns an oracle over nw holding at most rows cached
-// source rows; rows = 0 selects the byte-budgeted capacity (DefaultLazyRows)
-// and a negative value is rejected with ErrRoutingConfig. Most callers want
-// the network's shared oracle (Network.SharedRouting) instead.
-func NewLazyRouting(nw *Network, rows int) (*LazyRouting, error) {
-	if rows < 0 {
-		return nil, fmt.Errorf("%w: lazy LRU size %d, must be >= 0 (0 = automatic)", ErrRoutingConfig, rows)
+// NewLazyRouting returns an oracle over nw holding at most cols cached
+// destination columns; cols = 0 selects the byte-budgeted capacity
+// (DefaultLazyColumns) and a negative value is rejected with
+// ErrRoutingConfig. Most callers want the network's shared oracle
+// (Network.SharedRouting) instead.
+func NewLazyRouting(nw *Network, cols int) (*LazyRouting, error) {
+	if cols < 0 {
+		return nil, fmt.Errorf("%w: lazy LRU size %d, must be >= 0 (0 = automatic)", ErrRoutingConfig, cols)
 	}
-	return newLazyRouting(nw, rows), nil
+	return newLazyRouting(nw, cols), nil
 }
 
-func newLazyRouting(nw *Network, rows int) *LazyRouting {
+func newLazyRouting(nw *Network, cols int) *LazyRouting {
 	c := nw.routeCore()
-	if rows == 0 {
-		rows = DefaultLazyRows(c.k)
+	if cols == 0 {
+		cols = DefaultLazyColumns(c.k)
 	}
 	return &LazyRouting{
 		nw:      nw,
-		capRows: rows,
+		capCols: cols,
 		gen:     nw.gen.Load(),
 		core:    c,
-		rows:    make(map[int]*lazyRow, rows),
+		cols:    make(map[int]*lazyCol, cols),
 		scratch: newDijkstraScratch(len(nw.Nodes)),
 	}
 }
 
-// coreRow returns the cached (or freshly computed) row of core node src.
+// coreCol returns the cached (or freshly computed) column of core node dst.
 // Caller holds mu and has called refresh.
-func (l *LazyRouting) coreRow(src int) []int32 {
-	if r := l.rows[src]; r != nil {
-		l.moveToFront(r)
-		return r.nextLink
+func (l *LazyRouting) coreCol(dst int) []int32 {
+	if c := l.cols[dst]; c != nil {
+		l.moveToFront(c)
+		return c.nextLink
 	}
-	r := l.free
-	if r != nil {
-		l.free = r.next
-		r.next = nil
+	c := l.free
+	if c != nil {
+		l.free = c.next
+		c.next = nil
 	} else {
-		r = &lazyRow{nextLink: make([]int32, l.core.k)}
+		c = &lazyCol{nextLink: make([]int32, l.core.k)}
 	}
-	r.src = src
-	l.nw.dijkstraRow(src, r.nextLink, l.core.parent, l.scratch)
-	l.rows[src] = r
-	l.pushFront(r)
-	if len(l.rows) > l.capRows {
+	c.dst = dst
+	l.nw.dijkstraColumn(dst, c.nextLink, &l.core, l.scratch)
+	l.cols[dst] = c
+	l.pushFront(c)
+	if len(l.cols) > l.capCols {
 		l.evict()
 	}
-	return r.nextLink
+	return c.nextLink
 }
 
 // refresh purges the cache if the topology changed since it was filled. Caller
@@ -102,68 +107,70 @@ func (l *LazyRouting) refresh() {
 	}
 }
 
-// purge drops every cached row after a topology mutation and re-derives the
-// core. Row buffers are recycled only while the core size is unchanged; a
-// grown core needs longer rows. The scratch grows on its next use.
+// purge drops every cached column after a topology mutation and re-derives
+// the core. Column buffers are recycled only while the core size is
+// unchanged; a grown core needs longer columns. The scratch grows on its next
+// use.
 func (l *LazyRouting) purge() {
 	c := l.nw.routeCore()
 	recycle := c.k == l.core.k
 	l.core = c
-	for r := l.head; r != nil; {
-		nx := r.next
+	for col := l.head; col != nil; {
+		nx := col.next
 		if recycle {
-			r.prev, r.next = nil, l.free
-			l.free = r
+			col.prev, col.next = nil, l.free
+			l.free = col
 		}
-		r = nx
+		col = nx
 	}
 	if !recycle {
 		l.free = nil
 	}
 	l.head, l.tail = nil, nil
-	clear(l.rows)
+	clear(l.cols)
 }
 
-// evict removes the least recently used row into the freelist. It runs only
-// on an overflow, and capRows ≥ 1, so a row stays behind as the new tail.
+// evict removes the least recently used column into the freelist. It runs
+// only on an overflow, and capCols ≥ 1, so a column stays behind as the new
+// tail.
 func (l *LazyRouting) evict() {
 	t := l.tail
-	delete(l.rows, t.src)
+	delete(l.cols, t.dst)
 	l.tail = t.prev
 	l.tail.next = nil
 	t.prev, t.next = nil, l.free
 	l.free = t
 }
 
-func (l *LazyRouting) pushFront(r *lazyRow) {
-	r.prev, r.next = nil, l.head
+func (l *LazyRouting) pushFront(c *lazyCol) {
+	c.prev, c.next = nil, l.head
 	if l.head != nil {
-		l.head.prev = r
+		l.head.prev = c
 	}
-	l.head = r
+	l.head = c
 	if l.tail == nil {
-		l.tail = r
+		l.tail = c
 	}
 }
 
-// moveToFront unlinks resident row r, which has a predecessor unless it is
+// moveToFront unlinks resident column c, which has a predecessor unless it is
 // already the head, and pushes it back in front.
-func (l *LazyRouting) moveToFront(r *lazyRow) {
-	if l.head == r {
+func (l *LazyRouting) moveToFront(c *lazyCol) {
+	if l.head == c {
 		return
 	}
-	r.prev.next = r.next
-	if r.next != nil {
-		r.next.prev = r.prev
+	c.prev.next = c.next
+	if c.next != nil {
+		c.next.prev = c.prev
 	} else {
-		l.tail = r.prev
+		l.tail = c.prev
 	}
-	l.pushFront(r)
+	l.pushFront(c)
 }
 
-// next answers NextLink(src, dst) from at most one core row. A leaf
+// next answers NextLink(src, dst) from at most one core column. A leaf
 // destination reads its parent's column, or is the leaf's own link when the
-// source is that parent; a leaf source reads its parent's row and answers
+// source is that parent; a leaf source reads its parent's entry and answers
 // with its own link whenever its parent is, or reaches, dst. Caller holds
 // l.mu and has called refresh.
 func (l *LazyRouting) next(src, dst int) int32 {
@@ -181,11 +188,11 @@ func (l *LazyRouting) next(src, dst int) int32 {
 	var hop int32
 	switch p := c.parent[dst]; {
 	case p < 0:
-		hop = l.coreRow(s)[c.slot[dst]]
+		hop = l.coreCol(dst)[c.slot[s]]
 	case int(p) == s:
 		hop = c.slot[dst]
 	default:
-		hop = l.coreRow(s)[c.slot[p]]
+		hop = l.coreCol(int(p))[c.slot[s]]
 	}
 	if via >= 0 && hop >= 0 {
 		return via
@@ -193,7 +200,7 @@ func (l *LazyRouting) next(src, dst int) int32 {
 	return hop
 }
 
-// NextLink implements Routing. A leaf source reads its parent's row.
+// NextLink implements Routing. A leaf destination reads its parent's column.
 func (l *LazyRouting) NextLink(src, dst int) int {
 	l.mu.Lock()
 	l.refresh()
@@ -203,16 +210,16 @@ func (l *LazyRouting) NextLink(src, dst int) int {
 }
 
 // MemoryBytes implements Routing: 4 bytes (one int32 next hop) per cached
-// (src, core dst) entry.
+// (core src, dst) entry.
 func (l *LazyRouting) MemoryBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	cached := int64(len(l.rows))
-	// Free rows keep their backing arrays; count them too, plus the scratch
-	// (dist + done + firstLink) and the core mapping.
-	for r := l.free; r != nil; r = r.next {
+	cached := int64(len(l.cols))
+	// Free columns keep their backing arrays; count them too, plus the
+	// scratch (dist + done) and the core mapping.
+	for c := l.free; c != nil; c = c.next {
 		cached++
 	}
 	n := int64(len(l.core.parent))
-	return cached*int64(l.core.k)*4 + n*(8+1+4) + l.core.memoryBytes()
+	return cached*int64(l.core.k)*4 + n*(8+1) + l.core.memoryBytes()
 }

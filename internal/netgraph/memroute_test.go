@@ -13,23 +13,28 @@ import (
 	"repro/internal/topogen"
 )
 
-// memrouteWarmRows is how many rows the gate warms (and caps), so the
-// oracle's footprint is a fixed, deterministic number of rows.
-const memrouteWarmRows = 32
+// memrouteWarmColumns is how many destinations the gate queries (and how
+// many columns it caps the oracle at), so the oracle's footprint is a fixed,
+// deterministic number of columns.
+const memrouteWarmColumns = 32
 
-// memrouteBytes is the committed footprint per topology with 32 warmed rows.
+// memrouteBytes is the committed footprint per topology after 32 warming
+// queries. Tightened when the oracle moved from source rows to destination
+// columns (1940, 4473, 37444 and 14904200 bytes before): the queries toward
+// the leaves of one router share its column, and the search scratch no
+// longer carries a first-hop array.
 var memrouteBytes = []struct {
 	topology string
 	nodes    int
 	lazy     int64
 }{
-	{"Campus", 60, 1940},
-	{"TeraGrid", 177, 4473},
-	{"Brite-large", 564, 37444},
-	{"ScaleFree-100k", 100200, 14904200},
+	{"Campus", 60, 1632},
+	{"TeraGrid", 177, 3657},
+	{"Brite-large", 564, 35188},
+	{"ScaleFree-100k", 100200, 14503400},
 }
 
-// allPairs100k is what storing every core row of ScaleFree-100k would take:
+// allPairs100k is what storing every core column of ScaleFree-100k would take:
 // the 4·k² + 8·n closed form (k = 100 000 core nodes, n = 100 200), ~40 GB.
 const allPairs100k = 40000801600
 
@@ -46,7 +51,7 @@ func coreNodes(nw *netgraph.Network) []int {
 	return core
 }
 
-// routeIndexBytes is the core mapping the oracle keeps beside its rows:
+// routeIndexBytes is the core mapping the oracle keeps beside its columns:
 // a leaf's parent, and a core node's position or a leaf's access link, 4
 // bytes each per node.
 func routeIndexBytes(nw *netgraph.Network) int64 { return 8 * int64(nw.NumNodes()) }
@@ -65,16 +70,17 @@ func memrouteTopology(tb testing.TB, name string) *netgraph.Network {
 	return paperTopology(tb, name)
 }
 
-// memrouteMeasure returns the footprint of an oracle over nw holding
-// memrouteWarmRows rows, after as many sources have been queried.
+// memrouteMeasure returns the footprint of an oracle over nw holding at most
+// memrouteWarmColumns columns, after as many queries, each from node i toward
+// node i+1.
 func memrouteMeasure(tb testing.TB, nw *netgraph.Network) int64 {
 	tb.Helper()
 	n := nw.NumNodes()
-	l, err := netgraph.NewLazyRouting(nw, memrouteWarmRows)
+	l, err := netgraph.NewLazyRouting(nw, memrouteWarmColumns)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for src := 0; src < min(memrouteWarmRows, n); src++ {
+	for src := 0; src < min(memrouteWarmColumns, n); src++ {
 		l.NextLink(src, (src+1)%n)
 	}
 	return l.MemoryBytes()
@@ -82,8 +88,8 @@ func memrouteMeasure(tb testing.TB, nw *netgraph.Network) int64 {
 
 // TestMemRouteBaseline is the drift check: the byte counts in memrouteBytes
 // must exactly match what the current code produces, and the oracle must be
-// sub-quadratic — on the 10⁵ topology 32 warmed rows must undercut storing
-// every core row (allPairs100k) at least 100×.
+// sub-quadratic — on the 10⁵ topology 32 warmed columns must undercut storing
+// every core column (allPairs100k) at least 100×.
 func TestMemRouteBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the 10⁵-router topology")
@@ -102,18 +108,18 @@ func TestMemRouteBaseline(t *testing.T) {
 		}
 		k := int64(len(coreNodes(nw)))
 		if all := 4*k*k + routeIndexBytes(nw); all != allPairs100k {
-			t.Errorf("10⁵ nodes: drift — every core row would take %d bytes, want %d", all, int64(allPairs100k))
+			t.Errorf("10⁵ nodes: drift — every core column would take %d bytes, want %d", all, int64(allPairs100k))
 		}
 		if lazy >= allPairs100k/100 {
-			t.Errorf("10⁵ nodes: the oracle must undercut every core row 100× — %d of %d bytes", lazy, int64(allPairs100k))
+			t.Errorf("10⁵ nodes: the oracle must undercut every core column 100× — %d of %d bytes", lazy, int64(allPairs100k))
 		}
 	}
 }
 
 // TestRouteMemoryIsCoreSized: the oracle stores next hops among the k core
-// nodes only. Each row it caches costs 4·k bytes, leaf queries cache no rows
-// of their own, and a cache holding every row costs 4·k² beside the index
-// and the search scratch.
+// nodes only. Each column it caches costs 4·k bytes, leaf queries cache no
+// columns of their own, and a cache holding every column costs 4·k² beside
+// the index and the search scratch.
 func TestRouteMemoryIsCoreSized(t *testing.T) {
 	check := func(t *testing.T, nw *netgraph.Network) {
 		t.Helper()
@@ -124,12 +130,12 @@ func TestRouteMemoryIsCoreSized(t *testing.T) {
 			t.Fatal(err)
 		}
 		empty := lazy.MemoryBytes()
-		// A core source needs a row toward another core node; a lone core
-		// node answers its own leaves without one.
+		// A core destination needs a column of its own; a lone core node
+		// answers its own leaves without one.
 		for i := 0; len(core) > 1 && i < len(core); i++ {
 			lazy.NextLink(core[i], core[(i+1)%len(core)])
 			if got, want := lazy.MemoryBytes(), empty+int64(i+1)*4*k; got != want {
-				t.Fatalf("%s: %d lazy rows cost %d bytes, want %d + %d·4·%d", nw.Name, i+1, got, empty, i+1, k)
+				t.Fatalf("%s: %d lazy columns cost %d bytes, want %d + %d·4·%d", nw.Name, i+1, got, empty, i+1, k)
 			}
 		}
 		full := lazy.MemoryBytes()
@@ -142,7 +148,7 @@ func TestRouteMemoryIsCoreSized(t *testing.T) {
 			t.Fatalf("%s: querying every pair grew the lazy cache from %d to %d bytes", nw.Name, full, got)
 		}
 		if k > 1 && full != empty+4*k*k {
-			t.Fatalf("%s: every row costs %d bytes over the empty oracle's %d, want 4·%d²", nw.Name, full-empty, empty, k)
+			t.Fatalf("%s: every column costs %d bytes over the empty oracle's %d, want 4·%d²", nw.Name, full-empty, empty, k)
 		}
 	}
 	for _, name := range []string{"Campus", "TeraGrid", "Brite", "Brite-large"} {

@@ -129,7 +129,7 @@ func (nw *Network) Grow(nodes, links int) {
 
 // invalidateRouting marks any cached routing stale after a topology
 // mutation: SharedRouting builds a fresh oracle on the next lookup, and live
-// LazyRouting oracles purge their cached rows on the next query.
+// LazyRouting oracles purge their cached columns on the next query.
 func (nw *Network) invalidateRouting() {
 	nw.gen.Add(1)
 }
@@ -290,10 +290,10 @@ func (nw *Network) connected() bool {
 // every other node. A leaf is a node with exactly one incident link whose
 // other end has at least two — a host on its access link, typically. No
 // shortest path passes through a leaf, so the route builders leave leaves
-// out of Dijkstra entirely: a leaf is never pushed onto a heap and never a
-// source, and its routes are its parent's (routeCore.next). The two ends of
-// an isolated link are not leaves of each other: each has one link, so
-// neither qualifies, and both stay ordinary sources.
+// out of Dijkstra entirely: a leaf is never pushed onto a heap and has no
+// column of its own, and its routes are its parent's (LazyRouting.next). The
+// two ends of an isolated link are not leaves of each other: each has one
+// link, so neither qualifies, and both stay in the core.
 func (nw *Network) leafParents() []int32 {
 	parent := make([]int32, len(nw.Nodes))
 	for v, links := range nw.adj {
@@ -313,8 +313,8 @@ func (nw *Network) leafParents() []int32 {
 type routeCore struct {
 	// parent is leafParents: a leaf's parent, -1 for a core node.
 	parent []int32
-	// slot is a core node's position among the k core nodes (its row and
-	// column), and a leaf's one link.
+	// slot is a core node's position among the k core nodes (its entry in
+	// every column), and a leaf's one link.
 	slot []int32
 	k    int
 }
@@ -344,7 +344,7 @@ type pqItem struct {
 
 // pqLess orders the Dijkstra frontier by (distance, node) — the same total
 // order the original container/heap implementation used, which makes the pop
-// sequence (and therefore the built rows) independent of heap layout.
+// sequence (and therefore the built columns) independent of heap layout.
 func pqLess(a, b pqItem) bool {
 	if a.dist != b.dist {
 		return a.dist < b.dist
@@ -353,23 +353,21 @@ func pqLess(a, b pqItem) bool {
 }
 
 // dijkstraScratch is the reusable per-oracle state of one Dijkstra
-// execution: tentative distances, visited flags, the first-hop-link column
-// being built, and the frontier heap's backing array. Distances live only
-// here — no row keeps them — and reusing the scratch across sources
-// removes every per-source allocation from a row build.
+// execution: tentative distances, visited flags, and the frontier heap's
+// backing array. Distances live only here — no column keeps them — and
+// reusing the scratch across destinations removes every per-destination
+// allocation from a column build.
 type dijkstraScratch struct {
-	dist      []float64
-	done      []bool
-	firstLink []int32
-	heap      []pqItem
+	dist []float64
+	done []bool
+	heap []pqItem
 }
 
 func newDijkstraScratch(n int) *dijkstraScratch {
 	return &dijkstraScratch{
-		dist:      make([]float64, n),
-		done:      make([]bool, n),
-		firstLink: make([]int32, n),
-		heap:      make([]pqItem, 0, n),
+		dist: make([]float64, n),
+		done: make([]bool, n),
+		heap: make([]pqItem, 0, n),
 	}
 }
 
@@ -379,19 +377,14 @@ func (s *dijkstraScratch) reset(n int) {
 	if cap(s.done) < n {
 		s.dist = make([]float64, n)
 		s.done = make([]bool, n)
-		s.firstLink = make([]int32, n)
 	}
 	s.dist = s.dist[:n]
 	s.done = s.done[:n]
-	s.firstLink = s.firstLink[:n]
 	inf := math.Inf(1)
 	for i := range s.dist {
 		s.dist[i] = inf
 	}
 	clear(s.done)
-	for i := range s.firstLink {
-		s.firstLink[i] = -1
-	}
 	s.heap = s.heap[:0]
 }
 
@@ -445,17 +438,24 @@ func (s *dijkstraScratch) pop() pqItem {
 	return it
 }
 
-// dijkstraRow computes non-leaf source src's next-hop row into next, one
-// column per core node in node order (see routeCore), with a deterministic
-// tie-break on the first-hop link ID. parent is leafParents:
-// Dijkstra runs over the non-leaf nodes only. A leaf could never have
-// improved another node's distance — its only link leads back to its
-// parent, already settled — so every hop is that of the full search.
-func (nw *Network) dijkstraRow(src int, next, parent []int32, s *dijkstraScratch) {
+// dijkstraColumn computes core destination dst's column into next: for each
+// core node, in core order (see routeCore), the first-hop link of a
+// latency-shortest path toward dst; -1 for dst itself and for nodes that
+// cannot reach it. A link has one latency both ways, so one Dijkstra from dst
+// settles every node's distance to it, and a node's hop is the link it was
+// reached over. The tie rule: of the links to nodes settled before it that
+// realize its distance, a node keeps the smallest link ID. Every hop so leads
+// to a node settled earlier, and a walk along a column ends at dst. Dijkstra
+// runs over the core only: a leaf could never have improved another node's
+// distance — its only link leads back to its parent, already settled.
+func (nw *Network) dijkstraColumn(dst int, next []int32, c *routeCore, s *dijkstraScratch) {
 	s.reset(len(nw.Nodes))
-	dist, firstLink, done := s.dist, s.firstLink, s.done
-	dist[src] = 0
-	s.push(pqItem{node: src})
+	for i := range next {
+		next[i] = -1
+	}
+	dist, done := s.dist, s.done
+	dist[dst] = 0
+	s.push(pqItem{node: dst})
 	for len(s.heap) > 0 {
 		v := s.pop().node
 		if done[v] {
@@ -465,28 +465,16 @@ func (nw *Network) dijkstraRow(src int, next, parent []int32, s *dijkstraScratch
 		for _, lid := range nw.adj[v] {
 			l := &nw.Links[lid]
 			u := l.Other(v)
-			if parent[u] >= 0 {
+			if c.parent[u] >= 0 || done[u] {
 				continue
 			}
-			nd := dist[v] + l.Latency
-			first := firstLink[v]
-			if v == src {
-				first = int32(lid)
-			}
-			// Strictly better, or equal with a deterministic tie-break on
-			// the first-hop link ID.
-			if nd < dist[u] || (nd == dist[u] && !done[u] && firstLink[u] > first) {
-				dist[u] = nd
-				firstLink[u] = first
+			nd, hop := dist[v]+l.Latency, &next[c.slot[u]]
+			if nd < dist[u] {
+				dist[u], *hop = nd, int32(lid)
 				s.push(pqItem{node: u, dist: nd})
+			} else if nd == dist[u] && int32(lid) < *hop {
+				*hop = int32(lid)
 			}
-		}
-	}
-	col := 0
-	for v, p := range parent {
-		if p < 0 {
-			next[col] = firstLink[v]
-			col++
 		}
 	}
 }

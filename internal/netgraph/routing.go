@@ -13,7 +13,7 @@ type Routing interface {
 	NextLink(src, dst int) int
 	// MemoryBytes reports the oracle's current table footprint in bytes
 	// (backing arrays only, not Go object headers). For LazyRouting it
-	// changes as rows are cached and evicted.
+	// changes as destination columns are cached and evicted.
 	MemoryBytes() int64
 }
 
@@ -23,22 +23,22 @@ var _ Routing = (*LazyRouting)(nil)
 // LRU size. Callers test with errors.Is.
 var ErrRoutingConfig = errors.New("netgraph: bad routing config")
 
-// DefaultLazyBytes is the row-cache budget of the oracle: 256 MB at 4·k
-// bytes a row over the k routing-core nodes, so every paper topology keeps
-// all of its rows and 10⁵ routers keep 671.
+// DefaultLazyBytes is the column-cache budget of the oracle: 256 MB at 4·k
+// bytes a destination column over the k routing-core nodes, so every paper
+// topology keeps all of its columns and 10⁵ routers keep 671.
 const DefaultLazyBytes = 256 << 20
 
-// DefaultLazyRows returns the row capacity for k routing-core nodes: the
-// DefaultLazyBytes budget divided by 4·k bytes a row, never above k (a
-// cache that holds every row never evicts) and never below 1.
-func DefaultLazyRows(k int) int {
+// DefaultLazyColumns returns the column capacity for k routing-core nodes:
+// the DefaultLazyBytes budget divided by 4·k bytes a column, never above k
+// (a cache that holds every column never evicts) and never below 1.
+func DefaultLazyColumns(k int) int {
 	return max(1, min(k, DefaultLazyBytes/(4*max(k, 1))))
 }
 
 // SharedRouting returns the network's memoized route oracle, building it on
 // first use and after any topology mutation (AddLink / AddRouter / AddHost
 // bump the generation), so every consumer of one topology — mapping,
-// emulation, route discovery — shares one set of cached rows. Safe for
+// emulation, route discovery — shares one set of cached columns. Safe for
 // concurrent use; do not mutate the topology while runs are in flight.
 func (nw *Network) SharedRouting() *LazyRouting {
 	nw.mu.Lock()

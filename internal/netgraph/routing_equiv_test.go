@@ -1,9 +1,9 @@
 package netgraph_test
 
 // Oracle equivalence. The route oracle must answer every (src, dst) exactly
-// as the full-graph row builder below does — the builder it used before
-// leaves were cut out of Dijkstra — at any row capacity, on the paper's
-// topologies and on random graphs shaped to break that cut.
+// as the full-graph column builder below does — Dijkstra from the
+// destination over every node, leaves included — at any column capacity, on
+// the paper's topologies and on random graphs shaped to break the leaf cut.
 
 import (
 	"container/heap"
@@ -51,10 +51,11 @@ func (h *refHeap) Pop() any {
 	return it
 }
 
-// referenceRow is the full-graph row builder, kept as the oracle: Dijkstra
-// from src over every node, leaves and hosts included, ties broken on the
-// first-hop link ID. It returns src's next-hop row (-1 for src itself and
-// for unreachable nodes) and its distances.
+// referenceRow is the full-graph row builder the oracle answered by before it
+// kept destination columns: Dijkstra from src over every node, leaves and
+// hosts included, ties broken on the first-hop link ID. It returns src's
+// next-hop row (-1 for src itself and for unreachable nodes) and its
+// distances.
 func referenceRow(nw *netgraph.Network, src int) (next []int, dist []float64) {
 	n := nw.NumNodes()
 	dist = make([]float64, n)
@@ -89,6 +90,59 @@ func referenceRow(nw *netgraph.Network, src int) (next []int, dist []float64) {
 	}
 	next[src] = -1
 	return next, dist
+}
+
+// referenceColumn is the full-graph column builder, kept as the oracle:
+// Dijkstra from dst over every node, leaves and hosts included. Each node's
+// hop is the link it was reached over; of the links to nodes settled before
+// it that realize its distance, it keeps the smallest ID. A leaf destination
+// is reached over its parent: the search starts there, and the parent's hop
+// is the leaf's link (starting at the leaf would add its link's latency to
+// every sum first, and a rounding could then split a tie). It returns every
+// node's first-hop link toward dst (-1 for dst itself and for nodes that
+// cannot reach it) and the distances to dst.
+func referenceColumn(nw *netgraph.Network, dst int) (hop []int, dist []float64) {
+	n := nw.NumNodes()
+	dist = make([]float64, n)
+	hop = make([]int, n)
+	done := make([]bool, n)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+		hop[i] = -1
+	}
+	start, access := dst, -1
+	if links := nw.IncidentLinks(dst); len(links) == 1 {
+		if p := nw.Links[links[0]].Other(dst); len(nw.IncidentLinks(p)) >= 2 {
+			start, access = p, links[0]
+		}
+	}
+	dist[start] = 0
+	h := &refHeap{{node: start}}
+	for h.Len() > 0 {
+		v := heap.Pop(h).(refItem).node
+		if done[v] {
+			continue
+		}
+		done[v] = true
+		for _, lid := range nw.IncidentLinks(v) {
+			l := nw.Links[lid]
+			u := l.Other(v)
+			if done[u] {
+				continue
+			}
+			if nd := dist[v] + l.Latency; nd < dist[u] || (nd == dist[u] && lid < hop[u]) {
+				dist[u], hop[u] = nd, lid
+				heap.Push(h, refItem{node: u, dist: nd})
+			}
+		}
+	}
+	if access >= 0 {
+		for i := range dist {
+			dist[i] += nw.Links[access].Latency
+		}
+		hop[start], hop[dst], dist[dst] = access, -1, 0
+	}
+	return hop, dist
 }
 
 // oracleGraph draws a small random network built to stress the leaf cut:
@@ -135,42 +189,66 @@ func oracleGraph(seed int64) *netgraph.Network {
 	return nw
 }
 
-// TestNextLinkMatchesOracle: NextLink equals the full-graph reference on
-// every (src, dst), leaf sources and leaf destinations included, on the four
-// paper topologies and on 300 random graphs, for an oracle holding 1 row, 4
-// rows and all k core rows (the shared oracle's capacity on these sizes).
-// Below k, rows are evicted and rebuilt throughout.
+// TestNextLinkMatchesOracle: NextLink equals the full-graph reference column
+// on every (src, dst), leaf sources and leaf destinations included, on the
+// four paper topologies and on 300 random graphs, for an oracle holding 1
+// column, 4 columns and all k core columns (the shared oracle's capacity on
+// these sizes). Below k, columns are evicted and rebuilt throughout. The loop
+// is destination-major, as a route walk is, so a small cache keeps the
+// column it reads. On the paper topologies every answer is also the one the
+// source-row builder gave; on the tie-heavy random graphs, wherever the two
+// differ, both links start a latency-shortest path, so only which equal-cost
+// link is taken changed.
 func TestNextLinkMatchesOracle(t *testing.T) {
-	check := func(t *testing.T, nw *netgraph.Network) {
+	check := func(t *testing.T, nw *netgraph.Network, sameAsRows bool) (differ int) {
 		t.Helper()
 		capacities := []int{1, 4, len(coreNodes(nw))}
 		oracles := make([]*netgraph.LazyRouting, len(capacities))
-		for i, rows := range capacities {
+		for i, cols := range capacities {
 			var err error
-			if oracles[i], err = netgraph.NewLazyRouting(nw, rows); err != nil {
+			if oracles[i], err = netgraph.NewLazyRouting(nw, cols); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for src := 0; src < nw.NumNodes(); src++ {
-			want, _ := referenceRow(nw, src)
-			for dst, w := range want {
+		rows := make([][]int, nw.NumNodes())
+		for src := range rows {
+			rows[src], _ = referenceRow(nw, src)
+		}
+		// shortest reports whether link lid leaves src on a latency-shortest
+		// path toward the destination whose distances dist holds.
+		shortest := func(dist []float64, src, lid int) bool {
+			l := nw.Links[lid]
+			return math.Abs(l.Latency+dist[l.Other(src)]-dist[src]) <= 1e-12*dist[src]
+		}
+		for dst := 0; dst < nw.NumNodes(); dst++ {
+			want, dist := referenceColumn(nw, dst)
+			for src, w := range want {
 				for i, r := range oracles {
 					if got := r.NextLink(src, dst); got != w {
 						t.Fatalf("%s: NextLink(%d,%d) = %d at capacity %d, reference %d",
 							nw.Name, src, dst, got, capacities[i], w)
 					}
 				}
+				if row := rows[src][dst]; row != w {
+					if sameAsRows || row < 0 || w < 0 || !shortest(dist, src, row) || !shortest(dist, src, w) {
+						t.Fatalf("%s: NextLink(%d,%d) = %d, the source row's hop %d: not an equal-cost choice",
+							nw.Name, src, dst, w, row)
+					}
+					differ++
+				}
 			}
 		}
+		return differ
 	}
 	for _, name := range []string{"Campus", "TeraGrid", "Brite", "Brite-large"} {
-		t.Run(name, func(t *testing.T) { check(t, paperTopology(t, name)) })
+		t.Run(name, func(t *testing.T) { check(t, paperTopology(t, name), true) })
 	}
 	t.Run("random", func(t *testing.T) {
 		var shapes [5]int // host chains, parallel access links, zero latency, pairs, unreachable pairs
+		differ := 0
 		for seed := int64(1); seed <= 300; seed++ {
 			nw := oracleGraph(seed)
-			check(t, nw)
+			differ += check(t, nw, false)
 			for v, node := range nw.Nodes {
 				links := nw.IncidentLinks(v)
 				if node.Kind == netgraph.Host && len(links) == 1 {
@@ -199,13 +277,17 @@ func TestNextLinkMatchesOracle(t *testing.T) {
 				t.Errorf("the random graphs miss shape %d of (host chains, parallel access links, zero latency, pairs, unreachable pairs)", i)
 			}
 		}
+		if differ == 0 {
+			t.Error("no pair's hop differs from the source row's: the equal-cost check saw no tie")
+		}
+		t.Logf("%d pairs take another equal-cost first hop than the source row did", differ)
 	})
 }
 
 // TestLazyMatchesFlatOnPaperTopologies: on the paper topologies (17 to 200
-// core nodes), an 8-row oracle, which evicts and rebuilds rows throughout,
-// answers every (src, dst) as one holding every core row does — the flat
-// all-pairs table's successor, which never evicts.
+// core nodes), an 8-column oracle, which evicts and rebuilds columns
+// throughout, answers every (src, dst) as one holding every core column does
+// — the flat all-pairs table's successor, which never evicts.
 func TestLazyMatchesFlatOnPaperTopologies(t *testing.T) {
 	for _, name := range []string{"Campus", "TeraGrid", "Brite", "Brite-large"} {
 		t.Run(name, func(t *testing.T) {
@@ -219,10 +301,10 @@ func TestLazyMatchesFlatOnPaperTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for src := 0; src < n; src++ {
-				for dst := 0; dst < n; dst++ {
+			for dst := 0; dst < n; dst++ {
+				for src := 0; src < n; src++ {
 					if f, l := flat.NextLink(src, dst), lazy.NextLink(src, dst); f != l {
-						t.Fatalf("NextLink(%d,%d): all rows %d, 8 rows %d", src, dst, f, l)
+						t.Fatalf("NextLink(%d,%d): all columns %d, 8 columns %d", src, dst, f, l)
 					}
 				}
 			}

@@ -9,8 +9,9 @@ import (
 )
 
 // tieHeavyNetwork builds a connected network where most links share the same
-// latency, so Dijkstra faces many equal-cost paths — the setting where a row
-// rebuilt after an eviction would show a divergent tie-break immediately.
+// latency, so Dijkstra faces many equal-cost paths — the setting where a
+// column rebuilt after an eviction would show a divergent tie-break
+// immediately.
 func tieHeavyNetwork(n int, seed int64) *Network {
 	rng := rand.New(rand.NewSource(seed))
 	nw := New("ties")
@@ -30,10 +31,11 @@ func tieHeavyNetwork(n int, seed int64) *Network {
 }
 
 // TestLazyEvictionMatchesFullCache is the eviction matrix on tie-heavy
-// random networks: an oracle holding 1 or 8 rows must answer every
-// (src, dst) exactly as one holding all n rows, which never evicts, also
-// after the LRU has churned and rows are recomputed. TestNextLinkMatchesOracle
-// holds the answers themselves to the full-graph reference.
+// random networks: an oracle holding 1 or 8 columns must answer every
+// (src, dst) exactly as one holding all n columns, which never evicts, also
+// after the LRU has churned and columns are recomputed.
+// TestNextLinkMatchesOracle holds the answers themselves to the full-graph
+// reference.
 func TestLazyEvictionMatchesFullCache(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		n := 60
@@ -42,35 +44,37 @@ func TestLazyEvictionMatchesFullCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rows := range []int{1, 8} { // far below n: evictions guaranteed
-			lazy, err := NewLazyRouting(nw, rows)
+		for _, cols := range []int{1, 8} { // far below n: evictions guaranteed
+			lazy, err := NewLazyRouting(nw, cols)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for src := 0; src < n; src++ {
 				for dst := 0; dst < n; dst++ {
 					if f, l := full.NextLink(src, dst), lazy.NextLink(src, dst); f != l {
-						t.Fatalf("seed %d, %d rows: NextLink(%d,%d) %d, full cache %d", seed, rows, src, dst, l, f)
+						t.Fatalf("seed %d, %d columns: NextLink(%d,%d) %d, full cache %d", seed, cols, src, dst, l, f)
 					}
 				}
 			}
-			// Re-query ascending after the LRU has churned: recomputed rows
-			// must still match.
-			for src := 0; src < n; src++ {
-				if f, l := full.NextLink(src, 0), lazy.NextLink(src, 0); f != l {
-					t.Fatalf("seed %d, %d rows: recomputed NextLink(%d,0) %d, full cache %d", seed, rows, src, l, f)
+			// Re-query ascending after the LRU has churned: recomputed
+			// columns must still match.
+			for dst := 0; dst < n; dst++ {
+				if f, l := full.NextLink(0, dst), lazy.NextLink(0, dst); f != l {
+					t.Fatalf("seed %d, %d columns: recomputed NextLink(0,%d) %d, full cache %d", seed, cols, dst, l, f)
 				}
 			}
-			if s := lazy.stats(); s.Evictions == 0 || s.Sources > s.Capacity {
+			if s := lazy.stats(); s.Evictions == 0 || s.Destinations > s.Capacity {
 				t.Fatalf("seed %d: expected eviction churn within capacity, got %+v", seed, s)
 			}
 		}
-		if s := full.stats(); s.Evictions != 0 || s.Sources != nw.routeCore().k {
-			t.Fatalf("seed %d: the full cache must hold every core row and evict none, got %+v", seed, s)
+		if s := full.stats(); s.Evictions != 0 || s.Destinations != nw.routeCore().k {
+			t.Fatalf("seed %d: the full cache must hold every core column and evict none, got %+v", seed, s)
 		}
 	}
 }
 
+// TestLazyLRUStats follows the column cache through misses, hits and an
+// eviction: one column per resident destination, most recent in front.
 func TestLazyLRUStats(t *testing.T) {
 	nw := tieHeavyNetwork(20, 3)
 	lazy, err := NewLazyRouting(nw, 4)
@@ -78,70 +82,71 @@ func TestLazyLRUStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	order := func() []int {
-		var srcs []int
-		for _, r := range lazy.lru() {
-			srcs = append(srcs, r.src)
+		var dsts []int
+		for _, c := range lazy.lru() {
+			dsts = append(dsts, c.dst)
 		}
-		return srcs
+		return dsts
 	}
-	// 5 distinct sources through a 4-row cache: each new source is a miss
-	// that computes a row at the front; the fifth evicts source 0, the least
-	// recent.
-	for src := 0; src < 5; src++ {
-		lazy.NextLink(src, 10)
+	// 5 distinct destinations through a 4-column cache: each new destination
+	// is a miss that computes a column at the front; the fifth evicts
+	// destination 0, the least recent.
+	for dst := 0; dst < 5; dst++ {
+		lazy.NextLink(10, dst)
 	}
 	if got := order(); !slices.Equal(got, []int{4, 3, 2, 1}) {
-		t.Fatalf("resident sources %v, want [4 3 2 1]", got)
+		t.Fatalf("resident destinations %v, want [4 3 2 1]", got)
 	}
-	if s := lazy.stats(); s.Sources != 4 || s.Capacity != 4 {
-		t.Fatalf("stats = %+v, want 4 of 4 rows resident", s)
+	if s := lazy.stats(); s.Destinations != 4 || s.Capacity != 4 {
+		t.Fatalf("stats = %+v, want 4 of 4 columns resident", s)
 	}
-	// Sources 1..4 are resident: each query is a hit that moves the same row
-	// to the front, recomputing and evicting nothing.
-	resident := map[int]*lazyRow{}
-	for _, r := range lazy.lru() {
-		resident[r.src] = r
+	// Destinations 1..4 are resident: each query, from another source, is a
+	// hit that moves the same column to the front, recomputing and evicting
+	// nothing.
+	resident := map[int]*lazyCol{}
+	for _, c := range lazy.lru() {
+		resident[c.dst] = c
 	}
-	for src := 1; src < 5; src++ {
-		lazy.NextLink(src, 11)
-		if rows := lazy.lru(); len(rows) != 4 || rows[0] != resident[src] {
-			t.Fatalf("query %d: resident %v, want its cached row in front", src, order())
+	for dst := 1; dst < 5; dst++ {
+		lazy.NextLink(11, dst)
+		if cols := lazy.lru(); len(cols) != 4 || cols[0] != resident[dst] {
+			t.Fatalf("query %d: resident %v, want its cached column in front", dst, order())
 		}
 	}
 	if got := order(); !slices.Equal(got, []int{4, 3, 2, 1}) {
-		t.Fatalf("after hits: resident sources %v, want [4 3 2 1]", got)
+		t.Fatalf("after hits: resident destinations %v, want [4 3 2 1]", got)
 	}
-	// Source 0 was evicted: touching it is a miss that recomputes its row
-	// and evicts source 1, now the least recent.
-	lazy.NextLink(0, 3)
+	// Destination 0 was evicted: touching it is a miss that recomputes its
+	// column and evicts destination 1, now the least recent.
+	lazy.NextLink(3, 0)
 	if got := order(); !slices.Equal(got, []int{0, 4, 3, 2}) {
-		t.Fatalf("after LRU re-touch: resident sources %v, want [0 4 3 2]", got)
+		t.Fatalf("after LRU re-touch: resident destinations %v, want [0 4 3 2]", got)
 	}
 }
 
-// TestLazyHitPathAllocFree gates the prepare-time hot path: once a source row
-// is cached, queries against it must not allocate.
+// TestLazyHitPathAllocFree gates the prepare-time hot path: once a
+// destination's column is cached, queries toward it must not allocate.
 func TestLazyHitPathAllocFree(t *testing.T) {
 	nw := tieHeavyNetwork(40, 5)
 	lazy, err := NewLazyRouting(nw, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy.NextLink(3, 17) // warm the row
+	lazy.NextLink(3, 17) // warm the column
 	allocs := testing.AllocsPerRun(200, func() {
-		lazy.NextLink(3, 21)
-		lazy.NextLink(3, 9)
+		lazy.NextLink(21, 17)
+		lazy.NextLink(9, 17)
 	})
 	if allocs != 0 {
 		t.Fatalf("lazy hit path allocates %.1f objects per query, want 0", allocs)
 	}
 }
 
-// TestLazyConcurrentQueries drives an oracle holding 6 of its 40 core rows
-// from many goroutines (run under -race in CI), so misses and evictions race
-// with hits; every answer is checked against the answers one goroutine read
-// first. A third of the nodes are hosts, so leaf sources read their parents'
-// rows concurrently.
+// TestLazyConcurrentQueries drives an oracle holding 6 of its 40 core
+// columns from many goroutines (run under -race in CI), so misses and
+// evictions race with hits; every answer is checked against the answers one
+// goroutine read first. A third of the nodes are hosts, so leaf destinations
+// read their parents' columns concurrently.
 func TestLazyConcurrentQueries(t *testing.T) {
 	nw := tieHeavyNetwork(40, 9)
 	for h := 0; h < 20; h++ {
@@ -189,7 +194,7 @@ func TestLazyConcurrentQueries(t *testing.T) {
 
 // TestLazySelfPurgesOnMutation is the invalidation regression: a lazy oracle
 // held across an AddLink must serve routes of the new topology, not its
-// cached rows.
+// cached columns.
 func TestLazySelfPurgesOnMutation(t *testing.T) {
 	nw := New("purge")
 	for i := 0; i < 4; i++ {
@@ -206,10 +211,10 @@ func TestLazySelfPurgesOnMutation(t *testing.T) {
 	if d := pathLatency(nw, lazy, 0, 3); d != 3e-3 {
 		t.Fatalf("line distance %g, want 3ms", d)
 	}
-	// A direct shortcut invalidates the cached row.
+	// A direct shortcut invalidates the cached column.
 	short := nw.AddLink(0, 3, 1e9, 1e-4)
 	if d := pathLatency(nw, lazy, 0, 3); d != 1e-4 {
-		t.Fatalf("post-mutation distance %g, want 0.1ms (stale row served)", d)
+		t.Fatalf("post-mutation distance %g, want 0.1ms (stale column served)", d)
 	}
 	if got := lazy.NextLink(0, 3); got != short {
 		t.Fatalf("post-mutation next link %d, want shortcut %d", got, short)
@@ -242,8 +247,8 @@ func TestSharedRoutingTableMemoized(t *testing.T) {
 
 // TestSharedRoutingDropsAllBackendsOnMutation checks invalidation on every
 // oracle a network hands out: after an AddLink the shared oracle is replaced,
-// and a caller-built 4-row oracle that had cached rows answers from the new
-// topology — both agree with a fresh full-capacity oracle on every pair.
+// and a caller-built 4-column oracle that had cached columns answers from the
+// new topology — both agree with a fresh full-capacity oracle on every pair.
 func TestSharedRoutingDropsAllBackendsOnMutation(t *testing.T) {
 	nw := tieHeavyNetwork(30, 11)
 	small, err := NewLazyRouting(nw, 4)
@@ -273,19 +278,19 @@ func TestSharedRoutingDropsAllBackendsOnMutation(t *testing.T) {
 				t.Fatalf("shared NextLink(%d,%d) = %d after AddLink, fresh oracle %d", src, dst, got, want)
 			}
 			if got := small.NextLink(src, dst); got != want {
-				t.Fatalf("4-row NextLink(%d,%d) = %d after AddLink, fresh oracle %d", src, dst, got, want)
+				t.Fatalf("4-column NextLink(%d,%d) = %d after AddLink, fresh oracle %d", src, dst, got, want)
 			}
 		}
 	}
 }
 
-// TestDefaultSizing checks the byte-budgeted capacity: every row up to 8192
-// core nodes, the 256 MB budget past it, at least one row, and what
+// TestDefaultSizing checks the byte-budgeted capacity: every column up to
+// 8192 core nodes, the 256 MB budget past it, at least one column, and what
 // NewLazyRouting picks for 0 and refuses below it.
 func TestDefaultSizing(t *testing.T) {
 	for k, want := range map[int]int{0: 1, 1: 1, 100: 100, 8192: 8192, 8193: 8191, 100_000: 671, 1 << 27: 1} {
-		if got := DefaultLazyRows(k); got != want {
-			t.Errorf("DefaultLazyRows(%d) = %d, want %d", k, got, want)
+		if got := DefaultLazyColumns(k); got != want {
+			t.Errorf("DefaultLazyColumns(%d) = %d, want %d", k, got, want)
 		}
 	}
 	nw := tieHeavyNetwork(10, 1)
@@ -296,10 +301,10 @@ func TestDefaultSizing(t *testing.T) {
 	}
 	k := nw.routeCore().k
 	if s := lazy.stats(); s.Capacity != k {
-		t.Errorf("default capacity on %d core nodes is %d rows, want all of them", k, s.Capacity)
+		t.Errorf("default capacity on %d core nodes is %d columns, want all of them", k, s.Capacity)
 	}
 	if s := nw.SharedRouting().stats(); s.Capacity != k {
-		t.Errorf("the shared oracle holds %d rows of %d", s.Capacity, k)
+		t.Errorf("the shared oracle holds %d columns of %d", s.Capacity, k)
 	}
 	if _, err := NewLazyRouting(nw, -1); !errors.Is(err, ErrRoutingConfig) {
 		t.Fatalf("NewLazyRouting(-1) = %v, want ErrRoutingConfig", err)

@@ -80,8 +80,9 @@ type ScaleFreeConfig = topogen.ScaleFreeConfig
 
 // Routing is the route-oracle interface (next hop, memory accounting) the
 // emulator and the mapping approaches consume. See netgraph.Routing: one
-// oracle computes shortest-path rows on first use and caches them under a
-// 256 MB budget, so every paper topology keeps all its rows.
+// oracle computes a shortest-path column per destination on first use and
+// caches them under a 256 MB budget, so every paper topology keeps all its
+// columns.
 type Routing = netgraph.Routing
 
 // Workload is a timestamped list of flows.
