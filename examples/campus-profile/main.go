@@ -57,8 +57,14 @@ func main() {
 	// each router's load per 2 s bucket: what PROFILE reads of the paper's
 	// per-router dump files.
 	summary := profiled.NetFlow.Summarize()
+	carried := 0
+	for _, p := range summary.LinkPackets {
+		if p != 0 {
+			carried++
+		}
+	}
 	fmt.Printf("profile: %d links carried traffic; busiest links: %v\n",
-		len(summary.LinkPackets), summary.TopLinks(3))
+		carried, summary.TopLinks(3))
 
 	// Step 4: cluster the timeline at dominating-node changes (§3.3).
 	segments := mapping.SegmentTimeline(summary.NodeSeries, 4)

@@ -87,8 +87,9 @@ func (s ScaLapack) Generate(hosts []int, seed int64) (traffic.Workload, error) {
 	iterSpan := s.Duration / float64(iters)
 
 	w := traffic.Workload{AppHosts: append([]int(nil), hosts...), Duration: s.Duration}
+	rng := rand.New(rand.NewSource(seed)) // one source, reseeded for each of Collect's passes
 	w.Flows = traffic.Collect(func(add func(traffic.Flow)) {
-		rng := rand.New(rand.NewSource(seed))
+		rng.Seed(seed)
 		emit := func(src, dst int, t float64, bytes int64) {
 			if src != dst && bytes > 0 {
 				add(traffic.Flow{Src: src, Dst: dst, Start: t, Bytes: bytes, Tag: "scalapack"})
@@ -285,8 +286,9 @@ func (g GridNPB) Generate(hosts []int, seed int64) (traffic.Workload, error) {
 
 	w := traffic.Workload{AppHosts: append([]int(nil), hosts...), Duration: duration}
 	graphs := [][]gridTask{hcGraph(), vpGraph(), mbGraph()}
+	rng := rand.New(rand.NewSource(seed)) // one source, reseeded for each of Collect's passes
 	w.Flows = traffic.Collect(func(emit func(traffic.Flow)) {
-		rng := rand.New(rand.NewSource(seed))
+		rng.Seed(seed)
 		// Each graph repeats until the duration is filled; compute times are
 		// scaled so one full pass of the longest chain fits in roughly a
 		// third of the duration.

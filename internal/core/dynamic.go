@@ -221,15 +221,14 @@ func (sc *Scenario) runDynamic(ctx context.Context, cfg emu.Config, o *Outcome) 
 
 // intervalProfile is the traffic now accounts beyond seen, a summary of the
 // same collector taken at an earlier barrier (nil for none): packets per link
-// and per node and the load series, each the difference, with links that
-// carried nothing in between left out. The collector's counters only grow and
-// hold whole packet counts (netflow.Collector.Observe); so this is what a
-// collector that saw only the traffic in between would summarize. The result
-// owns its series, which a collector's summaries share.
+// and per node and the load series, each the difference. The collector's
+// counters only grow and hold whole packet counts (netflow.Collector.Observe);
+// so this is what a collector that saw only the traffic in between would
+// summarize. The result owns its series, which a collector's summaries share.
 func intervalProfile(now, seen *netflow.Summary) *netflow.Summary {
 	ns := now.NodeSeries
 	empty := func() *netflow.Summary {
-		return &netflow.Summary{LinkPackets: make(map[int]int64), NodePackets: make([]int64, len(now.NodePackets)),
+		return &netflow.Summary{LinkPackets: make([]int64, len(now.LinkPackets)), NodePackets: make([]int64, len(now.NodePackets)),
 			NodeSeries: metrics.NewSeries(ns.BucketWidth, ns.Nodes(), ns.Buckets())}
 	}
 	d := empty()
@@ -237,9 +236,7 @@ func intervalProfile(now, seen *netflow.Summary) *netflow.Summary {
 		seen = empty()
 	}
 	for l, p := range now.LinkPackets {
-		if p -= seen.LinkPackets[l]; p != 0 {
-			d.LinkPackets[l] = p
-		}
+		d.LinkPackets[l] = p - seen.LinkPackets[l]
 	}
 	for v, p := range now.NodePackets {
 		d.NodePackets[v] = p - seen.NodePackets[v]

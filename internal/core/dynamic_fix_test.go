@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -236,22 +235,22 @@ func TestRunDynamicZeroFlowGapAccounting(t *testing.T) {
 }
 
 // intervalDigest hashes a summary: its per-link and per-node packet totals and
-// its load series. Floats print with %v, so equal digests mean bit-equal
-// values.
+// its load series. Only links that carried traffic are written, as the digests
+// were recorded when the summary kept no others. Floats print with %v, so
+// equal digests mean bit-equal values.
 func intervalDigest(s *netflow.Summary) string {
-	links := make([]int, 0, len(s.LinkPackets))
-	for l := range s.LinkPackets {
-		links = append(links, l)
-	}
-	sort.Ints(links)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "nodes %v\nlinks", s.NodePackets)
-	for _, l := range links {
-		fmt.Fprintf(&sb, " %d:%d", l, s.LinkPackets[l])
+	carried := 0
+	for l, p := range s.LinkPackets {
+		if p != 0 {
+			fmt.Fprintf(&sb, " %d:%d", l, p)
+			carried++
+		}
 	}
 	fmt.Fprintf(&sb, "\nseries %v %v\n", s.NodeSeries.BucketWidth, s.NodeSeries.Loads)
 	h := sha256.Sum256([]byte(sb.String()))
-	return fmt.Sprintf("%d links %x", len(links), h[:8])
+	return fmt.Sprintf("%d links %x", carried, h[:8])
 }
 
 // TestRunDynamicIntervalProfilesPinned pins the profile each remap of a

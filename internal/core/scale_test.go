@@ -23,8 +23,8 @@ import (
 const scaleTopSHA = "8679651af73f3a1ed4edb62218368923a146ce6d530860a33caed0334d4287c1"
 
 // scaleOracleBytes bounds the oracle's footprint after the 10⁵-router run:
-// 20 destination columns of 4·10⁵ bytes, the search scratch and the core
-// mapping come to ~9.7 MB.
+// 20 destination columns of 4·10⁵ bytes, the search scratch (its heap
+// presized to 16 B per node) and the core mapping come to ~11.3 MB.
 const scaleOracleBytes = 12 << 20
 
 // TestMemoryScalableRoutingEndToEnd is the scale acceptance test: a

@@ -6,23 +6,29 @@ import (
 	"repro/internal/topogen"
 )
 
-// benchmarkMap times one mapping approach on the Brite golden input (k = 8),
-// the instance the bench's map_brite_profile workload partitions.
+// benchmarkMap times one mapping approach on the golden input of each paper
+// topology at its engine count: Brite (k = 8) is the instance the bench's
+// map_brite_profile workload partitions, TeraGrid (k = 5) and Campus (k = 3)
+// the other two.
 func benchmarkMap(b *testing.B, mapFn func(Input) ([]int, error)) {
-	nw, err := topogen.ByName("Brite", 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := goldenInput(b, nw, 8, 42)
-	if _, err := mapFn(in); err != nil { // warm what the network caches lazily
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mapFn(in); err != nil {
-			b.Fatal(err)
-		}
+	for _, spec := range topogen.Table1() {
+		b.Run(spec.Name, func(b *testing.B) {
+			nw, err := topogen.ByName(spec.Name, 42)
+			if err != nil {
+				b.Fatal(err)
+			}
+			in := goldenInput(b, nw, spec.Engines, 42)
+			if _, err := mapFn(in); err != nil { // warm what the network caches lazily
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := mapFn(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

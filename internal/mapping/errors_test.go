@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/netflow"
 	"repro/internal/partition"
 	"repro/internal/topogen"
 )
@@ -20,6 +21,11 @@ func TestSentinelErrBadInput(t *testing.T) {
 		{"bad-k", func() error { _, err := TopMap(Input{Network: nw}); return err }},
 		{"unknown-approach", func() error { _, err := Map("NOPE", Input{Network: nw, K: 2}); return err }},
 		{"profile-no-summary", func() error { _, err := ProfileMap(Input{Network: nw, K: 2}); return err }},
+		{"profile-summary-short-of-links", func() error {
+			sum := &netflow.Summary{NodePackets: make([]int64, nw.NumNodes()), LinkPackets: make([]int64, len(nw.Links)-1)}
+			_, err := ProfileMap(Input{Network: nw, K: 2, Summary: sum})
+			return err
+		}},
 		{"priority-nan", func() error { _, err := TopMap(Input{Network: nw, K: 2, LatencyPriority: math.NaN()}); return err }},
 		{"priority-negative", func() error { _, err := PlaceMap(Input{Network: nw, K: 2, LatencyPriority: -0.1}); return err }},
 		{"priority-above-one", func() error { _, err := TopMap(Input{Network: nw, K: 2, LatencyPriority: 1.5}); return err }},

@@ -105,7 +105,7 @@ func TestDiffusionRemapBalancesLoad(t *testing.T) {
 	n := nw.NumNodes()
 	const k = 3
 	// Skewed profile, everything piled on engine 0's nodes.
-	sum := &netflow.Summary{NodePackets: make([]int64, n), LinkPackets: map[int]int64{}}
+	sum := &netflow.Summary{NodePackets: make([]int64, n), LinkPackets: make([]int64, len(nw.Links))}
 	prev := make([]int, n)
 	for v := 0; v < n; v++ {
 		prev[v] = v % k

@@ -210,7 +210,9 @@ func TestAssessQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Assess(nw, part, 3, map[int]int64{0: 100})
+	packets := make([]int64, len(nw.Links))
+	packets[0] = 100
+	q := Assess(nw, part, 3, packets)
 	total := 0
 	for _, n := range q.NodesPerEngine {
 		total += n
@@ -223,6 +225,9 @@ func TestAssessQuality(t *testing.T) {
 	}
 	if q.CutLinks <= 0 {
 		t.Error("no cut links on a 3-way split")
+	}
+	if l := nw.Links[0]; q.CutTraffic != map[bool]int64{true: 100}[part[l.A] != part[l.B]] {
+		t.Errorf("cut traffic %d: link 0 carried 100 packets, cut: %v", q.CutTraffic, part[l.A] != part[l.B])
 	}
 	if q.String() == "" {
 		t.Error("empty report")

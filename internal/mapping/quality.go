@@ -26,9 +26,9 @@ type Quality struct {
 	CutTraffic int64
 }
 
-// Assess computes the Quality of an assignment. summaryLinkPackets may be
-// nil when no profile is available (CutTraffic stays 0).
-func Assess(nw *netgraph.Network, assignment []int, k int, summaryLinkPackets map[int]int64) Quality {
+// Assess computes the Quality of an assignment. summaryLinkPackets (one entry
+// per link) may be nil when no profile is available (CutTraffic stays 0).
+func Assess(nw *netgraph.Network, assignment []int, k int, summaryLinkPackets []int64) Quality {
 	q := Quality{
 		NodesPerEngine:  make([]int, k),
 		MemoryPerEngine: PredictMemory(nw, assignment, k),
@@ -40,7 +40,9 @@ func Assess(nw *netgraph.Network, assignment []int, k int, summaryLinkPackets ma
 	for _, l := range nw.Links {
 		if assignment[l.A] != assignment[l.B] {
 			q.CutLinks++
-			q.CutTraffic += summaryLinkPackets[l.ID]
+			if summaryLinkPackets != nil {
+				q.CutTraffic += summaryLinkPackets[l.ID]
+			}
 		}
 	}
 	return q

@@ -76,8 +76,8 @@ func (c *Collector) Observe(node, inSlot int, packets int64, t float64) {
 // consumes.
 type Summary struct {
 	// LinkPackets[l] is the total packets carried by link l (both
-	// directions), for every link that carried any.
-	LinkPackets map[int]int64
+	// directions), one entry per link: 0 for a link that carried none.
+	LinkPackets []int64
 	// NodePackets[n] is the total kernel-event load (packets processed) of
 	// node n.
 	NodePackets []int64
@@ -89,11 +89,9 @@ type Summary struct {
 // summary shares the collector's series. A node's total is its series row
 // summed: the series holds whole packet counts, exact in float64 below 2⁵³.
 func (c *Collector) Summarize() *Summary {
-	s := &Summary{LinkPackets: make(map[int]int64), NodePackets: make([]int64, c.series.Nodes()), NodeSeries: c.series}
-	for l := 0; 2*l < len(c.in); l++ {
-		if p := c.in[2*l] + c.in[2*l+1]; p != 0 {
-			s.LinkPackets[l] = p
-		}
+	s := &Summary{LinkPackets: make([]int64, len(c.in)/2), NodePackets: make([]int64, c.series.Nodes()), NodeSeries: c.series}
+	for l := range s.LinkPackets {
+		s.LinkPackets[l] = c.in[2*l] + c.in[2*l+1]
 	}
 	for n, p := range c.series.TotalPerNode() {
 		s.NodePackets[n] = int64(p)
@@ -101,12 +99,14 @@ func (c *Collector) Summarize() *Summary {
 	return s
 }
 
-// TopLinks returns the n busiest links by packet count, descending
-// (deterministic tie-break on link ID); none when n <= 0.
+// TopLinks returns the n busiest links that carried traffic, by packet
+// count, descending (deterministic tie-break on link ID); none when n <= 0.
 func (s *Summary) TopLinks(n int) []int {
-	links := make([]int, 0, len(s.LinkPackets))
-	for l := range s.LinkPackets {
-		links = append(links, l)
+	links := []int{}
+	for l, p := range s.LinkPackets {
+		if p != 0 {
+			links = append(links, l)
+		}
 	}
 	slices.SortFunc(links, func(a, b int) int {
 		return cmp.Or(cmp.Compare(s.LinkPackets[b], s.LinkPackets[a]), cmp.Compare(a, b))

@@ -22,8 +22,14 @@ func TestCollectorAggregation(t *testing.T) {
 	if s.NodePackets[1] != 10 || s.NodePackets[2] != 35 || s.NodePackets[3] != 4 || s.NodePackets[4] != 0 {
 		t.Errorf("NodePackets = %v", s.NodePackets)
 	}
-	if len(s.LinkPackets) != 2 || s.LinkPackets[7] != 15 || s.LinkPackets[9] != 24 {
-		t.Errorf("LinkPackets = %v, want 7:15 and 9:24 (both directions, only links that carried any)", s.LinkPackets)
+	carried := 0
+	for _, p := range s.LinkPackets {
+		if p != 0 {
+			carried++
+		}
+	}
+	if len(s.LinkPackets) != 10 || carried != 2 || s.LinkPackets[7] != 15 || s.LinkPackets[9] != 24 {
+		t.Errorf("LinkPackets = %v, want one entry per link, 7:15 and 9:24 (both directions) the only links that carried any", s.LinkPackets)
 	}
 	// Series bucketed at 2s: node 2 has 10 packets in bucket 0 (t=1.5),
 	// 20 in bucket 1 (t=2.0), 5 in bucket 1 (t=3.5).
@@ -109,7 +115,7 @@ func TestCollectorBytesPerSlot(t *testing.T) {
 }
 
 func TestTopLinks(t *testing.T) {
-	s := &Summary{LinkPackets: map[int]int64{1: 100, 2: 300, 3: 200, 4: 300}}
+	s := &Summary{LinkPackets: []int64{0, 100, 300, 200, 300, 0}}
 	top := s.TopLinks(3)
 	if len(top) != 3 {
 		t.Fatalf("top = %v", top)
@@ -119,7 +125,7 @@ func TestTopLinks(t *testing.T) {
 		t.Errorf("top = %v, want [2 4 3]", top)
 	}
 	if got := s.TopLinks(99); len(got) != 4 {
-		t.Errorf("TopLinks(99) = %v, want all 4", got)
+		t.Errorf("TopLinks(99) = %v, want the 4 that carried traffic", got)
 	}
 	for _, n := range []int{0, -1} {
 		if got := s.TopLinks(n); got == nil || len(got) != 0 {

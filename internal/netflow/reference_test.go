@@ -29,7 +29,8 @@ type Record struct {
 // referenceCollector is the map-keyed per-flow record collector, kept
 // verbatim (f900919, renamed) as the oracle of TestCollectorMatchesReference:
 // records keyed by (node, flow, inlink), created on first observation. Its
-// summary is the paper's offline aggregation of the dump files.
+// summary is the paper's offline aggregation of the dump files, written into
+// one entry per link of a network of the given link count.
 type referenceCollector struct {
 	BucketWidth float64
 	// perNode[n] maps flow key to the record index in records[n].
@@ -89,9 +90,9 @@ func (c *referenceCollector) Observe(node, flowID, src, dst, inLink int, packets
 	c.series.Add(t, node, float64(packets))
 }
 
-func (c *referenceCollector) Summarize() *Summary {
+func (c *referenceCollector) Summarize(links int) *Summary {
 	s := &Summary{
-		LinkPackets: make(map[int]int64),
+		LinkPackets: make([]int64, links),
 		NodePackets: make([]int64, len(c.records)),
 		NodeSeries:  c.series,
 	}
@@ -170,19 +171,20 @@ func TestCollectorMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		sameAccounting(t, "before any traffic", c, ref)
+		sameAccounting(t, "before any traffic", c, ref, nodes)
 		observe(60)
-		sameAccounting(t, "first phase", c, ref)
+		sameAccounting(t, "first phase", c, ref, nodes)
 		observe(80)
-		sameAccounting(t, "final phase", c, ref)
+		sameAccounting(t, "final phase", c, ref, nodes)
 	}
 }
 
 // sameAccounting fails unless the collector and the keyed collector report
-// the same summary: link and node totals and the series.
-func sameAccounting(t *testing.T, when string, c *Collector, ref *referenceCollector) {
+// the same summary: link and node totals and the series, over the nodes²
+// link ids of TestCollectorMatchesReference's numbering.
+func sameAccounting(t *testing.T, when string, c *Collector, ref *referenceCollector, nodes int) {
 	t.Helper()
-	if got, want := c.Summarize(), ref.Summarize(); !reflect.DeepEqual(got, want) {
+	if got, want := c.Summarize(), ref.Summarize(nodes*nodes); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: Summarize differs:\n counters %+v\n keyed    %+v", when, got, want)
 	}
 }

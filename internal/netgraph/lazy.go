@@ -216,10 +216,10 @@ func (l *LazyRouting) MemoryBytes() int64 {
 	defer l.mu.Unlock()
 	cached := int64(len(l.cols))
 	// Free columns keep their backing arrays; count them too, plus the
-	// scratch (dist + done) and the core mapping.
+	// scratch (dist + done, and the heap's 16 B pqItems) and the core mapping.
 	for c := l.free; c != nil; c = c.next {
 		cached++
 	}
 	n := int64(len(l.core.parent))
-	return cached*int64(l.core.k)*4 + n*(8+1) + l.core.memoryBytes()
+	return cached*int64(l.core.k)*4 + n*(8+1) + int64(cap(l.scratch.heap))*16 + l.core.memoryBytes()
 }

@@ -277,9 +277,9 @@ func (s HTTPSpec) pairs(nw *netgraph.Network) pairing {
 // Generate implements Background: every client issues requests separated by
 // exponential think times until Duration.
 func (s HTTPSpec) Generate(nw *netgraph.Network, after ...Workload) Workload {
-	p := s.pairs(nw)
+	p, rng := s.pairs(nw), rand.New(rand.NewSource(s.Seed+1)) // one source, reseeded for each of Collect's passes
 	return Workload{Duration: s.Duration, Flows: Collect(func(emit func(Flow)) {
-		rng := rand.New(rand.NewSource(s.Seed + 1))
+		rng.Seed(s.Seed + 1)
 		for si, srv := range p.server {
 			for _, cl := range p.client[si] {
 				// Stagger session starts uniformly over one think period.
